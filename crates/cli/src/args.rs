@@ -124,7 +124,7 @@ pub enum Command {
         no_cache: bool,
     },
     /// `seu serve-engine <engine.bin> --listen <addr> [--name <name>]
-    /// [--threaded] [--workers N]`
+    /// [--workers N]`
     ServeEngine {
         /// Persisted engine file to serve.
         engine: PathBuf,
@@ -132,9 +132,6 @@ pub enum Command {
         listen: String,
         /// Advertised engine name (defaults to the file stem).
         name: Option<String>,
-        /// Serve with the legacy thread-per-connection scheduler instead
-        /// of the event loop.
-        threaded: bool,
         /// Event-loop worker threads (0 = auto).
         workers: usize,
     },
@@ -186,7 +183,7 @@ usage:
   seu broker <engine.bin>... -q <query> [-t <threshold>] [--shards <n>] [--no-cache]
   seu serve <engine.bin>... [--remote <host:port>]... --listen <addr> [--store <dir>] [--shards <n>] [--no-cache] [--join <hosts-file>]
   seu front-door [--replica <[id=]host:port>]... [--hosts-file <path>] [--engine <[name=]host:port>]... --listen <addr> [--vnodes <n>] [--replication <n>]
-  seu serve-engine <engine.bin> --listen <addr> [--name <name>] [--threaded] [--workers <n>]
+  seu serve-engine <engine.bin> --listen <addr> [--name <name>] [--workers <n>]
   seu refresh <engine.bin>... --repr-dir <dir> [--stale-only]
   seu snapshot <engine.bin>... --store <dir> [--shards <n>]
   seu restore --store <dir> [-q <query>] [-t <threshold>] [--shards <n>] [--no-cache]
@@ -243,7 +240,6 @@ pub fn parse(args: &[String]) -> Result<Invocation, String> {
     let mut name: Option<String> = None;
     let mut shards = 1usize;
     let mut no_cache = false;
-    let mut threaded = false;
     let mut workers = 0usize;
     let mut join: Option<PathBuf> = None;
     let mut hosts_file: Option<PathBuf> = None;
@@ -308,7 +304,6 @@ pub fn parse(args: &[String]) -> Result<Invocation, String> {
                     .filter(|&n| n > 0)
                     .ok_or_else(|| "--shards needs a positive integer".to_string())?;
             }
-            "--threaded" => threaded = true,
             "--join" => join = Some(PathBuf::from(cur.value_for("--join")?)),
             "--hosts-file" => hosts_file = Some(PathBuf::from(cur.value_for("--hosts-file")?)),
             "--replica" => replicas.push(cur.value_for("--replica")?),
@@ -433,7 +428,6 @@ pub fn parse(args: &[String]) -> Result<Invocation, String> {
             engine: one_positional("engine file")?,
             listen: listen.ok_or("missing --listen <addr>")?,
             name,
-            threaded,
             workers,
         },
         "refresh" => {
@@ -809,7 +803,6 @@ mod tests {
                 engine: "a.bin".into(),
                 listen: "127.0.0.1:0".into(),
                 name: None,
-                threaded: false,
                 workers: 0,
             }
         );
@@ -820,22 +813,10 @@ mod tests {
             Command::ServeEngine { name: Some(n), .. } if n == "news"
         ));
         assert!(matches!(
-            p(&[
-                "serve-engine",
-                "a.bin",
-                "--listen",
-                "l:0",
-                "--threaded",
-                "--workers",
-                "3"
-            ])
-            .unwrap()
-            .command,
-            Command::ServeEngine {
-                threaded: true,
-                workers: 3,
-                ..
-            }
+            p(&["serve-engine", "a.bin", "--listen", "l:0", "--workers", "3"])
+                .unwrap()
+                .command,
+            Command::ServeEngine { workers: 3, .. }
         ));
         assert!(p(&["serve-engine", "a.bin"])
             .unwrap_err()

@@ -636,7 +636,7 @@ pub fn restore(
 }
 
 /// Builds the engine server for `seu serve-engine` without blocking,
-/// with the default (event-loop) scheduling.
+/// with the default worker count.
 pub fn serve_engine_start(
     engine_path: &Path,
     name: Option<&str>,
@@ -645,7 +645,7 @@ pub fn serve_engine_start(
     serve_engine_start_with(engine_path, name, listen, seu_net::ServerConfig::default())
 }
 
-/// [`serve_engine_start`] with explicit server scheduling.
+/// [`serve_engine_start`] with an explicit worker count.
 pub fn serve_engine_start_with(
     engine_path: &Path,
     name: Option<&str>,
@@ -672,13 +672,9 @@ pub fn serve_engine(
     let server = serve_engine_start_with(engine_path, name, listen, config)?;
     writeln!(
         out,
-        "engine {} listening on {} ({})",
+        "engine {} listening on {}",
         server.name(),
-        server.addr(),
-        match config.mode {
-            seu_net::ServerMode::EventLoop => "event loop",
-            seu_net::ServerMode::ThreadPerConnection => "thread per connection",
-        }
+        server.addr()
     )
     .and_then(|()| out.flush())
     .map_err(|e| io_err("writing output", e))?;

@@ -162,18 +162,9 @@ pub fn run_command(command: &Command, out: &mut dyn io::Write) -> Result<(), Str
             engine,
             listen,
             name,
-            threaded,
             workers,
         } => {
-            let config = seu_net::ServerConfig {
-                mode: if *threaded {
-                    seu_net::ServerMode::ThreadPerConnection
-                } else {
-                    seu_net::ServerMode::EventLoop
-                },
-                workers: *workers,
-                ..seu_net::ServerConfig::default()
-            };
+            let config = seu_net::ServerConfig { workers: *workers };
             commands::serve_engine(engine, name.as_deref(), listen, config, out)
         }
         Command::Refresh {

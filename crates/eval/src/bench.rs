@@ -78,11 +78,9 @@ pub struct BrokerBenchConfig {
     /// rate reads 0 and the speedup collapses to ~1.
     pub no_cache: bool,
     /// Remote-only concurrency axis: for each entry `n`, hammer one
-    /// loopback engine with `n` client threads through both schedulers —
-    /// the event-loop server with the multiplexing connection pool
-    /// (`mux_cN` phase) and the thread-per-connection server with a
-    /// connection-per-call client (`threaded_cN` phase) — and report
-    /// both throughputs as a [`ConcurrencyPoint`]. Empty skips the axis.
+    /// loopback engine server with `n` client threads sharing one
+    /// pooled, multiplexing client (`mux_cN` phase) and report the
+    /// throughput as a [`ConcurrencyPoint`]. Empty skips the axis.
     pub concurrency: Vec<usize>,
     /// When set, run the federation phases: every database goes behind
     /// its own loopback engine server, and the same workload is driven
@@ -133,8 +131,8 @@ impl BrokerBenchConfig {
     }
 }
 
-/// One point on the remote concurrency axis: requests per second through
-/// each scheduler at a given client-thread count.
+/// One point on the remote concurrency axis: requests per second at a
+/// given client-thread count.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConcurrencyPoint {
     /// Concurrent client threads driving the workload.
@@ -142,9 +140,6 @@ pub struct ConcurrencyPoint {
     /// Throughput through the event-loop server with the multiplexing
     /// connection pool (successful requests / wall-clock seconds).
     pub multiplexed_rps: f64,
-    /// Throughput through the thread-per-connection server with a
-    /// connection-per-call client.
-    pub threaded_rps: f64,
 }
 
 /// The benchmark report: configuration, per-phase timings, and the
@@ -266,8 +261,6 @@ impl BrokerBenchReport {
             }
             let _ = write!(out, "{{\"clients\": {}, \"multiplexed_rps\": ", p.clients);
             json::write_num(&mut out, p.multiplexed_rps);
-            out.push_str(", \"threaded_rps\": ");
-            json::write_num(&mut out, p.threaded_rps);
             out.push('}');
         }
         out.push_str("],\n");
@@ -359,8 +352,8 @@ impl BrokerBenchReport {
         for p in &self.concurrency {
             let _ = writeln!(
                 out,
-                "  concurrency {:>4} clients: multiplexed {:>9.1} req/s, thread-per-conn {:>9.1} req/s",
-                p.clients, p.multiplexed_rps, p.threaded_rps
+                "  concurrency {:>4} clients: multiplexed {:>9.1} req/s",
+                p.clients, p.multiplexed_rps
             );
         }
         let _ = writeln!(out, "  {:<16} {:>10} {:>8}", "phase", "seconds", "items");
@@ -692,66 +685,37 @@ pub fn run_broker_bench_config(cfg: &BrokerBenchConfig) -> BrokerBenchReport {
         let _ = std::fs::remove_dir_all(&store_dir);
     }
 
-    // Remote concurrency axis: the same single-engine request hammer
-    // through both schedulers at each configured client count. The
-    // multiplexed side shares one pooled client across every thread
-    // (frames interleave on few connections); the baseline pairs the
-    // thread-per-connection server with a connection-per-call client —
-    // the pre-pool deployment. Phase names are leaked once per point;
-    // the axis is a handful of values, not a hot path.
+    // Remote concurrency axis: a single-engine request hammer at each
+    // configured client count, every thread sharing one pooled client
+    // (frames interleave on few connections). Phase names are leaked
+    // once per point; the axis is a handful of values, not a hot path.
     let mut concurrency_points: Vec<ConcurrencyPoint> = Vec::new();
     if remote && !cfg.concurrency.is_empty() {
-        let first_collection = || {
-            seu_corpus::many_databases(seed, docs_base)
-                .into_iter()
-                .next()
-                .expect("the generator yields at least one database")
-                .1
-        };
+        let first_collection = seu_corpus::many_databases(seed, docs_base)
+            .into_iter()
+            .next()
+            .expect("the generator yields at least one database")
+            .1;
         let mux_server = seu_net::EngineServer::bind(
             "bench-mux",
-            SearchEngine::new(first_collection()),
+            SearchEngine::new(first_collection),
             "127.0.0.1:0",
         )
-        .expect("binding the event-loop bench server");
-        let threaded_server = seu_net::EngineServer::bind_with(
-            "bench-threaded",
-            SearchEngine::new(first_collection()),
-            "127.0.0.1:0",
-            seu_net::ServerConfig {
-                mode: seu_net::ServerMode::ThreadPerConnection,
-                ..seu_net::ServerConfig::default()
-            },
-        )
-        .expect("binding the thread-per-connection bench server");
+        .expect("binding the bench engine server");
         let mux_client =
             seu_net::RemoteEngine::new(mux_server.addr()).expect("resolving the mux server");
-        let threaded_client = seu_net::RemoteEngine::new(threaded_server.addr())
-            .expect("resolving the threaded server")
-            .connection_per_call(true);
         for &n in &cfg.concurrency {
             let clients = n.max(1);
             let total = (clients * 16).max(256);
             let mux_name: &'static str = Box::leak(format!("mux_c{clients}").into_boxed_str());
-            let threaded_name: &'static str =
-                Box::leak(format!("threaded_c{clients}").into_boxed_str());
             let mut mux_ok = 0u64;
             let mux_seconds = timed(mux_name, total as u64, &mut || {
                 mux_ok = hammer(&mux_client, clients, total, &queries, threshold);
-            });
-            let mut threaded_ok = 0u64;
-            let threaded_seconds = timed(threaded_name, total as u64, &mut || {
-                threaded_ok = hammer(&threaded_client, clients, total, &queries, threshold);
             });
             concurrency_points.push(ConcurrencyPoint {
                 clients,
                 multiplexed_rps: if mux_seconds > 0.0 {
                     mux_ok as f64 / mux_seconds
-                } else {
-                    0.0
-                },
-                threaded_rps: if threaded_seconds > 0.0 {
-                    threaded_ok as f64 / threaded_seconds
                 } else {
                     0.0
                 },
@@ -854,7 +818,7 @@ pub fn run_broker_bench_config(cfg: &BrokerBenchConfig) -> BrokerBenchReport {
     let mut federated_speedup = None;
     if cfg.federated {
         use seu_metasearch::federation::{EngineSource, FrontDoor, FrontDoorConfig};
-        use seu_net::{RemoteReplica, ReplicaServer, ReplicaServerConfig};
+        use seu_net::{RemoteReplica, ReplicaServer, ServerConfig};
 
         let mut fed_servers: Vec<(String, seu_net::EngineServer)> = Vec::new();
         timed("federated_serve", n_databases as u64, &mut || {
@@ -893,7 +857,7 @@ pub fn run_broker_bench_config(cfg: &BrokerBenchConfig) -> BrokerBenchReport {
                     &format!("replica-{i}"),
                     broker,
                     "127.0.0.1:0",
-                    ReplicaServerConfig { workers: 1 },
+                    ServerConfig { workers: 1 },
                 )
                 .expect("binding a replica server");
                 let client = RemoteReplica::new(server.addr()).expect("dialing a replica");
@@ -1134,8 +1098,16 @@ fn tiny_engine(seed: u64, i: usize) -> (String, SearchEngine) {
 mod tests {
     use super::*;
 
+    /// A report's counters are deltas of the process-global registry,
+    /// so the bench runs of this module must not overlap.
+    fn exclusive() -> std::sync::MutexGuard<'static, ()> {
+        static BENCH_RUNS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        BENCH_RUNS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn bench_report_is_valid_json_with_expected_shape() {
+        let _exclusive = exclusive();
         let report = run_broker_bench(7, 6, 4);
         assert_eq!(report.queries, 4);
         assert!(report.databases > 0);
@@ -1180,6 +1152,7 @@ mod tests {
 
     #[test]
     fn remote_bench_serves_over_loopback_and_reports_net_counters() {
+        let _exclusive = exclusive();
         let report = run_broker_bench_remote(7, 6, 3);
         assert!(report.remote);
         assert_eq!(
@@ -1219,6 +1192,7 @@ mod tests {
 
     #[test]
     fn large_registry_phases_appear_with_engines() {
+        let _exclusive = exclusive();
         let report = run_broker_bench_config(&BrokerBenchConfig {
             shards: 4,
             engines: 64,
@@ -1260,6 +1234,7 @@ mod tests {
 
     #[test]
     fn trace_sample_phases_measure_overhead() {
+        let _exclusive = exclusive();
         let report = run_broker_bench_config(&BrokerBenchConfig {
             trace_sample: true,
             ..BrokerBenchConfig::new(7, 6, 3)
@@ -1299,6 +1274,7 @@ mod tests {
 
     #[test]
     fn zipf_phases_measure_hit_rate_and_speedup() {
+        let _exclusive = exclusive();
         let report = run_broker_bench_config(&BrokerBenchConfig {
             zipf: Some(1.1),
             ..BrokerBenchConfig::new(7, 6, 8)
@@ -1345,6 +1321,7 @@ mod tests {
 
     #[test]
     fn federated_phases_measure_cluster_scaling() {
+        let _exclusive = exclusive();
         let report = run_broker_bench_config(&BrokerBenchConfig {
             federated: true,
             replicas: 2,
@@ -1391,6 +1368,7 @@ mod tests {
 
     #[test]
     fn store_phases_time_rebuild_and_restore() {
+        let _exclusive = exclusive();
         let report = run_broker_bench_config(&BrokerBenchConfig {
             store: true,
             engines: 48,
@@ -1427,23 +1405,21 @@ mod tests {
     }
 
     #[test]
-    fn concurrency_axis_reports_both_schedulers() {
+    fn concurrency_axis_reports_multiplexed_throughput() {
+        let _exclusive = exclusive();
         let report = run_broker_bench_config(&BrokerBenchConfig {
             remote: true,
             concurrency: vec![2],
             ..BrokerBenchConfig::new(7, 6, 3)
         });
         let names: Vec<_> = report.phases.iter().map(|p| p.name).collect();
-        assert!(
-            names.contains(&"mux_c2") && names.contains(&"threaded_c2"),
-            "{names:?}"
-        );
+        assert!(names.contains(&"mux_c2"), "{names:?}");
         assert_eq!(report.concurrency.len(), 1);
         let point = report.concurrency[0];
         assert_eq!(point.clients, 2);
         assert!(
-            point.multiplexed_rps > 0.0 && point.threaded_rps > 0.0,
-            "both schedulers must complete requests: {point:?}"
+            point.multiplexed_rps > 0.0,
+            "the hammer must complete requests: {point:?}"
         );
         let doc = json::parse(&report.to_json()).expect("concurrency bench JSON parses");
         let axis = doc
@@ -1474,6 +1450,7 @@ mod tests {
 
     #[test]
     fn counter_deltas_scale_with_queries() {
+        let _exclusive = exclusive();
         let report = run_broker_bench(11, 6, 3);
         // estimate + select + search each consider every database per query.
         let estimates = report.counters["estimator_subrange_invocations_total"];

@@ -45,8 +45,8 @@
 //!                       a front-door over 1 replica vs --replicas replicas (one compute
 //!                       worker each), reporting federated_rps and federated_speedup
 //!   --replicas N        bench-broker federated cluster size (default 4)
-//!   --concurrency LIST  bench-broker (remote) client-count axis, e.g. 1,16,256: multiplexed
-//!                       pool vs thread-per-connection throughput at each count
+//!   --concurrency LIST  bench-broker (remote) client-count axis, e.g. 1,16,256: throughput
+//!                       through one shared multiplexing client at each count
 //!   --stats             print a metrics snapshot after the run
 //!   --metrics-out PATH  write the metrics snapshot as JSON
 //! ```

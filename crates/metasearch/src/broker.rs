@@ -35,10 +35,11 @@ use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use seu_core::{Usefulness, UsefulnessEstimator};
 use seu_engine::{Fingerprint, SearchEngine, TermMap};
-use seu_obs::{SpanRecord, TraceHandle};
+use seu_obs::{SpanGuard, SpanId, SpanRecord, TraceHandle};
 use seu_repr::Representative;
 use seu_store::{EntryKind, Manifest, ManifestEntry, ReprStore, StoreError};
 use seu_text::{Analyzer, AnalyzerConfig, Vocabulary};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -47,9 +48,40 @@ use std::time::Instant;
 /// sequence, name)` of every engine it refreshed.
 type SweepJob = Box<dyn FnOnce() -> Vec<(u64, String)> + Send>;
 
-/// One engine's dispatch job: its merged hits and its wall-clock, or the
-/// typed transport failure that produced neither.
-type DispatchJob = Box<dyn FnOnce() -> Result<(Vec<MergedHit>, f64), TransportError> + Send>;
+/// What one engine's dispatch produced: its merged hits and its
+/// wall-clock, or the typed transport failure that produced neither.
+type DispatchResult = Result<(Vec<MergedHit>, f64), TransportError>;
+
+/// One engine's dispatch job.
+type DispatchJob = Box<dyn FnOnce() -> DispatchResult + Send>;
+
+/// One pool job of a dispatch: the jobs of one or more engines run back
+/// to back, `None` for an engine whose job panicked.
+type DispatchBatch = Box<dyn FnOnce() -> Vec<Option<DispatchResult>> + Send>;
+
+/// Opens one engine's `dispatch:<engine>` span under the dispatch span,
+/// carrying the queue-wait measured from submission to job start. An
+/// unsampled trace formats nothing: this runs once per selected engine
+/// of every request.
+fn engine_span(
+    trace: &TraceHandle,
+    parent: SpanId,
+    name: &str,
+    kind: &str,
+    enqueued: Instant,
+) -> SpanGuard {
+    if !trace.is_sampled() {
+        return SpanGuard::disabled();
+    }
+    let mut span = trace.child_span(&format!("dispatch:{name}"), parent);
+    span.attr("engine", name);
+    span.attr("kind", kind);
+    span.attr(
+        "queue_wait_s",
+        format!("{:.6}", enqueued.elapsed().as_secs_f64()),
+    );
+    span
+}
 
 /// A shard-hydration job for the worker pool, returning how many cold
 /// entries it decoded from the store.
@@ -1554,12 +1586,6 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         self.plan_cached(req, trace).0
     }
 
-    /// Deprecated alias for [`Broker::plan`] with a trace.
-    #[deprecated(note = "use `plan(req, Some(trace))`")]
-    pub fn plan_traced(&self, req: &SearchRequest, trace: &TraceHandle) -> QueryPlan {
-        self.plan(req, Some(trace))
-    }
-
     /// [`Broker::plan`], also reporting which cache tier (if any) the
     /// planning work came from: `Some(Plan)` for a plan-tier hit,
     /// `Some(Analysis)` when only the analysis was reused, `None` for a
@@ -1764,17 +1790,6 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
                 usefulness: self.estimator.estimate(&e.repr, &e.query, threshold),
             })
             .collect())
-    }
-
-    /// Deprecated alias for [`Broker::try_reestimate`] with a trace.
-    #[deprecated(note = "use `try_reestimate(plan, threshold, Some(trace))`")]
-    pub fn try_reestimate_traced(
-        &self,
-        plan: &QueryPlan,
-        threshold: f64,
-        trace: &TraceHandle,
-    ) -> Result<Vec<EngineEstimate>, StalePlanError> {
-        self.try_reestimate(plan, threshold, Some(trace))
     }
 
     /// Re-estimates a plan's engines at a different threshold,
@@ -1993,6 +2008,67 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         Ok(resp)
     }
 
+    /// Runs a plan's dispatch jobs (one per selected engine, in that
+    /// order) on the worker pool and returns one status per engine.
+    ///
+    /// A remote call blocks on the network, so it is a pool job of its
+    /// own (as is a detached engine's refusal). An in-process search takes microseconds — less than handing
+    /// it to a worker and waking the caller for its result — so the
+    /// local engines of a plan go to the pool as at most one batch per
+    /// worker. A plan over a thousand small engines then costs a few
+    /// thread hand-offs instead of a thousand, and how long it takes no
+    /// longer depends on how promptly the host schedules each of them.
+    /// Inside a batch every engine still runs under its own
+    /// `catch_unwind`; a batch that misses the deadline times out all
+    /// its engines.
+    fn run_dispatch_jobs(
+        &self,
+        plan: &QueryPlan,
+        jobs: Vec<DispatchJob>,
+        timeout: Option<std::time::Duration>,
+    ) -> Vec<JobStatus<DispatchResult>> {
+        let pool = self.pool();
+        let n = jobs.len();
+        let (local, single): (Vec<usize>, Vec<usize>) = (0..n).partition(|&p| {
+            matches!(
+                plan.engines[plan.selected[p]].handle,
+                EngineHandle::Local(_)
+            )
+        });
+        let per_batch = local.len().div_ceil(pool.threads()).max(1);
+        let groups: Vec<&[usize]> = single.chunks(1).chain(local.chunks(per_batch)).collect();
+        let mut jobs: Vec<Option<DispatchJob>> = jobs.into_iter().map(Some).collect();
+        let batches: Vec<DispatchBatch> = groups
+            .iter()
+            .map(|group| {
+                let batch: Vec<DispatchJob> = group
+                    .iter()
+                    .map(|&p| jobs[p].take().expect("each position is in one group"))
+                    .collect();
+                Box::new(move || {
+                    batch
+                        .into_iter()
+                        .map(|job| catch_unwind(AssertUnwindSafe(job)).ok())
+                        .collect()
+                }) as DispatchBatch
+            })
+            .collect();
+        let mut out: Vec<JobStatus<DispatchResult>> = (0..n).map(|_| JobStatus::TimedOut).collect();
+        for (group, status) in groups.iter().zip(pool.run_collect(batches, timeout)) {
+            match status {
+                JobStatus::Done(results) => {
+                    for (&p, result) in group.iter().zip(results) {
+                        out[p] = result.map_or(JobStatus::Panicked, JobStatus::Done);
+                    }
+                }
+                JobStatus::Panicked => group.iter().for_each(|&p| out[p] = JobStatus::Panicked),
+                JobStatus::Rejected => group.iter().for_each(|&p| out[p] = JobStatus::Rejected),
+                JobStatus::TimedOut => {}
+            }
+        }
+        out
+    }
+
     /// Dispatches a plan's invocation set over the worker pool and merges
     /// the results. The accounting half of [`Broker::execute`].
     fn dispatch(&self, req: &SearchRequest, plan: &QueryPlan) -> SearchResponse {
@@ -2031,13 +2107,7 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
                         let query = e.query.clone();
                         Box::new(move || {
                             let mut span =
-                                trace.child_span(&format!("dispatch:{name}"), dispatch_span_id);
-                            span.attr("engine", &name);
-                            span.attr("kind", "local");
-                            span.attr(
-                                "queue_wait_s",
-                                format!("{:.6}", enqueued.elapsed().as_secs_f64()),
-                            );
+                                engine_span(&trace, dispatch_span_id, &name, "local", enqueued);
                             let start = Instant::now();
                             let hits: Vec<MergedHit> = engine
                                 .search_threshold(&query, threshold)
@@ -2057,14 +2127,8 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
                         let text = plan.query.clone();
                         Box::new(move || {
                             let mut span =
-                                trace.child_span(&format!("dispatch:{name}"), dispatch_span_id);
-                            span.attr("engine", &name);
-                            span.attr("kind", "remote");
+                                engine_span(&trace, dispatch_span_id, &name, "remote", enqueued);
                             span.attr("endpoint", transport.endpoint());
-                            span.attr(
-                                "queue_wait_s",
-                                format!("{:.6}", enqueued.elapsed().as_secs_f64()),
-                            );
                             let start = Instant::now();
                             let ctx = trace.context(span.id());
                             let (remote_hits, remote_spans) =
@@ -2083,10 +2147,8 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
                         }) as DispatchJob
                     }
                     EngineHandle::Detached { .. } => Box::new(move || {
-                        let mut span =
-                            trace.child_span(&format!("dispatch:{name}"), dispatch_span_id);
-                        span.attr("engine", &name);
-                        span.attr("kind", "detached");
+                        let _span =
+                            engine_span(&trace, dispatch_span_id, &name, "detached", enqueued);
                         Err(TransportError::new(
                             TransportErrorKind::Refused,
                             format!(
@@ -2098,7 +2160,7 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
                 }
             })
             .collect();
-        let statuses = self.pool().run_collect(jobs, req.timeout);
+        let statuses = self.run_dispatch_jobs(plan, jobs, req.timeout);
 
         let mut per_engine: Vec<Vec<MergedHit>> = Vec::with_capacity(statuses.len());
         let mut per_engine_stats = Vec::with_capacity(statuses.len());

@@ -6,8 +6,10 @@
 //! thread spawn per engine per query, and concurrent queries would
 //! multiply unbounded. [`WorkerPool`] fixes the concurrency at
 //! construction time: `threads` long-lived workers drain a shared queue,
-//! so dispatch cost per query is one channel send per selected engine and
-//! peak parallelism never exceeds the configured bound.
+//! so dispatch cost per query is one channel send per pool job — the
+//! broker submits one per selected remote engine and one batch per
+//! worker for its in-process engines — and peak parallelism never
+//! exceeds the configured bound.
 //!
 //! Failure isolation: jobs run under `catch_unwind`, so a panicking
 //! engine neither kills its worker nor poisons the query — the caller

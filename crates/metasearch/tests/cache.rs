@@ -1,8 +1,7 @@
 //! Query-cache integration: cached responses are bit-identical to cold
 //! ones, every lifecycle event invalidates (epoch-in-key, never served
-//! stale), per-request cache modes behave, the deprecated traced
-//! wrappers still forward, and the cache-key fingerprint never collides
-//! for distinct request identities.
+//! stale), per-request cache modes behave, and the cache-key
+//! fingerprint never collides for distinct request identities.
 
 use seu_core::SubrangeEstimator;
 use seu_corpus::many_databases;
@@ -267,31 +266,6 @@ fn explain_requests_stay_cold() {
     let explained = b.execute(&req.clone().explain(true));
     assert_eq!(explained.served_from, None, "explain must run cold");
     assert!(explained.trace.is_some(), "explain must carry its trace");
-}
-
-/// The deprecated traced wrappers forward to the consolidated methods:
-/// same plan, same estimates.
-#[test]
-#[allow(deprecated)]
-fn deprecated_traced_wrappers_forward() {
-    let b = two_engine_broker();
-    let req = SearchRequest::new("relational databases").threshold(0.1);
-
-    let trace = seu_obs::tracer().start_trace("wrapper_test", true);
-    let handle = trace.handle();
-
-    let via_wrapper = b.plan_traced(&req, &handle);
-    let direct = b.plan(&req, None);
-    assert_eq!(via_wrapper.epoch, direct.epoch);
-    assert_eq!(via_wrapper.selected_names(), direct.selected_names());
-
-    let w = b.try_reestimate_traced(&direct, 0.2, &handle).unwrap();
-    let d = b.try_reestimate(&direct, 0.2, None).unwrap();
-    assert_eq!(w.len(), d.len());
-    for (a, b) in w.iter().zip(&d) {
-        assert_eq!(a.engine, b.engine);
-        assert_eq!(a.usefulness.no_doc.to_bits(), b.usefulness.no_doc.to_bits());
-    }
 }
 
 mod fingerprint_props {

@@ -251,10 +251,34 @@ fn detached_dispatch_fails_until_attach_then_hits_match() {
         );
     }
 
+    // One engine attached, the rest still detached: the live engine's
+    // batch and the refusals travel through the pool differently, and
+    // every outcome still lands on its own engine, in plan order.
+    let (first, docs) = corpus().swap_remove(0);
+    assert!(restored.attach_engine(first, engine_of(&docs)), "{first}");
+    let resp = restored.execute(&req);
+    assert_eq!(
+        resp.per_engine_stats.len(),
+        live_resp.per_engine_stats.len()
+    );
+    for (s, live_s) in resp
+        .per_engine_stats
+        .iter()
+        .zip(&live_resp.per_engine_stats)
+    {
+        assert_eq!(s.engine, live_s.engine);
+        if s.engine == first {
+            assert_eq!(s.outcome, DispatchOutcome::Completed, "{s:?}");
+            assert_eq!(s.hits, live_s.hits, "{s:?}");
+        } else {
+            assert_eq!(s.outcome, DispatchOutcome::Failed, "{s:?}");
+        }
+    }
+
     // Re-attach the same collections: the hydrated canonical
     // representatives and term maps are kept, so searches now match the
     // live broker bit for bit.
-    for (name, docs) in corpus() {
+    for (name, docs) in corpus().into_iter().skip(1) {
         assert!(restored.attach_engine(name, engine_of(&docs)), "{name}");
     }
     let statuses = restored.engine_statuses();

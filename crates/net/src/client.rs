@@ -1,9 +1,11 @@
-//! The broker side of the wire: [`RemoteEngine`], a TCP client
-//! implementing [`RemoteTransport`] so a broker can register an engine
-//! living in another process with `Broker::register_remote`.
+//! The calling side of the wire: the one pooled, multiplexed frame
+//! client, and [`RemoteEngine`], which wraps it to implement
+//! [`RemoteTransport`] so a broker can register an engine living in
+//! another process with `Broker::register_remote`. The federation
+//! [`RemoteReplica`](crate::RemoteReplica) wraps the same client.
 //!
 //! The client keeps a small **connection pool** shared by every clone
-//! of the same `RemoteEngine`. Each pooled connection is multiplexed:
+//! of the same handle. Each pooled connection is multiplexed:
 //! requests are stamped with a fresh correlation id, a dedicated reader
 //! thread routes reply frames back to their callers by id, and many
 //! calls are in flight on one socket at once (up to a pipeline depth
@@ -30,7 +32,7 @@
 //! once on a freshly dialed one — a stale pooled socket is a fact of
 //! pooling, not a remote failure — before the retry policy is charged.
 
-use crate::frame::{io_error, read_frame, write_frame, write_frame_corr};
+use crate::frame::{io_error, read_frame, write_frame_corr};
 use crate::metrics::metrics;
 use crate::wire::Message;
 use seu_engine::{Fingerprint, TrueUsefulness};
@@ -97,8 +99,7 @@ struct Conn {
     pending: Mutex<HashMap<u64, ReplySlot>>,
     cv: Condvar,
     /// Whether the peer echoes correlation ids (negotiated at
-    /// handshake: we send a nonzero id on Hello; a multiplex-capable
-    /// server echoes it on the ack, anything else comes back 0).
+    /// handshake; anything else answers with id 0).
     mux: bool,
     /// Serializes exchanges on non-mux connections (one in flight).
     serial: Mutex<()>,
@@ -119,30 +120,64 @@ fn lock_unpoisoned<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// The shared state behind every clone of one [`RemoteEngine`].
-struct Pool {
+/// The one framed-protocol client: a connection pool that sends a
+/// request and returns its reply under its timeouts and retry policy.
+/// [`RemoteEngine`] and [`RemoteReplica`](crate::RemoteReplica) are
+/// typed wrappers sharing one of these across their clones.
+pub(crate) struct MuxClient {
     addrs: Vec<SocketAddr>,
     config: RemoteEngineConfig,
     max_backoff: Duration,
     max_conns: usize,
-    /// Baseline mode: a fresh connection per call, no pooling or
-    /// multiplexing (the pre-pool behavior, kept for benchmarking).
-    per_call: bool,
     next_corr: AtomicU64,
     conns: Mutex<Vec<Arc<Conn>>>,
 }
 
-impl Pool {
-    fn new(addrs: Vec<SocketAddr>, config: RemoteEngineConfig) -> Pool {
-        Pool {
+impl MuxClient {
+    fn new(addrs: Vec<SocketAddr>, config: RemoteEngineConfig) -> MuxClient {
+        MuxClient {
             addrs,
             config,
             max_backoff: DEFAULT_MAX_BACKOFF,
             max_conns: DEFAULT_MAX_CONNS,
-            per_call: false,
             next_corr: AtomicU64::new(1),
             conns: Mutex::new(Vec::new()),
         }
+    }
+
+    /// Resolves `addr` (every address it maps to is kept; connects fall
+    /// through the list in order). No connection is made until the
+    /// first call.
+    pub(crate) fn resolve(
+        addr: impl ToSocketAddrs,
+        config: RemoteEngineConfig,
+    ) -> Result<Arc<MuxClient>, TransportError> {
+        let addrs: Vec<SocketAddr> = addr
+            .to_socket_addrs()
+            .map_err(|e| io_error(&e, "resolving address"))?
+            .collect();
+        if addrs.is_empty() {
+            return Err(TransportError::new(
+                TransportErrorKind::Refused,
+                "address resolved to nothing",
+            ));
+        }
+        Ok(Arc::new(MuxClient::new(addrs, config)))
+    }
+
+    /// The first resolved address, for reports and error messages.
+    pub(crate) fn endpoint(&self) -> String {
+        self.addrs[0].to_string()
+    }
+
+    /// A client with the same addresses and settings, `f` applied, and
+    /// a fresh (empty) pool.
+    fn tweaked(&self, f: impl FnOnce(&mut MuxClient)) -> Arc<MuxClient> {
+        let mut client = MuxClient::new(self.addrs.clone(), self.config);
+        client.max_backoff = self.max_backoff;
+        client.max_conns = self.max_conns;
+        f(&mut client);
+        Arc::new(client)
     }
 
     /// Connects to the first address that answers, falling through the
@@ -160,9 +195,11 @@ impl Pool {
         }))
     }
 
-    /// Dials, handshakes (negotiating correlation-id support), and
-    /// spawns the reader thread for a new pooled connection.
-    fn dial(&self) -> Result<Arc<Conn>, TransportError> {
+    /// Connects, configures the socket, and completes the Hello
+    /// handshake. Returns the stream, the peer's advertised name, and
+    /// whether it echoes correlation ids (we send a nonzero id on
+    /// Hello; a multiplex-capable server echoes it on the ack).
+    fn handshake(&self, subscribe: bool) -> Result<(TcpStream, String, bool), TransportError> {
         let mut stream = self.connect_any()?;
         stream
             .set_read_timeout(Some(self.config.call_timeout))
@@ -170,14 +207,19 @@ impl Pool {
             .and_then(|()| stream.set_nodelay(true))
             .map_err(|e| io_error(&e, "configuring socket"))?;
         let corr = self.next_corr.fetch_add(1, Ordering::Relaxed);
-        let (kind, payload) = Message::Hello { subscribe: false }.encode();
+        let (kind, payload) = Message::Hello { subscribe }.encode();
         write_frame_corr(&mut stream, corr, kind, &payload)?;
         let ack = read_frame(&mut stream)?;
-        let mux = ack.corr == corr;
         match Message::decode(ack.kind, &ack.payload)? {
-            Message::HelloAck { .. } => {}
-            other => return Err(unexpected("HelloAck", &other)),
+            Message::HelloAck { name } => Ok((stream, name, ack.corr == corr)),
+            other => Err(unexpected("HelloAck", &other)),
         }
+    }
+
+    /// Dials, handshakes, and spawns the reader thread for a new pooled
+    /// connection.
+    fn dial(&self) -> Result<Arc<Conn>, TransportError> {
+        let (stream, _, mux) = self.handshake(false)?;
         // The reader thread blocks until a frame arrives; deadlines are
         // enforced by the waiting callers instead.
         stream
@@ -250,9 +292,151 @@ impl Pool {
         lock_unpoisoned(&self.conns).push(Arc::clone(&conn));
         Ok(conn)
     }
+
+    /// Sends `request` on `conn` and waits for its reply, bounded by
+    /// the call timeout.
+    fn exchange(&self, conn: &Conn, request: &Message) -> Result<Message, TransportError> {
+        // Non-mux peers match replies positionally: hold the exchange
+        // serial for the whole send-and-wait.
+        let _serial = if conn.mux {
+            None
+        } else {
+            Some(lock_unpoisoned(&conn.serial))
+        };
+        let corr = self.next_corr.fetch_add(1, Ordering::Relaxed);
+        lock_unpoisoned(&conn.pending).insert(corr, None);
+        let (kind, payload) = request.encode();
+        let sent = {
+            let mut writer = lock_unpoisoned(&conn.writer);
+            write_frame_corr(&mut *writer, corr, kind, &payload)
+        };
+        if let Err(e) = sent {
+            lock_unpoisoned(&conn.pending).remove(&corr);
+            // A partial frame may be on the wire; nothing after it can
+            // be trusted.
+            conn.kill();
+            return Err(e);
+        }
+        if !conn.alive.load(Ordering::Acquire) {
+            // The reader may have swept `pending` before our slot
+            // existed; do not wait a full timeout to learn that.
+            lock_unpoisoned(&conn.pending).remove(&corr);
+            return Err(TransportError::new(
+                TransportErrorKind::ConnectionLost,
+                "connection died before the request was sent",
+            ));
+        }
+        let deadline = Instant::now() + self.config.call_timeout;
+        let mut pending = lock_unpoisoned(&conn.pending);
+        loop {
+            if let Some(result) = pending.get_mut(&corr).and_then(|slot| slot.take()) {
+                pending.remove(&corr);
+                return result;
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                pending.remove(&corr);
+                drop(pending);
+                if !conn.mux {
+                    // A sequential peer still owes a reply; the stream
+                    // is desynchronized for any future exchange.
+                    conn.kill();
+                }
+                return Err(TransportError::new(
+                    TransportErrorKind::Timeout,
+                    format!(
+                        "no reply within {:?} (corr {corr})",
+                        self.config.call_timeout
+                    ),
+                ));
+            }
+            pending = match conn.cv.wait_timeout(pending, deadline - now) {
+                Ok((guard, _)) => guard,
+                Err(e) => e.into_inner().0,
+            };
+        }
+    }
+
+    /// [`MuxClient::exchange`] with the connection's load accounted.
+    fn exchange_counted(&self, conn: &Conn, request: &Message) -> Result<Message, TransportError> {
+        conn.in_flight.fetch_add(1, Ordering::Relaxed);
+        let reply = self.exchange(conn, request);
+        conn.in_flight.fetch_sub(1, Ordering::Relaxed);
+        reply
+    }
+
+    /// One attempt: acquire a pooled connection and exchange on it. A
+    /// lost connection on a *reused* pooled socket is retried once on a
+    /// fresh dial before surfacing. A remote-reported error comes back
+    /// typed.
+    fn call_once(&self, request: &Message) -> Result<Message, TransportError> {
+        let (conn, fresh) = self.acquire()?;
+        let reply = match self.exchange_counted(&conn, request) {
+            Err(e) if !fresh && e.kind == TransportErrorKind::ConnectionLost => {
+                let conn = self.redial()?;
+                self.exchange_counted(&conn, request)?
+            }
+            other => other?,
+        };
+        match reply {
+            Message::Error { detail } => {
+                Err(TransportError::new(TransportErrorKind::Remote, detail))
+            }
+            other => Ok(other),
+        }
+    }
+
+    /// Sends `request` with the configured retry policy, recording
+    /// latency and failure metrics. The latency histogram times each
+    /// attempt individually — backoff sleeps are not wire time.
+    pub(crate) fn call(&self, request: &Message) -> Result<Message, TransportError> {
+        let m = metrics();
+        let mut attempt = 0;
+        let result = loop {
+            let timer = m.rpc_latency.start_timer();
+            let outcome = self.call_once(request);
+            timer.stop();
+            match outcome {
+                Ok(reply) => break Ok(reply),
+                Err(e) => {
+                    let transient = matches!(
+                        e.kind,
+                        TransportErrorKind::Refused | TransportErrorKind::ConnectionLost
+                    );
+                    if !transient || attempt >= self.config.retries {
+                        break Err(e);
+                    }
+                    m.client_retries.inc();
+                    std::thread::sleep(backoff_delay(
+                        self.config.backoff,
+                        attempt,
+                        self.max_backoff,
+                    ));
+                    attempt += 1;
+                }
+            }
+        };
+        if let Err(e) = &result {
+            if e.kind == TransportErrorKind::Timeout {
+                m.client_timeouts.inc();
+            } else {
+                m.client_failures.inc();
+            }
+        }
+        result
+    }
+
+    /// Liveness probe: a full request/reply round trip on a pooled
+    /// connection.
+    pub(crate) fn ping(&self) -> Result<(), TransportError> {
+        match self.call(&Message::Ping)? {
+            Message::Pong => Ok(()),
+            other => Err(unexpected("Pong", &other)),
+        }
+    }
 }
 
-impl Drop for Pool {
+impl Drop for MuxClient {
     fn drop(&mut self) {
         // Shut the sockets down so the detached reader threads see EOF
         // and exit rather than blocking forever on their cloned halves.
@@ -262,12 +446,11 @@ impl Drop for Pool {
     }
 }
 
-impl std::fmt::Debug for Pool {
+impl std::fmt::Debug for MuxClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Pool")
+        f.debug_struct("MuxClient")
             .field("addrs", &self.addrs)
             .field("max_conns", &self.max_conns)
-            .field("per_call", &self.per_call)
             .finish()
     }
 }
@@ -328,7 +511,7 @@ fn reader_loop(conn: Arc<Conn>, mut stream: TcpStream) {
 /// share one connection pool.
 #[derive(Debug, Clone)]
 pub struct RemoteEngine {
-    pool: Arc<Pool>,
+    client: Arc<MuxClient>,
     /// Set once a peer rejects the traced search kind; shared across
     /// clones so the whole broker stops re-probing a legacy engine.
     peer_lacks_tracing: Arc<AtomicBool>,
@@ -351,225 +534,31 @@ impl RemoteEngine {
         addr: impl ToSocketAddrs,
         config: RemoteEngineConfig,
     ) -> Result<RemoteEngine, TransportError> {
-        let addrs: Vec<SocketAddr> = addr
-            .to_socket_addrs()
-            .map_err(|e| io_error(&e, "resolving engine address"))?
-            .collect();
-        if addrs.is_empty() {
-            return Err(TransportError::new(
-                TransportErrorKind::Refused,
-                "address resolved to nothing",
-            ));
-        }
         Ok(RemoteEngine {
-            pool: Arc::new(Pool::new(addrs, config)),
+            client: MuxClient::resolve(addr, config)?,
             peer_lacks_tracing: Arc::new(AtomicBool::new(false)),
             peer_lacks_batch: Arc::new(AtomicBool::new(false)),
         })
     }
 
-    fn tweak(self, f: impl FnOnce(&mut Pool)) -> RemoteEngine {
-        let mut pool = Pool::new(self.pool.addrs.clone(), self.pool.config);
-        pool.max_backoff = self.pool.max_backoff;
-        pool.max_conns = self.pool.max_conns;
-        pool.per_call = self.pool.per_call;
-        f(&mut pool);
-        RemoteEngine {
-            pool: Arc::new(pool),
-            peer_lacks_tracing: self.peer_lacks_tracing,
-            peer_lacks_batch: self.peer_lacks_batch,
-        }
-    }
-
     /// Caps the exponential retry backoff (default 2 s): with `n`
     /// retries configured, the worst-case sleep is `min(backoff * 2^n,
     /// cap)` per retry rather than an unbounded doubling.
-    pub fn max_backoff(self, cap: Duration) -> RemoteEngine {
-        self.tweak(|p| p.max_backoff = cap)
+    pub fn max_backoff(mut self, cap: Duration) -> RemoteEngine {
+        self.client = self.client.tweaked(|c| c.max_backoff = cap);
+        self
     }
 
     /// Sets the connection-pool cap (default 8, minimum 1).
-    pub fn pool_connections(self, n: usize) -> RemoteEngine {
-        self.tweak(|p| p.max_conns = n.max(1))
+    pub fn pool_connections(mut self, n: usize) -> RemoteEngine {
+        self.client = self.client.tweaked(|c| c.max_conns = n.max(1));
+        self
     }
 
-    /// Selects the pre-pool baseline: a fresh connection, handshake,
-    /// and teardown per call. Kept selectable so benchmarks can compare
-    /// the multiplexed path against it.
-    pub fn connection_per_call(self, yes: bool) -> RemoteEngine {
-        self.tweak(|p| p.per_call = yes)
-    }
-
-    /// Opens a connection and completes the Hello handshake, returning
-    /// the stream and the engine's advertised name (subscription and
-    /// per-call paths; pooled calls use [`Pool::dial`]).
-    fn handshake(&self, subscribe: bool) -> Result<(TcpStream, String), TransportError> {
-        let mut stream = self.pool.connect_any()?;
-        stream
-            .set_read_timeout(Some(self.pool.config.call_timeout))
-            .and_then(|()| stream.set_write_timeout(Some(self.pool.config.call_timeout)))
-            .and_then(|()| stream.set_nodelay(true))
-            .map_err(|e| io_error(&e, "configuring socket"))?;
-        let (kind, payload) = Message::Hello { subscribe }.encode();
-        write_frame(&mut stream, kind, &payload)?;
-        let ack = read_frame(&mut stream).and_then(|f| Message::decode(f.kind, &f.payload))?;
-        match ack {
-            Message::HelloAck { name } => Ok((stream, name)),
-            other => Err(unexpected("HelloAck", &other)),
-        }
-    }
-
-    /// One attempt over a dedicated connection (baseline mode).
-    fn call_once_fresh(&self, request: &Message) -> Result<Message, TransportError> {
-        let (mut stream, _) = self.handshake(false)?;
-        let (kind, payload) = request.encode();
-        write_frame(&mut stream, kind, &payload)?;
-        let reply = read_frame(&mut stream).and_then(|f| Message::decode(f.kind, &f.payload))?;
-        let _ = stream.shutdown(Shutdown::Both);
-        Ok(reply)
-    }
-
-    /// Sends `request` on `conn` and waits for its reply, bounded by
-    /// the call timeout.
-    fn exchange(&self, conn: &Conn, request: &Message) -> Result<Message, TransportError> {
-        // Non-mux peers match replies positionally: hold the exchange
-        // serial for the whole send-and-wait.
-        let _serial = if conn.mux {
-            None
-        } else {
-            Some(lock_unpoisoned(&conn.serial))
-        };
-        let corr = self.pool.next_corr.fetch_add(1, Ordering::Relaxed);
-        lock_unpoisoned(&conn.pending).insert(corr, None);
-        let (kind, payload) = request.encode();
-        let sent = {
-            let mut writer = lock_unpoisoned(&conn.writer);
-            write_frame_corr(&mut *writer, corr, kind, &payload)
-        };
-        if let Err(e) = sent {
-            lock_unpoisoned(&conn.pending).remove(&corr);
-            // A partial frame may be on the wire; nothing after it can
-            // be trusted.
-            conn.kill();
-            return Err(e);
-        }
-        if !conn.alive.load(Ordering::Acquire) {
-            // The reader may have swept `pending` before our slot
-            // existed; do not wait a full timeout to learn that.
-            lock_unpoisoned(&conn.pending).remove(&corr);
-            return Err(TransportError::new(
-                TransportErrorKind::ConnectionLost,
-                "connection died before the request was sent",
-            ));
-        }
-        let deadline = Instant::now() + self.pool.config.call_timeout;
-        let mut pending = lock_unpoisoned(&conn.pending);
-        loop {
-            if let Some(result) = pending.get_mut(&corr).and_then(|slot| slot.take()) {
-                pending.remove(&corr);
-                return result;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                pending.remove(&corr);
-                drop(pending);
-                if !conn.mux {
-                    // A sequential peer still owes a reply; the stream
-                    // is desynchronized for any future exchange.
-                    conn.kill();
-                }
-                return Err(TransportError::new(
-                    TransportErrorKind::Timeout,
-                    format!(
-                        "no reply within {:?} (corr {corr})",
-                        self.pool.config.call_timeout
-                    ),
-                ));
-            }
-            pending = match conn.cv.wait_timeout(pending, deadline - now) {
-                Ok((guard, _)) => guard,
-                Err(e) => e.into_inner().0,
-            };
-        }
-    }
-
-    /// One attempt: acquire a pooled connection and exchange on it. A
-    /// lost connection on a *reused* pooled socket is retried once on a
-    /// fresh dial before surfacing.
-    fn call_once(&self, request: &Message) -> Result<Message, TransportError> {
-        let reply = if self.pool.per_call {
-            self.call_once_fresh(request)?
-        } else {
-            let (conn, fresh) = self.pool.acquire()?;
-            conn.in_flight.fetch_add(1, Ordering::Relaxed);
-            let first = self.exchange(&conn, request);
-            conn.in_flight.fetch_sub(1, Ordering::Relaxed);
-            match first {
-                Err(e) if !fresh && e.kind == TransportErrorKind::ConnectionLost => {
-                    let conn = self.pool.redial()?;
-                    conn.in_flight.fetch_add(1, Ordering::Relaxed);
-                    let second = self.exchange(&conn, request);
-                    conn.in_flight.fetch_sub(1, Ordering::Relaxed);
-                    second?
-                }
-                other => other?,
-            }
-        };
-        match reply {
-            Message::Error { detail } => {
-                Err(TransportError::new(TransportErrorKind::Remote, detail))
-            }
-            other => Ok(other),
-        }
-    }
-
-    /// Sends `request` with the configured retry policy, recording
-    /// latency and failure metrics. The latency histogram times each
-    /// attempt individually — backoff sleeps are not wire time.
-    fn call(&self, request: &Message) -> Result<Message, TransportError> {
-        let m = metrics();
-        let mut attempt = 0;
-        let result = loop {
-            let timer = m.rpc_latency.start_timer();
-            let outcome = self.call_once(request);
-            timer.stop();
-            match outcome {
-                Ok(reply) => break Ok(reply),
-                Err(e) => {
-                    let transient = matches!(
-                        e.kind,
-                        TransportErrorKind::Refused | TransportErrorKind::ConnectionLost
-                    );
-                    if !transient || attempt >= self.pool.config.retries {
-                        break Err(e);
-                    }
-                    m.client_retries.inc();
-                    std::thread::sleep(backoff_delay(
-                        self.pool.config.backoff,
-                        attempt,
-                        self.pool.max_backoff,
-                    ));
-                    attempt += 1;
-                }
-            }
-        };
-        if let Err(e) = &result {
-            if e.kind == TransportErrorKind::Timeout {
-                m.client_timeouts.inc();
-            } else {
-                m.client_failures.inc();
-            }
-        }
-        result
-    }
-
-    /// Liveness probe: a full request/reply round trip (on a pooled
-    /// connection, or its own connection in baseline mode).
+    /// Liveness probe: a full request/reply round trip on a pooled
+    /// connection.
     pub fn ping(&self) -> Result<(), TransportError> {
-        match self.call(&Message::Ping)? {
-            Message::Pong => Ok(()),
-            other => Err(unexpected("Pong", &other)),
-        }
+        self.client.ping()
     }
 
     /// Opens a subscription connection: the engine server will push an
@@ -581,7 +570,7 @@ impl RemoteEngine {
         &self,
         on_notice: impl Fn(&str, Fingerprint, u64) + Send + 'static,
     ) -> Result<Subscription, TransportError> {
-        let (stream, name) = self.handshake(true)?;
+        let (stream, name, _) = self.client.handshake(true)?;
         // Notices arrive whenever the engine changes — block indefinitely.
         stream
             .set_read_timeout(None)
@@ -660,7 +649,7 @@ impl std::fmt::Debug for Subscription {
     }
 }
 
-fn unexpected(wanted: &str, got: &Message) -> TransportError {
+pub(crate) fn unexpected(wanted: &str, got: &Message) -> TransportError {
     TransportError::new(
         TransportErrorKind::Protocol,
         format!("expected {wanted}, got {got:?}"),
@@ -669,7 +658,7 @@ fn unexpected(wanted: &str, got: &Message) -> TransportError {
 
 impl RemoteTransport for RemoteEngine {
     fn endpoint(&self) -> String {
-        self.pool.addrs[0].to_string()
+        self.client.endpoint()
     }
 
     fn search(
@@ -685,7 +674,7 @@ impl RemoteTransport for RemoteEngine {
         let ctx = match ctx {
             Some(ctx) if ctx.sampled && !self.peer_lacks_tracing.load(Ordering::Relaxed) => ctx,
             _ => {
-                return match self.call(&Message::SearchDocs {
+                return match self.client.call(&Message::SearchDocs {
                     query: query_text.to_string(),
                     threshold,
                 })? {
@@ -701,7 +690,7 @@ impl RemoteTransport for RemoteEngine {
             parent_span: ctx.parent_span.0,
             sampled: ctx.sampled,
         };
-        match self.call(&request) {
+        match self.client.call(&request) {
             Ok(Message::TracedSearchResults { hits, spans }) => Ok((hits, spans)),
             Ok(other) => Err(unexpected("TracedSearchResults", &other)),
             Err(e) if e.kind == TransportErrorKind::Remote => {
@@ -720,7 +709,7 @@ impl RemoteTransport for RemoteEngine {
         query_text: &str,
         threshold: f64,
     ) -> Result<TrueUsefulness, TransportError> {
-        let reply = self.call(&Message::Estimate {
+        let reply = self.client.call(&Message::Estimate {
             query: query_text.to_string(),
             threshold,
         })?;
@@ -746,7 +735,7 @@ impl RemoteTransport for RemoteEngine {
         if self.peer_lacks_batch.load(Ordering::Relaxed) {
             return per_query();
         }
-        match self.call(&Message::EstimateBatch {
+        match self.client.call(&Message::EstimateBatch {
             queries: queries.to_vec(),
             threshold,
         }) {
@@ -774,7 +763,7 @@ impl RemoteTransport for RemoteEngine {
     }
 
     fn fetch_snapshot(&self) -> Result<EngineSnapshot, TransportError> {
-        match self.call(&Message::GetRepresentative)? {
+        match self.client.call(&Message::GetRepresentative)? {
             Message::Representative { snapshot } => Ok(snapshot),
             other => Err(unexpected("Representative", &other)),
         }

@@ -16,14 +16,15 @@
 //!   replica dial the engine itself (a [`RemoteEngine`] transport), so
 //!   its estimates stay **bit-identical** to every other replica's —
 //!   both paths plan from the same shipped full-precision statistics.
-//!   Estimate and search compute runs under a counting **worker
-//!   semaphore** ([`ReplicaServerConfig::workers`]), which models
-//!   per-replica capacity: the federated benchmark pins it to 1 so a
-//!   4-replica cluster has exactly 4× the compute of one replica.
-//! * **[`RemoteReplica`]** implements [`ReplicaClient`] over a small
-//!   pool of multiplex-handshaken TCP connections, so a front-door
-//!   treats a process across the wire exactly like an in-process
-//!   replica: same placement, same failover, same typed
+//!   The server is the crate's one readiness loop
+//!   ([`crate::server`]) around a replica service, and its worker
+//!   count ([`ServerConfig::workers`]) is the replica's capacity: the
+//!   federated benchmark pins it to 1 so a 4-replica cluster has
+//!   exactly 4× the compute of one replica.
+//! * **[`RemoteReplica`]** implements [`ReplicaClient`] over the same
+//!   pooled, pipelined connection code as [`RemoteEngine`], so a
+//!   front-door treats a process across the wire exactly like an
+//!   in-process replica: same placement, same failover, same typed
 //!   [`TransportError`] capture when the replica dies mid-dispatch.
 //!
 //! The module also wires [`FrontDoor`] into the HTTP admin server by
@@ -31,87 +32,25 @@
 //! same `/healthz`, `/engines`, `/metrics`, and `/search` routes a
 //! single broker does.
 
-use crate::client::RemoteEngine;
-use crate::frame::{io_error, read_frame, write_frame_corr};
+use crate::client::{unexpected, MuxClient, RemoteEngine, RemoteEngineConfig};
+use crate::frame::io_error;
 use crate::http::BrokerAdmin;
 use crate::metrics::metrics;
+use crate::server::{FrameServer, FrameService, ServerConfig};
 use crate::wire::Message;
-use parking_lot::Mutex;
 use seu_core::UsefulnessEstimator;
 use seu_metasearch::federation::{InstallSpec, LocalReplica, ReplicaClient, SubsetResults};
 use seu_metasearch::{
     Broker, CacheStats, EngineEstimate, EngineSnapshot, EngineStatus, FrontDoor, RegistrySnapshot,
     SearchRequest, SearchResponse, TransportError, TransportErrorKind,
 };
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
-
-/// A counting semaphore bounding concurrent compute on a replica
-/// (std `Condvar`; the vendored `parking_lot` has no condvar).
-struct Semaphore {
-    permits: std::sync::Mutex<usize>,
-    cv: std::sync::Condvar,
-}
-
-struct Permit<'a>(&'a Semaphore);
-
-impl Semaphore {
-    fn new(permits: usize) -> Semaphore {
-        Semaphore {
-            permits: std::sync::Mutex::new(permits.max(1)),
-            cv: std::sync::Condvar::new(),
-        }
-    }
-
-    fn acquire(&self) -> Permit<'_> {
-        let mut permits = self.permits.lock().unwrap_or_else(|e| e.into_inner());
-        while *permits == 0 {
-            permits = self.cv.wait(permits).unwrap_or_else(|e| e.into_inner());
-        }
-        *permits -= 1;
-        Permit(self)
-    }
-}
-
-impl Drop for Permit<'_> {
-    fn drop(&mut self) {
-        *self.0.permits.lock().unwrap_or_else(|e| e.into_inner()) += 1;
-        self.0.cv.notify_one();
-    }
-}
-
-/// Tuning for a [`ReplicaServer`].
-#[derive(Debug, Clone, Copy)]
-pub struct ReplicaServerConfig {
-    /// Concurrent estimate/search computations the replica runs; further
-    /// requests queue on the worker semaphore. This is the replica's
-    /// capacity model: the federated benchmark pins it to 1 per replica
-    /// so cluster throughput scales with replica count, not with the
-    /// host's cores.
-    pub workers: usize,
-}
-
-impl Default for ReplicaServerConfig {
-    fn default() -> Self {
-        ReplicaServerConfig {
-            workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        }
-    }
-}
 
 /// One broker on a socket as a federation replica (kinds 17–25);
 /// serving stops when dropped.
 pub struct ReplicaServer {
-    id: String,
-    addr: SocketAddr,
-    shutting_down: Arc<AtomicBool>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
-    accept_thread: Option<JoinHandle<()>>,
+    server: FrameServer,
 }
 
 impl ReplicaServer {
@@ -125,240 +64,115 @@ impl ReplicaServer {
     where
         E: UsefulnessEstimator + Send + Sync + 'static,
     {
-        ReplicaServer::bind_with(id, broker, addr, ReplicaServerConfig::default())
+        ReplicaServer::bind_with(id, broker, addr, ServerConfig::default())
     }
 
-    /// [`ReplicaServer::bind`] with explicit capacity.
+    /// [`ReplicaServer::bind`] with explicit capacity: the replica
+    /// answers at most [`ServerConfig::workers`] requests at once and
+    /// queues the rest. The federated benchmark pins it to 1 per
+    /// replica so cluster throughput scales with replica count, not
+    /// with the host's cores.
     pub fn bind_with<E>(
         id: &str,
         broker: Arc<Broker<E>>,
         addr: impl ToSocketAddrs,
-        config: ReplicaServerConfig,
+        config: ServerConfig,
     ) -> Result<ReplicaServer, TransportError>
     where
         E: UsefulnessEstimator + Send + Sync + 'static,
     {
-        let listener = TcpListener::bind(addr).map_err(|e| io_error(&e, "binding replica"))?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| io_error(&e, "resolving bound address"))?;
-        let replica = Arc::new(LocalReplica::new(broker));
-        let workers = Arc::new(Semaphore::new(config.workers));
-        let shutting_down = Arc::new(AtomicBool::new(false));
-        let conns = Arc::new(Mutex::new(Vec::new()));
-        let id_owned = id.to_string();
-        let flag = Arc::clone(&shutting_down);
-        let conn_table = Arc::clone(&conns);
-        let accept_thread = std::thread::Builder::new()
-            .name(format!("seu-net-replica-{id}"))
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    if flag.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    // Replies are written header-then-payload; without
-                    // nodelay, Nagle + delayed ACK turns every RPC into
-                    // a ~40ms stall.
-                    let _ = stream.set_nodelay(true);
-                    metrics().server_connections.inc();
-                    if let Ok(clone) = stream.try_clone() {
-                        let mut table = conn_table.lock();
-                        // Drop handles of connections that already died
-                        // so a long-lived replica does not accrete fds.
-                        table.retain(|s: &TcpStream| s.take_error().is_ok_and(|e| e.is_none()));
-                        table.push(clone);
-                    }
-                    let replica = Arc::clone(&replica);
-                    let workers = Arc::clone(&workers);
-                    let id = id_owned.clone();
-                    let _ = std::thread::Builder::new()
-                        .name("seu-net-replica-conn".to_string())
-                        .spawn(move || {
-                            let _ = serve_conn(&replica, &id, stream, &workers);
-                        });
-                }
-            })
-            .map_err(|e| io_error(&e, "spawning replica accept thread"))?;
-        Ok(ReplicaServer {
+        let service = Arc::new(ReplicaService {
             id: id.to_string(),
-            addr,
-            shutting_down,
-            conns,
-            accept_thread: Some(accept_thread),
-        })
+            replica: LocalReplica::new(broker),
+        });
+        FrameServer::bind(service, addr, config)
+            .map(|server| ReplicaServer { server })
+            .map_err(|e| io_error(&e, "binding replica"))
     }
 
     /// The advertised replica id.
     pub fn id(&self) -> &str {
-        &self.id
+        self.server.name()
     }
 
     /// The bound address (with the ephemeral port resolved).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.server.addr()
     }
 
     /// Stops accepting, severs every live connection (in-flight calls on
     /// them fail with [`TransportErrorKind::ConnectionLost`] on the
-    /// caller's side), and joins the accept thread. This is the "kill a
-    /// replica" primitive the fault-injection suite uses.
+    /// caller's side), and joins the serving threads. This is the "kill
+    /// a replica" primitive the fault-injection suite uses.
     pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        if self.shutting_down.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        for conn in self.conns.lock().drain(..) {
-            let _ = conn.shutdown(Shutdown::Both);
-        }
-    }
-}
-
-impl Drop for ReplicaServer {
-    fn drop(&mut self) {
-        self.stop();
+        self.server.stop();
     }
 }
 
 impl std::fmt::Debug for ReplicaServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReplicaServer")
-            .field("id", &self.id)
-            .field("addr", &self.addr)
+            .field("id", &self.id())
+            .field("addr", &self.addr())
             .finish()
     }
 }
 
-/// One connection: Hello/HelloAck (echoing the correlation id — the
-/// multiplex capability signal), then sequential request/reply frames.
-fn serve_conn<E>(
-    replica: &LocalReplica<E>,
-    id: &str,
-    mut stream: TcpStream,
-    workers: &Semaphore,
-) -> Result<(), TransportError>
-where
-    E: UsefulnessEstimator + Send + Sync + 'static,
-{
-    let hello = read_frame(&mut stream)?;
-    match Message::decode(hello.kind, &hello.payload)? {
-        Message::Hello { .. } => {}
-        other => {
-            let (kind, payload) = Message::Error {
-                detail: format!("expected Hello, got {other:?}"),
-            }
-            .encode();
-            write_frame_corr(&mut stream, hello.corr, kind, &payload)?;
-            return Ok(());
-        }
-    }
-    let (kind, payload) = Message::HelloAck {
-        name: id.to_string(),
-    }
-    .encode();
-    write_frame_corr(&mut stream, hello.corr, kind, &payload)?;
-    loop {
-        let frame = read_frame(&mut stream)?;
-        metrics().server_requests.inc();
-        let reply = match Message::decode(frame.kind, &frame.payload) {
-            Ok(message) => serve_message(replica, message, workers),
-            // Unknown kinds and malformed payloads are answered, not
-            // fatal: the peer learns the typed detail and decides.
-            Err(e) => Message::Error {
-                detail: e.to_string(),
-            },
-        };
-        let (kind, payload) = reply.encode();
-        write_frame_corr(&mut stream, frame.corr, kind, &payload)?;
-    }
+/// The [`FrameService`] over one replica broker.
+struct ReplicaService<E> {
+    id: String,
+    replica: LocalReplica<E>,
 }
 
-fn serve_message<E>(replica: &LocalReplica<E>, message: Message, workers: &Semaphore) -> Message
+impl<E> FrameService for ReplicaService<E>
 where
     E: UsefulnessEstimator + Send + Sync + 'static,
 {
-    let or_error = |r: Result<Message, TransportError>| match r {
-        Ok(m) => m,
-        Err(e) => Message::Error {
-            detail: e.to_string(),
-        },
-    };
-    match message {
-        Message::Ping => Message::Pong,
-        Message::ReplicaEstimate {
-            query,
-            threshold,
-            engines,
-        } => {
-            metrics().replica_requests.inc();
-            let _permit = workers.acquire();
-            or_error(
-                replica
-                    .estimate_subset(&query, threshold, &engines)
-                    .map(|estimates| Message::ReplicaEstimates { estimates }),
-            )
-        }
-        Message::ReplicaSearch {
-            query,
-            threshold,
-            engines,
-        } => {
-            metrics().replica_requests.inc();
-            let _permit = workers.acquire();
-            or_error(replica.search_subset(&query, threshold, &engines).map(|r| {
+    fn name(&self) -> &str {
+        &self.id
+    }
+
+    fn handle(&self, request: Message) -> Option<Message> {
+        let replica = &self.replica;
+        let reply = match request {
+            Message::ReplicaEstimate {
+                query,
+                threshold,
+                engines,
+            } => replica
+                .estimate_subset(&query, threshold, &engines)
+                .map(|estimates| Message::ReplicaEstimates { estimates }),
+            Message::ReplicaSearch {
+                query,
+                threshold,
+                engines,
+            } => replica.search_subset(&query, threshold, &engines).map(|r| {
                 Message::ReplicaSearchResults {
                     hits: r.hits,
                     stats: r.stats,
                 }
-            }))
-        }
-        Message::InstallEngine {
-            name,
-            snapshot,
-            endpoint,
-        } => {
-            metrics().replica_requests.inc();
-            or_error(
-                install_engine(replica, &name, snapshot, endpoint)
-                    .map(|()| Message::InstallAck { name }),
-            )
-        }
-        Message::RemoveEngine { name } => {
-            metrics().replica_requests.inc();
-            or_error(
-                replica
-                    .remove_engine(&name)
-                    .map(|removed| Message::RemoveAck { removed }),
-            )
-        }
-        Message::ExportEngine { name } => {
-            metrics().replica_requests.inc();
-            or_error(
-                replica
-                    .export_engine(&name)
-                    .map(|snapshot| Message::Representative { snapshot }),
-            )
-        }
-        other => Message::Error {
-            detail: format!(
-                "a replica does not serve message kind {:?}",
-                kind_of(&other)
-            ),
-        },
+            }),
+            Message::InstallEngine {
+                name,
+                snapshot,
+                endpoint,
+            } => install_engine(replica, &name, snapshot, endpoint)
+                .map(|()| Message::InstallAck { name }),
+            Message::RemoveEngine { name } => replica
+                .remove_engine(&name)
+                .map(|removed| Message::RemoveAck { removed }),
+            Message::ExportEngine { name } => replica
+                .export_engine(&name)
+                .map(|snapshot| Message::Representative { snapshot }),
+            _ => return None,
+        };
+        metrics().replica_requests.inc();
+        // A broker-side failure is the caller's typed `Remote` error,
+        // in band on its own correlation id.
+        Some(reply.unwrap_or_else(|e| Message::Error {
+            detail: e.to_string(),
+        }))
     }
-}
-
-/// The message's kind byte (for compact error text without debug-printing
-/// snapshot-sized payloads).
-fn kind_of(message: &Message) -> u8 {
-    message.encode().0
 }
 
 /// The replica-side install: idempotent on the name. A shipped snapshot
@@ -418,211 +232,36 @@ where
     }
 }
 
-/// Timeouts and pooling for a [`RemoteReplica`].
-#[derive(Debug, Clone, Copy)]
-pub struct RemoteReplicaConfig {
-    /// Deadline for establishing a connection.
-    pub connect_timeout: Duration,
-    /// Per-call deadline from sending the request to seeing its reply.
-    pub call_timeout: Duration,
-    /// Pooled connections (each carries one call at a time; the
-    /// front-door's failover fan-out makes one call per replica per
-    /// phase, so a small pool suffices).
-    pub pool: usize,
-}
-
-impl Default for RemoteReplicaConfig {
-    fn default() -> Self {
-        RemoteReplicaConfig {
-            connect_timeout: Duration::from_secs(1),
-            call_timeout: Duration::from_secs(5),
-            pool: 2,
-        }
-    }
-}
-
-struct ReplicaPool {
-    addrs: Vec<SocketAddr>,
-    endpoint: String,
-    config: RemoteReplicaConfig,
-    slots: Vec<Mutex<Option<TcpStream>>>,
-    next_slot: AtomicUsize,
-    next_corr: AtomicU64,
-}
-
-/// A [`ReplicaClient`] for a [`ReplicaServer`] across the wire. Clones
-/// share the connection pool. Calls are synchronous request/reply;
-/// failures surface as typed [`TransportError`]s (the front-door's
-/// breaker and failover logic consumes them as-is).
-#[derive(Clone)]
+/// A [`ReplicaClient`] for a [`ReplicaServer`] across the wire: the same
+/// pooled, pipelined connections a [`RemoteEngine`] uses, shared across
+/// clones. Failures surface as typed [`TransportError`]s (the
+/// front-door's breaker and failover logic consumes them as-is).
+#[derive(Debug, Clone)]
 pub struct RemoteReplica {
-    pool: Arc<ReplicaPool>,
+    client: Arc<MuxClient>,
 }
 
 impl RemoteReplica {
     /// Creates a client for the replica at `addr` with default timeouts.
     /// Resolution happens here; connections are dialed lazily.
-    pub fn new(
-        addr: impl ToSocketAddrs + std::fmt::Display,
-    ) -> Result<RemoteReplica, TransportError> {
-        RemoteReplica::with_config(addr, RemoteReplicaConfig::default())
-    }
-
-    /// Creates a client with explicit timeouts and pool size.
-    pub fn with_config(
-        addr: impl ToSocketAddrs + std::fmt::Display,
-        config: RemoteReplicaConfig,
-    ) -> Result<RemoteReplica, TransportError> {
-        let endpoint = addr.to_string();
-        let addrs: Vec<SocketAddr> = addr
-            .to_socket_addrs()
-            .map_err(|e| io_error(&e, "resolving replica address"))?
-            .collect();
-        if addrs.is_empty() {
-            return Err(TransportError::new(
-                TransportErrorKind::Refused,
-                "address resolved to nothing",
-            ));
-        }
+    pub fn new(addr: impl ToSocketAddrs) -> Result<RemoteReplica, TransportError> {
+        // No retries: a replica that refuses or drops the call is the
+        // front-door's cue to fail over along the ring, not to wait.
+        // (The one transparent redial of a stale pooled socket is not a
+        // retry and still applies.)
+        let config = RemoteEngineConfig {
+            retries: 0,
+            ..RemoteEngineConfig::default()
+        };
         Ok(RemoteReplica {
-            pool: Arc::new(ReplicaPool {
-                addrs,
-                endpoint,
-                config,
-                slots: (0..config.pool.max(1)).map(|_| Mutex::new(None)).collect(),
-                next_slot: AtomicUsize::new(0),
-                next_corr: AtomicU64::new(1),
-            }),
+            client: MuxClient::resolve(addr, config)?,
         })
     }
-
-    /// The `host:port` this client dials.
-    pub fn endpoint(&self) -> &str {
-        &self.pool.endpoint
-    }
-
-    fn dial(&self) -> Result<TcpStream, TransportError> {
-        let pool = &self.pool;
-        let mut last: Option<TransportError> = None;
-        let mut stream = None;
-        for addr in &pool.addrs {
-            match TcpStream::connect_timeout(addr, pool.config.connect_timeout) {
-                Ok(s) => {
-                    stream = Some(s);
-                    break;
-                }
-                Err(e) => last = Some(io_error(&e, &format!("connecting to {addr}"))),
-            }
-        }
-        let mut stream = stream.ok_or_else(|| {
-            last.unwrap_or_else(|| {
-                TransportError::new(TransportErrorKind::Refused, "address resolved to nothing")
-            })
-        })?;
-        stream
-            .set_read_timeout(Some(pool.config.call_timeout))
-            .and_then(|()| stream.set_write_timeout(Some(pool.config.call_timeout)))
-            .and_then(|()| stream.set_nodelay(true))
-            .map_err(|e| io_error(&e, "configuring socket"))?;
-        let corr = pool.next_corr.fetch_add(1, Ordering::Relaxed);
-        let (kind, payload) = Message::Hello { subscribe: false }.encode();
-        write_frame_corr(&mut stream, corr, kind, &payload)?;
-        let ack = read_frame(&mut stream)?;
-        match Message::decode(ack.kind, &ack.payload)? {
-            Message::HelloAck { .. } => {}
-            other => return Err(unexpected("HelloAck", &other)),
-        }
-        metrics().client_connects.inc();
-        Ok(stream)
-    }
-
-    /// One request/reply on `stream`. Replies carrying a foreign
-    /// correlation id (a late answer to a call that already timed out on
-    /// this socket) are skipped, not misdelivered.
-    fn exchange(
-        &self,
-        stream: &mut TcpStream,
-        request: &Message,
-    ) -> Result<Message, TransportError> {
-        let corr = self.pool.next_corr.fetch_add(1, Ordering::Relaxed);
-        let (kind, payload) = request.encode();
-        write_frame_corr(stream, corr, kind, &payload)?;
-        loop {
-            let frame = read_frame(stream)?;
-            if frame.corr == corr || frame.corr == 0 {
-                return Message::decode(frame.kind, &frame.payload);
-            }
-            metrics().client_late_replies.inc();
-        }
-    }
-
-    /// Sends `request` on a pooled connection (round-robin), dialing on
-    /// demand. A connection lost on a *reused* pooled socket gets one
-    /// transparent redial — pool staleness is a fact of pooling, not a
-    /// replica failure. Remote-reported errors come back typed.
-    fn call(&self, request: &Message) -> Result<Message, TransportError> {
-        let m = metrics();
-        let slot_index =
-            self.pool.next_slot.fetch_add(1, Ordering::Relaxed) % self.pool.slots.len();
-        let mut slot = self.pool.slots[slot_index].lock();
-        let (mut stream, reused) = match slot.take() {
-            Some(stream) => (stream, true),
-            None => (self.dial()?, false),
-        };
-        let timer = m.rpc_latency.start_timer();
-        let mut outcome = self.exchange(&mut stream, request);
-        if let Err(e) = &outcome {
-            let _ = stream.shutdown(Shutdown::Both);
-            if reused && e.kind == TransportErrorKind::ConnectionLost {
-                let mut fresh = self.dial()?;
-                outcome = self.exchange(&mut fresh, request);
-                if outcome.is_ok() {
-                    *slot = Some(fresh);
-                }
-            }
-        } else {
-            *slot = Some(stream);
-        }
-        timer.stop();
-        match outcome {
-            Ok(Message::Error { detail }) => {
-                m.client_failures.inc();
-                Err(TransportError::new(TransportErrorKind::Remote, detail))
-            }
-            Ok(message) => Ok(message),
-            Err(e) => {
-                if e.kind == TransportErrorKind::Timeout {
-                    m.client_timeouts.inc();
-                } else {
-                    m.client_failures.inc();
-                }
-                Err(e)
-            }
-        }
-    }
-}
-
-impl std::fmt::Debug for RemoteReplica {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RemoteReplica")
-            .field("endpoint", &self.pool.endpoint)
-            .finish()
-    }
-}
-
-fn unexpected(wanted: &str, got: &Message) -> TransportError {
-    TransportError::new(
-        TransportErrorKind::Protocol,
-        format!("expected {wanted}, got kind {}", kind_of(got)),
-    )
 }
 
 impl ReplicaClient for RemoteReplica {
     fn ping(&self) -> Result<(), TransportError> {
-        match self.call(&Message::Ping)? {
-            Message::Pong => Ok(()),
-            other => Err(unexpected("Pong", &other)),
-        }
+        self.client.ping()
     }
 
     fn estimate_subset(
@@ -631,7 +270,7 @@ impl ReplicaClient for RemoteReplica {
         threshold: f64,
         engines: &[String],
     ) -> Result<Vec<EngineEstimate>, TransportError> {
-        match self.call(&Message::ReplicaEstimate {
+        match self.client.call(&Message::ReplicaEstimate {
             query: query.to_string(),
             threshold,
             engines: engines.to_vec(),
@@ -647,7 +286,7 @@ impl ReplicaClient for RemoteReplica {
         threshold: f64,
         engines: &[String],
     ) -> Result<SubsetResults, TransportError> {
-        match self.call(&Message::ReplicaSearch {
+        match self.client.call(&Message::ReplicaSearch {
             query: query.to_string(),
             threshold,
             engines: engines.to_vec(),
@@ -681,7 +320,7 @@ impl ReplicaClient for RemoteReplica {
                 "install needs a snapshot or an endpoint",
             ));
         }
-        match self.call(&Message::InstallEngine {
+        match self.client.call(&Message::InstallEngine {
             name: spec.name.clone(),
             snapshot,
             endpoint,
@@ -692,7 +331,7 @@ impl ReplicaClient for RemoteReplica {
     }
 
     fn remove_engine(&self, name: &str) -> Result<bool, TransportError> {
-        match self.call(&Message::RemoveEngine {
+        match self.client.call(&Message::RemoveEngine {
             name: name.to_string(),
         })? {
             Message::RemoveAck { removed } => Ok(removed),
@@ -701,7 +340,7 @@ impl ReplicaClient for RemoteReplica {
     }
 
     fn export_engine(&self, name: &str) -> Result<EngineSnapshot, TransportError> {
-        match self.call(&Message::ExportEngine {
+        match self.client.call(&Message::ExportEngine {
             name: name.to_string(),
         })? {
             Message::Representative { snapshot } => Ok(snapshot),

@@ -9,13 +9,12 @@
 //! crate makes it literal with `std::net` TCP — no external
 //! networking stack.
 //!
-//! Three pieces:
+//! Four pieces:
 //!
 //! * **[`EngineServer`]** puts one [`SearchEngine`](seu_engine::SearchEngine)
-//!   on a socket behind a readiness event loop (one poll thread plus a
-//!   small worker pool; [`ServerMode::ThreadPerConnection`] keeps the
-//!   old scheduler as a baseline), serving search / true-usefulness
-//!   (single or batched) / snapshot requests and pushing
+//!   on a socket behind the crate's one readiness event loop (one poll
+//!   thread plus a small worker pool, [`server`]), serving search /
+//!   true-usefulness (single or batched) / snapshot requests and pushing
 //!   [invalidation notices](wire::Message::InvalidateNotice) to
 //!   subscribed brokers when its collection changes.
 //! * **[`RemoteEngine`]** is the broker-side client: it implements
@@ -33,7 +32,8 @@
 //!   a [`FrontDoor`](seu_metasearch::FrontDoor), and the matching
 //!   [`ReplicaClient`](seu_metasearch::ReplicaClient) the front-door
 //!   dials — same placement, failover, and bit-identity guarantees as
-//!   the in-process cluster.
+//!   the in-process cluster. They are the same event loop and the same
+//!   pooled client as the engine pair, around a different service.
 //! * **[`AdminServer`]** is a minimal HTTP/1.1 server over a broker:
 //!   `GET /metrics` (Prometheus exposition of the process-global
 //!   [`seu_obs`] registry), `GET /healthz`, `GET /engines`,
@@ -79,10 +79,10 @@ mod timer;
 pub mod wire;
 
 pub use client::{RemoteEngine, RemoteEngineConfig, Subscription};
-pub use federation::{RemoteReplica, RemoteReplicaConfig, ReplicaServer, ReplicaServerConfig};
+pub use federation::{RemoteReplica, ReplicaServer};
 pub use http::{AdminServer, BrokerAdmin};
 pub use metrics::register_metrics;
-pub use server::{EngineServer, ServerConfig, ServerMode};
+pub use server::{EngineServer, ServerConfig};
 
 use seu_core::UsefulnessEstimator;
 use seu_metasearch::{Broker, TransportError};

@@ -1,43 +1,51 @@
-//! The engine side of the wire: a TCP server wrapping one
-//! [`SearchEngine`].
+//! The one framed-protocol server: a **readiness event loop** hosting a
+//! request handler (the crate-internal `FrameService`: `Message` in,
+//! `Message` out, plus the name the handshake advertises), and
+//! [`EngineServer`], the service that puts one [`SearchEngine`] on a
+//! socket.
 //!
-//! [`EngineServer::bind`] puts an engine on a socket behind a
-//! **readiness event loop**: one thread owns the nonblocking listener
-//! and every connection, parsing frames incrementally out of
-//! per-connection read buffers and flushing replies from write buffers,
-//! while a small worker pool computes the answers. Because replies
-//! carry the request's correlation id, one connection can have many
-//! requests in flight and the replies go out in completion order — a
-//! slow search does not block the pings and estimates pipelined behind
-//! it. Deadlines (connection idle, per-request compute) live in a
-//! timer wheel rather than socket-level read timeouts.
-//! [`EngineServer::bind_with`] selects the legacy thread-per-connection
-//! scheduler instead ([`ServerMode::ThreadPerConnection`]), kept as a
-//! comparison baseline.
+//! One thread owns the nonblocking listener and every connection,
+//! parsing frames incrementally out of per-connection read buffers and
+//! flushing replies from write buffers, while a small worker pool runs
+//! the service's handler. Because replies carry the
+//! request's correlation id, one connection can have many requests in
+//! flight and the replies go out in completion order — a slow search
+//! does not block the pings and estimates pipelined behind it.
+//! Deadlines (connection idle, per-request compute) live in a timer
+//! wheel rather than socket-level read timeouts. The worker count
+//! ([`ServerConfig::workers`]) is the server's compute capacity:
+//! requests beyond it queue in arrival order. The federation
+//! [`ReplicaServer`](crate::ReplicaServer) is the same loop around a
+//! different service.
 //!
 //! Two connection modes exist, chosen by the client's opening
 //! [`Message::Hello`]:
 //!
-//! * **request connections** (`subscribe: false`) serve the broker's
-//!   calls — search, true usefulness (single or batched), snapshot
-//!   fetch, ping — any number in flight per connection;
+//! * **request connections** (`subscribe: false`) serve the peer's
+//!   calls, any number in flight per connection; [`Message::Ping`] is
+//!   answered by the loop itself, so liveness probes never queue behind
+//!   busy workers;
 //! * **subscriber connections** (`subscribe: true`) are held open and
 //!   receive a pushed [`Message::InvalidateNotice`] whenever
 //!   [`EngineServer::replace_engine`] swaps the collection. This is what
 //!   lets a broker learn of collection changes without polling or
 //!   sweeping: staleness travels *from* the engine *to* the broker.
 //!
-//! The server never panics on a misbehaving peer: undecodable frames get
-//! a typed [`Message::Error`] reply (when the socket still writes) and
-//! the connection is dropped.
+//! The server never panics on a misbehaving peer, and in-band errors
+//! follow one rule: a frame-level violation or an undecodable payload
+//! means the byte stream can no longer be trusted, so it is answered
+//! with a typed [`Message::Error`] and the connection is closed; a
+//! decodable request the service refuses or fails gets its typed
+//! `Error` on its own correlation id and the connection — with every
+//! pipelined neighbour — stays open.
 
-use crate::frame::{encode_frame_into, parse_frame, read_frame, write_frame, write_frame_corr};
+use crate::frame::{encode_frame_into, parse_frame};
 use crate::metrics::metrics;
 use crate::timer::TimerWheel;
 use crate::wire::Message;
 use parking_lot::{Mutex, RwLock};
 use seu_engine::SearchEngine;
-use seu_metasearch::{EngineSnapshot, RemoteHit, TransportError};
+use seu_metasearch::{EngineSnapshot, RemoteHit};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -52,6 +60,10 @@ use std::time::{Duration, Instant};
 /// forever. Subscriber connections are exempt.
 const REQUEST_IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// Server-side deadline on one in-flight request: past it, the
+/// requester gets a typed error and the eventual result is dropped.
+const REQUEST_TIMEOUT: Duration = Duration::from_secs(30);
+
 /// Event-loop sleep bounds when no connection has traffic: start fine,
 /// double up to the cap so an idle server costs microloops, not a core.
 const IDLE_SLEEP_MIN: Duration = Duration::from_micros(250);
@@ -62,63 +74,28 @@ const IDLE_SLEEP_MAX: Duration = Duration::from_millis(2);
 /// the buffer without bound.
 const MAX_WRITE_BUFFER: usize = 64 << 20;
 
-/// How an [`EngineServer`] schedules its connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServerMode {
-    /// One readiness event loop owns every connection; a worker pool
-    /// computes replies; requests multiplex per connection. The default.
-    EventLoop,
-    /// One thread per connection, one request in flight at a time (the
-    /// pre-event-loop scheduler, kept as a benchmark baseline).
-    ThreadPerConnection,
+/// What a framed-protocol server does with a request once the loop has
+/// framed and decoded it. The loop owns sockets, handshakes, pings,
+/// deadlines and back-pressure; the service only computes replies (on
+/// the loop's worker threads, up to [`ServerConfig::workers`] at once).
+pub(crate) trait FrameService: Send + Sync + 'static {
+    /// The name advertised in the handshake's [`Message::HelloAck`].
+    fn name(&self) -> &str;
+
+    /// Answers one request. `None` says this service does not serve the
+    /// request's kind; the loop turns that into a typed in-band
+    /// [`Message::Error`] naming the kind byte.
+    fn handle(&self, request: Message) -> Option<Message>;
 }
 
-/// Tuning for [`EngineServer::bind_with`].
-#[derive(Debug, Clone, Copy)]
+/// Tuning for a framed-protocol server ([`EngineServer::bind_with`],
+/// [`ReplicaServer::bind_with`](crate::ReplicaServer::bind_with)).
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ServerConfig {
-    /// Connection scheduler.
-    pub mode: ServerMode,
-    /// Worker threads computing replies in event-loop mode; 0 picks
-    /// `available_parallelism` clamped to [2, 8].
+    /// Worker threads computing replies — the server's capacity: at
+    /// most this many requests are being answered at once, the rest
+    /// queue. 0 picks `available_parallelism` clamped to [2, 8].
     pub workers: usize,
-    /// Idle cap on request connections.
-    pub idle_timeout: Duration,
-    /// Server-side deadline on one in-flight request: past it, the
-    /// requester gets a typed error and the eventual result is dropped.
-    pub request_timeout: Duration,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            mode: ServerMode::EventLoop,
-            workers: 0,
-            idle_timeout: REQUEST_IDLE_TIMEOUT,
-            request_timeout: Duration::from_secs(30),
-        }
-    }
-}
-
-struct Subscriber {
-    id: u64,
-    stream: TcpStream,
-}
-
-struct ServerState {
-    name: String,
-    engine: RwLock<Arc<SearchEngine>>,
-    epoch: AtomicU64,
-    config: ServerConfig,
-    shutting_down: AtomicBool,
-    /// Threaded mode: registered subscriber write halves.
-    subscribers: Mutex<Vec<Subscriber>>,
-    next_subscriber_id: AtomicU64,
-    /// Event mode: live subscriber count (incremented *before* the ack
-    /// is queued, so a client that has its ack is already counted).
-    event_subscribers: AtomicUsize,
-    /// Event mode: pending broadcast frames, drained by the loop.
-    broadcasts: Mutex<Vec<(u8, Vec<u8>)>>,
-    wake: Wake,
 }
 
 /// Wakes the event loop out of its idle sleep (new completion,
@@ -156,32 +133,128 @@ impl Wake {
     }
 }
 
-impl ServerState {
-    /// Removes a subscriber by id (threaded mode); balanced gauge
-    /// accounting even when the reader thread and a failed broadcast
-    /// race to remove the same entry.
-    fn drop_subscriber(&self, id: u64) {
-        let mut subs = self.subscribers.lock();
-        let before = subs.len();
-        subs.retain(|s| s.id != id);
-        if subs.len() < before {
-            metrics().server_subscribers.add(-1.0);
+/// What the loop thread, its workers and the owning handle share.
+struct LoopState {
+    service: Arc<dyn FrameService>,
+    workers: usize,
+    shutting_down: AtomicBool,
+    /// Live subscriber count (incremented *before* the ack is queued,
+    /// so a client that has its ack is already counted).
+    subscribers: AtomicUsize,
+    /// Pending broadcast frames, drained by the loop.
+    broadcasts: Mutex<Vec<(u8, Vec<u8>)>>,
+    wake: Wake,
+}
+
+/// A bound listener with its event loop running; serving stops (every
+/// connection severed, loop and workers joined) on [`FrameServer::stop`]
+/// or drop.
+pub(crate) struct FrameServer {
+    state: Arc<LoopState>,
+    addr: SocketAddr,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl FrameServer {
+    /// Binds `addr` (port 0 for ephemeral) and starts serving `service`.
+    pub(crate) fn bind(
+        service: Arc<dyn FrameService>,
+        addr: impl ToSocketAddrs,
+        config: ServerConfig,
+    ) -> std::io::Result<FrameServer> {
+        let listener = TcpListener::bind(addr)?;
+        listener.set_nonblocking(true)?;
+        let addr = listener.local_addr()?;
+        let workers = if config.workers > 0 {
+            config.workers
+        } else {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(4)
+                .clamp(2, 8)
+        };
+        let thread_name = format!("seu-net-loop-{}", service.name());
+        let state = Arc::new(LoopState {
+            service,
+            workers,
+            shutting_down: AtomicBool::new(false),
+            subscribers: AtomicUsize::new(0),
+            broadcasts: Mutex::new(Vec::new()),
+            wake: Wake::new(),
+        });
+        let thread_state = Arc::clone(&state);
+        let thread = std::thread::Builder::new()
+            .name(thread_name)
+            .spawn(move || event_loop(listener, thread_state))?;
+        Ok(FrameServer {
+            state,
+            addr,
+            thread: Some(thread),
+        })
+    }
+
+    /// The name the hosted service advertises.
+    pub(crate) fn name(&self) -> &str {
+        self.state.service.name()
+    }
+
+    /// The bound address (with the ephemeral port resolved).
+    pub(crate) fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Live subscriber connections.
+    pub(crate) fn subscriber_count(&self) -> usize {
+        self.state.subscribers.load(Ordering::SeqCst)
+    }
+
+    /// Queues `notice` for every subscriber and returns how many are
+    /// registered right now. Delivery is asynchronous: each of them
+    /// either receives the notice or is detected dead and dropped.
+    pub(crate) fn broadcast(&self, notice: &Message) -> usize {
+        let notified = self.state.subscribers.load(Ordering::SeqCst);
+        self.state.broadcasts.lock().push(notice.encode());
+        self.state.wake.notify();
+        notified
+    }
+
+    /// Stops accepting, severs every live connection (in-flight calls
+    /// on them fail with `ConnectionLost` on the caller's side), and
+    /// joins the loop, which joins its workers.
+    pub(crate) fn stop(&mut self) {
+        if self.state.shutting_down.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        self.state.wake.notify();
+        if let Some(t) = self.thread.take() {
+            let _ = t.join();
         }
     }
+}
+
+impl Drop for FrameServer {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
+/// The [`FrameService`] over one swappable [`SearchEngine`].
+struct EngineService {
+    name: String,
+    engine: RwLock<Arc<SearchEngine>>,
+    epoch: AtomicU64,
 }
 
 /// A [`SearchEngine`] served over TCP, with push invalidation to
 /// subscribed brokers.
 pub struct EngineServer {
-    state: Arc<ServerState>,
-    addr: SocketAddr,
-    thread: Option<JoinHandle<()>>,
+    service: Arc<EngineService>,
+    server: FrameServer,
 }
 
 impl EngineServer {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts
-    /// serving `engine` under `name` with the default (event-loop)
-    /// configuration.
+    /// serving `engine` under `name` with the default configuration.
     pub fn bind(
         name: impl Into<String>,
         engine: SearchEngine,
@@ -190,51 +263,30 @@ impl EngineServer {
         EngineServer::bind_with(name, engine, addr, ServerConfig::default())
     }
 
-    /// [`EngineServer::bind`] with explicit scheduling and deadlines.
+    /// [`EngineServer::bind`] with an explicit worker count.
     pub fn bind_with(
         name: impl Into<String>,
         engine: SearchEngine,
         addr: impl ToSocketAddrs,
         config: ServerConfig,
     ) -> std::io::Result<EngineServer> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let state = Arc::new(ServerState {
+        let service = Arc::new(EngineService {
             name: name.into(),
             engine: RwLock::new(Arc::new(engine)),
             epoch: AtomicU64::new(0),
-            config,
-            shutting_down: AtomicBool::new(false),
-            subscribers: Mutex::new(Vec::new()),
-            next_subscriber_id: AtomicU64::new(0),
-            event_subscribers: AtomicUsize::new(0),
-            broadcasts: Mutex::new(Vec::new()),
-            wake: Wake::new(),
         });
-        let thread_state = Arc::clone(&state);
-        let thread = match config.mode {
-            ServerMode::EventLoop => std::thread::Builder::new()
-                .name(format!("seu-net-loop-{}", state.name))
-                .spawn(move || event_loop(listener, thread_state))?,
-            ServerMode::ThreadPerConnection => std::thread::Builder::new()
-                .name(format!("seu-net-accept-{}", state.name))
-                .spawn(move || accept_loop(listener, thread_state))?,
-        };
-        Ok(EngineServer {
-            state,
-            addr,
-            thread: Some(thread),
-        })
+        let server = FrameServer::bind(service.clone(), addr, config)?;
+        Ok(EngineServer { service, server })
     }
 
     /// The bound address (with the ephemeral port resolved).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.server.addr()
     }
 
     /// The advertised engine name.
     pub fn name(&self) -> &str {
-        &self.state.name
+        &self.service.name
     }
 
     /// The server-side change epoch: how many times [`replace_engine`]
@@ -242,114 +294,48 @@ impl EngineServer {
     ///
     /// [`replace_engine`]: EngineServer::replace_engine
     pub fn epoch(&self) -> u64 {
-        self.state.epoch.load(Ordering::SeqCst)
+        self.service.epoch.load(Ordering::SeqCst)
     }
 
     /// Live subscriber connections.
     pub fn subscriber_count(&self) -> usize {
-        match self.state.config.mode {
-            ServerMode::EventLoop => self.state.event_subscribers.load(Ordering::SeqCst),
-            ServerMode::ThreadPerConnection => self.state.subscribers.lock().len(),
-        }
+        self.server.subscriber_count()
     }
 
     /// Swaps the served collection and pushes an
     /// [`Message::InvalidateNotice`] with the new fingerprint to every
     /// subscriber. Returns the number of subscribers the notice goes to
-    /// (in event-loop mode delivery is asynchronous: the count is of
-    /// registered subscribers at the swap, each of which either receives
-    /// the notice or is detected dead and dropped).
+    /// (delivery is asynchronous: the count is of registered
+    /// subscribers at the swap, each of which either receives the
+    /// notice or is detected dead and dropped).
     pub fn replace_engine(&self, engine: SearchEngine) -> usize {
         let fingerprint = engine.fingerprint();
-        *self.state.engine.write() = Arc::new(engine);
-        let epoch = self.state.epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        let notice = Message::InvalidateNotice {
-            name: self.state.name.clone(),
+        *self.service.engine.write() = Arc::new(engine);
+        let epoch = self.service.epoch.fetch_add(1, Ordering::SeqCst) + 1;
+        self.server.broadcast(&Message::InvalidateNotice {
+            name: self.service.name.clone(),
             fingerprint,
             epoch,
-        };
-        let (kind, payload) = notice.encode();
-        match self.state.config.mode {
-            ServerMode::EventLoop => {
-                let notified = self.state.event_subscribers.load(Ordering::SeqCst);
-                self.state.broadcasts.lock().push((kind, payload));
-                self.state.wake.notify();
-                notified
-            }
-            ServerMode::ThreadPerConnection => {
-                let mut notified = 0;
-                let mut dead = Vec::new();
-                {
-                    let mut subs = self.state.subscribers.lock();
-                    for sub in subs.iter_mut() {
-                        match write_frame(&mut sub.stream, kind, &payload) {
-                            Ok(()) => {
-                                metrics().push_notices_sent.inc();
-                                notified += 1;
-                            }
-                            Err(_) => dead.push(sub.id),
-                        }
-                    }
-                }
-                for id in dead {
-                    self.state.drop_subscriber(id);
-                }
-                notified
-            }
-        }
+        })
     }
 
-    /// Stops accepting, closes every connection, and joins the serving
-    /// thread (the event loop also joins its workers).
+    /// Stops accepting, closes every connection, and joins the event
+    /// loop and its workers.
     pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        if self.state.shutting_down.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Wake whichever loop is serving: the event loop sleeps on the
-        // condvar, the threaded accept loop blocks in accept().
-        self.state.wake.notify();
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-        let ids: Vec<u64> = {
-            let subs = self.state.subscribers.lock();
-            for sub in subs.iter() {
-                let _ = sub.stream.shutdown(Shutdown::Both);
-            }
-            subs.iter().map(|s| s.id).collect()
-        };
-        for id in ids {
-            self.state.drop_subscriber(id);
-        }
-    }
-}
-
-impl Drop for EngineServer {
-    fn drop(&mut self) {
-        self.stop();
+        self.server.stop();
     }
 }
 
 impl std::fmt::Debug for EngineServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EngineServer")
-            .field("name", &self.state.name)
-            .field("addr", &self.addr)
-            .field("mode", &self.state.config.mode)
+            .field("name", &self.service.name)
+            .field("addr", &self.addr())
             .field("epoch", &self.epoch())
             .field("subscribers", &self.subscriber_count())
             .finish()
     }
 }
-
-// ---------------------------------------------------------------------
-// Event-loop scheduler
-// ---------------------------------------------------------------------
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum ConnKind {
@@ -392,6 +378,8 @@ struct Job {
     slot: usize,
     gen: u64,
     corr: u64,
+    /// The frame's kind byte, for the refusal text.
+    kind: u8,
     request: Message,
 }
 
@@ -410,28 +398,17 @@ fn conn_mut(conns: &mut [Option<EventConn>], slot: usize, gen: u64) -> Option<&m
         .filter(|c| c.gen == gen && !c.dead)
 }
 
-fn event_loop(listener: TcpListener, state: Arc<ServerState>) {
-    if listener.set_nonblocking(true).is_err() {
-        return;
-    }
-    let workers = if state.config.workers > 0 {
-        state.config.workers
-    } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .clamp(2, 8)
-    };
+fn event_loop(listener: TcpListener, state: Arc<LoopState>) {
     let (job_tx, job_rx) = mpsc::channel::<Job>();
     let job_rx = Arc::new(std::sync::Mutex::new(job_rx));
     let completions: Arc<std::sync::Mutex<Vec<Done>>> = Arc::new(std::sync::Mutex::new(Vec::new()));
-    let worker_threads: Vec<JoinHandle<()>> = (0..workers)
+    let worker_threads: Vec<JoinHandle<()>> = (0..state.workers)
         .map(|i| {
             let rx = Arc::clone(&job_rx);
             let done = Arc::clone(&completions);
             let st = Arc::clone(&state);
             std::thread::Builder::new()
-                .name(format!("seu-net-worker-{}-{i}", st.name))
+                .name(format!("seu-net-worker-{}-{i}", st.service.name()))
                 .spawn(move || worker_loop(rx, done, st))
                 .expect("spawning worker thread")
         })
@@ -444,6 +421,10 @@ fn event_loop(listener: TcpListener, state: Arc<ServerState>) {
     let mut req_deadlines: HashMap<(usize, u64, u64), crate::timer::TimerKey> = HashMap::new();
     let mut expired: Vec<Deadline> = Vec::new();
     let mut idle_sleep = IDLE_SLEEP_MIN;
+    // One read scratch for every connection and iteration: a fresh one
+    // per poll would zero 16 KiB per connection thousands of times a
+    // second.
+    let mut buf = [0u8; 16 * 1024];
     let m = metrics();
 
     loop {
@@ -461,6 +442,8 @@ fn event_loop(listener: TcpListener, state: Arc<ServerState>) {
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
+                    // Replies are small; left to Nagle + delayed ACK
+                    // every RPC stalls ~40 ms.
                     let _ = stream.set_nodelay(true);
                     m.server_connections.inc();
                     m.server_active_connections.add(1.0);
@@ -487,11 +470,7 @@ fn event_loop(listener: TcpListener, state: Arc<ServerState>) {
                             conns.len() - 1
                         }
                     };
-                    wheel.insert(
-                        now,
-                        state.config.idle_timeout,
-                        Deadline::ConnIdle { slot, gen },
-                    );
+                    wheel.insert(now, REQUEST_IDLE_TIMEOUT, Deadline::ConnIdle { slot, gen });
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(_) => break,
@@ -512,12 +491,10 @@ fn event_loop(listener: TcpListener, state: Arc<ServerState>) {
                 }
                 None => continue,
             }
+            // An `Error` reply is in-band: it answers its own corr and
+            // the connection keeps serving its pipelined neighbours.
             if let Some(conn) = conn_mut(&mut conns, d.slot, d.gen) {
-                let fatal = matches!(d.reply, Message::Error { .. });
                 conn.enqueue(d.corr, &d.reply);
-                if fatal {
-                    conn.closing = true;
-                }
             }
         }
 
@@ -544,7 +521,6 @@ fn event_loop(listener: TcpListener, state: Arc<ServerState>) {
             if conn.dead || conn.closing {
                 continue;
             }
-            let mut buf = [0u8; 16 * 1024];
             loop {
                 match conn.stream.read(&mut buf) {
                     Ok(0) => {
@@ -617,13 +593,13 @@ fn event_loop(listener: TcpListener, state: Arc<ServerState>) {
                             continue; // long-lived by design
                         }
                         let idle = now.saturating_duration_since(conn.last_activity);
-                        if idle >= state.config.idle_timeout {
+                        if idle >= REQUEST_IDLE_TIMEOUT {
                             conn.dead = true;
                             activity = true;
                         } else {
                             wheel.insert(
                                 now,
-                                state.config.idle_timeout - idle,
+                                REQUEST_IDLE_TIMEOUT - idle,
                                 Deadline::ConnIdle { slot, gen },
                             );
                         }
@@ -637,8 +613,7 @@ fn event_loop(listener: TcpListener, state: Arc<ServerState>) {
                                 corr,
                                 &Message::Error {
                                     detail: format!(
-                                        "request deadline ({:?}) exceeded",
-                                        state.config.request_timeout
+                                        "request deadline ({REQUEST_TIMEOUT:?}) exceeded"
                                     ),
                                 },
                             );
@@ -687,7 +662,7 @@ fn event_loop(listener: TcpListener, state: Arc<ServerState>) {
             }
             if conn.dead {
                 if conn.kind == ConnKind::Subscriber {
-                    state.event_subscribers.fetch_sub(1, Ordering::SeqCst);
+                    state.subscribers.fetch_sub(1, Ordering::SeqCst);
                     m.server_subscribers.add(-1.0);
                 }
                 let _ = conn.stream.shutdown(Shutdown::Both);
@@ -709,7 +684,7 @@ fn event_loop(listener: TcpListener, state: Arc<ServerState>) {
     // Shutdown: close every connection, then drain the worker pool.
     for conn in conns.iter_mut().flatten() {
         if conn.kind == ConnKind::Subscriber {
-            state.event_subscribers.fetch_sub(1, Ordering::SeqCst);
+            state.subscribers.fetch_sub(1, Ordering::SeqCst);
             metrics().server_subscribers.add(-1.0);
         }
         let _ = conn.stream.shutdown(Shutdown::Both);
@@ -725,7 +700,7 @@ fn event_loop(listener: TcpListener, state: Arc<ServerState>) {
 /// job for the worker pool (with its deadline armed).
 #[allow(clippy::too_many_arguments)]
 fn handle_frame(
-    state: &Arc<ServerState>,
+    state: &LoopState,
     conn: &mut EventConn,
     slot: usize,
     frame: crate::frame::Frame,
@@ -744,7 +719,7 @@ fn handle_frame(
                         // Count first, ack second: a client holding its
                         // ack is guaranteed to be in the next
                         // replace_engine's subscriber count.
-                        state.event_subscribers.fetch_add(1, Ordering::SeqCst);
+                        state.subscribers.fetch_add(1, Ordering::SeqCst);
                         m.server_subscribers.add(1.0);
                     } else {
                         conn.kind = ConnKind::Request;
@@ -755,15 +730,15 @@ fn handle_frame(
                     conn.enqueue(
                         frame.corr,
                         &Message::HelloAck {
-                            name: state.name.clone(),
+                            name: state.service.name().to_string(),
                         },
                     );
                 }
-                Ok(other) => {
+                Ok(_) => {
                     conn.enqueue(
                         frame.corr,
                         &Message::Error {
-                            detail: format!("expected Hello, got {other:?}"),
+                            detail: format!("expected Hello, got message kind {}", frame.kind),
                         },
                     );
                     conn.closing = true;
@@ -786,7 +761,7 @@ fn handle_frame(
                 Ok(request) => {
                     let key = wheel.insert(
                         now,
-                        state.config.request_timeout,
+                        REQUEST_TIMEOUT,
                         Deadline::Request {
                             slot,
                             gen: conn.gen,
@@ -798,6 +773,7 @@ fn handle_frame(
                         slot,
                         gen: conn.gen,
                         corr: frame.corr,
+                        kind: frame.kind,
                         request,
                     });
                 }
@@ -820,7 +796,7 @@ fn handle_frame(
 fn worker_loop(
     job_rx: Arc<std::sync::Mutex<mpsc::Receiver<Job>>>,
     completions: Arc<std::sync::Mutex<Vec<Done>>>,
-    state: Arc<ServerState>,
+    state: Arc<LoopState>,
 ) {
     loop {
         // Holding the lock across recv serializes the *wait*, not the
@@ -830,7 +806,16 @@ fn worker_loop(
             rx.recv()
         };
         let Ok(job) = job else { return };
-        let reply = answer(&state, job.request);
+        let reply = state
+            .service
+            .handle(job.request)
+            .unwrap_or_else(|| Message::Error {
+                detail: format!(
+                    "{} does not serve message kind {}",
+                    state.service.name(),
+                    job.kind
+                ),
+            });
         completions
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -844,209 +829,90 @@ fn worker_loop(
     }
 }
 
-// ---------------------------------------------------------------------
-// Thread-per-connection scheduler (benchmark baseline)
-// ---------------------------------------------------------------------
-
-fn accept_loop(listener: TcpListener, state: Arc<ServerState>) {
-    for stream in listener.incoming() {
-        if state.shutting_down.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        metrics().server_connections.inc();
-        let conn_state = Arc::clone(&state);
-        let _ = std::thread::Builder::new()
-            .name(format!("seu-net-conn-{}", state.name))
-            .spawn(move || {
-                let _ = serve_connection(stream, conn_state);
-            });
-    }
+/// Every document of `engine` above `threshold` for `query`, best
+/// first, named for the wire.
+fn search_hits(engine: &SearchEngine, query: &str, threshold: f64) -> Vec<RemoteHit> {
+    let c = engine.collection();
+    let q = c.query_from_text(query);
+    engine
+        .search_threshold(&q, threshold)
+        .into_iter()
+        .map(|h| RemoteHit {
+            doc: c.doc(h.doc).name.clone(),
+            sim: h.sim,
+        })
+        .collect()
 }
 
-/// Runs one connection to completion; errors just end the connection.
-fn serve_connection(mut stream: TcpStream, state: Arc<ServerState>) -> Result<(), TransportError> {
-    stream
-        .set_read_timeout(Some(state.config.idle_timeout))
-        .map_err(|e| crate::frame::io_error(&e, "setting read timeout"))?;
-    let hello = read_frame(&mut stream)?;
-    let hello_corr = hello.corr;
-    let subscribe = match Message::decode(hello.kind, &hello.payload) {
-        Ok(Message::Hello { subscribe }) => subscribe,
-        Ok(other) => {
-            let (kind, payload) = Message::Error {
-                detail: format!("expected Hello, got {other:?}"),
-            }
-            .encode();
-            let _ = write_frame_corr(&mut stream, hello_corr, kind, &payload);
-            return Ok(());
-        }
-        Err(e) => return Err(e),
-    };
-    let (kind, payload) = Message::HelloAck {
-        name: state.name.clone(),
+impl FrameService for EngineService {
+    fn name(&self) -> &str {
+        &self.name
     }
-    .encode();
-    if subscribe {
-        serve_subscriber(stream, state, hello_corr, kind, &payload)
-    } else {
-        // Requests are answered strictly in arrival order on this
-        // scheduler, so echoing the id is still a correct multiplexing
-        // contract: pipelined replies come back in request order with
-        // matching ids.
-        write_frame_corr(&mut stream, hello_corr, kind, &payload)?;
-        serve_requests(stream, state)
-    }
-}
 
-/// A subscriber connection carries no requests: register the write half
-/// for broadcasts and park reading until the peer hangs up. The ack is
-/// written under the subscribers lock, *after* registration, so a
-/// concurrent [`EngineServer::replace_engine`] can neither skip this
-/// subscriber nor push a notice ahead of the ack.
-fn serve_subscriber(
-    stream: TcpStream,
-    state: Arc<ServerState>,
-    ack_corr: u64,
-    ack_kind: u8,
-    ack_payload: &[u8],
-) -> Result<(), TransportError> {
-    let write_half = stream
-        .try_clone()
-        .map_err(|e| crate::frame::io_error(&e, "cloning subscriber stream"))?;
-    let id = state.next_subscriber_id.fetch_add(1, Ordering::SeqCst);
-    {
-        let mut subs = state.subscribers.lock();
-        subs.push(Subscriber {
-            id,
-            stream: write_half,
-        });
-        let sub = subs.last_mut().expect("just pushed");
-        if let Err(e) = write_frame_corr(&mut sub.stream, ack_corr, ack_kind, ack_payload) {
-            subs.pop();
-            return Err(e);
-        }
-    }
-    metrics().server_subscribers.add(1.0);
-
-    let mut read_half = stream;
-    // Block (without the idle cap — subscriptions are long-lived) until
-    // the peer disconnects; any frame it does send is ignored.
-    let _ = read_half.set_read_timeout(None);
-    loop {
-        if read_frame(&mut read_half).is_err() {
-            break;
-        }
-    }
-    state.drop_subscriber(id);
-    Ok(())
-}
-
-fn serve_requests(mut stream: TcpStream, state: Arc<ServerState>) -> Result<(), TransportError> {
-    loop {
-        // EOF / reset / idle timeout: the client is done with us.
-        let frame = read_frame(&mut stream)?;
-        metrics().server_requests.inc();
-        let reply = match Message::decode(frame.kind, &frame.payload) {
-            Ok(request) => answer(&state, request),
-            Err(e) => Message::Error {
-                detail: format!("undecodable request: {e}"),
+    fn handle(&self, request: Message) -> Option<Message> {
+        let engine = Arc::clone(&self.engine.read());
+        Some(match request {
+            Message::SearchDocs { query, threshold } => Message::SearchResults {
+                hits: search_hits(&engine, &query, threshold),
             },
-        };
-        let fatal = matches!(reply, Message::Error { .. });
-        let (kind, payload) = reply.encode();
-        write_frame_corr(&mut stream, frame.corr, kind, &payload)?;
-        if fatal {
-            return Ok(());
-        }
-    }
-}
-
-fn answer(state: &ServerState, request: Message) -> Message {
-    let engine = Arc::clone(&state.engine.read());
-    match request {
-        Message::SearchDocs { query, threshold } => {
-            let c = engine.collection();
-            let q = c.query_from_text(&query);
-            let hits = engine
-                .search_threshold(&q, threshold)
-                .into_iter()
-                .map(|h| RemoteHit {
-                    doc: c.doc(h.doc).name.clone(),
-                    sim: h.sim,
-                })
-                .collect();
-            Message::SearchResults { hits }
-        }
-        Message::TracedSearchDocs {
-            query,
-            threshold,
-            trace_id,
-            parent_span,
-            sampled,
-        } => {
-            metrics().server_traced_searches.inc();
-            let started = std::time::Instant::now();
-            let start_unix_ns = seu_obs::unix_now_ns();
-            let c = engine.collection();
-            let q = c.query_from_text(&query);
-            let hits: Vec<RemoteHit> = engine
-                .search_threshold(&q, threshold)
-                .into_iter()
-                .map(|h| RemoteHit {
-                    doc: c.doc(h.doc).name.clone(),
-                    sim: h.sim,
-                })
-                .collect();
-            // Author the server-side span by hand: there is no tracer on
-            // this side, just an id minted into the caller's trace. The
-            // caller grafts it under its dispatch span via the parent
-            // link carried in the request.
-            let spans = if sampled {
-                vec![seu_obs::SpanRecord {
-                    id: seu_obs::new_span_id(),
-                    parent: seu_obs::SpanId(parent_span),
-                    name: "remote_search".to_string(),
-                    start_unix_ns,
-                    duration_ns: started.elapsed().as_nanos() as u64,
-                    attrs: vec![
-                        ("engine".to_string(), state.name.clone()),
-                        ("hits".to_string(), hits.len().to_string()),
-                        ("trace_id".to_string(), seu_obs::TraceId(trace_id).to_hex()),
-                    ],
-                }]
-            } else {
-                Vec::new()
-            };
-            Message::TracedSearchResults { hits, spans }
-        }
-        Message::Estimate { query, threshold } => {
-            let q = engine.collection().query_from_text(&query);
-            let u = engine.true_usefulness(&q, threshold);
-            Message::Usefulness {
-                no_doc: u.no_doc,
-                avg_sim: u.avg_sim,
-                max_sim: u.max_sim,
+            Message::TracedSearchDocs {
+                query,
+                threshold,
+                trace_id,
+                parent_span,
+                sampled,
+            } => {
+                metrics().server_traced_searches.inc();
+                let started = std::time::Instant::now();
+                let start_unix_ns = seu_obs::unix_now_ns();
+                let hits = search_hits(&engine, &query, threshold);
+                // Author the server-side span by hand: there is no tracer on
+                // this side, just an id minted into the caller's trace. The
+                // caller grafts it under its dispatch span via the parent
+                // link carried in the request.
+                let spans = if sampled {
+                    vec![seu_obs::SpanRecord {
+                        id: seu_obs::new_span_id(),
+                        parent: seu_obs::SpanId(parent_span),
+                        name: "remote_search".to_string(),
+                        start_unix_ns,
+                        duration_ns: started.elapsed().as_nanos() as u64,
+                        attrs: vec![
+                            ("engine".to_string(), self.name.clone()),
+                            ("hits".to_string(), hits.len().to_string()),
+                            ("trace_id".to_string(), seu_obs::TraceId(trace_id).to_hex()),
+                        ],
+                    }]
+                } else {
+                    Vec::new()
+                };
+                Message::TracedSearchResults { hits, spans }
             }
-        }
-        Message::EstimateBatch { queries, threshold } => {
-            metrics().server_batch_requests.inc();
-            let c = engine.collection();
-            let results = queries
-                .iter()
-                .map(|query| {
-                    let q = c.query_from_text(query);
-                    engine.true_usefulness(&q, threshold)
-                })
-                .collect();
-            Message::UsefulnessBatch { results }
-        }
-        Message::GetRepresentative => Message::Representative {
-            snapshot: EngineSnapshot::of_engine(&state.name, &engine),
-        },
-        Message::Ping => Message::Pong,
-        other => Message::Error {
-            detail: format!("unexpected request {other:?}"),
-        },
+            Message::Estimate { query, threshold } => {
+                let q = engine.collection().query_from_text(&query);
+                let u = engine.true_usefulness(&q, threshold);
+                Message::Usefulness {
+                    no_doc: u.no_doc,
+                    avg_sim: u.avg_sim,
+                    max_sim: u.max_sim,
+                }
+            }
+            Message::EstimateBatch { queries, threshold } => {
+                metrics().server_batch_requests.inc();
+                let c = engine.collection();
+                let results = queries
+                    .iter()
+                    .map(|query| {
+                        let q = c.query_from_text(query);
+                        engine.true_usefulness(&q, threshold)
+                    })
+                    .collect();
+                Message::UsefulnessBatch { results }
+            }
+            Message::GetRepresentative => Message::Representative {
+                snapshot: EngineSnapshot::of_engine(&self.name, &engine),
+            },
+            _ => return None,
+        })
     }
 }
