@@ -11,8 +11,8 @@
 //! MaxScore, adapted to exhaustive term-at-a-time accumulation).
 //!
 //! The result is *identical* to [`SearchEngine::search_top_k`]; only the
-//! work differs. The `text` bench's `top_10_strategies` group measures
-//! the trade-off — on small newsgroup-scale collections (hundreds of
+//! work differs. Measured top-10 over a 761-document collection, the
+//! trade-off is: on small newsgroup-scale collections (hundreds of
 //! documents, short postings lists) the pruning bookkeeping costs more
 //! than it saves, and plain accumulation wins; the bound only pays off
 //! on long postings lists.

@@ -19,17 +19,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod experiments;
 pub mod metrics;
 pub mod ranking;
 pub mod runner;
 pub mod tables;
 
-pub use bench::{
-    run_broker_bench, run_broker_bench_config, run_broker_bench_remote, BrokerBenchConfig,
-    BrokerBenchReport, ConcurrencyPoint,
-};
 pub use metrics::{MethodResult, ThresholdRow};
 pub use ranking::{rank_databases, RankingFixture, RankingResult};
 pub use runner::{evaluate, EvalConfig};

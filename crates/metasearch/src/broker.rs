@@ -13,9 +13,7 @@
 //! [`Broker::select`], [`Broker::search`]) remain as thin wrappers over
 //! the same implementation.
 
-use crate::cache::{
-    CacheKey, CachePolicy, CacheStats, CacheTier, CachedResponse, CachedValue, QueryCache,
-};
+use crate::cache::{CacheKey, CacheStats, CacheTier, CachedResponse, CachedValue, QueryCache};
 use crate::merge::merge_results;
 use crate::persist::{record_for_local, record_for_remote, StoreHandle};
 use crate::plan::{PlannedEngine, QueryPlan, SharedAnalysis};
@@ -54,6 +52,13 @@ type DispatchResult = Result<(Vec<MergedHit>, f64), TransportError>;
 
 /// One engine's dispatch job.
 type DispatchJob = Box<dyn FnOnce() -> DispatchResult + Send>;
+
+/// Fewest engines of an all-local plan that go to the pool: a hand-off
+/// to a worker and back costs about as much as searching this many
+/// newsgroup-sized collections (traced `pool.queue_wait_us_p50` ≈ 150 µs
+/// against 3–8 µs a search on the 2-core box), and when it lands behind
+/// other runnable threads, milliseconds.
+const MIN_POOLED_LOCAL: usize = 64;
 
 /// One pool job of a dispatch: the jobs of one or more engines run back
 /// to back, `None` for an engine whose job panicked.
@@ -196,7 +201,6 @@ pub struct BrokerBuilder<E> {
     worker_threads: Option<usize>,
     pool_label: Option<String>,
     cache_bytes: usize,
-    cache_policy: CachePolicy,
     store: Option<Arc<StoreHandle>>,
 }
 
@@ -238,13 +242,6 @@ impl<E: UsefulnessEstimator + Sync> BrokerBuilder<E> {
     /// existed.
     pub fn cache_bytes(mut self, bytes: usize) -> Self {
         self.cache_bytes = bytes;
-        self
-    }
-
-    /// Sets the cache's admission/eviction policy (default
-    /// [`CachePolicy::SegmentedLru`]).
-    pub fn cache_policy(mut self, policy: CachePolicy) -> Self {
-        self.cache_policy = policy;
         self
     }
 
@@ -296,8 +293,7 @@ impl<E: UsefulnessEstimator + Sync> BrokerBuilder<E> {
             worker_threads: self.worker_threads,
             pool_label: self.pool_label,
             pool: OnceLock::new(),
-            cache: (self.cache_bytes > 0)
-                .then(|| QueryCache::new(self.cache_bytes, self.cache_policy)),
+            cache: (self.cache_bytes > 0).then(|| QueryCache::new(self.cache_bytes)),
             store: self.store,
             cold_engines: Arc::new(AtomicU64::new(0)),
         }
@@ -550,7 +546,6 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
             worker_threads: None,
             pool_label: None,
             cache_bytes: DEFAULT_CACHE_BYTES,
-            cache_policy: CachePolicy::default(),
             store: None,
         }
     }
@@ -2009,25 +2004,28 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
     }
 
     /// Runs a plan's dispatch jobs (one per selected engine, in that
-    /// order) on the worker pool and returns one status per engine.
+    /// order) and returns one status per engine.
     ///
     /// A remote call blocks on the network, so it is a pool job of its
-    /// own (as is a detached engine's refusal). An in-process search takes microseconds — less than handing
-    /// it to a worker and waking the caller for its result — so the
-    /// local engines of a plan go to the pool as at most one batch per
-    /// worker. A plan over a thousand small engines then costs a few
-    /// thread hand-offs instead of a thousand, and how long it takes no
-    /// longer depends on how promptly the host schedules each of them.
-    /// Inside a batch every engine still runs under its own
-    /// `catch_unwind`; a batch that misses the deadline times out all
-    /// its engines.
+    /// own (as is a detached engine's refusal). An in-process search
+    /// takes microseconds — less than handing it to a worker and waking
+    /// the caller for its result — so a plan of fewer than
+    /// [`MIN_POOLED_LOCAL`] engines, all of them local, is searched by
+    /// the caller itself, and the local engines of any other plan go to
+    /// the pool as at most one batch per worker. A plan over a handful
+    /// of small engines then crosses no thread, a plan over a thousand
+    /// crosses a few instead of a thousand, and how long either takes
+    /// does not depend on how promptly the host schedules a hand-off.
+    /// Every engine still runs under its own `catch_unwind`. A batch
+    /// that misses the deadline times out all its engines; on the
+    /// caller an engine that has not finished by the deadline times
+    /// out, and the ones after it are not started.
     fn run_dispatch_jobs(
         &self,
         plan: &QueryPlan,
         jobs: Vec<DispatchJob>,
         timeout: Option<std::time::Duration>,
     ) -> Vec<JobStatus<DispatchResult>> {
-        let pool = self.pool();
         let n = jobs.len();
         let (local, single): (Vec<usize>, Vec<usize>) = (0..n).partition(|&p| {
             matches!(
@@ -2035,6 +2033,24 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
                 EngineHandle::Local(_)
             )
         });
+        if single.is_empty() && n < MIN_POOLED_LOCAL {
+            let deadline = timeout.map(|t| Instant::now() + t);
+            let late = || deadline.is_some_and(|d| Instant::now() >= d);
+            return jobs
+                .into_iter()
+                .map(|job| {
+                    if late() {
+                        return JobStatus::TimedOut;
+                    }
+                    match catch_unwind(AssertUnwindSafe(job)) {
+                        _ if late() => JobStatus::TimedOut,
+                        Ok(result) => JobStatus::Done(result),
+                        Err(_) => JobStatus::Panicked,
+                    }
+                })
+                .collect();
+        }
+        let pool = self.pool();
         let per_batch = local.len().div_ceil(pool.threads()).max(1);
         let groups: Vec<&[usize]> = single.chunks(1).chain(local.chunks(per_batch)).collect();
         let mut jobs: Vec<Option<DispatchJob>> = jobs.into_iter().map(Some).collect();
@@ -2583,7 +2599,10 @@ mod tests {
         let b = Broker::builder(SubrangeEstimator::paper_six_subrange())
             .worker_threads(2)
             .build();
-        b.register("only", engine_from(&["solo document here"]));
+        // Enough engines for the plan to go to the pool.
+        for i in 0..MIN_POOLED_LOCAL {
+            b.register(&format!("e{i}"), engine_from(&["solo document here"]));
+        }
         assert_eq!(b.pool_stats(), (2, 0));
         let _ = b.search("solo", 0.0, SelectionPolicy::All);
         let (threads, peak) = b.pool_stats();

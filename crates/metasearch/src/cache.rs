@@ -42,29 +42,21 @@
 //!
 //! # Admission and eviction
 //!
-//! Two scan-resistant policies, selected by [`CachePolicy`]:
-//!
-//! * **Segmented LRU** (default): a probationary and a protected
-//!   segment. New entries start probationary; a hit promotes to
-//!   protected; when protected outgrows its share (80% of the budget)
-//!   its LRU tail demotes back to probationary, and eviction always
-//!   consumes the probationary tail first. One-hit wonders from a cold
-//!   scan never displace the hot set.
-//! * **S3-FIFO**: a small (10%) and a main (90%) FIFO plus a ghost list
-//!   of recently evicted fingerprints. Small-queue victims with no hits
-//!   are evicted to the ghost; re-arrivals seen in the ghost are
-//!   admitted straight to main; main victims with hits are reinserted
-//!   with decayed frequency.
-//!
-//! Both policies account approximate resident bytes per entry and evict
-//! until the configured budget (`BrokerBuilder::cache_bytes`) holds.
+//! Scan-resistant **segmented LRU**: a probationary and a protected
+//! segment. New entries start probationary; a hit promotes to
+//! protected; when protected outgrows its share (80% of the budget) its
+//! LRU tail demotes back to probationary, and eviction always consumes
+//! the probationary tail first. One-hit wonders from a cold scan never
+//! displace the hot set. Entries account approximate resident bytes and
+//! eviction runs until the configured budget
+//! (`BrokerBuilder::cache_bytes`) holds.
 
 use crate::broker::{EngineEstimate, MergedHit};
 use crate::plan::{QueryPlan, SharedAnalysis};
 use crate::request::{EngineDispatchStats, SearchRequest};
 use crate::selection::SelectionPolicy;
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -79,9 +71,6 @@ const CACHE_SHARDS: usize = 8;
 
 /// Fraction of the budget the segmented-LRU protected segment may hold.
 const PROTECTED_SHARE: f64 = 0.8;
-
-/// Fraction of the budget the S3-FIFO small queue may hold.
-const SMALL_SHARE: f64 = 0.1;
 
 /// Instrument handles cached once per process.
 struct CacheMetrics {
@@ -105,27 +94,6 @@ fn cache_metrics() -> &'static CacheMetrics {
 /// whole `broker_cache_*` family even before the first lookup.
 pub fn register_metrics() {
     let _ = cache_metrics();
-}
-
-/// Admission/eviction policy for the [`QueryCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CachePolicy {
-    /// Probationary + protected segments; hits promote, eviction takes
-    /// the probationary LRU tail (the default).
-    #[default]
-    SegmentedLru,
-    /// Small/main FIFO queues with a ghost list of evicted fingerprints.
-    S3Fifo,
-}
-
-impl CachePolicy {
-    /// Stable lower-snake name (used in `/healthz` and reports).
-    pub fn name(&self) -> &'static str {
-        match self {
-            CachePolicy::SegmentedLru => "segmented_lru",
-            CachePolicy::S3Fifo => "s3_fifo",
-        }
-    }
 }
 
 /// Per-request cache behavior, set on the [`SearchRequest`] builder.
@@ -366,8 +334,9 @@ impl CachedValue {
 /// these per-broker numbers).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheStats {
-    /// The configured policy.
-    pub policy: CachePolicy,
+    /// Stable lower-snake name of the eviction policy (`/healthz`
+    /// prints it).
+    pub policy: &'static str,
     /// The configured byte budget.
     pub budget_bytes: u64,
     /// Approximate bytes currently resident.
@@ -401,22 +370,17 @@ struct CacheEntry {
     /// matches (promotion/demotion re-push under a fresh stamp, lazily
     /// invalidating old positions).
     stamp: u64,
-    /// Segmented-LRU: protected segment; S3-FIFO: main queue.
+    /// In the protected segment (else probationary).
     in_main: bool,
-    /// S3-FIFO access frequency, capped at 3.
-    freq: u8,
 }
 
 #[derive(Default)]
 struct CacheShard {
     map: HashMap<CacheKey, CacheEntry>,
-    /// Probationary (SLRU) / small (S3-FIFO) queue, lazily pruned.
+    /// Probationary queue, lazily pruned.
     small: VecDeque<(CacheKey, u64)>,
-    /// Protected (SLRU) / main (S3-FIFO) queue, lazily pruned.
+    /// Protected queue, lazily pruned.
     main: VecDeque<(CacheKey, u64)>,
-    /// S3-FIFO ghost: fingerprints of recent small-queue evictions.
-    ghost: VecDeque<u64>,
-    ghost_set: HashSet<u64>,
     bytes: usize,
     main_bytes: usize,
     stamp: u64,
@@ -446,7 +410,8 @@ impl CacheShard {
         Some(e)
     }
 
-    fn touch_slru(&mut self, key: &CacheKey) {
+    /// A hit: promote to (or refresh within) the protected segment.
+    fn touch(&mut self, key: &CacheKey) {
         let stamp = self.next_stamp();
         let Some(e) = self.map.get_mut(key) else {
             return;
@@ -459,13 +424,7 @@ impl CacheShard {
         self.main.push_back((key.clone(), stamp));
     }
 
-    fn touch_s3(&mut self, key: &CacheKey) {
-        if let Some(e) = self.map.get_mut(key) {
-            e.freq = (e.freq + 1).min(3);
-        }
-    }
-
-    fn insert(&mut self, policy: CachePolicy, key: CacheKey, value: CachedValue, budget: usize) {
+    fn insert(&mut self, key: CacheKey, value: CachedValue, budget: usize) {
         let bytes = value.cost(&key);
         if bytes > budget {
             // Larger than the whole shard budget: inserting would evict
@@ -478,17 +437,7 @@ impl CacheShard {
             drop(old);
         }
         let stamp = self.next_stamp();
-        let in_main = match policy {
-            CachePolicy::SegmentedLru => false,
-            // Ghost-remembered keys skip the small queue.
-            CachePolicy::S3Fifo => self.ghost_set.contains(&key.fingerprint()),
-        };
-        if in_main {
-            self.main_bytes += bytes;
-            self.main.push_back((key.clone(), stamp));
-        } else {
-            self.small.push_back((key.clone(), stamp));
-        }
+        self.small.push_back((key.clone(), stamp));
         self.bytes += bytes;
         self.map.insert(
             key,
@@ -496,21 +445,13 @@ impl CacheShard {
                 value,
                 bytes,
                 stamp,
-                in_main,
-                freq: 0,
+                in_main: false,
             },
         );
-        self.evict(policy, budget);
+        self.evict(budget);
     }
 
-    fn evict(&mut self, policy: CachePolicy, budget: usize) {
-        match policy {
-            CachePolicy::SegmentedLru => self.evict_slru(budget),
-            CachePolicy::S3Fifo => self.evict_s3(budget),
-        }
-    }
-
-    fn evict_slru(&mut self, budget: usize) {
+    fn evict(&mut self, budget: usize) {
         let protected_budget = (budget as f64 * PROTECTED_SHARE) as usize;
         while self.bytes > budget {
             // Keep the protected segment within its share by demoting
@@ -548,79 +489,12 @@ impl CacheShard {
             }
         }
     }
-
-    fn evict_s3(&mut self, budget: usize) {
-        let small_budget = (budget as f64 * SMALL_SHARE) as usize;
-        let small_bytes = |s: &Self| s.bytes - s.main_bytes;
-        while self.bytes > budget {
-            if small_bytes(self) > small_budget || self.main.is_empty() {
-                match self.small.pop_front() {
-                    Some((key, stamp)) => {
-                        if Self::current(&self.map, &key, stamp).is_none() {
-                            continue;
-                        }
-                        if self.map[&key].freq > 0 {
-                            // Seen again while probationary: promote.
-                            let fresh = self.next_stamp();
-                            let e = self.map.get_mut(&key).expect("checked");
-                            e.in_main = true;
-                            e.freq = 0;
-                            e.stamp = fresh;
-                            self.main_bytes += e.bytes;
-                            self.main.push_back((key, fresh));
-                        } else {
-                            self.ghost_insert(key.fingerprint());
-                            self.remove(&key);
-                        }
-                    }
-                    None if self.main.is_empty() => break,
-                    None => {}
-                }
-            } else {
-                match self.main.pop_front() {
-                    Some((key, stamp)) => {
-                        if Self::current(&self.map, &key, stamp).is_none() {
-                            continue;
-                        }
-                        if self.map[&key].freq > 0 {
-                            // Still hot: second chance with decayed
-                            // frequency (strictly decreasing, so the
-                            // loop terminates).
-                            let fresh = self.next_stamp();
-                            let e = self.map.get_mut(&key).expect("checked");
-                            e.freq -= 1;
-                            e.stamp = fresh;
-                            self.main.push_back((key, fresh));
-                        } else {
-                            self.remove(&key);
-                        }
-                    }
-                    None => break,
-                }
-            }
-        }
-    }
-
-    fn ghost_insert(&mut self, fp: u64) {
-        if self.ghost_set.insert(fp) {
-            self.ghost.push_back(fp);
-        }
-        // Bound the ghost to roughly the working set it shadows.
-        let cap = (self.map.len() * 2).max(64);
-        while self.ghost.len() > cap {
-            if let Some(old) = self.ghost.pop_front() {
-                self.ghost_set.remove(&old);
-            }
-        }
-    }
 }
 
 /// The broker's query cache. See the module docs for the design;
-/// construction happens through `BrokerBuilder::cache_bytes` /
-/// `cache_policy`.
+/// construction happens through `BrokerBuilder::cache_bytes`.
 pub struct QueryCache {
     shards: Vec<Mutex<CacheShard>>,
-    policy: CachePolicy,
     budget: usize,
     shard_budget: usize,
     hits: AtomicU64,
@@ -646,10 +520,9 @@ impl std::fmt::Debug for QueryCache {
 impl QueryCache {
     /// A cache with `budget` approximate resident bytes, split evenly
     /// across the internal shards.
-    pub fn new(budget: usize, policy: CachePolicy) -> QueryCache {
+    pub fn new(budget: usize) -> QueryCache {
         QueryCache {
             shards: (0..CACHE_SHARDS).map(|_| Mutex::default()).collect(),
-            policy,
             budget,
             shard_budget: (budget / CACHE_SHARDS).max(1),
             hits: AtomicU64::new(0),
@@ -663,7 +536,7 @@ impl QueryCache {
         &self.shards[(key.fingerprint() % CACHE_SHARDS as u64) as usize]
     }
 
-    /// Looks up a key, updating recency/frequency state on hit. Counts
+    /// Looks up a key, updating recency state on hit. Counts
     /// into both the process-global counters and this instance's stats.
     pub fn get(&self, key: &CacheKey) -> Option<CachedValue> {
         let m = cache_metrics();
@@ -671,10 +544,7 @@ impl QueryCache {
         let value = shard.map.get(key).map(|e| e.value.clone());
         match value {
             Some(v) => {
-                match self.policy {
-                    CachePolicy::SegmentedLru => shard.touch_slru(key),
-                    CachePolicy::S3Fifo => shard.touch_s3(key),
-                }
+                shard.touch(key);
                 drop(shard);
                 m.hits.inc();
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -689,11 +559,11 @@ impl QueryCache {
         }
     }
 
-    /// Inserts a value, evicting per the policy until the budget holds.
+    /// Inserts a value, evicting until the budget holds.
     pub fn insert(&self, key: CacheKey, value: CachedValue) {
         {
             let mut shard = self.shard(&key).lock();
-            shard.insert(self.policy, key, value, self.shard_budget);
+            shard.insert(key, value, self.shard_budget);
         }
         self.publish_gauge();
     }
@@ -737,7 +607,7 @@ impl QueryCache {
             entries += shard.map.len() as u64;
         }
         CacheStats {
-            policy: self.policy,
+            policy: "segmented_lru",
             budget_bytes: self.budget as u64,
             bytes_resident: bytes,
             entries,
@@ -801,24 +671,22 @@ mod tests {
     }
 
     #[test]
-    fn get_after_insert_roundtrips_per_policy() {
-        for policy in [CachePolicy::SegmentedLru, CachePolicy::S3Fifo] {
-            let c = QueryCache::new(1 << 20, policy);
-            assert!(c.get(&key("soup", 1, 0.2)).is_none());
-            c.insert(key("soup", 1, 0.2), value(3));
-            match c.get(&key("soup", 1, 0.2)) {
-                Some(CachedValue::Results(r)) => assert_eq!(r.hits.len(), 3),
-                other => panic!("{policy:?}: {other:?}"),
-            }
-            let s = c.stats();
-            assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
-            assert!(s.bytes_resident > 0);
+    fn get_after_insert_roundtrips() {
+        let c = QueryCache::new(1 << 20);
+        assert!(c.get(&key("soup", 1, 0.2)).is_none());
+        c.insert(key("soup", 1, 0.2), value(3));
+        match c.get(&key("soup", 1, 0.2)) {
+            Some(CachedValue::Results(r)) => assert_eq!(r.hits.len(), 3),
+            other => panic!("{other:?}"),
         }
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
+        assert!(s.bytes_resident > 0);
     }
 
     #[test]
     fn distinct_epochs_thresholds_and_shapes_do_not_alias() {
-        let c = QueryCache::new(1 << 20, CachePolicy::SegmentedLru);
+        let c = QueryCache::new(1 << 20);
         c.insert(key("soup", 1, 0.2), value(1));
         assert!(c.get(&key("soup", 2, 0.2)).is_none(), "epoch aliased");
         assert!(c.get(&key("soup", 1, 0.3)).is_none(), "threshold aliased");
@@ -843,7 +711,7 @@ mod tests {
 
     #[test]
     fn purge_stale_drops_only_old_epochs() {
-        let c = QueryCache::new(1 << 20, CachePolicy::SegmentedLru);
+        let c = QueryCache::new(1 << 20);
         c.insert(key("a", 1, 0.0), value(1));
         c.insert(key("b", 2, 0.0), value(1));
         c.purge_stale(2);
@@ -856,26 +724,24 @@ mod tests {
 
     #[test]
     fn byte_budget_is_enforced() {
-        for policy in [CachePolicy::SegmentedLru, CachePolicy::S3Fifo] {
-            // Small budget; all keys land where they land — the shard
-            // budget still bounds each shard.
-            let c = QueryCache::new(8 << 10, policy);
-            for i in 0..512 {
-                c.insert(key(&format!("query number {i}"), 1, 0.0), value(8));
-            }
-            let s = c.stats();
-            assert!(
-                s.bytes_resident <= 8 << 10,
-                "{policy:?}: {} resident > budget",
-                s.bytes_resident
-            );
-            assert!(s.entries > 0, "{policy:?}: everything evicted");
+        // Small budget; all keys land where they land — the shard
+        // budget still bounds each shard.
+        let c = QueryCache::new(8 << 10);
+        for i in 0..512 {
+            c.insert(key(&format!("query number {i}"), 1, 0.0), value(8));
         }
+        let s = c.stats();
+        assert!(
+            s.bytes_resident <= 8 << 10,
+            "{} resident > budget",
+            s.bytes_resident
+        );
+        assert!(s.entries > 0, "everything evicted");
     }
 
     #[test]
     fn slru_hits_protect_hot_entries_from_a_scan() {
-        let c = QueryCache::new(4 << 10, CachePolicy::SegmentedLru);
+        let c = QueryCache::new(4 << 10);
         c.insert(key("hot", 1, 0.0), value(2));
         for _ in 0..8 {
             assert!(c.get(&key("hot", 1, 0.0)).is_some());
@@ -891,31 +757,8 @@ mod tests {
     }
 
     #[test]
-    fn s3fifo_ghost_readmits_to_main() {
-        let c = QueryCache::new(4 << 10, CachePolicy::S3Fifo);
-        c.insert(key("comeback", 1, 0.0), value(2));
-        // Push it out through the small queue.
-        for i in 0..1024 {
-            c.insert(key(&format!("flood item {i}"), 1, 0.0), value(2));
-        }
-        assert!(c.get(&key("comeback", 1, 0.0)).is_none());
-        // Re-arrival: the ghost remembers the fingerprint, so it lands
-        // in main and survives another small-queue flood.
-        c.insert(key("comeback", 1, 0.0), value(2));
-        for _ in 0..4 {
-            let _ = c.get(&key("comeback", 1, 0.0));
-        }
-        let mut survived_any = false;
-        for i in 0..64 {
-            c.insert(key(&format!("second flood {i}"), 1, 0.0), value(2));
-            survived_any |= c.get(&key("comeback", 1, 0.0)).is_some();
-        }
-        assert!(survived_any, "ghost admission never protected the entry");
-    }
-
-    #[test]
     fn oversized_entries_are_refused() {
-        let c = QueryCache::new(1024, CachePolicy::SegmentedLru);
+        let c = QueryCache::new(1024);
         c.insert(key("giant", 1, 0.0), value(10_000));
         assert_eq!(c.stats().entries, 0);
     }

@@ -59,7 +59,7 @@ pub mod selection;
 
 pub use allocate::Allocation;
 pub use broker::{Broker, BrokerBuilder, EngineEstimate, MergedHit};
-pub use cache::{CacheKey, CacheMode, CachePolicy, CacheStats, CacheTier};
+pub use cache::{CacheKey, CacheMode, CacheStats, CacheTier};
 pub use federation::{
     EngineSource, FederationReport, FrontDoor, FrontDoorConfig, LocalReplica, ReplicaClient,
 };

@@ -8,8 +8,9 @@
 //! construction time: `threads` long-lived workers drain a shared queue,
 //! so dispatch cost per query is one channel send per pool job — the
 //! broker submits one per selected remote engine and one batch per
-//! worker for its in-process engines — and peak parallelism never
-//! exceeds the configured bound.
+//! worker for its in-process engines, unless the plan is a few of those
+//! alone, which the caller searches itself — and the pool's parallelism
+//! never exceeds the configured bound.
 //!
 //! Failure isolation: jobs run under `catch_unwind`, so a panicking
 //! engine neither kills its worker nor poisons the query — the caller

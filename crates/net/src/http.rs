@@ -36,7 +36,7 @@ use seu_metasearch::{
     SelectionPolicy,
 };
 use seu_obs::json::{self, Json};
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -175,20 +175,32 @@ enum ReadError {
     BodyTooLarge,
 }
 
-/// Reads one HTTP request within the caps.
+/// Reads one HTTP request within the caps. The socket is read a block
+/// at a time — a head is about a hundred bytes and every read is a
+/// system call — so whatever of the body arrived with the head is taken
+/// from the same block.
 fn read_request(stream: &mut TcpStream) -> Result<Request, ReadError> {
-    let mut head = Vec::new();
-    let mut byte = [0u8; 1];
-    while !head.ends_with(b"\r\n\r\n") {
-        if head.len() >= MAX_HEAD_BYTES {
-            return Err(ReadError::Invalid);
-        }
-        match stream.read(&mut byte) {
-            Ok(1) => head.push(byte[0]),
+    let mut buf: Vec<u8> = Vec::with_capacity(1024);
+    let mut block = [0u8; 1024];
+    let head_end = loop {
+        // A terminator may straddle two blocks: look again from three
+        // bytes before the new ones.
+        let from = buf.len().saturating_sub(3);
+        match stream.read(&mut block) {
+            Ok(n) if n > 0 => buf.extend_from_slice(&block[..n]),
             _ => return Err(ReadError::Invalid),
         }
+        if let Some(at) = buf[from..].windows(4).position(|w| w == b"\r\n\r\n") {
+            break from + at + 4;
+        }
+        if buf.len() >= MAX_HEAD_BYTES {
+            return Err(ReadError::Invalid);
+        }
+    };
+    if head_end > MAX_HEAD_BYTES {
+        return Err(ReadError::Invalid);
     }
-    let head = String::from_utf8_lossy(&head);
+    let head = String::from_utf8_lossy(&buf[..head_end]);
     let mut lines = head.split("\r\n");
     let mut request_line = lines.next().ok_or(ReadError::Invalid)?.split_whitespace();
     let method = request_line.next().ok_or(ReadError::Invalid)?.to_string();
@@ -205,13 +217,18 @@ fn read_request(stream: &mut TcpStream) -> Result<Request, ReadError> {
     if content_length > MAX_BODY_BYTES {
         return Err(ReadError::BodyTooLarge);
     }
-    let mut body = vec![0u8; content_length];
+    let mut body = buf.split_off(head_end);
+    let arrived = body.len().min(content_length);
+    body.resize(content_length, 0);
     stream
-        .read_exact(&mut body)
+        .read_exact(&mut body[arrived..])
         .map_err(|_| ReadError::Invalid)?;
     Ok(Request { method, path, body })
 }
 
+/// Writes the response. Head and body leave in one system call when the
+/// socket takes them (the client then wakes once, not once for each),
+/// and the body, which can be hundreds of kilobytes, is not copied.
 fn respond(
     stream: &mut TcpStream,
     status: &str,
@@ -222,8 +239,16 @@ fn respond(
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    let mut parts = [IoSlice::new(head.as_bytes()), IoSlice::new(body.as_bytes())];
+    let mut rest = &mut parts[..];
+    while !rest.is_empty() {
+        match stream.write_vectored(rest) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     stream.flush()
 }
 
@@ -356,7 +381,7 @@ fn healthz_json(snapshot: &RegistrySnapshot, cache: Option<&CacheStats>) -> Stri
                 format_args!(
                     "{{\"policy\":\"{}\",\"budget_bytes\":{},\"bytes_resident\":{},\
                      \"entries\":{},\"hits\":{},\"misses\":{},\"stale_evictions\":{}}}",
-                    c.policy.name(),
+                    c.policy,
                     c.budget_bytes,
                     c.bytes_resident,
                     c.entries,

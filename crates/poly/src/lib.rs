@@ -19,8 +19,8 @@
 //!   `6^6 = 46 656` terms, comfortably exact.
 //! * [`GridPoly`] — a fixed-resolution dense alternative with `O(r * G)`
 //!   cost for `r` factors and `G` grid cells, for long queries; the
-//!   accuracy/speed trade-off is quantified by the `poly_scaling` bench and
-//!   the `ablation-grid` experiment.
+//!   accuracy/speed trade-off is quantified by the `ablation-grid` and
+//!   `long-queries` experiments.
 //! * [`TailStats`] — `Σ a_i` and `Σ a_i b_i` over terms with `b_i > T`,
 //!   the two quantities both estimators need (Equations (6) and below).
 
