@@ -35,7 +35,7 @@ use seu_core::{Usefulness, UsefulnessEstimator};
 use seu_engine::{Fingerprint, SearchEngine, TermMap};
 use seu_obs::{SpanGuard, SpanId, SpanRecord, TraceHandle};
 use seu_repr::Representative;
-use seu_store::{EntryKind, Manifest, ManifestEntry, ReprStore, StoreError};
+use seu_store::{EngineRecord, EntryKind, Manifest, ManifestEntry, ReprStore, StoreError};
 use seu_text::{Analyzer, AnalyzerConfig, Vocabulary};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -613,10 +613,8 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         self.register_inner(name, Arc::new(engine), repr, provenance);
     }
 
-    /// Shared registration path. Lock order: the owning shard's
-    /// `entries` before `vocab`, matching every lifecycle method that
-    /// touches both. Only the routed shard is locked — registration in
-    /// one shard never blocks planning over another.
+    /// Registration from a live collection: the term map and the stored
+    /// record both come from the engine itself.
     fn register_inner(
         &self,
         name: &str,
@@ -624,18 +622,43 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         repr: Representative,
         provenance: ReprProvenance,
     ) {
+        self.install_entry(
+            name,
+            EngineHandle::Local(Arc::clone(&engine)),
+            provenance,
+            Some(engine.fingerprint()),
+            repr,
+            |vocab| TermMap::build(vocab, engine.collection()),
+            |repr| record_for_local(name, &engine, repr),
+        );
+    }
+
+    /// The one install tail every registration path ends in. Lock
+    /// order: the owning shard's `entries` before `vocab`, matching
+    /// every lifecycle method that touches both. Only the routed shard
+    /// is locked — registration in one shard never blocks planning over
+    /// another.
+    #[allow(clippy::too_many_arguments)]
+    fn install_entry(
+        &self,
+        name: &str,
+        handle: EngineHandle,
+        provenance: ReprProvenance,
+        map_fingerprint: Option<Fingerprint>,
+        repr: Representative,
+        build_map: impl FnOnce(&mut Vocabulary) -> TermMap,
+        record: impl FnOnce(&Representative) -> EngineRecord,
+    ) {
         let (idx, shard) = self.registry.shard_of(name);
         let mut entries = shard.entries.write();
-        let map = TermMap::build(&mut self.vocab.write(), engine.collection());
-        let map_fingerprint = Some(engine.fingerprint());
+        let map = build_map(&mut self.vocab.write());
         // Write-through: an attached store receives the representative
         // and hands back the canonical (quantized round-trip) form,
         // which is what the broker must serve to stay bit-identical
         // with a broker restored from the store later.
         let (repr, stored_fingerprint) = match self.store.as_deref() {
             Some(store) => {
-                let record = record_for_local(name, &engine, &repr);
-                let canonical = store.canonicalize(&record);
+                let canonical = store.canonicalize(&record(&repr));
                 (canonical.repr.clone(), Some(canonical.fingerprint))
             }
             None => (Arc::new(repr), None),
@@ -643,7 +666,7 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         entries.push(RegisteredEngine {
             name: name.to_string(),
             seq: self.registry.next_seq(),
-            handle: EngineHandle::Local(engine),
+            handle,
             repr,
             map,
             map_fingerprint,
@@ -657,6 +680,39 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         publish_shard_gauges(shard, idx, &entries, &self.shard_gauges);
         drop(entries);
         self.purge_cache();
+    }
+
+    /// Registration from a shipped snapshot (fetched over a transport or
+    /// pushed by a front-door): refuses an inconsistent one, then
+    /// installs with the term map and the stored record built from the
+    /// snapshot's planning metadata, which `handle` also receives.
+    fn install_from_snapshot(
+        &self,
+        snapshot: EngineSnapshot,
+        map_fingerprint: Option<Fingerprint>,
+        handle: impl FnOnce(RemoteMeta) -> EngineHandle,
+    ) -> Result<String, TransportError> {
+        if !snapshot.is_consistent() {
+            return Err(TransportError::new(
+                TransportErrorKind::Protocol,
+                format!(
+                    "engine {:?} shipped an inconsistent snapshot",
+                    snapshot.name
+                ),
+            ));
+        }
+        let meta = RemoteMeta::from_snapshot(&snapshot);
+        let name = snapshot.name;
+        self.install_entry(
+            &name,
+            handle(meta.clone()),
+            ReprProvenance::Remote(snapshot.fingerprint),
+            map_fingerprint,
+            snapshot.summary.repr,
+            |vocab| TermMap::from_vocab(vocab, &meta.vocab),
+            |repr| record_for_remote(&name, &meta, repr),
+        );
+        Ok(name)
     }
 
     /// Registers an engine that lives in another process, reached through
@@ -676,46 +732,10 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         transport: Arc<dyn RemoteTransport>,
     ) -> Result<String, TransportError> {
         let snapshot = transport.fetch_snapshot()?;
-        if !snapshot.is_consistent() {
-            return Err(TransportError::new(
-                TransportErrorKind::Protocol,
-                format!(
-                    "engine {:?} shipped an inconsistent snapshot",
-                    snapshot.name
-                ),
-            ));
-        }
-        let meta = RemoteMeta::from_snapshot(&snapshot);
-        let name = snapshot.name.clone();
-        let (idx, shard) = self.registry.shard_of(&name);
-        let mut entries = shard.entries.write();
-        let map = TermMap::from_vocab(&mut self.vocab.write(), &meta.vocab);
-        let (repr, stored_fingerprint) = match self.store.as_deref() {
-            Some(store) => {
-                let record = record_for_remote(&name, &meta, &snapshot.summary.repr);
-                let canonical = store.canonicalize(&record);
-                (canonical.repr.clone(), Some(canonical.fingerprint))
-            }
-            None => (Arc::new(snapshot.summary.repr), None),
-        };
-        entries.push(RegisteredEngine {
-            name: name.clone(),
-            seq: self.registry.next_seq(),
-            handle: EngineHandle::Remote { transport, meta },
-            repr,
-            map,
-            map_fingerprint: None,
-            epoch: 0,
-            provenance: ReprProvenance::Remote(snapshot.fingerprint),
-            pending_invalidation: false,
-            cold: None,
-            stored_fingerprint,
-        });
-        shard.epoch.fetch_add(1, Ordering::SeqCst);
-        publish_shard_gauges(shard, idx, &entries, &self.shard_gauges);
-        drop(entries);
-        self.purge_cache();
-        Ok(name)
+        self.install_from_snapshot(snapshot, None, |meta| EngineHandle::Remote {
+            transport,
+            meta,
+        })
     }
 
     /// Installs an engine from a shipped [`EngineSnapshot`] — the
@@ -733,28 +753,6 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         engine: Option<Arc<SearchEngine>>,
         endpoint: Option<String>,
     ) -> Result<String, TransportError> {
-        if !snapshot.is_consistent() {
-            return Err(TransportError::new(
-                TransportErrorKind::Protocol,
-                format!(
-                    "engine {:?} shipped an inconsistent snapshot",
-                    snapshot.name
-                ),
-            ));
-        }
-        let meta = RemoteMeta::from_snapshot(&snapshot);
-        let name = snapshot.name.clone();
-        let (idx, shard) = self.registry.shard_of(&name);
-        let mut entries = shard.entries.write();
-        let map = TermMap::from_vocab(&mut self.vocab.write(), &meta.vocab);
-        let (repr, stored_fingerprint) = match self.store.as_deref() {
-            Some(store) => {
-                let record = record_for_remote(&name, &meta, &snapshot.summary.repr);
-                let canonical = store.canonicalize(&record);
-                (canonical.repr.clone(), Some(canonical.fingerprint))
-            }
-            None => (Arc::new(snapshot.summary.repr.clone()), None),
-        };
         // The snapshot's vocabulary is id-aligned with the source
         // collection, so when the live engine *is* that collection the
         // map is valid for it and planning may trust it.
@@ -762,28 +760,10 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
             .as_ref()
             .map(|e| e.fingerprint())
             .filter(|fp| *fp == snapshot.fingerprint);
-        let handle = match engine {
+        self.install_from_snapshot(snapshot, map_fingerprint, |meta| match engine {
             Some(engine) => EngineHandle::Local(engine),
             None => EngineHandle::Detached { meta, endpoint },
-        };
-        entries.push(RegisteredEngine {
-            name: name.clone(),
-            seq: self.registry.next_seq(),
-            handle,
-            repr,
-            map,
-            map_fingerprint,
-            epoch: 0,
-            provenance: ReprProvenance::Remote(snapshot.fingerprint),
-            pending_invalidation: false,
-            cold: None,
-            stored_fingerprint,
-        });
-        shard.epoch.fetch_add(1, Ordering::SeqCst);
-        publish_shard_gauges(shard, idx, &entries, &self.shard_gauges);
-        drop(entries);
-        self.purge_cache();
-        Ok(name)
+        })
     }
 
     /// Removes an engine from the registry, bumping the shard epoch so

@@ -32,7 +32,7 @@
 //! once on a freshly dialed one — a stale pooled socket is a fact of
 //! pooling, not a remote failure — before the retry policy is charged.
 
-use crate::frame::{io_error, read_frame, write_frame_corr};
+use crate::frame::{check_outbound, io_error, read_frame, write_frame_corr};
 use crate::metrics::metrics;
 use crate::wire::Message;
 use seu_engine::{Fingerprint, TrueUsefulness};
@@ -296,6 +296,10 @@ impl MuxClient {
     /// Sends `request` on `conn` and waits for its reply, bounded by
     /// the call timeout.
     fn exchange(&self, conn: &Conn, request: &Message) -> Result<Message, TransportError> {
+        let (kind, payload) = request.encode();
+        // Refused before the socket is touched: the connection and the
+        // calls pipelined on it are none the worse.
+        check_outbound(kind, &payload)?;
         // Non-mux peers match replies positionally: hold the exchange
         // serial for the whole send-and-wait.
         let _serial = if conn.mux {
@@ -305,7 +309,6 @@ impl MuxClient {
         };
         let corr = self.next_corr.fetch_add(1, Ordering::Relaxed);
         lock_unpoisoned(&conn.pending).insert(corr, None);
-        let (kind, payload) = request.encode();
         let sent = {
             let mut writer = lock_unpoisoned(&conn.writer);
             write_frame_corr(&mut *writer, corr, kind, &payload)

@@ -42,6 +42,20 @@ pub const PROTOCOL_VERSION: u8 = 2;
 /// real snapshot, far below an allocation-of-death.
 pub const MAX_FRAME_BYTES: usize = 32 << 20;
 
+/// The cap on the way out: a payload the peer's capped reader would
+/// reject is refused before it is framed. Once a peer has refused a
+/// header it can no longer trust the stream, so sending the frame anyway
+/// costs every call pipelined on the connection, not just this one.
+pub(crate) fn check_outbound(kind: u8, payload: &[u8]) -> Result<(), TransportError> {
+    let len = payload.len();
+    if len > MAX_FRAME_BYTES {
+        let detail =
+            format!("message kind {kind} is {len} bytes, over the {MAX_FRAME_BYTES}-byte cap");
+        return Err(TransportError::new(TransportErrorKind::Protocol, detail));
+    }
+    Ok(())
+}
+
 /// Frame header size on the wire: magic, version, kind, correlation id,
 /// payload length.
 pub const HEADER_BYTES: usize = 4 + 1 + 1 + 8 + 4;

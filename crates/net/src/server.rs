@@ -39,7 +39,7 @@
 //! `Error` on its own correlation id and the connection — with every
 //! pipelined neighbour — stays open.
 
-use crate::frame::{encode_frame_into, parse_frame};
+use crate::frame::{check_outbound, encode_frame_into, parse_frame};
 use crate::metrics::metrics;
 use crate::timer::TimerWheel;
 use crate::wire::Message;
@@ -361,8 +361,14 @@ struct EventConn {
 }
 
 impl EventConn {
+    /// Frames `message` for `corr`. A reply over the frame cap goes out
+    /// as a typed in-band `Error` on the same corr instead, so only the
+    /// call that asked for it fails.
     fn enqueue(&mut self, corr: u64, message: &Message) {
-        let (kind, payload) = message.encode();
+        let (mut kind, mut payload) = message.encode();
+        if let Err(e) = check_outbound(kind, &payload) {
+            (kind, payload) = Message::Error { detail: e.detail }.encode();
+        }
         encode_frame_into(&mut self.wbuf, corr, kind, &payload);
     }
 }
@@ -914,5 +920,82 @@ impl FrameService for EngineService {
             },
             _ => return None,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{MuxClient, RemoteEngineConfig};
+    use crate::frame::{read_frame, write_frame_corr, MAX_FRAME_BYTES};
+    use seu_metasearch::TransportErrorKind;
+
+    /// Answers `ExportEngine` with a reply whose payload is four bytes
+    /// over the frame cap.
+    struct Oversize;
+
+    impl FrameService for Oversize {
+        fn name(&self) -> &str {
+            "oversize"
+        }
+
+        fn handle(&self, request: Message) -> Option<Message> {
+            matches!(request, Message::ExportEngine { .. }).then(|| Message::InstallAck {
+                name: "x".repeat(MAX_FRAME_BYTES),
+            })
+        }
+    }
+
+    fn send(stream: &mut TcpStream, corr: u64, message: &Message) {
+        let (kind, payload) = message.encode();
+        write_frame_corr(stream, corr, kind, &payload).expect("writing a request");
+    }
+
+    fn recv(stream: &mut TcpStream) -> (u64, Message) {
+        let frame = read_frame(stream).expect("the connection must stay framed and open");
+        let message = Message::decode(frame.kind, &frame.payload).expect("a decodable reply");
+        (frame.corr, message)
+    }
+
+    #[test]
+    fn an_oversize_frame_fails_its_own_call_and_spares_the_connection() {
+        let server = FrameServer::bind(Arc::new(Oversize), "127.0.0.1:0", ServerConfig::default())
+            .expect("binding");
+        let mut stream = TcpStream::connect(server.addr()).expect("connecting");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("read timeout");
+        send(&mut stream, 7, &Message::Hello { subscribe: false });
+        assert!(matches!(recv(&mut stream), (7, Message::HelloAck { .. })));
+
+        // The oversize request and a ping, pipelined on one socket.
+        send(&mut stream, 1, &Message::ExportEngine { name: "e".into() });
+        send(&mut stream, 2, &Message::Ping);
+        let replies: HashMap<u64, Message> = (0..2).map(|_| recv(&mut stream)).collect();
+        match &replies[&1] {
+            Message::Error { detail } => {
+                for number in [MAX_FRAME_BYTES, MAX_FRAME_BYTES + 4] {
+                    assert!(detail.contains(&number.to_string()), "{detail}");
+                }
+            }
+            other => panic!("oversize reply must become an Error, got {other:?}"),
+        }
+        assert!(matches!(replies[&2], Message::Pong));
+
+        // The same socket still serves.
+        send(&mut stream, 3, &Message::Ping);
+        assert!(matches!(recv(&mut stream), (3, Message::Pong)));
+
+        // The client's half: an oversize request is refused before it
+        // reaches the socket, and the pooled connection is none the worse.
+        let client =
+            MuxClient::resolve(server.addr(), RemoteEngineConfig::default()).expect("resolving");
+        client.ping().expect("dialing the pooled connection");
+        let oversize = Message::RemoveEngine {
+            name: "x".repeat(MAX_FRAME_BYTES),
+        };
+        let err = client.call(&oversize).unwrap_err();
+        assert_eq!(err.kind, TransportErrorKind::Protocol, "{err:?}");
+        client.ping().expect("the pooled connection is untouched");
     }
 }

@@ -57,11 +57,17 @@
 //! Representatives travel as [`FrozenSummary::to_bytes_exact`] — full
 //! f64 statistics — because the whole point of shipping them is that
 //! the receiving broker's estimates are **byte-identical** to a local
-//! broker's. Every length field read off the wire is validated against
-//! the bytes actually remaining before it is trusted, mirroring the
-//! `FrozenSummary::from_bytes` hardening.
+//! broker's. A field's layout and its bound both come from its type (the
+//! private `Wire` trait): a length read off the wire is checked against
+//! the bytes actually remaining before it is trusted, for `String` and
+//! the summary blob in `take` and for `Vec<T>` against `T::MIN_BYTES` a
+//! row; the blob's own term count by `FrozenSummary::from_bytes`.
+//!
+//! A new kind is three steps: the [`Message`] variant (and its row in
+//! the table above), its row in the `codec!` table (fields in wire
+//! order; a new field type needs a `Wire` impl or a `wire_record!` row),
+//! and a sample in `tests/wire_golden.rs`, which fails until it has one.
 
-use bytes::{Buf, BufMut, BytesMut};
 use seu_core::Usefulness;
 use seu_engine::{Fingerprint, TrueUsefulness, WeightingScheme};
 use seu_metasearch::{
@@ -261,761 +267,385 @@ pub enum Message {
     },
 }
 
-const KIND_HELLO: u8 = 1;
-const KIND_HELLO_ACK: u8 = 2;
-const KIND_SEARCH_DOCS: u8 = 3;
-const KIND_SEARCH_RESULTS: u8 = 4;
-const KIND_ESTIMATE: u8 = 5;
-const KIND_USEFULNESS: u8 = 6;
-const KIND_GET_REPRESENTATIVE: u8 = 7;
-const KIND_REPRESENTATIVE: u8 = 8;
-const KIND_INVALIDATE_NOTICE: u8 = 9;
-const KIND_PING: u8 = 10;
-const KIND_PONG: u8 = 11;
-const KIND_ERROR: u8 = 12;
-const KIND_TRACED_SEARCH_DOCS: u8 = 13;
-const KIND_TRACED_SEARCH_RESULTS: u8 = 14;
-const KIND_ESTIMATE_BATCH: u8 = 15;
-const KIND_USEFULNESS_BATCH: u8 = 16;
-const KIND_REPLICA_ESTIMATE: u8 = 17;
-const KIND_REPLICA_ESTIMATES: u8 = 18;
-const KIND_REPLICA_SEARCH: u8 = 19;
-const KIND_REPLICA_SEARCH_RESULTS: u8 = 20;
-const KIND_INSTALL_ENGINE: u8 = 21;
-const KIND_INSTALL_ACK: u8 = 22;
-const KIND_REMOVE_ENGINE: u8 = 23;
-const KIND_REMOVE_ACK: u8 = 24;
-const KIND_EXPORT_ENGINE: u8 = 25;
-
 fn protocol(detail: impl Into<String>) -> TransportError {
     TransportError::new(TransportErrorKind::Protocol, detail)
 }
 
-fn put_string(buf: &mut BytesMut, s: &str) {
-    buf.put_u32(s.len() as u32);
-    buf.put_slice(s.as_bytes());
+/// How one field type is laid out on the wire and bounds-checked coming
+/// off it. A message is its fields' layouts in table order (see
+/// `codec!` below), so every guard lives here, once per type.
+trait Wire: Sized {
+    /// Fewest bytes any value of the type occupies. `Vec<T>` divides the
+    /// bytes remaining by it to refuse a lying count before reserving.
+    const MIN_BYTES: usize;
+    /// Appends the value's wire form.
+    fn put(&self, out: &mut Vec<u8>);
+    /// Reads one value off the front of `buf`.
+    fn get(buf: &mut &[u8]) -> Result<Self, TransportError>;
 }
 
-fn get_string(buf: &mut &[u8]) -> Result<String, TransportError> {
-    if buf.remaining() < 4 {
-        return Err(protocol("truncated string length"));
-    }
-    let len = buf.get_u32() as usize;
-    if buf.remaining() < len {
+/// Splits `n` bytes off the front of `buf` — the one place a length is
+/// compared against the bytes actually remaining before it is trusted.
+fn take<'a>(buf: &mut &'a [u8], n: usize, what: &str) -> Result<&'a [u8], TransportError> {
+    if buf.len() < n {
         return Err(protocol(format!(
-            "string of {len} bytes but only {} remain",
-            buf.remaining()
+            "{what} of {n} bytes but only {} remain",
+            buf.len()
         )));
     }
-    let mut raw = vec![0u8; len];
-    buf.copy_to_slice(&mut raw);
-    String::from_utf8(raw).map_err(|_| protocol("string is not UTF-8"))
+    let (head, rest) = buf.split_at(n);
+    *buf = rest;
+    Ok(head)
 }
 
-fn get_f64(buf: &mut &[u8]) -> Result<f64, TransportError> {
-    if buf.remaining() < 8 {
-        return Err(protocol("truncated f64"));
-    }
-    Ok(buf.get_f64())
+/// [`take`] for a run of bytes behind its own `u32` length prefix.
+fn take_prefixed<'a>(buf: &mut &'a [u8], what: &str) -> Result<&'a [u8], TransportError> {
+    let len = u32::get(buf)? as usize;
+    take(buf, len, what)
 }
 
-fn get_u64(buf: &mut &[u8]) -> Result<u64, TransportError> {
-    if buf.remaining() < 8 {
-        return Err(protocol("truncated u64"));
-    }
-    Ok(buf.get_u64())
-}
-
-fn get_u32(buf: &mut &[u8]) -> Result<u32, TransportError> {
-    if buf.remaining() < 4 {
-        return Err(protocol("truncated u32"));
-    }
-    Ok(buf.get_u32())
-}
-
-fn get_u8(buf: &mut &[u8]) -> Result<u8, TransportError> {
-    if buf.remaining() < 1 {
-        return Err(protocol("truncated u8"));
-    }
-    Ok(buf.get_u8())
-}
-
-fn put_fingerprint(buf: &mut BytesMut, fp: Fingerprint) {
-    buf.put_u64(fp.n_docs);
-    buf.put_u64(fp.raw_bytes);
-    buf.put_u64(fp.hash);
-}
-
-fn get_fingerprint(buf: &mut &[u8]) -> Result<Fingerprint, TransportError> {
-    Ok(Fingerprint {
-        n_docs: get_u64(buf)?,
-        raw_bytes: get_u64(buf)?,
-        hash: get_u64(buf)?,
-    })
-}
-
-fn put_scheme(buf: &mut BytesMut, scheme: WeightingScheme) {
-    let (tag, slope) = match scheme {
-        WeightingScheme::CosineTf => (0u8, 0.0),
-        WeightingScheme::CosineLogTf => (1, 0.0),
-        WeightingScheme::CosineTfIdf => (2, 0.0),
-        WeightingScheme::PivotedLogTf { slope } => (3, slope),
-    };
-    buf.put_u8(tag);
-    buf.put_f64(slope);
-}
-
-fn get_scheme(buf: &mut &[u8]) -> Result<WeightingScheme, TransportError> {
-    let tag = get_u8(buf)?;
-    let slope = get_f64(buf)?;
-    match tag {
-        0 => Ok(WeightingScheme::CosineTf),
-        1 => Ok(WeightingScheme::CosineLogTf),
-        2 => Ok(WeightingScheme::CosineTfIdf),
-        3 => Ok(WeightingScheme::PivotedLogTf { slope }),
-        other => Err(protocol(format!("unknown weighting scheme tag {other}"))),
-    }
-}
-
-fn put_snapshot(buf: &mut BytesMut, s: &EngineSnapshot) {
-    put_string(buf, &s.name);
-    let analyzer = (s.analyzer.remove_stopwords as u8) | ((s.analyzer.stem as u8) << 1);
-    buf.put_u8(analyzer);
-    put_scheme(buf, s.scheme);
-    buf.put_u32(s.n_docs);
-    put_fingerprint(buf, s.fingerprint);
-    buf.put_u32(s.doc_freq.len() as u32);
-    for &df in &s.doc_freq {
-        buf.put_u32(df);
-    }
-    let summary = s.summary.to_bytes_exact();
-    buf.put_u32(summary.len() as u32);
-    buf.put_slice(&summary);
-}
-
-fn get_snapshot(buf: &mut &[u8]) -> Result<EngineSnapshot, TransportError> {
-    let name = get_string(buf)?;
-    let analyzer = get_u8(buf)?;
-    if analyzer > 0b11 {
-        return Err(protocol(format!("unknown analyzer bits {analyzer:#04b}")));
-    }
-    let analyzer = AnalyzerConfig {
-        remove_stopwords: analyzer & 1 != 0,
-        stem: analyzer & 2 != 0,
-    };
-    let scheme = get_scheme(buf)?;
-    let n_docs = get_u32(buf)?;
-    let fingerprint = get_fingerprint(buf)?;
-    let n_terms = get_u32(buf)? as usize;
-    if buf.remaining() / 4 < n_terms {
-        return Err(protocol(format!(
-            "doc_freq claims {n_terms} entries but only {} bytes remain",
-            buf.remaining()
-        )));
-    }
-    let mut doc_freq = Vec::with_capacity(n_terms);
-    for _ in 0..n_terms {
-        doc_freq.push(buf.get_u32());
-    }
-    let summary_len = get_u32(buf)? as usize;
-    if buf.remaining() < summary_len {
-        return Err(protocol(format!(
-            "summary of {summary_len} bytes but only {} remain",
-            buf.remaining()
-        )));
-    }
-    let summary = FrozenSummary::from_bytes(&buf[..summary_len])
-        .ok_or_else(|| protocol("malformed frozen summary"))?;
-    buf.advance(summary_len);
-    let snapshot = EngineSnapshot {
-        name,
-        analyzer,
-        scheme,
-        n_docs,
-        doc_freq,
-        fingerprint,
-        summary,
-    };
-    if !snapshot.is_consistent() {
-        return Err(protocol(format!(
-            "snapshot for engine {:?} is internally inconsistent",
-            snapshot.name
-        )));
-    }
-    Ok(snapshot)
-}
-
-fn put_hits(buf: &mut BytesMut, hits: &[RemoteHit]) {
-    buf.put_u32(hits.len() as u32);
-    for h in hits {
-        put_string(buf, &h.doc);
-        buf.put_f64(h.sim);
-    }
-}
-
-fn get_hits(buf: &mut &[u8]) -> Result<Vec<RemoteHit>, TransportError> {
-    let n = get_u32(buf)? as usize;
-    // Smallest hit record: 4-byte name length + 8-byte sim.
-    if buf.remaining() / 12 < n {
-        return Err(protocol(format!(
-            "result list claims {n} hits but only {} bytes remain",
-            buf.remaining()
-        )));
-    }
-    let mut hits = Vec::with_capacity(n);
-    for _ in 0..n {
-        hits.push(RemoteHit {
-            doc: get_string(buf)?,
-            sim: get_f64(buf)?,
-        });
-    }
-    Ok(hits)
-}
-
-fn put_opt_string(buf: &mut BytesMut, s: &Option<String>) {
-    match s {
-        Some(s) => {
-            buf.put_u8(1);
-            put_string(buf, s);
-        }
-        None => buf.put_u8(0),
-    }
-}
-
-fn get_opt_string(buf: &mut &[u8]) -> Result<Option<String>, TransportError> {
-    match get_u8(buf)? {
-        0 => Ok(None),
-        1 => Ok(Some(get_string(buf)?)),
-        other => Err(protocol(format!("bad option tag {other}"))),
-    }
-}
-
-fn put_string_list(buf: &mut BytesMut, names: &[String]) {
-    buf.put_u32(names.len() as u32);
-    for n in names {
-        put_string(buf, n);
-    }
-}
-
-fn get_string_list(buf: &mut &[u8]) -> Result<Vec<String>, TransportError> {
-    let n = get_u32(buf)? as usize;
-    // Each string costs at least its 4-byte length prefix.
-    if buf.remaining() / 4 < n {
-        return Err(protocol(format!(
-            "string list claims {n} entries but only {} bytes remain",
-            buf.remaining()
-        )));
-    }
-    let mut names = Vec::with_capacity(n);
-    for _ in 0..n {
-        names.push(get_string(buf)?);
-    }
-    Ok(names)
-}
-
-fn put_merged_hits(buf: &mut BytesMut, hits: &[MergedHit]) {
-    buf.put_u32(hits.len() as u32);
-    for h in hits {
-        put_string(buf, &h.engine);
-        put_string(buf, &h.doc);
-        buf.put_f64(h.sim);
-    }
-}
-
-fn get_merged_hits(buf: &mut &[u8]) -> Result<Vec<MergedHit>, TransportError> {
-    let n = get_u32(buf)? as usize;
-    // Smallest row: two 4-byte name lengths plus the 8-byte similarity.
-    if buf.remaining() / 16 < n {
-        return Err(protocol(format!(
-            "merged hit list claims {n} hits but only {} bytes remain",
-            buf.remaining()
-        )));
-    }
-    let mut hits = Vec::with_capacity(n);
-    for _ in 0..n {
-        hits.push(MergedHit {
-            engine: get_string(buf)?,
-            doc: get_string(buf)?,
-            sim: get_f64(buf)?,
-        });
-    }
-    Ok(hits)
-}
-
-fn put_error_kind(buf: &mut BytesMut, kind: TransportErrorKind) {
-    buf.put_u8(match kind {
-        TransportErrorKind::Refused => 0,
-        TransportErrorKind::Timeout => 1,
-        TransportErrorKind::ConnectionLost => 2,
-        TransportErrorKind::Protocol => 3,
-        TransportErrorKind::Remote => 4,
-    });
-}
-
-fn get_error_kind(buf: &mut &[u8]) -> Result<TransportErrorKind, TransportError> {
-    match get_u8(buf)? {
-        0 => Ok(TransportErrorKind::Refused),
-        1 => Ok(TransportErrorKind::Timeout),
-        2 => Ok(TransportErrorKind::ConnectionLost),
-        3 => Ok(TransportErrorKind::Protocol),
-        4 => Ok(TransportErrorKind::Remote),
-        other => Err(protocol(format!("unknown error kind tag {other}"))),
-    }
-}
-
-fn put_dispatch_stats(buf: &mut BytesMut, stats: &[EngineDispatchStats]) {
-    buf.put_u32(stats.len() as u32);
-    for s in stats {
-        put_string(buf, &s.engine);
-        buf.put_u64(s.hits as u64);
-        buf.put_f64(s.seconds);
-        buf.put_u8(match s.outcome {
-            DispatchOutcome::Completed => 0,
-            DispatchOutcome::Failed => 1,
-            DispatchOutcome::TimedOut => 2,
-        });
-        match &s.error {
-            Some(e) => {
-                buf.put_u8(1);
-                put_error_kind(buf, e.kind);
-                put_string(buf, &e.detail);
+/// Big-endian fixed-width numbers.
+macro_rules! wire_number {
+    ($($ty:ident),+) => {$(
+        impl Wire for $ty {
+            const MIN_BYTES: usize = std::mem::size_of::<$ty>();
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_be_bytes());
             }
-            None => buf.put_u8(0),
+            fn get(buf: &mut &[u8]) -> Result<Self, TransportError> {
+                let raw = take(buf, Self::MIN_BYTES, stringify!($ty))?;
+                Ok($ty::from_be_bytes(raw.try_into().expect("take returned MIN_BYTES bytes")))
+            }
+        }
+    )+};
+}
+wire_number!(u8, u32, u64, f64);
+
+/// One byte; any nonzero value reads as `true`.
+impl Wire for bool {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(*self as u8);
+    }
+    fn get(buf: &mut &[u8]) -> Result<Self, TransportError> {
+        Ok(u8::get(buf)? != 0)
+    }
+}
+
+/// Travels as a `u64`.
+impl Wire for usize {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, out: &mut Vec<u8>) {
+        (*self as u64).put(out);
+    }
+    fn get(buf: &mut &[u8]) -> Result<Self, TransportError> {
+        Ok(u64::get(buf)? as usize)
+    }
+}
+
+/// A `u32` length and that many UTF-8 bytes.
+impl Wire for String {
+    const MIN_BYTES: usize = 4;
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        out.extend_from_slice(self.as_bytes());
+    }
+    fn get(buf: &mut &[u8]) -> Result<Self, TransportError> {
+        String::from_utf8(take_prefixed(buf, "string")?.to_vec())
+            .map_err(|_| protocol("string is not UTF-8"))
+    }
+}
+
+/// A `u32` count and that many rows.
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_BYTES: usize = 4;
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        for row in self {
+            row.put(out);
         }
     }
-}
-
-fn get_dispatch_stats(buf: &mut &[u8]) -> Result<Vec<EngineDispatchStats>, TransportError> {
-    let n = get_u32(buf)? as usize;
-    // Smallest row: 4-byte name length, u64 hits, f64 seconds, outcome
-    // byte, error flag byte.
-    if buf.remaining() / 22 < n {
-        return Err(protocol(format!(
-            "dispatch stat list claims {n} rows but only {} bytes remain",
-            buf.remaining()
-        )));
-    }
-    let mut stats = Vec::with_capacity(n);
-    for _ in 0..n {
-        let engine = get_string(buf)?;
-        let hits = get_u64(buf)? as usize;
-        let seconds = get_f64(buf)?;
-        let outcome = match get_u8(buf)? {
-            0 => DispatchOutcome::Completed,
-            1 => DispatchOutcome::Failed,
-            2 => DispatchOutcome::TimedOut,
-            other => return Err(protocol(format!("unknown outcome tag {other}"))),
-        };
-        let error = match get_u8(buf)? {
-            0 => None,
-            1 => Some(TransportError::new(get_error_kind(buf)?, get_string(buf)?)),
-            other => return Err(protocol(format!("bad option tag {other}"))),
-        };
-        stats.push(EngineDispatchStats {
-            engine,
-            hits,
-            seconds,
-            outcome,
-            error,
-        });
-    }
-    Ok(stats)
-}
-
-fn put_estimates(buf: &mut BytesMut, estimates: &[EngineEstimate]) {
-    buf.put_u32(estimates.len() as u32);
-    for e in estimates {
-        put_string(buf, &e.engine);
-        buf.put_f64(e.usefulness.no_doc);
-        buf.put_f64(e.usefulness.avg_sim);
-    }
-}
-
-fn get_estimates(buf: &mut &[u8]) -> Result<Vec<EngineEstimate>, TransportError> {
-    let n = get_u32(buf)? as usize;
-    // Smallest row: 4-byte name length plus two f64s.
-    if buf.remaining() / 20 < n {
-        return Err(protocol(format!(
-            "estimate list claims {n} rows but only {} bytes remain",
-            buf.remaining()
-        )));
-    }
-    let mut estimates = Vec::with_capacity(n);
-    for _ in 0..n {
-        estimates.push(EngineEstimate {
-            engine: get_string(buf)?,
-            usefulness: Usefulness {
-                no_doc: get_f64(buf)?,
-                avg_sim: get_f64(buf)?,
-            },
-        });
-    }
-    Ok(estimates)
-}
-
-fn put_spans(buf: &mut BytesMut, spans: &[seu_obs::SpanRecord]) {
-    buf.put_u32(spans.len() as u32);
-    for s in spans {
-        buf.put_u64(s.id.0);
-        buf.put_u64(s.parent.0);
-        put_string(buf, &s.name);
-        buf.put_u64(s.start_unix_ns);
-        buf.put_u64(s.duration_ns);
-        buf.put_u32(s.attrs.len() as u32);
-        for (k, v) in &s.attrs {
-            put_string(buf, k);
-            put_string(buf, v);
-        }
-    }
-}
-
-fn get_spans(buf: &mut &[u8]) -> Result<Vec<seu_obs::SpanRecord>, TransportError> {
-    let n = get_u32(buf)? as usize;
-    // Smallest span record: two 8-byte ids, 4-byte name length, two
-    // 8-byte times, 4-byte attr count.
-    if buf.remaining() / 40 < n {
-        return Err(protocol(format!(
-            "span list claims {n} spans but only {} bytes remain",
-            buf.remaining()
-        )));
-    }
-    let mut spans = Vec::with_capacity(n);
-    for _ in 0..n {
-        let id = seu_obs::SpanId(get_u64(buf)?);
-        let parent = seu_obs::SpanId(get_u64(buf)?);
-        let name = get_string(buf)?;
-        let start_unix_ns = get_u64(buf)?;
-        let duration_ns = get_u64(buf)?;
-        let n_attrs = get_u32(buf)? as usize;
-        // Smallest attribute: two 4-byte length prefixes.
-        if buf.remaining() / 8 < n_attrs {
+    fn get(buf: &mut &[u8]) -> Result<Self, TransportError> {
+        let n = u32::get(buf)? as usize;
+        // The count-lie guard: a count the remaining bytes cannot hold
+        // even at each row's smallest size is refused before anything
+        // is reserved for it.
+        if buf.len() / T::MIN_BYTES < n {
             return Err(protocol(format!(
-                "span claims {n_attrs} attrs but only {} bytes remain",
-                buf.remaining()
+                "list claims {n} rows of at least {} bytes but only {} bytes remain",
+                T::MIN_BYTES,
+                buf.len()
             )));
         }
-        let mut attrs = Vec::with_capacity(n_attrs);
-        for _ in 0..n_attrs {
-            let k = get_string(buf)?;
-            let v = get_string(buf)?;
-            attrs.push((k, v));
+        let mut rows = Vec::with_capacity(n);
+        for _ in 0..n {
+            rows.push(T::get(buf)?);
         }
-        spans.push(seu_obs::SpanRecord {
-            id,
-            parent,
-            name,
-            start_unix_ns,
-            duration_ns,
-            attrs,
-        });
+        Ok(rows)
     }
-    Ok(spans)
+}
+
+/// A presence byte (0 or 1), then the value when present.
+impl<T: Wire> Wire for Option<T> {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            Some(value) => {
+                out.push(1);
+                value.put(out);
+            }
+            None => out.push(0),
+        }
+    }
+    fn get(buf: &mut &[u8]) -> Result<Self, TransportError> {
+        match u8::get(buf)? {
+            0 => Ok(None),
+            1 => Ok(Some(T::get(buf)?)),
+            other => Err(protocol(format!("bad option tag {other}"))),
+        }
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+    fn get(buf: &mut &[u8]) -> Result<Self, TransportError> {
+        Ok((A::get(buf)?, B::get(buf)?))
+    }
+}
+
+/// A plain struct: its fields in the order written here (which is the
+/// wire order, not necessarily the declaration order).
+macro_rules! wire_record {
+    ($($ty:ty { $($field:tt: $fty:ty),+ })+) => {$(
+        impl Wire for $ty {
+            const MIN_BYTES: usize = 0 $(+ <$fty>::MIN_BYTES)+;
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$field.put(out);)+
+            }
+            fn get(buf: &mut &[u8]) -> Result<Self, TransportError> {
+                Ok(Self { $($field: <$fty>::get(buf)?),+ })
+            }
+        }
+    )+};
+}
+wire_record! {
+    Fingerprint { n_docs: u64, raw_bytes: u64, hash: u64 }
+    RemoteHit { doc: String, sim: f64 }
+    MergedHit { engine: String, doc: String, sim: f64 }
+    Usefulness { no_doc: f64, avg_sim: f64 }
+    EngineEstimate { engine: String, usefulness: Usefulness }
+    TrueUsefulness { no_doc: u64, avg_sim: f64, max_sim: f64 }
+    TransportError { kind: TransportErrorKind, detail: String }
+    EngineDispatchStats {
+        engine: String,
+        hits: usize,
+        seconds: f64,
+        outcome: DispatchOutcome,
+        error: Option<TransportError>
+    }
+    seu_obs::SpanId { 0: u64 }
+    seu_obs::SpanRecord {
+        id: seu_obs::SpanId,
+        parent: seu_obs::SpanId,
+        name: String,
+        start_unix_ns: u64,
+        duration_ns: u64,
+        attrs: Vec<(String, String)>
+    }
+}
+
+/// A fieldless enum as one tag byte; an unlisted tag is a typed error.
+macro_rules! wire_tag {
+    ($($ty:ident { $($tag:literal => $variant:ident),+ })+) => {$(
+        impl Wire for $ty {
+            const MIN_BYTES: usize = 1;
+            fn put(&self, out: &mut Vec<u8>) {
+                out.push(match self {
+                    $($ty::$variant => $tag),+
+                });
+            }
+            fn get(buf: &mut &[u8]) -> Result<Self, TransportError> {
+                match u8::get(buf)? {
+                    $($tag => Ok($ty::$variant),)+
+                    other => Err(protocol(format!("unknown {} tag {other}", stringify!($ty)))),
+                }
+            }
+        }
+    )+};
+}
+wire_tag! {
+    TransportErrorKind { 0 => Refused, 1 => Timeout, 2 => ConnectionLost, 3 => Protocol, 4 => Remote }
+    DispatchOutcome { 0 => Completed, 1 => Failed, 2 => TimedOut }
+}
+
+/// A tag byte and an `f64` slope that only `PivotedLogTf` (tag 3) reads;
+/// the others write 0.0 there, so every scheme is nine bytes.
+impl Wire for WeightingScheme {
+    const MIN_BYTES: usize = 9;
+    fn put(&self, out: &mut Vec<u8>) {
+        let tag_and_slope: (u8, f64) = match *self {
+            WeightingScheme::CosineTf => (0, 0.0),
+            WeightingScheme::CosineLogTf => (1, 0.0),
+            WeightingScheme::CosineTfIdf => (2, 0.0),
+            WeightingScheme::PivotedLogTf { slope } => (3, slope),
+        };
+        tag_and_slope.put(out);
+    }
+    fn get(buf: &mut &[u8]) -> Result<Self, TransportError> {
+        let (tag, slope) = <(u8, f64)>::get(buf)?;
+        match tag {
+            0 => Ok(WeightingScheme::CosineTf),
+            1 => Ok(WeightingScheme::CosineLogTf),
+            2 => Ok(WeightingScheme::CosineTfIdf),
+            3 => Ok(WeightingScheme::PivotedLogTf { slope }),
+            other => Err(protocol(format!("unknown weighting scheme tag {other}"))),
+        }
+    }
+}
+
+/// One byte: bit 0 `remove_stopwords`, bit 1 `stem`; other bits refused.
+impl Wire for AnalyzerConfig {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push((self.remove_stopwords as u8) | ((self.stem as u8) << 1));
+    }
+    fn get(buf: &mut &[u8]) -> Result<Self, TransportError> {
+        let bits = u8::get(buf)?;
+        if bits > 0b11 {
+            return Err(protocol(format!("unknown analyzer bits {bits:#04b}")));
+        }
+        Ok(AnalyzerConfig {
+            remove_stopwords: bits & 1 != 0,
+            stem: bits & 2 != 0,
+        })
+    }
+}
+
+/// Length-prefixed [`FrozenSummary::to_bytes_exact`]; the blob's own
+/// term count is validated by `FrozenSummary::from_bytes`.
+impl Wire for FrozenSummary {
+    const MIN_BYTES: usize = 4;
+    fn put(&self, out: &mut Vec<u8>) {
+        let blob = self.to_bytes_exact();
+        (blob.len() as u32).put(out);
+        out.extend_from_slice(&blob);
+    }
+    fn get(buf: &mut &[u8]) -> Result<Self, TransportError> {
+        FrozenSummary::from_bytes(take_prefixed(buf, "summary")?)
+            .ok_or_else(|| protocol("malformed frozen summary"))
+    }
+}
+
+/// The snapshot's fields in wire order, then the cross-field check no
+/// single field can make: `doc_freq` must cover exactly the vocabulary.
+impl Wire for EngineSnapshot {
+    const MIN_BYTES: usize = String::MIN_BYTES
+        + AnalyzerConfig::MIN_BYTES
+        + WeightingScheme::MIN_BYTES
+        + u32::MIN_BYTES
+        + Fingerprint::MIN_BYTES
+        + Vec::<u32>::MIN_BYTES
+        + FrozenSummary::MIN_BYTES;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.name.put(out);
+        self.analyzer.put(out);
+        self.scheme.put(out);
+        self.n_docs.put(out);
+        self.fingerprint.put(out);
+        self.doc_freq.put(out);
+        self.summary.put(out);
+    }
+    fn get(buf: &mut &[u8]) -> Result<Self, TransportError> {
+        let snapshot = EngineSnapshot {
+            name: Wire::get(buf)?,
+            analyzer: Wire::get(buf)?,
+            scheme: Wire::get(buf)?,
+            n_docs: Wire::get(buf)?,
+            fingerprint: Wire::get(buf)?,
+            doc_freq: Wire::get(buf)?,
+            summary: Wire::get(buf)?,
+        };
+        if !snapshot.is_consistent() {
+            return Err(protocol(format!(
+                "snapshot for engine {:?} is internally inconsistent",
+                snapshot.name
+            )));
+        }
+        Ok(snapshot)
+    }
+}
+
+/// The kind table: `kind => Variant { fields in wire order }`. It
+/// generates [`Message::encode`] and [`Message::decode`]; each field's
+/// layout and bound come from its type's [`Wire`] impl, and the
+/// unknown-kind and trailing-byte errors are written here once.
+macro_rules! codec {
+    ($($kind:literal => $variant:ident $({ $($field:ident),+ })?,)+) => {
+        impl Message {
+            /// Encodes the message as `(frame kind, payload)`.
+            pub fn encode(&self) -> (u8, Vec<u8>) {
+                let mut out = Vec::new();
+                let kind = match self {
+                    $(Message::$variant $({ $($field),+ })? => {
+                        $($($field.put(&mut out);)+)?
+                        $kind
+                    })+
+                };
+                (kind, out)
+            }
+
+            /// Decodes a frame's payload; typed protocol errors on anything
+            /// malformed (unknown kind, truncated field, trailing garbage).
+            pub fn decode(kind: u8, payload: &[u8]) -> Result<Message, TransportError> {
+                let mut buf = payload;
+                let message = match kind {
+                    $($kind => Message::$variant $({ $($field: Wire::get(&mut buf)?),+ })?,)+
+                    other => return Err(protocol(format!("unknown message kind {other}"))),
+                };
+                if !buf.is_empty() {
+                    return Err(protocol(format!(
+                        "{} trailing bytes after message kind {kind}",
+                        buf.len()
+                    )));
+                }
+                Ok(message)
+            }
+        }
+    };
+}
+codec! {
+    1 => Hello { subscribe },
+    2 => HelloAck { name },
+    3 => SearchDocs { query, threshold },
+    4 => SearchResults { hits },
+    5 => Estimate { query, threshold },
+    6 => Usefulness { no_doc, avg_sim, max_sim },
+    7 => GetRepresentative,
+    8 => Representative { snapshot },
+    9 => InvalidateNotice { name, fingerprint, epoch },
+    10 => Ping,
+    11 => Pong,
+    12 => Error { detail },
+    13 => TracedSearchDocs { query, threshold, trace_id, parent_span, sampled },
+    14 => TracedSearchResults { hits, spans },
+    15 => EstimateBatch { queries, threshold },
+    16 => UsefulnessBatch { results },
+    17 => ReplicaEstimate { query, threshold, engines },
+    18 => ReplicaEstimates { estimates },
+    19 => ReplicaSearch { query, threshold, engines },
+    20 => ReplicaSearchResults { hits, stats },
+    21 => InstallEngine { name, snapshot, endpoint },
+    22 => InstallAck { name },
+    23 => RemoveEngine { name },
+    24 => RemoveAck { removed },
+    25 => ExportEngine { name },
 }
 
 impl Message {
-    /// Encodes the message as `(frame kind, payload)`.
-    pub fn encode(&self) -> (u8, Vec<u8>) {
-        let mut buf = BytesMut::new();
-        let kind = match self {
-            Message::Hello { subscribe } => {
-                buf.put_u8(*subscribe as u8);
-                KIND_HELLO
-            }
-            Message::HelloAck { name } => {
-                put_string(&mut buf, name);
-                KIND_HELLO_ACK
-            }
-            Message::SearchDocs { query, threshold } => {
-                put_string(&mut buf, query);
-                buf.put_f64(*threshold);
-                KIND_SEARCH_DOCS
-            }
-            Message::SearchResults { hits } => {
-                put_hits(&mut buf, hits);
-                KIND_SEARCH_RESULTS
-            }
-            Message::Estimate { query, threshold } => {
-                put_string(&mut buf, query);
-                buf.put_f64(*threshold);
-                KIND_ESTIMATE
-            }
-            Message::Usefulness {
-                no_doc,
-                avg_sim,
-                max_sim,
-            } => {
-                buf.put_u64(*no_doc);
-                buf.put_f64(*avg_sim);
-                buf.put_f64(*max_sim);
-                KIND_USEFULNESS
-            }
-            Message::GetRepresentative => KIND_GET_REPRESENTATIVE,
-            Message::Representative { snapshot } => {
-                put_snapshot(&mut buf, snapshot);
-                KIND_REPRESENTATIVE
-            }
-            Message::InvalidateNotice {
-                name,
-                fingerprint,
-                epoch,
-            } => {
-                put_string(&mut buf, name);
-                put_fingerprint(&mut buf, *fingerprint);
-                buf.put_u64(*epoch);
-                KIND_INVALIDATE_NOTICE
-            }
-            Message::Ping => KIND_PING,
-            Message::Pong => KIND_PONG,
-            Message::Error { detail } => {
-                put_string(&mut buf, detail);
-                KIND_ERROR
-            }
-            Message::TracedSearchDocs {
-                query,
-                threshold,
-                trace_id,
-                parent_span,
-                sampled,
-            } => {
-                put_string(&mut buf, query);
-                buf.put_f64(*threshold);
-                buf.put_u64(*trace_id);
-                buf.put_u64(*parent_span);
-                buf.put_u8(*sampled as u8);
-                KIND_TRACED_SEARCH_DOCS
-            }
-            Message::TracedSearchResults { hits, spans } => {
-                put_hits(&mut buf, hits);
-                put_spans(&mut buf, spans);
-                KIND_TRACED_SEARCH_RESULTS
-            }
-            Message::EstimateBatch { queries, threshold } => {
-                buf.put_u32(queries.len() as u32);
-                for query in queries {
-                    put_string(&mut buf, query);
-                }
-                buf.put_f64(*threshold);
-                KIND_ESTIMATE_BATCH
-            }
-            Message::UsefulnessBatch { results } => {
-                buf.put_u32(results.len() as u32);
-                for r in results {
-                    buf.put_u64(r.no_doc);
-                    buf.put_f64(r.avg_sim);
-                    buf.put_f64(r.max_sim);
-                }
-                KIND_USEFULNESS_BATCH
-            }
-            Message::ReplicaEstimate {
-                query,
-                threshold,
-                engines,
-            } => {
-                put_string(&mut buf, query);
-                buf.put_f64(*threshold);
-                put_string_list(&mut buf, engines);
-                KIND_REPLICA_ESTIMATE
-            }
-            Message::ReplicaEstimates { estimates } => {
-                put_estimates(&mut buf, estimates);
-                KIND_REPLICA_ESTIMATES
-            }
-            Message::ReplicaSearch {
-                query,
-                threshold,
-                engines,
-            } => {
-                put_string(&mut buf, query);
-                buf.put_f64(*threshold);
-                put_string_list(&mut buf, engines);
-                KIND_REPLICA_SEARCH
-            }
-            Message::ReplicaSearchResults { hits, stats } => {
-                put_merged_hits(&mut buf, hits);
-                put_dispatch_stats(&mut buf, stats);
-                KIND_REPLICA_SEARCH_RESULTS
-            }
-            Message::InstallEngine {
-                name,
-                snapshot,
-                endpoint,
-            } => {
-                put_string(&mut buf, name);
-                match snapshot {
-                    Some(s) => {
-                        buf.put_u8(1);
-                        put_snapshot(&mut buf, s);
-                    }
-                    None => buf.put_u8(0),
-                }
-                put_opt_string(&mut buf, endpoint);
-                KIND_INSTALL_ENGINE
-            }
-            Message::InstallAck { name } => {
-                put_string(&mut buf, name);
-                KIND_INSTALL_ACK
-            }
-            Message::RemoveEngine { name } => {
-                put_string(&mut buf, name);
-                KIND_REMOVE_ENGINE
-            }
-            Message::RemoveAck { removed } => {
-                buf.put_u8(*removed as u8);
-                KIND_REMOVE_ACK
-            }
-            Message::ExportEngine { name } => {
-                put_string(&mut buf, name);
-                KIND_EXPORT_ENGINE
-            }
-        };
-        (kind, buf.freeze().chunk().to_vec())
-    }
-
-    /// Decodes a frame's payload; typed protocol errors on anything
-    /// malformed (unknown kind, truncated field, trailing garbage).
-    pub fn decode(kind: u8, payload: &[u8]) -> Result<Message, TransportError> {
-        let mut buf = payload;
-        let message = match kind {
-            KIND_HELLO => Message::Hello {
-                subscribe: get_u8(&mut buf)? != 0,
-            },
-            KIND_HELLO_ACK => Message::HelloAck {
-                name: get_string(&mut buf)?,
-            },
-            KIND_SEARCH_DOCS => Message::SearchDocs {
-                query: get_string(&mut buf)?,
-                threshold: get_f64(&mut buf)?,
-            },
-            KIND_SEARCH_RESULTS => Message::SearchResults {
-                hits: get_hits(&mut buf)?,
-            },
-            KIND_ESTIMATE => Message::Estimate {
-                query: get_string(&mut buf)?,
-                threshold: get_f64(&mut buf)?,
-            },
-            KIND_USEFULNESS => Message::Usefulness {
-                no_doc: get_u64(&mut buf)?,
-                avg_sim: get_f64(&mut buf)?,
-                max_sim: get_f64(&mut buf)?,
-            },
-            KIND_GET_REPRESENTATIVE => Message::GetRepresentative,
-            KIND_REPRESENTATIVE => Message::Representative {
-                snapshot: get_snapshot(&mut buf)?,
-            },
-            KIND_INVALIDATE_NOTICE => Message::InvalidateNotice {
-                name: get_string(&mut buf)?,
-                fingerprint: get_fingerprint(&mut buf)?,
-                epoch: get_u64(&mut buf)?,
-            },
-            KIND_PING => Message::Ping,
-            KIND_PONG => Message::Pong,
-            KIND_ERROR => Message::Error {
-                detail: get_string(&mut buf)?,
-            },
-            KIND_TRACED_SEARCH_DOCS => Message::TracedSearchDocs {
-                query: get_string(&mut buf)?,
-                threshold: get_f64(&mut buf)?,
-                trace_id: get_u64(&mut buf)?,
-                parent_span: get_u64(&mut buf)?,
-                sampled: get_u8(&mut buf)? != 0,
-            },
-            KIND_TRACED_SEARCH_RESULTS => Message::TracedSearchResults {
-                hits: get_hits(&mut buf)?,
-                spans: get_spans(&mut buf)?,
-            },
-            KIND_ESTIMATE_BATCH => {
-                if buf.remaining() < 4 {
-                    return Err(protocol("truncated batch count"));
-                }
-                let count = buf.get_u32() as usize;
-                // Each query costs at least its 4-byte length prefix, so
-                // a count the remaining bytes cannot hold is a lie.
-                if count > buf.remaining() / 4 {
-                    return Err(protocol(format!(
-                        "batch claims {count} queries but only {} bytes remain",
-                        buf.remaining()
-                    )));
-                }
-                let mut queries = Vec::with_capacity(count);
-                for _ in 0..count {
-                    queries.push(get_string(&mut buf)?);
-                }
-                Message::EstimateBatch {
-                    queries,
-                    threshold: get_f64(&mut buf)?,
-                }
-            }
-            KIND_USEFULNESS_BATCH => {
-                if buf.remaining() < 4 {
-                    return Err(protocol("truncated batch count"));
-                }
-                let count = buf.get_u32() as usize;
-                // 24 bytes per triple (u64 + f64 + f64).
-                if count > buf.remaining() / 24 {
-                    return Err(protocol(format!(
-                        "batch claims {count} results but only {} bytes remain",
-                        buf.remaining()
-                    )));
-                }
-                let mut results = Vec::with_capacity(count);
-                for _ in 0..count {
-                    results.push(TrueUsefulness {
-                        no_doc: get_u64(&mut buf)?,
-                        avg_sim: get_f64(&mut buf)?,
-                        max_sim: get_f64(&mut buf)?,
-                    });
-                }
-                Message::UsefulnessBatch { results }
-            }
-            KIND_REPLICA_ESTIMATE => Message::ReplicaEstimate {
-                query: get_string(&mut buf)?,
-                threshold: get_f64(&mut buf)?,
-                engines: get_string_list(&mut buf)?,
-            },
-            KIND_REPLICA_ESTIMATES => Message::ReplicaEstimates {
-                estimates: get_estimates(&mut buf)?,
-            },
-            KIND_REPLICA_SEARCH => Message::ReplicaSearch {
-                query: get_string(&mut buf)?,
-                threshold: get_f64(&mut buf)?,
-                engines: get_string_list(&mut buf)?,
-            },
-            KIND_REPLICA_SEARCH_RESULTS => Message::ReplicaSearchResults {
-                hits: get_merged_hits(&mut buf)?,
-                stats: get_dispatch_stats(&mut buf)?,
-            },
-            KIND_INSTALL_ENGINE => Message::InstallEngine {
-                name: get_string(&mut buf)?,
-                snapshot: match get_u8(&mut buf)? {
-                    0 => None,
-                    1 => Some(get_snapshot(&mut buf)?),
-                    other => return Err(protocol(format!("bad option tag {other}"))),
-                },
-                endpoint: get_opt_string(&mut buf)?,
-            },
-            KIND_INSTALL_ACK => Message::InstallAck {
-                name: get_string(&mut buf)?,
-            },
-            KIND_REMOVE_ENGINE => Message::RemoveEngine {
-                name: get_string(&mut buf)?,
-            },
-            KIND_REMOVE_ACK => Message::RemoveAck {
-                removed: get_u8(&mut buf)? != 0,
-            },
-            KIND_EXPORT_ENGINE => Message::ExportEngine {
-                name: get_string(&mut buf)?,
-            },
-            other => return Err(protocol(format!("unknown message kind {other}"))),
-        };
-        if buf.remaining() > 0 {
-            return Err(protocol(format!(
-                "{} trailing bytes after message kind {kind}",
-                buf.remaining()
-            )));
-        }
-        Ok(message)
-    }
-
     /// The `TrueUsefulness` a [`Message::Usefulness`] carries, if this
     /// is one.
     pub fn as_usefulness(&self) -> Option<TrueUsefulness> {
@@ -1037,6 +667,7 @@ impl Message {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BufMut;
     use seu_engine::{CollectionBuilder, SearchEngine};
     use seu_text::Analyzer;
 
@@ -1176,10 +807,10 @@ mod tests {
     #[test]
     fn traced_span_list_liar_is_a_protocol_error() {
         // A span-count liar must fail before allocating.
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::<u8>::new();
         buf.put_u32(0); // zero hits
         buf.put_u32(u32::MAX); // span-count liar
-        let err = Message::decode(KIND_TRACED_SEARCH_RESULTS, buf.freeze().chunk()).unwrap_err();
+        let err = Message::decode(14, &buf).unwrap_err();
         assert_eq!(err.kind, TransportErrorKind::Protocol);
     }
 
@@ -1251,15 +882,15 @@ mod tests {
     #[test]
     fn batch_count_liars_are_protocol_errors() {
         // A query-count liar must fail before allocating.
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::<u8>::new();
         buf.put_u32(u32::MAX);
         buf.put_f64(0.15);
-        let err = Message::decode(KIND_ESTIMATE_BATCH, buf.freeze().chunk()).unwrap_err();
+        let err = Message::decode(15, &buf).unwrap_err();
         assert_eq!(err.kind, TransportErrorKind::Protocol);
         // Same for the result-count on the answer.
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::<u8>::new();
         buf.put_u32(u32::MAX);
-        let err = Message::decode(KIND_USEFULNESS_BATCH, buf.freeze().chunk()).unwrap_err();
+        let err = Message::decode(16, &buf).unwrap_err();
         assert_eq!(err.kind, TransportErrorKind::Protocol);
     }
 
@@ -1410,33 +1041,33 @@ mod tests {
     #[test]
     fn federation_count_liars_are_protocol_errors() {
         // Engine-name list liar on the subset request.
-        let mut buf = BytesMut::new();
-        put_string(&mut buf, "q");
+        let mut buf = Vec::<u8>::new();
+        String::from("q").put(&mut buf);
         buf.put_f64(0.2);
         buf.put_u32(u32::MAX);
-        let err = Message::decode(KIND_REPLICA_ESTIMATE, buf.freeze().chunk()).unwrap_err();
+        let err = Message::decode(17, &buf).unwrap_err();
         assert_eq!(err.kind, TransportErrorKind::Protocol);
         // Estimate-count liar on the answer.
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::<u8>::new();
         buf.put_u32(u32::MAX);
-        let err = Message::decode(KIND_REPLICA_ESTIMATES, buf.freeze().chunk()).unwrap_err();
+        let err = Message::decode(18, &buf).unwrap_err();
         assert_eq!(err.kind, TransportErrorKind::Protocol);
         // Dispatch-stat liar behind a legal empty hit list.
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::<u8>::new();
         buf.put_u32(0);
         buf.put_u32(u32::MAX);
-        let err = Message::decode(KIND_REPLICA_SEARCH_RESULTS, buf.freeze().chunk()).unwrap_err();
+        let err = Message::decode(20, &buf).unwrap_err();
         assert_eq!(err.kind, TransportErrorKind::Protocol);
         // An unknown outcome tag is typed, not misparsed.
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::<u8>::new();
         buf.put_u32(0); // no hits
         buf.put_u32(1); // one stat row
-        put_string(&mut buf, "a");
+        String::from("a").put(&mut buf);
         buf.put_u64(0);
         buf.put_f64(0.0);
         buf.put_u8(9); // bogus outcome
         buf.put_u8(0);
-        let err = Message::decode(KIND_REPLICA_SEARCH_RESULTS, buf.freeze().chunk()).unwrap_err();
+        let err = Message::decode(20, &buf).unwrap_err();
         assert_eq!(err.kind, TransportErrorKind::Protocol);
     }
 
@@ -1446,7 +1077,7 @@ mod tests {
         let err = Message::decode(0xEE, &[]).unwrap_err();
         assert_eq!(err.kind, TransportErrorKind::Protocol);
         // Truncated string.
-        let err = Message::decode(KIND_HELLO_ACK, &[0, 0, 0, 9, b'x']).unwrap_err();
+        let err = Message::decode(2, &[0, 0, 0, 9, b'x']).unwrap_err();
         assert_eq!(err.kind, TransportErrorKind::Protocol);
         // Trailing garbage.
         let (kind, mut payload) = Message::Ping.encode();
@@ -1454,9 +1085,9 @@ mod tests {
         let err = Message::decode(kind, &payload).unwrap_err();
         assert_eq!(err.kind, TransportErrorKind::Protocol);
         // Hit-count liar.
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::<u8>::new();
         buf.put_u32(u32::MAX);
-        let err = Message::decode(KIND_SEARCH_RESULTS, buf.freeze().chunk()).unwrap_err();
+        let err = Message::decode(4, &buf).unwrap_err();
         assert_eq!(err.kind, TransportErrorKind::Protocol);
     }
 }
