@@ -46,6 +46,7 @@
 pub mod allocate;
 pub mod broker;
 pub mod cache;
+mod dispatch;
 pub mod federation;
 pub mod hierarchy;
 pub mod merge;

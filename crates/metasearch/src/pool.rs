@@ -17,11 +17,12 @@
 //! sees [`JobStatus::Panicked`] for that job and results from everyone
 //! else.
 //!
-//! Besides per-query dispatch, the pool runs the broker's *shard sweep*
-//! fan-out: with a sharded registry, `refresh_if_stale` submits one job
-//! per shard through [`WorkerPool::run_collect`], so a slow refresh on
-//! one shard never serializes the sweep of the others (and never blocks
-//! queries, which only need that one shard's write lock).
+//! Besides per-query dispatch, the pool runs the registry's per-shard
+//! fan-out: with a sharded registry, `refresh_if_stale` and `hydrate`
+//! submit one job per shard through [`WorkerPool::run_collect`], so a
+//! slow refresh on one shard never serializes the sweep of the others
+//! (and never blocks queries, which only need that one shard's write
+//! lock).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -93,13 +94,6 @@ struct PoolState {
     /// pool's contribution to the shared `broker_pool_queue_depth`
     /// gauge, so `Drop` can subtract whatever never drained.
     queued: AtomicU64,
-    /// This pool's **own** queue-depth gauge
-    /// (`broker_pool_<label>_queue_depth`), present for pools built with
-    /// [`WorkerPool::named`]. The shared `broker_pool_queue_depth` gauge
-    /// sums every pool in the process, which makes any single pool's
-    /// depth unreadable once two pools coexist; a named pool publishes
-    /// its exclusive depth here as well.
-    own_queue_depth: Option<Arc<seu_obs::Gauge>>,
 }
 
 /// The pool can no longer accept jobs: every worker has exited, so a
@@ -148,47 +142,18 @@ pub struct WorkerPool {
     workers: Vec<JoinHandle<()>>,
     state: Arc<PoolState>,
     threads: usize,
-    /// This pool's own worker-count gauge, for named pools.
-    own_workers: Option<Arc<seu_obs::Gauge>>,
 }
 
 impl WorkerPool {
     /// Spawns `threads` workers (clamped to at least 1). The pool's
-    /// queue depth and worker count contribute only to the process-wide
-    /// sums (`broker_pool_queue_depth`, `broker_pool_workers`); use
-    /// [`WorkerPool::named`] when the pool's own depth must stay
-    /// readable next to other pools.
+    /// queue depth and worker count contribute to the process-wide sums
+    /// `broker_pool_queue_depth` and `broker_pool_workers`.
     pub fn new(threads: usize) -> Self {
-        WorkerPool::build(threads, None)
-    }
-
-    /// Spawns `threads` workers and additionally publishes this pool's
-    /// **exclusive** gauges under a `label`-suffixed name:
-    /// `broker_pool_<label>_workers` and
-    /// `broker_pool_<label>_queue_depth`. The process-wide sums keep
-    /// every pool's contribution as before; the suffixed family is what
-    /// un-aliases one pool from the others when several coexist (e.g.
-    /// two brokers in one process).
-    ///
-    /// `label` should be a Prometheus-safe name fragment
-    /// (`[a-z0-9_]+`).
-    pub fn named(label: &str, threads: usize) -> Self {
-        WorkerPool::build(threads, Some(label))
-    }
-
-    fn build(threads: usize, label: Option<&str>) -> Self {
         let threads = threads.max(1);
         metrics().workers.add(threads as f64);
-        let own_workers = label.map(|l| seu_obs::gauge(&format!("broker_pool_{l}_workers")));
-        if let Some(g) = &own_workers {
-            g.add(threads as f64);
-        }
         let (tx, rx) = channel::<Job>();
         let rx = Arc::new(Mutex::new(rx));
-        let state = Arc::new(PoolState {
-            own_queue_depth: label.map(|l| seu_obs::gauge(&format!("broker_pool_{l}_queue_depth"))),
-            ..PoolState::default()
-        });
+        let state = Arc::new(PoolState::default());
         let workers = (0..threads)
             .map(|_| {
                 let rx = Arc::clone(&rx);
@@ -201,7 +166,6 @@ impl WorkerPool {
             workers,
             state,
             threads,
-            own_workers,
         }
     }
 
@@ -223,9 +187,6 @@ impl WorkerPool {
         let m = metrics();
         m.jobs.inc();
         m.queue_depth.add(1.0);
-        if let Some(g) = &self.state.own_queue_depth {
-            g.add(1.0);
-        }
         self.state.queued.fetch_add(1, Ordering::SeqCst);
         let sent = self
             .tx
@@ -236,9 +197,6 @@ impl WorkerPool {
             // The receiver is gone: every worker exited. Undo the queue
             // accounting for the job that never entered the queue.
             m.queue_depth.add(-1.0);
-            if let Some(g) = &self.state.own_queue_depth {
-                g.add(-1.0);
-            }
             self.state.queued.fetch_sub(1, Ordering::SeqCst);
             return Err(PoolClosed);
         }
@@ -324,16 +282,10 @@ impl Drop for WorkerPool {
         let m = metrics();
         if leaked > 0 {
             m.queue_depth.add(-(leaked as f64));
-            if let Some(g) = &self.state.own_queue_depth {
-                g.add(-(leaked as f64));
-            }
         }
         // Remove this pool's workers from the shared gauge (other pools'
-        // workers stay counted) and from its own, if named.
+        // workers stay counted).
         m.workers.add(-(self.threads as f64));
-        if let Some(g) = &self.own_workers {
-            g.add(-(self.threads as f64));
-        }
     }
 }
 
@@ -348,9 +300,6 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>, state: &PoolState) {
         let job = rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
         let Ok(job) = job else { return };
         metrics().queue_depth.add(-1.0);
-        if let Some(g) = &state.own_queue_depth {
-            g.add(-1.0);
-        }
         state.queued.fetch_sub(1, Ordering::SeqCst);
         let active = state.active.fetch_add(1, Ordering::SeqCst) + 1;
         state.peak.fetch_max(active, Ordering::SeqCst);
@@ -437,24 +386,6 @@ mod tests {
         assert_eq!(results[1], JobStatus::TimedOut);
         // Job 3 sits behind the sleeper on the single worker.
         assert_eq!(results[2], JobStatus::TimedOut);
-    }
-
-    #[test]
-    fn named_pools_publish_exclusive_gauges() {
-        // Two pools: the process-wide gauge sums them (by design), but
-        // each named pool's own family reports only its own workers —
-        // the un-aliasing this exists for.
-        let a = WorkerPool::named("alias_test_a", 2);
-        let b = WorkerPool::named("alias_test_b", 3);
-        let snap = seu_obs::global().snapshot();
-        assert_eq!(snap.gauges["broker_pool_alias_test_a_workers"], 2.0);
-        assert_eq!(snap.gauges["broker_pool_alias_test_b_workers"], 3.0);
-        assert_eq!(snap.gauges["broker_pool_alias_test_a_queue_depth"], 0.0);
-        drop(a);
-        drop(b);
-        let snap = seu_obs::global().snapshot();
-        assert_eq!(snap.gauges["broker_pool_alias_test_a_workers"], 0.0);
-        assert_eq!(snap.gauges["broker_pool_alias_test_b_workers"], 0.0);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The representative lifecycle: epoch-versioned registry entries and
-//! staleness detection.
+//! The representative lifecycle: epoch-versioned registry entries,
+//! staleness detection, and the registry's own bookkeeping.
 //!
 //! The paper's broker keeps a *representative* per engine and assumes
 //! infrequent metadata propagation keeps it consistent with the engine's
@@ -25,24 +25,42 @@
 //! reach the global vocabulary and every subsequent plan, instead of
 //! being silently dropped from query translation.
 //!
+//! # Who owns what
+//!
+//! `ShardedRegistry` keeps its own books; three things live here and
+//! nowhere else:
+//!
+//! * **order** — `ShardedRegistry::walk` is the one cross-shard read
+//!   (one read lock per shard, the shard epoch read under the same
+//!   guard, items restored to registration order);
+//! * **epochs** — `ShardedRegistry::insert`, `update` and
+//!   `remove` are the only ways an entry appears, changes or leaves.
+//!   Each takes the owning shard's write lock, and an entry's epoch and
+//!   its shard's move together, once, when the caller's closure reports
+//!   `Change::Changed`;
+//! * **gauges** — the same calls republish the shard's share of
+//!   `broker_registry_engines` / `broker_representative_bytes_resident`
+//!   before they unlock; dropping the registry retracts it.
+//!
+//! The broker decides *what* happens to an entry, purges its query
+//! cache after a change and writes through its store; it never touches
+//! a lock, an epoch or a gauge.
+//!
 //! # Sharding
 //!
 //! At 10k+ engines a single registry lock turns every lifecycle event
 //! into a broker-wide stall: one engine's refresh blocks every query's
-//! plan. [`ShardedRegistry`] splits the entries across N independently
-//! locked shards, routed by [`shard_for`] (a pure FNV-1a hash of the
-//! engine id, so the assignment is stable across restarts and
-//! re-sharding with the same shard count moves nothing). Each shard
-//! carries its own epoch counter, bumped under that shard's write lock;
-//! the broker-global epoch is **derived** as the sum of the shard
-//! epochs, so no global lock exists anywhere in the lifecycle. Entries
-//! carry a global registration sequence number so cross-shard views
-//! (planning, statuses, oracle selection) can be presented in exact
-//! registration order — the order selection tie-breaks and result
-//! merging depend on, which is what makes a sharded broker bit-identical
-//! to a flat one.
+//! plan. The entries are therefore split across N independently locked
+//! shards, routed by [`shard_for`]. Each shard carries its own epoch
+//! counter; the broker-global epoch is **derived** as their sum, so no
+//! global lock exists anywhere in the lifecycle. Entries carry a global
+//! registration sequence number so cross-shard views (planning,
+//! statuses, oracle selection) come out in exact registration order —
+//! the order selection tie-breaks and result merging depend on, which
+//! is what makes a sharded broker bit-identical to a flat one.
 
-use crate::persist::{record_for_local, record_for_remote, StoreHandle};
+use crate::persist::{canonical, record_for_local, record_for_remote, StoreHandle};
+use crate::pool::{JobStatus, WorkerPool};
 use crate::remote::{
     EngineSnapshot, RemoteMeta, RemoteTransport, TransportError, TransportErrorKind,
 };
@@ -77,59 +95,126 @@ pub fn shard_for(engine_id: &str, n_shards: usize) -> usize {
     (h % n_shards.max(1) as u64) as usize
 }
 
-/// One independently locked slice of the registry.
-///
-/// Epoch discipline: `epoch` is bumped (`SeqCst`) **while holding the
-/// `entries` write lock**, exactly once per registration and once per
-/// entry change. Two consequences:
-///
-/// * reading `epoch` under the `entries` read lock observes a
-///   consistent cut of this shard — the entries and the epoch belong to
-///   the same moment;
-/// * within any such cut, `epoch == entries.len() + Σ entry.epoch`
-///   (each registration contributes 1 with the entry starting at epoch
-///   0; each subsequent entry-epoch bump pairs with one shard bump).
-///   [`RegistrySnapshot`] exposes the pieces so tests can assert the
-///   invariant under concurrency.
-pub(crate) struct Shard {
-    pub(crate) entries: RwLock<Vec<RegisteredEngine>>,
-    /// This shard's lifecycle version; see the struct docs for the
-    /// bump discipline.
-    pub(crate) epoch: AtomicU64,
-    /// This shard's last-published contribution to the engine-count
-    /// gauges, so republication is a delta (several brokers sum) and
-    /// `Drop` can retract it.
-    pub(crate) gauge_engines: AtomicU64,
-    /// Ditto for representative resident bytes.
-    pub(crate) gauge_repr_bytes: AtomicU64,
+/// The registry gauges — process-wide, or one shard's exclusive pair.
+struct SizeGauges {
+    engines: Arc<seu_obs::Gauge>,
+    bytes: Arc<seu_obs::Gauge>,
 }
 
-impl Shard {
-    fn new() -> Shard {
-        Shard {
-            entries: RwLock::new(Vec::new()),
-            epoch: AtomicU64::new(0),
-            gauge_engines: AtomicU64::new(0),
-            gauge_repr_bytes: AtomicU64::new(0),
+impl SizeGauges {
+    fn named(suffix: &str) -> SizeGauges {
+        SizeGauges {
+            engines: seu_obs::gauge(&format!("broker_registry_engines{suffix}")),
+            bytes: seu_obs::gauge(&format!("broker_representative_bytes_resident{suffix}")),
+        }
+    }
+
+    fn add(&self, engines: f64, bytes: f64) {
+        self.engines.add(engines);
+        self.bytes.add(bytes);
+    }
+}
+
+/// Forces creation of the process-wide registry gauges so snapshots
+/// list them before the first broker exists.
+pub(crate) fn register_metrics() {
+    let _ = SizeGauges::named("");
+}
+
+/// One independently locked slice of the registry.
+///
+/// `epoch` is bumped (`SeqCst`) **while holding the `entries` write
+/// lock**, once per registration, per entry change and per removal, so:
+///
+/// * reading `epoch` under the `entries` read lock observes a
+///   consistent cut of this shard;
+/// * until the shard's first removal every such cut has
+///   `epoch == entries.len() + Σ entry.epoch` (a registration
+///   contributes 1 and an entry at epoch 0; each entry bump pairs with
+///   one shard bump). A removal takes its entry's terms out of the
+///   right-hand side and adds 1 to the left, so from then on it is `≥`;
+///   [`ShardedRegistry::load`] (a restore) re-bases to the equality.
+///   [`RegistrySnapshot`] exposes the pieces so tests can assert this
+///   under concurrency.
+struct Shard {
+    entries: RwLock<Vec<RegisteredEngine>>,
+    epoch: AtomicU64,
+    /// What this shard last published to the engine-count gauges, so
+    /// republication is a delta (several brokers sum) and dropping the
+    /// registry can retract it.
+    gauge_engines: AtomicU64,
+    /// Ditto for representative resident bytes.
+    gauge_repr_bytes: AtomicU64,
+    /// The `…_shard_<i>` pair; `None` in a flat (1-shard) registry,
+    /// which keeps the historical metric surface.
+    gauges: Option<SizeGauges>,
+}
+
+/// What a lifecycle closure did to the entry it was handed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Change {
+    /// Nothing a plan could observe (a failed refetch marking the entry
+    /// stale, a hydration from the cold tier): no epoch moves.
+    Unchanged,
+    /// Its epoch and its shard's each move by one, so every outstanding
+    /// plan is detectably stale.
+    Changed,
+}
+
+impl Change {
+    /// `Changed` if `changed`, else `Unchanged`.
+    pub(crate) fn when(changed: bool) -> Change {
+        if changed {
+            Change::Changed
+        } else {
+            Change::Unchanged
         }
     }
 }
 
+/// What one [`ShardedRegistry::walk`] made of the entries, in
+/// registration order, and the epoch each shard had while visited.
+pub(crate) struct Cut<T> {
+    pub(crate) items: Vec<T>,
+    pub(crate) shard_epochs: Vec<u64>,
+}
+
+/// Registration order: the one place a cross-shard view is sorted.
+fn in_order<T>(mut tagged: Vec<(u64, T)>) -> Vec<T> {
+    tagged.sort_unstable_by_key(|&(seq, _)| seq);
+    tagged.into_iter().map(|(_, item)| item).collect()
+}
+
 /// The broker's registry: N independently locked shards plus the global
-/// registration sequence counter.
+/// registration sequence counter. See the module docs for what it owns.
 pub(crate) struct ShardedRegistry {
     shards: Vec<Shard>,
-    /// Next registration sequence number. Sequence numbers give every
-    /// entry a place in one broker-wide registration order without any
-    /// cross-shard lock.
+    /// Next registration sequence number: one broker-wide registration
+    /// order without any cross-shard lock.
     seq: AtomicU64,
+    /// Restored entries whose representative still lives only in the
+    /// cold tier; the check in front of every plan is this one load.
+    cold: AtomicU64,
+    /// The process-wide gauges every shard's deltas also go to.
+    total: SizeGauges,
 }
 
 impl ShardedRegistry {
     pub(crate) fn new(n_shards: usize) -> ShardedRegistry {
+        let n_shards = n_shards.max(1);
         ShardedRegistry {
-            shards: (0..n_shards.max(1)).map(|_| Shard::new()).collect(),
+            shards: (0..n_shards)
+                .map(|i| Shard {
+                    entries: RwLock::new(Vec::new()),
+                    epoch: AtomicU64::new(0),
+                    gauge_engines: AtomicU64::new(0),
+                    gauge_repr_bytes: AtomicU64::new(0),
+                    gauges: (n_shards > 1).then(|| SizeGauges::named(&format!("_shard_{i}"))),
+                })
+                .collect(),
             seq: AtomicU64::new(0),
+            cold: AtomicU64::new(0),
+            total: SizeGauges::named(""),
         }
     }
 
@@ -137,14 +222,9 @@ impl ShardedRegistry {
         self.shards.len()
     }
 
-    pub(crate) fn shards(&self) -> &[Shard] {
-        &self.shards
-    }
-
-    /// The shard (index and reference) an engine id routes to.
-    pub(crate) fn shard_of(&self, engine_id: &str) -> (usize, &Shard) {
-        let i = shard_for(engine_id, self.shards.len());
-        (i, &self.shards[i])
+    /// The shard an engine id routes to.
+    fn shard_of(&self, engine_id: &str) -> &Shard {
+        &self.shards[shard_for(engine_id, self.shards.len())]
     }
 
     /// The broker-global registry epoch, derived as the sum of the
@@ -158,11 +238,6 @@ impl ShardedRegistry {
             .sum()
     }
 
-    /// Claims the next registration sequence number.
-    pub(crate) fn next_seq(&self) -> u64 {
-        self.seq.fetch_add(1, Ordering::SeqCst)
-    }
-
     /// The next sequence number that *would* be claimed — the snapshot
     /// watermark a manifest records so a restore resumes the sequence
     /// space without colliding with pre-snapshot registrations.
@@ -170,15 +245,236 @@ impl ShardedRegistry {
         self.seq.load(Ordering::SeqCst)
     }
 
-    /// Fast-forwards the sequence counter (restore only; never goes
-    /// backwards).
-    pub(crate) fn set_seq(&self, watermark: u64) {
-        self.seq.fetch_max(watermark, Ordering::SeqCst);
-    }
-
     /// Total registered engines (takes each shard's read lock briefly).
     pub(crate) fn len(&self) -> usize {
         self.shards.iter().map(|s| s.entries.read().len()).sum()
+    }
+
+    /// How many restored entries are still cold.
+    pub(crate) fn cold(&self) -> u64 {
+        self.cold.load(Ordering::SeqCst)
+    }
+
+    /// Reads one entry under its shard's read lock; `None` for an
+    /// unknown name.
+    pub(crate) fn get<T>(
+        &self,
+        name: &str,
+        read: impl FnOnce(&RegisteredEngine) -> T,
+    ) -> Option<T> {
+        let entries = self.shard_of(name).entries.read();
+        entries.iter().find(|e| e.name == name).map(read)
+    }
+
+    /// The one ordered cross-shard read. One shard's read lock at a
+    /// time — a lifecycle event on shard A never blocks a walk over
+    /// shard B — with the shard epoch read under the same guard, so per
+    /// shard the items and the epoch are one consistent cut. The items
+    /// `visit(shard index, entry)` makes come back in the order a flat
+    /// registry would have had.
+    pub(crate) fn walk<T>(&self, visit: impl FnMut(usize, &RegisteredEngine) -> T) -> Cut<T> {
+        self.walk_with(|_, _| (), visit)
+    }
+
+    /// [`ShardedRegistry::walk`] with `enter(shard index, entries)`
+    /// called as each shard's lock is taken; what it returns is dropped
+    /// just before the lock is (the planner's per-shard span).
+    pub(crate) fn walk_with<G, T>(
+        &self,
+        mut enter: impl FnMut(usize, usize) -> G,
+        mut visit: impl FnMut(usize, &RegisteredEngine) -> T,
+    ) -> Cut<T> {
+        let mut tagged: Vec<(u64, T)> = Vec::new();
+        let mut shard_epochs = Vec::with_capacity(self.shards.len());
+        for (idx, shard) in self.shards.iter().enumerate() {
+            let entries = shard.entries.read();
+            shard_epochs.push(shard.epoch.load(Ordering::SeqCst));
+            let _entered = enter(idx, entries.len());
+            // An exact-size `map`: each item is built in its slot.
+            tagged.extend(entries.iter().map(|e| (e.seq, visit(idx, e))));
+        }
+        Cut {
+            items: in_order(tagged),
+            shard_epochs,
+        }
+    }
+
+    /// Adds the entry `build` makes for the sequence number it is
+    /// handed. `build` runs under the routed shard's write lock, so it
+    /// may lock the vocabulary (`entries` before `vocab`, everywhere);
+    /// no other shard is locked.
+    pub(crate) fn insert(&self, name: &str, build: impl FnOnce(u64) -> RegisteredEngine) {
+        let shard = self.shard_of(name);
+        let mut entries = shard.entries.write();
+        entries.push(build(self.seq.fetch_add(1, Ordering::SeqCst)));
+        shard.epoch.fetch_add(1, Ordering::SeqCst);
+        self.publish(shard, &entries);
+    }
+
+    /// Removes the named entry, bumping the shard epoch so outstanding
+    /// plans that include it are detectably stale. `false` for an
+    /// unknown name.
+    pub(crate) fn remove(&self, name: &str) -> bool {
+        let shard = self.shard_of(name);
+        let mut entries = shard.entries.write();
+        let Some(pos) = entries.iter().position(|e| e.name == name) else {
+            return false;
+        };
+        if entries.remove(pos).cold.is_some() {
+            self.cold.fetch_sub(1, Ordering::SeqCst);
+        }
+        shard.epoch.fetch_add(1, Ordering::SeqCst);
+        self.publish(shard, &entries);
+        true
+    }
+
+    /// Runs `f` on the named entry under its shard's write lock and
+    /// books what it reports; `None` for an unknown name.
+    pub(crate) fn update<T>(
+        &self,
+        name: &str,
+        f: impl FnOnce(&mut RegisteredEngine) -> (Change, T),
+    ) -> Option<(Change, T)> {
+        let shard = self.shard_of(name);
+        let mut entries = shard.entries.write();
+        let entry = entries.iter_mut().find(|e| e.name == name)?;
+        let (resized, booked) = self.book(shard, entry, f);
+        if resized {
+            self.publish(shard, &entries);
+        }
+        Some(booked)
+    }
+
+    /// Runs `f` on every entry `wants` picks — shard by shard, each
+    /// under its own write lock, taken only if a look under the read
+    /// lock finds a pick — and returns what `f` kept, in registration
+    /// order. A flat registry does this on the calling thread, a
+    /// sharded one as one job per shard on `pool()`: a slow shard holds
+    /// only its own lock.
+    pub(crate) fn update_all<'p, T: Send + 'static>(
+        self: &Arc<Self>,
+        pool: impl FnOnce() -> &'p WorkerPool,
+        wants: fn(&RegisteredEngine) -> bool,
+        f: impl Fn(&mut RegisteredEngine) -> (Change, Option<T>) + Send + Sync + 'static,
+    ) -> Vec<T> {
+        if self.shards.len() == 1 {
+            return in_order(self.update_shard(0, wants, &f));
+        }
+        let f = Arc::new(f);
+        let jobs = (0..self.shards.len())
+            .map(|idx| {
+                let (registry, f) = (Arc::clone(self), Arc::clone(&f));
+                Box::new(move || registry.update_shard(idx, wants, &*f))
+                    as Box<dyn FnOnce() -> Vec<(u64, T)> + Send>
+            })
+            .collect();
+        let done = pool().run_collect(jobs, None);
+        in_order(
+            done.into_iter()
+                .filter_map(JobStatus::into_done)
+                .flatten()
+                .collect(),
+        )
+    }
+
+    fn update_shard<T>(
+        &self,
+        idx: usize,
+        wants: fn(&RegisteredEngine) -> bool,
+        f: &impl Fn(&mut RegisteredEngine) -> (Change, Option<T>),
+    ) -> Vec<(u64, T)> {
+        let shard = &self.shards[idx];
+        if !shard.entries.read().iter().any(wants) {
+            return Vec::new();
+        }
+        let mut entries = shard.entries.write();
+        let (mut kept, mut resized) = (Vec::new(), false);
+        for entry in entries.iter_mut().filter(|e| wants(e)) {
+            let (moved, (_, out)) = self.book(shard, entry, f);
+            resized |= moved;
+            kept.extend(out.map(|item| (entry.seq, item)));
+        }
+        if resized {
+            self.publish(shard, &entries);
+        }
+        kept
+    }
+
+    /// The one place an entry change is booked: the entry epoch and the
+    /// shard epoch move together, and an entry that left the cold tier
+    /// leaves the cold count. Also says whether the entry's size may
+    /// have moved, i.e. whether the caller owes a `publish`. Call with
+    /// the shard's write lock held.
+    fn book<T>(
+        &self,
+        shard: &Shard,
+        entry: &mut RegisteredEngine,
+        f: impl FnOnce(&mut RegisteredEngine) -> (Change, T),
+    ) -> (bool, (Change, T)) {
+        let was_cold = entry.cold.is_some();
+        let (change, out) = f(entry);
+        let warmed = was_cold && entry.cold.is_none();
+        if warmed {
+            self.cold.fetch_sub(1, Ordering::SeqCst);
+        }
+        if change == Change::Changed {
+            entry.epoch += 1;
+            shard.epoch.fetch_add(1, Ordering::SeqCst);
+        }
+        (warmed || change == Change::Changed, (change, out))
+    }
+
+    /// Fills an empty registry with restored entries, which keep the
+    /// sequence numbers and epochs they were snapshotted with, and
+    /// re-bases each shard's epoch to the equality of the [`Shard`]
+    /// docs, whatever the snapshotting registry had removed.
+    pub(crate) fn load(&self, restored: impl Iterator<Item = RegisteredEngine>, next_seq: u64) {
+        let mut by_shard: Vec<Vec<RegisteredEngine>> =
+            self.shards.iter().map(|_| Vec::new()).collect();
+        for entry in restored {
+            by_shard[shard_for(&entry.name, self.shards.len())].push(entry);
+        }
+        for (shard, mut group) in self.shards.iter().zip(by_shard) {
+            if group.is_empty() {
+                continue;
+            }
+            let mut entries = shard.entries.write();
+            let cold = group.iter().filter(|e| e.cold.is_some()).count();
+            self.cold.fetch_add(cold as u64, Ordering::SeqCst);
+            entries.append(&mut group);
+            entries.sort_unstable_by_key(|e| e.seq);
+            let entry_epochs: u64 = entries.iter().map(|e| e.epoch).sum();
+            shard
+                .epoch
+                .store(entries.len() as u64 + entry_epochs, Ordering::SeqCst);
+            self.publish(shard, &entries);
+        }
+        self.seq.fetch_max(next_seq, Ordering::SeqCst);
+    }
+
+    /// Re-publishes one shard's share of the registry gauges, as the
+    /// difference against what it last reported: several live brokers
+    /// (e.g. in one test binary) sum correctly, and dropping the
+    /// registry retracts exactly what was published. Call with the
+    /// shard's write lock held — publication must be atomic with the
+    /// change it reports.
+    fn publish(&self, shard: &Shard, entries: &[RegisteredEngine]) {
+        let engines = entries.len() as u64;
+        let bytes = entries.iter().map(RegisteredEngine::repr_bytes).sum();
+        let d_engines = engines as f64 - shard.gauge_engines.swap(engines, Ordering::SeqCst) as f64;
+        let d_bytes = bytes as f64 - shard.gauge_repr_bytes.swap(bytes, Ordering::SeqCst) as f64;
+        self.total.add(d_engines, d_bytes);
+        if let Some(own) = &shard.gauges {
+            own.add(d_engines, d_bytes);
+        }
+    }
+}
+
+impl Drop for ShardedRegistry {
+    fn drop(&mut self) {
+        for shard in &self.shards {
+            self.publish(shard, &[]);
+        }
     }
 }
 
@@ -205,6 +501,14 @@ pub(crate) enum ReprProvenance {
 }
 
 impl ReprProvenance {
+    /// The provenance of a representative the engine shipped.
+    pub(crate) fn shipped(repr: &Representative) -> ReprProvenance {
+        ReprProvenance::Shipped {
+            n_docs: repr.n_docs(),
+            raw_bytes: repr.collection_bytes(),
+        }
+    }
+
     /// Whether a collection with fingerprint `current` is still the one
     /// this representative describes.
     pub(crate) fn matches(&self, current: Fingerprint) -> bool {
@@ -257,8 +561,9 @@ impl EngineHandle {
     pub(crate) fn analyzer_config(&self) -> AnalyzerConfig {
         match self {
             EngineHandle::Local(e) => e.collection().analyzer_config(),
-            EngineHandle::Remote { meta, .. } => meta.analyzer,
-            EngineHandle::Detached { meta, .. } => meta.analyzer,
+            EngineHandle::Remote { meta, .. } | EngineHandle::Detached { meta, .. } => {
+                meta.analyzer
+            }
         }
     }
 
@@ -266,8 +571,7 @@ impl EngineHandle {
     pub(crate) fn scheme(&self) -> WeightingScheme {
         match self {
             EngineHandle::Local(e) => e.collection().scheme(),
-            EngineHandle::Remote { meta, .. } => meta.scheme,
-            EngineHandle::Detached { meta, .. } => meta.scheme,
+            EngineHandle::Remote { meta, .. } | EngineHandle::Detached { meta, .. } => meta.scheme,
         }
     }
 
@@ -321,8 +625,10 @@ pub(crate) struct RegisteredEngine {
     /// collection. `None` for remote entries, whose map and metadata
     /// always move together.
     pub(crate) map_fingerprint: Option<Fingerprint>,
-    /// Per-engine version, starting at 0 and bumped on every refresh,
-    /// representative update, or engine replacement.
+    /// Per-engine version, starting at 0 and bumped — by
+    /// [`ShardedRegistry::update`], never by the entry's own methods —
+    /// on every refresh, representative update, engine replacement or
+    /// attach.
     pub(crate) epoch: u64,
     /// Fingerprint (or shipped totals) of the collection `repr` and
     /// `map` were built from.
@@ -354,6 +660,25 @@ pub(crate) struct ColdEntry {
 }
 
 impl RegisteredEngine {
+    /// Distinct terms in the representative. A cold entry reports the
+    /// manifest's bookkeeping: statuses and gauges never force
+    /// hydration.
+    pub(crate) fn repr_terms(&self) -> u64 {
+        match self.cold {
+            Some(c) => c.repr_terms,
+            None => self.repr.distinct_terms() as u64,
+        }
+    }
+
+    /// Bytes of the representative: the encoded size the manifest
+    /// recorded while cold, the decoded resident size once hydrated.
+    pub(crate) fn repr_bytes(&self) -> u64 {
+        match self.cold {
+            Some(c) => c.repr_bytes,
+            None => self.repr.bytes_resident(),
+        }
+    }
+
     /// Whether the engine's current collection no longer matches the
     /// collection its representative was built from. For local engines
     /// this is an O(1) fingerprint comparison; for remote engines the
@@ -368,13 +693,32 @@ impl RegisteredEngine {
         }
     }
 
+    /// A new entry for `handle` that summarizes nothing yet; the caller
+    /// installs a representative before the registry publishes it.
+    pub(crate) fn new(name: &str, seq: u64, handle: EngineHandle) -> RegisteredEngine {
+        RegisteredEngine {
+            name: name.to_string(),
+            seq,
+            handle,
+            repr: Arc::new(Representative::from_parts(0, Vec::new(), 0)),
+            map: TermMap::default(),
+            map_fingerprint: None,
+            epoch: 0,
+            provenance: ReprProvenance::Shipped {
+                n_docs: 0,
+                raw_bytes: 0,
+            },
+            pending_invalidation: false,
+            cold: None,
+            stored_fingerprint: None,
+        }
+    }
+
     /// Rebuilds the representative — from the collection for local
-    /// engines, by refetching the snapshot for remote ones — and,
-    /// atomically with it, the term map against the global vocabulary,
-    /// folding any new terms in. This is the single code path behind
-    /// every representative change, so the map can never lag the
-    /// representative again. A remote refetch that fails leaves the
-    /// entry marked stale so the next sweep retries it.
+    /// engines, by refetching the snapshot for remote ones — through
+    /// the same two installers registration uses, so the term map can
+    /// never lag the representative. A remote refetch that fails leaves
+    /// the entry marked stale so the next sweep retries it.
     pub(crate) fn try_refresh(
         &mut self,
         global_vocab: &mut Vocabulary,
@@ -382,26 +726,18 @@ impl RegisteredEngine {
     ) -> Result<(), TransportError> {
         match &self.handle {
             EngineHandle::Local(engine) => {
-                let engine = engine.clone();
                 let repr = Representative::build(engine.collection());
-                self.install(
-                    global_vocab,
-                    repr,
-                    ReprProvenance::Local(engine.fingerprint()),
-                    store,
-                );
+                let provenance = ReprProvenance::Local(engine.fingerprint());
+                self.install(global_vocab, repr, provenance, store);
                 Ok(())
             }
-            EngineHandle::Remote { transport, .. } => {
-                let snapshot = match transport.clone().fetch_snapshot() {
-                    Ok(s) => s,
-                    Err(e) => {
-                        self.pending_invalidation = true;
-                        return Err(e);
-                    }
-                };
-                self.install_remote(global_vocab, &snapshot, store)
-            }
+            EngineHandle::Remote { transport, .. } => match transport.clone().fetch_snapshot() {
+                Ok(snapshot) => self.install_remote(global_vocab, snapshot, store),
+                Err(e) => {
+                    self.pending_invalidation = true;
+                    Err(e)
+                }
+            },
             EngineHandle::Detached { .. } => {
                 // Nothing to refresh from: the entry has no live
                 // engine. Stay marked stale until something attaches.
@@ -418,64 +754,51 @@ impl RegisteredEngine {
         }
     }
 
-    /// Installs a freshly fetched remote snapshot: representative, term
-    /// map, planning metadata, and fingerprint provenance move together.
+    /// Installs a fetched remote snapshot, or marks the entry stale and
+    /// refuses if the snapshot is inconsistent.
     pub(crate) fn install_remote(
         &mut self,
         global_vocab: &mut Vocabulary,
-        snapshot: &EngineSnapshot,
+        snapshot: EngineSnapshot,
         store: Option<&StoreHandle>,
     ) -> Result<(), TransportError> {
-        if !snapshot.is_consistent() {
+        if let Err(e) = snapshot.check_consistent() {
             self.pending_invalidation = true;
-            return Err(TransportError::new(
-                TransportErrorKind::Protocol,
-                format!(
-                    "engine {:?} shipped an inconsistent snapshot",
-                    snapshot.name
-                ),
-            ));
+            return Err(e);
         }
-        let meta = RemoteMeta::from_snapshot(snapshot);
+        let meta = RemoteMeta::from_snapshot(&snapshot);
+        self.install_meta(global_vocab, meta, snapshot.summary.repr, store);
+        Ok(())
+    }
+
+    /// The installer for an engine known by its snapshot: term map,
+    /// (canonical) representative, planning metadata and fingerprint
+    /// provenance move together, built from `meta`.
+    pub(crate) fn install_meta(
+        &mut self,
+        global_vocab: &mut Vocabulary,
+        meta: RemoteMeta,
+        repr: Representative,
+        store: Option<&StoreHandle>,
+    ) {
         self.map = TermMap::from_vocab(global_vocab, &meta.vocab);
         self.map_fingerprint = None;
-        self.repr = match store {
-            Some(store) => {
-                let record = record_for_remote(&self.name, &meta, &snapshot.summary.repr);
-                let canonical = store.canonicalize(&record);
-                self.stored_fingerprint = Some(canonical.fingerprint);
-                canonical.repr.clone()
-            }
-            None => Arc::new(snapshot.summary.repr.clone()),
-        };
-        self.provenance = ReprProvenance::Remote(snapshot.fingerprint);
+        (self.repr, self.stored_fingerprint) = canonical(store, repr, |repr| {
+            record_for_remote(&self.name, &meta, repr)
+        });
+        self.provenance = ReprProvenance::Remote(meta.fingerprint);
         if let EngineHandle::Remote { meta: m, .. } = &mut self.handle {
             *m = meta;
         }
         self.pending_invalidation = false;
         self.cold = None;
-        self.epoch += 1;
-        Ok(())
     }
 
-    /// Installs a representative the engine shipped, rebuilding the term
-    /// map from the engine's current collection (shipped representatives
-    /// are id-aligned with it). Local engines only — remote entries
-    /// receive whole snapshots via [`RegisteredEngine::install_remote`].
-    pub(crate) fn install_shipped(
-        &mut self,
-        global_vocab: &mut Vocabulary,
-        repr: Representative,
-        store: Option<&StoreHandle>,
-    ) {
-        let provenance = ReprProvenance::Shipped {
-            n_docs: repr.n_docs(),
-            raw_bytes: repr.collection_bytes(),
-        };
-        self.install(global_vocab, repr, provenance, store);
-    }
-
-    fn install(
+    /// The installer for an engine in this process: term map and
+    /// (canonical) representative move together, built from its current
+    /// collection — which a shipped `repr` must be id-aligned with.
+    /// Remote entries receive whole snapshots instead.
+    pub(crate) fn install(
         &mut self,
         global_vocab: &mut Vocabulary,
         repr: Representative,
@@ -489,18 +812,11 @@ impl RegisteredEngine {
             .clone();
         self.map = TermMap::build(global_vocab, engine.collection());
         self.map_fingerprint = Some(engine.fingerprint());
-        self.repr = match store {
-            Some(store) => {
-                let record = record_for_local(&self.name, &engine, &repr);
-                let canonical = store.canonicalize(&record);
-                self.stored_fingerprint = Some(canonical.fingerprint);
-                canonical.repr.clone()
-            }
-            None => Arc::new(repr),
-        };
+        (self.repr, self.stored_fingerprint) = canonical(store, repr, |repr| {
+            record_for_local(&self.name, &engine, repr)
+        });
         self.provenance = provenance;
         self.cold = None;
-        self.epoch += 1;
     }
 }
 
@@ -538,11 +854,14 @@ pub struct EngineStatus {
 ///
 /// Each shard contributes its statuses and its epoch from under a
 /// single read-lock acquisition, so per shard the pair is a consistent
-/// cut and the invariant
+/// cut: even while other threads mutate the registry,
 /// `shard_epochs[i] == |statuses with shard == i| + Σ their epochs`
-/// holds even while other threads mutate the registry. (A torn
-/// implementation that re-locked per engine could observe an entry
-/// epoch bump without the matching shard bump and violate it.)
+/// until shard `i` sees its first `deregister`, and `≥` after it (the
+/// removed entry's terms leave the right-hand side while the removal
+/// itself bumps the left). A broker restored from a snapshot starts
+/// again from the equality. (A torn implementation that re-locked per
+/// engine could observe an entry epoch bump without the matching shard
+/// bump and violate either form.)
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegistrySnapshot {
     /// Per-engine statuses, in registration order.
@@ -630,16 +949,69 @@ mod tests {
         assert_eq!(shard_for("anything", 0), 0);
     }
 
+    fn entry(name: &str, seq: u64) -> RegisteredEngine {
+        let mut b = seu_engine::CollectionBuilder::new(
+            seu_text::Analyzer::paper_default(),
+            WeightingScheme::CosineTf,
+        );
+        b.add_document("d0", "mushroom soup");
+        let engine = Arc::new(SearchEngine::new(b.build()));
+        RegisteredEngine {
+            name: name.to_string(),
+            seq,
+            repr: Arc::new(Representative::build(engine.collection())),
+            map: TermMap::default(),
+            map_fingerprint: None,
+            epoch: 0,
+            provenance: ReprProvenance::Local(engine.fingerprint()),
+            handle: EngineHandle::Local(engine),
+            pending_invalidation: false,
+            cold: None,
+            stored_fingerprint: None,
+        }
+    }
+
     #[test]
     fn sharded_registry_epoch_sums_shards() {
         let r = ShardedRegistry::new(4);
         assert_eq!(r.epoch(), 0);
-        r.shards()[1].epoch.fetch_add(3, Ordering::SeqCst);
-        r.shards()[3].epoch.fetch_add(2, Ordering::SeqCst);
-        assert_eq!(r.epoch(), 5);
         assert_eq!(r.len(), 0);
-        assert_eq!(r.next_seq(), 0);
-        assert_eq!(r.next_seq(), 1);
+        // Names that route to different shards.
+        let names = ["cooking", "databases", "engine-9999"];
+        assert!(names
+            .iter()
+            .any(|n| shard_for(n, 4) != shard_for(names[0], 4)));
+        for name in names {
+            r.insert(name, |seq| entry(name, seq));
+        }
+        assert_eq!(r.epoch(), 3);
+        // A reported change moves the entry and its shard by one each;
+        // an unchanged entry, an unknown name and a failed removal move
+        // nothing.
+        assert_eq!(
+            r.update("cooking", |_| (Change::Changed, 7)),
+            Some((Change::Changed, 7))
+        );
+        assert!(r.update("cooking", |_| (Change::Unchanged, ())).is_some());
+        assert!(r.update("nobody", |_| (Change::Changed, ())).is_none());
+        assert!(!r.remove("nobody"));
+        assert_eq!(r.epoch(), 4);
+        let cut = r.walk(|shard, e| (shard, e.name.clone(), e.epoch));
+        assert_eq!(cut.shard_epochs.iter().sum::<u64>(), 4);
+        let booked: Vec<_> = cut.items.iter().map(|(_, n, e)| (n.as_str(), *e)).collect();
+        assert_eq!(
+            booked,
+            [("cooking", 1), ("databases", 0), ("engine-9999", 0)]
+        );
+        for (i, &epoch) in cut.shard_epochs.iter().enumerate() {
+            let mine = cut.items.iter().filter(|(shard, ..)| *shard == i);
+            assert_eq!(epoch, mine.map(|(_, _, e)| 1 + e).sum::<u64>(), "shard {i}");
+        }
+        // A removal bumps its shard and breaks the equality for good.
+        assert!(r.remove("cooking"));
+        assert_eq!(r.epoch(), 5);
+        assert_eq!(r.len(), 2);
+        assert_eq!(r.seq_watermark(), 3);
     }
 
     #[test]

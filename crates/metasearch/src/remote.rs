@@ -163,6 +163,18 @@ impl EngineSnapshot {
         self.doc_freq.len() == self.summary.vocab.len()
             && self.summary.repr.distinct_terms() == self.summary.vocab.len()
     }
+
+    /// The typed refusal for a snapshot that is not
+    /// [consistent](Self::is_consistent).
+    pub(crate) fn check_consistent(&self) -> Result<(), TransportError> {
+        if self.is_consistent() {
+            return Ok(());
+        }
+        Err(TransportError::new(
+            TransportErrorKind::Protocol,
+            format!("engine {:?} shipped an inconsistent snapshot", self.name),
+        ))
+    }
 }
 
 /// The calls the broker makes of an engine in another process. The
