@@ -78,6 +78,20 @@ impl Usefulness {
 }
 
 /// A method that estimates usefulness from a representative alone.
+///
+/// # Contract: no shared term, no usefulness
+///
+/// For the empty query, and for a query none of whose terms occurs in
+/// the database `repr` summarizes (no row, or a row with `p == 0`),
+/// [`estimate`](UsefulnessEstimator::estimate) returns exactly
+/// [`Usefulness::default()`] — `(+0.0, +0.0)`, bit for bit — at every
+/// threshold, and [`estimate_sweep`](UsefulnessEstimator::estimate_sweep)
+/// one such pair per threshold. Such a database's generating function is
+/// the constant 1 (paper Prop. 1): no document has a positive similarity.
+/// The metasearch broker relies on it: it writes that pair for every
+/// engine its term postings do not reach, without consulting the
+/// estimator. Every estimator in this crate is held to it by the
+/// `no_shared_term_estimates_exactly_nothing` test.
 pub trait UsefulnessEstimator {
     /// Estimates `(NoDoc, AvgSim)` for `query` against the database
     /// summarized by `repr`, at similarity threshold `threshold`.
@@ -107,6 +121,115 @@ pub trait UsefulnessEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use seu_engine::{CollectionBuilder, WeightingScheme};
+    use seu_repr::{
+        CooccurrenceStats, MaxWeightMode, PercentileRepresentative, SubrangeScheme, TermStats,
+    };
+    use seu_text::{Analyzer, TermId};
+
+    /// The contract the broker's skip rests on (see the trait's docs),
+    /// over every estimator of the crate.
+    #[test]
+    fn no_shared_term_estimates_exactly_nothing() {
+        let mut b = CollectionBuilder::new(Analyzer::paper_default(), WeightingScheme::CosineTf);
+        b.add_document("d0", "mushroom soup with cream");
+        b.add_document("d1", "mushroom risotto");
+        b.add_document("d2", "cream of tomato soup");
+        let collection = b.build();
+        let built = Representative::build(&collection);
+        let rows = built.table_len() as u32;
+        // The same database with a term that occurs nowhere: a row of
+        // zeros, as a quantized round-trip can leave behind.
+        let hole = TermStats {
+            p: 0.0,
+            mean: 0.0,
+            std_dev: 0.0,
+            max: 0.0,
+        };
+        let mut stats: Vec<TermStats> = (0..rows)
+            .map(|t| *built.get(TermId(t)).expect("built rows are all present"))
+            .collect();
+        stats.push(hole);
+        let holed = Representative::from_parts(built.n_docs(), stats, built.collection_bytes());
+        let empty_db = Representative::from_parts(0, Vec::new(), 0);
+
+        let six = SubrangeEstimator::paper_six_subrange;
+        let grid = Expansion::Grid { cells: 256 };
+        let estimators: Vec<(&str, Box<dyn UsefulnessEstimator>)> = vec![
+            ("subrange, exact expansion", Box::new(six())),
+            (
+                "subrange, grid expansion",
+                Box::new(SubrangeEstimator::new(
+                    SubrangeScheme::paper_six(),
+                    MaxWeightMode::Stored,
+                    grid,
+                )),
+            ),
+            (
+                "subrange, triplet",
+                Box::new(SubrangeEstimator::paper_triplet()),
+            ),
+            (
+                "empirical subrange",
+                Box::new(EmpiricalSubrangeEstimator::new(
+                    PercentileRepresentative::build(&collection, SubrangeScheme::paper_six()),
+                )),
+            ),
+            ("basic", Box::new(BasicEstimator::new())),
+            (
+                "binary independent",
+                Box::new(BinaryIndependentEstimator::new()),
+            ),
+            ("previous method", Box::new(PrevMethodEstimator::new())),
+            (
+                "high correlation",
+                Box::new(HighCorrelationEstimator::new()),
+            ),
+            ("disjoint", Box::new(DisjointEstimator::new())),
+            (
+                "dependence adjusted",
+                Box::new(DependenceAdjustedEstimator::new(
+                    six(),
+                    CooccurrenceStats::build(&collection, 64, 16),
+                )),
+            ),
+        ];
+        let queries = [
+            ("the empty query", Query::default()),
+            ("one unknown term", Query::new([(TermId(rows + 7), 1.0)])),
+            (
+                "two unknown terms",
+                Query::new([(TermId(rows + 1), 0.6), (TermId(rows + 40), 0.8)]),
+            ),
+            ("a term with a zero row", Query::new([(TermId(rows), 1.0)])),
+            (
+                "a zero row and an unknown term",
+                Query::new([(TermId(rows), 0.6), (TermId(rows + 3), 0.8)]),
+            ),
+        ];
+        let thresholds = [0.0, 0.1, 0.5, 0.99];
+        let bits = |u: Usefulness| (u.no_doc.to_bits(), u.avg_sim.to_bits());
+        let nothing = bits(Usefulness::default());
+        assert_eq!(nothing, (0, 0), "the default is (+0.0, +0.0)");
+        for (name, estimator) in &estimators {
+            for (database, repr) in [("built", &built), ("holed", &holed), ("empty", &empty_db)] {
+                for (what, query) in &queries {
+                    for threshold in thresholds {
+                        assert_eq!(
+                            bits(estimator.estimate(repr, query, threshold)),
+                            nothing,
+                            "{name}: {what} against the {database} database at {threshold}"
+                        );
+                    }
+                    let sweep = estimator.estimate_sweep(repr, query, &thresholds);
+                    assert_eq!(sweep.len(), thresholds.len(), "{name}: {what}");
+                    for u in sweep {
+                        assert_eq!(bits(u), nothing, "{name}: {what}, swept, {database}");
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn rounding_convention() {

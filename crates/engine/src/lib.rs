@@ -31,5 +31,5 @@ pub use collection::{Collection, CollectionBuilder, DocId, Document, Fingerprint
 pub use index::InvertedIndex;
 pub use query::Query;
 pub use search::{SearchEngine, SearchHit, TrueUsefulness};
-pub use shared::{weighted_query, TermMap};
+pub use shared::weighted_query;
 pub use weighting::WeightingScheme;

@@ -7,8 +7,9 @@ use seu_text::TermId;
 ///
 /// Built by [`crate::Collection::query_from_text`] (or directly from
 /// term/weight pairs); terms are sorted by id and weights are expected to
-/// be normalized so that single-term queries carry weight 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// be normalized so that single-term queries carry weight 1. The default
+/// is the empty query.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Query {
     terms: Vec<(TermId, f64)>,
 }

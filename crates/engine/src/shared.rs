@@ -1,91 +1,30 @@
-//! Shared query analysis: translating one broker-global analyzed query
-//! into per-collection query vectors.
+//! Shared query analysis: one broker-global analyzed query, and query
+//! vectors built from collection *statistics* alone.
 //!
 //! A metasearch broker fronts many collections, each with its own
 //! [`Vocabulary`]. Analyzing the query text once per *engine* repeats the
 //! expensive part of query processing (tokenization, stopword filtering,
 //! stemming, string hashing) `n` times. Instead the broker keeps one
 //! global vocabulary covering the union of its engines' terms, analyzes
-//! the query once against it, and uses a per-engine [`TermMap`] to
-//! translate the resulting `(global term, count)` pairs into each
-//! collection's local term ids with nothing but integer lookups.
-//!
-//! The translation is exact: a term is in the map iff it is in the
-//! collection's vocabulary, so the per-engine query vector is identical
-//! to what [`Collection::query_from_text`] would have produced.
+//! the query once against it ([`global_tf`]), and finds the engines that
+//! hold each term — and the term's local id there — in its own postings;
+//! the `(local term, count)` pairs go through
+//! [`Collection::query_from_tf`](crate::Collection::query_from_tf), or
+//! through [`weighted_query`] where the broker holds only an engine's
+//! statistics.
 
-use crate::collection::Collection;
 use crate::query::Query;
 use seu_text::{TermId, Vocabulary};
 use std::collections::HashMap;
 
-/// Maps broker-global term ids to one collection's local term ids.
-///
-/// Built once at engine-registration time; query-time lookups are binary
-/// searches over a sorted `(global, local)` pair list (cache-friendly and
-/// allocation-free).
-#[derive(Debug, Clone, Default)]
-pub struct TermMap {
-    /// `(global term id, local term id)`, sorted by global id.
-    pairs: Vec<(u32, TermId)>,
-}
-
-impl TermMap {
-    /// Builds the map for `collection`, interning every term of its
-    /// vocabulary into the broker-global `vocab`.
-    pub fn build(global: &mut Vocabulary, collection: &Collection) -> TermMap {
-        TermMap::from_vocab(global, collection.vocab())
-    }
-
-    /// Builds the map for an arbitrary local vocabulary — e.g. one a
-    /// *remote* engine shipped alongside its representative, where the
-    /// broker never holds the collection itself. Every term is interned
-    /// into the broker-global `vocab`, exactly as registration of a local
-    /// engine would.
-    pub fn from_vocab(global: &mut Vocabulary, local: &Vocabulary) -> TermMap {
-        let mut pairs: Vec<(u32, TermId)> = local
-            .iter()
-            .map(|(local_id, term)| (global.intern(term).0, local_id))
-            .collect();
-        pairs.sort_by_key(|&(g, _)| g);
-        TermMap { pairs }
-    }
-
-    /// Number of mapped terms (the collection's vocabulary size).
-    pub fn len(&self) -> usize {
-        self.pairs.len()
-    }
-
-    /// Whether the map is empty.
-    pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
-    }
-
-    /// The local id of a global term, if the collection knows it.
-    pub fn local(&self, global: u32) -> Option<TermId> {
-        self.pairs
-            .binary_search_by_key(&global, |&(g, _)| g)
-            .ok()
-            .map(|i| self.pairs[i].1)
-    }
-
-    /// Translates `(global term, count)` pairs to local `(term, count)`
-    /// pairs, dropping terms the collection does not know.
-    pub fn to_local(&self, global_tf: &[(u32, u32)]) -> Vec<(TermId, u32)> {
-        global_tf
-            .iter()
-            .filter_map(|&(g, f)| self.local(g).map(|t| (t, f)))
-            .collect()
-    }
-}
-
 /// Builds a cosine-normalized query vector from explicit term
-/// frequencies and collection *statistics* alone — no [`Collection`]
-/// required. This is [`Collection::query_from_tf`] with the collection
-/// replaced by the three numbers query weighting actually consumes
-/// (scheme, document count, per-term document frequency), so a broker
-/// can form byte-identical query vectors for a **remote** engine from
-/// metadata it shipped.
+/// frequencies and collection *statistics* alone — no
+/// [`Collection`](crate::Collection) required. This is
+/// [`Collection::query_from_tf`](crate::Collection::query_from_tf) with
+/// the collection replaced by the three numbers query weighting actually
+/// consumes (scheme, document count, per-term document frequency), so a
+/// broker can form byte-identical query vectors for a **remote** engine
+/// from metadata it shipped.
 pub fn weighted_query(
     scheme: crate::weighting::WeightingScheme,
     n_docs: u32,
@@ -123,66 +62,16 @@ pub fn global_tf(vocab: &Vocabulary, tokens: &[String]) -> Vec<(u32, u32)> {
     pairs
 }
 
-impl Collection {
-    /// Builds a query vector from broker-global `(term, count)` pairs via
-    /// this collection's [`TermMap`] — the shared-analysis equivalent of
-    /// [`Collection::query_from_text`], with no string processing.
-    pub fn query_from_shared(&self, global_tf: &[(u32, u32)], map: &TermMap) -> Query {
-        self.query_from_tf(map.to_local(global_tf))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collection::CollectionBuilder;
-    use crate::weighting::WeightingScheme;
-    use seu_text::Analyzer;
-
-    fn collection(texts: &[&str]) -> Collection {
-        let mut b = CollectionBuilder::new(Analyzer::paper_default(), WeightingScheme::CosineTf);
-        for (i, t) in texts.iter().enumerate() {
-            b.add_document(&format!("d{i}"), t);
-        }
-        b.build()
-    }
-
-    #[test]
-    fn term_map_covers_the_whole_vocabulary() {
-        let c = collection(&["apple banana", "banana cherry"]);
-        let mut global = Vocabulary::new();
-        global.intern("unrelated");
-        let map = TermMap::build(&mut global, &c);
-        assert_eq!(map.len(), c.vocab().len());
-        for (local, term) in c.vocab().iter() {
-            let g = global.get(term).unwrap();
-            assert_eq!(map.local(g.0), Some(local), "{term}");
-        }
-        // Terms outside the collection do not resolve.
-        assert_eq!(map.local(global.get("unrelated").unwrap().0), None);
-    }
-
-    #[test]
-    fn shared_query_matches_text_query() {
-        let a = collection(&["apple banana apple", "banana cherry"]);
-        let b = collection(&["cherry durian", "apple durian durian"]);
-        let mut global = Vocabulary::new();
-        let map_a = TermMap::build(&mut global, &a);
-        let map_b = TermMap::build(&mut global, &b);
-
-        for text in ["apple", "apple banana cherry", "durian zebra", ""] {
-            let tokens = Analyzer::paper_default().analyze(text);
-            let tf = global_tf(&global, &tokens);
-            assert_eq!(a.query_from_shared(&tf, &map_a), a.query_from_text(text));
-            assert_eq!(b.query_from_shared(&tf, &map_b), b.query_from_text(text));
-        }
-    }
 
     #[test]
     fn global_tf_counts_and_sorts() {
-        let c = collection(&["apple banana"]);
         let mut global = Vocabulary::new();
-        let _ = TermMap::build(&mut global, &c);
+        for term in ["unrelated", "banana", "apple"] {
+            global.intern(term);
+        }
         let tokens: Vec<String> = ["banana", "apple", "banana", "zebra"]
             .iter()
             .map(|s| s.to_string())

@@ -3,15 +3,17 @@
 //!
 //! * `broker.rs` (here): construction, registration and removal,
 //!   refresh / replace / invalidate, statuses;
-//! * `plan.rs`: analysis, the shard walk, estimates, selection;
+//! * `plan.rs`: analysis, the walk over the shards' term postings,
+//!   estimates, selection;
 //! * `dispatch.rs`: execution over the [`WorkerPool`], merging, traces;
 //! * `persist.rs`: store snapshot / restore / hydrate / attach.
 //!
-//! The [registry](crate::registry) owns entry order, epochs and gauges;
-//! the broker owns the decisions, the cache purge that follows a change
-//! and the store write-through. Every lifecycle method below is its
-//! decision handed to `ShardedRegistry::{insert, update, remove}`; to
-//! add one, call `Broker::update` and return `Change::Changed`.
+//! The [registry](crate::registry) owns entry order, epochs, term
+//! postings and gauges; the broker owns the decisions, the cache purge
+//! that follows a change and the store write-through. Every lifecycle
+//! method below is its decision handed to
+//! `ShardedRegistry::{insert, update, remove}`; to add one, call
+//! `Broker::update` and return `Change::Changed`.
 
 use crate::cache::{CacheStats, QueryCache};
 use crate::persist::StoreHandle;
@@ -41,8 +43,11 @@ pub(crate) struct BrokerMetrics {
     pub(crate) dispatch_latency: Arc<seu_obs::Histogram>,
     pub(crate) queries: Arc<seu_obs::Counter>,
     pub(crate) selects: Arc<seu_obs::Counter>,
+    /// Representatives consulted: one per engine that contained a query
+    /// term (a plan row written from the postings alone is not counted).
     pub(crate) estimates: Arc<seu_obs::Counter>,
     pub(crate) analyses: Arc<seu_obs::Counter>,
+    /// Plan rows: every registered engine.
     pub(crate) considered: Arc<seu_obs::Counter>,
     pub(crate) selected: Arc<seu_obs::Counter>,
     pub(crate) merge_hits: Arc<seu_obs::Counter>,
@@ -351,6 +356,12 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
     /// quantized one). The engine's vocabulary is folded into the
     /// broker-global vocabulary so queries are analyzed once, not once
     /// per engine.
+    ///
+    /// # Panics
+    ///
+    /// If the broker has a store and `repr` does not have one row per
+    /// term of the engine's vocabulary — the store's codec could not
+    /// write it. Nothing is registered.
     pub fn register_with_representative(
         &self,
         name: &str,
@@ -371,16 +382,16 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         repr: Representative,
         provenance: ReprProvenance,
     ) {
-        self.registry.insert(name, |seq| {
+        let registered = self.registry.insert(name, |seq| {
             let mut e = RegisteredEngine::new(name, seq, EngineHandle::Local(engine));
-            e.install(
-                &mut self.vocab.write(),
-                repr,
-                provenance,
-                self.store.as_deref(),
-            );
-            e
+            let store = self.store.as_deref();
+            e.install(&mut self.vocab.write(), repr, provenance, store)
+                .then_some(e)
         });
+        assert!(
+            registered,
+            "the representative shipped for {name:?} is not row-aligned with its collection"
+        );
         self.purge_cache();
     }
 
@@ -391,19 +402,22 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
     fn install_from_snapshot(
         &self,
         snapshot: EngineSnapshot,
-        map_fingerprint: Option<Fingerprint>,
+        terms_fingerprint: Option<Fingerprint>,
         handle: impl FnOnce(RemoteMeta) -> EngineHandle,
     ) -> Result<String, TransportError> {
         snapshot.check_consistent()?;
         let meta = RemoteMeta::from_snapshot(&snapshot);
         let name = snapshot.name;
-        self.registry.insert(&name, |seq| {
+        let registered = self.registry.insert(&name, |seq| {
             let mut e = RegisteredEngine::new(&name, seq, handle(meta.clone()));
-            let repr = snapshot.summary.repr;
-            e.install_meta(&mut self.vocab.write(), meta, repr, self.store.as_deref());
-            e.map_fingerprint = map_fingerprint;
-            e
+            let (repr, store) = (snapshot.summary.repr, self.store.as_deref());
+            let installed = e.install_meta(&mut self.vocab.write(), meta, repr, store);
+            e.terms_fingerprint = terms_fingerprint;
+            installed.then_some(e)
         });
+        if !registered {
+            return Err(EngineSnapshot::inconsistent(&name));
+        }
         self.purge_cache();
         Ok(name)
     }
@@ -448,12 +462,12 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
     ) -> Result<String, TransportError> {
         // The snapshot's vocabulary is id-aligned with the source
         // collection, so when the live engine *is* that collection the
-        // map is valid for it and planning may trust it.
-        let map_fingerprint = engine
+        // term list is valid for it and planning may trust it.
+        let terms_fingerprint = engine
             .as_ref()
             .map(|e| e.fingerprint())
             .filter(|fp| *fp == snapshot.fingerprint);
-        self.install_from_snapshot(snapshot, map_fingerprint, |meta| match engine {
+        self.install_from_snapshot(snapshot, terms_fingerprint, |meta| match engine {
             Some(engine) => EngineHandle::Local(engine),
             None => EngineHandle::Detached { meta, endpoint },
         })
@@ -497,7 +511,7 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
     /// `fingerprint`. If the registry already holds that snapshot the
     /// notice is a no-op; otherwise the broker refetches the snapshot
     /// over the engine's transport and installs it (representative, term
-    /// map, planning metadata, and provenance move together), bumping the
+    /// list, planning metadata, and provenance move together), bumping the
     /// engine's epoch and the registry epoch so outstanding plans are
     /// detectably stale and the cache entries keyed at the pre-notice
     /// epoch are dropped eagerly, not just unreachable.
@@ -588,9 +602,10 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
     /// Rebuilds the named engine's representative — from its current
     /// collection for a local engine (the paper's infrequent
     /// metadata-propagation step, §1), by refetching its snapshot for a
-    /// remote one — and, atomically with it, the engine's term map
-    /// against the broker-global vocabulary, so terms that entered the
-    /// collection after registration reach every subsequent plan. Bumps
+    /// remote one — and, atomically with it, the engine's term list
+    /// against the broker-global vocabulary (and its postings), so terms
+    /// that entered the collection after registration reach every
+    /// subsequent plan. Bumps
     /// the engine's epoch and the registry epoch. Returns false if no
     /// engine has that name or a remote refetch failed (the entry is
     /// then marked stale for the next sweep).
@@ -604,30 +619,29 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
 
     /// Replaces the named engine's representative with one it shipped
     /// (e.g. a quantized or accumulator-snapshotted one), rebuilding the
-    /// engine's term map alongside it. Bumps the engine's epoch and the
-    /// registry epoch. Returns false if no engine has that name, or if
-    /// the engine is remote (remote entries receive whole snapshots via
-    /// push invalidation or [`Broker::refresh_representative`]).
+    /// engine's term list alongside it. Bumps the engine's epoch and the
+    /// registry epoch. Returns false — and changes nothing — if no
+    /// engine has that name, if the engine is remote (remote entries
+    /// receive whole snapshots via push invalidation or
+    /// [`Broker::refresh_representative`]), or if the broker has a store
+    /// and `repr` does not have one row per term of the engine's
+    /// vocabulary (the store's codec could not write it).
     pub fn update_representative(&self, name: &str, repr: Representative) -> bool {
         self.update(name, |e| {
-            let local = e.handle.local().is_some();
-            if local {
-                let provenance = ReprProvenance::shipped(&repr);
-                e.install(
-                    &mut self.vocab.write(),
-                    repr,
-                    provenance,
-                    self.store.as_deref(),
-                );
+            let provenance = ReprProvenance::shipped(&repr);
+            let store = self.store.as_deref();
+            let installed = e.handle.local().is_some()
+                && e.install(&mut self.vocab.write(), repr, provenance, store);
+            if installed {
                 metrics().representative_refreshes.inc();
             }
-            (Change::when(local), local)
+            (Change::when(installed), installed)
         })
         .unwrap_or(false)
     }
 
     /// Swaps the named engine for a new snapshot of it **without**
-    /// touching its representative or term map — modelling a remote
+    /// touching its representative, term list or postings — modelling a remote
     /// engine that re-indexed while the broker's metadata lags behind
     /// (the paper's propagation is infrequent by design). The entry
     /// becomes stale if the new collection's fingerprint differs; a
@@ -638,10 +652,10 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
     /// snapshot lives in its own process; it announces changes with push
     /// invalidation instead).
     pub fn replace_engine(&self, name: &str, engine: SearchEngine) -> bool {
-        // Hydrate first so a restored entry's term map and canonical
+        // Hydrate first so a restored entry's term list and canonical
         // representative are in place: swapping in a collection with
         // the stored fingerprint then plans immediately (the hydrated
-        // map is id-aligned with it), and any other collection follows
+        // list is id-aligned with it), and any other collection follows
         // the usual sidelined-until-sweep path.
         self.hydrate();
         self.update(name, |e| {
@@ -655,7 +669,7 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
     }
 
     /// Sweeps the registry and rebuilds the representative (and term
-    /// map) of every engine whose collection fingerprint no longer
+    /// list) of every engine whose collection fingerprint no longer
     /// matches what its representative was built from. The comparison is
     /// O(1) per engine — fingerprints are cached at engine construction;
     /// a remote engine is stale only if a push invalidation (or a failed
@@ -723,6 +737,16 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
             epoch: cut.shard_epochs.iter().sum(),
             shard_epochs: cut.shard_epochs,
         }
+    }
+
+    /// Checks, shard by shard under its read lock, that the postings the
+    /// registry keeps incrementally are exactly what posting every entry
+    /// from scratch would give; `Err` says where they first differ. The
+    /// reference `tests/index_ledger.rs` holds every lifecycle path to
+    /// (always compiled: a `tests/` binary links the crate as shipped).
+    #[doc(hidden)]
+    pub fn audit_postings(&self) -> Result<(), String> {
+        self.registry.audit_postings()
     }
 
     /// The current registry epoch — the sum of the per-shard epochs,

@@ -8,10 +8,13 @@
 //! pipeline:
 //!
 //! 1. [`Broker::plan`] analyzes the [`SearchRequest`]'s text **once**
-//!    against the global vocabulary, translates it into every engine's
-//!    local term space, predicts `(NoDoc, AvgSim)` for every engine from
-//!    its representative alone (the configured [`UsefulnessEstimator`]),
-//!    and applies the [`SelectionPolicy`] → a [`QueryPlan`];
+//!    against the global vocabulary, finds the engines that contain a
+//!    query term in the registry's term postings, translates the query
+//!    into each one's local term space and predicts its `(NoDoc,
+//!    AvgSim)` from its representative alone (the configured
+//!    [`UsefulnessEstimator`]) — every other engine's estimate is
+//!    exactly `(0, 0)` — and applies the [`SelectionPolicy`] → a
+//!    [`QueryPlan`];
 //! 2. [`Broker::execute`] dispatches the plan's selected engines over a
 //!    bounded worker pool and merges their results by global similarity
 //!    → a [`SearchResponse`] with hits, optional estimates, and
@@ -23,7 +26,7 @@
 //!
 //! Representatives have a **lifecycle**: every registry entry is
 //! epoch-versioned and records the fingerprint of the collection its
-//! representative and term map were built from, so staleness is
+//! representative and term list were built from, so staleness is
 //! detectable ([`Broker::engine_statuses`], [`Broker::is_stale`]) and
 //! repairable in one sweep ([`Broker::refresh_if_stale`]). Plans record
 //! the registry epoch they were made against; executing or re-estimating
@@ -53,6 +56,7 @@ pub mod merge;
 mod persist;
 pub mod plan;
 pub mod pool;
+mod postings;
 pub mod registry;
 pub mod remote;
 pub mod request;

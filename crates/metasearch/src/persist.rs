@@ -14,7 +14,16 @@
 //! bit-identical to those a restored broker computes after decoding
 //! the very same bytes from disk. Even when a write fails, the broker
 //! still installs the in-memory round-trip so its behaviour does not
-//! depend on disk health.
+//! depend on disk health. What the codec cannot encode at all — a
+//! record whose rows do not align — [`canonical`] refuses *before* an
+//! installer assigns anything.
+//!
+//! Hydration is the third installer: a cold entry has no term list and
+//! therefore no postings, `hydrate_entry` fills the list in from the
+//! stored vocabulary, and the registry posts it although no epoch moves
+//! (any path that changes a representative re-posts the engine's terms;
+//! see [`crate::registry`]). Re-attaching content with the stored
+//! fingerprint keeps the list and posts nothing.
 //!
 //! The store half of `impl Broker` lives here as well: snapshotting the
 //! registry into a manifest, restoring it cold, hydrating it from the
@@ -24,11 +33,13 @@
 //! [`ReprStore::put`]: seu_store::ReprStore::put
 
 use crate::broker::{metrics, Broker};
-use crate::registry::{Change, ColdEntry, EngineHandle, RegisteredEngine, ReprProvenance};
+use crate::registry::{
+    global_ids, Change, ColdEntry, EngineHandle, RegisteredEngine, ReprProvenance,
+};
 use crate::remote::{RemoteMeta, RemoteTransport, TransportError};
 use parking_lot::{Mutex, RwLock};
 use seu_core::UsefulnessEstimator;
-use seu_engine::{Fingerprint, SearchEngine, TermMap};
+use seu_engine::{Fingerprint, SearchEngine};
 use seu_repr::Representative;
 use seu_store::{codec, EngineRecord, EntryKind, Manifest, ManifestEntry, ReprStore, StoreError};
 use seu_text::Vocabulary;
@@ -101,18 +112,25 @@ impl StoreHandle {
 /// the fingerprint it is stored under — serving the round-trip is what
 /// keeps a live broker bit-identical with one restored from the store
 /// later. Without a store, `repr` itself.
+///
+/// `None` if there is a store and it cannot take the record: its rows
+/// (vocabulary, document frequencies, representative) do not align, which
+/// the codec would refuse by panicking. An installer asks this first and
+/// assigns nothing when refused, so a misaligned representative leaves
+/// the entry whole instead of torn under two write locks.
 pub(crate) fn canonical(
     store: Option<&StoreHandle>,
     repr: Representative,
     record: impl FnOnce(&Representative) -> EngineRecord,
-) -> (Arc<Representative>, Option<Fingerprint>) {
-    match store {
-        Some(store) => {
-            let canonical = store.canonicalize(&record(&repr));
-            (canonical.repr.clone(), Some(canonical.fingerprint))
-        }
-        None => (Arc::new(repr), None),
-    }
+) -> Option<(Arc<Representative>, Option<Fingerprint>)> {
+    let Some(store) = store else {
+        return Some((Arc::new(repr), None));
+    };
+    let record = record(&repr);
+    record.is_consistent().then(|| {
+        let canonical = store.canonicalize(&record);
+        (canonical.repr.clone(), Some(canonical.fingerprint))
+    })
 }
 
 /// Builds the storable record for a local engine's representative.
@@ -155,10 +173,11 @@ pub(crate) fn record_for_remote(
 }
 
 /// Hydrates one cold entry: decodes the stored record, rebuilds the
-/// entry's planning metadata and term map from it, and installs the
+/// entry's planning metadata and term list from it, and installs the
 /// canonical representative. Booked as [`Change::Unchanged`]: every
 /// plan hydrates first, so no plan (or cache entry) can have observed
-/// the placeholder state. A missing or unreadable record marks its
+/// the placeholder state — the registry posts the entry all the same,
+/// because its term list is a new one. A missing or unreadable record marks its
 /// entry `pending_invalidation` (surfaced as stale, reconciled by
 /// attach) and stashes the error for the next `snapshot_registry`,
 /// instead of re-reading the store on every plan.
@@ -179,13 +198,13 @@ fn hydrate_entry(e: &mut RegisteredEngine, vocab: &RwLock<Vocabulary>, store: &S
                 fingerprint: record.fingerprint,
             };
             // The record's vocabulary is written in the source
-            // collection's term-id order, so this map is valid for
+            // collection's term-id order, so this list is valid for
             // any collection with the same fingerprint — which is
             // what lets `replace_engine`/`attach_engine` with
             // identical content plan immediately, exactly like a
             // never-restarted broker.
-            e.map = TermMap::from_vocab(&mut vocab.write(), &meta.vocab);
-            e.map_fingerprint = Some(record.fingerprint);
+            e.terms = global_ids(&mut vocab.write(), &meta.vocab);
+            e.terms_fingerprint = Some(record.fingerprint);
             e.repr = record.repr.clone();
             e.handle = EngineHandle::Detached { meta, endpoint };
         }
@@ -311,9 +330,9 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
 
     /// Re-attaches a live local engine to a restored (detached) entry.
     /// If the engine's collection fingerprint matches the stored record
-    /// the hydrated canonical representative and term map are kept —
-    /// estimates stay bit-identical to the broker that wrote the
-    /// snapshot; otherwise the representative and map are rebuilt from
+    /// the hydrated canonical representative and term list are kept
+    /// (nothing is re-posted) — estimates stay bit-identical to the
+    /// broker that wrote the snapshot; otherwise both are rebuilt from
     /// the new collection (and written through the store). Bumps the
     /// entry's epoch and the registry epoch either way. Returns false
     /// if no detached entry has that name.
@@ -324,12 +343,12 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
                 return (Change::Unchanged, false);
             }
             let engine = Arc::new(engine);
-            let same = e.map_fingerprint == Some(engine.fingerprint()) && !e.pending_invalidation;
+            let same = e.terms_fingerprint == Some(engine.fingerprint()) && !e.pending_invalidation;
             e.handle = EngineHandle::Local(engine);
             if same {
                 // Same collection content as the stored record: the
-                // hydrated map is id-aligned with it and the canonical
-                // representative describes it.
+                // hydrated term list is id-aligned with it and the
+                // canonical representative describes it.
                 e.provenance = match e.provenance {
                     ReprProvenance::Shipped { .. } => e.provenance,
                     _ => ReprProvenance::Local(e.stored_fingerprint.expect("hydrated from store")),
@@ -376,7 +395,7 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
             e.handle = EngineHandle::Remote { transport, meta };
             metrics().representative_refreshes.inc();
             let installed = if same {
-                e.map_fingerprint = None;
+                e.terms_fingerprint = None;
                 Ok(true)
             } else {
                 e.install_remote(&mut self.vocab.write(), snapshot, self.store.as_deref())
@@ -422,7 +441,7 @@ fn manifest_entry(e: &RegisteredEngine) -> Result<ManifestEntry, StoreError> {
 
 /// The registry entry a manifest row restores to: detached, cold, with
 /// placeholders where hydration will put the representative, the term
-/// map and the vocabulary — enough for statuses and staleness, and no
+/// list and the vocabulary — enough for statuses and staleness, and no
 /// plan can observe them (plans hydrate first).
 fn cold_entry(e: &ManifestEntry) -> RegisteredEngine {
     let fp = e.fingerprint;
@@ -454,8 +473,8 @@ fn cold_entry(e: &ManifestEntry) -> RegisteredEngine {
             Vec::new(),
             fp.raw_bytes,
         )),
-        map: TermMap::default(),
-        map_fingerprint: None,
+        terms: Arc::from([]),
+        terms_fingerprint: None,
         epoch: e.epoch,
         provenance,
         pending_invalidation: false,

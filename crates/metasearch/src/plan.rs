@@ -3,13 +3,21 @@
 //! contacted.
 //!
 //! [`Broker::plan`] analyzes the request's query text **once** per
-//! distinct analyzer configuration (almost always exactly once) against
-//! the broker-global vocabulary, translates the result into each engine's
-//! local term space through its registration-time
-//! [`TermMap`](seu_engine::TermMap), estimates every engine's usefulness,
-//! and applies the selection policy. The resulting [`QueryPlan`] is
-//! self-contained — it holds shared handles to the engines and their
-//! representatives — so it stays valid even if the registry changes
+//! distinct analyzer configuration (almost always exactly once; the
+//! configurations come from the shards' own sets, no entry is visited)
+//! against the broker-global vocabulary, and looks the resulting global
+//! term ids up in each shard's term postings. An engine the postings
+//! name gets the query translated into its local term space — the
+//! postings carry the local ids — and its usefulness estimated; an
+//! engine they do not name contains no query term, so its generating
+//! function is the constant 1 (paper Prop. 1) and its row is written as
+//! the empty query with `Usefulness::default()`, without a look at its
+//! vocabulary or its representative (the estimators' side of that
+//! bargain is the contract on [`UsefulnessEstimator`]). Then the
+//! selection policy is applied. The plan lists **every** registered
+//! engine either way. The resulting [`QueryPlan`] is self-contained — it
+//! holds shared handles to the engines and the representatives it
+//! consulted — so it stays valid even if the registry changes
 //! afterwards, and it can be re-estimated at other thresholds without
 //! re-analysis ([`Broker::reestimate`]).
 //!
@@ -20,19 +28,24 @@
 //! plan's `epoch` is the broker-global epoch read *before* the analysis
 //! pass: a lifecycle event landing mid-plan makes it detectably stale.
 //!
+//! Counters: `broker_engines_considered_total` counts plan rows (every
+//! engine); `broker_estimates_total` — like the estimators' own
+//! `estimator_*_invocations_total` — counts the representatives actually
+//! consulted, i.e. the engines that contained a query term.
+//!
 //! [`Broker::plan`]: crate::Broker::plan
 //! [`Broker::reestimate`]: crate::Broker::reestimate
 
 use crate::broker::{metrics, Broker, EngineEstimate};
 use crate::cache::{CacheKey, CacheTier, CachedValue};
-use crate::registry::{EngineHandle, RegisteredEngine, StalePlanError};
+use crate::registry::{EngineHandle, Hit, RegisteredEngine, StalePlanError};
 use crate::request::SearchRequest;
 use crate::selection::SelectionPolicy;
 use seu_core::{Usefulness, UsefulnessEstimator};
 use seu_engine::{Query, SearchEngine};
 use seu_obs::TraceHandle;
 use seu_repr::Representative;
-use seu_text::{Analyzer, AnalyzerConfig};
+use seu_text::{Analyzer, AnalyzerConfig, TermId};
 use std::sync::Arc;
 
 /// The shared analysis of one query text: `(global term id, count)`
@@ -40,8 +53,8 @@ use std::sync::Arc;
 /// engines. Produced by [`Broker::analyze`](crate::Broker::analyze).
 #[derive(Debug, Clone, Default)]
 pub struct SharedAnalysis {
-    /// One entry per distinct analyzer configuration, in registration
-    /// order of first appearance.
+    /// One entry per distinct analyzer configuration, in a fixed order;
+    /// each list is sorted by global term id.
     pub(crate) per_config: Vec<(AnalyzerConfig, Vec<(u32, u32)>)>,
 }
 
@@ -60,6 +73,27 @@ impl SharedAnalysis {
     pub fn configs(&self) -> usize {
         self.per_config.len()
     }
+
+    /// Every global term id the query has under some configuration,
+    /// sorted: what a plan looks up in the registry's postings.
+    fn terms(&self) -> Vec<u32> {
+        let lists = self.per_config.iter().flat_map(|(_, tf)| tf);
+        let mut terms: Vec<u32> = lists.map(|&(term, _)| term).collect();
+        terms.sort_unstable();
+        terms.dedup();
+        terms
+    }
+}
+
+/// An entry's hits as local `(term, count)` pairs, counted by `tf` —
+/// the analysis under the entry's *own* analyzer configuration. A hit on
+/// a term the query only has under another configuration (the stem of
+/// one engine can be a whole word of another) is not the entry's.
+fn local_tf<'a>(tf: &'a [(u32, u32)], hits: &'a [Hit]) -> impl Iterator<Item = (TermId, u32)> + 'a {
+    hits.iter().filter_map(|hit| {
+        let at = tf.binary_search_by_key(&hit.term, |&(term, _)| term).ok()?;
+        Some((hit.local, tf[at].1))
+    })
 }
 
 /// One engine's slice of a [`QueryPlan`]: its translated query vector,
@@ -72,8 +106,11 @@ pub struct PlannedEngine {
     pub usefulness: Usefulness,
     /// The query translated into this engine's term space.
     pub(crate) query: Query,
-    /// The engine's representative (for re-estimation).
-    pub(crate) repr: Arc<Representative>,
+    /// The engine's representative (for re-estimation); `None` where
+    /// no query term occurs in the engine, so that none was consulted:
+    /// the empty query estimates `Usefulness::default()` at any
+    /// threshold.
+    pub(crate) repr: Option<Arc<Representative>>,
     /// How to reach the engine (for dispatch): in-process or over a
     /// transport.
     pub(crate) handle: EngineHandle,
@@ -171,30 +208,32 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
     /// term space without further string processing, and can be reused
     /// across thresholds.
     pub fn analyze(&self, query_text: &str) -> SharedAnalysis {
-        // Distinct configs in exact registration order (first occurrence
-        // wins), regardless of which shard each engine landed in.
-        let mut configs: Vec<AnalyzerConfig> = Vec::new();
-        for config in self.registry.walk(|_, e| e.handle.analyzer_config()).items {
-            if !configs.contains(&config) {
-                configs.push(config);
-            }
-        }
-        let vocab = self.vocab.read();
+        // The shards' own configuration sets: no entry is visited.
+        // Tokenizing and stemming need no lock; registrations and
+        // refreshes intern under `vocab.write()`, so the read lock is
+        // held for the id look-ups alone.
         let m = metrics();
-        let per_config = configs
+        let analyzed: Vec<(AnalyzerConfig, Vec<String>)> = self
+            .registry
+            .configs()
             .into_iter()
             .map(|config| {
                 m.analyses.inc();
-                let tokens = Analyzer::new(config).analyze(query_text);
-                (config, seu_engine::shared::global_tf(&vocab, &tokens))
+                (config, Analyzer::new(config).analyze(query_text))
             })
+            .collect();
+        let vocab = self.vocab.read();
+        let per_config = analyzed
+            .into_iter()
+            .map(|(config, tokens)| (config, seu_engine::shared::global_tf(&vocab, &tokens)))
             .collect();
         SharedAnalysis { per_config }
     }
 
     /// Plans a request: one shared analysis pass, a query vector and a
-    /// usefulness estimate per engine, and the policy's invocation set.
-    /// No engine is contacted.
+    /// usefulness estimate per engine — computed for the engines that
+    /// contain a query term, `(0, 0)` by construction for the rest —
+    /// and the policy's invocation set. No engine is contacted.
     ///
     /// Passing `Some(trace)` records spans into the active trace: one
     /// `plan` span with `analyze`, per-shard `shard_walk`, and `select`
@@ -268,41 +307,59 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
                 }
             };
         // Per-engine estimates are independent, so only the presentation
-        // order matters, and the walk restores registration order.
+        // order matters, and the walk restores registration order. The
+        // registry's postings say which entries hold a query term; every
+        // other entry holds none, its generating function is the
+        // constant 1 (paper Prop. 1) and its row the empty query with a
+        // zero estimate — written without touching its vocabulary or
+        // its representative.
+        let mut consulted = 0u64;
         let walk = self.registry.walk_with(
-            |shard, engines| {
+            &analysis.terms(),
+            |view| {
                 let mut shard_span = trace.child_span("shard_walk", plan_span_id);
-                shard_span.attr("shard", shard);
-                shard_span.attr("engines", engines);
-                m.estimates.add(engines as u64);
-                shard_span
+                shard_span.attr("shard", view.shard);
+                shard_span.attr("engines", view.engines);
+                // An engine whose configuration the analysis did not
+                // cover (registered since) is analyzed directly, hits
+                // or none; a shard without one skips by hits alone.
+                let covered = view.configs().all(|c| analysis.tf_for(c).is_some());
+                (shard_span, covered)
             },
-            |_, e| {
+            |(_, covered), e, hits| {
+                let idle = || PlannedEngine {
+                    name: e.name.clone(),
+                    usefulness: Usefulness::default(),
+                    query: Query::default(),
+                    repr: None,
+                    handle: e.handle.clone(),
+                };
+                if hits.is_empty() && *covered {
+                    return idle();
+                }
                 let query = match &e.handle {
                     EngineHandle::Local(engine) => {
                         let collection = engine.collection();
-                        // The term map is only valid against the exact
+                        // The term list (and so the local ids the hits
+                        // carry) is only valid against the exact
                         // collection it was built from. replace_engine
-                        // swaps the collection without rebuilding the
-                        // map, so until a refresh reconciles them the
-                        // map's local ids may be out of range (or mean
-                        // different terms) in the live collection, and
-                        // the representative still describes the old
-                        // one — no query vector can be consistent with
-                        // both. A mid-propagation entry therefore
-                        // contributes nothing (empty query, zero
-                        // estimate, zero hits) until the sweep
-                        // reconciles it, instead of panicking inside
-                        // query weighting or estimating through
-                        // mismatched term ids.
-                        let aligned = e.map_fingerprint == Some(engine.fingerprint());
-                        match (aligned, analysis.tf_for(collection.analyzer_config())) {
-                            (true, Some(tf)) => collection.query_from_shared(tf, &e.map),
-                            // An engine with a config the analysis pass
-                            // did not cover (registered concurrently):
-                            // analyze directly.
-                            (true, None) => collection.query_from_text(&req.query),
-                            (false, _) => collection.query_from_tf(Vec::new()),
+                        // swaps the collection without rebuilding it,
+                        // so until a refresh reconciles them the local
+                        // ids may be out of range (or mean different
+                        // terms) in the live collection, and the
+                        // representative still describes the old one —
+                        // no query vector can be consistent with both.
+                        // A mid-propagation entry therefore contributes
+                        // nothing (empty query, zero estimate, zero
+                        // hits) until the sweep reconciles it, instead
+                        // of panicking inside query weighting or
+                        // estimating through mismatched term ids.
+                        if e.terms_fingerprint != Some(engine.fingerprint()) {
+                            return idle();
+                        }
+                        match analysis.tf_for(collection.analyzer_config()) {
+                            Some(tf) => collection.query_from_tf(local_tf(tf, hits)),
+                            None => collection.query_from_text(&req.query),
                         }
                     }
                     // A restored (detached) entry plans exactly like a
@@ -313,21 +370,22 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
                     // handle.
                     EngineHandle::Remote { meta, .. } | EngineHandle::Detached { meta, .. } => {
                         match analysis.tf_for(meta.analyzer) {
-                            Some(tf) => meta.query_from_shared(tf, &e.map),
+                            Some(tf) => meta.query_from_tf(local_tf(tf, hits)),
                             None => meta.query_from_text(&req.query),
                         }
                     }
                 };
-                let usefulness = self.estimator.estimate(&e.repr, &query, req.threshold);
+                consulted += 1;
                 PlannedEngine {
                     name: e.name.clone(),
-                    usefulness,
+                    usefulness: self.estimator.estimate(&e.repr, &query, req.threshold),
                     query,
-                    repr: e.repr.clone(),
+                    repr: Some(e.repr.clone()),
                     handle: e.handle.clone(),
                 }
             },
         );
+        m.estimates.add(consulted);
         let planned = walk.items;
         let us: Vec<Usefulness> = planned.iter().map(|e| e.usefulness).collect();
         let selected = {
@@ -404,15 +462,17 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
             span.attr("stale", "true");
             return Err(stale);
         }
-        metrics().estimates.add(plan.engines.len() as u64);
-        Ok(plan
-            .engines
-            .iter()
-            .map(|e| EngineEstimate {
-                engine: e.name.clone(),
-                usefulness: self.estimator.estimate(&e.repr, &e.query, threshold),
-            })
-            .collect())
+        let mut consulted = 0;
+        let estimates = plan.engines.iter().map(|e| EngineEstimate {
+            engine: e.name.clone(),
+            usefulness: e.repr.as_ref().map_or_else(Usefulness::default, |repr| {
+                consulted += 1;
+                self.estimator.estimate(repr, &e.query, threshold)
+            }),
+        });
+        let estimates = estimates.collect();
+        metrics().estimates.add(consulted);
+        Ok(estimates)
     }
 
     /// Re-estimates a plan's engines at a different threshold,

@@ -10,7 +10,7 @@
 //!   bumped on any change to the entry (representative refresh or
 //!   replacement, engine snapshot swap);
 //! * the entry records the [`Fingerprint`] of the collection its
-//!   representative and term map were built from, so a sweep
+//!   representative and term list were built from, so a sweep
 //!   (`Broker::refresh_if_stale`) can compare it against the engine's
 //!   current fingerprint and rebuild only what actually changed;
 //! * a [`QueryPlan`](crate::QueryPlan) records the broker-wide registry
@@ -20,14 +20,18 @@
 //!   [`StalePlanError`] under [`StaleMode::Error`](crate::StaleMode)).
 //!
 //! The headline invariant: **any** path that changes a representative
-//! also rebuilds the engine's `TermMap` against the broker-global
-//! vocabulary. Terms added to a collection after registration therefore
-//! reach the global vocabulary and every subsequent plan, instead of
-//! being silently dropped from query translation.
+//! re-posts the engine's terms. The three installers
+//! (`RegisteredEngine::install`, `install_meta` and the store's
+//! `hydrate_entry`) build the representative and the entry's term list —
+//! its vocabulary as broker-global term ids — together, and the registry
+//! posts a replaced list into the shard's postings before it unlocks.
+//! Terms added to a collection after registration therefore reach the
+//! global vocabulary and every subsequent plan, instead of being
+//! silently dropped from query translation.
 //!
 //! # Who owns what
 //!
-//! `ShardedRegistry` keeps its own books; three things live here and
+//! `ShardedRegistry` keeps its own books; four things live here and
 //! nowhere else:
 //!
 //! * **order** — `ShardedRegistry::walk` is the one cross-shard read
@@ -38,13 +42,25 @@
 //!   Each takes the owning shard's write lock, and an entry's epoch and
 //!   its shard's move together, once, when the caller's closure reports
 //!   `Change::Changed`;
+//! * **postings** — each shard keeps, under that same lock, a
+//!   `TermIndex`: broker-global term id → the entries that hold the
+//!   term and its local id there, plus the analyzer configurations
+//!   present. The same calls (and `load`) keep it current
+//!   *incrementally*: an entry is posted when it appears, unposted (and
+//!   the later positions shifted) when it leaves, and re-posted exactly
+//!   when a closure left it with another term list — epoch or no epoch:
+//!   hydration reports `Unchanged` and posts. The planner's
+//!   `ShardedRegistry::walk_with` reads it, so a plan consults the
+//!   vocabulary and representative of the engines that contain a query
+//!   term and of no others; `ShardedRegistry::audit_postings` is the
+//!   from-scratch reference `tests/index_ledger.rs` holds it to;
 //! * **gauges** — the same calls republish the shard's share of
 //!   `broker_registry_engines` / `broker_representative_bytes_resident`
 //!   before they unlock; dropping the registry retracts it.
 //!
 //! The broker decides *what* happens to an entry, purges its query
 //! cache after a change and writes through its store; it never touches
-//! a lock, an epoch or a gauge.
+//! a lock, an epoch, a posting or a gauge.
 //!
 //! # Sharding
 //!
@@ -61,13 +77,14 @@
 
 use crate::persist::{canonical, record_for_local, record_for_remote, StoreHandle};
 use crate::pool::{JobStatus, WorkerPool};
+use crate::postings::{Posting, TermIndex};
 use crate::remote::{
     EngineSnapshot, RemoteMeta, RemoteTransport, TransportError, TransportErrorKind,
 };
 use parking_lot::RwLock;
-use seu_engine::{Fingerprint, SearchEngine, TermMap, WeightingScheme};
+use seu_engine::{Fingerprint, SearchEngine, WeightingScheme};
 use seu_repr::Representative;
-use seu_text::{AnalyzerConfig, Vocabulary};
+use seu_text::{AnalyzerConfig, TermId, Vocabulary};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -137,7 +154,7 @@ pub(crate) fn register_metrics() {
 ///   [`RegistrySnapshot`] exposes the pieces so tests can assert this
 ///   under concurrency.
 struct Shard {
-    entries: RwLock<Vec<RegisteredEngine>>,
+    entries: RwLock<Entries>,
     epoch: AtomicU64,
     /// What this shard last published to the engine-count gauges, so
     /// republication is a delta (several brokers sum) and dropping the
@@ -148,6 +165,36 @@ struct Shard {
     /// The `…_shard_<i>` pair; `None` in a flat (1-shard) registry,
     /// which keeps the historical metric surface.
     gauges: Option<SizeGauges>,
+}
+
+/// What a shard's lock guards: the entries, in registration order, and
+/// the postings over their term lists. The only places an entry appears,
+/// changes or leaves (`insert`, `remove`, `load`, and `book` behind
+/// `update` / `update_all`) keep `index` equal to what posting every
+/// entry of `list` from scratch would give (see
+/// [`ShardedRegistry::audit_postings`]).
+#[derive(Default)]
+struct Entries {
+    list: Vec<RegisteredEngine>,
+    index: TermIndex,
+}
+
+impl Entries {
+    /// Posts the entry at `pos` (and counts its analyzer configuration).
+    fn post(&mut self, pos: usize) {
+        post(&mut self.index, pos, &self.list[pos]);
+    }
+}
+
+/// Posts `entry`, which sits at `pos` of its shard, into `index`.
+fn post(index: &mut TermIndex, pos: usize, entry: &RegisteredEngine) {
+    index.add_config(entry.handle.analyzer_config());
+    index.post(position(pos), &entry.terms);
+}
+
+/// An entry's position in its shard, as postings name it.
+fn position(pos: usize) -> u32 {
+    u32::try_from(pos).expect("a shard holds fewer than 2^32 entries")
 }
 
 /// What a lifecycle closure did to the entry it was handed.
@@ -179,9 +226,36 @@ pub(crate) struct Cut<T> {
     pub(crate) shard_epochs: Vec<u64>,
 }
 
+/// One shard as a walk finds it on taking its lock.
+pub(crate) struct ShardView<'a> {
+    /// Which shard.
+    pub(crate) shard: usize,
+    /// How many entries it holds.
+    pub(crate) engines: usize,
+    index: &'a TermIndex,
+}
+
+impl ShardView<'_> {
+    /// The analyzer configurations among the shard's entries.
+    pub(crate) fn configs(&self) -> impl Iterator<Item = AnalyzerConfig> + '_ {
+        self.index.configs()
+    }
+}
+
+/// One of a walk's terms found in the entry being visited.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Hit {
+    /// The entry's position in its shard (what the walk groups by).
+    entry: u32,
+    /// The broker-global id the walk was asked to look up.
+    pub(crate) term: u32,
+    /// The id the entry's own term space gives the term.
+    pub(crate) local: TermId,
+}
+
 /// Registration order: the one place a cross-shard view is sorted.
 fn in_order<T>(mut tagged: Vec<(u64, T)>) -> Vec<T> {
-    tagged.sort_unstable_by_key(|&(seq, _)| seq);
+    tagged.sort_by_key(|&(seq, _)| seq);
     tagged.into_iter().map(|(_, item)| item).collect()
 }
 
@@ -205,7 +279,7 @@ impl ShardedRegistry {
         ShardedRegistry {
             shards: (0..n_shards)
                 .map(|i| Shard {
-                    entries: RwLock::new(Vec::new()),
+                    entries: RwLock::new(Entries::default()),
                     epoch: AtomicU64::new(0),
                     gauge_engines: AtomicU64::new(0),
                     gauge_repr_bytes: AtomicU64::new(0),
@@ -247,7 +321,10 @@ impl ShardedRegistry {
 
     /// Total registered engines (takes each shard's read lock briefly).
     pub(crate) fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.entries.read().len()).sum()
+        self.shards
+            .iter()
+            .map(|s| s.entries.read().list.len())
+            .sum()
     }
 
     /// How many restored entries are still cold.
@@ -263,7 +340,23 @@ impl ShardedRegistry {
         read: impl FnOnce(&RegisteredEngine) -> T,
     ) -> Option<T> {
         let entries = self.shard_of(name).entries.read();
-        entries.iter().find(|e| e.name == name).map(read)
+        entries.list.iter().find(|e| e.name == name).map(read)
+    }
+
+    /// The analyzer configurations among the entries, in a fixed order
+    /// (whatever the shard count): each shard's own set, read under its
+    /// lock — no entry is visited.
+    pub(crate) fn configs(&self) -> Vec<AnalyzerConfig> {
+        let mut all: Vec<AnalyzerConfig> = Vec::new();
+        for shard in &self.shards {
+            for config in shard.entries.read().index.configs() {
+                if !all.contains(&config) {
+                    all.push(config);
+                }
+            }
+        }
+        all.sort_unstable_by_key(|c| (c.remove_stopwords, c.stem));
+        all
     }
 
     /// The one ordered cross-shard read. One shard's read lock at a
@@ -272,26 +365,52 @@ impl ShardedRegistry {
     /// shard the items and the epoch are one consistent cut. The items
     /// `visit(shard index, entry)` makes come back in the order a flat
     /// registry would have had.
-    pub(crate) fn walk<T>(&self, visit: impl FnMut(usize, &RegisteredEngine) -> T) -> Cut<T> {
-        self.walk_with(|_, _| (), visit)
+    pub(crate) fn walk<T>(&self, mut visit: impl FnMut(usize, &RegisteredEngine) -> T) -> Cut<T> {
+        self.walk_with(&[], |view| view.shard, |shard, e, _| visit(*shard, e))
     }
 
-    /// [`ShardedRegistry::walk`] with `enter(shard index, entries)`
-    /// called as each shard's lock is taken; what it returns is dropped
-    /// just before the lock is (the planner's per-shard span).
+    /// [`ShardedRegistry::walk`] for the planner. `enter(shard)` is
+    /// called as each shard's lock is taken; what it returns is handed
+    /// to every `visit` of that shard and dropped just before the lock
+    /// is (the per-shard span). `visit` also gets the entry's hits:
+    /// which of `terms` (broker-global ids) the shard's postings place
+    /// in the entry, and under which local id — empty for an entry that
+    /// holds none of them, without its vocabulary being looked at.
     pub(crate) fn walk_with<G, T>(
         &self,
-        mut enter: impl FnMut(usize, usize) -> G,
-        mut visit: impl FnMut(usize, &RegisteredEngine) -> T,
+        terms: &[u32],
+        mut enter: impl FnMut(&ShardView) -> G,
+        mut visit: impl FnMut(&mut G, &RegisteredEngine, &[Hit]) -> T,
     ) -> Cut<T> {
-        let mut tagged: Vec<(u64, T)> = Vec::new();
+        let expected = self
+            .shards
+            .iter()
+            .map(|s| s.gauge_engines.load(Ordering::SeqCst));
+        let mut tagged: Vec<(u64, T)> = Vec::with_capacity(expected.sum::<u64>() as usize);
         let mut shard_epochs = Vec::with_capacity(self.shards.len());
+        let mut hits: Vec<Hit> = Vec::new();
         for (idx, shard) in self.shards.iter().enumerate() {
             let entries = shard.entries.read();
             shard_epochs.push(shard.epoch.load(Ordering::SeqCst));
-            let _entered = enter(idx, entries.len());
+            hits.clear();
+            for &term in terms {
+                let found = entries.index.postings(term).iter();
+                hits.extend(found.map(|&Posting { entry, local }| Hit { entry, term, local }));
+            }
+            hits.sort_unstable_by_key(|hit| hit.entry);
+            let mut entered = enter(&ShardView {
+                shard: idx,
+                engines: entries.list.len(),
+                index: &entries.index,
+            });
+            let mut rest = hits.as_slice();
             // An exact-size `map`: each item is built in its slot.
-            tagged.extend(entries.iter().map(|e| (e.seq, visit(idx, e))));
+            tagged.extend(entries.list.iter().enumerate().map(|(pos, e)| {
+                let mine = rest.iter().take_while(|hit| hit.entry as usize == pos);
+                let (mine, later) = rest.split_at(mine.count());
+                rest = later;
+                (e.seq, visit(&mut entered, e, mine))
+            }));
         }
         Cut {
             items: in_order(tagged),
@@ -299,32 +418,52 @@ impl ShardedRegistry {
         }
     }
 
-    /// Adds the entry `build` makes for the sequence number it is
-    /// handed. `build` runs under the routed shard's write lock, so it
-    /// may lock the vocabulary (`entries` before `vocab`, everywhere);
-    /// no other shard is locked.
-    pub(crate) fn insert(&self, name: &str, build: impl FnOnce(u64) -> RegisteredEngine) {
+    /// Adds (and posts) the entry `build` makes for the sequence number
+    /// it is handed; `false`, and nothing added, if it makes none — the
+    /// sequence number is then never used, which leaves a gap in an
+    /// order, nothing more. `build` runs under the routed shard's write
+    /// lock, so it may lock the vocabulary (`entries` before `vocab`,
+    /// everywhere); no other shard is locked.
+    pub(crate) fn insert(
+        &self,
+        name: &str,
+        build: impl FnOnce(u64) -> Option<RegisteredEngine>,
+    ) -> bool {
         let shard = self.shard_of(name);
         let mut entries = shard.entries.write();
-        entries.push(build(self.seq.fetch_add(1, Ordering::SeqCst)));
+        let Some(entry) = build(self.seq.fetch_add(1, Ordering::SeqCst)) else {
+            return false;
+        };
+        entries.list.push(entry);
+        let pos = entries.list.len() - 1;
+        entries.post(pos);
         shard.epoch.fetch_add(1, Ordering::SeqCst);
-        self.publish(shard, &entries);
+        self.publish(shard, &entries.list);
+        true
     }
 
-    /// Removes the named entry, bumping the shard epoch so outstanding
-    /// plans that include it are detectably stale. `false` for an
-    /// unknown name.
+    /// Removes the named entry and its postings, bumping the shard epoch
+    /// so outstanding plans that include it are detectably stale.
+    /// `false` for an unknown name.
     pub(crate) fn remove(&self, name: &str) -> bool {
         let shard = self.shard_of(name);
         let mut entries = shard.entries.write();
-        let Some(pos) = entries.iter().position(|e| e.name == name) else {
+        let Some(pos) = entries.list.iter().position(|e| e.name == name) else {
             return false;
         };
-        if entries.remove(pos).cold.is_some() {
+        // Every later entry moves up one slot, and the postings name
+        // entries by slot: removal is O(shard) twice over.
+        let removed = entries.list.remove(pos);
+        entries.index.unpost(position(pos), &removed.terms);
+        entries.index.close_gap(position(pos));
+        entries
+            .index
+            .remove_config(removed.handle.analyzer_config());
+        if removed.cold.is_some() {
             self.cold.fetch_sub(1, Ordering::SeqCst);
         }
         shard.epoch.fetch_add(1, Ordering::SeqCst);
-        self.publish(shard, &entries);
+        self.publish(shard, &entries.list);
         true
     }
 
@@ -337,10 +476,10 @@ impl ShardedRegistry {
     ) -> Option<(Change, T)> {
         let shard = self.shard_of(name);
         let mut entries = shard.entries.write();
-        let entry = entries.iter_mut().find(|e| e.name == name)?;
-        let (resized, booked) = self.book(shard, entry, f);
+        let pos = entries.list.iter().position(|e| e.name == name)?;
+        let (resized, booked) = self.book(shard, &mut entries, pos, f);
         if resized {
-            self.publish(shard, &entries);
+            self.publish(shard, &entries.list);
         }
         Some(booked)
     }
@@ -384,35 +523,52 @@ impl ShardedRegistry {
         f: &impl Fn(&mut RegisteredEngine) -> (Change, Option<T>),
     ) -> Vec<(u64, T)> {
         let shard = &self.shards[idx];
-        if !shard.entries.read().iter().any(wants) {
+        if !shard.entries.read().list.iter().any(wants) {
             return Vec::new();
         }
         let mut entries = shard.entries.write();
         let (mut kept, mut resized) = (Vec::new(), false);
-        for entry in entries.iter_mut().filter(|e| wants(e)) {
-            let (moved, (_, out)) = self.book(shard, entry, f);
+        for pos in 0..entries.list.len() {
+            if !wants(&entries.list[pos]) {
+                continue;
+            }
+            let (moved, (_, out)) = self.book(shard, &mut entries, pos, f);
             resized |= moved;
-            kept.extend(out.map(|item| (entry.seq, item)));
+            kept.extend(out.map(|item| (entries.list[pos].seq, item)));
         }
         if resized {
-            self.publish(shard, &entries);
+            self.publish(shard, &entries.list);
         }
         kept
     }
 
     /// The one place an entry change is booked: the entry epoch and the
-    /// shard epoch move together, and an entry that left the cold tier
-    /// leaves the cold count. Also says whether the entry's size may
-    /// have moved, i.e. whether the caller owes a `publish`. Call with
-    /// the shard's write lock held.
+    /// shard epoch move together, an entry that left the cold tier
+    /// leaves the cold count, and an entry whose term list an installer
+    /// replaced (with or without an epoch: hydration fills one in and
+    /// reports `Unchanged`) is re-posted. Also says whether the entry's
+    /// size may have moved, i.e. whether the caller owes a `publish`.
+    /// Call with the shard's write lock held.
     fn book<T>(
         &self,
         shard: &Shard,
-        entry: &mut RegisteredEngine,
+        entries: &mut Entries,
+        pos: usize,
         f: impl FnOnce(&mut RegisteredEngine) -> (Change, T),
     ) -> (bool, (Change, T)) {
+        let Entries { list, index } = entries;
+        let entry = &mut list[pos];
         let was_cold = entry.cold.is_some();
+        let (config, terms) = (entry.handle.analyzer_config(), Arc::clone(&entry.terms));
         let (change, out) = f(entry);
+        if !Arc::ptr_eq(&terms, &entry.terms) {
+            index.unpost(position(pos), &terms);
+            index.post(position(pos), &entry.terms);
+        }
+        if config != entry.handle.analyzer_config() {
+            index.remove_config(config);
+            index.add_config(entry.handle.analyzer_config());
+        }
         let warmed = was_cold && entry.cold.is_none();
         if warmed {
             self.cold.fetch_sub(1, Ordering::SeqCst);
@@ -441,15 +597,39 @@ impl ShardedRegistry {
             let mut entries = shard.entries.write();
             let cold = group.iter().filter(|e| e.cold.is_some()).count();
             self.cold.fetch_add(cold as u64, Ordering::SeqCst);
-            entries.append(&mut group);
-            entries.sort_unstable_by_key(|e| e.seq);
-            let entry_epochs: u64 = entries.iter().map(|e| e.epoch).sum();
+            entries.list.append(&mut group);
+            // Sorted before posted: postings name entries by position
+            // (and posted from scratch, should a registration have
+            // slipped in ahead of the restore).
+            entries.list.sort_unstable_by_key(|e| e.seq);
+            entries.index = TermIndex::default();
+            for pos in 0..entries.list.len() {
+                entries.post(pos);
+            }
+            let entry_epochs: u64 = entries.list.iter().map(|e| e.epoch).sum();
             shard
                 .epoch
-                .store(entries.len() as u64 + entry_epochs, Ordering::SeqCst);
-            self.publish(shard, &entries);
+                .store(entries.list.len() as u64 + entry_epochs, Ordering::SeqCst);
+            self.publish(shard, &entries.list);
         }
         self.seq.fetch_max(next_seq, Ordering::SeqCst);
+    }
+
+    /// Checks every shard's live index against one posted from scratch
+    /// from the shard's entries — the reference the incremental
+    /// bookkeeping of `insert`, `remove`, `load` and `book` must equal
+    /// at every step. `Err` says where the first difference is.
+    pub(crate) fn audit_postings(&self) -> Result<(), String> {
+        for (idx, shard) in self.shards.iter().enumerate() {
+            let entries = shard.entries.read();
+            let mut fresh = TermIndex::default();
+            for (pos, entry) in entries.list.iter().enumerate() {
+                post(&mut fresh, pos, entry);
+            }
+            let same = entries.index.same_as(&fresh);
+            same.map_err(|why| format!("shard {idx}: {why}"))?;
+        }
+        Ok(())
     }
 
     /// Re-publishes one shard's share of the registry gauges, as the
@@ -605,7 +785,7 @@ impl EngineHandle {
 }
 
 /// One engine's registry entry: the engine handle, its representative,
-/// the global→local term translation, and the lifecycle bookkeeping.
+/// its term list, and the lifecycle bookkeeping.
 pub(crate) struct RegisteredEngine {
     pub(crate) name: String,
     /// Broker-wide registration sequence number: cross-shard views sort
@@ -613,25 +793,29 @@ pub(crate) struct RegisteredEngine {
     pub(crate) seq: u64,
     pub(crate) handle: EngineHandle,
     pub(crate) repr: Arc<Representative>,
-    /// Broker-global → engine-local term translation; rebuilt together
-    /// with the representative, never independently of it.
-    pub(crate) map: TermMap,
-    /// For local engines: the full fingerprint of the collection `map`
+    /// The term list: `terms[local id]` is the broker-global id of each
+    /// term of the vocabulary the representative is row-aligned with —
+    /// what the shard's postings say about this entry. Built together
+    /// with the representative, never independently of it, and replaced
+    /// whole, never edited: a different `Arc` is how
+    /// [`ShardedRegistry`] knows to re-post the entry. Empty while cold.
+    pub(crate) terms: Arc<[u32]>,
+    /// For local engines: the full fingerprint of the collection `terms`
     /// was built from. [`Broker::replace_engine`](crate::Broker) swaps
-    /// the collection *without* rebuilding the map (metadata
+    /// the collection *without* rebuilding the list (metadata
     /// propagation is infrequent by design), so planning must check
-    /// this before translating through `map` — the old map's local term
-    /// ids may be out of range (or denote different terms) in the new
-    /// collection. `None` for remote entries, whose map and metadata
+    /// this before using the local ids the postings give it — they may
+    /// be out of range (or denote different terms) in the new
+    /// collection. `None` for remote entries, whose list and metadata
     /// always move together.
-    pub(crate) map_fingerprint: Option<Fingerprint>,
+    pub(crate) terms_fingerprint: Option<Fingerprint>,
     /// Per-engine version, starting at 0 and bumped — by
     /// [`ShardedRegistry::update`], never by the entry's own methods —
     /// on every refresh, representative update, engine replacement or
     /// attach.
     pub(crate) epoch: u64,
     /// Fingerprint (or shipped totals) of the collection `repr` and
-    /// `map` were built from.
+    /// `terms` were built from.
     pub(crate) provenance: ReprProvenance,
     /// Remote engines only: a push invalidation notice arrived (or a
     /// snapshot refetch failed) and the entry has not been refreshed
@@ -701,8 +885,8 @@ impl RegisteredEngine {
             seq,
             handle,
             repr: Arc::new(Representative::from_parts(0, Vec::new(), 0)),
-            map: TermMap::default(),
-            map_fingerprint: None,
+            terms: Arc::from([]),
+            terms_fingerprint: None,
             epoch: 0,
             provenance: ReprProvenance::Shipped {
                 n_docs: 0,
@@ -716,7 +900,7 @@ impl RegisteredEngine {
 
     /// Rebuilds the representative — from the collection for local
     /// engines, by refetching the snapshot for remote ones — through
-    /// the same two installers registration uses, so the term map can
+    /// the same two installers registration uses, so the term list can
     /// never lag the representative. A remote refetch that fails leaves
     /// the entry marked stale so the next sweep retries it.
     pub(crate) fn try_refresh(
@@ -728,7 +912,8 @@ impl RegisteredEngine {
             EngineHandle::Local(engine) => {
                 let repr = Representative::build(engine.collection());
                 let provenance = ReprProvenance::Local(engine.fingerprint());
-                self.install(global_vocab, repr, provenance, store);
+                let installed = self.install(global_vocab, repr, provenance, store);
+                debug_assert!(installed, "built from the collection, so aligned with it");
                 Ok(())
             }
             EngineHandle::Remote { transport, .. } => match transport.clone().fetch_snapshot() {
@@ -762,62 +947,88 @@ impl RegisteredEngine {
         snapshot: EngineSnapshot,
         store: Option<&StoreHandle>,
     ) -> Result<(), TransportError> {
-        if let Err(e) = snapshot.check_consistent() {
+        let installed = snapshot.check_consistent().and_then(|()| {
+            let meta = RemoteMeta::from_snapshot(&snapshot);
+            if self.install_meta(global_vocab, meta, snapshot.summary.repr, store) {
+                return Ok(());
+            }
+            Err(EngineSnapshot::inconsistent(&snapshot.name))
+        });
+        if installed.is_err() {
             self.pending_invalidation = true;
-            return Err(e);
         }
-        let meta = RemoteMeta::from_snapshot(&snapshot);
-        self.install_meta(global_vocab, meta, snapshot.summary.repr, store);
-        Ok(())
+        installed
     }
 
-    /// The installer for an engine known by its snapshot: term map,
+    /// The installer for an engine known by its snapshot: term list,
     /// (canonical) representative, planning metadata and fingerprint
-    /// provenance move together, built from `meta`.
+    /// provenance move together, built from `meta`. Whatever can refuse
+    /// is computed before anything is assigned: `false` leaves the entry
+    /// as it was (see [`canonical`]).
+    #[must_use]
     pub(crate) fn install_meta(
         &mut self,
         global_vocab: &mut Vocabulary,
         meta: RemoteMeta,
         repr: Representative,
         store: Option<&StoreHandle>,
-    ) {
-        self.map = TermMap::from_vocab(global_vocab, &meta.vocab);
-        self.map_fingerprint = None;
-        (self.repr, self.stored_fingerprint) = canonical(store, repr, |repr| {
-            record_for_remote(&self.name, &meta, repr)
-        });
+    ) -> bool {
+        let record = |repr: &Representative| record_for_remote(&self.name, &meta, repr);
+        let Some((repr, stored_fingerprint)) = canonical(store, repr, record) else {
+            return false;
+        };
+        (self.repr, self.stored_fingerprint) = (repr, stored_fingerprint);
+        self.terms = global_ids(global_vocab, &meta.vocab);
+        self.terms_fingerprint = None;
         self.provenance = ReprProvenance::Remote(meta.fingerprint);
         if let EngineHandle::Remote { meta: m, .. } = &mut self.handle {
             *m = meta;
         }
         self.pending_invalidation = false;
         self.cold = None;
+        true
     }
 
-    /// The installer for an engine in this process: term map and
+    /// The installer for an engine in this process: term list and
     /// (canonical) representative move together, built from its current
-    /// collection — which a shipped `repr` must be id-aligned with.
-    /// Remote entries receive whole snapshots instead.
+    /// collection — which a shipped `repr` must be row-aligned with:
+    /// `false`, and nothing assigned, if a store is attached and `repr`
+    /// is not (see [`canonical`]). Remote entries receive whole
+    /// snapshots instead.
+    #[must_use]
     pub(crate) fn install(
         &mut self,
         global_vocab: &mut Vocabulary,
         repr: Representative,
         provenance: ReprProvenance,
         store: Option<&StoreHandle>,
-    ) {
+    ) -> bool {
         let engine = self
             .handle
             .local()
             .expect("install targets local engines; remote entries use install_remote")
             .clone();
-        self.map = TermMap::build(global_vocab, engine.collection());
-        self.map_fingerprint = Some(engine.fingerprint());
-        (self.repr, self.stored_fingerprint) = canonical(store, repr, |repr| {
-            record_for_local(&self.name, &engine, repr)
-        });
+        let record = |repr: &Representative| record_for_local(&self.name, &engine, repr);
+        let Some((repr, stored_fingerprint)) = canonical(store, repr, record) else {
+            return false;
+        };
+        (self.repr, self.stored_fingerprint) = (repr, stored_fingerprint);
+        self.terms = global_ids(global_vocab, engine.collection().vocab());
+        self.terms_fingerprint = Some(engine.fingerprint());
         self.provenance = provenance;
         self.cold = None;
+        true
     }
+}
+
+/// An entry's term list for the vocabulary `local`: the broker-global id
+/// of each of its terms, in local-id order, interning into `global` the
+/// terms no registered engine had before.
+pub(crate) fn global_ids(global: &mut Vocabulary, local: &Vocabulary) -> Arc<[u32]> {
+    local
+        .iter()
+        .map(|(_, term)| global.intern(term).0)
+        .collect()
 }
 
 /// One engine's lifecycle status, as reported by
@@ -960,8 +1171,8 @@ mod tests {
             name: name.to_string(),
             seq,
             repr: Arc::new(Representative::build(engine.collection())),
-            map: TermMap::default(),
-            map_fingerprint: None,
+            terms: Arc::from([]),
+            terms_fingerprint: None,
             epoch: 0,
             provenance: ReprProvenance::Local(engine.fingerprint()),
             handle: EngineHandle::Local(engine),
@@ -982,7 +1193,7 @@ mod tests {
             .iter()
             .any(|n| shard_for(n, 4) != shard_for(names[0], 4)));
         for name in names {
-            r.insert(name, |seq| entry(name, seq));
+            assert!(r.insert(name, |seq| Some(entry(name, seq))));
         }
         assert_eq!(r.epoch(), 3);
         // A reported change moves the entry and its shard by one each;

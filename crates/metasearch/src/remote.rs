@@ -23,7 +23,7 @@
 //! tests implement the trait in-process.
 //!
 //! Remote entries shard by engine name exactly like local ones, and a
-//! snapshot refetch replaces representative, term map, and weighting
+//! snapshot refetch replaces representative, term list, and weighting
 //! statistics in one write — so a remote entry's planning metadata is
 //! always internally consistent and never hits the mid-propagation
 //! sidelining that protects locally replaced engines (see
@@ -36,7 +36,7 @@
 //! failure capture of [`SearchResponse`](crate::SearchResponse) instead
 //! of failing the query.
 
-use seu_engine::{weighted_query, Fingerprint, Query, TermMap, TrueUsefulness, WeightingScheme};
+use seu_engine::{weighted_query, Fingerprint, Query, TrueUsefulness, WeightingScheme};
 use seu_repr::{FrozenSummary, Representative};
 use seu_text::{Analyzer, AnalyzerConfig, TermId, Vocabulary};
 use std::sync::Arc;
@@ -170,10 +170,16 @@ impl EngineSnapshot {
         if self.is_consistent() {
             return Ok(());
         }
-        Err(TransportError::new(
+        Err(EngineSnapshot::inconsistent(&self.name))
+    }
+
+    /// The refusal itself (also given to a snapshot whose rows a
+    /// store's codec could not align).
+    pub(crate) fn inconsistent(name: &str) -> TransportError {
+        TransportError::new(
             TransportErrorKind::Protocol,
-            format!("engine {:?} shipped an inconsistent snapshot", self.name),
-        ))
+            format!("engine {name:?} shipped an inconsistent snapshot"),
+        )
     }
 }
 
@@ -269,17 +275,11 @@ impl RemoteMeta {
         self.doc_freq.get(t.index()).copied().unwrap_or(0)
     }
 
-    /// Builds the engine-local query vector from broker-global
-    /// `(term, count)` pairs through the engine's [`TermMap`] — the
-    /// remote twin of `Collection::query_from_shared`, byte-identical to
-    /// what the engine's own collection would produce.
-    pub fn query_from_shared(&self, global_tf: &[(u32, u32)], map: &TermMap) -> Query {
-        weighted_query(
-            self.scheme,
-            self.n_docs,
-            |t| self.doc_freq_of(t),
-            map.to_local(global_tf),
-        )
+    /// Builds the engine-local query vector from explicit local term
+    /// frequencies — the remote twin of `Collection::query_from_tf`,
+    /// byte-identical to what the engine's own collection would produce.
+    pub fn query_from_tf(&self, tf: impl IntoIterator<Item = (TermId, u32)>) -> Query {
+        weighted_query(self.scheme, self.n_docs, |t| self.doc_freq_of(t), tf)
     }
 
     /// Builds the engine-local query vector directly from text — the
@@ -292,7 +292,7 @@ impl RemoteMeta {
                 *tf.entry(id).or_insert(0) += 1;
             }
         }
-        weighted_query(self.scheme, self.n_docs, |t| self.doc_freq_of(t), tf)
+        self.query_from_tf(tf)
     }
 }
 
@@ -321,19 +321,12 @@ mod tests {
         assert!(snapshot.is_consistent());
         let meta = RemoteMeta::from_snapshot(&snapshot);
 
-        let mut global = Vocabulary::new();
-        global.intern("unrelated");
-        let map_local = TermMap::build(&mut global, e.collection());
-        let map_remote = TermMap::from_vocab(&mut global, &meta.vocab);
-
         for text in ["apple", "apple banana cherry", "zebra", ""] {
-            let tokens = Analyzer::paper_default().analyze(text);
-            let tf = seu_engine::shared::global_tf(&global, &tokens);
-            let local = e.collection().query_from_shared(&tf, &map_local);
-            let remote = meta.query_from_shared(&tf, &map_remote);
-            assert_eq!(local, remote, "{text:?}");
-            assert_eq!(meta.query_from_text(text), local, "{text:?} (direct)");
+            let local = e.collection().query_from_text(text);
+            assert_eq!(meta.query_from_text(text), local, "{text:?}");
         }
+        let tf = [(TermId(0), 2), (TermId(2), 1), (TermId(1), 0)];
+        assert_eq!(meta.query_from_tf(tf), e.collection().query_from_tf(tf));
     }
 
     #[test]

@@ -55,10 +55,13 @@ fn broker_search_populates_expected_metrics() {
     assert_eq!(delta("broker_engines_considered_total"), 4);
     assert!(delta("broker_engines_selected_total") >= 2);
     assert!(delta("broker_merge_hits_total") >= 1);
-    // One subrange estimate per (cold call, engine): select() sizes up
-    // both engines; search() reuses the plan select() cached (same
-    // query, threshold, policy, epoch), so no fresh estimator work.
-    assert!(delta("estimator_subrange_invocations_total") >= 2);
+    // One subrange estimate per (cold call, engine that contains a query
+    // term): select() plans a row for both engines but consults only
+    // "cooking" — the registry's term postings place neither word in
+    // "astronomy", whose row is (0, 0) by construction; search() reuses
+    // the plan select() cached (same query, threshold, policy, epoch),
+    // so no fresh estimator work.
+    assert!(delta("estimator_subrange_invocations_total") >= 1);
     assert!(delta("broker_cache_hits_total") >= 1);
     assert!(delta("estimator_poly_expansions_total") >= 1);
     assert!(delta("engine_searches_total") >= 1);
