@@ -103,12 +103,12 @@ pub fn evaluate(
     let method_counters = &method_counters;
 
     // partials[worker][method][threshold]
-    let partials: Vec<Vec<Vec<ThresholdRow>>> = crossbeam::scope(|scope| {
+    let partials: Vec<Vec<Vec<ThresholdRow>>> = std::thread::scope(|scope| {
         let handles: Vec<_> = queries
             .chunks(chunk)
             .map(|qchunk| {
                 let engine = &engine;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let m = metrics();
                     // Tallies accumulate locally; one atomic add per chunk.
                     let mut n_queries = 0u64;
@@ -197,8 +197,7 @@ pub fn evaluate(
             .into_iter()
             .map(|h| h.join().expect("worker panicked"))
             .collect()
-    })
-    .expect("evaluation scope");
+    });
 
     reduce(methods, thresholds, partials)
 }

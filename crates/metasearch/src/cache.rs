@@ -1,18 +1,15 @@
 //! Broker-side query cache: epoch-keyed, sharded, byte-budgeted.
 //!
 //! Real metasearch query streams are heavily Zipfian — a small set of
-//! hot queries dominates — yet without a cache every request re-analyzes
-//! the text, re-translates it into every engine's term space, and
-//! re-estimates every representative even when nothing changed since the
-//! identical request a moment ago. The [`QueryCache`] memoizes the three
-//! expensive artifacts of the request pipeline as separate **tiers**:
-//!
-//! 1. [`CacheTier::Analysis`] — the [`SharedAnalysis`] of a query text
-//!    (threshold- and policy-free, so threshold sweeps share it);
-//! 2. [`CacheTier::Plan`] — a full [`QueryPlan`] for
-//!    `(query, threshold, policy)`;
-//! 3. [`CacheTier::Results`] — the merged hits + accounting of a
-//!    **complete** execution (every selected engine answered).
+//! hot queries dominates — yet without a cache every request re-plans
+//! and re-dispatches even when nothing changed since the identical
+//! request a moment ago. The [`QueryCache`] keeps the one artifact a
+//! repeat can be answered from whole: the merged hits and accounting of
+//! a **complete** execution (every selected engine answered), keyed by
+//! everything that shapes it. Nothing below the finished answer is
+//! cached — an analysis is microseconds since the registry's term
+//! postings, and a plan is only ever asked for again by a request whose
+//! answer is cached already.
 //!
 //! # Key anatomy and invalidation
 //!
@@ -23,11 +20,12 @@
 //! push invalidation — so any change anywhere in the registry moves the
 //! epoch, every lookup made after it misses, and a stale entry can
 //! never be served. This is the same mechanism that makes an
-//! outstanding [`QueryPlan`] detectably stale; the cache adds no second
-//! source of truth. The PR 5 mid-replacement window is covered too:
-//! `replace_engine` bumps the epoch at the same instant it swaps the
-//! collection, so plans/results cached against the sidelined engine are
-//! unreachable from the first post-replacement lookup.
+//! outstanding [`QueryPlan`](crate::QueryPlan) detectably stale; the
+//! cache adds no second source of truth. The PR 5 mid-replacement
+//! window is covered too: `replace_engine` bumps the epoch at the same
+//! instant it swaps the collection, so results cached against the
+//! sidelined engine are unreachable from the first post-replacement
+//! lookup.
 //!
 //! Epoch-stale entries are additionally dropped **eagerly**: the broker
 //! calls [`QueryCache::purge_stale`] from every lifecycle path
@@ -35,28 +33,28 @@
 //! dead entries stop occupying the byte budget instead of waiting for
 //! eviction to find them. Counted by `broker_cache_stale_evictions_total`.
 //!
-//! Keys compare by full structural equality (tier, query text, epoch,
+//! Keys compare by full structural equality (query text, epoch,
 //! threshold bits, policy, response shape) — the 64-bit
-//! [`CacheKey::fingerprint`] only routes to a shard and seeds the hash
-//! map, so a fingerprint collision can never serve the wrong value.
+//! [`CacheKey::fingerprint`] only routes to a shard, so a fingerprint
+//! collision can never serve the wrong value.
 //!
 //! # Admission and eviction
 //!
-//! Scan-resistant **segmented LRU**: a probationary and a protected
-//! segment. New entries start probationary; a hit promotes to
-//! protected; when protected outgrows its share (80% of the budget) its
-//! LRU tail demotes back to probationary, and eviction always consumes
-//! the probationary tail first. One-hit wonders from a cold scan never
-//! displace the hot set. Entries account approximate resident bytes and
-//! eviction runs until the configured budget
-//! (`BrokerBuilder::cache_bytes`) holds.
+//! The replacement policy is not written here: each of the cache's
+//! independently locked shards is a [`seu_store::Slru`], the
+//! scan-resistant byte-budgeted segmented LRU the store's hot tier wraps
+//! too (see its module docs). This module adds what is the query
+//! cache's own — the key, the cost of a [`CachedResponse`], the shard
+//! routing, the hit / miss / stale counters and the resident-bytes
+//! gauge. Eviction runs until the configured budget
+//! (`BrokerBuilder::cache_bytes`), split evenly over the shards, holds.
 
 use crate::broker::{EngineEstimate, MergedHit};
-use crate::plan::{QueryPlan, SharedAnalysis};
 use crate::request::{EngineDispatchStats, SearchRequest};
 use crate::selection::SelectionPolicy;
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use seu_store::Slru;
+use std::mem::{size_of, size_of_val};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -68,9 +66,6 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// Number of independently locked cache shards. Fixed: cache contention
 /// is per-query hashing, unrelated to the registry's shard count.
 const CACHE_SHARDS: usize = 8;
-
-/// Fraction of the budget the segmented-LRU protected segment may hold.
-const PROTECTED_SHARE: f64 = 0.8;
 
 /// Instrument handles cached once per process.
 struct CacheMetrics {
@@ -122,13 +117,15 @@ impl CacheMode {
     }
 }
 
-/// Which tier of the cache served (part of) a response.
+/// What a response was served from. The cache has one tier — finished
+/// answers — so this is a one-variant enum on purpose: `benchmark/`
+/// compares [`SearchResponse::served_from`] against
+/// `Some(CacheTier::Results)`, and turning the field into a `bool` is
+/// for a `[benchmark]` PR to do.
+///
+/// [`SearchResponse::served_from`]: crate::SearchResponse::served_from
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CacheTier {
-    /// Only the query analysis was reused; the plan was rebuilt.
-    Analysis,
-    /// A cached plan was dispatched.
-    Plan,
     /// The merged response itself was served without dispatching.
     Results,
 }
@@ -137,86 +134,43 @@ impl CacheTier {
     /// Stable lower-snake name (used in the HTTP `served_from` field).
     pub fn name(&self) -> &'static str {
         match self {
-            CacheTier::Analysis => "analysis",
-            CacheTier::Plan => "plan",
             CacheTier::Results => "results",
         }
     }
 }
 
-/// The full identity of a cached value. Equality is structural over
+/// The full identity of a cached response. Equality is structural over
 /// every field; [`CacheKey::fingerprint`] is only a router.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
-    tier: CacheTier,
     query: Arc<str>,
     epoch: u64,
-    /// `f64::to_bits` of the threshold (0 for the analysis tier, which
-    /// is threshold-free).
+    /// `f64::to_bits` of the threshold.
     threshold_bits: u64,
-    /// Selection-policy discriminant (0 for the analysis tier).
+    /// Selection-policy discriminant.
     policy_tag: u8,
     /// Policy parameter (`k`, or `to_bits` of the floor; 0 otherwise).
     policy_bits: u64,
-    /// Result cap for the results tier (`u64::MAX` = uncapped; 0 for
-    /// the other tiers, which are shape-free).
+    /// Result cap (`u64::MAX` = uncapped).
     top_k: u64,
-    /// Whether the cached response carries estimates (results tier).
+    /// Whether the cached response carries estimates.
     with_estimates: bool,
 }
 
-fn policy_key(policy: SelectionPolicy) -> (u8, u64) {
-    match policy {
-        SelectionPolicy::All => (0, 0),
-        SelectionPolicy::EstimatedUseful => (1, 0),
-        SelectionPolicy::TopK(k) => (2, k as u64),
-        SelectionPolicy::MinNoDoc(min) => (3, min.to_bits()),
-    }
-}
-
 impl CacheKey {
-    /// Key for the analysis of `query` at a registry epoch. Analysis
-    /// depends only on the registered analyzer configurations and the
-    /// global vocabulary — both epoch-stamped — so no other request
-    /// field participates.
-    pub fn analysis(query: &str, epoch: u64) -> CacheKey {
-        CacheKey {
-            tier: CacheTier::Analysis,
-            query: Arc::from(query),
-            epoch,
-            threshold_bits: 0,
-            policy_tag: 0,
-            policy_bits: 0,
-            top_k: 0,
-            with_estimates: false,
-        }
-    }
-
-    /// Key for a request's plan: `(query, epoch, threshold, policy)`.
-    /// Response-shape fields (`top_k`, `with_estimates`) don't
-    /// participate — the plan is shape-free.
-    pub fn plan(req: &SearchRequest, epoch: u64) -> CacheKey {
-        let (policy_tag, policy_bits) = policy_key(req.policy);
-        CacheKey {
-            tier: CacheTier::Plan,
-            query: Arc::from(req.query.as_str()),
-            epoch,
-            threshold_bits: req.threshold.to_bits(),
-            policy_tag,
-            policy_bits,
-            top_k: 0,
-            with_estimates: false,
-        }
-    }
-
-    /// Key for a request's merged response: the plan key plus the
-    /// response shape (`top_k`, `with_estimates`). The dispatch timeout
-    /// doesn't participate: only complete responses are cached, and a
-    /// complete response satisfies any budget.
+    /// Key for a request's merged response at a registry epoch: what
+    /// was asked (`query`, `threshold`, `policy`) plus the response
+    /// shape (`top_k`, `with_estimates`). The dispatch timeout doesn't
+    /// participate: only complete responses are cached, and a complete
+    /// response satisfies any budget.
     pub fn results(req: &SearchRequest, epoch: u64) -> CacheKey {
-        let (policy_tag, policy_bits) = policy_key(req.policy);
+        let (policy_tag, policy_bits) = match req.policy {
+            SelectionPolicy::All => (0, 0),
+            SelectionPolicy::EstimatedUseful => (1, 0),
+            SelectionPolicy::TopK(k) => (2, k as u64),
+            SelectionPolicy::MinNoDoc(min) => (3, min.to_bits()),
+        };
         CacheKey {
-            tier: CacheTier::Results,
             query: Arc::from(req.query.as_str()),
             epoch,
             threshold_bits: req.threshold.to_bits(),
@@ -232,19 +186,14 @@ impl CacheKey {
         self.epoch
     }
 
-    /// 64-bit FNV-1a over every field. Routes the key to a cache shard
-    /// and buckets the shard's map; never trusted for identity.
+    /// 64-bit FNV-1a over every field. Routes the key to a cache shard;
+    /// never trusted for identity.
     pub fn fingerprint(&self) -> u64 {
         let mut h = FNV_OFFSET;
         let mut byte = |b: u8| {
             h ^= b as u64;
             h = h.wrapping_mul(FNV_PRIME);
         };
-        byte(match self.tier {
-            CacheTier::Analysis => 1,
-            CacheTier::Plan => 2,
-            CacheTier::Results => 3,
-        });
         for b in self.query.as_bytes() {
             byte(*b);
         }
@@ -284,48 +233,23 @@ pub struct CachedResponse {
     pub per_engine_stats: Vec<EngineDispatchStats>,
 }
 
-/// A value in the cache, tagged by tier.
-#[derive(Debug, Clone)]
-pub enum CachedValue {
-    /// A shared query analysis.
-    Analysis(Arc<SharedAnalysis>),
-    /// A full query plan.
-    Plan(Arc<QueryPlan>),
-    /// A complete merged response.
-    Results(Arc<CachedResponse>),
-}
-
-impl CachedValue {
-    /// Approximate resident bytes (payload vectors; `Arc`-shared
-    /// representatives and engine handles are not attributed to the
-    /// cache — they stay resident with the registry regardless).
+impl CachedResponse {
+    /// Approximate resident bytes of the response cached under `key`:
+    /// the key, the rows inline, and every heap string a row owns.
     fn cost(&self, key: &CacheKey) -> usize {
-        let base = key.query.len() + 96;
-        base + match self {
-            CachedValue::Analysis(a) => a
-                .per_config
-                .iter()
-                .map(|(_, tf)| 16 + tf.len() * 8)
-                .sum::<usize>(),
-            CachedValue::Plan(p) => {
-                p.selected.len() * 8
-                    + p.engines
-                        .iter()
-                        .map(|e| e.name.len() + e.query().len() * 16 + 96)
-                        .sum::<usize>()
-            }
-            CachedValue::Results(r) => {
-                r.hits
-                    .iter()
-                    .map(|h| h.engine.len() + h.doc.len() + 24)
-                    .sum::<usize>()
-                    + r.estimates.len() * 40
-                    + r.per_engine_stats
-                        .iter()
-                        .map(|s| s.engine.len() + 48)
-                        .sum::<usize>()
-            }
-        }
+        let hits = self.hits.iter().map(|h| h.engine.len() + h.doc.len());
+        let estimates = self.estimates.iter().map(|e| e.engine.len());
+        let stats = self
+            .per_engine_stats
+            .iter()
+            .map(|s| s.engine.len() + s.error.as_ref().map_or(0, |e| e.detail.len()));
+        size_of::<CacheKey>()
+            + key.query.len()
+            + size_of::<CachedResponse>()
+            + size_of_val(&self.hits[..])
+            + size_of_val(&self.estimates[..])
+            + size_of_val(&self.per_engine_stats[..])
+            + hits.chain(estimates).chain(stats).sum::<usize>()
     }
 }
 
@@ -341,7 +265,8 @@ pub struct CacheStats {
     pub budget_bytes: u64,
     /// Approximate bytes currently resident.
     pub bytes_resident: u64,
-    /// Entries currently resident (all tiers).
+    /// Cached responses currently resident: one per distinct complete
+    /// answer at the current epoch (plus any not yet purged or evicted).
     pub entries: u64,
     /// Lookups served.
     pub hits: u64,
@@ -363,140 +288,14 @@ impl CacheStats {
     }
 }
 
-struct CacheEntry {
-    value: CachedValue,
-    bytes: usize,
-    /// Queue-position stamp: a queue item is current only if its stamp
-    /// matches (promotion/demotion re-push under a fresh stamp, lazily
-    /// invalidating old positions).
-    stamp: u64,
-    /// In the protected segment (else probationary).
-    in_main: bool,
-}
-
-#[derive(Default)]
-struct CacheShard {
-    map: HashMap<CacheKey, CacheEntry>,
-    /// Probationary queue, lazily pruned.
-    small: VecDeque<(CacheKey, u64)>,
-    /// Protected queue, lazily pruned.
-    main: VecDeque<(CacheKey, u64)>,
-    bytes: usize,
-    main_bytes: usize,
-    stamp: u64,
-}
-
-impl CacheShard {
-    fn next_stamp(&mut self) -> u64 {
-        self.stamp += 1;
-        self.stamp
-    }
-
-    /// Whether a queue item still names the entry's current position.
-    fn current<'a>(
-        map: &'a HashMap<CacheKey, CacheEntry>,
-        key: &CacheKey,
-        stamp: u64,
-    ) -> Option<&'a CacheEntry> {
-        map.get(key).filter(|e| e.stamp == stamp)
-    }
-
-    fn remove(&mut self, key: &CacheKey) -> Option<CacheEntry> {
-        let e = self.map.remove(key)?;
-        self.bytes -= e.bytes;
-        if e.in_main {
-            self.main_bytes -= e.bytes;
-        }
-        Some(e)
-    }
-
-    /// A hit: promote to (or refresh within) the protected segment.
-    fn touch(&mut self, key: &CacheKey) {
-        let stamp = self.next_stamp();
-        let Some(e) = self.map.get_mut(key) else {
-            return;
-        };
-        e.stamp = stamp;
-        if !e.in_main {
-            e.in_main = true;
-            self.main_bytes += e.bytes;
-        }
-        self.main.push_back((key.clone(), stamp));
-    }
-
-    fn insert(&mut self, key: CacheKey, value: CachedValue, budget: usize) {
-        let bytes = value.cost(&key);
-        if bytes > budget {
-            // Larger than the whole shard budget: inserting would evict
-            // everything and then itself. Skip.
-            return;
-        }
-        if let Some(old) = self.remove(&key) {
-            // Replacement (e.g. a re-execution after ReadOnly probes):
-            // drop the old body first so accounting stays exact.
-            drop(old);
-        }
-        let stamp = self.next_stamp();
-        self.small.push_back((key.clone(), stamp));
-        self.bytes += bytes;
-        self.map.insert(
-            key,
-            CacheEntry {
-                value,
-                bytes,
-                stamp,
-                in_main: false,
-            },
-        );
-        self.evict(budget);
-    }
-
-    fn evict(&mut self, budget: usize) {
-        let protected_budget = (budget as f64 * PROTECTED_SHARE) as usize;
-        while self.bytes > budget {
-            // Keep the protected segment within its share by demoting
-            // its LRU tail to probationary.
-            if self.main_bytes > protected_budget {
-                if let Some((key, stamp)) = self.main.pop_front() {
-                    if Self::current(&self.map, &key, stamp).is_some() {
-                        let fresh = self.next_stamp();
-                        let e = self.map.get_mut(&key).expect("current() saw it");
-                        e.in_main = false;
-                        e.stamp = fresh;
-                        self.main_bytes -= e.bytes;
-                        self.small.push_back((key, fresh));
-                    }
-                    continue;
-                }
-                self.main_bytes = 0;
-            }
-            // Evict the probationary LRU tail; fall back to protected
-            // when probation is empty.
-            match self.small.pop_front() {
-                Some((key, stamp)) => {
-                    if Self::current(&self.map, &key, stamp).is_some() {
-                        self.remove(&key);
-                    }
-                }
-                None => match self.main.pop_front() {
-                    Some((key, stamp)) => {
-                        if Self::current(&self.map, &key, stamp).is_some() {
-                            self.remove(&key);
-                        }
-                    }
-                    None => break,
-                },
-            }
-        }
-    }
-}
+/// One independently locked slice of the cache.
+type Shard = Mutex<Slru<CacheKey, Arc<CachedResponse>>>;
 
 /// The broker's query cache. See the module docs for the design;
 /// construction happens through `BrokerBuilder::cache_bytes`.
 pub struct QueryCache {
-    shards: Vec<Mutex<CacheShard>>,
+    shards: Vec<Shard>,
     budget: usize,
-    shard_budget: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     stale_evictions: AtomicU64,
@@ -521,10 +320,12 @@ impl QueryCache {
     /// A cache with `budget` approximate resident bytes, split evenly
     /// across the internal shards.
     pub fn new(budget: usize) -> QueryCache {
+        let shard_budget = (budget / CACHE_SHARDS).max(1);
         QueryCache {
-            shards: (0..CACHE_SHARDS).map(|_| Mutex::default()).collect(),
+            shards: (0..CACHE_SHARDS)
+                .map(|_| Mutex::new(Slru::new(shard_budget)))
+                .collect(),
             budget,
-            shard_budget: (budget / CACHE_SHARDS).max(1),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             stale_evictions: AtomicU64::new(0),
@@ -532,39 +333,28 @@ impl QueryCache {
         }
     }
 
-    fn shard(&self, key: &CacheKey) -> &Mutex<CacheShard> {
+    fn shard(&self, key: &CacheKey) -> &Shard {
         &self.shards[(key.fingerprint() % CACHE_SHARDS as u64) as usize]
     }
 
     /// Looks up a key, updating recency state on hit. Counts
     /// into both the process-global counters and this instance's stats.
-    pub fn get(&self, key: &CacheKey) -> Option<CachedValue> {
+    pub fn get(&self, key: &CacheKey) -> Option<Arc<CachedResponse>> {
         let m = cache_metrics();
-        let mut shard = self.shard(key).lock();
-        let value = shard.map.get(key).map(|e| e.value.clone());
-        match value {
-            Some(v) => {
-                shard.touch(key);
-                drop(shard);
-                m.hits.inc();
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(v)
-            }
-            None => {
-                drop(shard);
-                m.misses.inc();
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let value = self.shard(key).lock().get(key).cloned();
+        let (global, own) = match value {
+            Some(_) => (&m.hits, &self.hits),
+            None => (&m.misses, &self.misses),
+        };
+        global.inc();
+        own.fetch_add(1, Ordering::Relaxed);
+        value
     }
 
-    /// Inserts a value, evicting until the budget holds.
-    pub fn insert(&self, key: CacheKey, value: CachedValue) {
-        {
-            let mut shard = self.shard(&key).lock();
-            shard.insert(key, value, self.shard_budget);
-        }
+    /// Inserts a response, evicting until the budget holds.
+    pub fn insert(&self, key: CacheKey, value: Arc<CachedResponse>) {
+        let cost = value.cost(&key);
+        self.shard(&key).lock().insert(key, value, cost);
         self.publish_gauge();
     }
 
@@ -574,24 +364,12 @@ impl QueryCache {
     /// Called by the broker from every lifecycle path that bumps the
     /// registry epoch.
     pub fn purge_stale(&self, current_epoch: u64) {
-        let m = cache_metrics();
-        let mut dropped = 0u64;
-        for shard in &self.shards {
-            let mut shard = shard.lock();
-            let stale: Vec<CacheKey> = shard
-                .map
-                .keys()
-                .filter(|k| k.epoch != current_epoch)
-                .cloned()
-                .collect();
-            dropped += stale.len() as u64;
-            for key in stale {
-                shard.remove(&key);
-            }
-        }
+        let fresh = |key: &CacheKey, _: &Arc<CachedResponse>| key.epoch == current_epoch;
+        let dropped: usize = self.shards.iter().map(|s| s.lock().retain(fresh)).sum();
         if dropped > 0 {
-            m.stale_evictions.add(dropped);
-            self.stale_evictions.fetch_add(dropped, Ordering::Relaxed);
+            cache_metrics().stale_evictions.add(dropped as u64);
+            self.stale_evictions
+                .fetch_add(dropped as u64, Ordering::Relaxed);
         }
         self.publish_gauge();
     }
@@ -603,8 +381,8 @@ impl QueryCache {
         let mut entries = 0u64;
         for shard in &self.shards {
             let shard = shard.lock();
-            bytes += shard.bytes as u64;
-            entries += shard.map.len() as u64;
+            bytes += shard.bytes() as u64;
+            entries += shard.len() as u64;
         }
         CacheStats {
             policy: "segmented_lru",
@@ -621,7 +399,7 @@ impl QueryCache {
     /// delta against what this instance last reported (several live
     /// brokers sum correctly; `Drop` retracts the remainder).
     fn publish_gauge(&self) {
-        let bytes: u64 = self.shards.iter().map(|s| s.lock().bytes as u64).sum();
+        let bytes: u64 = self.shards.iter().map(|s| s.lock().bytes() as u64).sum();
         let prev = self.gauge_published.swap(bytes, Ordering::SeqCst);
         cache_metrics()
             .bytes_resident
@@ -639,9 +417,11 @@ impl Drop for QueryCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::remote::{TransportError, TransportErrorKind};
+    use crate::request::DispatchOutcome;
 
-    fn value(n_hits: usize) -> CachedValue {
-        CachedValue::Results(Arc::new(CachedResponse {
+    fn value(n_hits: usize) -> Arc<CachedResponse> {
+        Arc::new(CachedResponse {
             hits: (0..n_hits)
                 .map(|i| MergedHit {
                     engine: "e".into(),
@@ -651,7 +431,7 @@ mod tests {
                 .collect(),
             estimates: Vec::new(),
             per_engine_stats: Vec::new(),
-        }))
+        })
     }
 
     fn key(q: &str, epoch: u64, t: f64) -> CacheKey {
@@ -675,10 +455,8 @@ mod tests {
         let c = QueryCache::new(1 << 20);
         assert!(c.get(&key("soup", 1, 0.2)).is_none());
         c.insert(key("soup", 1, 0.2), value(3));
-        match c.get(&key("soup", 1, 0.2)) {
-            Some(CachedValue::Results(r)) => assert_eq!(r.hits.len(), 3),
-            other => panic!("{other:?}"),
-        }
+        let served = c.get(&key("soup", 1, 0.2)).expect("just inserted");
+        assert_eq!(served.hits.len(), 3);
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
         assert!(s.bytes_resident > 0);
@@ -700,13 +478,18 @@ mod tests {
             "top_k aliased"
         );
         assert!(
-            c.get(&CacheKey::results(&req.with_estimates(true), 1))
+            c.get(&CacheKey::results(&req.clone().with_estimates(true), 1))
                 .is_none(),
             "with_estimates aliased"
         );
-        assert!(c
-            .get(&CacheKey::plan(&SearchRequest::new("soup"), 1))
-            .is_none());
+        assert!(
+            c.get(&CacheKey::results(
+                &req.policy(SelectionPolicy::EstimatedUseful),
+                1
+            ))
+            .is_none(),
+            "policy aliased"
+        );
     }
 
     #[test]
@@ -722,45 +505,63 @@ mod tests {
         assert_eq!(s.entries, 1);
     }
 
+    /// Hits on one resident entry, then inserts purged as fast as they
+    /// arrive: neither grows what the cache holds or reports. (`Slru`'s
+    /// own test counts the queue markers under the same script.)
     #[test]
-    fn byte_budget_is_enforced() {
-        // Small budget; all keys land where they land — the shard
-        // budget still bounds each shard.
-        let c = QueryCache::new(8 << 10);
-        for i in 0..512 {
-            c.insert(key(&format!("query number {i}"), 1, 0.0), value(8));
+    fn hits_and_purged_inserts_leave_the_resident_set_as_it_was() {
+        let c = QueryCache::new(1 << 20);
+        c.insert(key("resident", 0, 0.0), value(2));
+        let before = c.stats();
+        for _ in 0..10_000 {
+            assert!(c.get(&key("resident", 0, 0.0)).is_some());
         }
-        let s = c.stats();
-        assert!(
-            s.bytes_resident <= 8 << 10,
-            "{} resident > budget",
-            s.bytes_resident
+        for i in 0..10_000 {
+            c.insert(key(&format!("passing {i}"), 1, 0.0), value(2));
+            c.purge_stale(0);
+        }
+        let after = c.stats();
+        assert_eq!(
+            (after.entries, after.bytes_resident),
+            (before.entries, before.bytes_resident)
         );
-        assert!(s.entries > 0, "everything evicted");
+        assert_eq!((after.hits, after.stale_evictions), (10_000, 10_000));
     }
 
     #[test]
-    fn slru_hits_protect_hot_entries_from_a_scan() {
-        let c = QueryCache::new(4 << 10);
-        c.insert(key("hot", 1, 0.0), value(2));
-        for _ in 0..8 {
-            assert!(c.get(&key("hot", 1, 0.0)).is_some());
-        }
-        // A cold scan many times the budget.
-        for i in 0..1024 {
-            c.insert(key(&format!("cold scan item {i}"), 1, 0.0), value(2));
-        }
-        assert!(
-            c.get(&key("hot", 1, 0.0)).is_some(),
-            "hot entry evicted by one-hit wonders"
-        );
-    }
-
-    #[test]
-    fn oversized_entries_are_refused() {
-        let c = QueryCache::new(1024);
-        c.insert(key("giant", 1, 0.0), value(10_000));
-        assert_eq!(c.stats().entries, 0);
+    fn cost_counts_the_heap_strings_of_every_row() {
+        let engine = "an engine name well past any inline size".to_string();
+        let detail = "connection refused by the far end".to_string();
+        let response = CachedResponse {
+            hits: vec![MergedHit {
+                engine: engine.clone(),
+                doc: "a-document-name".into(),
+                sim: 0.5,
+            }],
+            estimates: (0..100)
+                .map(|_| EngineEstimate {
+                    engine: engine.clone(),
+                    usefulness: Default::default(),
+                })
+                .collect(),
+            per_engine_stats: vec![EngineDispatchStats {
+                engine: engine.clone(),
+                hits: 1,
+                seconds: 0.0,
+                outcome: DispatchOutcome::Failed,
+                error: Some(TransportError::new(
+                    TransportErrorKind::Refused,
+                    detail.clone(),
+                )),
+            }],
+        };
+        let strings = 102 * engine.len() + "a-document-name".len() + detail.len();
+        let k = key("soup", 1, 0.2);
+        assert!(response.cost(&k) >= strings + 100 * size_of::<EngineEstimate>());
+        // And the budget sees it: the entry is charged what it costs.
+        let c = QueryCache::new(1 << 20);
+        c.insert(k.clone(), Arc::new(response.clone()));
+        assert_eq!(c.stats().bytes_resident, response.cost(&k) as u64);
     }
 
     #[test]
@@ -772,8 +573,8 @@ mod tests {
             (key("a", 1, 0.2), key("a", 2, 0.2)),
             (key("a", 1, 0.25), key("a", 1, 0.2)),
             (
-                CacheKey::plan(&SearchRequest::new("a"), 1),
-                CacheKey::analysis("a", 1),
+                CacheKey::results(&SearchRequest::new("a").top_k(3), 1),
+                CacheKey::results(&SearchRequest::new("a"), 1),
             ),
         ];
         for (a, b) in pairs {

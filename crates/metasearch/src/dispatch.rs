@@ -5,7 +5,7 @@
 //! [`TraceHandle`] it is given — a disabled one records nothing.
 
 use crate::broker::{metrics, Broker, MergedHit};
-use crate::cache::{CacheKey, CacheTier, CachedResponse, CachedValue};
+use crate::cache::{CacheKey, CacheTier, CachedResponse};
 use crate::merge::merge_results;
 use crate::plan::QueryPlan;
 use crate::pool::JobStatus;
@@ -78,10 +78,11 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
     /// Unless the request bypasses the cache, a complete merged response
     /// cached at the current registry epoch is served directly
     /// (`served_from: Some(Results)`, bit-identical to the cold
-    /// execution that populated it); otherwise planning goes through the
-    /// plan/analysis tiers and a complete response is written back for
-    /// the next hit. `explain` requests always run cold so their span
-    /// trees describe real work.
+    /// execution that populated it); otherwise the request is planned
+    /// and dispatched (`served_from: None`) and, when every selected
+    /// engine answered, the response is written back for the next hit —
+    /// the one lookup and the one insert a request makes. `explain`
+    /// requests always run cold so their span trees describe real work.
     pub fn execute(&self, req: &SearchRequest) -> SearchResponse {
         let m = metrics();
         let timer = m.query_latency.start_timer();
@@ -89,9 +90,10 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         active.root_attr("query", &req.query);
         active.root_attr("threshold", req.threshold);
         let trace = active.handle();
-        if let Some(c) = self.cache_for(req) {
+        let cache = self.cache_for(req);
+        if let Some(c) = cache {
             let epoch = self.registry.epoch();
-            if let Some(CachedValue::Results(r)) = c.get(&CacheKey::results(req, epoch)) {
+            if let Some(r) = c.get(&CacheKey::results(req, epoch)) {
                 m.queries.inc();
                 let mut resp = SearchResponse {
                     hits: r.hits.clone(),
@@ -105,26 +107,23 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
                 return resp;
             }
         }
-        let (mut plan, mut tier) = self.plan_cached(req, Some(&trace));
+        let mut plan = self.plan(req, Some(&trace));
         if self.check_fresh(&plan).is_err() {
-            (plan, tier) = self.plan_cached(req, Some(&trace));
+            plan = self.plan(req, Some(&trace));
         }
         let mut resp = self.dispatch(req, &plan, &trace);
-        resp.served_from = tier;
         // Only complete responses are cached: a response missing an
         // engine's hits (timeout, failure) must not be replayed after
         // the engine recovers.
-        if req.cache.writes() && resp.is_complete() {
-            if let Some(c) = self.cache_for(req) {
-                c.insert(
-                    CacheKey::results(req, plan.epoch),
-                    CachedValue::Results(Arc::new(CachedResponse {
-                        hits: resp.hits.clone(),
-                        estimates: resp.estimates.clone(),
-                        per_engine_stats: resp.per_engine_stats.clone(),
-                    })),
-                );
-            }
+        if let Some(c) = cache.filter(|_| req.cache.writes() && resp.is_complete()) {
+            c.insert(
+                CacheKey::results(req, plan.epoch),
+                Arc::new(CachedResponse {
+                    hits: resp.hits.clone(),
+                    estimates: resp.estimates.clone(),
+                    per_engine_stats: resp.per_engine_stats.clone(),
+                }),
+            );
         }
         timer.stop();
         resp.trace = self.finish_trace(active, req, &resp);
@@ -239,12 +238,7 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         let resp = match (self.check_fresh(plan), req.stale_mode) {
             (Ok(()), _) => self.dispatch(req, plan, &untraced),
             (Err(stale), StaleMode::Error) => return Err(stale),
-            (Err(_), StaleMode::Replan) => {
-                let (fresh, tier) = self.plan_cached(req, None);
-                let mut resp = self.dispatch(req, &fresh, &untraced);
-                resp.served_from = tier;
-                resp
-            }
+            (Err(_), StaleMode::Replan) => self.dispatch(req, &self.plan(req, None), &untraced),
         };
         timer.stop();
         Ok(resp)
@@ -520,7 +514,7 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SearchEngine;
+    use crate::{EngineSnapshot, SearchEngine};
     use seu_core::SubrangeEstimator;
     use seu_engine::{CollectionBuilder, WeightingScheme};
     use seu_repr::Representative;
@@ -711,6 +705,50 @@ mod tests {
         );
         assert_eq!(capped.hits.len(), 2);
         assert_eq!(capped.hits[..], all.hits[..2]);
+    }
+
+    /// The query cache holds one entry per distinct complete answer, and
+    /// only `execute` talks to it.
+    #[test]
+    fn only_a_complete_execute_reads_or_fills_the_cache() {
+        let b = broker();
+        let books = || {
+            let s = b.cache_stats().expect("the cache is on by default");
+            (s.entries, s.hits, s.misses)
+        };
+        let req = SearchRequest::new("databases").policy(SelectionPolicy::All);
+        let plan = b.plan(&req, None);
+        let _ = b.estimate_all("databases", 0.1);
+        let _ = b.select("databases", 0.1, SelectionPolicy::EstimatedUseful);
+        let _ = b.reestimate(&plan, 0.3);
+        assert_eq!(books(), (0, 0, 0), "planning is not the cache's business");
+
+        // Each distinct complete answer: one miss, one entry; its repeat
+        // one hit.
+        let distinct = [
+            req.clone(),
+            req.clone().threshold(0.2),
+            req.clone().top_k(1),
+        ];
+        for (i, r) in distinct.iter().enumerate() {
+            let n = i as u64;
+            assert_eq!(b.execute(r).served_from, None);
+            assert_eq!(books(), (n + 1, n, n + 1));
+            assert_eq!(b.execute(r).served_from, Some(CacheTier::Results));
+            assert_eq!(books(), (n + 1, n + 1, n + 1));
+        }
+
+        // A detached engine refuses dispatch: the response is incomplete
+        // and must not be kept. (Installing it moved the epoch, which
+        // purged the three entries above.)
+        let ghost = EngineSnapshot::of_engine("ghost", &engine_from(&["ghost databases"]));
+        b.install_snapshot(ghost, None, Some("nowhere:0".into()))
+            .unwrap();
+        for misses in [4, 5] {
+            let resp = b.execute(&req);
+            assert!(!resp.is_complete());
+            assert_eq!((resp.served_from, books()), (None, (0, 3, misses)));
+        }
     }
 
     #[test]

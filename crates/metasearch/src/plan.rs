@@ -37,7 +37,6 @@
 //! [`Broker::reestimate`]: crate::Broker::reestimate
 
 use crate::broker::{metrics, Broker, EngineEstimate};
-use crate::cache::{CacheKey, CacheTier, CachedValue};
 use crate::registry::{EngineHandle, Hit, RegisteredEngine, StalePlanError};
 use crate::request::SearchRequest;
 use crate::selection::SelectionPolicy;
@@ -239,28 +238,15 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
     /// `plan` span with `analyze`, per-shard `shard_walk`, and `select`
     /// children.
     ///
-    /// Unless the request bypasses the cache, the plan is served from
-    /// (and inserted into) the plan tier of the query cache, and the
-    /// analysis pass from the analysis tier — so a threshold sweep over
-    /// the same query text re-estimates from the cached analysis
-    /// instead of re-tokenizing (see [`crate::cache`]).
+    /// A plan is always computed: the query cache holds finished answers
+    /// only (see [`crate::cache`]), and it is [`Broker::execute`] that
+    /// consults it. A threshold sweep plans once and calls
+    /// [`Broker::reestimate`] per threshold.
     pub fn plan(&self, req: &SearchRequest, trace: Option<&TraceHandle>) -> QueryPlan {
-        self.plan_cached(req, trace).0
-    }
-
-    /// [`Broker::plan`], also reporting which cache tier (if any) the
-    /// planning work came from: `Some(Plan)` for a plan-tier hit,
-    /// `Some(Analysis)` when only the analysis was reused, `None` for a
-    /// fully cold plan.
-    pub(crate) fn plan_cached(
-        &self,
-        req: &SearchRequest,
-        trace: Option<&TraceHandle>,
-    ) -> (QueryPlan, Option<CacheTier>) {
         // Hydration before the epoch read: restored-but-cold entries
-        // are decoded from the store now, so no plan (or cache key) is
-        // ever computed against the pre-hydration placeholder state.
-        // O(1) — one atomic load — once everything is hydrated.
+        // are decoded from the store now, so no plan is ever computed
+        // against the pre-hydration placeholder state. O(1) — one
+        // atomic load — once everything is hydrated.
         self.hydrate();
         let disabled = TraceHandle::disabled();
         let trace = trace.unwrap_or(&disabled);
@@ -270,42 +256,14 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         let plan_span_id = plan_span.id();
         // Epoch is read before analysis: a refresh landing mid-plan makes
         // the plan detectably stale rather than silently half-updated.
-        // Cache keys carry this same epoch, so a cached value is only
-        // ever served for the registry state it was computed against.
+        // `execute` keys the response it caches by this same epoch, so a
+        // cached answer is only ever served for the registry state it
+        // was computed against.
         let epoch = self.registry.epoch();
-        let cache = self.cache_for(req);
-        if let Some(c) = cache {
-            if let Some(CachedValue::Plan(p)) = c.get(&CacheKey::plan(req, epoch)) {
-                plan_span.attr("cache", "hit");
-                plan_span.attr("epoch", epoch);
-                plan_span.finish();
-                timer.stop();
-                return ((*p).clone(), Some(CacheTier::Plan));
-            }
-        }
-        let mut analysis_hit = false;
-        let analysis: Arc<SharedAnalysis> =
-            match cache.and_then(|c| c.get(&CacheKey::analysis(&req.query, epoch))) {
-                Some(CachedValue::Analysis(a)) => {
-                    analysis_hit = true;
-                    a
-                }
-                _ => {
-                    let a = {
-                        let _span = trace.child_span("analyze", plan_span_id);
-                        Arc::new(self.analyze(&req.query))
-                    };
-                    if req.cache.writes() {
-                        if let Some(c) = cache {
-                            c.insert(
-                                CacheKey::analysis(&req.query, epoch),
-                                CachedValue::Analysis(Arc::clone(&a)),
-                            );
-                        }
-                    }
-                    a
-                }
-            };
+        let analysis = {
+            let _span = trace.child_span("analyze", plan_span_id);
+            self.analyze(&req.query)
+        };
         // Per-engine estimates are independent, so only the presentation
         // order matters, and the walk restores registration order. The
         // registry's postings say which entries hold a query term; every
@@ -396,28 +354,16 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
             selected
         };
         plan_span.attr("epoch", epoch);
-        if analysis_hit {
-            plan_span.attr("cache", "analysis_hit");
-        }
         plan_span.finish();
         timer.stop();
-        let plan = QueryPlan {
+        QueryPlan {
             query: req.query.clone(),
             threshold: req.threshold,
             policy: req.policy,
             epoch,
             engines: planned,
             selected,
-        };
-        if req.cache.writes() {
-            if let Some(c) = cache {
-                c.insert(
-                    CacheKey::plan(req, epoch),
-                    CachedValue::Plan(Arc::new(plan.clone())),
-                );
-            }
         }
-        (plan, analysis_hit.then_some(CacheTier::Analysis))
     }
 
     /// Whether the registry still is what `plan` was made against; a
@@ -444,9 +390,9 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
     ///
     /// Passing `Some(trace)` records one `reestimate` span carrying the
     /// threshold, engine count, and whether the plan was rejected as
-    /// stale. Threshold sweeps that obtained their plan via
-    /// [`Broker::plan`] share the cached plan across the sweep: every
-    /// per-threshold call here reuses the one analysis and shard walk.
+    /// stale. A threshold sweep holds the one plan it obtained from
+    /// [`Broker::plan`] and calls this per threshold: every call reuses
+    /// that plan's analysis and shard walk.
     pub fn try_reestimate(
         &self,
         plan: &QueryPlan,

@@ -206,13 +206,15 @@ pub struct SearchResponse {
     /// [`SearchRequest::explain`] (or the head sampler retained the
     /// trace and it finished slow — see `seu_obs::trace`).
     pub trace: Option<std::sync::Arc<seu_obs::FinishedTrace>>,
-    /// Which cache tier (if any) this response was served from: `None`
-    /// for a fully cold execution, [`CacheTier::Analysis`] /
-    /// [`CacheTier::Plan`] when planning reused cached work before a
-    /// real dispatch, [`CacheTier::Results`] when the merged response
-    /// itself was served. Pure provenance — hits, estimates, and
-    /// [`SearchResponse::is_complete`] are bit-identical between a
-    /// cached response and the cold execution that populated it.
+    /// Whether this response was served from the query cache:
+    /// `Some(`[`CacheTier::Results`]`)` when the merged response itself
+    /// was served without planning or dispatching, `None` for an
+    /// execution that did both (the cache holds nothing below a
+    /// finished answer, so there is no third case). Stamped by
+    /// [`Broker::execute`](crate::Broker::execute). Pure provenance —
+    /// hits, estimates, and [`SearchResponse::is_complete`] are
+    /// bit-identical between a cached response and the cold execution
+    /// that populated it.
     pub served_from: Option<CacheTier>,
 }
 

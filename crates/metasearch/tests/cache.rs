@@ -302,18 +302,12 @@ mod fingerprint_props {
         /// always produces an equal key with an equal fingerprint.
         #[test]
         fn fingerprint_is_deterministic(req in requests(), epoch in 0u64..1000) {
-            for key in [
-                CacheKey::analysis(&req.query, epoch),
-                CacheKey::plan(&req, epoch),
-                CacheKey::results(&req, epoch),
-            ] {
-                prop_assert_eq!(key.fingerprint(), key.clone().fingerprint());
-                prop_assert_eq!(key.epoch(), epoch);
-            }
-            prop_assert_eq!(
-                CacheKey::plan(&req, epoch).fingerprint(),
-                CacheKey::plan(&req.clone(), epoch).fingerprint()
-            );
+            let key = CacheKey::results(&req, epoch);
+            prop_assert_eq!(key.fingerprint(), key.clone().fingerprint());
+            prop_assert_eq!(key.epoch(), epoch);
+            let again = CacheKey::results(&req.clone(), epoch);
+            prop_assert_eq!(&key, &again);
+            prop_assert_eq!(key.fingerprint(), again.fingerprint());
         }
 
         /// Distinct identities never collide: across a batch of random
@@ -326,16 +320,11 @@ mod fingerprint_props {
         ) {
             let mut seen: HashMap<u64, CacheKey> = HashMap::new();
             for (req, epoch) in &reqs {
-                for key in [
-                    CacheKey::analysis(&req.query, *epoch),
-                    CacheKey::plan(req, *epoch),
-                    CacheKey::results(req, *epoch),
-                ] {
-                    if let Some(prev) = seen.get(&key.fingerprint()) {
-                        prop_assert_eq!(prev, &key, "fingerprint collision");
-                    }
-                    seen.insert(key.fingerprint(), key);
+                let key = CacheKey::results(req, *epoch);
+                if let Some(prev) = seen.get(&key.fingerprint()) {
+                    prop_assert_eq!(prev, &key, "fingerprint collision");
                 }
+                seen.insert(key.fingerprint(), key);
             }
         }
 
@@ -350,13 +339,13 @@ mod fingerprint_props {
             prop_assert_ne!(a.fingerprint(), b.fingerprint());
         }
 
-        /// Threshold and shape fields separate plan/results identities.
+        /// Threshold and shape fields separate identities.
         #[test]
-        fn threshold_separates_plan_keys(req in requests(), epoch in 0u64..4) {
+        fn threshold_and_shape_separate_keys(req in requests(), epoch in 0u64..4) {
             let other = req.clone().threshold(req.threshold + 0.5);
             prop_assert_ne!(
-                CacheKey::plan(&req, epoch),
-                CacheKey::plan(&other, epoch)
+                CacheKey::results(&req, epoch),
+                CacheKey::results(&other, epoch)
             );
             let shaped = req.clone().with_estimates(!req.with_estimates);
             prop_assert_ne!(

@@ -151,16 +151,15 @@ fn query_analysis_runs_once_per_request() {
         "16 same-config engines should share one analysis pass"
     );
 
-    // The legacy wrappers inherit the guarantee, and the query cache
-    // tightens it further: the analysis tier is keyed on (query, epoch)
-    // alone, so select() reuses the analysis the execute above cached
-    // even at a different threshold/policy, and search() then reuses
-    // select()'s whole plan — zero fresh analyses.
+    // The legacy wrappers inherit the guarantee: one pass per call. The
+    // query cache holds finished answers only, so select() plans for
+    // itself and search() — a threshold and policy the execute above
+    // did not answer — plans again.
     let before = seu_obs::global().snapshot();
     let _ = broker.select("analysis topic", 0.1, SelectionPolicy::EstimatedUseful);
     let _ = broker.search("analysis topic", 0.1, SelectionPolicy::EstimatedUseful);
     let after = seu_obs::global().snapshot();
-    assert_eq!(analyses(&after) - analyses(&before), 0);
+    assert_eq!(analyses(&after) - analyses(&before), 2);
 
     // Forcing the cold path restores one analysis pass per request.
     let before = seu_obs::global().snapshot();

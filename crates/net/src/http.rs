@@ -3,7 +3,7 @@
 //!
 //! Hand-rolled on `std::net` (the workspace vendors no HTTP stack), and
 //! deliberately small: one request per connection (`Connection: close`),
-//! capped header and body sizes, four routes:
+//! capped header and body sizes, six routes:
 //!
 //! | route | reply |
 //! |-------|-------|
@@ -20,8 +20,9 @@
 //! policy; `cache` is one of `"read_write"`, `"read_only"`, `"bypass"`)
 //! and answers with merged hits, per-engine estimates, per-engine
 //! dispatch stats — including the typed transport error when a remote
-//! engine failed — and `"served_from"` (`"analysis"`, `"plan"`,
-//! `"results"`, or `null` for a cold execution). With `explain` the
+//! engine failed — and `"served_from"` (`"results"` when the query
+//! cache served the whole answer, `null` for an execution that planned
+//! and dispatched). With `explain` the
 //! request is force-sampled and the reply carries the complete span tree
 //! inline under `"trace"`.
 //!

@@ -1,193 +1,30 @@
-//! The hot tier: a byte-budgeted segmented-LRU cache of decoded
-//! records layered over any [`ReprStore`].
+//! The hot tier: decoded records in a byte-budgeted segmented LRU
+//! ([`Slru`], the one the broker's query cache is built on too) layered
+//! over any [`ReprStore`].
 //!
-//! Same replacement discipline as the broker's query cache: new
-//! records enter a probationary queue; a repeat hit promotes them to a
-//! protected queue holding at most [`PROTECTED_SHARE`] of the byte
-//! budget, so a burst of one-touch records (a hydration sweep) cannot
-//! flush the records queries actually re-touch. Queues hold lazy
-//! `(key, generation)` markers — promotions and evictions bump an
-//! entry's generation and stale markers are skipped on pop, which
-//! keeps every operation O(1) amortized.
+//! [`CachedStore`] is the thin part: one lock around the `Slru`, keyed by
+//! fingerprint and charged [`EngineRecord::cost`] per record, the
+//! `broker_store_hot_*` counters, and the resident-bytes gauge. A record
+//! enters on a cold-tier read or a `put`; a repeat hit promotes it, so a
+//! burst of one-touch records (a hydration sweep) cannot flush the
+//! records queries actually re-touch.
 
 use crate::codec::EngineRecord;
+use crate::slru::Slru;
 use crate::{store_metrics, Manifest, ReprStore, StoreError};
 use parking_lot::Mutex;
 use seu_engine::Fingerprint;
-use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Fraction of the byte budget the protected segment may occupy.
-pub const PROTECTED_SHARE: f64 = 0.8;
-
-struct HotEntry {
-    record: Arc<EngineRecord>,
-    cost: usize,
-    gen: u64,
-    protected: bool,
-}
-
-#[derive(Default)]
-struct HotState {
-    map: HashMap<Fingerprint, HotEntry>,
-    probation: VecDeque<(Fingerprint, u64)>,
-    protected: VecDeque<(Fingerprint, u64)>,
-    bytes: usize,
-    protected_bytes: usize,
-    next_gen: u64,
-    published: f64,
-}
-
-impl HotState {
-    fn bump_gen(&mut self) -> u64 {
-        self.next_gen += 1;
-        self.next_gen
-    }
-
-    /// Drops stale queue markers once a queue grows well past the live
-    /// entry count, bounding memory under heavy re-touch traffic.
-    fn compact(&mut self) {
-        let live = self.map.len();
-        for is_protected in [false, true] {
-            let queue = if is_protected {
-                &self.protected
-            } else {
-                &self.probation
-            };
-            if queue.len() <= 4 * live + 16 {
-                continue;
-            }
-            let map = &self.map;
-            let kept: VecDeque<(Fingerprint, u64)> = queue
-                .iter()
-                .filter(|(key, gen)| {
-                    map.get(key)
-                        .is_some_and(|e| e.gen == *gen && e.protected == is_protected)
-                })
-                .copied()
-                .collect();
-            if is_protected {
-                self.protected = kept;
-            } else {
-                self.probation = kept;
-            }
-        }
-    }
-
-    /// Pops the least-recent *live* probationary entry, else the
-    /// least-recent protected one; returns false when nothing is left.
-    fn evict_one(&mut self) -> bool {
-        loop {
-            let (key, gen, from_protected) = match self.probation.pop_front() {
-                Some((k, g)) => (k, g, false),
-                None => match self.protected.pop_front() {
-                    Some((k, g)) => (k, g, true),
-                    None => return false,
-                },
-            };
-            let live = self
-                .map
-                .get(&key)
-                .is_some_and(|e| e.gen == gen && e.protected == from_protected);
-            if !live {
-                continue;
-            }
-            let entry = self.map.remove(&key).expect("entry existence just checked");
-            self.bytes -= entry.cost;
-            if entry.protected {
-                self.protected_bytes -= entry.cost;
-            }
-            return true;
-        }
-    }
-
-    /// Demotes least-recent protected entries to probation until the
-    /// protected segment fits its share of the budget.
-    fn enforce_protected_cap(&mut self, budget: usize) {
-        let cap = (budget as f64 * PROTECTED_SHARE) as usize;
-        while self.protected_bytes > cap {
-            let (key, gen) = match self.protected.pop_front() {
-                Some(front) => front,
-                None => break,
-            };
-            let Some(entry) = self.map.get_mut(&key) else {
-                continue;
-            };
-            if entry.gen != gen || !entry.protected {
-                continue;
-            }
-            entry.protected = false;
-            self.protected_bytes -= entry.cost;
-            let fresh = self.next_gen + 1;
-            self.next_gen = fresh;
-            entry.gen = fresh;
-            self.probation.push_back((key, fresh));
-        }
-    }
-
-    fn insert(&mut self, key: Fingerprint, record: Arc<EngineRecord>, budget: usize) {
-        let cost = record.cost();
-        if cost > budget {
-            return;
-        }
-        if let Some(old) = self.map.remove(&key) {
-            self.bytes -= old.cost;
-            if old.protected {
-                self.protected_bytes -= old.cost;
-            }
-        }
-        let gen = self.bump_gen();
-        self.map.insert(
-            key,
-            HotEntry {
-                record,
-                cost,
-                gen,
-                protected: false,
-            },
-        );
-        self.bytes += cost;
-        self.probation.push_back((key, gen));
-        while self.bytes > budget {
-            if !self.evict_one() {
-                break;
-            }
-        }
-        self.compact();
-    }
-
-    /// Marks a present entry as re-touched: probationary entries are
-    /// promoted to protected, protected ones move to most-recent.
-    fn touch(&mut self, key: Fingerprint, budget: usize) {
-        let gen = self.bump_gen();
-        let Some(entry) = self.map.get_mut(&key) else {
-            return;
-        };
-        entry.gen = gen;
-        if !entry.protected {
-            entry.protected = true;
-            self.protected_bytes += entry.cost;
-        }
-        self.protected.push_back((key, gen));
-        self.enforce_protected_cap(budget);
-        self.compact();
-    }
-
-    fn publish(&mut self) {
-        let delta = self.bytes as f64 - self.published;
-        if delta != 0.0 {
-            store_metrics().hot_bytes.add(delta);
-            self.published = self.bytes as f64;
-        }
-    }
-}
 
 /// Hot-tier adapter: serves decoded records from a byte-budgeted
 /// segmented-LRU cache, falling through to the wrapped store on miss.
 pub struct CachedStore<S> {
     inner: S,
-    budget: usize,
-    state: Mutex<HotState>,
+    hot: Mutex<Slru<Fingerprint, Arc<EngineRecord>>>,
+    /// Resident bytes last added to the process-global gauge, which sums
+    /// over every live store; `Drop` retracts them.
+    published: AtomicU64,
 }
 
 impl<S: ReprStore> CachedStore<S> {
@@ -196,8 +33,8 @@ impl<S: ReprStore> CachedStore<S> {
     pub fn new(inner: S, budget: usize) -> Self {
         CachedStore {
             inner,
-            budget,
-            state: Mutex::new(HotState::default()),
+            hot: Mutex::new(Slru::new(budget)),
+            published: AtomicU64::new(0),
         }
     }
 
@@ -208,60 +45,58 @@ impl<S: ReprStore> CachedStore<S> {
 
     /// Bytes currently resident in the hot tier.
     pub fn hot_bytes(&self) -> usize {
-        self.state.lock().bytes
+        self.hot.lock().bytes()
     }
 
     /// Records currently resident in the hot tier.
     pub fn hot_len(&self) -> usize {
-        self.state.lock().map.len()
+        self.hot.lock().len()
+    }
+
+    /// Offers a record to the hot tier and republishes the gauge, under
+    /// the one lock so the published figure never lags a later insert.
+    fn admit(&self, key: Fingerprint, record: &Arc<EngineRecord>) {
+        let mut hot = self.hot.lock();
+        hot.insert(key, Arc::clone(record), record.cost());
+        let bytes = hot.bytes() as u64;
+        let published = self.published.swap(bytes, Ordering::SeqCst);
+        store_metrics()
+            .hot_bytes
+            .add(bytes as f64 - published as f64);
     }
 }
 
 impl<S> Drop for CachedStore<S> {
     fn drop(&mut self) {
-        let mut state = self.state.lock();
-        if state.published != 0.0 {
-            store_metrics().hot_bytes.add(-state.published);
-            state.published = 0.0;
-        }
+        let published = self.published.swap(0, Ordering::SeqCst);
+        store_metrics().hot_bytes.add(-(published as f64));
     }
 }
 
 impl<S: ReprStore> ReprStore for CachedStore<S> {
     fn get(&self, key: Fingerprint) -> Result<Option<Arc<EngineRecord>>, StoreError> {
         let m = store_metrics();
-        {
-            let mut state = self.state.lock();
-            if let Some(entry) = state.map.get(&key) {
-                let record = Arc::clone(&entry.record);
-                state.touch(key, self.budget);
-                state.publish();
-                m.hot_hits.inc();
-                return Ok(Some(record));
-            }
+        let hit = self.hot.lock().get(&key).cloned();
+        if hit.is_some() {
+            m.hot_hits.inc();
+            return Ok(hit);
         }
         m.hot_misses.inc();
-        match self.inner.get(key)? {
-            Some(record) => {
-                let mut state = self.state.lock();
-                state.insert(key, Arc::clone(&record), self.budget);
-                state.publish();
-                Ok(Some(record))
-            }
-            None => Ok(None),
+        let record = self.inner.get(key)?;
+        if let Some(record) = &record {
+            self.admit(key, record);
         }
+        Ok(record)
     }
 
     fn put(&self, record: &EngineRecord) -> Result<Arc<EngineRecord>, StoreError> {
         let canonical = self.inner.put(record)?;
-        let mut state = self.state.lock();
-        state.insert(canonical.fingerprint, Arc::clone(&canonical), self.budget);
-        state.publish();
+        self.admit(canonical.fingerprint, &canonical);
         Ok(canonical)
     }
 
     fn contains(&self, key: Fingerprint) -> bool {
-        self.state.lock().map.contains_key(&key) || self.inner.contains(key)
+        self.hot.lock().contains(&key) || self.inner.contains(key)
     }
 
     fn manifest(&self) -> Manifest {
@@ -279,7 +114,8 @@ mod tests {
     use seu_engine::{CollectionBuilder, SearchEngine, WeightingScheme};
     use seu_repr::Representative;
     use seu_text::Analyzer;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::collections::HashMap;
+    use std::sync::atomic::AtomicUsize;
 
     /// Counting in-memory record store so tests can observe cold-tier
     /// traffic.
@@ -356,58 +192,6 @@ mod tests {
         assert_eq!(store.inner().gets.load(Ordering::Relaxed), cold_before);
         assert!(Arc::ptr_eq(&canonical, &served));
         assert!(store.hot_bytes() > 0);
-    }
-
-    #[test]
-    fn budget_bounds_resident_bytes() {
-        let one_cost = record(0).cost();
-        let budget = one_cost * 5 / 2;
-        let store = CachedStore::new(
-            {
-                let inner = MemRepr::default();
-                for i in 0..6 {
-                    inner.put(&record(i)).unwrap();
-                }
-                inner
-            },
-            budget,
-        );
-        for i in 0..6 {
-            store.get(record(i).fingerprint).unwrap().unwrap();
-            assert!(
-                store.hot_bytes() <= budget,
-                "resident {} exceeds budget {budget}",
-                store.hot_bytes()
-            );
-        }
-        assert!(store.hot_len() < 6, "eviction must have happened");
-        drop(store);
-    }
-
-    #[test]
-    fn re_touched_records_survive_one_touch_floods() {
-        let inner = MemRepr::default();
-        let favorite = record(0);
-        inner.put(&favorite).unwrap();
-        for i in 1..12 {
-            inner.put(&record(i)).unwrap();
-        }
-        let budget = favorite.cost() * 4;
-        let store = CachedStore::new(inner, budget);
-        // Touch the favorite twice: probation → protected.
-        store.get(favorite.fingerprint).unwrap().unwrap();
-        store.get(favorite.fingerprint).unwrap().unwrap();
-        // Flood with one-touch records well past the budget.
-        for i in 1..12 {
-            store.get(record(i).fingerprint).unwrap().unwrap();
-        }
-        let cold_before = store.inner().gets.load(Ordering::Relaxed);
-        store.get(favorite.fingerprint).unwrap().unwrap();
-        assert_eq!(
-            store.inner().gets.load(Ordering::Relaxed),
-            cold_before,
-            "protected favorite must still be hot after the flood"
-        );
     }
 
     #[test]

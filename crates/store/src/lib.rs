@@ -15,7 +15,10 @@
 //!   the compressed format comes for free from the paper.
 //! * **Hot tier** — decoded [`EngineRecord`]s behind a byte-budgeted
 //!   segmented-LRU cache, so repeated hydrations of the same engines
-//!   stay in memory.
+//!   stay in memory. The replacement policy is [`Slru`], written once
+//!   in [`slru`] and exported because this is the one crate both of its
+//!   users depend on: [`CachedStore`] wraps one, and the broker's query
+//!   cache (`seu_metasearch::cache`) wraps eight.
 //! * **Manifest** — a versioned, fsync'd, atomically swapped file
 //!   recording a consistent per-shard epoch cut of the registry plus the
 //!   segment location of every entry's payload.
@@ -45,11 +48,13 @@ pub mod cached;
 pub mod codec;
 pub mod compressed;
 pub mod local;
+pub mod slru;
 
 pub use cached::CachedStore;
 pub use codec::EngineRecord;
 pub use compressed::CompressedStore;
 pub use local::LocalStore;
+pub use slru::Slru;
 
 use seu_engine::Fingerprint;
 use seu_text::AnalyzerConfig;
