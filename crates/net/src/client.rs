@@ -40,6 +40,7 @@ use seu_metasearch::{
     EngineSnapshot, RemoteHit, RemoteTransport, TransportError, TransportErrorKind,
 };
 use std::collections::HashMap;
+use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -460,7 +461,10 @@ impl std::fmt::Debug for MuxClient {
 
 /// Routes reply frames to their waiting callers until the connection
 /// dies, then fails every still-pending request with the death reason.
-fn reader_loop(conn: Arc<Conn>, mut stream: TcpStream) {
+fn reader_loop(conn: Arc<Conn>, stream: TcpStream) {
+    // One `read` fetches a whole reply (or several pipelined ones)
+    // instead of one for the header and one for the payload.
+    let mut stream = BufReader::with_capacity(16 * 1024, stream);
     loop {
         match read_frame(&mut stream) {
             Ok(frame) => {

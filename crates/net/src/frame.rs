@@ -93,10 +93,11 @@ fn header_bytes(corr: u64, kind: u8, payload_len: usize) -> [u8; HEADER_BYTES] {
     header
 }
 
-/// Appends one encoded frame to `out` (for the event loop's buffered
-/// write path). Counts toward the `net_frames_sent` / `net_bytes_sent`
-/// instruments exactly like [`write_frame_corr`].
+/// Appends one encoded frame to `out` and counts it toward the
+/// `net_frames_sent` / `net_bytes_sent` instruments. Every frame either
+/// side sends is built here.
 pub fn encode_frame_into(out: &mut Vec<u8>, corr: u64, kind: u8, payload: &[u8]) {
+    out.reserve(HEADER_BYTES + payload.len());
     out.extend_from_slice(&header_bytes(corr, kind, payload.len()));
     out.extend_from_slice(payload);
     let m = metrics();
@@ -110,21 +111,21 @@ pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> Result<(), T
 }
 
 /// Writes one frame carrying an explicit correlation id, and flushes.
+/// Header and payload leave in **one** `write` when the socket takes
+/// them: on a `TCP_NODELAY` stream two writes are two segments, and a
+/// server that wakes on arrival would wake once for a header it cannot
+/// parse yet.
 pub fn write_frame_corr(
     w: &mut impl Write,
     corr: u64,
     kind: u8,
     payload: &[u8],
 ) -> Result<(), TransportError> {
-    let header = header_bytes(corr, kind, payload.len());
-    w.write_all(&header)
-        .and_then(|()| w.write_all(payload))
+    let mut frame = Vec::new();
+    encode_frame_into(&mut frame, corr, kind, payload);
+    w.write_all(&frame)
         .and_then(|()| w.flush())
-        .map_err(|e| io_error(&e, "writing frame"))?;
-    let m = metrics();
-    m.frames_sent.inc();
-    m.bytes_sent.add((HEADER_BYTES + payload.len()) as u64);
-    Ok(())
+        .map_err(|e| io_error(&e, "writing frame"))
 }
 
 /// Validates a complete header slice, returning `(corr, kind, len)`.
@@ -228,6 +229,34 @@ mod tests {
         let frame = read_frame(&mut wire.as_slice()).unwrap();
         assert_eq!(frame.corr, 0xfeed_beef_1234);
         assert_eq!(frame.kind, 9);
+    }
+
+    #[test]
+    fn a_frame_that_fits_is_one_write() {
+        /// Takes whatever it is handed and counts the calls.
+        struct CountingWriter {
+            bytes: Vec<u8>,
+            writes: usize,
+        }
+        impl Write for CountingWriter {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = CountingWriter {
+            bytes: Vec::new(),
+            writes: 0,
+        };
+        write_frame_corr(&mut w, 11, 3, b"one segment").unwrap();
+        assert_eq!(w.writes, 1, "header and payload must leave together");
+        let frame = read_frame(&mut w.bytes.as_slice()).unwrap();
+        assert_eq!((frame.corr, frame.kind), (11, 3));
+        assert_eq!(frame.payload, b"one segment");
     }
 
     #[test]

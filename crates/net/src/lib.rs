@@ -12,8 +12,9 @@
 //! Four pieces:
 //!
 //! * **[`EngineServer`]** puts one [`SearchEngine`](seu_engine::SearchEngine)
-//!   on a socket behind the crate's one readiness event loop (one poll
-//!   thread plus a small worker pool, [`server`]), serving search /
+//!   on a socket behind the crate's one readiness event loop ([`server`]:
+//!   one thread blocked in `poll(2)` over its sockets until one is ready
+//!   or a worker of its small pool has a reply to send), serving search /
 //!   true-usefulness (single or batched) / snapshot requests and pushing
 //!   [invalidation notices](wire::Message::InvalidateNotice) to
 //!   subscribed brokers when its collection changes.
@@ -46,6 +47,13 @@
 //! surfaces as typed
 //! [`TransportError`](seu_metasearch::TransportError)s.
 //!
+//! **Unix only, one `unsafe` block.** std offers no wait over several
+//! sockets and no `libc` crate is vendored, so the crate declares
+//! `poll(2)` itself: the private `poll` module holds that one foreign
+//! declaration and the single `unsafe` block that calls it, behind a
+//! safe function. The crate denies `unsafe_code` everywhere else, and
+//! the module refuses to compile off unix — there is no fallback loop.
+//!
 //! # Loopback example
 //!
 //! ```
@@ -66,7 +74,7 @@
 //! assert_eq!(name, "demo");
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;
@@ -74,6 +82,8 @@ pub mod federation;
 pub mod frame;
 pub mod http;
 mod metrics;
+#[allow(unsafe_code)]
+mod poll;
 pub mod server;
 mod timer;
 pub mod wire;

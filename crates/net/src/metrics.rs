@@ -60,6 +60,9 @@ pub(crate) struct NetMetrics {
     pub(crate) server_deadline_drops: Arc<seu_obs::Counter>,
     /// Live connections owned by event-loop servers (all kinds).
     pub(crate) server_active_connections: Arc<seu_obs::Gauge>,
+    /// Returns of the event loops' `poll(2)` wait, all servers. A loop
+    /// that blocks adds a few per request and none while idle.
+    pub(crate) server_loop_wakeups: Arc<seu_obs::Counter>,
     /// Federation frames served by replica servers (subset estimates,
     /// subset searches, engine lifecycle).
     pub(crate) replica_requests: Arc<seu_obs::Counter>,
@@ -90,6 +93,7 @@ pub(crate) fn metrics() -> &'static NetMetrics {
         server_batch_requests: seu_obs::counter("net_server_batch_requests_total"),
         server_deadline_drops: seu_obs::counter("net_server_request_deadline_drops_total"),
         server_active_connections: seu_obs::gauge("net_server_active_connections"),
+        server_loop_wakeups: seu_obs::counter("net_server_loop_wakeups_total"),
         replica_requests: seu_obs::counter("net_replica_requests_total"),
     })
 }

@@ -18,6 +18,36 @@
 //! [`ReplicaServer`](crate::ReplicaServer) is the same loop around a
 //! different service.
 //!
+//! **What blocks where.** The loop thread waits in exactly one place,
+//! `poll(2)` (`crate::poll`), over the listener, every live connection
+//! and the read end of a socket pair, with the timer wheel's next
+//! deadline as the timeout — no deadline armed, no timeout. An idle
+//! server therefore makes no passes at all, and an arriving request is
+//! served when it arrives, not at the end of a nap. After `poll` returns,
+//! a pass spends syscalls only where something was reported: `accept` on
+//! a readable listener, `read` on a readable (or failed, or hung-up)
+//! connection, `write` for a connection that has just had a reply
+//! queued. A write the socket refuses parks the rest of the buffer and
+//! asks `poll` for `POLLOUT` on that connection, for as long as the
+//! refusal stands and no longer. Workers block on the job channel.
+//!
+//! **Who wakes whom.** Sockets wake the loop through `poll`. Everything
+//! else — a worker with a finished reply, [`EngineServer::replace_engine`]
+//! with a broadcast, a shutdown — publishes its news and then writes one
+//! byte into the socket pair, unless a flag says a byte is already on
+//! its way. The loop **reads the pair dry first and clears the flag
+//! second**, and only then collects completions and broadcasts; in the
+//! other order a notifier can slip between the two steps and every
+//! later wake-up is lost (see `Wake::acknowledge`). Nothing ticks in
+//! the background to hide such a loss: a lost wake-up is a stalled
+//! call, which `tests/loop_idle.rs` turns into a failure.
+//!
+//! A peer that shuts down its sending half leaves the read set once its
+//! end of stream is read; the connection stays until every request it
+//! had sent is answered and flushed, then closes. An `accept` that fails
+//! for lack of descriptors takes the listener out of the set until the
+//! next wheel tick, so neither case can spin the loop.
+//!
 //! Two connection modes exist, chosen by the client's opening
 //! [`Message::Hello`]:
 //!
@@ -41,6 +71,7 @@
 
 use crate::frame::{check_outbound, encode_frame_into, parse_frame};
 use crate::metrics::metrics;
+use crate::poll::{self, Events, PollFd, POLLERR, POLLHUP, POLLIN, POLLOUT};
 use crate::timer::TimerWheel;
 use crate::wire::Message;
 use parking_lot::{Mutex, RwLock};
@@ -49,6 +80,7 @@ use seu_metasearch::{EngineSnapshot, RemoteHit};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -64,10 +96,9 @@ const REQUEST_IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 /// requester gets a typed error and the eventual result is dropped.
 const REQUEST_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Event-loop sleep bounds when no connection has traffic: start fine,
-/// double up to the cap so an idle server costs microloops, not a core.
-const IDLE_SLEEP_MIN: Duration = Duration::from_micros(250);
-const IDLE_SLEEP_MAX: Duration = Duration::from_millis(2);
+/// Granularity of the deadline wheel — how late a deadline may fire, and
+/// how long the listener sits out after an `accept` failure.
+const TICK: Duration = Duration::from_millis(25);
 
 /// Write-buffer cap per connection; a subscriber that stops reading
 /// while broadcasts pile up is dropped at this point instead of growing
@@ -98,38 +129,52 @@ pub struct ServerConfig {
     pub workers: usize,
 }
 
-/// Wakes the event loop out of its idle sleep (new completion,
-/// broadcast, or shutdown).
+/// Wakes the event loop out of `poll` (new completion, broadcast, or
+/// shutdown): a nonblocking socket pair whose read end sits in the
+/// loop's poll set.
 struct Wake {
-    flag: std::sync::Mutex<bool>,
-    cv: std::sync::Condvar,
+    tx: UnixStream,
+    rx: UnixStream,
+    /// Set by the first notifier to write a byte, cleared by the loop:
+    /// notifications in between ride on that byte instead of adding
+    /// their own.
+    pending: AtomicBool,
 }
 
 impl Wake {
-    fn new() -> Wake {
-        Wake {
-            flag: std::sync::Mutex::new(false),
-            cv: std::sync::Condvar::new(),
-        }
+    fn new() -> std::io::Result<Wake> {
+        let (tx, rx) = UnixStream::pair()?;
+        tx.set_nonblocking(true)?;
+        rx.set_nonblocking(true)?;
+        Ok(Wake {
+            tx,
+            rx,
+            pending: AtomicBool::new(false),
+        })
     }
 
+    /// Call **after** publishing what the loop should find (a pushed
+    /// completion or broadcast, the shutdown flag).
     fn notify(&self) {
-        let mut flag = self.flag.lock().unwrap_or_else(|e| e.into_inner());
-        *flag = true;
-        self.cv.notify_all();
+        if !self.pending.swap(true, Ordering::SeqCst) {
+            // The pair never holds more than a couple of bytes, so the
+            // write cannot find it full.
+            let _ = (&self.tx).write(&[1]);
+        }
     }
 
-    /// Sleeps up to `timeout` unless a notification is (or arrives)
-    /// pending; consumes the pending flag.
-    fn wait(&self, timeout: Duration) {
-        let mut flag = self.flag.lock().unwrap_or_else(|e| e.into_inner());
-        if !*flag {
-            flag = match self.cv.wait_timeout(flag, timeout) {
-                Ok((g, _)) => g,
-                Err(e) => e.into_inner().0,
-            };
-        }
-        *flag = false;
+    /// The loop's half, run before it collects what notifiers
+    /// published: read the pair dry **first**, clear the flag
+    /// **second**. A notifier that still sees the flag set published
+    /// before the clear, hence before the collection that follows it;
+    /// one that sees it clear writes a byte nobody has drained. Clearing
+    /// first would let a notifier set the flag and write in between, the
+    /// drain swallow that byte, and every later notifier find the flag
+    /// set with no byte left to wake the loop — for good.
+    fn acknowledge(&self) {
+        let mut sink = [0u8; 64];
+        while matches!((&self.rx).read(&mut sink), Ok(n) if n == sink.len()) {}
+        self.pending.store(false, Ordering::SeqCst);
     }
 }
 
@@ -180,7 +225,7 @@ impl FrameServer {
             shutting_down: AtomicBool::new(false),
             subscribers: AtomicUsize::new(0),
             broadcasts: Mutex::new(Vec::new()),
-            wake: Wake::new(),
+            wake: Wake::new()?,
         });
         let thread_state = Arc::clone(&state);
         let thread = std::thread::Builder::new()
@@ -354,7 +399,16 @@ struct EventConn {
     wbuf: Vec<u8>,
     /// Flushed prefix of `wbuf`.
     wstart: usize,
+    /// The socket refused part of `wbuf`; no write is tried again until
+    /// `poll` reports room.
+    write_blocked: bool,
+    /// Requests handed to the worker pool and not yet answered (by
+    /// their reply or by their deadline).
+    in_flight: usize,
     last_activity: Instant,
+    /// The peer sent its end of stream: nothing more is read, and the
+    /// connection closes once what it already asked for is answered.
+    eof: bool,
     /// Flush the write buffer, then close.
     closing: bool,
     dead: bool,
@@ -371,12 +425,34 @@ impl EventConn {
         }
         encode_frame_into(&mut self.wbuf, corr, kind, &payload);
     }
+
+    /// Whether the loop still reads this connection.
+    fn reading(&self) -> bool {
+        !self.eof && !self.closing
+    }
+
+    /// What the loop asks `poll` about this connection: input while it
+    /// is being read, room only while a refused write is waiting.
+    fn interest(&self) -> Events {
+        let read = if self.reading() { POLLIN } else { 0 };
+        let write = if self.write_blocked { POLLOUT } else { 0 };
+        read | write
+    }
 }
 
 /// Deadlines the timer wheel tracks for the loop.
 enum Deadline {
-    ConnIdle { slot: usize, gen: u64 },
-    Request { slot: usize, gen: u64, corr: u64 },
+    ConnIdle {
+        slot: usize,
+        gen: u64,
+    },
+    Request {
+        slot: usize,
+        gen: u64,
+        corr: u64,
+    },
+    /// The listener rejoins the poll set after an `accept` failure.
+    AcceptRetry,
 }
 
 /// A request handed to the worker pool.
@@ -423,28 +499,54 @@ fn event_loop(listener: TcpListener, state: Arc<LoopState>) {
     let mut conns: Vec<Option<EventConn>> = Vec::new();
     let mut free_slots: Vec<usize> = Vec::new();
     let mut next_gen: u64 = 1;
-    let mut wheel: TimerWheel<Deadline> = TimerWheel::new(Duration::from_millis(25), 512);
+    let mut wheel: TimerWheel<Deadline> = TimerWheel::new(TICK, 512);
     let mut req_deadlines: HashMap<(usize, u64, u64), crate::timer::TimerKey> = HashMap::new();
     let mut expired: Vec<Deadline> = Vec::new();
-    let mut idle_sleep = IDLE_SLEEP_MIN;
-    // One read scratch for every connection and iteration: a fresh one
-    // per poll would zero 16 KiB per connection thousands of times a
-    // second.
+    // The poll set, rebuilt every pass: the wake pair, the listener,
+    // then one entry per live connection, whose slot `polled` names.
+    const WAKE: usize = 0;
+    const LISTENER: usize = 1;
+    const CONNS: usize = 2;
+    let mut fds: Vec<PollFd> = Vec::new();
+    let mut polled: Vec<usize> = Vec::new();
+    // False from a failed `accept` to the next wheel tick: the listener
+    // stays readable through, say, `EMFILE`, and asking again at once
+    // would spin.
+    let mut accepting = true;
+    // One read scratch for every connection and pass.
     let mut buf = [0u8; 16 * 1024];
     let m = metrics();
 
-    loop {
-        if state.shutting_down.load(Ordering::SeqCst) {
-            break;
+    while !state.shutting_down.load(Ordering::SeqCst) {
+        fds.clear();
+        polled.clear();
+        fds.push(PollFd::new(&state.wake.rx, POLLIN));
+        fds.push(PollFd::new(&listener, if accepting { POLLIN } else { 0 }));
+        for (slot, conn) in conns.iter().enumerate() {
+            if let Some(conn) = conn {
+                fds.push(PollFd::new(&conn.stream, conn.interest()));
+                polled.push(slot);
+            }
         }
-        let mut activity = false;
+        // The one place the loop waits: for a socket, a notifier, or the
+        // wheel's next deadline — with none armed, for as long as it
+        // takes.
+        if poll::wait(&mut fds, wheel.next_wake(Instant::now())).is_err() {
+            // The kernel refused the set (out of memory); nothing was
+            // reported. Retry at the wheel's pace, deadlines still run.
+            std::thread::sleep(TICK);
+        }
+        m.server_loop_wakeups.inc();
         let now = Instant::now();
+        if fds[WAKE].reported(POLLIN) {
+            state.wake.acknowledge();
+        }
 
-        // New connections.
-        loop {
+        // New connections, if the listener reported any (the condition
+        // gates the first `accept`; `WouldBlock` ends the loop).
+        while fds[LISTENER].reported(POLLIN | POLLERR | POLLHUP) {
             match listener.accept() {
                 Ok((stream, _)) => {
-                    activity = true;
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
@@ -462,7 +564,10 @@ fn event_loop(listener: TcpListener, state: Arc<LoopState>) {
                         rbuf: Vec::new(),
                         wbuf: Vec::new(),
                         wstart: 0,
+                        write_blocked: false,
+                        in_flight: 0,
                         last_activity: now,
+                        eof: false,
                         closing: false,
                         dead: false,
                     };
@@ -479,7 +584,12 @@ fn event_loop(listener: TcpListener, state: Arc<LoopState>) {
                     wheel.insert(now, REQUEST_IDLE_TIMEOUT, Deadline::ConnIdle { slot, gen });
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    accepting = false;
+                    wheel.insert(now, Duration::ZERO, Deadline::AcceptRetry);
+                    break;
+                }
             }
         }
 
@@ -490,7 +600,6 @@ fn event_loop(listener: TcpListener, state: Arc<LoopState>) {
             std::mem::take(&mut *lock)
         };
         for d in done {
-            activity = true;
             match req_deadlines.remove(&(d.slot, d.gen, d.corr)) {
                 Some(key) => {
                     wheel.cancel(key);
@@ -500,6 +609,7 @@ fn event_loop(listener: TcpListener, state: Arc<LoopState>) {
             // An `Error` reply is in-band: it answers its own corr and
             // the connection keeps serving its pipelined neighbours.
             if let Some(conn) = conn_mut(&mut conns, d.slot, d.gen) {
+                conn.in_flight -= 1;
                 conn.enqueue(d.corr, &d.reply);
             }
         }
@@ -510,7 +620,6 @@ fn event_loop(listener: TcpListener, state: Arc<LoopState>) {
             std::mem::take(&mut *lock)
         };
         for (kind, payload) in &notices {
-            activity = true;
             for conn in conns.iter_mut().flatten() {
                 if conn.kind == ConnKind::Subscriber && !conn.dead && !conn.closing {
                     encode_frame_into(&mut conn.wbuf, 0, *kind, payload);
@@ -519,26 +628,38 @@ fn event_loop(listener: TcpListener, state: Arc<LoopState>) {
             }
         }
 
-        // Readable data → frames → inline replies or worker jobs.
-        for (slot, entry) in conns.iter_mut().enumerate() {
-            let Some(conn) = entry.as_mut() else {
-                continue;
-            };
-            if conn.dead || conn.closing {
+        // Reported connections: readable data → frames → inline replies
+        // or worker jobs.
+        for (fd, &slot) in fds[CONNS..].iter().zip(&polled) {
+            let conn = conns[slot]
+                .as_mut()
+                .expect("a polled slot stays occupied until this pass reaps it");
+            if fd.reported(POLLOUT | POLLERR | POLLHUP) {
+                conn.write_blocked = false;
+            }
+            if !fd.reported(POLLIN | POLLERR | POLLHUP) {
                 continue;
             }
+            if !conn.reading() {
+                // Not asked about input, so this is an error or a
+                // hang-up: nobody is left to answer.
+                conn.dead = true;
+                continue;
+            }
+            // The `Ok(0)` / `Err` arms classify an error or hang-up.
             loop {
                 match conn.stream.read(&mut buf) {
                     Ok(0) => {
-                        // Peer closed; flush anything already queued.
-                        conn.closing = true;
-                        activity = true;
+                        conn.eof = true;
                         break;
                     }
                     Ok(n) => {
                         conn.rbuf.extend_from_slice(&buf[..n]);
                         conn.last_activity = now;
-                        activity = true;
+                        if n < buf.len() {
+                            // Drained; `poll` reports whatever follows.
+                            break;
+                        }
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -601,7 +722,6 @@ fn event_loop(listener: TcpListener, state: Arc<LoopState>) {
                         let idle = now.saturating_duration_since(conn.last_activity);
                         if idle >= REQUEST_IDLE_TIMEOUT {
                             conn.dead = true;
-                            activity = true;
                         } else {
                             wheel.insert(
                                 now,
@@ -615,6 +735,7 @@ fn event_loop(listener: TcpListener, state: Arc<LoopState>) {
                     if req_deadlines.remove(&(slot, gen, corr)).is_some() {
                         m.server_deadline_drops.inc();
                         if let Some(conn) = conn_mut(&mut conns, slot, gen) {
+                            conn.in_flight -= 1;
                             conn.enqueue(
                                 corr,
                                 &Message::Error {
@@ -623,10 +744,10 @@ fn event_loop(listener: TcpListener, state: Arc<LoopState>) {
                                     ),
                                 },
                             );
-                            activity = true;
                         }
                     }
                 }
+                Deadline::AcceptRetry => accepting = true,
             }
         }
 
@@ -635,35 +756,27 @@ fn event_loop(listener: TcpListener, state: Arc<LoopState>) {
             let Some(conn) = entry.as_mut() else {
                 continue;
             };
-            if !conn.dead && conn.wstart < conn.wbuf.len() {
-                loop {
-                    match conn.stream.write(&conn.wbuf[conn.wstart..]) {
-                        Ok(0) => {
-                            conn.dead = true;
-                            break;
-                        }
-                        Ok(n) => {
-                            conn.wstart += n;
-                            activity = true;
-                            if conn.wstart == conn.wbuf.len() {
-                                conn.wbuf.clear();
-                                conn.wstart = 0;
-                                break;
-                            }
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                        Err(_) => {
-                            conn.dead = true;
-                            break;
-                        }
+            while !conn.dead && !conn.write_blocked && conn.wstart < conn.wbuf.len() {
+                match conn.stream.write(&conn.wbuf[conn.wstart..]) {
+                    Ok(0) => conn.dead = true,
+                    Ok(n) => conn.wstart += n,
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                        conn.write_blocked = true;
                     }
-                }
-                if conn.wbuf.len() - conn.wstart > MAX_WRITE_BUFFER {
-                    conn.dead = true; // slow consumer
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    Err(_) => conn.dead = true,
                 }
             }
-            if conn.closing && conn.wstart >= conn.wbuf.len() {
+            if conn.wstart == conn.wbuf.len() {
+                conn.wbuf.clear();
+                conn.wstart = 0;
+            } else if conn.wbuf.len() - conn.wstart > MAX_WRITE_BUFFER {
+                conn.dead = true; // slow consumer
+            }
+            if conn.eof && conn.in_flight == 0 {
+                conn.closing = true;
+            }
+            if conn.closing && conn.wbuf.is_empty() {
                 conn.dead = true;
             }
             if conn.dead {
@@ -675,15 +788,7 @@ fn event_loop(listener: TcpListener, state: Arc<LoopState>) {
                 m.server_active_connections.add(-1.0);
                 *entry = None;
                 free_slots.push(slot);
-                activity = true;
             }
-        }
-
-        if activity {
-            idle_sleep = IDLE_SLEEP_MIN;
-        } else {
-            state.wake.wait(idle_sleep);
-            idle_sleep = (idle_sleep * 2).min(IDLE_SLEEP_MAX);
         }
     }
 
@@ -775,6 +880,7 @@ fn handle_frame(
                         },
                     );
                     req_deadlines.insert((slot, conn.gen, frame.corr), key);
+                    conn.in_flight += 1;
                     let _ = job_tx.send(Job {
                         slot,
                         gen: conn.gen,

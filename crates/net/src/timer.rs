@@ -14,6 +14,11 @@
 //! The wheel is deliberately coarse: a deadline may fire up to one tick
 //! late (and never early, because insertion rounds the deadline up).
 //! For 25 ms ticks against multi-second timeouts that slack is noise.
+//!
+//! The wheel is also the loop's only clock: [`TimerWheel::next_wake`]
+//! says how long `poll` may block before a deadline can be due, so a
+//! loop with nothing armed sleeps without a timeout and nothing ticks
+//! in between.
 
 use std::time::{Duration, Instant};
 
@@ -112,6 +117,31 @@ impl<T> TimerWheel<T> {
         self.cursor = target + 1;
     }
 
+    /// How long the owner may sleep before [`advance`] can have work:
+    /// `None` when the wheel is empty, otherwise the time from `now` to
+    /// the first non-empty bucket at or after the cursor (zero if that
+    /// tick has already begun). Never later than the earliest deadline;
+    /// it may be earlier, when that bucket's entries lie a revolution or
+    /// more ahead — `advance` then fires nothing and the next call looks
+    /// past the bucket.
+    ///
+    /// [`advance`]: TimerWheel::advance
+    pub fn next_wake(&self, now: Instant) -> Option<Duration> {
+        if self.len == 0 {
+            return None;
+        }
+        let nslots = self.slots.len() as u64;
+        let tick = (self.cursor..self.cursor + nslots)
+            .find(|tick| !self.slots[(tick % nslots) as usize].is_empty())
+            .expect("a wheel with entries has a non-empty bucket");
+        let starts = self.tick.as_nanos() * u128::from(tick);
+        let elapsed = now.saturating_duration_since(self.origin).as_nanos();
+        let wait = starts.saturating_sub(elapsed);
+        Some(Duration::from_nanos(
+            u64::try_from(wait).unwrap_or(u64::MAX),
+        ))
+    }
+
     #[cfg(test)]
     pub fn len(&self) -> usize {
         self.len
@@ -167,6 +197,63 @@ mod tests {
         }
         wheel.advance(t0 + ms(270), &mut out);
         assert_eq!(out, ["slow"]);
+    }
+
+    #[test]
+    fn next_wake_is_none_when_empty_and_never_past_the_earliest_deadline() {
+        let mut wheel: TimerWheel<&str> = TimerWheel::new(ms(10), 8);
+        let t0 = Instant::now();
+        assert_eq!(wheel.next_wake(t0), None, "empty wheel");
+
+        let late = wheel.insert(t0, ms(55), "late");
+        let early = wheel.insert(t0, ms(25), "early");
+        // Sleeping exactly as long as told, `advance` finds the earliest
+        // entry due; sleeping a tick less, it does not.
+        let wake = wheel.next_wake(t0).expect("two entries");
+        assert!(
+            wake <= ms(25) + ms(10),
+            "{wake:?} is past the deadline's tick"
+        );
+        let mut out = Vec::new();
+        wheel.advance(t0 + wake - ms(10), &mut out);
+        assert!(out.is_empty(), "fired {out:?} a tick early");
+        wheel.advance(t0 + wake, &mut out);
+        assert_eq!(out, ["early"]);
+
+        // With the cursor moved on, the wait is to the next entry, and
+        // it shrinks as `now` approaches it.
+        let now = t0 + wake;
+        let next = wheel.next_wake(now).expect("one entry left");
+        assert!(now + next >= t0 + ms(55) && next <= ms(55), "{next:?}");
+        assert_eq!(wheel.next_wake(now + next + ms(500)), Some(Duration::ZERO));
+
+        assert_eq!(wheel.cancel(late), Some("late"));
+        assert_eq!(wheel.cancel(early), None, "already fired");
+        assert_eq!(wheel.next_wake(now), None, "the only entry was cancelled");
+    }
+
+    #[test]
+    fn next_wake_may_be_early_for_a_wrapped_entry_but_advance_is_not() {
+        // 8 slots x 10ms: a 250ms timer sits in a bucket the cursor
+        // reaches three times before the entry matures.
+        let mut wheel: TimerWheel<&str> = TimerWheel::new(ms(10), 8);
+        let t0 = Instant::now();
+        wheel.insert(t0, ms(250), "slow");
+        let mut now = t0;
+        let mut out = Vec::new();
+        let mut wakes = 0;
+        while out.is_empty() {
+            let wake = wheel.next_wake(now).expect("the entry is still armed");
+            assert!(wake <= ms(80), "{wake:?} skips a whole revolution");
+            now += wake.max(ms(1));
+            wheel.advance(now, &mut out);
+            assert!(out.is_empty() || now >= t0 + ms(250), "fired early");
+            wakes += 1;
+            assert!(wakes <= 8, "one wake a revolution, not one a tick");
+        }
+        assert_eq!(out, ["slow"]);
+        assert!(now <= t0 + ms(250) + ms(20), "fired {:?} late", now - t0);
+        assert_eq!(wheel.next_wake(now), None);
     }
 
     #[test]
