@@ -10,7 +10,7 @@ use crate::merge::merge_results;
 use crate::plan::QueryPlan;
 use crate::pool::JobStatus;
 use crate::registry::{EngineHandle, StalePlanError};
-use crate::remote::{TransportError, TransportErrorKind};
+use crate::remote::{Pending, RemoteHit, SearchReply, TransportError, TransportErrorKind};
 use crate::request::{
     DispatchOutcome, EngineDispatchStats, SearchRequest, SearchResponse, StaleMode,
 };
@@ -39,28 +39,45 @@ const MIN_POOLED_LOCAL: usize = 64;
 /// to back, `None` for an engine whose job panicked.
 type DispatchBatch = Box<dyn FnOnce() -> Vec<Option<DispatchResult>> + Send>;
 
-/// Opens one engine's `dispatch:<engine>` span under the dispatch span,
-/// carrying the queue-wait measured from submission to job start. An
-/// unsampled trace formats nothing: this runs once per selected engine
-/// of every request.
-fn engine_span(
-    trace: &TraceHandle,
-    parent: SpanId,
-    name: &str,
-    kind: &str,
-    enqueued: Instant,
-) -> SpanGuard {
+/// Opens one engine's `dispatch:<engine>` span under the dispatch span.
+/// An unsampled trace formats nothing: this runs once per selected
+/// engine of every request.
+fn engine_span(trace: &TraceHandle, parent: SpanId, name: &str, kind: &str) -> SpanGuard {
     if !trace.is_sampled() {
         return SpanGuard::disabled();
     }
     let mut span = trace.child_span(&format!("dispatch:{name}"), parent);
     span.attr("engine", name);
     span.attr("kind", kind);
-    span.attr(
-        "queue_wait_s",
-        format!("{:.6}", enqueued.elapsed().as_secs_f64()),
-    );
     span
+}
+
+/// Notes on a job's span how long the job sat queued: from submission
+/// to its start, separate from the span's own run time.
+fn queued_since(span: &mut SpanGuard, enqueued: Instant) {
+    if span.is_recording() {
+        span.attr(
+            "queue_wait_s",
+            format!("{:.6}", enqueued.elapsed().as_secs_f64()),
+        );
+    }
+}
+
+/// A remote engine asked from the calling thread, its reply not yet
+/// collected; its span runs from the send to the collection.
+struct Asked {
+    span: SpanGuard,
+    reply: Box<dyn Pending<SearchReply>>,
+}
+
+/// One engine's hits as the merge takes them.
+fn named_hits(engine: &str, hits: Vec<RemoteHit>) -> Vec<MergedHit> {
+    let hit = |h: RemoteHit| MergedHit {
+        engine: engine.to_string(),
+        doc: h.doc,
+        sim: h.sim,
+    };
+    hits.into_iter().map(hit).collect()
 }
 
 impl<E: UsefulnessEstimator + Sync> Broker<E> {
@@ -244,42 +261,35 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         Ok(resp)
     }
 
-    /// Runs a plan's dispatch jobs (one per selected engine, in that
-    /// order) and returns one status per engine.
+    /// Runs a dispatch's jobs — `(in-process?, job)`, one per engine —
+    /// and returns one status per job, in their order.
     ///
-    /// A remote call blocks on the network, so it is a pool job of its
-    /// own (as is a detached engine's refusal). An in-process search
-    /// takes microseconds — less than handing it to a worker and waking
-    /// the caller for its result — so a plan of fewer than
-    /// [`MIN_POOLED_LOCAL`] engines, all of them local, is searched by
-    /// the caller itself, and the local engines of any other plan go to
-    /// the pool as at most one batch per worker. A plan over a handful
-    /// of small engines then crosses no thread, a plan over a thousand
-    /// crosses a few instead of a thousand, and how long either takes
-    /// does not depend on how promptly the host schedules a hand-off.
-    /// Every engine still runs under its own `catch_unwind`. A batch
-    /// that misses the deadline times out all its engines; on the
+    /// An in-process search takes microseconds — less than handing it to
+    /// a worker and waking the caller for its result — so fewer than
+    /// [`MIN_POOLED_LOCAL`] of them, and nothing else, are run by the
+    /// caller itself, and the in-process searches of any other dispatch
+    /// go to the pool as at most one batch per worker. A plan over a
+    /// handful of small engines then crosses no thread, a plan over a
+    /// thousand crosses a few instead of a thousand, and how long either
+    /// takes does not depend on how promptly the host schedules a
+    /// hand-off. Any other job — the blocking `search` of a transport
+    /// that offers no other, a detached engine's refusal — is a pool job
+    /// of its own. Every job still runs under its own `catch_unwind`. A
+    /// batch that misses the deadline times out all its engines; on the
     /// caller an engine that has not finished by the deadline times
     /// out, and the ones after it are not started.
     fn run_dispatch_jobs(
         &self,
-        plan: &QueryPlan,
-        jobs: Vec<DispatchJob>,
-        timeout: Option<std::time::Duration>,
+        jobs: Vec<(bool, DispatchJob)>,
+        deadline: Option<Instant>,
     ) -> Vec<JobStatus<DispatchResult>> {
         let n = jobs.len();
-        let (local, single): (Vec<usize>, Vec<usize>) = (0..n).partition(|&p| {
-            matches!(
-                plan.engines[plan.selected[p]].handle,
-                EngineHandle::Local(_)
-            )
-        });
+        let (local, single): (Vec<usize>, Vec<usize>) = (0..n).partition(|&p| jobs[p].0);
         if single.is_empty() && n < MIN_POOLED_LOCAL {
-            let deadline = timeout.map(|t| Instant::now() + t);
             let late = || deadline.is_some_and(|d| Instant::now() >= d);
             return jobs
                 .into_iter()
-                .map(|job| {
+                .map(|(_, job)| {
                     if late() {
                         return JobStatus::TimedOut;
                     }
@@ -294,7 +304,8 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         let pool = self.pool();
         let per_batch = local.len().div_ceil(pool.threads()).max(1);
         let groups: Vec<&[usize]> = single.chunks(1).chain(local.chunks(per_batch)).collect();
-        let mut jobs: Vec<Option<DispatchJob>> = jobs.into_iter().map(Some).collect();
+        let mut jobs: Vec<Option<DispatchJob>> =
+            jobs.into_iter().map(|(_, job)| Some(job)).collect();
         let batches: Vec<DispatchBatch> = groups
             .iter()
             .map(|group| {
@@ -311,6 +322,7 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
             })
             .collect();
         let mut out: Vec<JobStatus<DispatchResult>> = (0..n).map(|_| JobStatus::TimedOut).collect();
+        let timeout = deadline.map(|d| d.saturating_duration_since(Instant::now()));
         for (group, status) in groups.iter().zip(pool.run_collect(batches, timeout)) {
             match status {
                 JobStatus::Done(results) => {
@@ -327,13 +339,27 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
     }
 
     /// Dispatches a plan's invocation set and merges the results — the
-    /// accounting half of [`Broker::execute`]. Records one `dispatch`
-    /// span with a `dispatch:<engine>` child per invoked engine
-    /// (carrying the queue-wait measured from submission to job start,
-    /// separate from the span's own run time) and a `merge` child.
-    /// Remote engines are called with the trace context so their
-    /// server-side spans come back over the wire and join the same
-    /// tree.
+    /// accounting half of [`Broker::execute`].
+    ///
+    /// Ask once, wait once: every selected remote engine whose transport
+    /// can [search in two halves](crate::RemoteTransport::begin_search)
+    /// is sent its request from this thread, in invocation order; the
+    /// plan's other engines are then run (see
+    /// [`Broker::run_dispatch_jobs`]) while those replies are on their
+    /// way; and the replies are collected, in order, each under its own
+    /// `catch_unwind`. The request's timeout, counted from here, is the
+    /// deadline of all three steps: a reply that has not arrived by it
+    /// is that engine's `TimedOut`. The retries of several *failing*
+    /// engines thus back off one after another on this thread, not side
+    /// by side on the pool — bounded by that same deadline.
+    ///
+    /// Records one `dispatch` span with a `dispatch:<engine>` child per
+    /// invoked engine and a `merge` child. A job's span carries the
+    /// queue-wait measured from submission to job start, separate from
+    /// its own run time; an asked engine's span runs from the send to
+    /// the collection and waited in no queue. Remote engines are called
+    /// with the trace context so their server-side spans come back over
+    /// the wire and join the same tree.
     fn dispatch(
         &self,
         req: &SearchRequest,
@@ -346,62 +372,79 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         dispatch_span.attr("engines", plan.selected.len());
         let dispatch_span_id = dispatch_span.id();
         let threshold = req.threshold;
-        let jobs: Vec<DispatchJob> = plan
-            .selected
-            .iter()
-            .map(|&i| {
-                let e = &plan.engines[i];
-                let name = e.name.clone();
-                let trace = trace.clone();
-                let enqueued = Instant::now();
-                match &e.handle {
-                    EngineHandle::Local(engine) => {
-                        let engine = engine.clone();
-                        let query = e.query.clone();
-                        Box::new(move || {
-                            let mut span =
-                                engine_span(&trace, dispatch_span_id, &name, "local", enqueued);
-                            let start = Instant::now();
-                            let hits: Vec<MergedHit> = engine
-                                .search_threshold(&query, threshold)
-                                .into_iter()
-                                .map(|h| MergedHit {
-                                    engine: name.clone(),
-                                    doc: engine.collection().doc(h.doc).name.clone(),
-                                    sim: h.sim,
-                                })
-                                .collect();
-                            span.attr("hits", hits.len());
-                            Ok((hits, start.elapsed().as_secs_f64()))
-                        }) as DispatchJob
+        let deadline = req.timeout.map(|t| Instant::now() + t);
+        let mut statuses: Vec<JobStatus<DispatchResult>> =
+            plan.selected.iter().map(|_| JobStatus::TimedOut).collect();
+        // Positions in `plan.selected`, beside what was made of them.
+        let mut asked: Vec<(usize, Asked)> = Vec::new();
+        let mut queued: Vec<usize> = Vec::with_capacity(statuses.len());
+        let mut jobs: Vec<(bool, DispatchJob)> = Vec::with_capacity(statuses.len());
+        for (p, &i) in plan.selected.iter().enumerate() {
+            let e = &plan.engines[i];
+            let enqueued = Instant::now();
+            // What a job takes with it to whichever thread runs it.
+            let owned = || (e.name.clone(), trace.clone());
+            let job = match &e.handle {
+                EngineHandle::Local(engine) => {
+                    let engine = engine.clone();
+                    let query = e.query.clone();
+                    let (name, job_trace) = owned();
+                    Box::new(move || {
+                        let mut span = engine_span(&job_trace, dispatch_span_id, &name, "local");
+                        queued_since(&mut span, enqueued);
+                        let start = Instant::now();
+                        let hits: Vec<MergedHit> = engine
+                            .search_threshold(&query, threshold)
+                            .into_iter()
+                            .map(|h| MergedHit {
+                                engine: name.clone(),
+                                doc: engine.collection().doc(h.doc).name.clone(),
+                                sim: h.sim,
+                            })
+                            .collect();
+                        span.attr("hits", hits.len());
+                        Ok((hits, start.elapsed().as_secs_f64()))
+                    }) as DispatchJob
+                }
+                EngineHandle::Remote { transport, .. } => {
+                    let mut span = engine_span(trace, dispatch_span_id, &e.name, "remote");
+                    if span.is_recording() {
+                        span.attr("endpoint", transport.endpoint());
                     }
-                    EngineHandle::Remote { transport, .. } => {
-                        let transport = transport.clone();
-                        let text = plan.query.clone();
-                        Box::new(move || {
-                            let mut span =
-                                engine_span(&trace, dispatch_span_id, &name, "remote", enqueued);
-                            span.attr("endpoint", transport.endpoint());
-                            let start = Instant::now();
-                            let ctx = trace.context(span.id());
-                            let (remote_hits, remote_spans) =
-                                transport.search(&text, threshold, Some(&ctx))?;
-                            trace.adopt_spans(remote_spans);
-                            let hits: Vec<MergedHit> = remote_hits
-                                .into_iter()
-                                .map(|h| MergedHit {
-                                    engine: name.clone(),
-                                    doc: h.doc,
-                                    sim: h.sim,
-                                })
-                                .collect();
-                            span.attr("hits", hits.len());
-                            Ok((hits, start.elapsed().as_secs_f64()))
-                        }) as DispatchJob
+                    let ctx = trace.context(span.id());
+                    let begun = catch_unwind(AssertUnwindSafe(|| {
+                        transport.begin_search(&plan.query, threshold, Some(&ctx))
+                    }));
+                    match begun {
+                        Ok(Some(reply)) => {
+                            span.attr("queue_wait_s", "0.000000");
+                            asked.push((p, Asked { span, reply }));
+                            continue;
+                        }
+                        Err(_) => {
+                            statuses[p] = JobStatus::Panicked;
+                            continue;
+                        }
+                        // The transport can only block: a worker does.
+                        Ok(None) => {}
                     }
-                    EngineHandle::Detached { .. } => Box::new(move || {
-                        let _span =
-                            engine_span(&trace, dispatch_span_id, &name, "detached", enqueued);
+                    let transport = transport.clone();
+                    let text = plan.query.clone();
+                    let (name, job_trace) = owned();
+                    Box::new(move || {
+                        queued_since(&mut span, enqueued);
+                        let start = Instant::now();
+                        let (hits, spans) = transport.search(&text, threshold, Some(&ctx))?;
+                        job_trace.adopt_spans(spans);
+                        span.attr("hits", hits.len());
+                        Ok((named_hits(&name, hits), start.elapsed().as_secs_f64()))
+                    }) as DispatchJob
+                }
+                EngineHandle::Detached { .. } => {
+                    let (name, job_trace) = owned();
+                    Box::new(move || {
+                        let mut span = engine_span(&job_trace, dispatch_span_id, &name, "detached");
+                        queued_since(&mut span, enqueued);
                         Err(TransportError::new(
                             TransportErrorKind::Refused,
                             format!(
@@ -409,11 +452,30 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
                                  attach a live engine or transport to dispatch to it"
                             ),
                         ))
-                    }) as DispatchJob,
+                    }) as DispatchJob
                 }
-            })
-            .collect();
-        let statuses = self.run_dispatch_jobs(plan, jobs, req.timeout);
+            };
+            queued.push(p);
+            jobs.push((e.handle.local().is_some(), job));
+        }
+        for (p, status) in queued
+            .into_iter()
+            .zip(self.run_dispatch_jobs(jobs, deadline))
+        {
+            statuses[p] = status;
+        }
+        for (p, Asked { mut span, reply }) in asked {
+            let name = &plan.engines[plan.selected[p]].name;
+            statuses[p] = match catch_unwind(AssertUnwindSafe(|| reply.finish(deadline))) {
+                Ok(Ok(reply)) => {
+                    trace.adopt_spans(reply.spans);
+                    span.attr("hits", reply.hits.len());
+                    JobStatus::Done(Ok((named_hits(name, reply.hits), reply.seconds)))
+                }
+                Ok(Err(e)) => JobStatus::Done(Err(e)),
+                Err(_) => JobStatus::Panicked,
+            };
+        }
 
         let mut per_engine: Vec<Vec<MergedHit>> = Vec::with_capacity(statuses.len());
         let mut per_engine_stats = Vec::with_capacity(statuses.len());

@@ -8,7 +8,9 @@
 //! two-step shape as [`Broker`]:
 //!
 //! 1. **Estimate** — ask each replica for the estimates of the engines
-//!    it holds (primary assignment), failing over along each engine's
+//!    it holds (primary assignment) — every replica is asked before any
+//!    is waited for, and a replica consults only the engines it is
+//!    asked about — failing over along each engine's
 //!    ring candidate chain when a replica refuses or errors. Per-engine
 //!    estimates depend only on the engine's representative and the
 //!    query, not on which broker computes them, so the reassembled
@@ -34,8 +36,9 @@ use crate::federation::metrics;
 use crate::federation::placement::{Ring, DEFAULT_VNODES};
 use crate::federation::rebalance::{diff_placement, Move, RebalanceReport};
 use crate::merge::merge_results;
+use crate::plan::QueryPlan;
 use crate::registry::{EngineStatus, RegistrySnapshot};
-use crate::remote::{EngineSnapshot, TransportError, TransportErrorKind};
+use crate::remote::{EngineSnapshot, Pending, TransportError, TransportErrorKind};
 use crate::request::{
     DispatchOutcome, EngineDispatchStats, SearchRequest, SearchResponse, StaleMode,
 };
@@ -43,7 +46,7 @@ use crate::selection::SelectionPolicy;
 use parking_lot::RwLock;
 use seu_core::{Usefulness, UsefulnessEstimator};
 use seu_engine::SearchEngine;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 /// Where a federated engine's live search capability comes from.
@@ -110,7 +113,11 @@ pub struct SubsetResults {
 /// The calls a front-door makes of one back-end broker replica.
 ///
 /// Implemented in-process by [`LocalReplica`] (the conformance path)
-/// and over the frame protocol by `seu-net`'s `RemoteReplica`.
+/// and over the frame protocol by `seu-net`'s `RemoteReplica`. The two
+/// per-request calls also come in two halves (`begin_…`), which is how
+/// the front-door makes them: a client that can put the request on a
+/// wire at the begin overrides those, and its replicas then work side by
+/// side; one that cannot keeps the defaults and is simply asked in turn.
 pub trait ReplicaClient: Send + Sync {
     /// Liveness probe.
     fn ping(&self) -> Result<(), TransportError>;
@@ -129,6 +136,28 @@ pub trait ReplicaClient: Send + Sync {
         threshold: f64,
         engines: &[String],
     ) -> Result<SubsetResults, TransportError>;
+    /// [`Self::estimate_subset`] in two halves: asks now, answers at
+    /// [`Pending::finish`], so a front-door asks every replica of an
+    /// attempt before it waits for any. The default computes the answer
+    /// at the begin — all a client that can only block has to offer.
+    fn begin_estimate_subset(
+        &self,
+        query: &str,
+        threshold: f64,
+        engines: &[String],
+    ) -> Box<dyn Pending<Vec<EngineEstimate>>> {
+        Box::new(self.estimate_subset(query, threshold, engines))
+    }
+    /// [`Self::search_subset`] in two halves; see
+    /// [`Self::begin_estimate_subset`].
+    fn begin_search_subset(
+        &self,
+        query: &str,
+        threshold: f64,
+        engines: &[String],
+    ) -> Box<dyn Pending<SubsetResults>> {
+        Box::new(self.search_subset(query, threshold, engines))
+    }
     /// Installs (or re-installs) an engine on this replica.
     fn install(&self, spec: &InstallSpec) -> Result<(), TransportError>;
     /// Removes an engine; `Ok(false)` when the name was unknown.
@@ -162,9 +191,33 @@ fn protocol_error(detail: impl Into<String>) -> TransportError {
 }
 
 impl<E: UsefulnessEstimator + Send + Sync + 'static> LocalReplica<E> {
-    /// Plans once with [`SelectionPolicy::All`] and pins the invocation
-    /// set to `engines`, retrying when a concurrent lifecycle event
-    /// makes the plan stale between planning and dispatch.
+    /// Plans the rows of the named engines and no others — estimated or
+    /// not, as the caller needs — and says which row each name got, in
+    /// request order. A name the replica does not hold is a typed
+    /// refusal.
+    fn plan_named(
+        &self,
+        req: &SearchRequest,
+        engines: &[String],
+        estimate: bool,
+    ) -> Result<(QueryPlan, Vec<usize>), TransportError> {
+        let named: HashSet<&str> = engines.iter().map(String::as_str).collect();
+        let wanted = |name: &str| named.contains(name);
+        let plan = self.broker.plan_rows(req, None, wanted, estimate);
+        let listed = plan.engines().iter().enumerate();
+        let row_of: HashMap<&str, usize> = listed.map(|(i, e)| (e.name.as_str(), i)).collect();
+        let row = |name: &String| {
+            let row = row_of.get(name.as_str()).copied();
+            row.ok_or_else(|| protocol_error(format!("replica does not hold engine {name:?}")))
+        };
+        let rows = engines.iter().map(row).collect::<Result<_, _>>()?;
+        Ok((plan, rows))
+    }
+
+    /// Plans the named engines' rows — their translated queries, no
+    /// estimate: the reply carries hits and stats only — and pins the
+    /// invocation set to them, retrying when a concurrent lifecycle
+    /// event makes the plan stale between planning and dispatch.
     fn execute_subset(
         &self,
         query: &str,
@@ -177,19 +230,8 @@ impl<E: UsefulnessEstimator + Send + Sync + 'static> LocalReplica<E> {
             .cache(CacheMode::Bypass)
             .stale_mode(StaleMode::Error);
         for _ in 0..4 {
-            let mut plan = self.broker.plan(&req, None);
-            let mut selected = Vec::with_capacity(engines.len());
-            for name in engines {
-                match plan.engines().iter().position(|e| e.name == *name) {
-                    Some(i) => selected.push(i),
-                    None => {
-                        return Err(protocol_error(format!(
-                            "replica does not hold engine {name:?}"
-                        )))
-                    }
-                }
-            }
-            plan.selected = selected;
+            let (mut plan, rows) = self.plan_named(&req, engines, false)?;
+            plan.selected = rows;
             match self.broker.execute_plan(&req, &plan) {
                 Ok(resp) => return Ok(resp),
                 Err(_) => continue, // registry changed mid-flight; replan
@@ -212,18 +254,15 @@ impl<E: UsefulnessEstimator + Send + Sync + 'static> ReplicaClient for LocalRepl
         threshold: f64,
         engines: &[String],
     ) -> Result<Vec<EngineEstimate>, TransportError> {
-        let all = self.broker.estimate_all(query, threshold);
-        let by_name: BTreeMap<&str, &EngineEstimate> =
-            all.iter().map(|e| (e.engine.as_str(), e)).collect();
-        engines
-            .iter()
-            .map(|name| {
-                by_name
-                    .get(name.as_str())
-                    .map(|&e| e.clone())
-                    .ok_or_else(|| protocol_error(format!("replica does not hold engine {name:?}")))
-            })
-            .collect()
+        let req = SearchRequest::new(query)
+            .threshold(threshold)
+            .policy(SelectionPolicy::All);
+        let (plan, rows) = self.plan_named(&req, engines, true)?;
+        let estimate = |row: usize| EngineEstimate {
+            engine: plan.engines()[row].name.clone(),
+            usefulness: plan.engines()[row].usefulness,
+        };
+        Ok(rows.into_iter().map(estimate).collect())
     }
 
     fn search_subset(
@@ -726,11 +765,8 @@ impl FrontDoor {
             &trace,
             estimate_span.id(),
             &mut report,
-            |client, query, threshold, names| {
-                client
-                    .estimate_subset(query, threshold, names)
-                    .map(|ests| ests.into_iter().map(|e| e.usefulness).collect())
-            },
+            |client, query, threshold, names| client.begin_estimate_subset(query, threshold, names),
+            |ests: Vec<EngineEstimate>, _| ests.into_iter().map(|e| e.usefulness).collect(),
             req,
             |slot: &mut Option<Usefulness>, u| *slot = Some(u),
             &mut usefulness,
@@ -771,28 +807,27 @@ impl FrontDoor {
             &trace,
             search_span.id(),
             &mut report,
-            |client, query, threshold, names| {
-                client.search_subset(query, threshold, names).map(|r| {
-                    let mut by_name: BTreeMap<String, EngineDispatchStats> =
-                        r.stats.into_iter().map(|s| (s.engine.clone(), s)).collect();
-                    let mut hits_by_engine: BTreeMap<String, Vec<MergedHit>> = BTreeMap::new();
-                    for h in r.hits {
-                        hits_by_engine.entry(h.engine.clone()).or_default().push(h);
-                    }
-                    names
-                        .iter()
-                        .map(|n| {
-                            let stats = by_name.remove(n).unwrap_or(EngineDispatchStats {
-                                engine: n.clone(),
-                                hits: 0,
-                                seconds: 0.0,
-                                outcome: DispatchOutcome::Failed,
-                                error: None,
-                            });
-                            (hits_by_engine.remove(n).unwrap_or_default(), stats)
-                        })
-                        .collect()
-                })
+            |client, query, threshold, names| client.begin_search_subset(query, threshold, names),
+            |r: SubsetResults, names| {
+                let mut by_name: BTreeMap<String, EngineDispatchStats> =
+                    r.stats.into_iter().map(|s| (s.engine.clone(), s)).collect();
+                let mut hits_by_engine: BTreeMap<String, Vec<MergedHit>> = BTreeMap::new();
+                for h in r.hits {
+                    hits_by_engine.entry(h.engine.clone()).or_default().push(h);
+                }
+                names
+                    .iter()
+                    .map(|n| {
+                        let stats = by_name.remove(n).unwrap_or(EngineDispatchStats {
+                            engine: n.clone(),
+                            hits: 0,
+                            seconds: 0.0,
+                            outcome: DispatchOutcome::Failed,
+                            error: None,
+                        });
+                        (hits_by_engine.remove(n).unwrap_or_default(), stats)
+                    })
+                    .collect()
             },
             req,
             |slot: &mut Option<(Vec<MergedHit>, EngineDispatchStats)>, v| *slot = Some(v),
@@ -873,10 +908,16 @@ impl FrontDoor {
     /// The shared failover fan-out: for each attempt `a`, group the
     /// still-unresolved engines by their `a`-th holder and make one
     /// replica call per group, recording breaker outcomes and typed
-    /// failures. Generic over the per-call result type so estimate and
-    /// search share the exact same candidate-chain semantics.
+    /// failures. Within an attempt every group's call is begun
+    /// (`begin`) before any answer is waited for, so the attempt costs
+    /// one round of waits, not one per replica; the answers are then
+    /// collected (`read` turns one into a value per name) and reported
+    /// in the same replica order, and attempt `a + 1` starts only when
+    /// attempt `a` is fully collected. Generic over the answer and the
+    /// per-engine value so estimate and search share the exact same
+    /// candidate-chain semantics.
     #[allow(clippy::too_many_arguments)]
-    fn fan_out<T, C, F>(
+    fn fan_out<R, T, B, C, F>(
         &self,
         replicas: &[(String, Arc<dyn ReplicaClient>, Arc<CircuitBreaker>)],
         engines: &[(String, Vec<usize>)],
@@ -885,12 +926,14 @@ impl FrontDoor {
         trace: &seu_obs::TraceHandle,
         parent: seu_obs::SpanId,
         report: &mut FederationReport,
-        call: C,
+        begin: B,
+        read: C,
         req: &SearchRequest,
         fill: F,
         out: &mut [Option<T>],
     ) where
-        C: Fn(&dyn ReplicaClient, &str, f64, &[String]) -> Result<Vec<T>, TransportError>,
+        B: Fn(&dyn ReplicaClient, &str, f64, &[String]) -> Box<dyn Pending<R>>,
+        C: Fn(R, &[String]) -> Vec<T>,
         F: Fn(&mut Option<T>, T),
     {
         let m = metrics();
@@ -911,29 +954,49 @@ impl FrontDoor {
                 }
             }
             let mut next_round = still;
-            for (r, group) in by_replica {
-                let (id, client, breaker) = &replicas[r];
-                let names: Vec<String> = group.iter().map(|&e| engines[e].0.clone()).collect();
-                let now = self.clock.now_ms();
-                if !breaker.allow(now) {
-                    report.failures.push(ReplicaFailure {
-                        replica: id.clone(),
-                        engines: names,
-                        error: TransportError::new(
-                            TransportErrorKind::Refused,
-                            format!("breaker open for replica {id}"),
-                        ),
-                        phase,
+            // Ask every holder its breaker lets through...
+            let asked: Vec<_> = by_replica
+                .into_iter()
+                .map(|(r, group)| {
+                    let (id, client, breaker) = &replicas[r];
+                    let names: Vec<String> = group.iter().map(|&e| engines[e].0.clone()).collect();
+                    let call = breaker.allow(self.clock.now_ms()).then(|| {
+                        let mut span = trace.child_span(&format!("replica:{id}"), parent);
+                        span.attr("engines", group.len());
+                        span.attr("attempt", attempt);
+                        m.replica_calls.inc();
+                        let answer = begin(client.as_ref(), &req.query, req.threshold, &names);
+                        (span, answer)
                     });
+                    (r, group, names, call)
+                })
+                .collect();
+            // ...then collect, in the same order.
+            for (r, group, names, call) in asked {
+                let (id, _, breaker) = &replicas[r];
+                let failed = |error: TransportError| ReplicaFailure {
+                    replica: id.clone(),
+                    engines: names.clone(),
+                    error,
+                    phase,
+                };
+                let Some((mut span, answer)) = call else {
+                    report.failures.push(failed(TransportError::new(
+                        TransportErrorKind::Refused,
+                        format!("breaker open for replica {id}"),
+                    )));
                     next_round.extend(&group);
                     continue;
-                }
-                let mut span = trace.child_span(&format!("replica:{id}"), parent);
-                span.attr("engines", group.len());
-                span.attr("attempt", attempt);
-                m.replica_calls.inc();
-                match call(client.as_ref(), &req.query, req.threshold, &names) {
-                    Ok(values) if values.len() == names.len() => {
+                };
+                let values = answer.finish(None).and_then(|answer| {
+                    let values = read(answer, &names);
+                    // A count-lying replica is a protocol failure.
+                    (values.len() == names.len())
+                        .then_some(values)
+                        .ok_or_else(|| protocol_error("replica answered with a short vector"))
+                });
+                match values {
+                    Ok(values) => {
                         breaker.record_success();
                         if attempt > 0 {
                             report.failovers += group.len() as u64;
@@ -942,32 +1005,13 @@ impl FrontDoor {
                             fill(&mut out[e], v);
                         }
                     }
-                    Ok(_) => {
-                        // A count-lying replica is a protocol failure.
-                        if breaker.record_failure(self.clock.now_ms()) {
-                            m.breaker_opens.inc();
-                        }
-                        m.replica_failures.inc();
-                        report.failures.push(ReplicaFailure {
-                            replica: id.clone(),
-                            engines: names,
-                            error: protocol_error("replica answered with a short vector"),
-                            phase,
-                        });
-                        next_round.extend(&group);
-                    }
                     Err(e) => {
                         span.attr("error", e.kind.label());
                         if breaker.record_failure(self.clock.now_ms()) {
                             m.breaker_opens.inc();
                         }
                         m.replica_failures.inc();
-                        report.failures.push(ReplicaFailure {
-                            replica: id.clone(),
-                            engines: names,
-                            error: e,
-                            phase,
-                        });
+                        report.failures.push(failed(e));
                         next_round.extend(&group);
                     }
                 }

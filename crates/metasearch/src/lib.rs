@@ -74,7 +74,8 @@ pub use plan::{PlannedEngine, QueryPlan, SharedAnalysis};
 pub use pool::{JobStatus, PoolClosed, WorkerPool};
 pub use registry::{shard_for, EngineStatus, RegistrySnapshot, StalePlanError};
 pub use remote::{
-    EngineSnapshot, RemoteHit, RemoteMeta, RemoteTransport, TransportError, TransportErrorKind,
+    EngineSnapshot, Pending, RemoteHit, RemoteMeta, RemoteTransport, SearchReply, TransportError,
+    TransportErrorKind,
 };
 pub use request::{DispatchOutcome, EngineDispatchStats, SearchRequest, SearchResponse, StaleMode};
 pub use selection::SelectionPolicy;

@@ -243,6 +243,28 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
     /// consults it. A threshold sweep plans once and calls
     /// [`Broker::reestimate`] per threshold.
     pub fn plan(&self, req: &SearchRequest, trace: Option<&TraceHandle>) -> QueryPlan {
+        self.plan_rows(req, trace, |_| true, true)
+    }
+
+    /// [`Broker::plan`] for a caller that wants some of the rows — a
+    /// replica asked about the engines a front-door named. The plan
+    /// still lists every registered engine in registration order, but an
+    /// engine whose name is not `wanted` gets the idle row (empty query,
+    /// zero estimate) without its query being translated or its
+    /// representative consulted; and with `estimate` off no
+    /// representative is consulted at all: the rows carry the translated
+    /// queries a dispatch needs, and zero estimates. A row that is
+    /// worked out is bit for bit the row `plan` makes — estimates are
+    /// per-engine independent. (Generic over `wanted`, so that `plan`'s
+    /// own copy asks nothing per row: a 10 000-row plan pays for every
+    /// instruction in this loop.)
+    pub(crate) fn plan_rows(
+        &self,
+        req: &SearchRequest,
+        trace: Option<&TraceHandle>,
+        wanted: impl Fn(&str) -> bool,
+        estimate: bool,
+    ) -> QueryPlan {
         // Hydration before the epoch read: restored-but-cold entries
         // are decoded from the store now, so no plan is ever computed
         // against the pre-hydration placeholder state. O(1) — one
@@ -292,7 +314,7 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
                     repr: None,
                     handle: e.handle.clone(),
                 };
-                if hits.is_empty() && *covered {
+                if (hits.is_empty() && *covered) || !wanted(&e.name) {
                     return idle();
                 }
                 let query = match &e.handle {
@@ -333,6 +355,9 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
                         }
                     }
                 };
+                if !estimate {
+                    return PlannedEngine { query, ..idle() };
+                }
                 consulted += 1;
                 PlannedEngine {
                     name: e.name.clone(),

@@ -7,10 +7,11 @@
 //! multiply unbounded. [`WorkerPool`] fixes the concurrency at
 //! construction time: `threads` long-lived workers drain a shared queue,
 //! so dispatch cost per query is one channel send per pool job — the
-//! broker submits one per selected remote engine and one batch per
-//! worker for its in-process engines, unless the plan is a few of those
-//! alone, which the caller searches itself — and the pool's parallelism
-//! never exceeds the configured bound.
+//! broker submits one batch per worker for its in-process engines,
+//! unless they are a few, which the caller searches itself, and one job
+//! per remote engine whose transport can only block (one that can search
+//! in two halves is asked from the calling thread and costs no job) —
+//! and the pool's parallelism never exceeds the configured bound.
 //!
 //! Failure isolation: jobs run under `catch_unwind`, so a panicking
 //! engine neither kills its worker nor poisons the query — the caller
@@ -155,10 +156,14 @@ impl WorkerPool {
         let rx = Arc::new(Mutex::new(rx));
         let state = Arc::new(PoolState::default());
         let workers = (0..threads)
-            .map(|_| {
+            .map(|i| {
                 let rx = Arc::clone(&rx);
                 let state = Arc::clone(&state);
-                std::thread::spawn(move || worker_loop(&rx, &state))
+                // Named, or it reads as whichever thread built the pool.
+                std::thread::Builder::new()
+                    .name(format!("seu-pool-{i}"))
+                    .spawn(move || worker_loop(&rx, &state))
+                    .expect("spawning a pool worker")
             })
             .collect();
         WorkerPool {

@@ -10,7 +10,10 @@
 //! * **search** — raw query text + threshold in, named scored hits out
 //!   (the remote engine analyzes the text itself, with the same analyzer
 //!   configuration the broker plans with, so results are identical to
-//!   the in-process path);
+//!   the in-process path). A transport may offer it in two halves
+//!   ([`RemoteTransport::begin_search`], answered by a [`Pending`]):
+//!   dispatch then asks all of a plan's remote engines before it waits
+//!   for any, instead of parking a pool worker on each;
 //! * **true usefulness** — the oracle call the evaluation layer uses;
 //! * **snapshot** — the engine's [`EngineSnapshot`]: its representative
 //!   (at full f64 precision), vocabulary, and the three statistics query
@@ -183,6 +186,38 @@ impl EngineSnapshot {
     }
 }
 
+/// A call between its two halves: asked, not yet answered. Whoever has
+/// several calls to make begins them all and only then finishes each,
+/// so their waits overlap instead of adding up. Dropping it abandons
+/// the call.
+pub trait Pending<T>: Send {
+    /// Waits for the answer — under the transport's own deadlines, and
+    /// no longer than `until` when the caller has a deadline of its own
+    /// (missing either is a [`TransportErrorKind::Timeout`]).
+    fn finish(self: Box<Self>, until: Option<std::time::Instant>) -> Result<T, TransportError>;
+}
+
+/// An answer computed at the begin is a call with nothing left to wait
+/// for: what a client that can only block hands out.
+impl<T: Send> Pending<T> for Result<T, TransportError> {
+    fn finish(self: Box<Self>, _until: Option<std::time::Instant>) -> Result<T, TransportError> {
+        *self
+    }
+}
+
+/// What a search in two halves ([`RemoteTransport::begin_search`])
+/// brings back.
+#[derive(Debug, Clone)]
+pub struct SearchReply {
+    /// Every document above the threshold, best first.
+    pub hits: Vec<RemoteHit>,
+    /// What the remote side recorded under the trace context.
+    pub spans: Vec<seu_obs::SpanRecord>,
+    /// From the request's send to the reply's *arrival*: what the call
+    /// took, however long the reply then waited to be collected.
+    pub seconds: f64,
+}
+
 /// The calls the broker makes of an engine in another process. The
 /// concrete TCP client lives in `seu-net`; anything implementing this
 /// trait can be registered via `Broker::register_remote`.
@@ -207,6 +242,21 @@ pub trait RemoteTransport: Send + Sync + std::fmt::Debug {
         threshold: f64,
         ctx: Option<&seu_obs::TraceContext>,
     ) -> Result<(Vec<RemoteHit>, Vec<seu_obs::SpanRecord>), TransportError>;
+
+    /// [`Self::search`] in two halves: sends the request and returns at
+    /// once; the reply is waited for by [`Pending::finish`]. Dispatch
+    /// asks every selected engine whose transport offers this from the
+    /// calling thread, and collects the replies after searching the
+    /// plan's in-process engines. The default — `None` — says the
+    /// transport can only block: its `search` then runs as a pool job.
+    fn begin_search(
+        &self,
+        _query_text: &str,
+        _threshold: f64,
+        _ctx: Option<&seu_obs::TraceContext>,
+    ) -> Option<Box<dyn Pending<SearchReply>>> {
+        None
+    }
 
     /// The engine's exact usefulness for a query at a threshold — the
     /// oracle the evaluation compares estimates against.

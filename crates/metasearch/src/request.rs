@@ -182,8 +182,9 @@ pub struct EngineDispatchStats {
     pub outcome: DispatchOutcome,
     /// The typed transport failure behind a [`DispatchOutcome::Failed`]
     /// or [`DispatchOutcome::TimedOut`] outcome, when the engine is
-    /// remote and its transport reported one (`None` for local engines
-    /// and pool-level timeouts).
+    /// remote and its transport reported one — a reply the request's
+    /// own deadline cut off included (`None` for local engines and
+    /// pool-level timeouts).
     pub error: Option<TransportError>,
 }
 

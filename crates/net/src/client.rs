@@ -15,10 +15,22 @@
 //! by socket-level read timeouts, so one slow request never delays the
 //! replies interleaved behind it.
 //!
+//! A call is **two halves**: `begin` picks a connection and writes the
+//! request, `finish` waits for the reply and applies every policy
+//! below. A caller with several calls to make — a dispatch over its
+//! selected engines, a front-door over its replicas — begins them all
+//! and then finishes each, one thread and one round trip's wait for the
+//! lot; the blocking `call` is the two back to back. The handle between
+//! the halves is a guard: dropped unfinished, it gives back its reply
+//! slot and its share of the connection's load, and the reply that then
+//! arrives for nobody is counted (`net_client_late_replies_total`).
+//!
 //! Peers that do not echo correlation ids (handshake ack comes back
 //! with `corr = 0`) are served **sequentially**: one exchange at a time
-//! per connection, replies matched positionally. That keeps old-style
-//! single-frame servers and test fakes working unchanged.
+//! per connection, replies matched positionally — such a peer cannot
+//! pipeline, so `begin` only reserves a connection for it and `finish`
+//! does the whole exchange. That keeps old-style single-frame servers
+//! and test fakes working unchanged.
 //!
 //! Dialing resolves every address the name maps to and tries each in
 //! order (IPv4/IPv6 dual-stack hosts fall through to the next address
@@ -37,7 +49,8 @@ use crate::metrics::metrics;
 use crate::wire::Message;
 use seu_engine::{Fingerprint, TrueUsefulness};
 use seu_metasearch::{
-    EngineSnapshot, RemoteHit, RemoteTransport, TransportError, TransportErrorKind,
+    EngineSnapshot, Pending, RemoteHit, RemoteTransport, SearchReply, TransportError,
+    TransportErrorKind,
 };
 use std::collections::HashMap;
 use std::io::BufReader;
@@ -89,8 +102,8 @@ fn backoff_delay(base: Duration, attempt: u32, cap: Duration) -> Duration {
 }
 
 /// A slot one waiting caller watches: `None` until the reader thread
-/// (or a connection-death sweep) fills it.
-type ReplySlot = Option<Result<Message, TransportError>>;
+/// (or a connection-death sweep) fills it, stamped with when it did.
+type ReplySlot = Option<(Instant, Result<Message, TransportError>)>;
 
 /// One pooled connection: a locked writer half, a reader thread routing
 /// replies into `pending` by correlation id, and bookkeeping for the
@@ -294,25 +307,17 @@ impl MuxClient {
         Ok(conn)
     }
 
-    /// Sends `request` on `conn` and waits for its reply, bounded by
-    /// the call timeout.
-    fn exchange(&self, conn: &Conn, request: &Message) -> Result<Message, TransportError> {
-        let (kind, payload) = request.encode();
+    /// Puts one frame of the request on `conn` under a fresh correlation
+    /// id, whose `pending` slot is the caller's to take or remove.
+    fn send(&self, conn: &Conn, kind: u8, payload: &[u8]) -> Result<u64, TransportError> {
         // Refused before the socket is touched: the connection and the
         // calls pipelined on it are none the worse.
-        check_outbound(kind, &payload)?;
-        // Non-mux peers match replies positionally: hold the exchange
-        // serial for the whole send-and-wait.
-        let _serial = if conn.mux {
-            None
-        } else {
-            Some(lock_unpoisoned(&conn.serial))
-        };
+        check_outbound(kind, payload)?;
         let corr = self.next_corr.fetch_add(1, Ordering::Relaxed);
         lock_unpoisoned(&conn.pending).insert(corr, None);
         let sent = {
             let mut writer = lock_unpoisoned(&conn.writer);
-            write_frame_corr(&mut *writer, corr, kind, &payload)
+            write_frame_corr(&mut *writer, corr, kind, payload)
         };
         if let Err(e) = sent {
             lock_unpoisoned(&conn.pending).remove(&corr);
@@ -330,12 +335,27 @@ impl MuxClient {
                 "connection died before the request was sent",
             ));
         }
-        let deadline = Instant::now() + self.config.call_timeout;
+        Ok(corr)
+    }
+
+    /// Waits for `corr`'s reply on `conn` and takes its slot away,
+    /// whatever the outcome. The wait ends at the call timeout counted
+    /// from `sent`, or at the caller's own deadline `until` if that
+    /// comes first.
+    fn wait(
+        &self,
+        conn: &Conn,
+        corr: u64,
+        sent: Instant,
+        until: Option<Instant>,
+    ) -> Result<(Message, Instant), TransportError> {
+        let call_deadline = sent + self.config.call_timeout;
+        let deadline = until.map_or(call_deadline, |u| u.min(call_deadline));
         let mut pending = lock_unpoisoned(&conn.pending);
         loop {
-            if let Some(result) = pending.get_mut(&corr).and_then(|slot| slot.take()) {
+            if let Some((arrived, result)) = pending.get_mut(&corr).and_then(|slot| slot.take()) {
                 pending.remove(&corr);
-                return result;
+                return result.map(|reply| (reply, arrived));
             }
             let now = Instant::now();
             if now >= deadline {
@@ -346,13 +366,15 @@ impl MuxClient {
                     // is desynchronized for any future exchange.
                     conn.kill();
                 }
-                return Err(TransportError::new(
-                    TransportErrorKind::Timeout,
+                let detail = if now >= call_deadline {
                     format!(
                         "no reply within {:?} (corr {corr})",
                         self.config.call_timeout
-                    ),
-                ));
+                    )
+                } else {
+                    format!("no reply by the request's deadline (corr {corr})")
+                };
+                return Err(TransportError::new(TransportErrorKind::Timeout, detail));
             }
             pending = match conn.cv.wait_timeout(pending, deadline - now) {
                 Ok((guard, _)) => guard,
@@ -361,64 +383,205 @@ impl MuxClient {
         }
     }
 
-    /// [`MuxClient::exchange`] with the connection's load accounted.
-    fn exchange_counted(&self, conn: &Conn, request: &Message) -> Result<Message, TransportError> {
+    /// Claims `conn` for one attempt. On a multiplexed connection the
+    /// request goes on the wire now; a sequential peer cannot pipeline,
+    /// so there the claim only reserves the connection and
+    /// [`MuxClient::settle`] does the whole exchange. A failed send is
+    /// kept in the attempt: it is `settle` that knows what a lost
+    /// connection is owed.
+    fn claim(&self, conn: Arc<Conn>, fresh: bool, kind: u8, payload: &[u8]) -> Attempt {
         conn.in_flight.fetch_add(1, Ordering::Relaxed);
-        let reply = self.exchange(conn, request);
-        conn.in_flight.fetch_sub(1, Ordering::Relaxed);
-        reply
+        let sent = Instant::now();
+        let corr = if conn.mux {
+            self.send(&conn, kind, payload).map(Some)
+        } else {
+            Ok(None)
+        };
+        Attempt {
+            conn,
+            fresh,
+            sent,
+            corr,
+        }
     }
 
-    /// One attempt: acquire a pooled connection and exchange on it. A
-    /// lost connection on a *reused* pooled socket is retried once on a
-    /// fresh dial before surfacing. A remote-reported error comes back
-    /// typed.
-    fn call_once(&self, request: &Message) -> Result<Message, TransportError> {
+    /// Acquires a pooled connection and claims it.
+    fn attempt(&self, kind: u8, payload: &[u8]) -> Result<Attempt, TransportError> {
         let (conn, fresh) = self.acquire()?;
-        let reply = match self.exchange_counted(&conn, request) {
+        Ok(self.claim(conn, fresh, kind, payload))
+    }
+
+    /// The reply `attempt` was made for, and when it arrived.
+    fn reply_to(
+        &self,
+        mut attempt: Attempt,
+        kind: u8,
+        payload: &[u8],
+        until: Option<Instant>,
+    ) -> Result<(Message, Instant), TransportError> {
+        // From here on the slot is `wait`'s to remove, not the guard's.
+        let corr = std::mem::replace(&mut attempt.corr, Ok(None))?;
+        let conn = &*attempt.conn;
+        match corr {
+            Some(corr) => self.wait(conn, corr, attempt.sent, until),
+            None => {
+                // Non-mux peers match replies positionally: hold the
+                // exchange serial for the whole send-and-wait.
+                let _serial = lock_unpoisoned(&conn.serial);
+                let sent = Instant::now();
+                let corr = self.send(conn, kind, payload)?;
+                self.wait(conn, corr, sent, until)
+            }
+        }
+    }
+
+    /// One attempt seen through. A lost connection on a *reused* pooled
+    /// socket is retried once on a fresh dial before surfacing. A
+    /// remote-reported error comes back typed.
+    fn settle(
+        &self,
+        attempt: Attempt,
+        kind: u8,
+        payload: &[u8],
+        until: Option<Instant>,
+    ) -> Result<(Message, Instant), TransportError> {
+        let fresh = attempt.fresh;
+        let reply = match self.reply_to(attempt, kind, payload, until) {
             Err(e) if !fresh && e.kind == TransportErrorKind::ConnectionLost => {
-                let conn = self.redial()?;
-                self.exchange_counted(&conn, request)?
+                let again = self.claim(self.redial()?, true, kind, payload);
+                self.reply_to(again, kind, payload, until)?
             }
             other => other?,
         };
         match reply {
-            Message::Error { detail } => {
+            (Message::Error { detail }, _) => {
                 Err(TransportError::new(TransportErrorKind::Remote, detail))
             }
             other => Ok(other),
         }
     }
 
-    /// Sends `request` with the configured retry policy, recording
-    /// latency and failure metrics. The latency histogram times each
-    /// attempt individually — backoff sleeps are not wire time.
-    pub(crate) fn call(&self, request: &Message) -> Result<Message, TransportError> {
+    /// The first half of a call: picks a pooled connection and writes
+    /// `request` on it under a fresh correlation id. Nothing is waited
+    /// for, so a caller with several calls to make begins them all and
+    /// only then [finishes](InFlight::finish) each. A failure to dial or
+    /// to send is the finish's to report (and to retry).
+    pub(crate) fn begin(self: &Arc<Self>, request: &Message) -> InFlight {
+        let (kind, payload) = request.encode();
+        let began = Instant::now();
+        let attempt = self.attempt(kind, &payload);
+        InFlight {
+            client: Arc::clone(self),
+            kind,
+            payload,
+            began,
+            attempt,
+        }
+    }
+
+    /// Sends `request` and returns its reply: both halves, back to back.
+    pub(crate) fn call(self: &Arc<Self>, request: &Message) -> Result<Message, TransportError> {
+        self.begin(request).finish(None).map(|(reply, _)| reply)
+    }
+
+    /// Liveness probe: a full request/reply round trip on a pooled
+    /// connection.
+    pub(crate) fn ping(self: &Arc<Self>) -> Result<(), TransportError> {
+        match self.call(&Message::Ping)? {
+            Message::Pong => Ok(()),
+            other => Err(unexpected("Pong", &other)),
+        }
+    }
+}
+
+/// One attempt's claim on a pooled connection: a unit of its load and,
+/// once the request is on the wire, the `pending` slot its reply lands
+/// in. Dropping the claim gives both back, so an attempt abandoned
+/// between the halves (a panic, a request deadline) leaks neither, and
+/// its late reply is counted by `net_client_late_replies_total`.
+struct Attempt {
+    conn: Arc<Conn>,
+    /// Dialed for this attempt (see [`MuxClient::acquire`]).
+    fresh: bool,
+    /// When the request went out, or — nothing sent yet — the
+    /// connection was reserved.
+    sent: Instant,
+    /// The correlation id awaiting its reply; `Ok(None)` while nothing
+    /// is on the wire (a sequential peer before the finish); the send's
+    /// failure.
+    corr: Result<Option<u64>, TransportError>,
+}
+
+impl Drop for Attempt {
+    fn drop(&mut self) {
+        if let Ok(Some(corr)) = self.corr {
+            lock_unpoisoned(&self.conn.pending).remove(&corr);
+        }
+        self.conn.in_flight.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// A call between its halves: begun by [`MuxClient::begin`], its reply
+/// not yet waited for. Dropping it abandons the call.
+pub(crate) struct InFlight {
+    client: Arc<MuxClient>,
+    kind: u8,
+    payload: Vec<u8>,
+    began: Instant,
+    attempt: Result<Attempt, TransportError>,
+}
+
+impl InFlight {
+    /// When the call began: `finish`'s arrival time minus this is what
+    /// the call itself took, however late it was finished.
+    pub(crate) fn began(&self) -> Instant {
+        self.began
+    }
+
+    /// The second half of a call: waits for the reply and returns it
+    /// with its arrival time, under the client's timeouts and retry
+    /// policy, recording latency and failure metrics. The call timeout
+    /// counts from the send; `until`, when given, is the caller's own
+    /// deadline, and ends the wait, the retries and their backoff early.
+    /// The latency histogram times each attempt individually, to the
+    /// reply's arrival — neither backoff sleeps nor the time a reply
+    /// lay waiting to be collected are wire time.
+    pub(crate) fn finish(
+        self,
+        until: Option<Instant>,
+    ) -> Result<(Message, Instant), TransportError> {
+        let InFlight {
+            client,
+            kind,
+            payload,
+            mut began,
+            mut attempt,
+        } = self;
         let m = metrics();
-        let mut attempt = 0;
+        let mut retry = 0;
         let result = loop {
-            let timer = m.rpc_latency.start_timer();
-            let outcome = self.call_once(request);
-            timer.stop();
-            match outcome {
+            let outcome = attempt.and_then(|a| client.settle(a, kind, &payload, until));
+            let ended = outcome.as_ref().map_or_else(|_| Instant::now(), |r| r.1);
+            m.rpc_latency
+                .observe(ended.saturating_duration_since(began).as_secs_f64());
+            let e = match outcome {
                 Ok(reply) => break Ok(reply),
-                Err(e) => {
-                    let transient = matches!(
-                        e.kind,
-                        TransportErrorKind::Refused | TransportErrorKind::ConnectionLost
-                    );
-                    if !transient || attempt >= self.config.retries {
-                        break Err(e);
-                    }
-                    m.client_retries.inc();
-                    std::thread::sleep(backoff_delay(
-                        self.config.backoff,
-                        attempt,
-                        self.max_backoff,
-                    ));
-                    attempt += 1;
-                }
+                Err(e) => e,
+            };
+            let transient = matches!(
+                e.kind,
+                TransportErrorKind::Refused | TransportErrorKind::ConnectionLost
+            );
+            let delay = backoff_delay(client.config.backoff, retry, client.max_backoff);
+            let in_time = until.is_none_or(|u| Instant::now() + delay < u);
+            if !transient || retry >= client.config.retries || !in_time {
+                break Err(e);
             }
+            m.client_retries.inc();
+            std::thread::sleep(delay);
+            retry += 1;
+            began = Instant::now();
+            attempt = client.attempt(kind, &payload);
         };
         if let Err(e) = &result {
             if e.kind == TransportErrorKind::Timeout {
@@ -428,15 +591,6 @@ impl MuxClient {
             }
         }
         result
-    }
-
-    /// Liveness probe: a full request/reply round trip on a pooled
-    /// connection.
-    pub(crate) fn ping(&self) -> Result<(), TransportError> {
-        match self.call(&Message::Ping)? {
-            Message::Pong => Ok(()),
-            other => Err(unexpected("Pong", &other)),
-        }
     }
 }
 
@@ -483,7 +637,7 @@ fn reader_loop(conn: Arc<Conn>, stream: TcpStream) {
                     };
                     match target {
                         Some(corr) => {
-                            pending.insert(corr, Some(result));
+                            pending.insert(corr, Some((Instant::now(), result)));
                         }
                         None => metrics().client_late_replies.inc(),
                     }
@@ -499,10 +653,11 @@ fn reader_loop(conn: Arc<Conn>, stream: TcpStream) {
             Err(e) => {
                 conn.alive.store(false, Ordering::Release);
                 {
+                    let now = Instant::now();
                     let mut pending = lock_unpoisoned(&conn.pending);
                     for slot in pending.values_mut() {
                         if slot.is_none() {
-                            *slot = Some(Err(e.clone()));
+                            *slot = Some((now, Err(e.clone())));
                         }
                     }
                 }
@@ -595,6 +750,78 @@ impl RemoteEngine {
             thread: Some(thread),
         })
     }
+
+    /// Sends one search request, traced if the context is sampled and
+    /// the peer is not known to lack the kind.
+    fn ask(
+        &self,
+        query_text: &str,
+        threshold: f64,
+        ctx: Option<&seu_obs::TraceContext>,
+    ) -> AskedSearch {
+        // Untraced and unsampled requests go over the wire exactly as
+        // before the traced kind existed: byte-identical frames, no span
+        // shipping. Ditto once a peer has rejected the kind — remembered
+        // across clones so a legacy engine is probed at most once.
+        let query = query_text.to_string();
+        let traced = ctx.filter(|c| c.sampled && !self.peer_lacks_tracing.load(Ordering::Relaxed));
+        let (request, plain) = match traced {
+            Some(ctx) => (
+                Message::TracedSearchDocs {
+                    query: query.clone(),
+                    threshold,
+                    trace_id: ctx.trace_id.0,
+                    parent_span: ctx.parent_span.0,
+                    sampled: ctx.sampled,
+                },
+                Some((self.clone(), query, threshold)),
+            ),
+            None => (Message::SearchDocs { query, threshold }, None),
+        };
+        AskedSearch {
+            call: self.client.begin(&request),
+            plain,
+        }
+    }
+}
+
+/// A [`RemoteEngine`] search between its halves.
+struct AskedSearch {
+    call: InFlight,
+    /// For a request sent traced: whom to ask its plain form, should
+    /// the peer turn out not to know the traced kind.
+    plain: Option<(RemoteEngine, String, f64)>,
+}
+
+impl Pending<SearchReply> for AskedSearch {
+    fn finish(self: Box<Self>, until: Option<Instant>) -> Result<SearchReply, TransportError> {
+        let AskedSearch { call, plain } = *self;
+        let began = call.began();
+        let reply = |hits, spans, arrived: Instant| SearchReply {
+            hits,
+            spans,
+            seconds: arrived.saturating_duration_since(began).as_secs_f64(),
+        };
+        match (call.finish(until), plain) {
+            (Ok((Message::SearchResults { hits }, at)), None) => Ok(reply(hits, Vec::new(), at)),
+            (Ok((Message::TracedSearchResults { hits, spans }, at)), Some(_)) => {
+                Ok(reply(hits, spans, at))
+            }
+            (Ok((other, _)), None) => Err(unexpected("SearchResults", &other)),
+            (Ok((other, _)), Some(_)) => Err(unexpected("TracedSearchResults", &other)),
+            (Err(e), Some((engine, query, threshold))) if e.kind == TransportErrorKind::Remote => {
+                // An old server answers an unknown kind with Error.
+                // Remember and fall back to the plain message.
+                engine.peer_lacks_tracing.store(true, Ordering::Relaxed);
+                metrics().client_trace_fallbacks.inc();
+                let mut plain = Box::new(engine.ask(&query, threshold, None)).finish(until)?;
+                // The probe's round trip is part of what the call took.
+                plain.seconds = began.elapsed().as_secs_f64();
+                Ok(plain)
+            }
+            (Err(e), _) => Err(e),
+        }
+    }
 }
 
 fn subscription_loop(mut stream: TcpStream, on_notice: impl Fn(&str, Fingerprint, u64)) {
@@ -674,41 +901,18 @@ impl RemoteTransport for RemoteEngine {
         threshold: f64,
         ctx: Option<&seu_obs::TraceContext>,
     ) -> Result<(Vec<RemoteHit>, Vec<seu_obs::SpanRecord>), TransportError> {
-        // Untraced and unsampled requests go over the wire exactly as
-        // before the traced kind existed: byte-identical frames, no span
-        // shipping. Ditto once a peer has rejected the kind — remembered
-        // across clones so a legacy engine is probed at most once.
-        let ctx = match ctx {
-            Some(ctx) if ctx.sampled && !self.peer_lacks_tracing.load(Ordering::Relaxed) => ctx,
-            _ => {
-                return match self.client.call(&Message::SearchDocs {
-                    query: query_text.to_string(),
-                    threshold,
-                })? {
-                    Message::SearchResults { hits } => Ok((hits, Vec::new())),
-                    other => Err(unexpected("SearchResults", &other)),
-                };
-            }
-        };
-        let request = Message::TracedSearchDocs {
-            query: query_text.to_string(),
-            threshold,
-            trace_id: ctx.trace_id.0,
-            parent_span: ctx.parent_span.0,
-            sampled: ctx.sampled,
-        };
-        match self.client.call(&request) {
-            Ok(Message::TracedSearchResults { hits, spans }) => Ok((hits, spans)),
-            Ok(other) => Err(unexpected("TracedSearchResults", &other)),
-            Err(e) if e.kind == TransportErrorKind::Remote => {
-                // An old server answers an unknown kind with Error.
-                // Remember and fall back to the plain message.
-                self.peer_lacks_tracing.store(true, Ordering::Relaxed);
-                metrics().client_trace_fallbacks.inc();
-                self.search(query_text, threshold, None)
-            }
-            Err(e) => Err(e),
-        }
+        Box::new(self.ask(query_text, threshold, ctx))
+            .finish(None)
+            .map(|reply| (reply.hits, reply.spans))
+    }
+
+    fn begin_search(
+        &self,
+        query_text: &str,
+        threshold: f64,
+        ctx: Option<&seu_obs::TraceContext>,
+    ) -> Option<Box<dyn Pending<SearchReply>>> {
+        Some(Box::new(self.ask(query_text, threshold, ctx)))
     }
 
     fn true_usefulness(
@@ -773,6 +977,161 @@ impl RemoteTransport for RemoteEngine {
         match self.client.call(&Message::GetRepresentative)? {
             Message::Representative { snapshot } => Ok(snapshot),
             other => Err(unexpected("Representative", &other)),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// A multiplexing peer for the two halves: echoes correlation ids
+    /// and answers `SearchDocs { query }` with one hit named after the
+    /// query — once it holds `gate` requests, all connections counted,
+    /// so a test can prove that many were in flight at once. While
+    /// `drops` is positive a request costs its connection instead.
+    struct Echo {
+        addr: SocketAddr,
+        accepted: Arc<AtomicUsize>,
+        drops: Arc<AtomicUsize>,
+    }
+
+    type Held = Arc<Mutex<Vec<(TcpStream, u64, String)>>>;
+
+    fn echo(gate: usize) -> Echo {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let echo = Echo {
+            addr: listener.local_addr().unwrap(),
+            accepted: Arc::new(AtomicUsize::new(0)),
+            drops: Arc::new(AtomicUsize::new(0)),
+        };
+        let (accepted, drops) = (echo.accepted.clone(), echo.drops.clone());
+        let held: Held = Arc::new(Mutex::new(Vec::new()));
+        std::thread::spawn(move || {
+            for stream in listener.incoming() {
+                let Ok(stream) = stream else { break };
+                accepted.fetch_add(1, Ordering::SeqCst);
+                let (drops, held) = (drops.clone(), held.clone());
+                std::thread::spawn(move || serve(stream, &drops, gate, &held));
+            }
+        });
+        echo
+    }
+
+    fn serve(mut stream: TcpStream, drops: &AtomicUsize, gate: usize, held: &Held) {
+        while let Ok(frame) = read_frame(&mut stream) {
+            let reply = match Message::decode(frame.kind, &frame.payload) {
+                Ok(Message::Hello { .. }) => Message::HelloAck {
+                    name: "echo".to_string(),
+                },
+                Ok(Message::Ping) => Message::Pong,
+                Ok(Message::SearchDocs { query, .. }) => {
+                    let dropped = drops
+                        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |d| d.checked_sub(1));
+                    if dropped.is_ok() {
+                        return;
+                    }
+                    let mut held = held.lock().unwrap();
+                    held.push((stream.try_clone().unwrap(), frame.corr, query));
+                    if held.len() >= gate {
+                        for (mut to, corr, query) in held.drain(..) {
+                            let hits = vec![RemoteHit {
+                                doc: query,
+                                sim: 1.0,
+                            }];
+                            let (kind, payload) = Message::SearchResults { hits }.encode();
+                            let _ = write_frame_corr(&mut to, corr, kind, &payload);
+                        }
+                    }
+                    continue;
+                }
+                _ => return,
+            };
+            let (kind, payload) = reply.encode();
+            if write_frame_corr(&mut stream, frame.corr, kind, &payload).is_err() {
+                return;
+            }
+        }
+    }
+
+    fn client(echo: &Echo) -> Arc<MuxClient> {
+        let config = RemoteEngineConfig {
+            retries: 0,
+            ..RemoteEngineConfig::default()
+        };
+        MuxClient::resolve(echo.addr, config).unwrap()
+    }
+
+    fn ask(query: &str) -> Message {
+        Message::SearchDocs {
+            query: query.to_string(),
+            threshold: 0.0,
+        }
+    }
+
+    fn doc_of(reply: Result<(Message, Instant), TransportError>) -> String {
+        match reply.unwrap().0 {
+            Message::SearchResults { mut hits } => hits.remove(0).doc,
+            other => panic!("not a search reply: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_call_dropped_between_its_halves_leaves_nothing_behind() {
+        // The gate never opens: the reply is still owed when the call
+        // is abandoned.
+        let echo = echo(usize::MAX);
+        let client = client(&echo);
+        let call = client.begin(&ask("abandoned"));
+        let conn = lock_unpoisoned(&client.conns)[0].clone();
+        assert_eq!(lock_unpoisoned(&conn.pending).len(), 1);
+        assert_eq!(conn.in_flight.load(Ordering::Relaxed), 1);
+        drop(call);
+        assert!(lock_unpoisoned(&conn.pending).is_empty());
+        assert_eq!(conn.in_flight.load(Ordering::Relaxed), 0);
+        // The connection is none the worse.
+        client.ping().unwrap();
+        assert_eq!(echo.accepted.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn a_lost_reused_connection_is_redialed_once_and_a_lost_fresh_one_is_not() {
+        let echo = echo(1);
+        let reused = client(&echo);
+        reused.ping().unwrap();
+        echo.drops.store(1, Ordering::SeqCst);
+        let call = reused.begin(&ask("again"));
+        assert_eq!(doc_of(call.finish(None)), "again");
+        assert_eq!(echo.accepted.load(Ordering::SeqCst), 2, "one redial");
+
+        // The same loss on a connection dialed for the call is the
+        // peer's failure, not a stale socket's.
+        let fresh = client(&echo);
+        echo.drops.store(1, Ordering::SeqCst);
+        let lost = fresh.begin(&ask("lost")).finish(None).unwrap_err();
+        assert_eq!(lost.kind, TransportErrorKind::ConnectionLost, "{lost}");
+        assert_eq!(echo.accepted.load(Ordering::SeqCst), 3, "no redial");
+    }
+
+    #[test]
+    fn calls_begun_together_each_come_home_with_their_own_reply() {
+        // Nothing is answered until all 64 are held: they were in flight
+        // at once, past one connection's pipeline depth.
+        const CALLS: usize = 2 * PIPELINE_DEPTH;
+        let echo = echo(CALLS);
+        let client = client(&echo);
+        let calls: Vec<InFlight> = (0..CALLS)
+            .map(|i| client.begin(&ask(&format!("q{i}"))))
+            .collect();
+        for (i, call) in calls.into_iter().enumerate() {
+            assert_eq!(doc_of(call.finish(None)), format!("q{i}"));
+        }
+        let dialed = echo.accepted.load(Ordering::SeqCst);
+        assert!((2..=DEFAULT_MAX_CONNS).contains(&dialed), "{dialed}");
+        for conn in lock_unpoisoned(&client.conns).iter() {
+            assert!(lock_unpoisoned(&conn.pending).is_empty());
+            assert_eq!(conn.in_flight.load(Ordering::Relaxed), 0);
         }
     }
 }

@@ -18,21 +18,24 @@
 //!   both paths plan from the same shipped full-precision statistics.
 //!   The server is the crate's one readiness loop
 //!   ([`crate::server`]) around a replica service, and its worker
-//!   count ([`ServerConfig::workers`]) is the replica's capacity: the
-//!   federated benchmark pins it to 1 so a 4-replica cluster has
-//!   exactly 4× the compute of one replica.
+//!   count ([`ServerConfig::workers`]) is the replica's capacity: how
+//!   many requests it plans and dispatches at once.
 //! * **[`RemoteReplica`]** implements [`ReplicaClient`] over the same
 //!   pooled, pipelined connection code as [`RemoteEngine`], so a
 //!   front-door treats a process across the wire exactly like an
 //!   in-process replica: same placement, same failover, same typed
 //!   [`TransportError`] capture when the replica dies mid-dispatch.
+//!   Its subset estimate and subset search are calls in two halves
+//!   (request written at the begin, reply awaited at the finish), which
+//!   is what lets the front-door ask all the replicas of an attempt
+//!   before it waits for the first.
 //!
 //! The module also wires [`FrontDoor`] into the HTTP admin server by
 //! implementing [`BrokerAdmin`] for it, so `seu front-door` serves the
 //! same `/healthz`, `/engines`, `/metrics`, and `/search` routes a
 //! single broker does.
 
-use crate::client::{unexpected, MuxClient, RemoteEngine, RemoteEngineConfig};
+use crate::client::{unexpected, InFlight, MuxClient, RemoteEngine, RemoteEngineConfig};
 use crate::frame::io_error;
 use crate::http::BrokerAdmin;
 use crate::metrics::metrics;
@@ -41,11 +44,12 @@ use crate::wire::Message;
 use seu_core::UsefulnessEstimator;
 use seu_metasearch::federation::{InstallSpec, LocalReplica, ReplicaClient, SubsetResults};
 use seu_metasearch::{
-    Broker, CacheStats, EngineEstimate, EngineSnapshot, EngineStatus, FrontDoor, RegistrySnapshot,
-    SearchRequest, SearchResponse, TransportError, TransportErrorKind,
+    Broker, CacheStats, EngineEstimate, EngineSnapshot, EngineStatus, FrontDoor, Pending,
+    RegistrySnapshot, SearchRequest, SearchResponse, TransportError, TransportErrorKind,
 };
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// One broker on a socket as a federation replica (kinds 17–25);
 /// serving stops when dropped.
@@ -69,9 +73,7 @@ impl ReplicaServer {
 
     /// [`ReplicaServer::bind`] with explicit capacity: the replica
     /// answers at most [`ServerConfig::workers`] requests at once and
-    /// queues the rest. The federated benchmark pins it to 1 per
-    /// replica so cluster throughput scales with replica count, not
-    /// with the host's cores.
+    /// queues the rest.
     pub fn bind_with<E>(
         id: &str,
         broker: Arc<Broker<E>>,
@@ -259,6 +261,20 @@ impl RemoteReplica {
     }
 }
 
+/// A replica call between its halves: the request is on the wire, and
+/// `read` is what its reply should be.
+struct Asked<T> {
+    call: InFlight,
+    read: fn(Message) -> Result<T, TransportError>,
+}
+
+impl<T: Send> Pending<T> for Asked<T> {
+    fn finish(self: Box<Self>, until: Option<Instant>) -> Result<T, TransportError> {
+        let (reply, _) = self.call.finish(until)?;
+        (self.read)(reply)
+    }
+}
+
 impl ReplicaClient for RemoteReplica {
     fn ping(&self) -> Result<(), TransportError> {
         self.client.ping()
@@ -270,14 +286,8 @@ impl ReplicaClient for RemoteReplica {
         threshold: f64,
         engines: &[String],
     ) -> Result<Vec<EngineEstimate>, TransportError> {
-        match self.client.call(&Message::ReplicaEstimate {
-            query: query.to_string(),
-            threshold,
-            engines: engines.to_vec(),
-        })? {
-            Message::ReplicaEstimates { estimates } => Ok(estimates),
-            other => Err(unexpected("ReplicaEstimates", &other)),
-        }
+        self.begin_estimate_subset(query, threshold, engines)
+            .finish(None)
     }
 
     fn search_subset(
@@ -286,14 +296,48 @@ impl ReplicaClient for RemoteReplica {
         threshold: f64,
         engines: &[String],
     ) -> Result<SubsetResults, TransportError> {
-        match self.client.call(&Message::ReplicaSearch {
+        self.begin_search_subset(query, threshold, engines)
+            .finish(None)
+    }
+
+    fn begin_estimate_subset(
+        &self,
+        query: &str,
+        threshold: f64,
+        engines: &[String],
+    ) -> Box<dyn Pending<Vec<EngineEstimate>>> {
+        let request = Message::ReplicaEstimate {
             query: query.to_string(),
             threshold,
             engines: engines.to_vec(),
-        })? {
-            Message::ReplicaSearchResults { hits, stats } => Ok(SubsetResults { hits, stats }),
-            other => Err(unexpected("ReplicaSearchResults", &other)),
-        }
+        };
+        Box::new(Asked {
+            call: self.client.begin(&request),
+            read: |reply| match reply {
+                Message::ReplicaEstimates { estimates } => Ok(estimates),
+                other => Err(unexpected("ReplicaEstimates", &other)),
+            },
+        })
+    }
+
+    fn begin_search_subset(
+        &self,
+        query: &str,
+        threshold: f64,
+        engines: &[String],
+    ) -> Box<dyn Pending<SubsetResults>> {
+        let request = Message::ReplicaSearch {
+            query: query.to_string(),
+            threshold,
+            engines: engines.to_vec(),
+        };
+        Box::new(Asked {
+            call: self.client.begin(&request),
+            read: |reply| match reply {
+                Message::ReplicaSearchResults { hits, stats } => Ok(SubsetResults { hits, stats }),
+                other => Err(unexpected("ReplicaSearchResults", &other)),
+            },
+        })
     }
 
     fn install(&self, spec: &InstallSpec) -> Result<(), TransportError> {

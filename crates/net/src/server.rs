@@ -218,7 +218,9 @@ impl FrameServer {
                 .unwrap_or(4)
                 .clamp(2, 8)
         };
-        let thread_name = format!("seu-net-loop-{}", service.name());
+        // Linux shows 15 bytes of a thread's name (`top -H`, `/proc`):
+        // the role goes first and short, the service right behind it.
+        let thread_name = format!("nl:{}", service.name());
         let state = Arc::new(LoopState {
             service,
             workers,
@@ -490,7 +492,7 @@ fn event_loop(listener: TcpListener, state: Arc<LoopState>) {
             let done = Arc::clone(&completions);
             let st = Arc::clone(&state);
             std::thread::Builder::new()
-                .name(format!("seu-net-worker-{}-{i}", st.service.name()))
+                .name(format!("nw{i}:{}", st.service.name()))
                 .spawn(move || worker_loop(rx, done, st))
                 .expect("spawning worker thread")
         })
