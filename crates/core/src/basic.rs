@@ -7,9 +7,8 @@
 //! document containing a term carries the term's *average* weight — the
 //! assumption the subrange method removes.
 
-use crate::{Usefulness, UsefulnessEstimator};
+use crate::{with_factors, Usefulness, UsefulnessEstimator};
 use seu_engine::Query;
-use seu_poly::SparsePoly;
 use seu_repr::Representative;
 
 /// Proposition 1 estimator (uniform average weight per term).
@@ -25,23 +24,14 @@ impl BasicEstimator {
 
 impl UsefulnessEstimator for BasicEstimator {
     fn estimate(&self, repr: &Representative, query: &Query, threshold: f64) -> Usefulness {
-        let factors: Vec<SparsePoly> = query
-            .terms()
-            .iter()
-            .filter_map(|&(term, u)| {
-                repr.get(term)
-                    .map(|s| SparsePoly::basic_factor(s.p, u * s.mean))
-            })
-            .collect();
-        if factors.is_empty() {
-            return Usefulness::default();
-        }
-        let g = SparsePoly::product(&factors);
-        let tail = g.tail_above(threshold);
-        Usefulness {
-            no_doc: repr.n_docs() as f64 * tail.mass,
-            avg_sim: tail.avg_exponent(),
-        }
+        with_factors(|g| {
+            for &(term, u) in query.terms() {
+                if let Some(s) = repr.get(term) {
+                    g.push_factor([(s.p, u * s.mean)]);
+                }
+            }
+            Usefulness::above(g, repr.n_docs(), threshold)
+        })
     }
 
     fn name(&self) -> &'static str {

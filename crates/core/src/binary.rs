@@ -23,9 +23,8 @@
 //! machinery, real average weights — isolates exactly what binarization
 //! throws away.
 
-use crate::{Usefulness, UsefulnessEstimator};
+use crate::{with_factors, Usefulness, UsefulnessEstimator};
 use seu_engine::Query;
-use seu_poly::SparsePoly;
 use seu_repr::Representative;
 
 /// Proposition 1 over cosine-normalized *binary* document vectors.
@@ -53,23 +52,14 @@ impl BinaryIndependentEstimator {
 impl UsefulnessEstimator for BinaryIndependentEstimator {
     fn estimate(&self, repr: &Representative, query: &Query, threshold: f64) -> Usefulness {
         let w_bin = Self::binary_weight(repr);
-        let factors: Vec<SparsePoly> = query
-            .terms()
-            .iter()
-            .filter_map(|&(term, u)| {
-                repr.get(term)
-                    .map(|s| SparsePoly::basic_factor(s.p, u * w_bin))
-            })
-            .collect();
-        if factors.is_empty() {
-            return Usefulness::default();
-        }
-        let g = SparsePoly::product(&factors);
-        let tail = g.tail_above(threshold);
-        Usefulness {
-            no_doc: repr.n_docs() as f64 * tail.mass,
-            avg_sim: tail.avg_exponent(),
-        }
+        with_factors(|g| {
+            for &(term, u) in query.terms() {
+                if let Some(s) = repr.get(term) {
+                    g.push_factor([(s.p, u * w_bin)]);
+                }
+            }
+            Usefulness::above(g, repr.n_docs(), threshold)
+        })
     }
 
     fn name(&self) -> &'static str {

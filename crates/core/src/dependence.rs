@@ -24,9 +24,8 @@
 //! [`SubrangeEstimator`].
 
 use crate::subrange::SubrangeEstimator;
-use crate::{Usefulness, UsefulnessEstimator};
+use crate::{with_factors, Usefulness, UsefulnessEstimator};
 use seu_engine::Query;
-use seu_poly::SparsePoly;
 use seu_repr::{CooccurrenceStats, Representative};
 
 /// Subrange estimation with pairwise presence dependence.
@@ -77,8 +76,8 @@ impl DependenceAdjustedEstimator {
         (pairs, leftovers)
     }
 
-    /// Joint factor for a matched pair: the 2×2 presence table expanded
-    /// through both terms' conditional subrange spikes.
+    /// Joint factor for a matched pair, as its spikes: the 2×2 presence
+    /// table expanded through both terms' conditional subrange spikes.
     fn joint_factor(
         &self,
         repr: &Representative,
@@ -86,7 +85,7 @@ impl DependenceAdjustedEstimator {
         i: usize,
         j: usize,
         p12_raw: f64,
-    ) -> Option<SparsePoly> {
+    ) -> Option<Vec<(f64, f64)>> {
         let (term_i, _) = query.terms()[i];
         let (term_j, _) = query.terms()[j];
         let si = repr.get(term_i)?;
@@ -125,7 +124,7 @@ impl DependenceAdjustedEstimator {
         for &(qb, eb) in &cb {
             terms.push(((p2 - p12) * qb, eb));
         }
-        Some(SparsePoly::spike_factor(terms))
+        Some(terms)
     }
 }
 
@@ -135,37 +134,24 @@ impl UsefulnessEstimator for DependenceAdjustedEstimator {
         if pairs.is_empty() {
             return self.base.estimate(repr, query, threshold);
         }
-        let mut factors: Vec<SparsePoly> = Vec::new();
-        for &(i, j, p12) in &pairs {
-            match self.joint_factor(repr, query, i, j, p12) {
-                Some(f) => factors.push(f),
-                None => {
+        with_factors(|g| {
+            for &(i, j, p12) in &pairs {
+                match self.joint_factor(repr, query, i, j, p12) {
+                    Some(joint) => g.push_factor(joint),
                     // One side unknown to the representative: fall back to
                     // the independent factors for whichever sides exist.
-                    for idx in [i, j] {
-                        let spikes = self.base.factors_for_term(repr, query, idx);
-                        if !spikes.is_empty() {
-                            factors.push(SparsePoly::spike_factor(spikes));
+                    None => {
+                        for idx in [i, j] {
+                            g.push_factor(self.base.factors_for_term(repr, query, idx));
                         }
                     }
                 }
             }
-        }
-        for idx in leftovers {
-            let spikes = self.base.factors_for_term(repr, query, idx);
-            if !spikes.is_empty() {
-                factors.push(SparsePoly::spike_factor(spikes));
+            for idx in leftovers {
+                g.push_factor(self.base.factors_for_term(repr, query, idx));
             }
-        }
-        if factors.is_empty() {
-            return Usefulness::default();
-        }
-        let g = SparsePoly::product(&factors);
-        let tail = g.tail_above(threshold);
-        Usefulness {
-            no_doc: repr.n_docs() as f64 * tail.mass,
-            avg_sim: tail.avg_exponent(),
-        }
+            Usefulness::above(g, repr.n_docs(), threshold)
+        })
     }
 
     fn name(&self) -> &'static str {

@@ -6,9 +6,8 @@
 //! [`PercentileRepresentative`]) rather than `w + z(q) * sigma`.
 //! Experiment E20 compares the two to price the normal assumption.
 
-use crate::{Usefulness, UsefulnessEstimator};
+use crate::{with_factors, Usefulness, UsefulnessEstimator};
 use seu_engine::Query;
-use seu_poly::SparsePoly;
 use seu_repr::{PercentileRepresentative, Representative};
 
 /// Subrange estimator over stored exact percentile medians.
@@ -22,36 +21,11 @@ impl EmpiricalSubrangeEstimator {
     pub fn new(percentiles: PercentileRepresentative) -> Self {
         EmpiricalSubrangeEstimator { percentiles }
     }
-
-    fn factors(&self, repr: &Representative, query: &Query) -> Vec<SparsePoly> {
-        query
-            .terms()
-            .iter()
-            .filter_map(|&(term, u)| {
-                let spikes = self.percentiles.decompose(repr, term);
-                if spikes.is_empty() {
-                    None
-                } else {
-                    Some(SparsePoly::spike_factor(
-                        spikes.into_iter().map(|(p, w)| (p, u * w)),
-                    ))
-                }
-            })
-            .collect()
-    }
 }
 
 impl UsefulnessEstimator for EmpiricalSubrangeEstimator {
     fn estimate(&self, repr: &Representative, query: &Query, threshold: f64) -> Usefulness {
-        let factors = self.factors(repr, query);
-        if factors.is_empty() {
-            return Usefulness::default();
-        }
-        let tail = SparsePoly::product(&factors).tail_above(threshold);
-        Usefulness {
-            no_doc: repr.n_docs() as f64 * tail.mass,
-            avg_sim: tail.avg_exponent(),
-        }
+        self.estimate_sweep(repr, query, &[threshold])[0]
     }
 
     fn estimate_sweep(
@@ -60,21 +34,16 @@ impl UsefulnessEstimator for EmpiricalSubrangeEstimator {
         query: &Query,
         thresholds: &[f64],
     ) -> Vec<Usefulness> {
-        let factors = self.factors(repr, query);
-        if factors.is_empty() {
-            return vec![Usefulness::default(); thresholds.len()];
-        }
-        let g = SparsePoly::product(&factors);
-        thresholds
-            .iter()
-            .map(|&t| {
-                let tail = g.tail_above(t);
-                Usefulness {
-                    no_doc: repr.n_docs() as f64 * tail.mass,
-                    avg_sim: tail.avg_exponent(),
-                }
-            })
-            .collect()
+        with_factors(|g| {
+            for &(term, u) in query.terms() {
+                let spikes = self.percentiles.decompose(repr, term);
+                g.push_factor(spikes.into_iter().map(|(p, w)| (p, u * w)));
+            }
+            thresholds
+                .iter()
+                .map(|&t| Usefulness::above(g, repr.n_docs(), t))
+                .collect()
+        })
     }
 
     fn name(&self) -> &'static str {

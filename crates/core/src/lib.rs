@@ -51,7 +51,25 @@ pub use subrange::{Expansion, SubrangeEstimator};
 
 use serde::{Deserialize, Serialize};
 use seu_engine::Query;
+use seu_poly::{SpikeFactors, TailStats};
 use seu_repr::Representative;
+use std::cell::RefCell;
+
+/// Runs `f` on this thread's factor scratch, emptied: the buffers an
+/// estimate loads its generating function's factors into and walks
+/// ([`SpikeFactors::tail_above`]). They are cleared, never freed, so an
+/// estimate allocates nothing once they have grown to the thread's
+/// longest query. Not re-entrant: `f` must not estimate.
+pub(crate) fn with_factors<R>(f: impl FnOnce(&mut SpikeFactors) -> R) -> R {
+    thread_local! {
+        static SCRATCH: RefCell<SpikeFactors> = RefCell::default();
+    }
+    SCRATCH.with(|scratch| {
+        let mut factors = scratch.borrow_mut();
+        factors.clear();
+        f(&mut factors)
+    })
+}
 
 /// An estimated usefulness pair.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -64,6 +82,24 @@ pub struct Usefulness {
 }
 
 impl Usefulness {
+    /// Equation (6) and the AvgSim formula below it: the tail's mass
+    /// scaled by the database size, and its average exponent.
+    pub(crate) fn from_tail(n_docs: u64, tail: TailStats) -> Self {
+        Usefulness {
+            no_doc: n_docs as f64 * tail.mass,
+            avg_sim: tail.avg_exponent(),
+        }
+    }
+
+    /// The usefulness above `threshold` of the database whose generating
+    /// function has these factors; exactly `(0, 0)` when it has none.
+    pub(crate) fn above(factors: &mut SpikeFactors, n_docs: u64, threshold: f64) -> Self {
+        if factors.is_empty() {
+            return Usefulness::default();
+        }
+        Self::from_tail(n_docs, factors.tail_above(threshold).tail)
+    }
+
     /// The paper rounds estimated NoDoc to integers before computing
     /// match/mismatch; negative estimates clamp to 0.
     pub fn no_doc_rounded(&self) -> u64 {

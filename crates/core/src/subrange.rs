@@ -4,25 +4,27 @@
 //! decomposed by a [`SubrangeScheme`] into probability spikes at subrange
 //! median weights (Expression (8)); the spikes become a factor polynomial
 //! whose exponents are the weights scaled by the query term weight `u`.
-//! The expanded product of the factors is the generating function; its
-//! tail above the threshold yields `est_NoDoc` and `est_AvgSim`.
+//! The product of the factors is the generating function; its tail above
+//! the threshold yields `est_NoDoc` and `est_AvgSim`, and that tail is
+//! all an estimate computes ([`seu_poly::SpikeFactors::tail_above`]) —
+//! the product itself is only expanded for a [`UsefulnessCurve`](crate::curve::UsefulnessCurve).
 //!
 //! With the paper's six-subrange scheme the highest subrange holds only
 //! the maximum normalized weight with probability `1/n`, which guarantees
 //! correct engine identification for single-term queries (see the
 //! [`crate::guarantee`] module).
 
-use crate::{Usefulness, UsefulnessEstimator};
+use crate::{with_factors, Usefulness, UsefulnessEstimator};
 use serde::{Deserialize, Serialize};
 use seu_engine::Query;
-use seu_poly::TailStats;
-use seu_poly::{GridPoly, SparsePoly};
-use seu_repr::{MaxWeightMode, Representative, SubrangeScheme};
+use seu_poly::{GridPoly, SparsePoly, SpikeFactors, TailStats};
+use seu_repr::{MaxWeightMode, Representative, SchemeQuantiles, SubrangeScheme, TermStats};
 use std::sync::{Arc, OnceLock};
 
-/// Instrument handles cached once per process. The `raw` count is the
-/// unmerged expansion size (product of per-factor spike counts); the
-/// difference to the stored term count is what epsilon merging pruned.
+/// Instrument handles cached once per process. The `terms` counts are the
+/// tail walk's: `raw` the partial spike choices it visited, `expanded` the
+/// subtrees it closed as passing the threshold whole, `pruned` the ones it
+/// cut as unable to reach it (`raw ≥ expanded + pruned`).
 struct EstimatorMetrics {
     invocations: Arc<seu_obs::Counter>,
     sweeps: Arc<seu_obs::Counter>,
@@ -64,9 +66,9 @@ pub fn register_metrics() {
 /// How the generating function is expanded.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub enum Expansion {
-    /// Exact sparse expansion with epsilon exponent merging. Exponential
-    /// in query length in the worst case, but exact; fine for the short
-    /// (<= 6 term) queries of the Internet workloads the paper targets.
+    /// The exact tail, by a depth-first walk over spike choices that never
+    /// forms the product: memory is the factors, time exponential in query
+    /// length at worst — fine for the paper's short (<= 6 term) queries.
     #[default]
     Exact,
     /// Dense grid convolution with the given number of cells over
@@ -112,12 +114,15 @@ pub struct SubrangeEstimator {
     scheme: SubrangeScheme,
     max_mode: MaxWeightMode,
     expansion: Expansion,
+    /// The z-scores of `scheme` under `max_mode`, evaluated once.
+    quantiles: SchemeQuantiles,
 }
 
 impl SubrangeEstimator {
     /// Full configuration.
     pub fn new(scheme: SubrangeScheme, max_mode: MaxWeightMode, expansion: Expansion) -> Self {
         SubrangeEstimator {
+            quantiles: scheme.quantiles(max_mode),
             scheme,
             max_mode,
             expansion,
@@ -155,21 +160,27 @@ impl SubrangeEstimator {
         self.max_mode
     }
 
+    /// One term's spikes `(probability, exponent)`: the scheme's
+    /// decomposition with the weights scaled by the query term weight.
+    fn spikes<'a>(
+        &'a self,
+        stats: &TermStats,
+        n_docs: u64,
+        u: f64,
+    ) -> impl Iterator<Item = (f64, f64)> + 'a {
+        self.scheme
+            .spikes(stats, n_docs, &self.quantiles)
+            .map(move |(p, w)| (p, u * w))
+    }
+
     /// Per-term spike factors `(probability, exponent)` for a query —
     /// exposed for the guarantee analysis and for tests.
     pub fn factors(&self, repr: &Representative, query: &Query) -> Vec<Vec<(f64, f64)>> {
+        let n_docs = repr.n_docs();
         query
             .terms()
             .iter()
-            .filter_map(|&(term, u)| {
-                repr.get(term).map(|s| {
-                    self.scheme
-                        .decompose(s, repr.n_docs(), self.max_mode)
-                        .into_iter()
-                        .map(|(p, w)| (p, u * w))
-                        .collect()
-                })
-            })
+            .filter_map(|&(term, u)| Some(self.spikes(repr.get(term)?, n_docs, u).collect()))
             .collect()
     }
 
@@ -185,13 +196,7 @@ impl SubrangeEstimator {
     ) -> Vec<(f64, f64)> {
         let (term, u) = query.terms()[idx];
         repr.get(term)
-            .map(|s| {
-                self.scheme
-                    .decompose(s, repr.n_docs(), self.max_mode)
-                    .into_iter()
-                    .map(|(p, w)| (p, u * w))
-                    .collect()
-            })
+            .map(|s| self.spikes(s, repr.n_docs(), u).collect())
             .unwrap_or_default()
     }
 
@@ -199,63 +204,84 @@ impl SubrangeEstimator {
     /// for a query with one exact expansion — every threshold and the
     /// count→threshold inversion come for free afterwards (the paper's
     /// point that its measure adapts to "the number of documents desired
-    /// by the user").
+    /// by the user"). The one caller that multiplies the factors out.
     pub fn curve(&self, repr: &Representative, query: &Query) -> crate::curve::UsefulnessCurve {
-        let factors = self.factors(repr, query);
-        let g = if factors.is_empty() {
-            SparsePoly::one()
-        } else {
-            self.expand_exact(&factors)
-        };
-        crate::curve::UsefulnessCurve::from_expansion(&g, repr.n_docs())
+        let polys: Vec<SparsePoly> = self
+            .factors(repr, query)
+            .into_iter()
+            .map(SparsePoly::spike_factor)
+            .collect();
+        crate::curve::UsefulnessCurve::from_expansion(&SparsePoly::product(&polys), repr.n_docs())
     }
 
-    /// Expands the product of spike factors exactly, recording the
-    /// polynomial-size and timing metrics for the expansion.
-    fn expand_exact(&self, factors: &[Vec<(f64, f64)>]) -> SparsePoly {
+    /// The grid's tail above `threshold`; `factors` is not empty.
+    fn grid_tail(&self, factors: &[Vec<(f64, f64)>], cells: usize, threshold: f64) -> TailStats {
+        let max_exp: f64 = factors
+            .iter()
+            .map(|spikes| spikes.iter().map(|&(_, e)| e).fold(0.0f64, f64::max))
+            .sum();
+        if max_exp <= 0.0 {
+            return TailStats::default();
+        }
         let m = metrics();
         let timer = m.expansion_seconds.start_timer();
-        let polys: Vec<SparsePoly> = factors
-            .iter()
-            .map(|spikes| SparsePoly::spike_factor(spikes.iter().map(|&(p, e)| (p, e))))
-            .collect();
-        let g = SparsePoly::product(&polys);
+        let mut g = GridPoly::identity(max_exp, cells);
+        for spikes in factors {
+            g.convolve_spikes(spikes);
+        }
+        let tail = g.tail_above(threshold);
         timer.stop();
-        let raw: u64 = polys
-            .iter()
-            .fold(1u64, |acc, p| acc.saturating_mul(p.len().max(1) as u64));
-        let expanded = g.len() as u64;
         m.expansions.inc();
-        m.terms_raw.add(raw);
-        m.terms_expanded.add(expanded);
-        m.terms_pruned.add(raw.saturating_sub(expanded));
-        m.expansion_size.observe(expanded as f64);
-        g
+        m.grid_cells
+            .add((cells as u64).saturating_mul(factors.len() as u64));
+        tail
     }
 
-    fn tail(&self, factors: &[Vec<(f64, f64)>], threshold: f64) -> TailStats {
+    /// The exact tail of the loaded factors above `threshold`: one walk,
+    /// timed and counted.
+    fn walk_tail(&self, g: &mut SpikeFactors, threshold: f64) -> TailStats {
+        let m = metrics();
+        let timer = m.expansion_seconds.start_timer();
+        let walk = g.tail_above(threshold);
+        timer.stop();
+        m.expansions.inc();
+        m.terms_raw.add(walk.visited);
+        m.terms_expanded.add(walk.closed);
+        m.terms_pruned.add(walk.cut);
+        m.expansion_size.observe(walk.closed as f64);
+        walk.tail
+    }
+
+    /// One usefulness per threshold, in order: the factors are formed
+    /// once, the tail taken per threshold. A query sharing no term with
+    /// the representative gets exactly `(0, 0)` without a walk.
+    fn sweep(
+        &self,
+        repr: &Representative,
+        query: &Query,
+        thresholds: &[f64],
+        mut emit: impl FnMut(Usefulness),
+    ) {
+        let n_docs = repr.n_docs();
+        // (No factor, no tail: `from_tail` of nothing is exactly `(0, 0)`.)
+        let mut emit =
+            |tail: Option<TailStats>| emit(Usefulness::from_tail(n_docs, tail.unwrap_or_default()));
         match self.expansion {
-            Expansion::Exact => self.expand_exact(factors).tail_above(threshold),
+            Expansion::Exact => with_factors(|g| {
+                for &(term, u) in query.terms() {
+                    if let Some(s) = repr.get(term) {
+                        g.push_factor(self.spikes(s, n_docs, u));
+                    }
+                }
+                for &t in thresholds {
+                    emit((!g.is_empty()).then(|| self.walk_tail(g, t)));
+                }
+            }),
             Expansion::Grid { cells } => {
-                let max_exp: f64 = factors
-                    .iter()
-                    .map(|spikes| spikes.iter().map(|&(_, e)| e).fold(0.0f64, f64::max))
-                    .sum();
-                if max_exp <= 0.0 {
-                    return TailStats::default();
+                let factors = self.factors(repr, query);
+                for &t in thresholds {
+                    emit((!factors.is_empty()).then(|| self.grid_tail(&factors, cells, t)));
                 }
-                let m = metrics();
-                let timer = m.expansion_seconds.start_timer();
-                let mut g = GridPoly::identity(max_exp, cells);
-                for spikes in factors {
-                    g.convolve_spikes(spikes);
-                }
-                let tail = g.tail_above(threshold);
-                timer.stop();
-                m.expansions.inc();
-                m.grid_cells
-                    .add((cells as u64).saturating_mul(factors.len() as u64));
-                tail
             }
         }
     }
@@ -264,15 +290,9 @@ impl SubrangeEstimator {
 impl UsefulnessEstimator for SubrangeEstimator {
     fn estimate(&self, repr: &Representative, query: &Query, threshold: f64) -> Usefulness {
         metrics().invocations.inc();
-        let factors = self.factors(repr, query);
-        if factors.is_empty() {
-            return Usefulness::default();
-        }
-        let tail = self.tail(&factors, threshold);
-        Usefulness {
-            no_doc: repr.n_docs() as f64 * tail.mass,
-            avg_sim: tail.avg_exponent(),
-        }
+        let mut out = Usefulness::default();
+        self.sweep(repr, query, &[threshold], |u| out = u);
+        out
     }
 
     fn estimate_sweep(
@@ -282,36 +302,9 @@ impl UsefulnessEstimator for SubrangeEstimator {
         thresholds: &[f64],
     ) -> Vec<Usefulness> {
         metrics().sweeps.inc();
-        let factors = self.factors(repr, query);
-        if factors.is_empty() {
-            return vec![Usefulness::default(); thresholds.len()];
-        }
-        // The expansion does not depend on the threshold: do it once.
-        match self.expansion {
-            Expansion::Exact => {
-                let g = self.expand_exact(&factors);
-                thresholds
-                    .iter()
-                    .map(|&t| {
-                        let tail = g.tail_above(t);
-                        Usefulness {
-                            no_doc: repr.n_docs() as f64 * tail.mass,
-                            avg_sim: tail.avg_exponent(),
-                        }
-                    })
-                    .collect()
-            }
-            Expansion::Grid { .. } => thresholds
-                .iter()
-                .map(|&t| {
-                    let tail = self.tail(&factors, t);
-                    Usefulness {
-                        no_doc: repr.n_docs() as f64 * tail.mass,
-                        avg_sim: tail.avg_exponent(),
-                    }
-                })
-                .collect(),
-        }
+        let mut out = Vec::with_capacity(thresholds.len());
+        self.sweep(repr, query, thresholds, |u| out.push(u));
+        out
     }
 
     fn name(&self) -> &'static str {

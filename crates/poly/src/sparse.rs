@@ -179,39 +179,6 @@ impl SparsePoly {
             weighted_mass: weighted,
         }
     }
-
-    /// Caps the polynomial to at most `max_terms` terms by repeatedly
-    /// merging the pair of adjacent exponents that are closest together
-    /// (mass-preserving: coefficients add, the merged exponent is the
-    /// coefficient-weighted mean).
-    ///
-    /// Used as a pressure valve for very long queries when the exact
-    /// expansion would explode; introduces bounded exponent error.
-    pub fn compact_to(&mut self, max_terms: usize) {
-        assert!(max_terms >= 1, "cannot compact to zero terms");
-        while self.terms.len() > max_terms {
-            // Find the adjacent pair with minimal exponent gap.
-            let mut best = 0;
-            let mut best_gap = f64::INFINITY;
-            for i in 0..self.terms.len() - 1 {
-                let gap = self.terms[i + 1].0 - self.terms[i].0;
-                if gap < best_gap {
-                    best_gap = gap;
-                    best = i;
-                }
-            }
-            let (e1, c1) = self.terms[best];
-            let (e2, c2) = self.terms[best + 1];
-            let c = c1 + c2;
-            let e = if c != 0.0 {
-                (e1 * c1 + e2 * c2) / c
-            } else {
-                e1
-            };
-            self.terms[best] = (e, c);
-            self.terms.remove(best + 1);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -338,22 +305,6 @@ mod tests {
         let b = SparsePoly::basic_factor(0.25, 4.0); // mean 1.0
         let g = a.mul(&b);
         assert!((g.mean_exponent() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn compact_preserves_mass_and_mean() {
-        let mut g = SparsePoly::product(&[
-            SparsePoly::basic_factor(0.3, 0.17),
-            SparsePoly::basic_factor(0.6, 0.31),
-            SparsePoly::basic_factor(0.2, 0.53),
-            SparsePoly::basic_factor(0.8, 0.07),
-        ]);
-        let mass = g.total_mass();
-        let mean = g.mean_exponent();
-        g.compact_to(5);
-        assert!(g.len() <= 5);
-        assert!((g.total_mass() - mass).abs() < 1e-12);
-        assert!((g.mean_exponent() - mean).abs() < 1e-12);
     }
 
     #[test]

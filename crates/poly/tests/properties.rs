@@ -79,18 +79,6 @@ proptest! {
         }
     }
 
-    /// Compacting preserves total and weighted mass and meets the size cap.
-    #[test]
-    fn compact_is_mass_preserving(factors in arb_factors(), cap in 1usize..16) {
-        let mut g = SparsePoly::product(&polys(&factors));
-        let mass = g.total_mass();
-        let mean = g.mean_exponent();
-        g.compact_to(cap);
-        prop_assert!(g.len() <= cap);
-        prop_assert!((g.total_mass() - mass).abs() < 1e-9);
-        prop_assert!((g.mean_exponent() - mean).abs() < 1e-9);
-    }
-
     /// Grid convolution conserves mass and never over-counts any tail
     /// relative to the exact expansion.
     #[test]

@@ -41,4 +41,4 @@ pub use percentiles::PercentileRepresentative;
 pub use portable::{FrozenSummary, PortableRepresentative};
 pub use quantized::QuantizedRepresentative;
 pub use representative::{Representative, SizeReport, TermStats, PAGE_BYTES};
-pub use subranges::{MaxWeightMode, Subrange, SubrangeScheme};
+pub use subranges::{MaxWeightMode, SchemeQuantiles, Subrange, SubrangeScheme};

@@ -46,15 +46,38 @@ impl MaxWeightMode {
         MaxWeightMode::Estimated { percentile: 0.999 }
     }
 
-    /// Resolves the maximum weight for a term.
-    pub fn max_weight(&self, stats: &TermStats) -> f64 {
+    /// The z-score of the estimated-maximum percentile; `None` when the
+    /// maximum is stored.
+    fn z(&self) -> Option<f64> {
         match *self {
-            MaxWeightMode::Stored => stats.max,
-            MaxWeightMode::Estimated { percentile } => {
-                (stats.mean + phi_inv(percentile) * stats.std_dev).max(0.0)
-            }
+            MaxWeightMode::Stored => None,
+            MaxWeightMode::Estimated { percentile } => Some(phi_inv(percentile)),
         }
     }
+
+    /// Resolves the maximum weight for a term.
+    pub fn max_weight(&self, stats: &TermStats) -> f64 {
+        max_weight_at(stats, self.z())
+    }
+}
+
+/// [`MaxWeightMode::max_weight`] with the mode's z-score already evaluated.
+fn max_weight_at(stats: &TermStats, z: Option<f64>) -> f64 {
+    match z {
+        None => stats.max,
+        Some(z) => (stats.mean + z * stats.std_dev).max(0.0),
+    }
+}
+
+/// The normal quantiles a scheme and a [`MaxWeightMode`] decompose with:
+/// `phi_inv` of each subrange's median percentile and of the
+/// estimated-maximum percentile. They are constants of the pair, so an
+/// estimator evaluates them once ([`SubrangeScheme::quantiles`]) instead
+/// of once per query term.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SchemeQuantiles {
+    medians: Vec<f64>,
+    max: Option<f64>,
 }
 
 /// A full subrange decomposition scheme.
@@ -180,28 +203,56 @@ impl SubrangeScheme {
         n_docs: u64,
         max_mode: MaxWeightMode,
     ) -> Vec<(f64, f64)> {
-        let p = stats.p;
-        if p <= 0.0 || n_docs == 0 {
-            return Vec::new();
+        self.spikes(stats, n_docs, &self.quantiles(max_mode))
+            .collect()
+    }
+
+    /// The z-scores [`SubrangeScheme::spikes`] needs for this scheme
+    /// under `max_mode`.
+    pub fn quantiles(&self, max_mode: MaxWeightMode) -> SchemeQuantiles {
+        SchemeQuantiles {
+            medians: self
+                .subranges
+                .iter()
+                .map(|sr| phi_inv(sr.median_percentile))
+                .collect(),
+            max: max_mode.z(),
         }
-        let mut spikes = Vec::with_capacity(self.subranges.len() + 1);
-        let max_w = max_mode.max_weight(stats);
-        let mut remaining = p;
-        if self.max_subrange {
-            let p_top = (1.0 / n_docs as f64).min(p);
-            spikes.push((p_top, max_w));
-            remaining -= p_top;
-        }
-        if remaining > 0.0 {
-            for sr in &self.subranges {
-                let mut w = (stats.mean + phi_inv(sr.median_percentile) * stats.std_dev).max(0.0);
-                if self.clamp_to_max {
-                    w = w.min(max_w.max(0.0));
-                }
-                spikes.push((remaining * sr.mass_fraction, w));
+    }
+
+    /// [`SubrangeScheme::decompose`] as an iterator over quantiles
+    /// evaluated beforehand — the one copy of the decomposition; `z` must
+    /// come from this scheme's [`SubrangeScheme::quantiles`].
+    pub fn spikes<'a>(
+        &'a self,
+        stats: &TermStats,
+        n_docs: u64,
+        z: &'a SchemeQuantiles,
+    ) -> impl Iterator<Item = (f64, f64)> + 'a {
+        debug_assert_eq!(z.medians.len(), self.subranges.len());
+        let TermStats {
+            p, mean, std_dev, ..
+        } = *stats;
+        let present = p > 0.0 && n_docs > 0;
+        let max_w = max_weight_at(stats, z.max);
+        let p_top = if self.max_subrange {
+            (1.0 / n_docs as f64).min(p)
+        } else {
+            0.0
+        };
+        let remaining = p - p_top;
+        let top = (present && self.max_subrange).then_some((p_top, max_w));
+        let medians = (present && remaining > 0.0)
+            .then(|| self.subranges.iter().zip(&z.medians))
+            .into_iter()
+            .flatten();
+        top.into_iter().chain(medians.map(move |(sr, &zq)| {
+            let mut w = (mean + zq * std_dev).max(0.0);
+            if self.clamp_to_max {
+                w = w.min(max_w.max(0.0));
             }
-        }
-        spikes
+            (remaining * sr.mass_fraction, w)
+        }))
     }
 
     /// Total mass fraction of the non-top subranges (should be 1).
