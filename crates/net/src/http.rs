@@ -22,15 +22,35 @@
 //! dispatch stats — including the typed transport error when a remote
 //! engine failed — and `"served_from"` (`"results"` when the query
 //! cache served the whole answer, `null` for an execution that planned
-//! and dispatched). With `explain` the
-//! request is force-sampled and the reply carries the complete span tree
-//! inline under `"trace"`.
+//! and dispatched). With `explain` the request is force-sampled and the
+//! reply carries the complete span tree inline under `"trace"`.
 //!
 //! The server is decoupled from the broker's estimator type through the
 //! object-safe [`BrokerAdmin`] trait, blanket-implemented for every
 //! `Broker<E>`.
+//!
+//! **What blocks where.** The acceptor thread blocks in `accept`. A
+//! connection thread serves one request with blocking reads and writes
+//! under the 10 s socket deadlines, then *parks*: it pushes its own slot
+//! on a stack and waits on its own park token for at most a second,
+//! after which it takes itself off the stack and exits.
+//!
+//! **Who wakes whom.** The acceptor pops the *most recently* parked
+//! thread, leaves the connection in that thread's slot and unparks it,
+//! and no other; with none parked it starts a thread whose first job is
+//! the connection, so threads started ≤ connections open at once. Last
+//! in, first out, because that thread's stack, allocator cache and
+//! estimator scratch are still in the processor's cache; a shared
+//! channel or condvar wakes waiters in queue order, the coldest first,
+//! and that, not pooling, cost `registry_10k` its tail when a pool was
+//! tried. A thread parks *before* it closes the socket it served: the
+//! client reads to end of stream before it connects again, so by then
+//! its thread is on the stack. `shutdown` ends the acceptor, which
+//! takes the stack, wakes and joins the threads that were on it; a
+//! thread serving at that moment exits after its reply, not parking.
 
-use crate::metrics::metrics;
+use crate::metrics::{metrics, HttpThreadLive};
+use parking_lot::Mutex;
 use seu_core::UsefulnessEstimator;
 use seu_metasearch::{
     Broker, CacheMode, CacheStats, EngineStatus, RegistrySnapshot, SearchRequest, SearchResponse,
@@ -41,8 +61,8 @@ use std::io::{IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::thread::{JoinHandle, Thread};
+use std::time::{Duration, Instant};
 
 /// Largest request head (request line + headers) accepted.
 const MAX_HEAD_BYTES: usize = 8 << 10;
@@ -52,6 +72,9 @@ const MAX_HEAD_BYTES: usize = 8 << 10;
 const MAX_BODY_BYTES: usize = crate::frame::MAX_FRAME_BYTES;
 /// Socket deadline for reading a request and writing its response.
 const REQUEST_TIMEOUT: Duration = Duration::from_secs(10);
+/// How long a parked connection thread waits for its next connection
+/// before it takes itself off the stack and exits.
+const PARK_EXPIRY: Duration = Duration::from_secs(1);
 
 /// The slice of a broker the admin server needs, object-safe so one
 /// server type works over any estimator. Blanket-implemented for every
@@ -86,10 +109,91 @@ impl<E: UsefulnessEstimator + Send + Sync> BrokerAdmin for Broker<E> {
     }
 }
 
+/// A connection thread's own slot: its next stream, left by the acceptor.
+type Slot = Arc<Mutex<Option<TcpStream>>>;
+
+/// What the acceptor and the connection threads share.
+#[derive(Debug, Default)]
+struct Door {
+    shutting_down: AtomicBool,
+    /// The parked threads and their slots, most recently parked last.
+    parked: Mutex<Vec<(Thread, Slot)>>,
+}
+
+impl Door {
+    /// The acceptor's loop, then its half of `stop`.
+    fn accept(self: Arc<Door>, listener: TcpListener, broker: Arc<dyn BrokerAdmin>) {
+        let mut started: Vec<JoinHandle<()>> = Vec::new();
+        for stream in listener.incoming() {
+            if self.shutting_down.load(Ordering::SeqCst) {
+                break;
+            }
+            let Ok(stream) = stream else { continue };
+            let mut parked = self.parked.lock();
+            if let Some((thread, slot)) = parked.pop() {
+                *slot.lock() = Some(stream);
+                drop(parked);
+                thread.unpark();
+                continue;
+            }
+            drop(parked);
+            let (door, broker) = (Arc::clone(&self), Arc::clone(&broker));
+            started.retain(|thread| !thread.is_finished());
+            started.extend(
+                std::thread::Builder::new()
+                    .name("seu-net-http-conn".to_string())
+                    .spawn(move || door.serve_connections(stream, &*broker)),
+            );
+        }
+        let parked = std::mem::take(&mut *self.parked.lock());
+        for thread in started {
+            if parked.iter().any(|p| p.0.id() == thread.thread().id()) {
+                thread.thread().unpark();
+                let _ = thread.join();
+            }
+        }
+    }
+
+    /// A connection thread: serve, park, close the served socket, wait.
+    fn serve_connections(&self, first: TcpStream, broker: &dyn BrokerAdmin) {
+        let _live = HttpThreadLive::start();
+        let slot: Slot = Arc::new(Mutex::new(Some(first)));
+        while let Some(mut stream) = self.next_stream(&slot) {
+            let _ = serve_one(&mut stream, broker);
+            let mut parked = self.parked.lock();
+            if self.shutting_down.load(Ordering::SeqCst) {
+                return;
+            }
+            parked.push((std::thread::current(), Arc::clone(&slot)));
+            // `parked` unlocks, then `stream` closes: parked first.
+        }
+    }
+
+    /// The stream left in `slot`; `None` when the thread is to exit.
+    fn next_stream(&self, slot: &Slot) -> Option<TcpStream> {
+        let parked_at = Instant::now();
+        loop {
+            let mut parked = self.parked.lock();
+            if let Some(stream) = slot.lock().take() {
+                return Some(stream);
+            }
+            // Off the stack with nothing in the slot is `stop`'s doing.
+            let at = parked.iter().rposition(|p| Arc::ptr_eq(&p.1, slot))?;
+            let Some(left) = PARK_EXPIRY.checked_sub(parked_at.elapsed()) else {
+                parked.remove(at);
+                return None;
+            };
+            drop(parked);
+            std::thread::park_timeout(left);
+        }
+    }
+}
+
 /// The admin/metrics HTTP server; serving stops when dropped.
+#[derive(Debug)]
 pub struct AdminServer {
     addr: SocketAddr,
-    shutting_down: Arc<AtomicBool>,
+    door: Arc<Door>,
     accept_thread: Option<JoinHandle<()>>,
 }
 
@@ -101,27 +205,14 @@ impl AdminServer {
     ) -> std::io::Result<AdminServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let shutting_down = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&shutting_down);
+        let door = Arc::<Door>::default();
+        let accepting = Arc::clone(&door);
         let accept_thread = std::thread::Builder::new()
             .name("seu-net-http".to_string())
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    if flag.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    let broker = Arc::clone(&broker);
-                    let _ = std::thread::Builder::new()
-                        .name("seu-net-http-conn".to_string())
-                        .spawn(move || {
-                            let _ = serve_one(stream, &*broker);
-                        });
-                }
-            })?;
+            .spawn(move || accepting.accept(listener, broker))?;
         Ok(AdminServer {
             addr,
-            shutting_down,
+            door,
             accept_thread: Some(accept_thread),
         })
     }
@@ -131,13 +222,13 @@ impl AdminServer {
         self.addr
     }
 
-    /// Stops accepting and joins the accept thread.
+    /// Stops accepting; joins the accept thread and every parked thread.
     pub fn shutdown(mut self) {
         self.stop();
     }
 
     fn stop(&mut self) {
-        if self.shutting_down.swap(true, Ordering::SeqCst) {
+        if self.door.shutting_down.swap(true, Ordering::SeqCst) {
             return;
         }
         let _ = TcpStream::connect(self.addr);
@@ -150,14 +241,6 @@ impl AdminServer {
 impl Drop for AdminServer {
     fn drop(&mut self) {
         self.stop();
-    }
-}
-
-impl std::fmt::Debug for AdminServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AdminServer")
-            .field("addr", &self.addr)
-            .finish()
     }
 }
 
@@ -253,22 +336,17 @@ fn respond(
     stream.flush()
 }
 
-fn serve_one(mut stream: TcpStream, broker: &dyn BrokerAdmin) -> std::io::Result<()> {
+fn serve_one(stream: &mut TcpStream, broker: &dyn BrokerAdmin) -> std::io::Result<()> {
     let _ = stream.set_read_timeout(Some(REQUEST_TIMEOUT));
     let _ = stream.set_write_timeout(Some(REQUEST_TIMEOUT));
-    let request = match read_request(&mut stream) {
+    let request = match read_request(stream) {
         Ok(request) => request,
         Err(ReadError::Invalid) => {
-            return respond(
-                &mut stream,
-                "400 Bad Request",
-                "text/plain",
-                "bad request\n",
-            );
+            return respond(stream, "400 Bad Request", "text/plain", "bad request\n");
         }
         Err(ReadError::BodyTooLarge) => {
             return respond(
-                &mut stream,
+                stream,
                 "413 Payload Too Large",
                 "text/plain",
                 "body exceeds 33554432 bytes\n",
@@ -280,24 +358,24 @@ fn serve_one(mut stream: TcpStream, broker: &dyn BrokerAdmin) -> std::io::Result
         ("GET", "/metrics") => {
             let exposition = seu_obs::global().snapshot().to_prometheus();
             respond(
-                &mut stream,
+                stream,
                 "200 OK",
                 "text/plain; version=0.0.4; charset=utf-8",
                 &exposition,
             )
         }
         ("GET", "/healthz") => respond(
-            &mut stream,
+            stream,
             "200 OK",
             "application/json",
             &healthz_json(&broker.registry_snapshot(), broker.cache_stats().as_ref()),
         ),
-        ("GET", "/traces") => respond(&mut stream, "200 OK", "application/json", &traces_json()),
+        ("GET", "/traces") => respond(stream, "200 OK", "application/json", &traces_json()),
         ("GET", path) if path.starts_with("/traces/") => {
             match lookup_trace(&path["/traces/".len()..]) {
-                Some(body) => respond(&mut stream, "200 OK", "application/json", &body),
+                Some(body) => respond(stream, "200 OK", "application/json", &body),
                 None => respond(
-                    &mut stream,
+                    stream,
                     "404 Not Found",
                     "application/json",
                     "{\"error\":\"no such trace\"}",
@@ -305,7 +383,7 @@ fn serve_one(mut stream: TcpStream, broker: &dyn BrokerAdmin) -> std::io::Result
             }
         }
         ("GET", "/engines") => respond(
-            &mut stream,
+            stream,
             "200 OK",
             "application/json",
             &engines_json(&broker.engine_statuses()),
@@ -314,7 +392,7 @@ fn serve_one(mut stream: TcpStream, broker: &dyn BrokerAdmin) -> std::io::Result
             Ok(req) => {
                 let response = broker.search(&req);
                 respond(
-                    &mut stream,
+                    stream,
                     "200 OK",
                     "application/json",
                     &search_json(&response),
@@ -324,12 +402,12 @@ fn serve_one(mut stream: TcpStream, broker: &dyn BrokerAdmin) -> std::io::Result
                 let mut body = String::from("{\"error\":");
                 json::write_escaped(&mut body, &detail);
                 body.push('}');
-                respond(&mut stream, "400 Bad Request", "application/json", &body)
+                respond(stream, "400 Bad Request", "application/json", &body)
             }
         },
-        ("GET" | "POST", _) => respond(&mut stream, "404 Not Found", "text/plain", "not found\n"),
+        ("GET" | "POST", _) => respond(stream, "404 Not Found", "text/plain", "not found\n"),
         _ => respond(
-            &mut stream,
+            stream,
             "405 Method Not Allowed",
             "text/plain",
             "method not allowed\n",
@@ -440,7 +518,9 @@ fn engines_json(statuses: &[EngineStatus]) -> String {
 }
 
 fn search_json(response: &SearchResponse) -> String {
-    let mut out = String::from("{\"hits\":[");
+    let rows = response.hits.len() + response.estimates.len() + response.per_engine_stats.len();
+    let mut out = String::with_capacity(256 + 64 * rows);
+    out.push_str("{\"hits\":[");
     for (i, h) in response.hits.iter().enumerate() {
         if i > 0 {
             out.push(',');

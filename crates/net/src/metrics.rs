@@ -40,6 +40,12 @@ pub(crate) struct NetMetrics {
     pub(crate) server_subscribers: Arc<seu_obs::Gauge>,
     /// HTTP requests served by admin servers.
     pub(crate) http_requests: Arc<seu_obs::Counter>,
+    /// Connection threads admin servers have started: one per connection
+    /// that found no thread parked, so at most as many as connections
+    /// were open at once since the door was last idle for the expiry.
+    pub(crate) http_threads_started: Arc<seu_obs::Counter>,
+    /// Connection threads of admin servers alive now, serving or parked.
+    pub(crate) http_threads_live: Arc<seu_obs::Gauge>,
     /// Traced searches that fell back to the plain message because the
     /// peer predates the traced kind.
     pub(crate) client_trace_fallbacks: Arc<seu_obs::Counter>,
@@ -85,6 +91,8 @@ pub(crate) fn metrics() -> &'static NetMetrics {
         server_requests: seu_obs::counter("net_server_requests_total"),
         server_subscribers: seu_obs::gauge("net_server_subscribers"),
         http_requests: seu_obs::counter("net_http_requests_total"),
+        http_threads_started: seu_obs::counter("net_http_threads_started_total"),
+        http_threads_live: seu_obs::gauge("net_http_threads_live"),
         client_trace_fallbacks: seu_obs::counter("net_client_trace_fallbacks_total"),
         server_traced_searches: seu_obs::counter("net_server_traced_searches_total"),
         client_connects: seu_obs::counter("net_client_connects_total"),
@@ -96,6 +104,26 @@ pub(crate) fn metrics() -> &'static NetMetrics {
         server_loop_wakeups: seu_obs::counter("net_server_loop_wakeups_total"),
         replica_requests: seu_obs::counter("net_replica_requests_total"),
     })
+}
+
+/// Held by an admin server's connection thread from its first
+/// instruction to its last: counts the thread in on creation and out on
+/// drop, so a thread that unwinds out of a panicking handler is counted
+/// out as well.
+pub(crate) struct HttpThreadLive(());
+
+impl HttpThreadLive {
+    pub(crate) fn start() -> HttpThreadLive {
+        metrics().http_threads_started.inc();
+        metrics().http_threads_live.add(1.0);
+        HttpThreadLive(())
+    }
+}
+
+impl Drop for HttpThreadLive {
+    fn drop(&mut self) {
+        metrics().http_threads_live.add(-1.0);
+    }
 }
 
 /// Forces creation of the crate's instruments so snapshots and

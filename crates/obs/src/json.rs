@@ -247,30 +247,40 @@ impl Parser<'_> {
     }
 }
 
-/// Appends `text` to `out` as a quoted JSON string.
+/// Appends `text` to `out` as a quoted JSON string (plain runs copied whole).
 pub fn write_escaped(out: &mut String, text: &str) {
     out.push('"');
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut copied = 0;
+    for (at, byte) in text.bytes().enumerate() {
+        let escape = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\t' => "\\t",
+            b'\r' => "\\r",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // Every escaped byte is ASCII, so `at` is a `char` boundary.
+        out.push_str(&text[copied..at]);
+        out.push_str(escape);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{byte:04x}");
         }
+        copied = at + 1;
     }
+    out.push_str(&text[copied..]);
     out.push('"');
 }
 
 /// Formats a float so it parses back to the same value (`{:?}` is
-/// Rust's shortest round-trip formatting), mapping non-finite values to
-/// `null` since JSON has no representation for them.
+/// Rust's shortest round-trip formatting; ±0.0, most of a large reply,
+/// is answered without `fmt`), mapping non-finite values to `null`
+/// since JSON has no representation for them.
 pub fn write_num(out: &mut String, value: f64) {
-    if value.is_finite() {
+    if value == 0.0 {
+        out.push_str(if value.to_bits() == 0 { "0.0" } else { "-0.0" });
+    } else if value.is_finite() {
         let _ = write!(out, "{value:?}");
     } else {
         out.push_str("null");
