@@ -70,6 +70,12 @@ const MAX_HEAD_BYTES: usize = 8 << 10;
 /// layer enforces, checked against the declared `Content-Length`
 /// *before* any buffer is allocated, so a liar header costs nothing.
 const MAX_BODY_BYTES: usize = crate::frame::MAX_FRAME_BYTES;
+/// Most that is read and dropped after a refusal, from a peer that
+/// went on sending past the point where it was refused.
+const MAX_DRAIN_BYTES: u64 = 1 << 20;
+/// How long that peer must stay silent for the door to take it that
+/// everything it sent has arrived.
+const REFUSAL_LINGER: Duration = Duration::from_millis(100);
 /// Socket deadline for reading a request and writing its response.
 const REQUEST_TIMEOUT: Duration = Duration::from_secs(10);
 /// How long a parked connection thread waits for its next connection
@@ -341,16 +347,22 @@ fn serve_one(stream: &mut TcpStream, broker: &dyn BrokerAdmin) -> std::io::Resul
     let _ = stream.set_write_timeout(Some(REQUEST_TIMEOUT));
     let request = match read_request(stream) {
         Ok(request) => request,
-        Err(ReadError::Invalid) => {
-            return respond(stream, "400 Bad Request", "text/plain", "bad request\n");
-        }
-        Err(ReadError::BodyTooLarge) => {
-            return respond(
-                stream,
-                "413 Payload Too Large",
-                "text/plain",
-                "body exceeds 33554432 bytes\n",
-            );
+        Err(refusal) => {
+            let (status, body) = match refusal {
+                ReadError::Invalid => ("400 Bad Request", "bad request\n"),
+                ReadError::BodyTooLarge => {
+                    ("413 Payload Too Large", "body exceeds 33554432 bytes\n")
+                }
+            };
+            respond(stream, status, "text/plain", body)?;
+            // A close over bytes nobody read goes out as a reset, which
+            // can destroy the refusal before the peer reads it: read what
+            // it sent and is still sending until it ends, goes silent or
+            // reaches the cap. No `shutdown(Write)` here: end of stream
+            // comes with the close, after this thread has parked.
+            let _ = stream.set_read_timeout(Some(REFUSAL_LINGER));
+            let _ = std::io::copy(&mut (&*stream).take(MAX_DRAIN_BYTES), &mut std::io::sink());
+            return Ok(());
         }
     };
     metrics().http_requests.inc();

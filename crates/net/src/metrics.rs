@@ -69,6 +69,9 @@ pub(crate) struct NetMetrics {
     /// Returns of the event loops' `poll(2)` wait, all servers. A loop
     /// that blocks adds a few per request and none while idle.
     pub(crate) server_loop_wakeups: Arc<seu_obs::Counter>,
+    /// Requests the loop thread answered itself, no worker involved
+    /// (pings apart): cheap searches and estimates of engine servers.
+    pub(crate) server_inline_answers: Arc<seu_obs::Counter>,
     /// Federation frames served by replica servers (subset estimates,
     /// subset searches, engine lifecycle).
     pub(crate) replica_requests: Arc<seu_obs::Counter>,
@@ -102,6 +105,7 @@ pub(crate) fn metrics() -> &'static NetMetrics {
         server_deadline_drops: seu_obs::counter("net_server_request_deadline_drops_total"),
         server_active_connections: seu_obs::gauge("net_server_active_connections"),
         server_loop_wakeups: seu_obs::counter("net_server_loop_wakeups_total"),
+        server_inline_answers: seu_obs::counter("net_server_inline_answers_total"),
         replica_requests: seu_obs::counter("net_replica_requests_total"),
     })
 }

@@ -6,15 +6,16 @@
 //!
 //! One thread owns the nonblocking listener and every connection,
 //! parsing frames incrementally out of per-connection read buffers and
-//! flushing replies from write buffers, while a small worker pool runs
-//! the service's handler. Because replies carry the
+//! flushing replies from write buffers. It answers a request itself when
+//! the service says that is cheap, and hands the rest to a small worker
+//! pool. Because replies carry the
 //! request's correlation id, one connection can have many requests in
 //! flight and the replies go out in completion order — a slow search
 //! does not block the pings and estimates pipelined behind it.
 //! Deadlines (connection idle, per-request compute) live in a timer
 //! wheel rather than socket-level read timeouts. The worker count
-//! ([`ServerConfig::workers`]) is the server's compute capacity:
-//! requests beyond it queue in arrival order. The federation
+//! ([`ServerConfig::workers`]) is the server's capacity for handed-over
+//! requests: those beyond it queue in arrival order. The federation
 //! [`ReplicaServer`](crate::ReplicaServer) is the same loop around a
 //! different service.
 //!
@@ -30,6 +31,21 @@
 //! queued. A write the socket refuses parks the rest of the buffer and
 //! asks `poll` for `POLLOUT` on that connection, for as long as the
 //! refusal stands and no longer. Workers block on the job channel.
+//!
+//! **What the loop computes.** Pongs, and whatever
+//! `FrameService::answer_inline` returns: an engine's search or estimate
+//! whose text is within `INLINE_QUERY_BYTES` and whose terms hold under
+//! `INLINE_POSTINGS` postings in its index, each about what the hand-over
+//! costs in CPU. The reply is queued in the pass that read the request
+//! and written before the next `poll`: one wake-up an RPC on this side
+//! instead of three (loop, worker, loop), and no job, completion or
+//! deadline. The bound is a property of the request, read off its length
+//! and the index in O(terms), not a setting: a setting would be tuned for
+//! one collection and wrong for the next. A common-term query on a big
+//! collection, a very long one, a batch and the whole representative go
+//! to a worker, so a slow request still stalls nobody; and a replica
+//! never answers inline, because its handler blocks on the sockets of the
+//! engines behind it.
 //!
 //! **Who wakes whom.** Sockets wake the loop through `poll`. Everything
 //! else — a worker with a finished reply, [`EngineServer::replace_engine`]
@@ -67,7 +83,8 @@
 //! with a typed [`Message::Error`] and the connection is closed; a
 //! decodable request the service refuses or fails gets its typed
 //! `Error` on its own correlation id and the connection — with every
-//! pipelined neighbour — stays open.
+//! pipelined neighbour — stays open. A handler that panics, on either
+//! route, is such a failure.
 
 use crate::frame::{check_outbound, encode_frame_into, parse_frame};
 use crate::metrics::metrics;
@@ -75,7 +92,7 @@ use crate::poll::{self, Events, PollFd, POLLERR, POLLHUP, POLLIN, POLLOUT};
 use crate::timer::TimerWheel;
 use crate::wire::Message;
 use parking_lot::{Mutex, RwLock};
-use seu_engine::SearchEngine;
+use seu_engine::{Query, SearchEngine};
 use seu_metasearch::{EngineSnapshot, RemoteHit};
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -107,8 +124,9 @@ const MAX_WRITE_BUFFER: usize = 64 << 20;
 
 /// What a framed-protocol server does with a request once the loop has
 /// framed and decoded it. The loop owns sockets, handshakes, pings,
-/// deadlines and back-pressure; the service only computes replies (on
-/// the loop's worker threads, up to [`ServerConfig::workers`] at once).
+/// deadlines and back-pressure; the service only computes replies (the
+/// cheap ones on the loop thread, the rest on worker threads, up to
+/// [`ServerConfig::workers`] at once).
 pub(crate) trait FrameService: Send + Sync + 'static {
     /// The name advertised in the handshake's [`Message::HelloAck`].
     fn name(&self) -> &str;
@@ -117,15 +135,23 @@ pub(crate) trait FrameService: Send + Sync + 'static {
     /// request's kind; the loop turns that into a typed in-band
     /// [`Message::Error`] naming the kind byte.
     fn handle(&self, request: Message) -> Option<Message>;
+
+    /// The reply to a request this service can answer for less than the
+    /// hand-over to a worker costs, computed on the loop thread between
+    /// two `poll`s; `None` (the default) hands the request over. It must
+    /// never block, so [`EngineService`] is its one implementor.
+    fn answer_inline(&self, _request: &Message) -> Option<Message> {
+        None
+    }
 }
 
 /// Tuning for a framed-protocol server ([`EngineServer::bind_with`],
 /// [`ReplicaServer::bind_with`](crate::ReplicaServer::bind_with)).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServerConfig {
-    /// Worker threads computing replies — the server's capacity: at
-    /// most this many requests are being answered at once, the rest
-    /// queue. 0 picks `available_parallelism` clamped to [2, 8].
+    /// Worker threads answering handed-over requests — the server's
+    /// capacity for them: at most this many are being answered at once,
+    /// the rest queue. 0 picks `available_parallelism` clamped to [2, 8].
     pub workers: usize,
 }
 
@@ -482,6 +508,21 @@ fn conn_mut(conns: &mut [Option<EventConn>], slot: usize, gen: u64) -> Option<&m
         .filter(|c| c.gen == gen && !c.dead)
 }
 
+/// Runs one of the service's handlers, on either route. A panic in it
+/// answers its own request with a typed in-band `Error` instead of
+/// taking the worker — or, inline, the whole server — with it.
+fn guarded(
+    state: &LoopState,
+    handler: impl FnOnce(&dyn FrameService) -> Option<Message>,
+) -> Option<Message> {
+    let handler = std::panic::AssertUnwindSafe(|| handler(&*state.service));
+    std::panic::catch_unwind(handler).unwrap_or_else(|_| {
+        Some(Message::Error {
+            detail: format!("{} panicked answering this request", state.service.name()),
+        })
+    })
+}
+
 fn event_loop(listener: TcpListener, state: Arc<LoopState>) {
     let (job_tx, job_rx) = mpsc::channel::<Job>();
     let job_rx = Arc::new(std::sync::Mutex::new(job_rx));
@@ -809,8 +850,8 @@ fn event_loop(listener: TcpListener, state: Arc<LoopState>) {
     }
 }
 
-/// Routes one parsed frame: handshake transitions, inline pongs, or a
-/// job for the worker pool (with its deadline armed).
+/// Routes one parsed frame: handshake transitions, inline pongs and
+/// cheap answers, or a job for the worker pool (with its deadline armed).
 #[allow(clippy::too_many_arguments)]
 fn handle_frame(
     state: &LoopState,
@@ -872,6 +913,13 @@ fn handle_frame(
             match Message::decode(frame.kind, &frame.payload) {
                 Ok(Message::Ping) => conn.enqueue(frame.corr, &Message::Pong),
                 Ok(request) => {
+                    // Answered here, in the pass that read it, a request
+                    // needs no deadline, job, completion or wake-up.
+                    if let Some(reply) = guarded(state, |s| s.answer_inline(&request)) {
+                        m.server_inline_answers.inc();
+                        conn.enqueue(frame.corr, &reply);
+                        return;
+                    }
                     let key = wheel.insert(
                         now,
                         REQUEST_TIMEOUT,
@@ -920,16 +968,13 @@ fn worker_loop(
             rx.recv()
         };
         let Ok(job) = job else { return };
-        let reply = state
-            .service
-            .handle(job.request)
-            .unwrap_or_else(|| Message::Error {
-                detail: format!(
-                    "{} does not serve message kind {}",
-                    state.service.name(),
-                    job.kind
-                ),
-            });
+        let reply = guarded(&state, |s| s.handle(job.request)).unwrap_or_else(|| Message::Error {
+            detail: format!(
+                "{} does not serve message kind {}",
+                state.service.name(),
+                job.kind
+            ),
+        });
         completions
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -945,11 +990,10 @@ fn worker_loop(
 
 /// Every document of `engine` above `threshold` for `query`, best
 /// first, named for the wire.
-fn search_hits(engine: &SearchEngine, query: &str, threshold: f64) -> Vec<RemoteHit> {
+fn search_hits(engine: &SearchEngine, query: &Query, threshold: f64) -> Vec<RemoteHit> {
     let c = engine.collection();
-    let q = c.query_from_text(query);
     engine
-        .search_threshold(&q, threshold)
+        .search_threshold(query, threshold)
         .into_iter()
         .map(|h| RemoteHit {
             doc: c.doc(h.doc).name.clone(),
@@ -964,10 +1008,50 @@ impl FrameService for EngineService {
     }
 
     fn handle(&self, request: Message) -> Option<Message> {
+        self.answer(&request, false)
+    }
+
+    fn answer_inline(&self, request: &Message) -> Option<Message> {
+        self.answer(request, true)
+    }
+}
+
+/// The postings a query's terms may hold in this engine's index for the
+/// loop to answer it inline. A search costs what it reads: the benchmark's
+/// engines read ≈ 134 postings in ≈ 5 µs, so 1 024 take ≈ 40 µs — the
+/// ≈ 35 µs of CPU a hand-over costs (two wake-ups, a job, a completion, a
+/// deadline armed and cancelled), and as long as the loop should keep its
+/// other connections waiting.
+const INLINE_POSTINGS: usize = 1024;
+
+/// The query text the loop will analyse to find that out. Analysis costs
+/// what it reads too (tokenise, stem, look up: ≈ 37 ns a byte, 4 MiB of
+/// unknown tokens 100 ms for no posting at all), so 1 KiB is the same
+/// ≈ 40 µs; the benchmark's queries are tens of bytes. Longer text goes
+/// to a worker unanalysed.
+const INLINE_QUERY_BYTES: usize = 1024;
+
+impl EngineService {
+    /// The one handler behind both routes. `inline` is the loop asking:
+    /// it gets `None` — hand it over — for a query text over
+    /// [`INLINE_QUERY_BYTES`], one holding [`INLINE_POSTINGS`] or more, and
+    /// for the kinds whose cost the request does not bound (a batch, the
+    /// whole representative).
+    fn answer(&self, request: &Message, inline: bool) -> Option<Message> {
         let engine = Arc::clone(&self.engine.read());
+        // One analysis: it sizes the request and the search reuses it.
+        let analyse = |text: &str| {
+            if inline && text.len() > INLINE_QUERY_BYTES {
+                return None;
+            }
+            let q = engine.collection().query_from_text(text);
+            let terms = q.terms().iter();
+            let postings: usize = terms.map(|&(t, _)| engine.index().doc_freq(t)).sum();
+            (!inline || postings < INLINE_POSTINGS).then_some(q)
+        };
         Some(match request {
             Message::SearchDocs { query, threshold } => Message::SearchResults {
-                hits: search_hits(&engine, &query, threshold),
+                hits: search_hits(&engine, &analyse(query)?, *threshold),
             },
             Message::TracedSearchDocs {
                 query,
@@ -976,25 +1060,26 @@ impl FrameService for EngineService {
                 parent_span,
                 sampled,
             } => {
-                metrics().server_traced_searches.inc();
                 let started = std::time::Instant::now();
                 let start_unix_ns = seu_obs::unix_now_ns();
-                let hits = search_hits(&engine, &query, threshold);
+                let q = analyse(query)?;
+                metrics().server_traced_searches.inc();
+                let hits = search_hits(&engine, &q, *threshold);
                 // Author the server-side span by hand: there is no tracer on
                 // this side, just an id minted into the caller's trace. The
                 // caller grafts it under its dispatch span via the parent
                 // link carried in the request.
-                let spans = if sampled {
+                let spans = if *sampled {
                     vec![seu_obs::SpanRecord {
                         id: seu_obs::new_span_id(),
-                        parent: seu_obs::SpanId(parent_span),
+                        parent: seu_obs::SpanId(*parent_span),
                         name: "remote_search".to_string(),
                         start_unix_ns,
                         duration_ns: started.elapsed().as_nanos() as u64,
                         attrs: vec![
                             ("engine".to_string(), self.name.clone()),
                             ("hits".to_string(), hits.len().to_string()),
-                            ("trace_id".to_string(), seu_obs::TraceId(trace_id).to_hex()),
+                            ("trace_id".to_string(), seu_obs::TraceId(*trace_id).to_hex()),
                         ],
                     }]
                 } else {
@@ -1003,27 +1088,26 @@ impl FrameService for EngineService {
                 Message::TracedSearchResults { hits, spans }
             }
             Message::Estimate { query, threshold } => {
-                let q = engine.collection().query_from_text(&query);
-                let u = engine.true_usefulness(&q, threshold);
+                let u = engine.true_usefulness(&analyse(query)?, *threshold);
                 Message::Usefulness {
                     no_doc: u.no_doc,
                     avg_sim: u.avg_sim,
                     max_sim: u.max_sim,
                 }
             }
-            Message::EstimateBatch { queries, threshold } => {
+            Message::EstimateBatch { queries, threshold } if !inline => {
                 metrics().server_batch_requests.inc();
                 let c = engine.collection();
                 let results = queries
                     .iter()
                     .map(|query| {
                         let q = c.query_from_text(query);
-                        engine.true_usefulness(&q, threshold)
+                        engine.true_usefulness(&q, *threshold)
                     })
                     .collect();
                 Message::UsefulnessBatch { results }
             }
-            Message::GetRepresentative => Message::Representative {
+            Message::GetRepresentative if !inline => Message::Representative {
                 snapshot: EngineSnapshot::of_engine(&self.name, &engine),
             },
             _ => return None,
@@ -1051,6 +1135,31 @@ mod tests {
             matches!(request, Message::ExportEngine { .. }).then(|| Message::InstallAck {
                 name: "x".repeat(MAX_FRAME_BYTES),
             })
+        }
+    }
+
+    /// Panics on `Estimate` when the loop asks and on `GetRepresentative`
+    /// when a worker does; echoes `RemoveEngine`.
+    struct Panicky;
+
+    impl FrameService for Panicky {
+        fn name(&self) -> &str {
+            "panicky"
+        }
+
+        fn handle(&self, request: Message) -> Option<Message> {
+            match request {
+                Message::GetRepresentative => panic!("handed over"),
+                Message::RemoveEngine { name } => Some(Message::InstallAck { name }),
+                _ => None,
+            }
+        }
+
+        fn answer_inline(&self, request: &Message) -> Option<Message> {
+            match request {
+                Message::Estimate { .. } => panic!("inline"),
+                _ => None,
+            }
         }
     }
 
@@ -1105,5 +1214,53 @@ mod tests {
         let err = client.call(&oversize).unwrap_err();
         assert_eq!(err.kind, TransportErrorKind::Protocol, "{err:?}");
         client.ping().expect("the pooled connection is untouched");
+    }
+
+    #[test]
+    fn a_panicking_handler_answers_on_both_routes_and_spares_the_connection() {
+        // One worker: a panic that took it along would leave nobody to
+        // answer the ordinary request at the end.
+        let server = FrameServer::bind(
+            Arc::new(Panicky),
+            "127.0.0.1:0",
+            ServerConfig { workers: 1 },
+        )
+        .expect("binding");
+        let mut stream = TcpStream::connect(server.addr()).expect("connecting");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("read timeout");
+        send(&mut stream, 7, &Message::Hello { subscribe: false });
+        assert!(matches!(recv(&mut stream), (7, Message::HelloAck { .. })));
+
+        // Inline, handed over, and a ping pipelined behind both.
+        let estimate = Message::Estimate {
+            query: "q".into(),
+            threshold: 0.1,
+        };
+        send(&mut stream, 1, &estimate);
+        send(&mut stream, 2, &Message::GetRepresentative);
+        send(&mut stream, 3, &Message::Ping);
+        let replies: HashMap<u64, Message> = (0..3).map(|_| recv(&mut stream)).collect();
+        for corr in [1, 2] {
+            match &replies[&corr] {
+                Message::Error { detail } => {
+                    assert!(detail.contains("panicky panicked"), "{detail}")
+                }
+                other => panic!("a panic must become an Error on corr {corr}, got {other:?}"),
+            }
+        }
+        assert!(matches!(replies[&3], Message::Pong));
+
+        // The same socket, loop and worker still serve.
+        send(&mut stream, 4, &Message::Ping);
+        assert!(matches!(recv(&mut stream), (4, Message::Pong)));
+        send(&mut stream, 5, &Message::RemoveEngine { name: "e".into() });
+        match recv(&mut stream) {
+            (5, Message::InstallAck { name }) => assert_eq!(name, "e"),
+            other => panic!("expected the echo, got {other:?}"),
+        }
+        send(&mut stream, 6, &Message::GetRepresentative);
+        assert!(matches!(recv(&mut stream), (6, Message::Error { .. })));
     }
 }
