@@ -25,7 +25,7 @@ use std::time::Instant;
 /// wall-clock, or the typed transport failure that produced neither.
 type DispatchResult = Result<(Vec<MergedHit>, f64), TransportError>;
 
-/// One engine's dispatch job.
+/// One in-process engine's dispatch job.
 type DispatchJob = Box<dyn FnOnce() -> DispatchResult + Send>;
 
 /// Fewest engines of an all-local plan that go to the pool: a hand-off
@@ -61,6 +61,11 @@ fn queued_since(span: &mut SpanGuard, enqueued: Instant) {
             format!("{:.6}", enqueued.elapsed().as_secs_f64()),
         );
     }
+}
+
+/// Whether `deadline` has passed.
+fn late(deadline: Option<Instant>) -> bool {
+    deadline.is_some_and(|d| Instant::now() >= d)
 }
 
 /// A remote engine asked from the calling thread, its reply not yet
@@ -261,40 +266,35 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         Ok(resp)
     }
 
-    /// Runs a dispatch's jobs — `(in-process?, job)`, one per engine —
-    /// and returns one status per job, in their order.
+    /// Runs a dispatch's in-process searches, one job per engine, and
+    /// returns one status per job, in their order.
     ///
     /// An in-process search takes microseconds — less than handing it to
     /// a worker and waking the caller for its result — so fewer than
-    /// [`MIN_POOLED_LOCAL`] of them, and nothing else, are run by the
-    /// caller itself, and the in-process searches of any other dispatch
-    /// go to the pool as at most one batch per worker. A plan over a
+    /// [`MIN_POOLED_LOCAL`] of them are run by the caller itself, and
+    /// more go to the pool as at most one batch per worker. A plan over a
     /// handful of small engines then crosses no thread, a plan over a
     /// thousand crosses a few instead of a thousand, and how long either
     /// takes does not depend on how promptly the host schedules a
-    /// hand-off. Any other job — the blocking `search` of a transport
-    /// that offers no other, a detached engine's refusal — is a pool job
-    /// of its own. Every job still runs under its own `catch_unwind`. A
+    /// hand-off. Every job still runs under its own `catch_unwind`. A
     /// batch that misses the deadline times out all its engines; on the
     /// caller an engine that has not finished by the deadline times
     /// out, and the ones after it are not started.
     fn run_dispatch_jobs(
         &self,
-        jobs: Vec<(bool, DispatchJob)>,
+        jobs: Vec<DispatchJob>,
         deadline: Option<Instant>,
     ) -> Vec<JobStatus<DispatchResult>> {
         let n = jobs.len();
-        let (local, single): (Vec<usize>, Vec<usize>) = (0..n).partition(|&p| jobs[p].0);
-        if single.is_empty() && n < MIN_POOLED_LOCAL {
-            let late = || deadline.is_some_and(|d| Instant::now() >= d);
+        if n < MIN_POOLED_LOCAL {
             return jobs
                 .into_iter()
-                .map(|(_, job)| {
-                    if late() {
+                .map(|job| {
+                    if late(deadline) {
                         return JobStatus::TimedOut;
                     }
                     match catch_unwind(AssertUnwindSafe(job)) {
-                        _ if late() => JobStatus::TimedOut,
+                        _ if late(deadline) => JobStatus::TimedOut,
                         Ok(result) => JobStatus::Done(result),
                         Err(_) => JobStatus::Panicked,
                     }
@@ -302,17 +302,13 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
                 .collect();
         }
         let pool = self.pool();
-        let per_batch = local.len().div_ceil(pool.threads()).max(1);
-        let groups: Vec<&[usize]> = single.chunks(1).chain(local.chunks(per_batch)).collect();
-        let mut jobs: Vec<Option<DispatchJob>> =
-            jobs.into_iter().map(|(_, job)| Some(job)).collect();
-        let batches: Vec<DispatchBatch> = groups
-            .iter()
-            .map(|group| {
-                let batch: Vec<DispatchJob> = group
-                    .iter()
-                    .map(|&p| jobs[p].take().expect("each position is in one group"))
-                    .collect();
+        let per_batch = n.div_ceil(pool.threads()).max(1);
+        let mut out: Vec<JobStatus<DispatchResult>> = (0..n).map(|_| JobStatus::TimedOut).collect();
+        let mut jobs = jobs.into_iter();
+        let batches: Vec<DispatchBatch> = out
+            .chunks(per_batch)
+            .map(|slots| {
+                let batch: Vec<DispatchJob> = jobs.by_ref().take(slots.len()).collect();
                 Box::new(move || {
                     batch
                         .into_iter()
@@ -321,17 +317,19 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
                 }) as DispatchBatch
             })
             .collect();
-        let mut out: Vec<JobStatus<DispatchResult>> = (0..n).map(|_| JobStatus::TimedOut).collect();
         let timeout = deadline.map(|d| d.saturating_duration_since(Instant::now()));
-        for (group, status) in groups.iter().zip(pool.run_collect(batches, timeout)) {
+        for (slots, status) in out
+            .chunks_mut(per_batch)
+            .zip(pool.run_collect(batches, timeout))
+        {
             match status {
                 JobStatus::Done(results) => {
-                    for (&p, result) in group.iter().zip(results) {
-                        out[p] = result.map_or(JobStatus::Panicked, JobStatus::Done);
+                    for (slot, result) in slots.iter_mut().zip(results) {
+                        *slot = result.map_or(JobStatus::Panicked, JobStatus::Done);
                     }
                 }
-                JobStatus::Panicked => group.iter().for_each(|&p| out[p] = JobStatus::Panicked),
-                JobStatus::Rejected => group.iter().for_each(|&p| out[p] = JobStatus::Rejected),
+                JobStatus::Panicked => slots.fill_with(|| JobStatus::Panicked),
+                JobStatus::Rejected => slots.fill_with(|| JobStatus::Rejected),
                 JobStatus::TimedOut => {}
             }
         }
@@ -341,17 +339,18 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
     /// Dispatches a plan's invocation set and merges the results — the
     /// accounting half of [`Broker::execute`].
     ///
-    /// Ask once, wait once: every selected remote engine whose transport
-    /// can [search in two halves](crate::RemoteTransport::begin_search)
-    /// is sent its request from this thread, in invocation order; the
-    /// plan's other engines are then run (see
-    /// [`Broker::run_dispatch_jobs`]) while those replies are on their
-    /// way; and the replies are collected, in order, each under its own
-    /// `catch_unwind`. The request's timeout, counted from here, is the
-    /// deadline of all three steps: a reply that has not arrived by it
-    /// is that engine's `TimedOut`. The retries of several *failing*
-    /// engines thus back off one after another on this thread, not side
-    /// by side on the pool — bounded by that same deadline.
+    /// Ask once, wait once: every selected remote engine is sent its
+    /// request [in two halves](crate::RemoteTransport::begin_search) from
+    /// this thread, in invocation order, and a detached engine's refusal
+    /// is recorded on the spot; the plan's in-process engines are then
+    /// searched (see [`Broker::run_dispatch_jobs`]) while those replies
+    /// are on their way; and the replies are collected, in order, each
+    /// under its own `catch_unwind`. The request's timeout, counted from
+    /// here, is the deadline of all three steps: a transport that can
+    /// only block and answers its begin late, or a reply that has not
+    /// arrived by it, is that engine's `TimedOut`. The retries of
+    /// several *failing* engines thus back off one after another on
+    /// this thread — bounded by that same deadline.
     ///
     /// Records one `dispatch` span with a `dispatch:<engine>` child per
     /// invoked engine and a `merge` child. A job's span carries the
@@ -378,18 +377,17 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         // Positions in `plan.selected`, beside what was made of them.
         let mut asked: Vec<(usize, Asked)> = Vec::new();
         let mut queued: Vec<usize> = Vec::with_capacity(statuses.len());
-        let mut jobs: Vec<(bool, DispatchJob)> = Vec::with_capacity(statuses.len());
+        let mut jobs: Vec<DispatchJob> = Vec::with_capacity(statuses.len());
         for (p, &i) in plan.selected.iter().enumerate() {
             let e = &plan.engines[i];
-            let enqueued = Instant::now();
-            // What a job takes with it to whichever thread runs it.
-            let owned = || (e.name.clone(), trace.clone());
-            let job = match &e.handle {
+            match &e.handle {
                 EngineHandle::Local(engine) => {
+                    let enqueued = Instant::now();
                     let engine = engine.clone();
                     let query = e.query.clone();
-                    let (name, job_trace) = owned();
-                    Box::new(move || {
+                    let (name, job_trace) = (e.name.clone(), trace.clone());
+                    queued.push(p);
+                    jobs.push(Box::new(move || {
                         let mut span = engine_span(&job_trace, dispatch_span_id, &name, "local");
                         queued_since(&mut span, enqueued);
                         let start = Instant::now();
@@ -404,59 +402,39 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
                             .collect();
                         span.attr("hits", hits.len());
                         Ok((hits, start.elapsed().as_secs_f64()))
-                    }) as DispatchJob
+                    }));
                 }
                 EngineHandle::Remote { transport, .. } => {
                     let mut span = engine_span(trace, dispatch_span_id, &e.name, "remote");
                     if span.is_recording() {
                         span.attr("endpoint", transport.endpoint());
                     }
+                    span.attr("queue_wait_s", "0.000000");
                     let ctx = trace.context(span.id());
                     let begun = catch_unwind(AssertUnwindSafe(|| {
                         transport.begin_search(&plan.query, threshold, Some(&ctx))
                     }));
                     match begun {
-                        Ok(Some(reply)) => {
-                            span.attr("queue_wait_s", "0.000000");
-                            asked.push((p, Asked { span, reply }));
-                            continue;
-                        }
-                        Err(_) => {
-                            statuses[p] = JobStatus::Panicked;
-                            continue;
-                        }
-                        // The transport can only block: a worker does.
-                        Ok(None) => {}
+                        // A transport that can only block answered at its
+                        // begin, on this thread: as late as a local search.
+                        _ if late(deadline) => statuses[p] = JobStatus::TimedOut,
+                        Ok(reply) => asked.push((p, Asked { span, reply })),
+                        Err(_) => statuses[p] = JobStatus::Panicked,
                     }
-                    let transport = transport.clone();
-                    let text = plan.query.clone();
-                    let (name, job_trace) = owned();
-                    Box::new(move || {
-                        queued_since(&mut span, enqueued);
-                        let start = Instant::now();
-                        let (hits, spans) = transport.search(&text, threshold, Some(&ctx))?;
-                        job_trace.adopt_spans(spans);
-                        span.attr("hits", hits.len());
-                        Ok((named_hits(&name, hits), start.elapsed().as_secs_f64()))
-                    }) as DispatchJob
                 }
                 EngineHandle::Detached { .. } => {
-                    let (name, job_trace) = owned();
-                    Box::new(move || {
-                        let mut span = engine_span(&job_trace, dispatch_span_id, &name, "detached");
-                        queued_since(&mut span, enqueued);
-                        Err(TransportError::new(
-                            TransportErrorKind::Refused,
-                            format!(
-                                "engine {name:?} is detached (restored from store); \
-                                 attach a live engine or transport to dispatch to it"
-                            ),
-                        ))
-                    }) as DispatchJob
+                    let mut span = engine_span(trace, dispatch_span_id, &e.name, "detached");
+                    span.attr("queue_wait_s", "0.000000");
+                    statuses[p] = JobStatus::Done(Err(TransportError::new(
+                        TransportErrorKind::Refused,
+                        format!(
+                            "engine {:?} is detached (restored from store); \
+                             attach a live engine or transport to dispatch to it",
+                            e.name
+                        ),
+                    )));
                 }
-            };
-            queued.push(p);
-            jobs.push((e.handle.local().is_some(), job));
+            }
         }
         for (p, status) in queued
             .into_iter()
@@ -578,7 +556,7 @@ mod tests {
     use super::*;
     use crate::{EngineSnapshot, SearchEngine};
     use seu_core::SubrangeEstimator;
-    use seu_engine::{CollectionBuilder, WeightingScheme};
+    use seu_engine::{CollectionBuilder, TrueUsefulness, WeightingScheme};
     use seu_repr::Representative;
     use seu_text::Analyzer;
     use std::time::Duration;
@@ -828,6 +806,59 @@ mod tests {
             .per_engine_stats
             .iter()
             .all(|s| s.outcome == DispatchOutcome::TimedOut));
+    }
+
+    /// A transport that can only block: `search` answers one hit.
+    #[derive(Debug)]
+    struct Blocking(EngineSnapshot);
+
+    impl crate::RemoteTransport for Blocking {
+        fn endpoint(&self) -> String {
+            "blocking:0".to_string()
+        }
+
+        fn search(
+            &self,
+            _: &str,
+            _: f64,
+            _: Option<&seu_obs::TraceContext>,
+        ) -> Result<(Vec<RemoteHit>, Vec<SpanRecord>), TransportError> {
+            let doc = "b0".to_string();
+            Ok((vec![RemoteHit { doc, sim: 0.9 }], Vec::new()))
+        }
+
+        fn true_usefulness(&self, _: &str, _: f64) -> Result<TrueUsefulness, TransportError> {
+            unreachable!("dispatch never asks the oracle")
+        }
+
+        fn fetch_snapshot(&self) -> Result<EngineSnapshot, TransportError> {
+            Ok(self.0.clone())
+        }
+    }
+
+    #[test]
+    fn a_blocking_transport_answers_on_the_caller_beside_a_detached_engine() {
+        use {DispatchOutcome::*, TransportErrorKind::Refused};
+        let b = broker();
+        let snapshot = |name| EngineSnapshot::of_engine(name, &engine_from(&["databases"]));
+        b.register_remote(Arc::new(Blocking(snapshot("blocking"))))
+            .unwrap();
+        b.install_snapshot(snapshot("ghost"), None, Some("nowhere:0".into()))
+            .unwrap();
+        let req = SearchRequest::new("databases").policy(SelectionPolicy::All);
+        let outcome = |resp: &SearchResponse, name| {
+            let s = resp.per_engine_stats.iter().find(|s| s.engine == name);
+            s.map(|s| (s.outcome, s.error.as_ref().map(|e| e.kind)))
+        };
+
+        let resp = b.execute(&req);
+        assert_eq!(outcome(&resp, "blocking"), Some((Completed, None)));
+        assert!(resp.hits.iter().any(|h| h.engine == "blocking"));
+        assert_eq!(b.pool_stats().1, 0, "asked from the calling thread");
+        assert_eq!(outcome(&resp, "ghost"), Some((Failed, Some(Refused))));
+        // Answered at its begin, after the deadline: too late.
+        let resp = b.execute(&req.timeout(Duration::ZERO));
+        assert_eq!(outcome(&resp, "blocking"), Some((TimedOut, None)));
     }
 
     #[test]

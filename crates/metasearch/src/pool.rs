@@ -8,10 +8,9 @@
 //! construction time: `threads` long-lived workers drain a shared queue,
 //! so dispatch cost per query is one channel send per pool job — the
 //! broker submits one batch per worker for its in-process engines,
-//! unless they are a few, which the caller searches itself, and one job
-//! per remote engine whose transport can only block (one that can search
-//! in two halves is asked from the calling thread and costs no job) —
-//! and the pool's parallelism never exceeds the configured bound.
+//! unless they are a few, which the caller searches itself; remote
+//! engines are asked from the calling thread and cost no job — and the
+//! pool's parallelism never exceeds the configured bound.
 //!
 //! Failure isolation: jobs run under `catch_unwind`, so a panicking
 //! engine neither kills its worker nor poisons the query — the caller

@@ -10,10 +10,10 @@
 //! * **search** — raw query text + threshold in, named scored hits out
 //!   (the remote engine analyzes the text itself, with the same analyzer
 //!   configuration the broker plans with, so results are identical to
-//!   the in-process path). A transport may offer it in two halves
-//!   ([`RemoteTransport::begin_search`], answered by a [`Pending`]):
-//!   dispatch then asks all of a plan's remote engines before it waits
-//!   for any, instead of parking a pool worker on each;
+//!   the in-process path). Dispatch asks for it in two halves
+//!   ([`RemoteTransport::begin_search`], answered by a [`Pending`]), so
+//!   it asks all of a plan's remote engines before it waits for any; a
+//!   transport that can only block answers at the begin;
 //! * **true usefulness** — the oracle call the evaluation layer uses;
 //! * **snapshot** — the engine's [`EngineSnapshot`]: its representative
 //!   (at full f64 precision), vocabulary, and the three statistics query
@@ -234,8 +234,9 @@ pub trait RemoteTransport: Send + Sync + std::fmt::Debug {
     /// are whatever the remote side recorded under `ctx` (empty when
     /// `ctx` is `None` or the transport does not support tracing — an
     /// implementation is free to ignore the context entirely). seu-net's
-    /// client carries the context over the wire and falls back
-    /// transparently when the peer predates the traced message kind.
+    /// client carries a sampled context over the wire; an `Error` the
+    /// peer answers with is that call's
+    /// [`Remote`](TransportErrorKind::Remote) failure.
     fn search(
         &self,
         query_text: &str,
@@ -245,17 +246,26 @@ pub trait RemoteTransport: Send + Sync + std::fmt::Debug {
 
     /// [`Self::search`] in two halves: sends the request and returns at
     /// once; the reply is waited for by [`Pending::finish`]. Dispatch
-    /// asks every selected engine whose transport offers this from the
-    /// calling thread, and collects the replies after searching the
-    /// plan's in-process engines. The default — `None` — says the
-    /// transport can only block: its `search` then runs as a pool job.
+    /// asks every selected remote engine this way from the calling
+    /// thread, and collects the replies after searching the plan's
+    /// in-process engines. The default computes the answer at the begin
+    /// — all a transport that can only block has to offer — timing the
+    /// `search` it runs as the reply's `seconds`.
     fn begin_search(
         &self,
-        _query_text: &str,
-        _threshold: f64,
-        _ctx: Option<&seu_obs::TraceContext>,
-    ) -> Option<Box<dyn Pending<SearchReply>>> {
-        None
+        query_text: &str,
+        threshold: f64,
+        ctx: Option<&seu_obs::TraceContext>,
+    ) -> Box<dyn Pending<SearchReply>> {
+        let start = std::time::Instant::now();
+        Box::new(
+            self.search(query_text, threshold, ctx)
+                .map(|(hits, spans)| SearchReply {
+                    hits,
+                    spans,
+                    seconds: start.elapsed().as_secs_f64(),
+                }),
+        )
     }
 
     /// The engine's exact usefulness for a query at a threshold — the

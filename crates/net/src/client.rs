@@ -25,12 +25,8 @@
 //! slot and its share of the connection's load, and the reply that then
 //! arrives for nobody is counted (`net_client_late_replies_total`).
 //!
-//! Peers that do not echo correlation ids (handshake ack comes back
-//! with `corr = 0`) are served **sequentially**: one exchange at a time
-//! per connection, replies matched positionally — such a peer cannot
-//! pipeline, so `begin` only reserves a connection for it and `finish`
-//! does the whole exchange. That keeps old-style single-frame servers
-//! and test fakes working unchanged.
+//! A peer whose handshake ack does not echo the `Hello`'s correlation
+//! id cannot multiplex, and is refused with a typed `Protocol` error.
 //!
 //! Dialing resolves every address the name maps to and tries each in
 //! order (IPv4/IPv6 dual-stack hosts fall through to the next address
@@ -112,11 +108,6 @@ struct Conn {
     writer: Mutex<TcpStream>,
     pending: Mutex<HashMap<u64, ReplySlot>>,
     cv: Condvar,
-    /// Whether the peer echoes correlation ids (negotiated at
-    /// handshake; anything else answers with id 0).
-    mux: bool,
-    /// Serializes exchanges on non-mux connections (one in flight).
-    serial: Mutex<()>,
     alive: AtomicBool,
     in_flight: AtomicUsize,
 }
@@ -210,10 +201,10 @@ impl MuxClient {
     }
 
     /// Connects, configures the socket, and completes the Hello
-    /// handshake. Returns the stream, the peer's advertised name, and
-    /// whether it echoes correlation ids (we send a nonzero id on
-    /// Hello; a multiplex-capable server echoes it on the ack).
-    fn handshake(&self, subscribe: bool) -> Result<(TcpStream, String, bool), TransportError> {
+    /// handshake. Returns the stream and the peer's advertised name. The
+    /// Hello carries a nonzero correlation id, and an ack that does not
+    /// echo it is refused: that peer cannot multiplex.
+    fn handshake(&self, subscribe: bool) -> Result<(TcpStream, String), TransportError> {
         let mut stream = self.connect_any()?;
         stream
             .set_read_timeout(Some(self.config.call_timeout))
@@ -225,7 +216,11 @@ impl MuxClient {
         write_frame_corr(&mut stream, corr, kind, &payload)?;
         let ack = read_frame(&mut stream)?;
         match Message::decode(ack.kind, &ack.payload)? {
-            Message::HelloAck { name } => Ok((stream, name, ack.corr == corr)),
+            Message::HelloAck { name } if ack.corr == corr => Ok((stream, name)),
+            Message::HelloAck { .. } => Err(TransportError::new(
+                TransportErrorKind::Protocol,
+                format!("handshake ack echoed corr {} for {corr}", ack.corr),
+            )),
             other => Err(unexpected("HelloAck", &other)),
         }
     }
@@ -233,7 +228,7 @@ impl MuxClient {
     /// Dials, handshakes, and spawns the reader thread for a new pooled
     /// connection.
     fn dial(&self) -> Result<Arc<Conn>, TransportError> {
-        let (stream, _, mux) = self.handshake(false)?;
+        let (stream, _) = self.handshake(false)?;
         // The reader thread blocks until a frame arrives; deadlines are
         // enforced by the waiting callers instead.
         stream
@@ -246,8 +241,6 @@ impl MuxClient {
             writer: Mutex::new(stream),
             pending: Mutex::new(HashMap::new()),
             cv: Condvar::new(),
-            mux,
-            serial: Mutex::new(()),
             alive: AtomicBool::new(true),
             in_flight: AtomicUsize::new(0),
         });
@@ -260,43 +253,29 @@ impl MuxClient {
         Ok(conn)
     }
 
-    /// Picks a connection for one call: a multiplexed connection with
-    /// spare pipeline depth, an idle sequential one, a freshly dialed
-    /// one while under the cap, or (saturated) the least loaded. The
-    /// returned flag says whether the connection was dialed for this
-    /// call — reused connections get one transparent redial on a lost
-    /// connection, fresh ones do not.
+    /// Picks a connection for one call: the least loaded while it has
+    /// spare pipeline depth, else a freshly dialed one while under the
+    /// cap, else (saturated) the least loaded still. The returned flag
+    /// says whether the connection was dialed for this call — reused
+    /// connections get one transparent redial on a lost connection,
+    /// fresh ones do not.
     fn acquire(&self) -> Result<(Arc<Conn>, bool), TransportError> {
         let mut conns = lock_unpoisoned(&self.conns);
         conns.retain(|c| c.alive.load(Ordering::Acquire));
-        let mut best: Option<&Arc<Conn>> = None;
-        for c in conns.iter().filter(|c| c.mux) {
-            let load = c.in_flight.load(Ordering::Relaxed);
-            if load < PIPELINE_DEPTH
-                && best.is_none_or(|b| load < b.in_flight.load(Ordering::Relaxed))
-            {
-                best = Some(c);
+        let least = conns
+            .iter()
+            .map(|c| (c.in_flight.load(Ordering::Relaxed), c))
+            .min_by_key(|&(load, _)| load);
+        match least {
+            Some((load, c)) if load < PIPELINE_DEPTH || conns.len() >= self.max_conns => {
+                Ok((Arc::clone(c), false))
+            }
+            _ => {
+                let conn = self.dial()?;
+                conns.push(Arc::clone(&conn));
+                Ok((conn, true))
             }
         }
-        if let Some(c) = best {
-            return Ok((Arc::clone(c), false));
-        }
-        if let Some(c) = conns
-            .iter()
-            .find(|c| !c.mux && c.in_flight.load(Ordering::Relaxed) == 0)
-        {
-            return Ok((Arc::clone(c), false));
-        }
-        if conns.len() < self.max_conns {
-            let conn = self.dial()?;
-            conns.push(Arc::clone(&conn));
-            return Ok((conn, true));
-        }
-        let c = conns
-            .iter()
-            .min_by_key(|c| c.in_flight.load(Ordering::Relaxed))
-            .expect("pool cap is at least one");
-        Ok((Arc::clone(c), false))
     }
 
     /// Dials a replacement connection and registers it with the pool
@@ -338,34 +317,26 @@ impl MuxClient {
         Ok(corr)
     }
 
-    /// Waits for `corr`'s reply on `conn` and takes its slot away,
-    /// whatever the outcome. The wait ends at the call timeout counted
-    /// from `sent`, or at the caller's own deadline `until` if that
-    /// comes first.
+    /// Waits for the reply to `attempt` and returns it with its arrival
+    /// time. The wait ends at the call timeout counted from the send, or
+    /// at the caller's own deadline `until` if that comes first; the
+    /// slot goes with the attempt.
     fn wait(
         &self,
-        conn: &Conn,
-        corr: u64,
-        sent: Instant,
+        attempt: &Attempt,
         until: Option<Instant>,
     ) -> Result<(Message, Instant), TransportError> {
-        let call_deadline = sent + self.config.call_timeout;
+        let corr = attempt.corr.clone()?;
+        let conn = &*attempt.conn;
+        let call_deadline = attempt.sent + self.config.call_timeout;
         let deadline = until.map_or(call_deadline, |u| u.min(call_deadline));
         let mut pending = lock_unpoisoned(&conn.pending);
         loop {
             if let Some((arrived, result)) = pending.get_mut(&corr).and_then(|slot| slot.take()) {
-                pending.remove(&corr);
                 return result.map(|reply| (reply, arrived));
             }
             let now = Instant::now();
             if now >= deadline {
-                pending.remove(&corr);
-                drop(pending);
-                if !conn.mux {
-                    // A sequential peer still owes a reply; the stream
-                    // is desynchronized for any future exchange.
-                    conn.kill();
-                }
                 let detail = if now >= call_deadline {
                     format!(
                         "no reply within {:?} (corr {corr})",
@@ -383,20 +354,13 @@ impl MuxClient {
         }
     }
 
-    /// Claims `conn` for one attempt. On a multiplexed connection the
-    /// request goes on the wire now; a sequential peer cannot pipeline,
-    /// so there the claim only reserves the connection and
-    /// [`MuxClient::settle`] does the whole exchange. A failed send is
-    /// kept in the attempt: it is `settle` that knows what a lost
-    /// connection is owed.
+    /// Claims `conn` for one attempt and puts the request on the wire. A
+    /// failed send is kept in the attempt: it is [`MuxClient::settle`]
+    /// that knows what a lost connection is owed.
     fn claim(&self, conn: Arc<Conn>, fresh: bool, kind: u8, payload: &[u8]) -> Attempt {
         conn.in_flight.fetch_add(1, Ordering::Relaxed);
         let sent = Instant::now();
-        let corr = if conn.mux {
-            self.send(&conn, kind, payload).map(Some)
-        } else {
-            Ok(None)
-        };
+        let corr = self.send(&conn, kind, payload);
         Attempt {
             conn,
             fresh,
@@ -411,30 +375,6 @@ impl MuxClient {
         Ok(self.claim(conn, fresh, kind, payload))
     }
 
-    /// The reply `attempt` was made for, and when it arrived.
-    fn reply_to(
-        &self,
-        mut attempt: Attempt,
-        kind: u8,
-        payload: &[u8],
-        until: Option<Instant>,
-    ) -> Result<(Message, Instant), TransportError> {
-        // From here on the slot is `wait`'s to remove, not the guard's.
-        let corr = std::mem::replace(&mut attempt.corr, Ok(None))?;
-        let conn = &*attempt.conn;
-        match corr {
-            Some(corr) => self.wait(conn, corr, attempt.sent, until),
-            None => {
-                // Non-mux peers match replies positionally: hold the
-                // exchange serial for the whole send-and-wait.
-                let _serial = lock_unpoisoned(&conn.serial);
-                let sent = Instant::now();
-                let corr = self.send(conn, kind, payload)?;
-                self.wait(conn, corr, sent, until)
-            }
-        }
-    }
-
     /// One attempt seen through. A lost connection on a *reused* pooled
     /// socket is retried once on a fresh dial before surfacing. A
     /// remote-reported error comes back typed.
@@ -445,11 +385,10 @@ impl MuxClient {
         payload: &[u8],
         until: Option<Instant>,
     ) -> Result<(Message, Instant), TransportError> {
-        let fresh = attempt.fresh;
-        let reply = match self.reply_to(attempt, kind, payload, until) {
-            Err(e) if !fresh && e.kind == TransportErrorKind::ConnectionLost => {
+        let reply = match self.wait(&attempt, until) {
+            Err(e) if !attempt.fresh && e.kind == TransportErrorKind::ConnectionLost => {
                 let again = self.claim(self.redial()?, true, kind, payload);
-                self.reply_to(again, kind, payload, until)?
+                self.wait(&again, until)?
             }
             other => other?,
         };
@@ -484,6 +423,20 @@ impl MuxClient {
         self.begin(request).finish(None).map(|(reply, _)| reply)
     }
 
+    /// [`MuxClient::begin`] as a [`Pending`] answer: at the finish,
+    /// `read` makes the reply, and the seconds the call took from its
+    /// begin to the reply's arrival, into what the caller asked for.
+    pub(crate) fn ask<T: Send + 'static>(
+        self: &Arc<Self>,
+        request: &Message,
+        read: fn(Message, f64) -> Result<T, TransportError>,
+    ) -> Box<dyn Pending<T>> {
+        Box::new(Asked {
+            call: self.begin(request),
+            read,
+        })
+    }
+
     /// Liveness probe: a full request/reply round trip on a pooled
     /// connection.
     pub(crate) fn ping(self: &Arc<Self>) -> Result<(), TransportError> {
@@ -503,18 +456,15 @@ struct Attempt {
     conn: Arc<Conn>,
     /// Dialed for this attempt (see [`MuxClient::acquire`]).
     fresh: bool,
-    /// When the request went out, or — nothing sent yet — the
-    /// connection was reserved.
+    /// When the request went out.
     sent: Instant,
-    /// The correlation id awaiting its reply; `Ok(None)` while nothing
-    /// is on the wire (a sequential peer before the finish); the send's
-    /// failure.
-    corr: Result<Option<u64>, TransportError>,
+    /// The correlation id awaiting its reply, or the send's failure.
+    corr: Result<u64, TransportError>,
 }
 
 impl Drop for Attempt {
     fn drop(&mut self) {
-        if let Ok(Some(corr)) = self.corr {
+        if let Ok(corr) = self.corr {
             lock_unpoisoned(&self.conn.pending).remove(&corr);
         }
         self.conn.in_flight.fetch_sub(1, Ordering::Relaxed);
@@ -532,12 +482,6 @@ pub(crate) struct InFlight {
 }
 
 impl InFlight {
-    /// When the call began: `finish`'s arrival time minus this is what
-    /// the call itself took, however late it was finished.
-    pub(crate) fn began(&self) -> Instant {
-        self.began
-    }
-
     /// The second half of a call: waits for the reply and returns it
     /// with its arrival time, under the client's timeouts and retry
     /// policy, recording latency and failure metrics. The call timeout
@@ -594,6 +538,22 @@ impl InFlight {
     }
 }
 
+/// A call between its halves that [`MuxClient::ask`] handed out.
+struct Asked<T> {
+    call: InFlight,
+    read: fn(Message, f64) -> Result<T, TransportError>,
+}
+
+impl<T: Send> Pending<T> for Asked<T> {
+    fn finish(self: Box<Self>, until: Option<Instant>) -> Result<T, TransportError> {
+        // The call's own time, however late it is finished.
+        let began = self.call.began;
+        let (reply, arrived) = self.call.finish(until)?;
+        let seconds = arrived.saturating_duration_since(began).as_secs_f64();
+        (self.read)(reply, seconds)
+    }
+}
+
 impl Drop for MuxClient {
     fn drop(&mut self) {
         // Shut the sockets down so the detached reader threads see EOF
@@ -614,58 +574,43 @@ impl std::fmt::Debug for MuxClient {
 }
 
 /// Routes reply frames to their waiting callers until the connection
-/// dies, then fails every still-pending request with the death reason.
+/// dies, then kills it and fails every still-pending request with the
+/// cause.
 fn reader_loop(conn: Arc<Conn>, stream: TcpStream) {
     // One `read` fetches a whole reply (or several pipelined ones)
     // instead of one for the header and one for the payload.
     let mut stream = BufReader::with_capacity(16 * 1024, stream);
-    loop {
-        match read_frame(&mut stream) {
-            Ok(frame) => {
-                let result = Message::decode(frame.kind, &frame.payload);
-                let fatal_decode = result.is_err();
-                {
-                    let mut pending = lock_unpoisoned(&conn.pending);
-                    let target = if pending.contains_key(&frame.corr) {
-                        Some(frame.corr)
-                    } else if !conn.mux && pending.len() == 1 {
-                        // Sequential peers do not echo ids: the single
-                        // outstanding request owns every reply.
-                        pending.keys().next().copied()
-                    } else {
-                        None
-                    };
-                    match target {
-                        Some(corr) => {
-                            pending.insert(corr, Some((Instant::now(), result)));
-                        }
-                        None => metrics().client_late_replies.inc(),
-                    }
-                }
-                conn.cv.notify_all();
-                if fatal_decode {
-                    // Framing survived but the payload is garbage; the
-                    // stream can no longer be trusted.
-                    conn.kill();
-                    return;
-                }
-            }
-            Err(e) => {
-                conn.alive.store(false, Ordering::Release);
-                {
-                    let now = Instant::now();
-                    let mut pending = lock_unpoisoned(&conn.pending);
-                    for slot in pending.values_mut() {
-                        if slot.is_none() {
-                            *slot = Some((now, Err(e.clone())));
-                        }
-                    }
-                }
-                conn.cv.notify_all();
-                return;
-            }
+    let cause = loop {
+        let frame = match read_frame(&mut stream) {
+            Ok(frame) => frame,
+            Err(e) => break e,
+        };
+        let result = Message::decode(frame.kind, &frame.payload);
+        let undecodable = result.is_err();
+        match lock_unpoisoned(&conn.pending).get_mut(&frame.corr) {
+            Some(slot) => *slot = Some((Instant::now(), result)),
+            None => metrics().client_late_replies.inc(),
+        }
+        conn.cv.notify_all();
+        if undecodable {
+            // Framing survived but the payload is garbage: the stream can
+            // no longer be trusted. The calls beside this one lost their
+            // connection, no more — a reused one is redialed.
+            let corr = frame.corr;
+            break TransportError::new(
+                TransportErrorKind::ConnectionLost,
+                format!("connection dropped after an undecodable reply (corr {corr})"),
+            );
+        }
+    };
+    conn.kill();
+    let now = Instant::now();
+    for slot in lock_unpoisoned(&conn.pending).values_mut() {
+        if slot.is_none() {
+            *slot = Some((now, Err(cause.clone())));
         }
     }
+    conn.cv.notify_all();
 }
 
 /// A TCP client for one [`EngineServer`](crate::EngineServer), usable as
@@ -674,11 +619,6 @@ fn reader_loop(conn: Arc<Conn>, stream: TcpStream) {
 #[derive(Debug, Clone)]
 pub struct RemoteEngine {
     client: Arc<MuxClient>,
-    /// Set once a peer rejects the traced search kind; shared across
-    /// clones so the whole broker stops re-probing a legacy engine.
-    peer_lacks_tracing: Arc<AtomicBool>,
-    /// Ditto for the batched estimate kind.
-    peer_lacks_batch: Arc<AtomicBool>,
 }
 
 impl RemoteEngine {
@@ -698,8 +638,6 @@ impl RemoteEngine {
     ) -> Result<RemoteEngine, TransportError> {
         Ok(RemoteEngine {
             client: MuxClient::resolve(addr, config)?,
-            peer_lacks_tracing: Arc::new(AtomicBool::new(false)),
-            peer_lacks_batch: Arc::new(AtomicBool::new(false)),
         })
     }
 
@@ -732,7 +670,7 @@ impl RemoteEngine {
         &self,
         on_notice: impl Fn(&str, Fingerprint, u64) + Send + 'static,
     ) -> Result<Subscription, TransportError> {
-        let (stream, name, _) = self.client.handshake(true)?;
+        let (stream, name) = self.client.handshake(true)?;
         // Notices arrive whenever the engine changes — block indefinitely.
         stream
             .set_read_timeout(None)
@@ -749,78 +687,6 @@ impl RemoteEngine {
             stream,
             thread: Some(thread),
         })
-    }
-
-    /// Sends one search request, traced if the context is sampled and
-    /// the peer is not known to lack the kind.
-    fn ask(
-        &self,
-        query_text: &str,
-        threshold: f64,
-        ctx: Option<&seu_obs::TraceContext>,
-    ) -> AskedSearch {
-        // Untraced and unsampled requests go over the wire exactly as
-        // before the traced kind existed: byte-identical frames, no span
-        // shipping. Ditto once a peer has rejected the kind — remembered
-        // across clones so a legacy engine is probed at most once.
-        let query = query_text.to_string();
-        let traced = ctx.filter(|c| c.sampled && !self.peer_lacks_tracing.load(Ordering::Relaxed));
-        let (request, plain) = match traced {
-            Some(ctx) => (
-                Message::TracedSearchDocs {
-                    query: query.clone(),
-                    threshold,
-                    trace_id: ctx.trace_id.0,
-                    parent_span: ctx.parent_span.0,
-                    sampled: ctx.sampled,
-                },
-                Some((self.clone(), query, threshold)),
-            ),
-            None => (Message::SearchDocs { query, threshold }, None),
-        };
-        AskedSearch {
-            call: self.client.begin(&request),
-            plain,
-        }
-    }
-}
-
-/// A [`RemoteEngine`] search between its halves.
-struct AskedSearch {
-    call: InFlight,
-    /// For a request sent traced: whom to ask its plain form, should
-    /// the peer turn out not to know the traced kind.
-    plain: Option<(RemoteEngine, String, f64)>,
-}
-
-impl Pending<SearchReply> for AskedSearch {
-    fn finish(self: Box<Self>, until: Option<Instant>) -> Result<SearchReply, TransportError> {
-        let AskedSearch { call, plain } = *self;
-        let began = call.began();
-        let reply = |hits, spans, arrived: Instant| SearchReply {
-            hits,
-            spans,
-            seconds: arrived.saturating_duration_since(began).as_secs_f64(),
-        };
-        match (call.finish(until), plain) {
-            (Ok((Message::SearchResults { hits }, at)), None) => Ok(reply(hits, Vec::new(), at)),
-            (Ok((Message::TracedSearchResults { hits, spans }, at)), Some(_)) => {
-                Ok(reply(hits, spans, at))
-            }
-            (Ok((other, _)), None) => Err(unexpected("SearchResults", &other)),
-            (Ok((other, _)), Some(_)) => Err(unexpected("TracedSearchResults", &other)),
-            (Err(e), Some((engine, query, threshold))) if e.kind == TransportErrorKind::Remote => {
-                // An old server answers an unknown kind with Error.
-                // Remember and fall back to the plain message.
-                engine.peer_lacks_tracing.store(true, Ordering::Relaxed);
-                metrics().client_trace_fallbacks.inc();
-                let mut plain = Box::new(engine.ask(&query, threshold, None)).finish(until)?;
-                // The probe's round trip is part of what the call took.
-                plain.seconds = began.elapsed().as_secs_f64();
-                Ok(plain)
-            }
-            (Err(e), _) => Err(e),
-        }
     }
 }
 
@@ -901,7 +767,7 @@ impl RemoteTransport for RemoteEngine {
         threshold: f64,
         ctx: Option<&seu_obs::TraceContext>,
     ) -> Result<(Vec<RemoteHit>, Vec<seu_obs::SpanRecord>), TransportError> {
-        Box::new(self.ask(query_text, threshold, ctx))
+        self.begin_search(query_text, threshold, ctx)
             .finish(None)
             .map(|reply| (reply.hits, reply.spans))
     }
@@ -911,8 +777,40 @@ impl RemoteTransport for RemoteEngine {
         query_text: &str,
         threshold: f64,
         ctx: Option<&seu_obs::TraceContext>,
-    ) -> Option<Box<dyn Pending<SearchReply>>> {
-        Some(Box::new(self.ask(query_text, threshold, ctx)))
+    ) -> Box<dyn Pending<SearchReply>> {
+        let query = query_text.to_string();
+        // Unsampled requests go over the wire exactly as before the
+        // traced kind existed: byte-identical frames, no span shipping.
+        match ctx.filter(|c| c.sampled) {
+            None => self.client.ask(
+                &Message::SearchDocs { query, threshold },
+                |reply, seconds| match reply {
+                    Message::SearchResults { hits } => Ok(SearchReply {
+                        hits,
+                        spans: Vec::new(),
+                        seconds,
+                    }),
+                    other => Err(unexpected("SearchResults", &other)),
+                },
+            ),
+            Some(ctx) => self.client.ask(
+                &Message::TracedSearchDocs {
+                    query,
+                    threshold,
+                    trace_id: ctx.trace_id.0,
+                    parent_span: ctx.parent_span.0,
+                    sampled: ctx.sampled,
+                },
+                |reply, seconds| match reply {
+                    Message::TracedSearchResults { hits, spans } => Ok(SearchReply {
+                        hits,
+                        spans,
+                        seconds,
+                    }),
+                    other => Err(unexpected("TracedSearchResults", &other)),
+                },
+            ),
+        }
     }
 
     fn true_usefulness(
@@ -937,23 +835,12 @@ impl RemoteTransport for RemoteEngine {
         if queries.is_empty() {
             return Ok(Vec::new());
         }
-        let per_query = || -> Result<Vec<TrueUsefulness>, TransportError> {
-            queries
-                .iter()
-                .map(|q| self.true_usefulness(q, threshold))
-                .collect()
-        };
-        if self.peer_lacks_batch.load(Ordering::Relaxed) {
-            return per_query();
-        }
         match self.client.call(&Message::EstimateBatch {
             queries: queries.to_vec(),
             threshold,
-        }) {
-            Ok(Message::UsefulnessBatch { results }) if results.len() == queries.len() => {
-                Ok(results)
-            }
-            Ok(Message::UsefulnessBatch { results }) => Err(TransportError::new(
+        })? {
+            Message::UsefulnessBatch { results } if results.len() == queries.len() => Ok(results),
+            Message::UsefulnessBatch { results } => Err(TransportError::new(
                 TransportErrorKind::Protocol,
                 format!(
                     "batch of {} queries answered with {} results",
@@ -961,15 +848,7 @@ impl RemoteTransport for RemoteEngine {
                     results.len()
                 ),
             )),
-            Ok(other) => Err(unexpected("UsefulnessBatch", &other)),
-            Err(e) if e.kind == TransportErrorKind::Remote => {
-                // An old server answers the batch kind with Error; fall
-                // back to per-query estimates and remember.
-                self.peer_lacks_batch.store(true, Ordering::Relaxed);
-                metrics().client_batch_fallbacks.inc();
-                per_query()
-            }
-            Err(e) => Err(e),
+            other => Err(unexpected("UsefulnessBatch", &other)),
         }
     }
 

@@ -35,7 +35,7 @@
 //! same `/healthz`, `/engines`, `/metrics`, and `/search` routes a
 //! single broker does.
 
-use crate::client::{unexpected, InFlight, MuxClient, RemoteEngine, RemoteEngineConfig};
+use crate::client::{unexpected, MuxClient, RemoteEngine, RemoteEngineConfig};
 use crate::frame::io_error;
 use crate::http::BrokerAdmin;
 use crate::metrics::metrics;
@@ -49,7 +49,6 @@ use seu_metasearch::{
 };
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// One broker on a socket as a federation replica (kinds 17–25);
 /// serving stops when dropped.
@@ -261,20 +260,6 @@ impl RemoteReplica {
     }
 }
 
-/// A replica call between its halves: the request is on the wire, and
-/// `read` is what its reply should be.
-struct Asked<T> {
-    call: InFlight,
-    read: fn(Message) -> Result<T, TransportError>,
-}
-
-impl<T: Send> Pending<T> for Asked<T> {
-    fn finish(self: Box<Self>, until: Option<Instant>) -> Result<T, TransportError> {
-        let (reply, _) = self.call.finish(until)?;
-        (self.read)(reply)
-    }
-}
-
 impl ReplicaClient for RemoteReplica {
     fn ping(&self) -> Result<(), TransportError> {
         self.client.ping()
@@ -311,12 +296,9 @@ impl ReplicaClient for RemoteReplica {
             threshold,
             engines: engines.to_vec(),
         };
-        Box::new(Asked {
-            call: self.client.begin(&request),
-            read: |reply| match reply {
-                Message::ReplicaEstimates { estimates } => Ok(estimates),
-                other => Err(unexpected("ReplicaEstimates", &other)),
-            },
+        self.client.ask(&request, |reply, _| match reply {
+            Message::ReplicaEstimates { estimates } => Ok(estimates),
+            other => Err(unexpected("ReplicaEstimates", &other)),
         })
     }
 
@@ -331,12 +313,9 @@ impl ReplicaClient for RemoteReplica {
             threshold,
             engines: engines.to_vec(),
         };
-        Box::new(Asked {
-            call: self.client.begin(&request),
-            read: |reply| match reply {
-                Message::ReplicaSearchResults { hits, stats } => Ok(SubsetResults { hits, stats }),
-                other => Err(unexpected("ReplicaSearchResults", &other)),
-            },
+        self.client.ask(&request, |reply, _| match reply {
+            Message::ReplicaSearchResults { hits, stats } => Ok(SubsetResults { hits, stats }),
+            other => Err(unexpected("ReplicaSearchResults", &other)),
         })
     }
 

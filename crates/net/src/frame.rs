@@ -5,8 +5,8 @@
 //! the client stamps each request with a fresh nonzero id and the server
 //! echoes it on the reply, so one connection can carry many in-flight
 //! requests and the replies reassemble in any order. Frames that are not
-//! part of a request/response pair (pushed invalidation notices,
-//! legacy-style sequential exchanges) carry `corr = 0`.
+//! part of a request/response pair (pushed invalidation notices) carry
+//! `corr = 0`.
 //!
 //! The reader is **byte-capped**: a peer announcing a payload larger
 //! than [`MAX_FRAME_BYTES`] is a protocol violation and the frame is

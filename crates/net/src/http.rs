@@ -349,12 +349,13 @@ fn serve_one(stream: &mut TcpStream, broker: &dyn BrokerAdmin) -> std::io::Resul
         Ok(request) => request,
         Err(refusal) => {
             let (status, body) = match refusal {
-                ReadError::Invalid => ("400 Bad Request", "bad request\n"),
-                ReadError::BodyTooLarge => {
-                    ("413 Payload Too Large", "body exceeds 33554432 bytes\n")
-                }
+                ReadError::Invalid => ("400 Bad Request", "bad request\n".to_string()),
+                ReadError::BodyTooLarge => (
+                    "413 Payload Too Large",
+                    format!("body exceeds {MAX_BODY_BYTES} bytes\n"),
+                ),
             };
-            respond(stream, status, "text/plain", body)?;
+            respond(stream, status, "text/plain", &body)?;
             // A close over bytes nobody read goes out as a reset, which
             // can destroy the refusal before the peer reads it: read what
             // it sent and is still sending until it ends, goes silent or

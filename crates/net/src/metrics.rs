@@ -46,9 +46,6 @@ pub(crate) struct NetMetrics {
     pub(crate) http_threads_started: Arc<seu_obs::Counter>,
     /// Connection threads of admin servers alive now, serving or parked.
     pub(crate) http_threads_live: Arc<seu_obs::Gauge>,
-    /// Traced searches that fell back to the plain message because the
-    /// peer predates the traced kind.
-    pub(crate) client_trace_fallbacks: Arc<seu_obs::Counter>,
     /// Traced searches served by engine servers (spans shipped back).
     pub(crate) server_traced_searches: Arc<seu_obs::Counter>,
     /// Pooled connections dialed (TCP connect + handshake completed).
@@ -56,9 +53,6 @@ pub(crate) struct NetMetrics {
     /// Reply frames whose correlation id matched no waiting request
     /// (the request already timed out, or the peer misbehaved).
     pub(crate) client_late_replies: Arc<seu_obs::Counter>,
-    /// Batched estimate calls that fell back to per-query requests
-    /// because the peer predates the batch kind.
-    pub(crate) client_batch_fallbacks: Arc<seu_obs::Counter>,
     /// Batched estimate requests served by engine servers.
     pub(crate) server_batch_requests: Arc<seu_obs::Counter>,
     /// Requests the server dropped because their deadline passed before
@@ -96,11 +90,9 @@ pub(crate) fn metrics() -> &'static NetMetrics {
         http_requests: seu_obs::counter("net_http_requests_total"),
         http_threads_started: seu_obs::counter("net_http_threads_started_total"),
         http_threads_live: seu_obs::gauge("net_http_threads_live"),
-        client_trace_fallbacks: seu_obs::counter("net_client_trace_fallbacks_total"),
         server_traced_searches: seu_obs::counter("net_server_traced_searches_total"),
         client_connects: seu_obs::counter("net_client_connects_total"),
         client_late_replies: seu_obs::counter("net_client_late_replies_total"),
-        client_batch_fallbacks: seu_obs::counter("net_client_batch_fallbacks_total"),
         server_batch_requests: seu_obs::counter("net_server_batch_requests_total"),
         server_deadline_drops: seu_obs::counter("net_server_request_deadline_drops_total"),
         server_active_connections: seu_obs::gauge("net_server_active_connections"),

@@ -878,9 +878,8 @@ fn handle_frame(
                     } else {
                         conn.kind = ConnKind::Request;
                     }
-                    // Echoing the correlation id doubles as capability
-                    // negotiation: a nonzero echo tells the client this
-                    // server multiplexes.
+                    // The ack echoes the Hello's correlation id, as every
+                    // reply does: a client refuses an ack that does not.
                     conn.enqueue(
                         frame.corr,
                         &Message::HelloAck {

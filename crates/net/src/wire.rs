@@ -47,12 +47,9 @@
 //!
 //! Kinds 13/14 carry distributed-trace context
 //! (`trace_id`/`parent_span_id`/`sampled`) alongside a search and bring
-//! the server-side spans back with the hits. They are **additive**: a
-//! client only sends kind 13 when its trace is sampled, and peers that
-//! predate the kind answer it with [`Message::Error`] (their decoder
-//! rejects unknown kinds), which the client treats as "legacy peer" and
-//! transparently retries as a plain [`Message::SearchDocs`] — so mixed
-//! fleets interop and the untraced path stays byte-identical.
+//! the server-side spans back with the hits. A client only sends kind
+//! 13 when its trace is sampled, so unsampled traffic is byte-identical
+//! to a plain [`Message::SearchDocs`].
 //!
 //! Representatives travel as [`FrozenSummary::to_bytes_exact`] — full
 //! f64 statistics — because the whole point of shipping them is that
@@ -177,9 +174,7 @@ pub enum Message {
     },
     /// Batched oracle request: many queries in one frame, so a broker
     /// sweep over its query pool costs one round trip per engine
-    /// instead of one per (engine, query). Peers that predate the kind
-    /// answer it with [`Message::Error`]; the client falls back to
-    /// per-query [`Message::Estimate`] calls.
+    /// instead of one per (engine, query).
     EstimateBatch {
         /// Raw query texts, in the order answers are expected.
         queries: Vec<String>,
@@ -812,24 +807,6 @@ mod tests {
         buf.put_u32(u32::MAX); // span-count liar
         let err = Message::decode(14, &buf).unwrap_err();
         assert_eq!(err.kind, TransportErrorKind::Protocol);
-    }
-
-    #[test]
-    fn old_decoder_rejects_traced_kind_as_unknown() {
-        // What a pre-tracing peer does with kind 13: its decoder has no
-        // arm for it, so the request surfaces as a Protocol error (and
-        // the server answers Message::Error). The fallback in
-        // RemoteEngine::search (traced path) depends on this behaviour.
-        let (kind, payload) = Message::TracedSearchDocs {
-            query: "q".into(),
-            threshold: 0.0,
-            trace_id: 1,
-            parent_span: 2,
-            sampled: true,
-        }
-        .encode();
-        assert_eq!(kind, 13);
-        assert!(payload.len() > 8);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use seu_engine::{CollectionBuilder, SearchEngine, WeightingScheme};
 use seu_metasearch::{
     Broker, DispatchOutcome, RemoteTransport, SearchRequest, SelectionPolicy, TransportErrorKind,
 };
-use seu_net::frame::{read_frame, write_frame};
+use seu_net::frame::{read_frame, write_frame_corr};
 use seu_net::wire::Message;
 use seu_net::{EngineServer, RemoteEngine, RemoteEngineConfig};
 use seu_text::Analyzer;
@@ -61,7 +61,7 @@ fn handshake_then(mut stream: TcpStream, then: impl FnOnce(TcpStream)) {
         name: "saboteur".into(),
     }
     .encode();
-    write_frame(&mut stream, kind, &payload).unwrap();
+    write_frame_corr(&mut stream, hello.corr, kind, &payload).unwrap();
     then(stream);
 }
 
@@ -142,9 +142,9 @@ fn transient_failures_are_retried_and_hard_ones_are_not() {
         }
         if let Ok((stream, _)) = listener.accept() {
             handshake_then(stream, |mut s| {
-                let _ = read_frame(&mut s).unwrap();
+                let request = read_frame(&mut s).unwrap();
                 let (kind, payload) = Message::SearchResults { hits: vec![] }.encode();
-                write_frame(&mut s, kind, &payload).unwrap();
+                write_frame_corr(&mut s, request.corr, kind, &payload).unwrap();
             });
         }
     });

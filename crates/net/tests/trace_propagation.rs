@@ -1,19 +1,14 @@
 //! End-to-end trace propagation over the wire: an explained search
 //! against a broker mixing local and remote engines must produce one
 //! connected span tree whose remote-engine spans were authored on the
-//! server side and carry the same trace id — and a legacy peer that
-//! predates the traced message kind must degrade to the plain protocol
-//! without failing the query.
+//! server side and carry the same trace id.
 
 use seu_core::SubrangeEstimator;
 use seu_engine::{CollectionBuilder, SearchEngine, WeightingScheme};
-use seu_metasearch::{Broker, EngineSnapshot, RemoteHit, SearchRequest, SelectionPolicy};
-use seu_net::frame::{read_frame, write_frame};
-use seu_net::wire::Message;
+use seu_metasearch::{Broker, SearchRequest, SelectionPolicy};
 use seu_net::{EngineServer, RemoteEngine};
 use seu_text::Analyzer;
 use std::collections::HashSet;
-use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 
 fn engine(texts: &[&str]) -> SearchEngine {
@@ -136,116 +131,4 @@ fn explained_mixed_search_yields_one_connected_trace() {
         .get(trace.trace_id)
         .expect("explained trace retained in the store");
     assert_eq!(stored.trace_id, trace.trace_id);
-}
-
-/// A stub engine speaking the pre-trace protocol: answers Hello,
-/// GetRepresentative, Ping, and plain SearchDocs, and replies with a
-/// typed Error to any message kind it does not know — exactly what an
-/// old `serve_requests` loop does with an undecodable frame.
-fn legacy_engine_server(name: &'static str, texts: &'static [&'static str]) -> SocketAddr {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    std::thread::spawn(move || {
-        let engine = engine(texts);
-        for stream in listener.incoming() {
-            let Ok(mut stream) = stream else { break };
-            let Ok(frame) = read_frame(&mut stream) else {
-                continue;
-            };
-            if !matches!(
-                Message::decode(frame.kind, &frame.payload),
-                Ok(Message::Hello { .. })
-            ) {
-                continue;
-            }
-            let (kind, payload) = Message::HelloAck {
-                name: name.to_string(),
-            }
-            .encode();
-            if write_frame(&mut stream, kind, &payload).is_err() {
-                continue;
-            }
-            while let Ok(frame) = read_frame(&mut stream) {
-                // A legacy decoder knows nothing of kinds > 12.
-                let reply = if frame.kind > 12 {
-                    Message::Error {
-                        detail: format!("undecodable request: unknown message kind {}", frame.kind),
-                    }
-                } else {
-                    match Message::decode(frame.kind, &frame.payload) {
-                        Ok(Message::SearchDocs { query, threshold }) => {
-                            let c = engine.collection();
-                            let q = c.query_from_text(&query);
-                            let hits = engine
-                                .search_threshold(&q, threshold)
-                                .into_iter()
-                                .map(|h| RemoteHit {
-                                    doc: c.doc(h.doc).name.clone(),
-                                    sim: h.sim,
-                                })
-                                .collect();
-                            Message::SearchResults { hits }
-                        }
-                        Ok(Message::GetRepresentative) => Message::Representative {
-                            snapshot: EngineSnapshot::of_engine(name, &engine),
-                        },
-                        Ok(Message::Ping) => Message::Pong,
-                        _ => Message::Error {
-                            detail: "unexpected request".to_string(),
-                        },
-                    }
-                };
-                let fatal = matches!(reply, Message::Error { .. });
-                let (kind, payload) = reply.encode();
-                if write_frame(&mut stream, kind, &payload).is_err() || fatal {
-                    break;
-                }
-            }
-        }
-    });
-    addr
-}
-
-/// Old peers must still interop: the first traced search against a
-/// legacy engine falls back to the plain message (query still answered,
-/// no remote spans), and the fallback is remembered so later sampled
-/// searches skip the probe entirely.
-#[test]
-fn legacy_peer_falls_back_to_plain_search() {
-    let addr = legacy_engine_server("oldies", DB2);
-    let b = broker();
-    b.register("db0", engine(DB0));
-    let client = RemoteEngine::new(addr).unwrap();
-    assert_eq!(b.register_remote(Arc::new(client)).unwrap(), "oldies");
-
-    let fallbacks = seu_obs::counter("net_client_trace_fallbacks_total");
-    let before = fallbacks.get();
-
-    let request = SearchRequest::new("poisonous mushrooms in databases")
-        .threshold(0.01)
-        .policy(SelectionPolicy::All)
-        .explain(true);
-    let response = b.execute(&request);
-    assert!(response.is_complete(), "{:?}", response.per_engine_stats);
-    assert!(
-        response.hits.iter().any(|h| h.engine == "oldies"),
-        "legacy engine still answers: {:?}",
-        response.hits
-    );
-    assert_eq!(fallbacks.get(), before + 1, "exactly one probe fallback");
-
-    let trace = response.trace.as_ref().expect("trace still produced");
-    assert!(
-        trace.spans.iter().all(|s| s.name != "remote_search"),
-        "no server-authored spans from a legacy peer"
-    );
-    assert!(
-        trace.spans.iter().any(|s| s.name == "dispatch:oldies"),
-        "the client-side dispatch span still covers the legacy engine"
-    );
-
-    // Second explained search: the fallback is memoized, no new probe.
-    let response = b.execute(&request);
-    assert!(response.is_complete());
-    assert_eq!(fallbacks.get(), before + 1, "fallback probed at most once");
 }
