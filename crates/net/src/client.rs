@@ -1,29 +1,28 @@
-//! The calling side of the wire: the one pooled, multiplexed frame
-//! client, and [`RemoteEngine`], which wraps it to implement
-//! [`RemoteTransport`] so a broker can register an engine living in
-//! another process with `Broker::register_remote`. The federation
+//! The calling side of the wire: the one multiplexed frame client, and
+//! [`RemoteEngine`], which wraps it to implement [`RemoteTransport`] so
+//! a broker can register an engine living in another process with
+//! `Broker::register_remote`. The federation
 //! [`RemoteReplica`](crate::RemoteReplica) wraps the same client.
 //!
-//! The client keeps a small **connection pool** shared by every clone
-//! of the same handle. Each pooled connection is multiplexed:
+//! The client keeps **one connection per peer**, shared by every clone
+//! of the same handle and dialed on first use. It is multiplexed:
 //! requests are stamped with a fresh correlation id, a dedicated reader
-//! thread routes reply frames back to their callers by id, and many
-//! calls are in flight on one socket at once (up to a pipeline depth
-//! per connection; more connections are dialed on demand up to the pool
-//! cap). Per-request deadlines are enforced by the waiting caller — a
-//! condvar wait bounded by [`RemoteEngineConfig::call_timeout`] — not
-//! by socket-level read timeouts, so one slow request never delays the
-//! replies interleaved behind it.
+//! thread routes reply frames back to their callers by id, and every
+//! call in flight to the peer shares the socket. Per-request deadlines
+//! are enforced by the waiting caller — a condvar wait bounded by
+//! [`RemoteEngineConfig::call_timeout`] — not by socket-level read
+//! timeouts, so one slow request never delays the replies interleaved
+//! behind it.
 //!
-//! A call is **two halves**: `begin` picks a connection and writes the
+//! A call is **two halves**: `begin` takes the connection and writes the
 //! request, `finish` waits for the reply and applies every policy
 //! below. A caller with several calls to make — a dispatch over its
 //! selected engines, a front-door over its replicas — begins them all
 //! and then finishes each, one thread and one round trip's wait for the
 //! lot; the blocking `call` is the two back to back. The handle between
 //! the halves is a guard: dropped unfinished, it gives back its reply
-//! slot and its share of the connection's load, and the reply that then
-//! arrives for nobody is counted (`net_client_late_replies_total`).
+//! slot, and the reply that then arrives for nobody is counted
+//! (`net_client_late_replies_total`).
 //!
 //! A peer whose handshake ack does not echo the `Hello`'s correlation
 //! id cannot multiplex, and is refused with a typed `Protocol` error.
@@ -36,9 +35,11 @@
 //! deadline misses, protocol violations, and remote-reported errors are
 //! not (a timeout retried is a deadline doubled, and a protocol error
 //! will not get better by asking again). A call that fails with a lost
-//! connection on a *reused* pooled connection is transparently retried
-//! once on a freshly dialed one — a stale pooled socket is a fact of
-//! pooling, not a remote failure — before the retry policy is charged.
+//! connection it *reused* is transparently retried once — a stale socket
+//! is a fact of keeping one, not a remote failure — before the retry
+//! policy is charged. The retry takes whatever live connection there is
+//! and dials only if none is, so the calls a lost connection carried
+//! cost one redial between them.
 
 use crate::frame::{check_outbound, io_error, read_frame, write_frame_corr};
 use crate::metrics::metrics;
@@ -51,17 +52,10 @@ use seu_metasearch::{
 use std::collections::HashMap;
 use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// In-flight requests one multiplexed connection carries before the
-/// pool prefers dialing another.
-const PIPELINE_DEPTH: usize = 32;
-
-/// Default pool size per remote engine.
-const DEFAULT_MAX_CONNS: usize = 8;
 
 /// Default ceiling on the exponential retry backoff.
 const DEFAULT_MAX_BACKOFF: Duration = Duration::from_secs(2);
@@ -101,15 +95,13 @@ fn backoff_delay(base: Duration, attempt: u32, cap: Duration) -> Duration {
 /// (or a connection-death sweep) fills it, stamped with when it did.
 type ReplySlot = Option<(Instant, Result<Message, TransportError>)>;
 
-/// One pooled connection: a locked writer half, a reader thread routing
-/// replies into `pending` by correlation id, and bookkeeping for the
-/// pool's load balancing.
+/// The connection to the peer: a locked writer half and a reader thread
+/// routing replies into `pending` by correlation id.
 struct Conn {
     writer: Mutex<TcpStream>,
     pending: Mutex<HashMap<u64, ReplySlot>>,
     cv: Condvar,
     alive: AtomicBool,
-    in_flight: AtomicUsize,
 }
 
 impl Conn {
@@ -125,17 +117,19 @@ fn lock_unpoisoned<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// The one framed-protocol client: a connection pool that sends a
-/// request and returns its reply under its timeouts and retry policy.
-/// [`RemoteEngine`] and [`RemoteReplica`](crate::RemoteReplica) are
-/// typed wrappers sharing one of these across their clones.
+/// The one framed-protocol client: one connection to the peer, over
+/// which it sends a request and returns its reply under its timeouts and
+/// retry policy. [`RemoteEngine`] and
+/// [`RemoteReplica`](crate::RemoteReplica) are typed wrappers sharing
+/// one of these across their clones.
 pub(crate) struct MuxClient {
     addrs: Vec<SocketAddr>,
     config: RemoteEngineConfig,
     max_backoff: Duration,
-    max_conns: usize,
     next_corr: AtomicU64,
-    conns: Mutex<Vec<Arc<Conn>>>,
+    /// The connection, once dialed; a dead one waits here for the next
+    /// call to replace it.
+    conn: Mutex<Option<Arc<Conn>>>,
 }
 
 impl MuxClient {
@@ -144,9 +138,8 @@ impl MuxClient {
             addrs,
             config,
             max_backoff: DEFAULT_MAX_BACKOFF,
-            max_conns: DEFAULT_MAX_CONNS,
             next_corr: AtomicU64::new(1),
-            conns: Mutex::new(Vec::new()),
+            conn: Mutex::new(None),
         }
     }
 
@@ -175,13 +168,11 @@ impl MuxClient {
         self.addrs[0].to_string()
     }
 
-    /// A client with the same addresses and settings, `f` applied, and
-    /// a fresh (empty) pool.
-    fn tweaked(&self, f: impl FnOnce(&mut MuxClient)) -> Arc<MuxClient> {
+    /// A client with the same addresses and settings, backoff capped at
+    /// `cap`, and no connection yet.
+    fn with_max_backoff(&self, cap: Duration) -> Arc<MuxClient> {
         let mut client = MuxClient::new(self.addrs.clone(), self.config);
-        client.max_backoff = self.max_backoff;
-        client.max_conns = self.max_conns;
-        f(&mut client);
+        client.max_backoff = cap;
         Arc::new(client)
     }
 
@@ -225,7 +216,7 @@ impl MuxClient {
         }
     }
 
-    /// Dials, handshakes, and spawns the reader thread for a new pooled
+    /// Dials, handshakes, and spawns the reader thread for a new
     /// connection.
     fn dial(&self) -> Result<Arc<Conn>, TransportError> {
         let (stream, _) = self.handshake(false)?;
@@ -236,13 +227,12 @@ impl MuxClient {
             .map_err(|e| io_error(&e, "configuring socket"))?;
         let read_half = stream
             .try_clone()
-            .map_err(|e| io_error(&e, "cloning pooled stream"))?;
+            .map_err(|e| io_error(&e, "cloning the stream"))?;
         let conn = Arc::new(Conn {
             writer: Mutex::new(stream),
             pending: Mutex::new(HashMap::new()),
             cv: Condvar::new(),
             alive: AtomicBool::new(true),
-            in_flight: AtomicUsize::new(0),
         });
         let for_reader = Arc::clone(&conn);
         std::thread::Builder::new()
@@ -253,37 +243,20 @@ impl MuxClient {
         Ok(conn)
     }
 
-    /// Picks a connection for one call: the least loaded while it has
-    /// spare pipeline depth, else a freshly dialed one while under the
-    /// cap, else (saturated) the least loaded still. The returned flag
-    /// says whether the connection was dialed for this call — reused
-    /// connections get one transparent redial on a lost connection,
-    /// fresh ones do not.
+    /// The live connection, or one dialed now (which the returned flag
+    /// says: a lost connection that was reused gets one transparent
+    /// retry, one dialed for the call does not). Callers arriving while
+    /// it dials wait for it rather than dial their own.
     fn acquire(&self) -> Result<(Arc<Conn>, bool), TransportError> {
-        let mut conns = lock_unpoisoned(&self.conns);
-        conns.retain(|c| c.alive.load(Ordering::Acquire));
-        let least = conns
-            .iter()
-            .map(|c| (c.in_flight.load(Ordering::Relaxed), c))
-            .min_by_key(|&(load, _)| load);
-        match least {
-            Some((load, c)) if load < PIPELINE_DEPTH || conns.len() >= self.max_conns => {
-                Ok((Arc::clone(c), false))
-            }
+        let mut conn = lock_unpoisoned(&self.conn);
+        match &*conn {
+            Some(live) if live.alive.load(Ordering::Acquire) => Ok((Arc::clone(live), false)),
             _ => {
-                let conn = self.dial()?;
-                conns.push(Arc::clone(&conn));
-                Ok((conn, true))
+                let dialed = self.dial()?;
+                *conn = Some(Arc::clone(&dialed));
+                Ok((dialed, true))
             }
         }
-    }
-
-    /// Dials a replacement connection and registers it with the pool
-    /// (the stale-connection retry path).
-    fn redial(&self) -> Result<Arc<Conn>, TransportError> {
-        let conn = self.dial()?;
-        lock_unpoisoned(&self.conns).push(Arc::clone(&conn));
-        Ok(conn)
     }
 
     /// Puts one frame of the request on `conn` under a fresh correlation
@@ -354,30 +327,24 @@ impl MuxClient {
         }
     }
 
-    /// Claims `conn` for one attempt and puts the request on the wire. A
-    /// failed send is kept in the attempt: it is [`MuxClient::settle`]
-    /// that knows what a lost connection is owed.
-    fn claim(&self, conn: Arc<Conn>, fresh: bool, kind: u8, payload: &[u8]) -> Attempt {
-        conn.in_flight.fetch_add(1, Ordering::Relaxed);
+    /// Acquires the connection and puts the request on it. A failed send
+    /// is kept in the attempt: it is [`MuxClient::settle`] that knows
+    /// what a lost connection is owed.
+    fn attempt(&self, kind: u8, payload: &[u8]) -> Result<Attempt, TransportError> {
+        let (conn, fresh) = self.acquire()?;
         let sent = Instant::now();
         let corr = self.send(&conn, kind, payload);
-        Attempt {
+        Ok(Attempt {
             conn,
             fresh,
             sent,
             corr,
-        }
+        })
     }
 
-    /// Acquires a pooled connection and claims it.
-    fn attempt(&self, kind: u8, payload: &[u8]) -> Result<Attempt, TransportError> {
-        let (conn, fresh) = self.acquire()?;
-        Ok(self.claim(conn, fresh, kind, payload))
-    }
-
-    /// One attempt seen through. A lost connection on a *reused* pooled
-    /// socket is retried once on a fresh dial before surfacing. A
-    /// remote-reported error comes back typed.
+    /// One attempt seen through. A lost connection that was *reused* is
+    /// retried once, on whatever connection is live by then, before
+    /// surfacing. A remote-reported error comes back typed.
     fn settle(
         &self,
         attempt: Attempt,
@@ -387,8 +354,7 @@ impl MuxClient {
     ) -> Result<(Message, Instant), TransportError> {
         let reply = match self.wait(&attempt, until) {
             Err(e) if !attempt.fresh && e.kind == TransportErrorKind::ConnectionLost => {
-                let again = self.claim(self.redial()?, true, kind, payload);
-                self.wait(&again, until)?
+                self.wait(&self.attempt(kind, payload)?, until)?
             }
             other => other?,
         };
@@ -400,7 +366,7 @@ impl MuxClient {
         }
     }
 
-    /// The first half of a call: picks a pooled connection and writes
+    /// The first half of a call: acquires the connection and writes
     /// `request` on it under a fresh correlation id. Nothing is waited
     /// for, so a caller with several calls to make begins them all and
     /// only then [finishes](InFlight::finish) each. A failure to dial or
@@ -437,8 +403,7 @@ impl MuxClient {
         })
     }
 
-    /// Liveness probe: a full request/reply round trip on a pooled
-    /// connection.
+    /// Liveness probe: a full request/reply round trip on the connection.
     pub(crate) fn ping(self: &Arc<Self>) -> Result<(), TransportError> {
         match self.call(&Message::Ping)? {
             Message::Pong => Ok(()),
@@ -447,11 +412,11 @@ impl MuxClient {
     }
 }
 
-/// One attempt's claim on a pooled connection: a unit of its load and,
-/// once the request is on the wire, the `pending` slot its reply lands
-/// in. Dropping the claim gives both back, so an attempt abandoned
-/// between the halves (a panic, a request deadline) leaks neither, and
-/// its late reply is counted by `net_client_late_replies_total`.
+/// One attempt's claim on the connection: once the request is on the
+/// wire, the `pending` slot its reply lands in. Dropping the claim gives
+/// it back, so an attempt abandoned between the halves (a panic, a
+/// request deadline) leaks nothing, and its late reply is counted by
+/// `net_client_late_replies_total`.
 struct Attempt {
     conn: Arc<Conn>,
     /// Dialed for this attempt (see [`MuxClient::acquire`]).
@@ -467,7 +432,6 @@ impl Drop for Attempt {
         if let Ok(corr) = self.corr {
             lock_unpoisoned(&self.conn.pending).remove(&corr);
         }
-        self.conn.in_flight.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -556,9 +520,9 @@ impl<T: Send> Pending<T> for Asked<T> {
 
 impl Drop for MuxClient {
     fn drop(&mut self) {
-        // Shut the sockets down so the detached reader threads see EOF
-        // and exit rather than blocking forever on their cloned halves.
-        for conn in lock_unpoisoned(&self.conns).iter() {
+        // Shut the socket down so the detached reader thread sees EOF and
+        // exits rather than blocking forever on its cloned half.
+        if let Some(conn) = &*lock_unpoisoned(&self.conn) {
             conn.kill();
         }
     }
@@ -568,7 +532,6 @@ impl std::fmt::Debug for MuxClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MuxClient")
             .field("addrs", &self.addrs)
-            .field("max_conns", &self.max_conns)
             .finish()
     }
 }
@@ -615,7 +578,7 @@ fn reader_loop(conn: Arc<Conn>, stream: TcpStream) {
 
 /// A TCP client for one [`EngineServer`](crate::EngineServer), usable as
 /// the transport behind a broker's remote engine registration. Clones
-/// share one connection pool.
+/// share one connection.
 #[derive(Debug, Clone)]
 pub struct RemoteEngine {
     client: Arc<MuxClient>,
@@ -645,18 +608,11 @@ impl RemoteEngine {
     /// retries configured, the worst-case sleep is `min(backoff * 2^n,
     /// cap)` per retry rather than an unbounded doubling.
     pub fn max_backoff(mut self, cap: Duration) -> RemoteEngine {
-        self.client = self.client.tweaked(|c| c.max_backoff = cap);
+        self.client = self.client.with_max_backoff(cap);
         self
     }
 
-    /// Sets the connection-pool cap (default 8, minimum 1).
-    pub fn pool_connections(mut self, n: usize) -> RemoteEngine {
-        self.client = self.client.tweaked(|c| c.max_conns = n.max(1));
-        self
-    }
-
-    /// Liveness probe: a full request/reply round trip on a pooled
-    /// connection.
+    /// Liveness probe: a full request/reply round trip on the connection.
     pub fn ping(&self) -> Result<(), TransportError> {
         self.client.ping()
     }
@@ -864,12 +820,14 @@ impl RemoteTransport for RemoteEngine {
 mod tests {
     use super::*;
     use std::net::TcpListener;
+    use std::sync::atomic::AtomicUsize;
 
     /// A multiplexing peer for the two halves: echoes correlation ids
     /// and answers `SearchDocs { query }` with one hit named after the
     /// query — once it holds `gate` requests, all connections counted,
     /// so a test can prove that many were in flight at once. While
-    /// `drops` is positive a request costs its connection instead.
+    /// `drops` is positive the requests that open the gate cost their
+    /// connections instead.
     struct Echo {
         addr: SocketAddr,
         accepted: Arc<AtomicUsize>,
@@ -906,15 +864,17 @@ mod tests {
                 },
                 Ok(Message::Ping) => Message::Pong,
                 Ok(Message::SearchDocs { query, .. }) => {
-                    let dropped = drops
-                        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |d| d.checked_sub(1));
-                    if dropped.is_ok() {
-                        return;
-                    }
                     let mut held = held.lock().unwrap();
                     held.push((stream.try_clone().unwrap(), frame.corr, query));
                     if held.len() >= gate {
+                        let dropped = drops
+                            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |d| d.checked_sub(1))
+                            .is_ok();
                         for (mut to, corr, query) in held.drain(..) {
+                            if dropped {
+                                let _ = to.shutdown(Shutdown::Both);
+                                continue;
+                            }
                             let hits = vec![RemoteHit {
                                 doc: query,
                                 sim: 1.0,
@@ -956,6 +916,21 @@ mod tests {
         }
     }
 
+    /// `calls` calls begun together, then finished on a thread each, so
+    /// no finish waits on a reply the gate holds for another.
+    fn begin_and_finish(client: &Arc<MuxClient>, calls: usize) {
+        let calls: Vec<InFlight> = (0..calls)
+            .map(|i| client.begin(&ask(&format!("q{i}"))))
+            .collect();
+        std::thread::scope(|scope| {
+            for (i, call) in calls.into_iter().enumerate() {
+                scope.spawn(move || assert_eq!(doc_of(call.finish(None)), format!("q{i}")));
+            }
+        });
+        let conn = lock_unpoisoned(&client.conn).clone().unwrap();
+        assert!(lock_unpoisoned(&conn.pending).is_empty());
+    }
+
     #[test]
     fn a_call_dropped_between_its_halves_leaves_nothing_behind() {
         // The gate never opens: the reply is still owed when the call
@@ -963,12 +938,10 @@ mod tests {
         let echo = echo(usize::MAX);
         let client = client(&echo);
         let call = client.begin(&ask("abandoned"));
-        let conn = lock_unpoisoned(&client.conns)[0].clone();
+        let conn = lock_unpoisoned(&client.conn).clone().unwrap();
         assert_eq!(lock_unpoisoned(&conn.pending).len(), 1);
-        assert_eq!(conn.in_flight.load(Ordering::Relaxed), 1);
         drop(call);
         assert!(lock_unpoisoned(&conn.pending).is_empty());
-        assert_eq!(conn.in_flight.load(Ordering::Relaxed), 0);
         // The connection is none the worse.
         client.ping().unwrap();
         assert_eq!(echo.accepted.load(Ordering::SeqCst), 1);
@@ -994,23 +967,24 @@ mod tests {
     }
 
     #[test]
+    fn a_lost_connection_is_redialed_once_not_once_per_call_in_flight() {
+        // Sixteen calls pipelined on one reused connection, which the peer
+        // drops once it holds all of them; their retries are held the
+        // same way, so all sixteen are asked again before any is answered.
+        let echo = echo(16);
+        let client = client(&echo);
+        client.ping().unwrap();
+        echo.drops.store(1, Ordering::SeqCst);
+        begin_and_finish(&client, 16);
+        assert_eq!(echo.accepted.load(Ordering::SeqCst), 2, "one redial");
+    }
+
+    #[test]
     fn calls_begun_together_each_come_home_with_their_own_reply() {
         // Nothing is answered until all 64 are held: they were in flight
-        // at once, past one connection's pipeline depth.
-        const CALLS: usize = 2 * PIPELINE_DEPTH;
-        let echo = echo(CALLS);
-        let client = client(&echo);
-        let calls: Vec<InFlight> = (0..CALLS)
-            .map(|i| client.begin(&ask(&format!("q{i}"))))
-            .collect();
-        for (i, call) in calls.into_iter().enumerate() {
-            assert_eq!(doc_of(call.finish(None)), format!("q{i}"));
-        }
-        let dialed = echo.accepted.load(Ordering::SeqCst);
-        assert!((2..=DEFAULT_MAX_CONNS).contains(&dialed), "{dialed}");
-        for conn in lock_unpoisoned(&client.conns).iter() {
-            assert!(lock_unpoisoned(&conn.pending).is_empty());
-            assert_eq!(conn.in_flight.load(Ordering::Relaxed), 0);
-        }
+        // at once, on the one connection.
+        let echo = echo(64);
+        begin_and_finish(&client(&echo), 64);
+        assert_eq!(echo.accepted.load(Ordering::SeqCst), 1);
     }
 }

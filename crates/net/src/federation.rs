@@ -21,7 +21,7 @@
 //!   count ([`ServerConfig::workers`]) is the replica's capacity: how
 //!   many requests it plans and dispatches at once.
 //! * **[`RemoteReplica`]** implements [`ReplicaClient`] over the same
-//!   pooled, pipelined connection code as [`RemoteEngine`], so a
+//!   pipelined connection code as [`RemoteEngine`], so a
 //!   front-door treats a process across the wire exactly like an
 //!   in-process replica: same placement, same failover, same typed
 //!   [`TransportError`] capture when the replica dies mid-dispatch.
@@ -234,8 +234,7 @@ where
 }
 
 /// A [`ReplicaClient`] for a [`ReplicaServer`] across the wire: the same
-/// pooled, pipelined connections a [`RemoteEngine`] uses, shared across
-/// clones. Failures surface as typed [`TransportError`]s (the
+/// pipelined connection a [`RemoteEngine`] uses, shared across clones. Failures surface as typed [`TransportError`]s (the
 /// front-door's breaker and failover logic consumes them as-is).
 #[derive(Debug, Clone)]
 pub struct RemoteReplica {
@@ -248,8 +247,8 @@ impl RemoteReplica {
     pub fn new(addr: impl ToSocketAddrs) -> Result<RemoteReplica, TransportError> {
         // No retries: a replica that refuses or drops the call is the
         // front-door's cue to fail over along the ring, not to wait.
-        // (The one transparent redial of a stale pooled socket is not a
-        // retry and still applies.)
+        // (The one transparent resend after a stale socket is not
+        // charged as a retry and still applies.)
         let config = RemoteEngineConfig {
             retries: 0,
             ..RemoteEngineConfig::default()

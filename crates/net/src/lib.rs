@@ -24,9 +24,9 @@
 //!   like a local engine — same planning, same estimates (byte-identical,
 //!   because snapshots ship full-precision f64 statistics), same
 //!   dispatch, with transport failures captured per-engine instead of
-//!   failing the query. Clones share a connection pool, and because
-//!   every frame carries a correlation id, one connection pipelines
-//!   many concurrent requests.
+//!   failing the query. Clones share one connection, and because every
+//!   frame carries a correlation id, it pipelines every concurrent
+//!   request.
 //! * **[`ReplicaServer`]** / **[`RemoteReplica`]** are the federation
 //!   endpoints ([`federation`]): a back-end broker on a socket serving
 //!   subset estimates, subset searches, and engine-lifecycle orders for
@@ -34,7 +34,7 @@
 //!   [`ReplicaClient`](seu_metasearch::ReplicaClient) the front-door
 //!   dials — same placement, failover, and bit-identity guarantees as
 //!   the in-process cluster. They are the same event loop and the same
-//!   pooled client as the engine pair, around a different service.
+//!   client as the engine pair, around a different service.
 //! * **[`AdminServer`]** is a minimal HTTP/1.1 server over a broker:
 //!   `GET /metrics` (Prometheus exposition of the process-global
 //!   [`seu_obs`] registry), `GET /healthz`, `GET /engines`,
@@ -85,7 +85,6 @@ mod metrics;
 #[allow(unsafe_code)]
 mod poll;
 pub mod server;
-mod timer;
 pub mod wire;
 
 pub use client::{RemoteEngine, RemoteEngineConfig, Subscription};

@@ -11,18 +11,25 @@
 //! pool. Because replies carry the
 //! request's correlation id, one connection can have many requests in
 //! flight and the replies go out in completion order — a slow search
-//! does not block the pings and estimates pipelined behind it.
-//! Deadlines (connection idle, per-request compute) live in a timer
-//! wheel rather than socket-level read timeouts. The worker count
-//! ([`ServerConfig::workers`]) is the server's capacity for handed-over
-//! requests: those beyond it queue in arrival order. The federation
-//! [`ReplicaServer`](crate::ReplicaServer) is the same loop around a
-//! different service.
+//! does not block the pings and estimates pipelined behind it. The
+//! worker count ([`ServerConfig::workers`]) is the server's capacity for
+//! handed-over requests: those beyond it queue in arrival order. The
+//! federation [`ReplicaServer`](crate::ReplicaServer) is the same loop
+//! around a different service.
+//!
+//! **Deadlines live on their connection**, not in socket read timeouts
+//! or a loop-wide timer. A connection keeps the requests it handed over
+//! with their deadlines, each `REQUEST_TIMEOUT` after its arrival, so
+//! arrival order is deadline order and the oldest is the one due. With
+//! none outstanding it has an idle deadline, `REQUEST_IDLE_TIMEOUT` after
+//! its last read or last answer: a connection waiting on the server is
+//! never idle, and a request past its deadline gets its typed `Error`.
 //!
 //! **What blocks where.** The loop thread waits in exactly one place,
 //! `poll(2)` (`crate::poll`), over the listener, every live connection
-//! and the read end of a socket pair, with the timer wheel's next
-//! deadline as the timeout — no deadline armed, no timeout. An idle
+//! and the read end of a socket pair, with the earliest deadline among
+//! them as the timeout, read in the pass that builds the set — no
+//! deadline armed, no timeout. An idle
 //! server therefore makes no passes at all, and an arriving request is
 //! served when it arrives, not at the end of a nap. After `poll` returns,
 //! a pass spends syscalls only where something was reported: `accept` on
@@ -61,8 +68,8 @@
 //! A peer that shuts down its sending half leaves the read set once its
 //! end of stream is read; the connection stays until every request it
 //! had sent is answered and flushed, then closes. An `accept` that fails
-//! for lack of descriptors takes the listener out of the set until the
-//! next wheel tick, so neither case can spin the loop.
+//! for lack of descriptors takes the listener out of the set for `TICK`,
+//! so neither case can spin the loop.
 //!
 //! Two connection modes exist, chosen by the client's opening
 //! [`Message::Hello`]:
@@ -89,12 +96,11 @@
 use crate::frame::{check_outbound, encode_frame_into, parse_frame};
 use crate::metrics::metrics;
 use crate::poll::{self, Events, PollFd, POLLERR, POLLHUP, POLLIN, POLLOUT};
-use crate::timer::TimerWheel;
 use crate::wire::Message;
 use parking_lot::{Mutex, RwLock};
 use seu_engine::{Query, SearchEngine};
 use seu_metasearch::{EngineSnapshot, RemoteHit};
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::UnixStream;
@@ -113,8 +119,8 @@ const REQUEST_IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 /// requester gets a typed error and the eventual result is dropped.
 const REQUEST_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Granularity of the deadline wheel — how late a deadline may fire, and
-/// how long the listener sits out after an `accept` failure.
+/// How long the listener sits out after an `accept` failure, and the loop
+/// after a `poll` the kernel refused.
 const TICK: Duration = Duration::from_millis(25);
 
 /// Write-buffer cap per connection; a subscriber that stops reading
@@ -430,9 +436,10 @@ struct EventConn {
     /// The socket refused part of `wbuf`; no write is tried again until
     /// `poll` reports room.
     write_blocked: bool,
-    /// Requests handed to the worker pool and not yet answered (by
-    /// their reply or by their deadline).
-    in_flight: usize,
+    /// Requests handed to the worker pool and not yet answered (by their
+    /// reply or by their deadline): `(corr, deadline)`, in arrival order.
+    handed_over: VecDeque<(u64, Instant)>,
+    /// The last read or answer: idle time counts from here.
     last_activity: Instant,
     /// The peer sent its end of stream: nothing more is read, and the
     /// connection closes once what it already asked for is answered.
@@ -443,6 +450,63 @@ struct EventConn {
 }
 
 impl EventConn {
+    fn new(stream: TcpStream, gen: u64, now: Instant) -> EventConn {
+        EventConn {
+            stream,
+            kind: ConnKind::Handshake,
+            gen,
+            rbuf: Vec::new(),
+            wbuf: Vec::new(),
+            wstart: 0,
+            write_blocked: false,
+            handed_over: VecDeque::new(),
+            last_activity: now,
+            eof: false,
+            closing: false,
+            dead: false,
+        }
+    }
+
+    /// The oldest handed-over request's deadline or, with none
+    /// outstanding, the idle deadline. Subscribers are long-lived by
+    /// design: with nothing handed over, they have none.
+    fn next_deadline(&self) -> Option<Instant> {
+        match self.handed_over.front() {
+            Some(&(_, due)) => Some(due),
+            None if self.kind == ConnKind::Subscriber => None,
+            None => Some(self.last_activity + REQUEST_IDLE_TIMEOUT),
+        }
+    }
+
+    /// Queues a worker's `reply` to `corr`, unless its deadline answered
+    /// first (the requester was told and moved on).
+    fn answer(&mut self, corr: u64, reply: &Message, now: Instant) {
+        if let Some(at) = self.handed_over.iter().position(|&(c, _)| c == corr) {
+            self.handed_over.remove(at);
+            self.last_activity = now;
+            self.enqueue(corr, reply);
+        }
+    }
+
+    /// Answers each handed-over request whose deadline has come by `now`
+    /// with a typed `Error`, then marks the connection dead if its idle
+    /// deadline has come too.
+    fn expire(&mut self, now: Instant) {
+        while let Some(&(corr, due)) = self.handed_over.front() {
+            if due > now {
+                break;
+            }
+            self.handed_over.pop_front();
+            self.last_activity = now;
+            metrics().server_deadline_drops.inc();
+            let detail = format!("request deadline ({REQUEST_TIMEOUT:?}) exceeded");
+            self.enqueue(corr, &Message::Error { detail });
+        }
+        if self.next_deadline().is_some_and(|due| due <= now) {
+            self.dead = true;
+        }
+    }
+
     /// Frames `message` for `corr`. A reply over the frame cap goes out
     /// as a typed in-band `Error` on the same corr instead, so only the
     /// call that asked for it fails.
@@ -468,19 +532,17 @@ impl EventConn {
     }
 }
 
-/// Deadlines the timer wheel tracks for the loop.
-enum Deadline {
-    ConnIdle {
-        slot: usize,
-        gen: u64,
-    },
-    Request {
-        slot: usize,
-        gen: u64,
-        corr: u64,
-    },
-    /// The listener rejoins the poll set after an `accept` failure.
-    AcceptRetry,
+/// What the loop asks `poll` about the listener: new connections, except
+/// until `retry`, which a failed `accept` sets `TICK` ahead. The listener
+/// stays readable through, say, `EMFILE`, and asking again at once would
+/// spin.
+fn listener_interest(retry: &mut Option<Instant>, now: Instant) -> Events {
+    *retry = retry.filter(|&at| at > now);
+    if retry.is_some() {
+        0
+    } else {
+        POLLIN
+    }
 }
 
 /// A request handed to the worker pool.
@@ -542,41 +604,39 @@ fn event_loop(listener: TcpListener, state: Arc<LoopState>) {
     let mut conns: Vec<Option<EventConn>> = Vec::new();
     let mut free_slots: Vec<usize> = Vec::new();
     let mut next_gen: u64 = 1;
-    let mut wheel: TimerWheel<Deadline> = TimerWheel::new(TICK, 512);
-    let mut req_deadlines: HashMap<(usize, u64, u64), crate::timer::TimerKey> = HashMap::new();
-    let mut expired: Vec<Deadline> = Vec::new();
     // The poll set, rebuilt every pass: the wake pair, the listener,
-    // then one entry per live connection, whose slot `polled` names.
+    // then one entry per live connection, whose slot `polled` names. The
+    // same pass finds the earliest deadline, the listener's included.
     const WAKE: usize = 0;
     const LISTENER: usize = 1;
     const CONNS: usize = 2;
     let mut fds: Vec<PollFd> = Vec::new();
     let mut polled: Vec<usize> = Vec::new();
-    // False from a failed `accept` to the next wheel tick: the listener
-    // stays readable through, say, `EMFILE`, and asking again at once
-    // would spin.
-    let mut accepting = true;
+    let mut accept_retry: Option<Instant> = None;
     // One read scratch for every connection and pass.
     let mut buf = [0u8; 16 * 1024];
     let m = metrics();
 
     while !state.shutting_down.load(Ordering::SeqCst) {
+        let now = Instant::now();
         fds.clear();
         polled.clear();
         fds.push(PollFd::new(&state.wake.rx, POLLIN));
-        fds.push(PollFd::new(&listener, if accepting { POLLIN } else { 0 }));
+        let listen = listener_interest(&mut accept_retry, now);
+        fds.push(PollFd::new(&listener, listen));
+        let mut due = accept_retry;
         for (slot, conn) in conns.iter().enumerate() {
             if let Some(conn) = conn {
                 fds.push(PollFd::new(&conn.stream, conn.interest()));
                 polled.push(slot);
+                due = due.into_iter().chain(conn.next_deadline()).min();
             }
         }
         // The one place the loop waits: for a socket, a notifier, or the
-        // wheel's next deadline — with none armed, for as long as it
-        // takes.
-        if poll::wait(&mut fds, wheel.next_wake(Instant::now())).is_err() {
+        // earliest deadline — with none armed, for as long as it takes.
+        if poll::wait(&mut fds, due.map(|at| at.saturating_duration_since(now))).is_err() {
             // The kernel refused the set (out of memory); nothing was
-            // reported. Retry at the wheel's pace, deadlines still run.
+            // reported. Retry after a tick, deadlines still run.
             std::thread::sleep(TICK);
         }
         m.server_loop_wakeups.inc();
@@ -598,62 +658,32 @@ fn event_loop(listener: TcpListener, state: Arc<LoopState>) {
                     let _ = stream.set_nodelay(true);
                     m.server_connections.inc();
                     m.server_active_connections.add(1.0);
-                    let gen = next_gen;
+                    let conn = EventConn::new(stream, next_gen, now);
                     next_gen += 1;
-                    let conn = EventConn {
-                        stream,
-                        kind: ConnKind::Handshake,
-                        gen,
-                        rbuf: Vec::new(),
-                        wbuf: Vec::new(),
-                        wstart: 0,
-                        write_blocked: false,
-                        in_flight: 0,
-                        last_activity: now,
-                        eof: false,
-                        closing: false,
-                        dead: false,
-                    };
-                    let slot = match free_slots.pop() {
-                        Some(s) => {
-                            conns[s] = Some(conn);
-                            s
-                        }
-                        None => {
-                            conns.push(Some(conn));
-                            conns.len() - 1
-                        }
-                    };
-                    wheel.insert(now, REQUEST_IDLE_TIMEOUT, Deadline::ConnIdle { slot, gen });
+                    match free_slots.pop() {
+                        Some(s) => conns[s] = Some(conn),
+                        None => conns.push(Some(conn)),
+                    }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => {
-                    accepting = false;
-                    wheel.insert(now, Duration::ZERO, Deadline::AcceptRetry);
+                    accept_retry = Some(now + TICK);
                     break;
                 }
             }
         }
 
-        // Finished jobs → write buffers (unless their deadline already
-        // fired, in which case the requester was told and moved on).
+        // Finished jobs → write buffers. An `Error` reply is in-band: it
+        // answers its own corr and the connection keeps serving its
+        // pipelined neighbours.
         let done: Vec<Done> = {
             let mut lock = completions.lock().unwrap_or_else(|e| e.into_inner());
             std::mem::take(&mut *lock)
         };
         for d in done {
-            match req_deadlines.remove(&(d.slot, d.gen, d.corr)) {
-                Some(key) => {
-                    wheel.cancel(key);
-                }
-                None => continue,
-            }
-            // An `Error` reply is in-band: it answers its own corr and
-            // the connection keeps serving its pipelined neighbours.
             if let Some(conn) = conn_mut(&mut conns, d.slot, d.gen) {
-                conn.in_flight -= 1;
-                conn.enqueue(d.corr, &d.reply);
+                conn.answer(d.corr, &d.reply, now);
             }
         }
 
@@ -721,16 +751,7 @@ fn event_loop(listener: TcpListener, state: Arc<LoopState>) {
                 match parse_frame(&conn.rbuf[consumed..], crate::frame::MAX_FRAME_BYTES) {
                     Ok(Some((frame, used))) => {
                         consumed += used;
-                        handle_frame(
-                            &state,
-                            conn,
-                            slot,
-                            frame,
-                            &job_tx,
-                            &mut wheel,
-                            &mut req_deadlines,
-                            now,
-                        );
+                        handle_frame(&state, conn, slot, frame, &job_tx, now);
                         if conn.closing || conn.dead {
                             break;
                         }
@@ -753,52 +774,13 @@ fn event_loop(listener: TcpListener, state: Arc<LoopState>) {
             }
         }
 
-        // Deadlines.
-        wheel.advance(now, &mut expired);
-        for deadline in expired.drain(..) {
-            match deadline {
-                Deadline::ConnIdle { slot, gen } => {
-                    if let Some(conn) = conn_mut(&mut conns, slot, gen) {
-                        if conn.kind == ConnKind::Subscriber {
-                            continue; // long-lived by design
-                        }
-                        let idle = now.saturating_duration_since(conn.last_activity);
-                        if idle >= REQUEST_IDLE_TIMEOUT {
-                            conn.dead = true;
-                        } else {
-                            wheel.insert(
-                                now,
-                                REQUEST_IDLE_TIMEOUT - idle,
-                                Deadline::ConnIdle { slot, gen },
-                            );
-                        }
-                    }
-                }
-                Deadline::Request { slot, gen, corr } => {
-                    if req_deadlines.remove(&(slot, gen, corr)).is_some() {
-                        m.server_deadline_drops.inc();
-                        if let Some(conn) = conn_mut(&mut conns, slot, gen) {
-                            conn.in_flight -= 1;
-                            conn.enqueue(
-                                corr,
-                                &Message::Error {
-                                    detail: format!(
-                                        "request deadline ({REQUEST_TIMEOUT:?}) exceeded"
-                                    ),
-                                },
-                            );
-                        }
-                    }
-                }
-                Deadline::AcceptRetry => accepting = true,
-            }
-        }
-
-        // Flush write buffers; reap finished and dead connections.
+        // Deadlines; flush write buffers; reap finished and dead
+        // connections.
         for (slot, entry) in conns.iter_mut().enumerate() {
             let Some(conn) = entry.as_mut() else {
                 continue;
             };
+            conn.expire(now);
             while !conn.dead && !conn.write_blocked && conn.wstart < conn.wbuf.len() {
                 match conn.stream.write(&conn.wbuf[conn.wstart..]) {
                     Ok(0) => conn.dead = true,
@@ -816,7 +798,7 @@ fn event_loop(listener: TcpListener, state: Arc<LoopState>) {
             } else if conn.wbuf.len() - conn.wstart > MAX_WRITE_BUFFER {
                 conn.dead = true; // slow consumer
             }
-            if conn.eof && conn.in_flight == 0 {
+            if conn.eof && conn.handed_over.is_empty() {
                 conn.closing = true;
             }
             if conn.closing && conn.wbuf.is_empty() {
@@ -852,15 +834,12 @@ fn event_loop(listener: TcpListener, state: Arc<LoopState>) {
 
 /// Routes one parsed frame: handshake transitions, inline pongs and
 /// cheap answers, or a job for the worker pool (with its deadline armed).
-#[allow(clippy::too_many_arguments)]
 fn handle_frame(
     state: &LoopState,
     conn: &mut EventConn,
     slot: usize,
     frame: crate::frame::Frame,
     job_tx: &mpsc::Sender<Job>,
-    wheel: &mut TimerWheel<Deadline>,
-    req_deadlines: &mut HashMap<(usize, u64, u64), crate::timer::TimerKey>,
     now: Instant,
 ) {
     let m = metrics();
@@ -919,17 +898,8 @@ fn handle_frame(
                         conn.enqueue(frame.corr, &reply);
                         return;
                     }
-                    let key = wheel.insert(
-                        now,
-                        REQUEST_TIMEOUT,
-                        Deadline::Request {
-                            slot,
-                            gen: conn.gen,
-                            corr: frame.corr,
-                        },
-                    );
-                    req_deadlines.insert((slot, conn.gen, frame.corr), key);
-                    conn.in_flight += 1;
+                    conn.handed_over
+                        .push_back((frame.corr, now + REQUEST_TIMEOUT));
                     let _ = job_tx.send(Job {
                         slot,
                         gen: conn.gen,
@@ -1120,6 +1090,7 @@ mod tests {
     use crate::client::{MuxClient, RemoteEngineConfig};
     use crate::frame::{read_frame, write_frame_corr, MAX_FRAME_BYTES};
     use seu_metasearch::TransportErrorKind;
+    use std::collections::HashMap;
 
     /// Answers `ExportEngine` with a reply whose payload is four bytes
     /// over the frame cap.
@@ -1159,6 +1130,21 @@ mod tests {
                 Message::Estimate { .. } => panic!("inline"),
                 _ => None,
             }
+        }
+    }
+
+    /// Holds every handed-over request until the test lets go of the
+    /// sender, or a minute passes.
+    struct Sleepy(Mutex<mpsc::Receiver<()>>);
+
+    impl FrameService for Sleepy {
+        fn name(&self) -> &str {
+            "sleepy"
+        }
+
+        fn handle(&self, _request: Message) -> Option<Message> {
+            let _ = self.0.lock().recv_timeout(Duration::from_secs(60));
+            Some(Message::Pong)
         }
     }
 
@@ -1203,16 +1189,16 @@ mod tests {
         assert!(matches!(recv(&mut stream), (3, Message::Pong)));
 
         // The client's half: an oversize request is refused before it
-        // reaches the socket, and the pooled connection is none the worse.
+        // reaches the socket, and the connection is none the worse.
         let client =
             MuxClient::resolve(server.addr(), RemoteEngineConfig::default()).expect("resolving");
-        client.ping().expect("dialing the pooled connection");
+        client.ping().expect("dialing the connection");
         let oversize = Message::RemoveEngine {
             name: "x".repeat(MAX_FRAME_BYTES),
         };
         let err = client.call(&oversize).unwrap_err();
         assert_eq!(err.kind, TransportErrorKind::Protocol, "{err:?}");
-        client.ping().expect("the pooled connection is untouched");
+        client.ping().expect("the connection is untouched");
     }
 
     #[test]
@@ -1261,5 +1247,155 @@ mod tests {
         }
         send(&mut stream, 6, &Message::GetRepresentative);
         assert!(matches!(recv(&mut stream), (6, Message::Error { .. })));
+    }
+
+    #[test]
+    #[ignore = "waits out the 30 s request deadline"]
+    fn a_request_past_its_deadline_is_answered_on_a_quiet_connection() {
+        let (release, held) = mpsc::channel();
+        let server = FrameServer::bind(
+            Arc::new(Sleepy(Mutex::new(held))),
+            "127.0.0.1:0",
+            ServerConfig { workers: 1 },
+        )
+        .expect("binding");
+        let mut stream = TcpStream::connect(server.addr()).expect("connecting");
+        stream
+            .set_read_timeout(Some(REQUEST_TIMEOUT * 2))
+            .expect("read timeout");
+        send(&mut stream, 7, &Message::Hello { subscribe: false });
+        assert!(matches!(recv(&mut stream), (7, Message::HelloAck { .. })));
+
+        // Nothing else crosses the connection while the worker holds it.
+        let sent = Instant::now();
+        send(&mut stream, 1, &Message::GetRepresentative);
+        let reply = read_frame(&mut stream);
+        let took = sent.elapsed();
+        drop(release);
+        let frame = reply.unwrap_or_else(|e| panic!("no reply after {took:?}: {e}"));
+        match Message::decode(frame.kind, &frame.payload) {
+            Ok(Message::Error { detail }) if frame.corr == 1 => {
+                assert!(detail.contains("deadline"), "{detail}")
+            }
+            other => panic!("expected the deadline's Error on corr 1, got {other:?}"),
+        }
+        let late = REQUEST_TIMEOUT + Duration::from_millis(50);
+        assert!(
+            (REQUEST_TIMEOUT..=late).contains(&took),
+            "answered after {took:?}"
+        );
+    }
+
+    /// A request connection stamped `now`, over a loopback socket nobody
+    /// reads: the deadline tests below only look at what it queues.
+    fn conn_at(now: Instant) -> EventConn {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("binding");
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).expect("connecting");
+        let mut conn = EventConn::new(stream, 1, now);
+        conn.kind = ConnKind::Request;
+        conn
+    }
+
+    /// The frames `conn` has queued since the last look, as (corr, reply).
+    fn queued(conn: &mut EventConn) -> Vec<(u64, Message)> {
+        let mut rest = &conn.wbuf[..];
+        let mut out = Vec::new();
+        while let Some((frame, used)) = parse_frame(rest, MAX_FRAME_BYTES).unwrap() {
+            out.push((
+                frame.corr,
+                Message::decode(frame.kind, &frame.payload).unwrap(),
+            ));
+            rest = &rest[used..];
+        }
+        conn.wbuf.clear();
+        out
+    }
+
+    const NS: Duration = Duration::from_nanos(1);
+
+    #[test]
+    fn a_deadline_never_fires_early_and_fires_once() {
+        let t0 = Instant::now();
+        let mut conn = conn_at(t0);
+        conn.handed_over.push_back((5, t0 + REQUEST_TIMEOUT));
+        assert_eq!(conn.next_deadline(), Some(t0 + REQUEST_TIMEOUT));
+        conn.expire(t0 + REQUEST_TIMEOUT - NS);
+        assert!(queued(&mut conn).is_empty(), "fired early");
+
+        conn.expire(t0 + REQUEST_TIMEOUT);
+        match &queued(&mut conn)[..] {
+            [(5, Message::Error { detail })] => assert!(detail.contains("deadline"), "{detail}"),
+            other => panic!("expected one Error on corr 5, got {other:?}"),
+        }
+        // Answered: the worker's late reply and later passes add nothing.
+        conn.answer(5, &Message::Pong, t0 + REQUEST_TIMEOUT + NS);
+        conn.expire(t0 + REQUEST_TIMEOUT + TICK);
+        assert!(queued(&mut conn).is_empty(), "fired twice");
+        assert!(!conn.dead);
+    }
+
+    #[test]
+    fn an_answered_request_disarms_its_deadline() {
+        let t0 = Instant::now();
+        let mut conn = conn_at(t0);
+        conn.handed_over.push_back((5, t0 + REQUEST_TIMEOUT));
+        conn.handed_over.push_back((6, t0 + REQUEST_TIMEOUT + NS));
+        // Out of order: the younger request's reply comes home first.
+        let answered = t0 + TICK;
+        conn.answer(6, &Message::Pong, answered);
+        assert_eq!(conn.next_deadline(), Some(t0 + REQUEST_TIMEOUT));
+        conn.answer(5, &Message::Pong, answered);
+        assert_eq!(conn.next_deadline(), Some(answered + REQUEST_IDLE_TIMEOUT));
+        // Past both deadlines, short of the idle one.
+        conn.expire(answered + REQUEST_IDLE_TIMEOUT - NS);
+        let corrs: Vec<u64> = queued(&mut conn).into_iter().map(|(c, _)| c).collect();
+        assert_eq!(corrs, [6, 5]);
+        assert!(!conn.dead);
+    }
+
+    #[test]
+    fn a_connection_idles_out_only_with_nothing_handed_over() {
+        let t0 = Instant::now();
+        let mut quiet = conn_at(t0);
+        quiet.expire(t0 + REQUEST_IDLE_TIMEOUT - NS);
+        assert!(!quiet.dead, "idled out early");
+        quiet.expire(t0 + REQUEST_IDLE_TIMEOUT);
+        assert!(quiet.dead);
+
+        // The same silence while the server owes an answer: the deadline
+        // answers, and the idle clock starts from that answer.
+        let mut waiting = conn_at(t0);
+        waiting.handed_over.push_back((1, t0 + REQUEST_TIMEOUT));
+        waiting.expire(t0 + REQUEST_TIMEOUT);
+        assert!(
+            !waiting.dead,
+            "a connection waiting on the server is not idle"
+        );
+        assert_eq!(queued(&mut waiting).len(), 1);
+        let idle = t0 + REQUEST_TIMEOUT + REQUEST_IDLE_TIMEOUT;
+        assert_eq!(waiting.next_deadline(), Some(idle));
+    }
+
+    #[test]
+    fn with_nothing_armed_there_is_no_timeout() {
+        let t0 = Instant::now();
+        let mut subscriber = conn_at(t0);
+        subscriber.kind = ConnKind::Subscriber;
+        assert_eq!(subscriber.next_deadline(), None);
+        subscriber.expire(t0 + REQUEST_IDLE_TIMEOUT * 10);
+        assert!(!subscriber.dead);
+        let mut retry = None;
+        assert_eq!(listener_interest(&mut retry, t0), POLLIN);
+        assert_eq!(retry, None);
+    }
+
+    #[test]
+    fn the_listener_rejoins_the_poll_set_a_tick_after_a_failed_accept() {
+        let t0 = Instant::now();
+        let mut retry = Some(t0 + TICK);
+        assert_eq!(listener_interest(&mut retry, t0 + TICK - NS), 0);
+        assert_eq!(retry, Some(t0 + TICK), "the listener's deadline");
+        assert_eq!(listener_interest(&mut retry, t0 + TICK), POLLIN);
+        assert_eq!(retry, None);
     }
 }

@@ -347,8 +347,7 @@ fn interleaved_replies_reassemble_by_correlation_id() {
             ..strict()
         },
     )
-    .unwrap()
-    .pool_connections(1);
+    .unwrap();
     let a = client.clone();
     let t = std::thread::spawn(move || a.true_usefulness("ab", 0.0).unwrap());
     let u_b = client.true_usefulness("wxyz", 0.0).unwrap();

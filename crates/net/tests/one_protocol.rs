@@ -272,9 +272,7 @@ fn garbling_peer() -> SocketAddr {
 
 #[test]
 fn an_undecodable_reply_does_not_strand_the_calls_beside_it() {
-    let client = RemoteEngine::with_config(garbling_peer(), config())
-        .unwrap()
-        .pool_connections(1);
+    let client = RemoteEngine::with_config(garbling_peer(), config()).unwrap();
     // Dial the one pooled connection first, so both searches reuse it.
     client.ping().unwrap();
 
