@@ -481,7 +481,7 @@ pub fn front_door_start(
     let flag = Arc::clone(&stop);
     let fd_bg = Arc::clone(&fd);
     let thread = std::thread::Builder::new()
-        .name("seu-front-door-upkeep".to_string())
+        .name("seu-door-upkeep".to_string())
         .spawn(move || {
             while !flag.load(Ordering::SeqCst) {
                 std::thread::sleep(std::time::Duration::from_millis(500));

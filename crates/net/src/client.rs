@@ -6,13 +6,16 @@
 //!
 //! The client keeps **one connection per peer**, shared by every clone
 //! of the same handle and dialed on first use. It is multiplexed:
-//! requests are stamped with a fresh correlation id, a dedicated reader
-//! thread routes reply frames back to their callers by id, and every
-//! call in flight to the peer shares the socket. Per-request deadlines
-//! are enforced by the waiting caller — a condvar wait bounded by
-//! [`RemoteEngineConfig::call_timeout`] — not by socket-level read
-//! timeouts, so one slow request never delays the replies interleaved
-//! behind it.
+//! requests are stamped with a fresh correlation id, replies are routed
+//! back to their callers by id, and every call in flight to the peer
+//! shares the socket. **No thread reads it: a caller waiting for a reply
+//! does**, `poll`ing until its own deadline and routing each reply to
+//! its call's slot, which wakes that call's caller and no other; the
+//! callers behind it park on their own slots, and when its reply lands
+//! or its deadline passes it hands the socket to one of them. A deadline
+//! is reported only after a look at what the socket already holds. Each
+//! caller's deadline ([`RemoteEngineConfig::call_timeout`] at most) is
+//! its own, so one slow request never delays the replies behind it.
 //!
 //! A call is **two halves**: `begin` takes the connection and writes the
 //! request, `finish` waits for the reply and applies every policy
@@ -22,7 +25,8 @@
 //! lot; the blocking `call` is the two back to back. The handle between
 //! the halves is a guard: dropped unfinished, it gives back its reply
 //! slot, and the reply that then arrives for nobody is counted
-//! (`net_client_late_replies_total`).
+//! (`net_client_late_replies_total`) when the next call on the
+//! connection reads it.
 //!
 //! A peer whose handshake ack does not echo the `Hello`'s correlation
 //! id cannot multiplex, and is refused with a typed `Protocol` error.
@@ -41,8 +45,12 @@
 //! and dials only if none is, so the calls a lost connection carried
 //! cost one redial between them.
 
-use crate::frame::{check_outbound, io_error, read_frame, write_frame_corr};
+use crate::frame::{
+    check_outbound, frame_bytes, io_error, parse_frame, read_frame, write_frame_corr,
+    MAX_FRAME_BYTES,
+};
 use crate::metrics::metrics;
+use crate::poll::{self, PollFd, POLLIN};
 use crate::wire::Message;
 use seu_engine::{Fingerprint, TrueUsefulness};
 use seu_metasearch::{
@@ -50,15 +58,22 @@ use seu_metasearch::{
     TransportErrorKind,
 };
 use std::collections::HashMap;
-use std::io::BufReader;
+use std::io::{ErrorKind, Read};
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 /// Default ceiling on the exponential retry backoff.
 const DEFAULT_MAX_BACKOFF: Duration = Duration::from_secs(2);
+
+/// The least a read asks for: a whole reply, or several pipelined ones.
+const READ_CHUNK: usize = 16 * 1024;
+
+/// A read buffer left empty above this size is released: a snapshot
+/// grew it, and the connection would hold that much for its life.
+const KEEP_BUFFER: usize = 64 * 1024;
 
 /// Timeouts and retry policy for a [`RemoteEngine`].
 #[derive(Debug, Clone, Copy)]
@@ -91,24 +106,129 @@ fn backoff_delay(base: Duration, attempt: u32, cap: Duration) -> Duration {
     base.saturating_mul(2u32.saturating_pow(attempt)).min(cap)
 }
 
-/// A slot one waiting caller watches: `None` until the reader thread
-/// (or a connection-death sweep) fills it, stamped with when it did.
-type ReplySlot = Option<(Instant, Result<Message, TransportError>)>;
+/// One call's claim on its connection: its reply once routed, stamped
+/// with when it was read, and its caller's thread while parked for it.
+#[derive(Default)]
+struct Slot {
+    reply: Option<(Instant, Result<Message, TransportError>)>,
+    waiter: Option<Thread>,
+}
 
-/// The connection to the peer: a locked writer half and a reader thread
-/// routing replies into `pending` by correlation id.
+/// What was read off a connection but not yet framed, `buf[..end]`; the
+/// rest of `buf` is zero-filled room. Its holder reads for every call.
+#[derive(Default)]
+struct ReadBuf {
+    buf: Vec<u8>,
+    end: usize,
+}
+
+impl ReadBuf {
+    /// One read, with room for at least what the frame in progress still
+    /// lacks: a large frame grows the buffer, zero-filled, once.
+    fn fill(&mut self, mut stream: &TcpStream) -> std::io::Result<()> {
+        let want = frame_bytes(&self.buf[..self.end]).max(READ_CHUNK);
+        if self.buf.len() < want {
+            self.buf.resize(want, 0);
+        }
+        match stream.read(&mut self.buf[self.end..]) {
+            Ok(0) => Err(ErrorKind::UnexpectedEof.into()),
+            Ok(read) => {
+                self.end += read;
+                Ok(())
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => Ok(()),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Drops the first `used` bytes, framed. A buffer left empty is
+    /// released if a large frame grew it past [`KEEP_BUFFER`].
+    fn consume(&mut self, used: usize) {
+        if used > 0 {
+            self.buf.copy_within(used..self.end, 0);
+            self.end -= used;
+        }
+        if self.end == 0 && self.buf.capacity() > KEEP_BUFFER {
+            *self = ReadBuf::default();
+        }
+    }
+}
+
+/// The calls on one connection, and its read buffer while none of their
+/// callers is reading.
+struct Calls {
+    slots: HashMap<u64, Slot>,
+    reader: Option<ReadBuf>,
+}
+
+/// The connection to the peer; `writing` keeps each writer's frame whole.
 struct Conn {
-    writer: Mutex<TcpStream>,
-    pending: Mutex<HashMap<u64, ReplySlot>>,
-    cv: Condvar,
+    stream: TcpStream,
+    writing: Mutex<()>,
+    pending: Mutex<Calls>,
     alive: AtomicBool,
 }
 
 impl Conn {
     fn kill(&self) {
         self.alive.store(false, Ordering::Release);
-        if let Ok(w) = self.writer.lock() {
-            let _ = w.shutdown(Shutdown::Both);
+        let _ = self.stream.shutdown(Shutdown::Both);
+    }
+
+    /// Puts `result` in `corr`'s slot and wakes the caller parked for it,
+    /// and no other. A reply no call waits for any more is counted.
+    fn route(&self, corr: u64, result: Result<Message, TransportError>) {
+        let waiter = match lock_unpoisoned(&self.pending).slots.get_mut(&corr) {
+            Some(slot) => {
+                slot.reply = Some((Instant::now(), result));
+                slot.waiter.take()
+            }
+            None => {
+                metrics().client_late_replies.inc();
+                None
+            }
+        };
+        if let Some(waiter) = waiter {
+            waiter.unpark();
+        }
+    }
+
+    /// Reads for every call on the connection until `corr`'s reply is
+    /// routed, or `until` has passed and the socket holds no more.
+    fn read_for(&self, rb: &mut ReadBuf, corr: u64, until: Instant) -> Result<(), TransportError> {
+        loop {
+            let (mut used, mut ours) = (0, false);
+            while let Some((frame, n)) = parse_frame(&rb.buf[used..rb.end], MAX_FRAME_BYTES)? {
+                used += n;
+                ours |= frame.corr == corr;
+                let result = Message::decode(frame.kind, &frame.payload);
+                let garbled = result.is_err();
+                self.route(frame.corr, result);
+                if garbled {
+                    // The stream can no longer be trusted; the calls beside
+                    // this one lose their connection, no more.
+                    let detail =
+                        format!("dropped after an undecodable reply (corr {})", frame.corr);
+                    return Err(TransportError::new(
+                        TransportErrorKind::ConnectionLost,
+                        detail,
+                    ));
+                }
+            }
+            rb.consume(used);
+            if ours {
+                return Ok(());
+            }
+            // Past the deadline, a look at what is already there.
+            let left = until.saturating_duration_since(Instant::now());
+            match poll::wait(&mut [PollFd::new(&self.stream, POLLIN)], Some(left)) {
+                Ok(0) if left.is_zero() => return Ok(()),
+                Ok(0) => {}
+                Ok(_) => rb
+                    .fill(&self.stream)
+                    .map_err(|e| io_error(&e, "reading a reply"))?,
+                Err(e) => return Err(io_error(&e, "awaiting a reply")),
+            }
         }
     }
 }
@@ -216,29 +336,19 @@ impl MuxClient {
         }
     }
 
-    /// Dials, handshakes, and spawns the reader thread for a new
-    /// connection.
+    /// Dials and handshakes a new connection, which its waiting callers
+    /// read, `poll`ing first: the handshake's read timeout never bites.
     fn dial(&self) -> Result<Arc<Conn>, TransportError> {
         let (stream, _) = self.handshake(false)?;
-        // The reader thread blocks until a frame arrives; deadlines are
-        // enforced by the waiting callers instead.
-        stream
-            .set_read_timeout(None)
-            .map_err(|e| io_error(&e, "configuring socket"))?;
-        let read_half = stream
-            .try_clone()
-            .map_err(|e| io_error(&e, "cloning the stream"))?;
         let conn = Arc::new(Conn {
-            writer: Mutex::new(stream),
-            pending: Mutex::new(HashMap::new()),
-            cv: Condvar::new(),
+            stream,
+            writing: Mutex::new(()),
+            pending: Mutex::new(Calls {
+                slots: HashMap::new(),
+                reader: Some(ReadBuf::default()),
+            }),
             alive: AtomicBool::new(true),
         });
-        let for_reader = Arc::clone(&conn);
-        std::thread::Builder::new()
-            .name("seu-net-reader".to_string())
-            .spawn(move || reader_loop(for_reader, read_half))
-            .map_err(|e| io_error(&e, "spawning reader thread"))?;
         metrics().client_connects.inc();
         Ok(conn)
     }
@@ -260,28 +370,30 @@ impl MuxClient {
     }
 
     /// Puts one frame of the request on `conn` under a fresh correlation
-    /// id, whose `pending` slot is the caller's to take or remove.
+    /// id, whose slot is the caller's to take or remove.
     fn send(&self, conn: &Conn, kind: u8, payload: &[u8]) -> Result<u64, TransportError> {
         // Refused before the socket is touched: the connection and the
         // calls pipelined on it are none the worse.
         check_outbound(kind, payload)?;
         let corr = self.next_corr.fetch_add(1, Ordering::Relaxed);
-        lock_unpoisoned(&conn.pending).insert(corr, None);
+        lock_unpoisoned(&conn.pending)
+            .slots
+            .insert(corr, Slot::default());
         let sent = {
-            let mut writer = lock_unpoisoned(&conn.writer);
-            write_frame_corr(&mut *writer, corr, kind, payload)
+            let _writing = lock_unpoisoned(&conn.writing);
+            write_frame_corr(&mut &conn.stream, corr, kind, payload)
         };
         if let Err(e) = sent {
-            lock_unpoisoned(&conn.pending).remove(&corr);
+            lock_unpoisoned(&conn.pending).slots.remove(&corr);
             // A partial frame may be on the wire; nothing after it can
             // be trusted.
             conn.kill();
             return Err(e);
         }
         if !conn.alive.load(Ordering::Acquire) {
-            // The reader may have swept `pending` before our slot
+            // A reading caller may have swept the slots before ours
             // existed; do not wait a full timeout to learn that.
-            lock_unpoisoned(&conn.pending).remove(&corr);
+            lock_unpoisoned(&conn.pending).slots.remove(&corr);
             return Err(TransportError::new(
                 TransportErrorKind::ConnectionLost,
                 "connection died before the request was sent",
@@ -290,10 +402,11 @@ impl MuxClient {
         Ok(corr)
     }
 
-    /// Waits for the reply to `attempt` and returns it with its arrival
-    /// time. The wait ends at the call timeout counted from the send, or
-    /// at the caller's own deadline `until` if that comes first; the
-    /// slot goes with the attempt.
+    /// Waits for the reply to `attempt` and returns it with the time a
+    /// caller read it. The wait ends at the call timeout counted from the
+    /// send, or at the caller's own deadline `until` if that comes first;
+    /// the slot goes with the attempt. With nobody reading, this caller
+    /// reads for all and then hands the socket on; else it parks.
     fn wait(
         &self,
         attempt: &Attempt,
@@ -301,30 +414,57 @@ impl MuxClient {
     ) -> Result<(Message, Instant), TransportError> {
         let corr = attempt.corr.clone()?;
         let conn = &*attempt.conn;
-        let call_deadline = attempt.sent + self.config.call_timeout;
+        let timeout = self.config.call_timeout;
+        let call_deadline = attempt.sent + timeout;
         let deadline = until.map_or(call_deadline, |u| u.min(call_deadline));
         let mut pending = lock_unpoisoned(&conn.pending);
+        let mut read = false;
         loop {
-            if let Some((arrived, result)) = pending.get_mut(&corr).and_then(|slot| slot.take()) {
-                return result.map(|reply| (reply, arrived));
+            let calls = &mut *pending;
+            let slot = calls.slots.get_mut(&corr).expect("own slot");
+            slot.waiter = None; // awake: not a follower to hand over to
+            if let Some((read_at, result)) = slot.reply.take() {
+                return result.map(|reply| (reply, read_at));
             }
+            // No reply: read past the deadline, or past it while another
+            // caller reads.
             let now = Instant::now();
-            if now >= deadline {
-                let detail = if now >= call_deadline {
-                    format!(
-                        "no reply within {:?} (corr {corr})",
-                        self.config.call_timeout
-                    )
-                } else {
-                    format!("no reply by the request's deadline (corr {corr})")
-                };
-                return Err(TransportError::new(TransportErrorKind::Timeout, detail));
+            if read || (now >= deadline && calls.reader.is_none()) {
+                break;
             }
-            pending = match conn.cv.wait_timeout(pending, deadline - now) {
-                Ok((guard, _)) => guard,
-                Err(e) => e.into_inner().0,
-            };
+            if let Some(mut reader) = calls.reader.take() {
+                drop(pending);
+                let failed = conn.read_for(&mut reader, corr, deadline).err();
+                pending = lock_unpoisoned(&conn.pending);
+                let mut waiting = pending.slots.values_mut().filter(|s| s.reply.is_none());
+                if let Some(cause) = failed {
+                    // Killed, and every call still waiting fails with it.
+                    reader = ReadBuf::default();
+                    conn.kill();
+                    for slot in waiting {
+                        slot.reply = Some((Instant::now(), Err(cause.clone())));
+                        if let Some(waiter) = slot.waiter.take() {
+                            waiter.unpark();
+                        }
+                    }
+                } else if let Some(next) = waiting.find_map(|s| s.waiter.take()) {
+                    next.unpark(); // the socket, to one caller still waiting
+                }
+                pending.reader = Some(reader);
+                read = true;
+                continue;
+            }
+            slot.waiter = Some(std::thread::current());
+            drop(pending);
+            std::thread::park_timeout(deadline - now);
+            pending = lock_unpoisoned(&conn.pending);
         }
+        let detail = if Instant::now() >= call_deadline {
+            format!("no reply within {timeout:?} (corr {corr})")
+        } else {
+            format!("no reply by the request's deadline (corr {corr})")
+        };
+        Err(TransportError::new(TransportErrorKind::Timeout, detail))
     }
 
     /// Acquires the connection and puts the request on it. A failed send
@@ -413,10 +553,10 @@ impl MuxClient {
 }
 
 /// One attempt's claim on the connection: once the request is on the
-/// wire, the `pending` slot its reply lands in. Dropping the claim gives
-/// it back, so an attempt abandoned between the halves (a panic, a
-/// request deadline) leaks nothing, and its late reply is counted by
-/// `net_client_late_replies_total`.
+/// wire, the slot its reply lands in. Dropping the claim gives it back,
+/// so an attempt abandoned between the halves (a panic, a request
+/// deadline) leaks nothing, and its late reply is counted by
+/// `net_client_late_replies_total` when the next call reads it.
 struct Attempt {
     conn: Arc<Conn>,
     /// Dialed for this attempt (see [`MuxClient::acquire`]).
@@ -430,7 +570,7 @@ struct Attempt {
 impl Drop for Attempt {
     fn drop(&mut self) {
         if let Ok(corr) = self.corr {
-            lock_unpoisoned(&self.conn.pending).remove(&corr);
+            lock_unpoisoned(&self.conn.pending).slots.remove(&corr);
         }
     }
 }
@@ -447,13 +587,13 @@ pub(crate) struct InFlight {
 
 impl InFlight {
     /// The second half of a call: waits for the reply and returns it
-    /// with its arrival time, under the client's timeouts and retry
-    /// policy, recording latency and failure metrics. The call timeout
-    /// counts from the send; `until`, when given, is the caller's own
-    /// deadline, and ends the wait, the retries and their backoff early.
-    /// The latency histogram times each attempt individually, to the
-    /// reply's arrival — neither backoff sleeps nor the time a reply
-    /// lay waiting to be collected are wire time.
+    /// with the time a caller read it, under the client's timeouts and
+    /// retry policy, recording latency and failure metrics. The call
+    /// timeout counts from the send; `until`, when given, is the caller's
+    /// own deadline, and ends the wait, the retries and their backoff
+    /// early. The latency histogram times each attempt to the reply's
+    /// read, not counting backoff sleeps: an upper bound on the wire time
+    /// of a reply that waited in the socket while its caller was busy.
     pub(crate) fn finish(
         self,
         until: Option<Instant>,
@@ -518,62 +658,12 @@ impl<T: Send> Pending<T> for Asked<T> {
     }
 }
 
-impl Drop for MuxClient {
-    fn drop(&mut self) {
-        // Shut the socket down so the detached reader thread sees EOF and
-        // exits rather than blocking forever on its cloned half.
-        if let Some(conn) = &*lock_unpoisoned(&self.conn) {
-            conn.kill();
-        }
-    }
-}
-
 impl std::fmt::Debug for MuxClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MuxClient")
             .field("addrs", &self.addrs)
             .finish()
     }
-}
-
-/// Routes reply frames to their waiting callers until the connection
-/// dies, then kills it and fails every still-pending request with the
-/// cause.
-fn reader_loop(conn: Arc<Conn>, stream: TcpStream) {
-    // One `read` fetches a whole reply (or several pipelined ones)
-    // instead of one for the header and one for the payload.
-    let mut stream = BufReader::with_capacity(16 * 1024, stream);
-    let cause = loop {
-        let frame = match read_frame(&mut stream) {
-            Ok(frame) => frame,
-            Err(e) => break e,
-        };
-        let result = Message::decode(frame.kind, &frame.payload);
-        let undecodable = result.is_err();
-        match lock_unpoisoned(&conn.pending).get_mut(&frame.corr) {
-            Some(slot) => *slot = Some((Instant::now(), result)),
-            None => metrics().client_late_replies.inc(),
-        }
-        conn.cv.notify_all();
-        if undecodable {
-            // Framing survived but the payload is garbage: the stream can
-            // no longer be trusted. The calls beside this one lost their
-            // connection, no more — a reused one is redialed.
-            let corr = frame.corr;
-            break TransportError::new(
-                TransportErrorKind::ConnectionLost,
-                format!("connection dropped after an undecodable reply (corr {corr})"),
-            );
-        }
-    };
-    conn.kill();
-    let now = Instant::now();
-    for slot in lock_unpoisoned(&conn.pending).values_mut() {
-        if slot.is_none() {
-            *slot = Some((now, Err(cause.clone())));
-        }
-    }
-    conn.cv.notify_all();
 }
 
 /// A TCP client for one [`EngineServer`](crate::EngineServer), usable as
@@ -620,8 +710,8 @@ impl RemoteEngine {
     /// Opens a subscription connection: the engine server will push an
     /// invalidation notice over it whenever its collection changes, and
     /// `on_notice(name, fingerprint, epoch)` runs (on a dedicated reader
-    /// thread) for each. The subscription lives until the returned
-    /// handle is closed or dropped, or the server goes away.
+    /// thread, `ns:<engine>`) for each. The subscription lives until the
+    /// returned handle is closed or dropped, or the server goes away.
     pub fn subscribe_with(
         &self,
         on_notice: impl Fn(&str, Fingerprint, u64) + Send + 'static,
@@ -635,7 +725,7 @@ impl RemoteEngine {
             .try_clone()
             .map_err(|e| io_error(&e, "cloning subscription stream"))?;
         let thread = std::thread::Builder::new()
-            .name(format!("seu-net-subscribe-{name}"))
+            .name(format!("ns:{name}"))
             .spawn(move || subscription_loop(read_half, on_notice))
             .map_err(|e| io_error(&e, "spawning subscription reader"))?;
         Ok(Subscription {
@@ -827,7 +917,8 @@ mod tests {
     /// query — once it holds `gate` requests, all connections counted,
     /// so a test can prove that many were in flight at once. While
     /// `drops` is positive the requests that open the gate cost their
-    /// connections instead.
+    /// connections instead. A search for [`UNANSWERED`] is never
+    /// answered, nor counted.
     struct Echo {
         addr: SocketAddr,
         accepted: Arc<AtomicUsize>,
@@ -835,6 +926,8 @@ mod tests {
     }
 
     type Held = Arc<Mutex<Vec<(TcpStream, u64, String)>>>;
+
+    const UNANSWERED: &str = "unanswered";
 
     fn echo(gate: usize) -> Echo {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -863,6 +956,7 @@ mod tests {
                     name: "echo".to_string(),
                 },
                 Ok(Message::Ping) => Message::Pong,
+                Ok(Message::SearchDocs { query, .. }) if query == UNANSWERED => continue,
                 Ok(Message::SearchDocs { query, .. }) => {
                     let mut held = held.lock().unwrap();
                     held.push((stream.try_clone().unwrap(), frame.corr, query));
@@ -928,7 +1022,16 @@ mod tests {
             }
         });
         let conn = lock_unpoisoned(&client.conn).clone().unwrap();
-        assert!(lock_unpoisoned(&conn.pending).is_empty());
+        assert!(lock_unpoisoned(&conn.pending).slots.is_empty());
+    }
+
+    /// Waits until the calls on `conn` are as `ready` says.
+    fn wait_for(conn: &Conn, ready: impl Fn(&Calls) -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !ready(&lock_unpoisoned(&conn.pending)) {
+            assert!(Instant::now() < deadline, "the calls never got there");
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     #[test]
@@ -939,9 +1042,9 @@ mod tests {
         let client = client(&echo);
         let call = client.begin(&ask("abandoned"));
         let conn = lock_unpoisoned(&client.conn).clone().unwrap();
-        assert_eq!(lock_unpoisoned(&conn.pending).len(), 1);
+        assert_eq!(lock_unpoisoned(&conn.pending).slots.len(), 1);
         drop(call);
-        assert!(lock_unpoisoned(&conn.pending).is_empty());
+        assert!(lock_unpoisoned(&conn.pending).slots.is_empty());
         // The connection is none the worse.
         client.ping().unwrap();
         assert_eq!(echo.accepted.load(Ordering::SeqCst), 1);
@@ -986,5 +1089,83 @@ mod tests {
         let echo = echo(64);
         begin_and_finish(&client(&echo), 64);
         assert_eq!(echo.accepted.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn a_reply_reaches_its_caller_while_another_caller_reads() {
+        let echo = echo(1);
+        let client = client(&echo);
+        let reading = client.begin(&ask(UNANSWERED));
+        let conn = lock_unpoisoned(&client.conn).clone().unwrap();
+        let until = Instant::now() + Duration::from_secs(1);
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(move || reading.finish(Some(until)));
+            wait_for(&conn, |calls| calls.reader.is_none());
+
+            let started = Instant::now();
+            assert_eq!(doc_of(client.begin(&ask("routed")).finish(None)), "routed");
+            let took = started.elapsed();
+            assert!(took < Duration::from_millis(500), "waited {took:?}");
+            assert!(!reader.is_finished(), "the first caller still reads");
+            assert!(lock_unpoisoned(&conn.pending).reader.is_none());
+
+            let err = reader.join().unwrap().unwrap_err();
+            assert_eq!(err.kind, TransportErrorKind::Timeout, "{err}");
+        });
+    }
+
+    #[test]
+    fn a_reader_past_its_deadline_hands_the_socket_to_a_waiting_caller() {
+        // Gate 2: the follower is answered only with a third call, begun
+        // once the reader has given up.
+        let echo = echo(2);
+        let client = client(&echo);
+        let reading = client.begin(&ask(UNANSWERED));
+        let following = client.begin(&ask("follower"));
+        let conn = lock_unpoisoned(&client.conn).clone().unwrap();
+        let until = Instant::now() + Duration::from_millis(500);
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(move || reading.finish(Some(until)));
+            wait_for(&conn, |calls| calls.reader.is_none());
+            let follower = scope.spawn(move || {
+                let started = Instant::now();
+                (doc_of(following.finish(None)), started.elapsed())
+            });
+            wait_for(&conn, |calls| {
+                calls.slots.values().any(|s| s.waiter.is_some())
+            });
+
+            let err = reader.join().unwrap().unwrap_err();
+            assert_eq!(err.kind, TransportErrorKind::Timeout, "{err}");
+            let third = client.begin(&ask("third"));
+            let (doc, waited) = follower.join().unwrap();
+            assert_eq!(doc, "follower");
+            // Not handed the socket, it would sleep out its 5 s timeout.
+            assert!(waited < Duration::from_secs(2), "waited {waited:?}");
+            assert_eq!(doc_of(third.finish(None)), "third");
+        });
+    }
+
+    #[test]
+    fn a_reply_in_the_socket_by_the_deadline_is_returned_past_it() {
+        let echo = echo(1);
+        let client = client(&echo);
+        let call = client.begin(&ask("in time"));
+        let conn = lock_unpoisoned(&client.conn).clone().unwrap();
+        // Until the reply is in the socket, without reading it.
+        conn.stream.peek(&mut [0; 1]).unwrap();
+        assert_eq!(doc_of(call.finish(Some(Instant::now()))), "in time");
+    }
+
+    #[test]
+    fn a_snapshot_sized_reply_leaves_no_snapshot_sized_buffer() {
+        let echo = echo(1);
+        let client = client(&echo);
+        let big = "x".repeat(4 << 20);
+        assert_eq!(doc_of(client.begin(&ask(&big)).finish(None)), big);
+        let conn = lock_unpoisoned(&client.conn).clone().unwrap();
+        let calls = lock_unpoisoned(&conn.pending);
+        let kept = calls.reader.as_ref().unwrap().buf.capacity();
+        assert!(kept <= KEEP_BUFFER, "{kept} bytes kept");
     }
 }

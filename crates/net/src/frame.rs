@@ -20,10 +20,10 @@
 //! framing (bad magic, unsupported version, oversized length) is
 //! [`TransportErrorKind::Protocol`].
 //!
-//! Two read paths exist: the blocking [`read_frame`] for dedicated
-//! reader threads, and the incremental [`parse_frame`] the server's
-//! readiness event loop uses against its per-connection read buffer
-//! (nonblocking sockets never get to block in `read_exact`).
+//! Two read paths exist: the blocking [`read_frame`] for handshakes and
+//! subscriptions, and the incremental [`parse_frame`] over a read buffer:
+//! the server loop keeps one per connection, and a client connection's is
+//! read by whichever caller waits on it (neither blocks in `read_exact`).
 
 use crate::metrics::metrics;
 use seu_metasearch::{TransportError, TransportErrorKind};
@@ -183,6 +183,15 @@ pub fn parse_frame(buf: &[u8], cap: usize) -> Result<Option<(Frame, usize)>, Tra
     )))
 }
 
+/// The bytes `buf`, at a frame boundary, must hold for its first frame
+/// to be whole, as far as they tell; [`parse_frame`] vets the header.
+pub(crate) fn frame_bytes(buf: &[u8]) -> usize {
+    match buf.get(HEADER_BYTES - 4..HEADER_BYTES) {
+        Some(len) => HEADER_BYTES + u32::from_be_bytes(len.try_into().expect("4 bytes")) as usize,
+        None => HEADER_BYTES,
+    }
+}
+
 /// Reads one frame, rejecting bad magic, version mismatches, and
 /// payloads over `cap` bytes before allocating for them.
 pub fn read_frame_capped(r: &mut impl Read, cap: usize) -> Result<Frame, TransportError> {
@@ -313,9 +322,12 @@ mod tests {
         let mut wire = Vec::new();
         write_frame_corr(&mut wire, 3, 5, b"abcdef").unwrap();
         write_frame_corr(&mut wire, 4, 6, b"").unwrap();
-        // No prefix short of the first full frame parses.
+        // No prefix short of the first full frame parses, and each knows
+        // how long that frame is once its header is in.
         for cut in 0..HEADER_BYTES + 6 {
             assert_eq!(parse_frame(&wire[..cut], MAX_FRAME_BYTES).unwrap(), None);
+            let known = if cut < HEADER_BYTES { 0 } else { 6 };
+            assert_eq!(frame_bytes(&wire[..cut]), HEADER_BYTES + known);
         }
         let (first, used) = parse_frame(&wire, MAX_FRAME_BYTES).unwrap().unwrap();
         assert_eq!(

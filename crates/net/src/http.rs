@@ -147,7 +147,7 @@ impl Door {
             started.retain(|thread| !thread.is_finished());
             started.extend(
                 std::thread::Builder::new()
-                    .name("seu-net-http-conn".to_string())
+                    .name("seu-http-conn".to_string())
                     .spawn(move || door.serve_connections(stream, &*broker)),
             );
         }

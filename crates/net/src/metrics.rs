@@ -18,8 +18,8 @@ pub(crate) struct NetMetrics {
     pub(crate) frames_sent: Arc<seu_obs::Counter>,
     /// Frames read.
     pub(crate) frames_received: Arc<seu_obs::Counter>,
-    /// Client-side wall-clock per remote call **attempt** (send to
-    /// reply). Backoff sleeps between retries are excluded so the
+    /// Client-side wall-clock per remote call **attempt** (send to the
+    /// reply's read). Backoff sleeps between retries are excluded so the
     /// histogram measures the wire, not the retry policy.
     pub(crate) rpc_latency: Arc<seu_obs::Histogram>,
     /// Client call attempts that were retried after a transient failure.
@@ -51,7 +51,8 @@ pub(crate) struct NetMetrics {
     /// Pooled connections dialed (TCP connect + handshake completed).
     pub(crate) client_connects: Arc<seu_obs::Counter>,
     /// Reply frames whose correlation id matched no waiting request
-    /// (the request already timed out, or the peer misbehaved).
+    /// (the request already timed out, or the peer misbehaved), counted
+    /// when the next call on its connection reads it.
     pub(crate) client_late_replies: Arc<seu_obs::Counter>,
     /// Batched estimate requests served by engine servers.
     pub(crate) server_batch_requests: Arc<seu_obs::Counter>,
