@@ -139,11 +139,11 @@ pub enum Command {
     Refresh {
         /// Persisted engine files.
         engines: Vec<PathBuf>,
-        /// Directory the portable representatives live in (one
+        /// Directory the string-keyed representatives live in (one
         /// `<engine-stem>.repr` per engine).
         repr_dir: PathBuf,
-        /// Skip engines whose existing representative still matches the
-        /// collection's totals.
+        /// Skip engines whose existing representative file already
+        /// holds the bytes a rebuild would write.
         stale_only: bool,
     },
 }

@@ -4,7 +4,7 @@ use seu_core::{SubrangeEstimator, UsefulnessEstimator};
 use seu_corpus::loader;
 use seu_engine::{Collection, SearchEngine, WeightingScheme};
 use seu_metasearch::{Broker, SearchRequest, SelectionPolicy};
-use seu_repr::{FrozenSummary, PortableRepresentative, QuantizedRepresentative};
+use seu_repr::{FrozenSummary, QuantizedRepresentative};
 use seu_text::{Analyzer, AnalyzerConfig};
 use std::fs;
 use std::io::Write;
@@ -53,9 +53,9 @@ pub fn index(input: &Path, output: &Path, stem: bool, out: &mut dyn Write) -> Re
     .map_err(|e| io_err("writing output", e))
 }
 
-/// `seu repr`: build (optionally quantize) and persist a *portable*
-/// (string-keyed) representative — self-contained, so `seu estimate`
-/// needs nothing else.
+/// `seu repr`: build (optionally quantize) and persist a string-keyed
+/// representative — self-contained, so `seu estimate` needs nothing
+/// else.
 pub fn repr(
     engine: &Path,
     output: &Path,
@@ -63,7 +63,7 @@ pub fn repr(
     out: &mut dyn Write,
 ) -> Result<(), String> {
     let engine = load_engine(engine)?;
-    let summary = PortableRepresentative::build(engine.collection()).freeze();
+    let summary = FrozenSummary::of_collection(engine.collection());
     let summary = if quantize {
         // Quantize the stats through the one-byte codec, keeping the
         // string-keyed vocabulary.
@@ -89,7 +89,7 @@ pub fn repr(
     .map_err(|e| io_err("writing output", e))
 }
 
-/// `seu estimate`: usefulness from a portable representative file alone
+/// `seu estimate`: usefulness from a representative file alone
 /// — no documents, no engine, just the broker-side metadata.
 pub fn estimate(
     repr_path: &Path,
@@ -691,12 +691,11 @@ fn park_forever() -> Result<(), String> {
 }
 
 /// `seu refresh`: the broker-side metadata-propagation sweep, as a
-/// file-based workflow. For each engine file, rebuild its portable
-/// representative into `<repr-dir>/<engine-stem>.repr`; with
-/// `--stale-only`, skip engines whose existing representative still
-/// matches the collection's document count and raw byte total (the same
-/// weak check the broker applies to shipped representatives, since a
-/// serialized summary carries no content hash).
+/// file-based workflow. For each engine file, build its representative
+/// and write it to `<repr-dir>/<engine-stem>.repr`; with `--stale-only`,
+/// leave a file alone when it already holds exactly the bytes this
+/// build would write, so a file is rewritten whenever what it says about
+/// the collection changed.
 pub fn refresh(
     engines: &[PathBuf],
     repr_dir: &Path,
@@ -713,21 +712,12 @@ pub fn refresh(
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_else(|| path.display().to_string());
         let repr_path = repr_dir.join(format!("{stem}.repr"));
-        if stale_only {
-            let fresh = fs::read(&repr_path)
-                .ok()
-                .and_then(|bytes| FrozenSummary::from_bytes(&bytes[..]))
-                .is_some_and(|summary| {
-                    summary.repr.n_docs() == engine.collection().len() as u64
-                        && summary.repr.collection_bytes() == engine.collection().raw_bytes()
-                });
-            if fresh {
-                writeln!(out, "{stem}: up to date").map_err(|e| io_err("writing output", e))?;
-                continue;
-            }
-        }
-        let summary = PortableRepresentative::build(engine.collection()).freeze();
+        let summary = FrozenSummary::of_collection(engine.collection());
         let bytes = summary.to_bytes();
+        if stale_only && fs::read(&repr_path).is_ok_and(|old| old[..] == bytes[..]) {
+            writeln!(out, "{stem}: up to date").map_err(|e| io_err("writing output", e))?;
+            continue;
+        }
         fs::write(&repr_path, &bytes)
             .map_err(|e| io_err(&format!("writing {}", repr_path.display()), e))?;
         writeln!(
@@ -843,6 +833,17 @@ mod tests {
         run_to_string(|out| index(&docs, &engine_file, false, out));
         let msg = run_to_string(|out| refresh(&engines, &repr_dir, true, out));
         assert!(msg.contains("refreshed 1 of 1"), "{msg}");
+
+        // One word swapped for another of the same length: document
+        // count and raw byte total are unchanged, yet the representative
+        // is out of date and is rebuilt.
+        fs::write(docs.join("a.txt"), "mushroom stew with cream").unwrap();
+        run_to_string(|out| index(&docs, &engine_file, false, out));
+        let msg = run_to_string(|out| refresh(&engines, &repr_dir, true, out));
+        assert!(msg.contains("refreshed 1 of 1"), "{msg}");
+        let repr_file = repr_dir.join("cooking.repr");
+        let msg = run_to_string(|out| estimate(&repr_file, "stew", 0.1, out));
+        assert!(msg.contains("rounded 1"), "{msg}");
 
         // Without --stale-only everything is rebuilt unconditionally.
         let msg = run_to_string(|out| refresh(&engines, &repr_dir, false, out));

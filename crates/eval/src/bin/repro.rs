@@ -78,7 +78,7 @@ const COMMANDS: &[Command] = &[
     ),
     (
         "hierarchy",
-        "E13: flat vs two-level broker over 53 databases",
+        "E13: front door over 8 replicas vs flat broker, 53 databases",
         |c| {
             let queries: Vec<Vec<String>> = c.ds.queries.iter().take(800).cloned().collect();
             println!("{}", run_hierarchy(c.seed, &queries, 0.15).text)

@@ -395,82 +395,119 @@ pub fn run_long_queries(ds: &PaperDatasets, seed: u64, config: &EvalConfig) -> E
     ExperimentOutput { text, results }
 }
 
-/// E13 — broker hierarchy ("the approach can be generalized to more than
-/// two levels"): the 53 databases behind 8 regional brokers behind one
-/// super-broker, vs one flat broker over all 53. Compares selection
-/// quality against the engine-level oracle and the number of sites
-/// contacted.
+/// E13 — a broker of brokers ("the approach can be generalized to more
+/// than two levels"): the 53 databases placed on 8 replica brokers
+/// behind a [`FrontDoor`](seu_metasearch::FrontDoor) with the default
+/// configuration, against one flat broker over all 53. Every count is a
+/// delta of the product's own counters: representatives consulted
+/// (`broker_estimates_total`), engine searches (`engine_searches_total`)
+/// and replica calls (`federation_replica_calls_total`). Recall is
+/// against the engine-level oracle, and the front door's selections are
+/// compared with the flat broker's query by query. The last line sizes
+/// term routing: per query, how many replicas are primary for an engine
+/// that holds a query term.
 pub fn run_hierarchy(seed: u64, queries: &[Vec<String>], threshold: f64) -> ExperimentOutput {
     use seu_corpus::many_databases;
-    use seu_metasearch::{Broker, SelectionPolicy, SuperBroker};
+    use seu_metasearch::{
+        Broker, EngineSource, FrontDoor, FrontDoorConfig, LocalReplica, SearchRequest,
+        SearchResponse, SelectionPolicy,
+    };
+    use std::collections::{HashMap, HashSet};
     use std::sync::Arc;
 
+    const REPLICAS: usize = 8;
     let dbs = many_databases(seed, 220);
     let flat = Broker::new(SubrangeEstimator::paper_six_subrange());
-    let superb = SuperBroker::new(SubrangeEstimator::paper_six_subrange());
-    let group_of = |i: usize| i * 8 / dbs.len(); // 8 roughly equal groups
-    let groups: Vec<Broker<SubrangeEstimator>> = (0..8)
-        .map(|_| Broker::new(SubrangeEstimator::paper_six_subrange()))
+    let door = FrontDoor::new(FrontDoorConfig::default());
+    for r in 0..REPLICAS {
+        let replica = Broker::new(SubrangeEstimator::paper_six_subrange());
+        door.add_replica(
+            &format!("region{r}"),
+            Arc::new(LocalReplica::new(Arc::new(replica))),
+        );
+    }
+    for (name, coll) in &dbs {
+        let engine = Arc::new(seu_engine::SearchEngine::new(coll.clone()));
+        flat.register_shared(name, engine.clone());
+        door.register_engine(name, EngineSource::Local(engine))
+            .expect("an in-process replica accepts an in-process engine");
+    }
+    let primary: HashMap<String, String> = door
+        .placements()
+        .into_iter()
+        .map(|(engine, holders)| (engine, holders[0].clone()))
         .collect();
-    for (i, (name, coll)) in dbs.iter().enumerate() {
-        flat.register(name, seu_engine::SearchEngine::new(coll.clone()));
-        groups[group_of(i)].register(name, seu_engine::SearchEngine::new(coll.clone()));
-    }
-    for (g, broker) in groups.into_iter().enumerate() {
-        superb.register_broker(&format!("region{g}"), Arc::new(broker));
-    }
 
-    let policy = SelectionPolicy::EstimatedUseful;
-    // Estimations performed per architecture: the flat broker evaluates
-    // every engine's representative for every query; the super-broker
-    // evaluates 8 group summaries, then only the engines inside the
-    // selected groups. Engine *searches* (the expensive hop) are counted
-    // separately.
-    let mut flat_estimations = 0usize;
-    let mut two_estimations = 0usize;
-    let mut flat_searches = 0usize;
-    let mut two_searches = 0usize;
-    let mut flat_recall_num = 0usize;
-    let mut two_recall_num = 0usize;
-    let mut useful_total = 0usize;
+    // In the order the table prints them.
+    let counters = [
+        "broker_estimates_total",
+        "federation_replica_calls_total",
+        "engine_searches_total",
+    ]
+    .map(seu_obs::counter);
+    let read = || -> [u64; 3] { std::array::from_fn(|i| counters[i].get()) };
+    // Per architecture: the three counters' deltas, then the useful
+    // engines (by the oracle) it selected.
+    let (mut flat_row, mut door_row) = ([0u64; 4], [0u64; 4]);
+    let (mut identical, mut useful_total, mut term_primaries) = (0usize, 0usize, 0usize);
     for tokens in queries {
         let text = tokens.join(" ");
-        let oracle: std::collections::HashSet<String> =
-            flat.oracle_select(&text, threshold).into_iter().collect();
-        let flat_sel: std::collections::HashSet<String> =
-            flat.select(&text, threshold, policy).into_iter().collect();
-        flat_estimations += dbs.len();
-        flat_searches += flat_sel.len();
-
-        let children = superb.select(&text, threshold, policy);
-        two_estimations += superb.len();
-        let mut two_sel: std::collections::HashSet<String> = Default::default();
-        for name in &children {
-            if let Some(broker) = superb.child(name) {
-                two_estimations += broker.len();
-                let engines = broker.select(&text, threshold, policy);
-                two_searches += engines.len();
-                two_sel.extend(engines);
+        let oracle: HashSet<String> = flat.oracle_select(&text, threshold).into_iter().collect();
+        let req = SearchRequest::new(text)
+            .threshold(threshold)
+            .policy(SelectionPolicy::EstimatedUseful);
+        let tally = |row: &mut [u64; 4], before: [u64; 3], resp: SearchResponse| {
+            let after = read();
+            for i in 0..3 {
+                row[i] += after[i] - before[i];
             }
-        }
+            let selected: Vec<String> = resp
+                .per_engine_stats
+                .into_iter()
+                .map(|s| s.engine)
+                .collect();
+            row[3] += selected.iter().filter(|e| oracle.contains(*e)).count() as u64;
+            selected
+        };
+
+        let before = read();
+        let plan = flat.plan(&req, None);
+        let resp = flat
+            .execute_plan(&req, &plan)
+            .expect("nothing changes the registry");
+        let flat_sel = tally(&mut flat_row, before, resp);
+        let before = read();
+        let door_sel = tally(&mut door_row, before, door.execute(&req));
+
+        identical += usize::from(flat_sel == door_sel);
         useful_total += oracle.len();
-        flat_recall_num += oracle.intersection(&flat_sel).count();
-        two_recall_num += oracle.intersection(&two_sel).count();
+        let holding = plan.engines().iter().filter(|e| !e.query().is_empty());
+        term_primaries += holding
+            .map(|e| &primary[&e.name])
+            .collect::<HashSet<_>>()
+            .len();
     }
+    let row = |name: &str, r: [u64; 4]| {
+        format!(
+            "{name:<12} {:>10} {:>14} {:>16} {:>7.3}\n",
+            r[0],
+            r[1],
+            r[2],
+            ratio(r[3] as usize, useful_total)
+        )
+    };
+    let n = queries.len();
     let text = format!(
-        "E13: hierarchy over {} databases (8 regions), {} queries, threshold {threshold}\n\
-         flat broker:      {} representative evaluations, {} engine searches, recall {:.3}\n\
-         two-level broker: {} representative evaluations, {} engine searches, recall {:.3}\n\
-         (oracle useful engine-hits: {})\n",
+        "E13: front door over {} databases on {REPLICAS} replicas, {n} queries, threshold {threshold}\n\
+         architecture  consulted  replica calls  engine searches  recall\n\
+         {}{}\
+         front-door selections identical to the flat broker's in {identical} of {n} queries\n\
+         term-routing headroom: {:.2} of {REPLICAS} replicas a query are primary for an engine holding a query term\n\
+         (oracle useful engine-hits: {useful_total})\n",
         dbs.len(),
-        queries.len(),
-        flat_estimations,
-        flat_searches,
-        ratio(flat_recall_num, useful_total),
-        two_estimations,
-        two_searches,
-        ratio(two_recall_num, useful_total),
-        useful_total,
+        row("flat broker", flat_row),
+        row("front door", door_row),
+        ratio(term_primaries, n),
     );
     ExperimentOutput {
         text,

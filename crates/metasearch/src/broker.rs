@@ -568,9 +568,8 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
     }
 
     /// Shared handles to the registered **local** engines, in
-    /// registration order (used by the hierarchy layer to build group
-    /// summaries). Remote engines are skipped: their collections are not
-    /// resident in this process.
+    /// registration order. Remote engines are skipped: their collections
+    /// are not resident in this process.
     pub fn engines(&self) -> Vec<Arc<SearchEngine>> {
         let local = self.registry.walk(|_, e| e.handle.local().cloned());
         local.items.into_iter().flatten().collect()

@@ -51,7 +51,6 @@ pub mod broker;
 pub mod cache;
 mod dispatch;
 pub mod federation;
-pub mod hierarchy;
 pub mod merge;
 mod persist;
 pub mod plan;
@@ -68,7 +67,6 @@ pub use cache::{CacheKey, CacheMode, CacheStats, CacheTier};
 pub use federation::{
     EngineSource, FederationReport, FrontDoor, FrontDoorConfig, LocalReplica, ReplicaClient,
 };
-pub use hierarchy::SuperBroker;
 pub use merge::merge_results;
 pub use plan::{PlannedEngine, QueryPlan, SharedAnalysis};
 pub use pool::{JobStatus, PoolClosed, WorkerPool};

@@ -40,7 +40,7 @@
 //! of failing the query.
 
 use seu_engine::{weighted_query, Fingerprint, Query, TrueUsefulness, WeightingScheme};
-use seu_repr::{FrozenSummary, Representative};
+use seu_repr::FrozenSummary;
 use seu_text::{Analyzer, AnalyzerConfig, TermId, Vocabulary};
 use std::sync::Arc;
 
@@ -138,12 +138,10 @@ pub struct EngineSnapshot {
 }
 
 impl EngineSnapshot {
-    /// Builds the snapshot an engine server ships for a local engine:
-    /// representative and vocabulary **id-aligned with the collection**
-    /// (term ids, and therefore query vectors, match the in-process
-    /// registration path exactly — unlike a frozen
-    /// [`PortableRepresentative`](seu_repr::PortableRepresentative),
-    /// which reorders terms lexicographically).
+    /// Builds the snapshot an engine server ships for a local engine. Its
+    /// summary is [`FrozenSummary::of_collection`], id-aligned with the
+    /// collection, so term ids, and therefore query vectors, match the
+    /// in-process registration path exactly.
     pub fn of_engine(name: &str, engine: &seu_engine::SearchEngine) -> EngineSnapshot {
         let c = engine.collection();
         EngineSnapshot {
@@ -153,10 +151,7 @@ impl EngineSnapshot {
             n_docs: c.len() as u32,
             doc_freq: c.vocab().iter().map(|(id, _)| c.doc_freq(id)).collect(),
             fingerprint: engine.fingerprint(),
-            summary: FrozenSummary {
-                repr: Representative::build(c),
-                vocab: c.vocab().clone(),
-            },
+            summary: FrozenSummary::of_collection(c),
         }
     }
 
@@ -360,7 +355,6 @@ impl RemoteMeta {
 mod tests {
     use super::*;
     use seu_engine::{CollectionBuilder, SearchEngine};
-    use seu_repr::PortableRepresentative;
 
     fn engine(texts: &[&str]) -> SearchEngine {
         let mut b = CollectionBuilder::new(Analyzer::paper_default(), WeightingScheme::CosineTf);
@@ -405,23 +399,5 @@ mod tests {
         let mut snapshot = snapshot_of("x", &e);
         snapshot.doc_freq.pop();
         assert!(!snapshot.is_consistent());
-    }
-
-    #[test]
-    fn portable_summary_freeze_is_not_id_aligned_but_direct_build_is() {
-        // Guard the invariant the snapshot relies on: shipping
-        // `Representative::build` + the collection's own vocabulary keeps
-        // term ids aligned with `doc_freq`, whereas a frozen
-        // `PortableRepresentative` reorders terms lexicographically.
-        let e = engine(&["zebra apple", "apple"]);
-        let c = e.collection();
-        let direct = snapshot_of("x", &e);
-        assert_eq!(
-            direct.summary.vocab.term(TermId(0)),
-            c.vocab().term(TermId(0))
-        );
-        let frozen = PortableRepresentative::build(c).freeze();
-        // Lexicographic: "apple" first, even though "zebra" was interned first.
-        assert_eq!(frozen.vocab.term(TermId(0)), "apple");
     }
 }

@@ -38,7 +38,7 @@ pub mod subranges;
 pub use accumulator::RepresentativeAccumulator;
 pub use cooccur::CooccurrenceStats;
 pub use percentiles::PercentileRepresentative;
-pub use portable::{FrozenSummary, PortableRepresentative};
+pub use portable::FrozenSummary;
 pub use quantized::QuantizedRepresentative;
 pub use representative::{Representative, SizeReport, TermStats, PAGE_BYTES};
 pub use subranges::{MaxWeightMode, SchemeQuantiles, Subrange, SubrangeScheme};

@@ -1,104 +1,18 @@
-//! Portable, mergeable database summaries — the metadata of a broker
-//! *hierarchy*.
+//! The string-keyed frozen form of a representative: the wire and file
+//! format that travels without the collection.
 //!
-//! The paper notes its two-level architecture "can be generalized to more
-//! than two levels" (and gGlOSS explicitly targets "broker hierarchies").
-//! A higher-level broker then needs a representative of an entire *group*
-//! of databases. Term ids are per-collection, so group summaries are
-//! keyed by term **string** and carry full weight moments per term —
-//! which makes them exactly mergeable: merging the portable summaries of
-//! two databases yields the summary of their union (for the cosine
-//! schemes, whose normalized weights are per-document).
-//!
-//! A frozen summary exposes the familiar `(Representative, Vocabulary)`
-//! pair so the usual estimators run against it unchanged.
+//! A [`Representative`] is indexed by term ids, which mean something
+//! only against the collection's own vocabulary. A [`FrozenSummary`]
+//! carries that vocabulary beside it, so an engine snapshot shipped to
+//! another broker and a `.repr` file on disk are self-contained, and the
+//! usual estimators run against the `(Representative, Vocabulary)` pair
+//! unchanged.
 
-use crate::representative::{Representative, TermStats};
+use crate::representative::Representative;
 use seu_engine::{Collection, Query};
-use seu_stats::Moments;
 use seu_text::Vocabulary;
-use std::collections::BTreeMap;
 
-/// A string-keyed, mergeable database summary.
-#[derive(Debug, Clone, Default)]
-pub struct PortableRepresentative {
-    n_docs: u64,
-    collection_bytes: u64,
-    /// Per-term weight moments, keyed by term string (BTreeMap for
-    /// deterministic freeze order).
-    terms: BTreeMap<String, Moments>,
-}
-
-impl PortableRepresentative {
-    /// Creates an empty summary.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Summarizes one collection.
-    pub fn build(collection: &Collection) -> Self {
-        let mut terms: BTreeMap<String, Moments> = BTreeMap::new();
-        for doc in collection.docs() {
-            for &(term, weight) in &doc.terms {
-                terms
-                    .entry(collection.vocab().term(term).to_string())
-                    .or_default()
-                    .push(weight);
-            }
-        }
-        PortableRepresentative {
-            n_docs: collection.len() as u64,
-            collection_bytes: collection.raw_bytes(),
-            terms,
-        }
-    }
-
-    /// Merges another summary in: the result summarizes the union of the
-    /// two document sets.
-    pub fn merge(&mut self, other: &PortableRepresentative) {
-        self.n_docs += other.n_docs;
-        self.collection_bytes += other.collection_bytes;
-        for (term, m) in &other.terms {
-            self.terms.entry(term.clone()).or_default().merge(m);
-        }
-    }
-
-    /// Number of summarized documents.
-    pub fn n_docs(&self) -> u64 {
-        self.n_docs
-    }
-
-    /// Number of distinct terms.
-    pub fn distinct_terms(&self) -> usize {
-        self.terms.len()
-    }
-
-    /// Freezes into an id-aligned representative + vocabulary, ready for
-    /// the estimators.
-    pub fn freeze(&self) -> FrozenSummary {
-        let mut vocab = Vocabulary::new();
-        let mut stats = Vec::with_capacity(self.terms.len());
-        for (term, m) in &self.terms {
-            vocab.intern(term);
-            stats.push(TermStats {
-                p: if self.n_docs == 0 {
-                    0.0
-                } else {
-                    m.count() as f64 / self.n_docs as f64
-                },
-                mean: m.mean(),
-                std_dev: m.std_dev(),
-                max: m.max(),
-            });
-        }
-        FrozenSummary {
-            repr: Representative::from_parts(self.n_docs, stats, self.collection_bytes),
-            vocab,
-        }
-    }
-}
-
-/// A frozen [`PortableRepresentative`]: the estimator-facing view.
+/// A representative with the vocabulary its term ids index.
 #[derive(Debug, Clone)]
 pub struct FrozenSummary {
     /// The id-aligned representative.
@@ -108,6 +22,16 @@ pub struct FrozenSummary {
 }
 
 impl FrozenSummary {
+    /// Summarizes one collection, **id-aligned** with it: term `i` of
+    /// the summary is term `i` of the collection, so query vectors built
+    /// against either vocabulary agree.
+    pub fn of_collection(collection: &Collection) -> FrozenSummary {
+        FrozenSummary {
+            repr: Representative::build(collection),
+            vocab: collection.vocab().clone(),
+        }
+    }
+
     /// Magic of the compact (f32 statistics) encoding — "SEUS".
     const MAGIC_F32: u32 = 0x5345_5553;
     /// Magic of the exact (f64 statistics) encoding — "SEUT". Version 2
@@ -264,53 +188,9 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_union_build() {
-        let docs_a = ["alpha beta", "alpha gamma gamma"];
-        let docs_b = ["beta beta delta", "gamma"];
-        let a = PortableRepresentative::build(&collection(&docs_a));
-        let b = PortableRepresentative::build(&collection(&docs_b));
-        let mut merged = a.clone();
-        merged.merge(&b);
-
-        let union_docs: Vec<&str> = docs_a.iter().chain(docs_b.iter()).copied().collect();
-        let union = PortableRepresentative::build(&collection(&union_docs));
-
-        assert_eq!(merged.n_docs(), union.n_docs());
-        assert_eq!(merged.distinct_terms(), union.distinct_terms());
-        let fm = merged.freeze();
-        let fu = union.freeze();
-        for (term, s) in fu.repr.iter() {
-            let name = fu.vocab.term(term);
-            let id = fm.vocab.get(name).expect("term in merged");
-            let s2 = fm.repr.get(id).expect("stats in merged");
-            assert!((s.p - s2.p).abs() < 1e-12, "{name}");
-            assert!((s.mean - s2.mean).abs() < 1e-10, "{name}");
-            assert!((s.std_dev - s2.std_dev).abs() < 1e-9, "{name}");
-            assert!((s.max - s2.max).abs() < 1e-12, "{name}");
-        }
-    }
-
-    #[test]
-    fn freeze_matches_direct_representative() {
-        let docs = ["alpha beta", "alpha gamma gamma", "beta"];
-        let c = collection(&docs);
-        let direct = Representative::build(&c);
-        let frozen = PortableRepresentative::build(&c).freeze();
-        assert_eq!(frozen.repr.n_docs(), direct.n_docs());
-        assert_eq!(frozen.repr.distinct_terms(), direct.distinct_terms());
-        for (term, s) in direct.iter() {
-            let name = c.vocab().term(term);
-            let id = frozen.vocab.get(name).unwrap();
-            let s2 = frozen.repr.get(id).unwrap();
-            assert!((s.mean - s2.mean).abs() < 1e-12);
-            assert!((s.max - s2.max).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn frozen_query_normalization() {
         let c = collection(&["alpha beta gamma"]);
-        let f = PortableRepresentative::build(&c).freeze();
+        let f = FrozenSummary::of_collection(&c);
         let q = f.query_from_tokens(&["alpha", "beta", "unknown"]);
         assert_eq!(q.len(), 2);
         let sq: f64 = q.terms().iter().map(|&(_, w)| w * w).sum();
@@ -323,7 +203,7 @@ mod tests {
     #[test]
     fn frozen_wire_format_round_trips() {
         let c = collection(&["alpha beta", "alpha gamma gamma", "beta"]);
-        let f = PortableRepresentative::build(&c).freeze();
+        let f = FrozenSummary::of_collection(&c);
         let f2 = FrozenSummary::from_bytes(f.to_bytes()).expect("valid buffer");
         assert_eq!(f2.repr.n_docs(), f.repr.n_docs());
         assert_eq!(f2.repr.distinct_terms(), f.repr.distinct_terms());
@@ -343,7 +223,7 @@ mod tests {
     #[test]
     fn exact_wire_format_round_trips_bit_for_bit() {
         let c = collection(&["alpha beta", "alpha gamma gamma", "beta"]);
-        let f = PortableRepresentative::build(&c).freeze();
+        let f = FrozenSummary::of_collection(&c);
         let exact = FrozenSummary::from_bytes(f.to_bytes_exact()).expect("valid buffer");
         assert_eq!(exact.repr.n_docs(), f.repr.n_docs());
         for (term, s) in f.repr.iter() {
@@ -386,9 +266,8 @@ mod tests {
 
     #[test]
     fn empty_summary() {
-        let p = PortableRepresentative::new();
-        assert_eq!(p.n_docs(), 0);
-        let f = p.freeze();
+        let f = FrozenSummary::of_collection(&collection(&[]));
+        assert_eq!(f.repr.n_docs(), 0);
         assert_eq!(f.repr.distinct_terms(), 0);
         assert!(f.query_from_tokens(&["x"]).is_empty());
     }

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use seu_engine::{Collection, CollectionBuilder, WeightingScheme};
 use seu_repr::{
-    FrozenSummary, MaxWeightMode, PortableRepresentative, QuantizedRepresentative, Representative,
+    FrozenSummary, MaxWeightMode, QuantizedRepresentative, Representative,
     RepresentativeAccumulator, SubrangeScheme,
 };
 use seu_text::Analyzer;
@@ -116,7 +116,7 @@ proptest! {
         pos in any::<usize>(),
         flip in 1u8..255,
     ) {
-        let valid = PortableRepresentative::build(&c).freeze().to_bytes();
+        let valid = FrozenSummary::of_collection(&c).to_bytes();
         let mut corrupt = valid.to_vec();
         let pos = pos % corrupt.len();
         corrupt[pos] ^= flip;
