@@ -35,7 +35,7 @@ pub use placement::{hash_key, Ring, DEFAULT_VNODES};
 pub use rebalance::{diff_placement, Move, PlacementDiff, RebalanceReport};
 pub use router::{
     EngineSource, FederationPhase, FederationReport, FrontDoor, FrontDoorConfig, InstallSpec,
-    LocalReplica, ReplicaClient, ReplicaFailure, SubsetResults,
+    LocalReplica, ReplicaClient, ReplicaFailure, SubsetAnswer, SubsetResults,
 };
 
 use std::sync::{Arc, OnceLock};

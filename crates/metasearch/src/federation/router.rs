@@ -4,8 +4,8 @@
 //! A [`FrontDoor`] owns no engines. It places every registered engine
 //! name onto back-end replicas via the consistent-hash
 //! [`Ring`](super::Ring) (the first `replication` candidates hold the
-//! engine: a primary plus standbys), and serves a request in the same
-//! two-step shape as [`Broker`]:
+//! engine: a primary plus standbys), and serves a request with one round
+//! trip per replica (two for `TopK`):
 //!
 //! 1. **Estimate** — ask each replica for the estimates of the engines
 //!    it holds (primary assignment) — every replica is asked before any
@@ -14,13 +14,16 @@
 //!    ring candidate chain when a replica refuses or errors. Per-engine
 //!    estimates depend only on the engine's representative and the
 //!    query, not on which broker computes them, so the reassembled
-//!    global estimate vector is bit-identical to a single broker's.
+//!    global estimate vector is bit-identical to a single broker's. A
+//!    per-engine policy ([`SelectionPolicy::is_per_engine`]) rides along,
+//!    and each replica searches its picks in the same call.
 //! 2. **Select & search** — apply the request's [`SelectionPolicy`]
 //!    *globally* over the reassembled vector (in global registration
 //!    order, so index tie-breaks match a single broker exactly), then
-//!    dispatch the selected engines to their owning replicas and merge
-//!    the returned hits. [`merge_results`] is order-independent, so the
-//!    merged ranking is bit-identical too.
+//!    dispatch the selected engines step 1 did not search (`TopK`'s) to
+//!    their owning replicas and merge the returned hits.
+//!    [`merge_results`] is order-independent, so the merged ranking is
+//!    bit-identical too.
 //!
 //! Every replica sits behind a [`CircuitBreaker`]; a replica that fails
 //! is skipped locally once its breaker opens, and the engines it held
@@ -36,7 +39,6 @@ use crate::federation::metrics;
 use crate::federation::placement::{Ring, DEFAULT_VNODES};
 use crate::federation::rebalance::{diff_placement, Move, RebalanceReport};
 use crate::merge::merge_results;
-use crate::plan::QueryPlan;
 use crate::registry::{EngineStatus, RegistrySnapshot};
 use crate::remote::{EngineSnapshot, Pending, TransportError, TransportErrorKind};
 use crate::request::{
@@ -100,7 +102,7 @@ pub struct InstallSpec {
 
 /// What a replica returns for a subset search: its merged hits above
 /// the threshold plus per-engine dispatch accounting, in request order.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SubsetResults {
     /// The replica's merged hits (the front-door re-merges across
     /// replicas; [`merge_results`] is order-independent, so merging
@@ -108,6 +110,50 @@ pub struct SubsetResults {
     pub hits: Vec<MergedHit>,
     /// Per requested engine: hit count, latency, outcome.
     pub stats: Vec<EngineDispatchStats>,
+}
+
+/// What a replica returns for [`ReplicaClient::begin_plan_subset`].
+#[derive(Debug, Clone)]
+pub struct SubsetAnswer {
+    /// Per named engine, in request order (the caller holds the names).
+    pub usefulness: Vec<Usefulness>,
+    /// The merged hits and stats of the engines the policy picked.
+    pub searched: SubsetResults,
+}
+
+impl SubsetAnswer {
+    /// The estimates under the names asked for, which they must match.
+    pub fn estimates(self, engines: &[String]) -> Result<Vec<EngineEstimate>, TransportError> {
+        if self.usefulness.len() != engines.len() {
+            return Err(protocol_error("replica answered a short estimate vector"));
+        }
+        let estimate = |(engine, usefulness)| EngineEstimate { engine, usefulness };
+        let named = engines.iter().cloned().zip(self.usefulness);
+        Ok(named.map(estimate).collect())
+    }
+}
+
+/// The rows a per-engine `policy` picks from their own estimates; none
+/// under `TopK`, which no replica can apply to its share alone.
+fn picks(policy: Option<SelectionPolicy>, usefulness: &[Usefulness]) -> Vec<usize> {
+    let policy = policy.filter(SelectionPolicy::is_per_engine);
+    policy.map_or_else(Vec::new, |p| p.select(usefulness))
+}
+
+/// A replica's merged hits and stats split by engine, one entry per name:
+/// the engine's hits and stats row, if the replica searched it.
+fn split_by_engine(
+    results: SubsetResults,
+    names: &[String],
+) -> impl Iterator<Item = Option<(Vec<MergedHit>, EngineDispatchStats)>> + '_ {
+    let stats = results.stats.into_iter().map(|s| (s.engine.clone(), s));
+    let mut stats: HashMap<String, EngineDispatchStats> = stats.collect();
+    let mut hits: HashMap<String, Vec<MergedHit>> = HashMap::new();
+    for hit in results.hits {
+        hits.entry(hit.engine.clone()).or_default().push(hit);
+    }
+    let split = move |n| Some((hits.remove(n).unwrap_or_default(), stats.remove(n)?));
+    names.iter().map(split)
 }
 
 /// The calls a front-door makes of one back-end broker replica.
@@ -136,20 +182,36 @@ pub trait ReplicaClient: Send + Sync {
         threshold: f64,
         engines: &[String],
     ) -> Result<SubsetResults, TransportError>;
-    /// [`Self::estimate_subset`] in two halves: asks now, answers at
+    /// One round trip: the named engines' estimates, and the search of
+    /// those a per-engine `policy` picks from them. Asks now, answers at
     /// [`Pending::finish`], so a front-door asks every replica of an
-    /// attempt before it waits for any. The default computes the answer
-    /// at the begin — all a client that can only block has to offer.
-    fn begin_estimate_subset(
+    /// attempt before it waits for any. The default composes
+    /// [`Self::estimate_subset`] and [`Self::search_subset`] at the
+    /// begin — all a client that can only block has to offer.
+    fn begin_plan_subset(
         &self,
         query: &str,
         threshold: f64,
         engines: &[String],
-    ) -> Box<dyn Pending<Vec<EngineEstimate>>> {
-        Box::new(self.estimate_subset(query, threshold, engines))
+        policy: Option<SelectionPolicy>,
+    ) -> Box<dyn Pending<SubsetAnswer>> {
+        let answer = self.estimate_subset(query, threshold, engines);
+        Box::new(answer.and_then(|estimates| {
+            let usefulness: Vec<Usefulness> = estimates.into_iter().map(|e| e.usefulness).collect();
+            let picked = picks(policy, &usefulness).into_iter();
+            let picked: Vec<String> = picked.filter_map(|i| engines.get(i).cloned()).collect();
+            let searched = if picked.is_empty() {
+                SubsetResults::default()
+            } else {
+                self.search_subset(query, threshold, &picked)?
+            };
+            Ok(SubsetAnswer {
+                usefulness,
+                searched,
+            })
+        }))
     }
-    /// [`Self::search_subset`] in two halves; see
-    /// [`Self::begin_estimate_subset`].
+    /// [`Self::search_subset`] in two halves: `TopK`'s second round.
     fn begin_search_subset(
         &self,
         query: &str,
@@ -191,51 +253,55 @@ fn protocol_error(detail: impl Into<String>) -> TransportError {
 }
 
 impl<E: UsefulnessEstimator + Send + Sync + 'static> LocalReplica<E> {
-    /// Plans the rows of the named engines and no others — estimated or
-    /// not, as the caller needs — and says which row each name got, in
-    /// request order. A name the replica does not hold is a typed
-    /// refusal.
-    fn plan_named(
-        &self,
-        req: &SearchRequest,
-        engines: &[String],
-        estimate: bool,
-    ) -> Result<(QueryPlan, Vec<usize>), TransportError> {
-        let named: HashSet<&str> = engines.iter().map(String::as_str).collect();
-        let wanted = |name: &str| named.contains(name);
-        let plan = self.broker.plan_rows(req, None, wanted, estimate);
-        let listed = plan.engines().iter().enumerate();
-        let row_of: HashMap<&str, usize> = listed.map(|(i, e)| (e.name.as_str(), i)).collect();
-        let row = |name: &String| {
-            let row = row_of.get(name.as_str()).copied();
-            row.ok_or_else(|| protocol_error(format!("replica does not hold engine {name:?}")))
-        };
-        let rows = engines.iter().map(row).collect::<Result<_, _>>()?;
-        Ok((plan, rows))
-    }
-
-    /// Plans the named engines' rows — their translated queries, no
-    /// estimate: the reply carries hits and stats only — and pins the
-    /// invocation set to them, retrying when a concurrent lifecycle
-    /// event makes the plan stale between planning and dispatch.
-    fn execute_subset(
+    /// Plans the rows of the named engines and no others, once —
+    /// estimated, or with `estimate` off only translated — and
+    /// dispatches the rows `policy` [`picks`], replanning when a
+    /// concurrent lifecycle event makes the plan stale between planning
+    /// and dispatch. A name the replica does not hold is a typed refusal.
+    fn answer_subset(
         &self,
         query: &str,
         threshold: f64,
         engines: &[String],
-    ) -> Result<SearchResponse, TransportError> {
+        estimate: bool,
+        policy: Option<SelectionPolicy>,
+    ) -> Result<SubsetAnswer, TransportError> {
         let req = SearchRequest::new(query)
             .threshold(threshold)
             .policy(SelectionPolicy::All)
             .cache(CacheMode::Bypass)
             .stale_mode(StaleMode::Error);
+        let named: HashSet<&str> = engines.iter().map(String::as_str).collect();
         for _ in 0..4 {
-            let (mut plan, rows) = self.plan_named(&req, engines, false)?;
-            plan.selected = rows;
-            match self.broker.execute_plan(&req, &plan) {
-                Ok(resp) => return Ok(resp),
-                Err(_) => continue, // registry changed mid-flight; replan
-            }
+            let wanted = |name: &str| named.contains(name);
+            let mut plan = self.broker.plan_rows(&req, None, wanted, estimate);
+            let listed = plan.engines().iter().enumerate();
+            let row_of: HashMap<&str, usize> = listed.map(|(i, e)| (e.name.as_str(), i)).collect();
+            let row = |name: &String| {
+                let row = row_of.get(name.as_str()).copied();
+                row.ok_or_else(|| protocol_error(format!("replica does not hold engine {name:?}")))
+            };
+            let rows: Vec<usize> = engines.iter().map(row).collect::<Result<_, _>>()?;
+            let usefulness: Vec<Usefulness> =
+                rows.iter().map(|&r| plan.engines()[r].usefulness).collect();
+            plan.selected = picks(policy, &usefulness)
+                .into_iter()
+                .map(|i| rows[i])
+                .collect();
+            let searched = if plan.selected.is_empty() {
+                SubsetResults::default()
+            } else {
+                // An error is the registry changing mid-flight: replan.
+                let Ok(resp) = self.broker.execute_plan(&req, &plan) else {
+                    continue;
+                };
+                let (hits, stats) = (resp.hits, resp.per_engine_stats);
+                SubsetResults { hits, stats }
+            };
+            return Ok(SubsetAnswer {
+                usefulness,
+                searched,
+            });
         }
         Err(protocol_error(
             "registry kept changing during subset execution",
@@ -254,15 +320,8 @@ impl<E: UsefulnessEstimator + Send + Sync + 'static> ReplicaClient for LocalRepl
         threshold: f64,
         engines: &[String],
     ) -> Result<Vec<EngineEstimate>, TransportError> {
-        let req = SearchRequest::new(query)
-            .threshold(threshold)
-            .policy(SelectionPolicy::All);
-        let (plan, rows) = self.plan_named(&req, engines, true)?;
-        let estimate = |row: usize| EngineEstimate {
-            engine: plan.engines()[row].name.clone(),
-            usefulness: plan.engines()[row].usefulness,
-        };
-        Ok(rows.into_iter().map(estimate).collect())
+        self.answer_subset(query, threshold, engines, true, None)?
+            .estimates(engines)
     }
 
     fn search_subset(
@@ -271,11 +330,19 @@ impl<E: UsefulnessEstimator + Send + Sync + 'static> ReplicaClient for LocalRepl
         threshold: f64,
         engines: &[String],
     ) -> Result<SubsetResults, TransportError> {
-        let resp = self.execute_subset(query, threshold, engines)?;
-        Ok(SubsetResults {
-            hits: resp.hits,
-            stats: resp.per_engine_stats,
-        })
+        let all = Some(SelectionPolicy::All);
+        let answer = self.answer_subset(query, threshold, engines, false, all)?;
+        Ok(answer.searched)
+    }
+
+    fn begin_plan_subset(
+        &self,
+        query: &str,
+        threshold: f64,
+        engines: &[String],
+        policy: Option<SelectionPolicy>,
+    ) -> Box<dyn Pending<SubsetAnswer>> {
+        Box::new(self.answer_subset(query, threshold, engines, true, policy))
     }
 
     fn install(&self, spec: &InstallSpec) -> Result<(), TransportError> {
@@ -365,9 +432,9 @@ struct ClusterState {
 /// Which federated phase a replica failure happened in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FederationPhase {
-    /// The estimate fan-out.
+    /// The estimate fan-out (which searches a per-engine policy's picks).
     Estimate,
-    /// The search dispatch.
+    /// The search dispatch of `TopK`'s choice.
     Search,
 }
 
@@ -392,7 +459,7 @@ pub struct FederationReport {
     /// failover still appear — the capture is per replica, not per
     /// outcome).
     pub failures: Vec<ReplicaFailure>,
-    /// Engines served by a standby after their primary failed.
+    /// Engines served by a standby after their primary failed, per phase.
     pub failovers: u64,
     /// Engines no candidate could serve (excluded from selection,
     /// reported as `Failed` rows in the response).
@@ -754,9 +821,11 @@ impl FrontDoor {
         let mut report = FederationReport::default();
 
         // Phase 1: reassemble the global estimate vector, failing over
-        // along each engine's candidate chain.
+        // along each engine's candidate chain; replicas search their picks.
         let estimate_span = trace.span("federate_estimate");
+        let local = req.policy.is_per_engine().then_some(req.policy);
         let mut usefulness: Vec<Option<Usefulness>> = vec![None; engines.len()];
+        let mut groups = vec![None; engines.len()];
         self.fan_out(
             &replicas,
             &engines,
@@ -765,11 +834,20 @@ impl FrontDoor {
             &trace,
             estimate_span.id(),
             &mut report,
-            |client, query, threshold, names| client.begin_estimate_subset(query, threshold, names),
-            |ests: Vec<EngineEstimate>, _| ests.into_iter().map(|e| e.usefulness).collect(),
+            |client, query, threshold, names| {
+                client.begin_plan_subset(query, threshold, names, local)
+            },
+            |answer: SubsetAnswer, names| {
+                // One value per estimate, so a count-lying replica fails.
+                let mut searched = split_by_engine(answer.searched, names);
+                let usefulness = answer.usefulness.into_iter();
+                usefulness.map(|u| (u, searched.next().flatten())).collect()
+            },
             req,
-            |slot: &mut Option<Usefulness>, u| *slot = Some(u),
-            &mut usefulness,
+            |e, (u, searched)| {
+                usefulness[e] = Some(u);
+                groups[e] = searched;
+            },
         );
         drop(estimate_span);
 
@@ -795,85 +873,56 @@ impl FrontDoor {
             .map(|(i, _)| engines[i].0.clone())
             .collect();
 
-        // Phase 3: dispatch the selected engines to their holders.
+        // Phase 3: dispatch what phase 1 did not search: `TopK`'s choice.
         let search_span = trace.span("federate_search");
-        let mut groups: Vec<Option<(Vec<MergedHit>, EngineDispatchStats)>> =
-            vec![None; engines.len()];
+        let unsearched = invocation.iter().copied();
+        let unsearched = unsearched.filter(|&e| groups[e].is_none()).collect();
         self.fan_out(
             &replicas,
             &engines,
-            invocation.clone(),
+            unsearched,
             FederationPhase::Search,
             &trace,
             search_span.id(),
             &mut report,
             |client, query, threshold, names| client.begin_search_subset(query, threshold, names),
-            |r: SubsetResults, names| {
-                let mut by_name: BTreeMap<String, EngineDispatchStats> =
-                    r.stats.into_iter().map(|s| (s.engine.clone(), s)).collect();
-                let mut hits_by_engine: BTreeMap<String, Vec<MergedHit>> = BTreeMap::new();
-                for h in r.hits {
-                    hits_by_engine.entry(h.engine.clone()).or_default().push(h);
-                }
-                names
-                    .iter()
-                    .map(|n| {
-                        let stats = by_name.remove(n).unwrap_or(EngineDispatchStats {
-                            engine: n.clone(),
-                            hits: 0,
-                            seconds: 0.0,
-                            outcome: DispatchOutcome::Failed,
-                            error: None,
-                        });
-                        (hits_by_engine.remove(n).unwrap_or_default(), stats)
-                    })
-                    .collect()
-            },
+            |r: SubsetResults, names| split_by_engine(r, names).collect(),
             req,
-            |slot: &mut Option<(Vec<MergedHit>, EngineDispatchStats)>, v| *slot = Some(v),
-            &mut groups,
+            |e, group| groups[e] = group,
         );
         drop(search_span);
+
+        // Invocation-order hits and stats, then one Failed row per engine
+        // no candidate could serve — the partial-result degradation is in
+        // the response, not swallowed.
+        let failed = |engine: &String, why: &str| EngineDispatchStats {
+            engine: engine.clone(),
+            hits: 0,
+            seconds: 0.0,
+            outcome: DispatchOutcome::Failed,
+            error: Some(protocol_error(why)),
+        };
+        let (mut hit_groups, mut per_engine_stats) = (Vec::new(), Vec::new());
+        for &i in &invocation {
+            let Some((hits, stats)) = groups[i].take() else {
+                per_engine_stats.push(failed(&engines[i].0, "no replica could serve the engine"));
+                continue;
+            };
+            hit_groups.push(hits);
+            per_engine_stats.push(stats);
+        }
+        let unresolved = report.unresolved.iter();
+        per_engine_stats.extend(unresolved.map(|e| failed(e, "no replica answered the estimate")));
 
         // Phase 4: merge. merge_results is input-order-independent, so
         // merging the replicas' already-merged lists reproduces a
         // single broker's ranking bit for bit.
         let merge_span = trace.span("merge");
-        let hit_groups: Vec<Vec<MergedHit>> = invocation
-            .iter()
-            .filter_map(|&i| groups[i].as_ref().map(|(h, _)| h.clone()))
-            .collect();
         let mut hits = merge_results(hit_groups);
         if let Some(k) = req.top_k {
             hits.truncate(k);
         }
         drop(merge_span);
-
-        // Invocation-order stats, then one Failed row per engine no
-        // candidate could serve — the partial-result degradation is in
-        // the response, not swallowed.
-        let mut per_engine_stats: Vec<EngineDispatchStats> = Vec::new();
-        for &i in &invocation {
-            match &groups[i] {
-                Some((_, stats)) => per_engine_stats.push(stats.clone()),
-                None => per_engine_stats.push(EngineDispatchStats {
-                    engine: engines[i].0.clone(),
-                    hits: 0,
-                    seconds: 0.0,
-                    outcome: DispatchOutcome::Failed,
-                    error: Some(protocol_error("no replica could serve the engine")),
-                }),
-            }
-        }
-        for name in &report.unresolved {
-            per_engine_stats.push(EngineDispatchStats {
-                engine: name.clone(),
-                hits: 0,
-                seconds: 0.0,
-                outcome: DispatchOutcome::Failed,
-                error: Some(protocol_error("no replica answered the estimate")),
-            });
-        }
 
         let estimates = if req.with_estimates {
             engines
@@ -911,11 +960,11 @@ impl FrontDoor {
     /// failures. Within an attempt every group's call is begun
     /// (`begin`) before any answer is waited for, so the attempt costs
     /// one round of waits, not one per replica; the answers are then
-    /// collected (`read` turns one into a value per name) and reported
-    /// in the same replica order, and attempt `a + 1` starts only when
-    /// attempt `a` is fully collected. Generic over the answer and the
-    /// per-engine value so estimate and search share the exact same
-    /// candidate-chain semantics.
+    /// collected (`read` turns one into a value per name, `fill` takes
+    /// each engine's) and reported in the same replica order, and attempt
+    /// `a + 1` starts only when attempt `a` is fully collected. Generic
+    /// over the answer and the per-engine value so both phases share the
+    /// exact same candidate-chain semantics.
     #[allow(clippy::too_many_arguments)]
     fn fan_out<R, T, B, C, F>(
         &self,
@@ -929,12 +978,11 @@ impl FrontDoor {
         begin: B,
         read: C,
         req: &SearchRequest,
-        fill: F,
-        out: &mut [Option<T>],
+        mut fill: F,
     ) where
         B: Fn(&dyn ReplicaClient, &str, f64, &[String]) -> Box<dyn Pending<R>>,
         C: Fn(R, &[String]) -> Vec<T>,
-        F: Fn(&mut Option<T>, T),
+        F: FnMut(usize, T),
     {
         let m = metrics();
         let max_attempts = engines.iter().map(|(_, h)| h.len()).max().unwrap_or(0);
@@ -1002,7 +1050,7 @@ impl FrontDoor {
                             report.failovers += group.len() as u64;
                         }
                         for (&e, v) in group.iter().zip(values) {
-                            fill(&mut out[e], v);
+                            fill(e, v);
                         }
                     }
                     Err(e) => {

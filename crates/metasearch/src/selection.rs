@@ -22,6 +22,13 @@ pub enum SelectionPolicy {
 }
 
 impl SelectionPolicy {
+    /// Whether the policy decides each engine from its own estimate alone
+    /// (all but `TopK`), and so picks the same engines from any split of
+    /// the estimates: a federation replica can apply it to its share.
+    pub fn is_per_engine(&self) -> bool {
+        !matches!(self, SelectionPolicy::TopK(_))
+    }
+
     /// Applies the policy to per-engine estimates, returning selected
     /// indices in the order they should be invoked (TopK: best first;
     /// others: registration order).
@@ -94,6 +101,17 @@ mod tests {
         let es = [est(0.4, 0.0), est(0.6, 0.0)];
         assert_eq!(SelectionPolicy::MinNoDoc(0.5).select(&es), vec![1]);
         assert_eq!(SelectionPolicy::MinNoDoc(0.0).select(&es), vec![0, 1]);
+    }
+
+    #[test]
+    fn per_engine_policies_pick_the_same_from_any_split() {
+        use SelectionPolicy::*;
+        let es = [est(0.4, 0.1), est(3.0, 0.4), est(0.6, 0.2), est(0.0, 0.0)];
+        for policy in [All, EstimatedUseful, MinNoDoc(0.5), TopK(1)] {
+            let mut split = policy.select(&es[..2]);
+            split.extend(policy.select(&es[2..]).into_iter().map(|i| i + 2));
+            assert_eq!(split == policy.select(&es), policy.is_per_engine());
+        }
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! `seu_metasearch::FrontDoor` speaks to its back-end broker replicas
 //! through the [`ReplicaClient`] trait. In process that is
 //! `LocalReplica`; this module makes the split literal with the same
-//! frame protocol the engine transport uses — message kinds 17–25 of
+//! frame protocol the engine transport uses — message kinds 19–27 of
 //! [`crate::wire`]:
 //!
 //! * **[`ReplicaServer`]** puts one broker on a socket as a federation
-//!   replica: it answers subset estimates and subset searches for the
+//!   replica: it answers subset plans and subset searches for the
 //!   engines it holds, and the engine-lifecycle orders (install /
 //!   remove / export) the front-door's rebalance path sends. Installs
 //!   that ship an [`EngineSnapshot`] hydrate planning state without
@@ -25,7 +25,7 @@
 //!   front-door treats a process across the wire exactly like an
 //!   in-process replica: same placement, same failover, same typed
 //!   [`TransportError`] capture when the replica dies mid-dispatch.
-//!   Its subset estimate and subset search are calls in two halves
+//!   Its subset plan and subset search are calls in two halves
 //!   (request written at the begin, reply awaited at the finish), which
 //!   is what lets the front-door ask all the replicas of an attempt
 //!   before it waits for the first.
@@ -42,7 +42,9 @@ use crate::metrics::metrics;
 use crate::server::{FrameServer, FrameService, ServerConfig};
 use crate::wire::Message;
 use seu_core::UsefulnessEstimator;
-use seu_metasearch::federation::{InstallSpec, LocalReplica, ReplicaClient, SubsetResults};
+use seu_metasearch::federation::{
+    InstallSpec, LocalReplica, ReplicaClient, SubsetAnswer, SubsetResults,
+};
 use seu_metasearch::{
     Broker, CacheStats, EngineEstimate, EngineSnapshot, EngineStatus, FrontDoor, Pending,
     RegistrySnapshot, SearchRequest, SearchResponse, TransportError, TransportErrorKind,
@@ -50,7 +52,7 @@ use seu_metasearch::{
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
 
-/// One broker on a socket as a federation replica (kinds 17–25);
+/// One broker on a socket as a federation replica (kinds 19–27);
 /// serving stops when dropped.
 pub struct ReplicaServer {
     server: FrameServer,
@@ -136,13 +138,19 @@ where
     fn handle(&self, request: Message) -> Option<Message> {
         let replica = &self.replica;
         let reply = match request {
-            Message::ReplicaEstimate {
+            Message::ReplicaPlan {
                 query,
                 threshold,
                 engines,
+                policy,
             } => replica
-                .estimate_subset(&query, threshold, &engines)
-                .map(|estimates| Message::ReplicaEstimates { estimates }),
+                .begin_plan_subset(&query, threshold, &engines, policy)
+                .finish(None)
+                .map(|answer| Message::ReplicaPlanResults {
+                    usefulness: answer.usefulness,
+                    hits: answer.searched.hits,
+                    stats: answer.searched.stats,
+                }),
             Message::ReplicaSearch {
                 query,
                 threshold,
@@ -270,8 +278,9 @@ impl ReplicaClient for RemoteReplica {
         threshold: f64,
         engines: &[String],
     ) -> Result<Vec<EngineEstimate>, TransportError> {
-        self.begin_estimate_subset(query, threshold, engines)
-            .finish(None)
+        self.begin_plan_subset(query, threshold, engines, None)
+            .finish(None)?
+            .estimates(engines)
     }
 
     fn search_subset(
@@ -284,20 +293,29 @@ impl ReplicaClient for RemoteReplica {
             .finish(None)
     }
 
-    fn begin_estimate_subset(
+    fn begin_plan_subset(
         &self,
         query: &str,
         threshold: f64,
         engines: &[String],
-    ) -> Box<dyn Pending<Vec<EngineEstimate>>> {
-        let request = Message::ReplicaEstimate {
+        policy: Option<seu_metasearch::SelectionPolicy>,
+    ) -> Box<dyn Pending<SubsetAnswer>> {
+        let request = Message::ReplicaPlan {
             query: query.to_string(),
             threshold,
             engines: engines.to_vec(),
+            policy,
         };
         self.client.ask(&request, |reply, _| match reply {
-            Message::ReplicaEstimates { estimates } => Ok(estimates),
-            other => Err(unexpected("ReplicaEstimates", &other)),
+            Message::ReplicaPlanResults {
+                usefulness,
+                hits,
+                stats,
+            } => Ok(SubsetAnswer {
+                usefulness,
+                searched: SubsetResults { hits, stats },
+            }),
+            other => Err(unexpected("ReplicaPlanResults", &other)),
         })
     }
 

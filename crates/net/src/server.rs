@@ -85,13 +85,14 @@
 //!   sweeping: staleness travels *from* the engine *to* the broker.
 //!
 //! The server never panics on a misbehaving peer, and in-band errors
-//! follow one rule: a frame-level violation or an undecodable payload
-//! means the byte stream can no longer be trusted, so it is answered
-//! with a typed [`Message::Error`] and the connection is closed; a
-//! decodable request the service refuses or fails gets its typed
-//! `Error` on its own correlation id and the connection — with every
-//! pipelined neighbour — stays open. A handler that panics, on either
-//! route, is such a failure.
+//! follow one rule: a frame-level violation or an undecodable payload of
+//! a known kind means the byte stream can no longer be trusted, so it is
+//! answered with a typed [`Message::Error`] and the connection is
+//! closed; a whole frame of a kind this build does not know (a newer or
+//! older peer's), or a decodable request the service refuses or fails,
+//! gets its typed `Error` on its own correlation id and the connection —
+//! with every pipelined neighbour — stays open. A handler that panics,
+//! on either route, is such a failure.
 
 use crate::frame::{check_outbound, encode_frame_into, parse_frame};
 use crate::metrics::metrics;
@@ -908,6 +909,11 @@ fn handle_frame(
                         request,
                     });
                 }
+                // A whole frame of a kind this build has no row for left
+                // the stream intact: refused, and the connection serves on.
+                Err(_) if !Message::knows(frame.kind) => {
+                    conn.enqueue(frame.corr, &refusal(state, frame.kind));
+                }
                 Err(e) => {
                     conn.enqueue(
                         frame.corr,
@@ -924,6 +930,15 @@ fn handle_frame(
     }
 }
 
+/// The in-band answer to a request of a kind the service does not serve.
+fn refusal(state: &LoopState, kind: u8) -> Message {
+    let detail = format!(
+        "{} does not serve message kind {kind}",
+        state.service.name()
+    );
+    Message::Error { detail }
+}
+
 fn worker_loop(
     job_rx: Arc<std::sync::Mutex<mpsc::Receiver<Job>>>,
     completions: Arc<std::sync::Mutex<Vec<Done>>>,
@@ -937,13 +952,8 @@ fn worker_loop(
             rx.recv()
         };
         let Ok(job) = job else { return };
-        let reply = guarded(&state, |s| s.handle(job.request)).unwrap_or_else(|| Message::Error {
-            detail: format!(
-                "{} does not serve message kind {}",
-                state.service.name(),
-                job.kind
-            ),
-        });
+        let reply =
+            guarded(&state, |s| s.handle(job.request)).unwrap_or_else(|| refusal(&state, job.kind));
         completions
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -1159,16 +1169,21 @@ mod tests {
         (frame.corr, message)
     }
 
+    /// A request connection to `addr`, past its handshake.
+    fn connected(addr: SocketAddr) -> TcpStream {
+        let mut stream = TcpStream::connect(addr).expect("connecting");
+        let timeout = Some(Duration::from_secs(30));
+        stream.set_read_timeout(timeout).expect("read timeout");
+        send(&mut stream, 7, &Message::Hello { subscribe: false });
+        assert!(matches!(recv(&mut stream), (7, Message::HelloAck { .. })));
+        stream
+    }
+
     #[test]
     fn an_oversize_frame_fails_its_own_call_and_spares_the_connection() {
         let server = FrameServer::bind(Arc::new(Oversize), "127.0.0.1:0", ServerConfig::default())
             .expect("binding");
-        let mut stream = TcpStream::connect(server.addr()).expect("connecting");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .expect("read timeout");
-        send(&mut stream, 7, &Message::Hello { subscribe: false });
-        assert!(matches!(recv(&mut stream), (7, Message::HelloAck { .. })));
+        let mut stream = connected(server.addr());
 
         // The oversize request and a ping, pipelined on one socket.
         send(&mut stream, 1, &Message::ExportEngine { name: "e".into() });
@@ -1211,12 +1226,7 @@ mod tests {
             ServerConfig { workers: 1 },
         )
         .expect("binding");
-        let mut stream = TcpStream::connect(server.addr()).expect("connecting");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .expect("read timeout");
-        send(&mut stream, 7, &Message::Hello { subscribe: false });
-        assert!(matches!(recv(&mut stream), (7, Message::HelloAck { .. })));
+        let mut stream = connected(server.addr());
 
         // Inline, handed over, and a ping pipelined behind both.
         let estimate = Message::Estimate {
@@ -1250,6 +1260,38 @@ mod tests {
     }
 
     #[test]
+    fn an_unknown_kind_is_refused_in_band_and_the_connection_serves_on() {
+        use seu_engine::{CollectionBuilder, WeightingScheme::CosineTf};
+        let mut b = CollectionBuilder::new(seu_text::Analyzer::paper_default(), CosineTf);
+        b.add_document("d0", "soup recipes with wild mushrooms");
+        let engine = SearchEngine::new(b.build());
+        let server = EngineServer::bind("pantry", engine, "127.0.0.1:0").expect("binding");
+        let mut stream = connected(server.addr());
+
+        // A well-framed request of a kind this build has no row for (a
+        // newer peer's), and two it knows pipelined behind it.
+        write_frame_corr(&mut stream, 1, 99, b"from a newer peer").expect("writing");
+        send(&mut stream, 2, &Message::Ping);
+        let (query, threshold) = ("mushroom soup".to_string(), 0.05);
+        send(&mut stream, 3, &Message::SearchDocs { query, threshold });
+        let replies: HashMap<u64, Message> = (0..3).map(|_| recv(&mut stream)).collect();
+        let refused =
+            matches!(&replies[&1], Message::Error { detail } if detail.contains("kind 99"));
+        assert!(refused, "{:?}", replies[&1]);
+        assert!(matches!(replies[&2], Message::Pong), "{:?}", replies[&2]);
+        let found = matches!(&replies[&3], Message::SearchResults { hits } if !hits.is_empty());
+        assert!(found, "{:?}", replies[&3]);
+        send(&mut stream, 4, &Message::Ping);
+        assert!(matches!(recv(&mut stream), (4, Message::Pong)));
+
+        // A known kind whose payload is cut short still closes the
+        // connection: its bytes can no longer be trusted.
+        write_frame_corr(&mut stream, 5, 3, &[0, 0, 0, 9]).expect("writing");
+        assert!(matches!(recv(&mut stream), (5, Message::Error { .. })));
+        assert!(read_frame(&mut stream).is_err(), "the connection closed");
+    }
+
+    #[test]
     #[ignore = "waits out the 30 s request deadline"]
     fn a_request_past_its_deadline_is_answered_on_a_quiet_connection() {
         let (release, held) = mpsc::channel();
@@ -1259,12 +1301,9 @@ mod tests {
             ServerConfig { workers: 1 },
         )
         .expect("binding");
-        let mut stream = TcpStream::connect(server.addr()).expect("connecting");
-        stream
-            .set_read_timeout(Some(REQUEST_TIMEOUT * 2))
-            .expect("read timeout");
-        send(&mut stream, 7, &Message::Hello { subscribe: false });
-        assert!(matches!(recv(&mut stream), (7, Message::HelloAck { .. })));
+        let mut stream = connected(server.addr());
+        let timeout = Some(REQUEST_TIMEOUT * 2);
+        stream.set_read_timeout(timeout).expect("read timeout");
 
         // Nothing else crosses the connection while the worker holds it.
         let sent = Instant::now();

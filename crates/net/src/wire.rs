@@ -23,8 +23,6 @@
 //! | 14 | [`Message::TracedSearchResults`] | server → client |
 //! | 15 | [`Message::EstimateBatch`] | client → server |
 //! | 16 | [`Message::UsefulnessBatch`] | server → client |
-//! | 17 | [`Message::ReplicaEstimate`] | front-door → replica broker |
-//! | 18 | [`Message::ReplicaEstimates`] | replica broker → front-door |
 //! | 19 | [`Message::ReplicaSearch`] | front-door → replica broker |
 //! | 20 | [`Message::ReplicaSearchResults`] | replica broker → front-door |
 //! | 21 | [`Message::InstallEngine`] | front-door → replica broker |
@@ -32,17 +30,22 @@
 //! | 23 | [`Message::RemoveEngine`] | front-door → replica broker |
 //! | 24 | [`Message::RemoveAck`] | replica broker → front-door |
 //! | 25 | [`Message::ExportEngine`] | front-door → replica broker |
+//! | 26 | [`Message::ReplicaPlan`] | front-door → replica broker |
+//! | 27 | [`Message::ReplicaPlanResults`] | replica broker → front-door |
 //!
-//! Kinds 17–25 are the **federation vocabulary**: what a front-door
+//! Kinds 19–27 are the **federation vocabulary**: what a front-door
 //! broker (`seu_metasearch::FrontDoor`) asks of a back-end broker
-//! replica. Subset estimates and searches (17–20) carry explicit engine
-//! name lists so the front-door controls placement; 21–24 move engines
+//! replica. 26/27 are a request's one round trip per replica: the named
+//! engines' estimates and, under a per-engine policy, the search of its
+//! picks (they retired the estimate-only 17/18); 19/20 search named
+//! engines, `TopK`'s second round. Both carry explicit engine name lists
+//! so the front-door controls placement; 21–24 move engines
 //! between replicas (the rebalance path ships an
 //! [`EngineSnapshot`] so the receiving replica hydrates without
 //! re-registration); 25 is answered with the existing kind 8
-//! [`Message::Representative`]. Peers that predate federation answer
-//! all of them with [`Message::Error`] (unknown kind), which the
-//! caller surfaces as a typed
+//! [`Message::Representative`]. A peer answers a kind it does not know
+//! or serve with [`Message::Error`] on the request's own correlation id,
+//! which the caller surfaces as a typed
 //! [`Remote`](TransportErrorKind::Remote) failure.
 //!
 //! Kinds 13/14 carry distributed-trace context
@@ -68,7 +71,7 @@
 use seu_core::Usefulness;
 use seu_engine::{Fingerprint, TrueUsefulness, WeightingScheme};
 use seu_metasearch::{
-    DispatchOutcome, EngineDispatchStats, EngineEstimate, EngineSnapshot, MergedHit, RemoteHit,
+    DispatchOutcome, EngineDispatchStats, EngineSnapshot, MergedHit, RemoteHit, SelectionPolicy,
     TransportError, TransportErrorKind,
 };
 use seu_repr::FrozenSummary;
@@ -187,24 +190,6 @@ pub enum Message {
         /// `(NoDoc, AvgSim, max similarity)` per query.
         results: Vec<TrueUsefulness>,
     },
-    /// Front-door request: usefulness estimates for exactly the named
-    /// engines this replica holds, in list order.
-    ReplicaEstimate {
-        /// Raw query text.
-        query: String,
-        /// Similarity threshold `T`.
-        threshold: f64,
-        /// Engine names, in the order answers are expected.
-        engines: Vec<String>,
-    },
-    /// Answer to [`Message::ReplicaEstimate`]: one estimate per
-    /// requested engine, in request order.
-    ReplicaEstimates {
-        /// Per-engine estimates (full-precision f64, so the front-door's
-        /// reassembled global vector is bit-identical to a single
-        /// broker's).
-        estimates: Vec<EngineEstimate>,
-    },
     /// Front-door request: search exactly the named engines and merge
     /// their hits above the threshold.
     ReplicaSearch {
@@ -259,6 +244,29 @@ pub enum Message {
     ExportEngine {
         /// Engine name.
         name: String,
+    },
+    /// Front-door request: estimate exactly the named engines and, under
+    /// `policy`, search the ones it picks.
+    ReplicaPlan {
+        /// Raw query text.
+        query: String,
+        /// Similarity threshold `T`.
+        threshold: f64,
+        /// Engine names, in the order estimates are expected.
+        engines: Vec<String>,
+        /// A per-engine policy; absent (or `TopK`), nothing is searched.
+        policy: Option<SelectionPolicy>,
+    },
+    /// Answer to [`Message::ReplicaPlan`]: one estimate per requested
+    /// engine, in request order, and the picked engines' search.
+    ReplicaPlanResults {
+        /// Per-engine estimates, full-precision: the reassembled global
+        /// vector is bit-identical to a single broker's.
+        usefulness: Vec<Usefulness>,
+        /// Replica-merged hits, best first.
+        hits: Vec<MergedHit>,
+        /// Per picked engine: hit count, latency, outcome, error.
+        stats: Vec<EngineDispatchStats>,
     },
 }
 
@@ -432,7 +440,6 @@ wire_record! {
     RemoteHit { doc: String, sim: f64 }
     MergedHit { engine: String, doc: String, sim: f64 }
     Usefulness { no_doc: f64, avg_sim: f64 }
-    EngineEstimate { engine: String, usefulness: Usefulness }
     TrueUsefulness { no_doc: u64, avg_sim: f64, max_sim: f64 }
     TransportError { kind: TransportErrorKind, detail: String }
     EngineDispatchStats {
@@ -499,6 +506,31 @@ impl Wire for WeightingScheme {
             3 => Ok(WeightingScheme::PivotedLogTf { slope }),
             other => Err(protocol(format!("unknown weighting scheme tag {other}"))),
         }
+    }
+}
+
+/// A tag byte and eight bytes that only `TopK` (its count) and
+/// `MinNoDoc` (its bound's bits) read; the others write zeros, so every
+/// policy is nine bytes.
+impl Wire for SelectionPolicy {
+    const MIN_BYTES: usize = 9;
+    fn put(&self, out: &mut Vec<u8>) {
+        let tag_and_arg: (u8, u64) = match *self {
+            SelectionPolicy::All => (0, 0),
+            SelectionPolicy::EstimatedUseful => (1, 0),
+            SelectionPolicy::TopK(k) => (2, k as u64),
+            SelectionPolicy::MinNoDoc(min) => (3, min.to_bits()),
+        };
+        tag_and_arg.put(out);
+    }
+    fn get(buf: &mut &[u8]) -> Result<Self, TransportError> {
+        Ok(match <(u8, u64)>::get(buf)? {
+            (0, _) => SelectionPolicy::All,
+            (1, _) => SelectionPolicy::EstimatedUseful,
+            (2, k) => SelectionPolicy::TopK(k as usize),
+            (3, bits) => SelectionPolicy::MinNoDoc(f64::from_bits(bits)),
+            (tag, _) => return Err(protocol(format!("unknown selection policy tag {tag}"))),
+        })
     }
 }
 
@@ -575,7 +607,8 @@ impl Wire for EngineSnapshot {
 }
 
 /// The kind table: `kind => Variant { fields in wire order }`. It
-/// generates [`Message::encode`] and [`Message::decode`]; each field's
+/// generates [`Message::encode`], [`Message::decode`] and
+/// [`Message::knows`]; each field's
 /// layout and bound come from its type's [`Wire`] impl, and the
 /// unknown-kind and trailing-byte errors are written here once.
 macro_rules! codec {
@@ -609,6 +642,12 @@ macro_rules! codec {
                 }
                 Ok(message)
             }
+
+            /// Whether the table has a row for the frame kind: a frame of
+            /// any other kind is a newer (or older) peer's, not garbage.
+            pub(crate) fn knows(kind: u8) -> bool {
+                matches!(kind, $($kind)|+)
+            }
         }
     };
 }
@@ -629,8 +668,6 @@ codec! {
     14 => TracedSearchResults { hits, spans },
     15 => EstimateBatch { queries, threshold },
     16 => UsefulnessBatch { results },
-    17 => ReplicaEstimate { query, threshold, engines },
-    18 => ReplicaEstimates { estimates },
     19 => ReplicaSearch { query, threshold, engines },
     20 => ReplicaSearchResults { hits, stats },
     21 => InstallEngine { name, snapshot, endpoint },
@@ -638,6 +675,8 @@ codec! {
     23 => RemoveEngine { name },
     24 => RemoveAck { removed },
     25 => ExportEngine { name },
+    26 => ReplicaPlan { query, threshold, engines, policy },
+    27 => ReplicaPlanResults { usefulness, hits, stats },
 }
 
 impl Message {
@@ -874,53 +913,41 @@ mod tests {
     #[test]
     fn replica_subset_messages_round_trip_bit_for_bit() {
         let engines: Vec<String> = (0..3).map(|i| format!("engine-{i}")).collect();
-        match round_trip(&Message::ReplicaEstimate {
-            query: "mushroom soup".into(),
-            threshold: 0.25,
-            engines: engines.clone(),
-        }) {
-            Message::ReplicaEstimate {
+        use SelectionPolicy::*;
+        for policy in [
+            None,
+            Some(All),
+            Some(EstimatedUseful),
+            Some(TopK(7)),
+            Some(MinNoDoc(0.5)),
+        ] {
+            let query = "mushroom soup".to_string();
+            let plan = Message::ReplicaPlan {
                 query,
-                threshold,
-                engines: e,
-            } => {
-                assert_eq!(query, "mushroom soup");
-                assert_eq!(threshold, 0.25);
-                assert_eq!(e, engines);
-            }
-            other => panic!("{other:?}"),
+                threshold: 0.25,
+                engines: engines.clone(),
+                policy,
+            };
+            assert_eq!(format!("{:?}", round_trip(&plan)), format!("{plan:?}"));
         }
 
-        let estimates = vec![
-            EngineEstimate {
-                engine: "a".into(),
-                usefulness: Usefulness {
-                    no_doc: 1.75,
-                    avg_sim: 0.31,
-                },
-            },
-            EngineEstimate {
-                engine: "b".into(),
-                usefulness: Usefulness {
-                    no_doc: 0.0,
-                    avg_sim: 0.0,
-                },
-            },
-        ];
-        match round_trip(&Message::ReplicaEstimates {
-            estimates: estimates.clone(),
-        }) {
-            Message::ReplicaEstimates { estimates: d } => {
-                assert_eq!(d.len(), estimates.len());
-                for (a, b) in d.iter().zip(&estimates) {
-                    assert_eq!(a.engine, b.engine);
-                    // Bit-identity across the wire is the whole point.
-                    assert_eq!(a.usefulness.no_doc.to_bits(), b.usefulness.no_doc.to_bits());
-                    assert_eq!(
-                        a.usefulness.avg_sim.to_bits(),
-                        b.usefulness.avg_sim.to_bits()
-                    );
-                }
+        let u = |no_doc, avg_sim| Usefulness { no_doc, avg_sim };
+        let usefulness = vec![u(1.75, 0.31), u(0.0, 0.0)];
+        let (hits, stats) = (vec![], vec![]);
+        let answer = Message::ReplicaPlanResults {
+            usefulness: usefulness.clone(),
+            hits,
+            stats,
+        };
+        match round_trip(&answer) {
+            Message::ReplicaPlanResults { usefulness: d, .. } => {
+                // Bit-identity across the wire is the whole point.
+                let bits = |u: &[Usefulness]| -> Vec<(u64, u64)> {
+                    u.iter()
+                        .map(|u| (u.no_doc.to_bits(), u.avg_sim.to_bits()))
+                        .collect()
+                };
+                assert_eq!(bits(&d), bits(&usefulness));
             }
             other => panic!("{other:?}"),
         }
@@ -1022,12 +1049,12 @@ mod tests {
         String::from("q").put(&mut buf);
         buf.put_f64(0.2);
         buf.put_u32(u32::MAX);
-        let err = Message::decode(17, &buf).unwrap_err();
+        let err = Message::decode(26, &buf).unwrap_err();
         assert_eq!(err.kind, TransportErrorKind::Protocol);
         // Estimate-count liar on the answer.
         let mut buf = Vec::<u8>::new();
         buf.put_u32(u32::MAX);
-        let err = Message::decode(18, &buf).unwrap_err();
+        let err = Message::decode(27, &buf).unwrap_err();
         assert_eq!(err.kind, TransportErrorKind::Protocol);
         // Dispatch-stat liar behind a legal empty hit list.
         let mut buf = Vec::<u8>::new();

@@ -18,8 +18,8 @@ use seu_core::{SubrangeEstimator, Usefulness};
 use seu_engine::{CollectionBuilder, SearchEngine, WeightingScheme};
 use seu_metasearch::federation::{EngineSource, FrontDoor, FrontDoorConfig};
 use seu_metasearch::{
-    Broker, DispatchOutcome, EngineDispatchStats, EngineEstimate, EngineSnapshot, MergedHit,
-    RemoteHit, SearchRequest, SelectionPolicy,
+    Broker, DispatchOutcome, EngineDispatchStats, EngineSnapshot, MergedHit, RemoteHit,
+    SearchRequest, SelectionPolicy,
 };
 use seu_net::frame::{read_frame, write_frame_corr};
 use seu_net::wire::Message;
@@ -172,17 +172,32 @@ fn dispatch_asks_every_remote_engine_before_it_waits_for_one() {
 fn gated_replica(id: &str, hold: Hold) -> SocketAddr {
     let answer = move |request| match request {
         Message::InstallEngine { name, .. } => Message::InstallAck { name },
-        Message::ReplicaEstimate { engines, .. } => {
+        Message::ReplicaPlan {
+            engines, policy, ..
+        } => {
             hold();
-            let estimate = |engine| EngineEstimate {
-                engine,
-                usefulness: Usefulness {
-                    no_doc: 1.0,
-                    avg_sim: 0.5,
-                },
+            let useful = Usefulness {
+                no_doc: 1.0,
+                avg_sim: 0.5,
             };
-            Message::ReplicaEstimates {
-                estimates: engines.into_iter().map(estimate).collect(),
+            // Every engine is useful, so any policy picks them all.
+            let picked = if policy.is_some() { &engines[..] } else { &[] };
+            let hit = |engine: &String| MergedHit {
+                engine: engine.clone(),
+                doc: "d0".to_string(),
+                sim: 0.5,
+            };
+            let stats = |engine: &String| EngineDispatchStats {
+                engine: engine.clone(),
+                hits: 1,
+                seconds: 0.0,
+                outcome: DispatchOutcome::Completed,
+                error: None,
+            };
+            Message::ReplicaPlanResults {
+                usefulness: vec![useful; engines.len()],
+                hits: picked.iter().map(hit).collect(),
+                stats: picked.iter().map(stats).collect(),
             }
         }
         Message::ReplicaSearch { engines, .. } => {

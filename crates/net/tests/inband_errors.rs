@@ -56,10 +56,11 @@ fn an_unserved_kind_is_answered_in_band_and_the_connection_survives() {
     send(
         &mut stream,
         1,
-        &Message::ReplicaEstimate {
+        &Message::ReplicaPlan {
             query: "mushroom soup".to_string(),
             threshold: 0.1,
             engines: vec!["pantry".to_string()],
+            policy: None,
         },
     );
     send(&mut stream, 2, &Message::Ping);
@@ -78,7 +79,7 @@ fn an_unserved_kind_is_answered_in_band_and_the_connection_survives() {
         replies.insert(frame.corr, message);
     }
     assert!(
-        matches!(&replies[&1], Message::Error { detail } if detail.contains("kind 17")),
+        matches!(&replies[&1], Message::Error { detail } if detail.contains("kind 26")),
         "the unserved kind gets a typed error naming it: {:?}",
         replies[&1]
     );

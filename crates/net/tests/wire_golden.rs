@@ -13,7 +13,7 @@
 use seu_core::Usefulness;
 use seu_engine::{Fingerprint, TrueUsefulness, WeightingScheme};
 use seu_metasearch::{
-    DispatchOutcome, EngineDispatchStats, EngineEstimate, EngineSnapshot, MergedHit, RemoteHit,
+    DispatchOutcome, EngineDispatchStats, EngineSnapshot, MergedHit, RemoteHit, SelectionPolicy,
     TransportError, TransportErrorKind,
 };
 use seu_net::wire::Message;
@@ -77,7 +77,7 @@ fn hits() -> Vec<RemoteHit> {
     ]
 }
 
-/// At least one message per kind 1–25, in kind order; row `i` of
+/// At least one message per kind, in kind order; row `i` of
 /// [`GOLDEN`] pins message `i`.
 fn messages() -> Vec<Message> {
     let names = |ns: &[&str]| ns.iter().map(|n| n.to_string()).collect::<Vec<_>>();
@@ -169,29 +169,6 @@ fn messages() -> Vec<Message> {
                 },
             ],
         },
-        Message::ReplicaEstimate {
-            query: "mushroom soup".into(),
-            threshold: 0.25,
-            engines: names(&["engine-0", "engine-1"]),
-        },
-        Message::ReplicaEstimates {
-            estimates: vec![
-                EngineEstimate {
-                    engine: "a".into(),
-                    usefulness: Usefulness {
-                        no_doc: 1.75,
-                        avg_sim: 0.31,
-                    },
-                },
-                EngineEstimate {
-                    engine: "b".into(),
-                    usefulness: Usefulness {
-                        no_doc: -0.0,
-                        avg_sim: SUBNORMAL,
-                    },
-                },
-            ],
-        },
         Message::ReplicaSearch {
             query: "q".into(),
             threshold: 0.5,
@@ -246,6 +223,42 @@ fn messages() -> Vec<Message> {
         Message::ExportEngine {
             name: "süß".into()
         },
+        Message::ReplicaPlan {
+            query: "mushroom soup".into(),
+            threshold: 0.25,
+            engines: names(&["engine-0", "engine-1"]),
+            policy: Some(SelectionPolicy::MinNoDoc(0.5)),
+        },
+        Message::ReplicaPlan {
+            query: "q".into(),
+            threshold: 0.5,
+            engines: vec![],
+            policy: None,
+        },
+        Message::ReplicaPlanResults {
+            usefulness: vec![
+                Usefulness {
+                    no_doc: 1.75,
+                    avg_sim: 0.31,
+                },
+                Usefulness {
+                    no_doc: -0.0,
+                    avg_sim: SUBNORMAL,
+                },
+            ],
+            hits: vec![MergedHit {
+                engine: "a".into(),
+                doc: "d0".into(),
+                sim: 0.875,
+            }],
+            stats: vec![EngineDispatchStats {
+                engine: "a".into(),
+                hits: 1,
+                seconds: 0.002,
+                outcome: DispatchOutcome::Completed,
+                error: None,
+            }],
+        },
     ]
 }
 
@@ -270,8 +283,6 @@ const GOLDEN: &[(u8, &str)] = &[
     (15, "000000030000000d6d757368726f6f6d20736f75700000000000000006e5afbfe58fb83fc3333333333333"),
     (15, "000000000000000000000000"),
     (16, "00000002000000000000000000000000000000008000000000000000ffffffffffffffff3fd33333333333330000000000000001"),
-    (17, "0000000d6d757368726f6f6d20736f75703fd00000000000000000000200000008656e67696e652d3000000008656e67696e652d31"),
-    (18, "0000000200000001613ffc0000000000003fd3d70a3d70a3d7000000016280000000000000000000000000000001"),
     (19, "00000001713fe000000000000000000000"),
     (20, "0000000100000001610000000264303fec00000000000000000003000000016100000000000000013f60624dd2f1a9fc000000000001620000000000000000000000000000000001010200000015656e67696e652064696564206d69642d6672616d6500000001630000000000000000000000000000000002010100000000"),
     (21, "00000003646273010000000364627301033fc999999999999a00000004000000000000000400000000000004d2cbf29ce484222325000000030000000100000002000000030000008f53455554000000000000000400000000000004d2000000030007646174616261733fd00000000000003fb999999999999a80000000000000003fec000000000000000573c3bcc39f3fe00000000000003ff199999999999a3fa00000000000000000000000000001000571756572693fe80000000000004000cccccccccccd3fa00000000000003fec000000000000010000000e3132372e302e302e313a37303730"),
@@ -280,6 +291,9 @@ const GOLDEN: &[(u8, &str)] = &[
     (23, "00000003646273"),
     (24, "00"),
     (25, "0000000573c3bcc39f"),
+    (26, "0000000d6d757368726f6f6d20736f75703fd00000000000000000000200000008656e67696e652d3000000008656e67696e652d3101033fe0000000000000"),
+    (26, "00000001713fe00000000000000000000000"),
+    (27, "000000023ffc0000000000003fd3d70a3d70a3d7800000000000000000000000000000010000000100000001610000000264303fec00000000000000000001000000016100000000000000013f60624dd2f1a9fc0000"),
 ];
 
 /// `(message, kind, payload hex)`.
@@ -329,10 +343,12 @@ fn every_kind_encodes_to_its_golden_bytes_and_back() {
 fn the_samples_cover_every_kind() {
     let mut kinds: Vec<u8> = samples().iter().map(|s| s.1).collect();
     kinds.dedup();
-    assert_eq!(kinds, (1..=25).collect::<Vec<u8>>());
-    // The first kinds on either side of the table are unknown, not
-    // merely malformed: a row added without a sample lands here.
-    for kind in [0u8, 26] {
+    let known: Vec<u8> = (1..=16).chain(19..=27).collect();
+    assert_eq!(kinds, known);
+    // The first kinds on either side of the table, and the retired
+    // 17/18, are unknown, not merely malformed: a row added without a
+    // sample lands here.
+    for kind in [0u8, 17, 18, 28] {
         let err = Message::decode(kind, &[]).unwrap_err();
         assert_eq!(err.kind, TransportErrorKind::Protocol);
         assert!(
