@@ -683,7 +683,8 @@ pub fn run_weighting_robustness(ds: &PaperDatasets, config: &EvalConfig) -> Expe
 }
 
 /// E18 — selection-policy sweep at the broker: what each policy costs
-/// (engines searched) and what it keeps (fraction of the broadcast's
+/// (engines the request pipeline searches, which are only ever engines
+/// holding a query term) and what it keeps (fraction of the broadcast's
 /// result documents), over D1–D3.
 pub fn run_policy_sweep(ds: &PaperDatasets, threshold: f64, n_queries: usize) -> ExperimentOutput {
     use seu_engine::SearchEngine;
@@ -733,7 +734,12 @@ pub fn run_policy_sweep(ds: &PaperDatasets, threshold: f64, n_queries: usize) ->
         let mut searches = 0usize;
         let mut kept = 0usize;
         for (q, full) in queries.iter().zip(&broadcast) {
-            let selected = broker.select(q, threshold, policy);
+            // What the request pipeline dispatches: never an engine that
+            // holds no query term.
+            let req = SearchRequest::new(q.as_str())
+                .threshold(threshold)
+                .policy(policy);
+            let selected = broker.plan(&req, None).selected_names();
             searches += selected.len();
             if policy == SelectionPolicy::All {
                 kept += full.len();

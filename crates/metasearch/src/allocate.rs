@@ -52,11 +52,11 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
     /// vectors means the query text is analyzed once, not once per probe.
     pub fn allocate_planned(&self, plan: &QueryPlan, k_total: u64) -> Vec<Allocation> {
         if plan.is_empty() || k_total == 0 {
-            return plan
-                .engines()
-                .iter()
-                .map(|e| Allocation {
-                    engine: e.name.clone(),
+            return self
+                .engine_names()
+                .into_iter()
+                .map(|engine| Allocation {
+                    engine,
                     k: 0,
                     estimated: 0.0,
                 })
@@ -152,11 +152,13 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
             None,
         );
         let allocation = self.allocate_planned(&plan, k_total);
-        let per_engine: Vec<Vec<crate::broker::MergedHit>> = plan
-            .engines()
+        // Only a row can be allocated a document; both lists are in
+        // registration order.
+        let mut rows = plan.engines().iter();
+        let per_engine: Vec<Vec<crate::broker::MergedHit>> = allocation
             .iter()
-            .zip(&allocation)
-            .filter(|(_, a)| a.k > 0)
+            .filter(|a| a.k > 0)
+            .filter_map(|a| Some((rows.find(|planned| planned.name == a.engine)?, a)))
             .map(|(planned, a)| match &planned.handle {
                 EngineHandle::Local(engine) => engine
                     .search_top_k_maxscore(planned.query(), a.k as usize)

@@ -511,7 +511,7 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         dispatch_timer.stop();
 
         m.queries.inc();
-        m.considered.add(plan.engines.len() as u64);
+        m.considered.add(plan.considered as u64);
         m.selected.add(plan.selected.len() as u64);
         m.merge_hits.add(merged.len() as u64);
         m.merge_size.observe(merged.len() as f64);
@@ -701,11 +701,16 @@ mod tests {
             .threshold(0.05)
             .policy(SelectionPolicy::TopK(2));
         let plan = b.plan(&req, None);
-        assert_eq!(plan.len(), 3);
-        assert_eq!(
-            plan.estimates(),
-            b.estimate_all("databases processing", 0.05)
-        );
+        // "cooking" holds neither term: it has no row, and `estimate_all`
+        // fills it in at (0, 0).
+        assert_eq!(plan.len(), 2);
+        let mut all = b.estimate_all("databases processing", 0.05);
+        let idle = crate::EngineEstimate {
+            engine: "cooking".to_string(),
+            usefulness: seu_core::Usefulness::default(),
+        };
+        assert_eq!(all.remove(1), idle);
+        assert_eq!(plan.estimates(), all);
         assert_eq!(
             plan.selected_names(),
             b.select("databases processing", 0.05, SelectionPolicy::TopK(2))
@@ -720,8 +725,9 @@ mod tests {
             .policy(SelectionPolicy::All)
             .with_estimates(true);
         let resp = b.execute(&req);
-        assert_eq!(resp.estimates.len(), 3);
-        assert_eq!(resp.per_engine_stats.len(), 3);
+        // "cooking" holds no query term: no row, and not dispatched.
+        assert_eq!(resp.estimates.len(), 2);
+        assert_eq!(resp.per_engine_stats.len(), 2);
         assert!(resp.is_complete());
         let total: usize = resp.per_engine_stats.iter().map(|s| s.hits).sum();
         assert_eq!(total, resp.hits.len());
@@ -938,8 +944,8 @@ mod tests {
             );
         }
         assert!(trace.spans.iter().any(|s| s.name == "shard_walk"));
-        // One dispatch child per selected engine, carrying the
-        // queue-wait attribute.
+        // One dispatch child per selected engine ("cooking" holds no
+        // query term), carrying the queue-wait attribute.
         let dispatch = trace.spans.iter().find(|s| s.name == "dispatch").unwrap();
         assert_eq!(dispatch.parent, root);
         let engine_spans: Vec<_> = trace
@@ -947,7 +953,7 @@ mod tests {
             .iter()
             .filter(|s| s.name.starts_with("dispatch:"))
             .collect();
-        assert_eq!(engine_spans.len(), 3);
+        assert_eq!(engine_spans.len(), 2);
         for s in &engine_spans {
             assert_eq!(s.parent, dispatch.id);
             assert!(s.attrs.iter().any(|(k, _)| k == "queue_wait_s"));

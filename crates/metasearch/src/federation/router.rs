@@ -7,18 +7,20 @@
 //! engine: a primary plus standbys), and serves a request with one round
 //! trip per replica (two for `TopK`):
 //!
-//! 1. **Estimate** — ask each replica for the estimates of the engines
-//!    it holds (primary assignment) — every replica is asked before any
-//!    is waited for, and a replica consults only the engines it is
-//!    asked about — failing over along each engine's
-//!    ring candidate chain when a replica refuses or errors. Per-engine
-//!    estimates depend only on the engine's representative and the
-//!    query, not on which broker computes them, so the reassembled
-//!    global estimate vector is bit-identical to a single broker's. A
-//!    per-engine policy ([`SelectionPolicy::is_per_engine`]) rides along,
-//!    and each replica searches its picks in the same call.
+//! 1. **Estimate** — ask each replica for the rows of the engines it
+//!    holds (primary assignment): the estimates of those holding a query
+//!    term, each at its position in the request — every replica is
+//!    asked before any is waited for, and a replica consults only the
+//!    engines it is asked about — failing over along each engine's
+//!    ring candidate chain when a replica refuses or errors. Whether an
+//!    engine has a row, and its estimate, depend only on the engine's
+//!    representative and the query, not on which broker computes them,
+//!    so the reassembled global rows are bit-identical to a single
+//!    broker's. A per-engine policy
+//!    ([`SelectionPolicy::is_per_engine`]) rides along, and each replica
+//!    searches its picks in the same call.
 //! 2. **Select & search** — apply the request's [`SelectionPolicy`]
-//!    *globally* over the reassembled vector (in global registration
+//!    *globally* over the reassembled rows (in global registration
 //!    order, so index tie-breaks match a single broker exactly), then
 //!    dispatch the selected engines step 1 did not search (`TopK`'s) to
 //!    their owning replicas and merge the returned hits.
@@ -48,7 +50,7 @@ use crate::selection::SelectionPolicy;
 use parking_lot::RwLock;
 use seu_core::{Usefulness, UsefulnessEstimator};
 use seu_engine::SearchEngine;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Where a federated engine's live search capability comes from.
@@ -112,24 +114,45 @@ pub struct SubsetResults {
     pub stats: Vec<EngineDispatchStats>,
 }
 
+/// Why an answer's rows are refused.
+const OUT_OF_ORDER: &str = "replica answered a row out of request order";
+
 /// What a replica returns for [`ReplicaClient::begin_plan_subset`].
 #[derive(Debug, Clone)]
 pub struct SubsetAnswer {
-    /// Per named engine, in request order (the caller holds the names).
-    pub usefulness: Vec<Usefulness>,
+    /// One row per named engine that holds a query term: its position in
+    /// the request (the caller holds the names) and its estimate, in
+    /// request order. A named engine without a row holds no query term;
+    /// its estimate is `(0, 0)` (paper Prop. 1).
+    pub rows: Vec<(usize, Usefulness)>,
     /// The merged hits and stats of the engines the policy picked.
     pub searched: SubsetResults,
 }
 
 impl SubsetAnswer {
-    /// The estimates under the names asked for, which they must match.
-    pub fn estimates(self, engines: &[String]) -> Result<Vec<EngineEstimate>, TransportError> {
-        if self.usefulness.len() != engines.len() {
-            return Err(protocol_error("replica answered a short estimate vector"));
+    /// Each of `n` named engines' estimate, `None` for one without a
+    /// row; a row out of request order, or past its end, is refused.
+    pub fn by_position(&self, n: usize) -> Result<Vec<Option<Usefulness>>, TransportError> {
+        let mut named = vec![None; n];
+        let mut next = 0;
+        for &(at, usefulness) in &self.rows {
+            if at < next || at >= n {
+                return Err(protocol_error(OUT_OF_ORDER));
+            }
+            named[at] = Some(usefulness);
+            next = at + 1;
         }
-        let estimate = |(engine, usefulness)| EngineEstimate { engine, usefulness };
-        let named = engines.iter().cloned().zip(self.usefulness);
-        Ok(named.map(estimate).collect())
+        Ok(named)
+    }
+
+    /// The rows as estimates, under the names asked for.
+    pub fn estimates(self, engines: &[String]) -> Result<Vec<EngineEstimate>, TransportError> {
+        let named = engines.iter().zip(self.by_position(engines.len())?);
+        let estimate = |(engine, usefulness): (&String, Option<Usefulness>)| {
+            let engine = engine.clone();
+            usefulness.map(|usefulness| EngineEstimate { engine, usefulness })
+        };
+        Ok(named.filter_map(estimate).collect())
     }
 }
 
@@ -167,23 +190,25 @@ fn split_by_engine(
 pub trait ReplicaClient: Send + Sync {
     /// Liveness probe.
     fn ping(&self) -> Result<(), TransportError>;
-    /// Usefulness estimates for the named engines, in request order.
+    /// The estimates of the named engines that hold a query term — the
+    /// rows, in request order, under their names; every other named
+    /// engine's estimate is `(0, 0)`.
     fn estimate_subset(
         &self,
         query: &str,
         threshold: f64,
         engines: &[String],
     ) -> Result<Vec<EngineEstimate>, TransportError>;
-    /// Search exactly the named engines and merge their hits above the
-    /// threshold.
+    /// Search the named engines that hold a query term (no other can
+    /// find anything) and merge their hits above the threshold.
     fn search_subset(
         &self,
         query: &str,
         threshold: f64,
         engines: &[String],
     ) -> Result<SubsetResults, TransportError>;
-    /// One round trip: the named engines' estimates, and the search of
-    /// those a per-engine `policy` picks from them. Asks now, answers at
+    /// One round trip: the named engines' rows, and the search of those
+    /// a per-engine `policy` picks from them. Asks now, answers at
     /// [`Pending::finish`], so a front-door asks every replica of an
     /// attempt before it waits for any. The default composes
     /// [`Self::estimate_subset`] and [`Self::search_subset`] at the
@@ -197,18 +222,23 @@ pub trait ReplicaClient: Send + Sync {
     ) -> Box<dyn Pending<SubsetAnswer>> {
         let answer = self.estimate_subset(query, threshold, engines);
         Box::new(answer.and_then(|estimates| {
-            let usefulness: Vec<Usefulness> = estimates.into_iter().map(|e| e.usefulness).collect();
+            // The names say where each row sits in the request.
+            let (mut rows, mut from) = (Vec::with_capacity(estimates.len()), 0);
+            for e in &estimates {
+                let found = engines[from..].iter().position(|name| *name == e.engine);
+                let at = from + found.ok_or_else(|| protocol_error(OUT_OF_ORDER))?;
+                rows.push((at, e.usefulness));
+                from = at + 1;
+            }
+            let usefulness: Vec<Usefulness> = rows.iter().map(|&(_, u)| u).collect();
             let picked = picks(policy, &usefulness).into_iter();
-            let picked: Vec<String> = picked.filter_map(|i| engines.get(i).cloned()).collect();
+            let picked: Vec<String> = picked.map(|i| engines[rows[i].0].clone()).collect();
             let searched = if picked.is_empty() {
                 SubsetResults::default()
             } else {
                 self.search_subset(query, threshold, &picked)?
             };
-            Ok(SubsetAnswer {
-                usefulness,
-                searched,
-            })
+            Ok(SubsetAnswer { rows, searched })
         }))
     }
     /// [`Self::search_subset`] in two halves: `TopK`'s second round.
@@ -248,6 +278,14 @@ impl<E> LocalReplica<E> {
     }
 }
 
+/// The entries of `sorted` — a request's names in name order, each with
+/// its position in the request — that name `name`.
+fn positions<'a, 'n>(sorted: &'a [(&'n str, usize)], name: &str) -> &'a [(&'n str, usize)] {
+    let from = sorted.partition_point(|&(n, _)| n < name);
+    let to = sorted.partition_point(|&(n, _)| n <= name);
+    &sorted[from..to]
+}
+
 fn protocol_error(detail: impl Into<String>) -> TransportError {
     TransportError::new(TransportErrorKind::Protocol, detail)
 }
@@ -257,7 +295,9 @@ impl<E: UsefulnessEstimator + Send + Sync + 'static> LocalReplica<E> {
     /// estimated, or with `estimate` off only translated — and
     /// dispatches the rows `policy` [`picks`], replanning when a
     /// concurrent lifecycle event makes the plan stale between planning
-    /// and dispatch. A name the replica does not hold is a typed refusal.
+    /// and dispatch. A name the replica does not hold is a typed refusal:
+    /// the walk hears every name the replica holds and counts the
+    /// request positions it answers.
     fn answer_subset(
         &self,
         query: &str,
@@ -271,22 +311,44 @@ impl<E: UsefulnessEstimator + Send + Sync + 'static> LocalReplica<E> {
             .policy(SelectionPolicy::All)
             .cache(CacheMode::Bypass)
             .stale_mode(StaleMode::Error);
-        let named: HashSet<&str> = engines.iter().map(String::as_str).collect();
+        // The request's names in name order, each with its position.
+        let mut sorted: Vec<(&str, usize)> = engines.iter().map(String::as_str).zip(0..).collect();
+        sorted.sort_unstable();
         for _ in 0..4 {
-            let wanted = |name: &str| named.contains(name);
-            let mut plan = self.broker.plan_rows(&req, None, wanted, estimate);
-            let listed = plan.engines().iter().enumerate();
-            let row_of: HashMap<&str, usize> = listed.map(|(i, e)| (e.name.as_str(), i)).collect();
-            let row = |name: &String| {
-                let row = row_of.get(name.as_str()).copied();
-                row.ok_or_else(|| protocol_error(format!("replica does not hold engine {name:?}")))
+            let mut answered = 0;
+            let mut wanted = |name: &str| {
+                let asked = positions(&sorted, name).len();
+                answered += asked;
+                asked > 0
             };
-            let rows: Vec<usize> = engines.iter().map(row).collect::<Result<_, _>>()?;
-            let usefulness: Vec<Usefulness> =
-                rows.iter().map(|&r| plan.engines()[r].usefulness).collect();
+            let mut plan = self
+                .broker
+                .plan_rows(&req, None, Some(&mut wanted), estimate);
+            if answered < engines.len() {
+                let held = self.broker.engine_names();
+                let unknown = engines.iter().find(|name| !held.contains(name));
+                let unknown = unknown.map_or_else(String::new, |name| format!(" {name:?}"));
+                return Err(protocol_error(format!(
+                    "replica does not hold engine{unknown}"
+                )));
+            }
+            // (request position, plan row), in request order.
+            let listed = plan.engines().iter().enumerate();
+            let mut rows: Vec<(usize, usize)> = listed
+                .flat_map(|(row, e)| {
+                    positions(&sorted, &e.name)
+                        .iter()
+                        .map(move |&(_, at)| (at, row))
+                })
+                .collect();
+            rows.sort_unstable();
+            let usefulness: Vec<Usefulness> = rows
+                .iter()
+                .map(|&(_, r)| plan.engines()[r].usefulness)
+                .collect();
             plan.selected = picks(policy, &usefulness)
                 .into_iter()
-                .map(|i| rows[i])
+                .map(|i| rows[i].1)
                 .collect();
             let searched = if plan.selected.is_empty() {
                 SubsetResults::default()
@@ -298,8 +360,9 @@ impl<E: UsefulnessEstimator + Send + Sync + 'static> LocalReplica<E> {
                 let (hits, stats) = (resp.hits, resp.per_engine_stats);
                 SubsetResults { hits, stats }
             };
+            let rows = rows.iter().zip(usefulness).map(|(&(at, _), u)| (at, u));
             return Ok(SubsetAnswer {
-                usefulness,
+                rows: rows.collect(),
                 searched,
             });
         }
@@ -820,11 +883,14 @@ impl FrontDoor {
         };
         let mut report = FederationReport::default();
 
-        // Phase 1: reassemble the global estimate vector, failing over
-        // along each engine's candidate chain; replicas search their picks.
+        // Phase 1: reassemble the global rows, failing over along each
+        // engine's candidate chain; replicas search their picks. Per
+        // engine: `None` while no replica answered for it, `Some(None)`
+        // when it has no row (it holds no query term), `Some(Some(u))`
+        // when it has one.
         let estimate_span = trace.span("federate_estimate");
         let local = req.policy.is_per_engine().then_some(req.policy);
-        let mut usefulness: Vec<Option<Usefulness>> = vec![None; engines.len()];
+        let mut answered: Vec<Option<Option<Usefulness>>> = vec![None; engines.len()];
         let mut groups = vec![None; engines.len()];
         self.fan_out(
             &replicas,
@@ -838,35 +904,37 @@ impl FrontDoor {
                 client.begin_plan_subset(query, threshold, names, local)
             },
             |answer: SubsetAnswer, names| {
-                // One value per estimate, so a count-lying replica fails.
+                let rows = answer.by_position(names.len())?;
                 let mut searched = split_by_engine(answer.searched, names);
-                let usefulness = answer.usefulness.into_iter();
-                usefulness.map(|u| (u, searched.next().flatten())).collect()
+                Ok(rows
+                    .into_iter()
+                    .map(|u| (u, searched.next().flatten()))
+                    .collect())
             },
             req,
             |e, (u, searched)| {
-                usefulness[e] = Some(u);
+                answered[e] = Some(u);
                 groups[e] = searched;
             },
         );
         drop(estimate_span);
 
-        // Phase 2: global selection over the engines every candidate
-        // could estimate, in global registration order — the same
-        // index-based tie-breaks as a single broker.
-        let available: Vec<(usize, Usefulness)> = usefulness
+        // Phase 2: global selection over the rows, in global registration
+        // order — the same rows and index-based tie-breaks as a single
+        // broker.
+        let rows: Vec<(usize, Usefulness)> = answered
             .iter()
             .enumerate()
-            .filter_map(|(i, u)| u.map(|u| (i, u)))
+            .filter_map(|(i, u)| u.flatten().map(|u| (i, u)))
             .collect();
-        let values: Vec<Usefulness> = available.iter().map(|&(_, u)| u).collect();
+        let values: Vec<Usefulness> = rows.iter().map(|&(_, u)| u).collect();
         let invocation: Vec<usize> = req
             .policy
             .select(&values)
             .into_iter()
-            .map(|i| available[i].0)
+            .map(|i| rows[i].0)
             .collect();
-        report.unresolved = usefulness
+        report.unresolved = answered
             .iter()
             .enumerate()
             .filter(|(_, u)| u.is_none())
@@ -886,7 +954,7 @@ impl FrontDoor {
             search_span.id(),
             &mut report,
             |client, query, threshold, names| client.begin_search_subset(query, threshold, names),
-            |r: SubsetResults, names| split_by_engine(r, names).collect(),
+            |r: SubsetResults, names| Ok(split_by_engine(r, names).collect()),
             req,
             |e, group| groups[e] = group,
         );
@@ -925,16 +993,11 @@ impl FrontDoor {
         drop(merge_span);
 
         let estimates = if req.with_estimates {
-            engines
-                .iter()
-                .zip(&usefulness)
-                .filter_map(|((name, _), u)| {
-                    u.map(|usefulness| EngineEstimate {
-                        engine: name.clone(),
-                        usefulness,
-                    })
-                })
-                .collect()
+            let estimate = |&(i, usefulness): &(usize, Usefulness)| EngineEstimate {
+                engine: engines[i].0.clone(),
+                usefulness,
+            };
+            rows.iter().map(estimate).collect()
         } else {
             Vec::new()
         };
@@ -960,9 +1023,10 @@ impl FrontDoor {
     /// failures. Within an attempt every group's call is begun
     /// (`begin`) before any answer is waited for, so the attempt costs
     /// one round of waits, not one per replica; the answers are then
-    /// collected (`read` turns one into a value per name, `fill` takes
-    /// each engine's) and reported in the same replica order, and attempt
-    /// `a + 1` starts only when attempt `a` is fully collected. Generic
+    /// collected (`read` turns one into a value per name, or refuses it
+    /// as malformed; `fill` takes each engine's) and reported in the same
+    /// replica order, and attempt `a + 1` starts only when attempt `a` is
+    /// fully collected. Generic
     /// over the answer and the per-engine value so both phases share the
     /// exact same candidate-chain semantics.
     #[allow(clippy::too_many_arguments)]
@@ -981,7 +1045,7 @@ impl FrontDoor {
         mut fill: F,
     ) where
         B: Fn(&dyn ReplicaClient, &str, f64, &[String]) -> Box<dyn Pending<R>>,
-        C: Fn(R, &[String]) -> Vec<T>,
+        C: Fn(R, &[String]) -> Result<Vec<T>, TransportError>,
         F: FnMut(usize, T),
     {
         let m = metrics();
@@ -1037,7 +1101,7 @@ impl FrontDoor {
                     continue;
                 };
                 let values = answer.finish(None).and_then(|answer| {
-                    let values = read(answer, &names);
+                    let values = read(answer, &names)?;
                     // A count-lying replica is a protocol failure.
                     (values.len() == names.len())
                         .then_some(values)

@@ -8,15 +8,16 @@
 //! against the broker-global vocabulary, and looks the resulting global
 //! term ids up in each shard's term postings. An engine the postings
 //! name gets the query translated into its local term space — the
-//! postings carry the local ids — and its usefulness estimated; an
-//! engine they do not name contains no query term, so its generating
-//! function is the constant 1 (paper Prop. 1) and its row is written as
-//! the empty query with `Usefulness::default()`, without a look at its
-//! vocabulary or its representative (the estimators' side of that
-//! bargain is the contract on [`UsefulnessEstimator`]). Then the
-//! selection policy is applied. The plan lists **every** registered
-//! engine either way. The resulting [`QueryPlan`] is self-contained — it
-//! holds shared handles to the engines and the representatives it
+//! postings carry the local ids — and its usefulness estimated: that is
+//! the engine's **row**. An engine they do not name contains no query
+//! term, so its generating function is the constant 1 (paper Prop. 1)
+//! and its estimate `(0, 0)` under every estimator (the contract on
+//! [`UsefulnessEstimator`]), and a search of it finds nothing: it has no
+//! row, and the walk does not visit its entry. Neither has an engine
+//! whose translated query comes out empty for another reason (a
+//! replaced-but-not-refreshed entry). Then the selection policy is
+//! applied to the rows. The resulting [`QueryPlan`] is self-contained —
+//! it holds shared handles to the engines and the representatives it
 //! consulted — so it stays valid even if the registry changes
 //! afterwards, and it can be re-estimated at other thresholds without
 //! re-analysis ([`Broker::reestimate`]).
@@ -28,10 +29,10 @@
 //! plan's `epoch` is the broker-global epoch read *before* the analysis
 //! pass: a lifecycle event landing mid-plan makes it detectably stale.
 //!
-//! Counters: `broker_engines_considered_total` counts plan rows (every
-//! engine); `broker_estimates_total` — like the estimators' own
-//! `estimator_*_invocations_total` — counts the representatives actually
-//! consulted, i.e. the engines that contained a query term.
+//! Counters: `broker_engines_considered_total` counts every registered
+//! engine a plan covered, row or none; `broker_estimates_total` — like
+//! the estimators' own `estimator_*_invocations_total` — counts the
+//! representatives actually consulted, i.e. the rows.
 //!
 //! [`Broker::plan`]: crate::Broker::plan
 //! [`Broker::reestimate`]: crate::Broker::reestimate
@@ -95,8 +96,25 @@ fn local_tf<'a>(tf: &'a [(u32, u32)], hits: &'a [Hit]) -> impl Iterator<Item = (
     })
 }
 
-/// One engine's slice of a [`QueryPlan`]: its translated query vector,
-/// its estimate, and shared handles for dispatch and re-estimation.
+/// Each engine of `names` (registration order) with its row's
+/// usefulness from `rows` (the same order), and `(0, 0)` for each engine
+/// without a row: paper Prop. 1.
+fn with_idle<'a>(
+    names: Vec<String>,
+    rows: impl Iterator<Item = (&'a PlannedEngine, Usefulness)>,
+) -> Vec<EngineEstimate> {
+    let mut rows = rows.peekable();
+    let estimate = |engine: String| {
+        let row = rows.next_if(|(e, _)| e.name == engine);
+        let usefulness = row.map_or_else(Usefulness::default, |(_, u)| u);
+        EngineEstimate { engine, usefulness }
+    };
+    names.into_iter().map(estimate).collect()
+}
+
+/// One row of a [`QueryPlan`]: an engine holding a query term, its
+/// translated (non-empty) query vector, its estimate, and shared handles
+/// for dispatch and re-estimation.
 #[derive(Debug, Clone)]
 pub struct PlannedEngine {
     /// Engine name (registration key).
@@ -105,11 +123,8 @@ pub struct PlannedEngine {
     pub usefulness: Usefulness,
     /// The query translated into this engine's term space.
     pub(crate) query: Query,
-    /// The engine's representative (for re-estimation); `None` where
-    /// no query term occurs in the engine, so that none was consulted:
-    /// the empty query estimates `Usefulness::default()` at any
-    /// threshold.
-    pub(crate) repr: Option<Arc<Representative>>,
+    /// The engine's representative (for re-estimation).
+    pub(crate) repr: Arc<Representative>,
     /// How to reach the engine (for dispatch): in-process or over a
     /// transport.
     pub(crate) handle: EngineHandle,
@@ -134,8 +149,10 @@ impl PlannedEngine {
     }
 }
 
-/// The broker's decision for one request: per-engine queries and
-/// estimates, plus the invocation set the policy chose.
+/// The broker's decision for one request: a row — query and estimate —
+/// for each engine holding a query term, plus the invocation set the
+/// policy chose among the rows. An engine without a row estimates
+/// `(0, 0)` (paper Prop. 1) and is never invoked.
 ///
 /// A plan is self-contained — it holds shared handles to the engines and
 /// representatives it was made from, so it stays internally consistent
@@ -158,29 +175,33 @@ pub struct QueryPlan {
     pub policy: SelectionPolicy,
     /// The broker's registry epoch at planning time.
     pub epoch: u64,
-    /// Every registered engine, in registration order.
+    /// How many registered engines the plan covered, row or none.
+    pub considered: usize,
+    /// The rows: the engines holding a query term, in registration
+    /// order.
     pub(crate) engines: Vec<PlannedEngine>,
     /// Indices into `engines`, in invocation order.
     pub selected: Vec<usize>,
 }
 
 impl QueryPlan {
-    /// Every engine's slice of the plan, in registration order.
+    /// The rows — the engines holding a query term — in registration
+    /// order.
     pub fn engines(&self) -> &[PlannedEngine] {
         &self.engines
     }
 
-    /// Number of engines the plan covers.
+    /// Number of rows.
     pub fn len(&self) -> usize {
         self.engines.len()
     }
 
-    /// Whether the plan covers no engines.
+    /// Whether no engine holds a query term.
     pub fn is_empty(&self) -> bool {
         self.engines.is_empty()
     }
 
-    /// The per-engine estimates, in registration order.
+    /// The rows' estimates, in registration order.
     pub fn estimates(&self) -> Vec<EngineEstimate> {
         self.engines
             .iter()
@@ -229,10 +250,11 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         SharedAnalysis { per_config }
     }
 
-    /// Plans a request: one shared analysis pass, a query vector and a
-    /// usefulness estimate per engine — computed for the engines that
-    /// contain a query term, `(0, 0)` by construction for the rest —
-    /// and the policy's invocation set. No engine is contacted.
+    /// Plans a request: one shared analysis pass, a row — query vector
+    /// and usefulness estimate — per engine that contains a query term
+    /// (every other engine's estimate is `(0, 0)` by construction), and
+    /// the policy's invocation set among the rows. No engine is
+    /// contacted.
     ///
     /// Passing `Some(trace)` records spans into the active trace: one
     /// `plan` span with `analyze`, per-shard `shard_walk`, and `select`
@@ -243,26 +265,22 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
     /// consults it. A threshold sweep plans once and calls
     /// [`Broker::reestimate`] per threshold.
     pub fn plan(&self, req: &SearchRequest, trace: Option<&TraceHandle>) -> QueryPlan {
-        self.plan_rows(req, trace, |_| true, true)
+        self.plan_rows(req, trace, None, true)
     }
 
     /// [`Broker::plan`] for a caller that wants some of the rows — a
-    /// replica asked about the engines a front-door named. The plan
-    /// still lists every registered engine in registration order, but an
-    /// engine whose name is not `wanted` gets the idle row (empty query,
-    /// zero estimate) without its query being translated or its
-    /// representative consulted; and with `estimate` off no
-    /// representative is consulted at all: the rows carry the translated
-    /// queries a dispatch needs, and zero estimates. A row that is
-    /// worked out is bit for bit the row `plan` makes — estimates are
-    /// per-engine independent. (Generic over `wanted`, so that `plan`'s
-    /// own copy asks nothing per row: a 10 000-row plan pays for every
-    /// instruction in this loop.)
+    /// replica asked about the engines a front-door named. `wanted` is
+    /// asked about every registered engine, so it can count the names it
+    /// was asked for, and an engine it does not want has no row; with
+    /// `estimate` off no representative is consulted at all: the rows
+    /// carry the translated queries a dispatch needs, and zero
+    /// estimates. A row that is worked out is bit for bit the row `plan`
+    /// makes — estimates are per-engine independent.
     pub(crate) fn plan_rows(
         &self,
         req: &SearchRequest,
         trace: Option<&TraceHandle>,
-        wanted: impl Fn(&str) -> bool,
+        mut wanted: Option<&mut dyn FnMut(&str) -> bool>,
         estimate: bool,
     ) -> QueryPlan {
         // Hydration before the epoch read: restored-but-cold entries
@@ -290,32 +308,30 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         // order matters, and the walk restores registration order. The
         // registry's postings say which entries hold a query term; every
         // other entry holds none, its generating function is the
-        // constant 1 (paper Prop. 1) and its row the empty query with a
-        // zero estimate — written without touching its vocabulary or
-        // its representative.
-        let mut consulted = 0u64;
+        // constant 1 (paper Prop. 1), and it has no row — its entry is
+        // not even visited, unless `wanted` must hear its name.
+        let (mut considered, mut consulted) = (0, 0u64);
+        let ask_every = wanted.is_some();
         let walk = self.registry.walk_with(
             &analysis.terms(),
             |view| {
                 let mut shard_span = trace.child_span("shard_walk", plan_span_id);
                 shard_span.attr("shard", view.shard);
                 shard_span.attr("engines", view.engines);
+                considered += view.engines;
                 // An engine whose configuration the analysis did not
                 // cover (registered since) is analyzed directly, hits
-                // or none; a shard without one skips by hits alone.
+                // or none; a shard without one visits only the entries
+                // its postings name.
                 let covered = view.configs().all(|c| analysis.tf_for(c).is_some());
-                (shard_span, covered)
+                ((shard_span, covered), ask_every || !covered)
             },
             |(_, covered), e, hits| {
-                let idle = || PlannedEngine {
-                    name: e.name.clone(),
-                    usefulness: Usefulness::default(),
-                    query: Query::default(),
-                    repr: None,
-                    handle: e.handle.clone(),
-                };
-                if (hits.is_empty() && *covered) || !wanted(&e.name) {
-                    return idle();
+                if wanted.as_mut().is_some_and(|wanted| !wanted(&e.name)) {
+                    return None;
+                }
+                if hits.is_empty() && *covered {
+                    return None;
                 }
                 let query = match &e.handle {
                     EngineHandle::Local(engine) => {
@@ -329,13 +345,12 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
                         // terms) in the live collection, and the
                         // representative still describes the old one —
                         // no query vector can be consistent with both.
-                        // A mid-propagation entry therefore contributes
-                        // nothing (empty query, zero estimate, zero
-                        // hits) until the sweep reconciles it, instead
-                        // of panicking inside query weighting or
-                        // estimating through mismatched term ids.
+                        // A mid-propagation entry therefore has no row
+                        // until the sweep reconciles it, instead of
+                        // panicking inside query weighting or estimating
+                        // through mismatched term ids.
                         if e.terms_fingerprint != Some(engine.fingerprint()) {
-                            return idle();
+                            return None;
                         }
                         match analysis.tf_for(collection.analyzer_config()) {
                             Some(tf) => collection.query_from_tf(local_tf(tf, hits)),
@@ -355,25 +370,31 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
                         }
                     }
                 };
-                if !estimate {
-                    return PlannedEngine { query, ..idle() };
+                if query.is_empty() {
+                    return None;
                 }
-                consulted += 1;
-                PlannedEngine {
+                let usefulness = if estimate {
+                    consulted += 1;
+                    self.estimator.estimate(&e.repr, &query, req.threshold)
+                } else {
+                    Usefulness::default()
+                };
+                Some(PlannedEngine {
                     name: e.name.clone(),
-                    usefulness: self.estimator.estimate(&e.repr, &query, req.threshold),
+                    usefulness,
                     query,
-                    repr: Some(e.repr.clone()),
+                    repr: e.repr.clone(),
                     handle: e.handle.clone(),
-                }
+                })
             },
         );
         m.estimates.add(consulted);
-        let planned = walk.items;
-        let us: Vec<Usefulness> = planned.iter().map(|e| e.usefulness).collect();
+        let rows = walk.items;
+        let us: Vec<Usefulness> = rows.iter().map(|e| e.usefulness).collect();
         let selected = {
             let mut span = trace.child_span("select", plan_span_id);
-            span.attr("considered", planned.len());
+            span.attr("considered", considered);
+            span.attr("rows", rows.len());
             let selected = req.policy.select(&us);
             span.attr("selected", selected.len());
             selected
@@ -386,7 +407,8 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
             threshold: req.threshold,
             policy: req.policy,
             epoch,
-            engines: planned,
+            considered,
+            engines: rows,
             selected,
         }
     }
@@ -405,13 +427,32 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         })
     }
 
-    /// Re-estimates a plan's engines at a different threshold without
+    /// Every registered engine's name, in registration order, read by
+    /// one walk that also checks the registry is still at `plan`'s epoch
+    /// (a stale plan is counted by `broker_stale_plans_total`): the
+    /// names a plan's rows are filled in to.
+    fn names_at(&self, plan: &QueryPlan) -> Result<Vec<String>, StalePlanError> {
+        let cut = self.registry.walk(|_, e| e.name.clone());
+        let registry_epoch = cut.shard_epochs.iter().sum();
+        if registry_epoch == plan.epoch {
+            return Ok(cut.items);
+        }
+        metrics().stale_plans.inc();
+        Err(StalePlanError {
+            plan_epoch: plan.epoch,
+            registry_epoch,
+        })
+    }
+
+    /// Re-estimates a plan's rows at a different threshold without
     /// re-analyzing the query — the query vectors are threshold-free, so
     /// threshold sweeps (e.g. document allocation's bisection) pay for
-    /// analysis once. Fails with [`StalePlanError`] if the registry has
-    /// changed since the plan was made: the plan's representatives and
-    /// term translations may no longer describe the registered engines,
-    /// so estimates from them could not be compared against fresh ones.
+    /// analysis once — and reports every registered engine, in
+    /// registration order, an engine without a row at `(0, 0)`. Fails
+    /// with [`StalePlanError`] if the registry has changed since the
+    /// plan was made: the plan's representatives and term translations
+    /// may no longer describe the registered engines, so estimates from
+    /// them could not be compared against fresh ones.
     ///
     /// Passing `Some(trace)` records one `reestimate` span carrying the
     /// threshold, engine count, and whether the plan was rejected as
@@ -428,75 +469,67 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         let trace = trace.unwrap_or(&disabled);
         let mut span = trace.span("reestimate");
         span.attr("threshold", threshold);
-        span.attr("engines", plan.engines.len());
-        if let Err(stale) = self.check_fresh(plan) {
-            span.attr("stale", "true");
-            return Err(stale);
-        }
-        let mut consulted = 0;
-        let estimates = plan.engines.iter().map(|e| EngineEstimate {
-            engine: e.name.clone(),
-            usefulness: e.repr.as_ref().map_or_else(Usefulness::default, |repr| {
-                consulted += 1;
-                self.estimator.estimate(repr, &e.query, threshold)
-            }),
-        });
-        let estimates = estimates.collect();
-        metrics().estimates.add(consulted);
+        let names = self
+            .names_at(plan)
+            .inspect_err(|_| span.attr("stale", "true"))?;
+        span.attr("engines", names.len());
+        let rows = plan.engines.iter();
+        let rows = rows.map(|e| (e, self.estimator.estimate(&e.repr, &e.query, threshold)));
+        let estimates = with_idle(names, rows);
+        metrics().estimates.add(plan.engines.len() as u64);
         Ok(estimates)
     }
 
-    /// Re-estimates a plan's engines at a different threshold,
-    /// transparently replanning from the plan's recorded query text if
-    /// the registry has changed since the plan was made (counted by
-    /// `broker_stale_plans_total`). Callers that must not silently switch
-    /// registries mid-sweep use [`Broker::try_reestimate`].
+    /// Re-estimates a plan's rows at a different threshold, as
+    /// [`Broker::try_reestimate`] does, transparently replanning from the
+    /// plan's recorded query text if the registry has changed since the
+    /// plan was made (counted by `broker_stale_plans_total`). Callers
+    /// that must not silently switch registries mid-sweep use
+    /// [`Broker::try_reestimate`].
     pub fn reestimate(&self, plan: &QueryPlan, threshold: f64) -> Vec<EngineEstimate> {
         match self.try_reestimate(plan, threshold, None) {
             Ok(estimates) => estimates,
-            Err(_) => self
-                .plan(
-                    &SearchRequest::new(plan.query.clone())
-                        .threshold(threshold)
-                        .policy(plan.policy),
-                    None,
-                )
-                .estimates(),
+            Err(_) => self.estimate_all(&plan.query, threshold),
         }
     }
 
     /// Estimates every engine's usefulness for a query text at a
-    /// threshold, in registration order.
+    /// threshold, in registration order: the plan's rows, and `(0, 0)`
+    /// for each engine holding no query term.
     ///
-    /// Wrapper over [`Broker::plan`]; prefer the request pipeline
-    /// (`plan(&req).estimates()`) in new code.
+    /// Wrapper over [`Broker::plan`], off the served path; prefer the
+    /// request pipeline (`plan(&req).estimates()`, the rows alone) in
+    /// new code.
     pub fn estimate_all(&self, query_text: &str, threshold: f64) -> Vec<EngineEstimate> {
-        self.plan(
-            &SearchRequest::new(query_text)
-                .threshold(threshold)
-                .policy(SelectionPolicy::All),
-            None,
-        )
-        .estimates()
+        let req = SearchRequest::new(query_text)
+            .threshold(threshold)
+            .policy(SelectionPolicy::All);
+        loop {
+            let plan = self.plan(&req, None);
+            if let Ok(names) = self.names_at(&plan) {
+                return with_idle(names, plan.engines.iter().map(|e| (e, e.usefulness)));
+            }
+        }
     }
 
-    /// Selects engines for a query under a policy. Returns names in
-    /// invocation order.
+    /// Selects engines for a query under a policy, among every
+    /// registered engine as [`Broker::estimate_all`] reports them.
+    /// Returns names in invocation order.
     ///
-    /// Wrapper over [`Broker::plan`]; prefer the request pipeline
-    /// (`plan(&req).selected_names()`) in new code.
+    /// Wrapper over [`Broker::estimate_all`], off the served path. The
+    /// request pipeline (`plan(&req).selected_names()`) chooses among
+    /// the rows instead, so it leaves out what this picks of the engines
+    /// holding no query term — every one under `All`, and `(0, 0)` ties
+    /// — none of which could return a hit.
     pub fn select(&self, query_text: &str, threshold: f64, policy: SelectionPolicy) -> Vec<String> {
         let m = metrics();
         let timer = m.select_latency.start_timer();
-        let plan = self.plan(
-            &SearchRequest::new(query_text)
-                .threshold(threshold)
-                .policy(policy),
-            None,
-        );
-        let selected = plan.selected_names();
+        let estimates = self.estimate_all(query_text, threshold);
+        let usefulness: Vec<Usefulness> = estimates.iter().map(|e| e.usefulness).collect();
+        let picked = policy.select(&usefulness).into_iter();
+        let selected: Vec<String> = picked.map(|i| estimates[i].engine.clone()).collect();
         m.selects.inc();
-        m.considered.add(plan.len() as u64);
+        m.considered.add(estimates.len() as u64);
         m.selected.add(selected.len() as u64);
         timer.stop();
         selected

@@ -50,10 +50,10 @@
 //!   the later positions shifted) when it leaves, and re-posted exactly
 //!   when a closure left it with another term list — epoch or no epoch:
 //!   hydration reports `Unchanged` and posts. The planner's
-//!   `ShardedRegistry::walk_with` reads it, so a plan consults the
-//!   vocabulary and representative of the engines that contain a query
-//!   term and of no others; `ShardedRegistry::audit_postings` is the
-//!   from-scratch reference `tests/index_ledger.rs` holds it to;
+//!   `ShardedRegistry::walk_with` reads it, so a plan visits the
+//!   entries of the engines that contain a query term and no others;
+//!   `ShardedRegistry::audit_postings` is the from-scratch reference
+//!   `tests/index_ledger.rs` holds it to;
 //! * **gauges** — the same calls republish the shard's share of
 //!   `broker_registry_engines` / `broker_representative_bytes_resident`
 //!   before they unlock; dropping the registry retracts it.
@@ -219,8 +219,9 @@ impl Change {
     }
 }
 
-/// What one [`ShardedRegistry::walk`] made of the entries, in
-/// registration order, and the epoch each shard had while visited.
+/// What one [`ShardedRegistry::walk`] made of the entries (or kept, for
+/// [`ShardedRegistry::walk_with`]), in registration order, and the epoch
+/// each shard had while visited.
 pub(crate) struct Cut<T> {
     pub(crate) items: Vec<T>,
     pub(crate) shard_epochs: Vec<u64>,
@@ -366,29 +367,29 @@ impl ShardedRegistry {
     /// `visit(shard index, entry)` makes come back in the order a flat
     /// registry would have had.
     pub(crate) fn walk<T>(&self, mut visit: impl FnMut(usize, &RegisteredEngine) -> T) -> Cut<T> {
-        self.walk_with(&[], |view| view.shard, |shard, e, _| visit(*shard, e))
+        let every = |view: &ShardView| (view.shard, true);
+        self.walk_with(&[], every, |shard, e, _| Some(visit(*shard, e)))
     }
 
     /// [`ShardedRegistry::walk`] for the planner. `enter(shard)` is
-    /// called as each shard's lock is taken; what it returns is handed
+    /// called as each shard's lock is taken. It returns what is handed
     /// to every `visit` of that shard and dropped just before the lock
-    /// is (the per-shard span). `visit` also gets the entry's hits:
-    /// which of `terms` (broker-global ids) the shard's postings place
-    /// in the entry, and under which local id — empty for an entry that
-    /// holds none of them, without its vocabulary being looked at.
+    /// is (the per-shard span), and whether to visit every entry of the
+    /// shard or only the entries its postings name for `terms`
+    /// (broker-global ids). `visit` gets the entry's hits: which of
+    /// `terms` the postings place in the entry, and under which local
+    /// id — empty for an entry that holds none of them, without its
+    /// vocabulary being looked at. The walk keeps what `visit` returns.
     pub(crate) fn walk_with<G, T>(
         &self,
         terms: &[u32],
-        mut enter: impl FnMut(&ShardView) -> G,
-        mut visit: impl FnMut(&mut G, &RegisteredEngine, &[Hit]) -> T,
+        mut enter: impl FnMut(&ShardView) -> (G, bool),
+        mut visit: impl FnMut(&mut G, &RegisteredEngine, &[Hit]) -> Option<T>,
     ) -> Cut<T> {
-        let expected = self
-            .shards
-            .iter()
-            .map(|s| s.gauge_engines.load(Ordering::SeqCst));
-        let mut tagged: Vec<(u64, T)> = Vec::with_capacity(expected.sum::<u64>() as usize);
+        let mut tagged: Vec<(u64, T)> = Vec::new();
         let mut shard_epochs = Vec::with_capacity(self.shards.len());
         let mut hits: Vec<Hit> = Vec::new();
+        let same_entry = |a: &Hit, b: &Hit| a.entry == b.entry;
         for (idx, shard) in self.shards.iter().enumerate() {
             let entries = shard.entries.read();
             shard_epochs.push(shard.epoch.load(Ordering::SeqCst));
@@ -398,19 +399,27 @@ impl ShardedRegistry {
                 hits.extend(found.map(|&Posting { entry, local }| Hit { entry, term, local }));
             }
             hits.sort_unstable_by_key(|hit| hit.entry);
-            let mut entered = enter(&ShardView {
+            let (mut entered, every) = enter(&ShardView {
                 shard: idx,
                 engines: entries.list.len(),
                 index: &entries.index,
             });
-            let mut rest = hits.as_slice();
-            // An exact-size `map`: each item is built in its slot.
-            tagged.extend(entries.list.iter().enumerate().map(|(pos, e)| {
-                let mine = rest.iter().take_while(|hit| hit.entry as usize == pos);
-                let (mine, later) = rest.split_at(mine.count());
-                rest = later;
-                (e.seq, visit(&mut entered, e, mine))
-            }));
+            let mut groups = hits.chunk_by(same_entry).peekable();
+            if every {
+                tagged.reserve(entries.list.len());
+                for (pos, e) in entries.list.iter().enumerate() {
+                    let mine = groups.next_if(|g| g[0].entry as usize == pos);
+                    let kept = visit(&mut entered, e, mine.unwrap_or_default());
+                    tagged.extend(kept.map(|item| (e.seq, item)));
+                }
+            } else {
+                tagged.reserve(hits.chunk_by(same_entry).count());
+                for mine in groups {
+                    let e = &entries.list[mine[0].entry as usize];
+                    let kept = visit(&mut entered, e, mine);
+                    tagged.extend(kept.map(|item| (e.seq, item)));
+                }
+            }
         }
         Cut {
             items: in_order(tagged),

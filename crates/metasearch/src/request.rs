@@ -197,8 +197,9 @@ pub struct SearchResponse {
     /// Merged hits, sorted by descending global similarity (capped at
     /// the request's `top_k` if set).
     pub hits: Vec<MergedHit>,
-    /// Per-engine estimates from the plan step, in registration order.
-    /// Empty unless the request set `with_estimates`.
+    /// The plan's rows: the estimates of the engines holding a query
+    /// term, in registration order (every other engine's is `(0, 0)`,
+    /// paper Prop. 1). Empty unless the request set `with_estimates`.
     pub estimates: Vec<EngineEstimate>,
     /// Per selected engine: hit count, latency, and outcome, in
     /// invocation order.

@@ -7,8 +7,9 @@ use seu_core::Usefulness;
 /// estimated usefulness for the query.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum SelectionPolicy {
-    /// Invoke every registered engine (the naive broker the paper argues
-    /// against).
+    /// Invoke every engine it is given — in a plan, every engine holding
+    /// a query term (the naive broker the paper argues against, less the
+    /// engines that could find nothing).
     All,
     /// Invoke engines whose rounded estimated NoDoc is at least 1 — the
     /// paper's notion of "identified as useful".

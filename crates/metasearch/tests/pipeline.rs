@@ -72,14 +72,25 @@ fn execute_matches_legacy_semantics_on_the_paper_workload() {
         ("completely unknown zebra terms", 0.1),
     ] {
         // Independent reference: per-engine analysis, estimation,
-        // selection, retrieval, merge — the seed broker's code path.
+        // selection, retrieval, merge — the seed broker's code path. An
+        // engine whose own query is empty holds no query term: it has no
+        // row (its estimate is (0, 0)) and is never selected.
         let mut estimates: Vec<Usefulness> = Vec::new();
-        for (_, engine) in &reference {
+        let mut rows: Vec<usize> = Vec::new();
+        for (i, (_, engine)) in reference.iter().enumerate() {
             let repr = Representative::build(engine.collection());
             let query = engine.collection().query_from_text(query_text);
+            if query.is_empty() {
+                continue;
+            }
+            rows.push(i);
             estimates.push(estimator.estimate(&repr, &query, threshold));
         }
-        let selected = SelectionPolicy::EstimatedUseful.select(&estimates);
+        let selected: Vec<usize> = SelectionPolicy::EstimatedUseful
+            .select(&estimates)
+            .into_iter()
+            .map(|row| rows[row])
+            .collect();
         let per_engine: Vec<Vec<MergedHit>> = selected
             .iter()
             .map(|&i| {

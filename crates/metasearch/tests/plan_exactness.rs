@@ -1,9 +1,10 @@
 //! Plan exactness: whatever route the planner takes from the query text
-//! to an engine's query vector, row `i` of a plan must carry exactly the
-//! vector the engine's own collection would build from the text
-//! ([`Collection::query_from_text`](seu_engine::Collection::query_from_text))
-//! and exactly the estimate the broker's estimator gives for that vector
-//! against the representative the broker holds — compared through
+//! to an engine's query vector, a plan lists exactly the engines whose
+//! own collection builds a non-empty vector from the text
+//! ([`Collection::query_from_text`](seu_engine::Collection::query_from_text)),
+//! in registration order, and each row must carry exactly that vector
+//! and exactly the estimate the broker's estimator gives for it against
+//! the representative the broker holds — compared through
 //! `f64::to_bits`, over a flat and a 4-shard registry.
 //!
 //! The registry mixes every kind of entry a plan can meet: in-process
@@ -11,8 +12,8 @@
 //! transport, entries installed or restored detached and hydrated from a
 //! store, engines re-attached with the same and with other content, a
 //! shipped representative, an engine swapped for identical content, and
-//! one replaced but not refreshed — which contributes the empty query
-//! until a refresh reconciles it.
+//! one replaced but not refreshed — which has no row until a refresh
+//! reconciles it.
 //!
 //! This file was written against, and passes at, the commit before the
 //! planner started reading per-shard postings instead of per-engine term
@@ -90,12 +91,12 @@ impl RemoteTransport for Wire {
     }
 }
 
-/// What row `name` of every plan must be.
+/// What row `name` of every plan must be, if it has one.
 struct Expected {
     name: &'static str,
-    /// The engine whose own `query_from_text` the row's query must equal;
-    /// `None` for the replaced-not-refreshed entry, whose row carries
-    /// the empty query.
+    /// The engine whose own `query_from_text` the row's query must equal
+    /// (no row where it is empty); `None` for the replaced-not-refreshed
+    /// entry, which has no row.
     speaks: Option<Arc<SearchEngine>>,
     /// The representative the broker holds for it.
     repr: Representative,
@@ -150,23 +151,29 @@ const THRESHOLDS: &[f64] = &[0.0, 0.1, 0.3];
 
 fn assert_exact(broker: &TestBroker, expected: &[Expected], ctx: &str) {
     let estimator = SubrangeEstimator::paper_six_subrange();
-    let names: Vec<&str> = expected.iter().map(|e| e.name).collect();
     for text in QUERIES {
         for &threshold in THRESHOLDS {
             let req = SearchRequest::new(*text)
                 .threshold(threshold)
                 .policy(SelectionPolicy::All);
             let plan = broker.plan(&req, None);
+            // The rows: the entries whose query is non-empty, in order.
+            let query_of = |want: &Expected| match &want.speaks {
+                Some(engine) => engine.collection().query_from_text(text),
+                None => Query::new([]),
+            };
+            let rows: Vec<(&Expected, Query)> = expected
+                .iter()
+                .map(|want| (want, query_of(want)))
+                .filter(|(_, query)| !query.is_empty())
+                .collect();
+            let names: Vec<&str> = rows.iter().map(|(want, _)| want.name).collect();
             let planned: Vec<&str> = plan.engines().iter().map(|e| e.name.as_str()).collect();
             assert_eq!(planned, names, "{ctx}: row order for {text:?}");
-            for (got, want) in plan.engines().iter().zip(expected) {
-                let query = match &want.speaks {
-                    Some(engine) => engine.collection().query_from_text(text),
-                    None => Query::new([]),
-                };
+            for (got, (want, query)) in plan.engines().iter().zip(&rows) {
                 assert_eq!(
                     got.query(),
-                    &query,
+                    query,
                     "{ctx}: query of {} for {text:?}",
                     want.name
                 );
@@ -175,11 +182,11 @@ fn assert_exact(broker: &TestBroker, expected: &[Expected], ctx: &str) {
                 };
                 assert_eq!(
                     bits(got.query()),
-                    bits(&query),
+                    bits(query),
                     "{ctx}: weights of {} for {text:?}",
                     want.name
                 );
-                let usefulness = estimator.estimate(&want.repr, &query, threshold);
+                let usefulness = estimator.estimate(&want.repr, query, threshold);
                 assert_eq!(
                     (
                         got.usefulness.no_doc.to_bits(),
@@ -194,7 +201,7 @@ fn assert_exact(broker: &TestBroker, expected: &[Expected], ctx: &str) {
             }
             // The estimate list is the same rows under another name.
             let estimates = plan.estimates();
-            assert_eq!(estimates.len(), expected.len());
+            assert_eq!(estimates.len(), rows.len());
             for (e, p) in estimates.iter().zip(plan.engines()) {
                 assert_eq!(e.engine, p.name);
                 assert_eq!(e.usefulness.no_doc.to_bits(), p.usefulness.no_doc.to_bits());
@@ -309,7 +316,7 @@ fn storeless(shards: usize) {
     assert_exact(&b, &expected, &ctx("registered"));
 
     // Replaced, not refreshed: the representative still describes the
-    // old collection, so the row is the empty query until a refresh.
+    // old collection, so the entry has no row until a refresh.
     assert!(b.replace_engine("swapped", owned(&forest_2)));
     expected[6].speaks = None;
     // Replaced by identical content: nothing to reconcile.

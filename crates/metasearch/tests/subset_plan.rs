@@ -1,7 +1,7 @@
 //! A replica plans what it is asked: `estimate_subset` works out the
-//! named engines' rows and no others, `search_subset` works out no
-//! estimate at all — and what either returns is, bit for bit, what the
-//! full plan would have given.
+//! rows of the named engines that hold a query term and no others,
+//! `search_subset` works out no estimate at all — and what either
+//! returns is, bit for bit, what the full plan would have given.
 //!
 //! The suite reads the process-global
 //! `estimator_subrange_invocations_total`, so it is a test binary of its
@@ -129,7 +129,13 @@ fn a_replica_plans_the_engines_it_is_asked_about_and_no_others() {
                 let collection = corpus[i].1.collection();
                 !collection.query_from_text(query).is_empty()
             };
-            let holding = subset.iter().filter(|&i| holds_a_term(i)).count() as u64;
+            // The rows: the named engines that hold a query term.
+            let rows: Vec<usize> = subset
+                .iter()
+                .filter(|&i| holds_a_term(i))
+                .copied()
+                .collect();
+            let holding = rows.len() as u64;
             swept = (swept.0 + holding, swept.1 + subset.len() as u64 - holding);
 
             // Estimates: the matching rows of the full plan, bit for
@@ -138,8 +144,8 @@ fn a_replica_plans_the_engines_it_is_asked_about_and_no_others() {
             let before = consulted.get();
             let estimates = replica.estimate_subset(query, THRESHOLD, &names).unwrap();
             assert_eq!(consulted.get() - before, holding, "{query:?} {subset:?}");
-            assert_eq!(estimates.len(), subset.len());
-            for (estimate, &i) in estimates.iter().zip(subset) {
+            assert_eq!(estimates.len(), rows.len());
+            for (estimate, &i) in estimates.iter().zip(&rows) {
                 assert_eq!(estimate.engine, all[i].engine);
                 let (got, want) = (estimate.usefulness, all[i].usefulness);
                 assert_eq!(got.no_doc.to_bits(), want.no_doc.to_bits(), "{query:?}");
@@ -156,7 +162,8 @@ fn a_replica_plans_the_engines_it_is_asked_about_and_no_others() {
                 .threshold(THRESHOLD)
                 .policy(SelectionPolicy::All);
             let mut plan = broker.plan(&request, None);
-            plan.selected = subset.clone();
+            let row_of = |i: usize| plan.engines().iter().position(|e| e.name == name(i));
+            plan.selected = rows.iter().map(|&i| row_of(i).unwrap()).collect();
             let executed = broker.execute_plan(&request, &plan).unwrap();
             assert_eq!(searched.hits, executed.hits, "{query:?} {subset:?}");
             let counts = |stats: &[seu_metasearch::EngineDispatchStats]| -> Vec<(String, usize)> {

@@ -4,7 +4,7 @@
 //! `seu_metasearch::FrontDoor` speaks to its back-end broker replicas
 //! through the [`ReplicaClient`] trait. In process that is
 //! `LocalReplica`; this module makes the split literal with the same
-//! frame protocol the engine transport uses — message kinds 19–27 of
+//! frame protocol the engine transport uses — message kinds 19–29 of
 //! [`crate::wire`]:
 //!
 //! * **[`ReplicaServer`]** puts one broker on a socket as a federation
@@ -52,7 +52,7 @@ use seu_metasearch::{
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
 
-/// One broker on a socket as a federation replica (kinds 19–27);
+/// One broker on a socket as a federation replica (kinds 19–29);
 /// serving stops when dropped.
 pub struct ReplicaServer {
     server: FrameServer,
@@ -147,7 +147,7 @@ where
                 .begin_plan_subset(&query, threshold, &engines, policy)
                 .finish(None)
                 .map(|answer| Message::ReplicaPlanResults {
-                    usefulness: answer.usefulness,
+                    rows: answer.rows,
                     hits: answer.searched.hits,
                     stats: answer.searched.stats,
                 }),
@@ -307,12 +307,8 @@ impl ReplicaClient for RemoteReplica {
             policy,
         };
         self.client.ask(&request, |reply, _| match reply {
-            Message::ReplicaPlanResults {
-                usefulness,
-                hits,
-                stats,
-            } => Ok(SubsetAnswer {
-                usefulness,
+            Message::ReplicaPlanResults { rows, hits, stats } => Ok(SubsetAnswer {
+                rows,
                 searched: SubsetResults { hits, stats },
             }),
             other => Err(unexpected("ReplicaPlanResults", &other)),

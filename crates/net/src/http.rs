@@ -16,13 +16,15 @@
 //!
 //! `POST /search` takes `{"query": "...", "threshold": 0.2, "top_k": 10,
 //! "all": true, "explain": true, "cache": "read_write"}` (only `query`
-//! required; `all` selects every engine instead of the estimated-useful
-//! policy; `cache` is one of `"read_write"`, `"read_only"`, `"bypass"`)
-//! and answers with merged hits, per-engine estimates, per-engine
-//! dispatch stats — including the typed transport error when a remote
-//! engine failed — and `"served_from"` (`"results"` when the query
-//! cache served the whole answer, `null` for an execution that planned
-//! and dispatched). With `explain` the request is force-sampled and the
+//! required; `all` selects every engine holding a query term instead of
+//! the estimated-useful policy; `cache` is one of `"read_write"`,
+//! `"read_only"`, `"bypass"`) and answers with merged hits, the
+//! estimates of the engines that hold a query term (every other
+//! engine's is `(0, 0)`, paper Prop. 1, and is left out), dispatch stats
+//! per engine searched — including the typed transport error when a
+//! remote engine failed — and `"served_from"` (`"results"` when the
+//! query cache served the whole answer, `null` for an execution that
+//! planned and dispatched). With `explain` the request is force-sampled and the
 //! reply carries the complete span tree inline under `"trace"`.
 //!
 //! The server is decoupled from the broker's estimator type through the

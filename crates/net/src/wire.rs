@@ -30,18 +30,21 @@
 //! | 23 | [`Message::RemoveEngine`] | front-door → replica broker |
 //! | 24 | [`Message::RemoveAck`] | replica broker → front-door |
 //! | 25 | [`Message::ExportEngine`] | front-door → replica broker |
-//! | 26 | [`Message::ReplicaPlan`] | front-door → replica broker |
-//! | 27 | [`Message::ReplicaPlanResults`] | replica broker → front-door |
+//! | 28 | [`Message::ReplicaPlan`] | front-door → replica broker |
+//! | 29 | [`Message::ReplicaPlanResults`] | replica broker → front-door |
 //!
-//! Kinds 19–27 are the **federation vocabulary**: what a front-door
+//! Kinds 19–29 are the **federation vocabulary**: what a front-door
 //! broker (`seu_metasearch::FrontDoor`) asks of a back-end broker
-//! replica. 26/27 are a request's one round trip per replica: the named
-//! engines' estimates and, under a per-engine policy, the search of its
-//! picks (they retired the estimate-only 17/18); 19/20 search named
-//! engines, `TopK`'s second round. Both carry explicit engine name lists
-//! so the front-door controls placement; 21–24 move engines
-//! between replicas (the rebalance path ships an
-//! [`EngineSnapshot`] so the receiving replica hydrates without
+//! replica. 28/29 are a request's one round trip per replica: the rows
+//! of the named engines that hold a query term — each one's position in
+//! the request and its estimate — and, under a per-engine policy, the
+//! search of its picks. They retired 26/27, whose answer carried an
+//! estimate for every named engine (which had retired the estimate-only
+//! 17/18), so a peer one version behind is refused in band instead of
+//! misread. 19/20 search named engines, `TopK`'s second round. Both
+//! carry explicit engine name lists so the front-door controls
+//! placement; 21–24 move engines between replicas (the rebalance path
+//! ships an [`EngineSnapshot`] so the receiving replica hydrates without
 //! re-registration); 25 is answered with the existing kind 8
 //! [`Message::Representative`]. A peer answers a kind it does not know
 //! or serve with [`Message::Error`] on the request's own correlation id,
@@ -257,12 +260,15 @@ pub enum Message {
         /// A per-engine policy; absent (or `TopK`), nothing is searched.
         policy: Option<SelectionPolicy>,
     },
-    /// Answer to [`Message::ReplicaPlan`]: one estimate per requested
-    /// engine, in request order, and the picked engines' search.
+    /// Answer to [`Message::ReplicaPlan`]: a row per requested engine
+    /// that holds a query term, in request order, and the picked
+    /// engines' search.
     ReplicaPlanResults {
-        /// Per-engine estimates, full-precision: the reassembled global
-        /// vector is bit-identical to a single broker's.
-        usefulness: Vec<Usefulness>,
+        /// Each row's position in the request and its estimate,
+        /// full-precision: the reassembled global rows are bit-identical
+        /// to a single broker's. A requested engine without a row holds
+        /// no query term.
+        rows: Vec<(usize, Usefulness)>,
         /// Replica-merged hits, best first.
         hits: Vec<MergedHit>,
         /// Per picked engine: hit count, latency, outcome, error.
@@ -675,8 +681,8 @@ codec! {
     23 => RemoveEngine { name },
     24 => RemoveAck { removed },
     25 => ExportEngine { name },
-    26 => ReplicaPlan { query, threshold, engines, policy },
-    27 => ReplicaPlanResults { usefulness, hits, stats },
+    28 => ReplicaPlan { query, threshold, engines, policy },
+    29 => ReplicaPlanResults { rows, hits, stats },
 }
 
 impl Message {
@@ -932,22 +938,22 @@ mod tests {
         }
 
         let u = |no_doc, avg_sim| Usefulness { no_doc, avg_sim };
-        let usefulness = vec![u(1.75, 0.31), u(0.0, 0.0)];
+        let rows = vec![(0, u(1.75, 0.31)), (2, u(0.0, 0.0))];
         let (hits, stats) = (vec![], vec![]);
         let answer = Message::ReplicaPlanResults {
-            usefulness: usefulness.clone(),
+            rows: rows.clone(),
             hits,
             stats,
         };
         match round_trip(&answer) {
-            Message::ReplicaPlanResults { usefulness: d, .. } => {
+            Message::ReplicaPlanResults { rows: d, .. } => {
                 // Bit-identity across the wire is the whole point.
-                let bits = |u: &[Usefulness]| -> Vec<(u64, u64)> {
-                    u.iter()
-                        .map(|u| (u.no_doc.to_bits(), u.avg_sim.to_bits()))
+                let bits = |rows: &[(usize, Usefulness)]| -> Vec<(usize, u64, u64)> {
+                    rows.iter()
+                        .map(|&(at, u)| (at, u.no_doc.to_bits(), u.avg_sim.to_bits()))
                         .collect()
                 };
-                assert_eq!(bits(&d), bits(&usefulness));
+                assert_eq!(bits(&d), bits(&rows));
             }
             other => panic!("{other:?}"),
         }
@@ -1049,12 +1055,12 @@ mod tests {
         String::from("q").put(&mut buf);
         buf.put_f64(0.2);
         buf.put_u32(u32::MAX);
-        let err = Message::decode(26, &buf).unwrap_err();
+        let err = Message::decode(28, &buf).unwrap_err();
         assert_eq!(err.kind, TransportErrorKind::Protocol);
-        // Estimate-count liar on the answer.
+        // Row-count liar on the answer.
         let mut buf = Vec::<u8>::new();
         buf.put_u32(u32::MAX);
-        let err = Message::decode(27, &buf).unwrap_err();
+        let err = Message::decode(29, &buf).unwrap_err();
         assert_eq!(err.kind, TransportErrorKind::Protocol);
         // Dispatch-stat liar behind a legal empty hit list.
         let mut buf = Vec::<u8>::new();

@@ -7,8 +7,9 @@
 //!
 //! - a broker with a one-thread pool over four gated engine servers
 //!   answers completely: dispatch asked all four from its own thread;
-//! - a front-door over two gated replica servers answers completely, in
-//!   its estimate phase and in its search phase;
+//! - a front-door over two gated replica servers answers completely: it
+//!   asked both before it waited for either, in the one round in which a
+//!   replica estimates and searches for `All`;
 //! - an engine that does not answer costs a request its timeout budget
 //!   and nothing else: the others' hits are kept, the connection serves
 //!   the next request, and the reply that comes too late is counted, not
@@ -195,7 +196,7 @@ fn gated_replica(id: &str, hold: Hold) -> SocketAddr {
                 error: None,
             };
             Message::ReplicaPlanResults {
-                usefulness: vec![useful; engines.len()],
+                rows: (0..engines.len()).map(|at| (at, useful)).collect(),
                 hits: picked.iter().map(hit).collect(),
                 stats: picked.iter().map(stats).collect(),
             }
@@ -228,7 +229,8 @@ fn gated_replica(id: &str, hold: Hold) -> SocketAddr {
 
 #[test]
 fn the_front_door_asks_every_replica_before_it_waits_for_one() {
-    // One barrier serves both phases: it resets once both have passed.
+    // Both replicas meet at the barrier in the request's one round:
+    // under `All` each estimates and searches in the same call.
     let together = Arc::new(Barrier::new(2));
     let door = FrontDoor::new(FrontDoorConfig::default());
     for id in ["r0", "r1"] {

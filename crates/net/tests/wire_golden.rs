@@ -236,15 +236,21 @@ fn messages() -> Vec<Message> {
             policy: None,
         },
         Message::ReplicaPlanResults {
-            usefulness: vec![
-                Usefulness {
-                    no_doc: 1.75,
-                    avg_sim: 0.31,
-                },
-                Usefulness {
-                    no_doc: -0.0,
-                    avg_sim: SUBNORMAL,
-                },
+            rows: vec![
+                (
+                    0,
+                    Usefulness {
+                        no_doc: 1.75,
+                        avg_sim: 0.31,
+                    },
+                ),
+                (
+                    3,
+                    Usefulness {
+                        no_doc: -0.0,
+                        avg_sim: SUBNORMAL,
+                    },
+                ),
             ],
             hits: vec![MergedHit {
                 engine: "a".into(),
@@ -291,9 +297,9 @@ const GOLDEN: &[(u8, &str)] = &[
     (23, "00000003646273"),
     (24, "00"),
     (25, "0000000573c3bcc39f"),
-    (26, "0000000d6d757368726f6f6d20736f75703fd00000000000000000000200000008656e67696e652d3000000008656e67696e652d3101033fe0000000000000"),
-    (26, "00000001713fe00000000000000000000000"),
-    (27, "000000023ffc0000000000003fd3d70a3d70a3d7800000000000000000000000000000010000000100000001610000000264303fec00000000000000000001000000016100000000000000013f60624dd2f1a9fc0000"),
+    (28, "0000000d6d757368726f6f6d20736f75703fd00000000000000000000200000008656e67696e652d3000000008656e67696e652d3101033fe0000000000000"),
+    (28, "00000001713fe00000000000000000000000"),
+    (29, "0000000200000000000000003ffc0000000000003fd3d70a3d70a3d70000000000000003800000000000000000000000000000010000000100000001610000000264303fec00000000000000000001000000016100000000000000013f60624dd2f1a9fc0000"),
 ];
 
 /// `(message, kind, payload hex)`.
@@ -343,12 +349,12 @@ fn every_kind_encodes_to_its_golden_bytes_and_back() {
 fn the_samples_cover_every_kind() {
     let mut kinds: Vec<u8> = samples().iter().map(|s| s.1).collect();
     kinds.dedup();
-    let known: Vec<u8> = (1..=16).chain(19..=27).collect();
+    let known: Vec<u8> = (1..=16).chain(19..=25).chain(28..=29).collect();
     assert_eq!(kinds, known);
     // The first kinds on either side of the table, and the retired
-    // 17/18, are unknown, not merely malformed: a row added without a
-    // sample lands here.
-    for kind in [0u8, 17, 18, 28] {
+    // 17/18 and 26/27, are unknown, not merely malformed: a row added
+    // without a sample lands here.
+    for kind in [0u8, 17, 18, 26, 27, 30] {
         let err = Message::decode(kind, &[]).unwrap_err();
         assert_eq!(err.kind, TransportErrorKind::Protocol);
         assert!(
