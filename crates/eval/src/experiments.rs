@@ -403,9 +403,13 @@ pub fn run_long_queries(ds: &PaperDatasets, seed: u64, config: &EvalConfig) -> E
 /// (`broker_estimates_total`), engine searches (`engine_searches_total`)
 /// and replica calls (`federation_replica_calls_total`). Recall is
 /// against the engine-level oracle, and the front door's selections are
-/// compared with the flat broker's query by query. The last line sizes
-/// term routing: per query, how many replicas are primary for an engine
-/// that holds a query term.
+/// compared with the flat broker's query by query. The headroom line
+/// sizes term routing: per query, how many replicas are primary for an
+/// engine that holds a query term. The same queries then run under
+/// `TopK(3)`, where each replica searches its own top three in its one
+/// call: the engine searches the front door makes beyond the flat
+/// broker's are the price of that single round, stated with the count
+/// that predicts them.
 pub fn run_hierarchy(seed: u64, queries: &[Vec<String>], threshold: f64) -> ExperimentOutput {
     use seu_corpus::many_databases;
     use seu_metasearch::{
@@ -487,6 +491,43 @@ pub fn run_hierarchy(seed: u64, queries: &[Vec<String>], threshold: f64) -> Expe
             .collect::<HashSet<_>>()
             .len();
     }
+    // The same queries under `TopK(3)`. A replica searches its own top
+    // three, a superset of its share of the global top three, so the
+    // front door searches Σ min(3, a replica's rows) − min(3, all rows)
+    // engines it then leaves out.
+    const K: usize = 3;
+    let selected = |resp: SearchResponse| -> Vec<String> {
+        resp.per_engine_stats
+            .into_iter()
+            .map(|s| s.engine)
+            .collect()
+    };
+    let (mut top_flat, mut top_door) = ([0u64; 3], [0u64; 3]);
+    let (mut top_identical, mut predicted) = (0usize, 0usize);
+    for tokens in queries {
+        let req = SearchRequest::new(tokens.join(" "))
+            .threshold(threshold)
+            .policy(SelectionPolicy::TopK(K));
+        let before = read();
+        let plan = flat.plan(&req, None);
+        let resp = flat.execute_plan(&req, &plan);
+        let flat_sel = selected(resp.expect("nothing changes the registry"));
+        let between = read();
+        let door_sel = selected(door.execute(&req));
+        let after = read();
+        for i in 0..3 {
+            top_flat[i] += between[i] - before[i];
+            top_door[i] += after[i] - between[i];
+        }
+        top_identical += usize::from(flat_sel == door_sel);
+        let mut rows_at: HashMap<&String, usize> = HashMap::new();
+        for e in plan.engines() {
+            *rows_at.entry(&primary[&e.name]).or_default() += 1;
+        }
+        let searched: usize = rows_at.values().map(|&rows| rows.min(K)).sum();
+        predicted += searched - plan.engines().len().min(K);
+    }
+
     let row = |name: &str, r: [u64; 4]| {
         format!(
             "{name:<12} {:>10} {:>14} {:>16} {:>7.3}\n",
@@ -496,6 +537,8 @@ pub fn run_hierarchy(seed: u64, queries: &[Vec<String>], threshold: f64) -> Expe
             ratio(r[3] as usize, useful_total)
         )
     };
+    let top_row = |name: &str, r: [u64; 3]| format!("{name:<12} {:>14} {:>16}\n", r[1], r[2]);
+    let wasted = (top_door[2] - top_flat[2]) as usize;
     let n = queries.len();
     let text = format!(
         "E13: front door over {} databases on {REPLICAS} replicas, {n} queries, threshold {threshold}\n\
@@ -503,11 +546,18 @@ pub fn run_hierarchy(seed: u64, queries: &[Vec<String>], threshold: f64) -> Expe
          {}{}\
          front-door selections identical to the flat broker's in {identical} of {n} queries\n\
          term-routing headroom: {:.2} of {REPLICAS} replicas a query are primary for an engine holding a query term\n\
-         (oracle useful engine-hits: {useful_total})\n",
+         (oracle useful engine-hits: {useful_total})\n\
+         under TopK({K})  replica calls  engine searches\n\
+         {}{}\
+         wasted engine searches: {wasted} ({:.2} a query; Σ min({K}, a replica's rows) − min({K}, all rows) predicts {predicted})\n\
+         top-{K} selections identical to the flat broker's in {top_identical} of {n} queries\n",
         dbs.len(),
         row("flat broker", flat_row),
         row("front door", door_row),
         ratio(term_primaries, n),
+        top_row("flat broker", top_flat),
+        top_row("front door", top_door),
+        ratio(wasted, n),
     );
     ExperimentOutput {
         text,

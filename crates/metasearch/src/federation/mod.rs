@@ -34,8 +34,8 @@ pub use health::{BreakerConfig, BreakerState, CircuitBreaker, Clock, ManualClock
 pub use placement::{hash_key, Ring, DEFAULT_VNODES};
 pub use rebalance::{diff_placement, Move, PlacementDiff, RebalanceReport};
 pub use router::{
-    EngineSource, FederationPhase, FederationReport, FrontDoor, FrontDoorConfig, InstallSpec,
-    LocalReplica, ReplicaClient, ReplicaFailure, SubsetAnswer, SubsetResults,
+    EngineSource, FederationReport, FrontDoor, FrontDoorConfig, InstallSpec, LocalReplica,
+    ReplicaClient, ReplicaFailure, SubsetAnswer, SubsetResults,
 };
 
 use std::sync::{Arc, OnceLock};

@@ -5,27 +5,31 @@
 //! name onto back-end replicas via the consistent-hash
 //! [`Ring`](super::Ring) (the first `replication` candidates hold the
 //! engine: a primary plus standbys), and serves a request with one round
-//! trip per replica (two for `TopK`):
+//! trip per replica, whatever the policy:
 //!
-//! 1. **Estimate** — ask each replica for the rows of the engines it
-//!    holds (primary assignment): the estimates of those holding a query
-//!    term, each at its position in the request — every replica is
-//!    asked before any is waited for, and a replica consults only the
-//!    engines it is asked about — failing over along each engine's
-//!    ring candidate chain when a replica refuses or errors. Whether an
+//! 1. **Estimate, pick & search** — ask each replica about the engines
+//!    it holds (primary assignment), named in cluster registration
+//!    order — every replica is asked before any is waited for, and a
+//!    replica consults only the engines it is asked about — failing over
+//!    along each engine's ring candidate chain when a replica refuses or
+//!    errors. A replica answers with the rows of the engines holding a
+//!    query term, each at its position in the request, and searches the
+//!    rows the request's [`SelectionPolicy`] picks from them. Whether an
 //!    engine has a row, and its estimate, depend only on the engine's
 //!    representative and the query, not on which broker computes them,
 //!    so the reassembled global rows are bit-identical to a single
-//!    broker's. A per-engine policy
-//!    ([`SelectionPolicy::is_per_engine`]) rides along, and each replica
-//!    searches its picks in the same call.
-//! 2. **Select & search** — apply the request's [`SelectionPolicy`]
-//!    *globally* over the reassembled rows (in global registration
-//!    order, so index tie-breaks match a single broker exactly), then
-//!    dispatch the selected engines step 1 did not search (`TopK`'s) to
-//!    their owning replicas and merge the returned hits.
-//!    [`merge_results`] is order-independent, so the merged ranking is
-//!    bit-identical too.
+//!    broker's.
+//! 2. **Select & merge** — apply the policy *globally* over the
+//!    reassembled rows (in global registration order, so index
+//!    tie-breaks match a single broker exactly) and merge the chosen
+//!    engines' hits. Every chosen engine was searched in step 1: a
+//!    policy that decides each engine from its own estimate picks the
+//!    same engines from any split of the rows, and a replica ranks its
+//!    rows for `TopK` in the global tie order (NoDoc, AvgSim, position),
+//!    so an engine's rank among its replica's rows is at most its global
+//!    rank: a replica's top k holds every engine of the global top k it
+//!    was asked about. [`merge_results`] is order-independent, so the
+//!    merged ranking is bit-identical too.
 //!
 //! Every replica sits behind a [`CircuitBreaker`]; a replica that fails
 //! is skipped locally once its breaker opens, and the engines it held
@@ -156,19 +160,19 @@ impl SubsetAnswer {
     }
 }
 
-/// The rows a per-engine `policy` picks from their own estimates; none
-/// under `TopK`, which no replica can apply to its share alone.
+/// The rows `policy` picks from their estimates; none without one.
 fn picks(policy: Option<SelectionPolicy>, usefulness: &[Usefulness]) -> Vec<usize> {
-    let policy = policy.filter(SelectionPolicy::is_per_engine);
     policy.map_or_else(Vec::new, |p| p.select(usefulness))
 }
 
-/// A replica's merged hits and stats split by engine, one entry per name:
-/// the engine's hits and stats row, if the replica searched it.
+/// An engine's hits and stats row, if its replica searched it.
+type Searched = Option<(Vec<MergedHit>, EngineDispatchStats)>;
+
+/// A replica's merged hits and stats split by engine, one entry per name.
 fn split_by_engine(
     results: SubsetResults,
     names: &[String],
-) -> impl Iterator<Item = Option<(Vec<MergedHit>, EngineDispatchStats)>> + '_ {
+) -> impl Iterator<Item = Searched> + '_ {
     let stats = results.stats.into_iter().map(|s| (s.engine.clone(), s));
     let mut stats: HashMap<String, EngineDispatchStats> = stats.collect();
     let mut hits: HashMap<String, Vec<MergedHit>> = HashMap::new();
@@ -182,11 +186,11 @@ fn split_by_engine(
 /// The calls a front-door makes of one back-end broker replica.
 ///
 /// Implemented in-process by [`LocalReplica`] (the conformance path)
-/// and over the frame protocol by `seu-net`'s `RemoteReplica`. The two
-/// per-request calls also come in two halves (`begin_…`), which is how
-/// the front-door makes them: a client that can put the request on a
-/// wire at the begin overrides those, and its replicas then work side by
-/// side; one that cannot keeps the defaults and is simply asked in turn.
+/// and over the frame protocol by `seu-net`'s `RemoteReplica`. The
+/// front-door makes one call a request, [`Self::begin_plan_subset`], in
+/// two halves: a client that can put the request on a wire at the begin
+/// overrides it, and its replicas then work side by side; one that
+/// cannot keeps the default and is simply asked in turn.
 pub trait ReplicaClient: Send + Sync {
     /// Liveness probe.
     fn ping(&self) -> Result<(), TransportError>;
@@ -208,7 +212,7 @@ pub trait ReplicaClient: Send + Sync {
         engines: &[String],
     ) -> Result<SubsetResults, TransportError>;
     /// One round trip: the named engines' rows, and the search of those
-    /// a per-engine `policy` picks from them. Asks now, answers at
+    /// `policy` picks from them. Asks now, answers at
     /// [`Pending::finish`], so a front-door asks every replica of an
     /// attempt before it waits for any. The default composes
     /// [`Self::estimate_subset`] and [`Self::search_subset`] at the
@@ -240,15 +244,6 @@ pub trait ReplicaClient: Send + Sync {
             };
             Ok(SubsetAnswer { rows, searched })
         }))
-    }
-    /// [`Self::search_subset`] in two halves: `TopK`'s second round.
-    fn begin_search_subset(
-        &self,
-        query: &str,
-        threshold: f64,
-        engines: &[String],
-    ) -> Box<dyn Pending<SubsetResults>> {
-        Box::new(self.search_subset(query, threshold, engines))
     }
     /// Installs (or re-installs) an engine on this replica.
     fn install(&self, spec: &InstallSpec) -> Result<(), TransportError>;
@@ -492,15 +487,6 @@ struct ClusterState {
     version: u64,
 }
 
-/// Which federated phase a replica failure happened in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FederationPhase {
-    /// The estimate fan-out (which searches a per-engine policy's picks).
-    Estimate,
-    /// The search dispatch of `TopK`'s choice.
-    Search,
-}
-
 /// One failed replica call, with the engines it was serving.
 #[derive(Debug, Clone)]
 pub struct ReplicaFailure {
@@ -510,8 +496,6 @@ pub struct ReplicaFailure {
     pub engines: Vec<String>,
     /// The typed transport failure.
     pub error: TransportError,
-    /// Which phase failed.
-    pub phase: FederationPhase,
 }
 
 /// Per-request federation accounting, alongside the
@@ -522,7 +506,7 @@ pub struct FederationReport {
     /// failover still appear — the capture is per replica, not per
     /// outcome).
     pub failures: Vec<ReplicaFailure>,
-    /// Engines served by a standby after their primary failed, per phase.
+    /// Engines served by a standby after their primary failed.
     pub failovers: u64,
     /// Engines no candidate could serve (excluded from selection,
     /// reported as `Failed` rows in the response).
@@ -882,50 +866,16 @@ impl FrontDoor {
             (replicas, engines)
         };
         let mut report = FederationReport::default();
+        let mut answered = self.fan_out(&replicas, &engines, req, &trace, &mut report);
 
-        // Phase 1: reassemble the global rows, failing over along each
-        // engine's candidate chain; replicas search their picks. Per
-        // engine: `None` while no replica answered for it, `Some(None)`
-        // when it has no row (it holds no query term), `Some(Some(u))`
-        // when it has one.
-        let estimate_span = trace.span("federate_estimate");
-        let local = req.policy.is_per_engine().then_some(req.policy);
-        let mut answered: Vec<Option<Option<Usefulness>>> = vec![None; engines.len()];
-        let mut groups = vec![None; engines.len()];
-        self.fan_out(
-            &replicas,
-            &engines,
-            (0..engines.len()).collect(),
-            FederationPhase::Estimate,
-            &trace,
-            estimate_span.id(),
-            &mut report,
-            |client, query, threshold, names| {
-                client.begin_plan_subset(query, threshold, names, local)
-            },
-            |answer: SubsetAnswer, names| {
-                let rows = answer.by_position(names.len())?;
-                let mut searched = split_by_engine(answer.searched, names);
-                Ok(rows
-                    .into_iter()
-                    .map(|u| (u, searched.next().flatten()))
-                    .collect())
-            },
-            req,
-            |e, (u, searched)| {
-                answered[e] = Some(u);
-                groups[e] = searched;
-            },
-        );
-        drop(estimate_span);
-
-        // Phase 2: global selection over the rows, in global registration
+        // Step 2: global selection over the rows, in global registration
         // order — the same rows and index-based tie-breaks as a single
-        // broker.
+        // broker. Each replica applied the same policy to its share of
+        // the rows, so every engine chosen here was searched in step 1.
         let rows: Vec<(usize, Usefulness)> = answered
             .iter()
             .enumerate()
-            .filter_map(|(i, u)| u.flatten().map(|u| (i, u)))
+            .filter_map(|(i, a)| a.as_ref()?.0.map(|u| (i, u)))
             .collect();
         let values: Vec<Usefulness> = rows.iter().map(|&(_, u)| u).collect();
         let invocation: Vec<usize> = req
@@ -937,28 +887,9 @@ impl FrontDoor {
         report.unresolved = answered
             .iter()
             .enumerate()
-            .filter(|(_, u)| u.is_none())
+            .filter(|(_, a)| a.is_none())
             .map(|(i, _)| engines[i].0.clone())
             .collect();
-
-        // Phase 3: dispatch what phase 1 did not search: `TopK`'s choice.
-        let search_span = trace.span("federate_search");
-        let unsearched = invocation.iter().copied();
-        let unsearched = unsearched.filter(|&e| groups[e].is_none()).collect();
-        self.fan_out(
-            &replicas,
-            &engines,
-            unsearched,
-            FederationPhase::Search,
-            &trace,
-            search_span.id(),
-            &mut report,
-            |client, query, threshold, names| client.begin_search_subset(query, threshold, names),
-            |r: SubsetResults, names| Ok(split_by_engine(r, names).collect()),
-            req,
-            |e, group| groups[e] = group,
-        );
-        drop(search_span);
 
         // Invocation-order hits and stats, then one Failed row per engine
         // no candidate could serve — the partial-result degradation is in
@@ -972,8 +903,11 @@ impl FrontDoor {
         };
         let (mut hit_groups, mut per_engine_stats) = (Vec::new(), Vec::new());
         for &i in &invocation {
-            let Some((hits, stats)) = groups[i].take() else {
-                per_engine_stats.push(failed(&engines[i].0, "no replica could serve the engine"));
+            let searched = answered[i]
+                .as_mut()
+                .and_then(|(_, searched)| searched.take());
+            let Some((hits, stats)) = searched else {
+                per_engine_stats.push(failed(&engines[i].0, "no replica searched the engine"));
                 continue;
             };
             hit_groups.push(hits);
@@ -982,9 +916,9 @@ impl FrontDoor {
         let unresolved = report.unresolved.iter();
         per_engine_stats.extend(unresolved.map(|e| failed(e, "no replica answered the estimate")));
 
-        // Phase 4: merge. merge_results is input-order-independent, so
-        // merging the replicas' already-merged lists reproduces a
-        // single broker's ranking bit for bit.
+        // Merge: merge_results is input-order-independent, so merging the
+        // replicas' already-merged lists reproduces a single broker's
+        // ranking bit for bit.
         let merge_span = trace.span("merge");
         let mut hits = merge_results(hit_groups);
         if let Some(k) = req.top_k {
@@ -1017,46 +951,40 @@ impl FrontDoor {
         (resp, report)
     }
 
-    /// The shared failover fan-out: for each attempt `a`, group the
+    /// Step 1: the rows and picked engines' searches, failing over along
+    /// each engine's candidate chain. For each attempt `a`, group the
     /// still-unresolved engines by their `a`-th holder and make one
-    /// replica call per group, recording breaker outcomes and typed
-    /// failures. Within an attempt every group's call is begun
-    /// (`begin`) before any answer is waited for, so the attempt costs
-    /// one round of waits, not one per replica; the answers are then
-    /// collected (`read` turns one into a value per name, or refuses it
-    /// as malformed; `fill` takes each engine's) and reported in the same
-    /// replica order, and attempt `a + 1` starts only when attempt `a` is
-    /// fully collected. Generic
-    /// over the answer and the per-engine value so both phases share the
-    /// exact same candidate-chain semantics.
-    #[allow(clippy::too_many_arguments)]
-    fn fan_out<R, T, B, C, F>(
+    /// [`ReplicaClient::begin_plan_subset`] call per group, recording
+    /// breaker outcomes and typed failures. Within an attempt every
+    /// group's call is begun before any answer is waited for, so the
+    /// attempt costs one round of waits, not one per replica; the answers
+    /// are then collected and reported in the same replica order, and
+    /// attempt `a + 1` starts only when attempt `a` is fully collected.
+    ///
+    /// Per engine: `None` while no replica answered for it, else its row
+    /// (`None` when it holds no query term) and, if its replica picked
+    /// it, its hits and stats.
+    fn fan_out(
         &self,
         replicas: &[(String, Arc<dyn ReplicaClient>, Arc<CircuitBreaker>)],
         engines: &[(String, Vec<usize>)],
-        targets: Vec<usize>,
-        phase: FederationPhase,
-        trace: &seu_obs::TraceHandle,
-        parent: seu_obs::SpanId,
-        report: &mut FederationReport,
-        begin: B,
-        read: C,
         req: &SearchRequest,
-        mut fill: F,
-    ) where
-        B: Fn(&dyn ReplicaClient, &str, f64, &[String]) -> Box<dyn Pending<R>>,
-        C: Fn(R, &[String]) -> Result<Vec<T>, TransportError>,
-        F: FnMut(usize, T),
-    {
+        trace: &seu_obs::TraceHandle,
+        report: &mut FederationReport,
+    ) -> Vec<Option<(Option<Usefulness>, Searched)>> {
         let m = metrics();
+        let estimate = trace.span("federate_estimate");
+        let mut answered = vec![None; engines.len()];
         let max_attempts = engines.iter().map(|(_, h)| h.len()).max().unwrap_or(0);
-        let mut unresolved = targets;
+        let mut unresolved: Vec<usize> = (0..engines.len()).collect();
         for attempt in 0..max_attempts {
             if unresolved.is_empty() {
                 break;
             }
-            // Group by this attempt's holder, preserving global order
-            // within each group.
+            // Failed groups were appended replica by replica: restore
+            // global order, so each group names its engines in it and a
+            // replica's `TopK` ranks them by the global tie order.
+            unresolved.sort_unstable();
             let mut by_replica: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
             let mut still = Vec::new();
             for &e in &unresolved {
@@ -1073,11 +1001,13 @@ impl FrontDoor {
                     let (id, client, breaker) = &replicas[r];
                     let names: Vec<String> = group.iter().map(|&e| engines[e].0.clone()).collect();
                     let call = breaker.allow(self.clock.now_ms()).then(|| {
-                        let mut span = trace.child_span(&format!("replica:{id}"), parent);
+                        let mut span = trace.child_span(&format!("replica:{id}"), estimate.id());
                         span.attr("engines", group.len());
                         span.attr("attempt", attempt);
                         m.replica_calls.inc();
-                        let answer = begin(client.as_ref(), &req.query, req.threshold, &names);
+                        let policy = Some(req.policy);
+                        let answer =
+                            client.begin_plan_subset(&req.query, req.threshold, &names, policy);
                         (span, answer)
                     });
                     (r, group, names, call)
@@ -1090,7 +1020,6 @@ impl FrontDoor {
                     replica: id.clone(),
                     engines: names.clone(),
                     error,
-                    phase,
                 };
                 let Some((mut span, answer)) = call else {
                     report.failures.push(failed(TransportError::new(
@@ -1100,21 +1029,20 @@ impl FrontDoor {
                     next_round.extend(&group);
                     continue;
                 };
-                let values = answer.finish(None).and_then(|answer| {
-                    let values = read(answer, &names)?;
-                    // A count-lying replica is a protocol failure.
-                    (values.len() == names.len())
-                        .then_some(values)
-                        .ok_or_else(|| protocol_error("replica answered with a short vector"))
+                let rows = answer.finish(None).and_then(|answer| {
+                    let rows = answer.by_position(names.len())?;
+                    Ok(rows
+                        .into_iter()
+                        .zip(split_by_engine(answer.searched, &names)))
                 });
-                match values {
-                    Ok(values) => {
+                match rows {
+                    Ok(rows) => {
                         breaker.record_success();
                         if attempt > 0 {
                             report.failovers += group.len() as u64;
                         }
-                        for (&e, v) in group.iter().zip(values) {
-                            fill(e, v);
+                        for (&e, row) in group.iter().zip(rows) {
+                            answered[e] = Some(row);
                         }
                     }
                     Err(e) => {
@@ -1130,6 +1058,7 @@ impl FrontDoor {
             }
             unresolved = next_round;
         }
+        answered
     }
 
     /// Synthesized per-engine statuses for the admin API: the engine

@@ -23,13 +23,6 @@ pub enum SelectionPolicy {
 }
 
 impl SelectionPolicy {
-    /// Whether the policy decides each engine from its own estimate alone
-    /// (all but `TopK`), and so picks the same engines from any split of
-    /// the estimates: a federation replica can apply it to its share.
-    pub fn is_per_engine(&self) -> bool {
-        !matches!(self, SelectionPolicy::TopK(_))
-    }
-
     /// Applies the policy to per-engine estimates, returning selected
     /// indices in the order they should be invoked (TopK: best first;
     /// others: registration order).
@@ -104,14 +97,54 @@ mod tests {
         assert_eq!(SelectionPolicy::MinNoDoc(0.0).select(&es), vec![0, 1]);
     }
 
+    /// The superset lemma a federation replica relies on. Split the
+    /// estimates into order-preserving parts (a replica's rows, named in
+    /// global order) and apply the policy to each part alone: the whole's
+    /// picks are among the parts' picks. A per-engine policy picks the
+    /// same from any split; `TopK` ranks a part in the whole's tie order,
+    /// so an engine's rank in its part is at most its rank in the whole.
+    /// Any order both apply alike keeps the lemma, so the tie order itself
+    /// is pinned too: `TopK(k)` picks, best first, exactly the engines
+    /// fewer than `k` others beat on (NoDoc, AvgSim, earlier position).
     #[test]
-    fn per_engine_policies_pick_the_same_from_any_split() {
+    fn the_whole_picks_among_its_parts_picks() {
         use SelectionPolicy::*;
-        let es = [est(0.4, 0.1), est(3.0, 0.4), est(0.6, 0.2), est(0.0, 0.0)];
-        for policy in [All, EstimatedUseful, MinNoDoc(0.5), TopK(1)] {
-            let mut split = policy.select(&es[..2]);
-            split.extend(policy.select(&es[2..]).into_iter().map(|i| i + 2));
-            assert_eq!(split == policy.select(&es), policy.is_per_engine());
+        // Ties in NoDoc, in AvgSim, and in both.
+        let values = [est(2.0, 0.5), est(2.0, 0.25), est(0.5, 0.5), est(0.0, 0.0)];
+        let m = values.len();
+        for n in 0..=4u32 {
+            let len = n as usize;
+            for code in 0..m.pow(n) {
+                let es: Vec<Usefulness> = (0..n).map(|i| values[code / m.pow(i) % m]).collect();
+                let key = |i: usize| (es[i].no_doc, es[i].avg_sim, std::cmp::Reverse(i));
+                let beaten_by = |i: usize| (0..len).filter(|&j| key(j) > key(i)).count();
+                for k in 0..=len {
+                    let mut best: Vec<usize> = (0..len).filter(|&i| beaten_by(i) < k).collect();
+                    best.sort_by_key(|&i| beaten_by(i));
+                    assert_eq!(TopK(k).select(&es), best, "TopK({k}) of {es:?}");
+                }
+                let policies = (0..=len).map(TopK);
+                for policy in policies.chain([All, EstimatedUseful, MinNoDoc(0.5)]) {
+                    let whole = policy.select(&es);
+                    for parts in 2..=3usize {
+                        for split in 0..parts.pow(n) {
+                            let part = |i: usize| split / parts.pow(i as u32) % parts;
+                            let mut picked = vec![false; len];
+                            for p in 0..parts {
+                                let members: Vec<usize> =
+                                    (0..len).filter(|&i| part(i) == p).collect();
+                                let share: Vec<Usefulness> =
+                                    members.iter().map(|&i| es[i]).collect();
+                                for local in policy.select(&share) {
+                                    picked[members[local]] = true;
+                                }
+                            }
+                            let ctx = format!("{policy:?} of {es:?}, split {split} in {parts}");
+                            assert!(whole.iter().all(|&i| picked[i]), "{ctx}");
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -4,7 +4,7 @@
 //! `seu_metasearch::FrontDoor` speaks to its back-end broker replicas
 //! through the [`ReplicaClient`] trait. In process that is
 //! `LocalReplica`; this module makes the split literal with the same
-//! frame protocol the engine transport uses — message kinds 19–29 of
+//! frame protocol the engine transport uses — message kinds 19–31 of
 //! [`crate::wire`]:
 //!
 //! * **[`ReplicaServer`]** puts one broker on a socket as a federation
@@ -25,10 +25,13 @@
 //!   front-door treats a process across the wire exactly like an
 //!   in-process replica: same placement, same failover, same typed
 //!   [`TransportError`] capture when the replica dies mid-dispatch.
-//!   Its subset plan and subset search are calls in two halves
-//!   (request written at the begin, reply awaited at the finish), which
-//!   is what lets the front-door ask all the replicas of an attempt
-//!   before it waits for the first.
+//!   Its subset plan (kinds 30/31) is a call in two halves (request
+//!   written at the begin, reply awaited at the finish), which is what
+//!   lets the front-door ask all the replicas of an attempt before it
+//!   waits for the first; the plan carries the request's policy, `TopK`
+//!   included, so a replica searches its own picks in the same call.
+//!   The subset search (kinds 19/20) is one blocking call that no front
+//!   door makes.
 //!
 //! The module also wires [`FrontDoor`] into the HTTP admin server by
 //! implementing [`BrokerAdmin`] for it, so `seu front-door` serves the
@@ -52,7 +55,7 @@ use seu_metasearch::{
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
 
-/// One broker on a socket as a federation replica (kinds 19–29);
+/// One broker on a socket as a federation replica (kinds 19–31);
 /// serving stops when dropped.
 pub struct ReplicaServer {
     server: FrameServer,
@@ -289,8 +292,15 @@ impl ReplicaClient for RemoteReplica {
         threshold: f64,
         engines: &[String],
     ) -> Result<SubsetResults, TransportError> {
-        self.begin_search_subset(query, threshold, engines)
-            .finish(None)
+        let request = Message::ReplicaSearch {
+            query: query.to_string(),
+            threshold,
+            engines: engines.to_vec(),
+        };
+        match self.client.call(&request)? {
+            Message::ReplicaSearchResults { hits, stats } => Ok(SubsetResults { hits, stats }),
+            other => Err(unexpected("ReplicaSearchResults", &other)),
+        }
     }
 
     fn begin_plan_subset(
@@ -312,23 +322,6 @@ impl ReplicaClient for RemoteReplica {
                 searched: SubsetResults { hits, stats },
             }),
             other => Err(unexpected("ReplicaPlanResults", &other)),
-        })
-    }
-
-    fn begin_search_subset(
-        &self,
-        query: &str,
-        threshold: f64,
-        engines: &[String],
-    ) -> Box<dyn Pending<SubsetResults>> {
-        let request = Message::ReplicaSearch {
-            query: query.to_string(),
-            threshold,
-            engines: engines.to_vec(),
-        };
-        self.client.ask(&request, |reply, _| match reply {
-            Message::ReplicaSearchResults { hits, stats } => Ok(SubsetResults { hits, stats }),
-            other => Err(unexpected("ReplicaSearchResults", &other)),
         })
     }
 

@@ -23,33 +23,33 @@
 //! | 14 | [`Message::TracedSearchResults`] | server → client |
 //! | 15 | [`Message::EstimateBatch`] | client → server |
 //! | 16 | [`Message::UsefulnessBatch`] | server → client |
-//! | 19 | [`Message::ReplicaSearch`] | front-door → replica broker |
-//! | 20 | [`Message::ReplicaSearchResults`] | replica broker → front-door |
+//! | 19 | [`Message::ReplicaSearch`] | client → replica broker |
+//! | 20 | [`Message::ReplicaSearchResults`] | replica broker → client |
 //! | 21 | [`Message::InstallEngine`] | front-door → replica broker |
 //! | 22 | [`Message::InstallAck`] | replica broker → front-door |
 //! | 23 | [`Message::RemoveEngine`] | front-door → replica broker |
 //! | 24 | [`Message::RemoveAck`] | replica broker → front-door |
 //! | 25 | [`Message::ExportEngine`] | front-door → replica broker |
-//! | 28 | [`Message::ReplicaPlan`] | front-door → replica broker |
-//! | 29 | [`Message::ReplicaPlanResults`] | replica broker → front-door |
+//! | 30 | [`Message::ReplicaPlan`] | front-door → replica broker |
+//! | 31 | [`Message::ReplicaPlanResults`] | replica broker → front-door |
 //!
-//! Kinds 19–29 are the **federation vocabulary**: what a front-door
+//! Kinds 19–31 are the **federation vocabulary**: what a front-door
 //! broker (`seu_metasearch::FrontDoor`) asks of a back-end broker
-//! replica. 28/29 are a request's one round trip per replica: the rows
-//! of the named engines that hold a query term — each one's position in
-//! the request and its estimate — and, under a per-engine policy, the
-//! search of its picks. They retired 26/27, whose answer carried an
-//! estimate for every named engine (which had retired the estimate-only
-//! 17/18), so a peer one version behind is refused in band instead of
-//! misread. 19/20 search named engines, `TopK`'s second round. Both
-//! carry explicit engine name lists so the front-door controls
-//! placement; 21–24 move engines between replicas (the rebalance path
-//! ships an [`EngineSnapshot`] so the receiving replica hydrates without
-//! re-registration); 25 is answered with the existing kind 8
-//! [`Message::Representative`]. A peer answers a kind it does not know
-//! or serve with [`Message::Error`] on the request's own correlation id,
-//! which the caller surfaces as a typed
-//! [`Remote`](TransportErrorKind::Remote) failure.
+//! replica. 30/31 are a request's one round trip per replica, whatever
+//! its policy: the rows of the named engines holding a query term (each
+//! one's position in the request and its estimate) and the search of
+//! the rows the policy picks, `TopK`'s included. They retired 28/29
+//! (no search under `TopK`), which retired 26/27 and 17/18, so a peer
+//! one version behind is refused in band instead of misread. 19/20
+//! search named engines; no front door sends them, only `search_subset`
+//! callers such as the benchmark's replica probe. Both carry engine
+//! name lists so the front-door controls placement; 21–24 move engines
+//! between replicas (the rebalance path ships an [`EngineSnapshot`] so
+//! the receiving replica hydrates without re-registration); 25 is
+//! answered with the existing kind 8 [`Message::Representative`]. A
+//! peer answers a kind it does not know or serve with [`Message::Error`]
+//! on the request's own correlation id, which the caller surfaces as a
+//! typed [`Remote`](TransportErrorKind::Remote) failure.
 //!
 //! Kinds 13/14 carry distributed-trace context
 //! (`trace_id`/`parent_span_id`/`sampled`) alongside a search and bring
@@ -257,7 +257,8 @@ pub enum Message {
         threshold: f64,
         /// Engine names, in the order estimates are expected.
         engines: Vec<String>,
-        /// A per-engine policy; absent (or `TopK`), nothing is searched.
+        /// The request's policy, applied to these rows alone; absent,
+        /// nothing is searched.
         policy: Option<SelectionPolicy>,
     },
     /// Answer to [`Message::ReplicaPlan`]: a row per requested engine
@@ -681,8 +682,8 @@ codec! {
     23 => RemoveEngine { name },
     24 => RemoveAck { removed },
     25 => ExportEngine { name },
-    28 => ReplicaPlan { query, threshold, engines, policy },
-    29 => ReplicaPlanResults { rows, hits, stats },
+    30 => ReplicaPlan { query, threshold, engines, policy },
+    31 => ReplicaPlanResults { rows, hits, stats },
 }
 
 impl Message {
@@ -1055,12 +1056,12 @@ mod tests {
         String::from("q").put(&mut buf);
         buf.put_f64(0.2);
         buf.put_u32(u32::MAX);
-        let err = Message::decode(28, &buf).unwrap_err();
+        let err = Message::decode(30, &buf).unwrap_err();
         assert_eq!(err.kind, TransportErrorKind::Protocol);
         // Row-count liar on the answer.
         let mut buf = Vec::<u8>::new();
         buf.put_u32(u32::MAX);
-        let err = Message::decode(29, &buf).unwrap_err();
+        let err = Message::decode(31, &buf).unwrap_err();
         assert_eq!(err.kind, TransportErrorKind::Protocol);
         // Dispatch-stat liar behind a legal empty hit list.
         let mut buf = Vec::<u8>::new();

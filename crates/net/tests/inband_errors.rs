@@ -79,7 +79,7 @@ fn an_unserved_kind_is_answered_in_band_and_the_connection_survives() {
         replies.insert(frame.corr, message);
     }
     assert!(
-        matches!(&replies[&1], Message::Error { detail } if detail.contains("kind 28")),
+        matches!(&replies[&1], Message::Error { detail } if detail.contains("kind 30")),
         "the unserved kind gets a typed error naming it: {:?}",
         replies[&1]
     );

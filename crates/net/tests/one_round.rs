@@ -1,15 +1,17 @@
-//! One round per request: a front door asks each replica once.
+//! One round per request: a front door asks each replica once, whatever
+//! the policy.
 //!
-//! A policy that decides each engine from its own estimate (`All`,
-//! `EstimatedUseful`, `MinNoDoc`) needs no second round: the replica
-//! estimates its engines, picks among them and searches the picks in
-//! the one call. Only `TopK` ranks engines against each other, so only
-//! it asks the replicas holding the chosen engines a second time.
+//! A replica estimates its engines, applies the request's policy to
+//! their rows and searches its picks in the one call. A policy that
+//! decides each engine from its own estimate (`All`, `EstimatedUseful`,
+//! `MinNoDoc`) picks there exactly what it picks globally. `TopK` ranks
+//! engines against each other, and a replica's own top k holds every
+//! globally chosen engine it was asked about, so it needs no second
+//! round either.
 //!
 //! Counted, not timed: every request must cost exactly one
 //! `federation_replica_calls_total` per replica that is primary for an
-//! engine (plus, for `TopK`, one per replica primary for a chosen
-//! engine), and every answer must be bit-identical (`f64::to_bits`) to a
+//! engine, and every answer must be bit-identical (`f64::to_bits`) to a
 //! flat broker's over the same engine servers.
 //!
 //! The file holds one test on purpose: the counter is process-global,
@@ -108,7 +110,7 @@ fn assert_identical(control: &SearchResponse, fed: &SearchResponse, ctx: &str) {
 }
 
 #[test]
-fn a_request_costs_one_call_per_replica_and_topk_a_second_round() {
+fn a_request_costs_one_call_per_replica_topk_included() {
     let calls = seu_obs::counter("federation_replica_calls_total");
     let servers: Vec<EngineServer> = DBS
         .iter()
@@ -159,12 +161,7 @@ fn a_request_costs_one_call_per_replica_and_topk_a_second_round() {
             assert!(report.failures.is_empty(), "{ctx}: {report:?}");
             assert_identical(&control.execute(&req), &fed, &ctx);
 
-            let chosen = fed.per_engine_stats.iter().map(|s| &primary[&s.engine]);
-            let second_round = match policy {
-                SelectionPolicy::TopK(_) => chosen.collect::<BTreeSet<_>>().len(),
-                _ => 0,
-            };
-            assert_eq!(made as usize, primaries + second_round, "{ctx}: calls");
+            assert_eq!(made as usize, primaries, "{ctx}: calls");
             selected_somewhere |= !fed.per_engine_stats.is_empty();
         }
         assert!(selected_somewhere, "{policy:?} never picked an engine");

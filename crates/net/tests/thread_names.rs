@@ -13,6 +13,7 @@ use seu_text::Analyzer;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn engine() -> SearchEngine {
     let mut b = CollectionBuilder::new(Analyzer::paper_default(), WeightingScheme::CosineTf);
@@ -29,8 +30,17 @@ fn thread_names() -> Vec<String> {
         .collect()
 }
 
+/// Whether a thread of that name shows within a second: a new thread
+/// names itself once it runs, and until then `/proc` shows the name of
+/// the thread that started it.
 fn has_thread(name: &str) -> bool {
-    thread_names().iter().any(|n| n == name)
+    for _ in 0..100 {
+        if thread_names().iter().any(|n| n == name) {
+            return true;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    false
 }
 
 #[test]
