@@ -44,10 +44,11 @@ impl Document {
 }
 
 /// A cheap content fingerprint of a [`Collection`]: document count,
-/// total raw bytes, and a rolling hash over every document's name and
-/// weighted term vector. Two collections with the same fingerprint hold
-/// the same indexed content for all practical purposes; any document
-/// added, removed, or re-weighted changes it.
+/// total raw bytes, and a rolling hash over the vocabulary's words (in
+/// id order) and every document's name and weighted term vector. Two
+/// collections with the same fingerprint hold the same indexed content
+/// for all practical purposes; any document added, removed, or
+/// re-weighted, and any word swapped for another, changes it.
 ///
 /// This is the broker's staleness signal: a registry records the
 /// fingerprint of the collection a representative was built from and
@@ -60,7 +61,8 @@ pub struct Fingerprint {
     pub n_docs: u64,
     /// Total bytes of raw text ingested.
     pub raw_bytes: u64,
-    /// FNV-1a rolling hash over document names and term vectors.
+    /// FNV-1a rolling hash over the vocabulary, document names and term
+    /// vectors.
     pub hash: u64,
 }
 
@@ -160,6 +162,14 @@ impl Collection {
     /// that at index-build time.
     pub fn fingerprint(&self) -> Fingerprint {
         let mut hash = Fingerprint::FNV_OFFSET;
+        // Term ids mean nothing without the words behind them: a word
+        // swap that keeps every id and weight is still new content. The
+        // 0xff after each word (never a UTF-8 byte) keeps "ab","c" apart
+        // from "a","bc".
+        for (_, term) in self.vocab.iter() {
+            hash = Fingerprint::fold(hash, term.as_bytes());
+            hash = Fingerprint::fold(hash, &[0xff]);
+        }
         for doc in &self.docs {
             hash = Fingerprint::fold(hash, doc.name.as_bytes());
             hash = Fingerprint::fold(hash, &doc.len.to_le_bytes());
@@ -558,6 +568,22 @@ mod tests {
         let renamed = renamed.build();
         assert_eq!(renamed.fingerprint().n_docs, a.fingerprint().n_docs);
         assert_ne!(renamed.fingerprint().hash, a.fingerprint().hash);
+
+        // Same names, lengths, term ids and weights, another word behind
+        // one id: the vocabulary is content too.
+        let swap = |text: &str| {
+            let mut b =
+                CollectionBuilder::new(Analyzer::paper_default(), WeightingScheme::CosineTf);
+            b.add_document("d0", text);
+            b.build()
+        };
+        let (soup, stew) = (
+            swap("mushroom soup with cream"),
+            swap("mushroom stew with cream"),
+        );
+        assert_eq!(soup.docs()[0].terms, stew.docs()[0].terms);
+        assert_eq!(soup.raw_bytes(), stew.raw_bytes());
+        assert_ne!(soup.fingerprint(), stew.fingerprint());
     }
 
     #[test]

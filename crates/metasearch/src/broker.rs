@@ -19,8 +19,7 @@ use crate::cache::{CacheStats, QueryCache};
 use crate::persist::StoreHandle;
 use crate::pool::WorkerPool;
 use crate::registry::{
-    Change, EngineHandle, EngineStatus, RegisteredEngine, RegistrySnapshot, ReprProvenance,
-    ShardedRegistry,
+    Change, EngineHandle, EngineStatus, RegisteredEngine, RegistrySnapshot, ShardedRegistry,
 };
 use crate::remote::{
     EngineSnapshot, RemoteMeta, RemoteTransport, TransportError, TransportErrorKind,
@@ -332,10 +331,12 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         Ok(())
     }
 
-    /// Registers an engine; its representative is built from its
-    /// collection on the spot (in a deployment the engine would ship the
-    /// serialized representative instead — see
-    /// [`Broker::register_with_representative`]).
+    /// Registers an engine. Its representative is built from its
+    /// collection on the spot, and the collection's fingerprint is
+    /// recorded beside it. An engine in another process ships an
+    /// [`EngineSnapshot`] instead: see [`Broker::register_remote`] and
+    /// [`Broker::install_snapshot`]. Those are the only two ways a
+    /// representative comes in.
     pub fn register(&self, name: &str, engine: SearchEngine) {
         self.register_shared(name, Arc::new(engine));
     }
@@ -344,54 +345,16 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
     /// federation replication path, where several broker replicas hold
     /// standby copies of the same in-process engine. Registration is
     /// byte-identical to [`Broker::register`]: the representative is
-    /// built from the same collection either way.
+    /// built from the same collection either way. Like every
+    /// registration it installs under the routed shard's lock (`entries`
+    /// before `vocab`), through the installer a later refresh will use.
     pub fn register_shared(&self, name: &str, engine: Arc<SearchEngine>) {
         let repr = Representative::build(engine.collection());
-        let provenance = ReprProvenance::Local(engine.fingerprint());
-        self.register_inner(name, engine, repr, provenance);
-    }
-
-    /// Registers an engine together with a representative it supplied
-    /// (e.g. deserialized from [`Representative::to_bytes`], or a
-    /// quantized one). The engine's vocabulary is folded into the
-    /// broker-global vocabulary so queries are analyzed once, not once
-    /// per engine.
-    ///
-    /// # Panics
-    ///
-    /// If the broker has a store and `repr` does not have one row per
-    /// term of the engine's vocabulary — the store's codec could not
-    /// write it. Nothing is registered.
-    pub fn register_with_representative(
-        &self,
-        name: &str,
-        engine: SearchEngine,
-        repr: Representative,
-    ) {
-        let provenance = ReprProvenance::shipped(&repr);
-        self.register_inner(name, Arc::new(engine), repr, provenance);
-    }
-
-    /// Registration from a live collection. Like every registration it
-    /// installs under the routed shard's lock (`entries` before
-    /// `vocab`), through the installer a later refresh will use.
-    fn register_inner(
-        &self,
-        name: &str,
-        engine: Arc<SearchEngine>,
-        repr: Representative,
-        provenance: ReprProvenance,
-    ) {
-        let registered = self.registry.insert(name, |seq| {
+        self.registry.insert(name, |seq| {
             let mut e = RegisteredEngine::new(name, seq, EngineHandle::Local(engine));
-            let store = self.store.as_deref();
-            e.install(&mut self.vocab.write(), repr, provenance, store)
-                .then_some(e)
+            e.install(&mut self.vocab.write(), repr, self.store.as_deref());
+            e
         });
-        assert!(
-            registered,
-            "the representative shipped for {name:?} is not row-aligned with its collection"
-        );
         self.purge_cache();
     }
 
@@ -408,16 +371,13 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         snapshot.check_consistent()?;
         let meta = RemoteMeta::from_snapshot(&snapshot);
         let name = snapshot.name;
-        let registered = self.registry.insert(&name, |seq| {
+        self.registry.insert(&name, |seq| {
             let mut e = RegisteredEngine::new(&name, seq, handle(meta.clone()));
             let (repr, store) = (snapshot.summary.repr, self.store.as_deref());
-            let installed = e.install_meta(&mut self.vocab.write(), meta, repr, store);
+            e.install_meta(&mut self.vocab.write(), meta, repr, store);
             e.terms_fingerprint = terms_fingerprint;
-            installed.then_some(e)
+            e
         });
-        if !registered {
-            return Err(EngineSnapshot::inconsistent(&name));
-        }
         self.purge_cache();
         Ok(name)
     }
@@ -531,7 +491,7 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
     ) -> Result<bool, TransportError> {
         self.update(name, |e| {
             metrics().push_invalidations.inc();
-            if e.provenance.matches(fingerprint) && !e.pending_invalidation {
+            if e.provenance == fingerprint && !e.pending_invalidation {
                 // The notice describes the snapshot the registry already
                 // holds (e.g. a redelivery); nothing to refetch. Restored
                 // entries compare against the manifest's fingerprint, so a
@@ -612,29 +572,6 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         self.update(name, |e| {
             let refreshed = self.refresh(e).is_ok();
             (Change::when(refreshed), refreshed)
-        })
-        .unwrap_or(false)
-    }
-
-    /// Replaces the named engine's representative with one it shipped
-    /// (e.g. a quantized or accumulator-snapshotted one), rebuilding the
-    /// engine's term list alongside it. Bumps the engine's epoch and the
-    /// registry epoch. Returns false — and changes nothing — if no
-    /// engine has that name, if the engine is remote (remote entries
-    /// receive whole snapshots via push invalidation or
-    /// [`Broker::refresh_representative`]), or if the broker has a store
-    /// and `repr` does not have one row per term of the engine's
-    /// vocabulary (the store's codec could not write it).
-    pub fn update_representative(&self, name: &str, repr: Representative) -> bool {
-        self.update(name, |e| {
-            let provenance = ReprProvenance::shipped(&repr);
-            let store = self.store.as_deref();
-            let installed = e.handle.local().is_some()
-                && e.install(&mut self.vocab.write(), repr, provenance, store);
-            if installed {
-                metrics().representative_refreshes.inc();
-            }
-            (Change::when(installed), installed)
         })
         .unwrap_or(false)
     }

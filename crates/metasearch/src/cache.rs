@@ -50,6 +50,7 @@
 //! (`BrokerBuilder::cache_bytes`), split evenly over the shards, holds.
 
 use crate::broker::{EngineEstimate, MergedHit};
+use crate::federation::placement::{fnv1a, hash_key};
 use crate::request::{EngineDispatchStats, SearchRequest};
 use crate::selection::SelectionPolicy;
 use parking_lot::Mutex;
@@ -57,11 +58,6 @@ use seu_store::Slru;
 use std::mem::{size_of, size_of_val};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-
-/// FNV-1a (same constants as the registry's shard router, so the whole
-/// broker fingerprints strings one way).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Number of independently locked cache shards. Fixed: cache contention
 /// is per-query hashing, unrelated to the registry's shard count.
@@ -186,33 +182,21 @@ impl CacheKey {
         self.epoch
     }
 
-    /// 64-bit FNV-1a over every field. Routes the key to a cache shard;
-    /// never trusted for identity.
+    /// 64-bit FNV-1a over every field, with no allocation. Routes the
+    /// key to a cache shard; never trusted for identity.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        let mut byte = |b: u8| {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        };
-        for b in self.query.as_bytes() {
-            byte(*b);
-        }
         // Field separator: "ab" + threshold x must not alias "a" +
         // whatever follows from "b…".
-        byte(0xff);
+        let mut h = fnv1a(hash_key(&self.query), &[0xff]);
         for v in [
             self.epoch,
             self.threshold_bits,
             self.policy_bits,
             self.top_k,
         ] {
-            for b in v.to_le_bytes() {
-                byte(b);
-            }
+            h = fnv1a(h, &v.to_le_bytes());
         }
-        byte(self.policy_tag);
-        byte(self.with_estimates as u8);
-        h
+        fnv1a(h, &[self.policy_tag, u8::from(self.with_estimates)])
     }
 }
 

@@ -557,7 +557,6 @@ mod tests {
     use crate::{EngineSnapshot, SearchEngine};
     use seu_core::SubrangeEstimator;
     use seu_engine::{CollectionBuilder, TrueUsefulness, WeightingScheme};
-    use seu_repr::Representative;
     use seu_text::Analyzer;
     use std::time::Duration;
 
@@ -669,20 +668,26 @@ mod tests {
     }
 
     #[test]
-    fn representative_refresh_and_update() {
+    fn representative_refresh_follows_the_collection() {
         let b = broker();
-        // Cripple one engine's representative, watch selection change,
-        // then refresh it back.
-        let empty = Representative::from_parts(0, Vec::new(), 0);
-        assert!(b.update_representative("cooking", empty));
-        let sel = b.select("mushroom soup", 0.25, SelectionPolicy::EstimatedUseful);
-        assert!(!sel.contains(&"cooking".to_string()), "{sel:?}");
+        // Re-index one engine without the query's words and refresh it:
+        // selection drops it. Re-index it back and refresh: it returns.
+        let selects_cooking = || {
+            let sel = b.select("mushroom soup", 0.25, SelectionPolicy::EstimatedUseful);
+            sel.contains(&"cooking".to_string())
+        };
+        assert!(b.replace_engine("cooking", engine_from(&["baking sourdough bread at home"])));
         assert!(b.refresh_representative("cooking"));
-        let sel = b.select("mushroom soup", 0.25, SelectionPolicy::EstimatedUseful);
-        assert!(sel.contains(&"cooking".to_string()), "{sel:?}");
+        assert!(!selects_cooking());
+        let original = [
+            "mushroom soup recipes with cream",
+            "baking sourdough bread at home",
+        ];
+        assert!(b.replace_engine("cooking", engine_from(&original)));
+        assert!(b.refresh_representative("cooking"));
+        assert!(selects_cooking());
         // Unknown names report failure.
         assert!(!b.refresh_representative("nope"));
-        assert!(!b.update_representative("nope", Representative::from_parts(0, Vec::new(), 0)));
     }
 
     #[test]

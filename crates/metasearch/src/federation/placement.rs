@@ -16,11 +16,19 @@
 //! `ring_position`), so placement needs no state, no RNG, and no
 //! coordination — the ring *is* the membership list plus arithmetic.
 
-/// FNV-1a offset basis (same constants as `shard_for` and
-/// `seu_engine::Fingerprint`).
+/// FNV-1a offset basis: the hash of the empty key.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Folds `bytes` into the FNV-1a state `h`: the crate's one string
+/// hash, behind ring placement, [`shard_for`](crate::shard_for) and the
+/// query cache's shard routing.
+pub(crate) fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
 
 /// Default virtual nodes per replica. 192 points per replica keeps the
 /// keyspace share of 8 replicas within ±20% of fair over an 8k-name
@@ -31,30 +39,14 @@ pub const DEFAULT_VNODES: usize = 192;
 /// Pure FNV-1a over a key's bytes — the hash that positions both ring
 /// points and engine names on the circle.
 pub fn hash_key(key: &str) -> u64 {
-    let mut h = FNV_OFFSET;
-    for b in key.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    fnv1a(FNV_OFFSET, key.as_bytes())
 }
 
 /// The hash of one virtual node: replica id and vnode index joined with
 /// `#` (a character the CLI forbids in replica ids), so `r1#2` and
-/// `r12#…` never collide structurally.
+/// `r12#…` never collide structurally. Runs at ring build only.
 fn point_hash(replica: &str, vnode: usize) -> u64 {
-    let mut h = FNV_OFFSET;
-    for b in replica.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h ^= u64::from(b'#');
-    h = h.wrapping_mul(FNV_PRIME);
-    for b in vnode.to_string().as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    hash_key(&format!("{replica}#{vnode}"))
 }
 
 /// The splitmix64 finalizer, applied to every hash before it lands on

@@ -14,9 +14,9 @@
 //! bit-identical to those a restored broker computes after decoding
 //! the very same bytes from disk. Even when a write fails, the broker
 //! still installs the in-memory round-trip so its behaviour does not
-//! depend on disk health. What the codec cannot encode at all — a
-//! record whose rows do not align — [`canonical`] refuses *before* an
-//! installer assigns anything.
+//! depend on disk health. Every record reaching the codec is aligned:
+//! it was built from a collection, or from a snapshot that passed
+//! `EngineSnapshot::check_consistent`.
 //!
 //! Hydration is the third installer: a cold entry has no term list and
 //! therefore no postings, `hydrate_entry` fills the list in from the
@@ -33,9 +33,7 @@
 //! [`ReprStore::put`]: seu_store::ReprStore::put
 
 use crate::broker::{metrics, Broker};
-use crate::registry::{
-    global_ids, Change, ColdEntry, EngineHandle, RegisteredEngine, ReprProvenance,
-};
+use crate::registry::{global_ids, Change, ColdEntry, EngineHandle, RegisteredEngine};
 use crate::remote::{RemoteMeta, RemoteTransport, TransportError};
 use parking_lot::{Mutex, RwLock};
 use seu_core::UsefulnessEstimator;
@@ -112,25 +110,16 @@ impl StoreHandle {
 /// the fingerprint it is stored under — serving the round-trip is what
 /// keeps a live broker bit-identical with one restored from the store
 /// later. Without a store, `repr` itself.
-///
-/// `None` if there is a store and it cannot take the record: its rows
-/// (vocabulary, document frequencies, representative) do not align, which
-/// the codec would refuse by panicking. An installer asks this first and
-/// assigns nothing when refused, so a misaligned representative leaves
-/// the entry whole instead of torn under two write locks.
 pub(crate) fn canonical(
     store: Option<&StoreHandle>,
     repr: Representative,
     record: impl FnOnce(&Representative) -> EngineRecord,
-) -> Option<(Arc<Representative>, Option<Fingerprint>)> {
+) -> (Arc<Representative>, Option<Fingerprint>) {
     let Some(store) = store else {
-        return Some((Arc::new(repr), None));
+        return (Arc::new(repr), None);
     };
-    let record = record(&repr);
-    record.is_consistent().then(|| {
-        let canonical = store.canonicalize(&record);
-        (canonical.repr.clone(), Some(canonical.fingerprint))
-    })
+    let canonical = store.canonicalize(&record(&repr));
+    (canonical.repr.clone(), Some(canonical.fingerprint))
 }
 
 /// Builds the storable record for a local engine's representative.
@@ -348,11 +337,8 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
             if same {
                 // Same collection content as the stored record: the
                 // hydrated term list is id-aligned with it and the
-                // canonical representative describes it.
-                e.provenance = match e.provenance {
-                    ReprProvenance::Shipped { .. } => e.provenance,
-                    _ => ReprProvenance::Local(e.stored_fingerprint.expect("hydrated from store")),
-                };
+                // canonical representative describes it; the entry's
+                // fingerprint is already the stored one.
                 metrics().representative_refreshes.inc();
             } else {
                 // Content differs (or hydration failed): rebuild from
@@ -416,15 +402,11 @@ fn manifest_entry(e: &RegisteredEngine) -> Result<ManifestEntry, StoreError> {
             e.name
         ))
     })?;
-    let kind = if matches!(e.provenance, ReprProvenance::Shipped { .. }) {
-        EntryKind::Shipped
-    } else {
-        // A still-detached entry keeps whatever kind it was
-        // snapshotted with: remote if it recorded an endpoint.
-        match e.handle.endpoint() {
-            Some(endpoint) => EntryKind::Remote { endpoint },
-            None => EntryKind::Local,
-        }
+    // A still-detached entry keeps whatever kind it was snapshotted
+    // with: remote if it recorded an endpoint.
+    let kind = match e.handle.endpoint() {
+        Some(endpoint) => EntryKind::Remote { endpoint },
+        None => EntryKind::Local,
     };
     Ok(ManifestEntry {
         name: e.name.clone(),
@@ -445,16 +427,9 @@ fn manifest_entry(e: &RegisteredEngine) -> Result<ManifestEntry, StoreError> {
 /// plan can observe them (plans hydrate first).
 fn cold_entry(e: &ManifestEntry) -> RegisteredEngine {
     let fp = e.fingerprint;
-    let (endpoint, provenance) = match &e.kind {
-        EntryKind::Local => (None, ReprProvenance::Local(fp)),
-        EntryKind::Remote { endpoint } => (Some(endpoint.clone()), ReprProvenance::Remote(fp)),
-        EntryKind::Shipped => (
-            None,
-            ReprProvenance::Shipped {
-                n_docs: fp.n_docs,
-                raw_bytes: fp.raw_bytes,
-            },
-        ),
+    let endpoint = match &e.kind {
+        EntryKind::Local => None,
+        EntryKind::Remote { endpoint } => Some(endpoint.clone()),
     };
     let meta = RemoteMeta {
         analyzer: e.analyzer,
@@ -476,7 +451,7 @@ fn cold_entry(e: &ManifestEntry) -> RegisteredEngine {
         terms: Arc::from([]),
         terms_fingerprint: None,
         epoch: e.epoch,
-        provenance,
+        provenance: fp,
         pending_invalidation: false,
         cold: Some(ColdEntry {
             repr_terms: e.repr_terms,

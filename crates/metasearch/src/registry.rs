@@ -19,6 +19,10 @@
 //!   no longer matches the registry and replan (or surface a typed
 //!   [`StalePlanError`] under [`StaleMode::Error`](crate::StaleMode)).
 //!
+//! A representative comes in two ways: built from the engine's own
+//! collection, or taken from an [`EngineSnapshot`] that has passed its
+//! consistency check. Either way the entry records a full fingerprint.
+//!
 //! The headline invariant: **any** path that changes a representative
 //! re-posts the engine's terms. The three installers
 //! (`RegisteredEngine::install`, `install_meta` and the store's
@@ -75,6 +79,7 @@
 //! the order selection tie-breaks and result merging depend on, which
 //! is what makes a sharded broker bit-identical to a flat one.
 
+use crate::federation::hash_key;
 use crate::persist::{canonical, record_for_local, record_for_remote, StoreHandle};
 use crate::pool::{JobStatus, WorkerPool};
 use crate::postings::{Posting, TermIndex};
@@ -88,14 +93,8 @@ use seu_text::{AnalyzerConfig, TermId, Vocabulary};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// FNV-1a offset basis (same constants as
-/// [`seu_engine::Fingerprint`]'s content hash).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Routes an engine id to a shard: FNV-1a over the id's bytes, modulo
-/// the shard count.
+/// Routes an engine id to a shard: FNV-1a over the id's bytes
+/// ([`hash_key`]), modulo the shard count.
 ///
 /// The function is pure — no per-process salt, no randomized hasher —
 /// so the same id maps to the same shard in every process and across
@@ -104,12 +103,7 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// sized id population each shard receives its expected share within a
 /// few percent (property-tested in `tests/shard_routing.rs`).
 pub fn shard_for(engine_id: &str, n_shards: usize) -> usize {
-    let mut h = FNV_OFFSET;
-    for b in engine_id.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    (h % n_shards.max(1) as u64) as usize
+    (hash_key(engine_id) % n_shards.max(1) as u64) as usize
 }
 
 /// The registry gauges — process-wide, or one shard's exclusive pair.
@@ -428,27 +422,19 @@ impl ShardedRegistry {
     }
 
     /// Adds (and posts) the entry `build` makes for the sequence number
-    /// it is handed; `false`, and nothing added, if it makes none — the
-    /// sequence number is then never used, which leaves a gap in an
-    /// order, nothing more. `build` runs under the routed shard's write
-    /// lock, so it may lock the vocabulary (`entries` before `vocab`,
+    /// it is handed. `build` runs under the routed shard's write lock,
+    /// so it may lock the vocabulary (`entries` before `vocab`,
     /// everywhere); no other shard is locked.
-    pub(crate) fn insert(
-        &self,
-        name: &str,
-        build: impl FnOnce(u64) -> Option<RegisteredEngine>,
-    ) -> bool {
+    pub(crate) fn insert(&self, name: &str, build: impl FnOnce(u64) -> RegisteredEngine) {
         let shard = self.shard_of(name);
         let mut entries = shard.entries.write();
-        let Some(entry) = build(self.seq.fetch_add(1, Ordering::SeqCst)) else {
-            return false;
-        };
-        entries.list.push(entry);
+        entries
+            .list
+            .push(build(self.seq.fetch_add(1, Ordering::SeqCst)));
         let pos = entries.list.len() - 1;
         entries.post(pos);
         shard.epoch.fetch_add(1, Ordering::SeqCst);
         self.publish(shard, &entries.list);
-        true
     }
 
     /// Removes the named entry and its postings, bumping the shard epoch
@@ -667,49 +653,6 @@ impl Drop for ShardedRegistry {
     }
 }
 
-/// What the registry knows about the collection a representative
-/// summarized — the baseline a staleness check compares against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ReprProvenance {
-    /// The broker built the representative from the engine's collection
-    /// itself: the full content fingerprint is known.
-    Local(Fingerprint),
-    /// The engine shipped the representative (possibly quantized or
-    /// accumulator-snapshotted): only the summary's own totals are
-    /// known, so staleness is judged on document count and raw bytes.
-    Shipped {
-        /// `n_docs` the shipped summary claims.
-        n_docs: u64,
-        /// `collection_bytes` the shipped summary claims.
-        raw_bytes: u64,
-    },
-    /// A remote engine shipped a full [`EngineSnapshot`]: the snapshot
-    /// carries the collection's content fingerprint, so push
-    /// invalidations can be compared exactly.
-    Remote(Fingerprint),
-}
-
-impl ReprProvenance {
-    /// The provenance of a representative the engine shipped.
-    pub(crate) fn shipped(repr: &Representative) -> ReprProvenance {
-        ReprProvenance::Shipped {
-            n_docs: repr.n_docs(),
-            raw_bytes: repr.collection_bytes(),
-        }
-    }
-
-    /// Whether a collection with fingerprint `current` is still the one
-    /// this representative describes.
-    pub(crate) fn matches(&self, current: Fingerprint) -> bool {
-        match *self {
-            ReprProvenance::Local(fp) | ReprProvenance::Remote(fp) => fp == current,
-            ReprProvenance::Shipped { n_docs, raw_bytes } => {
-                n_docs == current.n_docs && raw_bytes == current.raw_bytes
-            }
-        }
-    }
-}
-
 /// How the broker reaches one registered engine: in-process, or through
 /// a [`RemoteTransport`] with broker-side planning metadata.
 ///
@@ -823,9 +766,10 @@ pub(crate) struct RegisteredEngine {
     /// on every refresh, representative update, engine replacement or
     /// attach.
     pub(crate) epoch: u64,
-    /// Fingerprint (or shipped totals) of the collection `repr` and
-    /// `terms` were built from.
-    pub(crate) provenance: ReprProvenance,
+    /// Fingerprint of the collection `repr` and `terms` were built
+    /// from: the engine's own, or the one its snapshot carried. A
+    /// staleness check compares it with the collection's current one.
+    pub(crate) provenance: Fingerprint,
     /// Remote engines only: a push invalidation notice arrived (or a
     /// snapshot refetch failed) and the entry has not been refreshed
     /// yet, so [`RegisteredEngine::is_stale`] reports true until a
@@ -879,7 +823,7 @@ impl RegisteredEngine {
     /// invalidation (or a failed refetch) has marked.
     pub(crate) fn is_stale(&self) -> bool {
         match &self.handle {
-            EngineHandle::Local(e) => !self.provenance.matches(e.fingerprint()),
+            EngineHandle::Local(e) => self.provenance != e.fingerprint(),
             EngineHandle::Remote { .. } | EngineHandle::Detached { .. } => {
                 self.pending_invalidation
             }
@@ -897,9 +841,10 @@ impl RegisteredEngine {
             terms: Arc::from([]),
             terms_fingerprint: None,
             epoch: 0,
-            provenance: ReprProvenance::Shipped {
+            provenance: Fingerprint {
                 n_docs: 0,
                 raw_bytes: 0,
+                hash: 0,
             },
             pending_invalidation: false,
             cold: None,
@@ -920,9 +865,7 @@ impl RegisteredEngine {
         match &self.handle {
             EngineHandle::Local(engine) => {
                 let repr = Representative::build(engine.collection());
-                let provenance = ReprProvenance::Local(engine.fingerprint());
-                let installed = self.install(global_vocab, repr, provenance, store);
-                debug_assert!(installed, "built from the collection, so aligned with it");
+                self.install(global_vocab, repr, store);
                 Ok(())
             }
             EngineHandle::Remote { transport, .. } => match transport.clone().fetch_snapshot() {
@@ -956,77 +899,60 @@ impl RegisteredEngine {
         snapshot: EngineSnapshot,
         store: Option<&StoreHandle>,
     ) -> Result<(), TransportError> {
-        let installed = snapshot.check_consistent().and_then(|()| {
-            let meta = RemoteMeta::from_snapshot(&snapshot);
-            if self.install_meta(global_vocab, meta, snapshot.summary.repr, store) {
-                return Ok(());
-            }
-            Err(EngineSnapshot::inconsistent(&snapshot.name))
-        });
-        if installed.is_err() {
+        if let Err(e) = snapshot.check_consistent() {
             self.pending_invalidation = true;
+            return Err(e);
         }
-        installed
+        let meta = RemoteMeta::from_snapshot(&snapshot);
+        self.install_meta(global_vocab, meta, snapshot.summary.repr, store);
+        Ok(())
     }
 
-    /// The installer for an engine known by its snapshot: term list,
-    /// (canonical) representative, planning metadata and fingerprint
-    /// provenance move together, built from `meta`. Whatever can refuse
-    /// is computed before anything is assigned: `false` leaves the entry
-    /// as it was (see [`canonical`]).
-    #[must_use]
+    /// The installer for an engine known by its snapshot, which the
+    /// caller has checked consistent: term list, (canonical)
+    /// representative, planning metadata and fingerprint move together,
+    /// built from `meta`.
     pub(crate) fn install_meta(
         &mut self,
         global_vocab: &mut Vocabulary,
         meta: RemoteMeta,
         repr: Representative,
         store: Option<&StoreHandle>,
-    ) -> bool {
+    ) {
         let record = |repr: &Representative| record_for_remote(&self.name, &meta, repr);
-        let Some((repr, stored_fingerprint)) = canonical(store, repr, record) else {
-            return false;
-        };
-        (self.repr, self.stored_fingerprint) = (repr, stored_fingerprint);
+        (self.repr, self.stored_fingerprint) = canonical(store, repr, record);
         self.terms = global_ids(global_vocab, &meta.vocab);
         self.terms_fingerprint = None;
-        self.provenance = ReprProvenance::Remote(meta.fingerprint);
+        self.provenance = meta.fingerprint;
         if let EngineHandle::Remote { meta: m, .. } = &mut self.handle {
             *m = meta;
         }
         self.pending_invalidation = false;
         self.cold = None;
-        true
     }
 
-    /// The installer for an engine in this process: term list and
-    /// (canonical) representative move together, built from its current
-    /// collection — which a shipped `repr` must be row-aligned with:
-    /// `false`, and nothing assigned, if a store is attached and `repr`
-    /// is not (see [`canonical`]). Remote entries receive whole
-    /// snapshots instead.
-    #[must_use]
+    /// The installer for an engine in this process: term list,
+    /// (canonical) representative and fingerprint move together, all
+    /// from its current collection — `repr` is that collection's
+    /// `Representative::build`, which callers make before they lock.
+    /// Remote entries receive whole snapshots instead.
     pub(crate) fn install(
         &mut self,
         global_vocab: &mut Vocabulary,
         repr: Representative,
-        provenance: ReprProvenance,
         store: Option<&StoreHandle>,
-    ) -> bool {
+    ) {
         let engine = self
             .handle
             .local()
             .expect("install targets local engines; remote entries use install_remote")
             .clone();
         let record = |repr: &Representative| record_for_local(&self.name, &engine, repr);
-        let Some((repr, stored_fingerprint)) = canonical(store, repr, record) else {
-            return false;
-        };
-        (self.repr, self.stored_fingerprint) = (repr, stored_fingerprint);
+        (self.repr, self.stored_fingerprint) = canonical(store, repr, record);
         self.terms = global_ids(global_vocab, engine.collection().vocab());
         self.terms_fingerprint = Some(engine.fingerprint());
-        self.provenance = provenance;
+        self.provenance = engine.fingerprint();
         self.cold = None;
-        true
     }
 }
 
@@ -1125,36 +1051,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn shipped_provenance_matches_on_totals_only() {
-        let p = ReprProvenance::Shipped {
-            n_docs: 3,
-            raw_bytes: 100,
-        };
-        assert!(p.matches(Fingerprint {
-            n_docs: 3,
-            raw_bytes: 100,
-            hash: 0xdead,
-        }));
-        assert!(!p.matches(Fingerprint {
-            n_docs: 4,
-            raw_bytes: 100,
-            hash: 0xdead,
-        }));
-    }
-
-    #[test]
-    fn local_provenance_matches_on_full_fingerprint() {
-        let fp = Fingerprint {
-            n_docs: 3,
-            raw_bytes: 100,
-            hash: 7,
-        };
-        let p = ReprProvenance::Local(fp);
-        assert!(p.matches(fp));
-        assert!(!p.matches(Fingerprint { hash: 8, ..fp }));
-    }
-
-    #[test]
     fn shard_routing_is_pure_and_in_range() {
         for n in [1usize, 2, 4, 16, 31] {
             for id in ["", "cooking", "databases", "engine-9999"] {
@@ -1183,7 +1079,7 @@ mod tests {
             terms: Arc::from([]),
             terms_fingerprint: None,
             epoch: 0,
-            provenance: ReprProvenance::Local(engine.fingerprint()),
+            provenance: engine.fingerprint(),
             handle: EngineHandle::Local(engine),
             pending_invalidation: false,
             cold: None,
@@ -1202,7 +1098,7 @@ mod tests {
             .iter()
             .any(|n| shard_for(n, 4) != shard_for(names[0], 4)));
         for name in names {
-            assert!(r.insert(name, |seq| Some(entry(name, seq))));
+            r.insert(name, |seq| entry(name, seq));
         }
         assert_eq!(r.epoch(), 3);
         // A reported change moves the entry and its shard by one each;

@@ -155,11 +155,15 @@ impl EngineSnapshot {
         }
     }
 
-    /// Whether the snapshot is internally consistent: `doc_freq` must
-    /// cover exactly the vocabulary (one entry per term).
+    /// Whether the snapshot is internally consistent: `doc_freq` and the
+    /// representative's table each have exactly one row per term of the
+    /// vocabulary, and every term occurs. A broker installs only such a
+    /// snapshot, so a store's codec never meets misaligned rows.
     pub fn is_consistent(&self) -> bool {
-        self.doc_freq.len() == self.summary.vocab.len()
-            && self.summary.repr.distinct_terms() == self.summary.vocab.len()
+        let terms = self.summary.vocab.len();
+        self.doc_freq.len() == terms
+            && self.summary.repr.table_len() == terms
+            && self.summary.repr.distinct_terms() == terms
     }
 
     /// The typed refusal for a snapshot that is not
@@ -168,16 +172,10 @@ impl EngineSnapshot {
         if self.is_consistent() {
             return Ok(());
         }
-        Err(EngineSnapshot::inconsistent(&self.name))
-    }
-
-    /// The refusal itself (also given to a snapshot whose rows a
-    /// store's codec could not align).
-    pub(crate) fn inconsistent(name: &str) -> TransportError {
-        TransportError::new(
+        Err(TransportError::new(
             TransportErrorKind::Protocol,
-            format!("engine {name:?} shipped an inconsistent snapshot"),
-        )
+            format!("engine {:?} shipped an inconsistent snapshot", self.name),
+        ))
     }
 }
 
@@ -398,6 +396,19 @@ mod tests {
         let e = engine(&["apple banana"]);
         let mut snapshot = snapshot_of("x", &e);
         snapshot.doc_freq.pop();
+        assert!(!snapshot.is_consistent());
+        // A table row past the vocabulary, even one for no document.
+        let mut snapshot = snapshot_of("x", &e);
+        let repr = &snapshot.summary.repr;
+        let mut rows: Vec<_> = repr.iter().map(|(_, s)| *s).collect();
+        rows.push(seu_repr::TermStats {
+            p: 0.0,
+            mean: 0.0,
+            std_dev: 0.0,
+            max: 0.0,
+        });
+        let (n_docs, bytes) = (repr.n_docs(), repr.collection_bytes());
+        snapshot.summary.repr = seu_repr::Representative::from_parts(n_docs, rows, bytes);
         assert!(!snapshot.is_consistent());
     }
 }

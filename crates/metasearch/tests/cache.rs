@@ -150,24 +150,23 @@ fn refresh_invalidates_every_cached_tier() {
     assert_eq!(b.execute(&req).served_from, Some(CacheTier::Results));
 }
 
-/// `update_representative` is a lifecycle event like any other: pushing
-/// a representative (the PR-5 push-invalidation path) must stop the
-/// warm entry from being served.
+/// The sweep is a lifecycle event like any other: the representative it
+/// rebuilds for a re-indexed engine must stop the entry warmed while the
+/// engine was sidelined from being served.
 #[test]
-fn pushed_representative_update_invalidates() {
+fn swept_representative_invalidates() {
     let b = two_engine_broker();
     let req = SearchRequest::new("sourdough bread").threshold(0.05);
+    let reindexed = engine_from(&["mushroom soup with cream", "baking sourdough loaves"]);
+    assert!(b.replace_engine("cooking", reindexed));
     let _ = b.execute(&req);
     assert_eq!(b.execute(&req).served_from, Some(CacheTier::Results));
 
-    let repr = seu_repr::Representative::build(
-        engine_from(&["mushroom soup with cream", "baking sourdough bread"]).collection(),
-    );
-    assert!(b.update_representative("cooking", repr));
+    assert_eq!(b.refresh_if_stale(), vec!["cooking".to_string()]);
     assert_eq!(
         b.execute(&req).served_from,
         None,
-        "a pushed representative must invalidate the warm entry"
+        "a rebuilt representative must invalidate the warm entry"
     );
 }
 

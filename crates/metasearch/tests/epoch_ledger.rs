@@ -16,8 +16,7 @@
 use seu_core::SubrangeEstimator;
 use seu_engine::{CollectionBuilder, SearchEngine, TrueUsefulness, WeightingScheme};
 use seu_metasearch::{
-    Broker, EngineSnapshot, RemoteHit, RemoteTransport, Representative, TransportError,
-    TransportErrorKind,
+    Broker, EngineSnapshot, RemoteHit, RemoteTransport, TransportError, TransportErrorKind,
 };
 use seu_text::Analyzer;
 use std::path::PathBuf;
@@ -193,9 +192,8 @@ fn run(shards: usize) -> Vec<String> {
     ledger.book("build", &b);
     b.register("a", engine_of(A1));
     ledger.book("register a", &b);
-    let shipped = Representative::build(engine_of(B1).collection());
-    b.register_with_representative("b", engine_of(B1), shipped);
-    ledger.book("register_with_representative b", &b);
+    b.register("b", engine_of(B1));
+    ledger.book("register b", &b);
     let got = b.register_remote(r_wire.clone());
     ledger.book(&format!("register_remote r -> {got:?}"), &b);
     let got = b.register_remote(g_wire.clone());
@@ -222,16 +220,9 @@ fn run(shards: usize) -> Vec<String> {
     let got = b.register_remote(down).map_err(|e| e.kind);
     ledger.book(&format!("register_remote y down -> {got:?}"), &b);
 
-    // --- representative updates and refreshes -------------------------
-    // A shipped representative must be id-aligned with the collection
-    // it replaces the summary of (the store's codec checks).
-    let shipped = Representative::build(engine_of(A1).collection());
-    let got = b.update_representative("a", shipped.clone());
-    ledger.book(&format!("update_representative a -> {got}"), &b);
-    let got = b.update_representative("r", shipped.clone());
-    ledger.book(&format!("update_representative r (remote) -> {got}"), &b);
-    let got = b.update_representative("nobody", shipped);
-    ledger.book(&format!("update_representative nobody -> {got}"), &b);
+    // --- representative refreshes ---------------------------------------
+    let got = b.refresh_representative("a");
+    ledger.book(&format!("refresh_representative a -> {got}"), &b);
     let got = b.refresh_representative("a");
     ledger.book(&format!("refresh_representative a -> {got}"), &b);
     let got = b.refresh_representative("g");
@@ -370,16 +361,14 @@ fn every_lifecycle_path_books_the_same_epochs_and_gauges() {
 const FLAT: &str = "\
     build | epoch 0 [0] |  | engines +0 bytes +0
     register a | epoch 1 [1] | a:0 | engines +1 bytes +232
-    register_with_representative b | epoch 2 [2] | a:0 b:0 | engines +1 bytes +200
+    register b | epoch 2 [2] | a:0 b:0 | engines +1 bytes +200
     register_remote r -> Ok(\"r\") | epoch 3 [3] | a:0 b:0 r:0 | engines +1 bytes +200
     register_remote g -> Ok(\"g\") | epoch 4 [4] | a:0 b:0 r:0 g:0 | engines +1 bytes +200
     install_snapshot l live -> Ok(\"l\") | epoch 5 [5] | a:0 b:0 r:0 g:0 l:0 | engines +1 bytes +200
     install_snapshot d detached -> Ok(\"d\") | epoch 6 [6] | a:0 b:0 r:0 g:0 l:0 d:0d | engines +1 bytes +200
     install_snapshot x inconsistent -> Err(Protocol) | epoch 6 [6] | a:0 b:0 r:0 g:0 l:0 d:0d | engines +0 bytes +0
     register_remote y down -> Err(Refused) | epoch 6 [6] | a:0 b:0 r:0 g:0 l:0 d:0d | engines +0 bytes +0
-    update_representative a -> true | epoch 7 [7] | a:1 b:0 r:0 g:0 l:0 d:0d | engines +0 bytes +0
-    update_representative r (remote) -> false | epoch 7 [7] | a:1 b:0 r:0 g:0 l:0 d:0d | engines +0 bytes +0
-    update_representative nobody -> false | epoch 7 [7] | a:1 b:0 r:0 g:0 l:0 d:0d | engines +0 bytes +0
+    refresh_representative a -> true | epoch 7 [7] | a:1 b:0 r:0 g:0 l:0 d:0d | engines +0 bytes +0
     refresh_representative a -> true | epoch 8 [8] | a:2 b:0 r:0 g:0 l:0 d:0d | engines +0 bytes +0
     refresh_representative g (remote) -> true | epoch 9 [9] | a:2 b:0 r:0 g:1 l:0 d:0d | engines +0 bytes +0
     refresh_representative r (down) -> false | epoch 9 [9] | a:2 b:0 r:0s g:1 l:0 d:0d | engines +0 bytes +0
@@ -422,16 +411,14 @@ const FLAT: &str = "\
 const SHARDED: &str = "\
     build | epoch 0 [0, 0, 0, 0] |  | engines +0 bytes +0
     register a | epoch 1 [1, 0, 0, 0] | a:0 | engines +1 bytes +232
-    register_with_representative b | epoch 2 [1, 1, 0, 0] | a:0 b:0 | engines +1 bytes +200
+    register b | epoch 2 [1, 1, 0, 0] | a:0 b:0 | engines +1 bytes +200
     register_remote r -> Ok(\"r\") | epoch 3 [1, 2, 0, 0] | a:0 b:0 r:0 | engines +1 bytes +200
     register_remote g -> Ok(\"g\") | epoch 4 [1, 2, 1, 0] | a:0 b:0 r:0 g:0 | engines +1 bytes +200
     install_snapshot l live -> Ok(\"l\") | epoch 5 [1, 2, 1, 1] | a:0 b:0 r:0 g:0 l:0 | engines +1 bytes +200
     install_snapshot d detached -> Ok(\"d\") | epoch 6 [1, 2, 1, 2] | a:0 b:0 r:0 g:0 l:0 d:0d | engines +1 bytes +200
     install_snapshot x inconsistent -> Err(Protocol) | epoch 6 [1, 2, 1, 2] | a:0 b:0 r:0 g:0 l:0 d:0d | engines +0 bytes +0
     register_remote y down -> Err(Refused) | epoch 6 [1, 2, 1, 2] | a:0 b:0 r:0 g:0 l:0 d:0d | engines +0 bytes +0
-    update_representative a -> true | epoch 7 [2, 2, 1, 2] | a:1 b:0 r:0 g:0 l:0 d:0d | engines +0 bytes +0
-    update_representative r (remote) -> false | epoch 7 [2, 2, 1, 2] | a:1 b:0 r:0 g:0 l:0 d:0d | engines +0 bytes +0
-    update_representative nobody -> false | epoch 7 [2, 2, 1, 2] | a:1 b:0 r:0 g:0 l:0 d:0d | engines +0 bytes +0
+    refresh_representative a -> true | epoch 7 [2, 2, 1, 2] | a:1 b:0 r:0 g:0 l:0 d:0d | engines +0 bytes +0
     refresh_representative a -> true | epoch 8 [3, 2, 1, 2] | a:2 b:0 r:0 g:0 l:0 d:0d | engines +0 bytes +0
     refresh_representative g (remote) -> true | epoch 9 [3, 2, 2, 2] | a:2 b:0 r:0 g:1 l:0 d:0d | engines +0 bytes +0
     refresh_representative r (down) -> false | epoch 9 [3, 2, 2, 2] | a:2 b:0 r:0s g:1 l:0 d:0d | engines +0 bytes +0

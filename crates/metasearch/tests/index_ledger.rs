@@ -10,19 +10,12 @@
 //! drives random operation sequences through a flat and a sharded broker
 //! in lockstep: both audits hold after every operation and the two
 //! brokers never stop agreeing, bit for bit.
-//!
-//! The script also books the installers' refusal: on a store-attached
-//! broker a representative that is not row-aligned with its collection
-//! is turned away with `false` — entry, epochs, sizes and postings as
-//! they were — where it used to panic in the store's codec with the
-//! entry half-installed.
 
 use proptest::prelude::*;
 use seu_core::SubrangeEstimator;
 use seu_engine::{CollectionBuilder, SearchEngine, TrueUsefulness, WeightingScheme};
 use seu_metasearch::{
-    Broker, EngineSnapshot, RemoteHit, RemoteTransport, Representative, TransportError,
-    TransportErrorKind,
+    Broker, EngineSnapshot, RemoteHit, RemoteTransport, TransportError, TransportErrorKind,
 };
 use seu_text::{Analyzer, AnalyzerConfig};
 use std::collections::HashMap;
@@ -189,9 +182,8 @@ fn run(shards: usize) {
     book("build", &b);
     b.register("a", engine_of(A1));
     book("register a", &b);
-    let shipped = Representative::build(engine_of(B1).collection());
-    b.register_with_representative("b", engine_of(B1), shipped);
-    book("register_with_representative b", &b);
+    b.register("b", engine_of(B1));
+    book("register b", &b);
     b.register("s", engine_with(true, S1));
     book("register s (another analyzer configuration)", &b);
     assert_eq!(b.register_remote(r_wire.clone()).as_deref(), Ok("r"));
@@ -214,40 +206,9 @@ fn run(shards: usize) {
     assert!(b.register_remote(Wire::new("y", Line::Down)).is_err());
     book("register_remote y down", &b);
 
-    // --- representative updates and refreshes -------------------------
-    let shipped = Representative::build(engine_of(A1).collection());
-    assert!(b.update_representative("a", shipped.clone()));
-    book("update_representative a", &b);
-    assert!(!b.update_representative("r", shipped.clone()));
-    book("update_representative r (remote)", &b);
-    assert!(!b.update_representative("nobody", shipped));
-    book("update_representative nobody", &b);
-
-    // The refusal: B2 has more terms than A1, so its representative has
-    // more rows than a's vocabulary and the store could not encode the
-    // record. Nothing moves — not the epochs, not a status, not a size,
-    // not an estimate, not a posting.
-    let before = (b.registry_snapshot(), estimate_bits(&b));
-    let misaligned = Representative::build(engine_of(B2).collection());
-    assert!(!b.update_representative("a", misaligned.clone()));
-    book("update_representative a misaligned", &b);
-    assert_eq!((b.registry_snapshot(), estimate_bits(&b)), before);
-    // At registration the same representative is a caller's bug: a
-    // panic, outside every lock, with nothing registered.
-    let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        b.register_with_representative("z", engine_of(A1), misaligned.clone())
-    }));
-    assert!(refused.is_err());
-    book("register_with_representative z misaligned", &b);
-    assert_eq!((b.registry_snapshot(), estimate_bits(&b)), before);
-    // Without a store nothing encodes the record and nothing refuses it.
-    let plain: TestBroker = Broker::builder(SubrangeEstimator::paper_six_subrange())
-        .shards(shards)
-        .build();
-    plain.register("a", engine_of(A1));
-    assert!(plain.update_representative("a", misaligned));
-    book("update_representative a misaligned, no store", &plain);
-
+    // --- representative refreshes ---------------------------------------
+    assert!(b.refresh_representative("a"));
+    book("refresh_representative a", &b);
     assert!(b.refresh_representative("a"));
     book("refresh_representative a", &b);
     assert!(b.refresh_representative("g"));
@@ -429,10 +390,9 @@ impl Driven {
                 b.refresh_representative(name);
             }
             6 => {
-                // Row-aligned only if the contents' vocabularies happen
-                // to be the same size: both outcomes occur.
-                let repr = Representative::build(content(what).collection());
-                b.update_representative(name, repr);
+                // A local engine re-indexed and refreshed in one go.
+                b.replace_engine(name, content(what));
+                b.refresh_representative(name);
             }
             7 => {
                 b.refresh_if_stale();

@@ -10,10 +10,9 @@
 //! The registry mixes every kind of entry a plan can meet: in-process
 //! engines under three analyzer configurations, engines behind a
 //! transport, entries installed or restored detached and hydrated from a
-//! store, engines re-attached with the same and with other content, a
-//! shipped representative, an engine swapped for identical content, and
-//! one replaced but not refreshed — which has no row until a refresh
-//! reconciles it.
+//! store, engines re-attached with the same and with other content, an
+//! engine swapped for identical content, and one replaced but not
+//! refreshed — which has no row until a refresh reconciles it.
 //!
 //! This file was written against, and passes at, the commit before the
 //! planner started reading per-shard postings instead of per-engine term
@@ -278,8 +277,6 @@ fn storeless(shards: usize) {
     b.register("swapped", owned(&forest_1));
     b.register("twin", owned(&forest_1));
     b.register("refreshed", owned(&forest_1));
-    let shipped = Representative::from_bytes(built(&forest_2).to_bytes()).expect("round trip");
-    b.register_with_representative("shipped", owned(&forest_2), shipped.clone());
     assert_eq!(
         b.install_snapshot(
             EngineSnapshot::of_engine("installed", &stemming),
@@ -309,7 +306,6 @@ fn storeless(shards: usize) {
         row("swapped", &forest_1, built(&forest_1)),
         row("twin", &forest_1, built(&forest_1)),
         row("refreshed", &forest_1, built(&forest_1)),
-        row("shipped", &forest_2, shipped),
         row("installed", &stemming, built(&stemming)),
         row("installed-live", &verbatim, built(&verbatim)),
     ];
@@ -334,10 +330,8 @@ fn storeless(shards: usize) {
         assert_exact(&b, &expected, &ctx(&format!("deregistered {name}")));
     }
 
-    // An update of a representative keeps the row's query.
-    let quantized = Representative::from_bytes(built(&databases).to_bytes()).expect("round trip");
-    assert!(b.update_representative("databases", quantized.clone()));
-    expected[0] = row("databases", &databases, quantized);
+    // A refresh of an unchanged collection keeps the row.
+    assert!(b.refresh_representative("databases"));
     // The sweep reconciles the sidelined entry.
     assert_eq!(b.refresh_if_stale(), vec!["swapped".to_string()]);
     let at = expected.iter().position(|e| e.name == "swapped").unwrap();

@@ -3,9 +3,13 @@
 //! handling for outstanding plans.
 
 use seu_core::SubrangeEstimator;
-use seu_engine::{CollectionBuilder, SearchEngine, WeightingScheme};
-use seu_metasearch::{Broker, SearchRequest, SelectionPolicy, StaleMode};
+use seu_engine::{CollectionBuilder, SearchEngine, TrueUsefulness, WeightingScheme};
+use seu_metasearch::{
+    Broker, EngineSnapshot, RemoteHit, RemoteTransport, SearchRequest, SelectionPolicy, StaleMode,
+    TransportError,
+};
 use seu_text::Analyzer;
+use std::sync::{Arc, Mutex};
 
 fn engine_from(texts: &[&str]) -> SearchEngine {
     let mut b = CollectionBuilder::new(Analyzer::paper_default(), WeightingScheme::CosineTf);
@@ -213,8 +217,6 @@ fn plan_survives_replacement_with_smaller_vocabulary() {
 /// would tear it.
 #[test]
 fn registry_snapshot_is_consistent_epoch_cut() {
-    use std::sync::Arc;
-
     let b = Arc::new(
         Broker::builder(SubrangeEstimator::paper_six_subrange())
             .shards(4)
@@ -270,22 +272,130 @@ fn registry_snapshot_is_consistent_epoch_cut() {
     assert_eq!(b.engine_statuses(), snap.statuses);
 }
 
-/// Shipped representatives carry no content hash, so staleness for them
-/// is judged on totals; an update with matching totals stays fresh.
-#[test]
-fn shipped_representative_staleness_uses_totals() {
-    let engine = engine_from(&["mushroom soup with cream"]);
-    let repr = seu_repr::Representative::build(engine.collection());
-    let b = Broker::new(SubrangeEstimator::paper_six_subrange());
-    b.register_with_representative("cooking", engine, repr);
-    assert_eq!(b.is_stale("cooking"), Some(false));
+/// The collection before and after an equal-shape word swap: the same
+/// document name, length, term ids and weights, and raw bytes of the
+/// same length — only the word behind term id 1 differs.
+const BEFORE_SWAP: &[&str] = &["mushroom soup with cream"];
+const AFTER_SWAP: &[&str] = &["mushroom stew with cream"];
 
-    // A snapshot with a different document count is visibly stale.
-    assert!(b.replace_engine(
-        "cooking",
-        engine_from(&["mushroom soup with cream", "second course"]),
-    ));
+/// `got` answers both swapped words exactly as `want` does: the same
+/// hits, similarities and estimates, compared through `f64::to_bits`.
+/// `want` only ever saw the collection after the swap, so "stew" finds
+/// its one document and "soup" finds nothing.
+fn assert_answers_like(want: &Broker<SubrangeEstimator>, got: &Broker<SubrangeEstimator>) {
+    for (text, found) in [("stew", 1), ("soup", 0)] {
+        let req = SearchRequest::new(text)
+            .threshold(0.1)
+            .policy(SelectionPolicy::All)
+            .with_estimates(true);
+        let (want, got) = (want.execute(&req), got.execute(&req));
+        assert_eq!(want.hits.len(), found, "{text}: {:?}", want.hits);
+        let hits = |r: &seu_metasearch::SearchResponse| -> Vec<(String, String, u64)> {
+            let hit =
+                |h: &seu_metasearch::MergedHit| (h.engine.clone(), h.doc.clone(), h.sim.to_bits());
+            r.hits.iter().map(hit).collect()
+        };
+        assert_eq!(hits(&got), hits(&want), "{text}: hits");
+        let estimates = |r: &seu_metasearch::SearchResponse| -> Vec<(String, u64, u64)> {
+            let bits = |e: &seu_metasearch::EngineEstimate| {
+                let u = e.usefulness;
+                (e.engine.clone(), u.no_doc.to_bits(), u.avg_sim.to_bits())
+            };
+            r.estimates.iter().map(bits).collect()
+        };
+        assert_eq!(estimates(&got), estimates(&want), "{text}: estimates");
+    }
+}
+
+/// A word swap that keeps every count and every weight is still new
+/// content: the entry goes stale, the sweep rebuilds it, and the broker
+/// then answers like one that never saw the old words.
+#[test]
+fn equal_shape_word_swap_is_stale_and_swept() {
+    let b = Broker::new(SubrangeEstimator::paper_six_subrange());
+    b.register("cooking", engine_from(BEFORE_SWAP));
+    assert!(b.replace_engine("cooking", engine_from(AFTER_SWAP)));
     assert_eq!(b.is_stale("cooking"), Some(true));
     assert_eq!(b.refresh_if_stale(), vec!["cooking".to_string()]);
     assert_eq!(b.is_stale("cooking"), Some(false));
+
+    let fresh = Broker::new(SubrangeEstimator::paper_six_subrange());
+    fresh.register("cooking", engine_from(AFTER_SWAP));
+    assert_answers_like(&fresh, &b);
+}
+
+/// An engine in another process, simulated in this one: it answers
+/// searches and snapshots from whatever collection it holds now.
+#[derive(Debug)]
+struct Swappable {
+    engine: Mutex<Arc<SearchEngine>>,
+}
+
+impl Swappable {
+    fn over(texts: &[&str]) -> Arc<Swappable> {
+        let engine = Arc::new(engine_from(texts));
+        Arc::new(Swappable {
+            engine: Mutex::new(engine),
+        })
+    }
+
+    fn engine(&self) -> Arc<SearchEngine> {
+        self.engine.lock().unwrap().clone()
+    }
+}
+
+impl RemoteTransport for Swappable {
+    fn endpoint(&self) -> String {
+        "swappable://cooking".to_string()
+    }
+
+    fn search(
+        &self,
+        query_text: &str,
+        threshold: f64,
+        _ctx: Option<&seu_obs::TraceContext>,
+    ) -> Result<(Vec<RemoteHit>, Vec<seu_obs::SpanRecord>), TransportError> {
+        let engine = self.engine();
+        let collection = engine.collection();
+        let query = collection.query_from_text(query_text);
+        let hit = |h: seu_engine::SearchHit| RemoteHit {
+            doc: collection.doc(h.doc).name.clone(),
+            sim: h.sim,
+        };
+        let hits = engine.search_threshold(&query, threshold);
+        Ok((hits.into_iter().map(hit).collect(), Vec::new()))
+    }
+
+    fn true_usefulness(&self, _: &str, _: f64) -> Result<TrueUsefulness, TransportError> {
+        unreachable!("no oracle is asked")
+    }
+
+    fn fetch_snapshot(&self) -> Result<EngineSnapshot, TransportError> {
+        Ok(EngineSnapshot::of_engine("cooking", &self.engine()))
+    }
+}
+
+/// The push half of the same swap: the engine re-indexes and announces
+/// its new fingerprint, and the notice must refetch the snapshot rather
+/// than be taken for a redelivery of the one the broker holds.
+#[test]
+fn equal_shape_word_swap_is_pushed_and_refetched() {
+    let wire = Swappable::over(BEFORE_SWAP);
+    let b = Broker::new(SubrangeEstimator::paper_six_subrange());
+    assert_eq!(b.register_remote(wire.clone()).as_deref(), Ok("cooking"));
+
+    let swapped = Arc::new(engine_from(AFTER_SWAP));
+    *wire.engine.lock().unwrap() = swapped.clone();
+    let epoch = b.registry_epoch();
+    assert_eq!(
+        b.apply_invalidation("cooking", swapped.fingerprint()),
+        Ok(true)
+    );
+    assert_eq!(b.registry_epoch(), epoch + 1, "the notice must refetch");
+    assert_eq!(b.is_stale("cooking"), Some(false));
+
+    let fresh = Broker::new(SubrangeEstimator::paper_six_subrange());
+    let fresh_wire = Swappable::over(AFTER_SWAP);
+    assert_eq!(fresh.register_remote(fresh_wire).as_deref(), Ok("cooking"));
+    assert_answers_like(&fresh, &b);
 }

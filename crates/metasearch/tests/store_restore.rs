@@ -312,17 +312,12 @@ fn replace_engine_after_restore_reconciles_like_live_broker() {
     assert_eq!(live.refresh_if_stale(), vec!["alpha".to_string()]);
     assert_eq!(live.is_stale("alpha"), Some(false));
 
-    // Restored path: same lifecycle against a restored entry. A shipped
-    // representative cannot be pushed to a detached entry...
+    // Restored path: same lifecycle against a restored entry.
+    // replace_engine hydrates and swaps the handle in: different content
+    // sidelines the entry until the sweep rebuilds it, exactly like the
+    // live broker.
     let restored = store_broker(&dir, 2);
     restored.restore().expect("restore");
-    assert!(!restored.update_representative(
-        "alpha",
-        seu_repr::Representative::from_parts(1, Vec::new(), 1)
-    ));
-    // ...but replace_engine hydrates and swaps the handle in: different
-    // content sidelines the entry until the sweep rebuilds it, exactly
-    // like the live broker.
     assert!(restored.replace_engine("alpha", engine_of(&new_docs)));
     assert_eq!(restored.is_stale("alpha"), Some(true));
     assert_eq!(restored.refresh_if_stale(), vec!["alpha".to_string()]);

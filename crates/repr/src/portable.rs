@@ -39,8 +39,8 @@ impl FrozenSummary {
     const MAGIC_F64: u32 = 0x5345_5554;
 
     /// Serializes the summary to a self-contained, string-keyed binary
-    /// buffer — unlike [`Representative::to_bytes`], this carries the
-    /// term strings, so the receiver needs no shared vocabulary.
+    /// buffer: it carries the term strings, so the receiver needs no
+    /// shared vocabulary.
     /// Statistics are rounded to f32: half the size, and plenty for
     /// file-based shipping. Use [`FrozenSummary::to_bytes_exact`] when
     /// the receiver must reproduce estimates bit-for-bit.

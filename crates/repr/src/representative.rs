@@ -1,6 +1,5 @@
 //! The quadruplet table and its size accounting.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 use seu_engine::Collection;
 use seu_stats::Moments;
@@ -41,10 +40,6 @@ pub struct TermStats {
 /// let alpha = collection.vocab().get("alpha").unwrap();
 /// let stats = repr.get(alpha).unwrap();
 /// assert!((stats.p - 1.0).abs() < 1e-12); // alpha is in both documents
-///
-/// // Ship it over the wire and back (20 bytes per distinct term).
-/// let again = Representative::from_bytes(repr.to_bytes()).unwrap();
-/// assert_eq!(again.distinct_terms(), repr.distinct_terms());
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Representative {
@@ -165,68 +160,6 @@ impl Representative {
             quantized_pages: self.size_bytes_quantized().div_ceil(PAGE_BYTES),
         }
     }
-
-    /// Serializes to a compact binary representation (what a broker would
-    /// ship over the network): header `(n_docs, rows, collection_bytes)`
-    /// then one `(term_id, p, mean, std_dev, max)` row per present term,
-    /// numbers as `f32` exactly as the paper's 4-byte accounting assumes.
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(24 + 20 * self.distinct_terms());
-        buf.put_u64(self.n_docs);
-        buf.put_u64(self.collection_bytes);
-        buf.put_u32(self.stats.len() as u32);
-        buf.put_u32(self.distinct_terms() as u32);
-        for (term, s) in self.iter() {
-            buf.put_u32(term.0);
-            buf.put_f32(s.p as f32);
-            buf.put_f32(s.mean as f32);
-            buf.put_f32(s.std_dev as f32);
-            buf.put_f32(s.max as f32);
-        }
-        buf.freeze()
-    }
-
-    /// Deserializes the [`Representative::to_bytes`] format.
-    ///
-    /// Returns `None` on a truncated or malformed buffer.
-    pub fn from_bytes(mut buf: impl Buf) -> Option<Self> {
-        if buf.remaining() < 24 {
-            return None;
-        }
-        let n_docs = buf.get_u64();
-        let collection_bytes = buf.get_u64();
-        let rows = buf.get_u32() as usize;
-        let present = buf.get_u32() as usize;
-        if buf.remaining() < present * 20 {
-            return None;
-        }
-        let mut stats = vec![
-            TermStats {
-                p: 0.0,
-                mean: 0.0,
-                std_dev: 0.0,
-                max: 0.0,
-            };
-            rows
-        ];
-        for _ in 0..present {
-            let term = buf.get_u32() as usize;
-            if term >= rows {
-                return None;
-            }
-            stats[term] = TermStats {
-                p: buf.get_f32() as f64,
-                mean: buf.get_f32() as f64,
-                std_dev: buf.get_f32() as f64,
-                max: buf.get_f32() as f64,
-            };
-        }
-        Some(Representative {
-            n_docs,
-            stats,
-            collection_bytes,
-        })
-    }
 }
 
 /// One row of the §3.2 scalability table.
@@ -339,33 +272,6 @@ mod tests {
                                  // ratio is still ~3.76 %.
         let pct = 100.0 * pages as f64 / 40_605.0;
         assert!((pct - 3.76).abs() < 0.05, "pct={pct}");
-    }
-
-    #[test]
-    fn bytes_round_trip() {
-        let c = paper_like_collection();
-        let r = Representative::build(&c);
-        let bytes = r.to_bytes();
-        let r2 = Representative::from_bytes(bytes).expect("valid buffer");
-        assert_eq!(r2.n_docs(), r.n_docs());
-        assert_eq!(r2.distinct_terms(), r.distinct_terms());
-        for (term, s) in r.iter() {
-            let s2 = r2.get(term).expect("term present after round trip");
-            // f32 precision.
-            assert!((s.p - s2.p).abs() < 1e-6);
-            assert!((s.mean - s2.mean).abs() < 1e-6);
-            assert!((s.std_dev - s2.std_dev).abs() < 1e-6);
-            assert!((s.max - s2.max).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn from_bytes_rejects_garbage() {
-        assert!(Representative::from_bytes(&b"short"[..]).is_none());
-        let c = paper_like_collection();
-        let bytes = Representative::build(&c).to_bytes();
-        let truncated = &bytes[..bytes.len() - 4];
-        assert!(Representative::from_bytes(truncated).is_none());
     }
 
     #[test]

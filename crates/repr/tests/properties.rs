@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use seu_engine::{Collection, CollectionBuilder, WeightingScheme};
 use seu_repr::{
     FrozenSummary, MaxWeightMode, QuantizedRepresentative, Representative,
-    RepresentativeAccumulator, SubrangeScheme,
+    RepresentativeAccumulator, SubrangeScheme, TermStats,
 };
 use seu_text::Analyzer;
 
@@ -87,13 +87,20 @@ proptest! {
         }
     }
 
-    /// The serialized wire format round-trips on arbitrary collections.
+    /// The exact wire format round-trips on arbitrary collections, bit
+    /// for bit and term for term.
     #[test]
     fn wire_format_round_trip(c in arb_collection()) {
-        let r = Representative::build(&c);
-        let r2 = Representative::from_bytes(r.to_bytes()).expect("valid buffer");
-        prop_assert_eq!(r2.n_docs(), r.n_docs());
-        prop_assert_eq!(r2.distinct_terms(), r.distinct_terms());
+        let f = FrozenSummary::of_collection(&c);
+        let f2 = FrozenSummary::from_bytes(f.to_bytes_exact()).expect("valid buffer");
+        prop_assert_eq!(f2.repr.n_docs(), f.repr.n_docs());
+        prop_assert_eq!(f2.repr.collection_bytes(), f.repr.collection_bytes());
+        prop_assert_eq!(f2.repr.distinct_terms(), f.repr.distinct_terms());
+        let bits = |s: &TermStats| [s.p, s.mean, s.std_dev, s.max].map(f64::to_bits);
+        for (term, s) in f.repr.iter() {
+            let id = f2.vocab.get(f.vocab.term(term)).expect("term survives");
+            prop_assert_eq!(f2.repr.get(id).map(bits), Some(bits(s)));
+        }
     }
 
     /// `FrozenSummary::from_bytes` on arbitrary byte strings never

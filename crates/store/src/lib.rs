@@ -132,19 +132,22 @@ impl std::fmt::Display for StoreError {
 impl std::error::Error for StoreError {}
 
 /// How the broker reached a persisted engine when it was snapshotted,
-/// so a restore can report (and later reattach) it faithfully.
+/// so a restore can report (and later reattach) it faithfully. Either
+/// way the entry's fingerprint is the full content fingerprint its
+/// representative was built from. (Manifest tag 2, for a representative
+/// handed in without one, is retired: a manifest carrying it is
+/// refused as corrupt.)
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EntryKind {
-    /// The engine lived in the broker's process.
+    /// The engine lived in the broker's process (built from its
+    /// collection).
     Local,
-    /// The engine was reached over a transport.
+    /// The engine was reached over a transport (installed from its
+    /// snapshot).
     Remote {
         /// The transport endpoint at snapshot time.
         endpoint: String,
     },
-    /// The engine shipped its representative (no full fingerprint
-    /// provenance; staleness is judged on the shipped totals).
-    Shipped,
 }
 
 /// One engine's row in the [`Manifest`]: everything the broker needs to

@@ -124,7 +124,6 @@ fn encode_manifest(manifest: &Manifest, locations: &[Location]) -> Vec<u8> {
                 buf.put_u8(1);
                 codec::put_str(&mut buf, endpoint);
             }
-            EntryKind::Shipped => buf.put_u8(2),
         }
         buf.put_u8(u8::from(entry.analyzer.remove_stopwords));
         buf.put_u8(u8::from(entry.analyzer.stem));
@@ -188,7 +187,6 @@ fn decode_manifest(bytes: &[u8]) -> Result<(Manifest, Vec<Location>), StoreError
             1 => EntryKind::Remote {
                 endpoint: r.str("entry endpoint")?,
             },
-            2 => EntryKind::Shipped,
             other => {
                 return Err(StoreError::corrupt(format!(
                     "unknown entry kind tag {other}"
@@ -652,10 +650,6 @@ mod tests {
                     scheme: seu_engine::WeightingScheme::PivotedLogTf { slope: 0.25 },
                     ..entry("remote", fp(2))
                 },
-                ManifestEntry {
-                    kind: EntryKind::Shipped,
-                    ..entry("shipped", fp(3))
-                },
             ],
         };
         let locations = vec![
@@ -664,12 +658,12 @@ mod tests {
                 offset: 6,
                 len: 10,
             };
-            3
+            2
         ];
         let bytes = encode_manifest(&manifest, &locations);
         let (decoded, locs) = decode_manifest(&bytes).unwrap();
         assert_eq!(decoded, manifest);
-        assert_eq!(locs.len(), 3);
+        assert_eq!(locs.len(), 2);
         // A lying entry count cannot overallocate past the real bytes.
         let mut lying = bytes.clone();
         // entry count sits after magic+version+epoch+count+3*u64+next_seq.
@@ -677,5 +671,35 @@ mod tests {
         lying[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_be_bytes());
         assert!(decode_manifest(&lying).is_err());
         let _ = decoded;
+    }
+
+    #[test]
+    fn retired_entry_kind_tag_is_corrupt() {
+        let manifest = Manifest {
+            epoch: 1,
+            shard_epochs: vec![1],
+            next_seq: 1,
+            entries: vec![entry("e", fp(1))],
+        };
+        let location = Location {
+            segment: 0,
+            offset: 6,
+            len: 10,
+        };
+        let mut bytes = encode_manifest(&manifest, &[location]);
+        // The kind tag follows the header (magic, version, epoch, one
+        // shard epoch, next_seq, entry count) and the entry's name, seq,
+        // epoch and fingerprint.
+        let kind_at = (4 + 2 + 8 + 4 + 8 + 8 + 4) + (2 + 1) + 8 + 8 + 24;
+        assert_eq!(bytes[kind_at], 0, "a local entry's tag");
+        // Tag 2 once marked a representative handed in without a full
+        // fingerprint; no writer ever put it on disk.
+        bytes[kind_at] = 2;
+        let body = bytes.len() - 4;
+        let crc = crate::crc32(&bytes[..body]);
+        bytes[body..].copy_from_slice(&crc.to_be_bytes());
+        let err = decode_manifest(&bytes).unwrap_err();
+        assert_eq!(err.kind, StoreErrorKind::Corrupt);
+        assert!(err.detail.contains("unknown entry kind tag 2"), "{err}");
     }
 }

@@ -1,15 +1,18 @@
-//! A full metasearch deployment in miniature: engines ship serialized
-//! (and optionally one-byte-quantized) representatives to a broker, the
-//! broker selects engines per query with the subrange estimator, searches
-//! them in parallel, and merges the results.
+//! A full metasearch deployment in miniature: engines ship snapshots —
+//! representative, vocabulary and content fingerprint, serialized — to a
+//! broker, the broker selects engines per query with the subrange
+//! estimator, searches them in parallel, and merges the results. Each
+//! engine also reports what its representative would weigh quantized
+//! to one byte per number.
 //!
 //! ```text
 //! cargo run --example metasearch_broker
 //! ```
 
-use seu::metasearch::Broker;
+use seu::metasearch::{Broker, EngineSnapshot};
 use seu::prelude::*;
-use seu::repr::QuantizedRepresentative;
+use seu::repr::{FrozenSummary, QuantizedRepresentative};
+use std::sync::Arc;
 
 fn engine(topic_docs: &[&str]) -> SearchEngine {
     let mut builder = CollectionBuilder::new(Analyzer::paper_default(), WeightingScheme::CosineTf);
@@ -51,18 +54,21 @@ fn main() {
     ];
 
     for (name, engine) in engines {
-        // The engine serializes its representative (what would cross the
-        // network), optionally quantizing every number to one byte first.
-        let repr = Representative::build(engine.collection());
-        let quantized = QuantizedRepresentative::from_representative(&repr);
-        let shipped = repr.to_bytes();
+        // The engine snapshots itself and serializes the summary (what
+        // would cross the network); the broker installs what arrives.
+        let engine = Arc::new(engine);
+        let mut snapshot = EngineSnapshot::of_engine(name, &engine);
+        let quantized = QuantizedRepresentative::from_representative(&snapshot.summary.repr);
+        let shipped = snapshot.summary.to_bytes_exact();
         println!(
-            "{name}: representative {} bytes serialized, {} bytes quantized",
+            "{name}: summary {} bytes serialized, representative {} bytes quantized",
             shipped.len(),
             quantized.size_bytes()
         );
-        let received = Representative::from_bytes(shipped).expect("intact representative");
-        broker.register_with_representative(name, engine, received);
+        snapshot.summary = FrozenSummary::from_bytes(shipped).expect("intact summary");
+        broker
+            .install_snapshot(snapshot, Some(engine), None)
+            .expect("consistent snapshot");
     }
 
     let threshold = 0.15;

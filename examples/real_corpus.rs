@@ -1,7 +1,8 @@
 //! Working with *real* text instead of the synthetic workload: three
 //! newsgroup-style mbox spools are parsed, indexed, persisted, and
-//! served through a broker whose representatives travel as bytes —
-//! the same flow the `seu` command-line tool wraps.
+//! served through a broker that receives each engine's snapshot —
+//! representative and vocabulary as bytes, plus the content fingerprint
+//! — the same flow the `seu` command-line tool wraps.
 //!
 //! ```text
 //! cargo run --example real_corpus
@@ -9,8 +10,10 @@
 
 use seu::corpus::loader::load_mbox;
 use seu::engine::Collection;
-use seu::metasearch::Broker;
+use seu::metasearch::{Broker, EngineSnapshot};
 use seu::prelude::*;
+use seu::repr::FrozenSummary;
+use std::sync::Arc;
 
 /// Tiny inline stand-ins for on-disk spools.
 const COMP_DATABASES: &str = "\
@@ -79,13 +82,17 @@ fn main() {
             collection.total_tokens()
         );
 
-        // Persist + reload (what `seu index` does), then register with a
-        // wire-shipped representative (what a remote engine would send).
+        // Persist + reload (what `seu index` does), then install the
+        // engine's snapshot with its summary shipped as bytes (what a
+        // remote engine would send).
         let restored = Collection::from_bytes(collection.to_bytes()).expect("round trip");
-        let engine = SearchEngine::new(restored);
-        let repr = Representative::build(engine.collection());
-        let shipped = Representative::from_bytes(repr.to_bytes()).expect("wire ok");
-        broker.register_with_representative(name, engine, shipped);
+        let engine = Arc::new(SearchEngine::new(restored));
+        let mut snapshot = EngineSnapshot::of_engine(name, &engine);
+        let shipped = snapshot.summary.to_bytes_exact();
+        snapshot.summary = FrozenSummary::from_bytes(shipped).expect("wire ok");
+        broker
+            .install_snapshot(snapshot, Some(engine), None)
+            .expect("consistent snapshot");
     }
 
     // Each collection remembers its analysis pipeline, so the broker's

@@ -3,32 +3,64 @@
 //! between selective search and broadcast search.
 
 use seu::corpus::queries::query_text;
-use seu::metasearch::Broker;
+use seu::metasearch::{Broker, EngineSnapshot};
 use seu::prelude::*;
-use seu::repr::QuantizedRepresentative;
+use seu::repr::FrozenSummary;
+use std::path::PathBuf;
+use std::sync::Arc;
 
-fn three_engine_broker() -> Broker<SubrangeEstimator> {
+/// A store-backed broker over D1–D3, and the store's directory, removed
+/// with it.
+struct ThreeEngines {
+    broker: Broker<SubrangeEstimator>,
+    dir: PathBuf,
+}
+
+impl std::ops::Deref for ThreeEngines {
+    type Target = Broker<SubrangeEstimator>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.broker
+    }
+}
+
+impl Drop for ThreeEngines {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+fn three_engine_broker(tag: &str) -> ThreeEngines {
     let ds = seu::corpus::paper_datasets(7);
-    let broker = Broker::new(SubrangeEstimator::paper_six_subrange());
+    let dir = std::env::temp_dir().join(format!("seu-three-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // The store serves every representative in its canonical form, the
+    // paper's one-byte quantization.
+    let broker = Broker::builder(SubrangeEstimator::paper_six_subrange())
+        .store(&dir)
+        .expect("open store")
+        .build();
 
-    // D1 registers normally; D2 ships its representative as bytes; D3
-    // ships a one-byte-quantized representative.
+    // D1 and D3 register normally; D2 ships its snapshot, summary as
+    // bytes.
     broker.register("D1", SearchEngine::new(ds.d1.clone()));
 
-    let r2 = Representative::build(&ds.d2);
-    let shipped = r2.to_bytes();
-    let received = Representative::from_bytes(shipped).expect("intact");
-    broker.register_with_representative("D2", SearchEngine::new(ds.d2.clone()), received);
-
-    let r3 = QuantizedRepresentative::from_representative(&Representative::build(&ds.d3));
-    broker.register_with_representative("D3", SearchEngine::new(ds.d3.clone()), r3.decode());
-
+    let d2 = Arc::new(SearchEngine::new(ds.d2.clone()));
+    let mut snapshot = EngineSnapshot::of_engine("D2", &d2);
+    let shipped = snapshot.summary.to_bytes_exact();
+    snapshot.summary = FrozenSummary::from_bytes(shipped).expect("intact");
     broker
+        .install_snapshot(snapshot, Some(d2), None)
+        .expect("consistent snapshot");
+
+    broker.register("D3", SearchEngine::new(ds.d3.clone()));
+
+    ThreeEngines { broker, dir }
 }
 
 #[test]
 fn selective_search_finds_what_broadcast_finds() {
-    let broker = three_engine_broker();
+    let broker = three_engine_broker("selective");
     let ds = seu::corpus::paper_datasets(7);
     let mut total_hits = 0usize;
     let mut lost = 0usize;
@@ -57,7 +89,7 @@ fn selective_search_finds_what_broadcast_finds() {
 
 #[test]
 fn policies_are_consistent() {
-    let broker = three_engine_broker();
+    let broker = three_engine_broker("policies");
     let query = "tp0x120 tp0x37";
     let useful = broker.select(query, 0.1, SelectionPolicy::EstimatedUseful);
     let top1 = broker.select(query, 0.1, SelectionPolicy::TopK(1));
@@ -73,7 +105,7 @@ fn policies_are_consistent() {
 
 #[test]
 fn estimates_are_reported_for_every_engine() {
-    let broker = three_engine_broker();
+    let broker = three_engine_broker("estimates");
     let est = broker.estimate_all("bg100 bg200", 0.1);
     assert_eq!(est.len(), 3);
     let names: Vec<&str> = est.iter().map(|e| e.engine.as_str()).collect();
@@ -82,7 +114,7 @@ fn estimates_are_reported_for_every_engine() {
 
 #[test]
 fn quantized_registration_still_selects_sensibly() {
-    let broker = three_engine_broker();
+    let broker = three_engine_broker("quantized");
     let ds = seu::corpus::paper_datasets(7);
     // D3 spans topics 27..53; strongly topical D3 queries should select
     // D3 and not D1/D2 (topics 0..3).

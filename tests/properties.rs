@@ -7,7 +7,10 @@ use seu::core::{
     SubrangeEstimator, UsefulnessEstimator,
 };
 use seu::engine::{Collection, CollectionBuilder, Query, SearchEngine, WeightingScheme};
-use seu::repr::{MaxWeightMode, QuantizedRepresentative, Representative, SubrangeScheme};
+use seu::repr::{
+    FrozenSummary, MaxWeightMode, QuantizedRepresentative, Representative, SubrangeScheme,
+    TermStats,
+};
 use seu::text::Analyzer;
 
 /// Strategy: a small random collection over a closed vocabulary, as token
@@ -198,18 +201,19 @@ proptest! {
         prop_assert!((a.no_doc - b.no_doc).abs() < 0.05 * c.len() as f64 + 1e-6);
     }
 
-    /// Representatives survive serialization within f32 precision, no
-    /// matter the collection.
+    /// Representatives survive the exact wire encoding bit for bit, no
+    /// matter the collection: the snapshot a remote engine ships plans
+    /// exactly like the representative built in process.
     #[test]
     fn representative_round_trips(c in arb_collection()) {
-        let repr = Representative::build(&c);
-        let back = Representative::from_bytes(repr.to_bytes()).expect("valid");
-        prop_assert_eq!(back.n_docs(), repr.n_docs());
-        prop_assert_eq!(back.distinct_terms(), repr.distinct_terms());
-        for (term, s) in repr.iter() {
-            let s2 = back.get(term).expect("present");
-            prop_assert!((s.p - s2.p).abs() < 1e-6);
-            prop_assert!((s.max - s2.max).abs() < 1e-6);
+        let frozen = FrozenSummary::of_collection(&c);
+        let back = FrozenSummary::from_bytes(frozen.to_bytes_exact()).expect("valid");
+        prop_assert_eq!(back.repr.n_docs(), frozen.repr.n_docs());
+        prop_assert_eq!(back.repr.distinct_terms(), frozen.repr.distinct_terms());
+        let bits = |s: &TermStats| [s.p, s.mean, s.std_dev, s.max].map(f64::to_bits);
+        for (term, s) in frozen.repr.iter() {
+            let id = back.vocab.get(frozen.vocab.term(term)).expect("present");
+            prop_assert_eq!(back.repr.get(id).map(bits), Some(bits(s)));
         }
     }
 
