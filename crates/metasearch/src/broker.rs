@@ -146,9 +146,10 @@ pub struct BrokerBuilder<E> {
 }
 
 impl<E: UsefulnessEstimator + Sync> BrokerBuilder<E> {
-    /// Fixes the dispatch worker-pool size. Without this the pool is
-    /// sized `min(registered engines, available cores)` when the first
-    /// query executes.
+    /// Fixes the size of the worker pool that sweeps a sharded registry
+    /// (`refresh_if_stale`, `hydrate`: one job per shard). Without this
+    /// the pool is sized `min(shards, available cores)` at the first
+    /// sweep. Searches never use the pool: dispatch runs on the caller.
     pub fn worker_threads(mut self, threads: usize) -> Self {
         self.worker_threads = Some(threads.max(1));
         self
@@ -221,7 +222,8 @@ impl<E: UsefulnessEstimator + Sync> BrokerBuilder<E> {
 /// let broker = Broker::new(SubrangeEstimator::paper_six_subrange());
 /// broker.register("cooking", cooking);
 ///
-/// // The request pipeline: plan once, execute over the worker pool.
+/// // The request pipeline: plan once, then execute: search the selected
+/// // engines on this thread and merge.
 /// let req = SearchRequest::new("mushroom soup")
 ///     .threshold(0.2)
 ///     .with_estimates(true);
@@ -250,9 +252,9 @@ pub struct Broker<E> {
     /// everywhere both are held (i.e. from inside the closures handed to
     /// the registry).
     pub(crate) vocab: Arc<RwLock<Vocabulary>>,
-    /// Builder override for the dispatch pool size.
+    /// Builder override for the sweep pool size.
     worker_threads: Option<usize>,
-    /// The dispatch pool, sized lazily at first execution.
+    /// The sweep pool, sized lazily at the first sharded sweep.
     pool: OnceLock<WorkerPool>,
     /// The query cache (`None` when built with `cache_bytes(0)`). Keys
     /// embed the registry epoch, so staleness falls out of the existing
@@ -535,22 +537,23 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         local.items.into_iter().flatten().collect()
     }
 
-    /// The dispatch pool, created at first use: `worker_threads` from the
-    /// builder if set, else `min(registered engines, available cores)`.
+    /// The sweep pool, created at first use: `worker_threads` from the
+    /// builder if set, else `min(shards, available cores)` — it runs one
+    /// job per shard.
     pub(crate) fn pool(&self) -> &WorkerPool {
         self.pool.get_or_init(|| {
             WorkerPool::new(self.worker_threads.unwrap_or_else(|| {
                 let cores = std::thread::available_parallelism()
                     .map(|n| n.get())
                     .unwrap_or(1);
-                cores.min(self.len().max(1))
+                cores.min(self.shards())
             }))
         })
     }
 
-    /// The configured or effective dispatch pool size, and the peak
-    /// number of concurrently dispatched engine searches observed so far
-    /// (0 before the first execution).
+    /// The configured or effective sweep pool size, and the peak number
+    /// of concurrently running shard sweeps observed so far (0 before
+    /// the first sweep of a sharded registry).
     pub fn pool_stats(&self) -> (usize, u64) {
         match self.pool.get() {
             Some(pool) => (pool.threads(), pool.peak_active()),

@@ -1,5 +1,5 @@
-//! Executing a plan: dispatch over the bounded worker pool, merge by
-//! global similarity, account, trace. [`Broker::execute`] (plan +
+//! Executing a plan: dispatch from the calling thread, merge by global
+//! similarity, account, trace. [`Broker::execute`] (plan +
 //! dispatch behind the results cache) and [`Broker::execute_plan`] both
 //! end in the one private `dispatch`, which records its spans into the
 //! [`TraceHandle`] it is given — a disabled one records nothing.
@@ -8,7 +8,6 @@ use crate::broker::{metrics, Broker, MergedHit};
 use crate::cache::{CacheKey, CacheTier, CachedResponse};
 use crate::merge::merge_results;
 use crate::plan::QueryPlan;
-use crate::pool::JobStatus;
 use crate::registry::{EngineHandle, StalePlanError};
 use crate::remote::{Pending, RemoteHit, SearchReply, TransportError, TransportErrorKind};
 use crate::request::{
@@ -25,23 +24,20 @@ use std::time::Instant;
 /// wall-clock, or the typed transport failure that produced neither.
 type DispatchResult = Result<(Vec<MergedHit>, f64), TransportError>;
 
-/// One in-process engine's dispatch job.
-type DispatchJob = Box<dyn FnOnce() -> DispatchResult + Send>;
-
-/// Fewest engines of an all-local plan that go to the pool: a hand-off
-/// to a worker and back costs about as much as searching this many
-/// newsgroup-sized collections (traced `pool.queue_wait_us_p50` ≈ 150 µs
-/// against 3–8 µs a search on the 2-core box), and when it lands behind
-/// other runnable threads, milliseconds.
-const MIN_POOLED_LOCAL: usize = 64;
-
-/// One pool job of a dispatch: the jobs of one or more engines run back
-/// to back, `None` for an engine whose job panicked.
-type DispatchBatch = Box<dyn FnOnce() -> Vec<Option<DispatchResult>> + Send>;
+/// How one engine's dispatch ended.
+enum Status {
+    /// It ran: its result, an answer or a typed transport failure.
+    Done(DispatchResult),
+    /// It panicked.
+    Panicked,
+    /// It was not started, or not answered, by the deadline.
+    TimedOut,
+}
 
 /// Opens one engine's `dispatch:<engine>` span under the dispatch span.
 /// An unsampled trace formats nothing: this runs once per selected
-/// engine of every request.
+/// engine of every request. No engine waits in a queue, so
+/// `queue_wait_s` reads zero.
 fn engine_span(trace: &TraceHandle, parent: SpanId, name: &str, kind: &str) -> SpanGuard {
     if !trace.is_sampled() {
         return SpanGuard::disabled();
@@ -49,18 +45,8 @@ fn engine_span(trace: &TraceHandle, parent: SpanId, name: &str, kind: &str) -> S
     let mut span = trace.child_span(&format!("dispatch:{name}"), parent);
     span.attr("engine", name);
     span.attr("kind", kind);
+    span.attr("queue_wait_s", "0.000000");
     span
-}
-
-/// Notes on a job's span how long the job sat queued: from submission
-/// to its start, separate from the span's own run time.
-fn queued_since(span: &mut SpanGuard, enqueued: Instant) {
-    if span.is_recording() {
-        span.attr(
-            "queue_wait_s",
-            format!("{:.6}", enqueued.elapsed().as_secs_f64()),
-        );
-    }
 }
 
 /// Whether `deadline` has passed.
@@ -87,7 +73,7 @@ fn named_hits(engine: &str, hits: Vec<RemoteHit>) -> Vec<MergedHit> {
 
 impl<E: UsefulnessEstimator + Sync> Broker<E> {
     /// Executes a request end to end: plan, dispatch the selected engines
-    /// over the bounded worker pool, merge by global similarity.
+    /// from the calling thread, merge by global similarity.
     ///
     /// A panicking engine contributes no hits and is reported as
     /// [`DispatchOutcome::Failed`] (counted by
@@ -266,76 +252,6 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         Ok(resp)
     }
 
-    /// Runs a dispatch's in-process searches, one job per engine, and
-    /// returns one status per job, in their order.
-    ///
-    /// An in-process search takes microseconds — less than handing it to
-    /// a worker and waking the caller for its result — so fewer than
-    /// [`MIN_POOLED_LOCAL`] of them are run by the caller itself, and
-    /// more go to the pool as at most one batch per worker. A plan over a
-    /// handful of small engines then crosses no thread, a plan over a
-    /// thousand crosses a few instead of a thousand, and how long either
-    /// takes does not depend on how promptly the host schedules a
-    /// hand-off. Every job still runs under its own `catch_unwind`. A
-    /// batch that misses the deadline times out all its engines; on the
-    /// caller an engine that has not finished by the deadline times
-    /// out, and the ones after it are not started.
-    fn run_dispatch_jobs(
-        &self,
-        jobs: Vec<DispatchJob>,
-        deadline: Option<Instant>,
-    ) -> Vec<JobStatus<DispatchResult>> {
-        let n = jobs.len();
-        if n < MIN_POOLED_LOCAL {
-            return jobs
-                .into_iter()
-                .map(|job| {
-                    if late(deadline) {
-                        return JobStatus::TimedOut;
-                    }
-                    match catch_unwind(AssertUnwindSafe(job)) {
-                        _ if late(deadline) => JobStatus::TimedOut,
-                        Ok(result) => JobStatus::Done(result),
-                        Err(_) => JobStatus::Panicked,
-                    }
-                })
-                .collect();
-        }
-        let pool = self.pool();
-        let per_batch = n.div_ceil(pool.threads()).max(1);
-        let mut out: Vec<JobStatus<DispatchResult>> = (0..n).map(|_| JobStatus::TimedOut).collect();
-        let mut jobs = jobs.into_iter();
-        let batches: Vec<DispatchBatch> = out
-            .chunks(per_batch)
-            .map(|slots| {
-                let batch: Vec<DispatchJob> = jobs.by_ref().take(slots.len()).collect();
-                Box::new(move || {
-                    batch
-                        .into_iter()
-                        .map(|job| catch_unwind(AssertUnwindSafe(job)).ok())
-                        .collect()
-                }) as DispatchBatch
-            })
-            .collect();
-        let timeout = deadline.map(|d| d.saturating_duration_since(Instant::now()));
-        for (slots, status) in out
-            .chunks_mut(per_batch)
-            .zip(pool.run_collect(batches, timeout))
-        {
-            match status {
-                JobStatus::Done(results) => {
-                    for (slot, result) in slots.iter_mut().zip(results) {
-                        *slot = result.map_or(JobStatus::Panicked, JobStatus::Done);
-                    }
-                }
-                JobStatus::Panicked => slots.fill_with(|| JobStatus::Panicked),
-                JobStatus::Rejected => slots.fill_with(|| JobStatus::Rejected),
-                JobStatus::TimedOut => {}
-            }
-        }
-        out
-    }
-
     /// Dispatches a plan's invocation set and merges the results — the
     /// accounting half of [`Broker::execute`].
     ///
@@ -343,22 +259,26 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
     /// request [in two halves](crate::RemoteTransport::begin_search) from
     /// this thread, in invocation order, and a detached engine's refusal
     /// is recorded on the spot; the plan's in-process engines are then
-    /// searched (see [`Broker::run_dispatch_jobs`]) while those replies
-    /// are on their way; and the replies are collected, in order, each
-    /// under its own `catch_unwind`. The request's timeout, counted from
-    /// here, is the deadline of all three steps: a transport that can
-    /// only block and answers its begin late, or a reply that has not
-    /// arrived by it, is that engine's `TimedOut`. The retries of
+    /// searched on this thread too, one after another, while those
+    /// replies are on their way; and the replies are collected, in order.
+    /// Every search and every collection runs under its own
+    /// `catch_unwind`. An in-process search takes microseconds, less
+    /// than handing it to a worker and waking for its result, so no
+    /// engine of a plan crosses a thread however many there are. The
+    /// request's timeout, counted from here, is the deadline of all
+    /// three steps: a transport that can only block and answers its
+    /// begin late, an in-process search that ends after it, or a reply
+    /// that has not arrived by it, is that engine's `TimedOut`, and no
+    /// in-process search starts once it has passed. The retries of
     /// several *failing* engines thus back off one after another on
     /// this thread — bounded by that same deadline.
     ///
     /// Records one `dispatch` span with a `dispatch:<engine>` child per
-    /// invoked engine and a `merge` child. A job's span carries the
-    /// queue-wait measured from submission to job start, separate from
-    /// its own run time; an asked engine's span runs from the send to
-    /// the collection and waited in no queue. Remote engines are called
-    /// with the trace context so their server-side spans come back over
-    /// the wire and join the same tree.
+    /// invoked engine and a `merge` child. An in-process engine's span
+    /// is its search; an asked engine's runs from the send to the
+    /// collection. Remote engines are called with the trace context so
+    /// their server-side spans come back over the wire and join the same
+    /// tree.
     fn dispatch(
         &self,
         req: &SearchRequest,
@@ -372,44 +292,18 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         let dispatch_span_id = dispatch_span.id();
         let threshold = req.threshold;
         let deadline = req.timeout.map(|t| Instant::now() + t);
-        let mut statuses: Vec<JobStatus<DispatchResult>> =
-            plan.selected.iter().map(|_| JobStatus::TimedOut).collect();
+        let mut statuses: Vec<Status> = plan.selected.iter().map(|_| Status::TimedOut).collect();
         // Positions in `plan.selected`, beside what was made of them.
         let mut asked: Vec<(usize, Asked)> = Vec::new();
-        let mut queued: Vec<usize> = Vec::with_capacity(statuses.len());
-        let mut jobs: Vec<DispatchJob> = Vec::with_capacity(statuses.len());
         for (p, &i) in plan.selected.iter().enumerate() {
             let e = &plan.engines[i];
             match &e.handle {
-                EngineHandle::Local(engine) => {
-                    let enqueued = Instant::now();
-                    let engine = engine.clone();
-                    let query = e.query.clone();
-                    let (name, job_trace) = (e.name.clone(), trace.clone());
-                    queued.push(p);
-                    jobs.push(Box::new(move || {
-                        let mut span = engine_span(&job_trace, dispatch_span_id, &name, "local");
-                        queued_since(&mut span, enqueued);
-                        let start = Instant::now();
-                        let hits: Vec<MergedHit> = engine
-                            .search_threshold(&query, threshold)
-                            .into_iter()
-                            .map(|h| MergedHit {
-                                engine: name.clone(),
-                                doc: engine.collection().doc(h.doc).name.clone(),
-                                sim: h.sim,
-                            })
-                            .collect();
-                        span.attr("hits", hits.len());
-                        Ok((hits, start.elapsed().as_secs_f64()))
-                    }));
-                }
+                EngineHandle::Local(_) => {}
                 EngineHandle::Remote { transport, .. } => {
                     let mut span = engine_span(trace, dispatch_span_id, &e.name, "remote");
                     if span.is_recording() {
                         span.attr("endpoint", transport.endpoint());
                     }
-                    span.attr("queue_wait_s", "0.000000");
                     let ctx = trace.context(span.id());
                     let begun = catch_unwind(AssertUnwindSafe(|| {
                         transport.begin_search(&plan.query, threshold, Some(&ctx))
@@ -417,15 +311,14 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
                     match begun {
                         // A transport that can only block answered at its
                         // begin, on this thread: as late as a local search.
-                        _ if late(deadline) => statuses[p] = JobStatus::TimedOut,
+                        _ if late(deadline) => statuses[p] = Status::TimedOut,
                         Ok(reply) => asked.push((p, Asked { span, reply })),
-                        Err(_) => statuses[p] = JobStatus::Panicked,
+                        Err(_) => statuses[p] = Status::Panicked,
                     }
                 }
                 EngineHandle::Detached { .. } => {
-                    let mut span = engine_span(trace, dispatch_span_id, &e.name, "detached");
-                    span.attr("queue_wait_s", "0.000000");
-                    statuses[p] = JobStatus::Done(Err(TransportError::new(
+                    let _span = engine_span(trace, dispatch_span_id, &e.name, "detached");
+                    statuses[p] = Status::Done(Err(TransportError::new(
                         TransportErrorKind::Refused,
                         format!(
                             "engine {:?} is detached (restored from store); \
@@ -436,11 +329,34 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
                 }
             }
         }
-        for (p, status) in queued
-            .into_iter()
-            .zip(self.run_dispatch_jobs(jobs, deadline))
-        {
-            statuses[p] = status;
+        for (p, &i) in plan.selected.iter().enumerate() {
+            let e = &plan.engines[i];
+            let EngineHandle::Local(engine) = &e.handle else {
+                continue;
+            };
+            if late(deadline) {
+                break;
+            }
+            let mut span = engine_span(trace, dispatch_span_id, &e.name, "local");
+            let start = Instant::now();
+            let searched = catch_unwind(AssertUnwindSafe(|| {
+                let collection = engine.collection();
+                let hit = |h: seu_engine::SearchHit| MergedHit {
+                    engine: e.name.clone(),
+                    doc: collection.doc(h.doc).name.clone(),
+                    sim: h.sim,
+                };
+                let hits = engine.search_threshold(&e.query, threshold);
+                hits.into_iter().map(hit).collect::<Vec<_>>()
+            }));
+            statuses[p] = match searched {
+                _ if late(deadline) => Status::TimedOut,
+                Ok(hits) => {
+                    span.attr("hits", hits.len());
+                    Status::Done(Ok((hits, start.elapsed().as_secs_f64())))
+                }
+                Err(_) => Status::Panicked,
+            };
         }
         for (p, Asked { mut span, reply }) in asked {
             let name = &plan.engines[plan.selected[p]].name;
@@ -448,10 +364,10 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
                 Ok(Ok(reply)) => {
                     trace.adopt_spans(reply.spans);
                     span.attr("hits", reply.hits.len());
-                    JobStatus::Done(Ok((named_hits(name, reply.hits), reply.seconds)))
+                    Status::Done(Ok((named_hits(name, reply.hits), reply.seconds)))
                 }
-                Ok(Err(e)) => JobStatus::Done(Err(e)),
-                Err(_) => JobStatus::Panicked,
+                Ok(Err(e)) => Status::Done(Err(e)),
+                Err(_) => Status::Panicked,
             };
         }
 
@@ -460,10 +376,10 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         for (&i, status) in plan.selected.iter().zip(statuses) {
             let name = plan.engines[i].name.clone();
             let (hits, seconds, outcome, error) = match status {
-                JobStatus::Done(Ok((hits, seconds))) => {
+                Status::Done(Ok((hits, seconds))) => {
                     (hits, seconds, DispatchOutcome::Completed, None)
                 }
-                JobStatus::Done(Err(err)) => {
+                Status::Done(Err(err)) => {
                     let outcome = match err.kind {
                         TransportErrorKind::Timeout => {
                             m.engine_timeouts.inc();
@@ -476,11 +392,11 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
                     };
                     (Vec::new(), 0.0, outcome, Some(err))
                 }
-                JobStatus::Panicked | JobStatus::Rejected => {
+                Status::Panicked => {
                     m.engine_failures.inc();
                     (Vec::new(), 0.0, DispatchOutcome::Failed, None)
                 }
-                JobStatus::TimedOut => {
+                Status::TimedOut => {
                     m.engine_timeouts.inc();
                     (Vec::new(), 0.0, DispatchOutcome::TimedOut, None)
                 }
@@ -529,9 +445,9 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         }
     }
 
-    /// Full metasearch: select engines, dispatch the query to them over
-    /// the worker pool, and merge results above the threshold by global
-    /// similarity.
+    /// Full metasearch: select engines, dispatch the query to them from
+    /// the calling thread, and merge results above the threshold by
+    /// global similarity.
     ///
     /// Wrapper over [`Broker::execute`]; prefer the request pipeline in
     /// new code — it also exposes estimates, per-engine stats, result
@@ -912,17 +828,34 @@ mod tests {
         assert_eq!(by("stemmed").query().len(), 2);
     }
 
+    /// Tied hits go by engine name, whatever order the engines were
+    /// registered in.
+    #[test]
+    fn tied_hits_list_engines_by_name() {
+        let b = Broker::new(SubrangeEstimator::paper_six_subrange());
+        b.register("zeta", engine_from(&["shared words"]));
+        b.register("alpha", engine_from(&["shared words"]));
+        let hits = b.search("shared", 0.0, SelectionPolicy::All);
+        let engines: Vec<&str> = hits.iter().map(|h| h.engine.as_str()).collect();
+        assert_eq!(engines, ["alpha", "zeta"]);
+        assert_eq!(hits[0].sim.to_bits(), hits[1].sim.to_bits());
+    }
+
     #[test]
     fn pool_stats_reflect_builder_override() {
         let b = Broker::builder(SubrangeEstimator::paper_six_subrange())
+            .shards(2)
             .worker_threads(2)
             .build();
-        // Enough engines for the plan to go to the pool.
-        for i in 0..MIN_POOLED_LOCAL {
+        for i in 0..64 {
             b.register(&format!("e{i}"), engine_from(&["solo document here"]));
         }
         assert_eq!(b.pool_stats(), (2, 0));
-        let _ = b.search("solo", 0.0, SelectionPolicy::All);
+        // A search of every engine runs on the caller; a sweep of the
+        // two shards runs on the pool.
+        assert_eq!(b.search("solo", 0.0, SelectionPolicy::All).len(), 64);
+        assert_eq!(b.pool_stats(), (2, 0));
+        assert!(b.refresh_if_stale().is_empty());
         let (threads, peak) = b.pool_stats();
         assert_eq!(threads, 2);
         assert!((1..=2).contains(&peak), "{peak}");

@@ -15,8 +15,8 @@
 //!    [`UsefulnessEstimator`]) — every other engine's estimate is
 //!    exactly `(0, 0)` — and applies the [`SelectionPolicy`] → a
 //!    [`QueryPlan`];
-//! 2. [`Broker::execute`] dispatches the plan's selected engines over a
-//!    bounded worker pool and merges their results by global similarity
+//! 2. [`Broker::execute`] dispatches the plan's selected engines from the
+//!    calling thread and merges their results by global similarity
 //!    → a [`SearchResponse`] with hits, optional estimates, and
 //!    per-engine dispatch stats.
 //!

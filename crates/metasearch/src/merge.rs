@@ -8,7 +8,8 @@
 use crate::broker::MergedHit;
 
 /// Merges per-engine hit lists into one list sorted by descending
-/// similarity (ties: engine registration order, then document name).
+/// similarity (ties: engine name, then document name — by name, not
+/// by registration order).
 pub fn merge_results(mut per_engine: Vec<Vec<MergedHit>>) -> Vec<MergedHit> {
     let mut all: Vec<MergedHit> = per_engine.drain(..).flatten().collect();
     all.sort_by(|a, b| {

@@ -1,28 +1,21 @@
-//! A bounded worker pool for the broker's dispatch fan-out.
+//! A bounded worker pool for the broker's registry sweeps.
 //!
-//! The seed broker spawned one scoped thread per selected engine per
-//! query. That is fine for a handful of engines but collapses under
-//! production fan-out: a broker fronting hundreds of engines would burn a
-//! thread spawn per engine per query, and concurrent queries would
-//! multiply unbounded. [`WorkerPool`] fixes the concurrency at
-//! construction time: `threads` long-lived workers drain a shared queue,
-//! so dispatch cost per query is one channel send per pool job — the
-//! broker submits one batch per worker for its in-process engines,
-//! unless they are a few, which the caller searches itself; remote
-//! engines are asked from the calling thread and cost no job — and the
-//! pool's parallelism never exceeds the configured bound.
+//! With a sharded registry, `refresh_if_stale` and `hydrate` submit one
+//! job per shard through [`WorkerPool::run_collect`], so a slow refresh
+//! on one shard never serializes the sweep of the others (and never
+//! blocks queries, which only need that one shard's write lock).
+//! [`WorkerPool`] fixes the concurrency at construction time: `threads`
+//! long-lived workers drain a shared queue, and the pool's parallelism
+//! never exceeds that bound.
 //!
-//! Failure isolation: jobs run under `catch_unwind`, so a panicking
-//! engine neither kills its worker nor poisons the query — the caller
-//! sees [`JobStatus::Panicked`] for that job and results from everyone
-//! else.
+//! Query dispatch does not use the pool. An in-process search takes
+//! microseconds, less than a hand-off to a worker and back, so the
+//! broker searches a plan's engines on the calling thread, and asks
+//! remote engines from it too.
 //!
-//! Besides per-query dispatch, the pool runs the registry's per-shard
-//! fan-out: with a sharded registry, `refresh_if_stale` and `hydrate`
-//! submit one job per shard through [`WorkerPool::run_collect`], so a
-//! slow refresh on one shard never serializes the sweep of the others
-//! (and never blocks queries, which only need that one shard's write
-//! lock).
+//! Failure isolation: jobs run under `catch_unwind`, so a panicking job
+//! neither kills its worker nor poisons the sweep — the caller sees
+//! [`JobStatus::Panicked`] for that job and results from everyone else.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -77,7 +70,7 @@ fn run_job_timed<T>(
 }
 
 /// Forces creation of the pool's instruments so snapshots include the
-/// whole family even before the first dispatch.
+/// whole family even before the first sweep.
 pub(crate) fn register_metrics() {
     let _ = metrics();
 }

@@ -1,18 +1,25 @@
-//! Integration: who runs a plan's in-process searches. A plan over a
-//! few local engines is searched by the calling thread and touches no
-//! worker; a larger one goes to the pool in batches and answers as the
-//! caller alone would. (The timeout budget on the caller is held by
-//! `pipeline.rs`'s and the broker's zero-budget tests, whose plans are
-//! small.)
+//! Integration: who runs a plan's in-process searches. The calling
+//! thread searches them all, however many there are, and touches no
+//! worker; a large plan answers as a small one does, and a deadline
+//! that has passed stops it before its first search. The suite reads
+//! the process-global `engine_searches_total`, so its tests take turns.
 
 use seu_core::SubrangeEstimator;
 use seu_engine::{CollectionBuilder, SearchEngine, WeightingScheme};
-use seu_metasearch::{Broker, SearchRequest, SearchResponse, SelectionPolicy};
+use seu_metasearch::{Broker, DispatchOutcome, SearchRequest, SearchResponse, SelectionPolicy};
 use seu_text::Analyzer;
+use std::sync::Mutex;
+use std::time::Duration;
+
+/// Held by every test: nothing else in the process searches while one
+/// counts.
+static TURN: Mutex<()> = Mutex::new(());
 
 /// `n_engines` three-document engines behind two workers, asked for
-/// everything; the response and the most jobs the pool ran at once.
-fn search_all(n_engines: usize) -> (SearchResponse, u64) {
+/// everything under `timeout`; the response, the most jobs the pool ran
+/// at once, and the engine searches the request made.
+fn search_all(n_engines: usize, timeout: Option<Duration>) -> (SearchResponse, u64, u64) {
+    let _turn = TURN.lock().unwrap_or_else(|p| p.into_inner());
     let broker = Broker::builder(SubrangeEstimator::paper_six_subrange())
         .worker_threads(2)
         .build();
@@ -23,34 +30,56 @@ fn search_all(n_engines: usize) -> (SearchResponse, u64) {
         }
         broker.register(&format!("engine{e:03}"), SearchEngine::new(b.build()));
     }
-    let req = SearchRequest::new("shared topic")
+    let mut req = SearchRequest::new("shared topic")
         .threshold(0.0)
         .policy(SelectionPolicy::All);
+    if let Some(t) = timeout {
+        req = req.timeout(t);
+    }
+    let searches = seu_obs::counter("engine_searches_total");
+    let before = searches.get();
     let resp = broker.execute(&req);
-    assert!(resp.is_complete());
-    (resp, broker.pool_stats().1)
+    // Nothing may still be searching on another thread: wait a moment
+    // before reading the count.
+    std::thread::sleep(Duration::from_millis(20));
+    (resp, broker.pool_stats().1, searches.get() - before)
 }
 
 #[test]
 fn a_small_local_plan_is_searched_by_the_caller() {
-    let (resp, peak) = search_all(12);
+    let (resp, peak, searches) = search_all(12, None);
+    assert!(resp.is_complete());
     assert_eq!(resp.hits.len(), 36);
     assert_eq!(peak, 0, "a 12-engine plan went to the pool");
+    assert_eq!(searches, 12);
 }
 
 #[test]
-fn the_pool_answers_like_the_caller_alone() {
-    // 100 engines over 2 workers: two batches.
-    let (resp, peak) = search_all(100);
-    assert!((1..=2).contains(&peak), "pool ran {peak} batches at once");
-    // Rows come back in plan (registration) order whoever ran them.
+fn a_100_engine_plan_is_searched_by_the_caller() {
+    let (resp, peak, searches) = search_all(100, None);
+    assert!(resp.is_complete());
+    assert_eq!(peak, 0, "a 100-engine plan went to the pool");
+    assert_eq!(searches, 100);
+    // Rows come back in plan (registration) order.
     let rows = resp.per_engine_stats.iter().map(|s| s.engine.clone());
     assert!(rows.eq((0..100).map(|e| format!("engine{e:03}"))));
     assert!(resp.per_engine_stats.iter().all(|s| s.hits == 3));
     // The first twelve engines' hits are the twelve-engine broker's.
-    let (reference, _) = search_all(12);
+    let (reference, _, _) = search_all(12, None);
     for (a, b) in resp.hits.iter().zip(&reference.hits) {
         assert_eq!((&a.engine, &a.doc), (&b.engine, &b.doc));
         assert_eq!(a.sim.to_bits(), b.sim.to_bits());
     }
+}
+
+#[test]
+fn a_large_plan_past_its_deadline_searches_nothing() {
+    let (resp, peak, searches) = search_all(100, Some(Duration::ZERO));
+    assert!(resp.hits.is_empty());
+    assert_eq!(resp.per_engine_stats.len(), 100);
+    assert!(resp
+        .per_engine_stats
+        .iter()
+        .all(|s| s.outcome == DispatchOutcome::TimedOut && s.hits == 0));
+    assert_eq!((peak, searches), (0, 0), "a late plan was searched");
 }

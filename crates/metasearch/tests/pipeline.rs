@@ -1,5 +1,5 @@
 //! Integration: the SearchRequest pipeline against the pre-pipeline
-//! semantics, the dispatch concurrency bound, and the analysis-once
+//! semantics, the sweep concurrency bound, and the analysis-once
 //! guarantee.
 
 use seu_core::{SubrangeEstimator, Usefulness, UsefulnessEstimator};
@@ -21,11 +21,13 @@ fn tiny_engine(topic: &str, n_docs: usize) -> SearchEngine {
     SearchEngine::new(b.build())
 }
 
-/// Dispatch across 64 engines never runs more searches at once than the
-/// configured worker count.
+/// The worker bound governs the registry sweeps: a 4-shard refresh runs
+/// one job per shard, never more than the configured workers at once,
+/// while a search of all 64 engines runs on the caller and no worker.
 #[test]
-fn dispatch_respects_the_worker_bound() {
+fn refresh_respects_the_worker_bound() {
     let broker = Broker::builder(SubrangeEstimator::paper_six_subrange())
+        .shards(4)
         .worker_threads(4)
         .build();
     for i in 0..64 {
@@ -38,9 +40,11 @@ fn dispatch_respects_the_worker_bound() {
     );
     assert_eq!(resp.per_engine_stats.len(), 64);
     assert!(resp.is_complete());
+    assert_eq!(broker.pool_stats(), (4, 0), "a search went to the pool");
+    assert!(broker.refresh_if_stale().is_empty());
     let (threads, peak) = broker.pool_stats();
     assert_eq!(threads, 4);
-    assert!(peak >= 1, "dispatch never ran?");
+    assert!(peak >= 1, "the sweep never ran?");
     assert!(
         peak <= 4,
         "peak concurrency {peak} exceeded the 4-worker bound"

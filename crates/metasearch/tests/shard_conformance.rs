@@ -419,5 +419,5 @@ fn stress_interleaves_lifecycle_across_shards() {
     );
     assert!(resp.is_complete(), "pool poisoned after stress: {resp:?}");
     let (_, peak) = b.pool_stats();
-    assert!(peak >= 1, "dispatch pool never ran");
+    assert!(peak >= 1, "sweep pool never ran");
 }
