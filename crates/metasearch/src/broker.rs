@@ -5,7 +5,7 @@
 //!   refresh / replace / invalidate, statuses;
 //! * `plan.rs`: analysis, the walk over the shards' term postings,
 //!   estimates, selection;
-//! * `dispatch.rs`: execution over the [`WorkerPool`], merging, traces;
+//! * `dispatch.rs`: execution on the calling thread, merging, traces;
 //! * `persist.rs`: store snapshot / restore / hydrate / attach.
 //!
 //! The [registry](crate::registry) owns entry order, epochs, term
@@ -17,7 +17,6 @@
 
 use crate::cache::{CacheStats, QueryCache};
 use crate::persist::StoreHandle;
-use crate::pool::WorkerPool;
 use crate::registry::{
     Change, EngineHandle, EngineStatus, RegisteredEngine, RegistrySnapshot, ShardedRegistry,
 };
@@ -93,7 +92,6 @@ pub(crate) fn metrics() -> &'static BrokerMetrics {
 pub fn register_metrics() {
     let _ = metrics();
     crate::registry::register_metrics();
-    crate::pool::register_metrics();
     crate::cache::register_metrics();
     seu_store::register_metrics();
 }
@@ -133,28 +131,18 @@ pub struct MergedHit {
 /// use seu_core::SubrangeEstimator;
 ///
 /// let broker = Broker::builder(SubrangeEstimator::paper_six_subrange())
-///     .worker_threads(8)
+///     .shards(8)
 ///     .build();
 /// assert!(broker.is_empty());
 /// ```
 pub struct BrokerBuilder<E> {
     estimator: E,
     shards: usize,
-    worker_threads: Option<usize>,
     cache_bytes: usize,
     store: Option<Arc<StoreHandle>>,
 }
 
 impl<E: UsefulnessEstimator + Sync> BrokerBuilder<E> {
-    /// Fixes the size of the worker pool that sweeps a sharded registry
-    /// (`refresh_if_stale`, `hydrate`: one job per shard). Without this
-    /// the pool is sized `min(shards, available cores)` at the first
-    /// sweep. Searches never use the pool: dispatch runs on the caller.
-    pub fn worker_threads(mut self, threads: usize) -> Self {
-        self.worker_threads = Some(threads.max(1));
-        self
-    }
-
     /// Splits the registry across `n` independently locked shards
     /// (engine ids route by [`crate::shard_for`]), so registration,
     /// refresh, and push invalidation on one shard never block planning
@@ -195,10 +183,8 @@ impl<E: UsefulnessEstimator + Sync> BrokerBuilder<E> {
     pub fn build(self) -> Broker<E> {
         Broker {
             estimator: self.estimator,
-            registry: Arc::new(ShardedRegistry::new(self.shards)),
-            vocab: Arc::new(RwLock::new(Vocabulary::new())),
-            worker_threads: self.worker_threads,
-            pool: OnceLock::new(),
+            registry: ShardedRegistry::new(self.shards),
+            vocab: RwLock::new(Vocabulary::new()),
             cache: (self.cache_bytes > 0).then(|| QueryCache::new(self.cache_bytes)),
             store: self.store,
         }
@@ -244,18 +230,13 @@ pub struct Broker<E> {
     /// The registry; it owns entry order, epochs and gauges (see
     /// [`crate::registry`]). [`QueryPlan`](crate::QueryPlan) records the
     /// registry epoch it was planned against; a mismatch later means the
-    /// plan is stale. `Arc` so per-shard sweeps can run as `'static`
-    /// worker-pool jobs.
-    pub(crate) registry: Arc<ShardedRegistry>,
+    /// plan is stale.
+    pub(crate) registry: ShardedRegistry,
     /// Union vocabulary over every registered engine — the target of the
     /// single query-analysis pass. Locked *after* a shard's entries lock
     /// everywhere both are held (i.e. from inside the closures handed to
     /// the registry).
-    pub(crate) vocab: Arc<RwLock<Vocabulary>>,
-    /// Builder override for the sweep pool size.
-    worker_threads: Option<usize>,
-    /// The sweep pool, sized lazily at the first sharded sweep.
-    pool: OnceLock<WorkerPool>,
+    pub(crate) vocab: RwLock<Vocabulary>,
     /// The query cache (`None` when built with `cache_bytes(0)`). Keys
     /// embed the registry epoch, so staleness falls out of the existing
     /// epoch machinery — see [`crate::cache`] for the design.
@@ -277,7 +258,6 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         BrokerBuilder {
             estimator,
             shards: 1,
-            worker_threads: None,
             cache_bytes: DEFAULT_CACHE_BYTES,
             store: None,
         }
@@ -537,30 +517,6 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         local.items.into_iter().flatten().collect()
     }
 
-    /// The sweep pool, created at first use: `worker_threads` from the
-    /// builder if set, else `min(shards, available cores)` — it runs one
-    /// job per shard.
-    pub(crate) fn pool(&self) -> &WorkerPool {
-        self.pool.get_or_init(|| {
-            WorkerPool::new(self.worker_threads.unwrap_or_else(|| {
-                let cores = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1);
-                cores.min(self.shards())
-            }))
-        })
-    }
-
-    /// The configured or effective sweep pool size, and the peak number
-    /// of concurrently running shard sweeps observed so far (0 before
-    /// the first sweep of a sharded registry).
-    pub fn pool_stats(&self) -> (usize, u64) {
-        match self.pool.get() {
-            Some(pool) => (pool.threads(), pool.peak_active()),
-            None => (self.worker_threads.unwrap_or(0), 0),
-        }
-    }
-
     /// Rebuilds the named engine's representative — from its current
     /// collection for a local engine (the paper's infrequent
     /// metadata-propagation step, §1), by refetching its snapshot for a
@@ -617,24 +573,22 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
     /// sweep. Returns the names of the engines it refreshed, in
     /// registration order.
     ///
-    /// Sharded brokers sweep each shard as an independent worker-pool
-    /// job: shards refresh concurrently, and a slow shard (e.g. one
-    /// full of remote refetches) only holds its own lock while the
-    /// others are already serving plans again.
+    /// Shards are swept on scoped worker threads: they refresh
+    /// concurrently, and a slow shard (e.g. one full of remote
+    /// refetches) only holds its own lock while the others are already
+    /// serving plans again. A refresh that panics costs its shard's
+    /// results, never the sweep.
     pub fn refresh_if_stale(&self) -> Vec<String> {
         self.hydrate();
-        let (vocab, store) = (Arc::clone(&self.vocab), self.store.clone());
-        let refreshed = self.registry.update_all(
-            || self.pool(),
-            RegisteredEngine::is_stale,
-            move |e| match e.try_refresh(&mut vocab.write(), store.as_deref()) {
+        let refreshed = self.registry.update_all(RegisteredEngine::is_stale, |e| {
+            match e.try_refresh(&mut self.vocab.write(), self.store.as_deref()) {
                 Ok(()) => {
                     metrics().representative_refreshes.inc();
                     (Change::Changed, Some(e.name.clone()))
                 }
                 Err(_) => (Change::Unchanged, None),
-            },
-        );
+            }
+        });
         if !refreshed.is_empty() {
             self.purge_cache();
         }

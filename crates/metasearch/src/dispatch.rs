@@ -781,7 +781,6 @@ mod tests {
         let resp = b.execute(&req);
         assert_eq!(outcome(&resp, "blocking"), Some((Completed, None)));
         assert!(resp.hits.iter().any(|h| h.engine == "blocking"));
-        assert_eq!(b.pool_stats().1, 0, "asked from the calling thread");
         assert_eq!(outcome(&resp, "ghost"), Some((Failed, Some(Refused))));
         // Answered at its begin, after the deadline: too late.
         let resp = b.execute(&req.timeout(Duration::ZERO));
@@ -839,26 +838,6 @@ mod tests {
         let engines: Vec<&str> = hits.iter().map(|h| h.engine.as_str()).collect();
         assert_eq!(engines, ["alpha", "zeta"]);
         assert_eq!(hits[0].sim.to_bits(), hits[1].sim.to_bits());
-    }
-
-    #[test]
-    fn pool_stats_reflect_builder_override() {
-        let b = Broker::builder(SubrangeEstimator::paper_six_subrange())
-            .shards(2)
-            .worker_threads(2)
-            .build();
-        for i in 0..64 {
-            b.register(&format!("e{i}"), engine_from(&["solo document here"]));
-        }
-        assert_eq!(b.pool_stats(), (2, 0));
-        // A search of every engine runs on the caller; a sweep of the
-        // two shards runs on the pool.
-        assert_eq!(b.search("solo", 0.0, SelectionPolicy::All).len(), 64);
-        assert_eq!(b.pool_stats(), (2, 0));
-        assert!(b.refresh_if_stale().is_empty());
-        let (threads, peak) = b.pool_stats();
-        assert_eq!(threads, 2);
-        assert!((1..=2).contains(&peak), "{peak}");
     }
 
     #[test]

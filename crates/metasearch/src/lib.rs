@@ -54,7 +54,6 @@ pub mod federation;
 pub mod merge;
 mod persist;
 pub mod plan;
-pub mod pool;
 mod postings;
 pub mod registry;
 pub mod remote;
@@ -69,7 +68,6 @@ pub use federation::{
 };
 pub use merge::merge_results;
 pub use plan::{PlannedEngine, QueryPlan, SharedAnalysis};
-pub use pool::{JobStatus, PoolClosed, WorkerPool};
 pub use registry::{shard_for, EngineStatus, RegistrySnapshot, StalePlanError};
 pub use remote::{
     EngineSnapshot, Pending, RemoteHit, RemoteMeta, RemoteTransport, SearchReply, TransportError,

@@ -296,21 +296,19 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
     /// returns how many entries were decoded. Every plan (and every
     /// lifecycle method that needs a hydrated entry) calls this first,
     /// so hydration is lazy unless the caller makes it eager; once
-    /// everything is hydrated it is a single atomic load. Sharded
-    /// brokers hydrate each shard as an independent worker-pool job.
+    /// everything is hydrated it is a single atomic load. Shards are
+    /// hydrated on scoped worker threads, as `refresh_if_stale` sweeps.
     pub fn hydrate(&self) -> usize {
         if self.registry.cold() == 0 {
             return 0;
         }
-        let Some(store) = self.store.clone() else {
+        let Some(store) = self.store.as_deref() else {
             return 0;
         };
-        let vocab = Arc::clone(&self.vocab);
         let hydrated = self.registry.update_all(
-            || self.pool(),
             |e| e.cold.is_some(),
-            move |e| {
-                hydrate_entry(e, &vocab, &store);
+            |e| {
+                hydrate_entry(e, &self.vocab, store);
                 (Change::Unchanged, Some(()))
             },
         );

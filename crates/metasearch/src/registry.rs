@@ -81,7 +81,6 @@
 
 use crate::federation::hash_key;
 use crate::persist::{canonical, record_for_local, record_for_remote, StoreHandle};
-use crate::pool::{JobStatus, WorkerPool};
 use crate::postings::{Posting, TermIndex};
 use crate::remote::{
     EngineSnapshot, RemoteMeta, RemoteTransport, TransportError, TransportErrorKind,
@@ -90,7 +89,8 @@ use parking_lot::RwLock;
 use seu_engine::{Fingerprint, SearchEngine, WeightingScheme};
 use seu_repr::Representative;
 use seu_text::{AnalyzerConfig, TermId, Vocabulary};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Routes an engine id to a shard: FNV-1a over the id's bytes
@@ -482,35 +482,49 @@ impl ShardedRegistry {
     /// Runs `f` on every entry `wants` picks — shard by shard, each
     /// under its own write lock, taken only if a look under the read
     /// lock finds a pick — and returns what `f` kept, in registration
-    /// order. A flat registry does this on the calling thread, a
-    /// sharded one as one job per shard on `pool()`: a slow shard holds
-    /// only its own lock.
-    pub(crate) fn update_all<'p, T: Send + 'static>(
-        self: &Arc<Self>,
-        pool: impl FnOnce() -> &'p WorkerPool,
+    /// order. The shards with a pick are swept by as many scoped
+    /// `seu-sweep-<i>` threads as there are such shards, at most one a
+    /// core, which take shard indices from one counter: a slow shard
+    /// holds only its own lock, and no thread outlives the call. The
+    /// caller only looks and waits; it never sweeps. Each shard's sweep runs under `catch_unwind`: if `f`
+    /// panics, that shard's results are lost and every other shard's
+    /// are kept.
+    pub(crate) fn update_all<T: Send>(
+        &self,
         wants: fn(&RegisteredEngine) -> bool,
-        f: impl Fn(&mut RegisteredEngine) -> (Change, Option<T>) + Send + Sync + 'static,
+        f: impl Fn(&mut RegisteredEngine) -> (Change, Option<T>) + Sync,
     ) -> Vec<T> {
-        if self.shards.len() == 1 {
-            return in_order(self.update_shard(0, wants, &f));
-        }
-        let f = Arc::new(f);
-        let jobs = (0..self.shards.len())
-            .map(|idx| {
-                let (registry, f) = (Arc::clone(self), Arc::clone(&f));
-                Box::new(move || registry.update_shard(idx, wants, &*f))
-                    as Box<dyn FnOnce() -> Vec<(u64, T)> + Send>
-            })
+        let picked: Vec<usize> = (0..self.shards.len())
+            .filter(|&idx| self.shards[idx].entries.read().list.iter().any(wants))
             .collect();
-        let done = pool().run_collect(jobs, None);
-        in_order(
-            done.into_iter()
-                .filter_map(JobStatus::into_done)
-                .flatten()
-                .collect(),
-        )
+        let next = AtomicUsize::new(0);
+        let sweep = || {
+            let mut kept = Vec::new();
+            while let Some(&idx) = picked.get(next.fetch_add(1, Ordering::Relaxed)) {
+                let swept = catch_unwind(AssertUnwindSafe(|| self.update_shard(idx, wants, &f)));
+                kept.extend(swept.unwrap_or_default());
+            }
+            kept
+        };
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let kept = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..picked.len().min(cores))
+                .map(|i| {
+                    std::thread::Builder::new()
+                        .name(format!("seu-sweep-{i}"))
+                        .spawn_scoped(scope, sweep)
+                        .expect("spawning a sweep worker")
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("a sweep worker catches its shards' panics"))
+                .collect()
+        });
+        in_order(kept)
     }
 
+    /// `f` on every pick of shard `idx`, under its write lock.
     fn update_shard<T>(
         &self,
         idx: usize,
@@ -518,9 +532,6 @@ impl ShardedRegistry {
         f: &impl Fn(&mut RegisteredEngine) -> (Change, Option<T>),
     ) -> Vec<(u64, T)> {
         let shard = &self.shards[idx];
-        if !shard.entries.read().list.iter().any(wants) {
-            return Vec::new();
-        }
         let mut entries = shard.entries.write();
         let (mut kept, mut resized) = (Vec::new(), false);
         for pos in 0..entries.list.len() {
@@ -1128,6 +1139,59 @@ mod tests {
         assert_eq!(r.epoch(), 5);
         assert_eq!(r.len(), 2);
         assert_eq!(r.seq_watermark(), 3);
+    }
+
+    /// `update_all` visits every pick once, on at most
+    /// `min(shards, cores)` `seu-sweep-*` threads at a time and never on
+    /// the caller, and answers in registration order.
+    #[test]
+    fn update_all_sweeps_each_pick_once_on_bounded_sweep_threads() {
+        use std::sync::Mutex;
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let caller = std::thread::current().id();
+        for shards in [1, 4, 16] {
+            let r = ShardedRegistry::new(shards);
+            for i in 0..48 {
+                let name = format!("engine-{i}");
+                r.insert(&name, |seq| entry(&name, seq));
+            }
+            let picked: Vec<u64> = (0..48).filter(|seq| seq % 3 != 0).collect();
+            let (active, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let visits = Mutex::new(Vec::new());
+            let kept = r.update_all(
+                |e| e.seq % 3 != 0,
+                |e| {
+                    let now = active.fetch_add(1, Ordering::SeqCst) + 1;
+                    peak.fetch_max(now, Ordering::SeqCst);
+                    let me = std::thread::current();
+                    assert_ne!(me.id(), caller, "swept on the caller");
+                    let name = me.name().unwrap_or_default().to_string();
+                    visits.lock().unwrap().push((e.seq, name));
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                    active.fetch_sub(1, Ordering::SeqCst);
+                    (Change::Unchanged, Some(e.seq))
+                },
+            );
+            assert_eq!(kept, picked, "{shards} shards: not in registration order");
+            let mut visits = visits.into_inner().unwrap();
+            assert!(
+                visits
+                    .iter()
+                    .all(|(_, name)| name.starts_with("seu-sweep-")),
+                "{shards} shards: {visits:?}"
+            );
+            visits.sort();
+            let seqs: Vec<u64> = visits.iter().map(|&(seq, _)| seq).collect();
+            assert_eq!(
+                seqs, picked,
+                "{shards} shards: a pick missed or swept twice"
+            );
+            let peak = peak.into_inner();
+            assert!(
+                (1..=shards.min(cores)).contains(&peak),
+                "{shards} shards on {cores} cores: {peak} at once"
+            );
+        }
     }
 
     #[test]

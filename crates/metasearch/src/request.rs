@@ -183,8 +183,10 @@ pub struct EngineDispatchStats {
     /// The typed transport failure behind a [`DispatchOutcome::Failed`]
     /// or [`DispatchOutcome::TimedOut`] outcome, when the engine is
     /// remote and its transport reported one — a reply the request's
-    /// own deadline cut off included (`None` for local engines and
-    /// pool-level timeouts).
+    /// own deadline cut off included. `None` for local engines (a local
+    /// row past its deadline is `TimedOut` with `None`), for a transport
+    /// that panicked, and for one that can only block and answered its
+    /// begin after the deadline.
     pub error: Option<TransportError>,
 }
 

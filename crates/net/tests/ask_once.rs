@@ -5,8 +5,8 @@
 //! fewer workers than there are peers) never gets a first answer and
 //! runs into its call timeout instead.
 //!
-//! - a broker with a one-thread pool over four gated engine servers
-//!   answers completely: dispatch asked all four from its own thread;
+//! - a broker over four gated engine servers answers completely:
+//!   dispatch asked all four from its own thread;
 //! - a front-door over two gated replica servers answers completely: it
 //!   asked both before it waited for either, in the one round in which a
 //!   replica estimates and searches for `All`;
@@ -144,9 +144,7 @@ fn remote(addr: SocketAddr) -> Arc<RemoteEngine> {
 #[test]
 fn dispatch_asks_every_remote_engine_before_it_waits_for_one() {
     let together = Arc::new(Barrier::new(DBS.len()));
-    let broker = Broker::builder(SubrangeEstimator::paper_six_subrange())
-        .worker_threads(1)
-        .build();
+    let broker = Broker::new(SubrangeEstimator::paper_six_subrange());
     for (i, texts) in DBS.iter().enumerate() {
         let together = together.clone();
         let hold: Hold = Arc::new(move || {

@@ -47,7 +47,6 @@ fn sharded_broker_survives_push_invalidation_storm() {
     let broker = Arc::new(
         Broker::builder(SubrangeEstimator::paper_six_subrange())
             .shards(4)
-            .worker_threads(4)
             .build(),
     );
     for (name, texts) in LOCALS {
@@ -102,7 +101,7 @@ fn sharded_broker_survives_push_invalidation_storm() {
 
         // Strict searchers: every outcome must be a complete answer or
         // the typed stale-plan error. An incomplete Ok, a panic, or a
-        // wedged pool all fail the test.
+        // wedged search all fail the test.
         let mut searchers = Vec::new();
         for t in 0..2usize {
             let broker = Arc::clone(&broker);

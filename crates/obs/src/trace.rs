@@ -11,7 +11,7 @@
 //! Spans are RAII guards ([`SpanGuard`]) carrying explicit parent links
 //! and string attributes. Guards record on drop — including during a
 //! panic unwind, in which case the span is tagged `panicked=true` — so a
-//! crashing worker-pool job still closes its span exactly once.
+//! crashing engine search still closes its span exactly once.
 //!
 //! Finished traces are retained in a bounded ring buffer
 //! ([`TraceStore`]) when they were sampled **or** when their total
