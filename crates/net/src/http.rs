@@ -517,10 +517,20 @@ fn engines_json(statuses: &[EngineStatus]) -> String {
         }
         out.push_str("{\"name\":");
         json::write_escaped(&mut out, &s.name);
-        out.push_str(&format!(
-            ",\"epoch\":{},\"stale\":{},\"repr_terms\":{},\"repr_bytes\":{},\"remote\":{},\"detached\":{},\"shard\":{}",
-            s.epoch, s.stale, s.repr_terms, s.repr_bytes, s.remote, s.detached, s.shard
-        ));
+        out.push_str(",\"epoch\":");
+        json::write_u64(&mut out, s.epoch);
+        out.push_str(",\"stale\":");
+        out.push_str(bool_json(s.stale));
+        out.push_str(",\"repr_terms\":");
+        json::write_u64(&mut out, s.repr_terms as u64);
+        out.push_str(",\"repr_bytes\":");
+        json::write_u64(&mut out, s.repr_bytes);
+        out.push_str(",\"remote\":");
+        out.push_str(bool_json(s.remote));
+        out.push_str(",\"detached\":");
+        out.push_str(bool_json(s.detached));
+        out.push_str(",\"shard\":");
+        json::write_u64(&mut out, s.shard as u64);
         out.push_str(",\"endpoint\":");
         match &s.endpoint {
             Some(e) => json::write_escaped(&mut out, e),
@@ -532,7 +542,17 @@ fn engines_json(statuses: &[EngineStatus]) -> String {
     out
 }
 
-fn search_json(response: &SearchResponse) -> String {
+fn bool_json(value: bool) -> &'static str {
+    if value {
+        "true"
+    } else {
+        "false"
+    }
+}
+
+/// The body of a `POST /search` reply. Each row is written straight into
+/// the one buffer, numbers included.
+pub fn search_json(response: &SearchResponse) -> String {
     let rows = response.hits.len() + response.estimates.len() + response.per_engine_stats.len();
     let mut out = String::with_capacity(256 + 64 * rows);
     out.push_str("{\"hits\":[");
@@ -568,15 +588,15 @@ fn search_json(response: &SearchResponse) -> String {
         }
         out.push_str("{\"engine\":");
         json::write_escaped(&mut out, &s.engine);
-        out.push_str(&format!(",\"hits\":{},\"seconds\":", s.hits));
+        out.push_str(",\"hits\":");
+        json::write_u64(&mut out, s.hits as u64);
+        out.push_str(",\"seconds\":");
         json::write_num(&mut out, s.seconds);
-        out.push_str(",\"outcome\":");
-        let outcome = match s.outcome {
-            seu_metasearch::DispatchOutcome::Completed => "completed",
-            seu_metasearch::DispatchOutcome::Failed => "failed",
-            seu_metasearch::DispatchOutcome::TimedOut => "timed_out",
-        };
-        json::write_escaped(&mut out, outcome);
+        out.push_str(match s.outcome {
+            seu_metasearch::DispatchOutcome::Completed => ",\"outcome\":\"completed\"",
+            seu_metasearch::DispatchOutcome::Failed => ",\"outcome\":\"failed\"",
+            seu_metasearch::DispatchOutcome::TimedOut => ",\"outcome\":\"timed_out\"",
+        });
         out.push_str(",\"error\":");
         match &s.error {
             Some(e) => json::write_escaped(&mut out, &e.to_string()),
@@ -595,4 +615,57 @@ fn search_json(response: &SearchResponse) -> String {
     }
     out.push('}');
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `engines_json` writes its numbers and flags without `fmt`; the
+    /// bytes are those the `format!`-per-row writer produced.
+    #[test]
+    fn engines_json_matches_the_formatted_rows() {
+        let status = |name: &str, shard, epoch, flags: bool, endpoint: Option<&str>| EngineStatus {
+            name: name.to_string(),
+            shard,
+            epoch,
+            stale: flags,
+            repr_terms: 40_321,
+            repr_bytes: u64::MAX,
+            remote: !flags,
+            detached: flags,
+            endpoint: endpoint.map(str::to_string),
+        };
+        let statuses = [
+            status("pantry", 0, 0, false, None),
+            status(
+                "библиотека \"b\"",
+                7,
+                1_234_567_890_123,
+                true,
+                Some("127.0.0.1:9"),
+            ),
+        ];
+        let mut reference = String::from("[");
+        for (i, s) in statuses.iter().enumerate() {
+            if i > 0 {
+                reference.push(',');
+            }
+            reference.push_str("{\"name\":");
+            json::write_escaped(&mut reference, &s.name);
+            reference.push_str(&format!(
+                ",\"epoch\":{},\"stale\":{},\"repr_terms\":{},\"repr_bytes\":{},\"remote\":{},\"detached\":{},\"shard\":{}",
+                s.epoch, s.stale, s.repr_terms, s.repr_bytes, s.remote, s.detached, s.shard
+            ));
+            reference.push_str(",\"endpoint\":");
+            match &s.endpoint {
+                Some(e) => json::write_escaped(&mut reference, e),
+                None => reference.push_str("null"),
+            }
+            reference.push('}');
+        }
+        reference.push(']');
+        assert_eq!(engines_json(&statuses), reference);
+        assert_eq!(engines_json(&[]), "[]");
+    }
 }

@@ -273,23 +273,276 @@ pub fn write_escaped(out: &mut String, text: &str) {
     out.push('"');
 }
 
-/// Formats a float so it parses back to the same value (`{:?}` is
-/// Rust's shortest round-trip formatting; ±0.0, most of a large reply,
-/// is answered without `fmt`), mapping non-finite values to `null`
-/// since JSON has no representation for them.
+/// Appends `value` in decimal.
+pub fn write_u64(out: &mut String, value: u64) {
+    let mut buf = [0u8; 20];
+    let at = put_digits(&mut buf, value);
+    out.push_str(ascii(&buf[at..]));
+}
+
+/// Formats a float so it parses back to the same value, byte for byte
+/// as `{:?}` writes it (Rust's shortest round-trip text), mapping
+/// non-finite values to `null` since JSON has no representation for them.
+///
+/// ±0.0 and every value with 1e-14 ≤ |v| < 1e17 (all of a reply's sims,
+/// estimates and seconds down to 10 fs) are written here, without
+/// `fmt`: `shortest` finds the digits exactly in `u128` and this lays
+/// them out as `{:?}` does — positional from 1e-4 up to 1e16
+/// (`0.00123`, `7.0`, `1234.5`), `1.5e-5` / `1e16` outside that. The
+/// window is where that arithmetic is exact; anything outside it,
+/// subnormals included, goes through `{:?}`.
 pub fn write_num(out: &mut String, value: f64) {
+    let abs = value.abs();
     if value == 0.0 {
         out.push_str(if value.to_bits() == 0 { "0.0" } else { "-0.0" });
-    } else if value.is_finite() {
-        let _ = write!(out, "{value:?}");
-    } else {
-        out.push_str("null");
+        return;
     }
+    if !(1e-14..1e17).contains(&abs) {
+        #[cfg(test)]
+        tests::DEFERRED.with(|n| n.set(n.get() + 1));
+        if value.is_finite() {
+            let _ = write!(out, "{value:?}");
+        } else {
+            out.push_str("null");
+        }
+        return;
+    }
+    let (digits, exp10) = shortest(abs);
+    let n = digits.ilog10() as usize + 1;
+    // `value` is 0.d1d2…dn × 10^point; the text is laid out in `buf`,
+    // whose untouched bytes are the zeros some layouts pad with.
+    let point = n as i32 + exp10;
+    let mut buf = [b'0'; 32];
+    let start = usize::from(value < 0.0);
+    if start == 1 {
+        buf[0] = b'-';
+    }
+    let len = if (1e-4..1e16).contains(&abs) {
+        if point <= 0 {
+            // 0.000ddd
+            buf[start + 1] = b'.';
+            let len = start + 2 + point.unsigned_abs() as usize + n;
+            put_digits(&mut buf[..len], digits);
+            len
+        } else if (point as usize) < n {
+            // ddd.ddd: the integer digits move back over the point's slot.
+            let (point, len) = (point as usize, start + n + 1);
+            put_digits(&mut buf[..len], digits);
+            buf.copy_within(start + 1..start + 1 + point, start);
+            buf[start + point] = b'.';
+            len
+        } else {
+            // ddd000.0
+            put_digits(&mut buf[..start + n], digits);
+            let len = start + point as usize + 2;
+            buf[len - 2] = b'.';
+            len
+        }
+    } else {
+        // d.ddde-x, or de-x for one digit.
+        let mut len = start + n + usize::from(n > 1);
+        put_digits(&mut buf[..len], digits);
+        if n > 1 {
+            buf[start] = buf[start + 1];
+            buf[start + 1] = b'.';
+        }
+        buf[len] = b'e';
+        len += 1;
+        let exp = point - 1;
+        if exp < 0 {
+            buf[len] = b'-';
+            len += 1;
+        }
+        let exp = u64::from(exp.unsigned_abs());
+        len += if exp >= 10 { 2 } else { 1 };
+        put_digits(&mut buf[..len], exp);
+        len
+    };
+    out.push_str(ascii(&buf[..len]));
+}
+
+/// `5^k` for every `k` [`shortest`] scales by.
+const POW5: [u128; 32] = {
+    let mut table = [1u128; 32];
+    let mut k = 1;
+    while k < table.len() {
+        table[k] = table[k - 1] * 5;
+        k += 1;
+    }
+    table
+};
+
+/// The shortest decimal `d × 10^e` that parses back to `abs`
+/// (1e-14 ≤ `abs` < 1e17, so normal), as `(d, e)`; of two such decimals
+/// the nearer to `abs`, and the larger on an exact tie, as `{:?}` picks.
+///
+/// `abs` is 4m·2^e2 for its 53-bit significand m, and any decimal
+/// strictly closer to it than to its neighbours (or exactly halfway,
+/// when m is even) parses back to it: the interval
+/// [(4m − 2)·2^e2, (4m + 2)·2^e2], whose lower end is (4m − 1)·2^e2
+/// when m is a power of two (the gap down is half the gap up there).
+/// Scaled by 10^k, with k chosen so `abs`·10^k lies in [10^16, 10^18),
+/// each end is (4m + j)·5^k over 2^(−e2 − k) exactly: 4m + 2 < 2^55
+/// and 5^k ≤ 5^31 < 2^73 keep it in `u128`, which is what bounds the
+/// window below (k ≤ 31 for |v| ≥ 1e-14) and above (k ≥ 0 for
+/// |v| < 1e17). The integers in the interval are then 17-digit
+/// candidates (half its width is over 0.55 there), and digits are
+/// removed from the right, as Ryu does, while a multiple of the next
+/// power of ten still lies inside it.
+fn shortest(abs: f64) -> (u64, i32) {
+    let bits = abs.to_bits();
+    let fraction = bits & ((1 << 52) - 1);
+    let exp2 = (bits >> 52) as i32 - 1023;
+    let m = fraction | (1 << 52);
+    let e2 = exp2 - 54;
+    // ⌊exp2·log10 2⌋ (78 913 / 2^18 is close enough over the window's
+    // exponents, -47..=56) is ⌊log10 abs⌋ or one less, so that
+    // abs·10^k ∈ [10^16, 10^18).
+    let k = 16 - ((exp2 * 78_913) >> 18);
+    let scale = POW5[k as usize];
+    let mid = u128::from(4 * m) * scale;
+    let below = if fraction == 0 { scale } else { 2 * scale };
+    let (mut lo, mut hi, mut mid, mut shift) = (mid - below, mid + 2 * scale, mid, 0);
+    if e2 + k >= 0 {
+        lo <<= e2 + k;
+        mid <<= e2 + k;
+        hi <<= e2 + k;
+    } else {
+        shift = -(e2 + k);
+    }
+    let rest = |x: u128| x & ((1 << shift) - 1);
+    let inclusive = m & 1 == 0;
+    // The integers in the interval: [first, last].
+    let first = (lo >> shift) as u64 + u64::from(!inclusive || rest(lo) != 0);
+    let last = (hi >> shift) as u64 - u64::from(!inclusive && rest(hi) == 0);
+    let whole = (mid >> shift) as u64;
+    debug_assert!((10u64.pow(16)..10u64.pow(18)).contains(&whole) && first <= last);
+    // A multiple of 10^t lies in [first, last] while ⌊last / 10^t⌋ >
+    // ⌊(first − 1) / 10^t⌋; keep the largest such t (at most 18), found
+    // in steps of 8, 8, 4, 2 and 1 digits.
+    let (mut top, mut under, mut down, mut unit, mut t) = (last, first - 1, whole, 1, 0);
+    for (step, pow) in [
+        (8, 100_000_000),
+        (8, 100_000_000),
+        (4, 10_000),
+        (2, 100),
+        (1, 10),
+    ] {
+        if top / pow > under / pow {
+            top /= pow;
+            under /= pow;
+            down /= pow;
+            unit *= pow;
+            t += step;
+        }
+    }
+    // At or past halfway to the next multiple? With t ≥ 1 the unit is
+    // even, so the fraction below 1 cannot tip an even comparison.
+    let past_half = if t == 0 {
+        shift > 0 && rest(mid) >= 1 << (shift - 1)
+    } else {
+        2 * (whole - down * unit) >= unit
+    };
+    let up_fits = (down + 1) * unit <= last;
+    let digits = if up_fits && (past_half || down * unit < first) {
+        down + 1
+    } else {
+        down
+    };
+    (digits, t - k)
+}
+
+/// "00" to "99", for writing two digits at a time.
+const PAIRS: [u8; 200] = {
+    let mut table = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        table[2 * i] = b'0' + (i / 10) as u8;
+        table[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    table
+};
+
+/// Writes `value`'s decimal digits at the end of `buf`; returns where
+/// they start.
+fn put_digits(buf: &mut [u8], mut value: u64) -> usize {
+    let mut at = buf.len();
+    while value >= 100 {
+        let pair = (value % 100) as usize * 2;
+        value /= 100;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+    }
+    if value >= 10 {
+        let pair = value as usize * 2;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+    } else {
+        at -= 1;
+        buf[at] = b'0' + value as u8;
+    }
+    at
+}
+
+/// Text [`write_u64`] and [`write_num`] laid out: digits, `-`, `.`, `e`.
+fn ascii(text: &[u8]) -> &str {
+    debug_assert!(text.is_ascii());
+    // SAFETY: every byte written to the buffers `text` comes from is ASCII.
+    unsafe { std::str::from_utf8_unchecked(text) }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Values this thread's `write_num` handed to `{:?}`.
+        pub(super) static DEFERRED: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// `write_num(v)` and whether it went through `{:?}`.
+    fn written(v: f64) -> (String, bool) {
+        let before = DEFERRED.with(Cell::get);
+        let mut out = String::new();
+        write_num(&mut out, v);
+        (out, DEFERRED.with(Cell::get) > before)
+    }
+
+    /// Every number shape a `/search` reply carries is written exactly,
+    /// without `fmt`: sims in (0.2, 1], estimates (document counts and
+    /// average similarities), and per-engine `seconds` as `n / 1e9`
+    /// down to 1e-7.
+    #[test]
+    fn reply_shaped_values_never_defer_to_fmt() {
+        let mut values = Vec::new();
+        let mut x = 0.5f64;
+        for i in 0..100_000u32 {
+            x = (x * 3.7 + 0.123_456_789).fract();
+            values.push(0.2 + 0.8 * (1.0 - x)); // sim
+            values.push(f64::from(i) * x); // no_doc
+            values.push(f64::from(i % 1_000) / 7.0);
+            values.push(f64::from(100 + i * 97) / 1e9); // seconds
+        }
+        values.extend([
+            1.0,
+            f64::from_bits(0.2f64.to_bits() + 1),
+            1e-7,
+            1e-9 * 100.0,
+            1e6 / 7.0,
+        ]);
+        for v in values {
+            let (text, deferred) = written(v);
+            assert!(!deferred, "{v:?} deferred to fmt");
+            assert_eq!(text, format!("{v:?}"));
+        }
+        // The hook sees the values outside the exact window.
+        for v in [1e-15, 1e17, f64::MIN_POSITIVE, f64::MAX] {
+            assert!(written(v).1, "{v:?}");
+        }
+        assert!(!written(-0.0).1 && !written(9.999_999_999_999_998e16).1);
+    }
 
     #[test]
     fn parses_scalars_and_nesting() {

@@ -1,8 +1,10 @@
 //! `seu-obs`: lightweight observability for the seu workspace.
 //!
-//! Zero heavy dependencies: counters and gauges are single atomics,
-//! histograms are fixed-bucket atomic arrays with p50/p95/p99 readout,
-//! and [`SpanTimer`] measures wall-clock spans RAII-style. Metrics live
+//! Zero heavy dependencies: counters and histograms (fixed-bucket, with
+//! p50/p95/p99 readout) keep eight cache-line-aligned stripes of
+//! atomics, a thread writing the one it was handed round-robin, and sum
+//! the stripes on read; gauges are single atomics; [`SpanTimer`] borrows
+//! its histogram and measures wall-clock spans RAII-style. Metrics live
 //! in a [`MetricsRegistry`] — either the process-wide [`global`] one the
 //! seu crates instrument by default, or a caller-owned instance for
 //! isolation. A [`Snapshot`] freezes the registry and renders as
@@ -18,7 +20,8 @@
 //! Hot-path discipline: instruments are `Arc`s — look them up once
 //! outside a loop (`let c = obs::counter("x"); ... c.add(n)`), and
 //! accumulate per-call tallies locally so each operation costs a few
-//! relaxed atomic adds, not a registry lookup per document.
+//! relaxed atomic adds on lines no other core writes, not a registry
+//! lookup per document.
 
 pub mod json;
 mod metrics;

@@ -191,3 +191,136 @@ proptest! {
         prop_assert_eq!(escaped(&text), escaped_reference(&text), "text {:?}", text);
     }
 }
+
+/// A fixed-seed generator, so every run of the sweep checks the same values.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in [0, 1).
+    fn unit(&mut self) -> f64 {
+        (self.next() >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
+/// Holds `write_num` to `{:?}` and to the parser for one value and its
+/// negation; returns how many values it checked.
+fn check(value: f64, out: &mut String, reference: &mut String) -> usize {
+    use std::fmt::Write as _;
+    for v in [value, -value] {
+        out.clear();
+        write_num(out, v);
+        reference.clear();
+        if v.is_finite() {
+            let _ = write!(reference, "{v:?}");
+        } else {
+            reference.push_str("null");
+        }
+        assert_eq!(out, reference, "bits {:#018x}", v.to_bits());
+        if v.is_finite() {
+            let parsed = seu_obs::json::parse(out).unwrap().as_num().unwrap();
+            assert_eq!(
+                parsed.to_bits(),
+                v.to_bits(),
+                "{out} parses to another value"
+            );
+        }
+    }
+    2
+}
+
+fn next_up(v: f64) -> f64 {
+    f64::from_bits(v.to_bits() + 1)
+}
+
+fn next_down(v: f64) -> f64 {
+    f64::from_bits(v.to_bits() - 1)
+}
+
+/// Every shape of number a reply carries, and the places a hand-written
+/// shortest-digit writer goes wrong: ≥ 10^7 values in release, a strided
+/// subset in debug. Each family is checked with its negation.
+#[test]
+fn write_num_matches_debug_formatting_over_a_deterministic_sweep() {
+    // One value in `stride` of the large families runs in debug.
+    let stride: u64 = if cfg!(debug_assertions) { 97 } else { 1 };
+    let mut rng = SplitMix(0x5eed_0f5e);
+    let (mut out, mut reference) = (String::new(), String::new());
+    let mut checked = 0usize;
+    let mut run = |v: f64| checked += check(v, &mut out, &mut reference);
+
+    // Random bit patterns (non-finite ones must print `null`) and uniform [0, 1).
+    for _ in 0..1_000_000 / stride {
+        run(f64::from_bits(rng.next()));
+        run(rng.unit());
+    }
+    // Every decade from 1e-20 to 1e20: the power itself, its neighbours,
+    // and values spread across the decade.
+    for d in -20..=20 {
+        let p = 10f64.powi(d);
+        for v in [p, next_up(p), next_down(p)] {
+            run(v);
+        }
+        for _ in 0..20_000 / stride {
+            run(p * (1.0 + 9.0 * rng.unit()));
+        }
+    }
+    // `n / 1e9` for n < 10^7: the shape of a per-engine `seconds`.
+    for n in (0..10_000_000u64).step_by(stride as usize) {
+        run(n as f64 / 1e9);
+    }
+    // Integers: small ones, random ones up to 2^53, and 2^53 ± 2.
+    let two53 = (1u64 << 53) as f64;
+    for i in 0..100_000 / stride {
+        run(i as f64);
+        run((rng.next() >> 11) as f64);
+    }
+    for v in [two53 - 2.0, two53 - 1.0, two53, two53 + 2.0] {
+        run(v);
+    }
+    // Powers of two and their neighbours one ulp away: below a power of
+    // two the gap to the next value down is half the gap up.
+    for e in -1074i64..=1023 {
+        let p = if e >= -1022 {
+            f64::from_bits(((e + 1023) as u64) << 52)
+        } else {
+            f64::from_bits(1 << (e + 1074))
+        };
+        for v in [p, next_up(p), next_down(p)] {
+            run(v);
+        }
+    }
+    // The layout boundaries (decimal from 1e-4, exponent from 1e16) and
+    // a few ulps either side.
+    for edge in [1e-4, 1e16] {
+        let mut below = edge;
+        let mut above = edge;
+        run(edge);
+        for _ in 0..8 {
+            below = next_down(below);
+            above = next_up(above);
+            run(below);
+            run(above);
+        }
+    }
+    // Exact ties between two shortest candidates round up, as `{:?}`
+    // does: in [2^50, 2^51) the ulp is 0.25, so `x.25` and `x.75` are
+    // each halfway between two 17-digit decimals.
+    assert_eq!(num(2_201_368_721_681_872.0 + 0.25), "[2201368721681872.3]");
+    let two50 = (1u64 << 50) as f64;
+    for _ in 0..100_000 / stride {
+        let x = two50 + (rng.next() >> 14) as f64;
+        run(x + 0.25);
+        run(x + 0.75);
+    }
+    if !cfg!(debug_assertions) {
+        assert!(checked >= 10_000_000, "{checked} values");
+    }
+}
