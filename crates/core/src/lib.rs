@@ -49,7 +49,6 @@ pub use gloss::{DisjointEstimator, HighCorrelationEstimator};
 pub use prev::PrevMethodEstimator;
 pub use subrange::{Expansion, SubrangeEstimator};
 
-use serde::{Deserialize, Serialize};
 use seu_engine::Query;
 use seu_poly::{SpikeFactors, TailStats};
 use seu_repr::Representative;
@@ -72,7 +71,7 @@ pub(crate) fn with_factors<R>(f: impl FnOnce(&mut SpikeFactors) -> R) -> R {
 }
 
 /// An estimated usefulness pair.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Usefulness {
     /// Estimated `NoDoc(T, q, D)` (expected number of documents above the
     /// threshold; fractional before rounding).

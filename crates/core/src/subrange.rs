@@ -15,7 +15,6 @@
 //! [`crate::guarantee`] module).
 
 use crate::{with_factors, Usefulness, UsefulnessEstimator};
-use serde::{Deserialize, Serialize};
 use seu_engine::Query;
 use seu_poly::{GridPoly, SparsePoly, SpikeFactors, TailStats};
 use seu_repr::{MaxWeightMode, Representative, SchemeQuantiles, SubrangeScheme, TermStats};
@@ -64,7 +63,7 @@ pub fn register_metrics() {
 }
 
 /// How the generating function is expanded.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Expansion {
     /// The exact tail, by a depth-first walk over spike choices that never
     /// forms the product: memory is the factors, time exponential in query

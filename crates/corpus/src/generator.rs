@@ -3,13 +3,12 @@
 use crate::zipf::ZipfSampler;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use seu_engine::{Collection, CollectionBuilder, WeightingScheme};
 use seu_stats::normal_sample;
 use seu_text::Analyzer;
 
 /// Configuration of a topic universe (the "news host").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UniverseConfig {
     /// Number of topics (the paper's host had 53 newsgroups).
     pub n_topics: usize,
@@ -232,7 +231,7 @@ impl Universe {
 }
 
 /// Specification of one synthetic collection (one search-engine database).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CollectionSpec {
     /// Collection name (e.g. "D1").
     pub name: String,

@@ -9,10 +9,9 @@
 use crate::generator::SyntheticCorpus;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Specification of a synthetic query log.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryLogSpec {
     /// Number of queries (the paper uses 6 234).
     pub n_queries: usize,

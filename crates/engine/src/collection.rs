@@ -2,12 +2,11 @@
 
 use crate::query::Query;
 use crate::weighting::WeightingScheme;
-use serde::{Deserialize, Serialize};
 use seu_text::{Analyzer, AnalyzerConfig, TermId, Vocabulary};
 use std::collections::HashMap;
 
 /// Dense identifier of a document within one [`Collection`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DocId(pub u32);
 
 impl DocId {
@@ -18,7 +17,7 @@ impl DocId {
 }
 
 /// One indexed document: a cosine-normalized sparse term vector.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Document {
     /// External name (file name, message id, …).
     pub name: String,
@@ -55,7 +54,7 @@ impl Document {
 /// compares it against the engine's current fingerprint to decide
 /// whether the representative still describes the engine
 /// (`Broker::refresh_if_stale` in `seu-metasearch`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Fingerprint {
     /// Number of documents.
     pub n_docs: u64,
@@ -78,7 +77,7 @@ impl Fingerprint {
 }
 
 /// An analyzed, weighted, cosine-normalized document collection.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Collection {
     vocab: Vocabulary,
     docs: Vec<Document>,

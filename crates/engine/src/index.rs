@@ -1,12 +1,11 @@
 //! Inverted index: per-term postings of `(document, normalized weight)`.
 
 use crate::collection::{Collection, DocId};
-use serde::{Deserialize, Serialize};
 use seu_text::TermId;
 
 /// One posting: a document containing the term, with the term's normalized
 /// weight in that document.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Posting {
     /// Containing document.
     pub doc: DocId,
@@ -15,7 +14,7 @@ pub struct Posting {
 }
 
 /// The inverted index over a [`Collection`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct InvertedIndex {
     /// Postings per term id, each sorted by document id.
     postings: Vec<Vec<Posting>>,

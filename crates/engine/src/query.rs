@@ -1,6 +1,5 @@
 //! Query vectors.
 
-use serde::{Deserialize, Serialize};
 use seu_text::TermId;
 
 /// A cosine-normalized sparse query vector `q = (u_1, …, u_r)`.
@@ -9,7 +8,7 @@ use seu_text::TermId;
 /// term/weight pairs); terms are sorted by id and weights are expected to
 /// be normalized so that single-term queries carry weight 1. The default
 /// is the empty query.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Query {
     terms: Vec<(TermId, f64)>,
 }

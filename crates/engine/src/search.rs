@@ -3,7 +3,6 @@
 use crate::collection::{Collection, DocId, Fingerprint};
 use crate::index::InvertedIndex;
 use crate::query::Query;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::{Arc, OnceLock};
@@ -34,7 +33,7 @@ pub fn register_metrics() {
 }
 
 /// One retrieved document with its global (cosine) similarity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SearchHit {
     /// The document.
     pub doc: DocId,
@@ -45,7 +44,7 @@ pub struct SearchHit {
 
 /// Exact usefulness of a database for a query at a threshold — the ground
 /// truth the estimators are judged against.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrueUsefulness {
     /// `NoDoc(T, q, D)`: number of documents with `sim > T`.
     pub no_doc: u64,

@@ -13,6 +13,13 @@ use seu_text::{AnalyzerConfig, TermId, Vocabulary};
 const MAGIC: u32 = 0x5345_5543; // "SEUC"
 const VERSION: u16 = 1;
 
+/// Smallest vocabulary row: an empty term (u16 length) and its document
+/// frequency (u32).
+const MIN_TERM_BYTES: usize = 2 + 4;
+/// Smallest document row: an empty name (u16 length), norm (f64),
+/// length (u32) and term count (u32).
+const MIN_DOC_BYTES: usize = 2 + 8 + 4 + 4;
+
 fn put_str(buf: &mut BytesMut, s: &str) {
     let bytes = s.as_bytes();
     assert!(bytes.len() <= u16::MAX as usize, "string too long to store");
@@ -47,7 +54,7 @@ fn scheme_from_tag(tag: u8, param: f64) -> Option<WeightingScheme> {
         0 => Some(WeightingScheme::CosineTf),
         1 => Some(WeightingScheme::CosineLogTf),
         2 => Some(WeightingScheme::CosineTfIdf),
-        3 => Some(WeightingScheme::PivotedLogTf { slope: param }),
+        3 if param.is_finite() => Some(WeightingScheme::PivotedLogTf { slope: param }),
         _ => None,
     }
 }
@@ -90,7 +97,10 @@ impl Collection {
     }
 
     /// Deserializes a [`Collection::to_bytes`] buffer. Returns `None` on
-    /// a truncated, corrupt, or version-mismatched buffer.
+    /// a truncated, corrupt, or version-mismatched buffer. Every count
+    /// is capped by the rows the remaining bytes could hold before
+    /// anything is reserved, so a count that lies cannot drive an
+    /// allocation.
     pub fn from_bytes(mut buf: impl Buf) -> Option<Collection> {
         if buf.remaining() < 4 + 2 + 1 + 8 + 8 + 8 + 8 {
             return None;
@@ -120,7 +130,7 @@ impl Collection {
         }
         let n_terms = buf.get_u32() as usize;
         let mut vocab = Vocabulary::new();
-        let mut doc_freq = Vec::with_capacity(n_terms);
+        let mut doc_freq = Vec::with_capacity(n_terms.min(buf.remaining() / MIN_TERM_BYTES));
         for i in 0..n_terms {
             let s = get_str(&mut buf)?;
             let id = vocab.intern(&s);
@@ -138,7 +148,7 @@ impl Collection {
             return None;
         }
         let n_docs = buf.get_u32() as usize;
-        let mut docs = Vec::with_capacity(n_docs);
+        let mut docs = Vec::with_capacity(n_docs.min(buf.remaining() / MIN_DOC_BYTES));
         for _ in 0..n_docs {
             let name = get_str(&mut buf)?;
             if buf.remaining() < 8 + 4 + 4 {
@@ -147,7 +157,7 @@ impl Collection {
             let norm = buf.get_f64();
             let len = buf.get_u32();
             let n = buf.get_u32() as usize;
-            if buf.remaining() < n * 12 {
+            if buf.remaining() / 12 < n {
                 return None;
             }
             let mut terms = Vec::with_capacity(n);

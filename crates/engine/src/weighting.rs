@@ -7,8 +7,6 @@
 //! exercised under the other schemes in the test suite to show they are
 //! weighting-agnostic.
 
-use serde::{Deserialize, Serialize};
-
 /// How raw term frequencies become pre-normalization weights.
 ///
 /// The cosine schemes divide each document vector by its Euclidean norm;
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// 1996 — reference \[16\] of the paper, which notes its single-term
 /// identification argument "applies to other similarity functions such
 /// as \[16\]"), where `pivot` is the collection's mean document norm.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum WeightingScheme {
     /// `w = tf` — raw term frequency (the reproduction default).
     #[default]

@@ -1,0 +1,69 @@
+//! Engine files whose counts lie. `seu search` and `seu serve` load
+//! engine files from paths a user names, so a count that claims more
+//! rows than the file holds must come back as `None`, not as an
+//! allocation the process cannot survive. A binary of its own: a
+//! regression here aborts the process rather than failing a test.
+
+use seu_engine::{Collection, CollectionBuilder, WeightingScheme};
+use seu_text::Analyzer;
+
+/// The bytes of a collection of `texts`, one document each.
+fn file(texts: &[&str], scheme: WeightingScheme) -> Vec<u8> {
+    let mut b = CollectionBuilder::new(Analyzer::paper_default(), scheme);
+    for (i, t) in texts.iter().enumerate() {
+        b.add_document(&format!("d{i}"), t);
+    }
+    b.build().to_bytes().to_vec()
+}
+
+/// Header: magic, version, scheme tag and parameter, analyzer flags,
+/// raw bytes, total tokens, mean norm.
+const HEADER: usize = 4 + 2 + 1 + 8 + 2 + 8 + 8 + 8;
+
+fn set_u32(bytes: &mut [u8], at: usize, v: u32) {
+    bytes[at..at + 4].copy_from_slice(&v.to_be_bytes());
+}
+
+#[test]
+fn a_lying_term_count_is_refused() {
+    let mut bytes = file(&[], WeightingScheme::CosineTf);
+    assert_eq!(bytes.len(), HEADER + 4 + 4);
+    set_u32(&mut bytes, HEADER, u32::MAX);
+    assert!(Collection::from_bytes(&bytes[..]).is_none());
+}
+
+#[test]
+fn a_lying_document_count_is_refused() {
+    let mut bytes = file(&[], WeightingScheme::CosineTf);
+    assert_eq!(
+        bytes.len(),
+        49,
+        "a valid header with no terms and no documents"
+    );
+    set_u32(&mut bytes, HEADER + 4, u32::MAX);
+    assert!(Collection::from_bytes(&bytes[..]).is_none());
+}
+
+#[test]
+fn a_lying_per_document_term_count_is_refused() {
+    // One document with no terms: its term count is the last field.
+    let mut bytes = file(&[""], WeightingScheme::CosineTf);
+    assert!(Collection::from_bytes(&bytes[..]).is_some());
+    let at = bytes.len() - 4;
+    set_u32(&mut bytes, at, u32::MAX);
+    assert!(Collection::from_bytes(&bytes[..]).is_none());
+}
+
+#[test]
+fn a_non_finite_pivoted_slope_is_refused() {
+    let bytes = file(
+        &["alpha beta"],
+        WeightingScheme::PivotedLogTf { slope: 0.25 },
+    );
+    assert!(Collection::from_bytes(&bytes[..]).is_some());
+    for slope in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let mut bad = bytes.clone();
+        bad[7..15].copy_from_slice(&slope.to_bits().to_be_bytes());
+        assert!(Collection::from_bytes(&bad[..]).is_none(), "slope {slope}");
+    }
+}

@@ -1,10 +1,8 @@
 //! The paper's evaluation criteria.
 
-use serde::{Deserialize, Serialize};
-
 /// Aggregated outcome of one estimation method at one threshold over a
 /// query workload (one row of a paper table).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ThresholdRow {
     /// The threshold `T`.
     pub threshold: f64,
@@ -83,7 +81,7 @@ impl ThresholdRow {
 }
 
 /// All threshold rows of one method on one database.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MethodResult {
     /// Method name (e.g. "subrange").
     pub method: String,

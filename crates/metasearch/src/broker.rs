@@ -20,16 +20,13 @@ use crate::persist::StoreHandle;
 use crate::registry::{
     Change, EngineHandle, EngineStatus, RegisteredEngine, RegistrySnapshot, ShardedRegistry,
 };
-use crate::remote::{
-    EngineSnapshot, RemoteMeta, RemoteTransport, TransportError, TransportErrorKind,
-};
+use crate::remote::{EngineSnapshot, RemoteTransport, TransportError, TransportErrorKind};
 use crate::request::SearchRequest;
 use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
 use seu_core::{Usefulness, UsefulnessEstimator};
 use seu_engine::{Fingerprint, SearchEngine};
 use seu_repr::Representative;
-use seu_store::StoreError;
+use seu_store::{EngineRecord, StoreError};
 use seu_text::Vocabulary;
 use std::sync::{Arc, OnceLock};
 
@@ -105,7 +102,7 @@ pub const DEFAULT_CACHE_BYTES: usize = 32 << 20;
 pub const DEFAULT_HOT_TIER_BYTES: usize = 64 << 20;
 
 /// One engine's estimate for a query, as reported by the broker.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineEstimate {
     /// Engine name (registration key).
     pub engine: String,
@@ -114,7 +111,7 @@ pub struct EngineEstimate {
 }
 
 /// One merged result row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MergedHit {
     /// Engine that returned the document.
     pub engine: String,
@@ -165,8 +162,8 @@ impl<E: UsefulnessEstimator + Sync> BrokerBuilder<E> {
     }
 
     /// Attaches a persistent representative store rooted at `path`
-    /// (created if absent), opened as the full tiered stack — a
-    /// [`DEFAULT_HOT_TIER_BYTES`] decoded-record cache over the
+    /// (created if absent): a [`seu_store::Store`] with a
+    /// [`DEFAULT_HOT_TIER_BYTES`] decoded-record cache over its
     /// quantized on-disk cold tier. Every representative the broker
     /// installs is written through (and **canonicalized**: the broker
     /// serves the quantized round-trip, so its estimates are
@@ -175,7 +172,7 @@ impl<E: UsefulnessEstimator + Sync> BrokerBuilder<E> {
     /// and [`Broker::restore`] rebuilds a registry from one.
     pub fn store(mut self, path: impl AsRef<std::path::Path>) -> Result<Self, StoreError> {
         let store = seu_store::open_tiered(path, DEFAULT_HOT_TIER_BYTES)?;
-        self.store = Some(Arc::new(StoreHandle::new(Arc::new(store))));
+        self.store = Some(Arc::new(StoreHandle::new(store)));
         Ok(self)
     }
 
@@ -342,21 +339,20 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
 
     /// Registration from a shipped snapshot (fetched over a transport or
     /// pushed by a front-door): refuses an inconsistent one, then
-    /// installs from the snapshot's planning metadata, which `handle`
-    /// also receives.
+    /// installs the snapshot's record. `handle` receives the record, and
+    /// a remote or detached handle ends up with the installed one.
     fn install_from_snapshot(
         &self,
         snapshot: EngineSnapshot,
         terms_fingerprint: Option<Fingerprint>,
-        handle: impl FnOnce(RemoteMeta) -> EngineHandle,
+        handle: impl FnOnce(Arc<EngineRecord>) -> EngineHandle,
     ) -> Result<String, TransportError> {
         snapshot.check_consistent()?;
-        let meta = RemoteMeta::from_snapshot(&snapshot);
-        let name = snapshot.name;
+        let name = snapshot.name.clone();
         self.registry.insert(&name, |seq| {
-            let mut e = RegisteredEngine::new(&name, seq, handle(meta.clone()));
-            let (repr, store) = (snapshot.summary.repr, self.store.as_deref());
-            e.install_meta(&mut self.vocab.write(), meta, repr, store);
+            let record = Arc::new(snapshot.into_record());
+            let mut e = RegisteredEngine::new(&name, seq, handle(record.clone()));
+            e.install_record(&mut self.vocab.write(), record, self.store.as_deref());
             e.terms_fingerprint = terms_fingerprint;
             e
         });
@@ -381,9 +377,9 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         transport: Arc<dyn RemoteTransport>,
     ) -> Result<String, TransportError> {
         let snapshot = transport.fetch_snapshot()?;
-        self.install_from_snapshot(snapshot, None, |meta| EngineHandle::Remote {
+        self.install_from_snapshot(snapshot, None, |record| EngineHandle::Remote {
             transport,
-            meta,
+            record,
         })
     }
 
@@ -409,9 +405,9 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
             .as_ref()
             .map(|e| e.fingerprint())
             .filter(|fp| *fp == snapshot.fingerprint);
-        self.install_from_snapshot(snapshot, terms_fingerprint, |meta| match engine {
+        self.install_from_snapshot(snapshot, terms_fingerprint, |record| match engine {
             Some(engine) => EngineHandle::Local(engine),
-            None => EngineHandle::Detached { meta, endpoint },
+            None => EngineHandle::Detached { record, endpoint },
         })
     }
 

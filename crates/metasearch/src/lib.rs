@@ -70,7 +70,7 @@ pub use merge::merge_results;
 pub use plan::{PlannedEngine, QueryPlan, SharedAnalysis};
 pub use registry::{shard_for, EngineStatus, RegistrySnapshot, StalePlanError};
 pub use remote::{
-    EngineSnapshot, Pending, RemoteHit, RemoteMeta, RemoteTransport, SearchReply, TransportError,
+    EngineSnapshot, Pending, RemoteHit, RemoteTransport, SearchReply, TransportError,
     TransportErrorKind,
 };
 pub use request::{DispatchOutcome, EngineDispatchStats, SearchRequest, SearchResponse, StaleMode};

@@ -1,6 +1,6 @@
 //! Broker ↔ persistent store glue.
 //!
-//! [`StoreHandle`] wraps an `Arc<dyn ReprStore>` with deferred error
+//! [`StoreHandle`] wraps the attached [`Store`] with deferred error
 //! reporting: write-through happens on lifecycle paths that have no
 //! natural place to surface an I/O error (refresh sweeps, push
 //! invalidations, lazy hydration), so failures are stashed here and
@@ -31,29 +31,32 @@
 //!
 //! [`Broker::snapshot_registry`]: crate::Broker::snapshot_registry
 //! [`ReprStore::put`]: seu_store::ReprStore::put
+//! [`Store`]: seu_store::Store
 
 use crate::broker::{metrics, Broker};
 use crate::registry::{global_ids, Change, ColdEntry, EngineHandle, RegisteredEngine};
-use crate::remote::{RemoteMeta, RemoteTransport, TransportError};
+use crate::remote::{RemoteTransport, TransportError};
 use parking_lot::{Mutex, RwLock};
 use seu_core::UsefulnessEstimator;
 use seu_engine::{Fingerprint, SearchEngine};
 use seu_repr::Representative;
-use seu_store::{codec, EngineRecord, EntryKind, Manifest, ManifestEntry, ReprStore, StoreError};
+use seu_store::{
+    codec, EngineRecord, EntryKind, Manifest, ManifestEntry, ReprStore, Store, StoreError,
+};
 use seu_text::Vocabulary;
 use std::sync::Arc;
 
 /// The broker's view of its attached representative store: the store
 /// itself plus a one-slot mailbox for deferred errors.
 pub(crate) struct StoreHandle {
-    store: Arc<dyn ReprStore>,
+    store: Store,
     /// First store error since the last `snapshot_registry`; later
     /// errors are dropped (the first is the root cause).
     error: Mutex<Option<StoreError>>,
 }
 
 impl StoreHandle {
-    pub(crate) fn new(store: Arc<dyn ReprStore>) -> StoreHandle {
+    pub(crate) fn new(store: Store) -> StoreHandle {
         StoreHandle {
             store,
             error: Mutex::new(None),
@@ -61,7 +64,7 @@ impl StoreHandle {
     }
 
     /// The wrapped store.
-    pub(crate) fn store(&self) -> &Arc<dyn ReprStore> {
+    pub(crate) fn store(&self) -> &Store {
         &self.store
     }
 
@@ -143,33 +146,15 @@ pub(crate) fn record_for_local(
     }
 }
 
-/// Builds the storable record for a remote engine from its
-/// snapshot-derived planning metadata.
-pub(crate) fn record_for_remote(
-    name: &str,
-    meta: &RemoteMeta,
-    repr: &Representative,
-) -> EngineRecord {
-    EngineRecord {
-        name: name.to_string(),
-        analyzer: meta.analyzer,
-        scheme: meta.scheme,
-        fingerprint: meta.fingerprint,
-        doc_freq: meta.doc_freq.clone(),
-        vocab: meta.vocab.clone(),
-        repr: Arc::new(repr.clone()),
-    }
-}
-
-/// Hydrates one cold entry: decodes the stored record, rebuilds the
-/// entry's planning metadata and term list from it, and installs the
-/// canonical representative. Booked as [`Change::Unchanged`]: every
-/// plan hydrates first, so no plan (or cache entry) can have observed
-/// the placeholder state — the registry posts the entry all the same,
-/// because its term list is a new one. A missing or unreadable record marks its
-/// entry `pending_invalidation` (surfaced as stale, reconciled by
-/// attach) and stashes the error for the next `snapshot_registry`,
-/// instead of re-reading the store on every plan.
+/// Hydrates one cold entry: reads the stored record, installs it as the
+/// entry's record, and takes the term list and canonical representative
+/// from it. Booked as [`Change::Unchanged`]: every plan hydrates first,
+/// so no plan (or cache entry) can have observed the placeholder state
+/// — the registry posts the entry all the same, because its term list
+/// is a new one. A missing or unreadable record marks its entry
+/// `pending_invalidation` (surfaced as stale, reconciled by attach) and
+/// stashes the error for the next `snapshot_registry`, instead of
+/// re-reading the store on every plan.
 fn hydrate_entry(e: &mut RegisteredEngine, vocab: &RwLock<Vocabulary>, store: &StoreHandle) {
     let timer = metrics().store_hydration.start_timer();
     let key = e
@@ -177,25 +162,17 @@ fn hydrate_entry(e: &mut RegisteredEngine, vocab: &RwLock<Vocabulary>, store: &S
         .expect("cold entries always carry their store key");
     match store.get(key) {
         Some(record) => {
-            let endpoint = e.handle.endpoint();
-            let meta = RemoteMeta {
-                analyzer: record.analyzer,
-                scheme: record.scheme,
-                n_docs: record.n_docs(),
-                doc_freq: record.doc_freq.clone(),
-                vocab: record.vocab.clone(),
-                fingerprint: record.fingerprint,
-            };
             // The record's vocabulary is written in the source
             // collection's term-id order, so this list is valid for
             // any collection with the same fingerprint — which is
             // what lets `replace_engine`/`attach_engine` with
             // identical content plan immediately, exactly like a
             // never-restarted broker.
-            e.terms = global_ids(&mut vocab.write(), &meta.vocab);
+            e.terms = global_ids(&mut vocab.write(), &record.vocab);
             e.terms_fingerprint = Some(record.fingerprint);
             e.repr = record.repr.clone();
-            e.handle = EngineHandle::Detached { meta, endpoint };
+            let endpoint = e.handle.endpoint();
+            e.handle = EngineHandle::Detached { record, endpoint };
         }
         None => {
             store.stash(StoreError::missing(format!(
@@ -351,7 +328,7 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
 
     /// Re-attaches a transport to a restored (detached) entry, keyed by
     /// the engine name its snapshot advertises. If the snapshot's
-    /// fingerprint matches the stored record the hydrated metadata and
+    /// fingerprint matches the stored record the hydrated record and
     /// canonical representative are kept (bit-identical estimates);
     /// otherwise the fresh snapshot is installed (and written through
     /// the store). Returns `Ok(false)` if no detached entry matches the
@@ -367,16 +344,15 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         let snapshot = transport.fetch_snapshot()?;
         let name = snapshot.name.clone();
         self.update(&name, |e| {
-            let EngineHandle::Detached { meta, .. } = &e.handle else {
+            let EngineHandle::Detached { record, .. } = &e.handle else {
                 return (Change::Unchanged, Ok(false));
             };
-            let same = meta.fingerprint == snapshot.fingerprint && !e.pending_invalidation;
-            let meta = if same {
-                meta.clone()
-            } else {
-                RemoteMeta::from_snapshot(&snapshot)
-            };
-            e.handle = EngineHandle::Remote { transport, meta };
+            let same = record.fingerprint == snapshot.fingerprint && !e.pending_invalidation;
+            // Otherwise the install below replaces the record, unless
+            // the snapshot is refused: then the entry keeps the stored
+            // one and stays stale.
+            let record = record.clone();
+            e.handle = EngineHandle::Remote { transport, record };
             metrics().representative_refreshes.inc();
             let installed = if same {
                 e.terms_fingerprint = None;
@@ -419,33 +395,35 @@ fn manifest_entry(e: &RegisteredEngine) -> Result<ManifestEntry, StoreError> {
     })
 }
 
-/// The registry entry a manifest row restores to: detached, cold, with
-/// placeholders where hydration will put the representative, the term
-/// list and the vocabulary — enough for statuses and staleness, and no
-/// plan can observe them (plans hydrate first).
+/// The registry entry a manifest row restores to: detached, cold, with a
+/// placeholder record (the row's analyzer, scheme and fingerprint, no
+/// terms) where hydration will put the stored one, and an empty term
+/// list — enough for statuses and staleness, and no plan can observe
+/// them (plans hydrate first).
 fn cold_entry(e: &ManifestEntry) -> RegisteredEngine {
     let fp = e.fingerprint;
     let endpoint = match &e.kind {
         EntryKind::Local => None,
         EntryKind::Remote { endpoint } => Some(endpoint.clone()),
     };
-    let meta = RemoteMeta {
+    let record = Arc::new(EngineRecord {
+        name: e.name.clone(),
         analyzer: e.analyzer,
         scheme: e.scheme,
-        n_docs: fp.n_docs.min(u64::from(u32::MAX)) as u32,
+        fingerprint: fp,
         doc_freq: Arc::new(Vec::new()),
         vocab: Arc::new(Vocabulary::new()),
-        fingerprint: fp,
-    };
-    RegisteredEngine {
-        name: e.name.clone(),
-        seq: e.seq,
-        handle: EngineHandle::Detached { meta, endpoint },
         repr: Arc::new(Representative::from_parts(
             fp.n_docs,
             Vec::new(),
             fp.raw_bytes,
         )),
+    });
+    RegisteredEngine {
+        name: e.name.clone(),
+        seq: e.seq,
+        repr: record.repr.clone(),
+        handle: EngineHandle::Detached { record, endpoint },
         terms: Arc::from([]),
         terms_fingerprint: None,
         epoch: e.epoch,

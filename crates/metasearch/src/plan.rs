@@ -358,15 +358,15 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
                         }
                     }
                     // A restored (detached) entry plans exactly like a
-                    // remote one: its hydrated metadata carries the
+                    // remote one: its hydrated record carries the
                     // stored vocabulary and weighting statistics, so
                     // estimates are bit-identical to the broker that
                     // wrote the snapshot. Only dispatch needs a live
                     // handle.
-                    EngineHandle::Remote { meta, .. } | EngineHandle::Detached { meta, .. } => {
-                        match analysis.tf_for(meta.analyzer) {
-                            Some(tf) => meta.query_from_tf(local_tf(tf, hits)),
-                            None => meta.query_from_text(&req.query),
+                    EngineHandle::Remote { record, .. } | EngineHandle::Detached { record, .. } => {
+                        match analysis.tf_for(record.analyzer) {
+                            Some(tf) => record.query_from_tf(local_tf(tf, hits)),
+                            None => record.query_from_text(&req.query),
                         }
                     }
                 };

@@ -25,7 +25,7 @@
 //!
 //! The headline invariant: **any** path that changes a representative
 //! re-posts the engine's terms. The three installers
-//! (`RegisteredEngine::install`, `install_meta` and the store's
+//! (`RegisteredEngine::install`, `install_record` and the store's
 //! `hydrate_entry`) build the representative and the entry's term list —
 //! its vocabulary as broker-global term ids — together, and the registry
 //! posts a replaced list into the shard's postings before it unlocks.
@@ -80,14 +80,13 @@
 //! is what makes a sharded broker bit-identical to a flat one.
 
 use crate::federation::hash_key;
-use crate::persist::{canonical, record_for_local, record_for_remote, StoreHandle};
+use crate::persist::{canonical, record_for_local, StoreHandle};
 use crate::postings::{Posting, TermIndex};
-use crate::remote::{
-    EngineSnapshot, RemoteMeta, RemoteTransport, TransportError, TransportErrorKind,
-};
+use crate::remote::{EngineSnapshot, RemoteTransport, TransportError, TransportErrorKind};
 use parking_lot::RwLock;
 use seu_engine::{Fingerprint, SearchEngine, WeightingScheme};
 use seu_repr::Representative;
+use seu_store::EngineRecord;
 use seu_text::{AnalyzerConfig, TermId, Vocabulary};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -665,7 +664,7 @@ impl Drop for ShardedRegistry {
 }
 
 /// How the broker reaches one registered engine: in-process, or through
-/// a [`RemoteTransport`] with broker-side planning metadata.
+/// a [`RemoteTransport`] with the [`EngineRecord`] it plans with.
 ///
 /// Cloning is cheap (`Arc`s all the way down); plans hold a clone so
 /// they stay dispatchable after the registry moves on.
@@ -674,12 +673,13 @@ pub(crate) enum EngineHandle {
     /// The engine lives in this process; the broker holds it directly.
     Local(Arc<SearchEngine>),
     /// The engine lives elsewhere; the broker holds a transport to it
-    /// and the snapshot-derived metadata planning needs.
+    /// and the record of its last snapshot.
     Remote {
         /// The wire to the engine.
         transport: Arc<dyn RemoteTransport>,
-        /// Planning metadata from the engine's last snapshot.
-        meta: RemoteMeta,
+        /// The engine's last snapshot as a record — with a store
+        /// attached, the canonical one the store's hot tier shares.
+        record: Arc<EngineRecord>,
     },
     /// The entry was restored from a persistent store and has not been
     /// re-attached to a live engine yet. The broker can still *plan*
@@ -689,9 +689,9 @@ pub(crate) enum EngineHandle {
     /// [`Broker::attach_remote`](crate::Broker::attach_remote) supplies
     /// the live handle.
     Detached {
-        /// Planning metadata decoded from the stored record (a
-        /// placeholder until lazy hydration fills it in).
-        meta: RemoteMeta,
+        /// The stored record (a placeholder built from the manifest row
+        /// until lazy hydration reads it).
+        record: Arc<EngineRecord>,
         /// The endpoint recorded at snapshot time, when the engine was
         /// remote — advisory, for operators re-attaching transports.
         endpoint: Option<String>,
@@ -704,8 +704,8 @@ impl EngineHandle {
     pub(crate) fn analyzer_config(&self) -> AnalyzerConfig {
         match self {
             EngineHandle::Local(e) => e.collection().analyzer_config(),
-            EngineHandle::Remote { meta, .. } | EngineHandle::Detached { meta, .. } => {
-                meta.analyzer
+            EngineHandle::Remote { record, .. } | EngineHandle::Detached { record, .. } => {
+                record.analyzer
             }
         }
     }
@@ -714,7 +714,9 @@ impl EngineHandle {
     pub(crate) fn scheme(&self) -> WeightingScheme {
         match self {
             EngineHandle::Local(e) => e.collection().scheme(),
-            EngineHandle::Remote { meta, .. } | EngineHandle::Detached { meta, .. } => meta.scheme,
+            EngineHandle::Remote { record, .. } | EngineHandle::Detached { record, .. } => {
+                record.scheme
+            }
         }
     }
 
@@ -914,29 +916,34 @@ impl RegisteredEngine {
             self.pending_invalidation = true;
             return Err(e);
         }
-        let meta = RemoteMeta::from_snapshot(&snapshot);
-        self.install_meta(global_vocab, meta, snapshot.summary.repr, store);
+        self.install_record(global_vocab, Arc::new(snapshot.into_record()), store);
         Ok(())
     }
 
     /// The installer for an engine known by its snapshot, which the
     /// caller has checked consistent: term list, (canonical)
-    /// representative, planning metadata and fingerprint move together,
-    /// built from `meta`.
-    pub(crate) fn install_meta(
+    /// representative, record and fingerprint move together, all from
+    /// `record`. A remote or detached handle takes the installed record.
+    pub(crate) fn install_record(
         &mut self,
         global_vocab: &mut Vocabulary,
-        meta: RemoteMeta,
-        repr: Representative,
+        record: Arc<EngineRecord>,
         store: Option<&StoreHandle>,
     ) {
-        let record = |repr: &Representative| record_for_remote(&self.name, &meta, repr);
-        (self.repr, self.stored_fingerprint) = canonical(store, repr, record);
-        self.terms = global_ids(global_vocab, &meta.vocab);
+        let record = match store {
+            Some(store) => store.canonicalize(&record),
+            None => record,
+        };
+        self.stored_fingerprint = store.map(|_| record.fingerprint);
+        self.repr = record.repr.clone();
+        self.terms = global_ids(global_vocab, &record.vocab);
         self.terms_fingerprint = None;
-        self.provenance = meta.fingerprint;
-        if let EngineHandle::Remote { meta: m, .. } = &mut self.handle {
-            *m = meta;
+        self.provenance = record.fingerprint;
+        match &mut self.handle {
+            EngineHandle::Remote { record: r, .. } | EngineHandle::Detached { record: r, .. } => {
+                *r = record;
+            }
+            EngineHandle::Local(_) => {}
         }
         self.pending_invalidation = false;
         self.cold = None;

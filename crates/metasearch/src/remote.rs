@@ -39,9 +39,10 @@
 //! failure capture of [`SearchResponse`](crate::SearchResponse) instead
 //! of failing the query.
 
-use seu_engine::{weighted_query, Fingerprint, Query, TrueUsefulness, WeightingScheme};
+use seu_engine::{Fingerprint, TrueUsefulness, WeightingScheme};
 use seu_repr::FrozenSummary;
-use seu_text::{Analyzer, AnalyzerConfig, TermId, Vocabulary};
+use seu_store::EngineRecord;
+use seu_text::AnalyzerConfig;
 use std::sync::Arc;
 
 /// Why a remote engine call failed.
@@ -157,13 +158,34 @@ impl EngineSnapshot {
 
     /// Whether the snapshot is internally consistent: `doc_freq` and the
     /// representative's table each have exactly one row per term of the
-    /// vocabulary, and every term occurs. A broker installs only such a
-    /// snapshot, so a store's codec never meets misaligned rows.
+    /// vocabulary, every term occurs, and `n_docs`, the fingerprint and
+    /// the representative count the same documents. A broker installs
+    /// only such a snapshot, so a store's codec never meets misaligned
+    /// rows, and the engine plans alike live and restored from a store
+    /// (where its record has only the fingerprint's count).
     pub fn is_consistent(&self) -> bool {
         let terms = self.summary.vocab.len();
+        let n_docs = self.fingerprint.n_docs;
         self.doc_freq.len() == terms
             && self.summary.repr.table_len() == terms
             && self.summary.repr.distinct_terms() == terms
+            && u64::from(self.n_docs) == n_docs
+            && self.summary.repr.n_docs() == n_docs
+    }
+
+    /// The record the broker plans with, made by moving the snapshot's
+    /// fields: its `n_docs` is the fingerprint's, which a
+    /// [consistent](Self::is_consistent) snapshot shares.
+    pub fn into_record(self) -> EngineRecord {
+        EngineRecord {
+            name: self.name,
+            analyzer: self.analyzer,
+            scheme: self.scheme,
+            fingerprint: self.fingerprint,
+            doc_freq: Arc::new(self.doc_freq),
+            vocab: Arc::new(self.summary.vocab),
+            repr: Arc::new(self.summary.repr),
+        }
     }
 
     /// The typed refusal for a snapshot that is not
@@ -290,69 +312,11 @@ pub trait RemoteTransport: Send + Sync + std::fmt::Debug {
     fn fetch_snapshot(&self) -> Result<EngineSnapshot, TransportError>;
 }
 
-/// The broker-side planning state for one remote engine — the subset of
-/// an [`EngineSnapshot`] that query planning consumes, kept behind `Arc`s
-/// so plans stay self-contained when the registry moves on.
-#[derive(Debug, Clone)]
-pub struct RemoteMeta {
-    /// Analyzer configuration (drives the shared-analysis pass).
-    pub analyzer: AnalyzerConfig,
-    /// Weighting scheme for query vectors.
-    pub scheme: WeightingScheme,
-    /// Collection size for query weighting.
-    pub n_docs: u32,
-    /// Per-term document frequency, id-aligned with `vocab`.
-    pub doc_freq: Arc<Vec<u32>>,
-    /// The engine's vocabulary (term-id space of its queries and
-    /// representative).
-    pub vocab: Arc<Vocabulary>,
-    /// Fingerprint of the collection this metadata describes, as the
-    /// engine reported it.
-    pub fingerprint: Fingerprint,
-}
-
-impl RemoteMeta {
-    /// Builds the planning state from a fetched snapshot.
-    pub fn from_snapshot(snapshot: &EngineSnapshot) -> RemoteMeta {
-        RemoteMeta {
-            analyzer: snapshot.analyzer,
-            scheme: snapshot.scheme,
-            n_docs: snapshot.n_docs,
-            doc_freq: Arc::new(snapshot.doc_freq.clone()),
-            vocab: Arc::new(snapshot.summary.vocab.clone()),
-            fingerprint: snapshot.fingerprint,
-        }
-    }
-
-    fn doc_freq_of(&self, t: TermId) -> u32 {
-        self.doc_freq.get(t.index()).copied().unwrap_or(0)
-    }
-
-    /// Builds the engine-local query vector from explicit local term
-    /// frequencies — the remote twin of `Collection::query_from_tf`,
-    /// byte-identical to what the engine's own collection would produce.
-    pub fn query_from_tf(&self, tf: impl IntoIterator<Item = (TermId, u32)>) -> Query {
-        weighted_query(self.scheme, self.n_docs, |t| self.doc_freq_of(t), tf)
-    }
-
-    /// Builds the engine-local query vector directly from text — the
-    /// fallback when the shared analysis pass did not cover this
-    /// engine's analyzer configuration.
-    pub fn query_from_text(&self, text: &str) -> Query {
-        let mut tf: std::collections::HashMap<TermId, u32> = std::collections::HashMap::new();
-        for token in Analyzer::new(self.analyzer).analyze(text) {
-            if let Some(id) = self.vocab.get(&token) {
-                *tf.entry(id).or_insert(0) += 1;
-            }
-        }
-        self.query_from_tf(tf)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use seu_engine::{CollectionBuilder, SearchEngine};
+    use seu_text::{Analyzer, TermId};
 
     fn engine(texts: &[&str]) -> SearchEngine {
         let mut b = CollectionBuilder::new(Analyzer::paper_default(), WeightingScheme::CosineTf);
@@ -367,18 +331,18 @@ mod tests {
     }
 
     #[test]
-    fn remote_meta_query_matches_collection_query() {
+    fn record_query_matches_collection_query() {
         let e = engine(&["apple banana apple", "banana cherry", "durian apple"]);
         let snapshot = snapshot_of("fruits", &e);
         assert!(snapshot.is_consistent());
-        let meta = RemoteMeta::from_snapshot(&snapshot);
+        let record = snapshot.into_record();
 
         for text in ["apple", "apple banana cherry", "zebra", ""] {
             let local = e.collection().query_from_text(text);
-            assert_eq!(meta.query_from_text(text), local, "{text:?}");
+            assert_eq!(record.query_from_text(text), local, "{text:?}");
         }
         let tf = [(TermId(0), 2), (TermId(2), 1), (TermId(1), 0)];
-        assert_eq!(meta.query_from_tf(tf), e.collection().query_from_tf(tf));
+        assert_eq!(record.query_from_tf(tf), e.collection().query_from_tf(tf));
     }
 
     #[test]
@@ -396,6 +360,10 @@ mod tests {
         let e = engine(&["apple banana"]);
         let mut snapshot = snapshot_of("x", &e);
         snapshot.doc_freq.pop();
+        assert!(!snapshot.is_consistent());
+        // A document count its fingerprint does not share.
+        let mut snapshot = snapshot_of("x", &e);
+        snapshot.n_docs += 1;
         assert!(!snapshot.is_consistent());
         // A table row past the vocabulary, even one for no document.
         let mut snapshot = snapshot_of("x", &e);

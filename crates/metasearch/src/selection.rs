@@ -1,11 +1,10 @@
 //! Selection policies: from per-engine estimates to an invocation set.
 
-use serde::{Deserialize, Serialize};
 use seu_core::Usefulness;
 
 /// How a broker chooses which engines to invoke, given each engine's
 /// estimated usefulness for the query.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SelectionPolicy {
     /// Invoke every engine it is given — in a plan, every engine holding
     /// a query term (the naive broker the paper argues against, less the

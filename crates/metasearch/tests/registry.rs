@@ -6,7 +6,7 @@ use seu_core::SubrangeEstimator;
 use seu_engine::{CollectionBuilder, SearchEngine, TrueUsefulness, WeightingScheme};
 use seu_metasearch::{
     Broker, EngineSnapshot, RemoteHit, RemoteTransport, SearchRequest, SelectionPolicy, StaleMode,
-    TransportError,
+    TransportError, TransportErrorKind,
 };
 use seu_text::Analyzer;
 use std::sync::{Arc, Mutex};
@@ -398,4 +398,61 @@ fn equal_shape_word_swap_is_pushed_and_refetched() {
     let fresh_wire = Swappable::over(AFTER_SWAP);
     assert_eq!(fresh.register_remote(fresh_wire).as_deref(), Ok("cooking"));
     assert_answers_like(&fresh, &b);
+}
+
+/// An engine whose snapshot counts one document more than its
+/// fingerprint does. Under tf-idf the count weights every query term, so
+/// a broker planning with it live would disagree with the same engine
+/// restored from a store, which plans with the fingerprint's count.
+#[derive(Debug)]
+struct Miscounted(EngineSnapshot);
+
+impl RemoteTransport for Miscounted {
+    fn endpoint(&self) -> String {
+        "miscounted://tfidf".to_string()
+    }
+
+    fn search(
+        &self,
+        _: &str,
+        _: f64,
+        _: Option<&seu_obs::TraceContext>,
+    ) -> Result<(Vec<RemoteHit>, Vec<seu_obs::SpanRecord>), TransportError> {
+        unreachable!("a refused engine is never searched")
+    }
+
+    fn true_usefulness(&self, _: &str, _: f64) -> Result<TrueUsefulness, TransportError> {
+        unreachable!("no oracle is asked")
+    }
+
+    fn fetch_snapshot(&self) -> Result<EngineSnapshot, TransportError> {
+        Ok(self.0.clone())
+    }
+}
+
+#[test]
+fn a_snapshot_counting_other_documents_than_its_fingerprint_is_refused() {
+    let mut builder =
+        CollectionBuilder::new(Analyzer::paper_default(), WeightingScheme::CosineTfIdf);
+    // No term in every document: each keeps a nonzero idf weight, so
+    // the snapshot is consistent but for its count.
+    builder.add_document("d0", "mushroom soup with cream");
+    builder.add_document("d1", "grilled cheese and tomato");
+    let engine = SearchEngine::new(builder.build());
+    let mut snapshot = EngineSnapshot::of_engine("tfidf", &engine);
+    assert!(snapshot.is_consistent());
+    snapshot.n_docs += 1;
+
+    let b = Broker::new(SubrangeEstimator::paper_six_subrange());
+    let installed = b.install_snapshot(snapshot.clone(), None, None);
+    assert_eq!(
+        installed.map_err(|e| e.kind),
+        Err(TransportErrorKind::Protocol)
+    );
+    let registered = b.register_remote(Arc::new(Miscounted(snapshot)));
+    assert_eq!(
+        registered.map_err(|e| e.kind),
+        Err(TransportErrorKind::Protocol)
+    );
+    assert!(b.is_empty());
 }

@@ -1,7 +1,6 @@
 //! Sparse polynomials with real exponents, the exact expansion engine.
 
 use crate::tail::TailStats;
-use serde::{Deserialize, Serialize};
 
 /// Exponents closer than this are merged into one term during
 /// normalization. Similarities live in `[0, 1]`-ish ranges, so `1e-9` is far
@@ -16,7 +15,7 @@ pub const DEFAULT_MERGE_EPS: f64 = 1e-9;
 /// factor's coefficients sum to 1, hence so does any product's — see
 /// [`SparsePoly::total_mass`]), but the type does not enforce
 /// non-negativity so it can also host signed intermediate results in tests.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SparsePoly {
     /// `(exponent, coefficient)`, ascending by exponent, exponents pairwise
     /// more than `eps` apart, no zero coefficients.

@@ -20,14 +20,12 @@
 //! counts it. The walk's side is the faithful one (`sim > T`, strictly);
 //! away from that window the two agree to rounding.
 
-use serde::{Deserialize, Serialize};
-
 /// `Σ a_i` and `Σ a_i * b_i` over the terms with exponent above a
 /// threshold — everything Equations (6)–(7) of the paper need.
 ///
 /// Scaled by the database size `n`, `mass` becomes the estimated NoDoc and
 /// `weighted_mass / mass` the estimated AvgSim.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TailStats {
     /// `Σ_{b_i > T} a_i` — probability a random document clears the
     /// threshold.

@@ -1,6 +1,5 @@
 //! The quadruplet table and its size accounting.
 
-use serde::{Deserialize, Serialize};
 use seu_engine::Collection;
 use seu_stats::Moments;
 use seu_text::TermId;
@@ -9,7 +8,7 @@ use seu_text::TermId;
 pub const PAGE_BYTES: u64 = 2048;
 
 /// Per-term statistics: the paper's `(p, w, sigma, mw)` quadruplet.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TermStats {
     /// Probability that the term appears in a document (`df / n`).
     pub p: f64,
@@ -41,7 +40,7 @@ pub struct TermStats {
 /// let stats = repr.get(alpha).unwrap();
 /// assert!((stats.p - 1.0).abs() < 1e-12); // alpha is in both documents
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Representative {
     n_docs: u64,
     /// Dense per-term table indexed by `TermId`; `p == 0` marks terms that
@@ -163,7 +162,7 @@ impl Representative {
 }
 
 /// One row of the §3.2 scalability table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SizeReport {
     /// Collection size in 2 KB pages.
     pub collection_pages: u64,

@@ -13,11 +13,10 @@
 //! divided by the number of documents in the database").
 
 use crate::representative::TermStats;
-use serde::{Deserialize, Serialize};
 use seu_stats::phi_inv;
 
 /// One subrange of the weight distribution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Subrange {
     /// Percentile (from the bottom, in `[0, 1]`) of the subrange median.
     pub median_percentile: f64,
@@ -27,7 +26,7 @@ pub struct Subrange {
 
 /// Where the top subrange's weight comes from (quadruplet vs triplet
 /// representatives — Tables 1–6 vs Tables 10–12).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum MaxWeightMode {
     /// Use the stored maximum normalized weight `mw` (quadruplets).
     #[default]
@@ -81,7 +80,7 @@ pub struct SchemeQuantiles {
 }
 
 /// A full subrange decomposition scheme.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SubrangeScheme {
     /// Whether the highest subrange is the singleton `{max weight}` with
     /// probability `min(1/n, p)`.

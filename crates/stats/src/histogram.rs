@@ -1,10 +1,8 @@
 //! Fixed-bin histograms for diagnostics and ablation reporting.
 
-use serde::{Deserialize, Serialize};
-
 /// Equal-width histogram over `[lo, hi)` with values outside the range
 /// clamped into the edge bins.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

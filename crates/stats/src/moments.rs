@@ -6,11 +6,9 @@
 //! large, so these are accumulated in one pass with Welford's numerically
 //! stable recurrence.
 
-use serde::{Deserialize, Serialize};
-
 /// Streaming accumulator for count / mean / variance / skewness / min /
 /// max.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Moments {
     count: u64,
     mean: f64,

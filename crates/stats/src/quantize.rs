@@ -7,13 +7,11 @@
 //! mapped to the average of its interval. Tables 7–9 show this loses
 //! essentially nothing.
 
-use serde::{Deserialize, Serialize};
-
 /// The fixed `[0, 1]` range used for probabilities.
 pub const UNIT_RANGE: (f64, f64) = (0.0, 1.0);
 
 /// A 256-level scalar quantizer with per-interval reconstruction averages.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ByteQuantizer {
     lo: f64,
     hi: f64,

@@ -24,11 +24,11 @@
 //! `FrozenSummary::from_bytes` discipline).
 
 use crate::{StoreError, StoreErrorKind};
-use bytes::BufMut;
-use seu_engine::{Fingerprint, WeightingScheme};
+use seu_engine::{weighted_query, Fingerprint, Query, WeightingScheme};
 use seu_repr::{QuantizedRepresentative, Representative};
 use seu_stats::ByteQuantizer;
-use seu_text::{AnalyzerConfig, TermId, Vocabulary};
+use seu_text::{Analyzer, AnalyzerConfig, TermId, Vocabulary};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Magic prefix of a cold-tier record: `"SEUR"`.
@@ -43,14 +43,15 @@ const MIN_TERM_RECORD_BYTES: usize = 2 + 4;
 /// Minimum bytes a code row occupies (u32 term id + 4 code bytes).
 const MIN_CODE_RECORD_BYTES: usize = 4 + 4;
 
-/// One engine's decoded store record: the hot-tier value, and what
-/// [`crate::ReprStore::put`] canonicalizes to.
+/// One engine described without its documents: the hot-tier value, what
+/// [`crate::ReprStore::put`] canonicalizes to, and what a broker plans
+/// with for an engine it does not hold in process (reached over a
+/// transport, or restored and not yet re-attached).
 ///
 /// `vocab`, `doc_freq`, and `repr` are id-aligned with the source
 /// collection's term ids (row `i` of each describes the collection's
-/// term `i`), exactly like a remote engine's snapshot — so a broker can
-/// plan against a record with the same term-translation path it uses
-/// for remote engines, producing bit-identical query vectors.
+/// term `i`), exactly like a remote engine's snapshot — so the query
+/// vectors built here are bit-identical to the collection's own.
 #[derive(Debug, Clone)]
 pub struct EngineRecord {
     /// Engine name (registration key).
@@ -76,6 +77,27 @@ impl EngineRecord {
     /// expect it.
     pub fn n_docs(&self) -> u32 {
         self.fingerprint.n_docs.min(u64::from(u32::MAX)) as u32
+    }
+
+    /// Builds the engine-local query vector from local term frequencies
+    /// — the twin of `Collection::query_from_tf`, byte-identical to what
+    /// the engine's own collection would produce.
+    pub fn query_from_tf(&self, tf: impl IntoIterator<Item = (TermId, u32)>) -> Query {
+        let doc_freq = |t: TermId| self.doc_freq.get(t.index()).copied().unwrap_or(0);
+        weighted_query(self.scheme, self.n_docs(), doc_freq, tf)
+    }
+
+    /// Builds the engine-local query vector directly from text — the
+    /// fallback when a broker's shared analysis pass did not cover this
+    /// engine's analyzer configuration.
+    pub fn query_from_text(&self, text: &str) -> Query {
+        let mut tf: HashMap<TermId, u32> = HashMap::new();
+        for token in Analyzer::new(self.analyzer).analyze(text) {
+            if let Some(id) = self.vocab.get(&token) {
+                *tf.entry(id).or_insert(0) += 1;
+            }
+        }
+        self.query_from_tf(tf)
     }
 
     /// Internal alignment invariant: one vocabulary row per doc-freq
@@ -119,14 +141,14 @@ pub(crate) fn scheme_from_tag(tag: u8, param: f64) -> Option<WeightingScheme> {
 
 pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
     assert!(s.len() <= usize::from(u16::MAX), "string too long for u16");
-    buf.put_u16(s.len() as u16);
-    buf.put_slice(s.as_bytes());
+    buf.extend_from_slice(&(s.len() as u16).to_be_bytes());
+    buf.extend_from_slice(s.as_bytes());
 }
 
 fn put_quantizer(buf: &mut Vec<u8>, q: &ByteQuantizer) {
     let (lo, hi) = q.range();
-    buf.put_f64(lo);
-    buf.put_f64(hi);
+    buf.extend_from_slice(&lo.to_be_bytes());
+    buf.extend_from_slice(&hi.to_be_bytes());
     let exceptions: Vec<(u8, f64)> = q
         .levels()
         .iter()
@@ -134,10 +156,10 @@ fn put_quantizer(buf: &mut Vec<u8>, q: &ByteQuantizer) {
         .filter(|&(i, l)| l.to_bits() != ByteQuantizer::default_level(lo, hi, i as u8).to_bits())
         .map(|(i, &l)| (i as u8, l))
         .collect();
-    buf.put_u16(exceptions.len() as u16);
+    buf.extend_from_slice(&(exceptions.len() as u16).to_be_bytes());
     for (code, level) in exceptions {
-        buf.put_u8(code);
-        buf.put_f64(level);
+        buf.push(code);
+        buf.extend_from_slice(&level.to_be_bytes());
     }
 }
 
@@ -248,31 +270,31 @@ pub fn encode_record(record: &EngineRecord) -> Vec<u8> {
     );
     let q = QuantizedRepresentative::from_representative(&record.repr);
     let mut buf = Vec::with_capacity(64 + record.vocab.len() * 16);
-    buf.put_u32(RECORD_MAGIC);
-    buf.put_u16(RECORD_VERSION);
+    buf.extend_from_slice(&RECORD_MAGIC.to_be_bytes());
+    buf.extend_from_slice(&RECORD_VERSION.to_be_bytes());
     put_str(&mut buf, &record.name);
-    buf.put_u8(u8::from(record.analyzer.remove_stopwords));
-    buf.put_u8(u8::from(record.analyzer.stem));
+    buf.push(u8::from(record.analyzer.remove_stopwords));
+    buf.push(u8::from(record.analyzer.stem));
     let (tag, param) = scheme_tag(record.scheme);
-    buf.put_u8(tag);
-    buf.put_f64(param);
-    buf.put_u64(record.fingerprint.n_docs);
-    buf.put_u64(record.fingerprint.raw_bytes);
-    buf.put_u64(record.fingerprint.hash);
-    buf.put_u64(q.n_docs());
-    buf.put_u64(q.collection_bytes());
-    buf.put_u32(q.table_len() as u32);
+    buf.push(tag);
+    buf.extend_from_slice(&param.to_be_bytes());
+    buf.extend_from_slice(&record.fingerprint.n_docs.to_be_bytes());
+    buf.extend_from_slice(&record.fingerprint.raw_bytes.to_be_bytes());
+    buf.extend_from_slice(&record.fingerprint.hash.to_be_bytes());
+    buf.extend_from_slice(&q.n_docs().to_be_bytes());
+    buf.extend_from_slice(&q.collection_bytes().to_be_bytes());
+    buf.extend_from_slice(&(q.table_len() as u32).to_be_bytes());
     for quantizer in q.quantizers() {
         put_quantizer(&mut buf, quantizer);
     }
-    buf.put_u32(q.codes().len() as u32);
+    buf.extend_from_slice(&(q.codes().len() as u32).to_be_bytes());
     for &(term, codes) in q.codes() {
-        buf.put_u32(term.0);
-        buf.put_slice(&codes);
+        buf.extend_from_slice(&term.0.to_be_bytes());
+        buf.extend_from_slice(&codes);
     }
     for (id, term) in record.vocab.iter() {
         put_str(&mut buf, term);
-        buf.put_u32(record.doc_freq[id.index()]);
+        buf.extend_from_slice(&record.doc_freq[id.index()].to_be_bytes());
     }
     buf
 }

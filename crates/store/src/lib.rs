@@ -17,17 +17,19 @@
 //!   segmented-LRU cache, so repeated hydrations of the same engines
 //!   stay in memory. The replacement policy is [`Slru`], written once
 //!   in [`slru`] and exported because this is the one crate both of its
-//!   users depend on: [`CachedStore`] wraps one, and the broker's query
+//!   users depend on: the [`Store`] wraps one, and the broker's query
 //!   cache (`seu_metasearch::cache`) wraps eight.
 //! * **Manifest** — a versioned, fsync'd, atomically swapped file
 //!   recording a consistent per-shard epoch cut of the registry plus the
 //!   segment location of every entry's payload.
 //!
-//! The store is layered in the prism-storage style: [`LocalStore`]
-//! implements the byte-level [`BlobStore`]; [`CompressedStore`] adapts
-//! it to the record-level [`ReprStore`] via the quantized codec;
-//! [`CachedStore`] adds the hot tier. [`open_tiered`] assembles the
-//! full [`TieredStore`] stack.
+//! All three are one type, [`Store`], opened by [`open_tiered`]: its
+//! `get` looks in the hot tier, then reads the segment, decodes the
+//! payload and checks its embedded fingerprint; its `put` encodes,
+//! appends unless the stored bytes are already identical, and admits
+//! the decoded round trip. [`EngineRecord`] is the one in-memory
+//! description of an engine the broker does not hold in process — the
+//! store's value and the broker's planning record alike.
 //!
 //! **Canonicalization contract:** [`ReprStore::put`] returns the exact
 //! record a later [`ReprStore::get`] will serve — the quantized
@@ -44,17 +46,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cached;
 pub mod codec;
-pub mod compressed;
-pub mod local;
 pub mod slru;
+mod store;
 
-pub use cached::CachedStore;
 pub use codec::EngineRecord;
-pub use compressed::CompressedStore;
-pub use local::LocalStore;
 pub use slru::Slru;
+pub use store::Store;
 
 use seu_engine::Fingerprint;
 use seu_text::AnalyzerConfig;
@@ -194,31 +192,8 @@ pub struct Manifest {
     pub entries: Vec<ManifestEntry>,
 }
 
-/// Byte-level tier: opaque payloads addressed by content fingerprint.
-///
-/// `put_bytes` is append-only on disk with last-write-wins addressing:
-/// re-putting a key appends a fresh record and repoints the index at it
-/// (the old record becomes an unreferenced tail). Durability is
-/// deferred to [`BlobStore::commit`], which must flush segments and
-/// atomically swap the manifest before returning.
-pub trait BlobStore: Send + Sync {
-    /// Fetches the payload stored under `key`, verifying integrity.
-    fn get_bytes(&self, key: Fingerprint) -> Result<Option<Vec<u8>>, StoreError>;
-    /// Stores a payload under `key`, replacing any previous payload
-    /// (last write wins; the append-only segment keeps the old bytes as
-    /// an unreferenced record).
-    fn put_bytes(&self, key: Fingerprint, bytes: &[u8]) -> Result<(), StoreError>;
-    /// Whether a payload is stored under `key`.
-    fn contains(&self, key: Fingerprint) -> bool;
-    /// The last committed manifest.
-    fn manifest(&self) -> Manifest;
-    /// Durably persists `manifest`: flushes pending segment writes,
-    /// writes the manifest to a temp file, fsyncs, and renames it over
-    /// the live one. Fails if any entry's payload is absent.
-    fn commit(&self, manifest: &Manifest) -> Result<(), StoreError>;
-}
-
-/// Record-level tier: decoded representatives addressed by fingerprint.
+/// Decoded representatives addressed by fingerprint, plus the manifest
+/// that names them. [`Store`] is the implementation.
 pub trait ReprStore: Send + Sync {
     /// Fetches the canonical decoded record stored under `key`.
     fn get(&self, key: Fingerprint) -> Result<Option<Arc<EngineRecord>>, StoreError>;
@@ -232,43 +207,18 @@ pub trait ReprStore: Send + Sync {
     /// representative for the same collection) replaces the stored one
     /// (last write wins).
     fn put(&self, record: &EngineRecord) -> Result<Arc<EngineRecord>, StoreError>;
-    /// Whether a record is stored under `key`.
-    fn contains(&self, key: Fingerprint) -> bool;
     /// The last committed manifest.
     fn manifest(&self) -> Manifest;
-    /// Durably persists `manifest` (see [`BlobStore::commit`]).
+    /// Durably persists `manifest`: flushes pending segment writes,
+    /// writes the manifest to a temp file, fsyncs, and renames it over
+    /// the live one. Fails if any entry's record is absent.
     fn commit(&self, manifest: &Manifest) -> Result<(), StoreError>;
 }
 
-impl<S: ReprStore + ?Sized> ReprStore for Arc<S> {
-    fn get(&self, key: Fingerprint) -> Result<Option<Arc<EngineRecord>>, StoreError> {
-        (**self).get(key)
-    }
-    fn put(&self, record: &EngineRecord) -> Result<Arc<EngineRecord>, StoreError> {
-        (**self).put(record)
-    }
-    fn contains(&self, key: Fingerprint) -> bool {
-        (**self).contains(key)
-    }
-    fn manifest(&self) -> Manifest {
-        (**self).manifest()
-    }
-    fn commit(&self, manifest: &Manifest) -> Result<(), StoreError> {
-        (**self).commit(manifest)
-    }
-}
-
-/// The full store stack: hot tier over quantized cold tier over local
-/// segment files.
-pub type TieredStore = CachedStore<CompressedStore<LocalStore>>;
-
-/// Opens (or creates) the full tiered store at `root` with the given
-/// hot-tier byte budget.
-pub fn open_tiered(root: impl AsRef<Path>, hot_budget: usize) -> Result<TieredStore, StoreError> {
-    Ok(CachedStore::new(
-        CompressedStore::new(LocalStore::open(root)?),
-        hot_budget,
-    ))
+/// Opens (or creates) the store at `root` with a hot tier of
+/// `hot_budget` resident bytes (0 caches nothing).
+pub fn open_tiered(root: impl AsRef<Path>, hot_budget: usize) -> Result<Store, StoreError> {
+    Store::open(root.as_ref(), hot_budget)
 }
 
 /// CRC-32 (IEEE 802.3, reflected) over `bytes` — the checksum guarding

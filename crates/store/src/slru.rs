@@ -1,5 +1,5 @@
 //! The byte-budgeted segmented LRU both of the broker's caches are built
-//! on: the store's hot tier ([`crate::CachedStore`]) and the query cache
+//! on: the store's hot tier ([`crate::Store`]) and the query cache
 //! of `seu-metasearch`. It is plain single-threaded data over
 //! `&mut self` — each caller wraps it in its own lock and counters — and
 //! it knows nothing of records or requests: the caller passes each

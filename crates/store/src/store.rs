@@ -1,44 +1,61 @@
-//! The on-disk blob layer: append-only segment files addressed by
-//! collection fingerprint, plus an atomically swapped manifest.
+//! The store: append-only segment files addressed by collection
+//! fingerprint, an atomically swapped manifest, the record codec on the
+//! way in and out, and a hot tier of decoded records.
 //!
 //! Layout under the store root:
 //!
 //! ```text
 //! root/
-//!   MANIFEST          versioned registry cut + blob locations + CRC
+//!   MANIFEST          versioned registry cut + payload locations + CRC
 //!   seg-000000.dat    append-only segments: header, then records
 //!   seg-000001.dat    (rolled when a segment passes SEGMENT_CAP)
 //! ```
 //!
 //! A segment record is `key (24 bytes) | payload len (u32) |
-//! crc32(payload) (u32) | payload`. Writes are cheap appends with no
-//! fsync; durability happens at [`LocalStore::commit`], which syncs the
-//! active segment, writes `MANIFEST.tmp` (with a CRC trailer), syncs
-//! it, renames it over `MANIFEST`, and syncs the directory — so a crash
+//! crc32(payload) (u32) | payload`, the payload being
+//! [`codec::encode_record`]'s bytes. Writes are cheap appends with no
+//! fsync; durability happens at [`ReprStore::commit`], which syncs the
+//! active segment, writes `MANIFEST.tmp` (with a CRC trailer), syncs it,
+//! renames it over `MANIFEST`, and syncs the directory — so a crash
 //! either keeps the old manifest or installs the new one, never a torn
-//! mix. Blobs appended after the last committed manifest are orphan
+//! mix. Payloads appended after the last committed manifest are orphan
 //! tails: invisible after reopen, harmlessly skipped because every
 //! committed location is explicit.
+//!
+//! `put` is where canonicalization happens: the record is encoded, the
+//! *encoded bytes* are decoded again, and that round trip is returned —
+//! so whatever a broker installs while live is bit-identical to what a
+//! later restore decodes from disk. `get` decodes and checks the
+//! payload's embedded fingerprint against its key.
+//!
+//! The hot tier is one lock around an [`Slru`] keyed by fingerprint and
+//! charged [`EngineRecord::cost`] per record, the `broker_store_hot_*`
+//! counters, and the resident-bytes gauge. A record enters on a cold
+//! read or a `put`; a repeat hit promotes it, so a burst of one-touch
+//! records (a hydration sweep) cannot flush the records queries
+//! actually re-touch.
 
-use crate::codec::{self, Reader};
-use crate::{store_metrics, BlobStore, EntryKind, Manifest, ManifestEntry, StoreError};
-use bytes::BufMut;
+use crate::codec::{self, EngineRecord, Reader};
+use crate::slru::Slru;
+use crate::{store_metrics, EntryKind, Manifest, ManifestEntry, ReprStore, StoreError};
 use parking_lot::Mutex;
 use seu_engine::Fingerprint;
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read as _, Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Magic prefix of a segment file: `"SEUG"`.
-pub const SEGMENT_MAGIC: u32 = 0x5345_5547;
+const SEGMENT_MAGIC: u32 = 0x5345_5547;
 /// Magic prefix of the manifest file: `"SEUM"`.
-pub const MANIFEST_MAGIC: u32 = 0x5345_554D;
+const MANIFEST_MAGIC: u32 = 0x5345_554D;
 /// On-disk format version shared by segments and the manifest.
-pub const STORE_VERSION: u16 = 1;
+const STORE_VERSION: u16 = 1;
 /// Soft cap on a segment file; the next put after passing it rolls to a
 /// fresh segment.
-pub const SEGMENT_CAP: u64 = 64 << 20;
+const SEGMENT_CAP: u64 = 64 << 20;
 
 /// Bytes of a segment file header: magic + version.
 const SEGMENT_HEADER_BYTES: u64 = 6;
@@ -48,7 +65,7 @@ const RECORD_HEADER_BYTES: u64 = 24 + 4 + 4;
 /// entry-count allocation cap (empty name + fixed fields + location).
 const MIN_ENTRY_BYTES: usize = 2 + 8 + 8 + 24 + 1 + 2 + 9 + 8 + 8 + 16;
 
-/// Where a committed blob lives.
+/// Where a committed payload lives.
 #[derive(Debug, Clone, Copy)]
 struct Location {
     segment: u32,
@@ -56,7 +73,9 @@ struct Location {
     len: u32,
 }
 
-struct LocalInner {
+/// The cold tier's books: where each key's payload lives, the last
+/// committed manifest, and the segment being appended to.
+struct Segments {
     index: HashMap<Fingerprint, Location>,
     manifest: Manifest,
     active_id: u32,
@@ -65,16 +84,22 @@ struct LocalInner {
     cold_bytes: u64,
 }
 
-/// The bottom store tier: fingerprint-addressed segment files under a
-/// root directory, with an fsync'd atomically swapped manifest.
-pub struct LocalStore {
+/// The representative store: fingerprint-addressed segment files under
+/// a root directory with an fsync'd, atomically swapped manifest, read
+/// and written through the record codec, behind a byte-budgeted hot
+/// tier of decoded records. Opened by [`crate::open_tiered`].
+pub struct Store {
     root: PathBuf,
-    inner: Mutex<LocalInner>,
+    segments: Mutex<Segments>,
+    hot: Mutex<Slru<Fingerprint, Arc<EngineRecord>>>,
+    /// Resident bytes last added to the process-global gauge, which sums
+    /// over every live store; `Drop` retracts them.
+    published: AtomicU64,
 }
 
-impl std::fmt::Debug for LocalStore {
+impl std::fmt::Debug for Store {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LocalStore")
+        f.debug_struct("Store")
             .field("root", &self.root)
             .finish_non_exhaustive()
     }
@@ -89,9 +114,9 @@ fn manifest_path(root: &Path) -> PathBuf {
 }
 
 fn put_fingerprint(buf: &mut Vec<u8>, fp: Fingerprint) {
-    buf.put_u64(fp.n_docs);
-    buf.put_u64(fp.raw_bytes);
-    buf.put_u64(fp.hash);
+    buf.extend_from_slice(&fp.n_docs.to_be_bytes());
+    buf.extend_from_slice(&fp.raw_bytes.to_be_bytes());
+    buf.extend_from_slice(&fp.hash.to_be_bytes());
 }
 
 fn get_fingerprint(r: &mut Reader<'_>, what: &str) -> Result<Fingerprint, StoreError> {
@@ -104,40 +129,40 @@ fn get_fingerprint(r: &mut Reader<'_>, what: &str) -> Result<Fingerprint, StoreE
 
 fn encode_manifest(manifest: &Manifest, locations: &[Location]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64 + manifest.entries.len() * 96);
-    buf.put_u32(MANIFEST_MAGIC);
-    buf.put_u16(STORE_VERSION);
-    buf.put_u64(manifest.epoch);
-    buf.put_u32(manifest.shard_epochs.len() as u32);
+    buf.extend_from_slice(&MANIFEST_MAGIC.to_be_bytes());
+    buf.extend_from_slice(&STORE_VERSION.to_be_bytes());
+    buf.extend_from_slice(&manifest.epoch.to_be_bytes());
+    buf.extend_from_slice(&(manifest.shard_epochs.len() as u32).to_be_bytes());
     for &e in &manifest.shard_epochs {
-        buf.put_u64(e);
+        buf.extend_from_slice(&e.to_be_bytes());
     }
-    buf.put_u64(manifest.next_seq);
-    buf.put_u32(manifest.entries.len() as u32);
+    buf.extend_from_slice(&manifest.next_seq.to_be_bytes());
+    buf.extend_from_slice(&(manifest.entries.len() as u32).to_be_bytes());
     for (entry, loc) in manifest.entries.iter().zip(locations) {
         codec::put_str(&mut buf, &entry.name);
-        buf.put_u64(entry.seq);
-        buf.put_u64(entry.epoch);
+        buf.extend_from_slice(&entry.seq.to_be_bytes());
+        buf.extend_from_slice(&entry.epoch.to_be_bytes());
         put_fingerprint(&mut buf, entry.fingerprint);
         match &entry.kind {
-            EntryKind::Local => buf.put_u8(0),
+            EntryKind::Local => buf.push(0),
             EntryKind::Remote { endpoint } => {
-                buf.put_u8(1);
+                buf.push(1);
                 codec::put_str(&mut buf, endpoint);
             }
         }
-        buf.put_u8(u8::from(entry.analyzer.remove_stopwords));
-        buf.put_u8(u8::from(entry.analyzer.stem));
+        buf.push(u8::from(entry.analyzer.remove_stopwords));
+        buf.push(u8::from(entry.analyzer.stem));
         let (tag, param) = codec::scheme_tag(entry.scheme);
-        buf.put_u8(tag);
-        buf.put_f64(param);
-        buf.put_u64(entry.repr_terms);
-        buf.put_u64(entry.repr_bytes);
-        buf.put_u32(loc.segment);
-        buf.put_u64(loc.offset);
-        buf.put_u32(loc.len);
+        buf.push(tag);
+        buf.extend_from_slice(&param.to_be_bytes());
+        buf.extend_from_slice(&entry.repr_terms.to_be_bytes());
+        buf.extend_from_slice(&entry.repr_bytes.to_be_bytes());
+        buf.extend_from_slice(&loc.segment.to_be_bytes());
+        buf.extend_from_slice(&loc.offset.to_be_bytes());
+        buf.extend_from_slice(&loc.len.to_be_bytes());
     }
     let crc = crate::crc32(&buf);
-    buf.put_u32(crc);
+    buf.extend_from_slice(&crc.to_be_bytes());
     buf
 }
 
@@ -238,13 +263,14 @@ fn decode_manifest(bytes: &[u8]) -> Result<(Manifest, Vec<Location>), StoreError
     ))
 }
 
-impl LocalStore {
-    /// Opens (or initializes) a store rooted at `root`, loading the
-    /// committed manifest and blob index if one exists.
-    pub fn open(root: impl AsRef<Path>) -> Result<Self, StoreError> {
-        let root = root.as_ref().to_path_buf();
+impl Store {
+    /// Opens (or initializes) a store rooted at `root` with a hot tier
+    /// of `hot_budget` resident bytes (0 caches nothing), loading the
+    /// committed manifest and payload index if one exists.
+    pub(crate) fn open(root: &Path, hot_budget: usize) -> Result<Self, StoreError> {
+        let root = root.to_path_buf();
         fs::create_dir_all(&root).map_err(|e| StoreError::io(&root, e))?;
-        let mut inner = LocalInner {
+        let mut segments = Segments {
             index: HashMap::new(),
             manifest: Manifest::default(),
             active_id: 0,
@@ -257,34 +283,31 @@ impl LocalStore {
             let bytes = fs::read(&mpath).map_err(|e| StoreError::io(&mpath, e))?;
             let (manifest, locations) = decode_manifest(&bytes)?;
             for (entry, loc) in manifest.entries.iter().zip(&locations) {
-                inner.active_id = inner.active_id.max(loc.segment);
-                inner.cold_bytes += u64::from(loc.len) + RECORD_HEADER_BYTES;
-                inner.index.insert(entry.fingerprint, *loc);
+                segments.active_id = segments.active_id.max(loc.segment);
+                segments.cold_bytes += u64::from(loc.len) + RECORD_HEADER_BYTES;
+                segments.index.insert(entry.fingerprint, *loc);
             }
-            inner.manifest = manifest;
-            let active_path = segment_path(&root, inner.active_id);
-            inner.active_len = match fs::metadata(&active_path) {
+            segments.manifest = manifest;
+            let active_path = segment_path(&root, segments.active_id);
+            segments.active_len = match fs::metadata(&active_path) {
                 Ok(m) => m.len(),
                 Err(_) => 0,
             };
         }
-        store_metrics().cold_bytes.set(inner.cold_bytes as f64);
-        Ok(LocalStore {
+        store_metrics().cold_bytes.set(segments.cold_bytes as f64);
+        Ok(Store {
             root,
-            inner: Mutex::new(inner),
+            segments: Mutex::new(segments),
+            hot: Mutex::new(Slru::new(hot_budget)),
+            published: AtomicU64::new(0),
         })
     }
 
-    /// The store's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
-    fn open_active(&self, inner: &mut LocalInner) -> Result<(), StoreError> {
-        if inner.active.is_some() {
+    fn open_active(&self, segments: &mut Segments) -> Result<(), StoreError> {
+        if segments.active.is_some() {
             return Ok(());
         }
-        let path = segment_path(&self.root, inner.active_id);
+        let path = segment_path(&self.root, segments.active_id);
         let mut file = OpenOptions::new()
             .create(true)
             .append(true)
@@ -293,27 +316,24 @@ impl LocalStore {
         let len = file.metadata().map_err(|e| StoreError::io(&path, e))?.len();
         if len == 0 {
             let mut header = Vec::with_capacity(SEGMENT_HEADER_BYTES as usize);
-            header.put_u32(SEGMENT_MAGIC);
-            header.put_u16(STORE_VERSION);
+            header.extend_from_slice(&SEGMENT_MAGIC.to_be_bytes());
+            header.extend_from_slice(&STORE_VERSION.to_be_bytes());
             file.write_all(&header)
                 .map_err(|e| StoreError::io(&path, e))?;
-            inner.active_len = SEGMENT_HEADER_BYTES;
+            segments.active_len = SEGMENT_HEADER_BYTES;
         } else {
-            inner.active_len = len;
+            segments.active_len = len;
         }
-        inner.active = Some(file);
+        segments.active = Some(file);
         Ok(())
     }
-}
 
-impl BlobStore for LocalStore {
-    fn get_bytes(&self, key: Fingerprint) -> Result<Option<Vec<u8>>, StoreError> {
-        let loc = {
-            let inner = self.inner.lock();
-            match inner.index.get(&key) {
-                Some(loc) => *loc,
-                None => return Ok(None),
-            }
+    /// Reads the payload stored under `key` from its segment, checking
+    /// the record header and CRC.
+    fn read_payload(&self, key: Fingerprint) -> Result<Option<Vec<u8>>, StoreError> {
+        let loc = match self.segments.lock().index.get(&key) {
+            Some(loc) => *loc,
+            None => return Ok(None),
         };
         let path = segment_path(&self.root, loc.segment);
         let mut file = File::open(&path).map_err(|e| StoreError::io(&path, e))?;
@@ -345,67 +365,127 @@ impl BlobStore for LocalStore {
         Ok(Some(payload))
     }
 
-    fn put_bytes(&self, key: Fingerprint, bytes: &[u8]) -> Result<(), StoreError> {
-        let mut inner = self.inner.lock();
-        self.open_active(&mut inner)?;
-        if inner.active_len >= SEGMENT_CAP {
-            inner.active = None;
-            inner.active_id += 1;
-            self.open_active(&mut inner)?;
+    /// Appends `payload` under `key` and points the index at it. Last
+    /// write wins: any previous record for the key becomes an
+    /// unreferenced tail.
+    fn append(&self, key: Fingerprint, payload: &[u8]) -> Result<(), StoreError> {
+        let mut segments = self.segments.lock();
+        self.open_active(&mut segments)?;
+        if segments.active_len >= SEGMENT_CAP {
+            segments.active = None;
+            segments.active_id += 1;
+            self.open_active(&mut segments)?;
         }
-        let offset = inner.active_len;
-        let mut record = Vec::with_capacity(RECORD_HEADER_BYTES as usize + bytes.len());
+        let offset = segments.active_len;
+        let mut record = Vec::with_capacity(RECORD_HEADER_BYTES as usize + payload.len());
         put_fingerprint(&mut record, key);
-        record.put_u32(bytes.len() as u32);
-        record.put_u32(crate::crc32(bytes));
-        record.put_slice(bytes);
-        let segment = inner.active_id;
+        record.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        record.extend_from_slice(&crate::crc32(payload).to_be_bytes());
+        record.extend_from_slice(payload);
+        let segment = segments.active_id;
         let path = segment_path(&self.root, segment);
-        inner
+        segments
             .active
             .as_mut()
             .expect("active segment was just opened")
             .write_all(&record)
             .map_err(|e| StoreError::io(&path, e))?;
-        inner.active_len += record.len() as u64;
-        inner.cold_bytes += record.len() as u64;
-        // Last write wins: the index moves to the fresh record and any
-        // previous record for the key becomes an unreferenced tail.
-        inner.index.insert(
+        segments.active_len += record.len() as u64;
+        segments.cold_bytes += record.len() as u64;
+        segments.index.insert(
             key,
             Location {
                 segment,
                 offset,
-                len: bytes.len() as u32,
+                len: payload.len() as u32,
             },
         );
-        store_metrics().cold_bytes.set(inner.cold_bytes as f64);
+        store_metrics().cold_bytes.set(segments.cold_bytes as f64);
         Ok(())
     }
 
-    fn contains(&self, key: Fingerprint) -> bool {
-        self.inner.lock().index.contains_key(&key)
+    /// Offers a record to the hot tier and republishes the gauge, under
+    /// the one lock so the published figure never lags a later insert.
+    fn admit(&self, key: Fingerprint, record: &Arc<EngineRecord>) {
+        let mut hot = self.hot.lock();
+        hot.insert(key, Arc::clone(record), record.cost());
+        let bytes = hot.bytes() as u64;
+        let published = self.published.swap(bytes, Ordering::SeqCst);
+        store_metrics()
+            .hot_bytes
+            .add(bytes as f64 - published as f64);
+    }
+}
+
+impl Drop for Store {
+    fn drop(&mut self) {
+        let published = self.published.swap(0, Ordering::SeqCst);
+        store_metrics().hot_bytes.add(-(published as f64));
+    }
+}
+
+impl ReprStore for Store {
+    fn get(&self, key: Fingerprint) -> Result<Option<Arc<EngineRecord>>, StoreError> {
+        let m = store_metrics();
+        let hit = self.hot.lock().get(&key).cloned();
+        if hit.is_some() {
+            m.hot_hits.inc();
+            return Ok(hit);
+        }
+        m.hot_misses.inc();
+        let Some(payload) = self.read_payload(key)? else {
+            m.cold_misses.inc();
+            return Ok(None);
+        };
+        let record = codec::decode_record(&payload)?;
+        if record.fingerprint != key {
+            return Err(StoreError::corrupt(format!(
+                "record for engine {:?} carries fingerprint {:?}, expected {key:?}",
+                record.name, record.fingerprint
+            )));
+        }
+        m.cold_hits.inc();
+        let record = Arc::new(record);
+        self.admit(key, &record);
+        Ok(Some(record))
+    }
+
+    fn put(&self, record: &EngineRecord) -> Result<Arc<EngineRecord>, StoreError> {
+        let key = record.fingerprint;
+        let payload = codec::encode_record(record);
+        let canonical = Arc::new(
+            codec::decode_record(&payload).expect("decoding our own encoding cannot fail"),
+        );
+        // Byte-identical re-puts are a no-op; anything else (e.g. an
+        // engine shipped a replacement representative under the same
+        // collection fingerprint) is a last-write-wins overwrite.
+        if self.read_payload(key)?.as_deref() != Some(&payload[..]) {
+            self.append(key, &payload)?;
+            store_metrics().writes.inc();
+        }
+        self.admit(key, &canonical);
+        Ok(canonical)
     }
 
     fn manifest(&self) -> Manifest {
-        self.inner.lock().manifest.clone()
+        self.segments.lock().manifest.clone()
     }
 
     fn commit(&self, manifest: &Manifest) -> Result<(), StoreError> {
-        let mut inner = self.inner.lock();
+        let mut segments = self.segments.lock();
         let mut locations = Vec::with_capacity(manifest.entries.len());
         for entry in &manifest.entries {
-            let loc = inner.index.get(&entry.fingerprint).ok_or_else(|| {
+            let loc = segments.index.get(&entry.fingerprint).ok_or_else(|| {
                 StoreError::missing(format!(
-                    "manifest entry {:?} references a blob not in the store; \
+                    "manifest entry {:?} references a payload not in the store; \
                      put its representative before committing",
                     entry.name
                 ))
             })?;
             locations.push(*loc);
         }
-        let active_id = inner.active_id;
-        if let Some(file) = inner.active.as_mut() {
+        let active_id = segments.active_id;
+        if let Some(file) = segments.active.as_mut() {
             let path = segment_path(&self.root, active_id);
             file.sync_all().map_err(|e| StoreError::io(&path, e))?;
         }
@@ -424,7 +504,7 @@ impl BlobStore for LocalStore {
             // effort on filesystems that refuse to sync directories.
             let _ = dir.sync_all();
         }
-        inner.manifest = manifest.clone();
+        segments.manifest = manifest.clone();
         Ok(())
     }
 }
@@ -471,20 +551,20 @@ mod tests {
     #[test]
     fn put_get_round_trip_and_last_write_wins() {
         let root = tmp_root("roundtrip");
-        let store = LocalStore::open(&root).unwrap();
+        let store = Store::open(&root, 0).unwrap();
         let key = fp(7);
-        assert!(!store.contains(key));
-        assert_eq!(store.get_bytes(key).unwrap(), None);
-        store.put_bytes(key, b"hello segment").unwrap();
-        assert!(store.contains(key));
+        assert!(store.read_payload(key).unwrap().is_none());
+        assert_eq!(store.read_payload(key).unwrap(), None);
+        store.append(key, b"hello segment").unwrap();
+        assert!(store.read_payload(key).unwrap().is_some());
         assert_eq!(
-            store.get_bytes(key).unwrap().as_deref(),
+            store.read_payload(key).unwrap().as_deref(),
             Some(&b"hello segment"[..])
         );
         // Last write wins: a replacement payload supersedes the first.
-        store.put_bytes(key, b"replacement payload").unwrap();
+        store.append(key, b"replacement payload").unwrap();
         assert_eq!(
-            store.get_bytes(key).unwrap().as_deref(),
+            store.read_payload(key).unwrap().as_deref(),
             Some(&b"replacement payload"[..])
         );
         let _ = fs::remove_dir_all(&root);
@@ -496,9 +576,9 @@ mod tests {
         let key_a = fp(1);
         let key_b = fp(2);
         {
-            let store = LocalStore::open(&root).unwrap();
-            store.put_bytes(key_a, b"alpha payload").unwrap();
-            store.put_bytes(key_b, b"beta payload").unwrap();
+            let store = Store::open(&root, 0).unwrap();
+            store.append(key_a, b"alpha payload").unwrap();
+            store.append(key_b, b"beta payload").unwrap();
             let manifest = Manifest {
                 epoch: 9,
                 shard_epochs: vec![4, 5],
@@ -507,7 +587,7 @@ mod tests {
             };
             store.commit(&manifest).unwrap();
         }
-        let store = LocalStore::open(&root).unwrap();
+        let store = Store::open(&root, 0).unwrap();
         let manifest = store.manifest();
         assert_eq!(manifest.epoch, 9);
         assert_eq!(manifest.shard_epochs, vec![4, 5]);
@@ -515,11 +595,11 @@ mod tests {
         assert_eq!(manifest.entries.len(), 2);
         assert_eq!(manifest.entries[0].name, "a");
         assert_eq!(
-            store.get_bytes(key_a).unwrap().as_deref(),
+            store.read_payload(key_a).unwrap().as_deref(),
             Some(&b"alpha payload"[..])
         );
         assert_eq!(
-            store.get_bytes(key_b).unwrap().as_deref(),
+            store.read_payload(key_b).unwrap().as_deref(),
             Some(&b"beta payload"[..])
         );
         assert!(!root.join("MANIFEST.tmp").exists());
@@ -532,8 +612,8 @@ mod tests {
         let committed = fp(1);
         let orphan = fp(2);
         {
-            let store = LocalStore::open(&root).unwrap();
-            store.put_bytes(committed, b"kept").unwrap();
+            let store = Store::open(&root, 0).unwrap();
+            store.append(committed, b"kept").unwrap();
             let manifest = Manifest {
                 epoch: 1,
                 shard_epochs: vec![1],
@@ -541,20 +621,23 @@ mod tests {
                 entries: vec![entry("kept", committed)],
             };
             store.commit(&manifest).unwrap();
-            store.put_bytes(orphan, b"tail").unwrap();
+            store.append(orphan, b"tail").unwrap();
         }
-        let store = LocalStore::open(&root).unwrap();
-        assert!(store.contains(committed));
-        assert!(!store.contains(orphan), "orphan tail must be invisible");
+        let store = Store::open(&root, 0).unwrap();
+        assert!(store.read_payload(committed).unwrap().is_some());
+        assert!(
+            store.read_payload(orphan).unwrap().is_none(),
+            "orphan tail must be invisible"
+        );
         // New appends land after the orphan tail without clobbering it.
         let fresh = fp(3);
-        store.put_bytes(fresh, b"fresh payload").unwrap();
+        store.append(fresh, b"fresh payload").unwrap();
         assert_eq!(
-            store.get_bytes(fresh).unwrap().as_deref(),
+            store.read_payload(fresh).unwrap().as_deref(),
             Some(&b"fresh payload"[..])
         );
         assert_eq!(
-            store.get_bytes(committed).unwrap().as_deref(),
+            store.read_payload(committed).unwrap().as_deref(),
             Some(&b"kept"[..])
         );
         let _ = fs::remove_dir_all(&root);
@@ -565,10 +648,8 @@ mod tests {
         let root = tmp_root("corrupt");
         let key = fp(11);
         {
-            let store = LocalStore::open(&root).unwrap();
-            store
-                .put_bytes(key, b"precious representative bytes")
-                .unwrap();
+            let store = Store::open(&root, 0).unwrap();
+            store.append(key, b"precious representative bytes").unwrap();
             let manifest = Manifest {
                 epoch: 1,
                 shard_epochs: vec![1],
@@ -583,8 +664,8 @@ mod tests {
         let at = (SEGMENT_HEADER_BYTES + RECORD_HEADER_BYTES) as usize + 3;
         bytes[at] ^= 0x40;
         fs::write(&seg, &bytes).unwrap();
-        let store = LocalStore::open(&root).unwrap();
-        let err = store.get_bytes(key).unwrap_err();
+        let store = Store::open(&root, 0).unwrap();
+        let err = store.read_payload(key).unwrap_err();
         assert_eq!(err.kind, StoreErrorKind::Corrupt);
         let _ = fs::remove_dir_all(&root);
     }
@@ -592,7 +673,7 @@ mod tests {
     #[test]
     fn commit_refuses_manifest_entries_without_blobs() {
         let root = tmp_root("missing");
-        let store = LocalStore::open(&root).unwrap();
+        let store = Store::open(&root, 0).unwrap();
         let manifest = Manifest {
             epoch: 1,
             shard_epochs: vec![1],
@@ -611,8 +692,8 @@ mod tests {
         let root = tmp_root("badmanifest");
         let key = fp(5);
         {
-            let store = LocalStore::open(&root).unwrap();
-            store.put_bytes(key, b"payload").unwrap();
+            let store = Store::open(&root, 0).unwrap();
+            store.append(key, b"payload").unwrap();
             let manifest = Manifest {
                 epoch: 1,
                 shard_epochs: vec![1],
@@ -626,12 +707,12 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
         fs::write(&mpath, &bytes).unwrap();
-        let err = LocalStore::open(&root).expect_err("corrupt manifest must fail open");
+        let err = Store::open(&root, 0).expect_err("corrupt manifest must fail open");
         assert_eq!(err.kind, StoreErrorKind::Corrupt);
         // Truncation is also rejected rather than partially applied.
         let full = fs::read(&mpath).unwrap();
         fs::write(&mpath, &full[..full.len() / 2]).unwrap();
-        assert!(LocalStore::open(&root).is_err());
+        assert!(Store::open(&root, 0).is_err());
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -8,10 +8,9 @@
 use crate::stemmer::porter_stem;
 use crate::stopwords::is_stopword;
 use crate::tokenizer::tokenize;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the analysis pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AnalyzerConfig {
     /// Remove non-content words (the paper always does).
     pub remove_stopwords: bool,

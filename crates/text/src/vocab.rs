@@ -4,11 +4,10 @@
 //! representatives) works with dense integer term ids; the dictionary is the
 //! single place strings live.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Dense identifier of a distinct term within one [`Vocabulary`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TermId(pub u32);
 
 impl TermId {
@@ -19,7 +18,7 @@ impl TermId {
 }
 
 /// A bidirectional term dictionary.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct Vocabulary {
     terms: Vec<String>,
     ids: HashMap<String, TermId>,
