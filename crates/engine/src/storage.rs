@@ -3,11 +3,11 @@
 //! A local search engine survives restarts by persisting its analyzed,
 //! weighted collection; the inverted index is rebuilt on load (it is a
 //! derived structure and rebuilding is one linear pass). The format is a
-//! versioned little-schema binary layout via `bytes` — no external codec.
+//! versioned little-schema big-endian layout, written into a `Vec<u8>`
+//! and read back through a checked `&[u8]` cursor — no external codec.
 
 use crate::collection::{Collection, Document};
 use crate::weighting::WeightingScheme;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use seu_text::{AnalyzerConfig, TermId, Vocabulary};
 
 const MAGIC: u32 = 0x5345_5543; // "SEUC"
@@ -20,24 +20,48 @@ const MIN_TERM_BYTES: usize = 2 + 4;
 /// length (u32) and term count (u32).
 const MIN_DOC_BYTES: usize = 2 + 8 + 4 + 4;
 
-fn put_str(buf: &mut BytesMut, s: &str) {
-    let bytes = s.as_bytes();
-    assert!(bytes.len() <= u16::MAX as usize, "string too long to store");
-    buf.put_u16(bytes.len() as u16);
-    buf.put_slice(bytes);
+/// A fixed-width big-endian field: appended to a `Vec<u8>`, and split
+/// off the front of a cursor — `None` when too few bytes remain, the
+/// one place a read is checked against what is left.
+trait Field: Sized {
+    fn put(self, out: &mut Vec<u8>);
+    fn get(buf: &mut &[u8]) -> Option<Self>;
 }
 
-fn get_str(buf: &mut impl Buf) -> Option<String> {
-    if buf.remaining() < 2 {
+macro_rules! field {
+    ($($ty:ty),+) => {$(
+        impl Field for $ty {
+            fn put(self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_be_bytes());
+            }
+            fn get(buf: &mut &[u8]) -> Option<Self> {
+                let raw = take(buf, std::mem::size_of::<$ty>())?;
+                Some(<$ty>::from_be_bytes(raw.try_into().ok()?))
+            }
+        }
+    )+};
+}
+field!(u8, u16, u32, u64, f64);
+
+/// Splits `n` bytes off the front of `buf`.
+fn take<'a>(buf: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
+    if buf.len() < n {
         return None;
     }
-    let len = buf.get_u16() as usize;
-    if buf.remaining() < len {
-        return None;
-    }
-    let mut v = vec![0u8; len];
-    buf.copy_to_slice(&mut v);
-    String::from_utf8(v).ok()
+    let (head, rest) = buf.split_at(n);
+    *buf = rest;
+    Some(head)
+}
+
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    assert!(s.len() <= u16::MAX as usize, "string too long to store");
+    (s.len() as u16).put(out);
+    out.extend_from_slice(s.as_bytes());
+}
+
+fn get_str(buf: &mut &[u8]) -> Option<String> {
+    let len = u16::get(buf)? as usize;
+    String::from_utf8(take(buf, len)?.to_vec()).ok()
 }
 
 fn scheme_tag(scheme: WeightingScheme) -> (u8, f64) {
@@ -61,109 +85,86 @@ fn scheme_from_tag(tag: u8, param: f64) -> Option<WeightingScheme> {
 
 impl Collection {
     /// Serializes the collection to a self-contained binary buffer.
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.put_u32(MAGIC);
-        buf.put_u16(VERSION);
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        MAGIC.put(&mut out);
+        VERSION.put(&mut out);
         let (tag, param) = scheme_tag(self.scheme());
-        buf.put_u8(tag);
-        buf.put_f64(param);
+        tag.put(&mut out);
+        param.put(&mut out);
         let a = self.analyzer_config();
-        buf.put_u8(a.remove_stopwords as u8);
-        buf.put_u8(a.stem as u8);
-        buf.put_u64(self.raw_bytes());
-        buf.put_u64(self.total_tokens());
-        buf.put_f64(self.mean_norm());
+        (a.remove_stopwords as u8).put(&mut out);
+        (a.stem as u8).put(&mut out);
+        self.raw_bytes().put(&mut out);
+        self.total_tokens().put(&mut out);
+        self.mean_norm().put(&mut out);
 
         let vocab = self.vocab();
-        buf.put_u32(vocab.len() as u32);
+        (vocab.len() as u32).put(&mut out);
         for (term, s) in vocab.iter() {
-            put_str(&mut buf, s);
-            buf.put_u32(self.doc_freq(term));
+            put_str(&mut out, s);
+            self.doc_freq(term).put(&mut out);
         }
 
-        buf.put_u32(self.len() as u32);
+        (self.len() as u32).put(&mut out);
         for doc in self.docs() {
-            put_str(&mut buf, &doc.name);
-            buf.put_f64(doc.norm);
-            buf.put_u32(doc.len);
-            buf.put_u32(doc.terms.len() as u32);
+            put_str(&mut out, &doc.name);
+            doc.norm.put(&mut out);
+            doc.len.put(&mut out);
+            (doc.terms.len() as u32).put(&mut out);
             for &(term, weight) in &doc.terms {
-                buf.put_u32(term.0);
-                buf.put_f64(weight);
+                term.0.put(&mut out);
+                weight.put(&mut out);
             }
         }
-        buf.freeze()
+        out
     }
 
     /// Deserializes a [`Collection::to_bytes`] buffer. Returns `None` on
-    /// a truncated, corrupt, or version-mismatched buffer. Every count
-    /// is capped by the rows the remaining bytes could hold before
-    /// anything is reserved, so a count that lies cannot drive an
+    /// a truncated, extended, corrupt, or version-mismatched buffer.
+    /// Every count is capped by the rows the remaining bytes could hold
+    /// before anything is reserved, so a count that lies cannot drive an
     /// allocation.
-    pub fn from_bytes(mut buf: impl Buf) -> Option<Collection> {
-        if buf.remaining() < 4 + 2 + 1 + 8 + 8 + 8 + 8 {
+    pub fn from_bytes(bytes: impl AsRef<[u8]>) -> Option<Collection> {
+        let buf = &mut bytes.as_ref();
+        if u32::get(buf)? != MAGIC || u16::get(buf)? != VERSION {
             return None;
         }
-        if buf.get_u32() != MAGIC {
-            return None;
-        }
-        if buf.get_u16() != VERSION {
-            return None;
-        }
-        let tag = buf.get_u8();
-        let param = buf.get_f64();
-        let scheme = scheme_from_tag(tag, param)?;
-        if buf.remaining() < 2 {
-            return None;
-        }
+        let scheme = scheme_from_tag(u8::get(buf)?, f64::get(buf)?)?;
         let analyzer = AnalyzerConfig {
-            remove_stopwords: buf.get_u8() != 0,
-            stem: buf.get_u8() != 0,
+            remove_stopwords: u8::get(buf)? != 0,
+            stem: u8::get(buf)? != 0,
         };
-        let raw_bytes = buf.get_u64();
-        let total_tokens = buf.get_u64();
-        let mean_norm = buf.get_f64();
+        let raw_bytes = u64::get(buf)?;
+        let total_tokens = u64::get(buf)?;
+        let mean_norm = f64::get(buf)?;
 
-        if buf.remaining() < 4 {
-            return None;
-        }
-        let n_terms = buf.get_u32() as usize;
+        let n_terms = u32::get(buf)? as usize;
         let mut vocab = Vocabulary::new();
-        let mut doc_freq = Vec::with_capacity(n_terms.min(buf.remaining() / MIN_TERM_BYTES));
+        let mut doc_freq = Vec::with_capacity(n_terms.min(buf.len() / MIN_TERM_BYTES));
         for i in 0..n_terms {
-            let s = get_str(&mut buf)?;
-            let id = vocab.intern(&s);
+            let id = vocab.intern(&get_str(buf)?);
             // Term order must round-trip to keep ids stable.
             if id.index() != i {
                 return None;
             }
-            if buf.remaining() < 4 {
-                return None;
-            }
-            doc_freq.push(buf.get_u32());
+            doc_freq.push(u32::get(buf)?);
         }
 
-        if buf.remaining() < 4 {
-            return None;
-        }
-        let n_docs = buf.get_u32() as usize;
-        let mut docs = Vec::with_capacity(n_docs.min(buf.remaining() / MIN_DOC_BYTES));
+        let n_docs = u32::get(buf)? as usize;
+        let mut docs = Vec::with_capacity(n_docs.min(buf.len() / MIN_DOC_BYTES));
         for _ in 0..n_docs {
-            let name = get_str(&mut buf)?;
-            if buf.remaining() < 8 + 4 + 4 {
-                return None;
-            }
-            let norm = buf.get_f64();
-            let len = buf.get_u32();
-            let n = buf.get_u32() as usize;
-            if buf.remaining() / 12 < n {
+            let name = get_str(buf)?;
+            let norm = f64::get(buf)?;
+            let len = u32::get(buf)?;
+            let n = u32::get(buf)? as usize;
+            if buf.len() / 12 < n {
                 return None;
             }
             let mut terms = Vec::with_capacity(n);
             for _ in 0..n {
-                let t = buf.get_u32();
-                let w = buf.get_f64();
+                let t = u32::get(buf)?;
+                let w = f64::get(buf)?;
                 if t as usize >= n_terms {
                     return None;
                 }
@@ -175,6 +176,9 @@ impl Collection {
                 norm,
                 len,
             });
+        }
+        if !buf.is_empty() {
+            return None;
         }
         Some(Collection::from_stored_parts(
             vocab,

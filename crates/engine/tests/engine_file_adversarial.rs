@@ -67,3 +67,33 @@ fn a_non_finite_pivoted_slope_is_refused() {
         assert!(Collection::from_bytes(&bad[..]).is_none(), "slope {slope}");
     }
 }
+
+/// The input classes a truncated or overwritten file falls into: every
+/// strict prefix of a valid file (the header's own last bytes among
+/// them), the file with one byte more, and runs of `0xFF`. Each loads as
+/// `None`, never as a panic.
+#[test]
+fn prefixes_extensions_and_ff_runs_are_refused() {
+    let bytes = file(
+        &["alpha beta", "gamma"],
+        WeightingScheme::PivotedLogTf { slope: 0.25 },
+    );
+    assert!(Collection::from_bytes(&bytes[..]).is_some());
+    for cut in 0..bytes.len() {
+        let prefix = &bytes[..cut];
+        assert!(Collection::from_bytes(prefix).is_none(), "prefix of {cut}");
+    }
+    let mut longer = bytes.clone();
+    longer.push(0);
+    assert!(
+        Collection::from_bytes(&longer[..]).is_none(),
+        "one byte more"
+    );
+    for n in [1, 8, 16, 64, 256] {
+        let ff = vec![0xFF; n];
+        assert!(
+            Collection::from_bytes(&ff[..]).is_none(),
+            "{n} bytes of 0xFF"
+        );
+    }
+}

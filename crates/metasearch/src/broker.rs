@@ -377,6 +377,16 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         transport: Arc<dyn RemoteTransport>,
     ) -> Result<String, TransportError> {
         let snapshot = transport.fetch_snapshot()?;
+        self.register_fetched(transport, snapshot)
+    }
+
+    /// [`Broker::register_remote`] with the transport's snapshot already
+    /// fetched (a replica install checks its name first).
+    pub(crate) fn register_fetched(
+        &self,
+        transport: Arc<dyn RemoteTransport>,
+        snapshot: EngineSnapshot,
+    ) -> Result<String, TransportError> {
         self.install_from_snapshot(snapshot, None, |record| EngineHandle::Remote {
             transport,
             record,

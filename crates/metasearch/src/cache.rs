@@ -260,18 +260,6 @@ pub struct CacheStats {
     pub stale_evictions: u64,
 }
 
-impl CacheStats {
-    /// Hit rate over all lookups so far (0 when none).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// One independently locked slice of the cache.
 type Shard = Mutex<Slru<CacheKey, Arc<CachedResponse>>>;
 

@@ -34,7 +34,7 @@ pub use health::{BreakerConfig, BreakerState, CircuitBreaker, Clock, ManualClock
 pub use placement::{hash_key, Ring, DEFAULT_VNODES};
 pub use rebalance::{diff_placement, Move, PlacementDiff, RebalanceReport};
 pub use router::{
-    EngineSource, FederationReport, FrontDoor, FrontDoorConfig, InstallSpec, LocalReplica,
+    Dial, EngineSource, FederationReport, FrontDoor, FrontDoorConfig, InstallSpec, LocalReplica,
     ReplicaClient, ReplicaFailure, SubsetAnswer, SubsetResults,
 };
 

@@ -46,7 +46,7 @@ use crate::federation::placement::{Ring, DEFAULT_VNODES};
 use crate::federation::rebalance::{diff_placement, Move, RebalanceReport};
 use crate::merge::merge_results;
 use crate::registry::{EngineStatus, RegistrySnapshot};
-use crate::remote::{EngineSnapshot, Pending, TransportError, TransportErrorKind};
+use crate::remote::{EngineSnapshot, Pending, RemoteTransport, TransportError, TransportErrorKind};
 use crate::request::{
     DispatchOutcome, EngineDispatchStats, SearchRequest, SearchResponse, StaleMode,
 };
@@ -285,7 +285,90 @@ fn protocol_error(detail: impl Into<String>) -> TransportError {
     TransportError::new(TransportErrorKind::Protocol, detail)
 }
 
+/// Opens a transport to the engine at an endpoint: the one install step
+/// seu-metasearch cannot take itself (see [`LocalReplica::install_with`]).
+pub type Dial = dyn Fn(&str) -> Result<Arc<dyn RemoteTransport>, TransportError>;
+
 impl<E: UsefulnessEstimator + Send + Sync + 'static> LocalReplica<E> {
+    /// The one install table, for the in-process replica and the wire
+    /// one alike. The wire replica passes a [`Dial`] (seu-net's
+    /// `RemoteEngine::new`); the in-process one passes `None`:
+    ///
+    /// | order | without `dial` | with `dial` |
+    /// |---|---|---|
+    /// | name already held | `Ok`, no-op | `Ok`, no-op |
+    /// | snapshot + in-process engine | installed live | — |
+    /// | snapshot + endpoint | installed detached, endpoint recorded | installed, dialed, attached |
+    /// | snapshot alone | installed detached | installed detached |
+    /// | in-process engine alone | registered | — |
+    /// | endpoint alone | refused: cannot dial | dialed, registered remote |
+    /// | neither | refused | refused |
+    ///
+    /// A snapshot named other than the order is refused, and so is a
+    /// dialed engine that advertises another name, both before anything
+    /// is registered. All or nothing: an attach that fails deregisters
+    /// what this call registered.
+    pub fn install_with(
+        &self,
+        spec: InstallSpec,
+        dial: Option<&Dial>,
+    ) -> Result<(), TransportError> {
+        let (broker, name) = (&self.broker, spec.name.as_str());
+        if broker.engine_names().iter().any(|n| n == name) {
+            return Ok(()); // idempotent: already holding it
+        }
+        let named = |what: String, advertised: &str| {
+            if advertised == name {
+                return Ok(());
+            }
+            let why = format!("install for {name:?}: {what} is {advertised:?}");
+            Err(protocol_error(why))
+        };
+        if let Some(snapshot) = &spec.snapshot {
+            named("the shipped snapshot".into(), &snapshot.name)?;
+        }
+        let (engine, endpoint) = match &spec.source {
+            Some(EngineSource::Local(engine)) => (Some(engine.clone()), None),
+            Some(EngineSource::Remote { endpoint }) => (None, Some(endpoint.as_str())),
+            None => (None, None),
+        };
+        // The dialed engine and the snapshot it advertises.
+        let dialed = match (endpoint, dial) {
+            (Some(endpoint), Some(dial)) => {
+                let transport = dial(endpoint)?;
+                let fetched = transport.fetch_snapshot()?;
+                named(format!("the engine at {endpoint}"), &fetched.name)?;
+                Some((transport, fetched))
+            }
+            _ => None,
+        };
+        match (spec.snapshot, engine, dialed) {
+            (Some(snapshot), engine, None) => {
+                broker.install_snapshot(snapshot, engine, endpoint.map(String::from))?;
+            }
+            (Some(snapshot), _, Some((transport, fetched))) => {
+                broker.install_snapshot(snapshot, None, endpoint.map(String::from))?;
+                if let Err(e) = broker.attach_fetched(transport, fetched) {
+                    broker.deregister(name);
+                    return Err(e);
+                }
+            }
+            (None, Some(engine), _) => broker.register_shared(name, engine),
+            (None, None, Some((transport, fetched))) => {
+                broker.register_fetched(transport, fetched)?;
+            }
+            (None, None, None) => {
+                return Err(protocol_error(match endpoint {
+                    Some(endpoint) => {
+                        format!("in-process replica cannot dial {endpoint}; ship a snapshot")
+                    }
+                    None => "install needs a source or a snapshot".to_string(),
+                }));
+            }
+        }
+        Ok(())
+    }
+
     /// Plans the rows of the named engines and no others, once —
     /// estimated, or with `estimate` off only translated — and
     /// dispatches the rows `policy` [`picks`], replanning when a
@@ -404,29 +487,7 @@ impl<E: UsefulnessEstimator + Send + Sync + 'static> ReplicaClient for LocalRepl
     }
 
     fn install(&self, spec: &InstallSpec) -> Result<(), TransportError> {
-        if self.broker.engine_names().iter().any(|n| n == &spec.name) {
-            return Ok(()); // idempotent: already holding it
-        }
-        match (&spec.snapshot, &spec.source) {
-            (Some(snapshot), source) => {
-                let engine = match source {
-                    Some(EngineSource::Local(arc)) => Some(arc.clone()),
-                    _ => None,
-                };
-                let endpoint = source.as_ref().and_then(|s| s.endpoint()).map(String::from);
-                self.broker
-                    .install_snapshot(snapshot.clone(), engine, endpoint)
-                    .map(|_| ())
-            }
-            (None, Some(EngineSource::Local(arc))) => {
-                self.broker.register_shared(&spec.name, arc.clone());
-                Ok(())
-            }
-            (None, Some(EngineSource::Remote { endpoint })) => Err(protocol_error(format!(
-                "in-process replica cannot dial {endpoint}; ship a snapshot"
-            ))),
-            (None, None) => Err(protocol_error("install needs a source or a snapshot")),
-        }
+        self.install_with(spec.clone(), None)
     }
 
     fn remove_engine(&self, name: &str) -> Result<bool, TransportError> {

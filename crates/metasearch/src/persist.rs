@@ -35,7 +35,7 @@
 
 use crate::broker::{metrics, Broker};
 use crate::registry::{global_ids, Change, ColdEntry, EngineHandle, RegisteredEngine};
-use crate::remote::{RemoteTransport, TransportError};
+use crate::remote::{EngineSnapshot, RemoteTransport, TransportError};
 use parking_lot::{Mutex, RwLock};
 use seu_core::UsefulnessEstimator;
 use seu_engine::{Fingerprint, SearchEngine};
@@ -109,20 +109,19 @@ impl StoreHandle {
 }
 
 /// What the broker installs for `repr`: with a store, the canonical
-/// (quantized round-trip) form of `record(repr)`, written through, and
-/// the fingerprint it is stored under — serving the round-trip is what
-/// keeps a live broker bit-identical with one restored from the store
-/// later. Without a store, `repr` itself.
+/// (quantized round-trip) form of `record(repr)`, written through under
+/// its fingerprint — serving the round-trip is what keeps a live broker
+/// bit-identical with one restored from the store later. Without a
+/// store, `repr` itself.
 pub(crate) fn canonical(
     store: Option<&StoreHandle>,
     repr: Representative,
     record: impl FnOnce(&Representative) -> EngineRecord,
-) -> (Arc<Representative>, Option<Fingerprint>) {
-    let Some(store) = store else {
-        return (Arc::new(repr), None);
-    };
-    let canonical = store.canonicalize(&record(&repr));
-    (canonical.repr.clone(), Some(canonical.fingerprint))
+) -> Arc<Representative> {
+    match store {
+        Some(store) => store.canonicalize(&record(&repr)).repr.clone(),
+        None => Arc::new(repr),
+    }
 }
 
 /// Builds the storable record for a local engine's representative.
@@ -157,9 +156,7 @@ pub(crate) fn record_for_local(
 /// re-reading the store on every plan.
 fn hydrate_entry(e: &mut RegisteredEngine, vocab: &RwLock<Vocabulary>, store: &StoreHandle) {
     let timer = metrics().store_hydration.start_timer();
-    let key = e
-        .stored_fingerprint
-        .expect("cold entries always carry their store key");
+    let key = e.provenance;
     match store.get(key) {
         Some(record) => {
             // The record's vocabulary is written in the source
@@ -227,7 +224,7 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
             epoch: cut.shard_epochs.iter().sum(),
             shard_epochs: cut.shard_epochs,
             next_seq: self.registry.seq_watermark(),
-            entries: cut.items.into_iter().collect::<Result<_, _>>()?,
+            entries: cut.items,
         };
         store.store().commit(&manifest)?;
         Ok(manifest)
@@ -342,6 +339,16 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
     ) -> Result<bool, TransportError> {
         self.hydrate();
         let snapshot = transport.fetch_snapshot()?;
+        self.attach_fetched(transport, snapshot)
+    }
+
+    /// [`Broker::attach_remote`] with the transport's snapshot already
+    /// fetched (a replica install checks its name first).
+    pub(crate) fn attach_fetched(
+        &self,
+        transport: Arc<dyn RemoteTransport>,
+        snapshot: EngineSnapshot,
+    ) -> Result<bool, TransportError> {
         let name = snapshot.name.clone();
         self.update(&name, |e| {
             let EngineHandle::Detached { record, .. } = &e.handle else {
@@ -368,31 +375,24 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
 }
 
 /// The manifest row for one registry entry.
-fn manifest_entry(e: &RegisteredEngine) -> Result<ManifestEntry, StoreError> {
-    let fingerprint = e.stored_fingerprint.ok_or_else(|| {
-        StoreError::missing(format!(
-            "engine {:?} has no stored representative (was it registered \
-             before the store was attached?)",
-            e.name
-        ))
-    })?;
+fn manifest_entry(e: &RegisteredEngine) -> ManifestEntry {
     // A still-detached entry keeps whatever kind it was snapshotted
     // with: remote if it recorded an endpoint.
     let kind = match e.handle.endpoint() {
         Some(endpoint) => EntryKind::Remote { endpoint },
         None => EntryKind::Local,
     };
-    Ok(ManifestEntry {
+    ManifestEntry {
         name: e.name.clone(),
         seq: e.seq,
         epoch: e.epoch,
-        fingerprint,
+        fingerprint: e.provenance,
         kind,
         analyzer: e.handle.analyzer_config(),
         scheme: e.handle.scheme(),
         repr_terms: e.repr_terms(),
         repr_bytes: e.repr_bytes(),
-    })
+    }
 }
 
 /// The registry entry a manifest row restores to: detached, cold, with a
@@ -433,6 +433,5 @@ fn cold_entry(e: &ManifestEntry) -> RegisteredEngine {
             repr_terms: e.repr_terms,
             repr_bytes: e.repr_bytes,
         }),
-        stored_fingerprint: Some(fp),
     }
 }

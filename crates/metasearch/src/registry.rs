@@ -781,7 +781,10 @@ pub(crate) struct RegisteredEngine {
     pub(crate) epoch: u64,
     /// Fingerprint of the collection `repr` and `terms` were built
     /// from: the engine's own, or the one its snapshot carried. A
-    /// staleness check compares it with the collection's current one.
+    /// staleness check compares it with the collection's current one,
+    /// and with a store attached it is the key the representative is
+    /// stored under — what `snapshot` writes into the manifest and
+    /// `restore` hydrates from.
     pub(crate) provenance: Fingerprint,
     /// Remote engines only: a push invalidation notice arrived (or a
     /// snapshot refetch failed) and the entry has not been refreshed
@@ -793,10 +796,6 @@ pub(crate) struct RegisteredEngine {
     /// size bookkeeping so statuses and gauges stay meaningful before
     /// the first plan touches the shard.
     pub(crate) cold: Option<ColdEntry>,
-    /// The fingerprint this entry's representative is stored under in
-    /// the attached store, when there is one — the key `snapshot`
-    /// writes into the manifest and `restore` hydrates from.
-    pub(crate) stored_fingerprint: Option<Fingerprint>,
 }
 
 /// Size bookkeeping for a restored entry that has not been hydrated
@@ -861,7 +860,6 @@ impl RegisteredEngine {
             },
             pending_invalidation: false,
             cold: None,
-            stored_fingerprint: None,
         }
     }
 
@@ -934,7 +932,6 @@ impl RegisteredEngine {
             Some(store) => store.canonicalize(&record),
             None => record,
         };
-        self.stored_fingerprint = store.map(|_| record.fingerprint);
         self.repr = record.repr.clone();
         self.terms = global_ids(global_vocab, &record.vocab);
         self.terms_fingerprint = None;
@@ -966,7 +963,7 @@ impl RegisteredEngine {
             .expect("install targets local engines; remote entries use install_remote")
             .clone();
         let record = |repr: &Representative| record_for_local(&self.name, &engine, repr);
-        (self.repr, self.stored_fingerprint) = canonical(store, repr, record);
+        self.repr = canonical(store, repr, record);
         self.terms = global_ids(global_vocab, engine.collection().vocab());
         self.terms_fingerprint = Some(engine.fingerprint());
         self.provenance = engine.fingerprint();
@@ -1101,7 +1098,6 @@ mod tests {
             handle: EngineHandle::Local(engine),
             pending_invalidation: false,
             cold: None,
-            stored_fingerprint: None,
         }
     }
 

@@ -292,10 +292,9 @@ pub trait RemoteTransport: Send + Sync + std::fmt::Debug {
     ) -> Result<TrueUsefulness, TransportError>;
 
     /// [`Self::true_usefulness`] for many queries at once, answers in
-    /// request order. The default loops the per-query call; transports
-    /// with a wire-level batch (the `seu-net` TCP client sends one
-    /// `EstimateBatch` frame) override it to amortize round trips on
-    /// oracle sweeps.
+    /// request order. The default loops the per-query call; the `seu-net`
+    /// TCP client overrides both: the batch is its one oracle frame
+    /// (`EstimateBatch`), and a single query travels as a batch of one.
     fn true_usefulness_batch(
         &self,
         queries: &[String],

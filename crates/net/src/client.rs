@@ -859,18 +859,15 @@ impl RemoteTransport for RemoteEngine {
         }
     }
 
+    /// A batch of one: the batch's reply check makes any other result
+    /// count a typed `Protocol` error.
     fn true_usefulness(
         &self,
         query_text: &str,
         threshold: f64,
     ) -> Result<TrueUsefulness, TransportError> {
-        let reply = self.client.call(&Message::Estimate {
-            query: query_text.to_string(),
-            threshold,
-        })?;
-        reply
-            .as_usefulness()
-            .ok_or_else(|| unexpected("Usefulness", &reply))
+        let mut results = self.true_usefulness_batch(&[query_text.to_string()], threshold)?;
+        Ok(results.pop().expect("a batch of one answers one result"))
     }
 
     fn true_usefulness_batch(

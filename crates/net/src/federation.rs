@@ -10,12 +10,15 @@
 //! * **[`ReplicaServer`]** puts one broker on a socket as a federation
 //!   replica: it answers subset plans and subset searches for the
 //!   engines it holds, and the engine-lifecycle orders (install /
-//!   remove / export) the front-door's rebalance path sends. Installs
-//!   that ship an [`EngineSnapshot`] hydrate planning state without
-//!   re-registration; installs that name an engine endpoint make the
-//!   replica dial the engine itself (a [`RemoteEngine`] transport), so
-//!   its estimates stay **bit-identical** to every other replica's —
-//!   both paths plan from the same shipped full-precision statistics.
+//!   remove / export) the front-door's rebalance path sends. An install
+//!   goes through the same table as an in-process replica's,
+//!   `LocalReplica::install_with`, with one addition: it may dial an
+//!   engine endpoint (a [`RemoteEngine`] transport). A shipped
+//!   [`EngineSnapshot`] hydrates planning state without
+//!   re-registration; an endpoint makes the replica dial the engine
+//!   itself, so its estimates stay **bit-identical** to every other
+//!   replica's — both paths plan from the same full-precision
+//!   statistics. A refused install leaves nothing behind.
 //!   The server is the crate's one readiness loop
 //!   ([`crate::server`]) around a replica service, and its worker
 //!   count ([`ServerConfig::workers`]) is the replica's capacity: how
@@ -46,11 +49,11 @@ use crate::server::{FrameServer, FrameService, ServerConfig};
 use crate::wire::Message;
 use seu_core::UsefulnessEstimator;
 use seu_metasearch::federation::{
-    InstallSpec, LocalReplica, ReplicaClient, SubsetAnswer, SubsetResults,
+    EngineSource, InstallSpec, LocalReplica, ReplicaClient, SubsetAnswer, SubsetResults,
 };
 use seu_metasearch::{
     Broker, CacheStats, EngineEstimate, EngineSnapshot, EngineStatus, FrontDoor, Pending,
-    RegistrySnapshot, SearchRequest, SearchResponse, TransportError, TransportErrorKind,
+    RegistrySnapshot, RemoteTransport, SearchRequest, SearchResponse, TransportError,
 };
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
@@ -168,8 +171,17 @@ where
                 name,
                 snapshot,
                 endpoint,
-            } => install_engine(replica, &name, snapshot, endpoint)
-                .map(|()| Message::InstallAck { name }),
+            } => {
+                let source = endpoint.map(|endpoint| EngineSource::Remote { endpoint });
+                let spec = InstallSpec {
+                    name: name.clone(),
+                    source,
+                    snapshot,
+                };
+                replica
+                    .install_with(spec, Some(&dial))
+                    .map(|()| Message::InstallAck { name })
+            }
             Message::RemoveEngine { name } => replica
                 .remove_engine(&name)
                 .map(|removed| Message::RemoveAck { removed }),
@@ -187,61 +199,9 @@ where
     }
 }
 
-/// The replica-side install: idempotent on the name. A shipped snapshot
-/// hydrates planning state directly (the rebalance path — no
-/// re-registration round trip to the engine); when the engine also has
-/// a live endpoint the replica dials it so searches dispatch. An
-/// endpoint alone falls back to full remote registration (the replica
-/// fetches the snapshot from the engine itself — same bytes, since the
-/// engine serves its snapshot full-precision).
-fn install_engine<E>(
-    replica: &LocalReplica<E>,
-    name: &str,
-    snapshot: Option<EngineSnapshot>,
-    endpoint: Option<String>,
-) -> Result<(), TransportError>
-where
-    E: UsefulnessEstimator + Send + Sync + 'static,
-{
-    let broker = replica.broker();
-    if broker.engine_names().iter().any(|n| n == name) {
-        return Ok(());
-    }
-    match (snapshot, endpoint) {
-        (Some(snapshot), endpoint) => {
-            if snapshot.name != name {
-                return Err(TransportError::new(
-                    TransportErrorKind::Protocol,
-                    format!(
-                        "install for {name:?} shipped a snapshot of {:?}",
-                        snapshot.name
-                    ),
-                ));
-            }
-            broker.install_snapshot(snapshot, None, endpoint.clone())?;
-            if let Some(endpoint) = endpoint {
-                let transport = RemoteEngine::new(endpoint.as_str())?;
-                broker.attach_remote(Arc::new(transport))?;
-            }
-            Ok(())
-        }
-        (None, Some(endpoint)) => {
-            let transport = RemoteEngine::new(endpoint.as_str())?;
-            let registered = broker.register_remote(Arc::new(transport))?;
-            if registered != name {
-                broker.deregister(&registered);
-                return Err(TransportError::new(
-                    TransportErrorKind::Protocol,
-                    format!("engine at {endpoint} advertises {registered:?}, not {name:?}"),
-                ));
-            }
-            Ok(())
-        }
-        (None, None) => Err(TransportError::new(
-            TransportErrorKind::Protocol,
-            "install needs a snapshot or an endpoint",
-        )),
-    }
+/// The wire replica's [`Dial`](seu_metasearch::federation::Dial).
+fn dial(endpoint: &str) -> Result<Arc<dyn RemoteTransport>, TransportError> {
+    Ok(Arc::new(RemoteEngine::new(endpoint)?))
 }
 
 /// A [`ReplicaClient`] for a [`ReplicaServer`] across the wire: the same
@@ -330,7 +290,6 @@ impl ReplicaClient for RemoteReplica {
         // snapshot instead (identical statistics, so estimates stay
         // bit-identical — the engine just cannot serve live searches
         // from that replica).
-        use seu_metasearch::federation::EngineSource;
         let snapshot = match (&spec.snapshot, &spec.source) {
             (Some(snapshot), _) => Some(snapshot.clone()),
             (None, Some(EngineSource::Local(engine))) => {
@@ -338,17 +297,12 @@ impl ReplicaClient for RemoteReplica {
             }
             _ => None,
         };
+        // Everything else is the replica's table to decide.
         let endpoint = spec
             .source
             .as_ref()
             .and_then(|s| s.endpoint())
             .map(String::from);
-        if snapshot.is_none() && endpoint.is_none() {
-            return Err(TransportError::new(
-                TransportErrorKind::Protocol,
-                "install needs a snapshot or an endpoint",
-            ));
-        }
         match self.client.call(&Message::InstallEngine {
             name: spec.name.clone(),
             snapshot,

@@ -11,7 +11,7 @@
 //! pool. Because replies carry the
 //! request's correlation id, one connection can have many requests in
 //! flight and the replies go out in completion order — a slow search
-//! does not block the pings and estimates pipelined behind it. The
+//! does not block the pings and searches pipelined behind it. The
 //! worker count ([`ServerConfig::workers`]) is the server's capacity for
 //! handed-over requests: those beyond it queue in arrival order. The
 //! federation [`ReplicaServer`](crate::ReplicaServer) is the same loop
@@ -40,8 +40,8 @@
 //! refusal stands and no longer. Workers block on the job channel.
 //!
 //! **What the loop computes.** Pongs, and whatever
-//! `FrameService::answer_inline` returns: an engine's search or estimate
-//! whose text is within `INLINE_QUERY_BYTES` and whose terms hold under
+//! `FrameService::answer_inline` returns: an engine's search whose text
+//! is within `INLINE_QUERY_BYTES` and whose terms hold under
 //! `INLINE_POSTINGS` postings in its index, each about what the hand-over
 //! costs in CPU. The reply is queued in the pass that read the request
 //! and written before the next `poll`: one wake-up an RPC on this side
@@ -49,10 +49,10 @@
 //! deadline. The bound is a property of the request, read off its length
 //! and the index in O(terms), not a setting: a setting would be tuned for
 //! one collection and wrong for the next. A common-term query on a big
-//! collection, a very long one, a batch and the whole representative go
-//! to a worker, so a slow request still stalls nobody; and a replica
-//! never answers inline, because its handler blocks on the sockets of the
-//! engines behind it.
+//! collection, a very long one, an oracle batch (even of one query) and
+//! the whole representative go to a worker, so a slow request still
+//! stalls nobody; and a replica never answers inline, because its
+//! handler blocks on the sockets of the engines behind it.
 //!
 //! **Who wakes whom.** Sockets wake the loop through `poll`. Everything
 //! else — a worker with a finished reply, [`EngineServer::replace_engine`]
@@ -995,9 +995,10 @@ impl FrameService for EngineService {
     }
 }
 
-/// The postings a query's terms may hold in this engine's index for the
-/// loop to answer it inline. A search costs what it reads: the benchmark's
-/// engines read ≈ 134 postings in ≈ 5 µs, so 1 024 take ≈ 40 µs — the
+/// The postings a search's terms may hold in this engine's index for
+/// the loop to answer it inline (the loop answers searches and pings
+/// only). A search costs what it reads: the benchmark's engines read
+/// ≈ 134 postings in ≈ 5 µs, so 1 024 take ≈ 40 µs — the
 /// ≈ 35 µs of CPU a hand-over costs (two wake-ups, a job, a completion, a
 /// deadline armed and cancelled), and as long as the loop should keep its
 /// other connections waiting.
@@ -1012,10 +1013,11 @@ const INLINE_QUERY_BYTES: usize = 1024;
 
 impl EngineService {
     /// The one handler behind both routes. `inline` is the loop asking:
-    /// it gets `None` — hand it over — for a query text over
-    /// [`INLINE_QUERY_BYTES`], one holding [`INLINE_POSTINGS`] or more, and
-    /// for the kinds whose cost the request does not bound (a batch, the
-    /// whole representative).
+    /// it answers searches only, and gets `None` — hand it over — for a
+    /// query text over [`INLINE_QUERY_BYTES`], one holding
+    /// [`INLINE_POSTINGS`] or more, and for the kinds whose cost the
+    /// request does not bound (an oracle batch, the whole
+    /// representative).
     fn answer(&self, request: &Message, inline: bool) -> Option<Message> {
         let engine = Arc::clone(&self.engine.read());
         // One analysis: it sizes the request and the search reuses it.
@@ -1066,14 +1068,6 @@ impl EngineService {
                 };
                 Message::TracedSearchResults { hits, spans }
             }
-            Message::Estimate { query, threshold } => {
-                let u = engine.true_usefulness(&analyse(query)?, *threshold);
-                Message::Usefulness {
-                    no_doc: u.no_doc,
-                    avg_sim: u.avg_sim,
-                    max_sim: u.max_sim,
-                }
-            }
             Message::EstimateBatch { queries, threshold } if !inline => {
                 metrics().server_batch_requests.inc();
                 let c = engine.collection();
@@ -1118,8 +1112,8 @@ mod tests {
         }
     }
 
-    /// Panics on `Estimate` when the loop asks and on `GetRepresentative`
-    /// when a worker does; echoes `RemoveEngine`.
+    /// Panics on `SearchDocs` when the loop asks and on
+    /// `GetRepresentative` when a worker does; echoes `RemoveEngine`.
     struct Panicky;
 
     impl FrameService for Panicky {
@@ -1137,7 +1131,7 @@ mod tests {
 
         fn answer_inline(&self, request: &Message) -> Option<Message> {
             match request {
-                Message::Estimate { .. } => panic!("inline"),
+                Message::SearchDocs { .. } => panic!("inline"),
                 _ => None,
             }
         }
@@ -1229,11 +1223,11 @@ mod tests {
         let mut stream = connected(server.addr());
 
         // Inline, handed over, and a ping pipelined behind both.
-        let estimate = Message::Estimate {
+        let search = Message::SearchDocs {
             query: "q".into(),
             threshold: 0.1,
         };
-        send(&mut stream, 1, &estimate);
+        send(&mut stream, 1, &search);
         send(&mut stream, 2, &Message::GetRepresentative);
         send(&mut stream, 3, &Message::Ping);
         let replies: HashMap<u64, Message> = (0..3).map(|_| recv(&mut stream)).collect();

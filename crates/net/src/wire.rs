@@ -11,8 +11,6 @@
 //! | 2 | [`Message::HelloAck`] | server → client |
 //! | 3 | [`Message::SearchDocs`] | client → server |
 //! | 4 | [`Message::SearchResults`] | server → client |
-//! | 5 | [`Message::Estimate`] | client → server |
-//! | 6 | [`Message::Usefulness`] | server → client |
 //! | 7 | [`Message::GetRepresentative`] | client → server |
 //! | 8 | [`Message::Representative`] | server → client |
 //! | 9 | [`Message::InvalidateNotice`] | server → subscriber (pushed) |
@@ -50,6 +48,11 @@
 //! peer answers a kind it does not know or serve with [`Message::Error`]
 //! on the request's own correlation id, which the caller surfaces as a
 //! typed [`Remote`](TransportErrorKind::Remote) failure.
+//!
+//! Kinds 15/16 are the one oracle question — an engine's exact
+//! usefulness — for any number of queries; a single query is a batch of
+//! one. They retired 5/6, the one-query pair, which a peer now refuses
+//! in band like any other retired kind.
 //!
 //! Kinds 13/14 carry distributed-trace context
 //! (`trace_id`/`parent_span_id`/`sampled`) alongside a search and bring
@@ -110,22 +113,6 @@ pub enum Message {
         /// The hits.
         hits: Vec<RemoteHit>,
     },
-    /// Oracle request: the engine's exact usefulness for a query.
-    Estimate {
-        /// Raw query text.
-        query: String,
-        /// Similarity threshold `T`.
-        threshold: f64,
-    },
-    /// Answer to [`Message::Estimate`].
-    Usefulness {
-        /// `NoDoc(T, q, D)`.
-        no_doc: u64,
-        /// `AvgSim(T, q, D)`.
-        avg_sim: f64,
-        /// Largest similarity of any matching document.
-        max_sim: f64,
-    },
     /// Snapshot request (no payload).
     GetRepresentative,
     /// Answer to [`Message::GetRepresentative`]: the engine's full
@@ -178,9 +165,10 @@ pub enum Message {
         /// request's `parent_span`.
         spans: Vec<seu_obs::SpanRecord>,
     },
-    /// Batched oracle request: many queries in one frame, so a broker
-    /// sweep over its query pool costs one round trip per engine
-    /// instead of one per (engine, query).
+    /// Oracle request: the engine's exact usefulness for each query, in
+    /// one frame, so a broker sweep over its query pool costs one round
+    /// trip per engine instead of one per (engine, query). One query is
+    /// a batch of one.
     EstimateBatch {
         /// Raw query texts, in the order answers are expected.
         queries: Vec<String>,
@@ -663,8 +651,6 @@ codec! {
     2 => HelloAck { name },
     3 => SearchDocs { query, threshold },
     4 => SearchResults { hits },
-    5 => Estimate { query, threshold },
-    6 => Usefulness { no_doc, avg_sim, max_sim },
     7 => GetRepresentative,
     8 => Representative { snapshot },
     9 => InvalidateNotice { name, fingerprint, epoch },
@@ -686,29 +672,9 @@ codec! {
     31 => ReplicaPlanResults { rows, hits, stats },
 }
 
-impl Message {
-    /// The `TrueUsefulness` a [`Message::Usefulness`] carries, if this
-    /// is one.
-    pub fn as_usefulness(&self) -> Option<TrueUsefulness> {
-        match *self {
-            Message::Usefulness {
-                no_doc,
-                avg_sim,
-                max_sim,
-            } => Some(TrueUsefulness {
-                no_doc,
-                avg_sim,
-                max_sim,
-            }),
-            _ => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BufMut;
     use seu_engine::{CollectionBuilder, SearchEngine};
     use seu_text::Analyzer;
 
@@ -731,14 +697,6 @@ mod tests {
                 assert_eq!(query, "mushroom soup");
                 assert_eq!(threshold, 0.25);
             }
-            other => panic!("{other:?}"),
-        }
-        match round_trip(&Message::Usefulness {
-            no_doc: 3,
-            avg_sim: 0.5,
-            max_sim: 0.75,
-        }) {
-            Message::Usefulness { no_doc, .. } => assert_eq!(no_doc, 3),
             other => panic!("{other:?}"),
         }
         assert!(matches!(round_trip(&Message::Ping), Message::Ping));
@@ -849,8 +807,8 @@ mod tests {
     fn traced_span_list_liar_is_a_protocol_error() {
         // A span-count liar must fail before allocating.
         let mut buf = Vec::<u8>::new();
-        buf.put_u32(0); // zero hits
-        buf.put_u32(u32::MAX); // span-count liar
+        0u32.put(&mut buf); // zero hits
+        u32::MAX.put(&mut buf); // span-count liar
         let err = Message::decode(14, &buf).unwrap_err();
         assert_eq!(err.kind, TransportErrorKind::Protocol);
     }
@@ -906,13 +864,13 @@ mod tests {
     fn batch_count_liars_are_protocol_errors() {
         // A query-count liar must fail before allocating.
         let mut buf = Vec::<u8>::new();
-        buf.put_u32(u32::MAX);
-        buf.put_f64(0.15);
+        u32::MAX.put(&mut buf);
+        0.15f64.put(&mut buf);
         let err = Message::decode(15, &buf).unwrap_err();
         assert_eq!(err.kind, TransportErrorKind::Protocol);
         // Same for the result-count on the answer.
         let mut buf = Vec::<u8>::new();
-        buf.put_u32(u32::MAX);
+        u32::MAX.put(&mut buf);
         let err = Message::decode(16, &buf).unwrap_err();
         assert_eq!(err.kind, TransportErrorKind::Protocol);
     }
@@ -1054,30 +1012,30 @@ mod tests {
         // Engine-name list liar on the subset request.
         let mut buf = Vec::<u8>::new();
         String::from("q").put(&mut buf);
-        buf.put_f64(0.2);
-        buf.put_u32(u32::MAX);
+        0.2f64.put(&mut buf);
+        u32::MAX.put(&mut buf);
         let err = Message::decode(30, &buf).unwrap_err();
         assert_eq!(err.kind, TransportErrorKind::Protocol);
         // Row-count liar on the answer.
         let mut buf = Vec::<u8>::new();
-        buf.put_u32(u32::MAX);
+        u32::MAX.put(&mut buf);
         let err = Message::decode(31, &buf).unwrap_err();
         assert_eq!(err.kind, TransportErrorKind::Protocol);
         // Dispatch-stat liar behind a legal empty hit list.
         let mut buf = Vec::<u8>::new();
-        buf.put_u32(0);
-        buf.put_u32(u32::MAX);
+        0u32.put(&mut buf);
+        u32::MAX.put(&mut buf);
         let err = Message::decode(20, &buf).unwrap_err();
         assert_eq!(err.kind, TransportErrorKind::Protocol);
         // An unknown outcome tag is typed, not misparsed.
         let mut buf = Vec::<u8>::new();
-        buf.put_u32(0); // no hits
-        buf.put_u32(1); // one stat row
+        0u32.put(&mut buf); // no hits
+        1u32.put(&mut buf); // one stat row
         String::from("a").put(&mut buf);
-        buf.put_u64(0);
-        buf.put_f64(0.0);
-        buf.put_u8(9); // bogus outcome
-        buf.put_u8(0);
+        0u64.put(&mut buf);
+        0.0f64.put(&mut buf);
+        9u8.put(&mut buf); // bogus outcome
+        0u8.put(&mut buf);
         let err = Message::decode(20, &buf).unwrap_err();
         assert_eq!(err.kind, TransportErrorKind::Protocol);
     }
@@ -1097,7 +1055,7 @@ mod tests {
         assert_eq!(err.kind, TransportErrorKind::Protocol);
         // Hit-count liar.
         let mut buf = Vec::<u8>::new();
-        buf.put_u32(u32::MAX);
+        u32::MAX.put(&mut buf);
         let err = Message::decode(4, &buf).unwrap_err();
         assert_eq!(err.kind, TransportErrorKind::Protocol);
     }

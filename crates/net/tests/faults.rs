@@ -4,7 +4,7 @@
 //! poisoned broker.
 
 use seu_core::SubrangeEstimator;
-use seu_engine::{CollectionBuilder, SearchEngine, WeightingScheme};
+use seu_engine::{CollectionBuilder, SearchEngine, TrueUsefulness, WeightingScheme};
 use seu_metasearch::{
     Broker, DispatchOutcome, RemoteTransport, SearchRequest, SelectionPolicy, TransportErrorKind,
 };
@@ -325,14 +325,20 @@ fn interleaved_replies_reassemble_by_correlation_id() {
         let first = read_frame(&mut stream).unwrap();
         let second = read_frame(&mut stream).unwrap();
         for frame in [second, first] {
-            let Ok(Message::Estimate { query, .. }) = Message::decode(frame.kind, &frame.payload)
+            let Ok(Message::EstimateBatch { queries, .. }) =
+                Message::decode(frame.kind, &frame.payload)
             else {
-                panic!("expected Estimate");
+                panic!("expected EstimateBatch");
             };
-            let (kind, payload) = Message::Usefulness {
-                no_doc: query.len() as u64,
-                avg_sim: 0.0,
-                max_sim: 0.0,
+            let [query] = &queries[..] else {
+                panic!("expected a batch of one, got {queries:?}");
+            };
+            let (kind, payload) = Message::UsefulnessBatch {
+                results: vec![TrueUsefulness {
+                    no_doc: query.len() as u64,
+                    avg_sim: 0.0,
+                    max_sim: 0.0,
+                }],
             }
             .encode();
             write_frame_corr(&mut stream, frame.corr, kind, &payload).unwrap();

@@ -91,13 +91,6 @@ fn search() -> Message {
     }
 }
 
-fn estimate() -> Message {
-    Message::Estimate {
-        query: QUERY.to_string(),
-        threshold: THRESHOLD,
-    }
-}
-
 /// (a) 500 cheap searches, one after the other on one connection: each
 /// is answered inline, to the bit, for one wake-up of the loop (a loop
 /// that hands over wakes twice: the request, then the completion).
@@ -136,15 +129,12 @@ fn cheap_is_inline_dear_is_handed_over_and_the_bytes_agree() {
     // loop happened to meet in two reads.
     let woke = counter("net_server_loop_wakeups_total") - wakeups_before;
     assert!(woke <= 520, "500 cheap requests woke the loop {woke} times");
-    let inline_estimate = ask(&mut stream, 501, &estimate()).payload;
-    assert_eq!(inline_answers() - inline_before, 501);
 
     // (b) 1 104 postings: over the bound.
     let big = EngineServer::bind("over", engine(1_100), "127.0.0.1:0").unwrap();
     let mut stream = handshaken(&big);
     let inline_before = inline_answers();
     let handed_over = ask(&mut stream, 1, &search()).payload;
-    let handed_over_estimate = ask(&mut stream, 2, &estimate()).payload;
     assert_eq!(
         inline_answers(),
         inline_before,
@@ -153,10 +143,6 @@ fn cheap_is_inline_dear_is_handed_over_and_the_bytes_agree() {
     assert!(
         handed_over == inline_bytes,
         "one handler, two routes: the search"
-    );
-    assert!(
-        handed_over_estimate == inline_estimate,
-        "one handler, two routes: the estimate"
     );
     // The kinds the request does not bound are handed over whatever
     // their size.
@@ -215,8 +201,8 @@ fn a_slow_handed_over_request_stalls_nobody() {
     assert!(frame.payload == want, "the reply must arrive byte-exact");
 }
 
-/// (d) `loop_idle.rs` (c) with a request that is always handed over (its
-/// own `Estimate` is inline now): one worker, so completions and the
+/// (d) `loop_idle.rs` (c) with a request that is always handed over (an
+/// oracle batch): one worker, so completions and the
 /// loop's `Wake::acknowledge` interleave as tightly as they can, and a
 /// lost wake-up is a stalled call that the 2 s timeout turns into a
 /// failure.

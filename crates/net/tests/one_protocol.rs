@@ -202,11 +202,6 @@ fn an_error_on_a_batch_fails_that_call_and_the_next_is_still_one_batch() {
         Message::EstimateBatch { queries, .. } => Message::UsefulnessBatch {
             results: (0..queries.len() as u64).map(usefulness).collect(),
         },
-        Message::Estimate { .. } => Message::Usefulness {
-            no_doc: 42,
-            avg_sim: 0.5,
-            max_sim: 0.5,
-        },
         _ => refused(),
     });
     let client = RemoteEngine::with_config(peer.addr, config()).unwrap();

@@ -92,15 +92,6 @@ fn messages() -> Vec<Message> {
         },
         Message::SearchResults { hits: vec![] },
         Message::SearchResults { hits: hits() },
-        Message::Estimate {
-            query: "mushroom soup".into(),
-            threshold: 0.25,
-        },
-        Message::Usefulness {
-            no_doc: 3,
-            avg_sim: 0.5,
-            max_sim: 0.75,
-        },
         Message::GetRepresentative,
         Message::Representative {
             snapshot: snapshot(),
@@ -276,8 +267,6 @@ const GOLDEN: &[(u8, &str)] = &[
     (3, "000000166372c3a86d65206272c3bb6cc3a96520e5afbfe58fb88000000000000000"),
     (4, "00000000"),
     (4, "000000020000000264303feccccccccccccd0000000573c3bcc39f0000000000000001"),
-    (5, "0000000d6d757368726f6f6d20736f75703fd0000000000000"),
-    (6, "00000000000000033fe00000000000003fe8000000000000"),
     (7, ""),
     (8, "0000000364627301033fc999999999999a00000004000000000000000400000000000004d2cbf29ce484222325000000030000000100000002000000030000008f53455554000000000000000400000000000004d2000000030007646174616261733fd00000000000003fb999999999999a80000000000000003fec000000000000000573c3bcc39f3fe00000000000003ff199999999999a3fa00000000000000000000000000001000571756572693fe80000000000004000cccccccccccd3fa00000000000003fec000000000000"),
     (9, "000000036462730000000000000007ffffffffffffffff0123456789abcdef0000000000000009"),
@@ -349,12 +338,16 @@ fn every_kind_encodes_to_its_golden_bytes_and_back() {
 fn the_samples_cover_every_kind() {
     let mut kinds: Vec<u8> = samples().iter().map(|s| s.1).collect();
     kinds.dedup();
-    let known: Vec<u8> = (1..=16).chain(19..=25).chain(30..=31).collect();
+    let known: Vec<u8> = (1..=4)
+        .chain(7..=16)
+        .chain(19..=25)
+        .chain(30..=31)
+        .collect();
     assert_eq!(kinds, known);
-    // The first kinds on either side of the table, and the retired
+    // The first kinds on either side of the table, and the retired 5/6,
     // 17/18, 26/27 and 28/29, are unknown, not merely malformed: a row
     // added without a sample lands here.
-    for kind in [0u8, 17, 18, 26, 27, 28, 29, 32] {
+    for kind in [0u8, 5, 6, 17, 18, 26, 27, 28, 29, 32] {
         let err = Message::decode(kind, &[]).unwrap_err();
         assert_eq!(err.kind, TransportErrorKind::Protocol);
         assert!(

@@ -595,21 +595,11 @@ impl Tracer {
         self.rate.store(rate, Ordering::Relaxed);
     }
 
-    /// The current 1-in-N sampling rate.
-    pub fn sample_rate(&self) -> u64 {
-        self.rate.load(Ordering::Relaxed)
-    }
-
     /// Sets the slow threshold; `Duration::ZERO` disables slow
     /// retention and the slow-query log.
     pub fn set_slow_threshold(&self, threshold: Duration) {
         self.slow_ns
             .store(threshold.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// The current slow threshold.
-    pub fn slow_threshold(&self) -> Duration {
-        Duration::from_nanos(self.slow_ns.load(Ordering::Relaxed))
     }
 
     /// Redirects the slow-query log from stderr to a file (append

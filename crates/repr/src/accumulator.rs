@@ -51,23 +51,6 @@ impl RepresentativeAccumulator {
         }
     }
 
-    /// Folds in a document given directly as `(TermId, weight)` pairs.
-    pub fn add_weights(
-        &mut self,
-        weights: impl IntoIterator<Item = (seu_text::TermId, f64)>,
-        raw_bytes: u64,
-    ) {
-        self.n_docs += 1;
-        self.collection_bytes += raw_bytes;
-        for (term, weight) in weights {
-            let idx = term.index();
-            if idx >= self.acc.len() {
-                self.acc.resize(idx + 1, Moments::new());
-            }
-            self.acc[idx].push(weight);
-        }
-    }
-
     /// Merges another accumulator (e.g. a parallel indexing shard). Both
     /// sides must index term ids against the same vocabulary.
     pub fn merge(&mut self, other: &RepresentativeAccumulator) {
