@@ -1,10 +1,11 @@
 //! The command implementations.
 
-use seu_core::{SubrangeEstimator, UsefulnessEstimator};
+use seu_core::{SubrangeEstimator, Usefulness, UsefulnessEstimator};
 use seu_corpus::loader;
 use seu_engine::{Collection, SearchEngine, WeightingScheme};
-use seu_metasearch::{Broker, SearchRequest, SelectionPolicy};
-use seu_repr::{FrozenSummary, QuantizedRepresentative};
+use seu_metasearch::{Broker, EngineRecord, SearchRequest, SelectionPolicy};
+use seu_net::wire::{record_from_bytes, record_to_bytes};
+use seu_repr::{QuantizedRepresentative, Representative};
 use seu_text::{Analyzer, AnalyzerConfig};
 use std::fs;
 use std::io::Write;
@@ -53,40 +54,59 @@ pub fn index(input: &Path, output: &Path, stem: bool, out: &mut dyn Write) -> Re
     .map_err(|e| io_err("writing output", e))
 }
 
-/// `seu repr`: build (optionally quantize) and persist a string-keyed
-/// representative — self-contained, so `seu estimate` needs nothing
-/// else.
+/// `seu repr`: write an engine's record — the one a remote engine
+/// ships, so `seu estimate` needs nothing else. `quantize` replaces the
+/// representative by its one-byte round trip.
 pub fn repr(
-    engine: &Path,
+    engine_path: &Path,
     output: &Path,
     quantize: bool,
     out: &mut dyn Write,
 ) -> Result<(), String> {
-    let engine = load_engine(engine)?;
-    let summary = FrozenSummary::of_collection(engine.collection());
-    let summary = if quantize {
-        // Quantize the stats through the one-byte codec, keeping the
-        // string-keyed vocabulary.
-        let q = QuantizedRepresentative::from_representative(&summary.repr).decode();
-        FrozenSummary {
-            repr: q,
-            vocab: summary.vocab,
-        }
-    } else {
-        summary
-    };
-    let bytes = summary.to_bytes();
+    let engine = load_engine(engine_path)?;
+    let mut built = Representative::build(engine.collection());
+    if quantize {
+        built = QuantizedRepresentative::from_representative(&built).decode();
+    }
+    let record = EngineRecord::of_engine(&file_stem(engine_path), &engine, built);
+    let bytes = repr_bytes(engine_path, &record)?;
     fs::write(output, &bytes).map_err(|e| io_err(&format!("writing {}", output.display()), e))?;
     writeln!(
         out,
         "representative: {} terms over {} documents -> {} ({} bytes{})",
-        summary.repr.distinct_terms(),
-        summary.repr.n_docs(),
+        record.repr.distinct_terms(),
+        record.repr.n_docs(),
         output.display(),
         bytes.len(),
         if quantize { ", one-byte quantized" } else { "" }
     )
     .map_err(|e| io_err("writing output", e))
+}
+
+/// The `.repr` bytes of the engine at `path`: its record, refused when
+/// the reader would refuse it, for terms no document weighs (tf-idf
+/// weighs a term in every document zero).
+fn repr_bytes(path: &Path, record: &EngineRecord) -> Result<Vec<u8>, String> {
+    if !record.is_consistent() {
+        return Err(format!(
+            "{}: some terms have weight zero in every document, so the engine has no record to write",
+            path.display()
+        ));
+    }
+    Ok(record_to_bytes(record))
+}
+
+/// The estimate `seu estimate` prints: the record's own analyzer and
+/// weighting build the query, as a broker's would.
+fn estimate_file(repr_path: &Path, query_text: &str, threshold: f64) -> Result<Usefulness, String> {
+    let bytes =
+        fs::read(repr_path).map_err(|e| io_err(&format!("reading {}", repr_path.display()), e))?;
+    let record = record_from_bytes(&bytes).map_err(|e| {
+        let file = repr_path.display();
+        format!("{file} is not a valid representative file: {e}")
+    })?;
+    let query = record.query_from_text(query_text);
+    Ok(SubrangeEstimator::paper_six_subrange().estimate(&record.repr, &query, threshold))
 }
 
 /// `seu estimate`: usefulness from a representative file alone
@@ -97,14 +117,7 @@ pub fn estimate(
     threshold: f64,
     out: &mut dyn Write,
 ) -> Result<(), String> {
-    let bytes =
-        fs::read(repr_path).map_err(|e| io_err(&format!("reading {}", repr_path.display()), e))?;
-    let summary = FrozenSummary::from_bytes(&bytes[..])
-        .ok_or_else(|| format!("{} is not a valid representative file", repr_path.display()))?;
-    let tokens = Analyzer::paper_default().analyze(query_text);
-    let query = summary.query_from_tokens(&tokens);
-    let est = SubrangeEstimator::paper_six_subrange();
-    let u = est.estimate(&summary.repr, &query, threshold);
+    let u = estimate_file(repr_path, query_text, threshold)?;
     writeln!(
         out,
         "estimated NoDoc {:.2} (rounded {}), AvgSim {:.3} at threshold {threshold}",
@@ -158,11 +171,7 @@ pub fn broker(
     }
     let broker = builder.build();
     for path in engines {
-        let name = path
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_else(|| path.display().to_string());
-        broker.register(&name, load_engine(path)?);
+        broker.register(&file_stem(path), load_engine(path)?);
     }
     // One pipeline execution serves estimates, selection, and hits (the
     // seed ran three passes — estimate_all, select, search — analyzing
@@ -466,6 +475,7 @@ pub fn front_door_start(
                     .fetch_snapshot()
                     .map_err(|e| format!("engine {endpoint}: {e}"))?
                     .name
+                    .clone()
             }
         };
         fd.register_engine(
@@ -707,13 +717,11 @@ pub fn refresh(
     let mut refreshed = 0usize;
     for path in engines {
         let engine = load_engine(path)?;
-        let stem = path
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_else(|| path.display().to_string());
+        let stem = file_stem(path);
         let repr_path = repr_dir.join(format!("{stem}.repr"));
-        let summary = FrozenSummary::of_collection(engine.collection());
-        let bytes = summary.to_bytes();
+        let record =
+            EngineRecord::of_engine(&stem, &engine, Representative::build(engine.collection()));
+        let bytes = repr_bytes(path, &record)?;
         if stale_only && fs::read(&repr_path).is_ok_and(|old| old[..] == bytes[..]) {
             writeln!(out, "{stem}: up to date").map_err(|e| io_err("writing output", e))?;
             continue;
@@ -723,8 +731,8 @@ pub fn refresh(
         writeln!(
             out,
             "{stem}: {} terms over {} documents -> {} ({} bytes)",
-            summary.repr.distinct_terms(),
-            summary.repr.n_docs(),
+            record.repr.distinct_terms(),
+            record.repr.n_docs(),
             repr_path.display(),
             bytes.len()
         )
@@ -802,6 +810,100 @@ mod tests {
         let msg = run_to_string(|out| estimate(&repr_file, "zebra", 0.1, out));
         assert!(msg.contains("rounded 0"), "{msg}");
 
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The `(NoDoc, AvgSim)` a command printed, as printed: the words
+    /// after `NoDoc` and `AvgSim` on its first line.
+    fn printed_estimate(msg: &str) -> (String, String) {
+        let line = msg.lines().next().unwrap_or_default();
+        let after = |label: &str| {
+            let rest = &line[line.find(label).expect(label) + label.len()..];
+            let word = rest.split_whitespace().next().unwrap_or_default();
+            word.trim_end_matches(',').to_string()
+        };
+        (after("NoDoc"), after("AvgSim"))
+    }
+
+    #[test]
+    fn estimate_from_a_stemmed_repr_matches_the_broker() {
+        let dir = tmpdir("stem");
+        let docs = dir.join("docs");
+        fs::create_dir_all(&docs).unwrap();
+        fs::write(docs.join("a.txt"), "relational databases and query plans").unwrap();
+        fs::write(docs.join("b.txt"), "distributed database systems").unwrap();
+        let engine_file = dir.join("dbs.bin");
+        run_to_string(|out| index(&docs, &engine_file, true, out));
+
+        let from_broker = run_to_string(|out| {
+            broker(
+                std::slice::from_ref(&engine_file),
+                "databases",
+                0.1,
+                1,
+                true,
+                out,
+            )
+        });
+        assert_eq!(printed_estimate(&from_broker).0, "2.00", "{from_broker}");
+        for quantize in [false, true] {
+            let repr_file = dir.join(format!("dbs-{quantize}.repr"));
+            run_to_string(|out| repr(&engine_file, &repr_file, quantize, out));
+            let from_file = run_to_string(|out| estimate(&repr_file, "databases", 0.1, out));
+            assert_eq!(
+                printed_estimate(&from_file),
+                printed_estimate(&from_broker),
+                "quantize {quantize}: {from_file} against {from_broker}"
+            );
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn repr_refuses_an_engine_with_terms_no_document_weighs() {
+        let dir = tmpdir("unweighed");
+        // tf-idf weighs `soup`, in every document, zero.
+        let mut b = seu_engine::CollectionBuilder::new(
+            Analyzer::paper_default(),
+            WeightingScheme::CosineTfIdf,
+        );
+        b.add_document("d0", "mushroom soup");
+        b.add_document("d1", "tomato soup");
+        let engine_file = dir.join("tfidf.bin");
+        fs::write(&engine_file, b.build().to_bytes()).unwrap();
+        let repr_file = dir.join("tfidf.repr");
+        let err = repr(&engine_file, &repr_file, false, &mut Vec::new()).unwrap_err();
+        assert!(err.contains("weight zero in every document"), "{err}");
+        assert!(!repr_file.exists());
+        let engines = [engine_file];
+        let err = refresh(&engines, &dir.join("reprs"), false, &mut Vec::new()).unwrap_err();
+        assert!(err.contains("weight zero in every document"), "{err}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_unquantized_repr_estimates_bit_identically_to_the_broker() {
+        let dir = tmpdir("exact");
+        let docs = dir.join("docs");
+        fs::create_dir_all(&docs).unwrap();
+        fs::write(docs.join("a.txt"), "relational databases and query plans").unwrap();
+        fs::write(docs.join("b.txt"), "distributed database systems").unwrap();
+        fs::write(docs.join("c.txt"), "querying distributed systems at scale").unwrap();
+        let engine_file = dir.join("dbs.bin");
+        run_to_string(|out| index(&docs, &engine_file, true, out));
+        let repr_file = dir.join("dbs.repr");
+        run_to_string(|out| repr(&engine_file, &repr_file, false, out));
+
+        let broker = Broker::new(SubrangeEstimator::paper_six_subrange());
+        broker.register("dbs", load_engine(&engine_file).unwrap());
+        let bits = |u: Usefulness| (u.no_doc.to_bits(), u.avg_sim.to_bits());
+        for query in ["databases", "distributed query systems", "zebra", ""] {
+            for threshold in [0.0, 0.1, 0.4] {
+                let served = broker.estimate_all(query, threshold)[0].usefulness;
+                let from_file = estimate_file(&repr_file, query, threshold).unwrap();
+                assert_eq!(bits(from_file), bits(served), "{query:?} at {threshold}");
+            }
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -124,7 +124,11 @@ impl Collection {
     /// a truncated, extended, corrupt, or version-mismatched buffer.
     /// Every count is capped by the rows the remaining bytes could hold
     /// before anything is reserved, so a count that lies cannot drive an
-    /// allocation.
+    /// allocation. A term's document frequency must lie between the
+    /// number of documents listing it and the number of documents, and
+    /// be at least one: a term no document counts is refused. (A
+    /// document may count a term and not list it: tf-idf gives a term in
+    /// every document weight zero, and zero weights are not stored.)
     pub fn from_bytes(bytes: impl AsRef<[u8]>) -> Option<Collection> {
         let buf = &mut bytes.as_ref();
         if u32::get(buf)? != MAGIC || u16::get(buf)? != VERSION {
@@ -153,6 +157,7 @@ impl Collection {
 
         let n_docs = u32::get(buf)? as usize;
         let mut docs = Vec::with_capacity(n_docs.min(buf.len() / MIN_DOC_BYTES));
+        let mut listed = vec![0u32; n_terms];
         for _ in 0..n_docs {
             let name = get_str(buf)?;
             let norm = f64::get(buf)?;
@@ -168,6 +173,7 @@ impl Collection {
                 if t as usize >= n_terms {
                     return None;
                 }
+                listed[t as usize] += 1;
                 terms.push((TermId(t), w));
             }
             docs.push(Document {
@@ -178,6 +184,10 @@ impl Collection {
             });
         }
         if !buf.is_empty() {
+            return None;
+        }
+        let counted = |(&df, &n): (&u32, &u32)| n <= df && df >= 1 && df as usize <= n_docs;
+        if !doc_freq.iter().zip(&listed).all(counted) {
             return None;
         }
         Some(Collection::from_stored_parts(

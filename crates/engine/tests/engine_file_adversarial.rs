@@ -68,6 +68,51 @@ fn a_non_finite_pivoted_slope_is_refused() {
     }
 }
 
+/// The bytes of a vocabulary of one term, `x`, whose document frequency
+/// is `doc_freq`, over no documents.
+fn one_term_no_documents(doc_freq: u32) -> Vec<u8> {
+    let mut bytes = file(&[], WeightingScheme::CosineTf)[..HEADER].to_vec();
+    bytes.extend_from_slice(&1u32.to_be_bytes());
+    bytes.extend_from_slice(&1u16.to_be_bytes());
+    bytes.push(b'x');
+    bytes.extend_from_slice(&doc_freq.to_be_bytes());
+    bytes.extend_from_slice(&0u32.to_be_bytes());
+    bytes
+}
+
+#[test]
+fn a_term_no_document_counts_is_refused() {
+    for df in [0, 1] {
+        let bytes = one_term_no_documents(df);
+        assert!(
+            Collection::from_bytes(&bytes[..]).is_none(),
+            "doc_freq {df}"
+        );
+    }
+    // One document, one term: the term's document frequency follows the
+    // term count and the term's name.
+    let bytes = file(&["alpha"], WeightingScheme::CosineTf);
+    assert!(Collection::from_bytes(&bytes[..]).is_some());
+    let name_len = u16::from_be_bytes([bytes[HEADER + 4], bytes[HEADER + 5]]) as usize;
+    let at = HEADER + 4 + 2 + name_len;
+    for df in [0, 2] {
+        let mut bad = bytes.clone();
+        set_u32(&mut bad, at, df);
+        assert!(Collection::from_bytes(&bad[..]).is_none(), "doc_freq {df}");
+    }
+}
+
+#[test]
+fn a_tf_idf_term_in_every_document_still_loads() {
+    // tf-idf weighs `alpha` zero, so no document lists it, yet both
+    // count it.
+    let bytes = file(&["alpha beta", "alpha"], WeightingScheme::CosineTfIdf);
+    let c = Collection::from_bytes(&bytes[..]).expect("a built collection loads");
+    let alpha = c.vocab().get("alpha").expect("alpha is a term");
+    assert_eq!(c.doc_freq(alpha), 2);
+    assert!(c.docs().iter().all(|d| d.weight(alpha) == 0.0));
+}
+
 /// The input classes a truncated or overwritten file falls into: every
 /// strict prefix of a valid file (the header's own last bytes among
 /// them), the file with one byte more, and runs of `0xFF`. Each loads as

@@ -20,7 +20,7 @@ use crate::persist::StoreHandle;
 use crate::registry::{
     Change, EngineHandle, EngineStatus, RegisteredEngine, RegistrySnapshot, ShardedRegistry,
 };
-use crate::remote::{EngineSnapshot, RemoteTransport, TransportError, TransportErrorKind};
+use crate::remote::{check_consistent, RemoteTransport, TransportError, TransportErrorKind};
 use crate::request::SearchRequest;
 use parking_lot::RwLock;
 use seu_core::{Usefulness, UsefulnessEstimator};
@@ -312,8 +312,8 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
 
     /// Registers an engine. Its representative is built from its
     /// collection on the spot, and the collection's fingerprint is
-    /// recorded beside it. An engine in another process ships an
-    /// [`EngineSnapshot`] instead: see [`Broker::register_remote`] and
+    /// recorded beside it. An engine in another process ships its
+    /// [`EngineRecord`] instead: see [`Broker::register_remote`] and
     /// [`Broker::install_snapshot`]. Those are the only two ways a
     /// representative comes in.
     pub fn register(&self, name: &str, engine: SearchEngine) {
@@ -337,20 +337,19 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         self.purge_cache();
     }
 
-    /// Registration from a shipped snapshot (fetched over a transport or
+    /// Registration from a shipped record (fetched over a transport or
     /// pushed by a front-door): refuses an inconsistent one, then
-    /// installs the snapshot's record. `handle` receives the record, and
-    /// a remote or detached handle ends up with the installed one.
+    /// installs it. `handle` receives the record, and a remote or
+    /// detached handle ends up with the installed one.
     fn install_from_snapshot(
         &self,
-        snapshot: EngineSnapshot,
+        record: Arc<EngineRecord>,
         terms_fingerprint: Option<Fingerprint>,
         handle: impl FnOnce(Arc<EngineRecord>) -> EngineHandle,
     ) -> Result<String, TransportError> {
-        snapshot.check_consistent()?;
-        let name = snapshot.name.clone();
+        check_consistent(&record)?;
+        let name = record.name.clone();
         self.registry.insert(&name, |seq| {
-            let record = Arc::new(snapshot.into_record());
             let mut e = RegisteredEngine::new(&name, seq, handle(record.clone()));
             e.install_record(&mut self.vocab.write(), record, self.store.as_deref());
             e.terms_fingerprint = terms_fingerprint;
@@ -361,7 +360,7 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
     }
 
     /// Registers an engine that lives in another process, reached through
-    /// `transport`: fetches its [`EngineSnapshot`](crate::EngineSnapshot)
+    /// `transport`: fetches its [`EngineRecord`]
     /// (name, analyzer configuration, weighting statistics, fingerprint,
     /// and its representative + vocabulary at full precision), folds its
     /// vocabulary into the broker-global term space, and registers it
@@ -371,7 +370,7 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
     /// over the transport.
     ///
     /// Returns the engine's advertised name, or the [`TransportError`]
-    /// if the snapshot could not be fetched or was inconsistent.
+    /// if the record could not be fetched or was inconsistent.
     pub fn register_remote(
         &self,
         transport: Arc<dyn RemoteTransport>,
@@ -380,12 +379,12 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         self.register_fetched(transport, snapshot)
     }
 
-    /// [`Broker::register_remote`] with the transport's snapshot already
+    /// [`Broker::register_remote`] with the transport's record already
     /// fetched (a replica install checks its name first).
     pub(crate) fn register_fetched(
         &self,
         transport: Arc<dyn RemoteTransport>,
-        snapshot: EngineSnapshot,
+        snapshot: Arc<EngineRecord>,
     ) -> Result<String, TransportError> {
         self.install_from_snapshot(snapshot, None, |record| EngineHandle::Remote {
             transport,
@@ -393,9 +392,9 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         })
     }
 
-    /// Installs an engine from a shipped [`EngineSnapshot`] — the
+    /// Installs an engine from a shipped [`EngineRecord`] — the
     /// federation rebalance path, where a moved engine hydrates on this
-    /// broker from the snapshot alone instead of re-registering against
+    /// broker from the record alone instead of re-registering against
     /// the original collection. With a live `engine` handle (an
     /// in-process source shared across replicas) the entry dispatches
     /// immediately; with only an `endpoint` it is registered detached —
@@ -404,11 +403,11 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
     /// live remote once a transport dials the endpoint.
     pub fn install_snapshot(
         &self,
-        snapshot: EngineSnapshot,
+        snapshot: Arc<EngineRecord>,
         engine: Option<Arc<SearchEngine>>,
         endpoint: Option<String>,
     ) -> Result<String, TransportError> {
-        // The snapshot's vocabulary is id-aligned with the source
+        // The record's vocabulary is id-aligned with the source
         // collection, so when the live engine *is* that collection the
         // term list is valid for it and planning may trust it.
         let terms_fingerprint = engine
@@ -434,18 +433,21 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         removed
     }
 
-    /// Exports an engine's [`EngineSnapshot`] for shipping to another
-    /// broker (the federation rebalance path). Local engines snapshot
+    /// Exports an engine's [`EngineRecord`] for shipping to another
+    /// broker (the federation rebalance path). Local engines summarize
     /// their collection, remote engines refetch over their transport,
     /// and detached entries refuse — there is nothing live to export
     /// from.
-    pub fn export_snapshot(&self, name: &str) -> Result<EngineSnapshot, TransportError> {
+    pub fn export_snapshot(&self, name: &str) -> Result<Arc<EngineRecord>, TransportError> {
         match self.registry.get(name, |e| e.handle.clone()) {
             None => Err(TransportError::new(
                 TransportErrorKind::Protocol,
                 format!("unknown engine {name:?}"),
             )),
-            Some(EngineHandle::Local(engine)) => Ok(EngineSnapshot::of_engine(name, &engine)),
+            Some(EngineHandle::Local(engine)) => {
+                let repr = Representative::build(engine.collection());
+                Ok(Arc::new(EngineRecord::of_engine(name, &engine, repr)))
+            }
             Some(EngineHandle::Remote { transport, .. }) => transport.fetch_snapshot(),
             Some(EngineHandle::Detached { .. }) => Err(TransportError::new(
                 TransportErrorKind::Refused,

@@ -470,7 +470,7 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EngineSnapshot, SearchEngine};
+    use crate::{EngineRecord, Representative, SearchEngine};
     use seu_core::SubrangeEstimator;
     use seu_engine::{CollectionBuilder, TrueUsefulness, WeightingScheme};
     use seu_text::Analyzer;
@@ -482,6 +482,11 @@ mod tests {
             b.add_document(&format!("doc{i}"), t);
         }
         SearchEngine::new(b.build())
+    }
+
+    fn record_of(name: &str, engine: &SearchEngine) -> Arc<EngineRecord> {
+        let repr = Representative::build(engine.collection());
+        Arc::new(EngineRecord::of_engine(name, engine, repr))
     }
 
     fn broker() -> Broker<SubrangeEstimator> {
@@ -708,7 +713,7 @@ mod tests {
         // A detached engine refuses dispatch: the response is incomplete
         // and must not be kept. (Installing it moved the epoch, which
         // purged the three entries above.)
-        let ghost = EngineSnapshot::of_engine("ghost", &engine_from(&["ghost databases"]));
+        let ghost = record_of("ghost", &engine_from(&["ghost databases"]));
         b.install_snapshot(ghost, None, Some("nowhere:0".into()))
             .unwrap();
         for misses in [4, 5] {
@@ -737,7 +742,7 @@ mod tests {
 
     /// A transport that can only block: `search` answers one hit.
     #[derive(Debug)]
-    struct Blocking(EngineSnapshot);
+    struct Blocking(Arc<EngineRecord>);
 
     impl crate::RemoteTransport for Blocking {
         fn endpoint(&self) -> String {
@@ -758,7 +763,7 @@ mod tests {
             unreachable!("dispatch never asks the oracle")
         }
 
-        fn fetch_snapshot(&self) -> Result<EngineSnapshot, TransportError> {
+        fn fetch_snapshot(&self) -> Result<Arc<EngineRecord>, TransportError> {
             Ok(self.0.clone())
         }
     }
@@ -767,7 +772,7 @@ mod tests {
     fn a_blocking_transport_answers_on_the_caller_beside_a_detached_engine() {
         use {DispatchOutcome::*, TransportErrorKind::Refused};
         let b = broker();
-        let snapshot = |name| EngineSnapshot::of_engine(name, &engine_from(&["databases"]));
+        let snapshot = |name| record_of(name, &engine_from(&["databases"]));
         b.register_remote(Arc::new(Blocking(snapshot("blocking"))))
             .unwrap();
         b.install_snapshot(snapshot("ghost"), None, Some("nowhere:0".into()))

@@ -12,8 +12,8 @@
 //! - [`health`] — the injectable [`Clock`] and per-replica
 //!   [`CircuitBreaker`] (closed/open/half-open).
 //! - [`rebalance`] — pure placement diffs and the rebalance report
-//!   types; joins and leaves ship `FrozenSummary` snapshots so moved
-//!   engines hydrate without re-registration.
+//!   types; joins and leaves ship engine records so moved engines
+//!   hydrate without re-registration.
 //! - [`router`] — the [`FrontDoor`] itself, the [`ReplicaClient`]
 //!   trait, and the in-process [`LocalReplica`] the conformance suite
 //!   runs against.

@@ -6,7 +6,7 @@
 //! engine: the first `replication` candidates on its chain. The
 //! rebalance planner compares that desired set with the recorded
 //! current holders and emits per-engine diffs; the front-door executes
-//! each diff by shipping the engine's `FrozenSummary` snapshot to new
+//! each diff by shipping the engine's record to new
 //! holders (exported from a live current holder over the frame
 //! protocol, so the moved engine hydrates without re-registration) and
 //! then removing it from former holders — installs strictly before

@@ -46,7 +46,7 @@ use crate::federation::placement::{Ring, DEFAULT_VNODES};
 use crate::federation::rebalance::{diff_placement, Move, RebalanceReport};
 use crate::merge::merge_results;
 use crate::registry::{EngineStatus, RegistrySnapshot};
-use crate::remote::{EngineSnapshot, Pending, RemoteTransport, TransportError, TransportErrorKind};
+use crate::remote::{Pending, RemoteTransport, TransportError, TransportErrorKind};
 use crate::request::{
     DispatchOutcome, EngineDispatchStats, SearchRequest, SearchResponse, StaleMode,
 };
@@ -54,6 +54,8 @@ use crate::selection::SelectionPolicy;
 use parking_lot::RwLock;
 use seu_core::{Usefulness, UsefulnessEstimator};
 use seu_engine::SearchEngine;
+use seu_repr::Representative;
+use seu_store::EngineRecord;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -102,8 +104,8 @@ pub struct InstallSpec {
     pub name: String,
     /// Live search capability, when the front-door has one on record.
     pub source: Option<EngineSource>,
-    /// The engine's planning snapshot, when shipped (rebalance).
-    pub snapshot: Option<EngineSnapshot>,
+    /// The engine's record, when shipped (rebalance).
+    pub snapshot: Option<Arc<EngineRecord>>,
 }
 
 /// What a replica returns for a subset search: its merged hits above
@@ -249,9 +251,8 @@ pub trait ReplicaClient: Send + Sync {
     fn install(&self, spec: &InstallSpec) -> Result<(), TransportError>;
     /// Removes an engine; `Ok(false)` when the name was unknown.
     fn remove_engine(&self, name: &str) -> Result<bool, TransportError>;
-    /// Exports an engine's planning snapshot (for shipping to another
-    /// replica).
-    fn export_engine(&self, name: &str) -> Result<EngineSnapshot, TransportError>;
+    /// Exports an engine's record (for shipping to another replica).
+    fn export_engine(&self, name: &str) -> Result<Arc<EngineRecord>, TransportError>;
 }
 
 /// A [`ReplicaClient`] over an in-process [`Broker`] — the loopback of
@@ -494,7 +495,7 @@ impl<E: UsefulnessEstimator + Send + Sync + 'static> ReplicaClient for LocalRepl
         Ok(self.broker.deregister(name))
     }
 
-    fn export_engine(&self, name: &str) -> Result<EngineSnapshot, TransportError> {
+    fn export_engine(&self, name: &str) -> Result<Arc<EngineRecord>, TransportError> {
         self.broker.export_snapshot(name)
     }
 }
@@ -528,7 +529,8 @@ struct ReplicaEntry {
     breaker: Arc<CircuitBreaker>,
 }
 
-struct EngineRecord {
+/// Where the front door placed one engine.
+struct Placement {
     name: String,
     source: Option<EngineSource>,
     /// Replica ids currently holding the engine, candidate order
@@ -542,7 +544,7 @@ struct ClusterState {
     /// Global registration order — the order selection tie-breaks and
     /// estimate vectors are presented in, exactly like a single
     /// broker's registry sequence.
-    engines: Vec<EngineRecord>,
+    engines: Vec<Placement>,
     /// Bumped on every membership or placement change (the federated
     /// analogue of the registry epoch, surfaced in `/healthz`).
     version: u64,
@@ -745,7 +747,7 @@ impl FrontDoor {
                 first_error.unwrap_or_else(|| protocol_error("no candidate accepted the engine"))
             );
         }
-        state.engines.push(EngineRecord {
+        state.engines.push(Placement {
             name: name.to_string(),
             source: Some(source),
             holders,
@@ -770,15 +772,15 @@ impl FrontDoor {
             state.replicas.iter().map(|r| (r.id.as_str(), r)).collect();
         let replication = self.config.replication.max(1);
         let mut changed = false;
-        for record in &mut state.engines {
+        for placement in &mut state.engines {
             let desired: Vec<String> = state
                 .ring
-                .candidates(&record.name)
+                .candidates(&placement.name)
                 .into_iter()
                 .take(replication)
                 .map(String::from)
                 .collect();
-            let Some(diff) = diff_placement(&record.name, &record.holders, &desired) else {
+            let Some(diff) = diff_placement(&placement.name, &placement.holders, &desired) else {
                 continue;
             };
             // One snapshot export covers every new holder: prefer a
@@ -789,18 +791,20 @@ impl FrontDoor {
             let snapshot = if diff.install.is_empty() {
                 None
             } else {
-                record
+                placement
                     .holders
                     .iter()
                     .find_map(|h| {
                         let entry = clients.get(h.as_str())?;
-                        let snap = entry.client.export_engine(&record.name).ok()?;
+                        let snap = entry.client.export_engine(&placement.name).ok()?;
                         shipped_from = Some(h.clone());
                         Some(snap)
                     })
-                    .or_else(|| match &record.source {
+                    .or_else(|| match &placement.source {
                         Some(EngineSource::Local(engine)) => {
-                            Some(EngineSnapshot::of_engine(&record.name, engine))
+                            let repr = Representative::build(engine.collection());
+                            let shipped = EngineRecord::of_engine(&placement.name, engine, repr);
+                            Some(Arc::new(shipped))
                         }
                         _ => None,
                     })
@@ -811,22 +815,22 @@ impl FrontDoor {
                     continue;
                 };
                 let spec = InstallSpec {
-                    name: record.name.clone(),
-                    source: record.source.clone(),
+                    name: placement.name.clone(),
+                    source: placement.source.clone(),
                     snapshot: snapshot.clone(),
                 };
                 match entry.client.install(&spec) {
                     Ok(()) => {
                         metrics().rebalance_moves.inc();
                         report.moves.push(Move {
-                            engine: record.name.clone(),
+                            engine: placement.name.clone(),
                             from: shipped_from.clone(),
                             to: (*to).clone(),
                             shipped_snapshot: snapshot.is_some(),
                         });
                         installed.push((*to).clone());
                     }
-                    Err(e) => report.errors.push((record.name.clone(), e)),
+                    Err(e) => report.errors.push((placement.name.clone(), e)),
                 }
             }
             // New holders are live; now drop the former ones.
@@ -834,14 +838,14 @@ impl FrontDoor {
                 let Some(entry) = clients.get(from.as_str()) else {
                     continue;
                 };
-                match entry.client.remove_engine(&record.name) {
-                    Ok(_) => report.removals.push((record.name.clone(), from.clone())),
-                    Err(e) => report.errors.push((record.name.clone(), e)),
+                match entry.client.remove_engine(&placement.name) {
+                    Ok(_) => report.removals.push((placement.name.clone(), from.clone())),
+                    Err(e) => report.errors.push((placement.name.clone(), e)),
                 }
             }
-            record.holders = desired
+            placement.holders = desired
                 .into_iter()
-                .filter(|d| record.holders.contains(d) || installed.contains(d))
+                .filter(|d| placement.holders.contains(d) || installed.contains(d))
                 .collect();
             changed = true;
         }

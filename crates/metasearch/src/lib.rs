@@ -70,8 +70,7 @@ pub use merge::merge_results;
 pub use plan::{PlannedEngine, QueryPlan, SharedAnalysis};
 pub use registry::{shard_for, EngineStatus, RegistrySnapshot, StalePlanError};
 pub use remote::{
-    EngineSnapshot, Pending, RemoteHit, RemoteTransport, SearchReply, TransportError,
-    TransportErrorKind,
+    Pending, RemoteHit, RemoteTransport, SearchReply, TransportError, TransportErrorKind,
 };
 pub use request::{DispatchOutcome, EngineDispatchStats, SearchRequest, SearchResponse, StaleMode};
 pub use selection::SelectionPolicy;
@@ -81,5 +80,6 @@ pub use seu_core::{Usefulness, UsefulnessEstimator};
 pub use seu_engine::SearchEngine;
 pub use seu_repr::Representative;
 pub use seu_store::{
-    open_tiered, EntryKind, Manifest, ManifestEntry, ReprStore, StoreError, StoreErrorKind,
+    open_tiered, EngineRecord, EntryKind, Manifest, ManifestEntry, ReprStore, StoreError,
+    StoreErrorKind,
 };

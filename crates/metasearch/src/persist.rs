@@ -14,9 +14,9 @@
 //! bit-identical to those a restored broker computes after decoding
 //! the very same bytes from disk. Even when a write fails, the broker
 //! still installs the in-memory round-trip so its behaviour does not
-//! depend on disk health. Every record reaching the codec is aligned:
-//! it was built from a collection, or from a snapshot that passed
-//! `EngineSnapshot::check_consistent`.
+//! depend on disk health. Every record reaching the codec is
+//! consistent: it was built from a collection, or shipped and checked
+//! by `EngineRecord::is_consistent`.
 //!
 //! Hydration is the third installer: a cold entry has no term list and
 //! therefore no postings, `hydrate_entry` fills the list in from the
@@ -35,7 +35,7 @@
 
 use crate::broker::{metrics, Broker};
 use crate::registry::{global_ids, Change, ColdEntry, EngineHandle, RegisteredEngine};
-use crate::remote::{EngineSnapshot, RemoteTransport, TransportError};
+use crate::remote::{RemoteTransport, TransportError};
 use parking_lot::{Mutex, RwLock};
 use seu_core::UsefulnessEstimator;
 use seu_engine::{Fingerprint, SearchEngine};
@@ -116,32 +116,11 @@ impl StoreHandle {
 pub(crate) fn canonical(
     store: Option<&StoreHandle>,
     repr: Representative,
-    record: impl FnOnce(&Representative) -> EngineRecord,
+    record: impl FnOnce(Representative) -> EngineRecord,
 ) -> Arc<Representative> {
     match store {
-        Some(store) => store.canonicalize(&record(&repr)).repr.clone(),
+        Some(store) => store.canonicalize(&record(repr)).repr.clone(),
         None => Arc::new(repr),
-    }
-}
-
-/// Builds the storable record for a local engine's representative.
-/// The vocabulary and document frequencies are written in collection
-/// term-id order, so the decoded representative is id-aligned with the
-/// collection that produced it.
-pub(crate) fn record_for_local(
-    name: &str,
-    engine: &SearchEngine,
-    repr: &Representative,
-) -> EngineRecord {
-    let c = engine.collection();
-    EngineRecord {
-        name: name.to_string(),
-        analyzer: c.analyzer_config(),
-        scheme: c.scheme(),
-        fingerprint: engine.fingerprint(),
-        doc_freq: Arc::new(c.vocab().iter().map(|(id, _)| c.doc_freq(id)).collect()),
-        vocab: Arc::new(c.vocab().clone()),
-        repr: Arc::new(repr.clone()),
     }
 }
 
@@ -342,12 +321,12 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         self.attach_fetched(transport, snapshot)
     }
 
-    /// [`Broker::attach_remote`] with the transport's snapshot already
+    /// [`Broker::attach_remote`] with the transport's record already
     /// fetched (a replica install checks its name first).
     pub(crate) fn attach_fetched(
         &self,
         transport: Arc<dyn RemoteTransport>,
-        snapshot: EngineSnapshot,
+        snapshot: Arc<EngineRecord>,
     ) -> Result<bool, TransportError> {
         let name = snapshot.name.clone();
         self.update(&name, |e| {

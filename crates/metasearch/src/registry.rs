@@ -20,8 +20,9 @@
 //!   [`StalePlanError`] under [`StaleMode::Error`](crate::StaleMode)).
 //!
 //! A representative comes in two ways: built from the engine's own
-//! collection, or taken from an [`EngineSnapshot`] that has passed its
-//! consistency check. Either way the entry records a full fingerprint.
+//! collection, or taken from a shipped [`EngineRecord`] that has passed
+//! its consistency check. Either way the entry records a full
+//! fingerprint.
 //!
 //! The headline invariant: **any** path that changes a representative
 //! re-posts the engine's terms. The three installers
@@ -80,9 +81,9 @@
 //! is what makes a sharded broker bit-identical to a flat one.
 
 use crate::federation::hash_key;
-use crate::persist::{canonical, record_for_local, StoreHandle};
+use crate::persist::{canonical, StoreHandle};
 use crate::postings::{Posting, TermIndex};
-use crate::remote::{EngineSnapshot, RemoteTransport, TransportError, TransportErrorKind};
+use crate::remote::{check_consistent, RemoteTransport, TransportError, TransportErrorKind};
 use parking_lot::RwLock;
 use seu_engine::{Fingerprint, SearchEngine, WeightingScheme};
 use seu_repr::Representative;
@@ -902,23 +903,23 @@ impl RegisteredEngine {
         }
     }
 
-    /// Installs a fetched remote snapshot, or marks the entry stale and
-    /// refuses if the snapshot is inconsistent.
+    /// Installs a fetched remote record, or marks the entry stale and
+    /// refuses if the record is inconsistent.
     pub(crate) fn install_remote(
         &mut self,
         global_vocab: &mut Vocabulary,
-        snapshot: EngineSnapshot,
+        record: Arc<EngineRecord>,
         store: Option<&StoreHandle>,
     ) -> Result<(), TransportError> {
-        if let Err(e) = snapshot.check_consistent() {
+        if let Err(e) = check_consistent(&record) {
             self.pending_invalidation = true;
             return Err(e);
         }
-        self.install_record(global_vocab, Arc::new(snapshot.into_record()), store);
+        self.install_record(global_vocab, record, store);
         Ok(())
     }
 
-    /// The installer for an engine known by its snapshot, which the
+    /// The installer for an engine known by its record, which the
     /// caller has checked consistent: term list, (canonical)
     /// representative, record and fingerprint move together, all from
     /// `record`. A remote or detached handle takes the installed record.
@@ -962,7 +963,7 @@ impl RegisteredEngine {
             .local()
             .expect("install targets local engines; remote entries use install_remote")
             .clone();
-        let record = |repr: &Representative| record_for_local(&self.name, &engine, repr);
+        let record = |repr| EngineRecord::of_engine(&self.name, &engine, repr);
         self.repr = canonical(store, repr, record);
         self.terms = global_ids(global_vocab, engine.collection().vocab());
         self.terms_fingerprint = Some(engine.fingerprint());

@@ -15,7 +15,7 @@
 //!   it asks all of a plan's remote engines before it waits for any; a
 //!   transport that can only block answers at the begin;
 //! * **true usefulness** — the oracle call the evaluation layer uses;
-//! * **snapshot** — the engine's [`EngineSnapshot`]: its representative
+//! * **snapshot** — the engine's [`EngineRecord`]: its representative
 //!   (at full f64 precision), vocabulary, and the three statistics query
 //!   weighting consumes (scheme, document count, document frequencies).
 //!   From these the broker forms per-engine query vectors and estimates
@@ -39,10 +39,8 @@
 //! failure capture of [`SearchResponse`](crate::SearchResponse) instead
 //! of failing the query.
 
-use seu_engine::{Fingerprint, TrueUsefulness, WeightingScheme};
-use seu_repr::FrozenSummary;
+use seu_engine::TrueUsefulness;
 use seu_store::EngineRecord;
-use seu_text::AnalyzerConfig;
 use std::sync::Arc;
 
 /// Why a remote engine call failed.
@@ -116,89 +114,16 @@ pub struct RemoteHit {
     pub sim: f64,
 }
 
-/// Everything the broker needs to plan for an engine it cannot touch:
-/// the representative and vocabulary (for estimates and term mapping)
-/// plus the query-weighting statistics and analyzer configuration (for
-/// byte-identical query vectors).
-#[derive(Debug, Clone)]
-pub struct EngineSnapshot {
-    /// The engine's advertised name.
-    pub name: String,
-    /// Analyzer configuration its documents were built with.
-    pub analyzer: AnalyzerConfig,
-    /// Weighting scheme of its collection.
-    pub scheme: WeightingScheme,
-    /// Number of documents in its collection.
-    pub n_docs: u32,
-    /// Per-term document frequency, indexed by the vocabulary's term id.
-    pub doc_freq: Vec<u32>,
-    /// Content fingerprint of the collection the snapshot describes.
-    pub fingerprint: Fingerprint,
-    /// The representative + vocabulary pair, id-aligned with `doc_freq`.
-    pub summary: FrozenSummary,
-}
-
-impl EngineSnapshot {
-    /// Builds the snapshot an engine server ships for a local engine. Its
-    /// summary is [`FrozenSummary::of_collection`], id-aligned with the
-    /// collection, so term ids, and therefore query vectors, match the
-    /// in-process registration path exactly.
-    pub fn of_engine(name: &str, engine: &seu_engine::SearchEngine) -> EngineSnapshot {
-        let c = engine.collection();
-        EngineSnapshot {
-            name: name.to_string(),
-            analyzer: c.analyzer_config(),
-            scheme: c.scheme(),
-            n_docs: c.len() as u32,
-            doc_freq: c.vocab().iter().map(|(id, _)| c.doc_freq(id)).collect(),
-            fingerprint: engine.fingerprint(),
-            summary: FrozenSummary::of_collection(c),
-        }
+/// The typed refusal of a record that is not
+/// [consistent](EngineRecord::is_consistent): no broker installs one.
+pub(crate) fn check_consistent(record: &EngineRecord) -> Result<(), TransportError> {
+    if record.is_consistent() {
+        return Ok(());
     }
-
-    /// Whether the snapshot is internally consistent: `doc_freq` and the
-    /// representative's table each have exactly one row per term of the
-    /// vocabulary, every term occurs, and `n_docs`, the fingerprint and
-    /// the representative count the same documents. A broker installs
-    /// only such a snapshot, so a store's codec never meets misaligned
-    /// rows, and the engine plans alike live and restored from a store
-    /// (where its record has only the fingerprint's count).
-    pub fn is_consistent(&self) -> bool {
-        let terms = self.summary.vocab.len();
-        let n_docs = self.fingerprint.n_docs;
-        self.doc_freq.len() == terms
-            && self.summary.repr.table_len() == terms
-            && self.summary.repr.distinct_terms() == terms
-            && u64::from(self.n_docs) == n_docs
-            && self.summary.repr.n_docs() == n_docs
-    }
-
-    /// The record the broker plans with, made by moving the snapshot's
-    /// fields: its `n_docs` is the fingerprint's, which a
-    /// [consistent](Self::is_consistent) snapshot shares.
-    pub fn into_record(self) -> EngineRecord {
-        EngineRecord {
-            name: self.name,
-            analyzer: self.analyzer,
-            scheme: self.scheme,
-            fingerprint: self.fingerprint,
-            doc_freq: Arc::new(self.doc_freq),
-            vocab: Arc::new(self.summary.vocab),
-            repr: Arc::new(self.summary.repr),
-        }
-    }
-
-    /// The typed refusal for a snapshot that is not
-    /// [consistent](Self::is_consistent).
-    pub(crate) fn check_consistent(&self) -> Result<(), TransportError> {
-        if self.is_consistent() {
-            return Ok(());
-        }
-        Err(TransportError::new(
-            TransportErrorKind::Protocol,
-            format!("engine {:?} shipped an inconsistent snapshot", self.name),
-        ))
-    }
+    Err(TransportError::new(
+        TransportErrorKind::Protocol,
+        format!("engine {:?} shipped an inconsistent record", record.name),
+    ))
 }
 
 /// A call between its two halves: asked, not yet answered. Whoever has
@@ -306,15 +231,16 @@ pub trait RemoteTransport: Send + Sync + std::fmt::Debug {
             .collect()
     }
 
-    /// Fetches the engine's current snapshot (representative, vocabulary,
+    /// Fetches the engine's current record (representative, vocabulary,
     /// weighting statistics).
-    fn fetch_snapshot(&self) -> Result<EngineSnapshot, TransportError>;
+    fn fetch_snapshot(&self) -> Result<Arc<EngineRecord>, TransportError>;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seu_engine::{CollectionBuilder, SearchEngine};
+    use seu_engine::{CollectionBuilder, SearchEngine, WeightingScheme};
+    use seu_repr::Representative;
     use seu_text::{Analyzer, TermId};
 
     fn engine(texts: &[&str]) -> SearchEngine {
@@ -325,16 +251,15 @@ mod tests {
         SearchEngine::new(b.build())
     }
 
-    fn snapshot_of(name: &str, e: &SearchEngine) -> EngineSnapshot {
-        EngineSnapshot::of_engine(name, e)
+    fn record_of(name: &str, e: &SearchEngine) -> EngineRecord {
+        EngineRecord::of_engine(name, e, Representative::build(e.collection()))
     }
 
     #[test]
     fn record_query_matches_collection_query() {
         let e = engine(&["apple banana apple", "banana cherry", "durian apple"]);
-        let snapshot = snapshot_of("fruits", &e);
-        assert!(snapshot.is_consistent());
-        let record = snapshot.into_record();
+        let record = record_of("fruits", &e);
+        assert!(record.is_consistent());
 
         for text in ["apple", "apple banana cherry", "zebra", ""] {
             let local = e.collection().query_from_text(text);
@@ -355,18 +280,18 @@ mod tests {
     }
 
     #[test]
-    fn inconsistent_snapshot_is_detected() {
+    fn inconsistent_record_is_detected() {
         let e = engine(&["apple banana"]);
-        let mut snapshot = snapshot_of("x", &e);
-        snapshot.doc_freq.pop();
-        assert!(!snapshot.is_consistent());
-        // A document count its fingerprint does not share.
-        let mut snapshot = snapshot_of("x", &e);
-        snapshot.n_docs += 1;
-        assert!(!snapshot.is_consistent());
+        let mut record = record_of("x", &e);
+        Arc::make_mut(&mut record.doc_freq).pop();
+        assert!(check_consistent(&record).is_err());
+        // A representative counting documents its fingerprint does not.
+        let mut record = record_of("x", &e);
+        record.fingerprint.n_docs += 1;
+        assert!(!record.is_consistent());
         // A table row past the vocabulary, even one for no document.
-        let mut snapshot = snapshot_of("x", &e);
-        let repr = &snapshot.summary.repr;
+        let mut record = record_of("x", &e);
+        let repr = &record.repr;
         let mut rows: Vec<_> = repr.iter().map(|(_, s)| *s).collect();
         rows.push(seu_repr::TermStats {
             p: 0.0,
@@ -375,7 +300,7 @@ mod tests {
             max: 0.0,
         });
         let (n_docs, bytes) = (repr.n_docs(), repr.collection_bytes());
-        snapshot.summary.repr = seu_repr::Representative::from_parts(n_docs, rows, bytes);
-        assert!(!snapshot.is_consistent());
+        record.repr = Arc::new(Representative::from_parts(n_docs, rows, bytes));
+        assert!(!record.is_consistent());
     }
 }

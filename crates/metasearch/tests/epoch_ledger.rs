@@ -16,11 +16,17 @@
 use seu_core::SubrangeEstimator;
 use seu_engine::{CollectionBuilder, SearchEngine, TrueUsefulness, WeightingScheme};
 use seu_metasearch::{
-    Broker, EngineSnapshot, RemoteHit, RemoteTransport, TransportError, TransportErrorKind,
+    Broker, EngineRecord, RemoteHit, RemoteTransport, Representative, TransportError,
+    TransportErrorKind,
 };
 use seu_text::Analyzer;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
+
+/// The record an engine ships.
+fn record_of(name: &str, engine: &SearchEngine) -> EngineRecord {
+    EngineRecord::of_engine(name, engine, Representative::build(engine.collection()))
+}
 
 fn engine_of(docs: &[&str]) -> SearchEngine {
     let mut b = CollectionBuilder::new(Analyzer::paper_default(), WeightingScheme::CosineTf);
@@ -81,17 +87,17 @@ impl RemoteTransport for Wire {
         unreachable!("the ledger never asks the oracle")
     }
 
-    fn fetch_snapshot(&self) -> Result<EngineSnapshot, TransportError> {
+    fn fetch_snapshot(&self) -> Result<Arc<EngineRecord>, TransportError> {
         match &*self.line.lock().unwrap() {
-            Line::Up(engine) => Ok(EngineSnapshot::of_engine(self.name, engine)),
+            Line::Up(engine) => Ok(Arc::new(record_of(self.name, engine))),
             Line::Down => Err(TransportError::new(
                 TransportErrorKind::Refused,
                 format!("{} is down", self.name),
             )),
             Line::Garbled(engine) => {
-                let mut snapshot = EngineSnapshot::of_engine(self.name, engine);
-                snapshot.doc_freq.push(7);
-                Ok(snapshot)
+                let mut snapshot = record_of(self.name, engine);
+                Arc::make_mut(&mut snapshot.doc_freq).push(7);
+                Ok(Arc::new(snapshot))
             }
         }
     }
@@ -200,20 +206,22 @@ fn run(shards: usize) -> Vec<String> {
     ledger.book(&format!("register_remote g -> {got:?}"), &b);
     let l_engine = Arc::new(engine_of(L1));
     let got = b.install_snapshot(
-        EngineSnapshot::of_engine("l", &l_engine),
+        Arc::new(record_of("l", &l_engine)),
         Some(l_engine.clone()),
         None,
     );
     ledger.book(&format!("install_snapshot l live -> {got:?}"), &b);
     let got = b.install_snapshot(
-        EngineSnapshot::of_engine("d", &engine_of(D1)),
+        Arc::new(record_of("d", &engine_of(D1))),
         None,
         Some("wire://d".to_string()),
     );
     ledger.book(&format!("install_snapshot d detached -> {got:?}"), &b);
-    let mut bad = EngineSnapshot::of_engine("x", &engine_of(D1));
-    bad.doc_freq.pop();
-    let got = b.install_snapshot(bad, None, None).map_err(|e| e.kind);
+    let mut bad = record_of("x", &engine_of(D1));
+    Arc::make_mut(&mut bad.doc_freq).pop();
+    let got = b
+        .install_snapshot(Arc::new(bad), None, None)
+        .map_err(|e| e.kind);
     ledger.book(&format!("install_snapshot x inconsistent -> {got:?}"), &b);
     r_wire.set(Line::Down);
     let down = Wire::new("y", Line::Down);

@@ -10,7 +10,7 @@
 //! replicas, and asserts `est_NoDoc` / `est_AvgSim`, the invoked
 //! engine set, and merged hits equal via `f64::to_bits` — before and
 //! after mid-run replica joins and leaves (whose rebalances ship
-//! `FrozenSummary` snapshots between replicas), and across a replica
+//! engine records between replicas), and across a replica
 //! failure served by ring-successor failover.
 
 use seu_core::SubrangeEstimator;
@@ -20,7 +20,7 @@ use seu_metasearch::federation::{
     SubsetResults,
 };
 use seu_metasearch::{
-    Broker, EngineEstimate, EngineSnapshot, SearchRequest, SearchResponse, SelectionPolicy,
+    Broker, EngineEstimate, EngineRecord, SearchRequest, SearchResponse, SelectionPolicy,
     TransportError, TransportErrorKind,
 };
 use seu_text::Analyzer;
@@ -355,7 +355,7 @@ impl ReplicaClient for KillableReplica {
         self.inner.remove_engine(name)
     }
 
-    fn export_engine(&self, name: &str) -> Result<EngineSnapshot, TransportError> {
+    fn export_engine(&self, name: &str) -> Result<Arc<EngineRecord>, TransportError> {
         self.check()?;
         self.inner.export_engine(name)
     }

@@ -14,8 +14,8 @@
 use seu_core::SubrangeEstimator;
 use seu_engine::{CollectionBuilder, SearchEngine, TrueUsefulness, WeightingScheme};
 use seu_metasearch::{
-    merge_results, Broker, EngineSnapshot, MergedHit, Pending, RemoteHit, RemoteTransport,
-    SearchReply, SearchRequest, SelectionPolicy, TransportError,
+    merge_results, Broker, EngineRecord, MergedHit, Pending, RemoteHit, RemoteTransport,
+    Representative, SearchReply, SearchRequest, SelectionPolicy, TransportError,
 };
 use seu_text::Analyzer;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -284,8 +284,13 @@ impl RemoteTransport for Counting {
         unreachable!("dispatch never asks the oracle")
     }
 
-    fn fetch_snapshot(&self) -> Result<EngineSnapshot, TransportError> {
-        Ok(EngineSnapshot::of_engine(&self.name, &self.engine))
+    fn fetch_snapshot(&self) -> Result<Arc<EngineRecord>, TransportError> {
+        let repr = Representative::build(self.engine.collection());
+        Ok(Arc::new(EngineRecord::of_engine(
+            &self.name,
+            &self.engine,
+            repr,
+        )))
     }
 }
 

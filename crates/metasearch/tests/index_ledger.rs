@@ -15,13 +15,19 @@ use proptest::prelude::*;
 use seu_core::SubrangeEstimator;
 use seu_engine::{CollectionBuilder, SearchEngine, TrueUsefulness, WeightingScheme};
 use seu_metasearch::{
-    Broker, EngineSnapshot, RemoteHit, RemoteTransport, TransportError, TransportErrorKind,
+    Broker, EngineRecord, RemoteHit, RemoteTransport, Representative, TransportError,
+    TransportErrorKind,
 };
 use seu_text::{Analyzer, AnalyzerConfig};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+
+/// The record an engine ships.
+fn record_of(name: &str, engine: &SearchEngine) -> EngineRecord {
+    EngineRecord::of_engine(name, engine, Representative::build(engine.collection()))
+}
 
 fn engine_with(stem: bool, docs: &[&str]) -> SearchEngine {
     let config = AnalyzerConfig {
@@ -90,17 +96,17 @@ impl RemoteTransport for Wire {
         unreachable!("the ledger never asks the oracle")
     }
 
-    fn fetch_snapshot(&self) -> Result<EngineSnapshot, TransportError> {
+    fn fetch_snapshot(&self) -> Result<Arc<EngineRecord>, TransportError> {
         match &*self.line.lock().unwrap() {
-            Line::Up(engine) => Ok(EngineSnapshot::of_engine(&self.name, engine)),
+            Line::Up(engine) => Ok(Arc::new(record_of(&self.name, engine))),
             Line::Down => Err(TransportError::new(
                 TransportErrorKind::Refused,
                 format!("{} is down", self.name),
             )),
             Line::Garbled(engine) => {
-                let mut snapshot = EngineSnapshot::of_engine(&self.name, engine);
-                snapshot.doc_freq.push(7);
-                Ok(snapshot)
+                let mut snapshot = record_of(&self.name, engine);
+                Arc::make_mut(&mut snapshot.doc_freq).push(7);
+                Ok(Arc::new(snapshot))
             }
         }
     }
@@ -191,16 +197,16 @@ fn run(shards: usize) {
     assert_eq!(b.register_remote(g_wire.clone()).as_deref(), Ok("g"));
     book("register_remote g", &b);
     let l_engine = Arc::new(engine_of(L1));
-    let snapshot = EngineSnapshot::of_engine("l", &l_engine);
+    let snapshot = Arc::new(record_of("l", &l_engine));
     assert!(b.install_snapshot(snapshot, Some(l_engine), None).is_ok());
     book("install_snapshot l live", &b);
-    let snapshot = EngineSnapshot::of_engine("d", &engine_of(D1));
+    let snapshot = Arc::new(record_of("d", &engine_of(D1)));
     let endpoint = Some("wire://d".to_string());
     assert!(b.install_snapshot(snapshot, None, endpoint).is_ok());
     book("install_snapshot d detached", &b);
-    let mut bad = EngineSnapshot::of_engine("x", &engine_of(D1));
-    bad.doc_freq.pop();
-    assert!(b.install_snapshot(bad, None, None).is_err());
+    let mut bad = record_of("x", &engine_of(D1));
+    Arc::make_mut(&mut bad.doc_freq).pop();
+    assert!(b.install_snapshot(Arc::new(bad), None, None).is_err());
     book("install_snapshot x inconsistent", &b);
     r_wire.set(Line::Down);
     assert!(b.register_remote(Wire::new("y", Line::Down)).is_err());
@@ -376,7 +382,7 @@ impl Driven {
             }
             2 if !known => {
                 let engine = Arc::new(content(what));
-                let snapshot = EngineSnapshot::of_engine(name, &engine);
+                let snapshot = Arc::new(record_of(name, &engine));
                 let live = what < 3;
                 let _ = b.install_snapshot(snapshot, live.then_some(engine), None);
             }

@@ -21,8 +21,8 @@
 use seu_core::{SubrangeEstimator, UsefulnessEstimator};
 use seu_engine::{CollectionBuilder, Query, SearchEngine, TrueUsefulness, WeightingScheme};
 use seu_metasearch::{
-    Broker, EngineSnapshot, RemoteHit, RemoteTransport, Representative, SearchRequest,
-    SelectionPolicy, TransportError,
+    Broker, RemoteHit, RemoteTransport, Representative, SearchRequest, SelectionPolicy,
+    TransportError,
 };
 use seu_store::{codec, EngineRecord};
 use seu_text::{Analyzer, AnalyzerConfig};
@@ -85,8 +85,13 @@ impl RemoteTransport for Wire {
         unreachable!("planning never asks the oracle")
     }
 
-    fn fetch_snapshot(&self) -> Result<EngineSnapshot, TransportError> {
-        Ok(EngineSnapshot::of_engine(self.name, &self.engine))
+    fn fetch_snapshot(&self) -> Result<Arc<EngineRecord>, TransportError> {
+        let repr = built(&self.engine);
+        Ok(Arc::new(EngineRecord::of_engine(
+            self.name,
+            &self.engine,
+            repr,
+        )))
     }
 }
 
@@ -279,7 +284,11 @@ fn storeless(shards: usize) {
     b.register("refreshed", owned(&forest_1));
     assert_eq!(
         b.install_snapshot(
-            EngineSnapshot::of_engine("installed", &stemming),
+            Arc::new(EngineRecord::of_engine(
+                "installed",
+                &stemming,
+                built(&stemming)
+            )),
             None,
             Some("wire://installed".to_string()),
         )
@@ -288,7 +297,11 @@ fn storeless(shards: usize) {
     );
     assert_eq!(
         b.install_snapshot(
-            EngineSnapshot::of_engine("installed-live", &verbatim),
+            Arc::new(EngineRecord::of_engine(
+                "installed-live",
+                &verbatim,
+                built(&verbatim)
+            )),
             Some(verbatim.clone()),
             None,
         )

@@ -5,11 +5,16 @@
 use seu_core::SubrangeEstimator;
 use seu_engine::{CollectionBuilder, SearchEngine, TrueUsefulness, WeightingScheme};
 use seu_metasearch::{
-    Broker, EngineSnapshot, RemoteHit, RemoteTransport, SearchRequest, SelectionPolicy, StaleMode,
-    TransportError, TransportErrorKind,
+    Broker, EngineRecord, RemoteHit, RemoteTransport, Representative, SearchRequest,
+    SelectionPolicy, StaleMode, TransportError, TransportErrorKind,
 };
 use seu_text::Analyzer;
 use std::sync::{Arc, Mutex};
+
+/// The record an engine ships.
+fn record_of(name: &str, engine: &SearchEngine) -> EngineRecord {
+    EngineRecord::of_engine(name, engine, Representative::build(engine.collection()))
+}
 
 fn engine_from(texts: &[&str]) -> SearchEngine {
     let mut b = CollectionBuilder::new(Analyzer::paper_default(), WeightingScheme::CosineTf);
@@ -370,8 +375,8 @@ impl RemoteTransport for Swappable {
         unreachable!("no oracle is asked")
     }
 
-    fn fetch_snapshot(&self) -> Result<EngineSnapshot, TransportError> {
-        Ok(EngineSnapshot::of_engine("cooking", &self.engine()))
+    fn fetch_snapshot(&self) -> Result<Arc<EngineRecord>, TransportError> {
+        Ok(Arc::new(record_of("cooking", &self.engine())))
     }
 }
 
@@ -400,12 +405,12 @@ fn equal_shape_word_swap_is_pushed_and_refetched() {
     assert_answers_like(&fresh, &b);
 }
 
-/// An engine whose snapshot counts one document more than its
-/// fingerprint does. Under tf-idf the count weights every query term, so
+/// An engine whose fingerprint counts one document more than its
+/// representative does. Under tf-idf the count weights every query term, so
 /// a broker planning with it live would disagree with the same engine
 /// restored from a store, which plans with the fingerprint's count.
 #[derive(Debug)]
-struct Miscounted(EngineSnapshot);
+struct Miscounted(Arc<EngineRecord>);
 
 impl RemoteTransport for Miscounted {
     fn endpoint(&self) -> String {
@@ -425,7 +430,7 @@ impl RemoteTransport for Miscounted {
         unreachable!("no oracle is asked")
     }
 
-    fn fetch_snapshot(&self) -> Result<EngineSnapshot, TransportError> {
+    fn fetch_snapshot(&self) -> Result<Arc<EngineRecord>, TransportError> {
         Ok(self.0.clone())
     }
 }
@@ -439,9 +444,10 @@ fn a_snapshot_counting_other_documents_than_its_fingerprint_is_refused() {
     builder.add_document("d0", "mushroom soup with cream");
     builder.add_document("d1", "grilled cheese and tomato");
     let engine = SearchEngine::new(builder.build());
-    let mut snapshot = EngineSnapshot::of_engine("tfidf", &engine);
+    let mut snapshot = record_of("tfidf", &engine);
     assert!(snapshot.is_consistent());
-    snapshot.n_docs += 1;
+    snapshot.fingerprint.n_docs += 1;
+    let snapshot = Arc::new(snapshot);
 
     let b = Broker::new(SubrangeEstimator::paper_six_subrange());
     let installed = b.install_snapshot(snapshot.clone(), None, None);
@@ -455,4 +461,41 @@ fn a_snapshot_counting_other_documents_than_its_fingerprint_is_refused() {
         Err(TransportErrorKind::Protocol)
     );
     assert!(b.is_empty());
+}
+
+#[test]
+fn a_store_attached_broker_registers_a_term_no_document_weighs() {
+    let mut builder =
+        CollectionBuilder::new(Analyzer::paper_default(), WeightingScheme::CosineTfIdf);
+    // `soup` is in every document, so tf-idf weighs it zero and the
+    // representative leaves it out: the record's rows align, but it is
+    // not consistent enough to ship.
+    builder.add_document("d0", "mushroom soup with cream");
+    builder.add_document("d1", "tomato soup and bread");
+    let engine = SearchEngine::new(builder.build());
+    assert!(!record_of("tfidf", &engine).is_consistent());
+
+    let dir = std::env::temp_dir().join(format!("seu-registry-tfidf-{}", std::process::id()));
+    let store_broker = || {
+        Broker::builder(SubrangeEstimator::paper_six_subrange())
+            .store(&dir)
+            .expect("open store")
+            .build()
+    };
+    let live = store_broker();
+    live.register("tfidf", engine);
+    live.snapshot_registry().expect("snapshot");
+    let restored = store_broker();
+    assert_eq!(restored.restore().expect("restore"), 1);
+    for query in ["mushroom soup", "tomato bread", "soup"] {
+        let a = live.estimate_all(query, 0.1);
+        let b = restored.estimate_all(query, 0.1);
+        assert_eq!(a.len(), 1);
+        assert_eq!(
+            a[0].usefulness.no_doc.to_bits(),
+            b[0].usefulness.no_doc.to_bits(),
+            "{query}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -7,7 +7,7 @@
 use seu_core::SubrangeEstimator;
 use seu_engine::{CollectionBuilder, SearchEngine, WeightingScheme};
 use seu_metasearch::federation::{EngineSource, InstallSpec, LocalReplica, ReplicaClient};
-use seu_metasearch::{Broker, EngineSnapshot, TransportErrorKind};
+use seu_metasearch::{Broker, EngineRecord, Representative, TransportErrorKind};
 use seu_text::Analyzer;
 use std::sync::Arc;
 
@@ -35,7 +35,8 @@ fn assert_refused(replica: &LocalReplica<SubrangeEstimator>, spec: InstallSpec, 
 #[test]
 fn a_snapshot_named_otherwise_is_refused_and_leaves_nothing() {
     let other = engine("grilled cheese with tomato soup");
-    let snapshot = EngineSnapshot::of_engine("other", &other);
+    let repr = Representative::build(other.collection());
+    let snapshot = Arc::new(EngineRecord::of_engine("other", &other, repr));
     let replica = replica();
     let spec = |source| InstallSpec {
         name: "cook".into(),

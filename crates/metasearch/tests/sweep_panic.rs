@@ -10,8 +10,8 @@
 use seu_core::SubrangeEstimator;
 use seu_engine::{CollectionBuilder, Fingerprint, SearchEngine, TrueUsefulness, WeightingScheme};
 use seu_metasearch::{
-    shard_for, Broker, EngineSnapshot, RemoteHit, RemoteTransport, SearchRequest, SelectionPolicy,
-    TransportError, TransportErrorKind,
+    shard_for, Broker, EngineRecord, RemoteHit, RemoteTransport, Representative, SearchRequest,
+    SelectionPolicy, TransportError, TransportErrorKind,
 };
 use seu_text::Analyzer;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -72,9 +72,16 @@ impl RemoteTransport for Flaky {
         unreachable!("a sweep never asks the oracle")
     }
 
-    fn fetch_snapshot(&self) -> Result<EngineSnapshot, TransportError> {
+    fn fetch_snapshot(&self) -> Result<Arc<EngineRecord>, TransportError> {
         match self.fetch.load(Ordering::SeqCst) {
-            SERVE => Ok(EngineSnapshot::of_engine(&self.name, &self.engine)),
+            SERVE => {
+                let repr = Representative::build(self.engine.collection());
+                Ok(Arc::new(EngineRecord::of_engine(
+                    &self.name,
+                    &self.engine,
+                    repr,
+                )))
+            }
             REFUSE => Err(TransportError::new(
                 TransportErrorKind::Refused,
                 "refusing for now",

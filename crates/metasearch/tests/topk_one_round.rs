@@ -23,8 +23,8 @@ use seu_metasearch::federation::{
     SubsetAnswer, SubsetResults,
 };
 use seu_metasearch::{
-    Broker, EngineEstimate, EngineSnapshot, Pending, SearchRequest, SearchResponse,
-    SelectionPolicy, TransportError, TransportErrorKind,
+    Broker, EngineEstimate, EngineRecord, Pending, SearchRequest, SearchResponse, SelectionPolicy,
+    TransportError, TransportErrorKind,
 };
 use seu_text::Analyzer;
 use std::collections::HashMap;
@@ -124,7 +124,7 @@ impl ReplicaClient for Killable {
         self.inner.remove_engine(name)
     }
 
-    fn export_engine(&self, name: &str) -> Result<EngineSnapshot, TransportError> {
+    fn export_engine(&self, name: &str) -> Result<Arc<EngineRecord>, TransportError> {
         self.check()?;
         self.inner.export_engine(name)
     }

@@ -54,7 +54,7 @@ use crate::poll::{self, PollFd, POLLIN};
 use crate::wire::Message;
 use seu_engine::{Fingerprint, TrueUsefulness};
 use seu_metasearch::{
-    EngineSnapshot, Pending, RemoteHit, RemoteTransport, SearchReply, TransportError,
+    EngineRecord, Pending, RemoteHit, RemoteTransport, SearchReply, TransportError,
     TransportErrorKind,
 };
 use std::collections::HashMap;
@@ -895,7 +895,7 @@ impl RemoteTransport for RemoteEngine {
         }
     }
 
-    fn fetch_snapshot(&self) -> Result<EngineSnapshot, TransportError> {
+    fn fetch_snapshot(&self) -> Result<Arc<EngineRecord>, TransportError> {
         match self.client.call(&Message::GetRepresentative)? {
             Message::Representative { snapshot } => Ok(snapshot),
             other => Err(unexpected("Representative", &other)),

@@ -14,7 +14,7 @@
 //!   goes through the same table as an in-process replica's,
 //!   `LocalReplica::install_with`, with one addition: it may dial an
 //!   engine endpoint (a [`RemoteEngine`] transport). A shipped
-//!   [`EngineSnapshot`] hydrates planning state without
+//!   [`EngineRecord`] hydrates planning state without
 //!   re-registration; an endpoint makes the replica dial the engine
 //!   itself, so its estimates stay **bit-identical** to every other
 //!   replica's — both paths plan from the same full-precision
@@ -52,8 +52,9 @@ use seu_metasearch::federation::{
     EngineSource, InstallSpec, LocalReplica, ReplicaClient, SubsetAnswer, SubsetResults,
 };
 use seu_metasearch::{
-    Broker, CacheStats, EngineEstimate, EngineSnapshot, EngineStatus, FrontDoor, Pending,
-    RegistrySnapshot, RemoteTransport, SearchRequest, SearchResponse, TransportError,
+    Broker, CacheStats, EngineEstimate, EngineRecord, EngineStatus, FrontDoor, Pending,
+    RegistrySnapshot, RemoteTransport, Representative, SearchRequest, SearchResponse,
+    TransportError,
 };
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
@@ -293,7 +294,8 @@ impl ReplicaClient for RemoteReplica {
         let snapshot = match (&spec.snapshot, &spec.source) {
             (Some(snapshot), _) => Some(snapshot.clone()),
             (None, Some(EngineSource::Local(engine))) => {
-                Some(EngineSnapshot::of_engine(&spec.name, engine))
+                let repr = Representative::build(engine.collection());
+                Some(Arc::new(EngineRecord::of_engine(&spec.name, engine, repr)))
             }
             _ => None,
         };
@@ -322,7 +324,7 @@ impl ReplicaClient for RemoteReplica {
         }
     }
 
-    fn export_engine(&self, name: &str) -> Result<EngineSnapshot, TransportError> {
+    fn export_engine(&self, name: &str) -> Result<Arc<EngineRecord>, TransportError> {
         match self.client.call(&Message::ExportEngine {
             name: name.to_string(),
         })? {

@@ -11,8 +11,8 @@
 //! The reader is **byte-capped**: a peer announcing a payload larger
 //! than [`MAX_FRAME_BYTES`] is a protocol violation and the frame is
 //! rejected before a single payload byte is allocated — the same
-//! untrusted-length hardening as `FrozenSummary::from_bytes` applies
-//! inside representative payloads.
+//! untrusted-length hardening the message layer applies to every count
+//! inside a payload, an engine record's term rows included.
 //!
 //! Errors are typed at this layer already: truncated reads are
 //! [`TransportErrorKind::ConnectionLost`], socket deadline misses are

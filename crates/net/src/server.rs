@@ -100,7 +100,7 @@ use crate::poll::{self, Events, PollFd, POLLERR, POLLHUP, POLLIN, POLLOUT};
 use crate::wire::Message;
 use parking_lot::{Mutex, RwLock};
 use seu_engine::{Query, SearchEngine};
-use seu_metasearch::{EngineSnapshot, RemoteHit};
+use seu_metasearch::{EngineRecord, RemoteHit, Representative};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -1080,9 +1080,13 @@ impl EngineService {
                     .collect();
                 Message::UsefulnessBatch { results }
             }
-            Message::GetRepresentative if !inline => Message::Representative {
-                snapshot: EngineSnapshot::of_engine(&self.name, &engine),
-            },
+            Message::GetRepresentative if !inline => {
+                let repr = Representative::build(engine.collection());
+                let record = EngineRecord::of_engine(&self.name, &engine, repr);
+                Message::Representative {
+                    snapshot: Arc::new(record),
+                }
+            }
             _ => return None,
         })
     }

@@ -42,7 +42,7 @@
 //! search named engines; no front door sends them, only `search_subset`
 //! callers such as the benchmark's replica probe. Both carry engine
 //! name lists so the front-door controls placement; 21–24 move engines
-//! between replicas (the rebalance path ships an [`EngineSnapshot`] so
+//! between replicas (the rebalance path ships an [`EngineRecord`] so
 //! the receiving replica hydrates without re-registration); 25 is
 //! answered with the existing kind 8 [`Message::Representative`]. A
 //! peer answers a kind it does not know or serve with [`Message::Error`]
@@ -60,14 +60,16 @@
 //! 13 when its trace is sampled, so unsampled traffic is byte-identical
 //! to a plain [`Message::SearchDocs`].
 //!
-//! Representatives travel as [`FrozenSummary::to_bytes_exact`] — full
-//! f64 statistics — because the whole point of shipping them is that
-//! the receiving broker's estimates are **byte-identical** to a local
-//! broker's. A field's layout and its bound both come from its type (the
-//! private `Wire` trait): a length read off the wire is checked against
-//! the bytes actually remaining before it is trusted, for `String` and
-//! the summary blob in `take` and for `Vec<T>` against `T::MIN_BYTES` a
-//! row; the blob's own term count by `FrozenSummary::from_bytes`.
+//! An engine travels as its [`EngineRecord`], representative at full
+//! f64 precision, because the whole point of shipping it is that the
+//! receiving broker's estimates are **byte-identical** to a local
+//! broker's. That encoding is also the one a `.repr` file holds
+//! ([`record_to_bytes`] / [`record_from_bytes`]). A field's layout and
+//! its bound both come from its type (the private `Wire` trait): a
+//! length read off the wire is checked against the bytes actually
+//! remaining before it is trusted, for `String` and the representative
+//! blob in `take` and for `Vec<T>` and the blob's term rows against the
+//! smallest row.
 //!
 //! A new kind is three steps: the [`Message`] variant (and its row in
 //! the table above), its row in the `codec!` table (fields in wire
@@ -77,11 +79,12 @@
 use seu_core::Usefulness;
 use seu_engine::{Fingerprint, TrueUsefulness, WeightingScheme};
 use seu_metasearch::{
-    DispatchOutcome, EngineDispatchStats, EngineSnapshot, MergedHit, RemoteHit, SelectionPolicy,
+    DispatchOutcome, EngineDispatchStats, EngineRecord, MergedHit, RemoteHit, SelectionPolicy,
     TransportError, TransportErrorKind,
 };
-use seu_repr::FrozenSummary;
-use seu_text::AnalyzerConfig;
+use seu_repr::{Representative, TermStats};
+use seu_text::{AnalyzerConfig, Vocabulary};
+use std::sync::Arc;
 
 /// One protocol message (see the module table for kinds and directions).
 #[derive(Debug, Clone)]
@@ -115,11 +118,10 @@ pub enum Message {
     },
     /// Snapshot request (no payload).
     GetRepresentative,
-    /// Answer to [`Message::GetRepresentative`]: the engine's full
-    /// planning snapshot.
+    /// Answer to [`Message::GetRepresentative`]: the engine's record.
     Representative {
-        /// The snapshot.
-        snapshot: EngineSnapshot,
+        /// The record.
+        snapshot: Arc<EngineRecord>,
     },
     /// Pushed to subscribers when the engine's collection changes: the
     /// new content fingerprint and the server's monotonically increasing
@@ -207,8 +209,8 @@ pub enum Message {
     InstallEngine {
         /// Engine name (the global registration key).
         name: String,
-        /// The engine's planning snapshot, when shipped.
-        snapshot: Option<EngineSnapshot>,
+        /// The engine's record, when shipped.
+        snapshot: Option<Arc<EngineRecord>>,
         /// `host:port` of the engine's frame listener, when it serves
         /// live searches remotely.
         endpoint: Option<String>,
@@ -317,7 +319,7 @@ macro_rules! wire_number {
         }
     )+};
 }
-wire_number!(u8, u32, u64, f64);
+wire_number!(u8, u16, u32, u64, f64);
 
 /// One byte; any nonzero value reads as `true`.
 impl Wire for bool {
@@ -401,6 +403,17 @@ impl<T: Wire> Wire for Option<T> {
             1 => Ok(Some(T::get(buf)?)),
             other => Err(protocol(format!("bad option tag {other}"))),
         }
+    }
+}
+
+/// A shared value travels as the value.
+impl<T: Wire> Wire for Arc<T> {
+    const MIN_BYTES: usize = T::MIN_BYTES;
+    fn put(&self, out: &mut Vec<u8>) {
+        (**self).put(out);
+    }
+    fn get(buf: &mut &[u8]) -> Result<Self, TransportError> {
+        T::get(buf).map(Arc::new)
     }
 }
 
@@ -547,58 +560,140 @@ impl Wire for AnalyzerConfig {
     }
 }
 
-/// Length-prefixed [`FrozenSummary::to_bytes_exact`]; the blob's own
-/// term count is validated by `FrozenSummary::from_bytes`.
-impl Wire for FrozenSummary {
-    const MIN_BYTES: usize = 4;
-    fn put(&self, out: &mut Vec<u8>) {
-        let blob = self.to_bytes_exact();
-        (blob.len() as u32).put(out);
-        out.extend_from_slice(&blob);
-    }
-    fn get(buf: &mut &[u8]) -> Result<Self, TransportError> {
-        FrozenSummary::from_bytes(take_prefixed(buf, "summary")?)
-            .ok_or_else(|| protocol("malformed frozen summary"))
-    }
-}
+/// Magic of the representative blob: "SEUT".
+const REPR_MAGIC: u32 = 0x5345_5554;
+/// Fewest bytes a term row of the blob occupies: an empty name's `u16`
+/// length and four `f64` statistics.
+const MIN_TERM_ROW_BYTES: usize = 2 + 4 * 8;
 
-/// The snapshot's fields in wire order, then the cross-field check no
-/// single field can make: `doc_freq` must cover exactly the vocabulary.
-impl Wire for EngineSnapshot {
+/// The record's fields in wire order, `n_docs` written from the
+/// fingerprint, then the representative as one length-prefixed blob:
+/// magic, its document count, collection bytes, a term count, and per
+/// term its name (`u16` length) and four `f64` statistics. Coming back,
+/// an `n_docs` the fingerprint does not share, a term count the blob
+/// cannot hold, bytes left in the blob and a record that is not
+/// [consistent](EngineRecord::is_consistent) are all refused.
+impl Wire for EngineRecord {
     const MIN_BYTES: usize = String::MIN_BYTES
         + AnalyzerConfig::MIN_BYTES
         + WeightingScheme::MIN_BYTES
         + u32::MIN_BYTES
         + Fingerprint::MIN_BYTES
         + Vec::<u32>::MIN_BYTES
-        + FrozenSummary::MIN_BYTES;
+        + u32::MIN_BYTES;
     fn put(&self, out: &mut Vec<u8>) {
         self.name.put(out);
         self.analyzer.put(out);
         self.scheme.put(out);
-        self.n_docs.put(out);
+        self.n_docs().put(out);
         self.fingerprint.put(out);
         self.doc_freq.put(out);
-        self.summary.put(out);
+        let at = out.len();
+        0u32.put(out); // the blob's length, written below
+        REPR_MAGIC.put(out);
+        self.repr.n_docs().put(out);
+        self.repr.collection_bytes().put(out);
+        (self.repr.distinct_terms() as u32).put(out);
+        for (term, s) in self.repr.iter() {
+            let name = self.vocab.term(term).as_bytes();
+            (name.len() as u16).put(out);
+            out.extend_from_slice(name);
+            for stat in [s.p, s.mean, s.std_dev, s.max] {
+                stat.put(out);
+            }
+        }
+        let len = (out.len() - at - 4) as u32;
+        out[at..at + 4].copy_from_slice(&len.to_be_bytes());
     }
     fn get(buf: &mut &[u8]) -> Result<Self, TransportError> {
-        let snapshot = EngineSnapshot {
-            name: Wire::get(buf)?,
-            analyzer: Wire::get(buf)?,
-            scheme: Wire::get(buf)?,
-            n_docs: Wire::get(buf)?,
-            fingerprint: Wire::get(buf)?,
-            doc_freq: Wire::get(buf)?,
-            summary: Wire::get(buf)?,
-        };
-        if !snapshot.is_consistent() {
+        let name = String::get(buf)?;
+        let analyzer = Wire::get(buf)?;
+        let scheme = Wire::get(buf)?;
+        let n_docs = u32::get(buf)?;
+        let fingerprint = Fingerprint::get(buf)?;
+        let doc_freq = Wire::get(buf)?;
+        let blob = &mut take_prefixed(buf, "representative")?;
+        if u32::get(blob)? != REPR_MAGIC {
+            return Err(protocol("bad representative magic"));
+        }
+        let (repr_docs, collection_bytes) = <(u64, u64)>::get(blob)?;
+        let n_terms = u32::get(blob)? as usize;
+        if blob.len() / MIN_TERM_ROW_BYTES < n_terms {
             return Err(protocol(format!(
-                "snapshot for engine {:?} is internally inconsistent",
-                snapshot.name
+                "representative claims {n_terms} terms but only {} bytes remain",
+                blob.len()
             )));
         }
-        Ok(snapshot)
+        let mut vocab = Vocabulary::new();
+        let mut stats = Vec::with_capacity(n_terms);
+        for _ in 0..n_terms {
+            let len = usize::from(u16::get(blob)?);
+            let term = std::str::from_utf8(take(blob, len, "term")?)
+                .map_err(|_| protocol("term is not UTF-8"))?;
+            vocab.intern(term);
+            let mut stat = || f64::get(blob);
+            stats.push(TermStats {
+                p: stat()?,
+                mean: stat()?,
+                std_dev: stat()?,
+                max: stat()?,
+            });
+        }
+        if !blob.is_empty() {
+            return Err(protocol(format!(
+                "{} trailing bytes after the representative",
+                blob.len()
+            )));
+        }
+        if u64::from(n_docs) != fingerprint.n_docs {
+            return Err(protocol(format!(
+                "engine {name:?} counts {n_docs} documents, its fingerprint {}",
+                fingerprint.n_docs
+            )));
+        }
+        let record = EngineRecord {
+            name,
+            analyzer,
+            scheme,
+            fingerprint,
+            doc_freq,
+            vocab: Arc::new(vocab),
+            repr: Arc::new(Representative::from_parts(
+                repr_docs,
+                stats,
+                collection_bytes,
+            )),
+        };
+        if !record.is_consistent() {
+            return Err(protocol(format!(
+                "record for engine {:?} is internally inconsistent",
+                record.name
+            )));
+        }
+        Ok(record)
     }
+}
+
+/// A record's one exact encoding: the payload of a kind-8 reply, and
+/// the bytes of a `.repr` file.
+pub fn record_to_bytes(record: &EngineRecord) -> Vec<u8> {
+    let mut out = Vec::new();
+    record.put(&mut out);
+    out
+}
+
+/// Reads [`record_to_bytes`] back; anything else, trailing bytes
+/// included, is a typed [`Protocol`](TransportErrorKind::Protocol)
+/// error.
+pub fn record_from_bytes(mut bytes: &[u8]) -> Result<EngineRecord, TransportError> {
+    let record = EngineRecord::get(&mut bytes)?;
+    if !bytes.is_empty() {
+        return Err(protocol(format!(
+            "{} trailing bytes after the record",
+            bytes.len()
+        )));
+    }
+    Ok(record)
 }
 
 /// The kind table: `kind => Variant { fields in wire order }`. It
@@ -678,6 +773,11 @@ mod tests {
     use seu_engine::{CollectionBuilder, SearchEngine};
     use seu_text::Analyzer;
 
+    fn record_of(name: &str, engine: &SearchEngine) -> Arc<EngineRecord> {
+        let repr = Representative::build(engine.collection());
+        Arc::new(EngineRecord::of_engine(name, engine, repr))
+    }
+
     fn round_trip(m: &Message) -> Message {
         let (kind, payload) = m.encode();
         Message::decode(kind, &payload).expect("round trip")
@@ -725,12 +825,12 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trips_bit_for_bit() {
+    fn record_round_trips_bit_for_bit() {
         let mut b = CollectionBuilder::new(Analyzer::paper_default(), WeightingScheme::CosineTf);
         b.add_document("d0", "relational databases and query optimization");
         b.add_document("d1", "transaction processing in databases");
         let engine = SearchEngine::new(b.build());
-        let snapshot = EngineSnapshot::of_engine("dbs", &engine);
+        let snapshot = record_of("dbs", &engine);
         let decoded = match round_trip(&Message::Representative {
             snapshot: snapshot.clone(),
         }) {
@@ -739,18 +839,74 @@ mod tests {
         };
         assert_eq!(decoded.name, snapshot.name);
         assert_eq!(decoded.analyzer, snapshot.analyzer);
-        assert_eq!(decoded.n_docs, snapshot.n_docs);
+        assert_eq!(decoded.n_docs(), snapshot.n_docs());
         assert_eq!(decoded.doc_freq, snapshot.doc_freq);
         assert_eq!(decoded.fingerprint, snapshot.fingerprint);
-        assert_eq!(decoded.summary.vocab.len(), snapshot.summary.vocab.len());
-        for (id, term) in snapshot.summary.vocab.iter() {
-            assert_eq!(decoded.summary.vocab.term(id), term, "id order preserved");
-            let a = snapshot.summary.repr.get(id).unwrap();
-            let b = decoded.summary.repr.get(id).unwrap();
+        assert_eq!(decoded.vocab.len(), snapshot.vocab.len());
+        assert_eq!(decoded.repr.n_docs(), snapshot.repr.n_docs());
+        assert_eq!(
+            decoded.repr.collection_bytes(),
+            snapshot.repr.collection_bytes()
+        );
+        for (id, term) in snapshot.vocab.iter() {
+            assert_eq!(decoded.vocab.term(id), term, "id order preserved");
+            let a = snapshot.repr.get(id).unwrap();
+            let b = decoded.repr.get(id).unwrap();
             assert_eq!(a.p.to_bits(), b.p.to_bits(), "{term}");
             assert_eq!(a.mean.to_bits(), b.mean.to_bits(), "{term}");
             assert_eq!(a.std_dev.to_bits(), b.std_dev.to_bits(), "{term}");
             assert_eq!(a.max.to_bits(), b.max.to_bits(), "{term}");
+        }
+        // The one encoding is also the file's.
+        let bytes = record_to_bytes(&snapshot);
+        let from_file = record_from_bytes(&bytes).expect("own encoding");
+        assert_eq!(record_to_bytes(&from_file), bytes);
+        let err = record_from_bytes(&bytes[..bytes.len() - 3]).unwrap_err();
+        assert_eq!(err.kind, TransportErrorKind::Protocol);
+    }
+
+    #[test]
+    fn empty_collection_record_round_trips() {
+        let b = CollectionBuilder::new(Analyzer::paper_default(), WeightingScheme::CosineTf);
+        let record = record_of("empty", &SearchEngine::new(b.build()));
+        let decoded = record_from_bytes(&record_to_bytes(&record)).expect("empty record");
+        assert_eq!(decoded.n_docs(), 0);
+        assert_eq!(decoded.repr.n_docs(), 0);
+        assert_eq!(decoded.repr.distinct_terms(), 0);
+        assert!(decoded.vocab.is_empty());
+        assert!(decoded.query_from_text("x").is_empty());
+    }
+
+    #[test]
+    fn representative_n_docs_must_match_its_fingerprint() {
+        // A kind-8 payload by hand, field by field: a two-document
+        // engine with no terms, whose `n_docs` field says `n_docs`.
+        let payload = |n_docs: u32| {
+            let mut buf = Vec::<u8>::new();
+            String::from("e").put(&mut buf);
+            0b01u8.put(&mut buf); // analyzer: stopwords, no stemming
+            (0u8, 0.0f64).put(&mut buf); // CosineTf
+            n_docs.put(&mut buf);
+            let fingerprint = Fingerprint {
+                n_docs: 2,
+                raw_bytes: 10,
+                hash: 0xfeed,
+            };
+            fingerprint.put(&mut buf);
+            0u32.put(&mut buf); // no doc_freq rows
+            let mut blob = Vec::<u8>::new();
+            0x5345_5554u32.put(&mut blob); // "SEUT"
+            2u64.put(&mut blob); // the representative's documents
+            10u64.put(&mut blob); // collection bytes
+            0u32.put(&mut blob); // no terms
+            (blob.len() as u32).put(&mut buf);
+            buf.extend_from_slice(&blob);
+            buf
+        };
+        assert!(Message::decode(8, &payload(2)).is_ok());
+        for lie in [0, 1, 3, u32::MAX] {
+            let err = Message::decode(8, &payload(lie)).unwrap_err();
+            assert_eq!(err.kind, TransportErrorKind::Protocol, "n_docs {lie}");
         }
     }
 
@@ -958,7 +1114,7 @@ mod tests {
         let mut b = CollectionBuilder::new(Analyzer::paper_default(), WeightingScheme::CosineTf);
         b.add_document("d0", "estimating search engine usefulness");
         let engine = SearchEngine::new(b.build());
-        let snapshot = EngineSnapshot::of_engine("dbs", &engine);
+        let snapshot = record_of("dbs", &engine);
         match round_trip(&Message::InstallEngine {
             name: "dbs".into(),
             snapshot: Some(snapshot.clone()),

@@ -19,8 +19,8 @@ use seu_core::{SubrangeEstimator, Usefulness};
 use seu_engine::{CollectionBuilder, SearchEngine, WeightingScheme};
 use seu_metasearch::federation::{EngineSource, FrontDoor, FrontDoorConfig};
 use seu_metasearch::{
-    Broker, DispatchOutcome, EngineDispatchStats, EngineSnapshot, MergedHit, RemoteHit,
-    SearchRequest, SelectionPolicy,
+    Broker, DispatchOutcome, EngineDispatchStats, EngineRecord, MergedHit, RemoteHit,
+    Representative, SearchRequest, SelectionPolicy,
 };
 use seu_net::frame::{read_frame, write_frame_corr};
 use seu_net::wire::Message;
@@ -95,7 +95,8 @@ fn fake_server(
 /// An engine server over `texts` that `hold`s before answering a search.
 fn gated_engine(name: &str, texts: &[&str], hold: Hold) -> (SocketAddr, Arc<AtomicUsize>) {
     let served = engine(texts);
-    let snapshot = EngineSnapshot::of_engine(name, &served);
+    let repr = Representative::build(served.collection());
+    let snapshot = Arc::new(EngineRecord::of_engine(name, &served, repr));
     let search = move |query: &str, threshold: f64| -> Vec<RemoteHit> {
         let c = served.collection();
         let hits = served.search_threshold(&c.query_from_text(query), threshold);

@@ -10,12 +10,13 @@
 //! tests' servers out of them.
 
 use seu_engine::{CollectionBuilder, SearchEngine, WeightingScheme};
-use seu_metasearch::{EngineSnapshot, RemoteTransport};
+use seu_metasearch::{EngineRecord, RemoteTransport, Representative};
 use seu_net::frame::{read_frame, write_frame_corr, Frame};
 use seu_net::wire::Message;
 use seu_net::{EngineServer, RemoteEngine, RemoteEngineConfig, ServerConfig};
 use seu_text::Analyzer;
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::Duration;
 
 const QUERY: &str = "wild mushroom soup";
@@ -162,8 +163,9 @@ fn cheap_is_inline_dear_is_handed_over_and_the_bytes_agree() {
 /// connection are answered by the loop meanwhile.
 fn a_slow_handed_over_request_stalls_nobody() {
     let engine = large_engine();
+    let repr = Representative::build(engine.collection());
     let (kind, want) = Message::Representative {
-        snapshot: EngineSnapshot::of_engine("library", &engine),
+        snapshot: Arc::new(EngineRecord::of_engine("library", &engine, repr)),
     }
     .encode();
     // One term of one document: one posting.

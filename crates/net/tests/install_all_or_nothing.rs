@@ -9,7 +9,7 @@
 use seu_core::SubrangeEstimator;
 use seu_engine::{CollectionBuilder, SearchEngine, WeightingScheme};
 use seu_metasearch::federation::{EngineSource, InstallSpec, ReplicaClient};
-use seu_metasearch::{Broker, DispatchOutcome, EngineSnapshot};
+use seu_metasearch::{Broker, DispatchOutcome, EngineRecord, Representative};
 use seu_net::{EngineServer, RemoteReplica, ReplicaServer};
 use seu_text::Analyzer;
 use std::net::TcpListener;
@@ -28,7 +28,7 @@ fn nobody_listens() -> String {
     listener.local_addr().expect("local addr").to_string()
 }
 
-fn order(snapshot: &EngineSnapshot, endpoint: String) -> InstallSpec {
+fn order(snapshot: &Arc<EngineRecord>, endpoint: String) -> InstallSpec {
     InstallSpec {
         name: "cook".into(),
         source: Some(EngineSource::Remote { endpoint }),
@@ -38,7 +38,12 @@ fn order(snapshot: &EngineSnapshot, endpoint: String) -> InstallSpec {
 
 #[test]
 fn a_refused_install_leaves_nothing_and_a_good_one_searches() {
-    let snapshot = EngineSnapshot::of_engine("cook", &cookbook());
+    let cook = cookbook();
+    let snapshot = Arc::new(EngineRecord::of_engine(
+        "cook",
+        &cook,
+        Representative::build(cook.collection()),
+    ));
     let engine = EngineServer::bind("cook", cookbook(), "127.0.0.1:0").expect("binding engine");
     let broker = Arc::new(Broker::new(SubrangeEstimator::paper_six_subrange()));
     let server = ReplicaServer::bind("r0", broker.clone(), "127.0.0.1:0").expect("binding");

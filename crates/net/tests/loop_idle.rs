@@ -8,12 +8,13 @@
 //! test binary of its own keeps other tests' servers out of them.
 
 use seu_engine::{CollectionBuilder, SearchEngine, WeightingScheme};
-use seu_metasearch::{EngineSnapshot, RemoteTransport};
+use seu_metasearch::{EngineRecord, RemoteTransport, Representative};
 use seu_net::frame::{read_frame, write_frame_corr};
 use seu_net::wire::Message;
 use seu_net::{EngineServer, RemoteEngine, RemoteEngineConfig, ServerConfig};
 use seu_text::Analyzer;
 use std::net::{Shutdown, TcpStream};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn engine() -> SearchEngine {
@@ -183,8 +184,9 @@ fn no_wakeup_is_lost() {
 /// and finishes on `POLLOUT` without losing or reordering a byte.
 fn a_slow_reader_gets_every_byte_while_others_are_served() {
     let engine = large_engine();
+    let repr = Representative::build(engine.collection());
     let (kind, want) = Message::Representative {
-        snapshot: EngineSnapshot::of_engine("library", &engine),
+        snapshot: Arc::new(EngineRecord::of_engine("library", &engine, repr)),
     }
     .encode();
     let server = EngineServer::bind("library", engine, "127.0.0.1:0").unwrap();

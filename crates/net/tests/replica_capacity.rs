@@ -6,7 +6,9 @@
 use seu_core::SubrangeEstimator;
 use seu_engine::{CollectionBuilder, SearchEngine, TrueUsefulness, WeightingScheme};
 use seu_metasearch::federation::{LocalReplica, ReplicaClient};
-use seu_metasearch::{Broker, EngineSnapshot, RemoteHit, RemoteTransport, TransportError};
+use seu_metasearch::{
+    Broker, EngineRecord, RemoteHit, RemoteTransport, Representative, TransportError,
+};
 use seu_net::{RemoteReplica, ReplicaServer, ServerConfig};
 use seu_text::Analyzer;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -29,7 +31,7 @@ fn engine(texts: &[&str]) -> SearchEngine {
 /// until the test releases it, counting how many run at once.
 #[derive(Debug)]
 struct GatedEngine {
-    snapshot: EngineSnapshot,
+    snapshot: Arc<EngineRecord>,
     running: AtomicUsize,
     high_water: AtomicUsize,
     entered: Mutex<Sender<()>>,
@@ -60,7 +62,7 @@ impl RemoteTransport for GatedEngine {
         unreachable!("the replica never asks the oracle")
     }
 
-    fn fetch_snapshot(&self) -> Result<EngineSnapshot, TransportError> {
+    fn fetch_snapshot(&self) -> Result<Arc<EngineRecord>, TransportError> {
         Ok(self.snapshot.clone())
     }
 }
@@ -70,10 +72,11 @@ fn one_worker_serves_one_request_at_a_time() {
     let (entered_tx, entered) = channel();
     let (release, release_rx) = channel();
     let gated = Arc::new(GatedEngine {
-        snapshot: EngineSnapshot::of_engine(
-            "gated",
-            &engine(&["soup recipes with wild mushrooms"]),
-        ),
+        snapshot: {
+            let served = engine(&["soup recipes with wild mushrooms"]);
+            let repr = Representative::build(served.collection());
+            Arc::new(EngineRecord::of_engine("gated", &served, repr))
+        },
         running: AtomicUsize::new(0),
         high_water: AtomicUsize::new(0),
         entered: Mutex::new(entered_tx),

@@ -4,8 +4,8 @@
 //! produced by the hand-written codec at commit 6b25d83 (the parent of
 //! the table-driven codec), so "this file passes unedited" is the
 //! evidence that a codec rewrite kept every byte on the wire. Encodings
-//! are compared, never `Debug` output: `FrozenSummary` holds a map whose
-//! print order is not stable.
+//! are compared, never `Debug` output: an `EngineRecord`'s vocabulary
+//! holds a map whose print order is not stable.
 //!
 //! A new kind needs a sample here: `the_samples_cover_every_kind` fails
 //! when the codec decodes a kind the samples do not.
@@ -13,21 +13,22 @@
 use seu_core::Usefulness;
 use seu_engine::{Fingerprint, TrueUsefulness, WeightingScheme};
 use seu_metasearch::{
-    DispatchOutcome, EngineDispatchStats, EngineSnapshot, MergedHit, RemoteHit, SelectionPolicy,
+    DispatchOutcome, EngineDispatchStats, EngineRecord, MergedHit, RemoteHit, SelectionPolicy,
     TransportError, TransportErrorKind,
 };
 use seu_net::wire::Message;
 use seu_obs::{SpanId, SpanRecord};
-use seu_repr::{FrozenSummary, Representative, TermStats};
+use seu_repr::{Representative, TermStats};
 use seu_text::{AnalyzerConfig, Vocabulary};
+use std::sync::Arc;
 
 /// The smallest positive subnormal `f64`.
 const SUBNORMAL: f64 = f64::from_bits(1);
 
-/// A hand-built snapshot (no analyzer or collection builder involved, so
+/// A hand-built record (no analyzer or collection builder involved, so
 /// the bytes depend on the codec alone): three terms, one non-ASCII, a
 /// `-0.0` and a subnormal among the statistics.
-fn snapshot() -> EngineSnapshot {
+fn snapshot() -> Arc<EngineRecord> {
     let mut vocab = Vocabulary::new();
     let terms = ["databas", "süß", "queri"];
     let stats = terms
@@ -43,25 +44,22 @@ fn snapshot() -> EngineSnapshot {
             }
         })
         .collect();
-    EngineSnapshot {
+    Arc::new(EngineRecord {
         name: "dbs".into(),
         analyzer: AnalyzerConfig {
             remove_stopwords: true,
             stem: false,
         },
         scheme: WeightingScheme::PivotedLogTf { slope: 0.2 },
-        n_docs: 4,
-        doc_freq: vec![1, 2, 3],
+        doc_freq: Arc::new(vec![1, 2, 3]),
         fingerprint: Fingerprint {
             n_docs: 4,
             raw_bytes: 1_234,
             hash: 0xcbf2_9ce4_8422_2325,
         },
-        summary: FrozenSummary {
-            repr: Representative::from_parts(4, stats, 1_234),
-            vocab,
-        },
-    }
+        vocab: Arc::new(vocab),
+        repr: Arc::new(Representative::from_parts(4, stats, 1_234)),
+    })
 }
 
 fn hits() -> Vec<RemoteHit> {

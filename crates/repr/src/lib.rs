@@ -15,8 +15,7 @@
 //! This crate provides:
 //!
 //! * [`Representative`] — the quadruplet table, built in one pass from a
-//!   [`seu_engine::Collection`], with binary (de)serialization and the
-//!   §3.2 size accounting;
+//!   [`seu_engine::Collection`], with the §3.2 size accounting;
 //! * [`SubrangeScheme`] — how a term's weight distribution is decomposed
 //!   into subrange spikes for the generating function (the paper's
 //!   six-subrange experimental scheme, the four-equal exposition scheme,
@@ -30,7 +29,6 @@
 pub mod accumulator;
 pub mod cooccur;
 pub mod percentiles;
-pub mod portable;
 pub mod quantized;
 pub mod representative;
 pub mod subranges;
@@ -38,7 +36,6 @@ pub mod subranges;
 pub use accumulator::RepresentativeAccumulator;
 pub use cooccur::CooccurrenceStats;
 pub use percentiles::PercentileRepresentative;
-pub use portable::FrozenSummary;
 pub use quantized::QuantizedRepresentative;
 pub use representative::{Representative, SizeReport, TermStats, PAGE_BYTES};
 pub use subranges::{MaxWeightMode, SchemeQuantiles, Subrange, SubrangeScheme};

@@ -4,8 +4,8 @@
 use proptest::prelude::*;
 use seu_engine::{Collection, CollectionBuilder, WeightingScheme};
 use seu_repr::{
-    FrozenSummary, MaxWeightMode, QuantizedRepresentative, Representative,
-    RepresentativeAccumulator, SubrangeScheme, TermStats,
+    MaxWeightMode, QuantizedRepresentative, Representative, RepresentativeAccumulator,
+    SubrangeScheme,
 };
 use seu_text::Analyzer;
 
@@ -85,49 +85,6 @@ proptest! {
             let s2 = r2.get(term).expect("term survives");
             prop_assert!((s.p - s2.p).abs() <= 1.0 / 256.0 + 1e-9);
         }
-    }
-
-    /// The exact wire format round-trips on arbitrary collections, bit
-    /// for bit and term for term.
-    #[test]
-    fn wire_format_round_trip(c in arb_collection()) {
-        let f = FrozenSummary::of_collection(&c);
-        let f2 = FrozenSummary::from_bytes(f.to_bytes_exact()).expect("valid buffer");
-        prop_assert_eq!(f2.repr.n_docs(), f.repr.n_docs());
-        prop_assert_eq!(f2.repr.collection_bytes(), f.repr.collection_bytes());
-        prop_assert_eq!(f2.repr.distinct_terms(), f.repr.distinct_terms());
-        let bits = |s: &TermStats| [s.p, s.mean, s.std_dev, s.max].map(f64::to_bits);
-        for (term, s) in f.repr.iter() {
-            let id = f2.vocab.get(f.vocab.term(term)).expect("term survives");
-            prop_assert_eq!(f2.repr.get(id).map(bits), Some(bits(s)));
-        }
-    }
-
-    /// `FrozenSummary::from_bytes` on arbitrary byte strings never
-    /// panics, and the summary it admits never claims more terms than
-    /// the input could possibly encode (so the up-front allocation is
-    /// bounded by the input length).
-    #[test]
-    fn frozen_from_bytes_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
-        if let Some(summary) = FrozenSummary::from_bytes(&bytes[..]) {
-            // Each parsed term consumed at least 18 bytes of input.
-            prop_assert!(summary.repr.table_len() <= bytes.len() / 18);
-        }
-    }
-
-    /// Corrupting any single byte of a valid wire buffer either still
-    /// parses or is rejected — never a panic.
-    #[test]
-    fn frozen_from_bytes_survives_single_byte_corruption(
-        c in arb_collection(),
-        pos in any::<usize>(),
-        flip in 1u8..255,
-    ) {
-        let valid = FrozenSummary::of_collection(&c).to_bytes();
-        let mut corrupt = valid.to_vec();
-        let pos = pos % corrupt.len();
-        corrupt[pos] ^= flip;
-        let _ = FrozenSummary::from_bytes(&corrupt[..]);
     }
 
     /// Incremental accumulation over any document order equals the batch

@@ -18,13 +18,14 @@
 //!
 //! Decoding validates everything: magic, version, enum tags, strictly
 //! increasing in-range term ids, duplicate-free vocabulary, and a
-//! trailing-byte check. Every length read from the payload is capped
-//! against the bytes actually remaining before any allocation, so a
-//! length-lying payload cannot drive an overallocation (the
-//! `FrozenSummary::from_bytes` discipline).
+//! trailing-byte check, and the decoded record's rows must
+//! [align](EngineRecord::rows_align). Every length read from
+//! the payload is capped against the bytes actually remaining before
+//! any allocation, so a length-lying payload cannot drive an
+//! overallocation (the wire decoder's discipline too).
 
 use crate::{StoreError, StoreErrorKind};
-use seu_engine::{weighted_query, Fingerprint, Query, WeightingScheme};
+use seu_engine::{weighted_query, Fingerprint, Query, SearchEngine, WeightingScheme};
 use seu_repr::{QuantizedRepresentative, Representative};
 use seu_stats::ByteQuantizer;
 use seu_text::{Analyzer, AnalyzerConfig, TermId, Vocabulary};
@@ -50,8 +51,9 @@ const MIN_CODE_RECORD_BYTES: usize = 4 + 4;
 ///
 /// `vocab`, `doc_freq`, and `repr` are id-aligned with the source
 /// collection's term ids (row `i` of each describes the collection's
-/// term `i`), exactly like a remote engine's snapshot — so the query
-/// vectors built here are bit-identical to the collection's own.
+/// term `i`) — so the query vectors built here are bit-identical to the
+/// collection's own. The same record is what a remote engine ships and
+/// what a `.repr` file holds.
 #[derive(Debug, Clone)]
 pub struct EngineRecord {
     /// Engine name (registration key).
@@ -73,6 +75,24 @@ pub struct EngineRecord {
 }
 
 impl EngineRecord {
+    /// The record of an in-process engine, its representative `repr`
+    /// (the collection's `Representative::build`, or a transform of it)
+    /// moved in. Vocabulary and document frequencies are in collection
+    /// term-id order, so term ids, and therefore query vectors, match
+    /// the engine's own.
+    pub fn of_engine(name: &str, engine: &SearchEngine, repr: Representative) -> EngineRecord {
+        let c = engine.collection();
+        EngineRecord {
+            name: name.to_string(),
+            analyzer: c.analyzer_config(),
+            scheme: c.scheme(),
+            fingerprint: engine.fingerprint(),
+            doc_freq: Arc::new(c.vocab().iter().map(|(id, _)| c.doc_freq(id)).collect()),
+            vocab: Arc::new(c.vocab().clone()),
+            repr: Arc::new(repr),
+        }
+    }
+
     /// Documents in the collection, as the u32 remote-planning APIs
     /// expect it.
     pub fn n_docs(&self) -> u32 {
@@ -100,10 +120,25 @@ impl EngineRecord {
         self.query_from_tf(tf)
     }
 
-    /// Internal alignment invariant: one vocabulary row per doc-freq
-    /// row per representative row.
+    /// Whether the record holds together: its rows
+    /// [align](Self::rows_align) and every term occurs. Every record
+    /// from outside (a wire reply, a `.repr` file) must pass it, so the
+    /// engine plans alike live and shipped. A local engine's record may
+    /// fail it only by terms no document weighs (tf-idf weighs a
+    /// term in every document zero); such an engine cannot be shipped.
     pub fn is_consistent(&self) -> bool {
-        self.doc_freq.len() == self.vocab.len() && self.repr.table_len() == self.vocab.len()
+        self.rows_align() && self.repr.distinct_terms() == self.vocab.len()
+    }
+
+    /// Whether `doc_freq` and the representative's table each have
+    /// exactly one row per vocabulary term, and the fingerprint and the
+    /// representative count the same documents: what every record,
+    /// local ones included, holds, and what the store codec checks.
+    pub fn rows_align(&self) -> bool {
+        let terms = self.vocab.len();
+        self.doc_freq.len() == terms
+            && self.repr.table_len() == terms
+            && self.repr.n_docs() == self.fingerprint.n_docs
     }
 
     /// Approximate resident bytes of the decoded record — the hot
@@ -262,7 +297,7 @@ fn get_quantizer(r: &mut Reader<'_>) -> Result<ByteQuantizer, StoreError> {
 /// back as the canonical record.
 pub fn encode_record(record: &EngineRecord) -> Vec<u8> {
     assert!(
-        record.is_consistent(),
+        record.rows_align(),
         "record rows must align: {} vocab / {} doc_freq / {} repr rows",
         record.vocab.len(),
         record.doc_freq.len(),
@@ -383,7 +418,7 @@ pub fn decode_record(bytes: &[u8]) -> Result<EngineRecord, StoreError> {
     let quantized =
         QuantizedRepresentative::from_parts(n_docs, collection_bytes, rows, codes, quantizers)
             .ok_or_else(|| StoreError::corrupt("quantized representative parts rejected"))?;
-    Ok(EngineRecord {
+    let record = EngineRecord {
         name,
         analyzer,
         scheme,
@@ -391,7 +426,14 @@ pub fn decode_record(bytes: &[u8]) -> Result<EngineRecord, StoreError> {
         doc_freq: Arc::new(doc_freq),
         vocab: Arc::new(vocab),
         repr: Arc::new(quantized.decode()),
-    })
+    };
+    if !record.rows_align() {
+        return Err(StoreError::corrupt(format!(
+            "record for engine {:?} is inconsistent",
+            record.name
+        )));
+    }
+    Ok(record)
 }
 
 /// The canonical (quantized round-trip) form of a record, computed
@@ -417,18 +459,12 @@ mod tests {
         SearchEngine::new(b.build())
     }
 
+    fn record_of(name: &str, e: &SearchEngine) -> EngineRecord {
+        EngineRecord::of_engine(name, e, Representative::build(e.collection()))
+    }
+
     fn record(texts: &[&str]) -> EngineRecord {
-        let e = engine(texts);
-        let c = e.collection();
-        EngineRecord {
-            name: "probe".into(),
-            analyzer: c.analyzer_config(),
-            scheme: c.scheme(),
-            fingerprint: e.fingerprint(),
-            doc_freq: Arc::new(c.vocab().iter().map(|(id, _)| c.doc_freq(id)).collect()),
-            vocab: Arc::new(c.vocab().clone()),
-            repr: Arc::new(Representative::build(c)),
-        }
+        record_of("probe", &engine(texts))
     }
 
     #[test]
@@ -518,6 +554,17 @@ mod tests {
     }
 
     #[test]
+    fn rejects_a_fingerprint_counting_other_documents() {
+        let rec = record(&["alpha beta gamma"]);
+        let mut bytes = encode_record(&rec);
+        // magic(4) + version(2) + name(2+5) + analyzer(2) + scheme(9).
+        let at = 4 + 2 + 2 + rec.name.len() + 2 + 9;
+        bytes[at..at + 8].copy_from_slice(&(rec.fingerprint.n_docs + 1).to_be_bytes());
+        let err = decode_record(&bytes).unwrap_err();
+        assert!(err.detail.contains("inconsistent"), "{err}");
+    }
+
+    #[test]
     fn rejects_trailing_bytes() {
         let rec = record(&["alpha beta gamma"]);
         let mut bytes = encode_record(&rec);
@@ -575,17 +622,7 @@ mod tests {
                 }
                 b.add_document(&format!("d{i}"), &text);
             }
-            let e = SearchEngine::new(b.build());
-            let c = e.collection();
-            let rec = EngineRecord {
-                name: format!("prop-{seed}"),
-                analyzer: c.analyzer_config(),
-                scheme: c.scheme(),
-                fingerprint: e.fingerprint(),
-                doc_freq: Arc::new(c.vocab().iter().map(|(id, _)| c.doc_freq(id)).collect()),
-                vocab: Arc::new(c.vocab().clone()),
-                repr: Arc::new(Representative::build(c)),
-            };
+            let rec = record_of(&format!("prop-{seed}"), &SearchEngine::new(b.build()));
             let first = roundtrip(&rec);
             prop_assert!(first.is_consistent());
             prop_assert_eq!(first.vocab.len(), rec.vocab.len());
@@ -609,19 +646,8 @@ mod tests {
             flip_at in 0usize..4096,
             flip_bits in 1u64..256,
         ) {
-            let rec = {
-                let e = engine(&["alpha beta gamma", "beta delta", "gamma epsilon zeta"]);
-                let c = e.collection();
-                EngineRecord {
-                    name: format!("c{seed}"),
-                    analyzer: c.analyzer_config(),
-                    scheme: c.scheme(),
-                    fingerprint: e.fingerprint(),
-                    doc_freq: Arc::new(c.vocab().iter().map(|(id, _)| c.doc_freq(id)).collect()),
-                    vocab: Arc::new(c.vocab().clone()),
-                    repr: Arc::new(Representative::build(c)),
-                }
-            };
+            let e = engine(&["alpha beta gamma", "beta delta", "gamma epsilon zeta"]);
+            let rec = record_of(&format!("c{seed}"), &e);
             let mut bytes = encode_record(&rec);
             let at = flip_at % bytes.len();
             bytes[at] ^= flip_bits as u8;

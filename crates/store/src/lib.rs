@@ -39,9 +39,8 @@
 //! same canonical bytes.
 //!
 //! Every untrusted length decoded from disk is capped against the
-//! remaining input before allocation, mirroring
-//! `FrozenSummary::from_bytes`, so corrupt or adversarial files cannot
-//! drive huge allocations.
+//! remaining input before allocation, as the wire decoder does, so
+//! corrupt or adversarial files cannot drive huge allocations.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

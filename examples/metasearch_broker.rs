@@ -1,4 +1,4 @@
-//! A full metasearch deployment in miniature: engines ship snapshots —
+//! A full metasearch deployment in miniature: engines ship records —
 //! representative, vocabulary and content fingerprint, serialized — to a
 //! broker, the broker selects engines per query with the subrange
 //! estimator, searches them in parallel, and merges the results. Each
@@ -9,9 +9,10 @@
 //! cargo run --example metasearch_broker
 //! ```
 
-use seu::metasearch::{Broker, EngineSnapshot};
+use seu::metasearch::{Broker, EngineRecord};
 use seu::prelude::*;
-use seu::repr::{FrozenSummary, QuantizedRepresentative};
+use seu::repr::QuantizedRepresentative;
+use seu_net::wire::{record_from_bytes, record_to_bytes};
 use std::sync::Arc;
 
 fn engine(topic_docs: &[&str]) -> SearchEngine {
@@ -54,20 +55,20 @@ fn main() {
     ];
 
     for (name, engine) in engines {
-        // The engine snapshots itself and serializes the summary (what
-        // would cross the network); the broker installs what arrives.
+        // The engine serializes its record (what would cross the
+        // network); the broker installs what arrives.
         let engine = Arc::new(engine);
-        let mut snapshot = EngineSnapshot::of_engine(name, &engine);
-        let quantized = QuantizedRepresentative::from_representative(&snapshot.summary.repr);
-        let shipped = snapshot.summary.to_bytes_exact();
+        let repr = Representative::build(engine.collection());
+        let quantized = QuantizedRepresentative::from_representative(&repr);
+        let shipped = record_to_bytes(&EngineRecord::of_engine(name, &engine, repr));
         println!(
-            "{name}: summary {} bytes serialized, representative {} bytes quantized",
+            "{name}: record {} bytes serialized, representative {} bytes quantized",
             shipped.len(),
             quantized.size_bytes()
         );
-        snapshot.summary = FrozenSummary::from_bytes(shipped).expect("intact summary");
+        let record = record_from_bytes(&shipped).expect("intact record");
         broker
-            .install_snapshot(snapshot, Some(engine), None)
+            .install_snapshot(Arc::new(record), Some(engine), None)
             .expect("consistent snapshot");
     }
 

@@ -1,8 +1,8 @@
 //! Working with *real* text instead of the synthetic workload: three
 //! newsgroup-style mbox spools are parsed, indexed, persisted, and
-//! served through a broker that receives each engine's snapshot —
-//! representative and vocabulary as bytes, plus the content fingerprint
-//! — the same flow the `seu` command-line tool wraps.
+//! served through a broker that receives each engine's record as bytes
+//! — representative, vocabulary and content fingerprint — the same flow
+//! the `seu` command-line tool wraps.
 //!
 //! ```text
 //! cargo run --example real_corpus
@@ -10,9 +10,9 @@
 
 use seu::corpus::loader::load_mbox;
 use seu::engine::Collection;
-use seu::metasearch::{Broker, EngineSnapshot};
+use seu::metasearch::{Broker, EngineRecord};
 use seu::prelude::*;
-use seu::repr::FrozenSummary;
+use seu_net::wire::{record_from_bytes, record_to_bytes};
 use std::sync::Arc;
 
 /// Tiny inline stand-ins for on-disk spools.
@@ -83,15 +83,15 @@ fn main() {
         );
 
         // Persist + reload (what `seu index` does), then install the
-        // engine's snapshot with its summary shipped as bytes (what a
-        // remote engine would send).
+        // engine's record shipped as bytes (what a remote engine would
+        // send).
         let restored = Collection::from_bytes(collection.to_bytes()).expect("round trip");
         let engine = Arc::new(SearchEngine::new(restored));
-        let mut snapshot = EngineSnapshot::of_engine(name, &engine);
-        let shipped = snapshot.summary.to_bytes_exact();
-        snapshot.summary = FrozenSummary::from_bytes(shipped).expect("wire ok");
+        let repr = Representative::build(engine.collection());
+        let shipped = record_to_bytes(&EngineRecord::of_engine(name, &engine, repr));
+        let record = record_from_bytes(&shipped).expect("wire ok");
         broker
-            .install_snapshot(snapshot, Some(engine), None)
+            .install_snapshot(Arc::new(record), Some(engine), None)
             .expect("consistent snapshot");
     }
 

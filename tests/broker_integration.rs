@@ -3,9 +3,9 @@
 //! between selective search and broadcast search.
 
 use seu::corpus::queries::query_text;
-use seu::metasearch::{Broker, EngineSnapshot};
+use seu::metasearch::{Broker, EngineRecord};
 use seu::prelude::*;
-use seu::repr::FrozenSummary;
+use seu_net::wire::{record_from_bytes, record_to_bytes};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -41,16 +41,14 @@ fn three_engine_broker(tag: &str) -> ThreeEngines {
         .expect("open store")
         .build();
 
-    // D1 and D3 register normally; D2 ships its snapshot, summary as
-    // bytes.
+    // D1 and D3 register normally; D2 ships its record as bytes.
     broker.register("D1", SearchEngine::new(ds.d1.clone()));
 
     let d2 = Arc::new(SearchEngine::new(ds.d2.clone()));
-    let mut snapshot = EngineSnapshot::of_engine("D2", &d2);
-    let shipped = snapshot.summary.to_bytes_exact();
-    snapshot.summary = FrozenSummary::from_bytes(shipped).expect("intact");
+    let record = EngineRecord::of_engine("D2", &d2, Representative::build(d2.collection()));
+    let shipped = record_from_bytes(&record_to_bytes(&record)).expect("intact");
     broker
-        .install_snapshot(snapshot, Some(d2), None)
+        .install_snapshot(Arc::new(shipped), Some(d2), None)
         .expect("consistent snapshot");
 
     broker.register("D3", SearchEngine::new(ds.d3.clone()));

@@ -7,11 +7,12 @@ use seu::core::{
     SubrangeEstimator, UsefulnessEstimator,
 };
 use seu::engine::{Collection, CollectionBuilder, Query, SearchEngine, WeightingScheme};
+use seu::metasearch::EngineRecord;
 use seu::repr::{
-    FrozenSummary, MaxWeightMode, QuantizedRepresentative, Representative, SubrangeScheme,
-    TermStats,
+    MaxWeightMode, QuantizedRepresentative, Representative, SubrangeScheme, TermStats,
 };
 use seu::text::Analyzer;
+use seu_net::wire::{record_from_bytes, record_to_bytes};
 
 /// Strategy: a small random collection over a closed vocabulary, as token
 /// lists (so weights and co-occurrence are arbitrary).
@@ -201,19 +202,52 @@ proptest! {
         prop_assert!((a.no_doc - b.no_doc).abs() < 0.05 * c.len() as f64 + 1e-6);
     }
 
-    /// Representatives survive the exact wire encoding bit for bit, no
-    /// matter the collection: the snapshot a remote engine ships plans
-    /// exactly like the representative built in process.
+    /// Representatives survive the exact record encoding bit for bit,
+    /// no matter the collection: the record a remote engine ships (or a
+    /// `.repr` file holds) plans exactly like the representative built
+    /// in process.
     #[test]
     fn representative_round_trips(c in arb_collection()) {
-        let frozen = FrozenSummary::of_collection(&c);
-        let back = FrozenSummary::from_bytes(frozen.to_bytes_exact()).expect("valid");
-        prop_assert_eq!(back.repr.n_docs(), frozen.repr.n_docs());
-        prop_assert_eq!(back.repr.distinct_terms(), frozen.repr.distinct_terms());
+        let engine = SearchEngine::new(c);
+        let repr = Representative::build(engine.collection());
+        let record = EngineRecord::of_engine("e", &engine, repr);
+        let back = record_from_bytes(&record_to_bytes(&record)).expect("valid");
+        prop_assert_eq!(back.repr.n_docs(), record.repr.n_docs());
+        prop_assert_eq!(back.repr.distinct_terms(), record.repr.distinct_terms());
         let bits = |s: &TermStats| [s.p, s.mean, s.std_dev, s.max].map(f64::to_bits);
-        for (term, s) in frozen.repr.iter() {
-            let id = back.vocab.get(frozen.vocab.term(term)).expect("present");
-            prop_assert_eq!(back.repr.get(id).map(bits), Some(bits(s)));
+        for (term, s) in record.repr.iter() {
+            prop_assert_eq!(back.vocab.term(term), record.vocab.term(term));
+            prop_assert_eq!(back.repr.get(term).map(bits), Some(bits(s)));
+        }
+    }
+
+    /// The record decoder on arbitrary byte strings never panics, and a
+    /// record it admits never claims more terms than the input could
+    /// encode (so what it reserves is bounded by the input length).
+    #[test]
+    fn record_from_bytes_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
+        if let Ok(record) = record_from_bytes(&bytes) {
+            // Each term is a row of at least 34 bytes: a u16 name length
+            // and four f64 statistics.
+            prop_assert!(record.vocab.len() <= bytes.len() / 34);
+        }
+    }
+
+    /// Corrupting any single byte of a valid record either still decodes
+    /// to a consistent record or is refused — never a panic.
+    #[test]
+    fn record_from_bytes_survives_single_byte_corruption(
+        c in arb_collection(),
+        pos in any::<usize>(),
+        flip in 1u8..255,
+    ) {
+        let engine = SearchEngine::new(c);
+        let repr = Representative::build(engine.collection());
+        let mut corrupt = record_to_bytes(&EngineRecord::of_engine("e", &engine, repr));
+        let pos = pos % corrupt.len();
+        corrupt[pos] ^= flip;
+        if let Ok(record) = record_from_bytes(&corrupt) {
+            prop_assert!(record.is_consistent());
         }
     }
 
