@@ -4,12 +4,20 @@
 //! hot queries dominates — yet without a cache every request re-plans
 //! and re-dispatches even when nothing changed since the identical
 //! request a moment ago. The [`QueryCache`] keeps the one artifact a
-//! repeat can be answered from whole: the merged hits and accounting of
-//! a **complete** execution (every selected engine answered), keyed by
-//! everything that shapes it. Nothing below the finished answer is
-//! cached — an analysis is microseconds since the registry's term
-//! postings, and a plan is only ever asked for again by a request whose
-//! answer is cached already.
+//! repeat can be answered from whole: the finished [`Answer`] of a
+//! **complete** execution (every selected engine answered) — its merged
+//! hits, estimates and accounting — keyed by everything that shapes it.
+//! Nothing below the finished answer is cached — an analysis is
+//! microseconds since the registry's term postings, and a plan is only
+//! ever asked for again by a request whose answer is cached already.
+//!
+//! An entry is the answer itself, shared by [`Arc`]: a miss inserts the
+//! very `Arc` it answers with, and a hit hands that `Arc` out, so
+//! neither copies a row. Beside the answer the entry keeps its reply
+//! rows, rendered once by [`write_rows`] when the entry is inserted
+//! ([`Answer::rows`]); the HTTP door writes them as they are, so a hit
+//! is not re-rendered either. The byte budget counts both halves: the
+//! answer's rows and strings, and the rendered rows.
 //!
 //! # Key anatomy and invalidation
 //!
@@ -44,16 +52,17 @@
 //! independently locked shards is a [`seu_store::Slru`], the
 //! scan-resistant byte-budgeted segmented LRU the store's hot tier wraps
 //! too (see its module docs). This module adds what is the query
-//! cache's own — the key, the cost of a [`CachedResponse`], the shard
+//! cache's own — the key, the cost of an [`Answer`], the shard
 //! routing, the hit / miss / stale counters and the resident-bytes
 //! gauge. Eviction runs until the configured budget
 //! (`BrokerBuilder::cache_bytes`), split evenly over the shards, holds.
 
 use crate::broker::{EngineEstimate, MergedHit};
 use crate::federation::placement::{fnv1a, hash_key};
-use crate::request::{EngineDispatchStats, SearchRequest};
+use crate::request::{DispatchOutcome, EngineDispatchStats, SearchRequest};
 use crate::selection::SelectionPolicy;
 use parking_lot::Mutex;
+use seu_obs::json;
 use seu_store::Slru;
 use std::mem::{size_of, size_of_val};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -200,26 +209,86 @@ impl CacheKey {
     }
 }
 
-/// A cached merged response: everything [`SearchResponse`] carries
-/// except the trace (never cached — `explain` bypasses) and the
-/// `served_from` stamp (assigned at serve time).
+/// One finished answer, shared by [`Arc`]: everything
+/// [`SearchResponse`] carries except the trace (never cached —
+/// `explain` bypasses) and the `served_from` stamp (assigned at serve
+/// time), plus the answer's reply rows, rendered once.
+///
+/// The cache keeps the very `Arc` a miss answers with, so a hit hands
+/// out a reference count, not a copy, and the HTTP door writes the
+/// rendered rows as they are. An answer is read-only once made, so its
+/// rows always render what it holds.
 ///
 /// [`SearchResponse`]: crate::SearchResponse
-#[derive(Debug, Clone)]
-pub struct CachedResponse {
-    /// Merged hits, exactly as the cold execution produced them.
-    pub hits: Vec<MergedHit>,
-    /// Per-engine estimates (empty unless the request asked for them —
-    /// part of the key, so shapes never mix).
-    pub estimates: Vec<EngineEstimate>,
-    /// The cold execution's dispatch accounting. `seconds` are the
-    /// original run's; a served hit did not re-dispatch.
-    pub per_engine_stats: Vec<EngineDispatchStats>,
+#[derive(Debug)]
+pub struct Answer {
+    pub(crate) hits: Vec<MergedHit>,
+    pub(crate) estimates: Vec<EngineEstimate>,
+    pub(crate) per_engine_stats: Vec<EngineDispatchStats>,
+    /// [`Answer::rows`], once rendered.
+    rows: OnceLock<Box<str>>,
 }
 
-impl CachedResponse {
-    /// Approximate resident bytes of the response cached under `key`:
-    /// the key, the rows inline, and every heap string a row owns.
+impl Answer {
+    /// An answer whose rows are not rendered yet.
+    pub fn new(
+        hits: Vec<MergedHit>,
+        estimates: Vec<EngineEstimate>,
+        per_engine_stats: Vec<EngineDispatchStats>,
+    ) -> Answer {
+        Answer {
+            hits,
+            estimates,
+            per_engine_stats,
+            rows: OnceLock::new(),
+        }
+    }
+
+    /// Merged hits, exactly as the cold execution produced them.
+    pub fn hits(&self) -> &[MergedHit] {
+        &self.hits
+    }
+
+    /// Per-engine estimates (empty unless the request asked for them —
+    /// part of the key, so shapes never mix).
+    pub fn estimates(&self) -> &[EngineEstimate] {
+        &self.estimates
+    }
+
+    /// The cold execution's dispatch accounting. `seconds` are the
+    /// original run's; a served hit did not re-dispatch.
+    pub fn per_engine_stats(&self) -> &[EngineDispatchStats] {
+        &self.per_engine_stats
+    }
+
+    /// Whether every selected engine completed in time.
+    pub fn is_complete(&self) -> bool {
+        self.per_engine_stats
+            .iter()
+            .all(|s| s.outcome == DispatchOutcome::Completed)
+    }
+
+    /// The answer's reply rows as [`write_rows`] writes them, rendered
+    /// on the first call and kept: [`QueryCache::insert`] renders them
+    /// before it charges the entry, and an answer that is never cached
+    /// is rendered by the first reply that asks.
+    pub fn rows(&self) -> &str {
+        self.rows.get_or_init(|| {
+            let n = self.hits.len() + self.estimates.len() + self.per_engine_stats.len();
+            let mut out = String::with_capacity(64 + 64 * n);
+            write_rows(
+                &mut out,
+                &self.hits,
+                &self.estimates,
+                &self.per_engine_stats,
+            );
+            out.into_boxed_str()
+        })
+    }
+
+    /// Approximate resident bytes of the answer cached under `key`: the
+    /// key, the rows inline, every heap string a row owns, and the
+    /// rendered rows (rendered here if they were not yet).
     fn cost(&self, key: &CacheKey) -> usize {
         let hits = self.hits.iter().map(|h| h.engine.len() + h.doc.len());
         let estimates = self.estimates.iter().map(|e| e.engine.len());
@@ -229,12 +298,76 @@ impl CachedResponse {
             .map(|s| s.engine.len() + s.error.as_ref().map_or(0, |e| e.detail.len()));
         size_of::<CacheKey>()
             + key.query.len()
-            + size_of::<CachedResponse>()
+            + size_of::<Answer>()
             + size_of_val(&self.hits[..])
             + size_of_val(&self.estimates[..])
             + size_of_val(&self.per_engine_stats[..])
             + hits.chain(estimates).chain(stats).sum::<usize>()
+            + self.rows().len()
     }
+}
+
+/// Writes the rows of a `POST /search` reply body, from its opening
+/// brace to the end of its `per_engine` array:
+/// `{"hits":[…],"estimates":[…],"per_engine":[…]`. The reply's own
+/// tail (`served_from`, the trace, the closing brace) follows. Each row
+/// is written straight into `out`, numbers included.
+pub fn write_rows(
+    out: &mut String,
+    hits: &[MergedHit],
+    estimates: &[EngineEstimate],
+    per_engine_stats: &[EngineDispatchStats],
+) {
+    out.push_str("{\"hits\":[");
+    for (i, h) in hits.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"engine\":");
+        json::write_escaped(out, &h.engine);
+        out.push_str(",\"doc\":");
+        json::write_escaped(out, &h.doc);
+        out.push_str(",\"sim\":");
+        json::write_num(out, h.sim);
+        out.push('}');
+    }
+    out.push_str("],\"estimates\":[");
+    for (i, e) in estimates.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"engine\":");
+        json::write_escaped(out, &e.engine);
+        out.push_str(",\"no_doc\":");
+        json::write_num(out, e.usefulness.no_doc);
+        out.push_str(",\"avg_sim\":");
+        json::write_num(out, e.usefulness.avg_sim);
+        out.push('}');
+    }
+    out.push_str("],\"per_engine\":[");
+    for (i, s) in per_engine_stats.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"engine\":");
+        json::write_escaped(out, &s.engine);
+        out.push_str(",\"hits\":");
+        json::write_u64(out, s.hits as u64);
+        out.push_str(",\"seconds\":");
+        json::write_num(out, s.seconds);
+        out.push_str(match s.outcome {
+            DispatchOutcome::Completed => ",\"outcome\":\"completed\"",
+            DispatchOutcome::Failed => ",\"outcome\":\"failed\"",
+            DispatchOutcome::TimedOut => ",\"outcome\":\"timed_out\"",
+        });
+        out.push_str(",\"error\":");
+        match &s.error {
+            Some(e) => json::write_escaped(out, &e.to_string()),
+            None => out.push_str("null"),
+        }
+        out.push('}');
+    }
+    out.push(']');
 }
 
 /// Live counters for one cache instance (the process-global
@@ -261,7 +394,7 @@ pub struct CacheStats {
 }
 
 /// One independently locked slice of the cache.
-type Shard = Mutex<Slru<CacheKey, Arc<CachedResponse>>>;
+type Shard = Mutex<Slru<CacheKey, Arc<Answer>>>;
 
 /// The broker's query cache. See the module docs for the design;
 /// construction happens through `BrokerBuilder::cache_bytes`.
@@ -311,7 +444,7 @@ impl QueryCache {
 
     /// Looks up a key, updating recency state on hit. Counts
     /// into both the process-global counters and this instance's stats.
-    pub fn get(&self, key: &CacheKey) -> Option<Arc<CachedResponse>> {
+    pub fn get(&self, key: &CacheKey) -> Option<Arc<Answer>> {
         let m = cache_metrics();
         let value = self.shard(key).lock().get(key).cloned();
         let (global, own) = match value {
@@ -323,8 +456,9 @@ impl QueryCache {
         value
     }
 
-    /// Inserts a response, evicting until the budget holds.
-    pub fn insert(&self, key: CacheKey, value: Arc<CachedResponse>) {
+    /// Inserts an answer, evicting until the budget holds. Its rows are
+    /// rendered first, so the entry is charged for them.
+    pub fn insert(&self, key: CacheKey, value: Arc<Answer>) {
         let cost = value.cost(&key);
         self.shard(&key).lock().insert(key, value, cost);
         self.publish_gauge();
@@ -336,7 +470,7 @@ impl QueryCache {
     /// Called by the broker from every lifecycle path that bumps the
     /// registry epoch.
     pub fn purge_stale(&self, current_epoch: u64) {
-        let fresh = |key: &CacheKey, _: &Arc<CachedResponse>| key.epoch == current_epoch;
+        let fresh = |key: &CacheKey, _: &Arc<Answer>| key.epoch == current_epoch;
         let dropped: usize = self.shards.iter().map(|s| s.lock().retain(fresh)).sum();
         if dropped > 0 {
             cache_metrics().stale_evictions.add(dropped as u64);
@@ -392,18 +526,15 @@ mod tests {
     use crate::remote::{TransportError, TransportErrorKind};
     use crate::request::DispatchOutcome;
 
-    fn value(n_hits: usize) -> Arc<CachedResponse> {
-        Arc::new(CachedResponse {
-            hits: (0..n_hits)
-                .map(|i| MergedHit {
-                    engine: "e".into(),
-                    doc: format!("doc{i}"),
-                    sim: 0.5,
-                })
-                .collect(),
-            estimates: Vec::new(),
-            per_engine_stats: Vec::new(),
-        })
+    fn value(n_hits: usize) -> Arc<Answer> {
+        let hits = (0..n_hits)
+            .map(|i| MergedHit {
+                engine: "e".into(),
+                doc: format!("doc{i}"),
+                sim: 0.5,
+            })
+            .collect();
+        Arc::new(Answer::new(hits, Vec::new(), Vec::new()))
     }
 
     fn key(q: &str, epoch: u64, t: f64) -> CacheKey {
@@ -500,40 +631,74 @@ mod tests {
         assert_eq!((after.hits, after.stale_evictions), (10_000, 10_000));
     }
 
-    #[test]
-    fn cost_counts_the_heap_strings_of_every_row() {
-        let engine = "an engine name well past any inline size".to_string();
-        let detail = "connection refused by the far end".to_string();
-        let response = CachedResponse {
-            hits: vec![MergedHit {
-                engine: engine.clone(),
+    /// An answer with one hit, 100 estimates and one failed engine,
+    /// every row naming `engine`.
+    fn wide_answer(engine: &str, detail: &str) -> Answer {
+        Answer::new(
+            vec![MergedHit {
+                engine: engine.to_string(),
                 doc: "a-document-name".into(),
                 sim: 0.5,
             }],
-            estimates: (0..100)
+            (0..100)
                 .map(|_| EngineEstimate {
-                    engine: engine.clone(),
+                    engine: engine.to_string(),
                     usefulness: Default::default(),
                 })
                 .collect(),
-            per_engine_stats: vec![EngineDispatchStats {
-                engine: engine.clone(),
+            vec![EngineDispatchStats {
+                engine: engine.to_string(),
                 hits: 1,
                 seconds: 0.0,
                 outcome: DispatchOutcome::Failed,
                 error: Some(TransportError::new(
                     TransportErrorKind::Refused,
-                    detail.clone(),
+                    detail.to_string(),
                 )),
             }],
-        };
+        )
+    }
+
+    #[test]
+    fn cost_counts_the_heap_strings_of_every_row() {
+        let engine = "an engine name well past any inline size";
+        let detail = "connection refused by the far end";
+        let answer = wide_answer(engine, detail);
         let strings = 102 * engine.len() + "a-document-name".len() + detail.len();
         let k = key("soup", 1, 0.2);
-        assert!(response.cost(&k) >= strings + 100 * size_of::<EngineEstimate>());
+        assert!(answer.cost(&k) >= strings + 100 * size_of::<EngineEstimate>());
         // And the budget sees it: the entry is charged what it costs.
         let c = QueryCache::new(1 << 20);
-        c.insert(k.clone(), Arc::new(response.clone()));
-        assert_eq!(c.stats().bytes_resident, response.cost(&k) as u64);
+        let cost = answer.cost(&k);
+        c.insert(k, Arc::new(answer));
+        assert_eq!(c.stats().bytes_resident, cost as u64);
+    }
+
+    /// An entry is charged for its rendered rows too: they are rendered
+    /// at insert, before the charge, and `bytes_resident` exceeds what
+    /// the answer's own rows and strings cost by exactly their length.
+    #[test]
+    fn bytes_resident_counts_the_rendered_rows() {
+        let answer = Arc::new(wide_answer("an engine", "refused"));
+        let k = key("soup", 1, 0.2);
+        let unrendered = {
+            let twin = wide_answer("an engine", "refused");
+            twin.cost(&k) - twin.rows().len()
+        };
+        assert!(answer.rows.get().is_none());
+        let c = QueryCache::new(1 << 20);
+        c.insert(k.clone(), Arc::clone(&answer));
+        let rows = answer.rows.get().expect("rendered at insert");
+        assert!(rows.starts_with("{\"hits\":[{\"engine\":\"an engine\""));
+        assert!(rows.ends_with("\"error\":\"refused: refused\"}]"));
+        assert_eq!(
+            c.stats().bytes_resident,
+            (unrendered + rows.len()) as u64,
+            "{} bytes of rows",
+            rows.len()
+        );
+        // A hit hands out the inserted answer itself.
+        assert!(Arc::ptr_eq(&c.get(&k).unwrap(), &answer));
     }
 
     #[test]

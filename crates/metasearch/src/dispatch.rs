@@ -5,13 +5,13 @@
 //! [`TraceHandle`] it is given — a disabled one records nothing.
 
 use crate::broker::{metrics, Broker, MergedHit};
-use crate::cache::{CacheKey, CacheTier, CachedResponse};
+use crate::cache::{Answer, CacheKey, CacheTier};
 use crate::merge::merge_results;
 use crate::plan::QueryPlan;
 use crate::registry::{EngineHandle, StalePlanError};
 use crate::remote::{Pending, RemoteHit, SearchReply, TransportError, TransportErrorKind};
 use crate::request::{
-    DispatchOutcome, EngineDispatchStats, SearchRequest, SearchResponse, StaleMode,
+    DispatchOutcome, EngineDispatchStats, SearchRequest, SearchResponse, SharedResponse, StaleMode,
 };
 use crate::selection::SelectionPolicy;
 use seu_core::UsefulnessEstimator;
@@ -91,68 +91,69 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
     /// engine answered, the response is written back for the next hit —
     /// the one lookup and the one insert a request makes. `explain`
     /// requests always run cold so their span trees describe real work.
+    ///
+    /// This is [`Broker::execute_shared`] with the answer's rows taken
+    /// out: moved when nothing else holds the answer, copied when the
+    /// cache does.
     pub fn execute(&self, req: &SearchRequest) -> SearchResponse {
+        self.execute_shared(req).into()
+    }
+
+    /// [`Broker::execute`], answering with the finished [`Answer`] the
+    /// query cache shares: a hit hands out the cached `Arc` itself, and
+    /// a miss inserts the very `Arc` it answers with, so neither copies
+    /// a row. The HTTP door serves this.
+    pub fn execute_shared(&self, req: &SearchRequest) -> SharedResponse {
         let m = metrics();
         let timer = m.query_latency.start_timer();
-        let mut active = seu_obs::tracer().start_trace("search", req.explain);
-        active.root_attr("query", &req.query);
-        active.root_attr("threshold", req.threshold);
-        let trace = active.handle();
+        let active = seu_obs::tracer().start_trace("search", req.explain);
         let cache = self.cache_for(req);
         if let Some(c) = cache {
             let epoch = self.registry.epoch();
-            if let Some(r) = c.get(&CacheKey::results(req, epoch)) {
+            if let Some(answer) = c.get(&CacheKey::results(req, epoch)) {
                 m.queries.inc();
-                let mut resp = SearchResponse {
-                    hits: r.hits.clone(),
-                    estimates: r.estimates.clone(),
-                    per_engine_stats: r.per_engine_stats.clone(),
-                    trace: None,
+                timer.stop();
+                return SharedResponse {
+                    trace: self.finish_trace(active, req, &answer),
+                    answer,
                     served_from: Some(CacheTier::Results),
                 };
-                timer.stop();
-                resp.trace = self.finish_trace(active, req, &resp);
-                return resp;
             }
         }
+        let trace = active.handle();
         let mut plan = self.plan(req, Some(&trace));
         if self.check_fresh(&plan).is_err() {
             plan = self.plan(req, Some(&trace));
         }
-        let mut resp = self.dispatch(req, &plan, &trace);
-        // Only complete responses are cached: a response missing an
+        let answer = Arc::new(self.dispatch(req, &plan, &trace));
+        // Only complete answers are cached: an answer missing an
         // engine's hits (timeout, failure) must not be replayed after
         // the engine recovers.
-        if let Some(c) = cache.filter(|_| req.cache.writes() && resp.is_complete()) {
-            c.insert(
-                CacheKey::results(req, plan.epoch),
-                Arc::new(CachedResponse {
-                    hits: resp.hits.clone(),
-                    estimates: resp.estimates.clone(),
-                    per_engine_stats: resp.per_engine_stats.clone(),
-                }),
-            );
+        if let Some(c) = cache.filter(|_| req.cache.writes() && answer.is_complete()) {
+            c.insert(CacheKey::results(req, plan.epoch), Arc::clone(&answer));
         }
         timer.stop();
-        resp.trace = self.finish_trace(active, req, &resp);
-        resp
+        SharedResponse {
+            trace: self.finish_trace(active, req, &answer),
+            answer,
+            served_from: None,
+        }
     }
 
     /// Closes a request's trace: back-fills coarse per-engine spans for
     /// slow-but-unsampled traces, emits the slow-query log line when the
     /// request ran over budget, and returns the finished trace when the
-    /// request asked for it (`explain`).
+    /// request asked for it (`explain`). The root span's attributes are
+    /// formatted only for a trace that is kept.
     fn finish_trace(
         &self,
-        mut active: seu_obs::ActiveTrace,
+        active: seu_obs::ActiveTrace,
         req: &SearchRequest,
-        resp: &SearchResponse,
+        answer: &Answer,
     ) -> Option<Arc<seu_obs::FinishedTrace>> {
         let tracer = seu_obs::tracer();
         let elapsed = active.elapsed();
         let slow = tracer.is_slow(elapsed);
-        active.root_attr("hits", resp.hits.len());
-        active.root_attr("complete", resp.is_complete());
         if slow && !active.is_sampled() {
             // The head sampler skipped this request, so no fine-grained
             // spans were recorded — synthesize one coarse span per
@@ -161,7 +162,7 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
             // unknown at this point; only the durations are meaningful.
             let root = active.root_span();
             let handle = active.handle();
-            handle.adopt_spans(resp.per_engine_stats.iter().map(|s| SpanRecord {
+            handle.adopt_spans(answer.per_engine_stats.iter().map(|s| SpanRecord {
                 id: seu_obs::SpanId(0),
                 parent: root,
                 name: format!("dispatch:{}", s.engine),
@@ -176,9 +177,14 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
             }));
         }
         let trace_id = active.trace_id();
-        let finished = active.finish();
+        let finished = active.finish_with(|root| {
+            root.root_attr("query", &req.query);
+            root.root_attr("threshold", req.threshold);
+            root.root_attr("hits", answer.hits.len());
+            root.root_attr("complete", answer.is_complete());
+        });
         if slow {
-            self.emit_slow_query_line(trace_id, req, resp, elapsed);
+            self.emit_slow_query_line(trace_id, req, answer, elapsed);
         }
         if req.explain {
             finished
@@ -194,7 +200,7 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         &self,
         trace_id: seu_obs::TraceId,
         req: &SearchRequest,
-        resp: &SearchResponse,
+        answer: &Answer,
         elapsed: std::time::Duration,
     ) {
         use std::fmt::Write as _;
@@ -207,9 +213,9 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
             ", \"threshold\": {}, \"duration_ms\": {:.3}, \"hits\": {}, \"engines\": [",
             req.threshold,
             elapsed.as_secs_f64() * 1e3,
-            resp.hits.len()
+            answer.hits.len()
         );
-        for (i, s) in resp.per_engine_stats.iter().enumerate() {
+        for (i, s) in answer.per_engine_stats.iter().enumerate() {
             if i > 0 {
                 line.push_str(", ");
             }
@@ -243,13 +249,18 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
     ) -> Result<SearchResponse, StalePlanError> {
         let timer = metrics().query_latency.start_timer();
         let untraced = TraceHandle::disabled();
-        let resp = match (self.check_fresh(plan), req.stale_mode) {
+        let answer = match (self.check_fresh(plan), req.stale_mode) {
             (Ok(()), _) => self.dispatch(req, plan, &untraced),
             (Err(stale), StaleMode::Error) => return Err(stale),
             (Err(_), StaleMode::Replan) => self.dispatch(req, &self.plan(req, None), &untraced),
         };
         timer.stop();
-        Ok(resp)
+        Ok(SharedResponse {
+            answer: Arc::new(answer),
+            trace: None,
+            served_from: None,
+        }
+        .into())
     }
 
     /// Dispatches a plan's invocation set and merges the results — the
@@ -279,12 +290,7 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
     /// collection. Remote engines are called with the trace context so
     /// their server-side spans come back over the wire and join the same
     /// tree.
-    fn dispatch(
-        &self,
-        req: &SearchRequest,
-        plan: &QueryPlan,
-        trace: &TraceHandle,
-    ) -> SearchResponse {
+    fn dispatch(&self, req: &SearchRequest, plan: &QueryPlan, trace: &TraceHandle) -> Answer {
         let m = metrics();
         let dispatch_timer = m.dispatch_latency.start_timer();
         let mut dispatch_span = trace.span("dispatch");
@@ -432,17 +438,12 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         m.merge_hits.add(merged.len() as u64);
         m.merge_size.observe(merged.len() as f64);
 
-        SearchResponse {
-            hits: merged,
-            estimates: if req.with_estimates {
-                plan.estimates()
-            } else {
-                Vec::new()
-            },
-            per_engine_stats,
-            trace: None,
-            served_from: None,
-        }
+        let estimates = if req.with_estimates {
+            plan.estimates()
+        } else {
+            Vec::new()
+        };
+        Answer::new(merged, estimates, per_engine_stats)
     }
 
     /// Full metasearch: select engines, dispatch the query to them from

@@ -902,9 +902,7 @@ impl FrontDoor {
         let m = metrics();
         m.searches.inc();
         let timer = m.search_latency.start_timer();
-        let mut active = seu_obs::tracer().start_trace("federated_search", req.explain);
-        active.root_attr("query", &req.query);
-        active.root_attr("threshold", req.threshold);
+        let active = seu_obs::tracer().start_trace("federated_search", req.explain);
         let trace = active.handle();
 
         // Snapshot the cluster under the read lock; all replica I/O
@@ -1003,9 +1001,12 @@ impl FrontDoor {
 
         m.failovers.add(report.failovers);
         timer.stop();
-        active.root_attr("hits", hits.len());
-        active.root_attr("failovers", report.failovers);
-        let finished = active.finish();
+        let finished = active.finish_with(|root| {
+            root.root_attr("query", &req.query);
+            root.root_attr("threshold", req.threshold);
+            root.root_attr("hits", hits.len());
+            root.root_attr("failovers", report.failovers);
+        });
         let resp = SearchResponse {
             hits,
             estimates,

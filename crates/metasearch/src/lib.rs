@@ -62,7 +62,7 @@ pub mod selection;
 
 pub use allocate::Allocation;
 pub use broker::{Broker, BrokerBuilder, EngineEstimate, MergedHit};
-pub use cache::{CacheKey, CacheMode, CacheStats, CacheTier};
+pub use cache::{write_rows, Answer, CacheKey, CacheMode, CacheStats, CacheTier};
 pub use federation::{
     EngineSource, FederationReport, FrontDoor, FrontDoorConfig, LocalReplica, ReplicaClient,
 };
@@ -72,7 +72,9 @@ pub use registry::{shard_for, EngineStatus, RegistrySnapshot, StalePlanError};
 pub use remote::{
     Pending, RemoteHit, RemoteTransport, SearchReply, TransportError, TransportErrorKind,
 };
-pub use request::{DispatchOutcome, EngineDispatchStats, SearchRequest, SearchResponse, StaleMode};
+pub use request::{
+    DispatchOutcome, EngineDispatchStats, SearchRequest, SearchResponse, SharedResponse, StaleMode,
+};
 pub use selection::SelectionPolicy;
 
 // Re-exported for downstream convenience (the broker API surfaces these).

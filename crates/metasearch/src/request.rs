@@ -13,9 +13,10 @@
 //! [`QueryPlan`]: crate::QueryPlan
 
 use crate::broker::{EngineEstimate, MergedHit};
-use crate::cache::{CacheMode, CacheTier};
+use crate::cache::{Answer, CacheMode, CacheTier};
 use crate::remote::TransportError;
 use crate::selection::SelectionPolicy;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// What [`Broker::execute_plan`] does when the supplied plan was made
@@ -236,6 +237,60 @@ impl SearchResponse {
         self.per_engine_stats
             .iter()
             .all(|s| s.outcome == DispatchOutcome::Completed)
+    }
+}
+
+/// The result of [`Broker::execute_shared`]: the finished [`Answer`],
+/// shared with the query cache, and what belongs to this request alone.
+/// A cache hit hands out the cached answer itself, and the HTTP door
+/// writes its rendered rows as they are.
+///
+/// Converts into a [`SearchResponse`] by moving the answer's vectors
+/// when nothing else holds it, and by copying its three vectors
+/// otherwise (never its rendered rows); and back, by moving them.
+///
+/// [`Broker::execute_shared`]: crate::Broker::execute_shared
+#[derive(Debug, Clone)]
+pub struct SharedResponse {
+    /// Hits, estimates and per-engine accounting, with their reply rows.
+    pub answer: Arc<Answer>,
+    /// As [`SearchResponse::trace`].
+    pub trace: Option<Arc<seu_obs::FinishedTrace>>,
+    /// As [`SearchResponse::served_from`].
+    pub served_from: Option<CacheTier>,
+}
+
+impl From<SharedResponse> for SearchResponse {
+    fn from(shared: SharedResponse) -> SearchResponse {
+        let (hits, estimates, per_engine_stats) = match Arc::try_unwrap(shared.answer) {
+            Ok(answer) => (answer.hits, answer.estimates, answer.per_engine_stats),
+            Err(answer) => (
+                answer.hits.clone(),
+                answer.estimates.clone(),
+                answer.per_engine_stats.clone(),
+            ),
+        };
+        SearchResponse {
+            hits,
+            estimates,
+            per_engine_stats,
+            trace: shared.trace,
+            served_from: shared.served_from,
+        }
+    }
+}
+
+impl From<SearchResponse> for SharedResponse {
+    fn from(resp: SearchResponse) -> SharedResponse {
+        SharedResponse {
+            answer: Arc::new(Answer::new(
+                resp.hits,
+                resp.estimates,
+                resp.per_engine_stats,
+            )),
+            trace: resp.trace,
+            served_from: resp.served_from,
+        }
     }
 }
 

@@ -53,7 +53,7 @@ use seu_metasearch::federation::{
 };
 use seu_metasearch::{
     Broker, CacheStats, EngineEstimate, EngineRecord, EngineStatus, FrontDoor, Pending,
-    RegistrySnapshot, RemoteTransport, Representative, SearchRequest, SearchResponse,
+    RegistrySnapshot, RemoteTransport, Representative, SearchRequest, SharedResponse,
     TransportError,
 };
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -339,8 +339,8 @@ impl BrokerAdmin for FrontDoor {
         FrontDoor::engine_statuses(self)
     }
 
-    fn search(&self, request: &SearchRequest) -> SearchResponse {
-        self.execute(request)
+    fn search(&self, request: &SearchRequest) -> SharedResponse {
+        self.execute(request).into()
     }
 
     fn registry_snapshot(&self) -> RegistrySnapshot {

@@ -18,7 +18,8 @@
 //! "all": true, "explain": true, "cache": "read_write"}` (only `query`
 //! required; `all` selects every engine holding a query term instead of
 //! the estimated-useful policy; `cache` is one of `"read_write"`,
-//! `"read_only"`, `"bypass"`) and answers with merged hits, the
+//! `"read_only"`, `"bypass"`; a field present with another type is a
+//! `400` naming it) and answers with merged hits, the
 //! estimates of the engines that hold a query term (every other
 //! engine's is `(0, 0)`, paper Prop. 1, and is left out), dispatch stats
 //! per engine searched — including the typed transport error when a
@@ -26,6 +27,17 @@
 //! query cache served the whole answer, `null` for an execution that
 //! planned and dispatched). With `explain` the request is force-sampled and the
 //! reply carries the complete span tree inline under `"trace"`.
+//!
+//! **A search reply is written in three parts**, in one vectored write:
+//! the head, the answer's rows (`{"hits":…,"estimates":…,"per_engine":…`,
+//! as [`seu_metasearch::write_rows`] renders them), and the request's own
+//! tail (`served_from`, the trace, the closing brace). [`BrokerAdmin::search`]
+//! answers with a [`SharedResponse`]; the query cache renders an
+//! answer's rows once, when it keeps the answer, so a hit's rows are
+//! written as they were kept, neither copied nor rendered again. An
+//! answer no cache holds is rendered for its one reply. Head and tail
+//! share one small buffer. [`search_json`] writes the same bytes into
+//! one `String`.
 //!
 //! The server is decoupled from the broker's estimator type through the
 //! object-safe [`BrokerAdmin`] trait, blanket-implemented for every
@@ -55,8 +67,8 @@ use crate::metrics::{metrics, HttpThreadLive};
 use parking_lot::Mutex;
 use seu_core::UsefulnessEstimator;
 use seu_metasearch::{
-    Broker, CacheMode, CacheStats, EngineStatus, RegistrySnapshot, SearchRequest, SearchResponse,
-    SelectionPolicy,
+    Broker, CacheMode, CacheStats, CacheTier, EngineStatus, RegistrySnapshot, SearchRequest,
+    SearchResponse, SelectionPolicy, SharedResponse,
 };
 use seu_obs::json::{self, Json};
 use std::io::{IoSlice, Read, Write};
@@ -90,8 +102,9 @@ const PARK_EXPIRY: Duration = Duration::from_secs(1);
 pub trait BrokerAdmin: Send + Sync {
     /// Registry inventory, in registration order.
     fn engine_statuses(&self) -> Vec<EngineStatus>;
-    /// Plans, selects, dispatches, and merges one request.
-    fn search(&self, request: &SearchRequest) -> SearchResponse;
+    /// Plans, selects, dispatches, and merges one request — or serves
+    /// it from a query cache, handing out the cached answer itself.
+    fn search(&self, request: &SearchRequest) -> SharedResponse;
     /// A consistent epoch cut of the registry, for health reporting.
     fn registry_snapshot(&self) -> RegistrySnapshot;
     /// A point-in-time view of the query cache, `None` when the broker
@@ -104,8 +117,8 @@ impl<E: UsefulnessEstimator + Send + Sync> BrokerAdmin for Broker<E> {
         Broker::engine_statuses(self)
     }
 
-    fn search(&self, request: &SearchRequest) -> SearchResponse {
-        self.execute(request)
+    fn search(&self, request: &SearchRequest) -> SharedResponse {
+        self.execute_shared(request)
     }
 
     fn registry_snapshot(&self) -> RegistrySnapshot {
@@ -260,7 +273,8 @@ struct Request {
 
 /// Why [`read_request`] produced no request.
 enum ReadError {
-    /// Malformed, truncated, or over the head cap → `400`.
+    /// Malformed, truncated, over the head cap, or framed by two
+    /// `Content-Length`s that disagree → `400`.
     Invalid,
     /// Declared `Content-Length` over [`MAX_BODY_BYTES`] → `413`. The
     /// body is never allocated or read.
@@ -297,15 +311,23 @@ fn read_request(stream: &mut TcpStream) -> Result<Request, ReadError> {
     let mut request_line = lines.next().ok_or(ReadError::Invalid)?.split_whitespace();
     let method = request_line.next().ok_or(ReadError::Invalid)?.to_string();
     let path = request_line.next().ok_or(ReadError::Invalid)?.to_string();
-    let mut content_length = 0usize;
+    let mut content_length = None;
     for line in lines {
         let Some((name, value)) = line.split_once(':') else {
             continue;
         };
         if name.eq_ignore_ascii_case("content-length") {
-            content_length = value.trim().parse().map_err(|_| ReadError::Invalid)?;
+            let length: usize = value.trim().parse().map_err(|_| ReadError::Invalid)?;
+            // Two lengths that disagree leave the framing unknowable
+            // (RFC 9112 §6.3): refuse now, rather than wait for a body
+            // one of them promised or answer the other.
+            if content_length.is_some_and(|first| first != length) {
+                return Err(ReadError::Invalid);
+            }
+            content_length = Some(length);
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
         return Err(ReadError::BodyTooLarge);
     }
@@ -318,6 +340,15 @@ fn read_request(stream: &mut TcpStream) -> Result<Request, ReadError> {
     Ok(Request { method, path, body })
 }
 
+/// Appends a response head for a body of `len` bytes to `out`.
+fn write_head(out: &mut String, status: &str, content_type: &str, len: usize) {
+    use std::fmt::Write as _;
+    let _ = write!(
+        out,
+        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {len}\r\nConnection: close\r\n\r\n"
+    );
+}
+
 /// Writes the response. Head and body leave in one system call when the
 /// socket takes them (the client then wakes once, not once for each),
 /// and the body, which can be hundreds of kilobytes, is not copied.
@@ -327,12 +358,35 @@ fn respond(
     content_type: &str,
     body: &str,
 ) -> std::io::Result<()> {
-    let head = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
+    let mut head = String::with_capacity(128);
+    write_head(&mut head, status, content_type, body.len());
+    write_parts(stream, [head.as_bytes(), body.as_bytes()])
+}
+
+/// Writes a search reply in three parts and one vectored write: the
+/// head, the answer's rows (rendered once and shared, by the query
+/// cache when it holds the answer), and this request's own tail. Head
+/// and tail share one small buffer; the rows are not copied.
+fn respond_search(stream: &mut TcpStream, reply: &SharedResponse) -> std::io::Result<()> {
+    let rows = reply.answer.rows();
+    let mut buf = String::with_capacity(192);
+    write_tail(&mut buf, reply.served_from, reply.trace.as_deref());
+    let tail_len = buf.len();
+    write_head(
+        &mut buf,
+        "200 OK",
+        "application/json",
+        rows.len() + tail_len,
     );
-    let mut parts = [IoSlice::new(head.as_bytes()), IoSlice::new(body.as_bytes())];
-    let mut rest = &mut parts[..];
+    let (tail, head) = buf.split_at(tail_len);
+    write_parts(stream, [head.as_bytes(), rows.as_bytes(), tail.as_bytes()])
+}
+
+/// Writes every part in order, in as few system calls as the socket
+/// allows, then flushes.
+fn write_parts<const N: usize>(stream: &mut TcpStream, parts: [&[u8]; N]) -> std::io::Result<()> {
+    let mut slices = parts.map(IoSlice::new);
+    let mut rest = &mut slices[..];
     while !rest.is_empty() {
         match stream.write_vectored(rest) {
             Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
@@ -404,15 +458,7 @@ fn serve_one(stream: &mut TcpStream, broker: &dyn BrokerAdmin) -> std::io::Resul
             &engines_json(&broker.engine_statuses()),
         ),
         ("POST", "/search") => match parse_search(&request.body) {
-            Ok(req) => {
-                let response = broker.search(&req);
-                respond(
-                    stream,
-                    "200 OK",
-                    "application/json",
-                    &search_json(&response),
-                )
-            }
+            Ok(req) => respond_search(stream, &broker.search(&req)),
             Err(detail) => {
                 let mut body = String::from("{\"error\":");
                 json::write_escaped(&mut body, &detail);
@@ -430,6 +476,11 @@ fn serve_one(stream: &mut TcpStream, broker: &dyn BrokerAdmin) -> std::io::Resul
     }
 }
 
+/// A `POST /search` body as a request. Only `query` is required; a
+/// field that is present must have its type (`threshold` a finite
+/// number, `top_k` a non-negative integer, `all` and `explain` booleans,
+/// `cache` a mode's name), or the request is refused naming it — never
+/// served as if the field were absent.
 fn parse_search(body: &[u8]) -> Result<SearchRequest, String> {
     let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
     let value = json::parse(text)?;
@@ -438,27 +489,48 @@ fn parse_search(body: &[u8]) -> Result<SearchRequest, String> {
         .and_then(Json::as_str)
         .ok_or_else(|| "missing string field \"query\"".to_string())?;
     let mut request = SearchRequest::new(query).with_estimates(true);
-    if let Some(t) = value.get("threshold").and_then(Json::as_num) {
+    let finite = |v: &Json| v.as_num().filter(|t| t.is_finite());
+    if let Some(t) = field(&value, "threshold", "a finite number", finite)? {
         request = request.threshold(t);
     }
-    if let Some(k) = value.get("top_k").and_then(Json::as_num) {
-        request = request.top_k(k as usize);
+    // Every integer up to 2^53 is exact in a JSON number read as f64.
+    let count = |v: &Json| {
+        let k = v.as_num()?;
+        (k.fract() == 0.0 && (0.0..=9_007_199_254_740_992.0).contains(&k)).then_some(k as usize)
+    };
+    if let Some(k) = field(&value, "top_k", "a non-negative integer", count)? {
+        request = request.top_k(k);
     }
-    if value.get("all") == Some(&Json::Bool(true)) {
+    if field(&value, "all", "a boolean", Json::as_bool)? == Some(true) {
         request = request.policy(SelectionPolicy::All);
     }
-    if value.get("explain") == Some(&Json::Bool(true)) {
+    if field(&value, "explain", "a boolean", Json::as_bool)? == Some(true) {
         request = request.explain(true);
     }
-    if let Some(mode) = value.get("cache").and_then(Json::as_str) {
-        request = request.cache(match mode {
-            "read_write" => CacheMode::ReadWrite,
-            "read_only" => CacheMode::ReadOnly,
-            "bypass" => CacheMode::Bypass,
-            other => return Err(format!("unknown cache mode {other:?}")),
-        });
+    let mode = |v: &Json| match v.as_str()? {
+        "read_write" => Some(CacheMode::ReadWrite),
+        "read_only" => Some(CacheMode::ReadOnly),
+        "bypass" => Some(CacheMode::Bypass),
+        _ => None,
+    };
+    let modes = "one of \"read_write\", \"read_only\", \"bypass\"";
+    if let Some(mode) = field(&value, "cache", modes, mode)? {
+        request = request.cache(mode);
     }
     Ok(request)
+}
+
+/// Field `name` of a request body as `read` takes it: `None` when it is
+/// absent, and an error naming it and its `kind` when `read` refuses it.
+fn field<T>(
+    body: &Json,
+    name: &str,
+    kind: &str,
+    read: impl FnOnce(&Json) -> Option<T>,
+) -> Result<Option<T>, String> {
+    body.get(name)
+        .map(|v| read(v).ok_or_else(|| format!("field {name:?} must be {kind}")))
+        .transpose()
 }
 
 fn healthz_json(snapshot: &RegistrySnapshot, cache: Option<&CacheStats>) -> String {
@@ -550,76 +622,94 @@ fn bool_json(value: bool) -> &'static str {
     }
 }
 
-/// The body of a `POST /search` reply. Each row is written straight into
-/// the one buffer, numbers included.
+/// The body of a `POST /search` reply: the rows as
+/// [`seu_metasearch::write_rows`] writes them, then the tail. Written
+/// into one buffer, numbers included; the door itself writes the rows an
+/// answer keeps and only renders the tail.
 pub fn search_json(response: &SearchResponse) -> String {
     let rows = response.hits.len() + response.estimates.len() + response.per_engine_stats.len();
     let mut out = String::with_capacity(256 + 64 * rows);
-    out.push_str("{\"hits\":[");
-    for (i, h) in response.hits.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"engine\":");
-        json::write_escaped(&mut out, &h.engine);
-        out.push_str(",\"doc\":");
-        json::write_escaped(&mut out, &h.doc);
-        out.push_str(",\"sim\":");
-        json::write_num(&mut out, h.sim);
-        out.push('}');
-    }
-    out.push_str("],\"estimates\":[");
-    for (i, e) in response.estimates.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"engine\":");
-        json::write_escaped(&mut out, &e.engine);
-        out.push_str(",\"no_doc\":");
-        json::write_num(&mut out, e.usefulness.no_doc);
-        out.push_str(",\"avg_sim\":");
-        json::write_num(&mut out, e.usefulness.avg_sim);
-        out.push('}');
-    }
-    out.push_str("],\"per_engine\":[");
-    for (i, s) in response.per_engine_stats.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"engine\":");
-        json::write_escaped(&mut out, &s.engine);
-        out.push_str(",\"hits\":");
-        json::write_u64(&mut out, s.hits as u64);
-        out.push_str(",\"seconds\":");
-        json::write_num(&mut out, s.seconds);
-        out.push_str(match s.outcome {
-            seu_metasearch::DispatchOutcome::Completed => ",\"outcome\":\"completed\"",
-            seu_metasearch::DispatchOutcome::Failed => ",\"outcome\":\"failed\"",
-            seu_metasearch::DispatchOutcome::TimedOut => ",\"outcome\":\"timed_out\"",
-        });
-        out.push_str(",\"error\":");
-        match &s.error {
-            Some(e) => json::write_escaped(&mut out, &e.to_string()),
-            None => out.push_str("null"),
-        }
-        out.push('}');
-    }
-    out.push_str("],\"served_from\":");
-    match response.served_from {
-        Some(tier) => json::write_escaped(&mut out, tier.name()),
+    seu_metasearch::write_rows(
+        &mut out,
+        &response.hits,
+        &response.estimates,
+        &response.per_engine_stats,
+    );
+    write_tail(&mut out, response.served_from, response.trace.as_deref());
+    out
+}
+
+/// The tail of a `POST /search` reply body, after its rows:
+/// `served_from`, the trace of an explained request, the closing brace.
+fn write_tail(
+    out: &mut String,
+    served_from: Option<CacheTier>,
+    trace: Option<&seu_obs::FinishedTrace>,
+) {
+    out.push_str(",\"served_from\":");
+    match served_from {
+        Some(tier) => json::write_escaped(out, tier.name()),
         None => out.push_str("null"),
     }
-    if let Some(trace) = &response.trace {
+    if let Some(trace) = trace {
         out.push_str(",\"trace\":");
-        trace.write_json(&mut out);
+        trace.write_json(out);
     }
     out.push('}');
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn search_fields_of_their_types_are_taken() {
+        let req = parse_search(
+            br#"{"query":"soup","threshold":0.9,"top_k":3,"all":true,"explain":false,"cache":"bypass"}"#,
+        )
+        .unwrap();
+        assert_eq!(req.query, "soup");
+        assert_eq!(req.threshold, 0.9);
+        assert_eq!(req.top_k, Some(3));
+        assert_eq!(req.policy, SelectionPolicy::All);
+        assert!(!req.explain && req.with_estimates);
+        assert_eq!(req.cache, CacheMode::Bypass);
+
+        let req =
+            parse_search(br#"{"query":"soup","top_k":0,"all":false,"threshold":-0.5}"#).unwrap();
+        assert_eq!(req.top_k, Some(0));
+        assert_eq!(req.threshold, -0.5);
+        assert_eq!(req.policy, SelectionPolicy::EstimatedUseful);
+        let req = parse_search(br#"{"query":"soup"}"#).unwrap();
+        assert_eq!((req.threshold, req.top_k), (0.0, None));
+    }
+
+    /// A field of the wrong type is refused, naming the field: served,
+    /// each of these would run as though the field were absent, or
+    /// misread (`-3` as 0 hits, `1.7` as 1).
+    #[test]
+    fn a_search_field_of_another_type_is_refused_by_name() {
+        for (body, field) in [
+            (r#"{"query":"soup","threshold":"0.9"}"#, "threshold"),
+            (r#"{"query":"soup","threshold":null}"#, "threshold"),
+            (r#"{"query":"soup","threshold":1e999}"#, "threshold"),
+            (r#"{"query":"soup","top_k":-3}"#, "top_k"),
+            (r#"{"query":"soup","top_k":1.7}"#, "top_k"),
+            (r#"{"query":"soup","top_k":"1"}"#, "top_k"),
+            (r#"{"query":"soup","top_k":1e300}"#, "top_k"),
+            (r#"{"query":"soup","all":"true"}"#, "all"),
+            (r#"{"query":"soup","all":1}"#, "all"),
+            (r#"{"query":"soup","explain":"yes"}"#, "explain"),
+            (r#"{"query":"soup","cache":"sometimes"}"#, "cache"),
+            (r#"{"query":"soup","cache":false}"#, "cache"),
+        ] {
+            let refusal = parse_search(body.as_bytes()).expect_err(body);
+            assert!(
+                refusal.starts_with(&format!("field {field:?} must be ")),
+                "{body}: {refusal}"
+            );
+        }
+    }
 
     /// `engines_json` writes its numbers and flags without `fmt`; the
     /// bytes are those the `format!`-per-row writer produced.

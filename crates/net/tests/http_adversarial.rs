@@ -162,6 +162,45 @@ fn reused_threads_survive_adversarial_requests() {
         );
     }
 
+    // Two Content-Lengths that disagree (RFC 9112 §6.3): the framing is
+    // invalid whichever comes first, and the refusal is prompt. The body
+    // is 16 bytes, a search of its own under either framing.
+    for (first, second) in [(16, 40), (40, 16)] {
+        let mut stream = connect(addr);
+        let request = format!(
+            "POST /search HTTP/1.1\r\nContent-Length: {first}\r\n\
+             Content-Length: {second}\r\n\r\n{{\"query\":\"soup\"}}"
+        );
+        stream.write_all(request.as_bytes()).unwrap();
+        let (reply, took) = read_to_close(&mut stream);
+        assert!(
+            took < SOCKET_DEADLINE / 2,
+            "{first} then {second}: {took:?}"
+        );
+        assert_eq!(
+            status_and_body(&reply).0,
+            "HTTP/1.1 400 Bad Request",
+            "Content-Length: {first} then {second}"
+        );
+    }
+
+    // A search field of the wrong type is refused, not ignored.
+    let mistyped = r#"{"query":"mushroom soup","threshold":"0.9"}"#;
+    let mut stream = connect(addr);
+    stream
+        .write_all(
+            format!(
+                "POST /search HTTP/1.1\r\nContent-Length: {}\r\n\r\n{mistyped}",
+                mistyped.len()
+            )
+            .as_bytes(),
+        )
+        .unwrap();
+    let (reply, _) = read_to_close(&mut stream);
+    let (status, body) = status_and_body(&reply);
+    assert_eq!(status, "HTTP/1.1 400 Bad Request", "{body}");
+    assert!(body.contains("threshold"), "{body}");
+
     // The sweep ran one connection at a time, so one thread served all
     // of it — and serves an ordinary request now, the same as before.
     let grown = started() - before;

@@ -9,7 +9,9 @@
 //! At the spawn-per-connection door this replaces, part (a) reads 300
 //! threads for 300 requests.
 
-use seu_metasearch::{CacheStats, EngineStatus, RegistrySnapshot, SearchRequest, SearchResponse};
+use seu_metasearch::{
+    CacheStats, EngineStatus, RegistrySnapshot, SearchRequest, SearchResponse, SharedResponse,
+};
 use seu_net::{AdminServer, BrokerAdmin};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -33,7 +35,7 @@ impl BrokerAdmin for Scripted {
         Vec::new()
     }
 
-    fn search(&self, request: &SearchRequest) -> SearchResponse {
+    fn search(&self, request: &SearchRequest) -> SharedResponse {
         match request.query.as_str() {
             "boom" => panic!("scripted: this search panics"),
             "wait" => {
@@ -49,6 +51,7 @@ impl BrokerAdmin for Scripted {
             trace: None,
             served_from: None,
         }
+        .into()
     }
 
     fn registry_snapshot(&self) -> RegistrySnapshot {

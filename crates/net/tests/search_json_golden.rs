@@ -7,8 +7,8 @@
 
 use seu_metasearch::{
     CacheStats, CacheTier, DispatchOutcome, EngineDispatchStats, EngineEstimate, EngineStatus,
-    MergedHit, RegistrySnapshot, SearchRequest, SearchResponse, TransportError, TransportErrorKind,
-    Usefulness,
+    MergedHit, RegistrySnapshot, SearchRequest, SearchResponse, SharedResponse, TransportError,
+    TransportErrorKind, Usefulness,
 };
 use seu_net::{AdminServer, BrokerAdmin};
 use std::io::{Read, Write};
@@ -89,8 +89,8 @@ impl BrokerAdmin for Fixed {
         Vec::new()
     }
 
-    fn search(&self, request: &SearchRequest) -> SearchResponse {
-        fixed_response(request.query == "cached")
+    fn search(&self, request: &SearchRequest) -> SharedResponse {
+        fixed_response(request.query == "cached").into()
     }
 
     fn registry_snapshot(&self) -> RegistrySnapshot {

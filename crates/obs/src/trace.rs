@@ -359,7 +359,10 @@ impl ActiveTrace {
     }
 
     /// Attaches an attribute to the root span (recorded even when
-    /// unsampled, so slow traces keep their request context).
+    /// unsampled, so slow traces keep their request context). A caller
+    /// that formats its attributes for every request sets them in
+    /// [`ActiveTrace::finish_with`] instead, which formats them only for
+    /// a trace that is kept.
     pub fn root_attr(&mut self, key: &str, value: impl fmt::Display) {
         self.root_attrs.push((key.to_string(), value.to_string()));
     }
@@ -373,12 +376,22 @@ impl ActiveTrace {
     /// was sampled or crossed the slow threshold. Returns the finished
     /// trace whenever it was retained.
     pub fn finish(self) -> Option<Arc<FinishedTrace>> {
+        self.finish_with(|_| {})
+    }
+
+    /// [`ActiveTrace::finish`], calling `root_attrs` first when the trace
+    /// is retained, and only then: the root attributes it sets follow
+    /// any set before, and a trace that is dropped formats none.
+    pub fn finish_with(
+        mut self,
+        root_attrs: impl FnOnce(&mut ActiveTrace),
+    ) -> Option<Arc<FinishedTrace>> {
         let elapsed = self.inner.epoch.elapsed();
-        let slow_ns = self.tracer.slow_ns.load(Ordering::Relaxed);
-        let slow = slow_ns > 0 && elapsed.as_nanos() as u64 >= slow_ns;
+        let slow = self.tracer.is_slow(elapsed);
         if !self.inner.sampled && !slow {
             return None;
         }
+        root_attrs(&mut self);
         let mut spans = std::mem::take(&mut *self.inner.spans.lock());
         spans.push(SpanRecord {
             id: self.inner.root_span,
@@ -730,6 +743,29 @@ mod tests {
         drop(span);
         assert!(trace.finish().is_none());
         assert!(tracer.store().is_empty());
+    }
+
+    #[test]
+    fn root_attributes_at_finish_are_formatted_only_for_a_kept_trace() {
+        let tracer = isolated_tracer();
+        tracer.set_sample_rate(0);
+        let dropped = tracer.start_trace("search", false);
+        let finished = dropped.finish_with(|_| unreachable!("a dropped trace formats nothing"));
+        assert!(finished.is_none());
+
+        let mut kept = tracer.start_trace("search", true);
+        kept.root_attr("query", "alpha");
+        let finished = kept
+            .finish_with(|t| t.root_attr("hits", 3))
+            .expect("forced traces are retained");
+        let attrs = &finished.spans[0].attrs;
+        assert_eq!(
+            attrs,
+            &[
+                ("query".into(), "alpha".into()),
+                ("hits".into(), "3".into())
+            ]
+        );
     }
 
     #[test]
