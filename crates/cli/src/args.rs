@@ -14,14 +14,12 @@ pub enum Command {
         /// Apply the Porter stemmer during analysis.
         stem: bool,
     },
-    /// `seu repr <engine.bin> -o repr.bin [--quantize]`
+    /// `seu repr <engine.bin> -o repr.bin`
     Repr {
         /// Persisted engine file.
         engine: PathBuf,
         /// Output representative file.
         output: PathBuf,
-        /// Round-trip every number through the one-byte codec first.
-        quantize: bool,
     },
     /// `seu estimate <repr.bin> -q "..." [-t 0.2]`
     Estimate {
@@ -177,7 +175,7 @@ pub struct Invocation {
 pub const USAGE: &str = "\
 usage:
   seu index <dir|mbox-file> -o <engine.bin> [--stem]
-  seu repr <engine.bin> -o <repr.bin> [--quantize]
+  seu repr <engine.bin> -o <repr.bin>
   seu estimate <repr.bin> -q <query> [-t <threshold>]
   seu search <engine.bin> -q <query> [-t <threshold>] [-k <top-k>]
   seu broker <engine.bin>... -q <query> [-t <threshold>] [--shards <n>] [--no-cache]
@@ -231,7 +229,6 @@ pub fn parse(args: &[String]) -> Result<Invocation, String> {
     let mut threshold = 0.2f64;
     let mut top_k: Option<usize> = None;
     let mut stem = false;
-    let mut quantize = false;
     let mut repr_dir: Option<PathBuf> = None;
     let mut store_path: Option<PathBuf> = None;
     let mut stale_only = false;
@@ -288,7 +285,6 @@ pub fn parse(args: &[String]) -> Result<Invocation, String> {
                 );
             }
             "--stem" => stem = true,
-            "--quantize" => quantize = true,
             "--repr-dir" => repr_dir = Some(PathBuf::from(cur.value_for("--repr-dir")?)),
             "--store" => store_path = Some(PathBuf::from(cur.value_for("--store")?)),
             "--stale-only" => stale_only = true,
@@ -357,7 +353,6 @@ pub fn parse(args: &[String]) -> Result<Invocation, String> {
         "repr" => Command::Repr {
             engine: one_positional("engine file")?,
             output: output.ok_or("missing -o <repr.bin>")?,
-            quantize,
         },
         "estimate" => Command::Estimate {
             repr: one_positional("representative file")?,
@@ -493,15 +488,8 @@ mod tests {
             Command::Repr {
                 engine: "e.bin".into(),
                 output: "r.bin".into(),
-                quantize: false,
             }
         );
-        assert!(matches!(
-            p(&["repr", "e.bin", "-o", "r.bin", "--quantize"])
-                .unwrap()
-                .command,
-            Command::Repr { quantize: true, .. }
-        ));
     }
 
     #[test]

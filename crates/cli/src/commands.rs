@@ -5,7 +5,7 @@ use seu_corpus::loader;
 use seu_engine::{Collection, SearchEngine, WeightingScheme};
 use seu_metasearch::{Broker, EngineRecord, SearchRequest, SelectionPolicy};
 use seu_net::wire::{record_from_bytes, record_to_bytes};
-use seu_repr::{QuantizedRepresentative, Representative};
+use seu_repr::Representative;
 use seu_text::{Analyzer, AnalyzerConfig};
 use std::fs;
 use std::io::Write;
@@ -55,30 +55,20 @@ pub fn index(input: &Path, output: &Path, stem: bool, out: &mut dyn Write) -> Re
 }
 
 /// `seu repr`: write an engine's record — the one a remote engine
-/// ships, so `seu estimate` needs nothing else. `quantize` replaces the
-/// representative by its one-byte round trip.
-pub fn repr(
-    engine_path: &Path,
-    output: &Path,
-    quantize: bool,
-    out: &mut dyn Write,
-) -> Result<(), String> {
+/// ships, so `seu estimate` needs nothing else.
+pub fn repr(engine_path: &Path, output: &Path, out: &mut dyn Write) -> Result<(), String> {
     let engine = load_engine(engine_path)?;
-    let mut built = Representative::build(engine.collection());
-    if quantize {
-        built = QuantizedRepresentative::from_representative(&built).decode();
-    }
+    let built = Representative::build(engine.collection());
     let record = EngineRecord::of_engine(&file_stem(engine_path), &engine, built);
     let bytes = repr_bytes(engine_path, &record)?;
     fs::write(output, &bytes).map_err(|e| io_err(&format!("writing {}", output.display()), e))?;
     writeln!(
         out,
-        "representative: {} terms over {} documents -> {} ({} bytes{})",
+        "representative: {} terms over {} documents -> {} ({} bytes)",
         record.repr.distinct_terms(),
         record.repr.n_docs(),
         output.display(),
         bytes.len(),
-        if quantize { ", one-byte quantized" } else { "" }
     )
     .map_err(|e| io_err("writing output", e))
 }
@@ -413,7 +403,6 @@ pub fn front_door_start(
             vnodes
         },
         replication,
-        ..FrontDoorConfig::default()
     };
     let fd = Arc::new(FrontDoor::new(config));
     for spec in replicas {
@@ -777,8 +766,8 @@ mod tests {
         assert!(msg.contains("indexed 2 documents"), "{msg}");
 
         let repr_file = dir.join("cooking.repr");
-        let msg = run_to_string(|out| repr(&engine_file, &repr_file, true, out));
-        assert!(msg.contains("quantized"), "{msg}");
+        let msg = run_to_string(|out| repr(&engine_file, &repr_file, out));
+        assert!(msg.contains("representative: "), "{msg}");
 
         let msg = run_to_string(|out| search(&engine_file, "soup", 0.1, None, out));
         assert!(msg.contains("a.txt"), "{msg}");
@@ -846,16 +835,14 @@ mod tests {
             )
         });
         assert_eq!(printed_estimate(&from_broker).0, "2.00", "{from_broker}");
-        for quantize in [false, true] {
-            let repr_file = dir.join(format!("dbs-{quantize}.repr"));
-            run_to_string(|out| repr(&engine_file, &repr_file, quantize, out));
-            let from_file = run_to_string(|out| estimate(&repr_file, "databases", 0.1, out));
-            assert_eq!(
-                printed_estimate(&from_file),
-                printed_estimate(&from_broker),
-                "quantize {quantize}: {from_file} against {from_broker}"
-            );
-        }
+        let repr_file = dir.join("dbs.repr");
+        run_to_string(|out| repr(&engine_file, &repr_file, out));
+        let from_file = run_to_string(|out| estimate(&repr_file, "databases", 0.1, out));
+        assert_eq!(
+            printed_estimate(&from_file),
+            printed_estimate(&from_broker),
+            "{from_file} against {from_broker}"
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -872,7 +859,7 @@ mod tests {
         let engine_file = dir.join("tfidf.bin");
         fs::write(&engine_file, b.build().to_bytes()).unwrap();
         let repr_file = dir.join("tfidf.repr");
-        let err = repr(&engine_file, &repr_file, false, &mut Vec::new()).unwrap_err();
+        let err = repr(&engine_file, &repr_file, &mut Vec::new()).unwrap_err();
         assert!(err.contains("weight zero in every document"), "{err}");
         assert!(!repr_file.exists());
         let engines = [engine_file];
@@ -892,7 +879,7 @@ mod tests {
         let engine_file = dir.join("dbs.bin");
         run_to_string(|out| index(&docs, &engine_file, true, out));
         let repr_file = dir.join("dbs.repr");
-        run_to_string(|out| repr(&engine_file, &repr_file, false, out));
+        run_to_string(|out| repr(&engine_file, &repr_file, out));
 
         let broker = Broker::new(SubrangeEstimator::paper_six_subrange());
         broker.register("dbs", load_engine(&engine_file).unwrap());

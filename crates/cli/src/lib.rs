@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! seu index <dir|mbox-file> -o engine.bin       build + persist an engine
-//! seu repr engine.bin -o repr.bin [--quantize]  build + ship a representative
+//! seu repr engine.bin -o repr.bin               build + ship a representative
 //! seu estimate repr.bin -q "query" [-t 0.2]     usefulness from metadata only
 //! seu search engine.bin -q "query" [-t T|-k K]  search one engine
 //! seu broker e1.bin e2.bin … -q "query" [-t T]  select + search + merge
@@ -101,11 +101,7 @@ pub fn run_command(command: &Command, out: &mut dyn io::Write) -> Result<(), Str
             output,
             stem,
         } => commands::index(input, output, *stem, out),
-        Command::Repr {
-            engine,
-            output,
-            quantize,
-        } => commands::repr(engine, output, *quantize, out),
+        Command::Repr { engine, output } => commands::repr(engine, output, out),
         Command::Estimate {
             repr,
             query,

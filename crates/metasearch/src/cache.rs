@@ -191,6 +191,11 @@ impl CacheKey {
         self.epoch
     }
 
+    /// The same key at another epoch, its query not copied.
+    pub(crate) fn at_epoch(self, epoch: u64) -> CacheKey {
+        CacheKey { epoch, ..self }
+    }
+
     /// 64-bit FNV-1a over every field, with no allocation. Routes the
     /// key to a cache shard; never trusted for identity.
     pub fn fingerprint(&self) -> u64 {

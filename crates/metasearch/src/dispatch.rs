@@ -2,7 +2,10 @@
 //! similarity, account, trace. [`Broker::execute`] (plan +
 //! dispatch behind the results cache) and [`Broker::execute_plan`] both
 //! end in the one private `dispatch`, which records its spans into the
-//! [`TraceHandle`] it is given — a disabled one records nothing.
+//! [`TraceHandle`] it is given — a disabled one records nothing. A
+//! request at either door, the broker's or the front door's, ends in
+//! `finish_request`, which closes its trace and writes its slow-query
+//! line.
 
 use crate::broker::{metrics, Broker, MergedHit};
 use crate::cache::{Answer, CacheKey, CacheTier};
@@ -15,7 +18,7 @@ use crate::request::{
 };
 use crate::selection::SelectionPolicy;
 use seu_core::UsefulnessEstimator;
-use seu_obs::{SpanGuard, SpanId, SpanRecord, TraceHandle};
+use seu_obs::{ActiveTrace, FinishedTrace, SpanGuard, SpanId, SpanRecord, TraceHandle};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
@@ -71,6 +74,92 @@ fn named_hits(engine: &str, hits: Vec<RemoteHit>) -> Vec<MergedHit> {
     hits.into_iter().map(hit).collect()
 }
 
+/// Ends a request at either door, the broker's or the front door's: the
+/// one place a request's trace is closed and its slow-query line
+/// written.
+///
+/// A slow trace the head sampler skipped recorded no spans, so one
+/// coarse `dispatch:<engine>` span per stats row is back-filled (its
+/// duration only; its start is unknown). A kept trace's root span gets
+/// `query`, `threshold` and `hits`, then what `door` adds; a trace that
+/// is dropped formats none of them. A slow request writes one line to
+/// the tracer's slow-query sink (stderr or the `--trace-out` file):
+/// total latency plus the per-engine breakdown. Returns the finished
+/// trace when the request asked for it (`explain`).
+pub(crate) fn finish_request(
+    active: ActiveTrace,
+    req: &SearchRequest,
+    answer: &Answer,
+    door: impl FnOnce(&mut ActiveTrace),
+) -> Option<Arc<FinishedTrace>> {
+    let elapsed = active.elapsed();
+    let slow = seu_obs::tracer().is_slow(elapsed);
+    if slow && !active.is_sampled() {
+        let root = active.root_span();
+        active
+            .handle()
+            .adopt_spans(answer.per_engine_stats.iter().map(|s| SpanRecord {
+                id: SpanId(0),
+                parent: root,
+                name: format!("dispatch:{}", s.engine),
+                start_unix_ns: 0,
+                duration_ns: (s.seconds * 1e9) as u64,
+                attrs: vec![
+                    ("engine".to_string(), s.engine.clone()),
+                    ("hits".to_string(), s.hits.to_string()),
+                    ("outcome".to_string(), format!("{:?}", s.outcome)),
+                    ("synthesized".to_string(), "true".to_string()),
+                ],
+            }));
+    }
+    let trace_id = active.trace_id();
+    let finished = active.finish_with(|root| {
+        root.root_attr("query", &req.query);
+        root.root_attr("threshold", req.threshold);
+        root.root_attr("hits", answer.hits.len());
+        door(root);
+    });
+    if slow {
+        use std::fmt::Write as _;
+        let mut line = String::from("{\"event\": \"slow_query\", \"trace_id\": \"");
+        line.push_str(&trace_id.to_hex());
+        line.push_str("\", \"query\": ");
+        seu_obs::json::write_escaped(&mut line, &req.query);
+        let _ = write!(
+            line,
+            ", \"threshold\": {}, \"duration_ms\": {:.3}, \"hits\": {}, \"engines\": [",
+            req.threshold,
+            elapsed.as_secs_f64() * 1e3,
+            answer.hits.len()
+        );
+        for (i, s) in answer.per_engine_stats.iter().enumerate() {
+            if i > 0 {
+                line.push_str(", ");
+            }
+            line.push_str("{\"engine\": ");
+            seu_obs::json::write_escaped(&mut line, &s.engine);
+            let outcome = match s.outcome {
+                DispatchOutcome::Completed => "completed",
+                DispatchOutcome::Failed => "failed",
+                DispatchOutcome::TimedOut => "timed_out",
+            };
+            let _ = write!(
+                line,
+                ", \"seconds\": {:.6}, \"hits\": {}, \"outcome\": \"{outcome}\"}}",
+                s.seconds, s.hits
+            );
+        }
+        line.push_str("]}");
+        seu_obs::tracer().slow_log_line(&line);
+    }
+    finished.filter(|_| req.explain)
+}
+
+/// The broker's own root attribute: whether every engine answered.
+fn complete(answer: &Answer) -> impl FnOnce(&mut ActiveTrace) + '_ {
+    move |root| root.root_attr("complete", answer.is_complete())
+}
+
 impl<E: UsefulnessEstimator + Sync> Broker<E> {
     /// Executes a request end to end: plan, dispatch the selected engines
     /// from the calling thread, merge by global similarity.
@@ -107,14 +196,17 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         let m = metrics();
         let timer = m.query_latency.start_timer();
         let active = seu_obs::tracer().start_trace("search", req.explain);
-        let cache = self.cache_for(req);
-        if let Some(c) = cache {
-            let epoch = self.registry.epoch();
-            if let Some(answer) = c.get(&CacheKey::results(req, epoch)) {
+        // One key a request: looked up at the registry's epoch, and
+        // filed at the plan's if the request goes on to insert.
+        let cached = self
+            .cache_for(req)
+            .map(|c| (c, CacheKey::results(req, self.registry.epoch())));
+        if let Some((c, key)) = &cached {
+            if let Some(answer) = c.get(key) {
                 m.queries.inc();
                 timer.stop();
                 return SharedResponse {
-                    trace: self.finish_trace(active, req, &answer),
+                    trace: finish_request(active, req, &answer, complete(&answer)),
                     answer,
                     served_from: Some(CacheTier::Results),
                 };
@@ -129,111 +221,15 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         // Only complete answers are cached: an answer missing an
         // engine's hits (timeout, failure) must not be replayed after
         // the engine recovers.
-        if let Some(c) = cache.filter(|_| req.cache.writes() && answer.is_complete()) {
-            c.insert(CacheKey::results(req, plan.epoch), Arc::clone(&answer));
+        if let Some((c, key)) = cached.filter(|_| req.cache.writes() && answer.is_complete()) {
+            c.insert(key.at_epoch(plan.epoch), Arc::clone(&answer));
         }
         timer.stop();
         SharedResponse {
-            trace: self.finish_trace(active, req, &answer),
+            trace: finish_request(active, req, &answer, complete(&answer)),
             answer,
             served_from: None,
         }
-    }
-
-    /// Closes a request's trace: back-fills coarse per-engine spans for
-    /// slow-but-unsampled traces, emits the slow-query log line when the
-    /// request ran over budget, and returns the finished trace when the
-    /// request asked for it (`explain`). The root span's attributes are
-    /// formatted only for a trace that is kept.
-    fn finish_trace(
-        &self,
-        active: seu_obs::ActiveTrace,
-        req: &SearchRequest,
-        answer: &Answer,
-    ) -> Option<Arc<seu_obs::FinishedTrace>> {
-        let tracer = seu_obs::tracer();
-        let elapsed = active.elapsed();
-        let slow = tracer.is_slow(elapsed);
-        if slow && !active.is_sampled() {
-            // The head sampler skipped this request, so no fine-grained
-            // spans were recorded — synthesize one coarse span per
-            // engine from the dispatch stats so the retained slow trace
-            // still shows where the time went. Start offsets are
-            // unknown at this point; only the durations are meaningful.
-            let root = active.root_span();
-            let handle = active.handle();
-            handle.adopt_spans(answer.per_engine_stats.iter().map(|s| SpanRecord {
-                id: seu_obs::SpanId(0),
-                parent: root,
-                name: format!("dispatch:{}", s.engine),
-                start_unix_ns: 0,
-                duration_ns: (s.seconds * 1e9) as u64,
-                attrs: vec![
-                    ("engine".to_string(), s.engine.clone()),
-                    ("hits".to_string(), s.hits.to_string()),
-                    ("outcome".to_string(), format!("{:?}", s.outcome)),
-                    ("synthesized".to_string(), "true".to_string()),
-                ],
-            }));
-        }
-        let trace_id = active.trace_id();
-        let finished = active.finish_with(|root| {
-            root.root_attr("query", &req.query);
-            root.root_attr("threshold", req.threshold);
-            root.root_attr("hits", answer.hits.len());
-            root.root_attr("complete", answer.is_complete());
-        });
-        if slow {
-            self.emit_slow_query_line(trace_id, req, answer, elapsed);
-        }
-        if req.explain {
-            finished
-        } else {
-            None
-        }
-    }
-
-    /// One structured line per over-budget request: total latency plus
-    /// the per-engine breakdown, to the tracer's slow-query sink
-    /// (stderr or the `--trace-out` file).
-    fn emit_slow_query_line(
-        &self,
-        trace_id: seu_obs::TraceId,
-        req: &SearchRequest,
-        answer: &Answer,
-        elapsed: std::time::Duration,
-    ) {
-        use std::fmt::Write as _;
-        let mut line = String::from("{\"event\": \"slow_query\", \"trace_id\": \"");
-        let _ = write!(line, "{}", trace_id.to_hex());
-        line.push_str("\", \"query\": ");
-        seu_obs::json::write_escaped(&mut line, &req.query);
-        let _ = write!(
-            line,
-            ", \"threshold\": {}, \"duration_ms\": {:.3}, \"hits\": {}, \"engines\": [",
-            req.threshold,
-            elapsed.as_secs_f64() * 1e3,
-            answer.hits.len()
-        );
-        for (i, s) in answer.per_engine_stats.iter().enumerate() {
-            if i > 0 {
-                line.push_str(", ");
-            }
-            line.push_str("{\"engine\": ");
-            seu_obs::json::write_escaped(&mut line, &s.engine);
-            let outcome = match s.outcome {
-                crate::DispatchOutcome::Completed => "completed",
-                crate::DispatchOutcome::Failed => "failed",
-                crate::DispatchOutcome::TimedOut => "timed_out",
-            };
-            let _ = write!(
-                line,
-                ", \"seconds\": {:.6}, \"hits\": {}, \"outcome\": \"{outcome}\"}}",
-                s.seconds, s.hits
-            );
-        }
-        line.push_str("]}");
-        seu_obs::tracer().slow_log_line(&line);
     }
 
     /// Executes an externally supplied plan — e.g. one the caller

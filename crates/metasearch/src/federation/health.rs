@@ -5,16 +5,18 @@
 //! [`CircuitBreaker`] with the classic three states:
 //!
 //! - **Closed** — requests flow; consecutive failures are counted.
-//! - **Open** — after `failure_threshold` consecutive failures the
-//!   breaker trips: requests are refused locally (no connection is even
-//!   attempted) until `cooldown_ms` has passed.
+//! - **Open** — after [`BREAKER_FAILURE_THRESHOLD`] consecutive
+//!   failures the breaker trips: requests are refused locally (no
+//!   connection is even attempted) until [`BREAKER_COOLDOWN_MS`] has
+//!   passed.
 //! - **Half-open** — after the cooldown, exactly one trial request is
 //!   let through. Success closes the breaker; failure re-opens it and
 //!   restarts the cooldown.
 //!
-//! Time comes from a [`Clock`] so tests drive the whole state machine
-//! with a [`ManualClock`] — no sleeps, no wall-clock flakiness. The
-//! production [`SystemClock`] reads a monotonic instant.
+//! Both are constants: every breaker trips and recovers alike. Time
+//! comes from a [`Clock`] so tests drive the whole state machine with a
+//! [`ManualClock`] — no sleeps, no wall-clock flakiness. The production
+//! [`SystemClock`] reads a monotonic instant.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -75,29 +77,18 @@ impl Clock for ManualClock {
     }
 }
 
-/// Breaker tuning.
-#[derive(Debug, Clone, Copy)]
-pub struct BreakerConfig {
-    /// Consecutive failures that trip the breaker open.
-    pub failure_threshold: u32,
-    /// How long an open breaker refuses requests before letting one
-    /// trial through.
-    pub cooldown_ms: u64,
-}
+/// Consecutive failures that trip a breaker open.
+pub const BREAKER_FAILURE_THRESHOLD: u32 = 3;
 
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            failure_threshold: 3,
-            cooldown_ms: 5_000,
-        }
-    }
-}
+/// How long an open breaker refuses requests before it lets one trial
+/// through.
+pub const BREAKER_COOLDOWN_MS: u64 = 5_000;
 
 /// The observable breaker state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum BreakerState {
     /// Requests flow normally.
+    #[default]
     Closed,
     /// Requests are refused locally until the cooldown passes.
     Open,
@@ -106,7 +97,7 @@ pub enum BreakerState {
     HalfOpen,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct BreakerInner {
     state: BreakerState,
     consecutive_failures: u32,
@@ -115,24 +106,15 @@ struct BreakerInner {
 }
 
 /// A three-state circuit breaker guarding one replica.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct CircuitBreaker {
-    config: BreakerConfig,
     inner: parking_lot::Mutex<BreakerInner>,
 }
 
 impl CircuitBreaker {
-    /// A closed breaker with the given tuning.
-    pub fn new(config: BreakerConfig) -> CircuitBreaker {
-        CircuitBreaker {
-            config,
-            inner: parking_lot::Mutex::new(BreakerInner {
-                state: BreakerState::Closed,
-                consecutive_failures: 0,
-                opened_at_ms: 0,
-                trial_in_flight: false,
-            }),
-        }
+    /// A closed breaker.
+    pub fn new() -> CircuitBreaker {
+        CircuitBreaker::default()
     }
 
     /// The current state, transitioning Open → HalfOpen if the cooldown
@@ -141,7 +123,7 @@ impl CircuitBreaker {
     pub fn state(&self, now_ms: u64) -> BreakerState {
         let mut inner = self.inner.lock();
         if inner.state == BreakerState::Open
-            && now_ms.saturating_sub(inner.opened_at_ms) >= self.config.cooldown_ms
+            && now_ms.saturating_sub(inner.opened_at_ms) >= BREAKER_COOLDOWN_MS
         {
             inner.state = BreakerState::HalfOpen;
             inner.trial_in_flight = false;
@@ -157,7 +139,7 @@ impl CircuitBreaker {
         match inner.state {
             BreakerState::Closed => true,
             BreakerState::Open => {
-                if now_ms.saturating_sub(inner.opened_at_ms) >= self.config.cooldown_ms {
+                if now_ms.saturating_sub(inner.opened_at_ms) >= BREAKER_COOLDOWN_MS {
                     inner.state = BreakerState::HalfOpen;
                     inner.trial_in_flight = true;
                     true
@@ -193,7 +175,7 @@ impl CircuitBreaker {
         match inner.state {
             BreakerState::Closed => {
                 inner.consecutive_failures += 1;
-                if inner.consecutive_failures >= self.config.failure_threshold {
+                if inner.consecutive_failures >= BREAKER_FAILURE_THRESHOLD {
                     inner.state = BreakerState::Open;
                     inner.opened_at_ms = now_ms;
                     true
@@ -216,40 +198,44 @@ impl CircuitBreaker {
 mod tests {
     use super::*;
 
-    fn breaker(k: u32, cooldown: u64) -> CircuitBreaker {
-        CircuitBreaker::new(BreakerConfig {
-            failure_threshold: k,
-            cooldown_ms: cooldown,
-        })
+    const K: u32 = BREAKER_FAILURE_THRESHOLD;
+    const COOLDOWN: u64 = BREAKER_COOLDOWN_MS;
+
+    /// A breaker `k` consecutive failures in, the last at `at`.
+    fn failed(k: u32, at: u64) -> CircuitBreaker {
+        let b = CircuitBreaker::new();
+        for _ in 0..k {
+            b.record_failure(at);
+        }
+        b
     }
 
     #[test]
     fn opens_after_k_consecutive_failures() {
-        let b = breaker(3, 100);
-        assert!(!b.record_failure(0));
-        assert!(!b.record_failure(1));
+        let b = failed(K - 1, 0);
         assert_eq!(b.state(1), BreakerState::Closed);
         assert!(b.record_failure(2));
         assert_eq!(b.state(2), BreakerState::Open);
-        assert!(!b.allow(50));
+        assert!(!b.allow(COOLDOWN / 2));
+        assert!(!b.record_failure(3), "an open breaker trips once");
     }
 
     #[test]
     fn success_resets_the_failure_count() {
-        let b = breaker(2, 100);
-        b.record_failure(0);
+        let b = failed(K - 1, 0);
         b.record_success();
-        b.record_failure(1);
+        for _ in 1..K {
+            assert!(!b.record_failure(1));
+        }
         assert_eq!(b.state(1), BreakerState::Closed);
     }
 
     #[test]
     fn half_opens_after_cooldown_and_admits_one_trial() {
         let clock = ManualClock::new();
-        let b = breaker(1, 100);
-        b.record_failure(clock.now_ms());
+        let b = failed(K, clock.now_ms());
         assert!(!b.allow(clock.now_ms()));
-        clock.advance(99);
+        clock.advance(COOLDOWN - 1);
         assert!(!b.allow(clock.now_ms()));
         clock.advance(1);
         // The cooldown elapsed: exactly one trial goes through.
@@ -263,12 +249,11 @@ mod tests {
 
     #[test]
     fn failed_trial_reopens_and_restarts_the_cooldown() {
-        let b = breaker(1, 100);
-        b.record_failure(0);
-        assert!(b.allow(100));
-        assert!(b.record_failure(120));
-        assert_eq!(b.state(150), BreakerState::Open);
-        assert!(!b.allow(219));
-        assert!(b.allow(220));
+        let b = failed(K, 0);
+        assert!(b.allow(COOLDOWN));
+        assert!(b.record_failure(COOLDOWN + 20));
+        assert_eq!(b.state(COOLDOWN + 50), BreakerState::Open);
+        assert!(!b.allow(2 * COOLDOWN + 19));
+        assert!(b.allow(2 * COOLDOWN + 20));
     }
 }

@@ -10,13 +10,16 @@
 //! - [`discovery`] — static replica lists and the hosts-file watcher
 //!   behind `seu front-door --hosts-file` / `seu serve --join`.
 //! - [`health`] — the injectable [`Clock`] and per-replica
-//!   [`CircuitBreaker`] (closed/open/half-open).
+//!   [`CircuitBreaker`] (closed/open/half-open), whose threshold and
+//!   cooldown are constants.
 //! - [`rebalance`] — pure placement diffs and the rebalance report
 //!   types; joins and leaves ship engine records so moved engines
 //!   hydrate without re-registration.
 //! - [`router`] — the [`FrontDoor`] itself, the [`ReplicaClient`]
 //!   trait, and the in-process [`LocalReplica`] the conformance suite
-//!   runs against.
+//!   runs against. A registration and a rebalance place an engine
+//!   through one reconcile step, and a federated request ends through
+//!   the broker's own epilogue, slow-query line included.
 //!
 //! The load-bearing invariant, proven by
 //! `tests/federation_conformance.rs`: a federated answer is
@@ -30,7 +33,10 @@ pub mod rebalance;
 pub mod router;
 
 pub use discovery::{announce, parse_hosts, Discovery, HostsFileWatcher, ReplicaSpec};
-pub use health::{BreakerConfig, BreakerState, CircuitBreaker, Clock, ManualClock, SystemClock};
+pub use health::{
+    BreakerState, CircuitBreaker, Clock, ManualClock, SystemClock, BREAKER_COOLDOWN_MS,
+    BREAKER_FAILURE_THRESHOLD,
+};
 pub use placement::{hash_key, Ring, DEFAULT_VNODES};
 pub use rebalance::{diff_placement, Move, PlacementDiff, RebalanceReport};
 pub use router::{

@@ -6,11 +6,12 @@
 //! engine: the first `replication` candidates on its chain. The
 //! rebalance planner compares that desired set with the recorded
 //! current holders and emits per-engine diffs; the front-door executes
-//! each diff by shipping the engine's record to new
-//! holders (exported from a live current holder over the frame
-//! protocol, so the moved engine hydrates without re-registration) and
-//! then removing it from former holders — installs strictly before
-//! removals, so an engine never has zero holders mid-move.
+//! each diff by shipping the engine's record to new holders (exported
+//! from a live current holder over the frame protocol, so the moved
+//! engine hydrates without re-registration; the engine's source alone
+//! when no holder answers) and then removing it from former holders —
+//! installs strictly before removals, so an engine never has zero
+//! holders mid-move. A registration is the same diff from no holders.
 
 use crate::remote::TransportError;
 
@@ -58,13 +59,12 @@ pub fn diff_placement(
 pub struct Move {
     /// The engine that moved.
     pub engine: String,
-    /// The holder its snapshot was exported from (`None` when the
-    /// snapshot was regenerated from the front-door's recorded source).
+    /// The holder its record was exported from (`None` when no current
+    /// holder exported one: the engine's source was sent alone).
     pub from: Option<String>,
     /// The replica it was installed on.
     pub to: String,
-    /// Whether a planning snapshot was shipped (vs a source-only
-    /// re-registration).
+    /// Whether a record was shipped (vs a source-only registration).
     pub shipped_snapshot: bool,
 }
 

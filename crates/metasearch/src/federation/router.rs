@@ -37,10 +37,20 @@
 //! reported — not silently dropped — as `Failed` rows in
 //! [`SearchResponse::per_engine_stats`] and as typed per-replica
 //! failures in the [`FederationReport`].
+//!
+//! The front door does each of its jobs one way. A replica is asked
+//! through [`ReplicaClient::begin_plan_subset`] only, which every client
+//! implements itself. An engine is placed by one reconcile step,
+//! whether it is being registered or moved by a rebalance: a new holder
+//! is sent the record a live holder exports, or the engine's source
+//! alone, and the front door builds no record itself. And a request
+//! ends as a broker's does, through the same epilogue: its trace is
+//! closed, and a slow request writes the `slow_query` line.
 
 use crate::broker::{Broker, EngineEstimate, MergedHit};
-use crate::cache::CacheMode;
-use crate::federation::health::{BreakerConfig, BreakerState, CircuitBreaker, Clock, SystemClock};
+use crate::cache::{Answer, CacheMode};
+use crate::dispatch::finish_request;
+use crate::federation::health::{BreakerState, CircuitBreaker, Clock, SystemClock};
 use crate::federation::metrics;
 use crate::federation::placement::{Ring, DEFAULT_VNODES};
 use crate::federation::rebalance::{diff_placement, Move, RebalanceReport};
@@ -48,13 +58,13 @@ use crate::merge::merge_results;
 use crate::registry::{EngineStatus, RegistrySnapshot};
 use crate::remote::{Pending, RemoteTransport, TransportError, TransportErrorKind};
 use crate::request::{
-    DispatchOutcome, EngineDispatchStats, SearchRequest, SearchResponse, StaleMode,
+    DispatchOutcome, EngineDispatchStats, SearchRequest, SearchResponse, SharedResponse, StaleMode,
 };
 use crate::selection::SelectionPolicy;
 use parking_lot::RwLock;
 use seu_core::{Usefulness, UsefulnessEstimator};
 use seu_engine::SearchEngine;
-use seu_repr::Representative;
+use seu_obs::ActiveTrace;
 use seu_store::EngineRecord;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -95,16 +105,16 @@ impl EngineSource {
 }
 
 /// One engine install order for a replica: at least one of `source`
-/// (live dispatch capability) or `snapshot` (planning metadata — the
-/// rebalance path ships this so the receiving replica hydrates without
-/// re-registration).
+/// (live dispatch capability) or `snapshot` (planning metadata — a move
+/// ships the record a live holder exported, so the receiving replica
+/// hydrates without re-registration).
 #[derive(Debug, Clone)]
 pub struct InstallSpec {
     /// Engine name (global registration key).
     pub name: String,
     /// Live search capability, when the front-door has one on record.
     pub source: Option<EngineSource>,
-    /// The engine's record, when shipped (rebalance).
+    /// The engine's record, when a live holder exported one.
     pub snapshot: Option<Arc<EngineRecord>>,
 }
 
@@ -190,21 +200,35 @@ fn split_by_engine(
 /// Implemented in-process by [`LocalReplica`] (the conformance path)
 /// and over the frame protocol by `seu-net`'s `RemoteReplica`. The
 /// front-door makes one call a request, [`Self::begin_plan_subset`], in
-/// two halves: a client that can put the request on a wire at the begin
-/// overrides it, and its replicas then work side by side; one that
-/// cannot keeps the default and is simply asked in turn.
+/// two halves, so it asks every replica of an attempt before it waits
+/// for any. Every client answers it itself: there is no second way to
+/// plan a subset.
 pub trait ReplicaClient: Send + Sync {
     /// Liveness probe.
     fn ping(&self) -> Result<(), TransportError>;
+    /// One round trip: the named engines' rows, and the search of those
+    /// `policy` picks from them. Asks now, answers at
+    /// [`Pending::finish`].
+    fn begin_plan_subset(
+        &self,
+        query: &str,
+        threshold: f64,
+        engines: &[String],
+        policy: Option<SelectionPolicy>,
+    ) -> Box<dyn Pending<SubsetAnswer>>;
     /// The estimates of the named engines that hold a query term — the
     /// rows, in request order, under their names; every other named
-    /// engine's estimate is `(0, 0)`.
+    /// engine's estimate is `(0, 0)`. A subset plan that picks nothing.
     fn estimate_subset(
         &self,
         query: &str,
         threshold: f64,
         engines: &[String],
-    ) -> Result<Vec<EngineEstimate>, TransportError>;
+    ) -> Result<Vec<EngineEstimate>, TransportError> {
+        self.begin_plan_subset(query, threshold, engines, None)
+            .finish(None)?
+            .estimates(engines)
+    }
     /// Search the named engines that hold a query term (no other can
     /// find anything) and merge their hits above the threshold.
     fn search_subset(
@@ -213,40 +237,6 @@ pub trait ReplicaClient: Send + Sync {
         threshold: f64,
         engines: &[String],
     ) -> Result<SubsetResults, TransportError>;
-    /// One round trip: the named engines' rows, and the search of those
-    /// `policy` picks from them. Asks now, answers at
-    /// [`Pending::finish`], so a front-door asks every replica of an
-    /// attempt before it waits for any. The default composes
-    /// [`Self::estimate_subset`] and [`Self::search_subset`] at the
-    /// begin — all a client that can only block has to offer.
-    fn begin_plan_subset(
-        &self,
-        query: &str,
-        threshold: f64,
-        engines: &[String],
-        policy: Option<SelectionPolicy>,
-    ) -> Box<dyn Pending<SubsetAnswer>> {
-        let answer = self.estimate_subset(query, threshold, engines);
-        Box::new(answer.and_then(|estimates| {
-            // The names say where each row sits in the request.
-            let (mut rows, mut from) = (Vec::with_capacity(estimates.len()), 0);
-            for e in &estimates {
-                let found = engines[from..].iter().position(|name| *name == e.engine);
-                let at = from + found.ok_or_else(|| protocol_error(OUT_OF_ORDER))?;
-                rows.push((at, e.usefulness));
-                from = at + 1;
-            }
-            let usefulness: Vec<Usefulness> = rows.iter().map(|&(_, u)| u).collect();
-            let picked = picks(policy, &usefulness).into_iter();
-            let picked: Vec<String> = picked.map(|i| engines[rows[i].0].clone()).collect();
-            let searched = if picked.is_empty() {
-                SubsetResults::default()
-            } else {
-                self.search_subset(query, threshold, &picked)?
-            };
-            Ok(SubsetAnswer { rows, searched })
-        }))
-    }
     /// Installs (or re-installs) an engine on this replica.
     fn install(&self, spec: &InstallSpec) -> Result<(), TransportError>;
     /// Removes an engine; `Ok(false)` when the name was unknown.
@@ -456,16 +446,6 @@ impl<E: UsefulnessEstimator + Send + Sync + 'static> ReplicaClient for LocalRepl
         Ok(())
     }
 
-    fn estimate_subset(
-        &self,
-        query: &str,
-        threshold: f64,
-        engines: &[String],
-    ) -> Result<Vec<EngineEstimate>, TransportError> {
-        self.answer_subset(query, threshold, engines, true, None)?
-            .estimates(engines)
-    }
-
     fn search_subset(
         &self,
         query: &str,
@@ -509,8 +489,6 @@ pub struct FrontDoorConfig {
     /// Failover can only serve from a replica that holds the engine, so
     /// 1 disables failover; the default 2 survives one replica loss.
     pub replication: usize,
-    /// Per-replica circuit-breaker tuning.
-    pub breaker: BreakerConfig,
 }
 
 impl Default for FrontDoorConfig {
@@ -518,7 +496,6 @@ impl Default for FrontDoorConfig {
         FrontDoorConfig {
             vnodes: DEFAULT_VNODES,
             replication: 2,
-            breaker: BreakerConfig::default(),
         }
     }
 }
@@ -532,7 +509,7 @@ struct ReplicaEntry {
 /// Where the front door placed one engine.
 struct Placement {
     name: String,
-    source: Option<EngineSource>,
+    source: EngineSource,
     /// Replica ids currently holding the engine, candidate order
     /// (primary first).
     holders: Vec<String>,
@@ -548,6 +525,86 @@ struct ClusterState {
     /// Bumped on every membership or placement change (the federated
     /// analogue of the registry epoch, surfaced in `/healthz`).
     version: u64,
+}
+
+impl ClusterState {
+    /// Brings engine `placed`'s holders to its first `replication` ring
+    /// candidates: installs it on each new candidate, then removes it
+    /// from each former holder. A new holder is sent the record exported
+    /// from the first current holder that answers, or the engine's
+    /// source alone when none does (a registration, or a move whose
+    /// holders are all dead): the replica's install table registers a
+    /// source as it would at registration. Former holders are dropped
+    /// only once a candidate holds the engine, so a move that no
+    /// candidate accepts leaves it where it was. What moved, was removed
+    /// or failed goes to `report`; returns whether the holders changed.
+    fn reconcile(
+        &mut self,
+        placed: usize,
+        replication: usize,
+        report: &mut RebalanceReport,
+    ) -> bool {
+        let placement = &mut self.engines[placed];
+        let name = &placement.name;
+        let candidates = self.ring.candidates(name).into_iter();
+        let desired: Vec<String> = candidates.take(replication).map(String::from).collect();
+        let Some(diff) = diff_placement(name, &placement.holders, &desired) else {
+            return false;
+        };
+        let client = |id: &str| Some(&self.replicas.iter().find(|r| r.id == id)?.client);
+        let exported = if diff.install.is_empty() {
+            None
+        } else {
+            placement.holders.iter().find_map(|holder| {
+                let record = client(holder)?.export_engine(name).ok()?;
+                Some((holder.clone(), record))
+            })
+        };
+        let (from, snapshot) = exported.unzip();
+        let spec = InstallSpec {
+            name: name.clone(),
+            source: Some(placement.source.clone()),
+            snapshot,
+        };
+        let mut installed = Vec::new();
+        for to in &diff.install {
+            let Some(client) = client(to) else {
+                continue;
+            };
+            match client.install(&spec) {
+                Ok(()) => {
+                    report.moves.push(Move {
+                        engine: name.clone(),
+                        from: from.clone(),
+                        to: to.clone(),
+                        shipped_snapshot: spec.snapshot.is_some(),
+                    });
+                    installed.push(to);
+                }
+                Err(e) => report.errors.push((name.clone(), e)),
+            }
+        }
+        let held: Vec<String> = desired
+            .into_iter()
+            .filter(|d| placement.holders.contains(d) || installed.contains(&d))
+            .collect();
+        if held.is_empty() {
+            // No candidate holds it: the former holders keep their copy.
+            return false;
+        }
+        // The new holders are live; now drop the former ones.
+        for former in &diff.remove {
+            let Some(client) = client(former) else {
+                continue;
+            };
+            match client.remove_engine(name) {
+                Ok(_) => report.removals.push((name.clone(), former.clone())),
+                Err(e) => report.errors.push((name.clone(), e)),
+            }
+        }
+        placement.holders = held;
+        true
+    }
 }
 
 /// One failed replica call, with the engines it was serving.
@@ -673,7 +730,7 @@ impl FrontDoor {
             state.replicas.push(ReplicaEntry {
                 id: id.to_string(),
                 client,
-                breaker: Arc::new(CircuitBreaker::new(self.config.breaker)),
+                breaker: Arc::new(CircuitBreaker::new()),
             });
             state.version += 1;
             metrics().replicas.set(state.replicas.len() as f64);
@@ -704,7 +761,9 @@ impl FrontDoor {
     }
 
     /// Registers an engine: places it on the ring and installs it on
-    /// its first `replication` candidates.
+    /// its first `replication` candidates, as a rebalance would. If no
+    /// candidate accepts it, nothing is placed and the first refusal is
+    /// returned.
     pub fn register_engine(&self, name: &str, source: EngineSource) -> Result<(), TransportError> {
         let mut state = self.state.write();
         if state.ring.is_empty() {
@@ -715,143 +774,43 @@ impl FrontDoor {
                 "engine {name:?} already registered"
             )));
         }
-        let desired: Vec<String> = state
-            .ring
-            .candidates(name)
-            .into_iter()
-            .take(self.replication())
-            .map(String::from)
-            .collect();
-        let spec = InstallSpec {
-            name: name.to_string(),
-            source: Some(source.clone()),
-            snapshot: None,
-        };
-        let mut holders = Vec::with_capacity(desired.len());
-        let mut first_error = None;
-        for id in &desired {
-            let client = state
-                .replicas
-                .iter()
-                .find(|r| &r.id == id)
-                .expect("ring replica has an entry")
-                .client
-                .clone();
-            match client.install(&spec) {
-                Ok(()) => holders.push(id.clone()),
-                Err(e) => first_error = first_error.or(Some(e)),
-            }
-        }
-        if holders.is_empty() {
-            return Err(
-                first_error.unwrap_or_else(|| protocol_error("no candidate accepted the engine"))
-            );
-        }
         state.engines.push(Placement {
             name: name.to_string(),
-            source: Some(source),
-            holders,
+            source,
+            holders: Vec::new(),
         });
+        let mut report = RebalanceReport::default();
+        let placed = state.engines.len() - 1;
+        state.reconcile(placed, self.replication(), &mut report);
+        if state.engines[placed].holders.is_empty() {
+            state.engines.pop();
+            let refused = report.errors.into_iter().next().map(|(_, e)| e);
+            return Err(
+                refused.unwrap_or_else(|| protocol_error("no candidate accepted the engine"))
+            );
+        }
         state.version += 1;
         metrics().engines.set(state.engines.len() as f64);
         Ok(())
     }
 
-    /// Reconciles every engine's holders with the current ring:
-    /// installs on new candidates (shipping a snapshot exported from a
-    /// current holder when possible, regenerating one from the recorded
-    /// source otherwise), then removes from former holders. Installs
-    /// happen before removals, so an engine always has at least one
-    /// holder throughout.
+    /// Reconciles every engine's holders with the current ring, each
+    /// through the step a registration takes: installed on its new
+    /// candidates (the record a live holder exports, else its source
+    /// alone), then removed from its former holders, so it always keeps
+    /// a holder.
     pub fn rebalance(&self) -> RebalanceReport {
         let mut report = RebalanceReport::default();
         let mut state = self.state.write();
-        let state = &mut *state;
-        metrics().rebalances.inc();
-        let clients: BTreeMap<&str, &ReplicaEntry> =
-            state.replicas.iter().map(|r| (r.id.as_str(), r)).collect();
-        let replication = self.config.replication.max(1);
         let mut changed = false;
-        for placement in &mut state.engines {
-            let desired: Vec<String> = state
-                .ring
-                .candidates(&placement.name)
-                .into_iter()
-                .take(replication)
-                .map(String::from)
-                .collect();
-            let Some(diff) = diff_placement(&placement.name, &placement.holders, &desired) else {
-                continue;
-            };
-            // One snapshot export covers every new holder: prefer a
-            // live holder (snapshot shipping — the moved engine
-            // hydrates without re-registration), fall back to
-            // regenerating from the recorded in-process source.
-            let mut shipped_from: Option<String> = None;
-            let snapshot = if diff.install.is_empty() {
-                None
-            } else {
-                placement
-                    .holders
-                    .iter()
-                    .find_map(|h| {
-                        let entry = clients.get(h.as_str())?;
-                        let snap = entry.client.export_engine(&placement.name).ok()?;
-                        shipped_from = Some(h.clone());
-                        Some(snap)
-                    })
-                    .or_else(|| match &placement.source {
-                        Some(EngineSource::Local(engine)) => {
-                            let repr = Representative::build(engine.collection());
-                            let shipped = EngineRecord::of_engine(&placement.name, engine, repr);
-                            Some(Arc::new(shipped))
-                        }
-                        _ => None,
-                    })
-            };
-            let mut installed = Vec::new();
-            for to in &diff.install {
-                let Some(entry) = clients.get(to.as_str()) else {
-                    continue;
-                };
-                let spec = InstallSpec {
-                    name: placement.name.clone(),
-                    source: placement.source.clone(),
-                    snapshot: snapshot.clone(),
-                };
-                match entry.client.install(&spec) {
-                    Ok(()) => {
-                        metrics().rebalance_moves.inc();
-                        report.moves.push(Move {
-                            engine: placement.name.clone(),
-                            from: shipped_from.clone(),
-                            to: (*to).clone(),
-                            shipped_snapshot: snapshot.is_some(),
-                        });
-                        installed.push((*to).clone());
-                    }
-                    Err(e) => report.errors.push((placement.name.clone(), e)),
-                }
-            }
-            // New holders are live; now drop the former ones.
-            for from in &diff.remove {
-                let Some(entry) = clients.get(from.as_str()) else {
-                    continue;
-                };
-                match entry.client.remove_engine(&placement.name) {
-                    Ok(_) => report.removals.push((placement.name.clone(), from.clone())),
-                    Err(e) => report.errors.push((placement.name.clone(), e)),
-                }
-            }
-            placement.holders = desired
-                .into_iter()
-                .filter(|d| placement.holders.contains(d) || installed.contains(d))
-                .collect();
-            changed = true;
+        for placed in 0..state.engines.len() {
+            changed |= state.reconcile(placed, self.replication(), &mut report);
         }
         if changed {
             state.version += 1;
         }
+        metrics().rebalances.inc();
+        metrics().rebalance_moves.add(report.moves.len() as u64);
         report
     }
 
@@ -1001,20 +960,16 @@ impl FrontDoor {
 
         m.failovers.add(report.failovers);
         timer.stop();
-        let finished = active.finish_with(|root| {
-            root.root_attr("query", &req.query);
-            root.root_attr("threshold", req.threshold);
-            root.root_attr("hits", hits.len());
-            root.root_attr("failovers", report.failovers);
-        });
-        let resp = SearchResponse {
-            hits,
-            estimates,
-            per_engine_stats,
-            trace: if req.explain { finished } else { None },
+        let answer = Answer::new(hits, estimates, per_engine_stats);
+        let failovers = |root: &mut ActiveTrace| root.root_attr("failovers", report.failovers);
+        let trace = finish_request(active, req, &answer, failovers);
+        let answer = Arc::new(answer);
+        let shared = SharedResponse {
+            answer,
+            trace,
             served_from: None,
         };
-        (resp, report)
+        (shared.into(), report)
     }
 
     /// Step 1: the rows and picked engines' searches, failing over along

@@ -17,10 +17,10 @@ use seu_core::SubrangeEstimator;
 use seu_engine::{CollectionBuilder, SearchEngine, WeightingScheme};
 use seu_metasearch::federation::{
     EngineSource, FrontDoor, FrontDoorConfig, InstallSpec, LocalReplica, ReplicaClient,
-    SubsetResults,
+    SubsetAnswer, SubsetResults,
 };
 use seu_metasearch::{
-    Broker, EngineEstimate, EngineRecord, SearchRequest, SearchResponse, SelectionPolicy,
+    Broker, EngineEstimate, EngineRecord, Pending, SearchRequest, SearchResponse, SelectionPolicy,
     TransportError, TransportErrorKind,
 };
 use seu_text::Analyzer;
@@ -343,6 +343,21 @@ impl ReplicaClient for KillableReplica {
     ) -> Result<SubsetResults, TransportError> {
         self.check()?;
         self.inner.search_subset(query, threshold, engines)
+    }
+
+    fn begin_plan_subset(
+        &self,
+        query: &str,
+        threshold: f64,
+        engines: &[String],
+        policy: Option<SelectionPolicy>,
+    ) -> Box<dyn Pending<SubsetAnswer>> {
+        match self.check() {
+            Ok(()) => self
+                .inner
+                .begin_plan_subset(query, threshold, engines, policy),
+            Err(e) => Box::new(Err::<SubsetAnswer, _>(e)),
+        }
     }
 
     fn install(&self, spec: &InstallSpec) -> Result<(), TransportError> {

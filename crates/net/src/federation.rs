@@ -52,9 +52,8 @@ use seu_metasearch::federation::{
     EngineSource, InstallSpec, LocalReplica, ReplicaClient, SubsetAnswer, SubsetResults,
 };
 use seu_metasearch::{
-    Broker, CacheStats, EngineEstimate, EngineRecord, EngineStatus, FrontDoor, Pending,
-    RegistrySnapshot, RemoteTransport, Representative, SearchRequest, SharedResponse,
-    TransportError,
+    Broker, CacheStats, EngineRecord, EngineStatus, FrontDoor, Pending, RegistrySnapshot,
+    RemoteTransport, Representative, SearchRequest, SharedResponse, TransportError,
 };
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
@@ -234,17 +233,6 @@ impl RemoteReplica {
 impl ReplicaClient for RemoteReplica {
     fn ping(&self) -> Result<(), TransportError> {
         self.client.ping()
-    }
-
-    fn estimate_subset(
-        &self,
-        query: &str,
-        threshold: f64,
-        engines: &[String],
-    ) -> Result<Vec<EngineEstimate>, TransportError> {
-        self.begin_plan_subset(query, threshold, engines, None)
-            .finish(None)?
-            .estimates(engines)
     }
 
     fn search_subset(

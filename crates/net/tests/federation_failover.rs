@@ -13,16 +13,18 @@
 //!   and still answer **bit-identically** to a flat control broker,
 //!   with the failure captured per replica as a typed
 //!   [`TransportError`];
-//! - per-replica circuit breakers open after `failure_threshold`
-//!   consecutive failures and half-open after the cooldown — driven by
-//!   a [`ManualClock`], so the test never sleeps;
+//! - per-replica circuit breakers open after
+//!   `BREAKER_FAILURE_THRESHOLD` consecutive failures and half-open
+//!   after the cooldown — driven by a [`ManualClock`], so the test
+//!   never sleeps;
 //! - replica joins and leaves (rebalances shipping engines over TCP)
 //!   keep the federated answer bit-identical throughout.
 
 use seu_core::SubrangeEstimator;
 use seu_engine::{CollectionBuilder, SearchEngine, WeightingScheme};
 use seu_metasearch::federation::{
-    BreakerState, EngineSource, FrontDoor, FrontDoorConfig, InstallSpec, ManualClock, ReplicaClient,
+    BreakerState, EngineSource, FrontDoor, FrontDoorConfig, InstallSpec, ManualClock,
+    ReplicaClient, BREAKER_COOLDOWN_MS, BREAKER_FAILURE_THRESHOLD,
 };
 use seu_metasearch::{
     Broker, RemoteTransport, SearchRequest, SearchResponse, SelectionPolicy, TransportErrorKind,
@@ -366,10 +368,9 @@ fn breaker_opens_after_failures_and_half_opens_on_cooldown() {
     let fleet = engine_fleet(6);
     let control = control_broker(&fleet);
     let clock = ManualClock::new();
-    let config = FrontDoorConfig::default();
-    let threshold = config.breaker.failure_threshold;
-    let cooldown = config.breaker.cooldown_ms;
-    let fd = FrontDoor::with_clock(config, clock.clone());
+    let threshold = BREAKER_FAILURE_THRESHOLD;
+    let cooldown = BREAKER_COOLDOWN_MS;
+    let fd = FrontDoor::with_clock(FrontDoorConfig::default(), clock.clone());
     let (server0, client0) = replica("replica-0");
     let (server1, client1) = replica("replica-1");
     fd.add_replica("replica-0", Arc::new(client0));
@@ -391,7 +392,7 @@ fn breaker_opens_after_failures_and_half_opens_on_cooldown() {
     // charge the breaker without any timeout sleeps. A single query can
     // record several failures against the dead replica (estimate and
     // search phases fail independently), so the breaker needs at most
-    // `failure_threshold` queries — every one still answering
+    // `BREAKER_FAILURE_THRESHOLD` queries — every one still answering
     // bit-identically off the standby.
     let req = request(&queries(1)[0], SelectionPolicy::All);
     let mut failing_queries = 0u32;

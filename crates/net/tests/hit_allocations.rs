@@ -130,6 +130,8 @@ fn a_cache_hit_allocates_the_same_whatever_its_answer_holds() {
         counts.iter().all(|&(_, n)| n == counts[0].1),
         "(hits, allocations) of one cache hit: {counts:?}"
     );
+    // The trace's `Arc` and the lookup key's copy of the query.
+    assert_eq!(counts[0].1, 2, "allocations of one cache hit");
 }
 
 #[test]
@@ -142,4 +144,7 @@ fn inserting_an_answer_adds_no_allocation_per_row() {
         counts.iter().all(|&(_, n)| n == counts[0].1),
         "(hits, allocations) of one insert: {counts:?}"
     );
+    // The rendered rows and the shard's own bookkeeping: the entry is
+    // filed under the lookup's key, its query not copied again.
+    assert_eq!(counts[0].1, 3, "allocations of one insert");
 }

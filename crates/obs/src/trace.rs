@@ -330,7 +330,7 @@ impl Drop for SpanGuard {
 #[derive(Debug)]
 pub struct ActiveTrace {
     inner: Arc<TraceInner>,
-    name: String,
+    name: &'static str,
     root_attrs: Vec<(String, String)>,
     tracer: &'static Tracer,
 }
@@ -396,7 +396,7 @@ impl ActiveTrace {
         spans.push(SpanRecord {
             id: self.inner.root_span,
             parent: SpanId(0),
-            name: self.name.clone(),
+            name: self.name.to_string(),
             start_unix_ns: self.inner.epoch_unix_ns,
             duration_ns: elapsed.as_nanos() as u64,
             attrs: self.root_attrs,
@@ -406,7 +406,7 @@ impl ActiveTrace {
         let finished = Arc::new(FinishedTrace {
             trace_id: self.inner.trace_id,
             root_span: self.inner.root_span,
-            name: self.name,
+            name: self.name.to_string(),
             start_unix_ns: self.inner.epoch_unix_ns,
             duration_ns: elapsed.as_nanos() as u64,
             sampled: self.inner.sampled,
@@ -642,8 +642,9 @@ impl Tracer {
     }
 
     /// Starts a trace named `name`. The head sampling decision is made
-    /// here: `force` (explain requests) or the 1-in-N rate sampler.
-    pub fn start_trace(&'static self, name: &str, force: bool) -> ActiveTrace {
+    /// here: `force` (explain requests) or the 1-in-N rate sampler. The
+    /// name is copied only into a trace that is kept.
+    pub fn start_trace(&'static self, name: &'static str, force: bool) -> ActiveTrace {
         let rate = self.rate.load(Ordering::Relaxed);
         let n = self.requests.fetch_add(1, Ordering::Relaxed);
         let sampled = force || (rate > 0 && n.is_multiple_of(rate));
@@ -660,7 +661,7 @@ impl Tracer {
                 epoch_unix_ns,
                 spans: Mutex::new(Vec::new()),
             }),
-            name: name.to_string(),
+            name,
             root_attrs: Vec::new(),
             tracer: self,
         }
