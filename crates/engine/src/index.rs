@@ -1,4 +1,14 @@
 //! Inverted index: per-term postings of `(document, normalized weight)`.
+//!
+//! # Layout
+//!
+//! The index is compressed sparse rows: one `postings` array holding
+//! every term's postings back to back in term-id order, and `starts`,
+//! where term `t`'s run is `postings[starts[t]..starts[t + 1]]`. A build
+//! counts each term's documents, sums the counts into `starts`, then
+//! places each document's postings in document order, so every run is
+//! sorted by document id. However many terms the collection has, the
+//! index is two allocations.
 
 use crate::collection::{Collection, DocId};
 use seu_text::TermId;
@@ -16,29 +26,59 @@ pub struct Posting {
 /// The inverted index over a [`Collection`].
 #[derive(Debug, Clone)]
 pub struct InvertedIndex {
-    /// Postings per term id, each sorted by document id.
-    postings: Vec<Vec<Posting>>,
+    /// `starts[t]..starts[t + 1]` is term `t`'s run of `postings`; one
+    /// entry more than the vocabulary has terms.
+    starts: Vec<u32>,
+    /// Every term's postings, by term id, each run sorted by document id.
+    postings: Vec<Posting>,
 }
 
 impl InvertedIndex {
-    /// Builds the index from a collection in one pass over the documents.
+    /// Builds the index from a collection in two passes over the
+    /// documents: one counts each term's postings, one places them.
     pub fn build(collection: &Collection) -> Self {
-        let mut postings: Vec<Vec<Posting>> = vec![Vec::new(); collection.vocab().len()];
+        // starts[t + 1] counts term t's postings, then (summed) is
+        // where term t's run ends.
+        let mut starts = vec![0u32; collection.vocab().len() + 1];
+        for doc in collection.docs() {
+            for &(term, _) in &doc.terms {
+                starts[term.index() + 1] += 1;
+            }
+        }
+        for t in 1..starts.len() {
+            starts[t] = starts[t]
+                .checked_add(starts[t - 1])
+                .expect("index exceeds u32 postings");
+        }
+        let total = starts[starts.len() - 1] as usize;
+        let vacant = Posting {
+            doc: DocId(0),
+            weight: 0.0,
+        };
+        let mut postings = vec![vacant; total];
+        // Place with starts[t] as term t's cursor: it walks to where
+        // term t ends, which is where term t + 1 starts...
         for (i, doc) in collection.docs().iter().enumerate() {
             let id = DocId(i as u32);
             for &(term, weight) in &doc.terms {
-                postings[term.index()].push(Posting { doc: id, weight });
+                let cursor = &mut starts[term.index()];
+                postings[*cursor as usize] = Posting { doc: id, weight };
+                *cursor += 1;
             }
         }
-        InvertedIndex { postings }
+        // ...so shifting the cursors up one restores the starts.
+        starts.rotate_right(1);
+        starts[0] = 0;
+        InvertedIndex { starts, postings }
     }
 
     /// Postings for a term (empty slice for out-of-vocabulary ids).
     pub fn postings(&self, term: TermId) -> &[Posting] {
-        self.postings
-            .get(term.index())
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        let t = term.index();
+        match (self.starts.get(t), self.starts.get(t + 1)) {
+            (Some(&start), Some(&end)) => &self.postings[start as usize..end as usize],
+            _ => &[],
+        }
     }
 
     /// Document frequency of a term as seen by the index.
@@ -48,12 +88,12 @@ impl InvertedIndex {
 
     /// Number of terms with at least one posting.
     pub fn active_terms(&self) -> usize {
-        self.postings.iter().filter(|p| !p.is_empty()).count()
+        self.starts.windows(2).filter(|w| w[0] < w[1]).count()
     }
 
     /// Total number of postings (index size driver).
     pub fn total_postings(&self) -> usize {
-        self.postings.iter().map(Vec::len).sum()
+        self.postings.len()
     }
 }
 

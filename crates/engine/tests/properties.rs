@@ -129,3 +129,50 @@ proptest! {
         prop_assert_eq!(hits.len() as u64, engine.true_usefulness(&q, t).no_doc);
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `InvertedIndex::build` against one `Vec` of postings per term,
+    /// filled from the documents in order: every term's run, its
+    /// document frequency, the active-term and posting totals, and an
+    /// empty run for ids past the vocabulary. Empty documents and terms
+    /// that recur across documents are common at these sizes.
+    #[test]
+    fn index_matches_a_list_per_term(
+        docs in prop::collection::vec(prop::collection::vec(0usize..40, 0..12), 0..24),
+        scheme in prop::sample::select(vec![
+            WeightingScheme::CosineTf,
+            WeightingScheme::CosineTfIdf,
+            WeightingScheme::PivotedLogTf { slope: 0.2 },
+        ]),
+        past in 0u32..5,
+    ) {
+        let words: Vec<Vec<String>> = docs
+            .iter()
+            .map(|d| d.iter().map(|w| format!("w{w}")).collect())
+            .collect();
+        let c = build(&words, scheme);
+        let index = seu_engine::InvertedIndex::build(&c);
+        let mut model: Vec<Vec<seu_engine::index::Posting>> = vec![Vec::new(); c.vocab().len()];
+        for (i, doc) in c.docs().iter().enumerate() {
+            for &(term, weight) in &doc.terms {
+                model[term.index()].push(seu_engine::index::Posting {
+                    doc: seu_engine::DocId(i as u32),
+                    weight,
+                });
+            }
+        }
+        for (t, run) in model.iter().enumerate() {
+            let term = seu_text::TermId(t as u32);
+            prop_assert_eq!(index.postings(term), run.as_slice());
+            prop_assert_eq!(index.doc_freq(term), run.len());
+        }
+        prop_assert_eq!(index.active_terms(), model.iter().filter(|r| !r.is_empty()).count());
+        prop_assert_eq!(index.total_postings(), model.iter().map(Vec::len).sum::<usize>());
+        for id in [c.vocab().len() as u32 + past, u32::MAX - past] {
+            prop_assert!(index.postings(seu_text::TermId(id)).is_empty());
+            prop_assert_eq!(index.doc_freq(seu_text::TermId(id)), 0);
+        }
+    }
+}

@@ -1,0 +1,113 @@
+//! Heap allocations of the term dictionary and the inverted index,
+//! counted on the calling thread by a counting global allocator (its
+//! own test binary, since the allocator is process-wide).
+//!
+//! A vocabulary keeps its terms in one string and an index its
+//! postings in one array, so neither allocates per term: interning
+//! grows a few buffers by doubling, a clone copies three buffers, and
+//! an index build fills two arrays. A dictionary of one `String` per
+//! term, or an index of one `Vec` per term, costs thousands here.
+
+use seu_engine::{CollectionBuilder, InvertedIndex, WeightingScheme};
+use seu_text::{Analyzer, AnalyzerConfig, Vocabulary};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct Counting;
+
+thread_local! {
+    /// `Some(allocations)` while this thread counts.
+    static COUNT: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+fn tally() {
+    let _ = COUNT.try_with(|c| c.set(c.get().map(|n| n + 1)));
+}
+
+// SAFETY: every call is forwarded to `System` unchanged; the tally
+// touches a const-initialised thread-local and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        tally();
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        tally();
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        tally();
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// The allocations `f` makes on this thread, a buffer's growth
+/// included.
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    COUNT.with(|c| c.set(Some(0)));
+    let out = f();
+    (out, COUNT.with(|c| c.replace(None)).expect("counting"))
+}
+
+fn words(n: usize) -> Vec<String> {
+    (0..n).map(|i| format!("term{i}")).collect()
+}
+
+#[test]
+fn interning_ten_thousand_terms_allocates_per_doubling_not_per_term() {
+    let words = words(10_000);
+    let (vocab, n) = allocations(|| {
+        let mut v = Vocabulary::new();
+        for w in &words {
+            v.intern(w);
+        }
+        v
+    });
+    assert_eq!(vocab.len(), 10_000);
+    assert!(n <= 64, "interning 10 000 terms made {n} allocations");
+}
+
+#[test]
+fn a_clone_is_three_allocations() {
+    let mut vocab = Vocabulary::new();
+    for w in &words(10_000) {
+        vocab.intern(w);
+    }
+    let (copy, n) = allocations(|| vocab.clone());
+    assert_eq!(copy.len(), vocab.len());
+    assert!(
+        n <= 3,
+        "cloning a 10 000-term vocabulary made {n} allocations"
+    );
+}
+
+#[test]
+fn an_index_build_is_three_allocations() {
+    let analyzer = Analyzer::new(AnalyzerConfig {
+        remove_stopwords: false,
+        stem: false,
+    });
+    let mut b = CollectionBuilder::new(analyzer, WeightingScheme::CosineTf);
+    let words = words(5_000);
+    for (d, chunk) in words.chunks(50).enumerate() {
+        // Each document repeats a few of its neighbour's terms, so
+        // terms hold postings in more than one document.
+        let shared = &words[(d * 50 + 25) % words.len()..][..10];
+        let tokens: Vec<&String> = chunk.iter().chain(shared).collect();
+        b.add_tokens(&format!("doc-{d}"), &tokens);
+    }
+    let collection = b.build();
+    assert_eq!(collection.vocab().len(), 5_000);
+    let (index, n) = allocations(|| InvertedIndex::build(&collection));
+    assert_eq!(index.active_terms(), 5_000);
+    assert!(n <= 3, "indexing 5 000 terms made {n} allocations");
+}

@@ -64,7 +64,7 @@ use crate::selection::SelectionPolicy;
 use parking_lot::RwLock;
 use seu_core::{Usefulness, UsefulnessEstimator};
 use seu_engine::SearchEngine;
-use seu_obs::ActiveTrace;
+use seu_obs::{ActiveTrace, SpanGuard};
 use seu_store::EngineRecord;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -1022,7 +1022,13 @@ impl FrontDoor {
                     let (id, client, breaker) = &replicas[r];
                     let names: Vec<String> = group.iter().map(|&e| engines[e].0.clone()).collect();
                     let call = breaker.allow(self.clock.now_ms()).then(|| {
-                        let mut span = trace.child_span(&format!("replica:{id}"), estimate.id());
+                        // Unsampled, the span records nothing: name it
+                        // only for a trace that keeps it.
+                        let mut span = if trace.is_sampled() {
+                            trace.child_span(&format!("replica:{id}"), estimate.id())
+                        } else {
+                            SpanGuard::disabled()
+                        };
                         span.attr("engines", group.len());
                         span.attr("attempt", attempt);
                         m.replica_calls.inc();

@@ -142,13 +142,14 @@ impl EngineRecord {
     }
 
     /// Approximate resident bytes of the decoded record — the hot
-    /// tier's budget accounting.
+    /// tier's budget accounting. The vocabulary is charged what it
+    /// holds: its three buffers at capacity.
     pub fn cost(&self) -> usize {
-        let terms: usize = self.vocab.iter().map(|(_, t)| t.len() + 24).sum();
         std::mem::size_of::<Self>()
             + self.name.len()
             + self.doc_freq.len() * 4
-            + terms
+            + std::mem::size_of::<Vocabulary>()
+            + self.vocab.heap_bytes()
             + self.repr.bytes_resident() as usize
     }
 }
@@ -571,6 +572,22 @@ mod tests {
         bytes.push(0);
         let err = decode_record(&bytes).unwrap_err();
         assert!(err.detail.contains("trailing"), "{err}");
+    }
+
+    #[test]
+    fn cost_charges_the_vocabulary_at_capacity() {
+        // "alpha beta gamma": three terms of 14 bytes. The record's
+        // vocabulary is a clone, so its arena and ends are exact and
+        // its id table is the first one, of 8 slots.
+        let rec = record(&["alpha beta gamma"]);
+        assert_eq!(rec.vocab.heap_bytes(), 14 + 3 * 4 + 8 * 4);
+        // On a 64-bit target: the record, its name, three document
+        // frequencies, the vocabulary and its 58 heap bytes, the
+        // representative.
+        assert_eq!(rec.cost(), 427);
+        // A decoded record interns term by term, so it is charged the
+        // slack its buffers grew: a 16-byte arena and four ends.
+        assert_eq!(roundtrip(&rec).vocab.heap_bytes(), 16 + 4 * 4 + 8 * 4);
     }
 
     #[test]

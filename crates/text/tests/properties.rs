@@ -77,3 +77,91 @@ proptest! {
         prop_assert!(v.len() <= words.len());
     }
 }
+
+/// What a [`Vocabulary`] must answer: terms by id in insertion order,
+/// ids by term.
+#[derive(Clone, Default)]
+struct Model {
+    ids: std::collections::HashMap<String, u32>,
+    terms: Vec<String>,
+}
+
+impl Model {
+    fn intern(&mut self, term: &str) -> u32 {
+        if let Some(&id) = self.ids.get(term) {
+            return id;
+        }
+        let id = self.terms.len() as u32;
+        self.terms.push(term.to_string());
+        self.ids.insert(term.to_string(), id);
+        id
+    }
+}
+
+/// The vocabulary agrees with the model on everything it holds.
+fn agrees(v: &Vocabulary, model: &Model) -> Result<(), proptest::test_runner::TestCaseError> {
+    prop_assert_eq!(v.len(), model.terms.len());
+    prop_assert_eq!(v.is_empty(), model.terms.is_empty());
+    let listed: Vec<(u32, &str)> = v.iter().map(|(id, t)| (id.0, t)).collect();
+    let expected: Vec<(u32, &str)> = model
+        .terms
+        .iter()
+        .enumerate()
+        .map(|(i, t)| (i as u32, t.as_str()))
+        .collect();
+    prop_assert_eq!(listed, expected);
+    for (i, t) in model.terms.iter().enumerate() {
+        prop_assert_eq!(v.term(seu_text::TermId(i as u32)), t.as_str());
+        prop_assert_eq!(v.get(t), Some(seu_text::TermId(i as u32)));
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `Vocabulary` against a `HashMap` + `Vec` model. Words of zero to
+    /// three characters from a class with multi-byte UTF-8 (`.`) repeat
+    /// often, the empty word included; the pool's hundreds of distinct
+    /// words carry the table across every growth boundary up to 512
+    /// slots; halfway through, the rest is interned into a clone, and
+    /// the original must not move.
+    #[test]
+    fn vocabulary_matches_a_map_and_a_list(
+        pool in prop::collection::vec(".{0,3}", 1..300),
+        ops in prop::collection::vec((0usize..1000, any::<bool>()), 0..600),
+        split in 0usize..600,
+    ) {
+        let mut v = Vocabulary::new();
+        let mut model = Model::default();
+        let split = split.min(ops.len());
+        let mut original = None;
+        for (n, &(pick, intern)) in ops.iter().enumerate() {
+            if n == split {
+                let copy = v.clone();
+                original = Some((std::mem::replace(&mut v, copy), model.clone()));
+            }
+            let word = &pool[pick % pool.len()];
+            if intern {
+                let before = model.terms.len();
+                prop_assert_eq!(v.intern(word).0, model.intern(word));
+                let len = model.terms.len();
+                // Check everything where the table grows (at 5, 9, 17,
+                // ... terms) and just before.
+                if len != before && ((len - 1).is_power_of_two() || len.is_power_of_two()) {
+                    agrees(&v, &model)?;
+                }
+            } else {
+                prop_assert_eq!(v.get(word).map(|id| id.0), model.ids.get(word).copied());
+            }
+        }
+        agrees(&v, &model)?;
+        if let Some((original, at_split)) = original {
+            agrees(&original, &at_split)?;
+            // The clone went on interning; the original knows nothing of it.
+            for t in &model.terms[at_split.terms.len()..] {
+                prop_assert_eq!(original.get(t), None);
+            }
+        }
+    }
+}
