@@ -60,7 +60,7 @@ pub fn repr(engine_path: &Path, output: &Path, out: &mut dyn Write) -> Result<()
     let engine = load_engine(engine_path)?;
     let built = Representative::build(engine.collection());
     let record = EngineRecord::of_engine(&file_stem(engine_path), &engine, built);
-    let bytes = repr_bytes(engine_path, &record)?;
+    let bytes = record_to_bytes(&record);
     fs::write(output, &bytes).map_err(|e| io_err(&format!("writing {}", output.display()), e))?;
     writeln!(
         out,
@@ -71,19 +71,6 @@ pub fn repr(engine_path: &Path, output: &Path, out: &mut dyn Write) -> Result<()
         bytes.len(),
     )
     .map_err(|e| io_err("writing output", e))
-}
-
-/// The `.repr` bytes of the engine at `path`: its record, refused when
-/// the reader would refuse it, for terms no document weighs (tf-idf
-/// weighs a term in every document zero).
-fn repr_bytes(path: &Path, record: &EngineRecord) -> Result<Vec<u8>, String> {
-    if !record.is_consistent() {
-        return Err(format!(
-            "{}: some terms have weight zero in every document, so the engine has no record to write",
-            path.display()
-        ));
-    }
-    Ok(record_to_bytes(record))
 }
 
 /// The estimate `seu estimate` prints: the record's own analyzer and
@@ -710,7 +697,7 @@ pub fn refresh(
         let repr_path = repr_dir.join(format!("{stem}.repr"));
         let record =
             EngineRecord::of_engine(&stem, &engine, Representative::build(engine.collection()));
-        let bytes = repr_bytes(path, &record)?;
+        let bytes = record_to_bytes(&record);
         if stale_only && fs::read(&repr_path).is_ok_and(|old| old[..] == bytes[..]) {
             writeln!(out, "{stem}: up to date").map_err(|e| io_err("writing output", e))?;
             continue;
@@ -847,7 +834,7 @@ mod tests {
     }
 
     #[test]
-    fn repr_refuses_an_engine_with_terms_no_document_weighs() {
+    fn repr_writes_an_engine_with_terms_no_document_weighs() {
         let dir = tmpdir("unweighed");
         // tf-idf weighs `soup`, in every document, zero.
         let mut b = seu_engine::CollectionBuilder::new(
@@ -859,12 +846,19 @@ mod tests {
         let engine_file = dir.join("tfidf.bin");
         fs::write(&engine_file, b.build().to_bytes()).unwrap();
         let repr_file = dir.join("tfidf.repr");
-        let err = repr(&engine_file, &repr_file, &mut Vec::new()).unwrap_err();
-        assert!(err.contains("weight zero in every document"), "{err}");
-        assert!(!repr_file.exists());
+        run_to_string(|out| repr(&engine_file, &repr_file, out));
+
+        let broker = Broker::new(SubrangeEstimator::paper_six_subrange());
+        broker.register("tfidf", load_engine(&engine_file).unwrap());
+        let bits = |u: Usefulness| (u.no_doc.to_bits(), u.avg_sim.to_bits());
+        for query in ["mushroom soup", "soup", "tomato"] {
+            let served = broker.estimate_all(query, 0.1)[0].usefulness;
+            let from_file = estimate_file(&repr_file, query, 0.1).unwrap();
+            assert_eq!(bits(from_file), bits(served), "{query:?}");
+        }
         let engines = [engine_file];
-        let err = refresh(&engines, &dir.join("reprs"), false, &mut Vec::new()).unwrap_err();
-        assert!(err.contains("weight zero in every document"), "{err}");
+        let msg = run_to_string(|out| refresh(&engines, &dir.join("reprs"), false, out));
+        assert!(msg.contains("refreshed 1 of 1"), "{msg}");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -4,6 +4,7 @@ use crate::query::Query;
 use crate::weighting::WeightingScheme;
 use seu_text::{Analyzer, AnalyzerConfig, TermId, Vocabulary};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Dense identifier of a document within one [`Collection`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -77,13 +78,18 @@ impl Fingerprint {
 }
 
 /// An analyzed, weighted, cosine-normalized document collection.
+///
+/// Immutable once built, so a clone shares the vocabulary and the
+/// document frequencies with the original instead of copying them.
 #[derive(Debug, Clone)]
 pub struct Collection {
-    vocab: Vocabulary,
+    /// Shared, as `doc_freq` is, with the records that describe the
+    /// collection (a broker's registry entry, an exported snapshot).
+    vocab: Arc<Vocabulary>,
     docs: Vec<Document>,
     scheme: WeightingScheme,
     /// Document frequency per term (indexed by `TermId`).
-    doc_freq: Vec<u32>,
+    doc_freq: Arc<Vec<u32>>,
     /// Total bytes of raw text ingested (for the §3.2 size accounting).
     raw_bytes: u64,
     /// Total analyzed tokens across all documents (collection length in
@@ -111,6 +117,17 @@ impl Collection {
     /// The term dictionary.
     pub fn vocab(&self) -> &Vocabulary {
         &self.vocab
+    }
+
+    /// The term dictionary, as a handle a record can share.
+    pub fn shared_vocab(&self) -> &Arc<Vocabulary> {
+        &self.vocab
+    }
+
+    /// The document frequencies, indexed by `TermId`, as a handle a
+    /// record can share.
+    pub fn shared_doc_freq(&self) -> &Arc<Vec<u32>> {
+        &self.doc_freq
     }
 
     /// The weighting scheme documents were built with.
@@ -199,10 +216,10 @@ impl Collection {
         analyzer: AnalyzerConfig,
     ) -> Collection {
         Collection {
-            vocab,
+            vocab: Arc::new(vocab),
             docs,
             scheme,
-            doc_freq,
+            doc_freq: Arc::new(doc_freq),
             raw_bytes,
             total_tokens,
             mean_norm,
@@ -373,10 +390,10 @@ impl CollectionBuilder {
             })
             .collect();
         Collection {
-            vocab: self.vocab,
+            vocab: Arc::new(self.vocab),
             docs,
             scheme: self.scheme,
-            doc_freq,
+            doc_freq: Arc::new(doc_freq),
             raw_bytes,
             total_tokens,
             mean_norm,

@@ -34,7 +34,17 @@ pub fn weighted_query(
     let mut weights: Vec<(u32, f64)> = tf
         .into_iter()
         .filter(|&(_, f)| f > 0)
-        .map(|(t, f)| (t.0, scheme.weight(f, doc_freq(t), n_docs)))
+        .map(|(t, f)| {
+            // A scheme that ignores collection statistics is not handed
+            // a document frequency: a broker plans from statistics it
+            // reaches through a record, one cache miss a row to fetch.
+            let df = if scheme.needs_collection_stats() {
+                doc_freq(t)
+            } else {
+                0
+            };
+            (t.0, scheme.weight(f, df, n_docs))
+        })
         .collect();
     weights.sort_by_key(|&(t, _)| t);
     crate::weighting::normalize(&mut weights);

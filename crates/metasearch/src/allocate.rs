@@ -174,7 +174,7 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
                 // its allocated share (results arrive best first). A
                 // failed transport contributes nothing, like a failed
                 // dispatch.
-                EngineHandle::Remote { transport, .. } => transport
+                EngineHandle::Remote(transport) => transport
                     .search(&plan.query, 0.0, None)
                     .map(|(hits, _spans)| {
                         hits.into_iter()
@@ -189,7 +189,7 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
                     .unwrap_or_default(),
                 // A restored-but-unattached engine cannot be searched;
                 // it contributes nothing, like a failed dispatch.
-                EngineHandle::Detached { .. } => Vec::new(),
+                EngineHandle::Detached(_) => Vec::new(),
             })
             .collect();
         let mut merged = crate::merge::merge_results(per_engine);

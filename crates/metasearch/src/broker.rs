@@ -310,12 +310,12 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         Ok(())
     }
 
-    /// Registers an engine. Its representative is built from its
-    /// collection on the spot, and the collection's fingerprint is
-    /// recorded beside it. An engine in another process ships its
-    /// [`EngineRecord`] instead: see [`Broker::register_remote`] and
-    /// [`Broker::install_snapshot`]. Those are the only two ways a
-    /// representative comes in.
+    /// Registers an engine. Its [`EngineRecord`] is built from its
+    /// collection on the spot: the representative, with the collection's
+    /// own vocabulary, document frequencies and fingerprint. An engine
+    /// in another process ships its record instead: see
+    /// [`Broker::register_remote`] and [`Broker::install_snapshot`].
+    /// Those are the only two ways a record comes in.
     pub fn register(&self, name: &str, engine: SearchEngine) {
         self.register_shared(name, Arc::new(engine));
     }
@@ -329,33 +329,32 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
     /// before `vocab`), through the installer a later refresh will use.
     pub fn register_shared(&self, name: &str, engine: Arc<SearchEngine>) {
         let repr = Representative::build(engine.collection());
+        let record = Arc::new(EngineRecord::of_engine(name, &engine, repr));
+        self.insert(name, EngineHandle::Local(engine), record);
+    }
+
+    /// Every registration: a new entry for `handle`, `record` installed
+    /// under the routed shard's lock.
+    fn insert(&self, name: &str, handle: EngineHandle, record: Arc<EngineRecord>) {
         self.registry.insert(name, |seq| {
-            let mut e = RegisteredEngine::new(name, seq, EngineHandle::Local(engine));
-            e.install(&mut self.vocab.write(), repr, self.store.as_deref());
+            let mut e = RegisteredEngine::new(name, seq, handle, record.clone());
+            e.install(&mut self.vocab.write(), record, self.store.as_deref());
             e
         });
         self.purge_cache();
     }
 
     /// Registration from a shipped record (fetched over a transport or
-    /// pushed by a front-door): refuses an inconsistent one, then
-    /// installs it. `handle` receives the record, and a remote or
-    /// detached handle ends up with the installed one.
+    /// pushed by a front-door): refuses an inconsistent one at the door,
+    /// then installs it.
     fn install_from_snapshot(
         &self,
         record: Arc<EngineRecord>,
-        terms_fingerprint: Option<Fingerprint>,
-        handle: impl FnOnce(Arc<EngineRecord>) -> EngineHandle,
+        handle: EngineHandle,
     ) -> Result<String, TransportError> {
         check_consistent(&record)?;
         let name = record.name.clone();
-        self.registry.insert(&name, |seq| {
-            let mut e = RegisteredEngine::new(&name, seq, handle(record.clone()));
-            e.install_record(&mut self.vocab.write(), record, self.store.as_deref());
-            e.terms_fingerprint = terms_fingerprint;
-            e
-        });
-        self.purge_cache();
+        self.insert(&name, handle, record);
         Ok(name)
     }
 
@@ -386,10 +385,7 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         transport: Arc<dyn RemoteTransport>,
         snapshot: Arc<EngineRecord>,
     ) -> Result<String, TransportError> {
-        self.install_from_snapshot(snapshot, None, |record| EngineHandle::Remote {
-            transport,
-            record,
-        })
+        self.install_from_snapshot(snapshot, EngineHandle::Remote(transport))
     }
 
     /// Installs an engine from a shipped [`EngineRecord`] — the
@@ -408,16 +404,13 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         endpoint: Option<String>,
     ) -> Result<String, TransportError> {
         // The record's vocabulary is id-aligned with the source
-        // collection, so when the live engine *is* that collection the
-        // term list is valid for it and planning may trust it.
-        let terms_fingerprint = engine
-            .as_ref()
-            .map(|e| e.fingerprint())
-            .filter(|fp| *fp == snapshot.fingerprint);
-        self.install_from_snapshot(snapshot, terms_fingerprint, |record| match engine {
+        // collection, so when the live engine *is* that collection (same
+        // fingerprint) the entry plans with it; otherwise it is stale.
+        let handle = match engine {
             Some(engine) => EngineHandle::Local(engine),
-            None => EngineHandle::Detached { record, endpoint },
-        })
+            None => EngineHandle::Detached(endpoint),
+        };
+        self.install_from_snapshot(snapshot, handle)
     }
 
     /// Removes an engine from the registry, bumping the shard epoch so
@@ -435,9 +428,9 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
 
     /// Exports an engine's [`EngineRecord`] for shipping to another
     /// broker (the federation rebalance path). Local engines summarize
-    /// their collection, remote engines refetch over their transport,
-    /// and detached entries refuse — there is nothing live to export
-    /// from.
+    /// their collection (sharing its vocabulary and document
+    /// frequencies), remote engines refetch over their transport, and
+    /// detached entries refuse — there is nothing live to export from.
     pub fn export_snapshot(&self, name: &str) -> Result<Arc<EngineRecord>, TransportError> {
         match self.registry.get(name, |e| e.handle.clone()) {
             None => Err(TransportError::new(
@@ -448,8 +441,8 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
                 let repr = Representative::build(engine.collection());
                 Ok(Arc::new(EngineRecord::of_engine(name, &engine, repr)))
             }
-            Some(EngineHandle::Remote { transport, .. }) => transport.fetch_snapshot(),
-            Some(EngineHandle::Detached { .. }) => Err(TransportError::new(
+            Some(EngineHandle::Remote(transport)) => transport.fetch_snapshot(),
+            Some(EngineHandle::Detached(_)) => Err(TransportError::new(
                 TransportErrorKind::Refused,
                 format!("engine {name:?} is detached; nothing live to export"),
             )),
@@ -460,8 +453,8 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
     /// engine's collection changed and its snapshot fingerprint is now
     /// `fingerprint`. If the registry already holds that snapshot the
     /// notice is a no-op; otherwise the broker refetches the snapshot
-    /// over the engine's transport and installs it (representative, term
-    /// list, planning metadata, and provenance move together), bumping the
+    /// over the engine's transport and installs it (the record and its
+    /// term list move together), bumping the
     /// engine's epoch and the registry epoch so outstanding plans are
     /// detectably stale and the cache entries keyed at the pre-notice
     /// epoch are dropped eagerly, not just unreachable.
@@ -481,7 +474,7 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
     ) -> Result<bool, TransportError> {
         self.update(name, |e| {
             metrics().push_invalidations.inc();
-            if e.provenance == fingerprint && !e.pending_invalidation {
+            if e.record.fingerprint == fingerprint && !e.pending_invalidation {
                 // The notice describes the snapshot the registry already
                 // holds (e.g. a redelivery); nothing to refetch. Restored
                 // entries compare against the manifest's fingerprint, so a

@@ -301,7 +301,7 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
             let e = &plan.engines[i];
             match &e.handle {
                 EngineHandle::Local(_) => {}
-                EngineHandle::Remote { transport, .. } => {
+                EngineHandle::Remote(transport) => {
                     let mut span = engine_span(trace, dispatch_span_id, &e.name, "remote");
                     if span.is_recording() {
                         span.attr("endpoint", transport.endpoint());
@@ -318,7 +318,7 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
                         Err(_) => statuses[p] = Status::Panicked,
                     }
                 }
-                EngineHandle::Detached { .. } => {
+                EngineHandle::Detached(_) => {
                     let _span = engine_span(trace, dispatch_span_id, &e.name, "detached");
                     statuses[p] = Status::Done(Err(TransportError::new(
                         TransportErrorKind::Refused,

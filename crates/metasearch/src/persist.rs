@@ -7,23 +7,23 @@
 //! re-raised by the next [`Broker::snapshot_registry`] call instead of
 //! being silently dropped.
 //!
-//! The canonicalization contract lives here too: every representative
-//! the broker installs while a store is attached is first pushed
-//! through the store's quantized codec ([`ReprStore::put`] returns the
-//! decoded round-trip), so the estimates a live broker computes are
-//! bit-identical to those a restored broker computes after decoding
-//! the very same bytes from disk. Even when a write fails, the broker
-//! still installs the in-memory round-trip so its behaviour does not
-//! depend on disk health. Every record reaching the codec is
-//! consistent: it was built from a collection, or shipped and checked
-//! by `EngineRecord::is_consistent`.
+//! The canonicalization contract lives here too: every record the
+//! broker installs while a store is attached is first pushed through
+//! the store's quantized codec ([`StoreHandle::canonicalize`];
+//! [`ReprStore::put`] returns the decoded round-trip), so the estimates
+//! a live broker computes are bit-identical to those a restored broker
+//! computes after decoding the very same bytes from disk. Even when a
+//! write fails, the broker still installs the in-memory round-trip so
+//! its behaviour does not depend on disk health. Every record reaching
+//! the codec is consistent: it was built from a collection, or shipped
+//! and checked by `EngineRecord::is_consistent`.
 //!
-//! Hydration is the third installer: a cold entry has no term list and
-//! therefore no postings, `hydrate_entry` fills the list in from the
-//! stored vocabulary, and the registry posts it although no epoch moves
-//! (any path that changes a representative re-posts the engine's terms;
-//! see [`crate::registry`]). Re-attaching content with the stored
-//! fingerprint keeps the list and posts nothing.
+//! Hydration fills a cold entry in: it has a placeholder record, no
+//! term list and therefore no postings; `hydrate_entry` installs the
+//! stored record and its term list, and the registry posts it although
+//! no epoch moves (any path that changes a record re-posts the engine's
+//! terms; see [`crate::registry`]). Re-attaching content with the
+//! stored fingerprint keeps the list and posts nothing.
 //!
 //! The store half of `impl Broker` lives here as well: snapshotting the
 //! registry into a manifest, restoring it cold, hydrating it from the
@@ -35,7 +35,7 @@
 
 use crate::broker::{metrics, Broker};
 use crate::registry::{global_ids, Change, ColdEntry, EngineHandle, RegisteredEngine};
-use crate::remote::{RemoteTransport, TransportError};
+use crate::remote::{check_consistent, RemoteTransport, TransportError};
 use parking_lot::{Mutex, RwLock};
 use seu_core::UsefulnessEstimator;
 use seu_engine::{Fingerprint, SearchEngine};
@@ -108,34 +108,18 @@ impl StoreHandle {
     }
 }
 
-/// What the broker installs for `repr`: with a store, the canonical
-/// (quantized round-trip) form of `record(repr)`, written through under
-/// its fingerprint — serving the round-trip is what keeps a live broker
-/// bit-identical with one restored from the store later. Without a
-/// store, `repr` itself.
-pub(crate) fn canonical(
-    store: Option<&StoreHandle>,
-    repr: Representative,
-    record: impl FnOnce(Representative) -> EngineRecord,
-) -> Arc<Representative> {
-    match store {
-        Some(store) => store.canonicalize(&record(repr)).repr.clone(),
-        None => Arc::new(repr),
-    }
-}
-
-/// Hydrates one cold entry: reads the stored record, installs it as the
-/// entry's record, and takes the term list and canonical representative
-/// from it. Booked as [`Change::Unchanged`]: every plan hydrates first,
-/// so no plan (or cache entry) can have observed the placeholder state
-/// — the registry posts the entry all the same, because its term list
-/// is a new one. A missing or unreadable record marks its entry
+/// Hydrates one cold entry: reads the stored record and installs it,
+/// with the term list of its vocabulary. Booked as
+/// [`Change::Unchanged`]: every plan hydrates first, so no plan (or
+/// cache entry) can have observed the placeholder state — the registry
+/// posts the entry all the same, because its term list is a new one.
+/// A missing or unreadable record marks its entry
 /// `pending_invalidation` (surfaced as stale, reconciled by attach) and
 /// stashes the error for the next `snapshot_registry`, instead of
 /// re-reading the store on every plan.
 fn hydrate_entry(e: &mut RegisteredEngine, vocab: &RwLock<Vocabulary>, store: &StoreHandle) {
     let timer = metrics().store_hydration.start_timer();
-    let key = e.provenance;
+    let key = e.record.fingerprint;
     match store.get(key) {
         Some(record) => {
             // The record's vocabulary is written in the source
@@ -145,10 +129,7 @@ fn hydrate_entry(e: &mut RegisteredEngine, vocab: &RwLock<Vocabulary>, store: &S
             // identical content plan immediately, exactly like a
             // never-restarted broker.
             e.terms = global_ids(&mut vocab.write(), &record.vocab);
-            e.terms_fingerprint = Some(record.fingerprint);
-            e.repr = record.repr.clone();
-            let endpoint = e.handle.endpoint();
-            e.handle = EngineHandle::Detached { record, endpoint };
+            e.record = record;
         }
         None => {
             store.stash(StoreError::missing(format!(
@@ -272,10 +253,12 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
     /// If the engine's collection fingerprint matches the stored record
     /// the hydrated canonical representative and term list are kept
     /// (nothing is re-posted) — estimates stay bit-identical to the
-    /// broker that wrote the snapshot; otherwise both are rebuilt from
-    /// the new collection (and written through the store). Bumps the
-    /// entry's epoch and the registry epoch either way. Returns false
-    /// if no detached entry has that name.
+    /// broker that wrote the snapshot — and the record takes the
+    /// collection's vocabulary and document frequencies in place of the
+    /// stored copies, as every local entry's does; otherwise the record
+    /// is rebuilt from the new collection (and written through the
+    /// store). Bumps the entry's epoch and the registry epoch either
+    /// way. Returns false if no detached entry has that name.
     pub fn attach_engine(&self, name: &str, engine: SearchEngine) -> bool {
         self.hydrate();
         self.update(name, |e| {
@@ -283,18 +266,23 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
                 return (Change::Unchanged, false);
             }
             let engine = Arc::new(engine);
-            let same = e.terms_fingerprint == Some(engine.fingerprint()) && !e.pending_invalidation;
-            e.handle = EngineHandle::Local(engine);
-            if same {
+            if e.record.fingerprint == engine.fingerprint() && !e.pending_invalidation {
                 // Same collection content as the stored record: the
                 // hydrated term list is id-aligned with it and the
-                // canonical representative describes it; the entry's
-                // fingerprint is already the stored one.
+                // canonical representative describes it.
+                let c = engine.collection();
+                e.record = Arc::new(EngineRecord {
+                    vocab: c.shared_vocab().clone(),
+                    doc_freq: c.shared_doc_freq().clone(),
+                    ..(*e.record).clone()
+                });
+                e.handle = EngineHandle::Local(engine);
                 metrics().representative_refreshes.inc();
             } else {
                 // Content differs (or hydration failed): rebuild from
                 // the live collection, which cannot fail for a local
                 // engine.
+                e.handle = EngineHandle::Local(engine);
                 let _ = self.refresh(e);
             }
             (Change::Changed, true)
@@ -330,22 +318,27 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
     ) -> Result<bool, TransportError> {
         let name = snapshot.name.clone();
         self.update(&name, |e| {
-            let EngineHandle::Detached { record, .. } = &e.handle else {
+            if !e.handle.is_detached() {
                 return (Change::Unchanged, Ok(false));
-            };
-            let same = record.fingerprint == snapshot.fingerprint && !e.pending_invalidation;
-            // Otherwise the install below replaces the record, unless
-            // the snapshot is refused: then the entry keeps the stored
-            // one and stays stale.
-            let record = record.clone();
-            e.handle = EngineHandle::Remote { transport, record };
+            }
+            let same = e.record.fingerprint == snapshot.fingerprint && !e.pending_invalidation;
+            e.handle = EngineHandle::Remote(transport);
             metrics().representative_refreshes.inc();
-            let installed = if same {
-                e.terms_fingerprint = None;
-                Ok(true)
-            } else {
-                e.install_remote(&mut self.vocab.write(), snapshot, self.store.as_deref())
-                    .map(|()| true)
+            if same {
+                return (Change::Changed, Ok(true));
+            }
+            // The snapshot replaces the stored record, unless the door
+            // refuses it: then the entry keeps the stored one and stays
+            // stale.
+            let installed = match check_consistent(&snapshot) {
+                Ok(()) => {
+                    e.install(&mut self.vocab.write(), snapshot, self.store.as_deref());
+                    Ok(true)
+                }
+                Err(err) => {
+                    e.pending_invalidation = true;
+                    Err(err)
+                }
             };
             (Change::Changed, installed)
         })
@@ -365,10 +358,10 @@ fn manifest_entry(e: &RegisteredEngine) -> ManifestEntry {
         name: e.name.clone(),
         seq: e.seq,
         epoch: e.epoch,
-        fingerprint: e.provenance,
+        fingerprint: e.record.fingerprint,
         kind,
-        analyzer: e.handle.analyzer_config(),
-        scheme: e.handle.scheme(),
+        analyzer: e.record.analyzer,
+        scheme: e.record.scheme,
         repr_terms: e.repr_terms(),
         repr_bytes: e.repr_bytes(),
     }
@@ -399,18 +392,11 @@ fn cold_entry(e: &ManifestEntry) -> RegisteredEngine {
         )),
     });
     RegisteredEngine {
-        name: e.name.clone(),
-        seq: e.seq,
-        repr: record.repr.clone(),
-        handle: EngineHandle::Detached { record, endpoint },
-        terms: Arc::from([]),
-        terms_fingerprint: None,
         epoch: e.epoch,
-        provenance: fp,
-        pending_invalidation: false,
         cold: Some(ColdEntry {
             repr_terms: e.repr_terms,
             repr_bytes: e.repr_bytes,
         }),
+        ..RegisteredEngine::new(&e.name, e.seq, EngineHandle::Detached(endpoint), record)
     }
 }

@@ -13,9 +13,9 @@
 //! term, so its generating function is the constant 1 (paper Prop. 1)
 //! and its estimate `(0, 0)` under every estimator (the contract on
 //! [`UsefulnessEstimator`]), and a search of it finds nothing: it has no
-//! row, and the walk does not visit its entry. Neither has an engine
-//! whose translated query comes out empty for another reason (a
-//! replaced-but-not-refreshed entry). Then the selection policy is
+//! row, and the walk does not visit its entry. Neither has a local
+//! engine replaced but not yet refreshed (its record describes the
+//! collection it replaced). Then the selection policy is
 //! applied to the rows. The resulting [`QueryPlan`] is self-contained —
 //! it holds shared handles to the engines and the representatives it
 //! consulted — so it stays valid even if the registry changes
@@ -333,49 +333,32 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
                 if hits.is_empty() && *covered {
                     return None;
                 }
-                let query = match &e.handle {
-                    EngineHandle::Local(engine) => {
-                        let collection = engine.collection();
-                        // The term list (and so the local ids the hits
-                        // carry) is only valid against the exact
-                        // collection it was built from. replace_engine
-                        // swaps the collection without rebuilding it,
-                        // so until a refresh reconciles them the local
-                        // ids may be out of range (or mean different
-                        // terms) in the live collection, and the
-                        // representative still describes the old one —
-                        // no query vector can be consistent with both.
-                        // A mid-propagation entry therefore has no row
-                        // until the sweep reconciles it, instead of
-                        // panicking inside query weighting or estimating
-                        // through mismatched term ids.
-                        if e.terms_fingerprint != Some(engine.fingerprint()) {
-                            return None;
-                        }
-                        match analysis.tf_for(collection.analyzer_config()) {
-                            Some(tf) => collection.query_from_tf(local_tf(tf, hits)),
-                            None => collection.query_from_text(&req.query),
-                        }
+                // A local entry's record describes the collection it was
+                // installed from. replace_engine swaps the collection
+                // without reinstalling it, and the live engine would
+                // search term ids the record does not give: a
+                // mid-propagation entry has no row until the sweep
+                // reconciles them.
+                if let EngineHandle::Local(engine) = &e.handle {
+                    if e.record.fingerprint != engine.fingerprint() {
+                        return None;
                     }
-                    // A restored (detached) entry plans exactly like a
-                    // remote one: its hydrated record carries the
-                    // stored vocabulary and weighting statistics, so
-                    // estimates are bit-identical to the broker that
-                    // wrote the snapshot. Only dispatch needs a live
-                    // handle.
-                    EngineHandle::Remote { record, .. } | EngineHandle::Detached { record, .. } => {
-                        match analysis.tf_for(record.analyzer) {
-                            Some(tf) => record.query_from_tf(local_tf(tf, hits)),
-                            None => record.query_from_text(&req.query),
-                        }
-                    }
+                }
+                // Every entry plans from its record — built from the
+                // collection, shipped or restored — whose query vectors
+                // are bit-identical to the collection's own. Only
+                // dispatch needs a live handle.
+                let record = &e.record;
+                let query = match analysis.tf_for(record.analyzer) {
+                    Some(tf) => record.query_from_tf(local_tf(tf, hits)),
+                    None => record.query_from_text(&req.query),
                 };
                 if query.is_empty() {
                     return None;
                 }
                 let usefulness = if estimate {
                     consulted += 1;
-                    self.estimator.estimate(&e.repr, &query, req.threshold)
+                    self.estimator.estimate(&record.repr, &query, req.threshold)
                 } else {
                     Usefulness::default()
                 };
@@ -383,7 +366,7 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
                     name: e.name.clone(),
                     usefulness,
                     query,
-                    repr: e.repr.clone(),
+                    repr: record.repr.clone(),
                     handle: e.handle.clone(),
                 })
             },
@@ -545,13 +528,13 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
                 let query = engine.collection().query_from_text(query_text);
                 engine.true_usefulness(&query, threshold).no_doc >= 1
             }
-            EngineHandle::Remote { transport, .. } => transport
+            EngineHandle::Remote(transport) => transport
                 .true_usefulness(query_text, threshold)
                 .map(|u| u.no_doc >= 1)
                 .unwrap_or(false),
             // No live engine to ask — like a failed transport, a
             // detached entry is not useful.
-            EngineHandle::Detached { .. } => false,
+            EngineHandle::Detached(_) => false,
         };
         let named = self.registry.walk(|_, e| useful(e).then(|| e.name.clone()));
         named.items.into_iter().flatten().collect()

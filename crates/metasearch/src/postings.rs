@@ -164,7 +164,7 @@ impl TermIndex {
     /// their lists and configurations came to be in; the difference
     /// otherwise. The audit behind `Broker::audit_postings`.
     pub(crate) fn same_as(&self, other: &TermIndex) -> Result<(), String> {
-        fn canonical(index: &TermIndex) -> Vec<(u32, Vec<Posting>)> {
+        fn sorted(index: &TermIndex) -> Vec<(u32, Vec<Posting>)> {
             let one = index.one.iter().map(|(&term, &only)| (term, vec![only]));
             let many = index.many.iter().map(|(&term, list)| {
                 let mut list = list.clone();
@@ -178,7 +178,7 @@ impl TermIndex {
         if let Some((term, list)) = self.many.iter().find(|(_, list)| list.len() < 2) {
             return Err(format!("term {term}: a shared list of {}", list.len()));
         }
-        let (mine, theirs) = (canonical(self), canonical(other));
+        let (mine, theirs) = (sorted(self), sorted(other));
         if let Some((a, b)) = mine.iter().zip(&theirs).find(|(a, b)| a != b) {
             return Err(format!("postings differ: {a:?} vs {b:?}"));
         }

@@ -9,8 +9,8 @@
 //! * every registry entry carries a monotonically increasing **epoch**,
 //!   bumped on any change to the entry (representative refresh or
 //!   replacement, engine snapshot swap);
-//! * the entry records the [`Fingerprint`] of the collection its
-//!   representative and term list were built from, so a sweep
+//! * the entry's record carries the fingerprint of the collection its
+//!   representative and term list describe, so a sweep
 //!   (`Broker::refresh_if_stale`) can compare it against the engine's
 //!   current fingerprint and rebuild only what actually changed;
 //! * a [`QueryPlan`](crate::QueryPlan) records the broker-wide registry
@@ -19,20 +19,23 @@
 //!   no longer matches the registry and replan (or surface a typed
 //!   [`StalePlanError`] under [`StaleMode::Error`](crate::StaleMode)).
 //!
-//! A representative comes in two ways: built from the engine's own
-//! collection, or taken from a shipped [`EngineRecord`] that has passed
-//! its consistency check. Either way the entry records a full
-//! fingerprint.
+//! An entry is its [`EngineRecord`]: one `Arc` holds the engine's
+//! representative, the vocabulary it is row-aligned with, the weighting
+//! statistics a plan builds query vectors from and the fingerprint of
+//! the collection they describe, whatever the entry's handle. A record
+//! comes in two ways: built from the engine's own collection (sharing
+//! its vocabulary and document frequencies, not copying them), or
+//! shipped, once it has passed its consistency check at the door.
 //!
-//! The headline invariant: **any** path that changes a representative
-//! re-posts the engine's terms. The three installers
-//! (`RegisteredEngine::install`, `install_record` and the store's
-//! `hydrate_entry`) build the representative and the entry's term list —
-//! its vocabulary as broker-global term ids — together, and the registry
-//! posts a replaced list into the shard's postings before it unlocks.
-//! Terms added to a collection after registration therefore reach the
-//! global vocabulary and every subsequent plan, instead of being
-//! silently dropped from query translation.
+//! The headline invariant: **any** path that changes a record re-posts
+//! the engine's terms. The one installer (`RegisteredEngine::install`,
+//! and the store's `hydrate_entry`, which fills a cold entry in) takes
+//! the record and the entry's term list — its vocabulary as
+//! broker-global term ids — together, and the registry posts a replaced
+//! list into the shard's postings before it unlocks. Terms added to a
+//! collection after registration therefore reach the global vocabulary
+//! and every subsequent plan, instead of being silently dropped from
+//! query translation.
 //!
 //! # Who owns what
 //!
@@ -81,11 +84,11 @@
 //! is what makes a sharded broker bit-identical to a flat one.
 
 use crate::federation::hash_key;
-use crate::persist::{canonical, StoreHandle};
+use crate::persist::StoreHandle;
 use crate::postings::{Posting, TermIndex};
 use crate::remote::{check_consistent, RemoteTransport, TransportError, TransportErrorKind};
 use parking_lot::RwLock;
-use seu_engine::{Fingerprint, SearchEngine, WeightingScheme};
+use seu_engine::SearchEngine;
 use seu_repr::Representative;
 use seu_store::EngineRecord;
 use seu_text::{AnalyzerConfig, TermId, Vocabulary};
@@ -182,7 +185,7 @@ impl Entries {
 
 /// Posts `entry`, which sits at `pos` of its shard, into `index`.
 fn post(index: &mut TermIndex, pos: usize, entry: &RegisteredEngine) {
-    index.add_config(entry.handle.analyzer_config());
+    index.add_config(entry.record.analyzer);
     index.post(position(pos), &entry.terms);
 }
 
@@ -451,9 +454,7 @@ impl ShardedRegistry {
         let removed = entries.list.remove(pos);
         entries.index.unpost(position(pos), &removed.terms);
         entries.index.close_gap(position(pos));
-        entries
-            .index
-            .remove_config(removed.handle.analyzer_config());
+        entries.index.remove_config(removed.record.analyzer);
         if removed.cold.is_some() {
             self.cold.fetch_sub(1, Ordering::SeqCst);
         }
@@ -565,15 +566,15 @@ impl ShardedRegistry {
         let Entries { list, index } = entries;
         let entry = &mut list[pos];
         let was_cold = entry.cold.is_some();
-        let (config, terms) = (entry.handle.analyzer_config(), Arc::clone(&entry.terms));
+        let (config, terms) = (entry.record.analyzer, Arc::clone(&entry.terms));
         let (change, out) = f(entry);
         if !Arc::ptr_eq(&terms, &entry.terms) {
             index.unpost(position(pos), &terms);
             index.post(position(pos), &entry.terms);
         }
-        if config != entry.handle.analyzer_config() {
+        if config != entry.record.analyzer {
             index.remove_config(config);
-            index.add_config(entry.handle.analyzer_config());
+            index.add_config(entry.record.analyzer);
         }
         let warmed = was_cold && entry.cold.is_none();
         if warmed {
@@ -664,8 +665,9 @@ impl Drop for ShardedRegistry {
     }
 }
 
-/// How the broker reaches one registered engine: in-process, or through
-/// a [`RemoteTransport`] with the [`EngineRecord`] it plans with.
+/// How the broker reaches one registered engine: in-process, through a
+/// [`RemoteTransport`], or not at all yet. What it plans with is the
+/// entry's record, whatever the handle.
 ///
 /// Cloning is cheap (`Arc`s all the way down); plans hold a clone so
 /// they stay dispatchable after the registry moves on.
@@ -673,70 +675,36 @@ impl Drop for ShardedRegistry {
 pub(crate) enum EngineHandle {
     /// The engine lives in this process; the broker holds it directly.
     Local(Arc<SearchEngine>),
-    /// The engine lives elsewhere; the broker holds a transport to it
-    /// and the record of its last snapshot.
-    Remote {
-        /// The wire to the engine.
-        transport: Arc<dyn RemoteTransport>,
-        /// The engine's last snapshot as a record — with a store
-        /// attached, the canonical one the store's hot tier shares.
-        record: Arc<EngineRecord>,
-    },
+    /// The engine lives elsewhere; the broker holds a transport to it.
+    Remote(Arc<dyn RemoteTransport>),
     /// The entry was restored from a persistent store and has not been
     /// re-attached to a live engine yet. The broker can still *plan*
-    /// over it (its representative and vocabulary come from the store),
-    /// but dispatching to it fails until
-    /// [`Broker::attach_engine`](crate::Broker::attach_engine) or
-    /// [`Broker::attach_remote`](crate::Broker::attach_remote) supplies
-    /// the live handle.
-    Detached {
-        /// The stored record (a placeholder built from the manifest row
-        /// until lazy hydration reads it).
-        record: Arc<EngineRecord>,
-        /// The endpoint recorded at snapshot time, when the engine was
-        /// remote — advisory, for operators re-attaching transports.
-        endpoint: Option<String>,
-    },
+    /// over it (its record comes from the store), but dispatching to it
+    /// fails until [`Broker::attach_engine`](crate::Broker::attach_engine)
+    /// or [`Broker::attach_remote`](crate::Broker::attach_remote)
+    /// supplies the live handle. It keeps the endpoint recorded at
+    /// snapshot time, when the engine was remote — advisory, for
+    /// operators re-attaching transports.
+    Detached(Option<String>),
 }
 
 impl EngineHandle {
-    /// The engine's analyzer configuration (drives the shared-analysis
-    /// pass).
-    pub(crate) fn analyzer_config(&self) -> AnalyzerConfig {
-        match self {
-            EngineHandle::Local(e) => e.collection().analyzer_config(),
-            EngineHandle::Remote { record, .. } | EngineHandle::Detached { record, .. } => {
-                record.analyzer
-            }
-        }
-    }
-
-    /// The engine's weighting scheme (recorded in store manifests).
-    pub(crate) fn scheme(&self) -> WeightingScheme {
-        match self {
-            EngineHandle::Local(e) => e.collection().scheme(),
-            EngineHandle::Remote { record, .. } | EngineHandle::Detached { record, .. } => {
-                record.scheme
-            }
-        }
-    }
-
     /// The in-process engine, when there is one.
     pub(crate) fn local(&self) -> Option<&Arc<SearchEngine>> {
         match self {
             EngineHandle::Local(e) => Some(e),
-            EngineHandle::Remote { .. } | EngineHandle::Detached { .. } => None,
+            EngineHandle::Remote(_) | EngineHandle::Detached(_) => None,
         }
     }
 
     /// Whether this engine is reached over a transport.
     pub(crate) fn is_remote(&self) -> bool {
-        matches!(self, EngineHandle::Remote { .. })
+        matches!(self, EngineHandle::Remote(_))
     }
 
     /// Whether this entry is restored-but-unattached.
     pub(crate) fn is_detached(&self) -> bool {
-        matches!(self, EngineHandle::Detached { .. })
+        matches!(self, EngineHandle::Detached(_))
     }
 
     /// The remote endpoint, when there is one (for detached entries,
@@ -744,49 +712,45 @@ impl EngineHandle {
     pub(crate) fn endpoint(&self) -> Option<String> {
         match self {
             EngineHandle::Local(_) => None,
-            EngineHandle::Remote { transport, .. } => Some(transport.endpoint()),
-            EngineHandle::Detached { endpoint, .. } => endpoint.clone(),
+            EngineHandle::Remote(transport) => Some(transport.endpoint()),
+            EngineHandle::Detached(endpoint) => endpoint.clone(),
         }
     }
 }
 
-/// One engine's registry entry: the engine handle, its representative,
-/// its term list, and the lifecycle bookkeeping.
+/// One engine's registry entry: the engine handle, its record, its term
+/// list, and the lifecycle bookkeeping.
 pub(crate) struct RegisteredEngine {
     pub(crate) name: String,
     /// Broker-wide registration sequence number: cross-shard views sort
     /// by it to recover exact registration order.
     pub(crate) seq: u64,
     pub(crate) handle: EngineHandle,
-    pub(crate) repr: Arc<Representative>,
+    /// What the broker knows of the engine, whatever its handle: the
+    /// representative, the vocabulary and weighting statistics a plan
+    /// translates queries with, and the fingerprint of the collection
+    /// they describe — the key a store holds the record under, what
+    /// `snapshot` writes into the manifest and what a staleness check
+    /// compares. A local engine's record shares its collection's
+    /// vocabulary and document frequencies until
+    /// [`Broker::replace_engine`](crate::Broker) swaps the collection
+    /// without reinstalling it (metadata propagation is infrequent by
+    /// design): from then on the fingerprints differ, and the entry
+    /// plans no row until a refresh reconciles them. A cold entry holds
+    /// a placeholder with the manifest's fingerprint.
+    pub(crate) record: Arc<EngineRecord>,
     /// The term list: `terms[local id]` is the broker-global id of each
-    /// term of the vocabulary the representative is row-aligned with —
-    /// what the shard's postings say about this entry. Built together
-    /// with the representative, never independently of it, and replaced
-    /// whole, never edited: a different `Arc` is how
-    /// [`ShardedRegistry`] knows to re-post the entry. Empty while cold.
+    /// term of the record's vocabulary — what the shard's postings say
+    /// about this entry. Installed together with the record, never
+    /// independently of it, and replaced whole, never edited: a
+    /// different `Arc` is how [`ShardedRegistry`] knows to re-post the
+    /// entry. Empty while cold.
     pub(crate) terms: Arc<[u32]>,
-    /// For local engines: the full fingerprint of the collection `terms`
-    /// was built from. [`Broker::replace_engine`](crate::Broker) swaps
-    /// the collection *without* rebuilding the list (metadata
-    /// propagation is infrequent by design), so planning must check
-    /// this before using the local ids the postings give it — they may
-    /// be out of range (or denote different terms) in the new
-    /// collection. `None` for remote entries, whose list and metadata
-    /// always move together.
-    pub(crate) terms_fingerprint: Option<Fingerprint>,
     /// Per-engine version, starting at 0 and bumped — by
     /// [`ShardedRegistry::update`], never by the entry's own methods —
     /// on every refresh, representative update, engine replacement or
     /// attach.
     pub(crate) epoch: u64,
-    /// Fingerprint of the collection `repr` and `terms` were built
-    /// from: the engine's own, or the one its snapshot carried. A
-    /// staleness check compares it with the collection's current one,
-    /// and with a store attached it is the key the representative is
-    /// stored under — what `snapshot` writes into the manifest and
-    /// `restore` hydrates from.
-    pub(crate) provenance: Fingerprint,
     /// Remote engines only: a push invalidation notice arrived (or a
     /// snapshot refetch failed) and the entry has not been refreshed
     /// yet, so [`RegisteredEngine::is_stale`] reports true until a
@@ -816,7 +780,7 @@ impl RegisteredEngine {
     pub(crate) fn repr_terms(&self) -> u64 {
         match self.cold {
             Some(c) => c.repr_terms,
-            None => self.repr.distinct_terms() as u64,
+            None => self.record.repr.distinct_terms() as u64,
         }
     }
 
@@ -825,149 +789,115 @@ impl RegisteredEngine {
     pub(crate) fn repr_bytes(&self) -> u64 {
         match self.cold {
             Some(c) => c.repr_bytes,
-            None => self.repr.bytes_resident(),
+            None => self.record.repr.bytes_resident(),
         }
     }
 
     /// Whether the engine's current collection no longer matches the
-    /// collection its representative was built from. For local engines
-    /// this is an O(1) fingerprint comparison; for remote engines the
-    /// broker cannot poll cheaply, so staleness is what push
-    /// invalidation (or a failed refetch) has marked.
+    /// collection its record describes. For local engines this is an
+    /// O(1) fingerprint comparison; for remote engines the broker cannot
+    /// poll cheaply, so staleness is what push invalidation (or a failed
+    /// refetch) has marked.
     pub(crate) fn is_stale(&self) -> bool {
         match &self.handle {
-            EngineHandle::Local(e) => self.provenance != e.fingerprint(),
-            EngineHandle::Remote { .. } | EngineHandle::Detached { .. } => {
-                self.pending_invalidation
-            }
+            EngineHandle::Local(e) => self.record.fingerprint != e.fingerprint(),
+            EngineHandle::Remote(_) | EngineHandle::Detached(_) => self.pending_invalidation,
         }
     }
 
-    /// A new entry for `handle` that summarizes nothing yet; the caller
-    /// installs a representative before the registry publishes it.
-    pub(crate) fn new(name: &str, seq: u64, handle: EngineHandle) -> RegisteredEngine {
+    /// A new entry for `handle` holding `record` and no term list: the
+    /// caller installs a record (or, for a cold entry, leaves that to
+    /// hydration) before the registry publishes it.
+    pub(crate) fn new(
+        name: &str,
+        seq: u64,
+        handle: EngineHandle,
+        record: Arc<EngineRecord>,
+    ) -> RegisteredEngine {
         RegisteredEngine {
             name: name.to_string(),
             seq,
             handle,
-            repr: Arc::new(Representative::from_parts(0, Vec::new(), 0)),
+            record,
             terms: Arc::from([]),
-            terms_fingerprint: None,
             epoch: 0,
-            provenance: Fingerprint {
-                n_docs: 0,
-                raw_bytes: 0,
-                hash: 0,
-            },
             pending_invalidation: false,
             cold: None,
         }
     }
 
-    /// Rebuilds the representative — from the collection for local
-    /// engines, by refetching the snapshot for remote ones — through
-    /// the same two installers registration uses, so the term list can
-    /// never lag the representative. A remote refetch that fails leaves
-    /// the entry marked stale so the next sweep retries it.
+    /// Rebuilds the record — from the collection for local engines, by
+    /// refetching the snapshot for remote ones, which must pass the
+    /// door's consistency check — through the installer registration
+    /// uses, so the term list can never lag the record. A remote refetch
+    /// that fails or is refused leaves the entry marked stale so the
+    /// next sweep retries it.
     pub(crate) fn try_refresh(
         &mut self,
         global_vocab: &mut Vocabulary,
         store: Option<&StoreHandle>,
     ) -> Result<(), TransportError> {
-        match &self.handle {
+        let record = match &self.handle {
             EngineHandle::Local(engine) => {
                 let repr = Representative::build(engine.collection());
-                self.install(global_vocab, repr, store);
-                Ok(())
+                Arc::new(EngineRecord::of_engine(&self.name, engine, repr))
             }
-            EngineHandle::Remote { transport, .. } => match transport.clone().fetch_snapshot() {
-                Ok(snapshot) => self.install_remote(global_vocab, snapshot, store),
-                Err(e) => {
-                    self.pending_invalidation = true;
-                    Err(e)
+            EngineHandle::Remote(transport) => {
+                let fetched = transport.fetch_snapshot();
+                match fetched.and_then(|r| check_consistent(&r).map(|()| r)) {
+                    Ok(record) => record,
+                    Err(e) => {
+                        self.pending_invalidation = true;
+                        return Err(e);
+                    }
                 }
-            },
-            EngineHandle::Detached { .. } => {
+            }
+            EngineHandle::Detached(_) => {
                 // Nothing to refresh from: the entry has no live
                 // engine. Stay marked stale until something attaches.
                 self.pending_invalidation = true;
-                Err(TransportError::new(
+                return Err(TransportError::new(
                     TransportErrorKind::Refused,
                     format!(
                         "engine {:?} is detached (restored from store); \
                          attach a live engine or transport to refresh it",
                         self.name
                     ),
-                ))
+                ));
             }
-        }
-    }
-
-    /// Installs a fetched remote record, or marks the entry stale and
-    /// refuses if the record is inconsistent.
-    pub(crate) fn install_remote(
-        &mut self,
-        global_vocab: &mut Vocabulary,
-        record: Arc<EngineRecord>,
-        store: Option<&StoreHandle>,
-    ) -> Result<(), TransportError> {
-        if let Err(e) = check_consistent(&record) {
-            self.pending_invalidation = true;
-            return Err(e);
-        }
-        self.install_record(global_vocab, record, store);
+        };
+        self.install(global_vocab, record, store);
         Ok(())
     }
 
-    /// The installer for an engine known by its record, which the
-    /// caller has checked consistent: term list, (canonical)
-    /// representative, record and fingerprint move together, all from
-    /// `record`. A remote or detached handle takes the installed record.
-    pub(crate) fn install_record(
+    /// The installer: record and term list move together, all from
+    /// `record`, which is consistent (built from a collection, or
+    /// checked at the door). With a store attached the record is
+    /// written through and its canonical (quantized round-trip)
+    /// representative installed — what keeps a live broker
+    /// bit-identical with one restored from the store later. A local
+    /// engine's record keeps its collection's vocabulary and document
+    /// frequencies; any other takes the canonical record whole, the one
+    /// the store's hot tier shares.
+    pub(crate) fn install(
         &mut self,
         global_vocab: &mut Vocabulary,
         record: Arc<EngineRecord>,
         store: Option<&StoreHandle>,
     ) {
-        let record = match store {
-            Some(store) => store.canonicalize(&record),
-            None => record,
-        };
-        self.repr = record.repr.clone();
-        self.terms = global_ids(global_vocab, &record.vocab);
-        self.terms_fingerprint = None;
-        self.provenance = record.fingerprint;
-        match &mut self.handle {
-            EngineHandle::Remote { record: r, .. } | EngineHandle::Detached { record: r, .. } => {
-                *r = record;
+        self.record = match (store, &self.handle) {
+            (None, _) => record,
+            (Some(store), EngineHandle::Local(_)) => {
+                let repr = store.canonicalize(&record).repr.clone();
+                Arc::new(EngineRecord {
+                    repr,
+                    ..(*record).clone()
+                })
             }
-            EngineHandle::Local(_) => {}
-        }
+            (Some(store), _) => store.canonicalize(&record),
+        };
+        self.terms = global_ids(global_vocab, &self.record.vocab);
         self.pending_invalidation = false;
-        self.cold = None;
-    }
-
-    /// The installer for an engine in this process: term list,
-    /// (canonical) representative and fingerprint move together, all
-    /// from its current collection — `repr` is that collection's
-    /// `Representative::build`, which callers make before they lock.
-    /// Remote entries receive whole snapshots instead.
-    pub(crate) fn install(
-        &mut self,
-        global_vocab: &mut Vocabulary,
-        repr: Representative,
-        store: Option<&StoreHandle>,
-    ) {
-        let engine = self
-            .handle
-            .local()
-            .expect("install targets local engines; remote entries use install_remote")
-            .clone();
-        let record = |repr| EngineRecord::of_engine(&self.name, &engine, repr);
-        self.repr = canonical(store, repr, record);
-        self.terms = global_ids(global_vocab, engine.collection().vocab());
-        self.terms_fingerprint = Some(engine.fingerprint());
-        self.provenance = engine.fingerprint();
         self.cold = None;
     }
 }
@@ -1081,25 +1011,66 @@ mod tests {
         assert_eq!(shard_for("anything", 0), 0);
     }
 
-    fn entry(name: &str, seq: u64) -> RegisteredEngine {
+    fn engine() -> SearchEngine {
         let mut b = seu_engine::CollectionBuilder::new(
             seu_text::Analyzer::paper_default(),
-            WeightingScheme::CosineTf,
+            seu_engine::WeightingScheme::CosineTf,
         );
         b.add_document("d0", "mushroom soup");
-        let engine = Arc::new(SearchEngine::new(b.build()));
-        RegisteredEngine {
-            name: name.to_string(),
-            seq,
-            repr: Arc::new(Representative::build(engine.collection())),
-            terms: Arc::from([]),
-            terms_fingerprint: None,
-            epoch: 0,
-            provenance: engine.fingerprint(),
-            handle: EngineHandle::Local(engine),
-            pending_invalidation: false,
-            cold: None,
-        }
+        SearchEngine::new(b.build())
+    }
+
+    fn entry(name: &str, seq: u64) -> RegisteredEngine {
+        let engine = Arc::new(engine());
+        let repr = Representative::build(engine.collection());
+        let record = Arc::new(EngineRecord::of_engine(name, &engine, repr));
+        RegisteredEngine::new(name, seq, EngineHandle::Local(engine), record)
+    }
+
+    /// A local entry's record shares its collection's vocabulary and
+    /// document frequencies — after registration (with a store or
+    /// without), after a refresh, and after a restore re-attaches equal
+    /// content — so it costs two refcounts, not a copy.
+    #[test]
+    fn a_local_entry_shares_its_collections_buffers() {
+        use crate::Broker;
+        use seu_core::SubrangeEstimator;
+        let shares = |b: &Broker<SubrangeEstimator>| {
+            b.registry.get("cooking", |e| {
+                let c = e.handle.local().expect("a local entry").collection();
+                Arc::ptr_eq(&e.record.vocab, c.shared_vocab())
+                    && Arc::ptr_eq(&e.record.doc_freq, c.shared_doc_freq())
+            })
+        };
+        let flat = Broker::new(SubrangeEstimator::paper_six_subrange());
+        flat.register("cooking", engine());
+        assert_eq!(shares(&flat), Some(true), "registered, no store");
+
+        let dir = std::env::temp_dir().join(format!("seu-registry-shares-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let stored = || {
+            let b = Broker::builder(SubrangeEstimator::paper_six_subrange());
+            b.store(&dir).expect("open store").build()
+        };
+        let live = stored();
+        live.register("cooking", engine());
+        assert_eq!(shares(&live), Some(true), "registered");
+        assert!(live.refresh_representative("cooking"));
+        assert_eq!(shares(&live), Some(true), "refreshed");
+        live.snapshot_registry().expect("snapshot");
+
+        let restored = stored();
+        assert_eq!(restored.restore().expect("restore"), 1);
+        restored.hydrate();
+        let hydrated = restored.registry.get("cooking", |e| e.record.repr.clone());
+        assert!(restored.attach_engine("cooking", engine()));
+        assert_eq!(shares(&restored), Some(true), "restored and attached");
+        let kept = restored.registry.get("cooking", |e| e.record.repr.clone());
+        assert!(
+            Arc::ptr_eq(&kept.unwrap(), &hydrated.unwrap()),
+            "hydrated repr kept"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

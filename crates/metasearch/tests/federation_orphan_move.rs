@@ -6,9 +6,9 @@
 //! Either way the answers stay bit-identical to a flat broker's.
 //!
 //! A tf-idf engine with a term in every document is in the corpus on
-//! purpose: tf-idf weighs that term zero, so a record summarised from
-//! the collection leaves it out and is refused as inconsistent. The
-//! source itself always installs.
+//! purpose: tf-idf weighs that term zero, so its representative's row
+//! for it is empty. Its record ships all the same, with that row, and a
+//! join moves it from its live holder like any other engine.
 
 use seu_core::SubrangeEstimator;
 use seu_engine::{CollectionBuilder, SearchEngine, WeightingScheme};
@@ -66,18 +66,29 @@ fn corpus() -> Vec<(&'static str, Arc<SearchEngine>)> {
     TEXTS.iter().map(build).collect()
 }
 
-/// An in-process replica that refuses every call once killed.
+/// An in-process replica that refuses every call once killed, and
+/// every install if built refusing them.
 struct Killable {
     inner: LocalReplica<SubrangeEstimator>,
     dead: AtomicBool,
+    refuses_installs: bool,
 }
 
 impl Killable {
     fn new() -> Arc<Killable> {
+        Killable::with(false)
+    }
+
+    fn refusing_installs() -> Arc<Killable> {
+        Killable::with(true)
+    }
+
+    fn with(refuses_installs: bool) -> Arc<Killable> {
         let broker = Broker::new(SubrangeEstimator::paper_six_subrange());
         Arc::new(Killable {
             inner: LocalReplica::new(Arc::new(broker)),
             dead: AtomicBool::new(false),
+            refuses_installs,
         })
     }
 
@@ -122,6 +133,10 @@ impl ReplicaClient for Killable {
 
     fn install(&self, spec: &InstallSpec) -> Result<(), TransportError> {
         self.check()?;
+        if self.refuses_installs {
+            let why = format!("replica refuses to install {:?}", spec.name);
+            return Err(TransportError::new(TransportErrorKind::Protocol, why));
+        }
         self.inner.install(spec)
     }
 
@@ -229,11 +244,52 @@ fn an_engine_with_no_live_holder_moves_by_its_source() {
     }
 }
 
+/// Every answer of `fd` over `queries`, under `All`, against `control`'s.
+fn assert_all_identical(control: &Broker<SubrangeEstimator>, fd: &FrontDoor, queries: &[&str]) {
+    for &query in queries {
+        let req = SearchRequest::new(query)
+            .threshold(0.0)
+            .policy(SelectionPolicy::All)
+            .with_estimates(true);
+        let (fed, report) = fd.execute_with_report(&req);
+        assert!(report.unresolved.is_empty(), "{query:?}: {report:?}");
+        assert_identical(&control.execute(&req), &fed, query);
+    }
+}
+
+#[test]
+fn a_join_moves_a_tfidf_engine_by_its_record() {
+    // A join exports each moving engine's record from its live holder:
+    // the tf-idf record, with its row for a term no document weighs,
+    // installs on the new holder like every other.
+    let corpus = corpus();
+    let control = Broker::new(SubrangeEstimator::paper_six_subrange());
+    let fd = FrontDoor::new(FrontDoorConfig::default());
+    fd.add_replica("replica-0", Killable::new());
+    for (name, engine) in &corpus {
+        control.register_shared(name, engine.clone());
+        fd.register_engine(name, EngineSource::Local(engine.clone()))
+            .expect("register");
+    }
+    let report = fd
+        .add_replica("replica-1", Killable::new())
+        .expect("new id");
+    assert!(report.errors.is_empty(), "{report:?}");
+    let tfidf = report.moves.iter().find(|m| m.engine == "tfidf");
+    let tfidf = tfidf.unwrap_or_else(|| panic!("the tf-idf engine moves: {report:?}"));
+    assert_eq!(tfidf.from.as_deref(), Some("replica-0"), "{tfidf:?}");
+    assert!(tfidf.shipped_snapshot, "{tfidf:?}");
+    for (engine, holders) in fd.placements() {
+        assert_eq!(holders.len(), 2, "{engine}: {holders:?}");
+    }
+    assert_all_identical(&control, &fd, &["soup", "mushroom soup", "tomato bread"]);
+}
+
 #[test]
 fn a_move_no_new_holder_accepts_keeps_the_engine_where_it_was() {
     // A join exports each moving engine's record from its live holder;
-    // a tf-idf record with a term in every document is refused by every
-    // new holder, so such an engine cannot move, and must stay put.
+    // the new holders refuse every install, so no engine can move, and
+    // each must stay put.
     let corpus = corpus();
     let control = Broker::new(SubrangeEstimator::paper_six_subrange());
     let fd = FrontDoor::new(FrontDoorConfig::default());
@@ -246,7 +302,9 @@ fn a_move_no_new_holder_accepts_keeps_the_engine_where_it_was() {
             .expect("register");
     }
     for id in ["replica-1", "replica-2"] {
-        let report = fd.add_replica(id, Killable::new()).expect("new id");
+        let report = fd
+            .add_replica(id, Killable::refusing_installs())
+            .expect("new id");
         for (engine, error) in &report.errors {
             assert_eq!(
                 error.kind,
@@ -260,13 +318,5 @@ fn a_move_no_new_holder_accepts_keeps_the_engine_where_it_was() {
         placements.iter().all(|(_, holders)| !holders.is_empty()),
         "an engine lost its last holder: {placements:?}"
     );
-    for query in ["soup", "mushroom soup", "tomato bread"] {
-        let req = SearchRequest::new(query)
-            .threshold(0.0)
-            .policy(SelectionPolicy::All)
-            .with_estimates(true);
-        let (fed, report) = fd.execute_with_report(&req);
-        assert!(report.unresolved.is_empty(), "{query:?}: {report:?}");
-        assert_identical(&control.execute(&req), &fed, query);
-    }
+    assert_all_identical(&control, &fd, &["soup", "mushroom soup", "tomato bread"]);
 }

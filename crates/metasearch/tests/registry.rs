@@ -468,12 +468,12 @@ fn a_store_attached_broker_registers_a_term_no_document_weighs() {
     let mut builder =
         CollectionBuilder::new(Analyzer::paper_default(), WeightingScheme::CosineTfIdf);
     // `soup` is in every document, so tf-idf weighs it zero and the
-    // representative leaves it out: the record's rows align, but it is
-    // not consistent enough to ship.
+    // representative's row for it has `p = 0`: the record is consistent
+    // all the same, and ships.
     builder.add_document("d0", "mushroom soup with cream");
     builder.add_document("d1", "tomato soup and bread");
     let engine = SearchEngine::new(builder.build());
-    assert!(!record_of("tfidf", &engine).is_consistent());
+    assert!(record_of("tfidf", &engine).is_consistent());
 
     let dir = std::env::temp_dir().join(format!("seu-registry-tfidf-{}", std::process::id()));
     let store_broker = || {

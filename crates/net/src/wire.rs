@@ -569,7 +569,9 @@ const MIN_TERM_ROW_BYTES: usize = 2 + 4 * 8;
 /// The record's fields in wire order, `n_docs` written from the
 /// fingerprint, then the representative as one length-prefixed blob:
 /// magic, its document count, collection bytes, a term count, and per
-/// term its name (`u16` length) and four `f64` statistics. Coming back,
+/// vocabulary term, in id order, its name (`u16` length) and its table
+/// row's four `f64` statistics (`p = 0` for a term no document weighs).
+/// Coming back,
 /// an `n_docs` the fingerprint does not share, a term count the blob
 /// cannot hold, bytes left in the blob and a record that is not
 /// [consistent](EngineRecord::is_consistent) are all refused.
@@ -593,11 +595,10 @@ impl Wire for EngineRecord {
         REPR_MAGIC.put(out);
         self.repr.n_docs().put(out);
         self.repr.collection_bytes().put(out);
-        (self.repr.distinct_terms() as u32).put(out);
-        for (term, s) in self.repr.iter() {
-            let name = self.vocab.term(term).as_bytes();
-            (name.len() as u16).put(out);
-            out.extend_from_slice(name);
+        (self.repr.table_len() as u32).put(out);
+        for ((_, term), s) in self.vocab.iter().zip(self.repr.rows()) {
+            (term.len() as u16).put(out);
+            out.extend_from_slice(term.as_bytes());
             for stat in [s.p, s.mean, s.std_dev, s.max] {
                 stat.put(out);
             }
@@ -624,7 +625,9 @@ impl Wire for EngineRecord {
                 blob.len()
             )));
         }
-        let mut vocab = Vocabulary::new();
+        // Past each row's fixed bytes, the blob holds the terms' own.
+        let term_bytes = blob.len() - n_terms * MIN_TERM_ROW_BYTES;
+        let mut vocab = Vocabulary::with_capacity(n_terms, term_bytes);
         let mut stats = Vec::with_capacity(n_terms);
         for _ in 0..n_terms {
             let len = usize::from(u16::get(blob)?);
@@ -875,6 +878,28 @@ mod tests {
         assert_eq!(decoded.repr.distinct_terms(), 0);
         assert!(decoded.vocab.is_empty());
         assert!(decoded.query_from_text("x").is_empty());
+    }
+
+    #[test]
+    fn a_record_with_a_term_no_document_weighs_round_trips() {
+        // tf-idf weighs `soup`, in every document, zero: its table row
+        // has `p = 0`, and it ships all the same.
+        let mut b = CollectionBuilder::new(Analyzer::paper_default(), WeightingScheme::CosineTfIdf);
+        b.add_document("d0", "mushroom soup with cream");
+        b.add_document("d1", "tomato soup and bread");
+        let engine = SearchEngine::new(b.build());
+        let record = record_of("tfidf", &engine);
+        let soup = record.vocab.get("soup").expect("soup is a term");
+        assert!(record.repr.get(soup).is_none());
+        let bytes = record_to_bytes(&record);
+        let decoded = record_from_bytes(&bytes).expect("a record of a live engine ships");
+        assert_eq!(record_to_bytes(&decoded), bytes);
+        assert_eq!(decoded.vocab.len(), record.vocab.len());
+        assert_eq!(decoded.doc_freq, record.doc_freq);
+        for text in ["mushroom soup", "soup", "tomato bread"] {
+            let query = engine.collection().query_from_text(text);
+            assert_eq!(decoded.query_from_text(text), query, "{text:?}");
+        }
     }
 
     #[test]

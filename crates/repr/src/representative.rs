@@ -120,6 +120,11 @@ impl Representative {
             as u64
     }
 
+    /// The whole table, one row per term id, `p == 0` included.
+    pub fn rows(&self) -> &[TermStats] {
+        &self.stats
+    }
+
     /// All `(TermId, &TermStats)` rows with `p > 0`.
     pub fn iter(&self) -> impl Iterator<Item = (TermId, &TermStats)> {
         self.stats

@@ -18,8 +18,8 @@
 //!
 //! Decoding validates everything: magic, version, enum tags, strictly
 //! increasing in-range term ids, duplicate-free vocabulary, and a
-//! trailing-byte check, and the decoded record's rows must
-//! [align](EngineRecord::rows_align). Every length read from
+//! trailing-byte check, and the decoded record must be
+//! [consistent](EngineRecord::is_consistent). Every length read from
 //! the payload is capped against the bytes actually remaining before
 //! any allocation, so a length-lying payload cannot drive an
 //! overallocation (the wire decoder's discipline too).
@@ -77,9 +77,9 @@ pub struct EngineRecord {
 impl EngineRecord {
     /// The record of an in-process engine, its representative `repr`
     /// (the collection's `Representative::build`, or a transform of it)
-    /// moved in. Vocabulary and document frequencies are in collection
-    /// term-id order, so term ids, and therefore query vectors, match
-    /// the engine's own.
+    /// moved in. Vocabulary and document frequencies are the
+    /// collection's own, shared, not copied: term ids, and therefore
+    /// query vectors, match the engine's.
     pub fn of_engine(name: &str, engine: &SearchEngine, repr: Representative) -> EngineRecord {
         let c = engine.collection();
         EngineRecord {
@@ -87,8 +87,8 @@ impl EngineRecord {
             analyzer: c.analyzer_config(),
             scheme: c.scheme(),
             fingerprint: engine.fingerprint(),
-            doc_freq: Arc::new(c.vocab().iter().map(|(id, _)| c.doc_freq(id)).collect()),
-            vocab: Arc::new(c.vocab().clone()),
+            doc_freq: c.shared_doc_freq().clone(),
+            vocab: c.shared_vocab().clone(),
             repr: Arc::new(repr),
         }
     }
@@ -120,21 +120,15 @@ impl EngineRecord {
         self.query_from_tf(tf)
     }
 
-    /// Whether the record holds together: its rows
-    /// [align](Self::rows_align) and every term occurs. Every record
-    /// from outside (a wire reply, a `.repr` file) must pass it, so the
-    /// engine plans alike live and shipped. A local engine's record may
-    /// fail it only by terms no document weighs (tf-idf weighs a
-    /// term in every document zero); such an engine cannot be shipped.
+    /// Whether the record holds together: `doc_freq` and the
+    /// representative's table each have exactly one row per vocabulary
+    /// term (a term no document weighs, as tf-idf weighs a term in every
+    /// document, has its row with `p = 0`), and the fingerprint and the
+    /// representative count the same documents. Every record built from
+    /// a collection passes it; the store codec, the wire and every
+    /// broker install refuse a record that does not, so an engine plans
+    /// alike live and shipped.
     pub fn is_consistent(&self) -> bool {
-        self.rows_align() && self.repr.distinct_terms() == self.vocab.len()
-    }
-
-    /// Whether `doc_freq` and the representative's table each have
-    /// exactly one row per vocabulary term, and the fingerprint and the
-    /// representative count the same documents: what every record,
-    /// local ones included, holds, and what the store codec checks.
-    pub fn rows_align(&self) -> bool {
         let terms = self.vocab.len();
         self.doc_freq.len() == terms
             && self.repr.table_len() == terms
@@ -248,9 +242,13 @@ impl<'a> Reader<'a> {
     }
 
     pub(crate) fn str(&mut self, what: &str) -> Result<String, StoreError> {
+        self.str_ref(what).map(String::from)
+    }
+
+    /// A `u16`-prefixed string, borrowed from the payload.
+    pub(crate) fn str_ref(&mut self, what: &str) -> Result<&'a str, StoreError> {
         let len = usize::from(self.u16(what)?);
-        let bytes = self.take(len, what)?;
-        String::from_utf8(bytes.to_vec())
+        std::str::from_utf8(self.take(len, what)?)
             .map_err(|_| StoreError::corrupt(format!("{what}: invalid UTF-8")))
     }
 }
@@ -298,7 +296,7 @@ fn get_quantizer(r: &mut Reader<'_>) -> Result<ByteQuantizer, StoreError> {
 /// back as the canonical record.
 pub fn encode_record(record: &EngineRecord) -> Vec<u8> {
     assert!(
-        record.rows_align(),
+        record.is_consistent(),
         "record rows must align: {} vocab / {} doc_freq / {} repr rows",
         record.vocab.len(),
         record.doc_freq.len(),
@@ -397,13 +395,16 @@ pub fn decode_record(bytes: &[u8]) -> Result<EngineRecord, StoreError> {
         c.copy_from_slice(r.take(4, "code bytes")?);
         codes.push((TermId(term), c));
     }
-    let mut vocab = Vocabulary::new();
-    let mut doc_freq: Vec<u32> =
-        Vec::with_capacity(rows.min(r.remaining() / MIN_TERM_RECORD_BYTES));
+    // The vocabulary rows end the payload: past their fixed bytes, what
+    // remains is the terms' own bytes. Both capped by what is there.
+    let rows_held = rows.min(r.remaining() / MIN_TERM_RECORD_BYTES);
+    let term_bytes = r.remaining() - rows_held * MIN_TERM_RECORD_BYTES;
+    let mut vocab = Vocabulary::with_capacity(rows_held, term_bytes);
+    let mut doc_freq: Vec<u32> = Vec::with_capacity(rows_held);
     for i in 0..rows {
-        let term = r.str("vocabulary term")?;
+        let term = r.str_ref("vocabulary term")?;
         let df = r.u32("doc frequency")?;
-        if vocab.intern(&term).index() != i {
+        if vocab.intern(term).index() != i {
             return Err(StoreError::corrupt(format!(
                 "duplicate vocabulary term {term:?} at row {i}"
             )));
@@ -428,7 +429,7 @@ pub fn decode_record(bytes: &[u8]) -> Result<EngineRecord, StoreError> {
         vocab: Arc::new(vocab),
         repr: Arc::new(quantized.decode()),
     };
-    if !record.rows_align() {
+    if !record.is_consistent() {
         return Err(StoreError::corrupt(format!(
             "record for engine {:?} is inconsistent",
             record.name
@@ -576,18 +577,19 @@ mod tests {
 
     #[test]
     fn cost_charges_the_vocabulary_at_capacity() {
-        // "alpha beta gamma": three terms of 14 bytes. The record's
-        // vocabulary is a clone, so its arena and ends are exact and
-        // its id table is the first one, of 8 slots.
+        // "alpha beta gamma": three terms of 14 bytes. The record shares
+        // its collection's vocabulary, which interned term by term, so
+        // it is charged the slack its buffers grew: a 16-byte arena,
+        // four ends and the first id table, of 8 slots.
         let rec = record(&["alpha beta gamma"]);
-        assert_eq!(rec.vocab.heap_bytes(), 14 + 3 * 4 + 8 * 4);
+        assert_eq!(rec.vocab.heap_bytes(), 16 + 4 * 4 + 8 * 4);
         // On a 64-bit target: the record, its name, three document
-        // frequencies, the vocabulary and its 58 heap bytes, the
+        // frequencies, the vocabulary and its 64 heap bytes, the
         // representative.
-        assert_eq!(rec.cost(), 427);
-        // A decoded record interns term by term, so it is charged the
-        // slack its buffers grew: a 16-byte arena and four ends.
-        assert_eq!(roundtrip(&rec).vocab.heap_bytes(), 16 + 4 * 4 + 8 * 4);
+        assert_eq!(rec.cost(), 433);
+        // A decoded record's vocabulary is sized once, from the
+        // payload: its arena and ends are exact.
+        assert_eq!(roundtrip(&rec).vocab.heap_bytes(), 14 + 3 * 4 + 8 * 4);
     }
 
     #[test]

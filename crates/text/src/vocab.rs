@@ -67,6 +67,19 @@ impl Vocabulary {
         Self::default()
     }
 
+    /// An empty vocabulary with room for `terms` terms of `bytes` bytes
+    /// in all: interning that many grows no buffer, so a decoder that
+    /// knows both counts allocates once per buffer and keeps no slack.
+    pub fn with_capacity(terms: usize, bytes: usize) -> Self {
+        let mut vocab = Self::default();
+        if terms > 0 {
+            vocab.arena.reserve_exact(bytes);
+            vocab.ends.reserve_exact(terms);
+            vocab.rehash((2 * terms).next_power_of_two().max(MIN_SLOTS));
+        }
+        vocab
+    }
+
     /// Interns `term`, returning its id (existing or fresh).
     pub fn intern(&mut self, term: &str) -> TermId {
         if self.slots.is_empty() {
@@ -203,6 +216,22 @@ mod tests {
         assert_eq!(v.len(), 0);
         v.intern("present");
         assert!(v.get("present").is_some());
+    }
+
+    #[test]
+    fn a_presized_vocabulary_holds_what_a_clone_does() {
+        let words = ["alpha", "beta", "gamma", "delta", "epsilon"];
+        let bytes = words.iter().map(|w| w.len()).sum();
+        let (mut sized, mut grown) = (
+            Vocabulary::with_capacity(words.len(), bytes),
+            Vocabulary::new(),
+        );
+        for w in words {
+            assert_eq!(sized.intern(w), grown.intern(w));
+        }
+        assert!(sized.iter().eq(grown.iter()));
+        assert_eq!(sized.heap_bytes(), grown.clone().heap_bytes());
+        assert_eq!(Vocabulary::with_capacity(0, 0).heap_bytes(), 0);
     }
 
     #[test]
