@@ -13,9 +13,6 @@ use seu_text::{AnalyzerConfig, TermId, Vocabulary};
 const MAGIC: u32 = 0x5345_5543; // "SEUC"
 const VERSION: u16 = 1;
 
-/// Smallest vocabulary row: an empty term (u16 length) and its document
-/// frequency (u32).
-const MIN_TERM_BYTES: usize = 2 + 4;
 /// Smallest document row: an empty name (u16 length), norm (f64),
 /// length (u32) and term count (u32).
 const MIN_DOC_BYTES: usize = 2 + 8 + 4 + 4;
@@ -59,9 +56,23 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-fn get_str(buf: &mut &[u8]) -> Option<String> {
+fn get_str<'a>(buf: &mut &'a [u8]) -> Option<&'a str> {
     let len = u16::get(buf)? as usize;
-    String::from_utf8(take(buf, len)?.to_vec()).ok()
+    std::str::from_utf8(take(buf, len)?).ok()
+}
+
+/// The bytes the terms of the `n` vocabulary rows at the front of `buf`
+/// hold; `None` when it holds fewer rows. A row is at least six bytes (a
+/// u16 length and a u32 document frequency), so a count that lies ends
+/// the pass early.
+fn term_bytes(mut buf: &[u8], n: usize) -> Option<usize> {
+    let mut bytes = 0;
+    for _ in 0..n {
+        let len = u16::get(&mut buf)? as usize;
+        take(&mut buf, len + 4)?;
+        bytes += len;
+    }
+    Some(bytes)
 }
 
 fn scheme_tag(scheme: WeightingScheme) -> (u8, f64) {
@@ -144,10 +155,11 @@ impl Collection {
         let mean_norm = f64::get(buf)?;
 
         let n_terms = u32::get(buf)? as usize;
-        let mut vocab = Vocabulary::new();
-        let mut doc_freq = Vec::with_capacity(n_terms.min(buf.len() / MIN_TERM_BYTES));
+        // Sized once, from the rows themselves; each term is borrowed.
+        let mut vocab = Vocabulary::with_capacity(n_terms, term_bytes(buf, n_terms)?);
+        let mut doc_freq = Vec::with_capacity(n_terms);
         for i in 0..n_terms {
-            let id = vocab.intern(&get_str(buf)?);
+            let id = vocab.intern(get_str(buf)?);
             // Term order must round-trip to keep ids stable.
             if id.index() != i {
                 return None;
@@ -159,7 +171,7 @@ impl Collection {
         let mut docs = Vec::with_capacity(n_docs.min(buf.len() / MIN_DOC_BYTES));
         let mut listed = vec![0u32; n_terms];
         for _ in 0..n_docs {
-            let name = get_str(buf)?;
+            let name = get_str(buf)?.to_string();
             let norm = f64::get(buf)?;
             let len = u32::get(buf)?;
             let n = u32::get(buf)? as usize;

@@ -8,7 +8,7 @@
 //! an index build fills two arrays. A dictionary of one `String` per
 //! term, or an index of one `Vec` per term, costs thousands here.
 
-use seu_engine::{CollectionBuilder, InvertedIndex, WeightingScheme};
+use seu_engine::{Collection, CollectionBuilder, InvertedIndex, WeightingScheme};
 use seu_text::{Analyzer, AnalyzerConfig, Vocabulary};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -110,4 +110,39 @@ fn an_index_build_is_three_allocations() {
     let (index, n) = allocations(|| InvertedIndex::build(&collection));
     assert_eq!(index.active_terms(), 5_000);
     assert!(n <= 3, "indexing 5 000 terms made {n} allocations");
+}
+
+/// The engine file of a collection with `terms` distinct terms over ten
+/// documents.
+fn engine_file(terms: usize) -> Vec<u8> {
+    let analyzer = Analyzer::new(AnalyzerConfig {
+        remove_stopwords: false,
+        stem: false,
+    });
+    let mut b = CollectionBuilder::new(analyzer, WeightingScheme::CosineTf);
+    let words = words(terms);
+    for (d, chunk) in words.chunks(terms.div_ceil(10)).enumerate() {
+        b.add_tokens(&format!("doc-{d}"), chunk);
+    }
+    b.build().to_bytes()
+}
+
+/// The engine-file decoder sizes its vocabulary once and borrows each
+/// term from the file, as the record decoders do: ten times the terms
+/// over the same documents take the same allocations.
+#[test]
+fn decoding_an_engine_file_allocates_per_document_not_per_term() {
+    let counts: Vec<(usize, u64)> = [91, 910]
+        .into_iter()
+        .map(|terms| {
+            let bytes = engine_file(terms);
+            let (decoded, n) = allocations(|| Collection::from_bytes(&bytes));
+            assert_eq!(decoded.expect("a valid file").vocab().len(), terms);
+            (terms, n)
+        })
+        .collect();
+    assert_eq!(
+        counts[0].1, counts[1].1,
+        "allocations of a decode by vocabulary size: {counts:?}"
+    );
 }

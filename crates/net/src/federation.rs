@@ -45,7 +45,7 @@ use crate::client::{unexpected, MuxClient, RemoteEngine, RemoteEngineConfig};
 use crate::frame::io_error;
 use crate::http::BrokerAdmin;
 use crate::metrics::metrics;
-use crate::server::{FrameServer, FrameService, ServerConfig};
+use crate::server::{FrameService, LoopServer, ServerConfig};
 use crate::wire::Message;
 use seu_core::UsefulnessEstimator;
 use seu_metasearch::federation::{
@@ -61,7 +61,7 @@ use std::sync::Arc;
 /// One broker on a socket as a federation replica (kinds 19–31);
 /// serving stops when dropped.
 pub struct ReplicaServer {
-    server: FrameServer,
+    server: LoopServer,
 }
 
 impl ReplicaServer {
@@ -94,7 +94,7 @@ impl ReplicaServer {
             id: id.to_string(),
             replica: LocalReplica::new(broker),
         });
-        FrameServer::bind(service, addr, config)
+        LoopServer::bind(service, addr, config)
             .map(|server| ReplicaServer { server })
             .map_err(|e| io_error(&e, "binding replica"))
     }
@@ -111,8 +111,8 @@ impl ReplicaServer {
 
     /// Stops accepting, severs every live connection (in-flight calls on
     /// them fail with [`TransportErrorKind::ConnectionLost`] on the
-    /// caller's side), and joins the serving threads. This is the "kill
-    /// a replica" primitive the fault-injection suite uses.
+    /// caller's side), and joins the loop and its parked workers. This is
+    /// the "kill a replica" primitive the fault-injection suite uses.
     pub fn shutdown(mut self) {
         self.server.stop();
     }

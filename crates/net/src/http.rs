@@ -43,28 +43,26 @@
 //! object-safe [`BrokerAdmin`] trait, blanket-implemented for every
 //! `Broker<E>`.
 //!
-//! **What blocks where.** The acceptor thread blocks in `accept`. A
-//! connection thread serves one request with blocking reads and writes
-//! under the 10 s socket deadlines, then *parks*: it pushes its own slot
-//! on a stack and waits on its own park token for at most a second,
-//! after which it takes itself off the stack and exits.
+//! **What blocks where.** Nothing here waits for a client: the server is
+//! the crate's event loop ([`crate::server`]) over an HTTP listener. The
+//! loop thread accepts, reads each connection into its buffer and runs
+//! `parse_request` over what has arrived, and a client that sends no
+//! whole request by the loop's idle deadline is closed. A worker of the
+//! loop's worker set blocks only writing the reply and, after a refusal,
+//! reading what the peer is still sending.
 //!
-//! **Who wakes whom.** The acceptor pops the *most recently* parked
-//! thread, leaves the connection in that thread's slot and unparks it,
-//! and no other; with none parked it starts a thread whose first job is
-//! the connection, so threads started ≤ connections open at once. Last
-//! in, first out, because that thread's stack, allocator cache and
-//! estimator scratch are still in the processor's cache; a shared
-//! channel or condvar wakes waiters in queue order, the coldest first,
-//! and that, not pooling, cost `registry_10k` its tail when a pool was
-//! tried. A thread parks *before* it closes the socket it served: the
-//! client reads to end of stream before it connects again, so by then
-//! its thread is on the stack. `shutdown` ends the acceptor, which
-//! takes the stack, wakes and joins the threads that were on it; a
-//! thread serving at that moment exits after its reply, not parking.
+//! **Who wakes whom.** When a request is whole, or refused, the loop
+//! takes its connection out of its table and wakes the most recently
+//! parked worker with it — or, with none parked, starts one, so workers
+//! started ≤ connections open at once. The worker routes and writes,
+//! parks, and only then closes the socket: the client reads to end of
+//! stream before it connects again, so by then the worker is back on the
+//! stack. No reply crosses back to the loop. `shutdown` stops the loop,
+//! which wakes and joins the parked workers; a worker answering at that
+//! moment exits after its reply, not parking.
 
-use crate::metrics::{metrics, HttpThreadLive};
-use parking_lot::Mutex;
+use crate::metrics::metrics;
+use crate::server::{LoopServer, Service, REQUEST_IDLE_TIMEOUT};
 use seu_core::UsefulnessEstimator;
 use seu_metasearch::{
     Broker, CacheMode, CacheStats, CacheTier, EngineStatus, RegistrySnapshot, SearchRequest,
@@ -72,11 +70,9 @@ use seu_metasearch::{
 };
 use seu_obs::json::{self, Json};
 use std::io::{IoSlice, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
-use std::thread::{JoinHandle, Thread};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Largest request head (request line + headers) accepted.
 const MAX_HEAD_BYTES: usize = 8 << 10;
@@ -90,11 +86,6 @@ const MAX_DRAIN_BYTES: u64 = 1 << 20;
 /// How long that peer must stay silent for the door to take it that
 /// everything it sent has arrived.
 const REFUSAL_LINGER: Duration = Duration::from_millis(100);
-/// Socket deadline for reading a request and writing its response.
-const REQUEST_TIMEOUT: Duration = Duration::from_secs(10);
-/// How long a parked connection thread waits for its next connection
-/// before it takes itself off the stack and exits.
-const PARK_EXPIRY: Duration = Duration::from_secs(1);
 
 /// The slice of a broker the admin server needs, object-safe so one
 /// server type works over any estimator. Blanket-implemented for every
@@ -130,92 +121,10 @@ impl<E: UsefulnessEstimator + Send + Sync> BrokerAdmin for Broker<E> {
     }
 }
 
-/// A connection thread's own slot: its next stream, left by the acceptor.
-type Slot = Arc<Mutex<Option<TcpStream>>>;
-
-/// What the acceptor and the connection threads share.
-#[derive(Debug, Default)]
-struct Door {
-    shutting_down: AtomicBool,
-    /// The parked threads and their slots, most recently parked last.
-    parked: Mutex<Vec<(Thread, Slot)>>,
-}
-
-impl Door {
-    /// The acceptor's loop, then its half of `stop`.
-    fn accept(self: Arc<Door>, listener: TcpListener, broker: Arc<dyn BrokerAdmin>) {
-        let mut started: Vec<JoinHandle<()>> = Vec::new();
-        for stream in listener.incoming() {
-            if self.shutting_down.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(stream) = stream else { continue };
-            let mut parked = self.parked.lock();
-            if let Some((thread, slot)) = parked.pop() {
-                *slot.lock() = Some(stream);
-                drop(parked);
-                thread.unpark();
-                continue;
-            }
-            drop(parked);
-            let (door, broker) = (Arc::clone(&self), Arc::clone(&broker));
-            started.retain(|thread| !thread.is_finished());
-            started.extend(
-                std::thread::Builder::new()
-                    .name("seu-http-conn".to_string())
-                    .spawn(move || door.serve_connections(stream, &*broker)),
-            );
-        }
-        let parked = std::mem::take(&mut *self.parked.lock());
-        for thread in started {
-            if parked.iter().any(|p| p.0.id() == thread.thread().id()) {
-                thread.thread().unpark();
-                let _ = thread.join();
-            }
-        }
-    }
-
-    /// A connection thread: serve, park, close the served socket, wait.
-    fn serve_connections(&self, first: TcpStream, broker: &dyn BrokerAdmin) {
-        let _live = HttpThreadLive::start();
-        let slot: Slot = Arc::new(Mutex::new(Some(first)));
-        while let Some(mut stream) = self.next_stream(&slot) {
-            let _ = serve_one(&mut stream, broker);
-            let mut parked = self.parked.lock();
-            if self.shutting_down.load(Ordering::SeqCst) {
-                return;
-            }
-            parked.push((std::thread::current(), Arc::clone(&slot)));
-            // `parked` unlocks, then `stream` closes: parked first.
-        }
-    }
-
-    /// The stream left in `slot`; `None` when the thread is to exit.
-    fn next_stream(&self, slot: &Slot) -> Option<TcpStream> {
-        let parked_at = Instant::now();
-        loop {
-            let mut parked = self.parked.lock();
-            if let Some(stream) = slot.lock().take() {
-                return Some(stream);
-            }
-            // Off the stack with nothing in the slot is `stop`'s doing.
-            let at = parked.iter().rposition(|p| Arc::ptr_eq(&p.1, slot))?;
-            let Some(left) = PARK_EXPIRY.checked_sub(parked_at.elapsed()) else {
-                parked.remove(at);
-                return None;
-            };
-            drop(parked);
-            std::thread::park_timeout(left);
-        }
-    }
-}
-
-/// The admin/metrics HTTP server; serving stops when dropped.
-#[derive(Debug)]
+/// The admin/metrics HTTP server: the crate's event loop over an HTTP
+/// listener. Serving stops when dropped.
 pub struct AdminServer {
-    addr: SocketAddr,
-    door: Arc<Door>,
-    accept_thread: Option<JoinHandle<()>>,
+    server: LoopServer,
 }
 
 impl AdminServer {
@@ -224,120 +133,103 @@ impl AdminServer {
         broker: Arc<dyn BrokerAdmin>,
         addr: impl ToSocketAddrs,
     ) -> std::io::Result<AdminServer> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let door = Arc::<Door>::default();
-        let accepting = Arc::clone(&door);
-        let accept_thread = std::thread::Builder::new()
-            .name("seu-net-http".to_string())
-            .spawn(move || accepting.accept(listener, broker))?;
-        Ok(AdminServer {
-            addr,
-            door,
-            accept_thread: Some(accept_thread),
-        })
+        // No cap: a connection carries one request, so the workers number
+        // at most the connections open at once.
+        let server = LoopServer::start(Service::Http(broker), addr, usize::MAX)?;
+        Ok(AdminServer { server })
     }
 
     /// The bound address (with the ephemeral port resolved).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.server.addr()
     }
 
-    /// Stops accepting; joins the accept thread and every parked thread.
+    /// Stops accepting; joins the loop and every parked worker.
     pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        if self.door.shutting_down.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
+        self.server.stop();
     }
 }
 
-impl Drop for AdminServer {
-    fn drop(&mut self) {
-        self.stop();
+impl std::fmt::Debug for AdminServer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("AdminServer")
+            .field("addr", &self.addr())
+            .finish()
     }
 }
 
-struct Request {
+/// One request, read whole off its connection.
+pub(crate) struct Request {
     method: String,
     path: String,
     body: Vec<u8>,
 }
 
-/// Why [`read_request`] produced no request.
-enum ReadError {
-    /// Malformed, truncated, over the head cap, or framed by two
-    /// `Content-Length`s that disagree → `400`.
+/// Why [`parse_request`] produced no request.
+pub(crate) enum Refusal {
+    /// Malformed, cut short, over the head cap, or framed other than by
+    /// one `Content-Length` of digits → `400`.
     Invalid,
     /// Declared `Content-Length` over [`MAX_BODY_BYTES`] → `413`. The
-    /// body is never allocated or read.
+    /// body is never buffered.
     BodyTooLarge,
 }
 
-/// Reads one HTTP request within the caps. The socket is read a block
-/// at a time — a head is about a hundred bytes and every read is a
-/// system call — so whatever of the body arrived with the head is taken
-/// from the same block.
-fn read_request(stream: &mut TcpStream) -> Result<Request, ReadError> {
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    let mut block = [0u8; 1024];
-    let head_end = loop {
-        // A terminator may straddle two blocks: look again from three
-        // bytes before the new ones.
-        let from = buf.len().saturating_sub(3);
-        match stream.read(&mut block) {
-            Ok(n) if n > 0 => buf.extend_from_slice(&block[..n]),
-            _ => return Err(ReadError::Invalid),
-        }
-        if let Some(at) = buf[from..].windows(4).position(|w| w == b"\r\n\r\n") {
-            break from + at + 4;
-        }
-        if buf.len() >= MAX_HEAD_BYTES {
-            return Err(ReadError::Invalid);
-        }
+/// The request at the front of `buf`, what refuses it, or `None` until
+/// more has arrived: a head within [`MAX_HEAD_BYTES`] and then the body
+/// its `Content-Length` declares.
+pub(crate) fn parse_request(buf: &[u8]) -> Option<Result<Request, Refusal>> {
+    let scanned = &buf[..buf.len().min(MAX_HEAD_BYTES)];
+    let Some(at) = scanned.windows(4).position(|w| w == b"\r\n\r\n") else {
+        return (buf.len() >= MAX_HEAD_BYTES).then_some(Err(Refusal::Invalid));
     };
-    if head_end > MAX_HEAD_BYTES {
-        return Err(ReadError::Invalid);
-    }
-    let head = String::from_utf8_lossy(&buf[..head_end]);
+    let (head, rest) = buf.split_at(at + 4);
+    let whole = |(method, path, length): (String, String, usize)| {
+        let body = rest.get(..length)?.to_vec();
+        Some(Request { method, path, body })
+    };
+    parse_head(head).map(whole).transpose()
+}
+
+/// The method, the path and the body's length from a request head.
+fn parse_head(head: &[u8]) -> Result<(String, String, usize), Refusal> {
+    let head = String::from_utf8_lossy(head);
     let mut lines = head.split("\r\n");
-    let mut request_line = lines.next().ok_or(ReadError::Invalid)?.split_whitespace();
-    let method = request_line.next().ok_or(ReadError::Invalid)?.to_string();
-    let path = request_line.next().ok_or(ReadError::Invalid)?.to_string();
+    let mut request_line = lines.next().ok_or(Refusal::Invalid)?.split_whitespace();
+    let method = request_line.next().ok_or(Refusal::Invalid)?.to_string();
+    let path = request_line.next().ok_or(Refusal::Invalid)?.to_string();
     let mut content_length = None;
     for line in lines {
         let Some((name, value)) = line.split_once(':') else {
             continue;
         };
+        // A body in a transfer coding the door does not decode has no
+        // length it could trust, whatever else the head says (RFC 9112
+        // §6.1): refused, never framed by the `Content-Length` beside it.
+        if name.eq_ignore_ascii_case("transfer-encoding") {
+            return Err(Refusal::Invalid);
+        }
         if name.eq_ignore_ascii_case("content-length") {
-            let length: usize = value.trim().parse().map_err(|_| ReadError::Invalid)?;
+            // `1*DIGIT` (RFC 9110 §8.6): no sign, no space inside.
+            let value = value.trim();
+            if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+                return Err(Refusal::Invalid);
+            }
+            let length: usize = value.parse().map_err(|_| Refusal::Invalid)?;
             // Two lengths that disagree leave the framing unknowable
             // (RFC 9112 §6.3): refuse now, rather than wait for a body
             // one of them promised or answer the other.
             if content_length.is_some_and(|first| first != length) {
-                return Err(ReadError::Invalid);
+                return Err(Refusal::Invalid);
             }
             content_length = Some(length);
         }
     }
-    let content_length = content_length.unwrap_or(0);
-    if content_length > MAX_BODY_BYTES {
-        return Err(ReadError::BodyTooLarge);
+    let length = content_length.unwrap_or(0);
+    if length > MAX_BODY_BYTES {
+        return Err(Refusal::BodyTooLarge);
     }
-    let mut body = buf.split_off(head_end);
-    let arrived = body.len().min(content_length);
-    body.resize(content_length, 0);
-    stream
-        .read_exact(&mut body[arrived..])
-        .map_err(|_| ReadError::Invalid)?;
-    Ok(Request { method, path, body })
+    Ok((method, path, length))
 }
 
 /// Appends a response head for a body of `len` bytes to `out`.
@@ -398,30 +290,48 @@ fn write_parts<const N: usize>(stream: &mut TcpStream, parts: [&[u8]; N]) -> std
     stream.flush()
 }
 
-fn serve_one(stream: &mut TcpStream, broker: &dyn BrokerAdmin) -> std::io::Result<()> {
-    let _ = stream.set_read_timeout(Some(REQUEST_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(REQUEST_TIMEOUT));
-    let request = match read_request(stream) {
-        Ok(request) => request,
-        Err(refusal) => {
-            let (status, body) = match refusal {
-                ReadError::Invalid => ("400 Bad Request", "bad request\n".to_string()),
-                ReadError::BodyTooLarge => (
-                    "413 Payload Too Large",
-                    format!("body exceeds {MAX_BODY_BYTES} bytes\n"),
-                ),
-            };
-            respond(stream, status, "text/plain", &body)?;
-            // A close over bytes nobody read goes out as a reset, which
-            // can destroy the refusal before the peer reads it: read what
-            // it sent and is still sending until it ends, goes silent or
-            // reaches the cap. No `shutdown(Write)` here: end of stream
-            // comes with the close, after this thread has parked.
-            let _ = stream.set_read_timeout(Some(REFUSAL_LINGER));
-            let _ = std::io::copy(&mut (&*stream).take(MAX_DRAIN_BYTES), &mut std::io::sink());
-            return Ok(());
-        }
+/// Answers what the loop read off `stream`: routes a request and writes
+/// its reply, or writes a refusal. The worker closes the connection.
+pub(crate) fn answer(
+    stream: &mut TcpStream,
+    request: Result<Request, Refusal>,
+    broker: &dyn BrokerAdmin,
+) {
+    // The loop read the request; the reply is written blocking, under
+    // the loop's own idle deadline.
+    let _ = stream.set_nonblocking(false);
+    let _ = stream.set_write_timeout(Some(REQUEST_IDLE_TIMEOUT));
+    let _ = match request {
+        Ok(request) => route(stream, &request, broker),
+        Err(refusal) => refuse(stream, refusal),
     };
+}
+
+/// Writes a refusal, then reads what the peer sent past it.
+fn refuse(stream: &mut TcpStream, refusal: Refusal) -> std::io::Result<()> {
+    let (status, body) = match refusal {
+        Refusal::Invalid => ("400 Bad Request", "bad request\n".to_string()),
+        Refusal::BodyTooLarge => (
+            "413 Payload Too Large",
+            format!("body exceeds {MAX_BODY_BYTES} bytes\n"),
+        ),
+    };
+    respond(stream, status, "text/plain", &body)?;
+    // A close over bytes nobody read goes out as a reset, which can
+    // destroy the refusal before the peer reads it: read what it sent and
+    // is still sending until it ends, goes silent or reaches the cap. No
+    // `shutdown(Write)` here: end of stream comes with the close, after
+    // the worker has parked.
+    stream.set_read_timeout(Some(REFUSAL_LINGER))?;
+    std::io::copy(&mut (&*stream).take(MAX_DRAIN_BYTES), &mut std::io::sink())?;
+    Ok(())
+}
+
+fn route(
+    stream: &mut TcpStream,
+    request: &Request,
+    broker: &dyn BrokerAdmin,
+) -> std::io::Result<()> {
     metrics().http_requests.inc();
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/metrics") => {

@@ -14,7 +14,7 @@
 //! * **[`EngineServer`]** puts one [`SearchEngine`](seu_engine::SearchEngine)
 //!   on a socket behind the crate's one readiness event loop ([`server`]:
 //!   one thread blocked in `poll(2)` over its sockets until one is ready
-//!   or a worker of its small pool has a reply to send), serving search /
+//!   or one of its workers has a reply to send), serving search /
 //!   true-usefulness (single or batched) / snapshot requests and pushing
 //!   [invalidation notices](wire::Message::InvalidateNotice) to
 //!   subscribed brokers when its collection changes.
@@ -35,7 +35,8 @@
 //!   dials — same placement, failover, and bit-identity guarantees as
 //!   the in-process cluster. They are the same event loop and the same
 //!   client as the engine pair, around a different service.
-//! * **[`AdminServer`]** is a minimal HTTP/1.1 server over a broker:
+//! * **[`AdminServer`]** is a minimal HTTP/1.1 server over a broker, the
+//!   same event loop over an HTTP listener:
 //!   `GET /metrics` (Prometheus exposition of the process-global
 //!   [`seu_obs`] registry), `GET /healthz`, `GET /engines`,
 //!   `POST /search` (with an inline span tree under `"explain"`), and

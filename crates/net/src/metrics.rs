@@ -32,7 +32,8 @@ pub(crate) struct NetMetrics {
     pub(crate) push_notices_sent: Arc<seu_obs::Counter>,
     /// Invalidation notices received by subscribed clients.
     pub(crate) push_notices_received: Arc<seu_obs::Counter>,
-    /// Connections accepted by engine servers.
+    /// Connections accepted by event-loop servers (all kinds, the HTTP
+    /// door's included).
     pub(crate) server_connections: Arc<seu_obs::Counter>,
     /// Request frames served by engine servers.
     pub(crate) server_requests: Arc<seu_obs::Counter>,
@@ -40,12 +41,13 @@ pub(crate) struct NetMetrics {
     pub(crate) server_subscribers: Arc<seu_obs::Gauge>,
     /// HTTP requests served by admin servers.
     pub(crate) http_requests: Arc<seu_obs::Counter>,
-    /// Connection threads admin servers have started: one per connection
-    /// that found no thread parked, so at most as many as connections
-    /// were open at once since the door was last idle for the expiry.
-    pub(crate) http_threads_started: Arc<seu_obs::Counter>,
-    /// Connection threads of admin servers alive now, serving or parked.
-    pub(crate) http_threads_live: Arc<seu_obs::Gauge>,
+    /// Worker threads the event loops have started: one per job that
+    /// found no worker parked, below its server's cap. An admin server's
+    /// start at most as many as connections were open at once since its
+    /// workers were last idle for the expiry.
+    pub(crate) server_workers_started: Arc<seu_obs::Counter>,
+    /// Worker threads of the event loops alive now, busy or parked.
+    pub(crate) server_workers_live: Arc<seu_obs::Gauge>,
     /// Traced searches served by engine servers (spans shipped back).
     pub(crate) server_traced_searches: Arc<seu_obs::Counter>,
     /// Pooled connections dialed (TCP connect + handshake completed).
@@ -89,8 +91,8 @@ pub(crate) fn metrics() -> &'static NetMetrics {
         server_requests: seu_obs::counter("net_server_requests_total"),
         server_subscribers: seu_obs::gauge("net_server_subscribers"),
         http_requests: seu_obs::counter("net_http_requests_total"),
-        http_threads_started: seu_obs::counter("net_http_threads_started_total"),
-        http_threads_live: seu_obs::gauge("net_http_threads_live"),
+        server_workers_started: seu_obs::counter("net_server_workers_started_total"),
+        server_workers_live: seu_obs::gauge("net_server_workers_live"),
         server_traced_searches: seu_obs::counter("net_server_traced_searches_total"),
         client_connects: seu_obs::counter("net_client_connects_total"),
         client_late_replies: seu_obs::counter("net_client_late_replies_total"),
@@ -101,26 +103,6 @@ pub(crate) fn metrics() -> &'static NetMetrics {
         server_inline_answers: seu_obs::counter("net_server_inline_answers_total"),
         replica_requests: seu_obs::counter("net_replica_requests_total"),
     })
-}
-
-/// Held by an admin server's connection thread from its first
-/// instruction to its last: counts the thread in on creation and out on
-/// drop, so a thread that unwinds out of a panicking handler is counted
-/// out as well.
-pub(crate) struct HttpThreadLive(());
-
-impl HttpThreadLive {
-    pub(crate) fn start() -> HttpThreadLive {
-        metrics().http_threads_started.inc();
-        metrics().http_threads_live.add(1.0);
-        HttpThreadLive(())
-    }
-}
-
-impl Drop for HttpThreadLive {
-    fn drop(&mut self) {
-        metrics().http_threads_live.add(-1.0);
-    }
 }
 
 /// Forces creation of the crate's instruments so snapshots and

@@ -44,6 +44,14 @@ impl PollFd {
         }
     }
 
+    /// An entry that reads as though [`wait`] had reported `events`.
+    pub(crate) fn ready(socket: &impl AsRawFd, events: Events) -> PollFd {
+        PollFd {
+            revents: events,
+            ..PollFd::new(socket, events)
+        }
+    }
+
     /// Whether the last [`wait`] reported any of `events`.
     pub(crate) fn reported(&self, events: Events) -> bool {
         self.revents & events != 0

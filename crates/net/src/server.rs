@@ -1,21 +1,47 @@
-//! The one framed-protocol server: a **readiness event loop** hosting a
-//! request handler (the crate-internal `FrameService`: `Message` in,
-//! `Message` out, plus the name the handshake advertises), and
+//! The one socket server: a **readiness event loop** hosting either a
+//! request handler of the framed protocol (the crate-internal
+//! `FrameService`: `Message` in, `Message` out, plus the name the
+//! handshake advertises) or the HTTP door ([`AdminServer`]), and
 //! [`EngineServer`], the service that puts one [`SearchEngine`] on a
 //! socket.
 //!
+//! [`AdminServer`]: crate::AdminServer
+//!
 //! One thread owns the nonblocking listener and every connection,
-//! parsing frames incrementally out of per-connection read buffers and
-//! flushing replies from write buffers. It answers a request itself when
-//! the service says that is cheap, and hands the rest to a small worker
-//! pool. Because replies carry the
-//! request's correlation id, one connection can have many requests in
-//! flight and the replies go out in completion order — a slow search
-//! does not block the pings and searches pipelined behind it. The
-//! worker count ([`ServerConfig::workers`]) is the server's capacity for
-//! handed-over requests: those beyond it queue in arrival order. The
-//! federation [`ReplicaServer`](crate::ReplicaServer) is the same loop
-//! around a different service.
+//! parsing frames (or HTTP requests) incrementally out of per-connection
+//! read buffers and flushing replies from write buffers. It answers a
+//! frame request itself when the service says that is cheap, and hands
+//! the rest to its worker set. Because replies carry the request's
+//! correlation id, one connection can have many requests in flight and
+//! the replies go out in completion order — a slow search does not
+//! block the pings and searches pipelined behind it. The federation
+//! [`ReplicaServer`](crate::ReplicaServer) is the same loop around a
+//! different service.
+//!
+//! **The HTTP door is this loop over an HTTP listener.** Its connections
+//! are read into their buffers like any other until `http::parse_request`
+//! finds a whole request — or a reason to refuse one — and the loop
+//! answers none of them itself: it takes the connection out of its table
+//! and hands the socket and the request to a worker, which writes the
+//! reply (`Connection: close`, one request per connection) and closes.
+//! No HTTP reply crosses back to the loop.
+//!
+//! **One worker set** takes every hand-off, of every server. A job goes
+//! to the *most recently* parked worker, a worker starts only when none
+//! is parked, and a worker parked for `PARK_EXPIRY` exits. Last in,
+//! first out, because that worker's stack, allocator cache and
+//! estimator scratch are still in the processor's cache; a shared
+//! channel or condvar wakes waiters in queue order, the coldest first,
+//! and that, not pooling, cost `registry_10k` its tail when a pool of
+//! that kind served the door. A frame service caps its set at
+//! [`ServerConfig::workers`], its capacity for handed-over requests:
+//! jobs past the cap queue in arrival order, and a worker takes the
+//! oldest before it parks. The door has no cap: each of its connections
+//! carries one request, so its workers number at most its open
+//! connections. A worker parks *before* it closes the HTTP connection it
+//! served: the client reads to end of stream before it connects again,
+//! so by then the worker is on the stack, and workers started ≤
+//! connections open at once, exactly.
 //!
 //! **Deadlines live on their connection**, not in socket read timeouts
 //! or a loop-wide timer. A connection keeps the requests it handed over
@@ -24,6 +50,8 @@
 //! none outstanding it has an idle deadline, `REQUEST_IDLE_TIMEOUT` after
 //! its last read or last answer: a connection waiting on the server is
 //! never idle, and a request past its deadline gets its typed `Error`.
+//! An HTTP connection that sends no whole request by its idle deadline
+//! is closed.
 //!
 //! **What blocks where.** The loop thread waits in exactly one place,
 //! `poll(2)` (`crate::poll`), over the listener, every live connection
@@ -37,7 +65,8 @@
 //! connection, `write` for a connection that has just had a reply
 //! queued. A write the socket refuses parks the rest of the buffer and
 //! asks `poll` for `POLLOUT` on that connection, for as long as the
-//! refusal stands and no longer. Workers block on the job channel.
+//! refusal stands and no longer. A parked worker waits on its own park
+//! token; a door worker writes its reply with blocking writes.
 //!
 //! **What the loop computes.** Pongs, and whatever
 //! `FrameService::answer_inline` returns: an engine's search whose text
@@ -63,7 +92,8 @@
 //! other order a notifier can slip between the two steps and every
 //! later wake-up is lost (see `Wake::acknowledge`). Nothing ticks in
 //! the background to hide such a loss: a lost wake-up is a stalled
-//! call, which `tests/loop_idle.rs` turns into a failure.
+//! call, which `tests/loop_idle.rs` turns into a failure. The loop wakes
+//! the one worker it hands a job to, and no other.
 //!
 //! A peer that shuts down its sending half leaves the read set once its
 //! end of stream is read; the connection stays until every request it
@@ -71,7 +101,7 @@
 //! for lack of descriptors takes the listener out of the set for `TICK`,
 //! so neither case can spin the loop.
 //!
-//! Two connection modes exist, chosen by the client's opening
+//! Two frame connection modes exist, chosen by the client's opening
 //! [`Message::Hello`]:
 //!
 //! * **request connections** (`subscribe: false`) serve the peer's
@@ -92,9 +122,11 @@
 //! older peer's), or a decodable request the service refuses or fails,
 //! gets its typed `Error` on its own correlation id and the connection —
 //! with every pipelined neighbour — stays open. A handler that panics,
-//! on either route, is such a failure.
+//! on either route, is such a failure; a door handler that panics costs
+//! its own connection, which the client reads as a plain close.
 
 use crate::frame::{check_outbound, encode_frame_into, parse_frame};
+use crate::http::{self, BrokerAdmin};
 use crate::metrics::metrics;
 use crate::poll::{self, Events, PollFd, POLLERR, POLLHUP, POLLIN, POLLOUT};
 use crate::wire::Message;
@@ -105,16 +137,16 @@ use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::UnixStream;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 /// Idle cap on request connections: a client that connects and then goes
 /// silent for this long is dropped rather than holding server state
 /// forever. Subscriber connections are exempt.
-const REQUEST_IDLE_TIMEOUT: Duration = Duration::from_secs(30);
+pub(crate) const REQUEST_IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Server-side deadline on one in-flight request: past it, the
 /// requester gets a typed error and the eventual result is dropped.
@@ -123,6 +155,10 @@ const REQUEST_TIMEOUT: Duration = Duration::from_secs(30);
 /// How long the listener sits out after an `accept` failure, and the loop
 /// after a `poll` the kernel refused.
 const TICK: Duration = Duration::from_millis(25);
+
+/// How long a parked worker waits for its next job before it takes
+/// itself off the stack and exits.
+const PARK_EXPIRY: Duration = Duration::from_secs(1);
 
 /// Write-buffer cap per connection; a subscriber that stops reading
 /// while broadcasts pile up is dropped at this point instead of growing
@@ -160,6 +196,24 @@ pub struct ServerConfig {
     /// capacity for them: at most this many are being answered at once,
     /// the rest queue. 0 picks `available_parallelism` clamped to [2, 8].
     pub workers: usize,
+}
+
+/// What a loop serves.
+pub(crate) enum Service {
+    /// The framed protocol, through a request handler.
+    Frames(Arc<dyn FrameService>),
+    /// HTTP/1.1, over a broker.
+    Http(Arc<dyn BrokerAdmin>),
+}
+
+impl Service {
+    /// The name in the loop's and its workers' thread names.
+    fn name(&self) -> &str {
+        match self {
+            Service::Frames(service) => service.name(),
+            Service::Http(_) => "http",
+        }
+    }
 }
 
 /// Wakes the event loop out of `poll` (new completion, broadcast, or
@@ -213,37 +267,38 @@ impl Wake {
 
 /// What the loop thread, its workers and the owning handle share.
 struct LoopState {
-    service: Arc<dyn FrameService>,
-    workers: usize,
+    service: Service,
     shutting_down: AtomicBool,
     /// Live subscriber count (incremented *before* the ack is queued,
     /// so a client that has its ack is already counted).
     subscribers: AtomicUsize,
     /// Pending broadcast frames, drained by the loop.
     broadcasts: Mutex<Vec<(u8, Vec<u8>)>>,
+    /// Frame replies the workers computed, drained by the loop.
+    completions: Mutex<Vec<(ReplyTo, Message)>>,
+    /// Most workers alive at once.
+    cap: usize,
+    workers: Mutex<Workers>,
     wake: Wake,
 }
 
 /// A bound listener with its event loop running; serving stops (every
-/// connection severed, loop and workers joined) on [`FrameServer::stop`]
-/// or drop.
-pub(crate) struct FrameServer {
+/// connection severed, loop and parked workers joined) on
+/// [`LoopServer::stop`] or drop.
+pub(crate) struct LoopServer {
     state: Arc<LoopState>,
     addr: SocketAddr,
     thread: Option<JoinHandle<()>>,
 }
 
-impl FrameServer {
+impl LoopServer {
     /// Binds `addr` (port 0 for ephemeral) and starts serving `service`.
     pub(crate) fn bind(
         service: Arc<dyn FrameService>,
         addr: impl ToSocketAddrs,
         config: ServerConfig,
-    ) -> std::io::Result<FrameServer> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let workers = if config.workers > 0 {
+    ) -> std::io::Result<LoopServer> {
+        let cap = if config.workers > 0 {
             config.workers
         } else {
             std::thread::available_parallelism()
@@ -251,22 +306,37 @@ impl FrameServer {
                 .unwrap_or(4)
                 .clamp(2, 8)
         };
+        LoopServer::start(Service::Frames(service), addr, cap)
+    }
+
+    /// Binds `addr` and starts serving `service` with at most `cap`
+    /// workers alive at once.
+    pub(crate) fn start(
+        service: Service,
+        addr: impl ToSocketAddrs,
+        cap: usize,
+    ) -> std::io::Result<LoopServer> {
+        let listener = TcpListener::bind(addr)?;
+        listener.set_nonblocking(true)?;
+        let addr = listener.local_addr()?;
         // Linux shows 15 bytes of a thread's name (`top -H`, `/proc`):
         // the role goes first and short, the service right behind it.
         let thread_name = format!("nl:{}", service.name());
         let state = Arc::new(LoopState {
             service,
-            workers,
             shutting_down: AtomicBool::new(false),
             subscribers: AtomicUsize::new(0),
             broadcasts: Mutex::new(Vec::new()),
+            completions: Mutex::new(Vec::new()),
+            cap,
+            workers: Mutex::new(Workers::default()),
             wake: Wake::new()?,
         });
         let thread_state = Arc::clone(&state);
         let thread = std::thread::Builder::new()
             .name(thread_name)
             .spawn(move || event_loop(listener, thread_state))?;
-        Ok(FrameServer {
+        Ok(LoopServer {
             state,
             addr,
             thread: Some(thread),
@@ -300,7 +370,8 @@ impl FrameServer {
 
     /// Stops accepting, severs every live connection (in-flight calls
     /// on them fail with `ConnectionLost` on the caller's side), and
-    /// joins the loop, which joins its workers.
+    /// joins the loop, which joins its parked workers. A worker busy at
+    /// that moment finishes its job and exits instead of parking.
     pub(crate) fn stop(&mut self) {
         if self.state.shutting_down.swap(true, Ordering::SeqCst) {
             return;
@@ -312,7 +383,7 @@ impl FrameServer {
     }
 }
 
-impl Drop for FrameServer {
+impl Drop for LoopServer {
     fn drop(&mut self) {
         self.stop();
     }
@@ -329,7 +400,7 @@ struct EngineService {
 /// subscribed brokers.
 pub struct EngineServer {
     service: Arc<EngineService>,
-    server: FrameServer,
+    server: LoopServer,
 }
 
 impl EngineServer {
@@ -355,7 +426,7 @@ impl EngineServer {
             engine: RwLock::new(Arc::new(engine)),
             epoch: AtomicU64::new(0),
         });
-        let server = FrameServer::bind(service.clone(), addr, config)?;
+        let server = LoopServer::bind(service.clone(), addr, config)?;
         Ok(EngineServer { service, server })
     }
 
@@ -400,7 +471,7 @@ impl EngineServer {
     }
 
     /// Stops accepting, closes every connection, and joins the event
-    /// loop and its workers.
+    /// loop and its parked workers.
     pub fn shutdown(mut self) {
         self.server.stop();
     }
@@ -419,7 +490,7 @@ impl std::fmt::Debug for EngineServer {
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum ConnKind {
-    /// Accepted but no Hello yet.
+    /// Accepted but no Hello yet, or, on an HTTP loop, no whole request.
     Handshake,
     Request,
     Subscriber,
@@ -437,7 +508,7 @@ struct EventConn {
     /// The socket refused part of `wbuf`; no write is tried again until
     /// `poll` reports room.
     write_blocked: bool,
-    /// Requests handed to the worker pool and not yet answered (by their
+    /// Requests handed to the worker set and not yet answered (by their
     /// reply or by their deadline): `(corr, deadline)`, in arrival order.
     handed_over: VecDeque<(u64, Instant)>,
     /// The last read or answer: idle time counts from here.
@@ -546,62 +617,181 @@ fn listener_interest(retry: &mut Option<Instant>, now: Instant) -> Events {
     }
 }
 
-/// A request handed to the worker pool.
-struct Job {
+/// Where a frame reply goes: the connection's slot and generation (a
+/// reply never lands on a recycled slot) and the request's corr.
+struct ReplyTo {
     slot: usize,
     gen: u64,
     corr: u64,
-    /// The frame's kind byte, for the refusal text.
-    kind: u8,
-    request: Message,
 }
 
-/// A computed reply on its way back to the loop.
-struct Done {
-    slot: usize,
-    gen: u64,
-    corr: u64,
-    reply: Message,
+/// Work the loop hands to its worker set.
+enum Job {
+    /// A frame request and its kind byte (for the refusal text),
+    /// answered back through the loop.
+    Frame(ReplyTo, u8, Message),
+    /// An HTTP connection out of the loop's table, with the request read
+    /// off it or the reason it was refused.
+    Http(TcpStream, Result<http::Request, http::Refusal>),
 }
 
-fn conn_mut(conns: &mut [Option<EventConn>], slot: usize, gen: u64) -> Option<&mut EventConn> {
-    conns
-        .get_mut(slot)
-        .and_then(|c| c.as_mut())
-        .filter(|c| c.gen == gen && !c.dead)
+/// The worker set: the parked workers, the jobs handed to some of them
+/// and not yet taken, and, past the cap, the jobs waiting in arrival
+/// order.
+#[derive(Default)]
+struct Workers {
+    /// Parked workers, the most recently parked last.
+    parked: Vec<Thread>,
+    /// Jobs the loop left for a worker it took off the stack.
+    handed: Vec<(std::thread::ThreadId, Job)>,
+    queued: VecDeque<Job>,
+    /// Workers alive, busy or parked.
+    live: usize,
+    started: Vec<JoinHandle<()>>,
+    stopped: bool,
+}
+
+impl LoopState {
+    /// Gives `job` to the most recently parked worker; with none parked,
+    /// to a new one, or, at the cap, to the queue.
+    fn hand_over(self: &Arc<LoopState>, job: Job) {
+        let mut workers = self.workers.lock();
+        if let Some(worker) = workers.parked.pop() {
+            workers.handed.push((worker.id(), job));
+            drop(workers);
+            worker.unpark();
+        } else if workers.live < self.cap {
+            let name = format!("nw{}:{}", workers.live, self.service.name());
+            let state = Arc::clone(self);
+            let spawned = std::thread::Builder::new()
+                .name(name)
+                .spawn(move || state.work(job));
+            workers.started.retain(|t| !t.is_finished());
+            // A job whose worker could not start is dropped: a frame
+            // request meets its deadline, an HTTP client a close.
+            if let Ok(worker) = spawned {
+                workers.live += 1;
+                workers.started.push(worker);
+            }
+        } else {
+            workers.queued.push_back(job);
+        }
+    }
+
+    /// A worker's life: run a job, park, take the next, until none comes
+    /// within [`PARK_EXPIRY`] or the server stops.
+    fn work(&self, first: Job) {
+        let m = metrics();
+        m.server_workers_started.inc();
+        m.server_workers_live.add(1.0);
+        let mut job = Some(first);
+        while let Some(next) = job {
+            job = self.next_job(self.run(next));
+        }
+        m.server_workers_live.add(-1.0);
+    }
+
+    /// Runs one job; returns the HTTP connection it answered, to be
+    /// closed once its worker has parked.
+    fn run(&self, job: Job) -> Option<TcpStream> {
+        match (&self.service, job) {
+            (Service::Frames(service), Job::Frame(to, kind, request)) => {
+                let reply = guarded(&**service, |s| s.handle(request))
+                    .unwrap_or_else(|| refusal(&**service, kind));
+                self.completions.lock().push((to, reply));
+                self.wake.notify();
+                None
+            }
+            (Service::Http(broker), Job::Http(mut stream, request)) => {
+                // A panicking handler costs its own connection only.
+                let answer = AssertUnwindSafe(|| http::answer(&mut stream, request, &**broker));
+                let _ = catch_unwind(answer);
+                Some(stream)
+            }
+            _ => unreachable!("a loop hands over its own service's jobs"),
+        }
+    }
+
+    /// The next job for the calling worker: the oldest queued, or one
+    /// handed to it after it parks. Parks first and closes `served`
+    /// second. `None` when the worker is to exit.
+    fn next_job(&self, served: Option<TcpStream>) -> Option<Job> {
+        let me = std::thread::current();
+        let mut workers = self.workers.lock();
+        if workers.stopped {
+            workers.live -= 1;
+            return None;
+        }
+        if let Some(job) = workers.queued.pop_front() {
+            return Some(job);
+        }
+        workers.parked.push(me.clone());
+        drop(workers);
+        drop(served);
+        let parked_at = Instant::now();
+        loop {
+            let mut workers = self.workers.lock();
+            if let Some(at) = workers.handed.iter().position(|(id, _)| *id == me.id()) {
+                return Some(workers.handed.swap_remove(at).1);
+            }
+            // Off the stack with nothing handed over is `stop`'s doing.
+            let Some(at) = workers.parked.iter().rposition(|t| t.id() == me.id()) else {
+                workers.live -= 1;
+                return None;
+            };
+            let Some(left) = PARK_EXPIRY.checked_sub(parked_at.elapsed()) else {
+                workers.parked.remove(at);
+                workers.live -= 1;
+                return None;
+            };
+            drop(workers);
+            std::thread::park_timeout(left);
+        }
+    }
+
+    /// The loop's last step: drop what is queued, then wake the parked
+    /// workers and join them. A busy worker exits after its job.
+    fn stop_workers(&self) {
+        let mut workers = self.workers.lock();
+        workers.stopped = true;
+        workers.queued.clear();
+        let parked = std::mem::take(&mut workers.parked);
+        let started = std::mem::take(&mut workers.started);
+        drop(workers);
+        for worker in started {
+            if parked.iter().any(|p| p.id() == worker.thread().id()) {
+                worker.thread().unpark();
+                let _ = worker.join();
+            }
+        }
+    }
+
+    /// Counts `conn` out of the loop's table and hands back its socket.
+    fn release(&self, conn: EventConn) -> TcpStream {
+        if conn.kind == ConnKind::Subscriber {
+            self.subscribers.fetch_sub(1, Ordering::SeqCst);
+            metrics().server_subscribers.add(-1.0);
+        }
+        metrics().server_active_connections.add(-1.0);
+        conn.stream
+    }
 }
 
 /// Runs one of the service's handlers, on either route. A panic in it
 /// answers its own request with a typed in-band `Error` instead of
 /// taking the worker — or, inline, the whole server — with it.
 fn guarded(
-    state: &LoopState,
+    service: &dyn FrameService,
     handler: impl FnOnce(&dyn FrameService) -> Option<Message>,
 ) -> Option<Message> {
-    let handler = std::panic::AssertUnwindSafe(|| handler(&*state.service));
-    std::panic::catch_unwind(handler).unwrap_or_else(|_| {
+    catch_unwind(AssertUnwindSafe(|| handler(service))).unwrap_or_else(|_| {
         Some(Message::Error {
-            detail: format!("{} panicked answering this request", state.service.name()),
+            detail: format!("{} panicked answering this request", service.name()),
         })
     })
 }
 
 fn event_loop(listener: TcpListener, state: Arc<LoopState>) {
-    let (job_tx, job_rx) = mpsc::channel::<Job>();
-    let job_rx = Arc::new(std::sync::Mutex::new(job_rx));
-    let completions: Arc<std::sync::Mutex<Vec<Done>>> = Arc::new(std::sync::Mutex::new(Vec::new()));
-    let worker_threads: Vec<JoinHandle<()>> = (0..state.workers)
-        .map(|i| {
-            let rx = Arc::clone(&job_rx);
-            let done = Arc::clone(&completions);
-            let st = Arc::clone(&state);
-            std::thread::Builder::new()
-                .name(format!("nw{i}:{}", st.service.name()))
-                .spawn(move || worker_loop(rx, done, st))
-                .expect("spawning worker thread")
-        })
-        .collect();
-
     let mut conns: Vec<Option<EventConn>> = Vec::new();
     let mut free_slots: Vec<usize> = Vec::new();
     let mut next_gen: u64 = 1;
@@ -659,12 +849,17 @@ fn event_loop(listener: TcpListener, state: Arc<LoopState>) {
                     let _ = stream.set_nodelay(true);
                     m.server_connections.inc();
                     m.server_active_connections.add(1.0);
+                    // Read in this pass: a client writes as soon as it
+                    // has connected, so its first bytes are often here.
+                    fds.push(PollFd::ready(&stream, POLLIN));
                     let conn = EventConn::new(stream, next_gen, now);
                     next_gen += 1;
-                    match free_slots.pop() {
-                        Some(s) => conns[s] = Some(conn),
-                        None => conns.push(Some(conn)),
+                    let slot = free_slots.pop().unwrap_or(conns.len());
+                    if slot == conns.len() {
+                        conns.push(None);
                     }
+                    conns[slot] = Some(conn);
+                    polled.push(slot);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -678,21 +873,16 @@ fn event_loop(listener: TcpListener, state: Arc<LoopState>) {
         // Finished jobs → write buffers. An `Error` reply is in-band: it
         // answers its own corr and the connection keeps serving its
         // pipelined neighbours.
-        let done: Vec<Done> = {
-            let mut lock = completions.lock().unwrap_or_else(|e| e.into_inner());
-            std::mem::take(&mut *lock)
-        };
-        for d in done {
-            if let Some(conn) = conn_mut(&mut conns, d.slot, d.gen) {
-                conn.answer(d.corr, &d.reply, now);
+        let done = std::mem::take(&mut *state.completions.lock());
+        for (to, reply) in done {
+            let conn = conns.get_mut(to.slot).and_then(Option::as_mut);
+            if let Some(conn) = conn.filter(|c| c.gen == to.gen && !c.dead) {
+                conn.answer(to.corr, &reply, now);
             }
         }
 
         // Pending broadcasts → every subscriber's write buffer.
-        let notices: Vec<(u8, Vec<u8>)> = {
-            let mut lock = state.broadcasts.lock();
-            std::mem::take(&mut *lock)
-        };
+        let notices = std::mem::take(&mut *state.broadcasts.lock());
         for (kind, payload) in &notices {
             for conn in conns.iter_mut().flatten() {
                 if conn.kind == ConnKind::Subscriber && !conn.dead && !conn.closing {
@@ -703,7 +893,7 @@ fn event_loop(listener: TcpListener, state: Arc<LoopState>) {
         }
 
         // Reported connections: readable data → frames → inline replies
-        // or worker jobs.
+        // or worker jobs; a whole HTTP request → a worker.
         for (fd, &slot) in fds[CONNS..].iter().zip(&polled) {
             let conn = conns[slot]
                 .as_mut()
@@ -746,13 +936,26 @@ fn event_loop(listener: TcpListener, state: Arc<LoopState>) {
             if conn.dead {
                 continue;
             }
+            let Service::Frames(service) = &state.service else {
+                // Whole or refused, the request leaves the table with
+                // its socket; cut short by end of stream, it is refused.
+                let request = match http::parse_request(&conn.rbuf) {
+                    Some(request) => request,
+                    None if conn.eof => Err(http::Refusal::Invalid),
+                    None => continue,
+                };
+                let conn = conns[slot].take().expect("the slot just read");
+                free_slots.push(slot);
+                state.hand_over(Job::Http(state.release(conn), request));
+                continue;
+            };
             // Drain complete frames from the read buffer.
             let mut consumed = 0;
             loop {
                 match parse_frame(&conn.rbuf[consumed..], crate::frame::MAX_FRAME_BYTES) {
                     Ok(Some((frame, used))) => {
                         consumed += used;
-                        handle_frame(&state, conn, slot, frame, &job_tx, now);
+                        handle_frame(&state, &**service, conn, slot, frame, now);
                         if conn.closing || conn.dead {
                             break;
                         }
@@ -806,41 +1009,28 @@ fn event_loop(listener: TcpListener, state: Arc<LoopState>) {
                 conn.dead = true;
             }
             if conn.dead {
-                if conn.kind == ConnKind::Subscriber {
-                    state.subscribers.fetch_sub(1, Ordering::SeqCst);
-                    m.server_subscribers.add(-1.0);
-                }
-                let _ = conn.stream.shutdown(Shutdown::Both);
-                m.server_active_connections.add(-1.0);
-                *entry = None;
+                let conn = entry.take().expect("the slot just reaped");
+                let _ = state.release(conn).shutdown(Shutdown::Both);
                 free_slots.push(slot);
             }
         }
     }
 
-    // Shutdown: close every connection, then drain the worker pool.
-    for conn in conns.iter_mut().flatten() {
-        if conn.kind == ConnKind::Subscriber {
-            state.subscribers.fetch_sub(1, Ordering::SeqCst);
-            metrics().server_subscribers.add(-1.0);
-        }
-        let _ = conn.stream.shutdown(Shutdown::Both);
-        metrics().server_active_connections.add(-1.0);
+    // Shutdown: close every connection, then stop the worker set.
+    for conn in conns.into_iter().flatten() {
+        let _ = state.release(conn).shutdown(Shutdown::Both);
     }
-    drop(job_tx);
-    for t in worker_threads {
-        let _ = t.join();
-    }
+    state.stop_workers();
 }
 
 /// Routes one parsed frame: handshake transitions, inline pongs and
-/// cheap answers, or a job for the worker pool (with its deadline armed).
+/// cheap answers, or a job for the worker set (with its deadline armed).
 fn handle_frame(
-    state: &LoopState,
+    state: &Arc<LoopState>,
+    service: &dyn FrameService,
     conn: &mut EventConn,
     slot: usize,
     frame: crate::frame::Frame,
-    job_tx: &mpsc::Sender<Job>,
     now: Instant,
 ) {
     let m = metrics();
@@ -863,7 +1053,7 @@ fn handle_frame(
                     conn.enqueue(
                         frame.corr,
                         &Message::HelloAck {
-                            name: state.service.name().to_string(),
+                            name: service.name().to_string(),
                         },
                     );
                 }
@@ -894,25 +1084,24 @@ fn handle_frame(
                 Ok(request) => {
                     // Answered here, in the pass that read it, a request
                     // needs no deadline, job, completion or wake-up.
-                    if let Some(reply) = guarded(state, |s| s.answer_inline(&request)) {
+                    if let Some(reply) = guarded(service, |s| s.answer_inline(&request)) {
                         m.server_inline_answers.inc();
                         conn.enqueue(frame.corr, &reply);
                         return;
                     }
                     conn.handed_over
                         .push_back((frame.corr, now + REQUEST_TIMEOUT));
-                    let _ = job_tx.send(Job {
+                    let to = ReplyTo {
                         slot,
                         gen: conn.gen,
                         corr: frame.corr,
-                        kind: frame.kind,
-                        request,
-                    });
+                    };
+                    state.hand_over(Job::Frame(to, frame.kind, request));
                 }
                 // A whole frame of a kind this build has no row for left
                 // the stream intact: refused, and the connection serves on.
                 Err(_) if !Message::knows(frame.kind) => {
-                    conn.enqueue(frame.corr, &refusal(state, frame.kind));
+                    conn.enqueue(frame.corr, &refusal(service, frame.kind));
                 }
                 Err(e) => {
                     conn.enqueue(
@@ -931,40 +1120,9 @@ fn handle_frame(
 }
 
 /// The in-band answer to a request of a kind the service does not serve.
-fn refusal(state: &LoopState, kind: u8) -> Message {
-    let detail = format!(
-        "{} does not serve message kind {kind}",
-        state.service.name()
-    );
+fn refusal(service: &dyn FrameService, kind: u8) -> Message {
+    let detail = format!("{} does not serve message kind {kind}", service.name());
     Message::Error { detail }
-}
-
-fn worker_loop(
-    job_rx: Arc<std::sync::Mutex<mpsc::Receiver<Job>>>,
-    completions: Arc<std::sync::Mutex<Vec<Done>>>,
-    state: Arc<LoopState>,
-) {
-    loop {
-        // Holding the lock across recv serializes the *wait*, not the
-        // work: the holder releases as soon as a job arrives.
-        let job = {
-            let rx = job_rx.lock().unwrap_or_else(|e| e.into_inner());
-            rx.recv()
-        };
-        let Ok(job) = job else { return };
-        let reply =
-            guarded(&state, |s| s.handle(job.request)).unwrap_or_else(|| refusal(&state, job.kind));
-        completions
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(Done {
-                slot: job.slot,
-                gen: job.gen,
-                corr: job.corr,
-                reply,
-            });
-        state.wake.notify();
-    }
 }
 
 /// Every document of `engine` above `threshold` for `query`, best
@@ -1141,9 +1299,9 @@ mod tests {
         }
     }
 
-    /// Holds every handed-over request until the test lets go of the
-    /// sender, or a minute passes.
-    struct Sleepy(Mutex<mpsc::Receiver<()>>);
+    /// Holds every handed-over request until the test sets its flag, or
+    /// a minute passes.
+    struct Sleepy(AtomicBool);
 
     impl FrameService for Sleepy {
         fn name(&self) -> &str {
@@ -1151,7 +1309,10 @@ mod tests {
         }
 
         fn handle(&self, _request: Message) -> Option<Message> {
-            let _ = self.0.lock().recv_timeout(Duration::from_secs(60));
+            let since = Instant::now();
+            while !self.0.load(Ordering::SeqCst) && since.elapsed() < Duration::from_secs(60) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
             Some(Message::Pong)
         }
     }
@@ -1179,7 +1340,7 @@ mod tests {
 
     #[test]
     fn an_oversize_frame_fails_its_own_call_and_spares_the_connection() {
-        let server = FrameServer::bind(Arc::new(Oversize), "127.0.0.1:0", ServerConfig::default())
+        let server = LoopServer::bind(Arc::new(Oversize), "127.0.0.1:0", ServerConfig::default())
             .expect("binding");
         let mut stream = connected(server.addr());
 
@@ -1218,7 +1379,7 @@ mod tests {
     fn a_panicking_handler_answers_on_both_routes_and_spares_the_connection() {
         // One worker: a panic that took it along would leave nobody to
         // answer the ordinary request at the end.
-        let server = FrameServer::bind(
+        let server = LoopServer::bind(
             Arc::new(Panicky),
             "127.0.0.1:0",
             ServerConfig { workers: 1 },
@@ -1292,13 +1453,9 @@ mod tests {
     #[test]
     #[ignore = "waits out the 30 s request deadline"]
     fn a_request_past_its_deadline_is_answered_on_a_quiet_connection() {
-        let (release, held) = mpsc::channel();
-        let server = FrameServer::bind(
-            Arc::new(Sleepy(Mutex::new(held))),
-            "127.0.0.1:0",
-            ServerConfig { workers: 1 },
-        )
-        .expect("binding");
+        let sleepy = Arc::new(Sleepy(AtomicBool::new(false)));
+        let server = LoopServer::bind(sleepy.clone(), "127.0.0.1:0", ServerConfig { workers: 1 })
+            .expect("binding");
         let mut stream = connected(server.addr());
         let timeout = Some(REQUEST_TIMEOUT * 2);
         stream.set_read_timeout(timeout).expect("read timeout");
@@ -1308,7 +1465,7 @@ mod tests {
         send(&mut stream, 1, &Message::GetRepresentative);
         let reply = read_frame(&mut stream);
         let took = sent.elapsed();
-        drop(release);
+        sleepy.0.store(true, Ordering::SeqCst);
         let frame = reply.unwrap_or_else(|e| panic!("no reply after {took:?}: {e}"));
         match Message::decode(frame.kind, &frame.payload) {
             Ok(Message::Error { detail }) if frame.corr == 1 => {

@@ -5,7 +5,7 @@
 //! into the thread's next.
 //!
 //! The file holds one test on purpose: its last step reads the
-//! process-global `net_http_threads_started_total`, and a test binary of
+//! process-global `net_server_workers_started_total`, and a test binary of
 //! its own keeps other tests' admin servers out of it. (The `413` for a
 //! declared body over the cap is `faults.rs`'s.)
 
@@ -19,8 +19,8 @@ use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The door's socket deadline (`REQUEST_TIMEOUT` in `http.rs`): an
-/// answer that takes this long came from the deadline, not the parser.
+/// Longer than any answer from the parser: one that takes this long came
+/// from a deadline.
 const SOCKET_DEADLINE: Duration = Duration::from_secs(10);
 
 const BODY: &str = r#"{"query":"mushroom soup","threshold":0.1}"#;
@@ -57,7 +57,7 @@ fn status_and_body(reply: &str) -> (&str, &str) {
 }
 
 fn started() -> u64 {
-    seu_obs::counter("net_http_threads_started_total").get()
+    seu_obs::counter("net_server_workers_started_total").get()
 }
 
 #[test]
@@ -181,6 +181,24 @@ fn reused_threads_survive_adversarial_requests() {
             status_and_body(&reply).0,
             "HTTP/1.1 400 Bad Request",
             "Content-Length: {first} then {second}"
+        );
+    }
+
+    // A signed length, and a transfer coding beside a length: neither
+    // frames the 16-byte search by one `Content-Length` of digits (RFC
+    // 9110 §8.6, RFC 9112 §6.1), so both are refused.
+    for framing in [
+        "Content-Length: +16",
+        "Transfer-Encoding: chunked\r\nContent-Length: 16",
+    ] {
+        let mut stream = connect(addr);
+        let request = format!("POST /search HTTP/1.1\r\n{framing}\r\n\r\n{{\"query\":\"soup\"}}");
+        stream.write_all(request.as_bytes()).unwrap();
+        let (reply, _) = read_to_close(&mut stream);
+        assert_eq!(
+            status_and_body(&reply).0,
+            "HTTP/1.1 400 Bad Request",
+            "{framing}"
         );
     }
 

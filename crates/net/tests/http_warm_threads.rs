@@ -1,13 +1,14 @@
-//! No thread is born to answer one request: the HTTP door hands each
-//! connection to its most recently parked thread, so the threads it
-//! starts number at most the connections open at once — counted, not
-//! timed.
+//! No thread is born to answer one request: the HTTP door's loop hands
+//! each whole request to the most recently parked worker of its worker
+//! set, so the workers it starts number at most the connections open at
+//! once — counted, not timed — and a request costs the loop at most two
+//! wake-ups (accept, then read).
 //!
 //! The file holds one test on purpose: it reads the process-global
-//! `net_http_threads_started_total` and `net_http_threads_live`, and a
-//! test binary of its own keeps other tests' admin servers out of them.
-//! At the spawn-per-connection door this replaces, part (a) reads 300
-//! threads for 300 requests.
+//! `net_server_workers_started_total`, `net_server_workers_live` and
+//! `net_server_loop_wakeups_total`, and a test binary of its own keeps
+//! other tests' servers out of them. At the spawn-per-connection door
+//! the park stack replaced, part (a) read 300 threads for 300 requests.
 
 use seu_metasearch::{
     CacheStats, EngineStatus, RegistrySnapshot, SearchRequest, SearchResponse, SharedResponse,
@@ -19,7 +20,7 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
-/// The door's expiry constant (`PARK_EXPIRY` in `http.rs`).
+/// The worker set's expiry constant (`PARK_EXPIRY` in `server.rs`).
 const PARK_EXPIRY: Duration = Duration::from_secs(1);
 
 /// A broker that answers every search with an empty response, except:
@@ -87,11 +88,15 @@ fn scripted() -> Script {
 }
 
 fn started() -> u64 {
-    seu_obs::counter("net_http_threads_started_total").get()
+    seu_obs::counter("net_server_workers_started_total").get()
 }
 
 fn live() -> f64 {
-    seu_obs::gauge("net_http_threads_live").get()
+    seu_obs::gauge("net_server_workers_live").get()
+}
+
+fn wakeups() -> u64 {
+    seu_obs::counter("net_server_loop_wakeups_total").get()
 }
 
 /// Polls until `done` holds; panics with `what` once `limit` has passed.
@@ -113,7 +118,8 @@ fn send_search(stream: &mut TcpStream, query: &str) {
 }
 
 /// Reads to end of stream, as the benchmark's client does: returning
-/// means the server has closed, which it does only after parking.
+/// means the server has closed, which its worker does only after
+/// parking.
 fn read_reply(stream: &mut TcpStream) -> String {
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
@@ -134,23 +140,29 @@ fn assert_ok(reply: &str) {
     assert!(reply.ends_with("\"served_from\":null}"), "{reply:?}");
 }
 
-/// (a) One client, one connection at a time: one thread, ever.
-fn sequential_requests_start_one_thread(addr: SocketAddr) {
-    let before = started();
+/// (a) One client, one connection at a time: one worker, ever, and at
+/// most two loop wake-ups a request — one to accept it, one to read it.
+fn sequential_requests_start_one_worker(addr: SocketAddr) {
+    let (before, woken) = (started(), wakeups());
     for _ in 0..300 {
         assert_ok(&search(addr, "soup"));
     }
+    let per_request = (wakeups() - woken) as f64 / 300.0;
     assert_eq!(
         started() - before,
         1,
-        "300 sequential requests must be served by the thread the first one started"
+        "300 sequential requests must be served by the worker the first one started"
     );
-    assert_eq!(live(), 1.0, "that thread is parked, not gone");
+    assert_eq!(live(), 1.0, "that worker is parked, not gone");
+    assert!(
+        per_request <= 2.0,
+        "300 sequential requests woke the loop {per_request} times each"
+    );
 }
 
 /// (b) Four closed-loop clients: never more than four connections open,
-/// so never more than four threads — one of which (a) left parked.
-fn closed_loop_clients_start_no_more_threads_than_clients(addr: SocketAddr) {
+/// so never more than four workers — one of which (a) left parked.
+fn closed_loop_clients_start_no_more_workers_than_clients(addr: SocketAddr) {
     let before = started();
     let go = Arc::new(Barrier::new(4));
     let clients: Vec<_> = (0..4)
@@ -168,13 +180,13 @@ fn closed_loop_clients_start_no_more_threads_than_clients(addr: SocketAddr) {
         client.join().unwrap();
     }
     let grown = started() - before;
-    assert!(grown <= 4, "4 closed-loop clients started {grown} threads");
-    assert!(live() <= 4.0, "{} threads alive for 4 clients", live());
+    assert!(grown <= 4, "4 closed-loop clients started {grown} workers");
+    assert!(live() <= 4.0, "{} workers alive for 4 clients", live());
 }
 
-/// (c) Thirty-two connections open at once: at most thirty-two threads,
+/// (c) Thirty-two connections open at once: at most thirty-two workers,
 /// and once idle for the expiry every one of them has left.
-fn a_burst_starts_no_more_threads_than_connections_and_they_expire(addr: SocketAddr) {
+fn a_burst_starts_no_more_workers_than_connections_and_they_expire(addr: SocketAddr) {
     let before = started();
     let mut burst: Vec<TcpStream> = (0..32).map(|_| TcpStream::connect(addr).unwrap()).collect();
     for stream in &mut burst {
@@ -184,35 +196,32 @@ fn a_burst_starts_no_more_threads_than_connections_and_they_expire(addr: SocketA
         assert_ok(&read_reply(stream));
     }
     let grown = started() - before;
-    assert!(grown <= 32, "32 connections started {grown} threads");
-    assert!(live() <= 32.0, "{} threads alive", live());
-    assert!(live() >= 1.0, "the burst's threads are parked, not gone");
+    assert!(grown <= 32, "32 connections started {grown} workers");
+    assert!(live() <= 32.0, "{} workers alive", live());
+    assert!(live() >= 1.0, "the burst's workers are parked, not gone");
     eventually(
         PARK_EXPIRY + Duration::from_secs(4),
-        "every idle connection thread has left",
+        "every idle worker has left",
         || live() == 0.0,
     );
-    // The stack is empty now, so the next request starts a thread.
+    // The stack is empty now, so the next request starts a worker.
     let before = started();
     assert_ok(&search(addr, "soup"));
     assert_eq!(started() - before, 1);
 }
 
 /// (d) A search that panics costs its own connection only: the client
-/// sees a close, the thread is counted out, the next request is served.
+/// sees a close, and the worker that caught the panic parks and serves
+/// the next requests.
 fn a_panicking_search_costs_one_connection(addr: SocketAddr) {
     assert_ok(&search(addr, "soup"));
-    let live_before = live();
+    let (live_before, before) = (live(), started());
     let reply = search(addr, "boom");
     assert_eq!(reply, "", "a panicked handler answers with a plain close");
-    // The socket closes while the thread is still unwinding.
-    eventually(
-        Duration::from_secs(5),
-        "the panicked thread is counted out",
-        || live() == live_before - 1.0,
-    );
     assert_ok(&search(addr, "soup"));
     assert_ok(&search(addr, "soup"));
+    assert_eq!(started() - before, 0, "the panic cost no worker");
+    assert_eq!(live(), live_before);
 }
 
 /// (e) `shutdown` with no request in flight leaves nothing holding the
@@ -236,14 +245,14 @@ fn shutdown_joins_what_is_parked() {
     assert_eq!(
         Arc::strong_count(&script.broker),
         ours,
-        "a parked connection thread outlived shutdown"
+        "a parked worker outlived shutdown"
     );
     assert_eq!(live(), 0.0);
 }
 
-/// (f) A thread serving a request when `shutdown` is called is not
+/// (f) A worker serving a request when `shutdown` is called is not
 /// waited for; it finishes its reply and exits instead of parking.
-fn a_busy_thread_finishes_its_request_and_exits() {
+fn a_busy_worker_finishes_its_request_and_exits() {
     let script = scripted();
     let ours = Arc::strong_count(&script.broker);
     let admin = AdminServer::bind(script.broker.clone(), "127.0.0.1:0").unwrap();
@@ -262,22 +271,22 @@ fn a_busy_thread_finishes_its_request_and_exits() {
     // takes no time.
     eventually(
         PARK_EXPIRY / 2,
-        "the busy thread let go of the broker",
+        "the busy worker let go of the broker",
         || live() == 0.0 && Arc::strong_count(&script.broker) == ours,
     );
 }
 
 #[test]
-fn the_door_reuses_its_warmest_thread() {
+fn the_door_reuses_its_warmest_worker() {
     assert_eq!(live(), 0.0);
     let script = scripted();
     let admin = AdminServer::bind(script.broker.clone(), "127.0.0.1:0").unwrap();
-    sequential_requests_start_one_thread(admin.addr());
-    closed_loop_clients_start_no_more_threads_than_clients(admin.addr());
-    a_burst_starts_no_more_threads_than_connections_and_they_expire(admin.addr());
+    sequential_requests_start_one_worker(admin.addr());
+    closed_loop_clients_start_no_more_workers_than_clients(admin.addr());
+    a_burst_starts_no_more_workers_than_connections_and_they_expire(admin.addr());
     a_panicking_search_costs_one_connection(admin.addr());
     admin.shutdown();
     assert_eq!(live(), 0.0);
     shutdown_joins_what_is_parked();
-    a_busy_thread_finishes_its_request_and_exits();
+    a_busy_worker_finishes_its_request_and_exits();
 }

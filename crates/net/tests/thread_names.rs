@@ -46,7 +46,8 @@ fn has_thread(name: &str) -> bool {
 #[test]
 fn a_call_starts_no_thread_and_the_threads_started_are_named_to_fit() {
     let server = EngineServer::bind("pantry", engine(), "127.0.0.1:0").unwrap();
-    // Once the server has answered, its loop has started its workers.
+    // Once the server has answered, its loop is running; a ping starts
+    // no worker.
     let warm = RemoteEngine::new(server.addr()).unwrap();
     warm.ping().unwrap();
 
@@ -73,8 +74,8 @@ fn a_call_starts_no_thread_and_the_threads_started_are_named_to_fit() {
     stream
         .write_all(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
         .unwrap();
-    // The door closes only once the thread that served has parked.
+    // The door closes only once the worker that served has parked.
     stream.read_to_end(&mut Vec::new()).unwrap();
-    assert!(has_thread("seu-net-http"), "{:?}", thread_names());
-    assert!(has_thread("seu-http-conn"), "{:?}", thread_names());
+    assert!(has_thread("nl:http"), "{:?}", thread_names());
+    assert!(has_thread("nw0:http"), "{:?}", thread_names());
 }
