@@ -68,6 +68,18 @@ fn a_non_finite_pivoted_slope_is_refused() {
     }
 }
 
+#[test]
+fn an_analyzer_flag_other_than_0_or_1_is_refused() {
+    let bytes = file(&["alpha beta"], WeightingScheme::CosineTf);
+    assert!(Collection::from_bytes(&bytes[..]).is_some());
+    // The two flag bytes follow the scheme's tag and parameter.
+    for at in [15, 16] {
+        let mut bad = bytes.clone();
+        bad[at] = 2;
+        assert!(Collection::from_bytes(&bad[..]).is_none(), "byte {at} = 2");
+    }
+}
+
 /// The bytes of a vocabulary of one term, `x`, whose document frequency
 /// is `doc_freq`, over no documents.
 fn one_term_no_documents(doc_freq: u32) -> Vec<u8> {

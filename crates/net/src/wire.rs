@@ -1239,5 +1239,23 @@ mod tests {
         u32::MAX.put(&mut buf);
         let err = Message::decode(4, &buf).unwrap_err();
         assert_eq!(err.kind, TransportErrorKind::Protocol);
+        // A pivoted scheme whose slope is not finite, which the engine
+        // file and the store refuse too. The scheme follows the name's
+        // `u32` length and one byte, and the analyzer byte.
+        let mut b = CollectionBuilder::new(Analyzer::paper_default(), WeightingScheme::CosineTf);
+        b.add_document("d0", "mushroom soup");
+        let snapshot = record_of("e", &SearchEngine::new(b.build()));
+        let (kind, payload) = Message::Representative { snapshot }.encode();
+        let at = 4 + 1 + 1;
+        for slope in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut bad = payload.clone();
+            bad[at] = 3;
+            bad[at + 1..at + 9].copy_from_slice(&slope.to_bits().to_be_bytes());
+            let err = Message::decode(kind, &bad).unwrap_err();
+            assert_eq!(err.kind, TransportErrorKind::Protocol, "slope {slope}");
+        }
+        // A bool byte other than 0 or 1.
+        let err = Message::decode(1, &[2]).unwrap_err();
+        assert_eq!(err.kind, TransportErrorKind::Protocol);
     }
 }

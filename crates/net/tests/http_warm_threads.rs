@@ -10,10 +10,13 @@
 //! other tests' servers out of them. At the spawn-per-connection door
 //! the park stack replaced, part (a) read 300 threads for 300 requests.
 
+use seu_engine::{CollectionBuilder, SearchEngine, WeightingScheme};
 use seu_metasearch::{
-    CacheStats, EngineStatus, RegistrySnapshot, SearchRequest, SearchResponse, SharedResponse,
+    CacheStats, EngineStatus, RegistrySnapshot, RemoteTransport, SearchRequest, SearchResponse,
+    SharedResponse,
 };
-use seu_net::{AdminServer, BrokerAdmin};
+use seu_net::{AdminServer, BrokerAdmin, EngineServer, RemoteEngine, ServerConfig};
+use seu_text::Analyzer;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -276,6 +279,35 @@ fn a_busy_worker_finishes_its_request_and_exits() {
     );
 }
 
+/// (g) Only the door's uncapped set expires: a frame service's cap
+/// already bounds its threads, so two `GetRepresentative` calls further
+/// apart than the expiry are answered by the one worker the first
+/// started.
+fn a_capped_set_keeps_its_workers() {
+    let mut b = CollectionBuilder::new(Analyzer::paper_default(), WeightingScheme::CosineTf);
+    b.add_document("d0", "mushroom soup");
+    let before = started();
+    let server = EngineServer::bind_with(
+        "pantry",
+        SearchEngine::new(b.build()),
+        "127.0.0.1:0",
+        ServerConfig { workers: 1 },
+    )
+    .unwrap();
+    let client = RemoteEngine::new(server.addr()).unwrap();
+    client.fetch_snapshot().unwrap();
+    std::thread::sleep(PARK_EXPIRY + Duration::from_millis(200));
+    client.fetch_snapshot().unwrap();
+    assert_eq!(
+        started() - before,
+        1,
+        "a capped set started a worker again past the door's expiry"
+    );
+    drop(client);
+    server.shutdown();
+    assert_eq!(live(), 0.0);
+}
+
 #[test]
 fn the_door_reuses_its_warmest_worker() {
     assert_eq!(live(), 0.0);
@@ -289,4 +321,5 @@ fn the_door_reuses_its_warmest_worker() {
     assert_eq!(live(), 0.0);
     shutdown_joins_what_is_parked();
     a_busy_worker_finishes_its_request_and_exits();
+    a_capped_set_keeps_its_workers();
 }

@@ -183,3 +183,101 @@ fn manifest_bytes_after_one_commit_are_pinned() {
     assert_eq!(reopened.manifest(), manifest);
     let _ = std::fs::remove_dir_all(&root);
 }
+
+fn unhex(golden: &[&str]) -> Vec<u8> {
+    let hex = golden.concat();
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("golden hex"))
+        .collect()
+}
+
+/// The overwrites a torn or scribbled file falls into: each byte set to
+/// `0xFF`, and each 4-byte window set to `u32::MAX`.
+fn overwrites(bytes: &[u8]) -> impl Iterator<Item = (String, Vec<u8>)> + '_ {
+    let bytes_ff = (0..bytes.len()).map(|at| {
+        let mut mutated = bytes.to_vec();
+        mutated[at] = 0xFF;
+        (format!("byte {at} = 0xFF"), mutated)
+    });
+    let windows = (0..bytes.len().saturating_sub(3)).map(|at| {
+        let mut mutated = bytes.to_vec();
+        mutated[at..at + 4].fill(0xFF);
+        (format!("bytes {at}..+4 = u32::MAX"), mutated)
+    });
+    bytes_ff.chain(windows)
+}
+
+fn assert_corrupt<T>(result: Result<T, seu_store::StoreError>, what: &str) {
+    match result {
+        Err(e) => assert_eq!(e.kind, seu_store::StoreErrorKind::Corrupt, "{what}: {e}"),
+        Ok(_) => panic!("{what}: decoded"),
+    }
+}
+
+#[test]
+fn truncated_and_extended_records_are_corrupt() {
+    let payload = unhex(RECORD);
+    assert!(codec::decode_record(&payload).is_ok());
+    for cut in 0..payload.len() {
+        assert_corrupt(
+            codec::decode_record(&payload[..cut]),
+            &format!("record cut to {cut} of {} bytes", payload.len()),
+        );
+    }
+    for extra in [0u8, 1, 0xFF] {
+        let mut longer = payload.clone();
+        longer.push(extra);
+        assert_corrupt(
+            codec::decode_record(&longer),
+            &format!("record extended by {extra:#04x}"),
+        );
+    }
+}
+
+#[test]
+fn overwritten_records_decode_or_are_corrupt() {
+    for (what, mutated) in overwrites(&unhex(RECORD)) {
+        if let Err(e) = codec::decode_record(&mutated) {
+            assert_eq!(e.kind, seu_store::StoreErrorKind::Corrupt, "{what}: {e}");
+        }
+    }
+}
+
+/// Opens a store whose `MANIFEST` holds `body` behind its own CRC, so
+/// the parser, not the checksum, meets whatever `body` holds.
+fn open_with_manifest(root: &std::path::Path, body: &[u8]) -> Result<(), seu_store::StoreError> {
+    let mut bytes = body.to_vec();
+    bytes.extend_from_slice(&seu_store::crc32(body).to_be_bytes());
+    std::fs::write(root.join("MANIFEST"), &bytes).unwrap();
+    open_tiered(root, 0).map(drop)
+}
+
+#[test]
+fn truncated_extended_and_overwritten_manifests_fail_typed() {
+    let root = tmp_root("manifest-sweep");
+    std::fs::create_dir_all(&root).unwrap();
+    let manifest = unhex(MANIFEST);
+    let body = &manifest[..manifest.len() - 4];
+    open_with_manifest(&root, body).expect("the golden manifest opens");
+    for cut in 0..body.len() {
+        assert_corrupt(
+            open_with_manifest(&root, &body[..cut]),
+            &format!("manifest body cut to {cut} of {} bytes", body.len()),
+        );
+    }
+    for extra in [0u8, 1, 0xFF] {
+        let mut longer = body.to_vec();
+        longer.push(extra);
+        assert_corrupt(
+            open_with_manifest(&root, &longer),
+            &format!("manifest body extended by {extra:#04x}"),
+        );
+    }
+    for (what, mutated) in overwrites(body) {
+        if let Err(e) = open_with_manifest(&root, &mutated) {
+            assert_eq!(e.kind, seu_store::StoreErrorKind::Corrupt, "{what}: {e}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
