@@ -10,54 +10,15 @@ use seu_core::{Expansion, SubrangeEstimator, UsefulnessEstimator};
 use seu_engine::Query;
 use seu_repr::{MaxWeightMode, Representative, SubrangeScheme, TermStats};
 use seu_text::TermId;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::io::Write;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-const CEILING_BYTES: usize = 512 << 20;
-
-static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// `Some(n)`: this thread is being counted and has allocated `n` times.
-    static ALLOCATIONS: Cell<Option<u64>> = const { Cell::new(None) };
-}
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`; the bookkeeping
-// around it touches only an atomic and a const-initialised, destructor-free
-// thread-local `Cell`, neither of which allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed) + layout.size() > CEILING_BYTES {
-            let _ =
-                std::io::stderr().write_all(b"estimate_allocations: over the 512 MiB ceiling\n");
-            std::process::abort();
-        }
-        ALLOCATIONS.with(|n| n.set(n.get().map(|n| n + 1)));
-        // SAFETY: the caller's contract, passed through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
-        // SAFETY: the caller's contract, passed through.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 /// Runs `f` and returns how often this thread allocated meanwhile
-/// (`realloc` goes through `alloc`, so growth counts).
+/// (growth counts).
 fn counted<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    ALLOCATIONS.with(|n| n.set(Some(0)));
-    let out = f();
-    let n = ALLOCATIONS.with(|n| n.take()).expect("counting was on");
-    (out, n)
+    let (out, tally) = counting_alloc::counted(f);
+    (out, tally.all())
 }
 
 /// A representative holding `k` terms and the query asking for all of

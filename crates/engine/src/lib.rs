@@ -18,6 +18,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod binary;
 pub mod collection;
 pub mod index;
 pub mod query;

@@ -104,6 +104,13 @@ impl std::fmt::Display for TransportError {
 
 impl std::error::Error for TransportError {}
 
+/// Bytes off the wire that did not decode break the protocol.
+impl From<seu_engine::binary::DecodeError> for TransportError {
+    fn from(e: seu_engine::binary::DecodeError) -> Self {
+        TransportError::new(TransportErrorKind::Protocol, e.to_string())
+    }
+}
+
 /// One hit a remote engine returned: the document name (ids are
 /// meaningless across processes) and its global similarity.
 #[derive(Debug, Clone, PartialEq)]

@@ -13,52 +13,15 @@
 use seu_engine::{CollectionBuilder, SearchEngine, WeightingScheme};
 use seu_metasearch::{EngineRecord, Representative};
 use seu_text::{Analyzer, AnalyzerConfig, Vocabulary};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-struct Counting;
-
-thread_local! {
-    /// `Some(allocations)` while this thread counts.
-    static COUNT: Cell<Option<u64>> = const { Cell::new(None) };
-}
-
-fn tally() {
-    let _ = COUNT.try_with(|c| c.set(c.get().map(|n| n + 1)));
-}
-
-// SAFETY: every call is forwarded to `System` unchanged; the tally
-// touches a const-initialised thread-local and never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        tally();
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        tally();
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        tally();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 /// The allocations `f` makes on this thread, a buffer's growth
 /// included.
 fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    COUNT.with(|c| c.set(Some(0)));
-    let out = f();
-    (out, COUNT.with(|c| c.replace(None)).expect("counting"))
+    let (out, tally) = counting_alloc::counted(f);
+    (out, tally.all())
 }
 
 /// The record of an engine with `terms` distinct terms over ten

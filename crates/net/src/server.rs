@@ -28,7 +28,7 @@
 //!
 //! **One worker set** takes every hand-off, of every server. A job goes
 //! to the *most recently* parked worker, a worker starts only when none
-//! is parked, and a worker parked for `PARK_EXPIRY` exits. Last in,
+//! is parked, and a door worker parked for `PARK_EXPIRY` exits. Last in,
 //! first out, because that worker's stack, allocator cache and
 //! estimator scratch are still in the processor's cache; a shared
 //! channel or condvar wakes waiters in queue order, the coldest first,
@@ -36,12 +36,13 @@
 //! that kind served the door. A frame service caps its set at
 //! [`ServerConfig::workers`], its capacity for handed-over requests:
 //! jobs past the cap queue in arrival order, and a worker takes the
-//! oldest before it parks. The door has no cap: each of its connections
-//! carries one request, so its workers number at most its open
-//! connections. A worker parks *before* it closes the HTTP connection it
-//! served: the client reads to end of stream before it connects again,
-//! so by then the worker is on the stack, and workers started ≤
-//! connections open at once, exactly.
+//! oldest before it parks, and a parked one stays until the server
+//! stops, since the cap bounds its threads. The door has no cap: each
+//! of its connections carries one request, so its workers number at
+//! most its open connections. A worker parks *before* it closes the
+//! HTTP connection it served: the client reads to end of stream before
+//! it connects again, so by then the worker is on the stack, and
+//! workers started ≤ connections open at once, exactly.
 //!
 //! **Deadlines live on their connection**, not in socket read timeouts
 //! or a loop-wide timer. A connection keeps the requests it handed over
@@ -156,7 +157,7 @@ const REQUEST_TIMEOUT: Duration = Duration::from_secs(30);
 /// after a `poll` the kernel refused.
 const TICK: Duration = Duration::from_millis(25);
 
-/// How long a parked worker waits for its next job before it takes
+/// How long a parked door worker waits for its next job before it takes
 /// itself off the stack and exits.
 const PARK_EXPIRY: Duration = Duration::from_secs(1);
 
@@ -678,8 +679,9 @@ impl LoopState {
         }
     }
 
-    /// A worker's life: run a job, park, take the next, until none comes
-    /// within [`PARK_EXPIRY`] or the server stops.
+    /// A worker's life: run a job, park, take the next, until the server
+    /// stops or, in the door's uncapped set, none comes within
+    /// [`PARK_EXPIRY`].
     fn work(&self, first: Job) {
         let m = metrics();
         m.server_workers_started.inc();
@@ -739,6 +741,13 @@ impl LoopState {
                 workers.live -= 1;
                 return None;
             };
+            // Only the door's uncapped set expires: a cap bounds a frame
+            // service's threads already.
+            if self.cap < usize::MAX {
+                drop(workers);
+                std::thread::park();
+                continue;
+            }
             let Some(left) = PARK_EXPIRY.checked_sub(parked_at.elapsed()) else {
                 workers.parked.remove(at);
                 workers.live -= 1;

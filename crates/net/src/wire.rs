@@ -65,11 +65,12 @@
 //! receiving broker's estimates are **byte-identical** to a local
 //! broker's. That encoding is also the one a `.repr` file holds
 //! ([`record_to_bytes`] / [`record_from_bytes`]). A field's layout and
-//! its bound both come from its type (the private `Wire` trait): a
-//! length read off the wire is checked against the bytes actually
-//! remaining before it is trusted, for `String` and the representative
-//! blob in `take` and for `Vec<T>` and the blob's term rows against the
-//! smallest row.
+//! its bound both come from its type (the private `Wire` trait), and
+//! every read goes through [`seu_engine::binary`], the checked reader
+//! the engine file and the store share: a length read off the wire is
+//! checked there against the bytes actually remaining before it is
+//! trusted, a string's against the bytes, and a count (a `Vec<T>`'s, the
+//! blob's term rows) against the rows those bytes can hold.
 //!
 //! A new kind is three steps: the [`Message`] variant (and its row in
 //! the table above), its row in the `codec!` table (fields in wire
@@ -77,13 +78,14 @@
 //! and a sample in `tests/wire_golden.rs`, which fails until it has one.
 
 use seu_core::Usefulness;
+use seu_engine::binary;
 use seu_engine::{Fingerprint, TrueUsefulness, WeightingScheme};
 use seu_metasearch::{
     DispatchOutcome, EngineDispatchStats, EngineRecord, MergedHit, RemoteHit, SelectionPolicy,
     TransportError, TransportErrorKind,
 };
 use seu_repr::{Representative, TermStats};
-use seu_text::{AnalyzerConfig, Vocabulary};
+use seu_text::AnalyzerConfig;
 use std::sync::Arc;
 
 /// One protocol message (see the module table for kinds and directions).
@@ -273,10 +275,10 @@ fn protocol(detail: impl Into<String>) -> TransportError {
 
 /// How one field type is laid out on the wire and bounds-checked coming
 /// off it. A message is its fields' layouts in table order (see
-/// `codec!` below), so every guard lives here, once per type.
+/// `codec!` below), each read through [`seu_engine::binary`].
 trait Wire: Sized {
-    /// Fewest bytes any value of the type occupies. `Vec<T>` divides the
-    /// bytes remaining by it to refuse a lying count before reserving.
+    /// Fewest bytes any value of the type occupies. `Vec<T>` checks its
+    /// count against the bytes remaining at this size per row.
     const MIN_BYTES: usize;
     /// Appends the value's wire form.
     fn put(&self, out: &mut Vec<u8>);
@@ -284,60 +286,33 @@ trait Wire: Sized {
     fn get(buf: &mut &[u8]) -> Result<Self, TransportError>;
 }
 
-/// Splits `n` bytes off the front of `buf` — the one place a length is
-/// compared against the bytes actually remaining before it is trusted.
-fn take<'a>(buf: &mut &'a [u8], n: usize, what: &str) -> Result<&'a [u8], TransportError> {
-    if buf.len() < n {
-        return Err(protocol(format!(
-            "{what} of {n} bytes but only {} remain",
-            buf.len()
-        )));
-    }
-    let (head, rest) = buf.split_at(n);
-    *buf = rest;
-    Ok(head)
-}
-
-/// [`take`] for a run of bytes behind its own `u32` length prefix.
-fn take_prefixed<'a>(buf: &mut &'a [u8], what: &str) -> Result<&'a [u8], TransportError> {
-    let len = u32::get(buf)? as usize;
-    take(buf, len, what)
-}
-
-/// Big-endian fixed-width numbers.
-macro_rules! wire_number {
-    ($($ty:ident),+) => {$(
+/// The shared reader's fixed-width fields: big-endian numbers, a bool
+/// as `0` or `1`, a fingerprint, and a scheme as its tag and slope.
+macro_rules! wire_field {
+    ($($ty:ty),+) => {$(
         impl Wire for $ty {
-            const MIN_BYTES: usize = std::mem::size_of::<$ty>();
+            const MIN_BYTES: usize = <$ty as binary::Field>::BYTES;
+            #[inline]
             fn put(&self, out: &mut Vec<u8>) {
-                out.extend_from_slice(&self.to_be_bytes());
+                binary::Field::put(*self, out);
             }
+            #[inline]
             fn get(buf: &mut &[u8]) -> Result<Self, TransportError> {
-                let raw = take(buf, Self::MIN_BYTES, stringify!($ty))?;
-                Ok($ty::from_be_bytes(raw.try_into().expect("take returned MIN_BYTES bytes")))
+                Ok(<$ty as binary::Field>::get(buf)?)
             }
         }
     )+};
 }
-wire_number!(u8, u16, u32, u64, f64);
-
-/// One byte; any nonzero value reads as `true`.
-impl Wire for bool {
-    const MIN_BYTES: usize = 1;
-    fn put(&self, out: &mut Vec<u8>) {
-        out.push(*self as u8);
-    }
-    fn get(buf: &mut &[u8]) -> Result<Self, TransportError> {
-        Ok(u8::get(buf)? != 0)
-    }
-}
+wire_field!(u8, u32, u64, f64, bool, Fingerprint, WeightingScheme);
 
 /// Travels as a `u64`.
 impl Wire for usize {
     const MIN_BYTES: usize = 8;
+    #[inline]
     fn put(&self, out: &mut Vec<u8>) {
         (*self as u64).put(out);
     }
+    #[inline]
     fn get(buf: &mut &[u8]) -> Result<Self, TransportError> {
         Ok(u64::get(buf)? as usize)
     }
@@ -346,13 +321,13 @@ impl Wire for usize {
 /// A `u32` length and that many UTF-8 bytes.
 impl Wire for String {
     const MIN_BYTES: usize = 4;
+    #[inline]
     fn put(&self, out: &mut Vec<u8>) {
-        (self.len() as u32).put(out);
-        out.extend_from_slice(self.as_bytes());
+        binary::put_str32(out, self);
     }
+    #[inline]
     fn get(buf: &mut &[u8]) -> Result<Self, TransportError> {
-        String::from_utf8(take_prefixed(buf, "string")?.to_vec())
-            .map_err(|_| protocol("string is not UTF-8"))
+        Ok(binary::str32(buf)?.to_owned())
     }
 }
 
@@ -366,17 +341,7 @@ impl<T: Wire> Wire for Vec<T> {
         }
     }
     fn get(buf: &mut &[u8]) -> Result<Self, TransportError> {
-        let n = u32::get(buf)? as usize;
-        // The count-lie guard: a count the remaining bytes cannot hold
-        // even at each row's smallest size is refused before anything
-        // is reserved for it.
-        if buf.len() / T::MIN_BYTES < n {
-            return Err(protocol(format!(
-                "list claims {n} rows of at least {} bytes but only {} bytes remain",
-                T::MIN_BYTES,
-                buf.len()
-            )));
-        }
+        let n = binary::count(buf, T::MIN_BYTES)?;
         let mut rows = Vec::with_capacity(n);
         for _ in 0..n {
             rows.push(T::get(buf)?);
@@ -389,20 +354,17 @@ impl<T: Wire> Wire for Vec<T> {
 impl<T: Wire> Wire for Option<T> {
     const MIN_BYTES: usize = 1;
     fn put(&self, out: &mut Vec<u8>) {
-        match self {
-            Some(value) => {
-                out.push(1);
-                value.put(out);
-            }
-            None => out.push(0),
+        self.is_some().put(out);
+        if let Some(value) = self {
+            value.put(out);
         }
     }
     fn get(buf: &mut &[u8]) -> Result<Self, TransportError> {
-        match u8::get(buf)? {
-            0 => Ok(None),
-            1 => Ok(Some(T::get(buf)?)),
-            other => Err(protocol(format!("bad option tag {other}"))),
-        }
+        Ok(if bool::get(buf)? {
+            Some(T::get(buf)?)
+        } else {
+            None
+        })
     }
 }
 
@@ -444,7 +406,6 @@ macro_rules! wire_record {
     )+};
 }
 wire_record! {
-    Fingerprint { n_docs: u64, raw_bytes: u64, hash: u64 }
     RemoteHit { doc: String, sim: f64 }
     MergedHit { engine: String, doc: String, sim: f64 }
     Usefulness { no_doc: f64, avg_sim: f64 }
@@ -492,31 +453,6 @@ wire_tag! {
     DispatchOutcome { 0 => Completed, 1 => Failed, 2 => TimedOut }
 }
 
-/// A tag byte and an `f64` slope that only `PivotedLogTf` (tag 3) reads;
-/// the others write 0.0 there, so every scheme is nine bytes.
-impl Wire for WeightingScheme {
-    const MIN_BYTES: usize = 9;
-    fn put(&self, out: &mut Vec<u8>) {
-        let tag_and_slope: (u8, f64) = match *self {
-            WeightingScheme::CosineTf => (0, 0.0),
-            WeightingScheme::CosineLogTf => (1, 0.0),
-            WeightingScheme::CosineTfIdf => (2, 0.0),
-            WeightingScheme::PivotedLogTf { slope } => (3, slope),
-        };
-        tag_and_slope.put(out);
-    }
-    fn get(buf: &mut &[u8]) -> Result<Self, TransportError> {
-        let (tag, slope) = <(u8, f64)>::get(buf)?;
-        match tag {
-            0 => Ok(WeightingScheme::CosineTf),
-            1 => Ok(WeightingScheme::CosineLogTf),
-            2 => Ok(WeightingScheme::CosineTfIdf),
-            3 => Ok(WeightingScheme::PivotedLogTf { slope }),
-            other => Err(protocol(format!("unknown weighting scheme tag {other}"))),
-        }
-    }
-}
-
 /// A tag byte and eight bytes that only `TopK` (its count) and
 /// `MinNoDoc` (its bound's bits) read; the others write zeros, so every
 /// policy is nine bytes.
@@ -562,9 +498,6 @@ impl Wire for AnalyzerConfig {
 
 /// Magic of the representative blob: "SEUT".
 const REPR_MAGIC: u32 = 0x5345_5554;
-/// Fewest bytes a term row of the blob occupies: an empty name's `u16`
-/// length and four `f64` statistics.
-const MIN_TERM_ROW_BYTES: usize = 2 + 4 * 8;
 
 /// The record's fields in wire order, `n_docs` written from the
 /// fingerprint, then the representative as one length-prefixed blob:
@@ -597,8 +530,7 @@ impl Wire for EngineRecord {
         self.repr.collection_bytes().put(out);
         (self.repr.table_len() as u32).put(out);
         for ((_, term), s) in self.vocab.iter().zip(self.repr.rows()) {
-            (term.len() as u16).put(out);
-            out.extend_from_slice(term.as_bytes());
+            binary::put_str16(out, term);
             for stat in [s.p, s.mean, s.std_dev, s.max] {
                 stat.put(out);
             }
@@ -613,35 +545,22 @@ impl Wire for EngineRecord {
         let n_docs = u32::get(buf)?;
         let fingerprint = Fingerprint::get(buf)?;
         let doc_freq = Wire::get(buf)?;
-        let blob = &mut take_prefixed(buf, "representative")?;
+        let len = u32::get(buf)? as usize;
+        let blob = &mut binary::take(buf, len)?;
         if u32::get(blob)? != REPR_MAGIC {
             return Err(protocol("bad representative magic"));
         }
         let (repr_docs, collection_bytes) = <(u64, u64)>::get(blob)?;
         let n_terms = u32::get(blob)? as usize;
-        if blob.len() / MIN_TERM_ROW_BYTES < n_terms {
-            return Err(protocol(format!(
-                "representative claims {n_terms} terms but only {} bytes remain",
-                blob.len()
-            )));
-        }
-        // Past each row's fixed bytes, the blob holds the terms' own.
-        let term_bytes = blob.len() - n_terms * MIN_TERM_ROW_BYTES;
-        let mut vocab = Vocabulary::with_capacity(n_terms, term_bytes);
-        let mut stats = Vec::with_capacity(n_terms);
-        for _ in 0..n_terms {
-            let len = usize::from(u16::get(blob)?);
-            let term = std::str::from_utf8(take(blob, len, "term")?)
-                .map_err(|_| protocol("term is not UTF-8"))?;
-            vocab.intern(term);
-            let mut stat = || f64::get(blob);
-            stats.push(TermStats {
+        let (vocab, stats) = binary::vocab_rows(blob, n_terms, 4 * 8, |row| {
+            let mut stat = || <f64 as binary::Field>::get(row);
+            Ok(TermStats {
                 p: stat()?,
                 mean: stat()?,
                 std_dev: stat()?,
                 max: stat()?,
-            });
-        }
+            })
+        })?;
         if !blob.is_empty() {
             return Err(protocol(format!(
                 "{} trailing bytes after the representative",

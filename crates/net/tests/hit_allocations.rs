@@ -15,52 +15,15 @@ use seu_engine::{CollectionBuilder, SearchEngine, WeightingScheme};
 use seu_metasearch::{Broker, CacheMode, CacheTier, SearchRequest, SelectionPolicy};
 use seu_net::BrokerAdmin;
 use seu_text::Analyzer;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::time::Duration;
 
-struct Counting;
-
-thread_local! {
-    /// `Some(allocations)` while this thread counts.
-    static COUNT: Cell<Option<u64>> = const { Cell::new(None) };
-}
-
-fn tally() {
-    let _ = COUNT.try_with(|c| c.set(c.get().map(|n| n + 1)));
-}
-
-// SAFETY: every call is forwarded to `System` unchanged; the tally
-// touches a const-initialised thread-local and never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        tally();
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        tally();
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 /// The fresh allocations `f` makes on this thread (a buffer that grows
 /// or shrinks is not counted again).
 fn allocations(f: impl FnOnce()) -> u64 {
-    COUNT.with(|c| c.set(Some(0)));
-    f();
-    COUNT.with(|c| c.replace(None)).expect("counting")
+    counting_alloc::counted(f).1.allocs
 }
 
 /// A cache-on broker over one engine whose `rows` documents all match

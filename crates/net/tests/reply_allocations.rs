@@ -11,57 +11,14 @@
 use seu_metasearch::{
     DispatchOutcome, EngineDispatchStats, EngineEstimate, MergedHit, SearchResponse, Usefulness,
 };
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-struct Counting;
-
-thread_local! {
-    /// `Some((allocations, reallocations))` while this thread counts.
-    static COUNT: Cell<Option<(u64, u64)>> = const { Cell::new(None) };
-}
-
-fn tally(fresh: bool) {
-    let _ = COUNT.try_with(|c| {
-        c.set(
-            c.get()
-                .map(|(a, r)| if fresh { (a + 1, r) } else { (a, r + 1) }),
-        )
-    });
-}
-
-// SAFETY: every call is forwarded to `System` unchanged; the tally
-// touches a const-initialised thread-local and never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        tally(true);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        tally(true);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        tally(false);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 /// The allocations and reallocations `f` makes on this thread.
 fn allocations<R>(f: impl FnOnce() -> R) -> (R, (u64, u64)) {
-    COUNT.with(|c| c.set(Some((0, 0))));
-    let result = f();
-    let counts = COUNT.with(|c| c.replace(None)).expect("counting");
-    (result, counts)
+    let (result, tally) = counting_alloc::counted(f);
+    (result, (tally.allocs, tally.reallocs))
 }
 
 /// A reply with `rows` hits, estimates and per-engine rows, shaped like

@@ -19,12 +19,13 @@
 //! Decoding validates everything: magic, version, enum tags, strictly
 //! increasing in-range term ids, duplicate-free vocabulary, and a
 //! trailing-byte check, and the decoded record must be
-//! [consistent](EngineRecord::is_consistent). Every length read from
-//! the payload is capped against the bytes actually remaining before
-//! any allocation, so a length-lying payload cannot drive an
-//! overallocation (the wire decoder's discipline too).
+//! [consistent](EngineRecord::is_consistent). Every read goes through
+//! [`seu_engine::binary`], the checked reader the engine file and the
+//! wire share, so every length read from the payload is checked against
+//! the bytes actually remaining before anything is reserved for it.
 
-use crate::{StoreError, StoreErrorKind};
+use crate::StoreError;
+use seu_engine::binary::{self, Field};
 use seu_engine::{weighted_query, Fingerprint, Query, SearchEngine, WeightingScheme};
 use seu_repr::{QuantizedRepresentative, Representative};
 use seu_stats::ByteQuantizer;
@@ -37,12 +38,11 @@ pub const RECORD_MAGIC: u32 = 0x5345_5552;
 /// Record format version.
 pub const RECORD_VERSION: u16 = 1;
 
-/// Minimum bytes a per-term vocabulary row can occupy (empty name: u16
-/// length + u32 doc frequency) — the divisor for the row-count
-/// allocation cap.
-const MIN_TERM_RECORD_BYTES: usize = 2 + 4;
-/// Minimum bytes a code row occupies (u32 term id + 4 code bytes).
-const MIN_CODE_RECORD_BYTES: usize = 4 + 4;
+/// Fewest bytes a vocabulary row occupies: an empty term's `u16`
+/// length and a `u32` document frequency.
+const MIN_VOCAB_ROW_BYTES: usize = 2 + 4;
+/// Bytes of a code row: a `u32` term id and four code bytes.
+const CODE_ROW_BYTES: usize = 4 + 4;
 
 /// One engine described without its documents: the hot-tier value, what
 /// [`crate::ReprStore::put`] canonicalizes to, and what a broker plans
@@ -148,37 +148,10 @@ impl EngineRecord {
     }
 }
 
-/// Maps a scheme to its wire tag and parameter (same tags as the engine
-/// persistence codec, so on-disk artifacts agree about scheme ids).
-pub(crate) fn scheme_tag(scheme: WeightingScheme) -> (u8, f64) {
-    match scheme {
-        WeightingScheme::CosineTf => (0, 0.0),
-        WeightingScheme::CosineLogTf => (1, 0.0),
-        WeightingScheme::CosineTfIdf => (2, 0.0),
-        WeightingScheme::PivotedLogTf { slope } => (3, slope),
-    }
-}
-
-pub(crate) fn scheme_from_tag(tag: u8, param: f64) -> Option<WeightingScheme> {
-    match tag {
-        0 => Some(WeightingScheme::CosineTf),
-        1 => Some(WeightingScheme::CosineLogTf),
-        2 => Some(WeightingScheme::CosineTfIdf),
-        3 if param.is_finite() => Some(WeightingScheme::PivotedLogTf { slope: param }),
-        _ => None,
-    }
-}
-
-pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
-    assert!(s.len() <= usize::from(u16::MAX), "string too long for u16");
-    buf.extend_from_slice(&(s.len() as u16).to_be_bytes());
-    buf.extend_from_slice(s.as_bytes());
-}
-
 fn put_quantizer(buf: &mut Vec<u8>, q: &ByteQuantizer) {
     let (lo, hi) = q.range();
-    buf.extend_from_slice(&lo.to_be_bytes());
-    buf.extend_from_slice(&hi.to_be_bytes());
+    lo.put(buf);
+    hi.put(buf);
     let exceptions: Vec<(u8, f64)> = q
         .levels()
         .iter()
@@ -186,91 +159,23 @@ fn put_quantizer(buf: &mut Vec<u8>, q: &ByteQuantizer) {
         .filter(|&(i, l)| l.to_bits() != ByteQuantizer::default_level(lo, hi, i as u8).to_bits())
         .map(|(i, &l)| (i as u8, l))
         .collect();
-    buf.extend_from_slice(&(exceptions.len() as u16).to_be_bytes());
+    (exceptions.len() as u16).put(buf);
     for (code, level) in exceptions {
-        buf.push(code);
-        buf.extend_from_slice(&level.to_be_bytes());
+        code.put(buf);
+        level.put(buf);
     }
 }
 
-/// A checked read cursor: every primitive verifies the remaining length
-/// first and fails with a [`StoreErrorKind::Corrupt`] error instead of
-/// panicking on truncated input.
-pub(crate) struct Reader<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Reader { buf }
-    }
-
-    pub(crate) fn remaining(&self) -> usize {
-        self.buf.len()
-    }
-
-    pub(crate) fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], StoreError> {
-        if self.buf.len() < n {
-            return Err(StoreError::corrupt(format!(
-                "truncated record: {what} needs {n} bytes, {} remain",
-                self.buf.len()
-            )));
-        }
-        let (head, tail) = self.buf.split_at(n);
-        self.buf = tail;
-        Ok(head)
-    }
-
-    pub(crate) fn u8(&mut self, what: &str) -> Result<u8, StoreError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    pub(crate) fn u16(&mut self, what: &str) -> Result<u16, StoreError> {
-        Ok(u16::from_be_bytes(self.take(2, what)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn u32(&mut self, what: &str) -> Result<u32, StoreError> {
-        Ok(u32::from_be_bytes(self.take(4, what)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn u64(&mut self, what: &str) -> Result<u64, StoreError> {
-        Ok(u64::from_be_bytes(self.take(8, what)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn f64(&mut self, what: &str) -> Result<f64, StoreError> {
-        Ok(f64::from_bits(self.u64(what)?))
-    }
-
-    pub(crate) fn str(&mut self, what: &str) -> Result<String, StoreError> {
-        self.str_ref(what).map(String::from)
-    }
-
-    /// A `u16`-prefixed string, borrowed from the payload.
-    pub(crate) fn str_ref(&mut self, what: &str) -> Result<&'a str, StoreError> {
-        let len = usize::from(self.u16(what)?);
-        std::str::from_utf8(self.take(len, what)?)
-            .map_err(|_| StoreError::corrupt(format!("{what}: invalid UTF-8")))
-    }
-}
-
-pub(crate) fn get_bool(r: &mut Reader<'_>, what: &str) -> Result<bool, StoreError> {
-    match r.u8(what)? {
-        0 => Ok(false),
-        1 => Ok(true),
-        other => Err(StoreError::corrupt(format!("{what}: invalid bool {other}"))),
-    }
-}
-
-fn get_quantizer(r: &mut Reader<'_>) -> Result<ByteQuantizer, StoreError> {
-    let lo = r.f64("quantizer lo")?;
-    let hi = r.f64("quantizer hi")?;
+fn get_quantizer(buf: &mut &[u8]) -> Result<ByteQuantizer, StoreError> {
+    let lo = f64::get(buf)?;
+    let hi = f64::get(buf)?;
     // NaN bounds are corrupt too, so a plain `lo > hi` is not enough.
     if lo.is_nan() || hi.is_nan() || lo > hi {
         return Err(StoreError::corrupt(format!(
             "quantizer range [{lo}, {hi}] is invalid"
         )));
     }
-    let n = usize::from(r.u16("quantizer exception count")?);
+    let n = usize::from(u16::get(buf)?);
     if n > 256 {
         return Err(StoreError::corrupt(format!(
             "quantizer claims {n} exception levels (max 256)"
@@ -280,8 +185,8 @@ fn get_quantizer(r: &mut Reader<'_>) -> Result<ByteQuantizer, StoreError> {
         .map(|code| ByteQuantizer::default_level(lo, hi, code))
         .collect();
     for _ in 0..n {
-        let code = r.u8("quantizer exception code")?;
-        levels[usize::from(code)] = r.f64("quantizer exception level")?;
+        let code = u8::get(buf)?;
+        levels[usize::from(code)] = f64::get(buf)?;
     }
     ByteQuantizer::from_parts(lo, hi, levels)
         .ok_or_else(|| StoreError::corrupt("quantizer parts rejected"))
@@ -304,117 +209,82 @@ pub fn encode_record(record: &EngineRecord) -> Vec<u8> {
     );
     let q = QuantizedRepresentative::from_representative(&record.repr);
     let mut buf = Vec::with_capacity(64 + record.vocab.len() * 16);
-    buf.extend_from_slice(&RECORD_MAGIC.to_be_bytes());
-    buf.extend_from_slice(&RECORD_VERSION.to_be_bytes());
-    put_str(&mut buf, &record.name);
-    buf.push(u8::from(record.analyzer.remove_stopwords));
-    buf.push(u8::from(record.analyzer.stem));
-    let (tag, param) = scheme_tag(record.scheme);
-    buf.push(tag);
-    buf.extend_from_slice(&param.to_be_bytes());
-    buf.extend_from_slice(&record.fingerprint.n_docs.to_be_bytes());
-    buf.extend_from_slice(&record.fingerprint.raw_bytes.to_be_bytes());
-    buf.extend_from_slice(&record.fingerprint.hash.to_be_bytes());
-    buf.extend_from_slice(&q.n_docs().to_be_bytes());
-    buf.extend_from_slice(&q.collection_bytes().to_be_bytes());
-    buf.extend_from_slice(&(q.table_len() as u32).to_be_bytes());
+    RECORD_MAGIC.put(&mut buf);
+    RECORD_VERSION.put(&mut buf);
+    binary::put_str16(&mut buf, &record.name);
+    record.analyzer.put(&mut buf);
+    record.scheme.put(&mut buf);
+    record.fingerprint.put(&mut buf);
+    q.n_docs().put(&mut buf);
+    q.collection_bytes().put(&mut buf);
+    (q.table_len() as u32).put(&mut buf);
     for quantizer in q.quantizers() {
         put_quantizer(&mut buf, quantizer);
     }
-    buf.extend_from_slice(&(q.codes().len() as u32).to_be_bytes());
+    (q.codes().len() as u32).put(&mut buf);
     for &(term, codes) in q.codes() {
-        buf.extend_from_slice(&term.0.to_be_bytes());
+        term.0.put(&mut buf);
         buf.extend_from_slice(&codes);
     }
     for (id, term) in record.vocab.iter() {
-        put_str(&mut buf, term);
-        buf.extend_from_slice(&record.doc_freq[id.index()].to_be_bytes());
+        binary::put_str16(&mut buf, term);
+        record.doc_freq[id.index()].put(&mut buf);
     }
     buf
 }
 
 /// Decodes a cold-tier payload back into an [`EngineRecord`],
-/// validating every field and capping every claimed length against the
+/// validating every field and checking every claimed length against the
 /// bytes actually present before allocating.
-pub fn decode_record(bytes: &[u8]) -> Result<EngineRecord, StoreError> {
-    let mut r = Reader::new(bytes);
-    let magic = r.u32("magic")?;
+pub fn decode_record(mut bytes: &[u8]) -> Result<EngineRecord, StoreError> {
+    let buf = &mut bytes;
+    let magic = u32::get(buf)?;
     if magic != RECORD_MAGIC {
         return Err(StoreError::corrupt(format!("bad record magic {magic:#x}")));
     }
-    let version = r.u16("version")?;
+    let version = u16::get(buf)?;
     if version != RECORD_VERSION {
-        return Err(StoreError::new(
-            StoreErrorKind::Corrupt,
-            format!("unsupported record version {version}"),
-        ));
+        return Err(StoreError::corrupt(format!(
+            "unsupported record version {version}"
+        )));
     }
-    let name = r.str("engine name")?;
-    let analyzer = AnalyzerConfig {
-        remove_stopwords: get_bool(&mut r, "analyzer stopword flag")?,
-        stem: get_bool(&mut r, "analyzer stem flag")?,
-    };
-    let tag = r.u8("scheme tag")?;
-    let param = r.f64("scheme param")?;
-    let scheme = scheme_from_tag(tag, param)
-        .ok_or_else(|| StoreError::corrupt(format!("unknown weighting scheme tag {tag}")))?;
-    let fingerprint = Fingerprint {
-        n_docs: r.u64("fingerprint n_docs")?,
-        raw_bytes: r.u64("fingerprint raw_bytes")?,
-        hash: r.u64("fingerprint hash")?,
-    };
-    let n_docs = r.u64("repr n_docs")?;
-    let collection_bytes = r.u64("collection bytes")?;
-    let rows = r.u32("row count")? as usize;
+    let name = binary::str16(buf)?.to_owned();
+    let analyzer = AnalyzerConfig::get(buf)?;
+    let scheme = WeightingScheme::get(buf)?;
+    let fingerprint = Fingerprint::get(buf)?;
+    let n_docs = u64::get(buf)?;
+    let collection_bytes = u64::get(buf)?;
+    // The vocabulary rows end the payload, so what remains holds them.
+    let rows = binary::count(buf, MIN_VOCAB_ROW_BYTES)?;
     let quantizers = [
-        get_quantizer(&mut r)?,
-        get_quantizer(&mut r)?,
-        get_quantizer(&mut r)?,
-        get_quantizer(&mut r)?,
+        get_quantizer(buf)?,
+        get_quantizer(buf)?,
+        get_quantizer(buf)?,
+        get_quantizer(buf)?,
     ];
-    let n_codes = r.u32("code count")? as usize;
+    let n_codes = binary::count(buf, CODE_ROW_BYTES)?;
     if n_codes > rows {
         return Err(StoreError::corrupt(format!(
             "{n_codes} codes for {rows} rows"
         )));
     }
-    // Cap-before-allocate: a lying count cannot reserve more entries
-    // than the remaining bytes could possibly encode.
-    let mut codes: Vec<(TermId, [u8; 4])> =
-        Vec::with_capacity(n_codes.min(r.remaining() / MIN_CODE_RECORD_BYTES));
+    let mut codes: Vec<(TermId, [u8; 4])> = Vec::with_capacity(n_codes);
     let mut prev: Option<u32> = None;
     for _ in 0..n_codes {
-        let term = r.u32("code term id")?;
+        let term = u32::get(buf)?;
         if term as usize >= rows || prev.is_some_and(|p| term <= p) {
             return Err(StoreError::corrupt(format!(
                 "code term id {term} out of order or out of range (rows {rows})"
             )));
         }
         prev = Some(term);
-        let mut c = [0u8; 4];
-        c.copy_from_slice(r.take(4, "code bytes")?);
-        codes.push((TermId(term), c));
+        codes.push((TermId(term), u32::get(buf)?.to_be_bytes()));
     }
-    // The vocabulary rows end the payload: past their fixed bytes, what
-    // remains is the terms' own bytes. Both capped by what is there.
-    let rows_held = rows.min(r.remaining() / MIN_TERM_RECORD_BYTES);
-    let term_bytes = r.remaining() - rows_held * MIN_TERM_RECORD_BYTES;
-    let mut vocab = Vocabulary::with_capacity(rows_held, term_bytes);
-    let mut doc_freq: Vec<u32> = Vec::with_capacity(rows_held);
-    for i in 0..rows {
-        let term = r.str_ref("vocabulary term")?;
-        let df = r.u32("doc frequency")?;
-        if vocab.intern(term).index() != i {
-            return Err(StoreError::corrupt(format!(
-                "duplicate vocabulary term {term:?} at row {i}"
-            )));
-        }
-        doc_freq.push(df);
-    }
-    if r.remaining() != 0 {
+    let (vocab, doc_freq) = binary::vocab_rows(buf, rows, 4, u32::get)?;
+    if !buf.is_empty() {
         return Err(StoreError::corrupt(format!(
             "{} trailing bytes after record",
-            r.remaining()
+            buf.len()
         )));
     }
     let quantized =
@@ -449,6 +319,7 @@ pub fn roundtrip(record: &EngineRecord) -> EngineRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StoreErrorKind;
     use proptest::prelude::*;
     use seu_engine::{CollectionBuilder, SearchEngine};
     use seu_text::Analyzer;
@@ -675,16 +546,6 @@ mod tests {
             if let Ok(decoded) = decode_record(&bytes) {
                 prop_assert!(decoded.is_consistent());
             }
-        }
-
-        /// Truncation at every prefix length is rejected without
-        /// panicking or allocating past the input.
-        #[test]
-        fn every_truncation_is_rejected(cut_ratio in 0.0f64..1.0) {
-            let rec = record(&["alpha beta gamma delta", "beta epsilon"]);
-            let bytes = encode_record(&rec);
-            let cut = ((bytes.len() - 1) as f64 * cut_ratio) as usize;
-            prop_assert!(decode_record(&bytes[..cut]).is_err());
         }
     }
 }

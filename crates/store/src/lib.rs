@@ -38,9 +38,10 @@
 //! and after a snapshot/restore cycle, because both sides decode the
 //! same canonical bytes.
 //!
-//! Every untrusted length decoded from disk is capped against the
-//! remaining input before allocation, as the wire decoder does, so
-//! corrupt or adversarial files cannot drive huge allocations.
+//! Every untrusted length decoded from disk is checked against the
+//! remaining input before allocation by [`seu_engine::binary`], the one
+//! checked reader the engine file and the wire use too, so corrupt or
+//! adversarial files cannot drive huge allocations.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -127,6 +128,13 @@ impl std::fmt::Display for StoreError {
 }
 
 impl std::error::Error for StoreError {}
+
+/// Bytes that did not decode are corrupt.
+impl From<seu_engine::binary::DecodeError> for StoreError {
+    fn from(e: seu_engine::binary::DecodeError) -> Self {
+        StoreError::corrupt(e.to_string())
+    }
+}
 
 /// How the broker reached a persisted engine when it was snapshotted,
 /// so a restore can report (and later reattach) it faithfully. Either

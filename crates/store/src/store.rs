@@ -35,11 +35,13 @@
 //! records (a hydration sweep) cannot flush the records queries
 //! actually re-touch.
 
-use crate::codec::{self, EngineRecord, Reader};
+use crate::codec::{self, EngineRecord};
 use crate::slru::Slru;
 use crate::{store_metrics, EntryKind, Manifest, ManifestEntry, ReprStore, StoreError};
 use parking_lot::Mutex;
-use seu_engine::Fingerprint;
+use seu_engine::binary::{self, Field};
+use seu_engine::{Fingerprint, WeightingScheme};
+use seu_text::AnalyzerConfig;
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read as _, Seek, SeekFrom, Write as _};
@@ -113,104 +115,83 @@ fn manifest_path(root: &Path) -> PathBuf {
     root.join("MANIFEST")
 }
 
-fn put_fingerprint(buf: &mut Vec<u8>, fp: Fingerprint) {
-    buf.extend_from_slice(&fp.n_docs.to_be_bytes());
-    buf.extend_from_slice(&fp.raw_bytes.to_be_bytes());
-    buf.extend_from_slice(&fp.hash.to_be_bytes());
-}
-
-fn get_fingerprint(r: &mut Reader<'_>, what: &str) -> Result<Fingerprint, StoreError> {
-    Ok(Fingerprint {
-        n_docs: r.u64(what)?,
-        raw_bytes: r.u64(what)?,
-        hash: r.u64(what)?,
-    })
-}
-
 fn encode_manifest(manifest: &Manifest, locations: &[Location]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64 + manifest.entries.len() * 96);
-    buf.extend_from_slice(&MANIFEST_MAGIC.to_be_bytes());
-    buf.extend_from_slice(&STORE_VERSION.to_be_bytes());
-    buf.extend_from_slice(&manifest.epoch.to_be_bytes());
-    buf.extend_from_slice(&(manifest.shard_epochs.len() as u32).to_be_bytes());
+    MANIFEST_MAGIC.put(&mut buf);
+    STORE_VERSION.put(&mut buf);
+    manifest.epoch.put(&mut buf);
+    (manifest.shard_epochs.len() as u32).put(&mut buf);
     for &e in &manifest.shard_epochs {
-        buf.extend_from_slice(&e.to_be_bytes());
+        e.put(&mut buf);
     }
-    buf.extend_from_slice(&manifest.next_seq.to_be_bytes());
-    buf.extend_from_slice(&(manifest.entries.len() as u32).to_be_bytes());
+    manifest.next_seq.put(&mut buf);
+    (manifest.entries.len() as u32).put(&mut buf);
     for (entry, loc) in manifest.entries.iter().zip(locations) {
-        codec::put_str(&mut buf, &entry.name);
-        buf.extend_from_slice(&entry.seq.to_be_bytes());
-        buf.extend_from_slice(&entry.epoch.to_be_bytes());
-        put_fingerprint(&mut buf, entry.fingerprint);
+        binary::put_str16(&mut buf, &entry.name);
+        entry.seq.put(&mut buf);
+        entry.epoch.put(&mut buf);
+        entry.fingerprint.put(&mut buf);
         match &entry.kind {
-            EntryKind::Local => buf.push(0),
+            EntryKind::Local => 0u8.put(&mut buf),
             EntryKind::Remote { endpoint } => {
-                buf.push(1);
-                codec::put_str(&mut buf, endpoint);
+                1u8.put(&mut buf);
+                binary::put_str16(&mut buf, endpoint);
             }
         }
-        buf.push(u8::from(entry.analyzer.remove_stopwords));
-        buf.push(u8::from(entry.analyzer.stem));
-        let (tag, param) = codec::scheme_tag(entry.scheme);
-        buf.push(tag);
-        buf.extend_from_slice(&param.to_be_bytes());
-        buf.extend_from_slice(&entry.repr_terms.to_be_bytes());
-        buf.extend_from_slice(&entry.repr_bytes.to_be_bytes());
-        buf.extend_from_slice(&loc.segment.to_be_bytes());
-        buf.extend_from_slice(&loc.offset.to_be_bytes());
-        buf.extend_from_slice(&loc.len.to_be_bytes());
+        entry.analyzer.put(&mut buf);
+        entry.scheme.put(&mut buf);
+        entry.repr_terms.put(&mut buf);
+        entry.repr_bytes.put(&mut buf);
+        loc.segment.put(&mut buf);
+        loc.offset.put(&mut buf);
+        loc.len.put(&mut buf);
     }
-    let crc = crate::crc32(&buf);
-    buf.extend_from_slice(&crc.to_be_bytes());
+    crate::crc32(&buf).put(&mut buf);
     buf
 }
 
 fn decode_manifest(bytes: &[u8]) -> Result<(Manifest, Vec<Location>), StoreError> {
-    if bytes.len() < 4 {
+    let Some((body, trailer)) = bytes.split_last_chunk::<4>() else {
         return Err(StoreError::corrupt("manifest shorter than its CRC trailer"));
-    }
-    let (body, trailer) = bytes.split_at(bytes.len() - 4);
-    let stored_crc = u32::from_be_bytes(trailer.try_into().unwrap());
+    };
+    let stored_crc = u32::get(&mut &trailer[..])?;
     let actual = crate::crc32(body);
     if stored_crc != actual {
         return Err(StoreError::corrupt(format!(
             "manifest CRC mismatch: stored {stored_crc:#010x}, computed {actual:#010x}"
         )));
     }
-    let mut r = Reader::new(body);
-    let magic = r.u32("manifest magic")?;
+    let buf = &mut &body[..];
+    let magic = u32::get(buf)?;
     if magic != MANIFEST_MAGIC {
         return Err(StoreError::corrupt(format!(
             "bad manifest magic {magic:#x}"
         )));
     }
-    let version = r.u16("manifest version")?;
+    let version = u16::get(buf)?;
     if version != STORE_VERSION {
         return Err(StoreError::corrupt(format!(
             "unsupported manifest version {version}"
         )));
     }
-    let epoch = r.u64("manifest epoch")?;
-    let n_shards = r.u32("shard epoch count")? as usize;
-    let mut shard_epochs = Vec::with_capacity(n_shards.min(r.remaining() / 8));
-    for _ in 0..n_shards {
-        shard_epochs.push(r.u64("shard epoch")?);
-    }
-    let next_seq = r.u64("next sequence number")?;
-    let n_entries = r.u32("entry count")? as usize;
-    let cap = n_entries.min(r.remaining() / MIN_ENTRY_BYTES);
-    let mut entries = Vec::with_capacity(cap);
-    let mut locations = Vec::with_capacity(cap);
+    let epoch = u64::get(buf)?;
+    let n_shards = binary::count(buf, 8)?;
+    let shard_epochs = (0..n_shards)
+        .map(|_| u64::get(buf))
+        .collect::<Result<_, _>>()?;
+    let next_seq = u64::get(buf)?;
+    let n_entries = binary::count(buf, MIN_ENTRY_BYTES)?;
+    let mut entries = Vec::with_capacity(n_entries);
+    let mut locations = Vec::with_capacity(n_entries);
     for _ in 0..n_entries {
-        let name = r.str("entry name")?;
-        let seq = r.u64("entry seq")?;
-        let entry_epoch = r.u64("entry epoch")?;
-        let fingerprint = get_fingerprint(&mut r, "entry fingerprint")?;
-        let kind = match r.u8("entry kind")? {
+        let name = binary::str16(buf)?.to_owned();
+        let seq = u64::get(buf)?;
+        let entry_epoch = u64::get(buf)?;
+        let fingerprint = Fingerprint::get(buf)?;
+        let kind = match u8::get(buf)? {
             0 => EntryKind::Local,
             1 => EntryKind::Remote {
-                endpoint: r.str("entry endpoint")?,
+                endpoint: binary::str16(buf)?.to_owned(),
             },
             other => {
                 return Err(StoreError::corrupt(format!(
@@ -218,38 +199,27 @@ fn decode_manifest(bytes: &[u8]) -> Result<(Manifest, Vec<Location>), StoreError
                 )))
             }
         };
-        let analyzer = seu_text::AnalyzerConfig {
-            remove_stopwords: codec::get_bool(&mut r, "entry stopword flag")?,
-            stem: codec::get_bool(&mut r, "entry stem flag")?,
-        };
-        let tag = r.u8("entry scheme tag")?;
-        let param = r.f64("entry scheme param")?;
-        let scheme = codec::scheme_from_tag(tag, param)
-            .ok_or_else(|| StoreError::corrupt(format!("unknown scheme tag {tag}")))?;
-        let repr_terms = r.u64("entry repr terms")?;
-        let repr_bytes = r.u64("entry repr bytes")?;
-        let location = Location {
-            segment: r.u32("blob segment")?,
-            offset: r.u64("blob offset")?,
-            len: r.u32("blob length")?,
-        };
         entries.push(ManifestEntry {
             name,
             seq,
             epoch: entry_epoch,
             fingerprint,
             kind,
-            analyzer,
-            scheme,
-            repr_terms,
-            repr_bytes,
+            analyzer: AnalyzerConfig::get(buf)?,
+            scheme: WeightingScheme::get(buf)?,
+            repr_terms: u64::get(buf)?,
+            repr_bytes: u64::get(buf)?,
         });
-        locations.push(location);
+        locations.push(Location {
+            segment: u32::get(buf)?,
+            offset: u64::get(buf)?,
+            len: u32::get(buf)?,
+        });
     }
-    if r.remaining() != 0 {
+    if !buf.is_empty() {
         return Err(StoreError::corrupt(format!(
             "{} trailing bytes after manifest entries",
-            r.remaining()
+            buf.len()
         )));
     }
     Ok((
@@ -316,8 +286,8 @@ impl Store {
         let len = file.metadata().map_err(|e| StoreError::io(&path, e))?.len();
         if len == 0 {
             let mut header = Vec::with_capacity(SEGMENT_HEADER_BYTES as usize);
-            header.extend_from_slice(&SEGMENT_MAGIC.to_be_bytes());
-            header.extend_from_slice(&STORE_VERSION.to_be_bytes());
+            SEGMENT_MAGIC.put(&mut header);
+            STORE_VERSION.put(&mut header);
             file.write_all(&header)
                 .map_err(|e| StoreError::io(&path, e))?;
             segments.active_len = SEGMENT_HEADER_BYTES;
@@ -342,10 +312,10 @@ impl Store {
         let mut header = [0u8; RECORD_HEADER_BYTES as usize];
         file.read_exact(&mut header)
             .map_err(|e| StoreError::io(&path, e))?;
-        let mut r = Reader::new(&header);
-        let stored_key = get_fingerprint(&mut r, "record key")?;
-        let len = r.u32("record length")?;
-        let crc = r.u32("record checksum")?;
+        let r = &mut &header[..];
+        let stored_key = Fingerprint::get(r)?;
+        let len = u32::get(r)?;
+        let crc = u32::get(r)?;
         if stored_key != key || len != loc.len {
             return Err(StoreError::corrupt(format!(
                 "segment record at {}:{} does not match the indexed key",
@@ -378,9 +348,9 @@ impl Store {
         }
         let offset = segments.active_len;
         let mut record = Vec::with_capacity(RECORD_HEADER_BYTES as usize + payload.len());
-        put_fingerprint(&mut record, key);
-        record.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        record.extend_from_slice(&crate::crc32(payload).to_be_bytes());
+        key.put(&mut record);
+        (payload.len() as u32).put(&mut record);
+        crate::crc32(payload).put(&mut record);
         record.extend_from_slice(payload);
         let segment = segments.active_id;
         let path = segment_path(&self.root, segment);
