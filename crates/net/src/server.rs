@@ -580,11 +580,16 @@ impl EventConn {
         }
     }
 
-    /// Frames `message` for `corr`. A reply over the frame cap goes out
+    /// Frames `message` for `corr`. A reply over the frame cap, or one
+    /// the encoder cannot write (a term past its `u16` length), goes out
     /// as a typed in-band `Error` on the same corr instead, so only the
-    /// call that asked for it fails.
+    /// call that asked for it fails, not the loop.
     fn enqueue(&mut self, corr: u64, message: &Message) {
-        let (mut kind, mut payload) = message.encode();
+        let (mut kind, mut payload) = catch_unwind(AssertUnwindSafe(|| message.encode()))
+            .unwrap_or_else(|_| {
+                let detail = "the reply could not be encoded".to_string();
+                Message::Error { detail }.encode()
+            });
         if let Err(e) = check_outbound(kind, &payload) {
             (kind, payload) = Message::Error { detail: e.detail }.encode();
         }
@@ -743,7 +748,7 @@ impl LoopState {
             };
             // Only the door's uncapped set expires: a cap bounds a frame
             // service's threads already.
-            if self.cap < usize::MAX {
+            if !matches!(self.service, Service::Http(_)) {
                 drop(workers);
                 std::thread::park();
                 continue;

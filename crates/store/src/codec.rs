@@ -547,5 +547,15 @@ mod tests {
                 prop_assert!(decoded.is_consistent());
             }
         }
+
+        /// Truncation at every prefix length is rejected without
+        /// panicking or allocating past the input.
+        #[test]
+        fn every_truncation_is_rejected(cut_ratio in 0.0f64..1.0) {
+            let rec = record(&["alpha beta gamma delta", "beta epsilon"]);
+            let bytes = encode_record(&rec);
+            let cut = ((bytes.len() - 1) as f64 * cut_ratio) as usize;
+            prop_assert!(decode_record(&bytes[..cut]).is_err());
+        }
     }
 }
