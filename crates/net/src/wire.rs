@@ -1177,4 +1177,27 @@ mod tests {
         let err = Message::decode(1, &[2]).unwrap_err();
         assert_eq!(err.kind, TransportErrorKind::Protocol);
     }
+
+    #[test]
+    fn a_record_name_the_store_cannot_write_is_refused() {
+        // The wire carries a name behind a `u32` length, the store behind
+        // a `u16`: a record a store-attached broker would fail to put is
+        // refused as it arrives, and the longest name the store can
+        // write still ships.
+        let mut b = CollectionBuilder::new(Analyzer::paper_default(), WeightingScheme::CosineTf);
+        b.add_document("d0", "mushroom soup");
+        let engine = SearchEngine::new(b.build());
+        let longest = "n".repeat(usize::from(u16::MAX));
+        let fits = record_to_bytes(&record_of(&longest, &engine));
+        assert_eq!(record_from_bytes(&fits).expect("a u16 name").name, longest);
+        let over = record_to_bytes(&record_of(&format!("{longest}n"), &engine));
+        let err = record_from_bytes(&over).unwrap_err();
+        assert_eq!(err.kind, TransportErrorKind::Protocol, "{err}");
+        let (kind, payload) = Message::Representative {
+            snapshot: record_of(&format!("{longest}n"), &engine),
+        }
+        .encode();
+        let err = Message::decode(kind, &payload).unwrap_err();
+        assert_eq!(err.kind, TransportErrorKind::Protocol, "{err}");
+    }
 }

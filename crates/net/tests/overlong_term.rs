@@ -1,84 +1,119 @@
-//! A reply the encoder cannot write fails its own call, not the server.
-//! Every format writes a term behind a `u16` length, and an engine built
-//! in memory can hold a longer one; its representative is encoded on the
-//! server's event loop, which must answer that call with a typed in-band
-//! `Error` and keep serving the connection and every other one.
+//! A word no format can write is not a term. Every format writes a term
+//! behind a `u16` length, so the staging path drops a longer token: no
+//! vocabulary holds it, the engine file, the store and the wire each
+//! write and read back what the collection holds, and an engine server
+//! answers for its representative and finds nothing for the word.
 
-use seu_engine::{CollectionBuilder, SearchEngine, WeightingScheme};
+use seu_engine::{Collection, CollectionBuilder, SearchEngine, WeightingScheme};
+use seu_metasearch::{open_tiered, EngineRecord, ReprStore};
 use seu_net::frame::{read_frame, write_frame_corr};
-use seu_net::wire::Message;
+use seu_net::wire::{record_from_bytes, record_to_bytes, Message};
 use seu_net::EngineServer;
-use seu_text::Analyzer;
+use seu_repr::Representative;
+use seu_text::{Analyzer, Vocabulary};
 use std::net::TcpStream;
 use std::time::Duration;
+
+/// A word of 70 000 letters: past a `u16` length.
+fn long_word() -> String {
+    "x".repeat(70_000)
+}
+
+fn engine() -> SearchEngine {
+    let mut b = CollectionBuilder::new(Analyzer::paper_default(), WeightingScheme::CosineTf);
+    b.add_document("d0", &format!("soup {}", long_word()));
+    b.add_tokens("d1", &["stew".to_string(), long_word()]);
+    SearchEngine::new(b.build())
+}
+
+fn terms(vocab: &Vocabulary) -> Vec<String> {
+    vocab.iter().map(|(_, t)| t.to_string()).collect()
+}
 
 fn send(stream: &mut TcpStream, corr: u64, message: &Message) {
     let (kind, payload) = message.encode();
     write_frame_corr(stream, corr, kind, &payload).expect("writing a request");
 }
 
-fn handshake(server: &EngineServer) -> TcpStream {
+fn call(stream: &mut TcpStream, corr: u64, message: &Message) -> Message {
+    send(stream, corr, message);
+    let frame = read_frame(stream).expect("a reply");
+    assert_eq!(frame.corr, corr);
+    Message::decode(frame.kind, &frame.payload).expect("a decodable reply")
+}
+
+#[test]
+fn a_word_too_long_to_write_is_in_no_vocabulary() {
+    let engine = engine();
+    let c = engine.collection();
+    assert_eq!(terms(c.vocab()), ["soup", "stew"]);
+    assert!(c.vocab().get(&long_word()).is_none());
+    assert!(c.query_from_text(&long_word()).is_empty());
+    assert_eq!(c.docs()[0].len, 1, "the dropped token is not counted");
+}
+
+#[test]
+fn the_collection_round_trips_through_every_format() {
+    let engine = engine();
+    let c = engine.collection();
+
+    let restored = Collection::from_bytes(c.to_bytes()).expect("the engine file reads back");
+    assert_eq!(restored.fingerprint(), c.fingerprint());
+
+    let record = EngineRecord::of_engine("long", &engine, Representative::build(c));
+    let root = std::env::temp_dir().join(format!("seu-overlong-term-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let store = open_tiered(&root, 0).unwrap();
+    let put = store.put(&record).expect("the store writes the record");
+    let got = store.get(record.fingerprint).unwrap().expect("stored");
+    assert_eq!(terms(&put.vocab), terms(&got.vocab));
+    assert_eq!(terms(&got.vocab), ["soup", "stew"]);
+    drop(store);
+    let _ = std::fs::remove_dir_all(&root);
+
+    let shipped = record_from_bytes(&record_to_bytes(&record)).expect("the wire reads it back");
+    assert_eq!(terms(&shipped.vocab), ["soup", "stew"]);
+    let (kind, payload) = Message::Representative {
+        snapshot: record.into(),
+    }
+    .encode();
+    assert_eq!(kind, 8);
+    match Message::decode(kind, &payload) {
+        Ok(Message::Representative { snapshot }) => {
+            assert_eq!(terms(&snapshot.vocab), ["soup", "stew"])
+        }
+        other => panic!("{other:?}"),
+    }
+}
+
+#[test]
+fn the_engine_server_answers_and_finds_nothing_for_the_word() {
+    let server = EngineServer::bind("long", engine(), "127.0.0.1:0").unwrap();
     let mut stream = TcpStream::connect(server.addr()).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
-    send(&mut stream, 1, &Message::Hello { subscribe: false });
-    read_frame(&mut stream).expect("handshake ack");
-    stream
-}
+    call(&mut stream, 1, &Message::Hello { subscribe: false });
 
-#[test]
-fn a_term_too_long_to_encode_fails_its_call_and_the_server_serves_on() {
-    let mut b = CollectionBuilder::new(Analyzer::paper_default(), WeightingScheme::CosineTf);
-    b.add_document("d0", &format!("soup {}", "x".repeat(70_000)));
-    let engine = SearchEngine::new(b.build());
-    let longest = engine
-        .collection()
-        .vocab()
-        .iter()
-        .map(|(_, t)| t.len())
-        .max();
-    assert_eq!(longest, Some(70_000), "the analyzer keeps the long term");
-    let server = EngineServer::bind("long", engine, "127.0.0.1:0").unwrap();
-
-    let mut stream = handshake(&server);
-    send(&mut stream, 2, &Message::GetRepresentative);
-    send(&mut stream, 3, &Message::Ping);
-    let mut replies = Vec::new();
-    for _ in 0..2 {
-        let frame = read_frame(&mut stream).expect("both calls are answered");
-        let message = Message::decode(frame.kind, &frame.payload).expect("decodable reply");
-        replies.push((frame.corr, message));
+    match call(&mut stream, 2, &Message::GetRepresentative) {
+        Message::Representative { snapshot } => {
+            assert_eq!(terms(&snapshot.vocab), ["soup", "stew"])
+        }
+        other => panic!("the representative call is answered: {other:?}"),
     }
-    replies.sort_by_key(|(corr, _)| *corr);
-    assert!(
-        matches!(&replies[0], (2, Message::Error { .. })),
-        "the representative call gets an in-band error: {:?}",
-        replies[0]
-    );
-    assert!(matches!(replies[1], (3, Message::Pong)));
-
-    // The loop serves on: the same connection and a new one.
-    send(
-        &mut stream,
-        4,
+    let search = |stream: &mut TcpStream, corr, query: String| match call(
+        stream,
+        corr,
         &Message::SearchDocs {
-            query: "soup".to_string(),
+            query,
             threshold: 0.0,
         },
-    );
-    let frame = read_frame(&mut stream).expect("the connection stays open");
-    assert_eq!(frame.corr, 4);
-    assert!(matches!(
-        Message::decode(frame.kind, &frame.payload),
-        Ok(Message::SearchResults { .. })
-    ));
-    let mut other = handshake(&server);
-    send(&mut other, 5, &Message::Ping);
-    assert_eq!(
-        read_frame(&mut other)
-            .expect("a new connection is served")
-            .corr,
-        5
-    );
+    ) {
+        Message::SearchResults { hits } => hits,
+        other => panic!("{other:?}"),
+    };
+    assert!(search(&mut stream, 3, long_word()).is_empty());
+    let soup = search(&mut stream, 4, "soup".to_string());
+    assert_eq!(soup.len(), 1);
+    assert_eq!(soup[0].doc, "d0");
 }
