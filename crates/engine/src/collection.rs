@@ -1,10 +1,15 @@
 //! Document collections: the database `D` of a local search engine.
 
 use crate::query::Query;
+use crate::shared::{tally, term_counts};
 use crate::weighting::WeightingScheme;
 use seu_text::{Analyzer, AnalyzerConfig, TermId, Vocabulary};
-use std::collections::HashMap;
 use std::sync::Arc;
+
+/// The longest term, in bytes: every format writes a term behind a
+/// `u16` length ([`crate::binary::put_str16`]), so a longer token is not
+/// a term and staging drops it.
+const MAX_TERM_BYTES: usize = u16::MAX as usize;
 
 /// Dense identifier of a document within one [`Collection`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -89,7 +94,7 @@ pub struct Collection {
     docs: Vec<Document>,
     scheme: WeightingScheme,
     /// Document frequency per term (indexed by `TermId`).
-    doc_freq: Arc<Vec<u32>>,
+    doc_freq: Arc<[u32]>,
     /// Total bytes of raw text ingested (for the §3.2 size accounting).
     raw_bytes: u64,
     /// Total analyzed tokens across all documents (collection length in
@@ -126,7 +131,7 @@ impl Collection {
 
     /// The document frequencies, indexed by `TermId`, as a handle a
     /// record can share.
-    pub fn shared_doc_freq(&self) -> &Arc<Vec<u32>> {
+    pub fn shared_doc_freq(&self) -> &Arc<[u32]> {
         &self.doc_freq
     }
 
@@ -219,7 +224,7 @@ impl Collection {
             vocab: Arc::new(vocab),
             docs,
             scheme,
-            doc_freq: Arc::new(doc_freq),
+            doc_freq: doc_freq.into(),
             raw_bytes,
             total_tokens,
             mean_norm,
@@ -227,25 +232,13 @@ impl Collection {
         }
     }
 
-    /// Builds a query vector from text with an *explicit* analyzer
-    /// (normally use [`Collection::query_from_text`], which replicates
-    /// the pipeline the documents were built with). Terms unknown to the
-    /// collection are dropped (they cannot contribute to any similarity
-    /// within it).
-    pub fn query_from_text_with(&self, analyzer: &Analyzer, text: &str) -> Query {
-        let mut tf: HashMap<TermId, u32> = HashMap::new();
-        for token in analyzer.analyze(text) {
-            if let Some(id) = self.vocab.get(&token) {
-                *tf.entry(id).or_insert(0) += 1;
-            }
-        }
-        self.query_from_tf(tf)
-    }
-
     /// Builds a query with the same analysis pipeline the documents were
-    /// built with (a stemmed index gets a stemmed query).
+    /// built with (a stemmed index gets a stemmed query). Terms unknown
+    /// to the collection are dropped (they cannot contribute to any
+    /// similarity within it).
     pub fn query_from_text(&self, text: &str) -> Query {
-        self.query_from_text_with(&Analyzer::new(self.analyzer), text)
+        let tokens = Analyzer::new(self.analyzer).analyze(text);
+        self.query_from_tf(term_counts(&self.vocab, &tokens))
     }
 
     /// Builds a query from explicit term frequencies.
@@ -263,14 +256,17 @@ impl Collection {
     }
 }
 
+/// A staged document: name, term frequencies sorted by term id, raw
+/// text length.
+type RawDoc = (String, Vec<(TermId, u32)>, usize);
+
 /// Incremental builder: add raw documents, then [`CollectionBuilder::build`].
 #[derive(Debug)]
 pub struct CollectionBuilder {
     analyzer: Analyzer,
     scheme: WeightingScheme,
     vocab: Vocabulary,
-    /// Per document: name, term frequencies, raw text length.
-    raw: Vec<(String, HashMap<TermId, u32>, usize)>,
+    raw: Vec<RawDoc>,
 }
 
 impl CollectionBuilder {
@@ -286,27 +282,30 @@ impl CollectionBuilder {
 
     /// Analyzes and stages one document.
     pub fn add_document(&mut self, name: &str, text: &str) -> DocId {
-        let mut tf: HashMap<TermId, u32> = HashMap::new();
-        for token in self.analyzer.analyze(text) {
-            let id = self.vocab.intern(&token);
-            *tf.entry(id).or_insert(0) += 1;
-        }
-        let id = DocId(u32::try_from(self.raw.len()).expect("too many documents"));
-        self.raw.push((name.to_string(), tf, text.len()));
-        id
+        let tokens = self.analyzer.analyze(text);
+        self.stage(name, tokens.iter().map(String::as_str), text.len())
     }
 
     /// Stages one document from precomputed term tokens (used by the
     /// synthetic corpus generator, which emits tokens directly).
     pub fn add_tokens<S: AsRef<str>>(&mut self, name: &str, tokens: &[S]) -> DocId {
-        let mut tf: HashMap<TermId, u32> = HashMap::new();
-        let mut bytes = 0usize;
-        for token in tokens {
-            let token = token.as_ref();
-            bytes += token.len() + 1;
-            let id = self.vocab.intern(token);
-            *tf.entry(id).or_insert(0) += 1;
-        }
+        let bytes = tokens.iter().map(|t| t.as_ref().len() + 1).sum();
+        self.stage(name, tokens.iter().map(AsRef::as_ref), bytes)
+    }
+
+    /// Interns one document's tokens and stages their counts, `bytes`
+    /// the raw text it came from. This is where a token becomes a term:
+    /// one longer than [`MAX_TERM_BYTES`] is dropped, so no vocabulary
+    /// holds a term a format cannot write.
+    fn stage<'t>(
+        &mut self,
+        name: &str,
+        tokens: impl Iterator<Item = &'t str>,
+        bytes: usize,
+    ) -> DocId {
+        let vocab = &mut self.vocab;
+        let terms = tokens.filter(|token| token.len() <= MAX_TERM_BYTES);
+        let tf = tally(terms.map(|term| vocab.intern(term)));
         let id = DocId(u32::try_from(self.raw.len()).expect("too many documents"));
         self.raw.push((name.to_string(), tf, bytes));
         id
@@ -328,7 +327,7 @@ impl CollectionBuilder {
         let n = self.raw.len() as u32;
         let mut doc_freq = vec![0u32; self.vocab.len()];
         for (_, tf, _) in &self.raw {
-            for &t in tf.keys() {
+            for &(t, _) in tf {
                 doc_freq[t.index()] += 1;
             }
         }
@@ -345,13 +344,12 @@ impl CollectionBuilder {
             .into_iter()
             .map(|(name, tf, bytes)| {
                 raw_bytes += bytes as u64;
-                let len: u32 = tf.values().sum();
+                let len: u32 = tf.iter().map(|&(_, f)| f).sum();
                 total_tokens += len as u64;
-                let mut weights: Vec<(u32, f64)> = tf
+                let weights: Vec<(u32, f64)> = tf
                     .into_iter()
                     .map(|(t, f)| (t.0, self.scheme.weight(f, doc_freq[t.index()], n)))
                     .collect();
-                weights.sort_by_key(|&(t, _)| t);
                 let norm = weights.iter().map(|&(_, w)| w * w).sum::<f64>().sqrt();
                 if norm > 0.0 {
                     norm_sum += norm;
@@ -393,7 +391,7 @@ impl CollectionBuilder {
             vocab: Arc::new(self.vocab),
             docs,
             scheme: self.scheme,
-            doc_freq: Arc::new(doc_freq),
+            doc_freq: doc_freq.into(),
             raw_bytes,
             total_tokens,
             mean_norm,

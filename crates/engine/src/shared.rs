@@ -6,7 +6,7 @@
 //! expensive part of query processing (tokenization, stopword filtering,
 //! stemming, string hashing) `n` times. Instead the broker keeps one
 //! global vocabulary covering the union of its engines' terms, analyzes
-//! the query once against it ([`global_tf`]), and finds the engines that
+//! the query once against it ([`term_counts`]), and finds the engines that
 //! hold each term — and the term's local id there — in its own postings;
 //! the `(local term, count)` pairs go through
 //! [`Collection::query_from_tf`](crate::Collection::query_from_tf), or
@@ -15,7 +15,6 @@
 
 use crate::query::Query;
 use seu_text::{TermId, Vocabulary};
-use std::collections::HashMap;
 
 /// Builds a cosine-normalized query vector from explicit term
 /// frequencies and collection *statistics* alone — no
@@ -56,20 +55,28 @@ pub fn weighted_query(
     )
 }
 
-/// Folds analyzed tokens into `(global term id, count)` pairs against a
-/// broker-global vocabulary, dropping tokens no registered collection
-/// knows (they cannot contribute to any similarity). Pairs are sorted by
-/// global id.
-pub fn global_tf(vocab: &Vocabulary, tokens: &[String]) -> Vec<(u32, u32)> {
-    let mut tf: HashMap<u32, u32> = HashMap::with_capacity(tokens.len());
-    for token in tokens {
-        if let Some(id) = vocab.get(token) {
-            *tf.entry(id.0).or_insert(0) += 1;
+/// Folds analyzed tokens into `(term id, count)` pairs sorted by id,
+/// dropping tokens `vocab` does not hold (they cannot contribute to any
+/// similarity). Every query is counted here: a collection's and a
+/// record's against their own vocabulary, a broker's against its
+/// global one.
+pub fn term_counts(vocab: &Vocabulary, tokens: &[String]) -> Vec<(TermId, u32)> {
+    tally(tokens.iter().filter_map(|token| vocab.get(token)))
+}
+
+/// Counts term ids into `(id, count)` pairs sorted by id: the one count
+/// behind [`term_counts`] and the collection builder's staging.
+pub(crate) fn tally(ids: impl Iterator<Item = TermId>) -> Vec<(TermId, u32)> {
+    let mut ids: Vec<TermId> = ids.collect();
+    ids.sort_unstable();
+    let mut counts: Vec<(TermId, u32)> = Vec::new();
+    for id in ids {
+        match counts.last_mut() {
+            Some((last, n)) if *last == id => *n += 1,
+            _ => counts.push((id, 1)),
         }
     }
-    let mut pairs: Vec<(u32, u32)> = tf.into_iter().collect();
-    pairs.sort_by_key(|&(g, _)| g);
-    pairs
+    counts
 }
 
 #[cfg(test)]
@@ -77,7 +84,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn global_tf_counts_and_sorts() {
+    fn term_counts_counts_and_sorts() {
         let mut global = Vocabulary::new();
         for term in ["unrelated", "banana", "apple"] {
             global.intern(term);
@@ -86,11 +93,11 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let tf = global_tf(&global, &tokens);
+        let tf = term_counts(&global, &tokens);
         assert_eq!(tf.len(), 2);
         assert!(tf.windows(2).all(|w| w[0].0 < w[1].0));
         let by_term = |t: &str| {
-            let id = global.get(t).unwrap().0;
+            let id = global.get(t).unwrap();
             tf.iter().find(|&&(g, _)| g == id).unwrap().1
         };
         assert_eq!(by_term("banana"), 2);

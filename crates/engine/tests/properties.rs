@@ -31,14 +31,7 @@ fn arb_query_words() -> impl Strategy<Value = Vec<String>> {
 }
 
 fn query_of(c: &Collection, words: &[String]) -> Query {
-    use std::collections::HashMap;
-    let mut tf: HashMap<seu_text::TermId, u32> = HashMap::new();
-    for w in words {
-        if let Some(id) = c.vocab().get(w) {
-            *tf.entry(id).or_insert(0) += 1;
-        }
-    }
-    c.query_from_tf(tf)
+    c.query_from_tf(seu_engine::shared::term_counts(c.vocab(), words))
 }
 
 proptest! {

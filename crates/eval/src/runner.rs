@@ -233,14 +233,7 @@ fn reduce(
 /// Builds a per-collection query vector from query tokens (terms unknown
 /// to the collection are dropped, as a real engine would).
 pub fn query_from_tokens(collection: &Collection, tokens: &[String]) -> Query {
-    use std::collections::HashMap;
-    let mut tf: HashMap<seu_text::TermId, u32> = HashMap::new();
-    for t in tokens {
-        if let Some(id) = collection.vocab().get(t) {
-            *tf.entry(id).or_insert(0) += 1;
-        }
-    }
-    collection.query_from_tf(tf)
+    collection.query_from_tf(seu_engine::shared::term_counts(collection.vocab(), tokens))
 }
 
 #[cfg(test)]
@@ -382,5 +375,29 @@ mod tests {
         let alpha = c.vocab().get("alpha").unwrap();
         let beta = c.vocab().get("beta").unwrap();
         assert!(q.weight(alpha) > q.weight(beta));
+
+        // The collection, its record and a broker's plan row count the
+        // same tokens alike: repeated, unknown, and one over-long token.
+        let engine = seu_engine::SearchEngine::new(c.clone());
+        let record =
+            seu_metasearch::EngineRecord::of_engine("e", &engine, Representative::build(&c));
+        let broker = seu_metasearch::Broker::new(SubrangeEstimator::paper_six_subrange());
+        broker.register("e", engine);
+        let bits = |q: &Query| -> Vec<(seu_text::TermId, u64)> {
+            q.terms().iter().map(|&(t, w)| (t, w.to_bits())).collect()
+        };
+        let long = "x".repeat(70_000);
+        for tokens in [
+            toks(&["beta", "alpha", "beta", "beta"]),
+            toks(&["nosuchterm", "gamma", "quokka"]),
+            toks(&["delta", &long]),
+        ] {
+            let q = bits(&query_from_tokens(&c, &tokens));
+            let text = tokens.join(" ");
+            assert_eq!(bits(&record.query_from_text(&text)), q);
+            let plan = broker.plan(&seu_metasearch::SearchRequest::new(text), None);
+            assert_eq!(plan.engines().len(), 1);
+            assert_eq!(bits(plan.engines()[0].query()), q);
+        }
     }
 }

@@ -383,7 +383,7 @@ fn cold_entry(e: &ManifestEntry) -> RegisteredEngine {
         analyzer: e.analyzer,
         scheme: e.scheme,
         fingerprint: fp,
-        doc_freq: Arc::new(Vec::new()),
+        doc_freq: Arc::from([]),
         vocab: Arc::new(Vocabulary::new()),
         repr: Arc::new(Representative::from_parts(
             fp.n_docs,

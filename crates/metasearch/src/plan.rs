@@ -55,14 +55,14 @@ use std::sync::Arc;
 pub struct SharedAnalysis {
     /// One entry per distinct analyzer configuration, in a fixed order;
     /// each list is sorted by global term id.
-    pub(crate) per_config: Vec<(AnalyzerConfig, Vec<(u32, u32)>)>,
+    pub(crate) per_config: Vec<(AnalyzerConfig, Vec<(TermId, u32)>)>,
 }
 
 impl SharedAnalysis {
     /// The global term frequencies for an analyzer configuration, if an
     /// engine with that configuration was registered when the analysis
     /// ran.
-    pub fn tf_for(&self, config: AnalyzerConfig) -> Option<&[(u32, u32)]> {
+    pub fn tf_for(&self, config: AnalyzerConfig) -> Option<&[(TermId, u32)]> {
         self.per_config
             .iter()
             .find(|(c, _)| *c == config)
@@ -78,7 +78,7 @@ impl SharedAnalysis {
     /// sorted: what a plan looks up in the registry's postings.
     fn terms(&self) -> Vec<u32> {
         let lists = self.per_config.iter().flat_map(|(_, tf)| tf);
-        let mut terms: Vec<u32> = lists.map(|&(term, _)| term).collect();
+        let mut terms: Vec<u32> = lists.map(|&(term, _)| term.0).collect();
         terms.sort_unstable();
         terms.dedup();
         terms
@@ -89,9 +89,12 @@ impl SharedAnalysis {
 /// the analysis under the entry's *own* analyzer configuration. A hit on
 /// a term the query only has under another configuration (the stem of
 /// one engine can be a whole word of another) is not the entry's.
-fn local_tf<'a>(tf: &'a [(u32, u32)], hits: &'a [Hit]) -> impl Iterator<Item = (TermId, u32)> + 'a {
+fn local_tf<'a>(
+    tf: &'a [(TermId, u32)],
+    hits: &'a [Hit],
+) -> impl Iterator<Item = (TermId, u32)> + 'a {
     hits.iter().filter_map(|hit| {
-        let at = tf.binary_search_by_key(&hit.term, |&(term, _)| term).ok()?;
+        let at = tf.binary_search_by_key(&hit.term, |&(t, _)| t.0).ok()?;
         Some((hit.local, tf[at].1))
     })
 }
@@ -245,7 +248,7 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         let vocab = self.vocab.read();
         let per_config = analyzed
             .into_iter()
-            .map(|(config, tokens)| (config, seu_engine::shared::global_tf(&vocab, &tokens)))
+            .map(|(config, tokens)| (config, seu_engine::shared::term_counts(&vocab, &tokens)))
             .collect();
         SharedAnalysis { per_config }
     }

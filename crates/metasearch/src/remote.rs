@@ -246,7 +246,7 @@ pub trait RemoteTransport: Send + Sync + std::fmt::Debug {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seu_engine::{CollectionBuilder, SearchEngine, WeightingScheme};
+    use seu_engine::{CollectionBuilder, Query, SearchEngine, WeightingScheme};
     use seu_repr::Representative;
     use seu_text::{Analyzer, TermId};
 
@@ -264,13 +264,42 @@ mod tests {
 
     #[test]
     fn record_query_matches_collection_query() {
-        let e = engine(&["apple banana apple", "banana cherry", "durian apple"]);
+        let long = "x".repeat(70_000);
+        let durian = format!("durian apple {long}");
+        let e = engine(&["apple banana apple", "banana cherry", &durian]);
         let record = record_of("fruits", &e);
         assert!(record.is_consistent());
+        let broker = crate::Broker::new(seu_core::SubrangeEstimator::paper_six_subrange());
+        broker.register("fruits", e.clone());
+        let bits = |q: &Query| -> Vec<(TermId, u64)> {
+            q.terms().iter().map(|&(t, w)| (t, w.to_bits())).collect()
+        };
 
-        for text in ["apple", "apple banana cherry", "zebra", ""] {
+        let repeated = "apple banana apple apple".to_string();
+        let unknown = "zebra apple quokka".to_string();
+        let over_long = format!("cherry {long}");
+        for text in [
+            "apple",
+            "apple banana cherry",
+            "zebra",
+            "",
+            &repeated,
+            &unknown,
+            &over_long,
+        ] {
             let local = e.collection().query_from_text(text);
-            assert_eq!(record.query_from_text(text), local, "{text:?}");
+            assert_eq!(
+                bits(&record.query_from_text(text)),
+                bits(&local),
+                "{text:?}"
+            );
+            let plan = broker.plan(&crate::SearchRequest::new(text), None);
+            let rows: Vec<_> = plan.engines().iter().map(|row| bits(row.query())).collect();
+            let want: Vec<_> = Some(bits(&local))
+                .filter(|q| !q.is_empty())
+                .into_iter()
+                .collect();
+            assert_eq!(rows, want, "{text:?}");
         }
         let tf = [(TermId(0), 2), (TermId(2), 1), (TermId(1), 0)];
         assert_eq!(record.query_from_tf(tf), e.collection().query_from_tf(tf));
@@ -290,7 +319,7 @@ mod tests {
     fn inconsistent_record_is_detected() {
         let e = engine(&["apple banana"]);
         let mut record = record_of("x", &e);
-        Arc::make_mut(&mut record.doc_freq).pop();
+        record.doc_freq = record.doc_freq[1..].into();
         assert!(check_consistent(&record).is_err());
         // A representative counting documents its fingerprint does not.
         let mut record = record_of("x", &e);

@@ -96,7 +96,7 @@ impl RemoteTransport for Wire {
             )),
             Line::Garbled(engine) => {
                 let mut snapshot = record_of(self.name, engine);
-                Arc::make_mut(&mut snapshot.doc_freq).push(7);
+                snapshot.doc_freq = snapshot.doc_freq.iter().copied().chain([7]).collect();
                 Ok(Arc::new(snapshot))
             }
         }
@@ -218,7 +218,7 @@ fn run(shards: usize) -> Vec<String> {
     );
     ledger.book(&format!("install_snapshot d detached -> {got:?}"), &b);
     let mut bad = record_of("x", &engine_of(D1));
-    Arc::make_mut(&mut bad.doc_freq).pop();
+    bad.doc_freq = bad.doc_freq[1..].into();
     let got = b
         .install_snapshot(Arc::new(bad), None, None)
         .map_err(|e| e.kind);

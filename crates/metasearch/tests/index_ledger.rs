@@ -105,7 +105,7 @@ impl RemoteTransport for Wire {
             )),
             Line::Garbled(engine) => {
                 let mut snapshot = record_of(&self.name, engine);
-                Arc::make_mut(&mut snapshot.doc_freq).push(7);
+                snapshot.doc_freq = snapshot.doc_freq.iter().copied().chain([7]).collect();
                 Ok(Arc::new(snapshot))
             }
         }
@@ -205,7 +205,7 @@ fn run(shards: usize) {
     assert!(b.install_snapshot(snapshot, None, endpoint).is_ok());
     book("install_snapshot d detached", &b);
     let mut bad = record_of("x", &engine_of(D1));
-    Arc::make_mut(&mut bad.doc_freq).pop();
+    bad.doc_freq = bad.doc_freq[1..].into();
     assert!(b.install_snapshot(Arc::new(bad), None, None).is_err());
     book("install_snapshot x inconsistent", &b);
     r_wire.set(Line::Down);

@@ -127,7 +127,7 @@ fn canonical(name: &str, engine: &SearchEngine, repr: &Representative) -> Repres
         analyzer: c.analyzer_config(),
         scheme: c.scheme(),
         fingerprint: engine.fingerprint(),
-        doc_freq: Arc::new(c.vocab().iter().map(|(id, _)| c.doc_freq(id)).collect()),
+        doc_freq: c.vocab().iter().map(|(id, _)| c.doc_freq(id)).collect(),
         vocab: Arc::new(c.vocab().clone()),
         repr: Arc::new(repr.clone()),
     };

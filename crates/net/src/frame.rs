@@ -26,6 +26,7 @@
 //! read by whichever caller waits on it (neither blocks in `read_exact`).
 
 use crate::metrics::metrics;
+use seu_engine::binary::{self, Field};
 use seu_metasearch::{TransportError, TransportErrorKind};
 use std::io::{Read, Write};
 
@@ -83,22 +84,16 @@ pub(crate) fn io_error(err: &std::io::Error, context: &str) -> TransportError {
     TransportError::new(kind, format!("{context}: {err}"))
 }
 
-fn header_bytes(corr: u64, kind: u8, payload_len: usize) -> [u8; HEADER_BYTES] {
-    let mut header = [0u8; HEADER_BYTES];
-    header[..4].copy_from_slice(&MAGIC.to_be_bytes());
-    header[4] = PROTOCOL_VERSION;
-    header[5] = kind;
-    header[6..14].copy_from_slice(&corr.to_be_bytes());
-    header[14..].copy_from_slice(&(payload_len as u32).to_be_bytes());
-    header
-}
-
 /// Appends one encoded frame to `out` and counts it toward the
 /// `net_frames_sent` / `net_bytes_sent` instruments. Every frame either
 /// side sends is built here.
 pub fn encode_frame_into(out: &mut Vec<u8>, corr: u64, kind: u8, payload: &[u8]) {
     out.reserve(HEADER_BYTES + payload.len());
-    out.extend_from_slice(&header_bytes(corr, kind, payload.len()));
+    MAGIC.put(out);
+    PROTOCOL_VERSION.put(out);
+    kind.put(out);
+    corr.put(out);
+    (payload.len() as u32).put(out);
     out.extend_from_slice(payload);
     let m = metrics();
     m.frames_sent.inc();
@@ -129,24 +124,25 @@ pub fn write_frame_corr(
 }
 
 /// Validates a complete header slice, returning `(corr, kind, len)`.
-fn parse_header(header: &[u8], cap: usize) -> Result<(u64, u8, usize), TransportError> {
-    let magic = u32::from_be_bytes(header[..4].try_into().expect("4 bytes"));
+fn parse_header(mut header: &[u8], cap: usize) -> Result<(u64, u8, usize), TransportError> {
+    let buf = &mut header;
+    let magic = u32::get(buf)?;
     if magic != MAGIC {
         return Err(TransportError::new(
             TransportErrorKind::Protocol,
             format!("bad frame magic {magic:#010x}"),
         ));
     }
-    let version = header[4];
+    let version = u8::get(buf)?;
     if version != PROTOCOL_VERSION {
         return Err(TransportError::new(
             TransportErrorKind::Protocol,
             format!("unsupported protocol version {version} (this side speaks {PROTOCOL_VERSION})"),
         ));
     }
-    let kind = header[5];
-    let corr = u64::from_be_bytes(header[6..14].try_into().expect("8 bytes"));
-    let len = u32::from_be_bytes(header[14..HEADER_BYTES].try_into().expect("4 bytes")) as usize;
+    let kind = u8::get(buf)?;
+    let corr = u64::get(buf)?;
+    let len = u32::get(buf)? as usize;
     if len > cap {
         return Err(TransportError::new(
             TransportErrorKind::Protocol,
@@ -185,10 +181,11 @@ pub fn parse_frame(buf: &[u8], cap: usize) -> Result<Option<(Frame, usize)>, Tra
 
 /// The bytes `buf`, at a frame boundary, must hold for its first frame
 /// to be whole, as far as they tell; [`parse_frame`] vets the header.
-pub(crate) fn frame_bytes(buf: &[u8]) -> usize {
-    match buf.get(HEADER_BYTES - 4..HEADER_BYTES) {
-        Some(len) => HEADER_BYTES + u32::from_be_bytes(len.try_into().expect("4 bytes")) as usize,
-        None => HEADER_BYTES,
+pub(crate) fn frame_bytes(mut buf: &[u8]) -> usize {
+    let buf = &mut buf;
+    match binary::take(buf, HEADER_BYTES - 4).and_then(|_| u32::get(buf)) {
+        Ok(len) => HEADER_BYTES + len as usize,
+        Err(_) => HEADER_BYTES,
     }
 }
 

@@ -580,16 +580,11 @@ impl EventConn {
         }
     }
 
-    /// Frames `message` for `corr`. A reply over the frame cap, or one
-    /// the encoder cannot write (a term past its `u16` length), goes out
+    /// Frames `message` for `corr`. A reply over the frame cap goes out
     /// as a typed in-band `Error` on the same corr instead, so only the
     /// call that asked for it fails, not the loop.
     fn enqueue(&mut self, corr: u64, message: &Message) {
-        let (mut kind, mut payload) = catch_unwind(AssertUnwindSafe(|| message.encode()))
-            .unwrap_or_else(|_| {
-                let detail = "the reply could not be encoded".to_string();
-                Message::Error { detail }.encode()
-            });
+        let (mut kind, mut payload) = message.encode();
         if let Err(e) = check_outbound(kind, &payload) {
             (kind, payload) = Message::Error { detail: e.detail }.encode();
         }

@@ -332,13 +332,18 @@ impl Wire for String {
 }
 
 /// A `u32` count and that many rows.
+fn put_rows<T: Wire>(rows: &[T], out: &mut Vec<u8>) {
+    (rows.len() as u32).put(out);
+    for row in rows {
+        row.put(out);
+    }
+}
+
+/// A `u32` count and that many rows.
 impl<T: Wire> Wire for Vec<T> {
     const MIN_BYTES: usize = 4;
     fn put(&self, out: &mut Vec<u8>) {
-        (self.len() as u32).put(out);
-        for row in self {
-            row.put(out);
-        }
+        put_rows(self, out);
     }
     fn get(buf: &mut &[u8]) -> Result<Self, TransportError> {
         let n = binary::count(buf, T::MIN_BYTES)?;
@@ -365,6 +370,17 @@ impl<T: Wire> Wire for Option<T> {
         } else {
             None
         })
+    }
+}
+
+/// A shared slice travels as a `Vec` of its rows.
+impl<T: Wire> Wire for Arc<[T]> {
+    const MIN_BYTES: usize = Vec::<T>::MIN_BYTES;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_rows(self, out);
+    }
+    fn get(buf: &mut &[u8]) -> Result<Self, TransportError> {
+        Vec::get(buf).map(Arc::from)
     }
 }
 
@@ -505,8 +521,9 @@ const REPR_MAGIC: u32 = 0x5345_5554;
 /// vocabulary term, in id order, its name (`u16` length) and its table
 /// row's four `f64` statistics (`p = 0` for a term no document weighs).
 /// Coming back,
-/// an `n_docs` the fingerprint does not share, a term count the blob
-/// cannot hold, bytes left in the blob and a record that is not
+/// a name longer than the store's `u16` length can write, an `n_docs`
+/// the fingerprint does not share, a term count the blob cannot hold,
+/// bytes left in the blob and a record that is not
 /// [consistent](EngineRecord::is_consistent) are all refused.
 impl Wire for EngineRecord {
     const MIN_BYTES: usize = String::MIN_BYTES
@@ -514,7 +531,7 @@ impl Wire for EngineRecord {
         + WeightingScheme::MIN_BYTES
         + u32::MIN_BYTES
         + Fingerprint::MIN_BYTES
-        + Vec::<u32>::MIN_BYTES
+        + Arc::<[u32]>::MIN_BYTES
         + u32::MIN_BYTES;
     fn put(&self, out: &mut Vec<u8>) {
         self.name.put(out);
@@ -540,6 +557,12 @@ impl Wire for EngineRecord {
     }
     fn get(buf: &mut &[u8]) -> Result<Self, TransportError> {
         let name = String::get(buf)?;
+        if u16::try_from(name.len()).is_err() {
+            return Err(protocol(format!(
+                "engine name of {} bytes, over the store's u16 length",
+                name.len()
+            )));
+        }
         let analyzer = Wire::get(buf)?;
         let scheme = Wire::get(buf)?;
         let n_docs = u32::get(buf)?;

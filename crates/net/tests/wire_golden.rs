@@ -51,7 +51,7 @@ fn snapshot() -> Arc<EngineRecord> {
             stem: false,
         },
         scheme: WeightingScheme::PivotedLogTf { slope: 0.2 },
-        doc_freq: Arc::new(vec![1, 2, 3]),
+        doc_freq: Arc::from([1, 2, 3]),
         fingerprint: Fingerprint {
             n_docs: 4,
             raw_bytes: 1_234,

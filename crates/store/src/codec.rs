@@ -26,11 +26,11 @@
 
 use crate::StoreError;
 use seu_engine::binary::{self, Field};
+use seu_engine::shared::term_counts;
 use seu_engine::{weighted_query, Fingerprint, Query, SearchEngine, WeightingScheme};
 use seu_repr::{QuantizedRepresentative, Representative};
 use seu_stats::ByteQuantizer;
 use seu_text::{Analyzer, AnalyzerConfig, TermId, Vocabulary};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Magic prefix of a cold-tier record: `"SEUR"`.
@@ -67,7 +67,7 @@ pub struct EngineRecord {
     pub fingerprint: Fingerprint,
     /// Per-term document frequency, indexed by the collection's term
     /// ids.
-    pub doc_freq: Arc<Vec<u32>>,
+    pub doc_freq: Arc<[u32]>,
     /// The collection's term vocabulary, in term-id order.
     pub vocab: Arc<Vocabulary>,
     /// The representative, id-aligned with `vocab`.
@@ -111,13 +111,8 @@ impl EngineRecord {
     /// fallback when a broker's shared analysis pass did not cover this
     /// engine's analyzer configuration.
     pub fn query_from_text(&self, text: &str) -> Query {
-        let mut tf: HashMap<TermId, u32> = HashMap::new();
-        for token in Analyzer::new(self.analyzer).analyze(text) {
-            if let Some(id) = self.vocab.get(&token) {
-                *tf.entry(id).or_insert(0) += 1;
-            }
-        }
-        self.query_from_tf(tf)
+        let tokens = Analyzer::new(self.analyzer).analyze(text);
+        self.query_from_tf(term_counts(&self.vocab, &tokens))
     }
 
     /// Whether the record holds together: `doc_freq` and the
@@ -295,7 +290,7 @@ pub fn decode_record(mut bytes: &[u8]) -> Result<EngineRecord, StoreError> {
         analyzer,
         scheme,
         fingerprint,
-        doc_freq: Arc::new(doc_freq),
+        doc_freq: doc_freq.into(),
         vocab: Arc::new(vocab),
         repr: Arc::new(quantized.decode()),
     };
@@ -454,10 +449,10 @@ mod tests {
         // four ends and the first id table, of 8 slots.
         let rec = record(&["alpha beta gamma"]);
         assert_eq!(rec.vocab.heap_bytes(), 16 + 4 * 4 + 8 * 4);
-        // On a 64-bit target: the record, its name, three document
-        // frequencies, the vocabulary and its 64 heap bytes, the
-        // representative.
-        assert_eq!(rec.cost(), 433);
+        // On a 64-bit target: the record (its `doc_freq` a 16-byte
+        // slice handle), its name, three document frequencies, the
+        // vocabulary and its 64 heap bytes, the representative.
+        assert_eq!(rec.cost(), 441);
         // A decoded record's vocabulary is sized once, from the
         // payload: its arena and ends are exact.
         assert_eq!(roundtrip(&rec).vocab.heap_bytes(), 14 + 3 * 4 + 8 * 4);

@@ -42,7 +42,7 @@ fn record(name: &str, hash: u64) -> EngineRecord {
             raw_bytes: 1_234,
             hash,
         },
-        doc_freq: Arc::new(vec![1, 2, 3]),
+        doc_freq: Arc::from([1, 2, 3]),
         vocab: Arc::new(vocab),
         repr: Arc::new(Representative::from_parts(4, stats, 1_234)),
     }

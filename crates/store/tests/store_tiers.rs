@@ -36,7 +36,7 @@ fn record(i: usize) -> EngineRecord {
         analyzer: c.analyzer_config(),
         scheme: c.scheme(),
         fingerprint: e.fingerprint(),
-        doc_freq: Arc::new(c.vocab().iter().map(|(id, _)| c.doc_freq(id)).collect()),
+        doc_freq: c.vocab().iter().map(|(id, _)| c.doc_freq(id)).collect(),
         vocab: Arc::new(c.vocab().clone()),
         repr: Arc::new(Representative::build(c)),
     }

@@ -44,14 +44,7 @@ fn arb_query_tokens() -> impl Strategy<Value = Vec<String>> {
 }
 
 fn query_of(c: &Collection, tokens: &[String]) -> Query {
-    use std::collections::HashMap;
-    let mut tf: HashMap<seu::text::TermId, u32> = HashMap::new();
-    for t in tokens {
-        if let Some(id) = c.vocab().get(t) {
-            *tf.entry(id).or_insert(0) += 1;
-        }
-    }
-    c.query_from_tf(tf)
+    c.query_from_tf(seu::engine::shared::term_counts(c.vocab(), tokens))
 }
 
 fn all_estimators() -> Vec<Box<dyn UsefulnessEstimator>> {
