@@ -69,14 +69,8 @@ pub fn term_counts(vocab: &Vocabulary, tokens: &[String]) -> Vec<(TermId, u32)> 
 pub(crate) fn tally(ids: impl Iterator<Item = TermId>) -> Vec<(TermId, u32)> {
     let mut ids: Vec<TermId> = ids.collect();
     ids.sort_unstable();
-    let mut counts: Vec<(TermId, u32)> = Vec::new();
-    for id in ids {
-        match counts.last_mut() {
-            Some((last, n)) if *last == id => *n += 1,
-            _ => counts.push((id, 1)),
-        }
-    }
-    counts
+    let runs = ids.chunk_by(|a, b| a == b);
+    runs.map(|run| (run[0], run.len() as u32)).collect()
 }
 
 #[cfg(test)]

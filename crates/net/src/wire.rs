@@ -331,7 +331,8 @@ impl Wire for String {
     }
 }
 
-/// A `u32` count and that many rows.
+/// Writes `rows` as a `u32` count and the rows, for `Vec<T>` and
+/// `Arc<[T]>` alike.
 fn put_rows<T: Wire>(rows: &[T], out: &mut Vec<u8>) {
     (rows.len() as u32).put(out);
     for row in rows {
