@@ -293,13 +293,11 @@ mod tests {
                 bits(&local),
                 "{text:?}"
             );
+            // A plan has a row only where the query holds a term.
             let plan = broker.plan(&crate::SearchRequest::new(text), None);
             let rows: Vec<_> = plan.engines().iter().map(|row| bits(row.query())).collect();
-            let want: Vec<_> = Some(bits(&local))
-                .filter(|q| !q.is_empty())
-                .into_iter()
-                .collect();
-            assert_eq!(rows, want, "{text:?}");
+            assert_eq!(rows.len(), usize::from(!local.is_empty()), "{text:?}");
+            assert!(rows.iter().all(|row| *row == bits(&local)), "{text:?}");
         }
         let tf = [(TermId(0), 2), (TermId(2), 1), (TermId(1), 0)];
         assert_eq!(record.query_from_tf(tf), e.collection().query_from_tf(tf));
