@@ -6,7 +6,7 @@ use seu_core::SubrangeEstimator;
 use seu_engine::{CollectionBuilder, SearchEngine, TrueUsefulness, WeightingScheme};
 use seu_metasearch::{
     Broker, EngineRecord, RemoteHit, RemoteTransport, Representative, SearchRequest,
-    SelectionPolicy, StaleMode, TransportError, TransportErrorKind,
+    SelectionPolicy, StaleMode, StoreErrorKind, TransportError, TransportErrorKind,
 };
 use seu_text::Analyzer;
 use std::sync::{Arc, Mutex};
@@ -497,5 +497,91 @@ fn a_store_attached_broker_registers_a_term_no_document_weighs() {
             "{query}"
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An engine in another process that answers under whatever name it
+/// holds now: a different engine server started later on the same
+/// endpoint looks exactly like this.
+#[derive(Debug)]
+struct Renaming {
+    name: Mutex<&'static str>,
+    engine: Mutex<Arc<SearchEngine>>,
+}
+
+impl RemoteTransport for Renaming {
+    fn endpoint(&self) -> String {
+        "renaming://alpha".to_string()
+    }
+
+    fn search(
+        &self,
+        _: &str,
+        _: f64,
+        _: Option<&seu_obs::TraceContext>,
+    ) -> Result<(Vec<RemoteHit>, Vec<seu_obs::SpanRecord>), TransportError> {
+        unreachable!("no request is dispatched")
+    }
+
+    fn true_usefulness(&self, _: &str, _: f64) -> Result<TrueUsefulness, TransportError> {
+        unreachable!("no oracle is asked")
+    }
+
+    fn fetch_snapshot(&self) -> Result<Arc<EngineRecord>, TransportError> {
+        let name = *self.name.lock().unwrap();
+        Ok(Arc::new(record_of(name, &self.engine.lock().unwrap())))
+    }
+}
+
+/// A refetch that comes back under another name is refused, by a sweep
+/// and by a push notice alike: the entry keeps the record it had and
+/// stays stale, rather than holding a record no replica would install.
+#[test]
+fn a_refetch_under_another_name_is_refused_and_leaves_the_entry_stale() {
+    let wire = Arc::new(Renaming {
+        name: Mutex::new("alpha"),
+        engine: Mutex::new(Arc::new(engine_from(BEFORE_SWAP))),
+    });
+    let b = Broker::new(SubrangeEstimator::paper_six_subrange());
+    assert_eq!(b.register_remote(wire.clone()).as_deref(), Ok("alpha"));
+    let soup = |b: &Broker<SubrangeEstimator>| b.estimate_all("soup", 0.1)[0].usefulness;
+    let held = soup(&b);
+    assert!(held.no_doc > 0.0);
+
+    *wire.name.lock().unwrap() = "beta";
+    let swapped = Arc::new(engine_from(AFTER_SWAP));
+    *wire.engine.lock().unwrap() = swapped.clone();
+    let epoch = b.registry_epoch();
+    assert_eq!(
+        b.apply_invalidation("alpha", swapped.fingerprint())
+            .map_err(|e| e.kind),
+        Err(TransportErrorKind::Protocol)
+    );
+    assert_eq!(b.is_stale("alpha"), Some(true));
+    assert!(!b.refresh_representative("alpha"));
+    assert_eq!(b.is_stale("alpha"), Some(true));
+    assert_eq!(b.registry_epoch(), epoch);
+    assert_eq!(b.engine_names(), vec!["alpha".to_string()]);
+    assert_eq!(soup(&b), held, "the entry keeps alpha's record");
+}
+
+/// Every store format writes an engine name behind a `u16` length. A
+/// store-attached broker keeps a longer name in memory, and the next
+/// snapshot reports that the store could not hold it.
+#[test]
+fn a_store_attached_broker_keeps_a_name_the_store_cannot_write_in_memory() {
+    let dir = std::env::temp_dir().join(format!("seu-registry-long-name-{}", std::process::id()));
+    let b = Broker::builder(SubrangeEstimator::paper_six_subrange())
+        .store(&dir)
+        .expect("open store")
+        .build();
+    let name = "n".repeat(70_000);
+    b.register(&name, engine_from(&["mushroom soup with cream"]));
+    assert_eq!(b.engine_names(), vec![name]);
+    assert_eq!(b.estimate_all("mushroom soup", 0.1).len(), 1);
+    assert_eq!(
+        b.snapshot_registry().map_err(|e| e.kind),
+        Err(StoreErrorKind::Invalid)
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -205,3 +205,42 @@ fn a_missing_key_is_a_clean_none() {
     assert!(store.get(key).unwrap().is_none());
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// Every format writes an engine name behind a `u16` length, so `put`
+/// refuses a longer one before it writes anything, and `commit` refuses
+/// a manifest naming one even where a record with its fingerprint is
+/// stored under a name that fits.
+#[test]
+fn a_name_no_format_can_write_is_invalid() {
+    let root = tmp_root("long-name");
+    let store = open_tiered(&root, 1 << 20).unwrap();
+    let mut rec = record(4);
+    let fits = rec.name.clone();
+    rec.name = "n".repeat(70_000);
+    let err = store.put(&rec).unwrap_err();
+    assert_eq!(err.kind, StoreErrorKind::Invalid, "{err}");
+    assert!(store.get(rec.fingerprint).unwrap().is_none());
+
+    let long = rec.name.clone();
+    rec.name = fits;
+    store.put(&rec).unwrap();
+    let manifest = Manifest {
+        epoch: 1,
+        shard_epochs: vec![1],
+        next_seq: 1,
+        entries: vec![ManifestEntry {
+            name: long,
+            seq: 0,
+            epoch: 1,
+            fingerprint: rec.fingerprint,
+            kind: seu_store::EntryKind::Local,
+            analyzer: rec.analyzer,
+            scheme: rec.scheme,
+            repr_terms: rec.repr.distinct_terms() as u64,
+            repr_bytes: rec.repr.bytes_resident(),
+        }],
+    };
+    let err = store.commit(&manifest).unwrap_err();
+    assert_eq!(err.kind, StoreErrorKind::Invalid, "{err}");
+    let _ = std::fs::remove_dir_all(&root);
+}
