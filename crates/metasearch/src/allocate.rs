@@ -9,16 +9,14 @@
 //! hold the `k` requested documents, then ask each engine for its
 //! estimated share above `T*`.
 //!
-//! The level is located by binary search over the estimators' (monotone,
-//! step-shaped) NoDoc curves, so this works with *any*
-//! [`UsefulnessEstimator`], not only the subrange method.
+//! The level is located by binary search over the subrange estimator's
+//! (monotone, step-shaped) NoDoc curves.
 
 use crate::broker::Broker;
 use crate::plan::QueryPlan;
 use crate::registry::EngineHandle;
 use crate::request::SearchRequest;
 use crate::selection::SelectionPolicy;
-use seu_core::UsefulnessEstimator;
 
 /// One engine's slice of a document allocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,7 +29,7 @@ pub struct Allocation {
     pub estimated: f64,
 }
 
-impl<E: UsefulnessEstimator + Sync> Broker<E> {
+impl Broker {
     /// Splits a request for `k_total` documents across the registered
     /// engines according to their estimated usefulness curves.
     ///

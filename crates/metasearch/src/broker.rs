@@ -23,7 +23,7 @@ use crate::registry::{
 use crate::remote::{check_consistent, RemoteTransport, TransportError, TransportErrorKind};
 use crate::request::SearchRequest;
 use parking_lot::RwLock;
-use seu_core::{Usefulness, UsefulnessEstimator};
+use seu_core::{SubrangeEstimator, Usefulness};
 use seu_engine::{Fingerprint, SearchEngine};
 use seu_repr::Representative;
 use seu_store::{EngineRecord, StoreError};
@@ -132,14 +132,18 @@ pub struct MergedHit {
 ///     .build();
 /// assert!(broker.is_empty());
 /// ```
-pub struct BrokerBuilder<E> {
+///
+/// The parameter has one value, the paper's [`SubrangeEstimator`]; it
+/// stays only so that the spelling `BrokerBuilder<SubrangeEstimator>`
+/// keeps compiling, and no impl covers another type.
+pub struct BrokerBuilder<E = SubrangeEstimator> {
     estimator: E,
     shards: usize,
     cache_bytes: usize,
     store: Option<Arc<StoreHandle>>,
 }
 
-impl<E: UsefulnessEstimator + Sync> BrokerBuilder<E> {
+impl BrokerBuilder {
     /// Splits the registry across `n` independently locked shards
     /// (engine ids route by [`crate::shard_for`]), so registration,
     /// refresh, and push invalidation on one shard never block planning
@@ -177,7 +181,7 @@ impl<E: UsefulnessEstimator + Sync> BrokerBuilder<E> {
     }
 
     /// Builds the (empty) broker.
-    pub fn build(self) -> Broker<E> {
+    pub fn build(self) -> Broker {
         Broker {
             estimator: self.estimator,
             registry: ShardedRegistry::new(self.shards),
@@ -188,7 +192,11 @@ impl<E: UsefulnessEstimator + Sync> BrokerBuilder<E> {
     }
 }
 
-/// A metasearch broker generic over the usefulness estimator.
+/// A metasearch broker: it selects engines with the paper's subrange
+/// estimator ([`SubrangeEstimator`], §3), the one estimator it serves.
+/// The parameter stays only so that the spelling
+/// `Broker<SubrangeEstimator>` keeps compiling; no impl covers another
+/// type.
 ///
 /// # Examples
 ///
@@ -222,7 +230,7 @@ impl<E: UsefulnessEstimator + Sync> BrokerBuilder<E> {
 /// let hits = broker.search("mushroom soup", 0.2, SelectionPolicy::EstimatedUseful);
 /// assert_eq!(hits, resp.hits);
 /// ```
-pub struct Broker<E> {
+pub struct Broker<E = SubrangeEstimator> {
     pub(crate) estimator: E,
     /// The registry; it owns entry order, epochs and gauges (see
     /// [`crate::registry`]). [`QueryPlan`](crate::QueryPlan) records the
@@ -244,14 +252,14 @@ pub struct Broker<E> {
     pub(crate) store: Option<Arc<StoreHandle>>,
 }
 
-impl<E: UsefulnessEstimator + Sync> Broker<E> {
+impl Broker {
     /// Creates an empty broker with default dispatch configuration.
-    pub fn new(estimator: E) -> Self {
+    pub fn new(estimator: SubrangeEstimator) -> Self {
         Broker::builder(estimator).build()
     }
 
     /// Starts configuring a broker.
-    pub fn builder(estimator: E) -> BrokerBuilder<E> {
+    pub fn builder(estimator: SubrangeEstimator) -> BrokerBuilder {
         BrokerBuilder {
             estimator,
             shards: 1,

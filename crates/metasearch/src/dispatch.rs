@@ -17,7 +17,6 @@ use crate::request::{
     DispatchOutcome, EngineDispatchStats, SearchRequest, SearchResponse, SharedResponse, StaleMode,
 };
 use crate::selection::SelectionPolicy;
-use seu_core::UsefulnessEstimator;
 use seu_obs::{ActiveTrace, FinishedTrace, SpanGuard, SpanId, SpanRecord, TraceHandle};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -160,7 +159,7 @@ fn complete(answer: &Answer) -> impl FnOnce(&mut ActiveTrace) + '_ {
     move |root| root.root_attr("complete", answer.is_complete())
 }
 
-impl<E: UsefulnessEstimator + Sync> Broker<E> {
+impl Broker {
     /// Executes a request end to end: plan, dispatch the selected engines
     /// from the calling thread, merge by global similarity.
     ///

@@ -62,7 +62,7 @@ use crate::request::{
 };
 use crate::selection::SelectionPolicy;
 use parking_lot::RwLock;
-use seu_core::{Usefulness, UsefulnessEstimator};
+use seu_core::Usefulness;
 use seu_engine::SearchEngine;
 use seu_obs::{ActiveTrace, SpanGuard};
 use seu_store::EngineRecord;
@@ -248,20 +248,8 @@ pub trait ReplicaClient: Send + Sync {
 /// A [`ReplicaClient`] over an in-process [`Broker`] — the loopback of
 /// federation, and what the bit-identity conformance suite runs
 /// against.
-pub struct LocalReplica<E> {
-    broker: Arc<Broker<E>>,
-}
-
-impl<E> LocalReplica<E> {
-    /// Wraps a broker.
-    pub fn new(broker: Arc<Broker<E>>) -> LocalReplica<E> {
-        LocalReplica { broker }
-    }
-
-    /// The wrapped broker.
-    pub fn broker(&self) -> &Arc<Broker<E>> {
-        &self.broker
-    }
+pub struct LocalReplica {
+    broker: Arc<Broker>,
 }
 
 /// The entries of `sorted` — a request's names in name order, each with
@@ -280,7 +268,17 @@ fn protocol_error(detail: impl Into<String>) -> TransportError {
 /// seu-metasearch cannot take itself (see [`LocalReplica::install_with`]).
 pub type Dial = dyn Fn(&str) -> Result<Arc<dyn RemoteTransport>, TransportError>;
 
-impl<E: UsefulnessEstimator + Send + Sync + 'static> LocalReplica<E> {
+impl LocalReplica {
+    /// Wraps a broker.
+    pub fn new(broker: Arc<Broker>) -> LocalReplica {
+        LocalReplica { broker }
+    }
+
+    /// The wrapped broker.
+    pub fn broker(&self) -> &Arc<Broker> {
+        &self.broker
+    }
+
     /// The one install table, for the in-process replica and the wire
     /// one alike. The wire replica passes a [`Dial`] (seu-net's
     /// `RemoteEngine::new`); the in-process one passes `None`:
@@ -441,7 +439,7 @@ impl<E: UsefulnessEstimator + Send + Sync + 'static> LocalReplica<E> {
     }
 }
 
-impl<E: UsefulnessEstimator + Send + Sync + 'static> ReplicaClient for LocalReplica<E> {
+impl ReplicaClient for LocalReplica {
     fn ping(&self) -> Result<(), TransportError> {
         Ok(())
     }

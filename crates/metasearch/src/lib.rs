@@ -11,8 +11,8 @@
 //!    against the global vocabulary, finds the engines that contain a
 //!    query term in the registry's term postings, translates the query
 //!    into each one's local term space and predicts its `(NoDoc,
-//!    AvgSim)` from its representative alone (the configured
-//!    [`UsefulnessEstimator`]) — every other engine's estimate is
+//!    AvgSim)` from its representative alone (the paper's subrange
+//!    estimator, [`seu_core::SubrangeEstimator`]) — every other engine's estimate is
 //!    exactly `(0, 0)` — and applies the [`SelectionPolicy`] → a
 //!    [`QueryPlan`];
 //! 2. [`Broker::execute`] dispatches the plan's selected engines from the
@@ -78,7 +78,7 @@ pub use request::{
 pub use selection::SelectionPolicy;
 
 // Re-exported for downstream convenience (the broker API surfaces these).
-pub use seu_core::{Usefulness, UsefulnessEstimator};
+pub use seu_core::Usefulness;
 pub use seu_engine::SearchEngine;
 pub use seu_repr::Representative;
 pub use seu_store::{

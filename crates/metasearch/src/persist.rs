@@ -37,7 +37,6 @@ use crate::broker::{metrics, Broker};
 use crate::registry::{global_ids, Change, ColdEntry, EngineHandle, RegisteredEngine};
 use crate::remote::{check_consistent, RemoteTransport, TransportError};
 use parking_lot::{Mutex, RwLock};
-use seu_core::UsefulnessEstimator;
 use seu_engine::{Fingerprint, SearchEngine};
 use seu_repr::Representative;
 use seu_store::{
@@ -143,7 +142,7 @@ fn hydrate_entry(e: &mut RegisteredEngine, vocab: &RwLock<Vocabulary>, store: &S
     timer.stop();
 }
 
-impl<E: UsefulnessEstimator + Sync> Broker<E> {
+impl Broker {
     /// Whether a persistent representative store is attached.
     pub fn has_store(&self) -> bool {
         self.store.is_some()

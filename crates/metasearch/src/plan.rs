@@ -224,7 +224,7 @@ impl QueryPlan {
     }
 }
 
-impl<E: UsefulnessEstimator + Sync> Broker<E> {
+impl Broker {
     /// Analyzes a query text once per distinct analyzer configuration
     /// among the registered engines (normally: exactly once) against the
     /// broker-global vocabulary. The result translates into any engine's

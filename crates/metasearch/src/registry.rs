@@ -828,10 +828,10 @@ impl RegisteredEngine {
 
     /// Rebuilds the record — from the collection for local engines, by
     /// refetching the snapshot for remote ones, which must pass the
-    /// door's consistency check — through the installer registration
-    /// uses, so the term list can never lag the record. A remote refetch
-    /// that fails or is refused leaves the entry marked stale so the
-    /// next sweep retries it.
+    /// door's consistency check and carry the entry's name — through the
+    /// installer registration uses, so the term list can never lag the
+    /// record. A remote refetch that fails or is refused leaves the
+    /// entry marked stale so the next sweep retries it.
     pub(crate) fn try_refresh(
         &mut self,
         global_vocab: &mut Vocabulary,
@@ -843,8 +843,15 @@ impl RegisteredEngine {
                 Arc::new(EngineRecord::of_engine(&self.name, engine, repr))
             }
             EngineHandle::Remote(transport) => {
-                let fetched = transport.fetch_snapshot();
-                match fetched.and_then(|r| check_consistent(&r).map(|()| r)) {
+                let refetched = transport.fetch_snapshot().and_then(|r| {
+                    check_consistent(&r)?;
+                    if r.name != self.name {
+                        let why = format!("engine {:?} came back named {:?}", self.name, r.name);
+                        return Err(TransportError::new(TransportErrorKind::Protocol, why));
+                    }
+                    Ok(r)
+                });
+                match refetched {
                     Ok(record) => record,
                     Err(e) => {
                         self.pending_invalidation = true;

@@ -69,7 +69,7 @@ fn corpus() -> Vec<(&'static str, Arc<SearchEngine>)> {
 /// An in-process replica that refuses every call once killed, and
 /// every install if built refusing them.
 struct Killable {
-    inner: LocalReplica<SubrangeEstimator>,
+    inner: LocalReplica,
     dead: AtomicBool,
     refuses_installs: bool,
 }

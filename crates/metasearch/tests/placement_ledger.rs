@@ -39,7 +39,7 @@ fn engine(docs: &[&str]) -> Arc<SearchEngine> {
     Arc::new(SearchEngine::new(b.build()))
 }
 
-fn replica() -> Arc<LocalReplica<SubrangeEstimator>> {
+fn replica() -> Arc<LocalReplica> {
     let broker = Broker::new(SubrangeEstimator::paper_six_subrange());
     Arc::new(LocalReplica::new(Arc::new(broker)))
 }

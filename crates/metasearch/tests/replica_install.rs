@@ -17,13 +17,13 @@ fn engine(text: &str) -> Arc<SearchEngine> {
     Arc::new(SearchEngine::new(b.build()))
 }
 
-fn replica() -> LocalReplica<SubrangeEstimator> {
+fn replica() -> LocalReplica {
     LocalReplica::new(Arc::new(Broker::new(
         SubrangeEstimator::paper_six_subrange(),
     )))
 }
 
-fn assert_refused(replica: &LocalReplica<SubrangeEstimator>, spec: InstallSpec, what: &str) {
+fn assert_refused(replica: &LocalReplica, spec: InstallSpec, what: &str) {
     match replica.install(&spec) {
         Err(e) => assert_eq!(e.kind, TransportErrorKind::Protocol, "{what}: {e}"),
         Ok(()) => panic!("{what}: installed {:?}", replica.broker().engine_names()),

@@ -60,7 +60,7 @@ fn broker() -> Arc<Broker<SubrangeEstimator>> {
 
 /// An in-process replica that refuses every call once killed.
 struct Killable {
-    inner: LocalReplica<SubrangeEstimator>,
+    inner: LocalReplica,
     dead: AtomicBool,
 }
 

@@ -47,13 +47,12 @@ use crate::http::BrokerAdmin;
 use crate::metrics::metrics;
 use crate::server::{FrameService, LoopServer, ServerConfig};
 use crate::wire::Message;
-use seu_core::UsefulnessEstimator;
 use seu_metasearch::federation::{
     EngineSource, InstallSpec, LocalReplica, ReplicaClient, SubsetAnswer, SubsetResults,
 };
 use seu_metasearch::{
     Broker, CacheStats, EngineRecord, EngineStatus, FrontDoor, Pending, RegistrySnapshot,
-    RemoteTransport, Representative, SearchRequest, SharedResponse, TransportError,
+    RemoteTransport, SearchRequest, SharedResponse, TransportError,
 };
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
@@ -67,29 +66,23 @@ pub struct ReplicaServer {
 impl ReplicaServer {
     /// Binds `addr` (port 0 for ephemeral) and serves `broker` as the
     /// replica advertised as `id`, with default capacity.
-    pub fn bind<E>(
+    pub fn bind(
         id: &str,
-        broker: Arc<Broker<E>>,
+        broker: Arc<Broker>,
         addr: impl ToSocketAddrs,
-    ) -> Result<ReplicaServer, TransportError>
-    where
-        E: UsefulnessEstimator + Send + Sync + 'static,
-    {
+    ) -> Result<ReplicaServer, TransportError> {
         ReplicaServer::bind_with(id, broker, addr, ServerConfig::default())
     }
 
     /// [`ReplicaServer::bind`] with explicit capacity: the replica
     /// answers at most [`ServerConfig::workers`] requests at once and
     /// queues the rest.
-    pub fn bind_with<E>(
+    pub fn bind_with(
         id: &str,
-        broker: Arc<Broker<E>>,
+        broker: Arc<Broker>,
         addr: impl ToSocketAddrs,
         config: ServerConfig,
-    ) -> Result<ReplicaServer, TransportError>
-    where
-        E: UsefulnessEstimator + Send + Sync + 'static,
-    {
+    ) -> Result<ReplicaServer, TransportError> {
         let service = Arc::new(ReplicaService {
             id: id.to_string(),
             replica: LocalReplica::new(broker),
@@ -128,15 +121,12 @@ impl std::fmt::Debug for ReplicaServer {
 }
 
 /// The [`FrameService`] over one replica broker.
-struct ReplicaService<E> {
+struct ReplicaService {
     id: String,
-    replica: LocalReplica<E>,
+    replica: LocalReplica,
 }
 
-impl<E> FrameService for ReplicaService<E>
-where
-    E: UsefulnessEstimator + Send + Sync + 'static,
-{
+impl FrameService for ReplicaService {
     fn name(&self) -> &str {
         &self.id
     }
@@ -275,19 +265,9 @@ impl ReplicaClient for RemoteReplica {
     }
 
     fn install(&self, spec: &InstallSpec) -> Result<(), TransportError> {
-        // In-process engine handles cannot cross the wire; ship their
-        // snapshot instead (identical statistics, so estimates stay
-        // bit-identical — the engine just cannot serve live searches
-        // from that replica).
-        let snapshot = match (&spec.snapshot, &spec.source) {
-            (Some(snapshot), _) => Some(snapshot.clone()),
-            (None, Some(EngineSource::Local(engine))) => {
-                let repr = Representative::build(engine.collection());
-                Some(Arc::new(EngineRecord::of_engine(&spec.name, engine, repr)))
-            }
-            _ => None,
-        };
-        // Everything else is the replica's table to decide.
+        // The snapshot and the endpoint cross the wire as given; an
+        // in-process engine cannot. The replica's install table decides
+        // with what arrives, and refuses an order with neither.
         let endpoint = spec
             .source
             .as_ref()
@@ -295,7 +275,7 @@ impl ReplicaClient for RemoteReplica {
             .map(String::from);
         match self.client.call(&Message::InstallEngine {
             name: spec.name.clone(),
-            snapshot,
+            snapshot: spec.snapshot.clone(),
             endpoint,
         })? {
             Message::InstallAck { .. } => Ok(()),

@@ -39,9 +39,8 @@
 //! share one small buffer. [`search_json`] writes the same bytes into
 //! one `String`.
 //!
-//! The server is decoupled from the broker's estimator type through the
-//! object-safe [`BrokerAdmin`] trait, blanket-implemented for every
-//! `Broker<E>`.
+//! The server reaches a broker through the object-safe [`BrokerAdmin`]
+//! trait, which [`Broker`] and the federation's front door implement.
 //!
 //! **What blocks where.** Nothing here waits for a client: the server is
 //! the crate's event loop ([`crate::server`]) over an HTTP listener. The
@@ -63,7 +62,6 @@
 
 use crate::metrics::metrics;
 use crate::server::{LoopServer, Service, REQUEST_IDLE_TIMEOUT};
-use seu_core::UsefulnessEstimator;
 use seu_metasearch::{
     Broker, CacheMode, CacheStats, CacheTier, EngineStatus, RegistrySnapshot, SearchRequest,
     SearchResponse, SelectionPolicy, SharedResponse,
@@ -88,8 +86,7 @@ const MAX_DRAIN_BYTES: u64 = 1 << 20;
 const REFUSAL_LINGER: Duration = Duration::from_millis(100);
 
 /// The slice of a broker the admin server needs, object-safe so one
-/// server type works over any estimator. Blanket-implemented for every
-/// [`Broker`].
+/// server type serves a [`Broker`] and a federation's front door alike.
 pub trait BrokerAdmin: Send + Sync {
     /// Registry inventory, in registration order.
     fn engine_statuses(&self) -> Vec<EngineStatus>;
@@ -103,7 +100,7 @@ pub trait BrokerAdmin: Send + Sync {
     fn cache_stats(&self) -> Option<CacheStats>;
 }
 
-impl<E: UsefulnessEstimator + Send + Sync> BrokerAdmin for Broker<E> {
+impl BrokerAdmin for Broker {
     fn engine_statuses(&self) -> Vec<EngineStatus> {
         Broker::engine_statuses(self)
     }

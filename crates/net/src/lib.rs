@@ -94,7 +94,6 @@ pub use http::{AdminServer, BrokerAdmin};
 pub use metrics::register_metrics;
 pub use server::{EngineServer, ServerConfig};
 
-use seu_core::UsefulnessEstimator;
 use seu_metasearch::{Broker, TransportError};
 use std::sync::{Arc, Weak};
 
@@ -107,15 +106,12 @@ use std::sync::{Arc, Weak};
 ///
 /// The subscription holds only a [`Weak`] broker reference, so it never
 /// keeps a dropped broker alive.
-pub fn register_and_subscribe<E>(
-    broker: &Arc<Broker<E>>,
+pub fn register_and_subscribe(
+    broker: &Arc<Broker>,
     client: RemoteEngine,
-) -> Result<(String, Subscription), TransportError>
-where
-    E: UsefulnessEstimator + Send + Sync + 'static,
-{
+) -> Result<(String, Subscription), TransportError> {
     let name = broker.register_remote(Arc::new(client.clone()))?;
-    let weak: Weak<Broker<E>> = Arc::downgrade(broker);
+    let weak: Weak<Broker> = Arc::downgrade(broker);
     let subscription = client.subscribe_with(move |name, fingerprint, _epoch| {
         if let Some(broker) = weak.upgrade() {
             let _ = broker.apply_invalidation(name, fingerprint);

@@ -61,11 +61,52 @@ impl Json {
     }
 }
 
+/// Deepest nesting of arrays and objects [`parse`] accepts. It is a
+/// rule of the format, not a knob: a search body nests one deep, a
+/// metrics snapshot five and a trace four, and the bound keeps the
+/// parser's recursion, and the drop of the tree it builds, within any
+/// thread's stack whatever the input.
+pub const MAX_DEPTH: usize = 64;
+
+/// Why [`parse`] refused a document, and at which byte.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ParseError {
+    /// Arrays and objects nest deeper than [`MAX_DEPTH`].
+    TooDeep { at: usize },
+    /// The text is not JSON: what was expected there.
+    Syntax { at: usize, message: String },
+}
+
+impl std::fmt::Display for ParseError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ParseError::TooDeep { at } => write!(
+                f,
+                "json parse error at byte {at}: nested deeper than {MAX_DEPTH}"
+            ),
+            ParseError::Syntax { at, message } => {
+                write!(f, "json parse error at byte {at}: {message}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ParseError {}
+
+/// The message, for callers that report errors as text.
+impl From<ParseError> for String {
+    fn from(e: ParseError) -> String {
+        e.to_string()
+    }
+}
+
 /// Parses a complete JSON document; trailing non-whitespace is an error.
-pub fn parse(input: &str) -> Result<Json, String> {
+pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -77,13 +118,21 @@ pub fn parse(input: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
+    /// Always on a `char` boundary between tokens: every byte the
+    /// parser steps over one at a time is ASCII.
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
-    fn error(&self, message: &str) -> String {
-        format!("json parse error at byte {}: {message}", self.pos)
+    fn error(&self, message: &str) -> ParseError {
+        ParseError::Syntax {
+            at: self.pos,
+            message: message.to_string(),
+        }
     }
 
     fn peek(&self) -> Option<u8> {
@@ -96,7 +145,7 @@ impl Parser<'_> {
         }
     }
 
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
+    fn expect(&mut self, byte: u8) -> Result<(), ParseError> {
         if self.peek() == Some(byte) {
             self.pos += 1;
             Ok(())
@@ -105,7 +154,7 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, text: &str, value: Json) -> Result<Json, String> {
+    fn literal(&mut self, text: &str, value: Json) -> Result<Json, ParseError> {
         if self.bytes[self.pos..].starts_with(text.as_bytes()) {
             self.pos += text.len();
             Ok(value)
@@ -114,10 +163,10 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    fn value(&mut self) -> Result<Json, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -127,7 +176,21 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    /// Parses one array or object a level deeper than `pos` is.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(ParseError::TooDeep { at: self.pos });
+        }
+        self.depth += 1;
+        let value = parse(self)?;
+        self.depth -= 1;
+        Ok(value)
+    }
+
+    fn object(&mut self) -> Result<Json, ParseError> {
         self.expect(b'{')?;
         let mut map = BTreeMap::new();
         self.skip_ws();
@@ -154,7 +217,7 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
+    fn array(&mut self) -> Result<Json, ParseError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -177,7 +240,7 @@ impl Parser<'_> {
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    fn string(&mut self) -> Result<String, ParseError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
@@ -218,19 +281,21 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input came from &str, so
-                    // boundaries are valid).
+                    // The run up to the next quote or backslash, whole:
+                    // both are ASCII, so it ends on a `char` boundary.
                     let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    fn number(&mut self) -> Result<Json, ParseError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -487,9 +552,7 @@ fn put_digits(buf: &mut [u8], mut value: u64) -> usize {
 
 /// Text [`write_u64`] and [`write_num`] laid out: digits, `-`, `.`, `e`.
 fn ascii(text: &[u8]) -> &str {
-    debug_assert!(text.is_ascii());
-    // SAFETY: every byte written to the buffers `text` comes from is ASCII.
-    unsafe { std::str::from_utf8_unchecked(text) }
+    std::str::from_utf8(text).expect("digits and signs are ASCII")
 }
 
 #[cfg(test)]

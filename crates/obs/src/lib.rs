@@ -23,6 +23,8 @@
 //! relaxed atomic adds on lines no other core writes, not a registry
 //! lookup per document.
 
+#![forbid(unsafe_code)]
+
 pub mod json;
 mod metrics;
 mod registry;

@@ -1,9 +1,10 @@
 //! The JSON parser reads untrusted bytes (a `POST /search` body), so it
 //! is swept like every other decoder of them: every strict prefix and
 //! every one-byte insertion into a search body, a metrics snapshot and
-//! a trace gives `Ok` or `Err` and never panics.
+//! a trace gives `Ok` or `Err` and never panics. Arrays and objects
+//! nest at most [`json::MAX_DEPTH`] deep.
 
-use seu_obs::json;
+use seu_obs::json::{self, ParseError, MAX_DEPTH};
 use seu_obs::{FinishedTrace, MetricsRegistry, SpanId, SpanRecord, TraceId};
 
 fn search_body() -> String {
@@ -86,4 +87,31 @@ fn a_metrics_snapshot_swept_never_panics() {
 #[test]
 fn a_trace_swept_never_panics() {
     sweep(&trace());
+}
+
+/// `depth` arrays or objects, each inside the last.
+fn nested(depth: usize, array: bool) -> String {
+    if array {
+        format!("{}{}", "[".repeat(depth), "]".repeat(depth))
+    } else {
+        format!("{}0{}", "{\"k\":".repeat(depth), "}".repeat(depth))
+    }
+}
+
+#[test]
+fn nesting_at_the_bound_parses_and_one_level_past_it_is_too_deep() {
+    for array in [true, false] {
+        assert!(json::parse(&nested(MAX_DEPTH, array)).is_ok());
+        let err = json::parse(&nested(MAX_DEPTH + 1, array)).unwrap_err();
+        assert!(matches!(err, ParseError::TooDeep { .. }), "{err}");
+    }
+    // Far past the bound, and never closed: refused at the first level
+    // too many, before the rest is read.
+    let err = json::parse(&"[".repeat(100_000)).unwrap_err();
+    assert_eq!(err, ParseError::TooDeep { at: MAX_DEPTH });
+    let body = format!("{{\"query\":{}}}", nested(MAX_DEPTH, true));
+    assert!(matches!(
+        json::parse(&body),
+        Err(ParseError::TooDeep { .. })
+    ));
 }

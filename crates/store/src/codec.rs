@@ -304,11 +304,17 @@ pub fn decode_record(mut bytes: &[u8]) -> Result<EngineRecord, StoreError> {
 }
 
 /// The canonical (quantized round-trip) form of a record, computed
-/// purely in memory — what a store-attached broker installs even when
-/// the disk write itself fails, so estimates stay bit-identical with a
-/// later restore from a healthy store.
+/// purely in memory: bit for bit what `decode_record(&encode_record(r))`
+/// gives, without writing the record. A store-attached broker installs
+/// it when the store refuses or fails the write (a name no format can
+/// write included), so estimates stay bit-identical with a later
+/// restore from a healthy store.
 pub fn roundtrip(record: &EngineRecord) -> EngineRecord {
-    decode_record(&encode_record(record)).expect("decoding our own encoding cannot fail")
+    let repr = QuantizedRepresentative::from_representative(&record.repr).decode();
+    EngineRecord {
+        repr: Arc::new(repr),
+        ..record.clone()
+    }
 }
 
 #[cfg(test)]
@@ -455,7 +461,8 @@ mod tests {
         assert_eq!(rec.cost(), 441);
         // A decoded record's vocabulary is sized once, from the
         // payload: its arena and ends are exact.
-        assert_eq!(roundtrip(&rec).vocab.heap_bytes(), 14 + 3 * 4 + 8 * 4);
+        let decoded = decode_record(&encode_record(&rec)).unwrap();
+        assert_eq!(decoded.vocab.heap_bytes(), 14 + 3 * 4 + 8 * 4);
     }
 
     #[test]
@@ -478,8 +485,79 @@ mod tests {
         assert_eq!(err.kind, StoreErrorKind::Corrupt);
     }
 
+    /// The record of `n_docs` pseudo-random documents drawn from a small
+    /// pool of words, weighted by `scheme`.
+    fn random_record(seed: u64, n_docs: usize, scheme: WeightingScheme) -> EngineRecord {
+        const POOL: &[&str] = &[
+            "database", "index", "query", "vector", "ranking", "term", "network", "storage",
+            "cache", "shard", "merge", "filter",
+        ];
+        let mut b = CollectionBuilder::new(Analyzer::paper_default(), scheme);
+        let mut s = seed;
+        for i in 0..n_docs {
+            let mut text = String::new();
+            for _ in 0..3 + (s % 5) {
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                text.push_str(POOL[(s >> 33) as usize % POOL.len()]);
+                text.push(' ');
+            }
+            b.add_document(&format!("d{i}"), &text);
+        }
+        record_of(&format!("prop-{seed}"), &SearchEngine::new(b.build()))
+    }
+
+    /// Every field of `r`, each number as its bits.
+    #[allow(clippy::type_complexity)]
+    fn bits(
+        r: &EngineRecord,
+    ) -> (
+        String,
+        AnalyzerConfig,
+        WeightingScheme,
+        Fingerprint,
+        Vec<u32>,
+        Vec<String>,
+        Vec<[u64; 4]>,
+        u64,
+        u64,
+    ) {
+        let terms = r.vocab.iter().map(|(_, t)| t.to_string()).collect();
+        let rows = r.repr.rows().iter();
+        let rows = rows
+            .map(|s| [s.p, s.mean, s.std_dev, s.max].map(f64::to_bits))
+            .collect();
+        (
+            r.name.clone(),
+            r.analyzer,
+            r.scheme,
+            r.fingerprint,
+            r.doc_freq.to_vec(),
+            terms,
+            rows,
+            r.repr.n_docs(),
+            r.repr.collection_bytes(),
+        )
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The in-memory canonical form is the one the codec's bytes
+        /// decode to, bit for bit, under either weighting (tf-idf gives
+        /// a term in every document a `p = 0` row).
+        #[test]
+        fn roundtrip_is_decode_of_encode(
+            seed in 0u64..5000,
+            n_docs in 1usize..12,
+            tf_idf in any::<bool>(),
+        ) {
+            let scheme = if tf_idf { WeightingScheme::CosineTfIdf } else { WeightingScheme::CosineTf };
+            let rec = random_record(seed, n_docs, scheme);
+            let decoded = decode_record(&encode_record(&rec)).unwrap();
+            prop_assert_eq!(bits(&roundtrip(&rec)), bits(&decoded));
+        }
 
         /// Encode → decode is the identity on already-canonical records
         /// (modulo quantization, which decode applies identically on
@@ -489,25 +567,7 @@ mod tests {
             seed in 0u64..5000,
             n_docs in 1usize..12,
         ) {
-            const POOL: &[&str] = &[
-                "database", "index", "query", "vector", "ranking", "term",
-                "network", "storage", "cache", "shard", "merge", "filter",
-            ];
-            let mut b = CollectionBuilder::new(
-                Analyzer::paper_default(),
-                WeightingScheme::CosineTf,
-            );
-            let mut s = seed;
-            for i in 0..n_docs {
-                let mut text = String::new();
-                for _ in 0..3 + (s % 5) {
-                    s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                    text.push_str(POOL[(s >> 33) as usize % POOL.len()]);
-                    text.push(' ');
-                }
-                b.add_document(&format!("d{i}"), &text);
-            }
-            let rec = record_of(&format!("prop-{seed}"), &SearchEngine::new(b.build()));
+            let rec = random_record(seed, n_docs, WeightingScheme::CosineTf);
             let first = roundtrip(&rec);
             prop_assert!(first.is_consistent());
             prop_assert_eq!(first.vocab.len(), rec.vocab.len());

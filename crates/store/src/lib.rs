@@ -212,13 +212,17 @@ pub trait ReprStore: Send + Sync {
     /// byte-identical record is a no-op; putting a *different* record
     /// under the same fingerprint (an engine shipped a replacement
     /// representative for the same collection) replaces the stored one
-    /// (last write wins).
+    /// (last write wins). A name over `u16::MAX` bytes, which no store
+    /// format can write, is [`StoreErrorKind::Invalid`] and nothing is
+    /// written.
     fn put(&self, record: &EngineRecord) -> Result<Arc<EngineRecord>, StoreError>;
     /// The last committed manifest.
     fn manifest(&self) -> Manifest;
     /// Durably persists `manifest`: flushes pending segment writes,
     /// writes the manifest to a temp file, fsyncs, and renames it over
-    /// the live one. Fails if any entry's record is absent.
+    /// the live one. Fails if any entry's record is absent, or if a
+    /// name or endpoint is over `u16::MAX` bytes
+    /// ([`StoreErrorKind::Invalid`]).
     fn commit(&self, manifest: &Manifest) -> Result<(), StoreError>;
 }
 

@@ -107,6 +107,19 @@ impl std::fmt::Debug for Store {
     }
 }
 
+/// Refuses text no store format can write: each writes a string behind
+/// a `u16` length.
+fn writable(what: &str, text: &str) -> Result<(), StoreError> {
+    if text.len() <= usize::from(u16::MAX) {
+        return Ok(());
+    }
+    Err(StoreError::invalid(format!(
+        "{what} of {} bytes is over the {} a store format can write",
+        text.len(),
+        u16::MAX
+    )))
+}
+
 fn segment_path(root: &Path, id: u32) -> PathBuf {
     root.join(format!("seg-{id:06}.dat"))
 }
@@ -421,6 +434,7 @@ impl ReprStore for Store {
     }
 
     fn put(&self, record: &EngineRecord) -> Result<Arc<EngineRecord>, StoreError> {
+        writable("engine name", &record.name)?;
         let key = record.fingerprint;
         let payload = codec::encode_record(record);
         let canonical = Arc::new(
@@ -445,6 +459,10 @@ impl ReprStore for Store {
         let mut segments = self.segments.lock();
         let mut locations = Vec::with_capacity(manifest.entries.len());
         for entry in &manifest.entries {
+            writable("engine name", &entry.name)?;
+            if let EntryKind::Remote { endpoint } = &entry.kind {
+                writable("endpoint", endpoint)?;
+            }
             let loc = segments.index.get(&entry.fingerprint).ok_or_else(|| {
                 StoreError::missing(format!(
                     "manifest entry {:?} references a payload not in the store; \
