@@ -147,9 +147,7 @@ pub fn broker(
         builder = builder.cache_bytes(0);
     }
     let broker = builder.build();
-    for path in engines {
-        broker.register(&file_stem(path), load_engine(path)?);
-    }
+    register_files(&broker, engines)?;
     // One pipeline execution serves estimates, selection, and hits (the
     // seed ran three passes — estimate_all, select, search — analyzing
     // the query six times over these two engines).
@@ -180,6 +178,23 @@ fn file_stem(path: &Path) -> String {
     path.file_stem()
         .map(|s| s.to_string_lossy().into_owned())
         .unwrap_or_else(|| path.display().to_string())
+}
+
+/// Registers each engine file under its file stem. A name is one engine,
+/// so two files with one stem are refused rather than one of them
+/// silently left out.
+fn register_files(broker: &Broker, engines: &[PathBuf]) -> Result<(), String> {
+    for path in engines {
+        let name = file_stem(path);
+        if broker.contains(&name) {
+            return Err(format!(
+                "{}: an engine named {name:?} is already registered (engines are named by file stem)",
+                path.display()
+            ));
+        }
+        broker.register(&name, load_engine(path)?);
+    }
+    Ok(())
 }
 
 /// Builds the networked broker for `seu serve` without blocking: local
@@ -215,9 +230,7 @@ fn build_serve_broker(
             .map_err(|e| io_err(&format!("opening store {}", dir.display()), e))?;
     }
     let broker = std::sync::Arc::new(builder.build());
-    for path in engines {
-        broker.register(&file_stem(path), load_engine(path)?);
-    }
+    register_files(&broker, engines)?;
     let mut subscriptions = Vec::new();
     for addr in remotes {
         let client = seu_net::RemoteEngine::new(addr.as_str())
@@ -537,9 +550,7 @@ pub fn snapshot(
         .store(store)
         .map_err(|e| io_err(&format!("opening store {}", store.display()), e))?
         .build();
-    for path in engines {
-        broker.register(&file_stem(path), load_engine(path)?);
-    }
+    register_files(&broker, engines)?;
     let manifest = broker
         .snapshot_registry()
         .map_err(|e| io_err("committing snapshot", e))?;

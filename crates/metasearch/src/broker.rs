@@ -20,7 +20,9 @@ use crate::persist::StoreHandle;
 use crate::registry::{
     Change, EngineHandle, EngineStatus, RegisteredEngine, RegistrySnapshot, ShardedRegistry,
 };
-use crate::remote::{check_consistent, RemoteTransport, TransportError, TransportErrorKind};
+use crate::remote::{
+    check_consistent, refetch, RemoteTransport, TransportError, TransportErrorKind,
+};
 use crate::request::SearchRequest;
 use parking_lot::RwLock;
 use seu_core::{SubrangeEstimator, Usefulness};
@@ -324,6 +326,12 @@ impl Broker {
     /// in another process ships its record instead: see
     /// [`Broker::register_remote`] and [`Broker::install_snapshot`].
     /// Those are the only two ways a record comes in.
+    ///
+    /// A name is one engine: registering under a name the broker
+    /// already holds is refused and changes nothing (no record is built,
+    /// no epoch moves). Ask [`Broker::contains`] first where a refusal
+    /// matters; the shipped-record registrations refuse with a typed
+    /// error.
     pub fn register(&self, name: &str, engine: SearchEngine) {
         self.register_shared(name, Arc::new(engine));
     }
@@ -332,29 +340,37 @@ impl Broker {
     /// federation replication path, where several broker replicas hold
     /// standby copies of the same in-process engine. Registration is
     /// byte-identical to [`Broker::register`]: the representative is
-    /// built from the same collection either way. Like every
-    /// registration it installs under the routed shard's lock (`entries`
-    /// before `vocab`), through the installer a later refresh will use.
+    /// built from the same collection either way, and a held name is
+    /// refused the same way. Like every registration it installs under
+    /// the routed shard's lock (`entries` before `vocab`), through the
+    /// installer a later refresh will use.
     pub fn register_shared(&self, name: &str, engine: Arc<SearchEngine>) {
+        if self.contains(name) {
+            return;
+        }
         let repr = Representative::build(engine.collection());
         let record = Arc::new(EngineRecord::of_engine(name, &engine, repr));
         self.insert(name, EngineHandle::Local(engine), record);
     }
 
     /// Every registration: a new entry for `handle`, `record` installed
-    /// under the routed shard's lock.
-    fn insert(&self, name: &str, handle: EngineHandle, record: Arc<EngineRecord>) {
-        self.registry.insert(name, |seq| {
+    /// under the routed shard's lock; `false`, and nothing installed or
+    /// written, if the name is held.
+    fn insert(&self, name: &str, handle: EngineHandle, record: Arc<EngineRecord>) -> bool {
+        let inserted = self.registry.insert(name, |seq| {
             let mut e = RegisteredEngine::new(name, seq, handle, record.clone());
             e.install(&mut self.vocab.write(), record, self.store.as_deref());
             e
         });
-        self.purge_cache();
+        if inserted {
+            self.purge_cache();
+        }
+        inserted
     }
 
     /// Registration from a shipped record (fetched over a transport or
     /// pushed by a front-door): refuses an inconsistent one at the door,
-    /// then installs it.
+    /// and one under a held name, then installs it.
     fn install_from_snapshot(
         &self,
         record: Arc<EngineRecord>,
@@ -362,7 +378,12 @@ impl Broker {
     ) -> Result<String, TransportError> {
         check_consistent(&record)?;
         let name = record.name.clone();
-        self.insert(&name, handle, record);
+        if !self.insert(&name, handle, record) {
+            return Err(TransportError::new(
+                TransportErrorKind::Refused,
+                format!("engine {name:?} is already registered"),
+            ));
+        }
         Ok(name)
     }
 
@@ -377,7 +398,9 @@ impl Broker {
     /// over the transport.
     ///
     /// Returns the engine's advertised name, or the [`TransportError`]
-    /// if the record could not be fetched or was inconsistent.
+    /// if the record could not be fetched or was inconsistent, or if the
+    /// broker already holds an engine by that name
+    /// ([`TransportErrorKind::Refused`]).
     pub fn register_remote(
         &self,
         transport: Arc<dyn RemoteTransport>,
@@ -404,7 +427,8 @@ impl Broker {
     /// immediately; with only an `endpoint` it is registered detached —
     /// planning and estimates work bit-identically from the shipped
     /// representative, and [`Broker::attach_remote`] upgrades it to a
-    /// live remote once a transport dials the endpoint.
+    /// live remote once a transport dials the endpoint. A record under a
+    /// held name is refused ([`TransportErrorKind::Refused`]).
     pub fn install_snapshot(
         &self,
         snapshot: Arc<EngineRecord>,
@@ -437,7 +461,9 @@ impl Broker {
     /// Exports an engine's [`EngineRecord`] for shipping to another
     /// broker (the federation rebalance path). Local engines summarize
     /// their collection (sharing its vocabulary and document
-    /// frequencies), remote engines refetch over their transport, and
+    /// frequencies), remote engines refetch over their transport (with
+    /// the checks a refresh makes: a consistent record under the entry's
+    /// own name, else a [`TransportErrorKind::Protocol`] error), and
     /// detached entries refuse — there is nothing live to export from.
     pub fn export_snapshot(&self, name: &str) -> Result<Arc<EngineRecord>, TransportError> {
         match self.registry.get(name, |e| e.handle.clone()) {
@@ -449,7 +475,7 @@ impl Broker {
                 let repr = Representative::build(engine.collection());
                 Ok(Arc::new(EngineRecord::of_engine(name, &engine, repr)))
             }
-            Some(EngineHandle::Remote(transport)) => transport.fetch_snapshot(),
+            Some(EngineHandle::Remote(transport)) => refetch(&*transport, name),
             Some(EngineHandle::Detached(_)) => Err(TransportError::new(
                 TransportErrorKind::Refused,
                 format!("engine {name:?} is detached; nothing live to export"),
@@ -506,6 +532,12 @@ impl Broker {
     /// Whether no engine is registered.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Whether an engine is registered under `name` (one lookup, however
+    /// many engines the broker holds).
+    pub fn contains(&self, name: &str) -> bool {
+        self.registry.contains(name)
     }
 
     /// The number of registry shards (1 for a flat broker).
@@ -649,6 +681,16 @@ impl Broker {
     #[doc(hidden)]
     pub fn audit_postings(&self) -> Result<(), String> {
         self.registry.audit_postings()
+    }
+
+    /// Checks, shard by shard under its read lock, that the running
+    /// totals the registry keeps one delta at a time — each shard's
+    /// name → slot map and its own gauge totals — equal a from-scratch
+    /// recount of its entries; `Err` says where they first differ.
+    /// `tests/totals_audit.rs` holds the lifecycle paths to it.
+    #[doc(hidden)]
+    pub fn audit_totals(&self) -> Result<(), String> {
+        self.registry.audit_totals()
     }
 
     /// The current registry epoch — the sum of the per-shard epochs,

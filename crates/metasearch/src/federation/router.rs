@@ -303,7 +303,7 @@ impl LocalReplica {
         dial: Option<&Dial>,
     ) -> Result<(), TransportError> {
         let (broker, name) = (&self.broker, spec.name.as_str());
-        if broker.engine_names().iter().any(|n| n == name) {
+        if broker.contains(name) {
             return Ok(()); // idempotent: already holding it
         }
         let named = |what: String, advertised: &str| {
@@ -392,8 +392,7 @@ impl LocalReplica {
                 .broker
                 .plan_rows(&req, None, Some(&mut wanted), estimate);
             if answered < engines.len() {
-                let held = self.broker.engine_names();
-                let unknown = engines.iter().find(|name| !held.contains(name));
+                let unknown = engines.iter().find(|name| !self.broker.contains(name));
                 let unknown = unknown.map_or_else(String::new, |name| format!(" {name:?}"));
                 return Err(protocol_error(format!(
                     "replica does not hold engine{unknown}"

@@ -40,7 +40,7 @@ use parking_lot::{Mutex, RwLock};
 use seu_engine::{Fingerprint, SearchEngine};
 use seu_repr::Representative;
 use seu_store::{
-    codec, EngineRecord, EntryKind, Manifest, ManifestEntry, ReprStore, Store, StoreError,
+    codec, EngineRecord, EntryKind, Manifest, ManifestEntry, ReprStore, Store, StoreError, Sweep,
 };
 use seu_text::Vocabulary;
 use std::sync::Arc;
@@ -82,9 +82,10 @@ impl StoreHandle {
         }
     }
 
-    /// Fetches a record, stashing (and swallowing) any store error.
-    pub(crate) fn get(&self, key: Fingerprint) -> Option<Arc<EngineRecord>> {
-        match self.store.get(key) {
+    /// Fetches a record through `sweep`, stashing (and swallowing) any
+    /// store error.
+    pub(crate) fn get(&self, sweep: &Sweep, key: Fingerprint) -> Option<Arc<EngineRecord>> {
+        match sweep.get(key) {
             Ok(r) => r,
             Err(e) => {
                 self.stash(e);
@@ -115,11 +116,17 @@ impl StoreHandle {
 /// A missing or unreadable record marks its entry
 /// `pending_invalidation` (surfaced as stale, reconciled by attach) and
 /// stashes the error for the next `snapshot_registry`, instead of
-/// re-reading the store on every plan.
-fn hydrate_entry(e: &mut RegisteredEngine, vocab: &RwLock<Vocabulary>, store: &StoreHandle) {
+/// re-reading the store on every plan. The record is read through the
+/// hydration's one `sweep`, which opens each segment once.
+fn hydrate_entry(
+    e: &mut RegisteredEngine,
+    vocab: &RwLock<Vocabulary>,
+    store: &StoreHandle,
+    sweep: &Sweep,
+) {
     let timer = metrics().store_hydration.start_timer();
     let key = e.record.fingerprint;
-    match store.get(key) {
+    match store.get(sweep, key) {
         Some(record) => {
             // The record's vocabulary is written in the source
             // collection's term-id order, so this list is valid for
@@ -209,9 +216,12 @@ impl Broker {
     ///
     /// Fails with [`StoreErrorKind::Invalid`] if no store is attached
     /// or the broker already has engines registered (restore is a
-    /// cold-start operation, not a merge).
+    /// cold-start operation, not a merge), and with
+    /// [`StoreErrorKind::Corrupt`], registering nothing, if the manifest
+    /// names an engine twice (no broker holds two entries by one name).
     ///
     /// [`StoreErrorKind::Invalid`]: seu_store::StoreErrorKind
+    /// [`StoreErrorKind::Corrupt`]: seu_store::StoreErrorKind
     pub fn restore(&self) -> Result<usize, StoreError> {
         let store = self.store()?;
         if !self.is_empty() {
@@ -220,9 +230,10 @@ impl Broker {
             ));
         }
         let manifest = store.store().manifest();
+        let restored = manifest.entries.iter().map(cold_entry);
         self.registry
-            .load(manifest.entries.iter().map(cold_entry), manifest.next_seq);
-        Ok(manifest.entries.len())
+            .load(restored, manifest.next_seq)
+            .map_err(|name| StoreError::corrupt(format!("manifest names engine {name:?} twice")))
     }
 
     /// Hydrates every still-cold restored entry from the store and
@@ -230,7 +241,11 @@ impl Broker {
     /// lifecycle method that needs a hydrated entry) calls this first,
     /// so hydration is lazy unless the caller makes it eager; once
     /// everything is hydrated it is a single atomic load. Shards are
-    /// hydrated on scoped worker threads, as `refresh_if_stale` sweeps.
+    /// hydrated on scoped worker threads, as `refresh_if_stale` sweeps,
+    /// and the threads read through one store [`Sweep`]: each segment
+    /// file is opened once for the whole hydration, not once a record.
+    ///
+    /// [`Sweep`]: seu_store::Sweep
     pub fn hydrate(&self) -> usize {
         if self.registry.cold() == 0 {
             return 0;
@@ -238,10 +253,11 @@ impl Broker {
         let Some(store) = self.store.as_deref() else {
             return 0;
         };
+        let sweep = store.store().sweep();
         let hydrated = self.registry.update_all(
             |e| e.cold.is_some(),
             |e| {
-                hydrate_entry(e, &self.vocab, store);
+                hydrate_entry(e, &self.vocab, store, &sweep);
                 (Change::Unchanged, Some(()))
             },
         );

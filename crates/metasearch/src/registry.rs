@@ -39,7 +39,7 @@
 //!
 //! # Who owns what
 //!
-//! `ShardedRegistry` keeps its own books; four things live here and
+//! `ShardedRegistry` keeps its own books; five things live here and
 //! nowhere else:
 //!
 //! * **order** — `ShardedRegistry::walk` is the one cross-shard read
@@ -62,9 +62,24 @@
 //!   entries of the engines that contain a query term and no others;
 //!   `ShardedRegistry::audit_postings` is the from-scratch reference
 //!   `tests/index_ledger.rs` holds it to;
-//! * **gauges** — the same calls republish the shard's share of
-//!   `broker_registry_engines` / `broker_representative_bytes_resident`
-//!   before they unlock; dropping the registry retracts it.
+//! * **names** — each shard keeps, under that same lock, a name → slot
+//!   map beside its list: a name is one entry, so `insert` refuses a
+//!   held one, and `get`, `update` and `remove` find their entry
+//!   without a scan;
+//! * **gauges** — the same calls add the change in the one entry that
+//!   moved to the shard's share of `broker_registry_engines` /
+//!   `broker_representative_bytes_resident` before they unlock; dropping
+//!   the registry retracts it. `ShardedRegistry::audit_totals` holds the
+//!   names and the shard's running totals to a from-scratch recount.
+//!
+//! # What a lifecycle op costs
+//!
+//! Finding an entry by name and publishing its gauges visit one entry,
+//! whatever the shard holds: `get`, `update` and `insert` are O(1) in
+//! the shard's size (plus what the caller's closure and the entry's
+//! postings cost). Removal is O(shard) twice over: every later entry
+//! moves up one slot, and both the slots and the postings name entries
+//! by position. A restore (`load`) indexes each shard once from scratch.
 //!
 //! The broker decides *what* happens to an entry, purges its query
 //! cache after a change and writes through its store; it never touches
@@ -86,12 +101,13 @@
 use crate::federation::hash_key;
 use crate::persist::StoreHandle;
 use crate::postings::{Posting, TermIndex};
-use crate::remote::{check_consistent, RemoteTransport, TransportError, TransportErrorKind};
+use crate::remote::{refetch, RemoteTransport, TransportError, TransportErrorKind};
 use parking_lot::RwLock;
 use seu_engine::SearchEngine;
 use seu_repr::Representative;
 use seu_store::EngineRecord;
 use seu_text::{AnalyzerConfig, TermId, Vocabulary};
+use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -153,9 +169,9 @@ pub(crate) fn register_metrics() {
 struct Shard {
     entries: RwLock<Entries>,
     epoch: AtomicU64,
-    /// What this shard last published to the engine-count gauges, so
-    /// republication is a delta (several brokers sum) and dropping the
-    /// registry can retract it.
+    /// The entries this shard has published to the engine-count gauges:
+    /// a running total that every change adds its delta to (several
+    /// brokers sum), and that dropping the registry retracts.
     gauge_engines: AtomicU64,
     /// Ditto for representative resident bytes.
     gauge_repr_bytes: AtomicU64,
@@ -164,15 +180,18 @@ struct Shard {
     gauges: Option<SizeGauges>,
 }
 
-/// What a shard's lock guards: the entries, in registration order, and
-/// the postings over their term lists. The only places an entry appears,
-/// changes or leaves (`insert`, `remove`, `load`, and `book` behind
-/// `update` / `update_all`) keep `index` equal to what posting every
-/// entry of `list` from scratch would give (see
-/// [`ShardedRegistry::audit_postings`]).
+/// What a shard's lock guards: the entries, in registration order, each
+/// one's slot by name, and the postings over their term lists. The only
+/// places an entry appears, changes or leaves (`insert`, `remove`,
+/// `load`, and `book` behind `update` / `update_all`) keep `slots` and
+/// `index` equal to what indexing every entry of `list` from scratch
+/// would give (see [`ShardedRegistry::audit_postings`] and
+/// [`ShardedRegistry::audit_totals`]).
 #[derive(Default)]
 struct Entries {
     list: Vec<RegisteredEngine>,
+    /// Name → position in `list`: a name is one entry.
+    slots: HashMap<String, usize>,
     index: TermIndex,
 }
 
@@ -180,6 +199,11 @@ impl Entries {
     /// Posts the entry at `pos` (and counts its analyzer configuration).
     fn post(&mut self, pos: usize) {
         post(&mut self.index, pos, &self.list[pos]);
+    }
+
+    /// Where the named entry sits.
+    fn slot(&self, name: &str) -> Option<usize> {
+        self.slots.get(name).copied()
     }
 }
 
@@ -338,7 +362,12 @@ impl ShardedRegistry {
         read: impl FnOnce(&RegisteredEngine) -> T,
     ) -> Option<T> {
         let entries = self.shard_of(name).entries.read();
-        entries.list.iter().find(|e| e.name == name).map(read)
+        entries.slot(name).map(|pos| read(&entries.list[pos]))
+    }
+
+    /// Whether an entry holds `name`.
+    pub(crate) fn contains(&self, name: &str) -> bool {
+        self.shard_of(name).entries.read().slots.contains_key(name)
     }
 
     /// The analyzer configurations among the entries, in a fixed order
@@ -425,19 +454,25 @@ impl ShardedRegistry {
     }
 
     /// Adds (and posts) the entry `build` makes for the sequence number
-    /// it is handed. `build` runs under the routed shard's write lock,
-    /// so it may lock the vocabulary (`entries` before `vocab`,
-    /// everywhere); no other shard is locked.
-    pub(crate) fn insert(&self, name: &str, build: impl FnOnce(u64) -> RegisteredEngine) {
+    /// it is handed, named `name`; `false`, and nothing built, if an
+    /// entry already holds the name. `build` runs under the routed
+    /// shard's write lock, so it may lock the vocabulary (`entries`
+    /// before `vocab`, everywhere); no other shard is locked.
+    pub(crate) fn insert(&self, name: &str, build: impl FnOnce(u64) -> RegisteredEngine) -> bool {
         let shard = self.shard_of(name);
         let mut entries = shard.entries.write();
-        entries
-            .list
-            .push(build(self.seq.fetch_add(1, Ordering::SeqCst)));
-        let pos = entries.list.len() - 1;
+        if entries.slots.contains_key(name) {
+            return false;
+        }
+        let entry = build(self.seq.fetch_add(1, Ordering::SeqCst));
+        debug_assert_eq!(entry.name, name, "an entry is inserted under its own name");
+        let (pos, bytes) = (entries.list.len(), entry.repr_bytes());
+        entries.slots.insert(name.to_string(), pos);
+        entries.list.push(entry);
         entries.post(pos);
         shard.epoch.fetch_add(1, Ordering::SeqCst);
-        self.publish(shard, &entries.list);
+        self.publish(shard, 1, bytes as i64);
+        true
     }
 
     /// Removes the named entry and its postings, bumping the shard epoch
@@ -446,20 +481,25 @@ impl ShardedRegistry {
     pub(crate) fn remove(&self, name: &str) -> bool {
         let shard = self.shard_of(name);
         let mut entries = shard.entries.write();
-        let Some(pos) = entries.list.iter().position(|e| e.name == name) else {
+        let Some(pos) = entries.slots.remove(name) else {
             return false;
         };
-        // Every later entry moves up one slot, and the postings name
-        // entries by slot: removal is O(shard) twice over.
+        // Every later entry moves up one slot, and the slots and the
+        // postings name entries by position: removal is O(shard) twice
+        // over.
         let removed = entries.list.remove(pos);
-        entries.index.unpost(position(pos), &removed.terms);
-        entries.index.close_gap(position(pos));
-        entries.index.remove_config(removed.record.analyzer);
+        let Entries { list, slots, index } = &mut *entries;
+        for (at, later) in list.iter().enumerate().skip(pos) {
+            *slots.get_mut(&later.name).expect("every entry has a slot") = at;
+        }
+        index.unpost(position(pos), &removed.terms);
+        index.close_gap(position(pos));
+        index.remove_config(removed.record.analyzer);
         if removed.cold.is_some() {
             self.cold.fetch_sub(1, Ordering::SeqCst);
         }
         shard.epoch.fetch_add(1, Ordering::SeqCst);
-        self.publish(shard, &entries.list);
+        self.publish(shard, -1, -(removed.repr_bytes() as i64));
         true
     }
 
@@ -472,11 +512,9 @@ impl ShardedRegistry {
     ) -> Option<(Change, T)> {
         let shard = self.shard_of(name);
         let mut entries = shard.entries.write();
-        let pos = entries.list.iter().position(|e| e.name == name)?;
-        let (resized, booked) = self.book(shard, &mut entries, pos, f);
-        if resized {
-            self.publish(shard, &entries.list);
-        }
+        let pos = entries.slot(name)?;
+        let (bytes, booked) = self.book(shard, &mut entries, pos, f);
+        self.publish(shard, 0, bytes);
         Some(booked)
     }
 
@@ -534,18 +572,16 @@ impl ShardedRegistry {
     ) -> Vec<(u64, T)> {
         let shard = &self.shards[idx];
         let mut entries = shard.entries.write();
-        let (mut kept, mut resized) = (Vec::new(), false);
+        let (mut kept, mut bytes) = (Vec::new(), 0);
         for pos in 0..entries.list.len() {
             if !wants(&entries.list[pos]) {
                 continue;
             }
             let (moved, (_, out)) = self.book(shard, &mut entries, pos, f);
-            resized |= moved;
+            bytes += moved;
             kept.extend(out.map(|item| (entries.list[pos].seq, item)));
         }
-        if resized {
-            self.publish(shard, &entries.list);
-        }
+        self.publish(shard, 0, bytes);
         kept
     }
 
@@ -553,20 +589,21 @@ impl ShardedRegistry {
     /// shard epoch move together, an entry that left the cold tier
     /// leaves the cold count, and an entry whose term list an installer
     /// replaced (with or without an epoch: hydration fills one in and
-    /// reports `Unchanged`) is re-posted. Also says whether the entry's
-    /// size may have moved, i.e. whether the caller owes a `publish`.
-    /// Call with the shard's write lock held.
+    /// reports `Unchanged`) is re-posted. Also says by how many bytes
+    /// the entry's representative moved, the delta the caller owes
+    /// `publish`. Call with the shard's write lock held.
     fn book<T>(
         &self,
         shard: &Shard,
         entries: &mut Entries,
         pos: usize,
         f: impl FnOnce(&mut RegisteredEngine) -> (Change, T),
-    ) -> (bool, (Change, T)) {
-        let Entries { list, index } = entries;
+    ) -> (i64, (Change, T)) {
+        let Entries { list, index, .. } = entries;
         let entry = &mut list[pos];
         let was_cold = entry.cold.is_some();
         let (config, terms) = (entry.record.analyzer, Arc::clone(&entry.terms));
+        let bytes = entry.repr_bytes();
         let (change, out) = f(entry);
         if !Arc::ptr_eq(&terms, &entry.terms) {
             index.unpost(position(pos), &terms);
@@ -576,39 +613,63 @@ impl ShardedRegistry {
             index.remove_config(config);
             index.add_config(entry.record.analyzer);
         }
-        let warmed = was_cold && entry.cold.is_none();
-        if warmed {
+        if was_cold && entry.cold.is_none() {
             self.cold.fetch_sub(1, Ordering::SeqCst);
         }
         if change == Change::Changed {
             entry.epoch += 1;
             shard.epoch.fetch_add(1, Ordering::SeqCst);
         }
-        (warmed || change == Change::Changed, (change, out))
+        (entry.repr_bytes() as i64 - bytes as i64, (change, out))
     }
 
     /// Fills an empty registry with restored entries, which keep the
-    /// sequence numbers and epochs they were snapshotted with, and
-    /// re-bases each shard's epoch to the equality of the [`Shard`]
-    /// docs, whatever the snapshotting registry had removed.
-    pub(crate) fn load(&self, restored: impl Iterator<Item = RegisteredEngine>, next_seq: u64) {
+    /// sequence numbers and epochs they were snapshotted with, re-bases
+    /// each shard's epoch to the equality of the [`Shard`] docs, whatever
+    /// the snapshotting registry had removed, and returns how many it
+    /// loaded. A name restored twice is refused (`Err` with the name)
+    /// before any shard changes; a restored name a registration took
+    /// while the restore ran stays that registration's.
+    pub(crate) fn load(
+        &self,
+        restored: impl Iterator<Item = RegisteredEngine>,
+        next_seq: u64,
+    ) -> Result<usize, String> {
         let mut by_shard: Vec<Vec<RegisteredEngine>> =
             self.shards.iter().map(|_| Vec::new()).collect();
         for entry in restored {
             by_shard[shard_for(&entry.name, self.shards.len())].push(entry);
         }
+        // A repeated name routes twice to one shard.
+        for group in &by_shard {
+            let mut seen = HashSet::with_capacity(group.len());
+            if let Some(twice) = group.iter().find(|e| !seen.insert(e.name.as_str())) {
+                return Err(twice.name.clone());
+            }
+        }
+        let mut loaded = 0;
         for (shard, mut group) in self.shards.iter().zip(by_shard) {
+            let mut entries = shard.entries.write();
+            group.retain(|e| !entries.slots.contains_key(&e.name));
             if group.is_empty() {
                 continue;
             }
-            let mut entries = shard.entries.write();
+            loaded += group.len();
             let cold = group.iter().filter(|e| e.cold.is_some()).count();
             self.cold.fetch_add(cold as u64, Ordering::SeqCst);
+            let bytes: u64 = group.iter().map(RegisteredEngine::repr_bytes).sum();
+            let added = group.len() as i64;
             entries.list.append(&mut group);
-            // Sorted before posted: postings name entries by position
-            // (and posted from scratch, should a registration have
-            // slipped in ahead of the restore).
+            // Sorted before indexed: slots and postings name entries by
+            // position (and indexed from scratch, should a registration
+            // have slipped in ahead of the restore).
             entries.list.sort_unstable_by_key(|e| e.seq);
+            let Entries { list, slots, .. } = &mut *entries;
+            *slots = list
+                .iter()
+                .enumerate()
+                .map(|(pos, e)| (e.name.clone(), pos))
+                .collect();
             entries.index = TermIndex::default();
             for pos in 0..entries.list.len() {
                 entries.post(pos);
@@ -617,9 +678,10 @@ impl ShardedRegistry {
             shard
                 .epoch
                 .store(entries.list.len() as u64 + entry_epochs, Ordering::SeqCst);
-            self.publish(shard, &entries.list);
+            self.publish(shard, added, bytes as i64);
         }
         self.seq.fetch_max(next_seq, Ordering::SeqCst);
+        Ok(loaded)
     }
 
     /// Checks every shard's live index against one posted from scratch
@@ -639,20 +701,63 @@ impl ShardedRegistry {
         Ok(())
     }
 
-    /// Re-publishes one shard's share of the registry gauges, as the
-    /// difference against what it last reported: several live brokers
-    /// (e.g. in one test binary) sum correctly, and dropping the
-    /// registry retracts exactly what was published. Call with the
-    /// shard's write lock held — publication must be atomic with the
-    /// change it reports.
-    fn publish(&self, shard: &Shard, entries: &[RegisteredEngine]) {
-        let engines = entries.len() as u64;
-        let bytes = entries.iter().map(RegisteredEngine::repr_bytes).sum();
-        let d_engines = engines as f64 - shard.gauge_engines.swap(engines, Ordering::SeqCst) as f64;
-        let d_bytes = bytes as f64 - shard.gauge_repr_bytes.swap(bytes, Ordering::SeqCst) as f64;
-        self.total.add(d_engines, d_bytes);
+    /// Checks every shard's running totals against a from-scratch
+    /// recount of its entries: each entry's slot under its name and no
+    /// other name slotted, and the shard's own gauge atomics equal to
+    /// its entry count and the sum of its entries' representative
+    /// bytes — what `insert`, `remove`, `load` and `book` must keep
+    /// current one delta at a time. `Err` says where the first
+    /// difference is.
+    pub(crate) fn audit_totals(&self) -> Result<(), String> {
+        for (idx, shard) in self.shards.iter().enumerate() {
+            let entries = shard.entries.read();
+            let fail = |why: String| Err(format!("shard {idx}: {why}"));
+            if entries.slots.len() != entries.list.len() {
+                let (slots, list) = (entries.slots.len(), entries.list.len());
+                return fail(format!("{slots} names slotted for {list} entries"));
+            }
+            for (pos, e) in entries.list.iter().enumerate() {
+                let slot = entries.slot(&e.name);
+                if slot != Some(pos) {
+                    return fail(format!("{:?} sits at {pos}, slotted at {slot:?}", e.name));
+                }
+            }
+            let engines = entries.list.len() as u64;
+            let bytes: u64 = entries.list.iter().map(RegisteredEngine::repr_bytes).sum();
+            let published = (
+                shard.gauge_engines.load(Ordering::SeqCst),
+                shard.gauge_repr_bytes.load(Ordering::SeqCst),
+            );
+            if published != (engines, bytes) {
+                return fail(format!(
+                    "gauges read {published:?}, the entries hold {:?}",
+                    (engines, bytes)
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Adds one change to a shard's share of the registry gauges: the
+    /// shard's own totals and the gauges move by the same delta, so
+    /// several live brokers (e.g. in one test binary) sum correctly and
+    /// dropping the registry retracts exactly what was published. Call
+    /// with the shard's write lock held — publication must be atomic
+    /// with the change it reports.
+    fn publish(&self, shard: &Shard, engines: i64, bytes: i64) {
+        if engines == 0 && bytes == 0 {
+            return;
+        }
+        // A negative delta wraps: two's complement adds it exactly.
+        shard
+            .gauge_engines
+            .fetch_add(engines as u64, Ordering::SeqCst);
+        shard
+            .gauge_repr_bytes
+            .fetch_add(bytes as u64, Ordering::SeqCst);
+        self.total.add(engines as f64, bytes as f64);
         if let Some(own) = &shard.gauges {
-            own.add(d_engines, d_bytes);
+            own.add(engines as f64, bytes as f64);
         }
     }
 }
@@ -660,7 +765,9 @@ impl ShardedRegistry {
 impl Drop for ShardedRegistry {
     fn drop(&mut self) {
         for shard in &self.shards {
-            self.publish(shard, &[]);
+            let engines = shard.gauge_engines.load(Ordering::SeqCst) as i64;
+            let bytes = shard.gauge_repr_bytes.load(Ordering::SeqCst) as i64;
+            self.publish(shard, -engines, -bytes);
         }
     }
 }
@@ -842,23 +949,13 @@ impl RegisteredEngine {
                 let repr = Representative::build(engine.collection());
                 Arc::new(EngineRecord::of_engine(&self.name, engine, repr))
             }
-            EngineHandle::Remote(transport) => {
-                let refetched = transport.fetch_snapshot().and_then(|r| {
-                    check_consistent(&r)?;
-                    if r.name != self.name {
-                        let why = format!("engine {:?} came back named {:?}", self.name, r.name);
-                        return Err(TransportError::new(TransportErrorKind::Protocol, why));
-                    }
-                    Ok(r)
-                });
-                match refetched {
-                    Ok(record) => record,
-                    Err(e) => {
-                        self.pending_invalidation = true;
-                        return Err(e);
-                    }
+            EngineHandle::Remote(transport) => match refetch(&**transport, &self.name) {
+                Ok(record) => record,
+                Err(e) => {
+                    self.pending_invalidation = true;
+                    return Err(e);
                 }
-            }
+            },
             EngineHandle::Detached(_) => {
                 // Nothing to refresh from: the entry has no live
                 // engine. Stay marked stale until something attaches.

@@ -133,6 +133,24 @@ pub(crate) fn check_consistent(record: &EngineRecord) -> Result<(), TransportErr
     ))
 }
 
+/// Refetches the record of the entry named `name` over `transport`,
+/// with the checks every refetch makes: a consistent record
+/// ([`check_consistent`]) under the entry's own name. A transport that
+/// now answers for another engine (say, another server started on the
+/// same endpoint) is a [`TransportErrorKind::Protocol`] error.
+pub(crate) fn refetch(
+    transport: &dyn RemoteTransport,
+    name: &str,
+) -> Result<Arc<EngineRecord>, TransportError> {
+    let record = transport.fetch_snapshot()?;
+    check_consistent(&record)?;
+    if record.name != name {
+        let why = format!("engine {name:?} came back named {:?}", record.name);
+        return Err(TransportError::new(TransportErrorKind::Protocol, why));
+    }
+    Ok(record)
+}
+
 /// A call between its two halves: asked, not yet answered. Whoever has
 /// several calls to make begins them all and only then finishes each,
 /// so their waits overlap instead of adding up. Dropping it abandons

@@ -585,3 +585,111 @@ fn a_store_attached_broker_keeps_a_name_the_store_cannot_write_in_memory() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A name is one entry. A second registration under a held name, local
+/// or shipped, is refused and changes nothing: one entry, one row, one
+/// hit, and a removal leaves none behind.
+#[test]
+fn a_second_registration_under_a_held_name_is_refused() {
+    let b = Broker::new(SubrangeEstimator::paper_six_subrange());
+    b.register("a", engine_from(&["mushroom soup with cream"]));
+    let epoch = b.registry_epoch();
+    b.register("a", engine_from(&["mushroom soup with cream"]));
+    b.register_shared("a", Arc::new(engine_from(&["grilled cheese"])));
+    let twin = Arc::new(Renaming {
+        name: Mutex::new("a"),
+        engine: Mutex::new(Arc::new(engine_from(&["mushroom soup"]))),
+    });
+    assert_eq!(
+        b.register_remote(twin).map_err(|e| e.kind),
+        Err(TransportErrorKind::Refused)
+    );
+    let engine = Arc::new(engine_from(&["mushroom soup"]));
+    let shipped = Arc::new(record_of("a", &engine));
+    assert_eq!(
+        b.install_snapshot(shipped.clone(), Some(engine), None)
+            .map_err(|e| e.kind),
+        Err(TransportErrorKind::Refused)
+    );
+    assert_eq!(
+        b.install_snapshot(shipped, None, Some("nowhere:0".into()))
+            .map_err(|e| e.kind),
+        Err(TransportErrorKind::Refused)
+    );
+    assert_eq!(b.engine_names(), ["a"]);
+    assert_eq!(b.registry_epoch(), epoch, "a refusal moves no epoch");
+    let req = SearchRequest::new("mushroom soup")
+        .threshold(0.1)
+        .policy(SelectionPolicy::EstimatedUseful)
+        .with_estimates(true);
+    let resp = b.execute(&req);
+    let hits: Vec<_> = resp
+        .hits
+        .iter()
+        .map(|h| (h.engine.as_str(), h.doc.as_str()))
+        .collect();
+    assert_eq!(hits, [("a", "doc0")]);
+    let rows: Vec<_> = resp.estimates.iter().map(|e| e.engine.as_str()).collect();
+    assert_eq!(rows, ["a"]);
+    assert!(b.deregister("a"));
+    assert!(b.is_empty());
+    assert_eq!(b.is_stale("a"), None);
+    assert!(!b.deregister("a"));
+}
+
+/// A manifest that names one engine twice describes no registry a broker
+/// could have held: the restore refuses it as corrupt and registers
+/// nothing.
+#[test]
+fn a_manifest_that_repeats_a_name_is_refused() {
+    let dir = std::env::temp_dir().join(format!("seu-registry-twice-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let stored = || {
+        Broker::builder(SubrangeEstimator::paper_six_subrange())
+            .shards(4)
+            .store(&dir)
+            .expect("open store")
+            .build()
+    };
+    let live = stored();
+    live.register("a", engine_from(&["mushroom soup with cream"]));
+    live.register("b", engine_from(&["relational databases"]));
+    live.snapshot_registry().expect("snapshot");
+    drop(live);
+    {
+        use seu_metasearch::ReprStore;
+        let store = seu_metasearch::open_tiered(&dir, 0).expect("open store");
+        let mut manifest = store.manifest();
+        manifest.entries[1].name = "a".to_string();
+        store.commit(&manifest).expect("commit");
+    }
+    let restored = stored();
+    assert_eq!(
+        restored.restore().map_err(|e| e.kind),
+        Err(StoreErrorKind::Corrupt)
+    );
+    assert!(restored.is_empty());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An export refetches a remote engine's record with the check a refresh
+/// makes: a transport that now answers under another name is a protocol
+/// error, not a record shipped under the wrong name.
+#[test]
+fn an_export_under_another_name_is_refused() {
+    let wire = Arc::new(Renaming {
+        name: Mutex::new("alpha"),
+        engine: Mutex::new(Arc::new(engine_from(BEFORE_SWAP))),
+    });
+    let b = Broker::new(SubrangeEstimator::paper_six_subrange());
+    assert_eq!(b.register_remote(wire.clone()).as_deref(), Ok("alpha"));
+    let exported = b.export_snapshot("alpha").expect("export");
+    assert_eq!(exported.name, "alpha");
+    *wire.name.lock().unwrap() = "beta";
+    assert_eq!(
+        b.export_snapshot("alpha")
+            .map(|r| r.name.clone())
+            .map_err(|e| e.kind),
+        Err(TransportErrorKind::Protocol)
+    );
+}

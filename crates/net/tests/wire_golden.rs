@@ -22,8 +22,9 @@ use seu_repr::{Representative, TermStats};
 use seu_text::{AnalyzerConfig, Vocabulary};
 use std::sync::Arc;
 
-/// The smallest positive subnormal `f64`.
-const SUBNORMAL: f64 = f64::from_bits(1);
+/// The smallest positive subnormal `f64`, whose bits are `1` (a literal:
+/// `f64::from_bits` is `const` only from Rust 1.83).
+const SUBNORMAL: f64 = 5e-324;
 
 /// A hand-built record (no analyzer or collection builder involved, so
 /// the bytes depend on the codec alone): three terms, one non-ASCII, a

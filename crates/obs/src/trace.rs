@@ -647,7 +647,7 @@ impl Tracer {
     pub fn start_trace(&'static self, name: &'static str, force: bool) -> ActiveTrace {
         let rate = self.rate.load(Ordering::Relaxed);
         let n = self.requests.fetch_add(1, Ordering::Relaxed);
-        let sampled = force || (rate > 0 && n.is_multiple_of(rate));
+        let sampled = force || (rate > 0 && n % rate == 0);
         let epoch_unix_ns = SystemTime::now()
             .duration_since(SystemTime::UNIX_EPOCH)
             .map(|d| d.as_nanos() as u64)

